@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -114,6 +115,40 @@ class PauliSum:
     def one_norm(self) -> float:
         """Sum of |coefficients|; an upper bound on the spectral radius."""
         return float(sum(abs(c) for c, _ in self.terms))
+
+    @cached_property
+    def compiled(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The sum as (index permutation, diagonal weight) pairs, one per x-mask.
+
+        Binary symplectic form (Aaronson & Gottesman, PRA 70, 052328, 2004):
+        a string with X/Y bits x and Z/Y bits z is i^{#Y} X^x Z^z, so it maps
+        amplitude b to index b ^ x with sign (-1)^{popcount(b & z)}.  Terms
+        sharing an x-mask collapse into one weight vector w, and the operator
+        applies as (M psi)[y] = sum over masks of w[y] * psi[y ^ x].  Built on
+        first use and kept on the instance.
+        """
+        q = self.num_qubits
+        index = np.arange(2**q)
+        weights: dict[int, np.ndarray] = {}
+        for coeff, string in self.terms:
+            x_mask = z_mask = 0
+            for t, ch in enumerate(string):
+                bit = 1 << (q - 1 - t)
+                if ch in "XY":
+                    x_mask |= bit
+                if ch in "ZY":
+                    z_mask |= bit
+            parity = np.zeros(2**q, dtype=np.int64)
+            source = (index ^ x_mask) & z_mask
+            for t in range(q):
+                parity ^= (source >> t) & 1
+            phase = (1j) ** string.count("Y") * (1 - 2 * parity)
+            if x_mask not in weights:
+                weights[x_mask] = np.zeros(2**q, dtype=np.complex128)
+            weights[x_mask] += coeff * phase
+        return tuple(
+            (_readonly(index ^ x_mask), _readonly(w)) for x_mask, w in weights.items()
+        )
 
     def scaled(self, factor: float) -> "PauliSum":
         return PauliSum(self.num_qubits, tuple((factor * c, s) for c, s in self.terms))

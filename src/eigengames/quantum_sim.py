@@ -1,6 +1,12 @@
 """Dense statevector simulation: ansatz circuits, Pauli expectations, shot noise,
 parameter-shift gradients, and the two inner-product circuits.
 
+Ansatz states are prepared in batches, one row per parameter vector, and
+Pauli sums apply through their compiled form (``PauliSum.compiled``).  The
+solver loop reads the interference and SwapTest circuits out in closed form
+(``interference_moments``, ``swap_test_moments``); the simulated circuits
+stay as the reference oracles those closed forms are tested against.
+
 Conventions: qubit t corresponds to character t of a Pauli string and to bit
 (q - 1 - t) of the amplitude index, i.e. string character order matches the
 Kronecker factor order of the dense form.  Ancilla qubits are appended as the
@@ -10,6 +16,7 @@ last (least significant) position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,6 +83,7 @@ def _single_qubit_gate(amps: np.ndarray, gate: np.ndarray, qubit: int, num_qubit
 
 
 def _cnot(amps: np.ndarray, control: int, target: int, num_qubits: int) -> np.ndarray:
+    """CNOT on a dense vector; it only moves entries, so it also permutes an index vector."""
     work = amps.reshape((2,) * num_qubits).copy()
     sel: list = [slice(None)] * num_qubits
     sel[control] = 1
@@ -141,6 +149,21 @@ class AnsatzSpec:
     @property
     def num_parameters(self) -> int:
         return sum(len(layer) for layer in self.layer_rotations)
+
+    @cached_property
+    def entangler_permutation(self) -> np.ndarray | None:
+        """The whole CNOT ring as one gather index: ``amps[..., perm]`` applies every pair in order.
+
+        Each CNOT is a gather, so running the ring on the index vector itself
+        composes them.  ``None`` when the ring is empty.
+        """
+        if not self.entangler_pairs:
+            return None
+        perm = np.arange(2**self.num_qubits)
+        for control, target in self.entangler_pairs:
+            perm = _cnot(perm, control, target, self.num_qubits)
+        perm.flags.writeable = False
+        return perm
 
     def bind(self, values: Sequence[float]) -> "ParameterTensor":
         return ParameterTensor.for_spec(self, values)
@@ -253,55 +276,72 @@ def layered_ansatz(num_qubits: int, num_layers: int, initial_state: str = "plus"
     )
 
 
-def apply_ansatz(spec: AnsatzSpec, theta: ParameterTensor | Sequence[float]) -> StateVector:
-    """Prepare |psi(theta)> by running the layout's layers on its initial state."""
-    if not isinstance(theta, ParameterTensor):
-        theta = spec.bind(theta)
-    if theta.values.shape[0] != spec.num_parameters:
-        raise BindingError("parameter tensor does not match the ansatz layout")
-    amps = (plus_state if spec.initial_state == "plus" else zero_state)(spec.num_qubits).amplitudes.copy()
-    flat = theta.values
+# A rotation R(theta) maps each amplitude pair (a0, a1) of its qubit to
+# cos(theta/2) * (a0, a1) + sin(theta/2) * factor * partner, where partner is
+# (a1, a0) for RX/RY and (a0, a1) for RZ.
+_ROTATION_PARTNERS = {
+    "RX": (np.array([[[-1j]], [[-1j]]]), True),
+    "RY": (np.array([[[-1.0]], [[1.0]]]), True),
+    "RZ": (np.array([[[-1j]], [[1j]]]), False),
+}
+
+
+def apply_ansatz(
+    spec: AnsatzSpec, theta: ParameterTensor | Sequence[float] | np.ndarray
+) -> StateVector | np.ndarray:
+    """Prepare |psi(theta)> by running the layout's layers on its initial state.
+
+    A flat parameter vector (or ``ParameterTensor``) gives a ``StateVector``.
+    A (B, m) array prepares B states in one pass and gives their (B, 2**q)
+    amplitudes, row b from parameter row b; the single-vector call is the
+    B = 1 case.  Every row must keep unit norm to ``NORM_ATOL``.
+    """
+    values = theta.values if isinstance(theta, ParameterTensor) else np.asarray(theta, dtype=np.float64)
+    single = values.ndim == 1
+    rows = values[None, :] if single else values
+    if rows.ndim != 2 or rows.shape[1] != spec.num_parameters:
+        raise BindingError(
+            f"spec has {spec.num_parameters} parameters, got values of shape {values.shape}"
+        )
+    batch, dim = rows.shape[0], 2**spec.num_qubits
+    # Work amplitude-major, (2**q, B), so every gate's innermost axis is the batch.
+    half = rows.T / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    initial = (plus_state if spec.initial_state == "plus" else zero_state)(spec.num_qubits)
+    amps = np.repeat(initial.amplitudes[:, None], batch, axis=1)
+    perm = spec.entangler_permutation
     for layer in spec.layer_rotations:
         for kind, qubit, slot in layer:
-            amps = _single_qubit_gate(amps, rotation_gate(kind, flat[slot]), qubit, spec.num_qubits)
-        for control, target in spec.entangler_pairs:
-            amps = _cnot(amps, control, target, spec.num_qubits)
-    return StateVector(spec.num_qubits, amps)
+            factor, swaps = _ROTATION_PARTNERS[kind]
+            work = amps.reshape(2**qubit, 2, -1, batch)
+            partner = work[:, ::-1] if swaps else work
+            amps = (cos[slot] * work + (factor * sin[slot]) * partner).reshape(dim, batch)
+        if perm is not None:
+            amps = amps[perm]
+    amps = np.ascontiguousarray(amps.T)
+    norms = np.linalg.norm(amps, axis=1)
+    if np.any(np.abs(norms - 1.0) > NORM_ATOL):
+        raise NormalizationError(f"prepared state norms deviate from 1 beyond {NORM_ATOL}")
+    return StateVector(spec.num_qubits, amps[0]) if single else amps
 
 
 # ---------------------------------------------------------------------------
 # Pauli expectations and the shot-noise model
 # ---------------------------------------------------------------------------
 
-def _apply_pauli_string(amps: np.ndarray, string: str) -> np.ndarray:
-    num_qubits = len(string)
-    work = amps.reshape((2,) * num_qubits)
-    for qubit, ch in enumerate(string):
-        if ch == "I":
-            continue
-        if ch == "X":
-            work = np.flip(work, axis=qubit)
-        elif ch == "Y":
-            work = np.flip(work, axis=qubit).copy()
-            sel0: list = [slice(None)] * num_qubits
-            sel1: list = [slice(None)] * num_qubits
-            sel0[qubit] = 0
-            sel1[qubit] = 1
-            work[tuple(sel0)] = work[tuple(sel0)] * (-1j)
-            work[tuple(sel1)] = work[tuple(sel1)] * 1j
-        elif ch == "Z":
-            work = work.copy()
-            sel1 = [slice(None)] * num_qubits
-            sel1[qubit] = 1
-            work[tuple(sel1)] = -work[tuple(sel1)]
-    return work.reshape(-1)
-
-
 def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
-    """M |psi> accumulated term by term, without building the dense matrix."""
-    out = np.zeros_like(amps)
-    for coeff, string in h.terms:
-        out += coeff * _apply_pauli_string(amps, string)
+    """M applied along the last axis of a (..., 2**q) array, via the compiled form.
+
+    One gather and one multiply per distinct x-mask (see ``PauliSum.compiled``);
+    the dense matrix is never built.
+    """
+    if amps.shape[-1] != 2**h.num_qubits:
+        raise DimensionMismatchError(
+            f"operator acts on {h.num_qubits} qubits, amplitudes have length {amps.shape[-1]}"
+        )
+    out = np.zeros(amps.shape, dtype=np.complex128)
+    for perm, weight in h.compiled:
+        out += weight * amps[..., perm]
     return out
 
 
@@ -360,6 +400,26 @@ class ShotModel:
         return float(mean + rng.normal(0.0, 1.0) * scale)
 
 
+def perturb_readouts(
+    shots: ShotModel,
+    means: np.ndarray,
+    variances: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Shot noise on an array of readouts, drawn one ``perturb`` per readout in C order.
+
+    Exact models return the means untouched.  Finite models draw in the
+    order a circuit-by-circuit loop over the same readouts would.
+    """
+    if shots.is_exact:
+        return means
+    draws = [
+        shots.perturb(mean, var, rng)
+        for mean, var in zip(means.ravel().tolist(), variances.ravel().tolist())
+    ]
+    return np.array(draws).reshape(means.shape)
+
+
 def shot_noisy_expectation(
     h: PauliSum,
     psi: StateVector,
@@ -406,7 +466,6 @@ def mixed_expectation_states(h: PauliSum, psi_r: StateVector, psi_j: StateVector
         raise DimensionMismatchError("operator and states act on different qubit counts")
     re_state, im_state = _interference_states(psi_r, psi_j)
     observable = _extend_with_ancilla_z(h)
-    q = h.num_qubits + 1
     re_val = float(np.vdot(re_state, pauli_sum_apply(observable, re_state)).real)
     im_val = float(np.vdot(im_state, pauli_sum_apply(observable, im_state)).real)
     return complex(re_val, im_val)
@@ -441,6 +500,36 @@ def mixed_expectation_noisy(
         var = float(np.vdot(m_state, m_state).real) - mean * mean
         parts.append(shots.perturb(mean, var, rng))
     return complex(parts[0], parts[1])
+
+
+def interference_moments(
+    rows: np.ndarray, m_rows: np.ndarray, parents: np.ndarray, m_parents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form mean and variance of the interference circuit's two M x Z read-outs.
+
+    ``rows`` (B, 2**q) are player states, ``parents`` (P, 2**q) parent
+    states, ``m_rows``/``m_parents`` the operator applied to each.  The
+    circuit's Re and Im read-outs have means Re/Im <psi_r|M|psi_j> and
+    variances (||M psi_r||^2 + ||M psi_j||^2)/2 - mean^2.  Both (B, 2P)
+    results interleave Re and Im per parent, the order the circuit is read.
+    """
+    cross = rows.conj() @ m_parents.T
+    means = np.empty((rows.shape[0], 2 * parents.shape[0]))
+    means[:, 0::2] = cross.real
+    means[:, 1::2] = cross.imag
+    row_norms = np.einsum("bi,bi->b", m_rows.conj(), m_rows).real
+    parent_norms = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
+    second = np.repeat(0.5 * (row_norms[:, None] + parent_norms[None, :]), 2, axis=1)
+    return means, second - means**2
+
+
+def swap_test_moments(rows: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form SwapTest ancilla-0 probability p0 = (1 + |<psi|psi_j>|^2)/2 and its variance p0(1 - p0).
+
+    ``rows`` (B, 2**q) against ``parents`` (P, 2**q); both results are (B, P).
+    """
+    p0 = 0.5 * (1.0 + np.abs(rows.conj() @ parents.T) ** 2)
+    return p0, p0 * (1.0 - p0)
 
 
 def swap_test_overlap(psi1: StateVector, psi2: StateVector) -> float:
@@ -486,6 +575,27 @@ def swap_test_overlap_noisy(
 # Parameter-shift gradients
 # ---------------------------------------------------------------------------
 
+def parameter_shift_points(theta: np.ndarray, shift_eigenvalue: float = 0.5) -> np.ndarray:
+    """The (2m+1, m) rows theta + s e_0, theta - s e_0, ..., theta - s e_{m-1}, theta.
+
+    s = pi / (4 lam).  The first 2m rows feed ``shift_rule_gradient``; the
+    last row is theta itself.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    m = theta.shape[0]
+    shift = np.pi / (4.0 * shift_eigenvalue)
+    rows = np.tile(theta, (2 * m + 1, 1))
+    k = np.arange(m)
+    rows[2 * k, k] += shift
+    rows[2 * k + 1, k] -= shift
+    return rows
+
+
+def shift_rule_gradient(shifted_values: np.ndarray, shift_eigenvalue: float = 0.5) -> np.ndarray:
+    """lam * [f(+s e_k) - f(-s e_k)] from the objective at the first 2m shift points."""
+    return shift_eigenvalue * (shifted_values[0::2] - shifted_values[1::2])
+
+
 def parameter_shift_gradient(
     objective: Callable[[np.ndarray], float],
     theta: np.ndarray,
@@ -496,15 +606,8 @@ def parameter_shift_gradient(
     Exact whenever the objective is a first-harmonic trigonometric polynomial
     in each parameter, which holds for expectation values of rotation-gate
     circuits where every parameter feeds exactly one gate.  Uses 2m objective
-    evaluations.
+    evaluations, one per shift point, in ``parameter_shift_points`` order.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    shift = np.pi / (4.0 * shift_eigenvalue)
-    grad = np.empty_like(theta)
-    for k in range(theta.shape[0]):
-        plus = theta.copy()
-        minus = theta.copy()
-        plus[k] += shift
-        minus[k] -= shift
-        grad[k] = shift_eigenvalue * (objective(plus) - objective(minus))
-    return grad
+    rows = parameter_shift_points(theta, shift_eigenvalue)[:-1]
+    values = np.array([objective(row.copy()) for row in rows], dtype=np.float64)
+    return shift_rule_gradient(values, shift_eigenvalue)

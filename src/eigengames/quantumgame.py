@@ -18,15 +18,19 @@ import numpy as np
 from .errors import DegenerateParentError, NonConvergenceError, NumericalOverflowError
 from .hamiltonian import HermitianMatrix, PauliSum, exact_eigendecomposition
 from .quantum_sim import (
+    NORM_ATOL,
     AnsatzSpec,
     ParameterTensor,
     ShotModel,
     StateVector,
     apply_ansatz,
-    mixed_expectation_noisy,
-    parameter_shift_gradient,
+    interference_moments,
+    parameter_shift_points,
+    pauli_sum_apply,
+    perturb_readouts,
+    shift_rule_gradient,
     shot_noisy_expectation,
-    swap_test_overlap_noisy,
+    swap_test_moments,
 )
 
 PARENT_EIGENVALUE_GUARD = 1e-10
@@ -113,6 +117,104 @@ def _game_operator(m: PauliSum, direction: Direction) -> tuple[PauliSum, float]:
     return m.scaled(-1.0).plus_identity(offset), offset
 
 
+# A batch evaluator maps (B, m) parameter rows to the objective at each row,
+# the prepared (B, 2**q) states, and the largest imaginary cross read-out.
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, float]]
+
+
+def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.ndarray:
+    return np.array([p.statevector.amplitudes for p in parents]).reshape(len(parents), 2**num_qubits)
+
+
+def _energy_moments(
+    op: PauliSum, psi: np.ndarray, shots: ShotModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(op psi, <op>, Var(op)) per row; exact models reject an imaginary residue like ``expectation``."""
+    op_psi = pauli_sum_apply(op, psi)
+    value = np.einsum("bi,bi->b", psi.conj(), op_psi)
+    if shots.is_exact and np.any(np.abs(value.imag) > NORM_ATOL):
+        raise ValueError(f"expectation has imaginary residue {np.abs(value.imag).max():.3e}")
+    mean = value.real
+    var = np.einsum("bi,bi->b", op_psi.conj(), op_psi).real - mean * mean
+    return op_psi, mean, var
+
+
+# The cross term enters as |z|^2 rather than the literal complex square: both
+# agree whenever states and operator are real (where the squared quantity is
+# real), but the complex square depends on the ansatz's global phase, which a
+# player can rotate freely to cancel or even invert its penalty.  Squaring the
+# modulus keeps the penalty phase-invariant; the imaginary part is logged.
+
+
+def _game_evaluator(
+    op: PauliSum,
+    spec: AnsatzSpec,
+    parents: tuple[QuantumParent, ...],
+    denominators: Sequence[float],
+    shots: ShotModel,
+    rng: np.random.Generator | None,
+) -> Evaluator:
+    """Rows -> <op> - sum_j |<psi|op|psi_j>|^2 / lambda_j, read out as the circuits would be.
+
+    Per row the read-outs are <op>, then Re and Im of each parent's cross
+    term (interference circuit), each perturbed by the shot model in that
+    order; their means and variances are the circuits' closed forms.
+    ``op psi_j`` is applied once here, for every row and iteration.
+    """
+    for lam in denominators:
+        if abs(lam) < PARENT_EIGENVALUE_GUARD:
+            raise DegenerateParentError(
+                f"cached parent eigenvalue {lam:.3e} is below the division guard"
+            )
+    parent_states = _parent_states(parents, spec.num_qubits)
+    op_parents = pauli_sum_apply(op, parent_states)
+
+    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        psi = apply_ansatz(spec, rows)
+        op_psi, mean, var = _energy_moments(op, psi, shots)
+        cross_mean, cross_var = interference_moments(psi, op_psi, parent_states, op_parents)
+        reads = perturb_readouts(
+            shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
+        )
+        value = reads[:, 0].copy()
+        for j, lam in enumerate(denominators):
+            value -= (reads[:, 1 + 2 * j] ** 2 + reads[:, 2 + 2 * j] ** 2) / lam
+        residue = float(np.abs(reads[:, 2::2]).max()) if parents else 0.0
+        return value, psi, residue
+
+    return evaluate
+
+
+def _vqd_evaluator(
+    m: PauliSum,
+    spec: AnsatzSpec,
+    parents: tuple[QuantumParent, ...],
+    betas: Sequence[float],
+    shots: ShotModel,
+    rng: np.random.Generator | None,
+) -> Evaluator:
+    """Rows -> <M> + sum_j beta_j |<psi|psi_j>|^2, the overlaps read off the SwapTest ancilla.
+
+    Per row the read-outs are <M>, then each parent's SwapTest p0 (closed
+    form, Bernoulli variance), perturbed in that order.
+    """
+    parent_states = _parent_states(parents, spec.num_qubits)
+
+    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        psi = apply_ansatz(spec, rows)
+        _, mean, var = _energy_moments(m, psi, shots)
+        p0, p0_var = swap_test_moments(psi, parent_states)
+        reads = perturb_readouts(
+            shots, np.column_stack((mean, p0)), np.column_stack((var, p0_var)), rng
+        )
+        value = reads[:, 0].copy()
+        for j, beta in enumerate(betas):
+            value += beta * np.clip(2.0 * reads[:, 1 + j] - 1.0, 0.0, 1.0)
+        return value, psi, 0.0
+
+    return evaluate
+
+
 def quantum_utility(
     m: PauliSum,
     spec: AnsatzSpec,
@@ -123,44 +225,67 @@ def quantum_utility(
 ) -> float:
     """<psi_r|M|psi_r> - sum_j |<psi_r|M|psi_j>|^2 / <psi_j|M|psi_j>, shot model applied throughout.
 
-    Cross terms come from the interference circuit (real and imaginary
-    read-outs); parent denominators are the cached broadcast eigenvalues.
+    Cross terms are the interference circuit's real and imaginary read-outs;
+    parent denominators are the cached broadcast eigenvalues.  This is one
+    row of the game's batch evaluator.
     """
-    value, _ = _utility_and_residue(m, spec, theta_r, tuple(parents), shots, rng)
-    return value
+    parents = tuple(parents)
+    values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
+    evaluate = _game_evaluator(m, spec, parents, [p.eigenvalue for p in parents], shots, rng)
+    utility, _, _ = evaluate(values[None, :])
+    return float(utility[0])
 
 
-# The cross term enters as |z|^2 rather than the literal complex square: both
-# agree whenever states and operator are real (where the squared quantity is
-# real), but the complex square depends on the ansatz's global phase, which a
-# player can rotate freely to cancel or even invert its penalty.  Squaring the
-# modulus keeps the penalty phase-invariant; the imaginary part is logged.
+def _spectral_norm(h: PauliSum) -> float:
+    """||h|| from the dense oracle; the dense form comes from applying h to the identity."""
+    dense = pauli_sum_apply(h, np.eye(2**h.num_qubits)).T
+    return exact_eigendecomposition(HermitianMatrix(dense)).spectral_norm
 
 
-def _utility_and_residue(
+def _ascend(
     m: PauliSum,
     spec: AnsatzSpec,
-    theta_r: ParameterTensor | Sequence[float],
+    theta: ParameterTensor,
     parents: tuple[QuantumParent, ...],
-    shots: ShotModel,
-    rng: np.random.Generator | None,
-    parent_eigenvalues: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    psi_r = apply_ansatz(spec, theta_r)
-    value = shot_noisy_expectation(m, psi_r, shots, rng)
-    residue = 0.0
-    denominators = (
-        [p.eigenvalue for p in parents] if parent_eigenvalues is None else list(parent_eigenvalues)
-    )
-    for parent, lam in zip(parents, denominators):
-        if abs(lam) < PARENT_EIGENVALUE_GUARD:
-            raise DegenerateParentError(
-                f"cached parent eigenvalue {lam:.3e} is below the division guard"
-            )
-        cross = mixed_expectation_noisy(m, psi_r, parent.statevector, shots, rng)
-        value -= (cross.real**2 + cross.imag**2) / lam
-        residue = max(residue, abs(cross.imag))
-    return float(value), residue
+    cfg: SolverConfig,
+    index: int,
+    evaluate: Evaluator,
+    eta: float,
+    sign: float,
+    rng: np.random.Generator,
+) -> QuantumPlayerState:
+    """The shared parameter-shift loop; ``sign`` +1 ascends the objective, -1 descends it.
+
+    Each iteration evaluates the 2m shift points and theta in one batch, then
+    reads the energy <M> at theta.  Stops when the gradient norm reaches
+    tolerance or the iteration budget runs out (partial result).
+    """
+    state = QuantumPlayerState(index=index, theta=theta, parents=parents)
+    values = theta.values.copy()
+    for _ in range(cfg.max_iterations):
+        objective, psi, residue = evaluate(parameter_shift_points(values))
+        state.max_imag_residue = max(state.max_imag_residue, residue)
+        grad = shift_rule_gradient(objective[:-1])
+        if not np.all(np.isfinite(grad)):
+            raise NumericalOverflowError("parameter-shift gradient stopped being finite")
+        gnorm = float(np.linalg.norm(grad))
+        value = float(objective[-1])
+        if not np.isfinite(value):
+            raise NumericalOverflowError("objective stopped being finite")
+        energy = shot_noisy_expectation(m, StateVector(spec.num_qubits, psi[-1]), cfg.shots, rng)
+        state.grad_norm_history.append(gnorm)
+        state.utility_history.append(value)
+        state.energy_history.append(energy)
+        if gnorm <= cfg.grad_tolerance:
+            state.converged = True
+            break
+        values = values + sign * eta * grad
+        state.iterations_used += 1
+
+    state.theta = theta.with_values(values)
+    final_psi = apply_ansatz(spec, state.theta)
+    state.eigenvalue = shot_noisy_expectation(m, final_psi, cfg.shots, rng)
+    return state
 
 
 def quantumgame_player(
@@ -175,8 +300,7 @@ def quantumgame_player(
 
     Minimization runs the same ascent on the shifted-negated operator (see
     ``_game_operator``); parent penalty denominators are derived from the
-    cached M-eigenvalues without re-measuring.  Stops when the gradient norm
-    reaches tolerance or the iteration budget runs out (partial result).
+    cached M-eigenvalues without re-measuring.
     """
     parents = tuple(parents)
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
@@ -184,47 +308,11 @@ def quantumgame_player(
     game_denominators = tuple(
         p.eigenvalue if cfg.direction == "maximize" else offset - p.eigenvalue for p in parents
     )
-    eta = cfg.eta
-    if eta is None:
-        # 1/(2L) with L the norm of the operator the ascent actually runs on.
-        spectrum = exact_eigendecomposition(pauli_sum_to_matrix_cached(game_op))
-        eta = 1.0 / (2.0 * spectrum.spectral_norm)
-
+    # 1/(2L) with L the norm of the operator the ascent actually runs on.
+    eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * _spectral_norm(game_op))
     rng = cfg.shots.make_rng()
-    state = QuantumPlayerState(index=index, theta=theta, parents=parents)
-
-    def objective(values: np.ndarray) -> float:
-        value, residue = _utility_and_residue(
-            game_op, spec, theta.with_values(values), parents, cfg.shots, rng,
-            parent_eigenvalues=game_denominators,
-        )
-        state.max_imag_residue = max(state.max_imag_residue, residue)
-        return value
-
-    values = theta.values.copy()
-    for _ in range(cfg.max_iterations):
-        grad = parameter_shift_gradient(objective, values)
-        if not np.all(np.isfinite(grad)):
-            raise NumericalOverflowError("parameter-shift gradient stopped being finite")
-        gnorm = float(np.linalg.norm(grad))
-        game_value = objective(values)
-        if not np.isfinite(game_value):
-            raise NumericalOverflowError("utility stopped being finite")
-        psi = apply_ansatz(spec, theta.with_values(values))
-        energy = shot_noisy_expectation(m, psi, cfg.shots, rng)
-        state.grad_norm_history.append(gnorm)
-        state.utility_history.append(game_value)
-        state.energy_history.append(energy)
-        if gnorm <= cfg.grad_tolerance:
-            state.converged = True
-            break
-        values = values + eta * grad
-        state.iterations_used += 1
-
-    state.theta = theta.with_values(values)
-    final_psi = apply_ansatz(spec, state.theta)
-    state.eigenvalue = shot_noisy_expectation(m, final_psi, cfg.shots, rng)
-    return state
+    evaluate = _game_evaluator(game_op, spec, parents, game_denominators, cfg.shots, rng)
+    return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, 1.0, rng)
 
 
 def vqd_player(
@@ -241,7 +329,7 @@ def vqd_player(
     beta_j = 2 * (lambda_bound - lambda_j) where lambda_bound is the Pauli
     1-norm upper bound on the spectrum and lambda_j the parent's previously
     calculated eigenvalue, which always exceeds the gap the penalty must beat.
-    Overlaps come from the SwapTest circuit.
+    Overlaps are SwapTest read-outs.
     """
     parents = tuple(parents)
     if cfg.beta is None and not cfg.adaptive_regularization:
@@ -252,59 +340,12 @@ def vqd_player(
         betas = tuple(2.0 * (bound - p.eigenvalue) for p in parents)
     else:
         betas = tuple(cfg.beta for _ in parents)
-
-    eta = cfg.eta
-    if eta is None:
-        # The penalized objective is the expectation of M + sum_j beta_j P_j,
-        # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
-        spectrum = exact_eigendecomposition(pauli_sum_to_matrix_cached(m))
-        eta = 1.0 / (2.0 * (spectrum.spectral_norm + sum(betas)))
-
+    # The penalized objective is the expectation of M + sum_j beta_j P_j,
+    # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
+    eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * (_spectral_norm(m) + sum(betas)))
     rng = cfg.shots.make_rng()
-    state = QuantumPlayerState(index=index, theta=theta, parents=parents)
-
-    def objective(values: np.ndarray) -> float:
-        psi = apply_ansatz(spec, theta.with_values(values))
-        value = shot_noisy_expectation(m, psi, cfg.shots, rng)
-        for parent, beta in zip(parents, betas):
-            value += beta * swap_test_overlap_noisy(psi, parent.statevector, cfg.shots, rng)
-        return value
-
-    values = theta.values.copy()
-    for _ in range(cfg.max_iterations):
-        grad = parameter_shift_gradient(objective, values)
-        if not np.all(np.isfinite(grad)):
-            raise NumericalOverflowError("parameter-shift gradient stopped being finite")
-        gnorm = float(np.linalg.norm(grad))
-        cost = objective(values)
-        psi = apply_ansatz(spec, theta.with_values(values))
-        energy = shot_noisy_expectation(m, psi, cfg.shots, rng)
-        state.grad_norm_history.append(gnorm)
-        state.utility_history.append(cost)
-        state.energy_history.append(energy)
-        if gnorm <= cfg.grad_tolerance:
-            state.converged = True
-            break
-        values = values - eta * grad
-        state.iterations_used += 1
-
-    state.theta = theta.with_values(values)
-    final_psi = apply_ansatz(spec, state.theta)
-    state.eigenvalue = shot_noisy_expectation(m, final_psi, cfg.shots, rng)
-    return state
-
-
-# A tiny cache avoids re-densifying the same Pauli sum for every auto step size.
-_DENSE_CACHE: dict[tuple, HermitianMatrix] = {}
-
-
-def pauli_sum_to_matrix_cached(h: PauliSum) -> HermitianMatrix:
-    from .hamiltonian import pauli_sum_to_matrix
-
-    key = (h.num_qubits, h.terms)
-    if key not in _DENSE_CACHE:
-        _DENSE_CACHE[key] = pauli_sum_to_matrix(h)
-    return _DENSE_CACHE[key]
+    evaluate = _vqd_evaluator(m, spec, parents, betas, cfg.shots, rng)
+    return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)
 
 
 @dataclass

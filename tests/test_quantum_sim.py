@@ -20,16 +20,26 @@ from eigengames.quantum_sim import (
     AnsatzSpec,
     ShotModel,
     StateVector,
+    _cnot,
+    _extend_with_ancilla_z,
+    _interference_states,
+    _single_qubit_gate,
+    _swap_test_p0,
     apply_ansatz,
     expectation,
     expectation_and_variance,
+    interference_moments,
     layered_ansatz,
     mixed_expectation,
     mixed_expectation_states,
     parameter_shift_gradient,
+    parameter_shift_points,
+    pauli_sum_apply,
     plus_state,
     random_layers_ansatz,
+    rotation_gate,
     shot_noisy_expectation,
+    swap_test_moments,
     swap_test_overlap,
     zero_state,
 )
@@ -82,6 +92,85 @@ class TestApplyAnsatz:
         spec = AnsatzSpec(2, 1, ((("RZ", 0, 0),),), (), "plus")
         out = apply_ansatz(spec, [0.0])
         assert np.allclose(np.abs(out.amplitudes), 0.5, atol=1e-12)
+
+
+def per_gate_ansatz(spec, values):
+    """Reference preparation: one 2x2 gate or CNOT at a time, in circuit order."""
+    amps = (plus_state if spec.initial_state == "plus" else zero_state)(spec.num_qubits).amplitudes
+    for layer in spec.layer_rotations:
+        for kind, qubit, slot in layer:
+            amps = _single_qubit_gate(amps, rotation_gate(kind, values[slot]), qubit, spec.num_qubits)
+        for control, target in spec.entangler_pairs:
+            amps = _cnot(amps, control, target, spec.num_qubits)
+    return amps
+
+
+class TestBatchedAnsatz:
+    @pytest.mark.parametrize("initial_state", ["plus", "zero"])
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda init: random_layers_ansatz(3, 4, 5, seed=2, initial_state=init),
+            lambda init: random_layers_ansatz(4, 2, 6, seed=7, initial_state=init),
+            lambda init: layered_ansatz(1, 2, initial_state=init),
+            lambda init: layered_ansatz(2, 3, initial_state=init),
+            lambda init: layered_ansatz(3, 2, initial_state=init),
+        ],
+    )
+    def test_rows_match_per_gate_reference(self, make_spec, initial_state):
+        spec = make_spec(initial_state)
+        rng = np.random.default_rng(spec.num_qubits)
+        rows = rng.uniform(-np.pi, np.pi, (7, spec.num_parameters))
+        batch = apply_ansatz(spec, rows)
+        assert batch.shape == (7, 2**spec.num_qubits)
+        for row, amps in zip(rows, batch):
+            assert np.max(np.abs(amps - per_gate_ansatz(spec, row))) <= 1e-12
+            single = apply_ansatz(spec, row)
+            assert np.array_equal(single.amplitudes, amps)
+
+    def test_batch_shape_mismatch_rejected(self):
+        spec = random_layers_ansatz(2, 2, 3, seed=0)
+        with pytest.raises(BindingError):
+            apply_ansatz(spec, np.zeros((4, spec.num_parameters + 1)))
+
+
+def random_pauli_sum(num_qubits, num_terms, rng):
+    """Random strings with repeated x-masks (X/Y swaps keep the mask) and an identity term."""
+    terms = [(float(rng.uniform(-1, 1)), "I" * num_qubits)]
+    while len(terms) < num_terms:
+        string = "".join("IXYZ"[i] for i in rng.integers(0, 4, size=num_qubits))
+        terms.append((float(rng.uniform(-1, 1)), string))
+        swapped = string.translate(str.maketrans("XYIZ", "YXZI"))  # same x-mask, new z-mask
+        terms.append((float(rng.uniform(-1, 1)), swapped))
+    return PauliSum(num_qubits, tuple(terms))
+
+
+class TestCompiledPauliSum:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+    def test_batch_apply_matches_kronecker_form(self, num_qubits):
+        rng = np.random.default_rng(100 + num_qubits)
+        h = random_pauli_sum(num_qubits, 12, rng)
+        masks = {sum(1 << i for i, ch in enumerate(reversed(s)) if ch in "XY") for _, s in h.terms}
+        assert len(h.compiled) == len(masks) < len(h.terms)
+        dense = pauli_sum_to_matrix(h).entries
+        batch = rng.standard_normal((5, 2**num_qubits)) + 1j * rng.standard_normal((5, 2**num_qubits))
+        got = pauli_sum_apply(h, batch)
+        assert np.max(np.abs(got - batch @ dense.T)) <= 1e-12
+
+    def test_identity_rows_give_the_dense_matrix(self):
+        h = random_pauli_sum(3, 10, np.random.default_rng(5))
+        dense = pauli_sum_apply(h, np.eye(8)).T
+        assert np.array_equal(dense, pauli_sum_to_matrix(h).entries)
+
+    def test_compiled_on_first_use_only(self):
+        h = random_pauli_sum(2, 4, np.random.default_rng(6))
+        assert "compiled" not in vars(h)
+        pauli_sum_apply(h, np.eye(4))
+        assert "compiled" in vars(h)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            pauli_sum_apply(Z1, np.ones(4, dtype=complex))
 
 
 class TestAnsatzSpec:
@@ -216,6 +305,45 @@ class TestMixedExpectation:
             assert abs(circuit - direct) <= 1e-10
 
 
+class TestClosedFormReadouts:
+    """Closed forms the solver loop reads out, against the simulated ancilla circuits."""
+
+    @staticmethod
+    def circuit_moments(observable, state):
+        m_state = pauli_sum_apply(observable, state)
+        mean = float(np.vdot(state, m_state).real)
+        return mean, float(np.vdot(m_state, m_state).real) - mean * mean
+
+    def test_interference_means_and_variances(self):
+        rng = np.random.default_rng(11)
+        h = random_pauli_sum(3, 9, rng)
+        observable = _extend_with_ancilla_z(h)
+        rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
+        parents = np.array([random_state(3, rng).amplitudes for _ in range(3)])
+        means, variances = interference_moments(
+            rows, pauli_sum_apply(h, rows), parents, pauli_sum_apply(h, parents)
+        )
+        assert means.shape == variances.shape == (6, 6)
+        for b, row in enumerate(rows):
+            for j, parent in enumerate(parents):
+                states = _interference_states(StateVector(3, row), StateVector(3, parent))
+                for part, state in enumerate(states):  # Re read-out, then Im
+                    mean, var = self.circuit_moments(observable, state)
+                    assert abs(means[b, 2 * j + part] - mean) <= 1e-12
+                    assert abs(variances[b, 2 * j + part] - var) <= 1e-12
+
+    def test_swap_test_probability_and_variance(self):
+        rng = np.random.default_rng(12)
+        rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
+        parents = np.array([random_state(3, rng).amplitudes for _ in range(3)])
+        p0, var = swap_test_moments(rows, parents)
+        for b, row in enumerate(rows):
+            for j, parent in enumerate(parents):
+                circuit = _swap_test_p0(StateVector(3, row), StateVector(3, parent))
+                assert abs(p0[b, j] - circuit) <= 1e-12
+                assert abs(var[b, j] - circuit * (1.0 - circuit)) <= 1e-12
+
+
 class TestSwapTest:
     def test_identical_states(self):
         psi = plus_state(2)
@@ -274,6 +402,17 @@ class TestParameterShift:
             exact = parameter_shift_gradient(objective, theta)
             oracle = central_difference_gradient(objective, theta)
             assert np.max(np.abs(exact - oracle)) <= 1e-6
+
+
+    def test_shift_points_order(self):
+        theta = np.array([0.1, -0.2, 0.3])
+        rows = parameter_shift_points(theta)
+        assert rows.shape == (7, 3)
+        assert np.array_equal(rows[-1], theta)
+        for k in range(3):
+            assert np.array_equal(rows[2 * k] - theta, np.eye(3)[k] * (rows[2 * k, k] - theta[k]))
+            assert rows[2 * k, k] == theta[k] + np.pi / 2.0
+            assert rows[2 * k + 1, k] == theta[k] - np.pi / 2.0
 
 
 class TestStateVector:

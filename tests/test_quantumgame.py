@@ -1,5 +1,8 @@
 """Parameterized players, the overlap-penalized baseline, and explicit deflation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,61 @@ class TestVqd:
                            max_iterations=4000, adaptive_regularization=True)
         result = run_vqd(h2, spec, cfg, 4, seed=0)
         assert np.max(np.abs(np.sort(result.eigenvalues) - h2_oracle)) <= 5e-2
+
+
+class TestShotDraws:
+    """Every finite-shot read-out is one ShotModel.perturb call, in circuit order."""
+
+    @staticmethod
+    def count_perturb_calls(monkeypatch, player, cfg, num_parents):
+        spec = random_layers_ansatz(2, 2, 3, seed=3)
+        h2 = load_pauli_sum(bundled_h2_path())
+        rng = np.random.default_rng(num_parents)
+        parents = tuple(
+            make_parent(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
+            for _ in range(num_parents)
+        )
+        calls = []
+        original = ShotModel.perturb
+
+        def counting(model, mean, variance, rng=None):
+            if not model.is_exact:
+                calls.append(mean)
+            return original(model, mean, variance, rng)
+
+        monkeypatch.setattr(ShotModel, "perturb", counting)
+        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 6)), parents, cfg)
+        return len(calls), len(state.energy_history), spec.num_parameters
+
+    @pytest.mark.parametrize("num_parents", [0, 1, 2])
+    @pytest.mark.parametrize("iterations", [1, 3])
+    @pytest.mark.parametrize("player, per_parent", [(quantumgame_player, 2), (vqd_player, 1)])
+    def test_readout_budget(self, monkeypatch, player, per_parent, num_parents, iterations):
+        cfg = SolverConfig(
+            direction="minimize", grad_tolerance=1e-9, max_iterations=iterations, beta=5.0,
+            shots=ShotModel(1000, rng_seed=4),
+        )
+        calls, loops, m = self.count_perturb_calls(monkeypatch, player, cfg, num_parents)
+        assert loops == iterations
+        assert calls == loops * ((2 * m + 1) * (1 + per_parent * num_parents) + 1) + 1
+
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})])
+    def test_trajectory_pinned_at_ten_thousand_shots(self, h2, runner, extra):
+        # The reference values were recorded with the earlier loop that
+        # simulated every ancilla circuit (see the note in the data file);
+        # a change in the draw order moves them far beyond 1e-9.
+        pinned = json.loads((Path(__file__).parent / "data" / "h2_10k_shots_pinned.json").read_text())
+        expected = pinned["game" if runner is run_quantumgame else "vqd"]
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(
+            direction="minimize", grad_tolerance=1e-2, max_iterations=20,
+            shots=ShotModel(10_000, rng_seed=21), **extra,
+        )
+        result = runner(h2, spec, cfg, 3, seed=5)
+        assert np.max(np.abs(np.subtract(result.eigenvalues, expected["eigenvalues"]))) <= 1e-9
+        for player, history in zip(result.players, expected["energy_history"]):
+            assert len(player.energy_history) == len(history)
+            assert np.max(np.abs(np.subtract(player.energy_history, history))) <= 1e-9
 
 
 class TestDeflation:
