@@ -3,15 +3,17 @@
 Two gradient modes drive the same ascent loop: the exact utility gradient,
 and its zeroth-order variant carrying the closed-form forward-differences
 error term (linear in the perturbation sigma).  Players run in order; each
-converged player broadcasts its vector and Rayleigh quotient to all later
-players, which penalize alignment against it.
+player broadcasts its vector and Rayleigh quotient to all later players,
+which penalize alignment against it.  ``run_players`` is the scheduler the
+quantum runners share.
 """
 
 from __future__ import annotations
 
+import hashlib
 import warnings
-from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -76,6 +78,7 @@ class PlayerState:
     index: int
     vector: np.ndarray
     parents: tuple[ParentVector, ...]
+    eigenvalue: float = float("nan")
     iterations_used: int = 0
     converged: bool = False
     grad_norm_history: list[float] = field(default_factory=list)
@@ -196,7 +199,6 @@ def eigengame_player(
     mode: GradientMode = "exact",
     index: int = 1,
     oracle_vector: np.ndarray | None = None,
-    step_size: float | None = None,
 ) -> PlayerState:
     """Run one player's ascent: v <- normalize(v + alpha g) until the gradient is radial.
 
@@ -211,7 +213,7 @@ def eigengame_player(
     if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_ATOL:
         raise NormalizationError("init vector must be unit norm")
 
-    alpha = step_size if step_size is not None else cfg.step_size
+    alpha = cfg.step_size
     if alpha is None:
         alpha = 1.0 / (2.0 * np.abs(np.linalg.eigvalsh(mat)).max())
 
@@ -264,19 +266,54 @@ def eigengame_player(
         state.iterations_used += 1
 
     state.vector = v
+    state.eigenvalue = float(v @ (mat @ v))
     return state
 
 
 @dataclass
 class SequentialResult:
-    """All players of one sequential run, in solve order."""
+    """All players of one sequential run, in solve order.
 
-    players: list[PlayerState]
+    ``players`` holds the runner's own player records (``PlayerState`` or
+    ``QuantumPlayerState``); the operator hashes bracket the run.
+    """
+
+    players: list
     eigenvalues: list[float]
     total_iterations: int
     all_converged: bool
-    mode: GradientMode
-    spectrum: Spectrum | None = None
+    operator_hash_before: str
+    operator_hash_after: str
+
+
+def run_players(k: int, play: Callable, digest: Callable[[], str]) -> SequentialResult:
+    """The sequential scheduler every runner shares.
+
+    Players 1..k are solved once each, in order.  ``play(index, parents)``
+    solves one player against the tuple of earlier parents and returns
+    ``(state, parent)``; the parent is broadcast to every later player
+    whether or not the player converged, and ``all_converged`` reports any
+    miss.  ``digest()`` hashes the operator before and after the run: no
+    player may rewrite it.
+    """
+    hash_before = digest()
+    players = []
+    parents = []
+    for index in range(1, k + 1):
+        state, parent = play(index, tuple(parents))
+        players.append(state)
+        parents.append(parent)
+    hash_after = digest()
+    if hash_after != hash_before:
+        raise AssertionError("input operator mutated during the run")
+    return SequentialResult(
+        players=players,
+        eigenvalues=[p.eigenvalue for p in players],
+        total_iterations=sum(p.iterations_used for p in players),
+        all_converged=all(p.converged for p in players),
+        operator_hash_before=hash_before,
+        operator_hash_after=hash_after,
+    )
 
 
 def run_sequential(
@@ -286,12 +323,7 @@ def run_sequential(
     mode: GradientMode = "exact",
     spectrum: Spectrum | None = None,
 ) -> SequentialResult:
-    """Solve players 1..k in order, broadcasting each converged vector to its children.
-
-    A player that misses tolerance is restarted once from a fresh seeded
-    initialization; if it still misses, the run stops there and the result
-    carries every completed player plus ``all_converged=False``.
-    """
+    """Solve players 1..k in order with ``run_players``, each from its own seeded start."""
     mat = _as_real_symmetric(m)
     dim = mat.shape[0]
     if cfg.num_players > dim:
@@ -302,44 +334,20 @@ def run_sequential(
     if spectrum.gaps.size and spectrum.gaps[: cfg.num_players].min() < 1e-6:
         warnings.warn("leading eigengaps below 1e-6; convergence may be ill-conditioned", stacklevel=2)
 
-    alpha = cfg.step_size if cfg.step_size is not None else 1.0 / (2.0 * spectrum.spectral_norm)
+    if cfg.step_size is None:
+        cfg = replace(cfg, step_size=1.0 / (2.0 * spectrum.spectral_norm))
 
-    players: list[PlayerState] = []
-    eigenvalues: list[float] = []
-    parents: list[ParentVector] = []
-    total_iterations = 0
-    all_converged = True
+    def play(i: int, parents: tuple[ParentVector, ...]) -> tuple[PlayerState, ParentVector]:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))
+        init = rng.standard_normal(dim)
+        init /= np.linalg.norm(init)
+        state = eigengame_player(
+            mat, init, parents, cfg, mode=mode, index=i,
+            oracle_vector=spectrum.eigenvector(i - 1).real,
+        )
+        return state, ParentVector.from_vector(mat, state.vector)
 
-    for i in range(1, cfg.num_players + 1):
-        oracle_vec = spectrum.eigenvector(i - 1).real if spectrum is not None else None
-        state = None
-        for attempt in range(2):  # one automatic re-seed on non-convergence
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, attempt)))
-            init = rng.standard_normal(dim)
-            init /= np.linalg.norm(init)
-            candidate = eigengame_player(
-                mat, init, parents, cfg, mode=mode, index=i,
-                oracle_vector=oracle_vec, step_size=alpha,
-            )
-            total_iterations += candidate.iterations_used
-            state = candidate
-            if candidate.converged:
-                break
-        players.append(state)
-        eigenvalues.append(float(state.vector @ (mat @ state.vector)))
-        if not state.converged:
-            all_converged = False
-            break
-        parents.append(ParentVector.from_vector(mat, state.vector))
-
-    return SequentialResult(
-        players=players,
-        eigenvalues=eigenvalues,
-        total_iterations=total_iterations,
-        all_converged=all_converged,
-        mode=mode,
-        spectrum=spectrum,
-    )
+    return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat.tobytes()).hexdigest())
 
 
 TELEMETRY_HEADER = (

@@ -392,10 +392,9 @@ class ShotModel:
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
 
-    def perturb(self, mean: float, variance: float, rng: np.random.Generator | None = None) -> float:
+    def perturb(self, mean: float, variance: float, rng: np.random.Generator) -> float:
         if self.is_exact:
             return mean
-        rng = self.make_rng() if rng is None else rng
         scale = np.sqrt(max(variance, 0.0) / self.num_shots)
         return float(mean + rng.normal(0.0, 1.0) * scale)
 
@@ -409,10 +408,12 @@ def perturb_readouts(
     """Shot noise on an array of readouts, drawn one ``perturb`` per readout in C order.
 
     Exact models return the means untouched.  Finite models draw in the
-    order a circuit-by-circuit loop over the same readouts would.
+    order a circuit-by-circuit loop over the same readouts would, from
+    ``rng`` or, when none is given, from one ``make_rng()`` for the call.
     """
     if shots.is_exact:
         return means
+    rng = shots.make_rng() if rng is None else rng
     draws = [
         shots.perturb(mean, var, rng)
         for mean, var in zip(means.ravel().tolist(), variances.ravel().tolist())
@@ -426,11 +427,14 @@ def shot_noisy_expectation(
     shots: ShotModel,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """<M> plus Gaussian noise of std sqrt(Var(M)/N); exact when Var(M) = 0."""
+    """<M> plus Gaussian noise of std sqrt(Var(M)/N); exact when Var(M) = 0.
+
+    Without ``rng`` the draw comes from a fresh ``shots.make_rng()``.
+    """
     if shots.is_exact:
         return expectation(h, psi)
     mean, var = expectation_and_variance(h, psi)
-    return shots.perturb(mean, var, rng)
+    return shots.perturb(mean, var, shots.make_rng() if rng is None else rng)
 
 
 # ---------------------------------------------------------------------------
@@ -479,27 +483,6 @@ def mixed_expectation(
 ) -> complex:
     """<psi(theta_r)| M |psi(theta_j)> via the (q+1)-qubit interference circuit."""
     return mixed_expectation_states(h, apply_ansatz(spec, theta_r), apply_ansatz(spec, theta_j))
-
-
-def mixed_expectation_noisy(
-    h: PauliSum,
-    psi_r: StateVector,
-    psi_j: StateVector,
-    shots: ShotModel,
-    rng: np.random.Generator | None = None,
-) -> complex:
-    """Shot-noisy variant: both M x Z read-outs carry their own estimator noise."""
-    if shots.is_exact:
-        return mixed_expectation_states(h, psi_r, psi_j)
-    re_state, im_state = _interference_states(psi_r, psi_j)
-    observable = _extend_with_ancilla_z(h)
-    parts = []
-    for state in (re_state, im_state):
-        m_state = pauli_sum_apply(observable, state)
-        mean = float(np.vdot(state, m_state).real)
-        var = float(np.vdot(m_state, m_state).real) - mean * mean
-        parts.append(shots.perturb(mean, var, rng))
-    return complex(parts[0], parts[1])
 
 
 def interference_moments(
@@ -555,20 +538,6 @@ def _swap_test_p0(psi1: StateVector, psi2: StateVector) -> float:
     work[1] = work[1].T.copy()  # controlled register swap
     amps = _single_qubit_gate(work.reshape(-1), HADAMARD, 0, 2 * q + 1)
     return float(np.sum(np.abs(amps[: 2 ** (2 * q)]) ** 2))
-
-
-def swap_test_overlap_noisy(
-    psi1: StateVector,
-    psi2: StateVector,
-    shots: ShotModel,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """SwapTest overlap with Bernoulli sampling noise on the ancilla probability."""
-    if shots.is_exact:
-        return swap_test_overlap(psi1, psi2)
-    p0 = _swap_test_p0(psi1, psi2)
-    p_hat = shots.perturb(p0, p0 * (1.0 - p0), rng)
-    return float(np.clip(2.0 * p_hat - 1.0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

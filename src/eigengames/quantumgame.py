@@ -10,11 +10,12 @@ by a pluggable single-component solver.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
+from .eigengame_classical import SequentialResult, run_players
 from .errors import DegenerateParentError, NonConvergenceError, NumericalOverflowError
 from .hamiltonian import HermitianMatrix, PauliSum, exact_eigendecomposition
 from .quantum_sim import (
@@ -41,7 +42,7 @@ Direction = Literal["maximize", "minimize"]
 
 @dataclass(frozen=True)
 class QuantumParent:
-    """Broadcast record of a converged player: parameters, eigenvalue, prepared state.
+    """Broadcast record of a solved player: parameters, eigenvalue, prepared state.
 
     The eigenvalue is <psi(theta)| M |psi(theta)> with respect to the original
     operator, cached at broadcast time and never re-measured.
@@ -353,7 +354,6 @@ class DeflationResult:
     pairs: list[tuple[float, np.ndarray]]
     complete: bool
     failed_level: int | None = None
-    deflated_operators: list[np.ndarray] = field(default_factory=list)  # M_2, M_3, ...
 
 
 VqeSolver = Callable[[HermitianMatrix, int], np.ndarray]
@@ -409,18 +409,7 @@ def deflation_vqe(
         result.pairs.append((lam, psi))
         work = work - lam * np.outer(psi, psi.conj())
         work = 0.5 * (work + work.conj().T)
-        result.deflated_operators.append(work.copy())
     return result
-
-
-@dataclass
-class QuantumGameResult:
-    players: list[QuantumPlayerState]
-    eigenvalues: list[float]
-    total_iterations: int
-    all_converged: bool
-    operator_hash_before: str
-    operator_hash_after: str
 
 
 def _sequential_run(
@@ -430,55 +419,22 @@ def _sequential_run(
     k: int,
     seed: int,
     player_fn,
-) -> QuantumGameResult:
+) -> SequentialResult:
     if k > 2**spec.num_qubits:
         raise ValueError(f"k={k} exceeds the register dimension {2**spec.num_qubits}")
-    hash_before = pauli_sum_hash(m)
-    players: list[QuantumPlayerState] = []
-    parents: list[QuantumParent] = []
-    eigenvalues: list[float] = []
-    total_iterations = 0
-    all_converged = True
-    for r in range(1, k + 1):
+
+    def play(r: int, parents: tuple[QuantumParent, ...]) -> tuple[QuantumPlayerState, QuantumParent]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         theta_init = spec.bind(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
-        player_cfg = SolverConfig(
-            eta=cfg.eta,
-            max_iterations=cfg.max_iterations,
-            grad_tolerance=cfg.grad_tolerance,
-            shots=ShotModel(cfg.shots.num_shots, rng_seed=int(rng.integers(0, 2**31 - 1))),
-            direction=cfg.direction,
-            beta=cfg.beta,
-            adaptive_regularization=cfg.adaptive_regularization,
-        )
-        state = player_fn(m, spec, theta_init, tuple(parents), player_cfg, index=r)
-        players.append(state)
-        eigenvalues.append(state.eigenvalue)
-        total_iterations += state.iterations_used
-        if not state.converged:
-            all_converged = False
-        parents.append(
-            QuantumParent(
-                theta=state.theta,
-                eigenvalue=state.eigenvalue,
-                statevector=apply_ansatz(spec, state.theta),
-            )
-        )
-    hash_after = pauli_sum_hash(m)
-    if hash_after != hash_before:
-        raise AssertionError("input operator mutated during the run")
-    return QuantumGameResult(
-        players=players,
-        eigenvalues=eigenvalues,
-        total_iterations=total_iterations,
-        all_converged=all_converged,
-        operator_hash_before=hash_before,
-        operator_hash_after=hash_after,
-    )
+        shots = replace(cfg.shots, rng_seed=int(rng.integers(0, 2**31 - 1)))
+        state = player_fn(m, spec, theta_init, parents, replace(cfg, shots=shots), index=r)
+        return state, QuantumParent(state.theta, state.eigenvalue, apply_ansatz(spec, state.theta))
+
+    return run_players(k, play, lambda: pauli_sum_hash(m))
 
 
-def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, seed: int) -> QuantumGameResult:
-    """Players 1..k in sequence; every converged (theta, eigenvalue) is broadcast onward.
+def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, seed: int) -> SequentialResult:
+    """Players 1..k in sequence; every player's (theta, eigenvalue) is broadcast onward.
 
     The operator is hashed before and after the run: the whole point of the
     formulation is that no deflation step ever rewrites it.
@@ -486,6 +442,6 @@ def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, se
     return _sequential_run(m, spec, cfg, k, seed, quantumgame_player)
 
 
-def run_vqd(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, seed: int) -> QuantumGameResult:
+def run_vqd(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, seed: int) -> SequentialResult:
     """Sequential VQD baseline with the same broadcast bookkeeping."""
     return _sequential_run(m, spec, cfg, k, seed, vqd_player)

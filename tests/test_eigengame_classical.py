@@ -9,6 +9,7 @@ from eigengames.errors import (
     NormalizationError,
     NumericalOverflowError,
 )
+from eigengames import eigengame_classical
 from eigengames.eigengame_classical import (
     GameConfig,
     ParentVector,
@@ -17,6 +18,7 @@ from eigengames.eigengame_classical import (
     exact_gradient,
     finite_diff_gradient,
     numeric_forward_difference,
+    run_players,
     run_sequential,
     telemetry_rows,
     telemetry_to_csv,
@@ -209,8 +211,8 @@ class TestRunSequential:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(1, 0)))
         init = rng.standard_normal(4)
         init /= np.linalg.norm(init)
-        direct = eigengame_player(m, init, [], cfg, mode="exact",
-                                  step_size=1.0 / 6.0)
+        direct = eigengame_player(m, init, [], GameConfig(step_size=1.0 / 6.0, grad_tolerance=1e-4),
+                                  mode="exact")
         assert np.array_equal(result.players[0].vector, direct.vector)
 
     def test_powerlaw_instance_both_modes(self):
@@ -240,6 +242,40 @@ class TestRunSequential:
         m = np.diag([1.0, 1.0 - 1e-8, 0.5])
         with pytest.warns(UserWarning):
             run_sequential(m, GameConfig(num_players=2, max_iterations_per_player=50), seed=0)
+
+    def test_unconverged_players_are_solved_once_and_broadcast(self, monkeypatch):
+        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=2)
+        calls = []
+        original = eigengame_classical.eigengame_player
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["index"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eigengame_classical, "eigengame_player", counting)
+        cfg = GameConfig(grad_tolerance=1e-6, max_iterations_per_player=5, num_players=3)
+        result = run_sequential(matrix, cfg, seed=0, spectrum=spectrum)
+        assert len(result.players) == 3
+        assert not result.all_converged
+        assert not any(p.converged for p in result.players)
+        assert calls == [1, 2, 3]
+        assert np.array_equal(result.players[1].parents[0].vector, result.players[0].vector)
+        assert result.total_iterations == 15
+
+    def test_operator_hash_unchanged(self):
+        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=2)
+        result = run_sequential(matrix, GameConfig(num_players=2), seed=0, spectrum=spectrum)
+        assert result.operator_hash_before == result.operator_hash_after
+
+    def test_scheduler_rejects_a_mutated_operator(self):
+        box = [0]
+
+        def play(index, parents):
+            box[0] += 1
+            return None, index
+
+        with pytest.raises(AssertionError):
+            run_players(2, play, lambda: str(box[0]))
 
     def test_telemetry_rows_shape(self):
         matrix, spectrum = build_powerlaw_hamiltonian(6, seed=2)

@@ -35,6 +35,7 @@ from eigengames.quantum_sim import (
     parameter_shift_gradient,
     parameter_shift_points,
     pauli_sum_apply,
+    perturb_readouts,
     plus_state,
     random_layers_ansatz,
     rotation_gate,
@@ -254,6 +255,12 @@ class TestShotNoise:
         assert shot_noisy_expectation(Z1, plus_state(1), shots) == shot_noisy_expectation(
             Z1, plus_state(1), shots
         )
+
+    def test_readouts_without_a_generator_draw_independently(self):
+        shots = ShotModel(100, rng_seed=5)
+        first = perturb_readouts(shots, np.zeros(3), np.ones(3))
+        assert len(set(first.tolist())) == 3
+        assert np.array_equal(first, perturb_readouts(shots, np.zeros(3), np.ones(3)))
 
     def test_zero_shots_rejected(self):
         with pytest.raises(InvalidShotCountError):
