@@ -10,12 +10,3 @@ Modules:
 """
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    bench_cli,
-    eigengame_classical,
-    hamiltonian,
-    quantum_sim,
-    quantumgame,
-    theory_diagnostics,
-)

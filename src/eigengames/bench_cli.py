@@ -17,14 +17,14 @@ import hashlib
 import io
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, EigenGamesError
+from .errors import ConfigError, EigenGamesError, InvalidShotCountError
 from .eigengame_classical import GameConfig, angular_error, run_sequential
 from .hamiltonian import (
     build_powerlaw_hamiltonian,
@@ -182,8 +182,8 @@ def _validate(experiment: str, s: dict) -> None:
             raise ConfigError("sizes must not be empty")
         if any(n < s["num_players"] for n in s["sizes"]):
             raise ConfigError("every size must be at least num_players")
-        if s["exponent"] <= 0 or s["grad_tolerance"] <= 0:
-            raise ConfigError("exponent and grad_tolerance must be positive")
+        if s["exponent"] <= 0:
+            raise ConfigError("exponent must be positive")
     if experiment in ("h2_levels", "vqd_beta_sweep"):
         path = _resolve_pauli_file(s)
         if not path.exists():
@@ -195,8 +195,6 @@ def _validate(experiment: str, s: dict) -> None:
             )
         if s["layers"] < 1 or s["rotations_per_layer"] < 1:
             raise ConfigError("layers and rotations_per_layer must be positive")
-        if s["max_iterations"] < 1 or s["shots"] < 1:
-            raise ConfigError("max_iterations and shots must be positive")
     if experiment == "vqd_beta_sweep" and not s["betas"]:
         raise ConfigError("betas must not be empty")
     if experiment == "diagnostics":
@@ -204,6 +202,36 @@ def _validate(experiment: str, s: dict) -> None:
             raise ConfigError("diagnostics needs dim >= 4")
         if any(e <= 0 for e in s["epsilons"]):
             raise ConfigError("epsilons must be positive (gap floor guard)")
+    # The solver configs check their own ranges; build every one the run will use.
+    try:
+        if experiment == "eigengame_scaling":
+            _game_config(s)
+        elif experiment == "h2_levels":
+            _solver_config(s, s["shots"], seed=0, beta=s["beta"])
+        elif experiment == "vqd_beta_sweep":
+            for beta in s["betas"]:
+                _solver_config(s, s["shots"], seed=0, beta=beta)
+    except (ValueError, InvalidShotCountError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _game_config(s) -> GameConfig:
+    return GameConfig(
+        sigma=s["sigma"],
+        grad_tolerance=s["grad_tolerance"],
+        max_iterations_per_player=s["max_iterations"],
+        num_players=s["num_players"],
+    )
+
+
+def _solver_config(s, shots: int | None, seed: int, beta: float | None = None) -> SolverConfig:
+    return SolverConfig(
+        max_iterations=s["max_iterations"],
+        grad_tolerance=s["grad_tolerance"],
+        shots=ShotModel(shots, rng_seed=seed),
+        direction="minimize",
+        beta=beta,
+    )
 
 
 def _resolve_pauli_file(settings: dict) -> Path:
@@ -259,13 +287,7 @@ def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
         for mode in ("exact", "zeroth_order"):
             for seed in cfg["seeds"]:
                 matrix, spectrum = build_powerlaw_hamiltonian(n, seed=seed, exponent=cfg["exponent"])
-                game_cfg = GameConfig(
-                    sigma=cfg["sigma"],
-                    grad_tolerance=cfg["grad_tolerance"],
-                    max_iterations_per_player=cfg["max_iterations"],
-                    num_players=cfg["num_players"],
-                )
-                result = run_sequential(matrix, game_cfg, seed=seed, mode=mode, spectrum=spectrum)
+                result = run_sequential(matrix, _game_config(cfg), seed=seed, mode=mode)
                 max_angle = max(
                     angular_error(p.vector, spectrum.eigenvector(p.index - 1).real)
                     for p in result.players
@@ -324,17 +346,11 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     ok = True
     for noise, shots in (("noiseless", None), ("shots", cfg["shots"])):
         for seed in cfg["seeds"]:
-            base = SolverConfig(
-                max_iterations=cfg["max_iterations"],
-                grad_tolerance=cfg["grad_tolerance"],
-                shots=ShotModel(shots, rng_seed=seed),
-                direction="minimize",
-            )
+            base = _solver_config(cfg, shots, seed)
             game = run_quantumgame(h, spec, base, k, seed=seed)
             rows += _trajectory_rows("quantumgame", noise, seed, game,
                                      shots or "exact", cfg.config_hash)
-            vqd_cfg = replace(base, beta=cfg["beta"])
-            vqd = run_vqd(h, spec, vqd_cfg, k, seed=seed)
+            vqd = run_vqd(h, spec, _solver_config(cfg, shots, seed, cfg["beta"]), k, seed=seed)
             rows += _trajectory_rows("vqd", noise, seed, vqd, shots or "exact", cfg.config_hash)
             if noise == "noiseless":
                 oracle = np.sort(spectrum.eigenvalues)[:k]
@@ -359,14 +375,7 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
     for beta in cfg["betas"]:
         for noise, shots in (("noiseless", None), ("shots", cfg["shots"])):
             for seed in cfg["seeds"]:
-                solver_cfg = SolverConfig(
-                    max_iterations=cfg["max_iterations"],
-                    grad_tolerance=cfg["grad_tolerance"],
-                    shots=ShotModel(shots, rng_seed=seed),
-                    direction="minimize",
-                    beta=float(beta),
-                )
-                result = run_vqd(h, spec, solver_cfg, k, seed=seed)
+                result = run_vqd(h, spec, _solver_config(cfg, shots, seed, beta), k, seed=seed)
                 max_err = float(np.max(np.abs(np.sort(result.eigenvalues) - oracle)))
                 rows.append(
                     (float(beta), noise, seed, result.total_iterations, max_err,

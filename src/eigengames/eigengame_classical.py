@@ -24,7 +24,7 @@ from .errors import (
     NormalizationError,
     NumericalOverflowError,
 )
-from .hamiltonian import HermitianMatrix, Spectrum, exact_eigendecomposition
+from .hamiltonian import HermitianMatrix
 
 RAYLEIGH_GUARD = 1e-12
 UNIT_NORM_ATOL = 1e-9
@@ -84,11 +84,6 @@ class PlayerState:
     grad_norm_history: list[float] = field(default_factory=list)
     riemannian_norm_history: list[float] = field(default_factory=list)
     utility_history: list[float] = field(default_factory=list)
-    angular_error_history: list[float] = field(default_factory=list)
-
-    @property
-    def final_grad_norm(self) -> float:
-        return self.grad_norm_history[-1] if self.grad_norm_history else float("nan")
 
     @property
     def final_riemannian_norm(self) -> float:
@@ -100,7 +95,7 @@ class GameConfig:
     """Hyperparameters shared by every player of one run.
 
     ``step_size=None`` selects 1 / (2 ||M||_2), with the norm taken from the
-    exact spectrum.
+    dense eigenvalues.
     """
 
     step_size: float | None = None
@@ -198,7 +193,6 @@ def eigengame_player(
     cfg: GameConfig,
     mode: GradientMode = "exact",
     index: int = 1,
-    oracle_vector: np.ndarray | None = None,
 ) -> PlayerState:
     """Run one player's ascent: v <- normalize(v + alpha g) until the gradient is radial.
 
@@ -249,8 +243,6 @@ def eigengame_player(
         state.grad_norm_history.append(float(np.linalg.norm(grad)))
         state.riemannian_norm_history.append(rnorm)
         state.utility_history.append(value)
-        if oracle_vector is not None:
-            state.angular_error_history.append(angular_error(v, oracle_vector))
 
         if rnorm <= cfg.grad_tolerance:
             state.converged = True
@@ -321,65 +313,32 @@ def run_sequential(
     cfg: GameConfig,
     seed: int,
     mode: GradientMode = "exact",
-    spectrum: Spectrum | None = None,
 ) -> SequentialResult:
-    """Solve players 1..k in order with ``run_players``, each from its own seeded start."""
+    """Solve players 1..k in order with ``run_players``, each from its own seeded start.
+
+    The dense eigenvalues, computed once, give the default step 1 / (2 ||M||_2)
+    and the leading-eigengap warning; no eigenvector enters the solve.
+    """
     mat = _as_real_symmetric(m)
+    HermitianMatrix(mat)  # raises HermiticityError on a non-symmetric input
     dim = mat.shape[0]
     if cfg.num_players > dim:
         raise ValueError(f"num_players {cfg.num_players} exceeds matrix dimension {dim}")
 
-    if spectrum is None:
-        spectrum = exact_eigendecomposition(HermitianMatrix(mat.astype(np.complex128)))
-    if spectrum.gaps.size and spectrum.gaps[: cfg.num_players].min() < 1e-6:
+    eigenvalues = np.linalg.eigvalsh(mat)
+    gaps = np.diff(eigenvalues)[::-1]  # descending order, leading gap first
+    if gaps.size and gaps[: cfg.num_players].min() < 1e-6:
         warnings.warn("leading eigengaps below 1e-6; convergence may be ill-conditioned", stacklevel=2)
 
     if cfg.step_size is None:
-        cfg = replace(cfg, step_size=1.0 / (2.0 * spectrum.spectral_norm))
+        cfg = replace(cfg, step_size=1.0 / (2.0 * float(np.abs(eigenvalues).max())))
 
     def play(i: int, parents: tuple[ParentVector, ...]) -> tuple[PlayerState, ParentVector]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))
         init = rng.standard_normal(dim)
         init /= np.linalg.norm(init)
-        state = eigengame_player(
-            mat, init, parents, cfg, mode=mode, index=i,
-            oracle_vector=spectrum.eigenvector(i - 1).real,
-        )
+        state = eigengame_player(mat, init, parents, cfg, mode=mode, index=i)
         return state, ParentVector.from_vector(mat, state.vector)
 
     return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat.tobytes()).hexdigest())
 
-
-TELEMETRY_HEADER = (
-    "player_index,iteration,utility,grad_norm,riemannian_grad_norm,angular_error_vs_oracle"
-)
-
-
-def telemetry_rows(result: SequentialResult) -> list[tuple]:
-    """Flatten per-iteration telemetry into CSV-ready rows.
-
-    Columns: player_index, iteration, utility, grad_norm, riemannian_grad_norm,
-    angular_error_vs_oracle (empty when no oracle was supplied).
-    """
-    rows = []
-    for player in result.players:
-        have_angle = bool(player.angular_error_history)
-        for t in range(len(player.grad_norm_history)):
-            rows.append(
-                (
-                    player.index,
-                    t,
-                    player.utility_history[t],
-                    player.grad_norm_history[t],
-                    player.riemannian_norm_history[t],
-                    player.angular_error_history[t] if have_angle else "",
-                )
-            )
-    return rows
-
-
-def telemetry_to_csv(result: SequentialResult) -> str:
-    lines = [TELEMETRY_HEADER]
-    for row in telemetry_rows(result):
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigengame_classical import SequentialResult, run_players
 from .errors import DegenerateParentError, NonConvergenceError, NumericalOverflowError
-from .hamiltonian import HermitianMatrix, PauliSum, exact_eigendecomposition
+from .hamiltonian import HermitianMatrix, PauliSum
 from .quantum_sim import (
     NORM_ATOL,
     AnsatzSpec,
@@ -73,10 +73,10 @@ class SolverConfig:
 
     ``eta=None`` selects 1/(2L) with L the spectral norm of the operator the
     loop actually optimizes (the shifted operator in minimize mode; M plus the
-    weighted overlap projectors for the penalized baseline).  ``beta`` feeds
-    the fixed-weight overlap penalty; ``adaptive_regularization`` switches the
-    penalty weights to 2 * (spectral upper bound - parent eigenvalue), which
-    needs no tuning.
+    weighted overlap projectors for the penalized baseline).  ``beta`` >= 0
+    feeds the fixed-weight overlap penalty; ``adaptive_regularization``
+    switches the penalty weights to 2 * (spectral upper bound - parent
+    eigenvalue), which needs no tuning.
     """
 
     eta: float | None = None
@@ -94,6 +94,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.grad_tolerance <= 0:
             raise ValueError("grad_tolerance must be positive")
+        if self.beta is not None and self.beta < 0:
+            raise ValueError("beta must be non-negative")
 
 
 def pauli_sum_hash(h: PauliSum) -> str:
@@ -238,9 +240,9 @@ def quantum_utility(
 
 
 def _spectral_norm(h: PauliSum) -> float:
-    """||h|| from the dense oracle; the dense form comes from applying h to the identity."""
+    """||h||, the largest |eigenvalue| of h densified by applying it to the identity."""
     dense = pauli_sum_apply(h, np.eye(2**h.num_qubits)).T
-    return exact_eigendecomposition(HermitianMatrix(dense)).spectral_norm
+    return float(np.abs(np.linalg.eigvalsh(dense)).max())
 
 
 def _ascend(

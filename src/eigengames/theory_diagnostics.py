@@ -43,7 +43,6 @@ class BoundParams:
     sigma: float = 0.0
     num_layers: int = 1
     num_qubits: int = 1
-    phi_tol: float = 1e-2
     diag_norm: float = 0.0
 
     def __post_init__(self):

@@ -119,7 +119,7 @@ def test_criterion_2_classical_multicomponent_recovery():
                     sigma=1e-6, grad_tolerance=1e-6,
                     max_iterations_per_player=200_000, num_players=8,
                 )
-                result = run_sequential(matrix, cfg, seed=seed, mode=mode, spectrum=spectrum)
+                result = run_sequential(matrix, cfg, seed=seed, mode=mode)
                 assert result.all_converged, f"dim={dim} seed={seed} mode={mode} did not converge"
                 for player in result.players:
                     worst_grad = max(worst_grad, player.final_riemannian_norm)

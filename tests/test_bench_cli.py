@@ -1,7 +1,13 @@
 """Config parsing, experiment commands, CSV contracts, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import eigengames
 from eigengames.bench_cli import (
     build_run_config,
     cmd_bench_beta_sweep,
@@ -173,3 +179,26 @@ class TestMainCli:
         cfgfile.write_text("smoke = 1\n")
         code = main(["diagnostics", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 0
+
+    @pytest.mark.parametrize("command, text", [
+        ("scaling", "sizes = 8\nnum_players = 2\nmax_iterations = 0\n"),
+        ("h2", "num_levels = 2\nmax_iterations = 5\ngrad_tolerance = 0\n"),
+        ("h2", "num_levels = 2\nmax_iterations = 5\nbeta = -1\n"),
+        ("beta-sweep", "num_levels = 2\nmax_iterations = 5\nbetas = 0.5, -1\n"),
+    ])
+    def test_out_of_range_solver_settings_give_exit_two(self, tmp_path, capsys, command, text):
+        cfgfile = tmp_path / "range.cfg"
+        cfgfile.write_text(text)
+        code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        # The package must not import bench_cli itself, or running it with
+        # -m finds the module already in sys.modules and warns.
+        src = str(Path(eigengames.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "eigengames.bench_cli", "--help"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

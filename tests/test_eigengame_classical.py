@@ -5,6 +5,7 @@ import pytest
 
 from eigengames.errors import (
     DegenerateParentError,
+    HermiticityError,
     InvalidPerturbationError,
     NormalizationError,
     NumericalOverflowError,
@@ -20,8 +21,6 @@ from eigengames.eigengame_classical import (
     numeric_forward_difference,
     run_players,
     run_sequential,
-    telemetry_rows,
-    telemetry_to_csv,
     utility,
 )
 from eigengames.hamiltonian import build_powerlaw_hamiltonian
@@ -220,15 +219,15 @@ class TestRunSequential:
         matrix, spectrum = build_powerlaw_hamiltonian(8, seed=1, exponent=2.0)
         for mode in ("exact", "zeroth_order"):
             cfg = GameConfig(sigma=1e-5, grad_tolerance=1e-4, num_players=8)
-            result = run_sequential(matrix, cfg, seed=1, mode=mode, spectrum=spectrum)
+            result = run_sequential(matrix, cfg, seed=1, mode=mode)
             assert result.all_converged
             assert np.max(np.abs(np.array(result.eigenvalues) - spectrum.eigenvalues)) <= 1e-3
 
     def test_determinism(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=2)
+        matrix, _ = build_powerlaw_hamiltonian(8, seed=2)
         cfg = GameConfig(grad_tolerance=1e-4, num_players=3)
-        a = run_sequential(matrix, cfg, seed=5, mode="exact", spectrum=spectrum)
-        b = run_sequential(matrix, cfg, seed=5, mode="exact", spectrum=spectrum)
+        a = run_sequential(matrix, cfg, seed=5, mode="exact")
+        b = run_sequential(matrix, cfg, seed=5, mode="exact")
         assert a.total_iterations == b.total_iterations
         for pa, pb in zip(a.players, b.players):
             assert np.array_equal(pa.vector, pb.vector)
@@ -238,13 +237,17 @@ class TestRunSequential:
         with pytest.raises(ValueError):
             run_sequential(M2, GameConfig(num_players=3), seed=0)
 
+    def test_non_symmetric_input_rejected(self):
+        with pytest.raises(HermiticityError):
+            run_sequential(np.array([[2.0, 1.0], [0.0, 1.0]]), GameConfig(), seed=0)
+
     def test_tiny_eigengap_warns(self):
         m = np.diag([1.0, 1.0 - 1e-8, 0.5])
         with pytest.warns(UserWarning):
             run_sequential(m, GameConfig(num_players=2, max_iterations_per_player=50), seed=0)
 
     def test_unconverged_players_are_solved_once_and_broadcast(self, monkeypatch):
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=2)
+        matrix, _ = build_powerlaw_hamiltonian(8, seed=2)
         calls = []
         original = eigengame_classical.eigengame_player
 
@@ -254,7 +257,7 @@ class TestRunSequential:
 
         monkeypatch.setattr(eigengame_classical, "eigengame_player", counting)
         cfg = GameConfig(grad_tolerance=1e-6, max_iterations_per_player=5, num_players=3)
-        result = run_sequential(matrix, cfg, seed=0, spectrum=spectrum)
+        result = run_sequential(matrix, cfg, seed=0)
         assert len(result.players) == 3
         assert not result.all_converged
         assert not any(p.converged for p in result.players)
@@ -263,8 +266,8 @@ class TestRunSequential:
         assert result.total_iterations == 15
 
     def test_operator_hash_unchanged(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=2)
-        result = run_sequential(matrix, GameConfig(num_players=2), seed=0, spectrum=spectrum)
+        matrix, _ = build_powerlaw_hamiltonian(6, seed=2)
+        result = run_sequential(matrix, GameConfig(num_players=2), seed=0)
         assert result.operator_hash_before == result.operator_hash_after
 
     def test_scheduler_rejects_a_mutated_operator(self):
@@ -276,19 +279,6 @@ class TestRunSequential:
 
         with pytest.raises(AssertionError):
             run_players(2, play, lambda: str(box[0]))
-
-    def test_telemetry_rows_shape(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=2)
-        cfg = GameConfig(grad_tolerance=1e-3, num_players=2)
-        result = run_sequential(matrix, cfg, seed=0, spectrum=spectrum)
-        rows = telemetry_rows(result)
-        assert len(rows) == sum(len(p.grad_norm_history) for p in result.players)
-        player, iteration, util, gnorm, rnorm, angle = rows[0]
-        assert player == 1 and iteration == 0
-        assert isinstance(angle, float)  # oracle supplied via spectrum
-        text = telemetry_to_csv(result)
-        assert text.splitlines()[0].startswith("player_index,iteration,utility")
-        assert len(text.strip().splitlines()) == len(rows) + 1
 
 
 class TestInvariants:

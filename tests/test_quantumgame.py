@@ -252,6 +252,12 @@ class TestVqd:
         )
         assert second.eigenvalue == pytest.approx(1.0, abs=5e-2)
 
+    def test_negative_beta_rejected(self):
+        # A negative weight rewards overlap with the parents and turns the
+        # 1/(2(||M|| + sum beta)) step negative.
+        with pytest.raises(ValueError):
+            SolverConfig(direction="minimize", beta=-1.0)
+
     def test_beta_required(self):
         spec = layered_ansatz(2, 1)
         cfg = SolverConfig(direction="minimize")
@@ -264,6 +270,36 @@ class TestVqd:
                            max_iterations=4000, adaptive_regularization=True)
         result = run_vqd(h2, spec, cfg, 4, seed=0)
         assert np.max(np.abs(np.sort(result.eigenvalues) - h2_oracle)) <= 5e-2
+
+
+class TestNoEigenvectorOracle:
+    """The solvers read the operator only: no eigenvector, no angle against one."""
+
+    def test_solvers_never_call_eigh_or_angular_error(self, monkeypatch, h2):
+        from eigengames import eigengame_classical
+        from eigengames.eigengame_classical import GameConfig, run_sequential
+        from eigengames.hamiltonian import build_powerlaw_hamiltonian
+
+        calls = {"eigh": 0, "angular_error": 0}
+        eigh, angle = np.linalg.eigh, eigengame_classical.angular_error
+
+        def counting_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counting_angle(*args, **kwargs):
+            calls["angular_error"] += 1
+            return angle(*args, **kwargs)
+
+        matrix, _ = build_powerlaw_hamiltonian(6, seed=2)
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction="minimize", max_iterations=5, beta=1.0)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(eigengame_classical, "angular_error", counting_angle)
+        run_sequential(matrix, GameConfig(num_players=2, max_iterations_per_player=5), seed=0)
+        run_quantumgame(h2, spec, cfg, 2, seed=0)
+        run_vqd(h2, spec, cfg, 2, seed=0)
+        assert calls == {"eigh": 0, "angular_error": 0}
 
 
 class TestShotDraws:

@@ -232,7 +232,7 @@ class TestConvergenceWithinBound:
         matrix, spectrum = build_powerlaw_hamiltonian(8, seed=0, exponent=2.0)
         k = 4
         cfg = GameConfig(sigma=1e-4, grad_tolerance=1e-3, num_players=k)
-        result = run_sequential(matrix, cfg, seed=0, mode="zeroth_order", spectrum=spectrum)
+        result = run_sequential(matrix, cfg, seed=0, mode="zeroth_order")
         lam = float(spectrum.eigenvalues[0])
         diag_norm = float(np.linalg.norm(np.diag(matrix.real_symmetric())))
         gaps = tuple(float(g) for g in spectrum.gaps[:k])
