@@ -99,13 +99,6 @@ DEFAULTS: dict[str, dict] = {
     },
 }
 
-_LIST_KEYS = {"sizes", "seeds", "betas", "epsilons"}
-_INT_KEYS = {
-    "schema_version", "num_players", "max_iterations", "shots", "num_levels",
-    "layers", "rotations_per_layer", "ansatz_seed", "dim", "lipschitz_samples", "smoke",
-}
-_FLOAT_KEYS = {"exponent", "grad_tolerance", "sigma", "beta"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -120,17 +113,15 @@ class RunConfig:
 
 
 def _parse_scalar(key: str, text: str):
+    """Parse ``text`` as the type of ``key``'s default value; list items as its first item's type.
+
+    Unknown keys stay text, for ``build_run_config`` to reject.
+    """
     text = text.strip()
-    if key in _LIST_KEYS:
-        if not text:
-            return []
-        items = [t.strip() for t in text.split(",") if t.strip()]
-        return [float(t) if key in ("betas", "epsilons") else int(t) for t in items]
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    return text
+    default = next((d[key] for d in DEFAULTS.values() if key in d), text)
+    if isinstance(default, list):
+        return [type(default[0])(t.strip()) for t in text.split(",") if t.strip()]
+    return type(default)(text)
 
 
 def parse_config_text(text: str) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -73,7 +73,7 @@ def _coerce_parents(m, parents) -> tuple[ParentVector, ...]:
 
 @dataclass
 class PlayerState:
-    """One player's solve: final vector, its frozen parents, and telemetry."""
+    """One player's solve: final vector, its frozen parents, and the stop-test norm."""
 
     index: int
     vector: np.ndarray
@@ -81,21 +81,15 @@ class PlayerState:
     eigenvalue: float = float("nan")
     iterations_used: int = 0
     converged: bool = False
-    grad_norm_history: list[float] = field(default_factory=list)
-    riemannian_norm_history: list[float] = field(default_factory=list)
-    utility_history: list[float] = field(default_factory=list)
-
-    @property
-    def final_riemannian_norm(self) -> float:
-        return self.riemannian_norm_history[-1] if self.riemannian_norm_history else float("nan")
+    final_riemannian_norm: float = float("nan")
 
 
 @dataclass(frozen=True)
 class GameConfig:
     """Hyperparameters shared by every player of one run.
 
-    ``step_size=None`` selects 1 / (2 ||M||_2), with the norm taken from the
-    dense eigenvalues.
+    ``step_size=None`` lets ``run_sequential`` pick 1 / (2 ||M||_2), with the
+    norm taken from the dense eigenvalues; ``eigengame_player`` needs it set.
     """
 
     step_size: float | None = None
@@ -117,27 +111,27 @@ class GameConfig:
             raise ValueError("num_players must be at least 1")
 
 
+def _parent_block(parents: tuple[ParentVector, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parents as one block: (P, n) products M v_j and (P,) Rayleigh quotients."""
+    mvs = np.array([p.m_times_vector for p in parents]).reshape(len(parents), dim)
+    return mvs, np.array([p.rayleigh for p in parents])
+
+
 def utility(v: np.ndarray, parents, m) -> float:
     """Player utility: v^T M v minus alignment penalties against frozen parents."""
     mat = _as_real_symmetric(m)
-    parents = _coerce_parents(mat, parents)
     v = np.asarray(v, dtype=np.float64)
-    value = float(v @ (mat @ v))
-    for p in parents:
-        cross = float(v @ p.m_times_vector)
-        value -= cross * cross / p.rayleigh
-    return value
+    mvs, rayleighs = _parent_block(_coerce_parents(mat, parents), v.size)
+    cross = mvs @ v
+    return float(v @ (mat @ v) - cross @ (cross / rayleighs))
 
 
 def exact_gradient(v: np.ndarray, parents, m) -> np.ndarray:
-    """2 M (v - sum_j (v^T M v_j / v_j^T M v_j) v_j)."""
+    """2 M (v - sum_j c_j v_j) = 2 (M v - sum_j c_j M v_j), with c_j = v^T M v_j / v_j^T M v_j."""
     mat = _as_real_symmetric(m)
-    parents = _coerce_parents(mat, parents)
     v = np.asarray(v, dtype=np.float64)
-    shrunk = v.copy()
-    for p in parents:
-        shrunk -= (float(v @ p.m_times_vector) / p.rayleigh) * p.vector
-    return 2.0 * (mat @ shrunk)
+    mvs, rayleighs = _parent_block(_coerce_parents(mat, parents), v.size)
+    return 2.0 * (mat @ v - ((mvs @ v) / rayleighs) @ mvs)
 
 
 def finite_diff_error_term(parents, m) -> np.ndarray:
@@ -146,11 +140,8 @@ def finite_diff_error_term(parents, m) -> np.ndarray:
     Constant in the player's own vector, so solvers compute it once per player.
     """
     mat = _as_real_symmetric(m)
-    parents = _coerce_parents(mat, parents)
-    err = np.diag(mat).copy()
-    for p in parents:
-        err -= p.m_times_vector**2 / p.rayleigh
-    return err
+    mvs, rayleighs = _parent_block(_coerce_parents(mat, parents), mat.shape[0])
+    return np.diag(mat) - np.sum(mvs**2 / rayleighs[:, None], axis=0)
 
 
 def finite_diff_gradient(v: np.ndarray, parents, m, sigma: float) -> np.ndarray:
@@ -198,59 +189,42 @@ def eigengame_player(
 
     The stopping test is on the tangential (Riemannian) norm of the mode's own
     gradient, ||(I - v v^T) g||, which vanishes at the ascent's fixed points;
-    the raw ambient norm never does (it equals twice the Rayleigh quotient at
-    an eigenvector) and is recorded as telemetry instead.
+    the last value tested is kept as ``final_riemannian_norm``.  The step is
+    ``cfg.step_size``, which must be set (``run_sequential`` picks its default).
     """
+    if cfg.step_size is None:
+        raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
     mat = _as_real_symmetric(m)
     parents = _coerce_parents(mat, parents)
     v = np.asarray(init, dtype=np.float64).copy()
     if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_ATOL:
         raise NormalizationError("init vector must be unit norm")
 
-    alpha = cfg.step_size
-    if alpha is None:
-        alpha = 1.0 / (2.0 * np.abs(np.linalg.eigvalsh(mat)).max())
-
-    sigma = cfg.sigma if mode == "zeroth_order" else 0.0
-    error_term = finite_diff_error_term(parents, mat) if mode == "zeroth_order" else None
-
+    mvs, rayleighs = _parent_block(parents, v.size)
+    bias = cfg.sigma * finite_diff_error_term(parents, mat) if mode == "zeroth_order" else None
     state = PlayerState(index=index, vector=v, parents=parents)
-    mv_parents = [p.m_times_vector for p in parents]
-    rayleighs = [p.rayleigh for p in parents]
 
     for _ in range(cfg.max_iterations_per_player + 1):
         mv = mat @ v
-        # g = 2 M (v - sum_j c_j v_j) = 2 (Mv - sum_j c_j Mv_j), c_j = (v . Mv_j) / r_j
-        shrunk_mv = mv.copy()
-        cross_terms = []
-        for mvj, rj in zip(mv_parents, rayleighs):
-            cross = float(v @ mvj)
-            cross_terms.append(cross)
-            shrunk_mv -= (cross / rj) * mvj
-        grad = 2.0 * shrunk_mv
-        if error_term is not None:
-            grad = grad + sigma * error_term
+        cross = mvs @ v
+        weights = cross / rayleighs
+        grad = 2.0 * (mv - weights @ mvs)
+        if bias is not None:
+            grad += bias
 
         if not np.all(np.isfinite(grad)):
             raise NumericalOverflowError("gradient stopped being finite")
-
-        value = float(v @ mv) - sum(c * c / r for c, r in zip(cross_terms, rayleighs))
-        if not np.isfinite(value):
+        if not np.isfinite(v @ mv - cross @ weights):
             raise NumericalOverflowError("utility stopped being finite")
 
-        riemannian = grad - float(grad @ v) * v
-        rnorm = float(np.linalg.norm(riemannian))
-        state.grad_norm_history.append(float(np.linalg.norm(grad)))
-        state.riemannian_norm_history.append(rnorm)
-        state.utility_history.append(value)
-
-        if rnorm <= cfg.grad_tolerance:
+        state.final_riemannian_norm = float(np.linalg.norm(grad - (grad @ v) * v))
+        if state.final_riemannian_norm <= cfg.grad_tolerance:
             state.converged = True
             break
         if state.iterations_used >= cfg.max_iterations_per_player:
             break
 
-        stepped = v + alpha * grad
+        stepped = v + cfg.step_size * grad
         norm = float(np.linalg.norm(stepped))
         if norm < 1e-300:
             raise DivergenceError("update produced a zero vector")

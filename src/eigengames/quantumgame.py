@@ -72,11 +72,11 @@ class SolverConfig:
     """Shared hyperparameters for the parameterized solvers.
 
     ``eta=None`` selects 1/(2L) with L the spectral norm of the operator the
-    loop actually optimizes (the shifted operator in minimize mode; M plus the
+    loop actually optimizes (the shifted operator for the game; M plus the
     weighted overlap projectors for the penalized baseline).  ``beta`` >= 0
     feeds the fixed-weight overlap penalty; ``adaptive_regularization``
-    switches the penalty weights to 2 * (spectral upper bound - parent
-    eigenvalue), which needs no tuning.
+    instead sets the penalty weights to 2 * (spectral upper bound - parent
+    eigenvalue), which needs no tuning, so the two may not be combined.
     """
 
     eta: float | None = None
@@ -96,6 +96,8 @@ class SolverConfig:
             raise ValueError("grad_tolerance must be positive")
         if self.beta is not None and self.beta < 0:
             raise ValueError("beta must be non-negative")
+        if self.beta is not None and self.adaptive_regularization:
+            raise ValueError("beta and adaptive_regularization exclude each other")
 
 
 def pauli_sum_hash(h: PauliSum) -> str:
@@ -104,20 +106,19 @@ def pauli_sum_hash(h: PauliSum) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _game_operator(m: PauliSum, direction: Direction) -> tuple[PauliSum, float]:
-    """Operator the ascent actually runs on, plus the energy offset.
+def _game_operator(m: PauliSum, direction: Direction) -> tuple[PauliSum, float, float]:
+    """Operator the ascent actually runs on, with the sign and offset that make it.
 
-    Maximization ascends M itself.  Minimization ascends A = offset*I - M with
-    offset = |coefficients|_1 + margin: pure negation leaves the target
-    spectrum touching zero whenever M has a zero eigenvalue, which makes
-    parent penalty denominators degenerate, while the shifted operator keeps
-    every eigenvalue of A at least the margin.  Energies are recovered as
-    offset - <A>.
+    Both directions ascend A = sign*M + offset*I, sign +1 to maximize and -1
+    to minimize, with offset = |coefficients|_1 + margin.  Every eigenvalue of
+    A is then at least the margin, so each parent's penalty denominator
+    sign*lambda_j + offset stays positive whatever the sign of M's spectrum
+    (a negative denominator would turn the penalty into a reward).  Energies
+    are read on M.
     """
-    if direction == "maximize":
-        return m, 0.0
+    sign = 1.0 if direction == "maximize" else -1.0
     offset = m.one_norm + MIN_MODE_SHIFT_MARGIN
-    return m.scaled(-1.0).plus_identity(offset), offset
+    return m.scaled(sign).plus_identity(offset), sign, offset
 
 
 # A batch evaluator maps (B, m) parameter rows to the objective at each row,
@@ -301,16 +302,14 @@ def quantumgame_player(
 ) -> QuantumPlayerState:
     """Gradient ascent on the player utility via parameter-shift, parents frozen.
 
-    Minimization runs the same ascent on the shifted-negated operator (see
+    Both directions run the same ascent on a shifted operator (see
     ``_game_operator``); parent penalty denominators are derived from the
     cached M-eigenvalues without re-measuring.
     """
     parents = tuple(parents)
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
-    game_op, offset = _game_operator(m, cfg.direction)
-    game_denominators = tuple(
-        p.eigenvalue if cfg.direction == "maximize" else offset - p.eigenvalue for p in parents
-    )
+    game_op, sign, offset = _game_operator(m, cfg.direction)
+    game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
     # 1/(2L) with L the norm of the operator the ascent actually runs on.
     eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * _spectral_norm(game_op))
     rng = cfg.shots.make_rng()

@@ -184,6 +184,40 @@ class TestPlayer:
         with pytest.raises(NormalizationError):
             eigengame_player(M2, np.array([1.0, 1.0]), [], cfg)
 
+    def test_one_iteration_is_a_step_along_the_public_gradient(self):
+        m, v0, parents = random_problem(6, 3, seed=4)
+        assert len(parents) == 3
+        alpha = 0.05
+        for mode, sigma in (("exact", 0.0), ("zeroth_order", 1e-2)):
+            cfg = GameConfig(step_size=alpha, sigma=1e-2, grad_tolerance=1e-12,
+                             max_iterations_per_player=1)
+            state = eigengame_player(m, v0, parents, cfg, mode=mode)
+            stepped = v0 + alpha * finite_diff_gradient(v0, parents, m, sigma)
+            assert state.iterations_used == 1
+            assert np.max(np.abs(state.vector - stepped / np.linalg.norm(stepped))) <= 1e-12
+
+    def test_final_riemannian_norm_is_the_stop_test_norm(self):
+        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=2)
+        m = matrix.real_symmetric()
+        parents = [spectrum.eigenvector(0).real]
+        init = np.ones(8) / np.sqrt(8.0)
+        step = 1.0 / (2.0 * np.abs(spectrum.eigenvalues).max())
+        converged = eigengame_player(m, init, parents, GameConfig(step_size=step, grad_tolerance=1e-6))
+        budget = eigengame_player(
+            m, init, parents,
+            GameConfig(step_size=step, sigma=1e-3, grad_tolerance=1e-12, max_iterations_per_player=5),
+            mode="zeroth_order",
+        )
+        assert converged.converged and not budget.converged and budget.iterations_used == 5
+        for state, sigma in ((converged, 0.0), (budget, 1e-3)):
+            g = finite_diff_gradient(state.vector, parents, m, sigma)
+            expected = np.linalg.norm(g - (g @ state.vector) * state.vector)
+            assert abs(state.final_riemannian_norm - expected) <= 1e-12
+
+    def test_step_size_required(self):
+        with pytest.raises(ValueError):
+            eigengame_player(M2, E1, [], GameConfig())
+
     def test_non_finite_matrix_raises_overflow(self):
         m = np.diag([np.nan, 1.0])
         cfg = GameConfig(step_size=0.1, max_iterations_per_player=3)
@@ -231,7 +265,7 @@ class TestRunSequential:
         assert a.total_iterations == b.total_iterations
         for pa, pb in zip(a.players, b.players):
             assert np.array_equal(pa.vector, pb.vector)
-            assert pa.grad_norm_history == pb.grad_norm_history
+            assert pa.iterations_used == pb.iterations_used
 
     def test_too_many_players_rejected(self):
         with pytest.raises(ValueError):

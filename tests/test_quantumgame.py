@@ -144,6 +144,14 @@ class TestRunQuantumGame:
         assert result.all_converged
         assert np.max(np.abs(np.sort(result.eigenvalues) - h2_oracle)) <= 2e-2
 
+    def test_h2_four_levels_maximize(self, h2, h2_oracle):
+        # Every H2 level is negative, so each parent penalty divides by a
+        # negative eigenvalue unless the ascent runs on a shifted operator.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction="maximize", grad_tolerance=1e-2, max_iterations=3000)
+        result = run_quantumgame(h2, spec, cfg, 4, seed=0)
+        assert np.max(np.abs(np.sort(result.eigenvalues) - h2_oracle)) <= 2e-2
+
     def test_operator_never_mutates(self, h2):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-1, max_iterations=50)
@@ -257,6 +265,11 @@ class TestVqd:
         # 1/(2(||M|| + sum beta)) step negative.
         with pytest.raises(ValueError):
             SolverConfig(direction="minimize", beta=-1.0)
+
+    def test_beta_with_adaptive_regularization_rejected(self):
+        # Adaptive mode sets its own weights, so a fixed beta would be dropped.
+        with pytest.raises(ValueError):
+            SolverConfig(beta=5.0, adaptive_regularization=True)
 
     def test_beta_required(self):
         spec = layered_ansatz(2, 1)
