@@ -11,6 +11,7 @@ quantum runners share.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
@@ -27,6 +28,9 @@ from .errors import (
 from .hamiltonian import HermitianMatrix
 
 RAYLEIGH_GUARD = 1e-12
+# Plain-ascent steps before the heavy-ball weight is first estimated, and the
+# interval between its later estimates.
+MOMENTUM_WARMUP = 100
 UNIT_NORM_ATOL = 1e-9
 
 GradientMode = Literal["exact", "zeroth_order"]
@@ -88,8 +92,11 @@ class PlayerState:
 class GameConfig:
     """Hyperparameters shared by every player of one run.
 
-    ``step_size=None`` lets ``run_sequential`` pick 1 / (2 ||M||_2), with the
-    norm taken from the dense eigenvalues; ``eigengame_player`` needs it set.
+    ``step_size`` is the step on the matrix the players ascend, which
+    ``run_sequential`` shifts to M + c I when M has a non-positive eigenvalue.
+    ``None`` lets ``run_sequential`` pick 1 / (2 (lambda_max + c)), read from
+    the dense eigenvalues (1 / (2 ||M||_2) for positive-definite M);
+    ``eigengame_player`` needs it set.
     """
 
     step_size: float | None = None
@@ -185,7 +192,19 @@ def eigengame_player(
     mode: GradientMode = "exact",
     index: int = 1,
 ) -> PlayerState:
-    """Run one player's ascent: v <- normalize(v + alpha g) until the gradient is radial.
+    """Run one player's heavy-ball ascent until the gradient is radial.
+
+    Each step is w = v + alpha g - (beta / s_prev) v_old, v <- w / s with
+    s = ||w||: the normalized form of the momentum power iteration
+    w_{t+1} = B w_t - beta w_{t-1} on the game's B = I + 2 alpha M P, which
+    needs about 1/sqrt(gap) steps where plain ascent needs 1/gap (Xu et al.,
+    *Accelerated Stochastic Power Iteration*, AISTATS 2018).  beta is 0 for
+    the first ``MOMENTUM_WARMUP`` steps, so a budget of at most that many is
+    plain ascent v <- normalize(v + alpha g).  Every ``MOMENTUM_WARMUP``
+    steps after that, beta <- max(beta, clip(mu2, 0, mu1)^2 / 4), with
+    mu1 = 1 + alpha g.v estimating B's top eigenvalue and mu2 = 1 + alpha u.G(u)
+    its next one, u the unit tangent of the stop test and G the game's linear
+    part without the sigma term; no eigensolver is called.
 
     The stopping test is on the tangential (Riemannian) norm of the mode's own
     gradient, ||(I - v v^T) g||, which vanishes at the ascent's fixed points;
@@ -203,6 +222,9 @@ def eigengame_player(
     mvs, rayleighs = _parent_block(parents, v.size)
     bias = cfg.sigma * finite_diff_error_term(parents, mat) if mode == "zeroth_order" else None
     state = PlayerState(index=index, vector=v, parents=parents)
+    alpha = cfg.step_size
+    beta = 0.0
+    v_old, s_prev = v, 1.0
 
     for _ in range(cfg.max_iterations_per_player + 1):
         mv = mat @ v
@@ -217,18 +239,29 @@ def eigengame_player(
         if not np.isfinite(v @ mv - cross @ weights):
             raise NumericalOverflowError("utility stopped being finite")
 
-        state.final_riemannian_norm = float(np.linalg.norm(grad - (grad @ v) * v))
+        radial = float(grad @ v)
+        tangent = grad - radial * v
+        state.final_riemannian_norm = math.sqrt(tangent @ tangent)
         if state.final_riemannian_norm <= cfg.grad_tolerance:
             state.converged = True
             break
         if state.iterations_used >= cfg.max_iterations_per_player:
             break
 
-        stepped = v + cfg.step_size * grad
-        norm = float(np.linalg.norm(stepped))
-        if norm < 1e-300:
+        if state.iterations_used and state.iterations_used % MOMENTUM_WARMUP == 0:
+            u = tangent / state.final_riemannian_norm
+            cross_u = mvs @ u
+            mu1 = 1.0 + alpha * radial
+            mu2 = 1.0 + 2.0 * alpha * float(u @ (mat @ u) - cross_u @ (cross_u / rayleighs))
+            beta = max(beta, min(max(mu2, 0.0), mu1) ** 2 / 4.0)
+
+        stepped = v + alpha * grad
+        if beta:
+            stepped -= (beta / s_prev) * v_old
+        s_prev = math.sqrt(stepped @ stepped)
+        if s_prev < 1e-300:
             raise DivergenceError("update produced a zero vector")
-        v = stepped / norm
+        v_old, v = v, stepped / s_prev
         state.iterations_used += 1
 
     state.vector = v
@@ -290,8 +323,14 @@ def run_sequential(
 ) -> SequentialResult:
     """Solve players 1..k in order with ``run_players``, each from its own seeded start.
 
-    The dense eigenvalues, computed once, give the default step 1 / (2 ||M||_2)
-    and the leading-eigengap warning; no eigenvector enters the solve.
+    The game recovers eigenvector i only if lambda_i > 0: otherwise its
+    gradient vanishes on the parents' span.  So when the smallest eigenvalue
+    is not positive, the players ascend M + c I with c = ||M||_2 - lambda_min,
+    whose every eigenvalue is at least ||M||_2; positive-definite inputs get
+    c = 0.  Players and their broadcast parents use the shifted matrix;
+    eigenvalues are read on M.  The dense eigenvalues, computed once, give
+    c, the default step 1 / (2 (lambda_max + c)) and the leading-eigengap
+    warning; no eigenvector enters the solve.
     """
     mat = _as_real_symmetric(m)
     HermitianMatrix(mat)  # raises HermiticityError on a non-symmetric input
@@ -304,15 +343,19 @@ def run_sequential(
     if gaps.size and gaps[: cfg.num_players].min() < 1e-6:
         warnings.warn("leading eigengaps below 1e-6; convergence may be ill-conditioned", stacklevel=2)
 
+    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
+    shift = max(abs(lam_min), abs(lam_max)) - lam_min if lam_min <= 0 else 0.0
+    game = mat + shift * np.eye(dim) if shift else mat
     if cfg.step_size is None:
-        cfg = replace(cfg, step_size=1.0 / (2.0 * float(np.abs(eigenvalues).max())))
+        cfg = replace(cfg, step_size=1.0 / (2.0 * (lam_max + shift)))
 
     def play(i: int, parents: tuple[ParentVector, ...]) -> tuple[PlayerState, ParentVector]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))
         init = rng.standard_normal(dim)
         init /= np.linalg.norm(init)
-        state = eigengame_player(mat, init, parents, cfg, mode=mode, index=i)
-        return state, ParentVector.from_vector(mat, state.vector)
+        state = eigengame_player(game, init, parents, cfg, mode=mode, index=i)
+        state.eigenvalue = float(state.vector @ (mat @ state.vector))
+        return state, ParentVector.from_vector(game, state.vector)
 
     return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat.tobytes()).hexdigest())
 

@@ -72,11 +72,12 @@ class SolverConfig:
     """Shared hyperparameters for the parameterized solvers.
 
     ``eta=None`` selects 1/(2L) with L the spectral norm of the operator the
-    loop actually optimizes (the shifted operator for the game; M plus the
-    weighted overlap projectors for the penalized baseline).  ``beta`` >= 0
-    feeds the fixed-weight overlap penalty; ``adaptive_regularization``
-    instead sets the penalty weights to 2 * (spectral upper bound - parent
-    eigenvalue), which needs no tuning, so the two may not be combined.
+    loop actually optimizes (the shifted operator for the game; +-M plus the
+    weighted overlap projectors for the penalized baseline).  ``direction``
+    applies to both solvers.  ``beta`` >= 0 feeds the fixed-weight overlap
+    penalty; ``adaptive_regularization`` instead sets the penalty weights to
+    2 * (spectral upper bound - parent eigenvalue on +-M), which needs no
+    tuning, so the two may not be combined.
     """
 
     eta: float | None = None
@@ -325,28 +326,31 @@ def vqd_player(
     cfg: SolverConfig,
     index: int = 1,
 ) -> QuantumPlayerState:
-    """Overlap-penalized minimization: <M> + sum_j beta_j |<psi|psi_j>|^2.
+    """Overlap-penalized minimization: <A> + sum_j beta_j |<psi|psi_j>|^2.
 
+    A = M to minimize and A = -M to maximize, so both directions descend.
     Fixed mode uses beta_j = cfg.beta.  Adaptive mode sets
-    beta_j = 2 * (lambda_bound - lambda_j) where lambda_bound is the Pauli
-    1-norm upper bound on the spectrum and lambda_j the parent's previously
-    calculated eigenvalue, which always exceeds the gap the penalty must beat.
-    Overlaps are SwapTest read-outs.
+    beta_j = 2 * (lambda_bound - a_j) where lambda_bound is the Pauli
+    1-norm upper bound on the spectrum and a_j the parent's previously
+    calculated eigenvalue on A (lambda_j or -lambda_j), which always exceeds
+    the gap the penalty must beat.  Overlaps are SwapTest read-outs; energies
+    are read on M.
     """
     parents = tuple(parents)
     if cfg.beta is None and not cfg.adaptive_regularization:
         raise ValueError("vqd_player needs cfg.beta or adaptive_regularization")
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
+    op, sign = (m.scaled(-1.0), -1.0) if cfg.direction == "maximize" else (m, 1.0)
     if cfg.adaptive_regularization:
         bound = m.one_norm
-        betas = tuple(2.0 * (bound - p.eigenvalue) for p in parents)
+        betas = tuple(2.0 * (bound - sign * p.eigenvalue) for p in parents)
     else:
         betas = tuple(cfg.beta for _ in parents)
-    # The penalized objective is the expectation of M + sum_j beta_j P_j,
+    # The penalized objective is the expectation of A + sum_j beta_j P_j,
     # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
     eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * (_spectral_norm(m) + sum(betas)))
     rng = cfg.shots.make_rng()
-    evaluate = _vqd_evaluator(m, spec, parents, betas, cfg.shots, rng)
+    evaluate = _vqd_evaluator(op, spec, parents, betas, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)
 
 

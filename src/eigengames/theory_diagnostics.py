@@ -96,7 +96,12 @@ def iteration_bound_classical(
     gaps: Sequence[float],
     c_k: float,
 ) -> int:
-    """ceil( sum_i 5 pi^2 (L_i(0)/L_i(sigma)) * bracket^2 ), the pre-big-O total."""
+    """ceil( sum_i 5 pi^2 (L_i(0)/L_i(sigma)) * bracket^2 ), the pre-big-O total.
+
+    The bound is stated for plain gradient ascent.  ``eigengame_player`` runs
+    heavy-ball ascent after a plain warm-up; its counts fall below plain
+    ascent's, so they stay below this bound as well.
+    """
     if len(lipschitz_zero) != len(lipschitz_sigma) or len(lipschitz_zero) != len(gaps):
         raise ValueError("need one L_i(0), L_i(sigma), and gap per player")
     bracket = _iteration_bracket(lambda_top, gaps, c_k)

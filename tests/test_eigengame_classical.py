@@ -23,12 +23,25 @@ from eigengames.eigengame_classical import (
     run_sequential,
     utility,
 )
-from eigengames.hamiltonian import build_powerlaw_hamiltonian
+from eigengames.hamiltonian import build_powerlaw_hamiltonian, random_orthonormal
 
 M2 = np.diag([3.0, 1.0])
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 MIX = np.array([1.0, 1.0]) / np.sqrt(2.0)
+MODES = ("exact", "zeroth_order")
+# Tier-1 criterion 2's settings.
+STRICT = dict(sigma=1e-6, grad_tolerance=1e-6, max_iterations_per_player=200_000)
+
+
+def matrix_with_spectrum(eigenvalues, basis):
+    """P^T diag(eigenvalues) P, the convention of ``build_powerlaw_hamiltonian``."""
+    m = basis.T @ np.diag(eigenvalues) @ basis
+    return 0.5 * (m + m.T)
+
+
+def residual(m, player):
+    return float(np.linalg.norm(m @ player.vector - player.eigenvalue * player.vector))
 
 
 def random_problem(dim, num_parents, seed, unit_parents=True):
@@ -370,3 +383,74 @@ class TestInvariants:
             GameConfig(num_players=0)
         with pytest.raises(ValueError):
             GameConfig(sigma=-1e-3)
+
+
+class TestHeavyBall:
+    def test_powerlaw_128_needs_few_iterations(self):
+        matrix, spectrum = build_powerlaw_hamiltonian(128, seed=3)
+        for mode in MODES:
+            result = run_sequential(matrix, GameConfig(num_players=8, **STRICT), seed=0, mode=mode)
+            assert result.all_converged
+            assert result.total_iterations <= 6000
+            for player in result.players:
+                oracle = spectrum.eigenvector(player.index - 1).real
+                assert angular_error(player.vector, oracle) <= 1e-2
+
+    def test_near_degenerate_pair_converges(self):
+        levels = np.array([1.0, 0.9, 0.8, 0.8 - 1e-5, 0.5, 0.4, 0.3, 0.2])
+        m = matrix_with_spectrum(levels, random_orthonormal(8, 0))
+        for mode in MODES:
+            result = run_sequential(m, GameConfig(num_players=4, **STRICT), seed=0, mode=mode)
+            assert result.all_converged
+            assert np.max(np.abs(np.array(result.eigenvalues) - levels[:4])) <= 1e-6
+
+    def test_budget_of_100_is_plain_ascent(self):
+        m, v0, parents = random_problem(6, 3, seed=4)
+        alpha = 0.05
+        for mode, sigma in (("exact", 0.0), ("zeroth_order", 1e-2)):
+            cfg = GameConfig(step_size=alpha, sigma=1e-2, grad_tolerance=1e-12,
+                             max_iterations_per_player=100)
+            state = eigengame_player(m, v0, parents, cfg, mode=mode)
+            v = v0
+            for _ in range(100):
+                stepped = v + alpha * finite_diff_gradient(v, parents, m, sigma)
+                v = stepped / np.linalg.norm(stepped)
+            assert state.iterations_used == 100
+            assert np.max(np.abs(state.vector - v)) <= 1e-12
+
+
+class TestNonPositiveSpectra:
+    """The game needs positive levels; ``run_sequential`` shifts the rest."""
+
+    @pytest.mark.parametrize("levels", [
+        [3.0, 1.0, -0.5, -1.0, -2.0, -3.0],
+        [-1.0, -2.0, -3.0, -4.0, -5.0, -6.0],
+    ], ids=["indefinite", "negative_definite"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_top_levels_recovered(self, levels, mode):
+        m = matrix_with_spectrum(levels, random_orthonormal(6, 1))
+        result = run_sequential(m, GameConfig(num_players=4, **STRICT), seed=1, mode=mode)
+        assert result.all_converged
+        assert np.max(np.abs(np.array(result.eigenvalues) - levels[:4])) <= 1e-6
+        assert max(residual(m, p) for p in result.players) <= 1e-4
+
+    def test_randomized_against_dense_oracle(self):
+        rng = np.random.default_rng(20)
+        for draw in range(100):
+            n = int(rng.integers(2, 17))
+            k = int(rng.integers(1, min(4, n) + 1))
+            levels = np.cumsum(rng.uniform(0.1, 1.0, size=n))[::-1]
+            kind = draw % 3
+            if kind == 0:  # indefinite
+                levels = levels - rng.uniform(levels[-1], levels[0])
+            elif kind == 1:  # negative definite
+                levels = levels - levels[0] - rng.uniform(0.1, 1.0)
+            m = matrix_with_spectrum(levels, random_orthonormal(n, draw))
+            cfg = GameConfig(num_players=k, sigma=1e-6, grad_tolerance=1e-6,
+                             max_iterations_per_player=20_000)
+            for mode in MODES:
+                result = run_sequential(m, cfg, seed=draw, mode=mode)
+                for player, level in zip(result.players, levels):
+                    if player.converged:
+                        assert residual(m, player) <= 1e-4, (draw, mode, player.index)
+                        assert abs(player.eigenvalue - level) <= 1e-4, (draw, mode, player.index)

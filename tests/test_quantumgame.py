@@ -38,6 +38,7 @@ from eigengames.quantumgame import (
 )
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
+DIAG_3120 = PauliSum(2, ((1.5, "II"), (0.5, "ZI"), (1.0, "IZ")))  # diag(3, 1, 2, 0)
 Z1 = PauliSum(1, ((1.0, "Z"),))
 
 
@@ -276,6 +277,14 @@ class TestVqd:
         cfg = SolverConfig(direction="minimize")
         with pytest.raises(ValueError):
             vqd_player(DIAG_3210, spec, spec.bind(np.zeros(4)), (), cfg)
+
+    @pytest.mark.parametrize("weights", [{"beta": 5.0}, {"adaptive_regularization": True}],
+                             ids=["fixed", "adaptive"])
+    def test_maximize_finds_top_levels(self, weights):
+        cfg = SolverConfig(direction="maximize", grad_tolerance=1e-3, max_iterations=3000, **weights)
+        result = run_vqd(DIAG_3120, layered_ansatz(2, 2), cfg, 2, seed=0)
+        assert result.all_converged
+        assert np.allclose(result.eigenvalues, [3.0, 2.0], atol=1e-2)
 
     def test_adaptive_regularization_recovers_levels(self, h2, h2_oracle):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
