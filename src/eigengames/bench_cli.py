@@ -462,13 +462,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     experiment, runner = _COMMANDS[args.command]
+    out = Path(args.out)
     try:
         cfg = load_run_config(experiment, args.config, args.seed)
-    except (ConfigError, FileNotFoundError) as exc:
+        out.mkdir(parents=True, exist_ok=True)  # an --out that is a file fails here, before the run
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return runner(cfg, Path(args.out))
+        return runner(cfg, out)
     except EigenGamesError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DegenerateParentError,
     DivergenceError,
-    InvalidPerturbationError,
     NormalizationError,
     NumericalOverflowError,
 )
@@ -156,24 +155,6 @@ def finite_diff_gradient(v: np.ndarray, parents, m, sigma: float) -> np.ndarray:
     return exact_gradient(v, parents, m) + sigma * finite_diff_error_term(parents, m)
 
 
-def numeric_forward_difference(v: np.ndarray, parents, m, sigma: float) -> np.ndarray:
-    """Literal forward quotient [f(v + sigma e_k) - f(v)] / sigma, two utility calls per component.
-
-    The perturbed point is deliberately not renormalized: the utility is a
-    quadratic in each component, which makes this quotient algebraically equal
-    to ``finite_diff_gradient``.
-    """
-    if sigma <= 0:
-        raise InvalidPerturbationError("sigma must be strictly positive")
-    v = np.asarray(v, dtype=np.float64)
-    grad = np.empty_like(v)
-    for k in range(v.shape[0]):
-        shifted = v.copy()
-        shifted[k] += sigma
-        grad[k] = (utility(shifted, parents, m) - utility(v, parents, m)) / sigma
-    return grad
-
-
 def angular_error(v: np.ndarray, v_star: np.ndarray) -> float:
     """arccos of the absolute inner product; invariant to sign and global phase."""
     v = np.asarray(v)
@@ -213,6 +194,8 @@ def eigengame_player(
     """
     if cfg.step_size is None:
         raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
+    if mode not in ("exact", "zeroth_order"):
+        raise ValueError(f"mode must be 'exact' or 'zeroth_order', got {mode!r}")
     mat = _as_real_symmetric(m)
     parents = _coerce_parents(mat, parents)
     v = np.asarray(init, dtype=np.float64).copy()
@@ -288,13 +271,15 @@ class SequentialResult:
 def run_players(k: int, play: Callable, digest: Callable[[], str]) -> SequentialResult:
     """The sequential scheduler every runner shares.
 
-    Players 1..k are solved once each, in order.  ``play(index, parents)``
+    Players 1..k (k >= 1) are solved once each, in order.  ``play(index, parents)``
     solves one player against the tuple of earlier parents and returns
     ``(state, parent)``; the parent is broadcast to every later player
     whether or not the player converged, and ``all_converged`` reports any
     miss.  ``digest()`` hashes the operator before and after the run: no
     player may rewrite it.
     """
+    if k < 1:
+        raise ValueError(f"need at least one player, got k={k}")
     hash_before = digest()
     players = []
     parents = []
@@ -330,7 +315,8 @@ def run_sequential(
     c = 0.  Players and their broadcast parents use the shifted matrix;
     eigenvalues are read on M.  The dense eigenvalues, computed once, give
     c, the default step 1 / (2 (lambda_max + c)) and the leading-eigengap
-    warning; no eigenvector enters the solve.
+    warning; no eigenvector enters the solve.  The zero matrix is rejected:
+    it has no leading eigenvectors and no step size.
     """
     mat = _as_real_symmetric(m)
     HermitianMatrix(mat)  # raises HermiticityError on a non-symmetric input
@@ -338,6 +324,8 @@ def run_sequential(
     if cfg.num_players > dim:
         raise ValueError(f"num_players {cfg.num_players} exceeds matrix dimension {dim}")
 
+    if not mat.any():
+        raise ValueError("the zero matrix has no leading eigenvectors: every unit vector is one")
     eigenvalues = np.linalg.eigvalsh(mat)
     gaps = np.diff(eigenvalues)[::-1]  # descending order, leading gap first
     if gaps.size and gaps[: cfg.num_players].min() < 1e-6:

@@ -193,10 +193,6 @@ class Spectrum:
     def eigenvector(self, i: int) -> np.ndarray:
         return self.eigenvectors[:, i]
 
-    @property
-    def spectral_norm(self) -> float:
-        return float(np.abs(self.eigenvalues).max())
-
 
 def random_orthonormal(dim: int, seed: int) -> np.ndarray:
     """Random real orthogonal matrix from a QR factorization; deterministic per seed.

@@ -1,11 +1,12 @@
 """Dense statevector simulation: ansatz circuits, Pauli expectations, shot noise,
-parameter-shift gradients, and the two inner-product circuits.
+parameter-shift points, and the two inner-product circuits' read-outs.
 
 Ansatz states are prepared in batches, one row per parameter vector, and
 Pauli sums apply through their compiled form (``PauliSum.compiled``).  The
-solver loop reads the interference and SwapTest circuits out in closed form
-(``interference_moments``, ``swap_test_moments``); the simulated circuits
-stay as the reference oracles those closed forms are tested against.
+interference and SwapTest circuits are read out in closed form
+(``interference_moments``, ``swap_test_moments``); their gate-by-gate
+simulations live with the tests, as the oracles these closed forms are
+checked against.
 
 Conventions: qubit t corresponds to character t of a Pauli string and to bit
 (q - 1 - t) of the amplitude index, i.e. string character order matches the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,44 +72,6 @@ def plus_state(num_qubits: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Gate application on raw amplitude arrays
-# ---------------------------------------------------------------------------
-
-def _single_qubit_gate(amps: np.ndarray, gate: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """Apply a 2x2 unitary to one qubit of a dense amplitude vector."""
-    before = 2**qubit
-    after = 2 ** (num_qubits - qubit - 1)
-    work = amps.reshape(before, 2, after)
-    return np.einsum("ab,ibj->iaj", gate, work).reshape(-1)
-
-
-def _cnot(amps: np.ndarray, control: int, target: int, num_qubits: int) -> np.ndarray:
-    """CNOT on a dense vector; it only moves entries, so it also permutes an index vector."""
-    work = amps.reshape((2,) * num_qubits).copy()
-    sel: list = [slice(None)] * num_qubits
-    sel[control] = 1
-    # Indexing drops the control axis, shifting later axes down by one.
-    flip_axis = target - 1 if target > control else target
-    work[tuple(sel)] = np.flip(work[tuple(sel)], axis=flip_axis).copy()
-    return work.reshape(-1)
-
-
-def rotation_gate(kind: str, theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if kind == "RZ":
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=np.complex128)
-    raise ValueError(f"unknown rotation kind {kind!r}")
-
-
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-S_GATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-
-
-# ---------------------------------------------------------------------------
 # Ansatz
 # ---------------------------------------------------------------------------
 
@@ -154,14 +117,17 @@ class AnsatzSpec:
     def entangler_permutation(self) -> np.ndarray | None:
         """The whole CNOT ring as one gather index: ``amps[..., perm]`` applies every pair in order.
 
-        Each CNOT is a gather, so running the ring on the index vector itself
-        composes them.  ``None`` when the ring is empty.
+        A CNOT flips the target bit of every index whose control bit is set;
+        it is its own inverse, so each pair composes as one more gather.
+        ``None`` when the ring is empty.
         """
         if not self.entangler_pairs:
             return None
-        perm = np.arange(2**self.num_qubits)
-        for control, target in self.entangler_pairs:
-            perm = _cnot(perm, control, target, self.num_qubits)
+        q = self.num_qubits
+        index = np.arange(2**q)
+        perm = index
+        for c, t in self.entangler_pairs:
+            perm = perm[index ^ (((index >> (q - 1 - c)) & 1) << (q - 1 - t))]
         perm.flags.writeable = False
         return perm
 
@@ -438,52 +404,8 @@ def shot_noisy_expectation(
 
 
 # ---------------------------------------------------------------------------
-# Inner-product circuits
+# Inner-product circuits, read out in closed form
 # ---------------------------------------------------------------------------
-
-def _interference_states(psi_r: StateVector, psi_j: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """Ancilla circuit states for the Re and Im read-outs of <psi_r| M |psi_j>.
-
-    Builds (|psi_j>|0> + |psi_r>|1>)/sqrt(2) on q+1 qubits (ancilla last),
-    then applies H to the ancilla; the Im variant applies S before H.
-    """
-    if psi_r.num_qubits != psi_j.num_qubits:
-        raise DimensionMismatchError("states act on different qubit counts")
-    q = psi_r.num_qubits
-    superposed = np.zeros(2 ** (q + 1), dtype=np.complex128)
-    superposed[0::2] = psi_j.amplitudes / np.sqrt(2.0)
-    superposed[1::2] = psi_r.amplitudes / np.sqrt(2.0)
-    re_state = _single_qubit_gate(superposed, HADAMARD, q, q + 1)
-    im_state = _single_qubit_gate(superposed, S_GATE, q, q + 1)
-    im_state = _single_qubit_gate(im_state, HADAMARD, q, q + 1)
-    return re_state, im_state
-
-
-def _extend_with_ancilla_z(h: PauliSum) -> PauliSum:
-    """M x Z on q+1 qubits: each string gains a trailing 'Z' on the ancilla."""
-    return PauliSum(h.num_qubits + 1, tuple((c, s + "Z") for c, s in h.terms))
-
-
-def mixed_expectation_states(h: PauliSum, psi_r: StateVector, psi_j: StateVector) -> complex:
-    """<psi_r| M |psi_j> from two expectations of M x Z on the ancilla circuit."""
-    if h.num_qubits != psi_r.num_qubits:
-        raise DimensionMismatchError("operator and states act on different qubit counts")
-    re_state, im_state = _interference_states(psi_r, psi_j)
-    observable = _extend_with_ancilla_z(h)
-    re_val = float(np.vdot(re_state, pauli_sum_apply(observable, re_state)).real)
-    im_val = float(np.vdot(im_state, pauli_sum_apply(observable, im_state)).real)
-    return complex(re_val, im_val)
-
-
-def mixed_expectation(
-    h: PauliSum,
-    spec: AnsatzSpec,
-    theta_r: ParameterTensor | Sequence[float],
-    theta_j: ParameterTensor | Sequence[float],
-) -> complex:
-    """<psi(theta_r)| M |psi(theta_j)> via the (q+1)-qubit interference circuit."""
-    return mixed_expectation_states(h, apply_ansatz(spec, theta_r), apply_ansatz(spec, theta_j))
-
 
 def interference_moments(
     rows: np.ndarray, m_rows: np.ndarray, parents: np.ndarray, m_parents: np.ndarray
@@ -515,31 +437,6 @@ def swap_test_moments(rows: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray
     return p0, p0 * (1.0 - p0)
 
 
-def swap_test_overlap(psi1: StateVector, psi2: StateVector) -> float:
-    """|<psi1|psi2>|^2 read off a simulated (2q+1)-qubit SwapTest.
-
-    The ancilla-0 probability satisfies P(0) = 1/2 + |<psi1|psi2>|^2 / 2, so
-    the overlap is 2 P(0) - 1.
-    """
-    if psi1.num_qubits != psi2.num_qubits:
-        raise DimensionMismatchError("states act on different qubit counts")
-    p0 = _swap_test_p0(psi1, psi2)
-    return float(np.clip(2.0 * p0 - 1.0, 0.0, 1.0))
-
-
-def _swap_test_p0(psi1: StateVector, psi2: StateVector) -> float:
-    """Ancilla-0 probability of the SwapTest circuit (ancilla first, H-cSWAP-H)."""
-    q = psi1.num_qubits
-    block = np.kron(psi1.amplitudes, psi2.amplitudes)
-    amps = np.zeros(2 ** (2 * q + 1), dtype=np.complex128)
-    amps[: block.size] = block
-    amps = _single_qubit_gate(amps, HADAMARD, 0, 2 * q + 1)
-    work = amps.reshape(2, 2**q, 2**q)
-    work[1] = work[1].T.copy()  # controlled register swap
-    amps = _single_qubit_gate(work.reshape(-1), HADAMARD, 0, 2 * q + 1)
-    return float(np.sum(np.abs(amps[: 2 ** (2 * q)]) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Parameter-shift gradients
 # ---------------------------------------------------------------------------
@@ -563,20 +460,3 @@ def parameter_shift_points(theta: np.ndarray, shift_eigenvalue: float = 0.5) -> 
 def shift_rule_gradient(shifted_values: np.ndarray, shift_eigenvalue: float = 0.5) -> np.ndarray:
     """lam * [f(+s e_k) - f(-s e_k)] from the objective at the first 2m shift points."""
     return shift_eigenvalue * (shifted_values[0::2] - shifted_values[1::2])
-
-
-def parameter_shift_gradient(
-    objective: Callable[[np.ndarray], float],
-    theta: np.ndarray,
-    shift_eigenvalue: float = 0.5,
-) -> np.ndarray:
-    """Exact gradient for rotation-generated circuits: lam * [f(+pi/4lam) - f(-pi/4lam)].
-
-    Exact whenever the objective is a first-harmonic trigonometric polynomial
-    in each parameter, which holds for expectation values of rotation-gate
-    circuits where every parameter feeds exactly one gate.  Uses 2m objective
-    evaluations, one per shift point, in ``parameter_shift_points`` order.
-    """
-    rows = parameter_shift_points(theta, shift_eigenvalue)[:-1]
-    values = np.array([objective(row.copy()) for row in rows], dtype=np.float64)
-    return shift_rule_gradient(values, shift_eigenvalue)

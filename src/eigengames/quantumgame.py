@@ -71,16 +71,16 @@ class QuantumPlayerState:
 class SolverConfig:
     """Shared hyperparameters for the parameterized solvers.
 
-    ``eta=None`` selects 1/(2L) with L the spectral norm of the operator the
-    loop actually optimizes (the shifted operator for the game; +-M plus the
-    weighted overlap projectors for the penalized baseline).  ``direction``
-    applies to both solvers.  ``beta`` >= 0 feeds the fixed-weight overlap
+    There is no step-size setting: both players step 1/(2L), with L the
+    spectral norm of the operator the loop actually optimizes (the shifted
+    operator for the game; +-M plus the weighted overlap projectors for the
+    penalized baseline).  ``direction``, "maximize" or "minimize", applies
+    to both solvers.  ``beta`` >= 0 feeds the fixed-weight overlap
     penalty; ``adaptive_regularization`` instead sets the penalty weights to
     2 * (spectral upper bound - parent eigenvalue on +-M), which needs no
     tuning, so the two may not be combined.
     """
 
-    eta: float | None = None
     max_iterations: int = 2000
     grad_tolerance: float = 1e-2
     shots: ShotModel = ShotModel()
@@ -89,8 +89,8 @@ class SolverConfig:
     adaptive_regularization: bool = False
 
     def __post_init__(self):
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if self.direction not in ("maximize", "minimize"):
+            raise ValueError(f"direction must be 'maximize' or 'minimize', got {self.direction!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.grad_tolerance <= 0:
@@ -312,7 +312,7 @@ def quantumgame_player(
     game_op, sign, offset = _game_operator(m, cfg.direction)
     game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
     # 1/(2L) with L the norm of the operator the ascent actually runs on.
-    eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * _spectral_norm(game_op))
+    eta = 1.0 / (2.0 * _spectral_norm(game_op))
     rng = cfg.shots.make_rng()
     evaluate = _game_evaluator(game_op, spec, parents, game_denominators, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, 1.0, rng)
@@ -348,7 +348,7 @@ def vqd_player(
         betas = tuple(cfg.beta for _ in parents)
     # The penalized objective is the expectation of A + sum_j beta_j P_j,
     # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
-    eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * (_spectral_norm(m) + sum(betas)))
+    eta = 1.0 / (2.0 * (_spectral_norm(m) + sum(betas)))
     rng = cfg.shots.make_rng()
     evaluate = _vqd_evaluator(op, spec, parents, betas, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)
@@ -368,23 +368,6 @@ def exact_top_eigenvector_solver(matrix: HermitianMatrix, iterations: int) -> np
     """Oracle single-component maximizer: the dense top eigenvector."""
     vals, vecs = np.linalg.eigh(matrix.entries)
     return vecs[:, -1]
-
-
-def power_iteration_solver(matrix: HermitianMatrix, iterations: int, tol: float = 1e-12) -> np.ndarray:
-    """Plain power iteration; needs a dominant eigenvalue of largest magnitude."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(matrix.dim) + 1j * rng.standard_normal(matrix.dim)
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        w = matrix.entries @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            raise NonConvergenceError("power iteration collapsed to zero")
-        w = w / norm
-        if 1.0 - abs(complex(np.vdot(v, w))) < tol:
-            return w
-        v = w
-    raise NonConvergenceError(f"power iteration did not converge in {iterations} steps")
 
 
 def deflation_vqe(

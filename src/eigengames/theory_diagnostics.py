@@ -22,8 +22,15 @@ from .hamiltonian import (
     build_powerlaw_hamiltonian,
     pauli_sum_to_matrix,
 )
-from .quantum_sim import AnsatzSpec, ShotModel, apply_ansatz, parameter_shift_gradient
-from .quantumgame import QuantumParent, quantum_utility
+from .quantum_sim import (
+    AnsatzSpec,
+    ShotModel,
+    apply_ansatz,
+    expectation,
+    parameter_shift_points,
+    shift_rule_gradient,
+)
+from .quantumgame import QuantumParent, _game_evaluator
 
 
 @dataclass(frozen=True)
@@ -316,17 +323,25 @@ def measure_error_accumulation_quantum(
     seed: int,
     samples_per_epsilon: int = 5,
 ) -> list[DiagnosticRow]:
-    """Same inequality in parameter space, gradients from the parameter-shift rule."""
+    """Same inequality in parameter space, gradients from the parameter-shift rule.
+
+    Each gradient is one batch call of the game's exact evaluator on the
+    child's shift points.
+    """
     rng = np.random.default_rng(seed)
-    shots = ShotModel()  # exact
     dense = pauli_sum_to_matrix(h)
     rows = []
+
+    def gradient(parent: QuantumParent, points: np.ndarray) -> np.ndarray:
+        evaluate = _game_evaluator(h, spec, (parent,), (parent.eigenvalue,), ShotModel(), None)
+        values, _, _ = evaluate(points)
+        return shift_rule_gradient(values[:-1])
+
     for eps in epsilons:
         for draw in range(samples_per_epsilon):
             theta_parent = spec.bind(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
             parent_state = apply_ansatz(spec, theta_parent)
-            lam = float(np.vdot(parent_state.amplitudes,
-                                dense.entries @ parent_state.amplitudes).real)
+            lam = expectation(h, parent_state)
             if abs(lam) < 1e-6:
                 continue
             direction = rng.standard_normal(spec.num_parameters)
@@ -334,18 +349,11 @@ def measure_error_accumulation_quantum(
             theta_hat = theta_parent.with_values(theta_parent.values + eps * direction)
             parent_true = QuantumParent(theta_parent, lam, parent_state)
             hat_state = apply_ansatz(spec, theta_hat)
-            lam_hat = float(np.vdot(hat_state.amplitudes, dense.entries @ hat_state.amplitudes).real)
-            parent_hat = QuantumParent(theta_hat, lam_hat, hat_state)
+            parent_hat = QuantumParent(theta_hat, expectation(h, hat_state), hat_state)
 
-            theta_child = spec.bind(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
-
-            def utility_with(parent):
-                def objective(values: np.ndarray) -> float:
-                    return quantum_utility(h, spec, theta_child.with_values(values), (parent,), shots)
-                return objective
-
-            g_true = parameter_shift_gradient(utility_with(parent_true), theta_child.values)
-            g_hat = parameter_shift_gradient(utility_with(parent_hat), theta_child.values)
+            points = parameter_shift_points(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
+            g_true = gradient(parent_true, points)
+            g_hat = gradient(parent_hat, points)
             bound = error_accumulation_bound_quantum(dense, spec, [theta_parent], [theta_hat])
             rows.append(
                 DiagnosticRow(

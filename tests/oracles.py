@@ -1,0 +1,202 @@
+"""Reference oracles the tests check the library against.
+
+None of this runs on a solve path.  The gate-by-gate simulators of the
+interference and SwapTest circuits are what the closed-form read-outs in
+``eigengames.quantum_sim`` must reproduce; the scalar parameter-shift loop
+and the literal forward-difference quotient check the batched and
+closed-form gradients; ``power_iteration_solver`` is a substitute
+single-component solver for ``deflation_vqe``.
+
+Conventions match ``eigengames.quantum_sim``: qubit t is bit (q - 1 - t) of
+the amplitude index, and ancilla qubits are appended as the last position
+unless a circuit says otherwise.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from eigengames.eigengame_classical import utility
+from eigengames.errors import DimensionMismatchError, InvalidPerturbationError, NonConvergenceError
+from eigengames.hamiltonian import HermitianMatrix, PauliSum
+from eigengames.quantum_sim import (
+    AnsatzSpec,
+    ParameterTensor,
+    StateVector,
+    apply_ansatz,
+    parameter_shift_points,
+    pauli_sum_apply,
+    shift_rule_gradient,
+)
+
+# ---------------------------------------------------------------------------
+# Gate application on raw amplitude arrays
+# ---------------------------------------------------------------------------
+
+def _single_qubit_gate(amps: np.ndarray, gate: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """Apply a 2x2 unitary to one qubit of a dense amplitude vector."""
+    before = 2**qubit
+    after = 2 ** (num_qubits - qubit - 1)
+    work = amps.reshape(before, 2, after)
+    return np.einsum("ab,ibj->iaj", gate, work).reshape(-1)
+
+
+def _cnot(amps: np.ndarray, control: int, target: int, num_qubits: int) -> np.ndarray:
+    """CNOT on a dense vector; it only moves entries, so it also permutes an index vector."""
+    work = amps.reshape((2,) * num_qubits).copy()
+    sel: list = [slice(None)] * num_qubits
+    sel[control] = 1
+    # Indexing drops the control axis, shifting later axes down by one.
+    flip_axis = target - 1 if target > control else target
+    work[tuple(sel)] = np.flip(work[tuple(sel)], axis=flip_axis).copy()
+    return work.reshape(-1)
+
+
+def rotation_gate(kind: str, theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    if kind == "RX":
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    if kind == "RY":
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    if kind == "RZ":
+        return np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=np.complex128)
+    raise ValueError(f"unknown rotation kind {kind!r}")
+
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+S_GATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
+
+
+# ---------------------------------------------------------------------------
+# Inner-product circuits
+# ---------------------------------------------------------------------------
+
+def _interference_states(psi_r: StateVector, psi_j: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Ancilla circuit states for the Re and Im read-outs of <psi_r| M |psi_j>.
+
+    Builds (|psi_j>|0> + |psi_r>|1>)/sqrt(2) on q+1 qubits (ancilla last),
+    then applies H to the ancilla; the Im variant applies S before H.
+    """
+    if psi_r.num_qubits != psi_j.num_qubits:
+        raise DimensionMismatchError("states act on different qubit counts")
+    q = psi_r.num_qubits
+    superposed = np.zeros(2 ** (q + 1), dtype=np.complex128)
+    superposed[0::2] = psi_j.amplitudes / np.sqrt(2.0)
+    superposed[1::2] = psi_r.amplitudes / np.sqrt(2.0)
+    re_state = _single_qubit_gate(superposed, HADAMARD, q, q + 1)
+    im_state = _single_qubit_gate(superposed, S_GATE, q, q + 1)
+    im_state = _single_qubit_gate(im_state, HADAMARD, q, q + 1)
+    return re_state, im_state
+
+
+def _extend_with_ancilla_z(h: PauliSum) -> PauliSum:
+    """M x Z on q+1 qubits: each string gains a trailing 'Z' on the ancilla."""
+    return PauliSum(h.num_qubits + 1, tuple((c, s + "Z") for c, s in h.terms))
+
+
+def mixed_expectation_states(h: PauliSum, psi_r: StateVector, psi_j: StateVector) -> complex:
+    """<psi_r| M |psi_j> from two expectations of M x Z on the ancilla circuit."""
+    if h.num_qubits != psi_r.num_qubits:
+        raise DimensionMismatchError("operator and states act on different qubit counts")
+    re_state, im_state = _interference_states(psi_r, psi_j)
+    observable = _extend_with_ancilla_z(h)
+    re_val = float(np.vdot(re_state, pauli_sum_apply(observable, re_state)).real)
+    im_val = float(np.vdot(im_state, pauli_sum_apply(observable, im_state)).real)
+    return complex(re_val, im_val)
+
+
+def mixed_expectation(
+    h: PauliSum,
+    spec: AnsatzSpec,
+    theta_r: ParameterTensor | Sequence[float],
+    theta_j: ParameterTensor | Sequence[float],
+) -> complex:
+    """<psi(theta_r)| M |psi(theta_j)> via the (q+1)-qubit interference circuit."""
+    return mixed_expectation_states(h, apply_ansatz(spec, theta_r), apply_ansatz(spec, theta_j))
+
+
+def swap_test_overlap(psi1: StateVector, psi2: StateVector) -> float:
+    """|<psi1|psi2>|^2 read off a simulated (2q+1)-qubit SwapTest.
+
+    The ancilla-0 probability satisfies P(0) = 1/2 + |<psi1|psi2>|^2 / 2, so
+    the overlap is 2 P(0) - 1.
+    """
+    if psi1.num_qubits != psi2.num_qubits:
+        raise DimensionMismatchError("states act on different qubit counts")
+    p0 = _swap_test_p0(psi1, psi2)
+    return float(np.clip(2.0 * p0 - 1.0, 0.0, 1.0))
+
+
+def _swap_test_p0(psi1: StateVector, psi2: StateVector) -> float:
+    """Ancilla-0 probability of the SwapTest circuit (ancilla first, H-cSWAP-H)."""
+    q = psi1.num_qubits
+    block = np.kron(psi1.amplitudes, psi2.amplitudes)
+    amps = np.zeros(2 ** (2 * q + 1), dtype=np.complex128)
+    amps[: block.size] = block
+    amps = _single_qubit_gate(amps, HADAMARD, 0, 2 * q + 1)
+    work = amps.reshape(2, 2**q, 2**q)
+    work[1] = work[1].T.copy()  # controlled register swap
+    amps = _single_qubit_gate(work.reshape(-1), HADAMARD, 0, 2 * q + 1)
+    return float(np.sum(np.abs(amps[: 2 ** (2 * q)]) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# Scalar gradients
+# ---------------------------------------------------------------------------
+
+def parameter_shift_gradient(
+    objective: Callable[[np.ndarray], float],
+    theta: np.ndarray,
+    shift_eigenvalue: float = 0.5,
+) -> np.ndarray:
+    """Exact gradient for rotation-generated circuits: lam * [f(+pi/4lam) - f(-pi/4lam)].
+
+    Exact whenever the objective is a first-harmonic trigonometric polynomial
+    in each parameter, which holds for expectation values of rotation-gate
+    circuits where every parameter feeds exactly one gate.  Uses 2m objective
+    evaluations, one per shift point, in ``parameter_shift_points`` order.
+    """
+    rows = parameter_shift_points(theta, shift_eigenvalue)[:-1]
+    values = np.array([objective(row.copy()) for row in rows], dtype=np.float64)
+    return shift_rule_gradient(values, shift_eigenvalue)
+
+
+def numeric_forward_difference(v: np.ndarray, parents, m, sigma: float) -> np.ndarray:
+    """Literal forward quotient [f(v + sigma e_k) - f(v)] / sigma, two utility calls per component.
+
+    The perturbed point is deliberately not renormalized: the utility is a
+    quadratic in each component, which makes this quotient algebraically equal
+    to ``finite_diff_gradient``.
+    """
+    if sigma <= 0:
+        raise InvalidPerturbationError("sigma must be strictly positive")
+    v = np.asarray(v, dtype=np.float64)
+    grad = np.empty_like(v)
+    for k in range(v.shape[0]):
+        shifted = v.copy()
+        shifted[k] += sigma
+        grad[k] = (utility(shifted, parents, m) - utility(v, parents, m)) / sigma
+    return grad
+
+
+# ---------------------------------------------------------------------------
+# Substitute solver for deflation_vqe
+# ---------------------------------------------------------------------------
+
+def power_iteration_solver(matrix: HermitianMatrix, iterations: int, tol: float = 1e-12) -> np.ndarray:
+    """Plain power iteration; needs a dominant eigenvalue of largest magnitude."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(matrix.dim) + 1j * rng.standard_normal(matrix.dim)
+    v /= np.linalg.norm(v)
+    for _ in range(iterations):
+        w = matrix.entries @ v
+        norm = np.linalg.norm(w)
+        if norm < 1e-300:
+            raise NonConvergenceError("power iteration collapsed to zero")
+        w = w / norm
+        if 1.0 - abs(complex(np.vdot(v, w))) < tol:
+            return w
+        v = w
+    raise NonConvergenceError(f"power iteration did not converge in {iterations} steps")

@@ -15,7 +15,6 @@ from eigengames.eigengame_classical import (
     angular_error,
     exact_gradient,
     finite_diff_gradient,
-    numeric_forward_difference,
     run_sequential,
 )
 from eigengames.hamiltonian import (
@@ -32,10 +31,7 @@ from eigengames.quantum_sim import (
     apply_ansatz,
     expectation,
     expectation_and_variance,
-    mixed_expectation_states,
-    parameter_shift_gradient,
     random_layers_ansatz,
-    swap_test_overlap,
 )
 from eigengames.quantumgame import (
     QuantumParent,
@@ -51,6 +47,13 @@ from eigengames.theory_diagnostics import (
     measure_error_accumulation_classical,
     measure_error_accumulation_quantum,
     sampled_lipschitz_check,
+)
+
+from oracles import (
+    mixed_expectation_states,
+    numeric_forward_difference,
+    parameter_shift_gradient,
+    swap_test_overlap,
 )
 
 H2 = load_pauli_sum(bundled_h2_path())

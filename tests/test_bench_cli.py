@@ -202,3 +202,30 @@ class TestMainCli:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestMainPathErrors:
+    """Unusable --config and --out paths are configuration errors: exit 2, no traceback."""
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        code = main(["scaling", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.cfg"
+        cfgfile.write_bytes(b"# r\xe9sum\xe9\nsizes = 8\n")
+        code = main(["scaling", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "below-file"])
+    def test_out_is_or_is_below_an_existing_file(self, tmp_path, capsys, out):
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text("sizes = 8\nseeds = 0\nnum_players = 2\n")
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        code = main(["scaling", "--config", str(cfgfile), "--out", str(tmp_path / out)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert taken.read_text() == "keep me\n"

@@ -18,12 +18,13 @@ from eigengames.eigengame_classical import (
     eigengame_player,
     exact_gradient,
     finite_diff_gradient,
-    numeric_forward_difference,
     run_players,
     run_sequential,
     utility,
 )
 from eigengames.hamiltonian import build_powerlaw_hamiltonian, random_orthonormal
+
+from oracles import numeric_forward_difference
 
 M2 = np.diag([3.0, 1.0])
 E1 = np.array([1.0, 0.0])
@@ -454,3 +455,25 @@ class TestNonPositiveSpectra:
                     if player.converged:
                         assert residual(m, player) <= 1e-4, (draw, mode, player.index)
                         assert abs(player.eigenvalue - level) <= 1e-4, (draw, mode, player.index)
+
+
+class TestInputValidation:
+    def test_misspelled_mode_rejected(self):
+        # "zeroth-order" used to run exact mode silently.
+        m = np.diag([3.0, 2.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="mode"):
+            run_sequential(m, GameConfig(num_players=2, sigma=0.1), seed=0, mode="zeroth-order")
+        with pytest.raises(ValueError, match="mode"):
+            eigengame_player(M2, E1, [], GameConfig(step_size=0.1), mode="exact_gradient")
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="zero matrix"):
+            run_sequential(np.zeros((3, 3)), GameConfig(num_players=1), seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_scheduler_rejects_no_players(self, k):
+        def play(index, parents):
+            raise AssertionError("no player may run")
+
+        with pytest.raises(ValueError, match="at least one player"):
+            run_players(k, play, lambda: "digest")

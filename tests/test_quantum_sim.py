@@ -20,29 +20,32 @@ from eigengames.quantum_sim import (
     AnsatzSpec,
     ShotModel,
     StateVector,
-    _cnot,
-    _extend_with_ancilla_z,
-    _interference_states,
-    _single_qubit_gate,
-    _swap_test_p0,
     apply_ansatz,
     expectation,
     expectation_and_variance,
     interference_moments,
     layered_ansatz,
-    mixed_expectation,
-    mixed_expectation_states,
-    parameter_shift_gradient,
     parameter_shift_points,
     pauli_sum_apply,
     perturb_readouts,
     plus_state,
     random_layers_ansatz,
-    rotation_gate,
     shot_noisy_expectation,
     swap_test_moments,
-    swap_test_overlap,
     zero_state,
+)
+
+from oracles import (
+    _cnot,
+    _extend_with_ancilla_z,
+    _interference_states,
+    _single_qubit_gate,
+    _swap_test_p0,
+    mixed_expectation,
+    mixed_expectation_states,
+    parameter_shift_gradient,
+    rotation_gate,
+    swap_test_overlap,
 )
 
 Z1 = PauliSum(1, ((1.0, "Z"),))

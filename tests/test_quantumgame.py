@@ -29,13 +29,14 @@ from eigengames.quantumgame import (
     deflation_vqe,
     exact_top_eigenvector_solver,
     pauli_sum_hash,
-    power_iteration_solver,
     quantum_utility,
     quantumgame_player,
     run_quantumgame,
     run_vqd,
     vqd_player,
 )
+
+from oracles import power_iteration_solver
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
 DIAG_3120 = PauliSum(2, ((1.5, "II"), (0.5, "ZI"), (1.0, "IZ")))  # diag(3, 1, 2, 0)
@@ -179,7 +180,7 @@ class TestRunQuantumGame:
         result = run_quantumgame(h2, spec, cfg, 2, seed=0)
         parent_state = apply_ansatz(spec, result.players[0].theta)
         lam = expectation(h2, parent_state)
-        from eigengames.quantum_sim import mixed_expectation_states
+        from oracles import mixed_expectation_states
 
         cross = mixed_expectation_states(h2, parent_state, parent_state)
         penalty = (cross.real**2 + cross.imag**2) / lam
@@ -429,3 +430,20 @@ class TestDeflation:
         assert not result.complete
         assert result.failed_level == 1
         assert result.pairs == []
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("direction", ["maximise", "min", ""])
+    def test_misspelled_direction_rejected(self, direction):
+        # Any value but "maximize" used to take the minimize branch silently.
+        with pytest.raises(ValueError, match="direction"):
+            SolverConfig(direction=direction)
+
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_players_rejected(self, runner, extra, k):
+        # An empty run used to return all_converged=True with no levels.
+        cfg = SolverConfig(direction="minimize", **extra)
+        with pytest.raises(ValueError, match="at least one player"):
+            runner(DIAG_3120, layered_ansatz(2, 2), cfg, k, seed=0)
