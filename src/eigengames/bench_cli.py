@@ -168,11 +168,13 @@ def build_run_config(experiment: str, overrides: dict | None = None) -> RunConfi
 def _validate(experiment: str, s: dict) -> None:
     if "seeds" in s and not s["seeds"]:
         raise ConfigError("seeds must not be empty")
+    if any(seed < 0 for seed in s.get("seeds", ())):
+        raise ConfigError("seeds must be non-negative")
     if experiment == "eigengame_scaling":
         if not s["sizes"]:
             raise ConfigError("sizes must not be empty")
-        if any(n < s["num_players"] for n in s["sizes"]):
-            raise ConfigError("every size must be at least num_players")
+        if any(n < max(2, s["num_players"]) for n in s["sizes"]):
+            raise ConfigError("every size must be at least 2 and at least num_players")
         if s["exponent"] <= 0:
             raise ConfigError("exponent must be positive")
     if experiment in ("h2_levels", "vqd_beta_sweep"):
@@ -191,6 +193,10 @@ def _validate(experiment: str, s: dict) -> None:
     if experiment == "diagnostics":
         if s["dim"] < 4:
             raise ConfigError("diagnostics needs dim >= 4")
+        if s["lipschitz_samples"] < 1:
+            raise ConfigError("lipschitz_samples must be at least 1")
+        if not s["epsilons"]:
+            raise ConfigError("epsilons must not be empty")
         if any(e <= 0 for e in s["epsilons"]):
             raise ConfigError("epsilons must be positive (gap floor guard)")
     # The solver configs check their own ranges; build every one the run will use.

@@ -123,21 +123,32 @@ def _parent_block(parents: tuple[ParentVector, ...], dim: int) -> tuple[np.ndarr
     return mvs, np.array([p.rayleigh for p in parents])
 
 
-def utility(v: np.ndarray, parents, m) -> float:
-    """Player utility: v^T M v minus alignment penalties against frozen parents."""
+def _game_terms(mat, v, mvs, rayleighs) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M v, exact gradient, utility) of v against the parent block (``_parent_block``).
+
+    The one expression of each: with c_j = v^T M v_j / v_j^T M v_j, the gradient
+    is 2 (M v - sum_j c_j M v_j) and the utility v^T M v - sum_j c_j v^T M v_j.
+    """
+    mv = mat @ v
+    cross = mvs @ v
+    weights = cross / rayleighs
+    return mv, 2.0 * (mv - weights @ mvs), float(v @ mv - cross @ weights)
+
+
+def _terms_at(v: np.ndarray, parents, m) -> tuple[np.ndarray, np.ndarray, float]:
     mat = _as_real_symmetric(m)
     v = np.asarray(v, dtype=np.float64)
-    mvs, rayleighs = _parent_block(_coerce_parents(mat, parents), v.size)
-    cross = mvs @ v
-    return float(v @ (mat @ v) - cross @ (cross / rayleighs))
+    return _game_terms(mat, v, *_parent_block(_coerce_parents(mat, parents), v.size))
+
+
+def utility(v: np.ndarray, parents, m) -> float:
+    """Player utility: v^T M v minus alignment penalties against frozen parents."""
+    return _terms_at(v, parents, m)[2]
 
 
 def exact_gradient(v: np.ndarray, parents, m) -> np.ndarray:
     """2 M (v - sum_j c_j v_j) = 2 (M v - sum_j c_j M v_j), with c_j = v^T M v_j / v_j^T M v_j."""
-    mat = _as_real_symmetric(m)
-    v = np.asarray(v, dtype=np.float64)
-    mvs, rayleighs = _parent_block(_coerce_parents(mat, parents), v.size)
-    return 2.0 * (mat @ v - ((mvs @ v) / rayleighs) @ mvs)
+    return _terms_at(v, parents, m)[1]
 
 
 def finite_diff_error_term(parents, m) -> np.ndarray:
@@ -210,16 +221,13 @@ def eigengame_player(
     v_old, s_prev = v, 1.0
 
     for _ in range(cfg.max_iterations_per_player + 1):
-        mv = mat @ v
-        cross = mvs @ v
-        weights = cross / rayleighs
-        grad = 2.0 * (mv - weights @ mvs)
+        mv, grad, value = _game_terms(mat, v, mvs, rayleighs)
         if bias is not None:
             grad += bias
 
         if not np.all(np.isfinite(grad)):
             raise NumericalOverflowError("gradient stopped being finite")
-        if not np.isfinite(v @ mv - cross @ weights):
+        if not math.isfinite(value):
             raise NumericalOverflowError("utility stopped being finite")
 
         radial = float(grad @ v)
@@ -233,9 +241,8 @@ def eigengame_player(
 
         if state.iterations_used and state.iterations_used % MOMENTUM_WARMUP == 0:
             u = tangent / state.final_riemannian_norm
-            cross_u = mvs @ u
             mu1 = 1.0 + alpha * radial
-            mu2 = 1.0 + 2.0 * alpha * float(u @ (mat @ u) - cross_u @ (cross_u / rayleighs))
+            mu2 = 1.0 + 2.0 * alpha * _game_terms(mat, u, mvs, rayleighs)[2]
             beta = max(beta, min(max(mu2, 0.0), mu1) ** 2 / 4.0)
 
         stepped = v + alpha * grad
@@ -248,7 +255,7 @@ def eigengame_player(
         state.iterations_used += 1
 
     state.vector = v
-    state.eigenvalue = float(v @ (mat @ v))
+    state.eigenvalue = float(v @ mv)  # every exit leaves mv = M v for the final v
     return state
 
 

@@ -29,10 +29,6 @@ class DegenerateParentError(EigenGamesError):
     """A parent's generalized Rayleigh quotient is too close to zero to divide by."""
 
 
-class InvalidPerturbationError(EigenGamesError):
-    """Forward differences need a strictly positive step."""
-
-
 class NormalizationError(EigenGamesError):
     """A vector that must be unit norm is not."""
 

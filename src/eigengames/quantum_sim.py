@@ -2,8 +2,10 @@
 parameter-shift points, and the two inner-product circuits' read-outs.
 
 Ansatz states are prepared in batches, one row per parameter vector, and
-Pauli sums apply through their compiled form (``PauliSum.compiled``).  The
-interference and SwapTest circuits are read out in closed form
+Pauli sums apply through their compiled form (``PauliSum.compiled``).
+``energy_moments`` computes <M> and Var(M) over state rows; ``expectation``
+and its siblings are its one-row cases.  ``perturb_readouts`` draws every
+shot.  The interference and SwapTest circuits are read out in closed form
 (``interference_moments``, ``swap_test_moments``); their gate-by-gate
 simulations live with the tests, as the oracles these closed forms are
 checked against.
@@ -311,28 +313,34 @@ def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
     return out
 
 
+def energy_moments(h: PauliSum, rows: np.ndarray, variance: bool = True) -> tuple[np.ndarray, ...]:
+    """(M psi, <M>, Var(M)) for each row psi of a (B, 2**q) array; the one computation of either moment.
+
+    <M> = <psi|M psi> must be real for Hermitian M; an imaginary residue above
+    ``NORM_ATOL`` raises.  Var(M) = ||M psi||^2 - <M>^2, clamped at 0;
+    ``variance=False`` skips it and gives ``None``, for exact read-outs.
+    """
+    h_rows = pauli_sum_apply(h, rows)
+    value = np.einsum("bi,bi->b", rows.conj(), h_rows)
+    residue = np.abs(value.imag).max()
+    if residue > NORM_ATOL:
+        raise ValueError(f"expectation has imaginary residue {residue:.3e}")
+    mean = value.real
+    if not variance:
+        return h_rows, mean, None
+    var = np.einsum("bi,bi->b", h_rows.conj(), h_rows).real - mean * mean
+    return h_rows, mean, np.maximum(var, 0.0)
+
+
 def expectation(h: PauliSum, psi: StateVector) -> float:
-    """Exact <psi| M |psi>; the imaginary residue must vanish for Hermitian M."""
-    if h.num_qubits != psi.num_qubits:
-        raise DimensionMismatchError(
-            f"operator acts on {h.num_qubits} qubits, state has {psi.num_qubits}"
-        )
-    value = complex(np.vdot(psi.amplitudes, pauli_sum_apply(h, psi.amplitudes)))
-    if abs(value.imag) > NORM_ATOL:
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    """Exact <psi| M |psi>, the one-row case of ``energy_moments``."""
+    return float(energy_moments(h, psi.amplitudes[None, :], variance=False)[1][0])
 
 
 def expectation_and_variance(h: PauliSum, psi: StateVector) -> tuple[float, float]:
-    """(<M>, Var(M)) with Var(M) = <M^2> - <M>^2 = ||M psi||^2 - <M>^2."""
-    if h.num_qubits != psi.num_qubits:
-        raise DimensionMismatchError(
-            f"operator acts on {h.num_qubits} qubits, state has {psi.num_qubits}"
-        )
-    m_psi = pauli_sum_apply(h, psi.amplitudes)
-    mean = float(np.vdot(psi.amplitudes, m_psi).real)
-    var = float(np.vdot(m_psi, m_psi).real) - mean * mean
-    return mean, max(var, 0.0)
+    """(<M>, Var(M)), the one-row case of ``energy_moments``."""
+    _, mean, var = energy_moments(h, psi.amplitudes[None, :])
+    return float(mean[0]), float(var[0])
 
 
 @dataclass(frozen=True)
@@ -368,13 +376,14 @@ class ShotModel:
 def perturb_readouts(
     shots: ShotModel,
     means: np.ndarray,
-    variances: np.ndarray,
+    variances: np.ndarray | None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Shot noise on an array of readouts, drawn one ``perturb`` per readout in C order.
 
-    Exact models return the means untouched.  Finite models draw in the
-    order a circuit-by-circuit loop over the same readouts would, from
+    Every finite-shot draw of the library is made here.  Exact models return
+    the means untouched and never read ``variances``.  Finite models draw in
+    the order a circuit-by-circuit loop over the same readouts would, from
     ``rng`` or, when none is given, from one ``make_rng()`` for the call.
     """
     if shots.is_exact:
@@ -389,18 +398,20 @@ def perturb_readouts(
 
 def shot_noisy_expectation(
     h: PauliSum,
-    psi: StateVector,
+    psi: StateVector | np.ndarray,
     shots: ShotModel,
     rng: np.random.Generator | None = None,
-) -> float:
+) -> float | np.ndarray:
     """<M> plus Gaussian noise of std sqrt(Var(M)/N); exact when Var(M) = 0.
 
-    Without ``rng`` the draw comes from a fresh ``shots.make_rng()``.
+    A ``StateVector`` gives one float.  A (B, 2**q) array of state rows gives
+    B reads, drawn in row order; the single state is the B = 1 case.  The
+    draws come from ``rng`` or, without it, from a fresh ``shots.make_rng()``.
     """
-    if shots.is_exact:
-        return expectation(h, psi)
-    mean, var = expectation_and_variance(h, psi)
-    return shots.perturb(mean, var, shots.make_rng() if rng is None else rng)
+    rows = psi.amplitudes[None, :] if isinstance(psi, StateVector) else psi
+    _, mean, var = energy_moments(h, rows, variance=not shots.is_exact)
+    reads = perturb_readouts(shots, mean, var, rng)
+    return float(reads[0]) if isinstance(psi, StateVector) else reads
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +452,16 @@ def swap_test_moments(rows: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray
 # Parameter-shift gradients
 # ---------------------------------------------------------------------------
 
-def parameter_shift_points(theta: np.ndarray, shift_eigenvalue: float = 0.5) -> np.ndarray:
+def parameter_shift_points(theta: np.ndarray) -> np.ndarray:
     """The (2m+1, m) rows theta + s e_0, theta - s e_0, ..., theta - s e_{m-1}, theta.
 
-    s = pi / (4 lam).  The first 2m rows feed ``shift_rule_gradient``; the
-    last row is theta itself.
+    s = pi/2, the shift for a Pauli rotation, whose generator has eigenvalues
+    +-1/2.  The first 2m rows feed ``shift_rule_gradient``; the last row is
+    theta itself.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m = theta.shape[0]
-    shift = np.pi / (4.0 * shift_eigenvalue)
+    shift = np.pi / 2.0
     rows = np.tile(theta, (2 * m + 1, 1))
     k = np.arange(m)
     rows[2 * k, k] += shift
@@ -457,6 +469,6 @@ def parameter_shift_points(theta: np.ndarray, shift_eigenvalue: float = 0.5) -> 
     return rows
 
 
-def shift_rule_gradient(shifted_values: np.ndarray, shift_eigenvalue: float = 0.5) -> np.ndarray:
-    """lam * [f(+s e_k) - f(-s e_k)] from the objective at the first 2m shift points."""
-    return shift_eigenvalue * (shifted_values[0::2] - shifted_values[1::2])
+def shift_rule_gradient(shifted_values: np.ndarray) -> np.ndarray:
+    """[f(+s e_k) - f(-s e_k)] / 2 from the objective at the first 2m shift points."""
+    return 0.5 * (shifted_values[0::2] - shifted_values[1::2])

@@ -19,12 +19,12 @@ from .eigengame_classical import SequentialResult, run_players
 from .errors import DegenerateParentError, NonConvergenceError, NumericalOverflowError
 from .hamiltonian import HermitianMatrix, PauliSum
 from .quantum_sim import (
-    NORM_ATOL,
     AnsatzSpec,
     ParameterTensor,
     ShotModel,
     StateVector,
     apply_ansatz,
+    energy_moments,
     interference_moments,
     parameter_shift_points,
     pauli_sum_apply,
@@ -55,9 +55,12 @@ class QuantumParent:
 
 @dataclass
 class QuantumPlayerState:
+    """One player's solve: final parameters, the state they prepare, and per-iteration histories."""
+
     index: int
     theta: ParameterTensor
     parents: tuple[QuantumParent, ...]
+    statevector: StateVector | None = None
     eigenvalue: float = float("nan")
     converged: bool = False
     iterations_used: int = 0
@@ -131,19 +134,6 @@ def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.nd
     return np.array([p.statevector.amplitudes for p in parents]).reshape(len(parents), 2**num_qubits)
 
 
-def _energy_moments(
-    op: PauliSum, psi: np.ndarray, shots: ShotModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(op psi, <op>, Var(op)) per row; exact models reject an imaginary residue like ``expectation``."""
-    op_psi = pauli_sum_apply(op, psi)
-    value = np.einsum("bi,bi->b", psi.conj(), op_psi)
-    if shots.is_exact and np.any(np.abs(value.imag) > NORM_ATOL):
-        raise ValueError(f"expectation has imaginary residue {np.abs(value.imag).max():.3e}")
-    mean = value.real
-    var = np.einsum("bi,bi->b", op_psi.conj(), op_psi).real - mean * mean
-    return op_psi, mean, var
-
-
 # The cross term enters as |z|^2 rather than the literal complex square: both
 # agree whenever states and operator are real (where the squared quantity is
 # real), but the complex square depends on the ansatz's global phase, which a
@@ -176,7 +166,7 @@ def _game_evaluator(
 
     def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         psi = apply_ansatz(spec, rows)
-        op_psi, mean, var = _energy_moments(op, psi, shots)
+        op_psi, mean, var = energy_moments(op, psi)
         cross_mean, cross_var = interference_moments(psi, op_psi, parent_states, op_parents)
         reads = perturb_readouts(
             shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
@@ -207,7 +197,7 @@ def _vqd_evaluator(
 
     def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         psi = apply_ansatz(spec, rows)
-        _, mean, var = _energy_moments(m, psi, shots)
+        _, mean, var = energy_moments(m, psi)
         p0, p0_var = swap_test_moments(psi, parent_states)
         reads = perturb_readouts(
             shots, np.column_stack((mean, p0)), np.column_stack((var, p0_var)), rng
@@ -218,27 +208,6 @@ def _vqd_evaluator(
         return value, psi, 0.0
 
     return evaluate
-
-
-def quantum_utility(
-    m: PauliSum,
-    spec: AnsatzSpec,
-    theta_r: ParameterTensor | Sequence[float],
-    parents: Sequence[QuantumParent],
-    shots: ShotModel = ShotModel(),
-    rng: np.random.Generator | None = None,
-) -> float:
-    """<psi_r|M|psi_r> - sum_j |<psi_r|M|psi_j>|^2 / <psi_j|M|psi_j>, shot model applied throughout.
-
-    Cross terms are the interference circuit's real and imaginary read-outs;
-    parent denominators are the cached broadcast eigenvalues.  This is one
-    row of the game's batch evaluator.
-    """
-    parents = tuple(parents)
-    values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
-    evaluate = _game_evaluator(m, spec, parents, [p.eigenvalue for p in parents], shots, rng)
-    utility, _, _ = evaluate(values[None, :])
-    return float(utility[0])
 
 
 def _spectral_norm(h: PauliSum) -> float:
@@ -262,8 +231,10 @@ def _ascend(
     """The shared parameter-shift loop; ``sign`` +1 ascends the objective, -1 descends it.
 
     Each iteration evaluates the 2m shift points and theta in one batch, then
-    reads the energy <M> at theta.  Stops when the gradient norm reaches
-    tolerance or the iteration budget runs out (partial result).
+    reads the energy <M> on the batch's theta row.  Stops when the gradient
+    norm reaches tolerance or the iteration budget runs out (partial result).
+    The final state is that row when the loop converged and is prepared once
+    otherwise; the eigenvalue is read on it.
     """
     state = QuantumPlayerState(index=index, theta=theta, parents=parents)
     values = theta.values.copy()
@@ -277,7 +248,7 @@ def _ascend(
         value = float(objective[-1])
         if not np.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
-        energy = shot_noisy_expectation(m, StateVector(spec.num_qubits, psi[-1]), cfg.shots, rng)
+        energy = float(shot_noisy_expectation(m, psi[-1:], cfg.shots, rng)[0])
         state.grad_norm_history.append(gnorm)
         state.utility_history.append(value)
         state.energy_history.append(energy)
@@ -288,8 +259,10 @@ def _ascend(
         state.iterations_used += 1
 
     state.theta = theta.with_values(values)
-    final_psi = apply_ansatz(spec, state.theta)
-    state.eigenvalue = shot_noisy_expectation(m, final_psi, cfg.shots, rng)
+    # A converged loop stopped on the theta it last prepared; a spent budget stepped past it.
+    state.statevector = (StateVector(spec.num_qubits, psi[-1]) if state.converged
+                         else apply_ansatz(spec, state.theta))
+    state.eigenvalue = shot_noisy_expectation(m, state.statevector, cfg.shots, rng)
     return state
 
 
@@ -382,6 +355,8 @@ def deflation_vqe(
     is never touched.  Solver failures yield a partial result flagged at the
     failing level.
     """
+    if k < 1:
+        raise ValueError(f"need at least one level, got k={k}")
     if k > m.dim:
         raise ValueError(f"k={k} exceeds dimension {m.dim}")
     work = m.entries.copy()
@@ -416,7 +391,7 @@ def _sequential_run(
         theta_init = spec.bind(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
         shots = replace(cfg.shots, rng_seed=int(rng.integers(0, 2**31 - 1)))
         state = player_fn(m, spec, theta_init, parents, replace(cfg, shots=shots), index=r)
-        return state, QuantumParent(state.theta, state.eigenvalue, apply_ansatz(spec, state.theta))
+        return state, QuantumParent(state.theta, state.eigenvalue, state.statevector)
 
     return run_players(k, play, lambda: pauli_sum_hash(m))
 

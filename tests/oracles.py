@@ -4,8 +4,9 @@ None of this runs on a solve path.  The gate-by-gate simulators of the
 interference and SwapTest circuits are what the closed-form read-outs in
 ``eigengames.quantum_sim`` must reproduce; the scalar parameter-shift loop
 and the literal forward-difference quotient check the batched and
-closed-form gradients; ``power_iteration_solver`` is a substitute
-single-component solver for ``deflation_vqe``.
+closed-form gradients; ``quantum_utility`` is one row of the game's batch
+evaluator; ``power_iteration_solver`` is a substitute single-component
+solver for ``deflation_vqe``.
 
 Conventions match ``eigengames.quantum_sim``: qubit t is bit (q - 1 - t) of
 the amplitude index, and ancilla qubits are appended as the last position
@@ -19,17 +20,24 @@ from typing import Callable, Sequence
 import numpy as np
 
 from eigengames.eigengame_classical import utility
-from eigengames.errors import DimensionMismatchError, InvalidPerturbationError, NonConvergenceError
+from eigengames.errors import DimensionMismatchError, EigenGamesError, NonConvergenceError
 from eigengames.hamiltonian import HermitianMatrix, PauliSum
 from eigengames.quantum_sim import (
     AnsatzSpec,
     ParameterTensor,
+    ShotModel,
     StateVector,
     apply_ansatz,
     parameter_shift_points,
     pauli_sum_apply,
     shift_rule_gradient,
 )
+from eigengames.quantumgame import QuantumParent, _game_evaluator
+
+
+class InvalidPerturbationError(EigenGamesError):
+    """Forward differences need a strictly positive step."""
+
 
 # ---------------------------------------------------------------------------
 # Gate application on raw amplitude arrays
@@ -146,21 +154,17 @@ def _swap_test_p0(psi1: StateVector, psi2: StateVector) -> float:
 # Scalar gradients
 # ---------------------------------------------------------------------------
 
-def parameter_shift_gradient(
-    objective: Callable[[np.ndarray], float],
-    theta: np.ndarray,
-    shift_eigenvalue: float = 0.5,
-) -> np.ndarray:
-    """Exact gradient for rotation-generated circuits: lam * [f(+pi/4lam) - f(-pi/4lam)].
+def parameter_shift_gradient(objective: Callable[[np.ndarray], float], theta: np.ndarray) -> np.ndarray:
+    """Exact gradient for Pauli-rotation circuits: [f(theta + pi/2 e_k) - f(theta - pi/2 e_k)] / 2.
 
     Exact whenever the objective is a first-harmonic trigonometric polynomial
     in each parameter, which holds for expectation values of rotation-gate
     circuits where every parameter feeds exactly one gate.  Uses 2m objective
     evaluations, one per shift point, in ``parameter_shift_points`` order.
     """
-    rows = parameter_shift_points(theta, shift_eigenvalue)[:-1]
+    rows = parameter_shift_points(theta)[:-1]
     values = np.array([objective(row.copy()) for row in rows], dtype=np.float64)
-    return shift_rule_gradient(values, shift_eigenvalue)
+    return shift_rule_gradient(values)
 
 
 def numeric_forward_difference(v: np.ndarray, parents, m, sigma: float) -> np.ndarray:
@@ -179,6 +183,27 @@ def numeric_forward_difference(v: np.ndarray, parents, m, sigma: float) -> np.nd
         shifted[k] += sigma
         grad[k] = (utility(shifted, parents, m) - utility(v, parents, m)) / sigma
     return grad
+
+
+def quantum_utility(
+    m: PauliSum,
+    spec: AnsatzSpec,
+    theta_r: ParameterTensor | Sequence[float],
+    parents: Sequence[QuantumParent],
+    shots: ShotModel = ShotModel(),
+    rng: np.random.Generator | None = None,
+) -> float:
+    """<psi_r|M|psi_r> - sum_j |<psi_r|M|psi_j>|^2 / <psi_j|M|psi_j>, shot model applied throughout.
+
+    Cross terms are the interference circuit's real and imaginary read-outs;
+    parent denominators are the cached broadcast eigenvalues.  This is one
+    row of the game's batch evaluator.
+    """
+    parents = tuple(parents)
+    values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
+    evaluate = _game_evaluator(m, spec, parents, [p.eigenvalue for p in parents], shots, rng)
+    value, _, _ = evaluate(values[None, :])
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------

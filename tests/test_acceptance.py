@@ -37,7 +37,6 @@ from eigengames.quantumgame import (
     QuantumParent,
     SolverConfig,
     deflation_vqe,
-    quantum_utility,
     run_quantumgame,
     run_vqd,
     vqd_player,
@@ -53,6 +52,7 @@ from oracles import (
     mixed_expectation_states,
     numeric_forward_difference,
     parameter_shift_gradient,
+    quantum_utility,
     swap_test_overlap,
 )
 

@@ -185,6 +185,11 @@ class TestMainCli:
         ("h2", "num_levels = 2\nmax_iterations = 5\ngrad_tolerance = 0\n"),
         ("h2", "num_levels = 2\nmax_iterations = 5\nbeta = -1\n"),
         ("beta-sweep", "num_levels = 2\nmax_iterations = 5\nbetas = 0.5, -1\n"),
+        ("diagnostics", "lipschitz_samples = 0\n"),
+        ("diagnostics", "epsilons = \n"),
+        ("h2", "num_levels = 2\nmax_iterations = 5\nseeds = -1\n"),
+        ("scaling", "sizes = 8\nnum_players = 2\nseeds = 0, -1\n"),
+        ("scaling", "sizes = 1\nnum_players = 1\n"),
     ])
     def test_out_of_range_solver_settings_give_exit_two(self, tmp_path, capsys, command, text):
         cfgfile = tmp_path / "range.cfg"

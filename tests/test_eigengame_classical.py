@@ -6,7 +6,6 @@ import pytest
 from eigengames.errors import (
     DegenerateParentError,
     HermiticityError,
-    InvalidPerturbationError,
     NormalizationError,
     NumericalOverflowError,
 )
@@ -24,7 +23,7 @@ from eigengames.eigengame_classical import (
 )
 from eigengames.hamiltonian import build_powerlaw_hamiltonian, random_orthonormal
 
-from oracles import numeric_forward_difference
+from oracles import InvalidPerturbationError, numeric_forward_difference
 
 M2 = np.diag([3.0, 1.0])
 E1 = np.array([1.0, 0.0])

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eigengames import quantumgame
 from eigengames.errors import DegenerateParentError
 from eigengames.hamiltonian import (
     HermitianMatrix,
@@ -29,14 +30,13 @@ from eigengames.quantumgame import (
     deflation_vqe,
     exact_top_eigenvector_solver,
     pauli_sum_hash,
-    quantum_utility,
     quantumgame_player,
     run_quantumgame,
     run_vqd,
     vqd_player,
 )
 
-from oracles import power_iteration_solver
+from oracles import power_iteration_solver, quantum_utility
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
 DIAG_3120 = PauliSum(2, ((1.5, "II"), (0.5, "ZI"), (1.0, "IZ")))  # diag(3, 1, 2, 0)
@@ -325,6 +325,34 @@ class TestNoEigenvectorOracle:
         assert calls == {"eigh": 0, "angular_error": 0}
 
 
+class TestStatePreparations:
+    """Each player prepares one state per iteration, plus its final state at most once."""
+
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    @pytest.mark.parametrize("budget, tolerance, shots", [(3, 1e-9, 1000), (3000, 1e-2, None)],
+                             ids=["budget", "converged"])
+    def test_one_final_state_per_player(self, monkeypatch, runner, extra, budget, tolerance, shots):
+        # The final state used to be prepared twice: at the end of the ascent
+        # and again for the broadcast parent.
+        calls = []
+        original = quantumgame.apply_ansatz
+
+        def counting(spec, theta):
+            calls.append(1)
+            return original(spec, theta)
+
+        monkeypatch.setattr(quantumgame, "apply_ansatz", counting)
+        cfg = SolverConfig(direction="maximize", grad_tolerance=tolerance, max_iterations=budget,
+                           shots=ShotModel(shots, rng_seed=2), **extra)
+        result = runner(DIAG_3120, layered_ansatz(2, 2), cfg, 2, seed=0)
+        assert result.all_converged == (shots is None)
+        assert len(calls) == result.total_iterations + 2
+        for player in result.players:
+            prepared = original(layered_ansatz(2, 2), player.theta).amplitudes
+            assert np.allclose(player.statevector.amplitudes, prepared, rtol=0.0, atol=1e-12)
+
+
 class TestShotDraws:
     """Every finite-shot read-out is one ShotModel.perturb call, in circuit order."""
 
@@ -420,6 +448,13 @@ class TestDeflation:
         m = HermitianMatrix(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
             deflation_vqe(m, 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_levels_rejected(self, k):
+        # k = 0 used to return an empty result flagged complete.
+        m = HermitianMatrix(np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="at least one level"):
+            deflation_vqe(m, k)
 
     def test_solver_failure_yields_partial_result(self):
         from eigengames.hamiltonian import build_powerlaw_hamiltonian
