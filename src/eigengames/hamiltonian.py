@@ -7,6 +7,8 @@ eigendecomposition here is the ground-truth oracle for every solver test.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,6 +28,9 @@ HERMITICITY_ATOL = 1e-12
 GAP_FLOOR = 1e-6
 EIGENVALUE_CLAMP = 1e-4
 DEGENERACY_FLAG_TOL = 1e-9
+LANCZOS_TOL = 1e-13
+LANCZOS_SEED = 0
+RITZ_CHECK_STRIDE = 8
 
 PAULI_MATRICES = {
     "I": np.array([[1, 0], [0, 1]], dtype=np.complex128),
@@ -110,6 +115,8 @@ class PauliSum:
                 raise MalformedPauliError(f"string {string!r} has illegal characters {bad}")
             if isinstance(coeff, complex):
                 raise MalformedPauliError("coefficients must be real")
+            if not math.isfinite(coeff):
+                raise MalformedPauliError(f"coefficient {coeff!r} of {string!r} is not finite")
 
     @property
     def one_norm(self) -> float:
@@ -149,6 +156,67 @@ class PauliSum:
         return tuple(
             (_readonly(index ^ x_mask), _readonly(w)) for x_mask, w in weights.items()
         )
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """The sum applied along the last axis of a (..., 2**q) array, one gather per x-mask.
+
+        The last axis is not checked; ``quantum_sim.pauli_sum_apply`` is the
+        checked entry point.  The dense matrix is never built.
+        """
+        out = np.zeros(amps.shape, dtype=np.complex128)
+        for perm, weight in self.compiled:
+            out += weight * amps[..., perm]
+        return out
+
+    @cached_property
+    def spectral_range(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max) from a Lanczos run on the compiled form; no dense matrix.
+
+        The run starts from a fixed-seed random complex vector (its own
+        generator: no solver stream is drawn from) and reorthogonalizes each
+        new vector against the whole basis, twice (Parlett, *The Symmetric
+        Eigenvalue Problem*, ch. 13).  The result is the tridiagonal's extreme
+        Ritz values, read with ``eigvalsh``; each lies inside the true range.
+        With ``scale`` the largest ||M v_j|| so far (a lower bound on ||M||),
+        the run stops when the Krylov space is exhausted
+        (beta_j <= LANCZOS_TOL * scale), when neither extreme moved by more
+        than LANCZOS_TOL * scale since the last reading, or after 2**q steps.
+        The Ritz values are read every RITZ_CHECK_STRIDE steps: an eigvalsh of
+        the j x j tridiagonal costs O(j^3), and read every step it cost as
+        much as the matvecs.  The zero operator gives (0.0, 0.0).  Computed on
+        first use and kept on the instance.
+        """
+        dim = 2**self.num_qubits
+        rng = np.random.default_rng(LANCZOS_SEED)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        basis = np.empty((min(dim, 64), dim), dtype=np.complex128)  # doubled when full
+        alphas: list[float] = []
+        betas: list[float] = []
+        scale = 0.0
+        previous = (math.inf, -math.inf)
+        for j in itertools.count(1):
+            if j > len(basis):
+                basis = np.concatenate((basis, np.empty_like(basis)))
+            basis[j - 1] = v
+            w = self.apply(v)
+            scale = max(scale, float(np.linalg.norm(w)))
+            alphas.append(float(np.vdot(v, w).real))
+            spanned = basis[:j]
+            for _ in range(2):
+                w -= (spanned @ w.conj()).conj() @ spanned
+            beta = float(np.linalg.norm(w))
+            exhausted = beta <= LANCZOS_TOL * scale or j == dim
+            if exhausted or j % RITZ_CHECK_STRIDE == 0:
+                tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+                ritz = np.linalg.eigvalsh(tridiagonal)
+                extremes = (float(ritz[0]), float(ritz[-1]))
+                moved = max(abs(extremes[0] - previous[0]), abs(extremes[1] - previous[1]))
+                if exhausted or moved <= LANCZOS_TOL * scale:
+                    return extremes
+                previous = extremes
+            betas.append(beta)
+            v = w / beta
 
     def scaled(self, factor: float) -> "PauliSum":
         return PauliSum(self.num_qubits, tuple((factor * c, s) for c, s in self.terms))
@@ -287,6 +355,8 @@ def load_pauli_sum(path: str | Path) -> PauliSum:
                 coeff = float(coeff_text)
             except ValueError:
                 raise PauliFormatError(lineno, f"bad coefficient {coeff_text!r}") from None
+            if not math.isfinite(coeff):
+                raise PauliFormatError(lineno, f"coefficient {coeff_text!r} is not finite")
             if set(string) - set("IXYZ"):
                 raise PauliFormatError(lineno, f"bad pauli string {string!r}")
             lengths.add(len(string))

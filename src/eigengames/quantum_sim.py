@@ -300,17 +300,14 @@ def apply_ansatz(
 def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
     """M applied along the last axis of a (..., 2**q) array, via the compiled form.
 
-    One gather and one multiply per distinct x-mask (see ``PauliSum.compiled``);
-    the dense matrix is never built.
+    One gather and one multiply per distinct x-mask (``PauliSum.apply``, after
+    checking the last axis); the dense matrix is never built.
     """
     if amps.shape[-1] != 2**h.num_qubits:
         raise DimensionMismatchError(
             f"operator acts on {h.num_qubits} qubits, amplitudes have length {amps.shape[-1]}"
         )
-    out = np.zeros(amps.shape, dtype=np.complex128)
-    for perm, weight in h.compiled:
-        out += weight * amps[..., perm]
-    return out
+    return h.apply(amps)
 
 
 def energy_moments(h: PauliSum, rows: np.ndarray, variance: bool = True) -> tuple[np.ndarray, ...]:

@@ -76,12 +76,15 @@ class SolverConfig:
 
     There is no step-size setting: both players step 1/(2L), with L the
     spectral norm of the operator the loop actually optimizes (the shifted
-    operator for the game; +-M plus the weighted overlap projectors for the
-    penalized baseline).  ``direction``, "maximize" or "minimize", applies
-    to both solvers.  ``beta`` >= 0 feeds the fixed-weight overlap
-    penalty; ``adaptive_regularization`` instead sets the penalty weights to
-    2 * (spectral upper bound - parent eigenvalue on +-M), which needs no
-    tuning, so the two may not be combined.
+    operator for the game; for the penalized baseline, the bound ||M|| plus
+    the overlap weights).  L comes in closed form from M's
+    ``PauliSum.spectral_range``, one Lanczos run per operator shared by all
+    players, so no operator is densified or diagonalized.  ``direction``,
+    "maximize" or "minimize", applies to both solvers.  ``beta`` >= 0 feeds
+    the fixed-weight overlap penalty; ``adaptive_regularization`` instead
+    sets the penalty weights to 2 * (spectral upper bound - parent
+    eigenvalue on +-M), which needs no tuning, so the two may not be
+    combined.
     """
 
     max_iterations: int = 2000
@@ -210,12 +213,6 @@ def _vqd_evaluator(
     return evaluate
 
 
-def _spectral_norm(h: PauliSum) -> float:
-    """||h||, the largest |eigenvalue| of h densified by applying it to the identity."""
-    dense = pauli_sum_apply(h, np.eye(2**h.num_qubits)).T
-    return float(np.abs(np.linalg.eigvalsh(dense)).max())
-
-
 def _ascend(
     m: PauliSum,
     spec: AnsatzSpec,
@@ -284,8 +281,10 @@ def quantumgame_player(
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
     game_op, sign, offset = _game_operator(m, cfg.direction)
     game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
-    # 1/(2L) with L the norm of the operator the ascent actually runs on.
-    eta = 1.0 / (2.0 * _spectral_norm(game_op))
+    # 1/(2L) with L = ||A||, A = sign*M + offset*I the operator the ascent runs
+    # on; every eigenvalue of A is at least 1, so L is its largest one.
+    lo, hi = m.spectral_range
+    eta = 1.0 / (2.0 * (offset + (hi if sign > 0 else -lo)))
     rng = cfg.shots.make_rng()
     evaluate = _game_evaluator(game_op, spec, parents, game_denominators, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, 1.0, rng)
@@ -321,7 +320,8 @@ def vqd_player(
         betas = tuple(cfg.beta for _ in parents)
     # The penalized objective is the expectation of A + sum_j beta_j P_j,
     # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
-    eta = 1.0 / (2.0 * (_spectral_norm(m) + sum(betas)))
+    lo, hi = m.spectral_range
+    eta = 1.0 / (2.0 * (max(-lo, hi) + sum(betas)))
     rng = cfg.shots.make_rng()
     evaluate = _vqd_evaluator(op, spec, parents, betas, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)
@@ -385,6 +385,8 @@ def _sequential_run(
 ) -> SequentialResult:
     if k > 2**spec.num_qubits:
         raise ValueError(f"k={k} exceeds the register dimension {2**spec.num_qubits}")
+    if m.spectral_range == (0.0, 0.0):
+        raise ValueError("the zero operator has no leading eigenvectors: every state is one")
 
     def play(r: int, parents: tuple[QuantumParent, ...]) -> tuple[QuantumPlayerState, QuantumParent]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))

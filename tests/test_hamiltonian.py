@@ -119,6 +119,49 @@ class TestPauliSumToMatrix:
         with pytest.raises(MalformedPauliError):
             PauliSum(1, ((1.0, "Q"),))
 
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficients_rejected(self, coeff):
+        with pytest.raises(MalformedPauliError, match="not finite"):
+            PauliSum(2, ((1.0, "ZI"), (coeff, "XX")))
+
+
+def random_pauli_sum(rng, num_qubits, num_terms, identity):
+    terms = [(float(rng.uniform(-1.0, 1.0)), "".join(rng.choice(list("IXYZ"), size=num_qubits)))
+             for _ in range(num_terms)]
+    if identity:
+        terms.append((float(rng.uniform(-2.0, 2.0)), "I" * num_qubits))
+    return PauliSum(num_qubits, tuple(terms))
+
+
+class TestSpectralRange:
+    """Lanczos extremes of the compiled form against the dense eigenvalues."""
+
+    @staticmethod
+    def assert_matches_dense(h):
+        dense = np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)
+        scale = max(abs(dense[0]), abs(dense[-1]))
+        lo, hi = h.spectral_range
+        assert abs(lo - dense[0]) <= 1e-10 * scale
+        assert abs(hi - dense[-1]) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("identity", [False, True], ids=["traceless", "with-identity"])
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_random_sums_match_dense_eigenvalues(self, num_qubits, identity):
+        rng = np.random.default_rng(100 * num_qubits + identity)
+        for _ in range(3):
+            self.assert_matches_dense(random_pauli_sum(rng, num_qubits, 4 * num_qubits, identity))
+
+    @pytest.mark.parametrize("terms", [((2.5, "III"),), ((1.0, "ZII"),), ((-0.7, "XYX"),),
+                                       ((0.3, "IXI"),)],
+                             ids=["c-identity", "z-on-one-qubit", "xyx-string", "single-x"])
+    def test_krylov_space_exhausts_on_degenerate_spectra(self, terms):
+        self.assert_matches_dense(PauliSum(3, terms))
+
+    @pytest.mark.parametrize("terms", [((0.0, "ZX"),), ((1.0, "ZX"), (-1.0, "ZX"))],
+                             ids=["zero-coefficient", "cancelling-terms"])
+    def test_zero_operator_gives_zero_range(self, terms):
+        assert PauliSum(2, terms).spectral_range == (0.0, 0.0)
+
 
 class TestExactEigendecomposition:
     def test_diagonal_matrix(self):
@@ -192,6 +235,14 @@ class TestPauliFileFormat:
         with pytest.raises(PauliFormatError) as err:
             load_pauli_sum(path)
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "+Infinity"])
+    def test_non_finite_coefficient_reports_line(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# c\n1.0 ZI\n{text} IZ\n")
+        with pytest.raises(PauliFormatError, match="not finite") as err:
+            load_pauli_sum(path)
+        assert err.value.line_number == 3
 
     def test_mixed_lengths_rejected(self, tmp_path):
         path = tmp_path / "mixed.txt"

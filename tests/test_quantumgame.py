@@ -1,6 +1,7 @@
 """Parameterized players, the overlap-penalized baseline, and explicit deflation."""
 
 import json
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from eigengames.quantumgame import (
 )
 
 from oracles import power_iteration_solver, quantum_utility
+from test_hamiltonian import random_pauli_sum
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
 DIAG_3120 = PauliSum(2, ((1.5, "II"), (0.5, "ZI"), (1.0, "IZ")))  # diag(3, 1, 2, 0)
@@ -325,6 +327,69 @@ class TestNoEigenvectorOracle:
         assert calls == {"eigh": 0, "angular_error": 0}
 
 
+class TestStepSize:
+    """Both players step 1/(2L), L in closed form from the operator's Lanczos range."""
+
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player])
+    def test_eta_matches_dense_norm(self, monkeypatch, player, direction):
+        h = random_pauli_sum(np.random.default_rng(4), 3, 8, identity=True)
+        spec = layered_ansatz(3, 1)
+        parents = (make_parent(h, spec, np.full(spec.num_parameters, 0.3)),)
+        cfg = SolverConfig(direction=direction, max_iterations=1, beta=2.0)
+        etas = []
+        ascend = quantumgame._ascend
+
+        def recording_ascend(*args):
+            etas.append(args[7])  # (m, spec, theta, parents, cfg, index, evaluate, eta, ...)
+            return ascend(*args)
+
+        monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
+        player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        if player is quantumgame_player:
+            game_op = quantumgame._game_operator(h, direction)[0]
+            norm = np.abs(np.linalg.eigvalsh(pauli_sum_to_matrix(game_op).entries)).max()
+        else:
+            norm = np.abs(np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)).max() + 2.0
+        assert etas == [pytest.approx(1.0 / (2.0 * norm), rel=1e-12, abs=0.0)]
+
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 1.0})],
+                             ids=["game", "vqd"])
+    def test_no_dense_operator_and_one_lanczos_run(self, monkeypatch, runner, extra):
+        from eigengames import quantum_sim
+
+        h = random_pauli_sum(np.random.default_rng(8), 8, 24, identity=False)
+        dense_shape = (2**8, 2**8)
+        shapes = []
+        lanczos_runs = []
+        eigvalsh, apply = np.linalg.eigvalsh, quantum_sim.pauli_sum_apply
+        spectral_range = PauliSum.spectral_range.func
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def recording_apply(op, amps):
+            shapes.append(np.shape(amps))
+            return apply(op, amps)
+
+        def counted_range(op):
+            lanczos_runs.append(op)
+            return spectral_range(op)
+
+        counted = cached_property(counted_range)
+        counted.__set_name__(PauliSum, "spectral_range")
+        monkeypatch.setattr(PauliSum, "spectral_range", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        monkeypatch.setattr(quantum_sim, "pauli_sum_apply", recording_apply)
+        monkeypatch.setattr(quantumgame, "pauli_sum_apply", recording_apply)
+        cfg = SolverConfig(direction="minimize", max_iterations=2, **extra)
+        result = runner(h, layered_ansatz(8, 1), cfg, 3, seed=0)
+        assert len(result.players) == 3
+        assert shapes and dense_shape not in shapes
+        assert lanczos_runs == [h]
+
+
 class TestStatePreparations:
     """Each player prepares one state per iteration, plus its final state at most once."""
 
@@ -482,3 +547,12 @@ class TestInputValidation:
         cfg = SolverConfig(direction="minimize", **extra)
         with pytest.raises(ValueError, match="at least one player"):
             runner(DIAG_3120, layered_ansatz(2, 2), cfg, k, seed=0)
+
+    @pytest.mark.parametrize("runner", [run_quantumgame, run_vqd], ids=["game", "vqd"])
+    @pytest.mark.parametrize("terms", [((0.0, "Z"),), ((1.0, "Z"), (-1.0, "Z"))],
+                             ids=["zero-coefficient", "cancelling-terms"])
+    def test_zero_operator_rejected(self, runner, terms):
+        # VQD used to divide by a zero step bound; the game returned [0.0].
+        cfg = SolverConfig(direction="minimize", beta=1.0)
+        with pytest.raises(ValueError, match="zero operator"):
+            runner(PauliSum(1, terms), layered_ansatz(1, 1), cfg, 1, seed=0)
