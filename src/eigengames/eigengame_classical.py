@@ -24,7 +24,7 @@ from .errors import (
     NormalizationError,
     NumericalOverflowError,
 )
-from .hamiltonian import HermitianMatrix
+from .hamiltonian import HermitianMatrix, check_hermitian, real_part
 
 RAYLEIGH_GUARD = 1e-12
 # Plain-ascent steps before the heavy-ball weight is first estimated, and the
@@ -36,10 +36,10 @@ GradientMode = Literal["exact", "zeroth_order"]
 
 
 def _as_real_symmetric(m) -> np.ndarray:
+    """The real array the game runs on; a complex one must have a negligible imaginary part."""
     if isinstance(m, HermitianMatrix):
         return m.real_symmetric()
-    a = np.asarray(m, dtype=np.float64)
-    return a
+    return np.ascontiguousarray(real_part(np.asarray(m)), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,27 @@ def _coerce_parents(m, parents) -> tuple[ParentVector, ...]:
 
 @dataclass
 class PlayerState:
-    """One player's solve: final vector, its frozen parents, and the stop-test norm."""
+    """One player's solve: final vector, its frozen parents, and the stop-test norm.
+
+    ``eigenvalue`` is v^T M v and ``residual`` the eigen-residual
+    ||M v - eigenvalue v||, both on the player's matrix; ``run_sequential``
+    reads them again on the caller's M.
+    """
 
     index: int
     vector: np.ndarray
     parents: tuple[ParentVector, ...]
     eigenvalue: float = float("nan")
+    residual: float = float("nan")
     iterations_used: int = 0
     converged: bool = False
     final_riemannian_norm: float = float("nan")
+
+    def read_out(self, m: np.ndarray) -> None:
+        """Set ``eigenvalue`` and ``residual`` of the final vector on M, from one matvec."""
+        mv = m @ self.vector
+        self.eigenvalue = float(self.vector @ mv)
+        self.residual = float(np.linalg.norm(mv - self.eigenvalue * self.vector))
 
 
 @dataclass(frozen=True)
@@ -123,47 +135,45 @@ def _parent_block(parents: tuple[ParentVector, ...], dim: int) -> tuple[np.ndarr
     return mvs, np.array([p.rayleigh for p in parents])
 
 
-def _game_terms(mat, v, mvs, rayleighs) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M v, exact gradient, utility) of v against the parent block (``_parent_block``).
+def _twice_game_matrix(mat: np.ndarray, parents: tuple[ParentVector, ...]) -> np.ndarray:
+    """2 G, with G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j the player's game matrix.
 
-    The one expression of each: with c_j = v^T M v_j / v_j^T M v_j, the gradient
-    is 2 (M v - sum_j c_j M v_j) and the utility v^T M v - sum_j c_j v^T M v_j.
+    With the parents frozen, the utility v^T M v - sum_j (v^T M v_j)^2 / v_j^T M v_j
+    is the quadratic form v^T G v: its exact gradient is 2 G v and the
+    forward-differences error term is diag(G).  One (n, P) x (P, n) product.
     """
-    mv = mat @ v
-    cross = mvs @ v
-    weights = cross / rayleighs
-    return mv, 2.0 * (mv - weights @ mvs), float(v @ mv - cross @ weights)
+    mvs, rayleighs = _parent_block(parents, mat.shape[0])
+    return 2.0 * mat - (2.0 * mvs.T) @ (mvs / rayleighs[:, None])
 
 
-def _terms_at(v: np.ndarray, parents, m) -> tuple[np.ndarray, np.ndarray, float]:
+def _twice_game_matrix_of(parents, m) -> np.ndarray:
     mat = _as_real_symmetric(m)
-    v = np.asarray(v, dtype=np.float64)
-    return _game_terms(mat, v, *_parent_block(_coerce_parents(mat, parents), v.size))
+    return _twice_game_matrix(mat, _coerce_parents(mat, parents))
 
 
 def utility(v: np.ndarray, parents, m) -> float:
-    """Player utility: v^T M v minus alignment penalties against frozen parents."""
-    return _terms_at(v, parents, m)[2]
+    """Player utility: v^T M v - sum_j (v^T M v_j)^2 / v_j^T M v_j = v^T G v."""
+    v = np.asarray(v, dtype=np.float64)
+    return 0.5 * float(v @ (_twice_game_matrix_of(parents, m) @ v))
 
 
 def exact_gradient(v: np.ndarray, parents, m) -> np.ndarray:
-    """2 M (v - sum_j c_j v_j) = 2 (M v - sum_j c_j M v_j), with c_j = v^T M v_j / v_j^T M v_j."""
-    return _terms_at(v, parents, m)[1]
+    """2 G v = 2 (M v - sum_j c_j M v_j), with c_j = v^T M v_j / v_j^T M v_j."""
+    return _twice_game_matrix_of(parents, m) @ np.asarray(v, dtype=np.float64)
 
 
 def finite_diff_error_term(parents, m) -> np.ndarray:
-    """sigma-independent part of the forward-differences error: diag(M) - sum_j (M v_j)^{o2} / v_j^T M v_j.
+    """sigma-independent part of the forward-differences error: diag(G) = diag(M) - sum_j (M v_j)^{o2} / v_j^T M v_j.
 
     Constant in the player's own vector, so solvers compute it once per player.
     """
-    mat = _as_real_symmetric(m)
-    mvs, rayleighs = _parent_block(_coerce_parents(mat, parents), mat.shape[0])
-    return np.diag(mat) - np.sum(mvs**2 / rayleighs[:, None], axis=0)
+    return 0.5 * np.diag(_twice_game_matrix_of(parents, m))
 
 
 def finite_diff_gradient(v: np.ndarray, parents, m, sigma: float) -> np.ndarray:
     """Closed form of the forward-differences gradient: exact gradient + sigma * error term."""
-    return exact_gradient(v, parents, m) + sigma * finite_diff_error_term(parents, m)
+    twice_game = _twice_game_matrix_of(parents, m)
+    return twice_game @ np.asarray(v, dtype=np.float64) + sigma * (0.5 * np.diag(twice_game))
 
 
 def angular_error(v: np.ndarray, v_star: np.ndarray) -> float:
@@ -194,9 +204,15 @@ def eigengame_player(
     the first ``MOMENTUM_WARMUP`` steps, so a budget of at most that many is
     plain ascent v <- normalize(v + alpha g).  Every ``MOMENTUM_WARMUP``
     steps after that, beta <- max(beta, clip(mu2, 0, mu1)^2 / 4), with
-    mu1 = 1 + alpha g.v estimating B's top eigenvalue and mu2 = 1 + alpha u.G(u)
-    its next one, u the unit tangent of the stop test and G the game's linear
-    part without the sigma term; no eigensolver is called.
+    mu1 = 1 + alpha g.v estimating B's top eigenvalue and mu2 = 1 + alpha u.(2 G u)
+    its next one, u the unit tangent of the stop test; no eigensolver is called.
+
+    The parents are frozen, so the player's game matrix
+    G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j is built once, as 2 G, before
+    the loop: the exact gradient is 2 G v and the utility v^T G v.  Each
+    iteration is one matvec on 2 G, each momentum estimate one more, and
+    M v is formed once, at exit, for the eigenvalue and residual.  The price
+    is one extra n x n array for as long as the player runs.
 
     The stopping test is on the tangential (Riemannian) norm of the mode's own
     gradient, ||(I - v v^T) g||, which vanishes at the ascent's fixed points;
@@ -213,24 +229,28 @@ def eigengame_player(
     if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_ATOL:
         raise NormalizationError("init vector must be unit norm")
 
-    mvs, rayleighs = _parent_block(parents, v.size)
-    bias = cfg.sigma * finite_diff_error_term(parents, mat) if mode == "zeroth_order" else None
+    twice_game = _twice_game_matrix(mat, parents)
+    bias = cfg.sigma * (0.5 * np.diag(twice_game)) if mode == "zeroth_order" else None
     state = PlayerState(index=index, vector=v, parents=parents)
     alpha = cfg.step_size
     beta = 0.0
     v_old, s_prev = v, 1.0
 
     for _ in range(cfg.max_iterations_per_player + 1):
-        mv, grad, value = _game_terms(mat, v, mvs, rayleighs)
+        grad = twice_game @ v
+        radial = float(grad @ v)  # twice the utility v^T G v
+        value = 0.5 * radial
         if bias is not None:
             grad += bias
+            radial = float(grad @ v)
 
-        if not np.all(np.isfinite(grad)):
-            raise NumericalOverflowError("gradient stopped being finite")
-        if not math.isfinite(value):
+        # One non-finite entry of grad makes grad . v non-finite too (inf * 0 is
+        # NaN), so the scalars gate the array scan that names the failure.
+        if not (math.isfinite(radial) and math.isfinite(value)):
+            if not np.all(np.isfinite(grad)):
+                raise NumericalOverflowError("gradient stopped being finite")
             raise NumericalOverflowError("utility stopped being finite")
 
-        radial = float(grad @ v)
         tangent = grad - radial * v
         state.final_riemannian_norm = math.sqrt(tangent @ tangent)
         if state.final_riemannian_norm <= cfg.grad_tolerance:
@@ -242,7 +262,7 @@ def eigengame_player(
         if state.iterations_used and state.iterations_used % MOMENTUM_WARMUP == 0:
             u = tangent / state.final_riemannian_norm
             mu1 = 1.0 + alpha * radial
-            mu2 = 1.0 + 2.0 * alpha * _game_terms(mat, u, mvs, rayleighs)[2]
+            mu2 = 1.0 + alpha * float(u @ (twice_game @ u))
             beta = max(beta, min(max(mu2, 0.0), mu1) ** 2 / 4.0)
 
         stepped = v + alpha * grad
@@ -255,7 +275,7 @@ def eigengame_player(
         state.iterations_used += 1
 
     state.vector = v
-    state.eigenvalue = float(v @ mv)  # every exit leaves mv = M v for the final v
+    state.read_out(mat)
     return state
 
 
@@ -320,13 +340,14 @@ def run_sequential(
     is not positive, the players ascend M + c I with c = ||M||_2 - lambda_min,
     whose every eigenvalue is at least ||M||_2; positive-definite inputs get
     c = 0.  Players and their broadcast parents use the shifted matrix;
-    eigenvalues are read on M.  The dense eigenvalues, computed once, give
-    c, the default step 1 / (2 (lambda_max + c)) and the leading-eigengap
-    warning; no eigenvector enters the solve.  The zero matrix is rejected:
-    it has no leading eigenvectors and no step size.
+    eigenvalues and residuals are read on M.  The dense eigenvalues, computed
+    once, give c, the default step 1 / (2 (lambda_max + c)) and the
+    leading-eigengap warning; no eigenvector enters the solve.  The zero
+    matrix is rejected: it has no leading eigenvectors and no step size.
     """
     mat = _as_real_symmetric(m)
-    HermitianMatrix(mat)  # raises HermiticityError on a non-symmetric input
+    if not isinstance(m, HermitianMatrix):  # a HermitianMatrix was checked when built
+        check_hermitian(mat)
     dim = mat.shape[0]
     if cfg.num_players > dim:
         raise ValueError(f"num_players {cfg.num_players} exceeds matrix dimension {dim}")
@@ -349,7 +370,7 @@ def run_sequential(
         init = rng.standard_normal(dim)
         init /= np.linalg.norm(init)
         state = eigengame_player(game, init, parents, cfg, mode=mode, index=i)
-        state.eigenvalue = float(state.vector @ (mat @ state.vector))
+        state.read_out(mat)
         return state, ParentVector.from_vector(game, state.vector)
 
     return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat.tobytes()).hexdigest())

@@ -45,18 +45,35 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_hermitian(entries: np.ndarray) -> None:
+    """Raise unless ``entries`` is a non-empty square matrix within HERMITICITY_ATOL of M^H.
+
+    Real or complex; the one statement of what a valid dense operator is.
+    """
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise InvalidDimensionError(f"expected a square matrix, got shape {entries.shape}")
+    if entries.shape[0] == 0:
+        raise InvalidDimensionError("dimension must be at least 1")
+    if not np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
+        worst = np.abs(entries - entries.conj().T).max()
+        raise HermiticityError(f"matrix is not Hermitian (max |M - M^H| = {worst:.3e})")
+
+
+def real_part(entries: np.ndarray) -> np.ndarray:
+    """``entries`` itself if real, else its real part after checking the imaginary part is negligible."""
+    if not np.iscomplexobj(entries):
+        return entries
+    if entries.size and np.abs(entries.imag).max() > HERMITICITY_ATOL:
+        raise HermiticityError("matrix has a non-negligible imaginary part")
+    return entries.real
+
+
 class HermitianMatrix:
     """Dense Hermitian operator; immutable after construction."""
 
     def __init__(self, entries: np.ndarray):
         entries = np.array(entries, dtype=np.complex128)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvalidDimensionError(f"expected a square matrix, got shape {entries.shape}")
-        if entries.shape[0] == 0:
-            raise InvalidDimensionError("dimension must be at least 1")
-        if not np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
-            worst = np.abs(entries - entries.conj().T).max()
-            raise HermiticityError(f"matrix is not Hermitian (max |M - M^H| = {worst:.3e})")
+        check_hermitian(entries)
         self.entries = _readonly(entries)
 
     @property
@@ -76,9 +93,7 @@ class HermitianMatrix:
 
         The classical game operates on real symmetric matrices only.
         """
-        if np.abs(self.entries.imag).max() > HERMITICITY_ATOL:
-            raise HermiticityError("matrix has a non-negligible imaginary part")
-        return _readonly(self.entries.real.copy())
+        return _readonly(real_part(self.entries).copy())
 
     def to_csv(self) -> str:
         """Row-major CSV with interleaved re,im columns."""

@@ -4,8 +4,10 @@ None of this runs on a solve path.  The gate-by-gate simulators of the
 interference and SwapTest circuits are what the closed-form read-outs in
 ``eigengames.quantum_sim`` must reproduce; the scalar parameter-shift loop
 and the literal forward-difference quotient check the batched and
-closed-form gradients; ``quantum_utility`` is one row of the game's batch
-evaluator; ``power_iteration_solver`` is a substitute single-component
+closed-form gradients; ``classical_game_terms`` and
+``classical_error_term`` are the per-parent block expressions the classical
+game matrix folds together; ``quantum_utility`` is one row of the game's
+batch evaluator; ``power_iteration_solver`` is a substitute single-component
 solver for ``deflation_vqe``.
 
 Conventions match ``eigengames.quantum_sim``: qubit t is bit (q - 1 - t) of
@@ -165,6 +167,34 @@ def parameter_shift_gradient(objective: Callable[[np.ndarray], float], theta: np
     rows = parameter_shift_points(theta)[:-1]
     values = np.array([objective(row.copy()) for row in rows], dtype=np.float64)
     return shift_rule_gradient(values)
+
+
+def _classical_parent_block(parents, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, n) products M v_j and (P,) Rayleigh quotients v_j^T M v_j of raw parent vectors."""
+    n = m.shape[0]
+    vs = np.array([np.asarray(p, dtype=np.float64) for p in parents]).reshape(len(parents), n)
+    mvs = vs @ m.T
+    return mvs, np.einsum("jk,jk->j", vs, mvs)
+
+
+def classical_game_terms(v: np.ndarray, parents, m: np.ndarray) -> tuple[float, np.ndarray]:
+    """(utility, exact gradient) of v against the parents, from the parent block.
+
+    With c_j = v^T M v_j / v_j^T M v_j: the utility is v^T M v - sum_j c_j v^T M v_j
+    and the gradient 2 (M v - sum_j c_j M v_j).
+    """
+    v = np.asarray(v, dtype=np.float64)
+    mvs, rayleighs = _classical_parent_block(parents, m)
+    mv = m @ v
+    cross = mvs @ v
+    weights = cross / rayleighs
+    return float(v @ mv - cross @ weights), 2.0 * (mv - weights @ mvs)
+
+
+def classical_error_term(parents, m: np.ndarray) -> np.ndarray:
+    """The forward-differences error term diag(M) - sum_j (M v_j)^{o2} / v_j^T M v_j."""
+    mvs, rayleighs = _classical_parent_block(parents, m)
+    return np.diag(m) - np.sum(mvs**2 / rayleighs[:, None], axis=0)
 
 
 def numeric_forward_difference(v: np.ndarray, parents, m, sigma: float) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from eigengames.errors import (
     DegenerateParentError,
     HermiticityError,
+    InvalidDimensionError,
     NormalizationError,
     NumericalOverflowError,
 )
@@ -16,14 +17,20 @@ from eigengames.eigengame_classical import (
     angular_error,
     eigengame_player,
     exact_gradient,
+    finite_diff_error_term,
     finite_diff_gradient,
     run_players,
     run_sequential,
     utility,
 )
-from eigengames.hamiltonian import build_powerlaw_hamiltonian, random_orthonormal
+from eigengames.hamiltonian import HermitianMatrix, build_powerlaw_hamiltonian, random_orthonormal
 
-from oracles import InvalidPerturbationError, numeric_forward_difference
+from oracles import (
+    InvalidPerturbationError,
+    classical_error_term,
+    classical_game_terms,
+    numeric_forward_difference,
+)
 
 M2 = np.diag([3.0, 1.0])
 E1 = np.array([1.0, 0.0])
@@ -106,6 +113,47 @@ class TestFiniteDiffGradient:
         # (0,2) + 0.5*((3,1) - (9,0)/3) = (0, 2.5)
         got = finite_diff_gradient(E2, [E1], M2, sigma=0.5)
         assert np.allclose(got, [0.0, 2.5], atol=1e-14)
+
+
+class TestGameMatrix:
+    """The folded game matrix against the per-parent block expressions it replaced."""
+
+    def test_public_algebra_matches_block_oracle(self):
+        rng = np.random.default_rng(31)
+        for draw in range(80):
+            n = int(rng.integers(2, 41))
+            num_parents = int(rng.integers(0, 7))
+            a = rng.standard_normal((n, n))
+            m = 0.5 * (a + a.T)
+            v = rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+            parents = []
+            while len(parents) < num_parents:
+                p = rng.standard_normal(n)
+                p /= np.linalg.norm(p)
+                mp = m @ p
+                # Not an eigenvector, and a Rayleigh denominator well away from zero.
+                if abs(p @ mp) > 1e-3 and np.linalg.norm(mp - (p @ mp) * p) > 1e-3:
+                    parents.append(p)
+            # Triangle bound on ||G||_2: the scale of every term the three expressions sum.
+            scale = np.linalg.norm(m, 2) + sum(
+                np.linalg.norm(m @ p) ** 2 / abs(p @ (m @ p)) for p in parents
+            )
+            want_utility, want_gradient = classical_game_terms(v, parents, m)
+            assert abs(utility(v, parents, m) - want_utility) <= 1e-12 * scale, draw
+            assert np.max(np.abs(exact_gradient(v, parents, m) - want_gradient)) <= 1e-12 * scale, draw
+            got_error = finite_diff_error_term(parents, m)
+            assert np.max(np.abs(got_error - classical_error_term(parents, m))) <= 1e-12 * scale, draw
+
+    def test_player_step_matches_block_oracle(self):
+        m, v0, parents = random_problem(12, 4, seed=8)
+        alpha, sigma = 0.05, 1e-2
+        for mode, bias in (("exact", 0.0), ("zeroth_order", sigma * classical_error_term(parents, m))):
+            cfg = GameConfig(step_size=alpha, sigma=sigma, grad_tolerance=1e-12,
+                             max_iterations_per_player=1)
+            state = eigengame_player(m, v0, parents, cfg, mode=mode)
+            stepped = v0 + alpha * (classical_game_terms(v0, parents, m)[1] + bias)
+            assert np.max(np.abs(state.vector - stepped / np.linalg.norm(stepped))) <= 1e-12
 
 
 class TestNumericForwardDifference:
@@ -237,6 +285,21 @@ class TestPlayer:
         with pytest.raises(NumericalOverflowError):
             eigengame_player(m, E1, [], cfg, mode="exact")
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_gradient_entry_off_the_vector_raises(self, mode):
+        # The NaN lands where E1 is zero, so only grad[1] is non-finite.
+        m = np.array([[3.0, np.nan], [np.nan, 1.0]])
+        cfg = GameConfig(step_size=0.1, max_iterations_per_player=3)
+        with pytest.raises(NumericalOverflowError, match="gradient"):
+            eigengame_player(m, E1, [], cfg, mode=mode)
+
+    def test_residual_on_the_players_matrix(self):
+        m, v0, parents = random_problem(6, 1, seed=5)
+        cfg = GameConfig(step_size=0.05, max_iterations_per_player=7)
+        state = eigengame_player(m, v0, parents, cfg, mode="exact")
+        assert state.eigenvalue == pytest.approx(state.vector @ (m @ state.vector), abs=1e-14)
+        assert abs(state.residual - residual(m, state)) <= 1e-12
+
 
 class TestRunSequential:
     def test_four_axis_recovery(self):
@@ -287,6 +350,41 @@ class TestRunSequential:
     def test_non_symmetric_input_rejected(self):
         with pytest.raises(HermiticityError):
             run_sequential(np.array([[2.0, 1.0], [0.0, 1.0]]), GameConfig(), seed=0)
+
+    def test_complex_hermitian_input_rejected(self):
+        # Its levels are (3 +- sqrt(5)) / 2; dropping the imaginary part gave [2, 1].
+        m = np.array([[2.0, 1j], [-1j, 1.0]])
+        with pytest.raises(HermiticityError):
+            run_sequential(m, GameConfig(num_players=2), seed=0)
+        with pytest.raises(HermiticityError):
+            eigengame_player(m, E1, [], GameConfig(step_size=0.1))
+
+    def test_complex_input_with_negligible_imaginary_part_accepted(self):
+        m = np.array([[2.0, 1.0 + 1e-14j], [1.0 - 1e-14j, 1.0]])
+        result = run_sequential(m, GameConfig(num_players=2, grad_tolerance=1e-8), seed=0)
+        assert result.all_converged
+        assert np.allclose(result.eigenvalues, [(3 + np.sqrt(5)) / 2, (3 - np.sqrt(5)) / 2], atol=1e-8)
+
+    @pytest.mark.parametrize("m", [np.zeros((2, 3)), np.zeros((0, 0)), np.ones(3)],
+                             ids=["non_square", "empty", "vector"])
+    def test_bad_shape_rejected(self, m):
+        with pytest.raises(InvalidDimensionError):
+            run_sequential(m, GameConfig(), seed=0)
+
+    def test_only_array_inputs_are_checked(self, monkeypatch):
+        calls = []
+        original = eigengame_classical.check_hermitian
+
+        def counting(entries):
+            calls.append(entries.dtype)
+            original(entries)
+
+        monkeypatch.setattr(eigengame_classical, "check_hermitian", counting)
+        matrix, _ = build_powerlaw_hamiltonian(6, seed=2)
+        run_sequential(matrix, GameConfig(num_players=2), seed=0)
+        assert calls == []  # validated when the HermitianMatrix was built
+        run_sequential(matrix.real_symmetric(), GameConfig(num_players=2), seed=0)
+        assert calls == [np.float64]  # once, on the real array
 
     def test_tiny_eigengap_warns(self):
         m = np.diag([1.0, 1.0 - 1e-8, 0.5])
@@ -433,6 +531,23 @@ class TestNonPositiveSpectra:
         assert result.all_converged
         assert np.max(np.abs(np.array(result.eigenvalues) - levels[:4])) <= 1e-6
         assert max(residual(m, p) for p in result.players) <= 1e-4
+
+    @pytest.mark.parametrize("levels", [
+        [6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+        [3.0, 1.0, -0.5, -1.0, -2.0, -3.0],
+        [-1.0, -2.0, -3.0, -4.0, -5.0, -6.0],
+    ], ids=["positive_definite", "indefinite", "negative_definite"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_residual_matches_dense_recomputation(self, levels, mode):
+        m = matrix_with_spectrum(levels, random_orthonormal(6, 1))
+        for cfg in (GameConfig(num_players=4, **STRICT),
+                    GameConfig(num_players=4, max_iterations_per_player=5)):
+            for operator in (m, HermitianMatrix(m)):
+                result = run_sequential(operator, cfg, seed=1, mode=mode)
+                for player in result.players:
+                    assert abs(player.residual - residual(m, player)) <= 1e-12
+                    if not player.converged:
+                        assert player.residual > 1e-3  # a five-step budget is no eigenpair
 
     def test_randomized_against_dense_oracle(self):
         rng = np.random.default_rng(20)
