@@ -181,7 +181,7 @@ def angular_error(v: np.ndarray, v_star: np.ndarray) -> float:
     v = np.asarray(v)
     v_star = np.asarray(v_star)
     for name, x in (("v", v), ("v_star", v_star)):
-        if abs(np.linalg.norm(x) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(x) - 1.0) <= 1e-6:  # a NaN norm fails too
             raise NormalizationError(f"{name} is not unit norm")
     return float(np.arccos(min(1.0, abs(complex(np.vdot(v, v_star))))))
 
@@ -226,7 +226,7 @@ def eigengame_player(
     mat = _as_real_symmetric(m)
     parents = _coerce_parents(mat, parents)
     v = np.asarray(init, dtype=np.float64).copy()
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_ATOL:
+    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError("init vector must be unit norm")
 
     twice_game = _twice_game_matrix(mat, parents)

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -94,17 +93,6 @@ class HermitianMatrix:
         The classical game operates on real symmetric matrices only.
         """
         return _readonly(real_part(self.entries).copy())
-
-    def to_csv(self) -> str:
-        """Row-major CSV with interleaved re,im columns."""
-        lines = []
-        for row in self.entries:
-            cells = []
-            for z in row:
-                cells.append(repr(float(z.real)))
-                cells.append(repr(float(z.imag)))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -232,21 +220,6 @@ class PauliSum:
                 previous = extremes
             betas.append(beta)
             v = w / beta
-
-    def scaled(self, factor: float) -> "PauliSum":
-        return PauliSum(self.num_qubits, tuple((factor * c, s) for c, s in self.terms))
-
-    def plus_identity(self, offset: float) -> "PauliSum":
-        """Add offset * I, merging with an existing identity term if present."""
-        identity = "I" * self.num_qubits
-        terms = list(self.terms)
-        for i, (c, s) in enumerate(terms):
-            if s == identity:
-                terms[i] = (c + offset, s)
-                break
-        else:
-            terms.append((offset, identity))
-        return PauliSum(self.num_qubits, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -383,14 +356,6 @@ def load_pauli_sum(path: str | Path) -> PauliSum:
     if not terms:
         raise PauliFormatError(0, "file contains no terms")
     return PauliSum(num_qubits=lengths.pop(), terms=tuple(terms))
-
-
-def save_pauli_sum(h: PauliSum, path: str | Path, header: Sequence[str] = ()) -> None:
-    """Write the text form; coefficients use shortest round-trip decimals."""
-    path = Path(path)
-    lines = [f"# {text}" for text in header]
-    lines += [f"{repr(coeff)} {string}" for coeff, string in h.terms]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def bundled_h2_path() -> Path:

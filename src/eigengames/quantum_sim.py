@@ -51,15 +51,11 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubits, got {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise NormalizationError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    def to_csv(self) -> str:
-        lines = [f"{repr(float(z.real))},{repr(float(z.imag))}" for z in self.amplitudes]
-        return "\n".join(lines) + "\n"
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -151,7 +147,7 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class ParameterTensor:
-    """Flat real parameter vector addressable as (layer, slot)."""
+    """Flat real parameter vector with its per-layer slot counts."""
 
     values: np.ndarray
     slots_per_layer: tuple[int, ...]
@@ -175,14 +171,6 @@ class ParameterTensor:
                 f"spec has {spec.num_parameters} parameters, got vector of shape {values.shape}"
             )
         return ParameterTensor(values, tuple(len(layer) for layer in spec.layer_rotations))
-
-    def __getitem__(self, layer_slot: tuple[int, int]) -> float:
-        layer, slot = layer_slot
-        if not 0 <= layer < len(self.slots_per_layer):
-            raise IndexError(f"layer {layer} out of range")
-        if not 0 <= slot < self.slots_per_layer[layer]:
-            raise IndexError(f"slot {slot} out of range for layer {layer}")
-        return float(self.values[sum(self.slots_per_layer[:layer]) + slot])
 
     def with_values(self, values: np.ndarray) -> "ParameterTensor":
         return ParameterTensor(values, self.slots_per_layer)
@@ -288,7 +276,7 @@ def apply_ansatz(
             amps = amps[perm]
     amps = np.ascontiguousarray(amps.T)
     norms = np.linalg.norm(amps, axis=1)
-    if np.any(np.abs(norms - 1.0) > NORM_ATOL):
+    if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):  # a NaN norm fails too
         raise NormalizationError(f"prepared state norms deviate from 1 beyond {NORM_ATOL}")
     return StateVector(spec.num_qubits, amps[0]) if single else amps
 

@@ -76,10 +76,12 @@ class SolverConfig:
 
     There is no step-size setting: both players step 1/(2L), with L the
     spectral norm of the operator the loop actually optimizes (the shifted
-    operator for the game; for the penalized baseline, the bound ||M|| plus
-    the overlap weights).  L comes in closed form from M's
+    sign*M + offset*I for the game; for the penalized baseline, the bound
+    ||M|| plus the overlap weights).  L comes in closed form from M's
     ``PauliSum.spectral_range``, one Lanczos run per operator shared by all
-    players, so no operator is densified or diagonalized.  ``direction``,
+    players, so no operator is densified or diagonalized.  M is the only
+    operator a solve applies: the sign and the offset act as scalars on its
+    moments, and no other ``PauliSum`` is built.  ``direction``,
     "maximize" or "minimize", applies to both solvers.  ``beta`` >= 0 feeds
     the fixed-weight overlap penalty; ``adaptive_regularization`` instead
     sets the penalty weights to 2 * (spectral upper bound - parent
@@ -113,24 +115,10 @@ def pauli_sum_hash(h: PauliSum) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _game_operator(m: PauliSum, direction: Direction) -> tuple[PauliSum, float, float]:
-    """Operator the ascent actually runs on, with the sign and offset that make it.
-
-    Both directions ascend A = sign*M + offset*I, sign +1 to maximize and -1
-    to minimize, with offset = |coefficients|_1 + margin.  Every eigenvalue of
-    A is then at least the margin, so each parent's penalty denominator
-    sign*lambda_j + offset stays positive whatever the sign of M's spectrum
-    (a negative denominator would turn the penalty into a reward).  Energies
-    are read on M.
-    """
-    sign = 1.0 if direction == "maximize" else -1.0
-    offset = m.one_norm + MIN_MODE_SHIFT_MARGIN
-    return m.scaled(sign).plus_identity(offset), sign, offset
-
-
 # A batch evaluator maps (B, m) parameter rows to the objective at each row,
-# the prepared (B, 2**q) states, and the largest imaginary cross read-out.
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, float]]
+# the prepared (B, 2**q) states, the largest imaginary cross read-out, and
+# the exact <M> and Var(M) of each row.
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]]
 
 
 def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.ndarray:
@@ -145,19 +133,24 @@ def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.nd
 
 
 def _game_evaluator(
-    op: PauliSum,
+    m: PauliSum,
+    sign: float,
+    offset: float,
     spec: AnsatzSpec,
     parents: tuple[QuantumParent, ...],
     denominators: Sequence[float],
     shots: ShotModel,
     rng: np.random.Generator | None,
 ) -> Evaluator:
-    """Rows -> <op> - sum_j |<psi|op|psi_j>|^2 / lambda_j, read out as the circuits would be.
+    """Rows -> <A> - sum_j |<psi|A|psi_j>|^2 / lambda_j, read out as the circuits would be.
 
-    Per row the read-outs are <op>, then Re and Im of each parent's cross
-    term (interference circuit), each perturbed by the shot model in that
-    order; their means and variances are the circuits' closed forms.
-    ``op psi_j`` is applied once here, for every row and iteration.
+    A = sign*M + offset*I is never built: M applies once per batch
+    (``energy_moments``), then A psi = sign*M psi + offset*psi,
+    <A> = sign*<M> + offset and Var(A) = Var(M).  ``A psi_j`` is formed once
+    here, for every row and iteration.  Per row the read-outs are <A>, then
+    Re and Im of each parent's cross term (interference circuit), each
+    perturbed by the shot model in that order; their means and variances are
+    the circuits' closed forms.
     """
     for lam in denominators:
         if abs(lam) < PARENT_EIGENVALUE_GUARD:
@@ -165,50 +158,54 @@ def _game_evaluator(
                 f"cached parent eigenvalue {lam:.3e} is below the division guard"
             )
     parent_states = _parent_states(parents, spec.num_qubits)
-    op_parents = pauli_sum_apply(op, parent_states)
+    a_parents = (sign * pauli_sum_apply(m, parent_states) + offset * parent_states
+                 if parents else parent_states)
 
-    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
         psi = apply_ansatz(spec, rows)
-        op_psi, mean, var = energy_moments(op, psi)
-        cross_mean, cross_var = interference_moments(psi, op_psi, parent_states, op_parents)
+        m_psi, mean, var = energy_moments(m, psi)
+        a_psi = sign * m_psi + offset * psi
+        cross_mean, cross_var = interference_moments(psi, a_psi, parent_states, a_parents)
         reads = perturb_readouts(
-            shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
+            shots, np.column_stack((sign * mean + offset, cross_mean)),
+            np.column_stack((var, cross_var)), rng,
         )
         value = reads[:, 0].copy()
         for j, lam in enumerate(denominators):
             value -= (reads[:, 1 + 2 * j] ** 2 + reads[:, 2 + 2 * j] ** 2) / lam
         residue = float(np.abs(reads[:, 2::2]).max()) if parents else 0.0
-        return value, psi, residue
+        return value, psi, residue, mean, var
 
     return evaluate
 
 
 def _vqd_evaluator(
     m: PauliSum,
+    sign: float,
     spec: AnsatzSpec,
     parents: tuple[QuantumParent, ...],
     betas: Sequence[float],
     shots: ShotModel,
     rng: np.random.Generator | None,
 ) -> Evaluator:
-    """Rows -> <M> + sum_j beta_j |<psi|psi_j>|^2, the overlaps read off the SwapTest ancilla.
+    """Rows -> sign*<M> + sum_j beta_j |<psi|psi_j>|^2, the overlaps read off the SwapTest ancilla.
 
-    Per row the read-outs are <M>, then each parent's SwapTest p0 (closed
-    form, Bernoulli variance), perturbed in that order.
+    Per row the read-outs are sign*<M>, then each parent's SwapTest p0
+    (closed form, Bernoulli variance), perturbed in that order.
     """
     parent_states = _parent_states(parents, spec.num_qubits)
 
-    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
         psi = apply_ansatz(spec, rows)
         _, mean, var = energy_moments(m, psi)
         p0, p0_var = swap_test_moments(psi, parent_states)
         reads = perturb_readouts(
-            shots, np.column_stack((mean, p0)), np.column_stack((var, p0_var)), rng
+            shots, np.column_stack((sign * mean, p0)), np.column_stack((var, p0_var)), rng
         )
         value = reads[:, 0].copy()
         for j, beta in enumerate(betas):
             value += beta * np.clip(2.0 * reads[:, 1 + j] - 1.0, 0.0, 1.0)
-        return value, psi, 0.0
+        return value, psi, 0.0, mean, var
 
     return evaluate
 
@@ -228,7 +225,8 @@ def _ascend(
     """The shared parameter-shift loop; ``sign`` +1 ascends the objective, -1 descends it.
 
     Each iteration evaluates the 2m shift points and theta in one batch, then
-    reads the energy <M> on the batch's theta row.  Stops when the gradient
+    reads the energy <M> on the batch's theta row from the moments the
+    evaluator computed, with its own shot draw.  Stops when the gradient
     norm reaches tolerance or the iteration budget runs out (partial result).
     The final state is that row when the loop converged and is prepared once
     otherwise; the eigenvalue is read on it.
@@ -236,7 +234,7 @@ def _ascend(
     state = QuantumPlayerState(index=index, theta=theta, parents=parents)
     values = theta.values.copy()
     for _ in range(cfg.max_iterations):
-        objective, psi, residue = evaluate(parameter_shift_points(values))
+        objective, psi, residue, energy_mean, energy_var = evaluate(parameter_shift_points(values))
         state.max_imag_residue = max(state.max_imag_residue, residue)
         grad = shift_rule_gradient(objective[:-1])
         if not np.all(np.isfinite(grad)):
@@ -245,7 +243,7 @@ def _ascend(
         value = float(objective[-1])
         if not np.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
-        energy = float(shot_noisy_expectation(m, psi[-1:], cfg.shots, rng)[0])
+        energy = float(perturb_readouts(cfg.shots, energy_mean[-1:], energy_var[-1:], rng)[0])
         state.grad_norm_history.append(gnorm)
         state.utility_history.append(value)
         state.energy_history.append(energy)
@@ -273,20 +271,25 @@ def quantumgame_player(
 ) -> QuantumPlayerState:
     """Gradient ascent on the player utility via parameter-shift, parents frozen.
 
-    Both directions run the same ascent on a shifted operator (see
-    ``_game_operator``); parent penalty denominators are derived from the
-    cached M-eigenvalues without re-measuring.
+    Both directions ascend the utility of A = sign*M + offset*I, sign +1 to
+    maximize and -1 to minimize, with offset = |coefficients|_1 + margin.
+    Every eigenvalue of A is then at least the margin, so each parent's
+    penalty denominator sign*lambda_j + offset stays positive whatever the
+    sign of M's spectrum (a negative denominator would turn the penalty into
+    a reward).  A is applied as algebra on M's moments (``_game_evaluator``),
+    never built; the denominators come from the cached M-eigenvalues without
+    re-measuring, and energies are read on M.
     """
     parents = tuple(parents)
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
-    game_op, sign, offset = _game_operator(m, cfg.direction)
+    sign = 1.0 if cfg.direction == "maximize" else -1.0
+    offset = m.one_norm + MIN_MODE_SHIFT_MARGIN
     game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
-    # 1/(2L) with L = ||A||, A = sign*M + offset*I the operator the ascent runs
-    # on; every eigenvalue of A is at least 1, so L is its largest one.
+    # 1/(2L) with L = ||A||; every eigenvalue of A is at least 1, so L is its largest one.
     lo, hi = m.spectral_range
     eta = 1.0 / (2.0 * (offset + (hi if sign > 0 else -lo)))
     rng = cfg.shots.make_rng()
-    evaluate = _game_evaluator(game_op, spec, parents, game_denominators, cfg.shots, rng)
+    evaluate = _game_evaluator(m, sign, offset, spec, parents, game_denominators, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, 1.0, rng)
 
 
@@ -298,32 +301,32 @@ def vqd_player(
     cfg: SolverConfig,
     index: int = 1,
 ) -> QuantumPlayerState:
-    """Overlap-penalized minimization: <A> + sum_j beta_j |<psi|psi_j>|^2.
+    """Overlap-penalized minimization: sign*<M> + sum_j beta_j |<psi|psi_j>|^2.
 
-    A = M to minimize and A = -M to maximize, so both directions descend.
+    sign = +1 to minimize and -1 to maximize, so both directions descend.
     Fixed mode uses beta_j = cfg.beta.  Adaptive mode sets
     beta_j = 2 * (lambda_bound - a_j) where lambda_bound is the Pauli
     1-norm upper bound on the spectrum and a_j the parent's previously
-    calculated eigenvalue on A (lambda_j or -lambda_j), which always exceeds
-    the gap the penalty must beat.  Overlaps are SwapTest read-outs; energies
-    are read on M.
+    calculated eigenvalue on sign*M (lambda_j or -lambda_j), which always
+    exceeds the gap the penalty must beat.  Overlaps are SwapTest read-outs;
+    energies are read on M.
     """
     parents = tuple(parents)
     if cfg.beta is None and not cfg.adaptive_regularization:
         raise ValueError("vqd_player needs cfg.beta or adaptive_regularization")
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
-    op, sign = (m.scaled(-1.0), -1.0) if cfg.direction == "maximize" else (m, 1.0)
+    sign = -1.0 if cfg.direction == "maximize" else 1.0
     if cfg.adaptive_regularization:
         bound = m.one_norm
         betas = tuple(2.0 * (bound - sign * p.eigenvalue) for p in parents)
     else:
         betas = tuple(cfg.beta for _ in parents)
-    # The penalized objective is the expectation of A + sum_j beta_j P_j,
+    # The penalized objective is the expectation of sign*M + sum_j beta_j P_j,
     # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
     lo, hi = m.spectral_range
     eta = 1.0 / (2.0 * (max(-lo, hi) + sum(betas)))
     rng = cfg.shots.make_rng()
-    evaluate = _vqd_evaluator(op, spec, parents, betas, cfg.shots, rng)
+    evaluate = _vqd_evaluator(m, sign, spec, parents, betas, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)
 
 

@@ -333,9 +333,8 @@ def measure_error_accumulation_quantum(
     rows = []
 
     def gradient(parent: QuantumParent, points: np.ndarray) -> np.ndarray:
-        evaluate = _game_evaluator(h, spec, (parent,), (parent.eigenvalue,), ShotModel(), None)
-        values, _, _ = evaluate(points)
-        return shift_rule_gradient(values[:-1])
+        evaluate = _game_evaluator(h, 1.0, 0.0, spec, (parent,), (parent.eigenvalue,), ShotModel(), None)
+        return shift_rule_gradient(evaluate(points)[0][:-1])
 
     for eps in epsilons:
         for draw in range(samples_per_epsilon):

@@ -231,9 +231,8 @@ def quantum_utility(
     """
     parents = tuple(parents)
     values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
-    evaluate = _game_evaluator(m, spec, parents, [p.eigenvalue for p in parents], shots, rng)
-    value, _, _ = evaluate(values[None, :])
-    return float(value[0])
+    evaluate = _game_evaluator(m, 1.0, 0.0, spec, parents, [p.eigenvalue for p in parents], shots, rng)
+    return float(evaluate(values[None, :])[0][0])
 
 
 # ---------------------------------------------------------------------------

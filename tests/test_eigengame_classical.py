@@ -195,6 +195,13 @@ class TestAngularError:
         with pytest.raises(NormalizationError):
             angular_error(np.array([1.0, 1.0]), E1)
 
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_vector_rejected(self, nan_first):
+        # [nan, 0] against [1, 0] used to return 0.0, a silent perfect match.
+        nan = np.array([np.nan, 0.0])
+        with pytest.raises(NormalizationError):
+            angular_error(*((nan, E1) if nan_first else (E1, nan)))
+
 
 class TestPlayer:
     def test_eigenvector_is_fixed_point(self):
@@ -244,6 +251,14 @@ class TestPlayer:
         cfg = GameConfig(step_size=0.1)
         with pytest.raises(NormalizationError):
             eigengame_player(M2, np.array([1.0, 1.0]), [], cfg)
+
+    @pytest.mark.parametrize("init", [[np.nan, 0.0], [np.nan, np.nan]])
+    @pytest.mark.parametrize("mode", ["exact", "zeroth_order"])
+    def test_nan_init_rejected(self, init, mode):
+        # A NaN init used to pass the norm check and fail later with NumericalOverflowError.
+        cfg = GameConfig(step_size=0.1)
+        with pytest.raises(NormalizationError):
+            eigengame_player(M2, np.array(init), [], cfg, mode=mode)
 
     def test_one_iteration_is_a_step_along_the_public_gradient(self):
         m, v0, parents = random_problem(6, 3, seed=4)

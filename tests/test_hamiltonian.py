@@ -19,7 +19,6 @@ from eigengames.hamiltonian import (
     load_pauli_sum,
     pauli_sum_to_matrix,
     random_orthonormal,
-    save_pauli_sum,
 )
 
 
@@ -250,13 +249,6 @@ class TestPauliFileFormat:
         with pytest.raises(MalformedPauliError):
             load_pauli_sum(path)
 
-    def test_round_trip_is_value_exact(self, tmp_path):
-        h = load_pauli_sum(bundled_h2_path())
-        out = tmp_path / "copy.txt"
-        save_pauli_sum(h, out, header=["copy of the bundled file"])
-        again = load_pauli_sum(out)
-        assert again.terms == h.terms  # exact float equality, no rounding
-
     def test_one_norm(self):
         h = PauliSum(1, ((0.5, "Z"), (-0.25, "X")))
         assert h.one_norm == 0.75
@@ -266,14 +258,3 @@ class TestPauliFileFormat:
         path.write_text("# only a header\n")
         with pytest.raises(PauliFormatError):
             load_pauli_sum(path)
-
-
-class TestCsvExport:
-    def test_matrix_csv_round_trip(self):
-        matrix, _ = build_powerlaw_hamiltonian(3, seed=0)
-        text = matrix.to_csv()
-        rows = [line.split(",") for line in text.strip().splitlines()]
-        parsed = np.array(
-            [[complex(float(r[2 * j]), float(r[2 * j + 1])) for j in range(3)] for r in rows]
-        )
-        assert np.array_equal(parsed, matrix.entries)
