@@ -1,14 +1,16 @@
 """Dense statevector simulation: ansatz circuits, Pauli expectations, shot noise,
-parameter-shift points, and the two inner-product circuits' read-outs.
+parameter-shift states, and the two inner-product circuits' read-outs.
 
 Ansatz states are prepared in batches, one row per parameter vector, and
 Pauli sums apply through their compiled form (``PauliSum.compiled``).
-``energy_moments`` computes <M> and Var(M) over state rows; ``expectation``
-and its siblings are its one-row cases.  ``perturb_readouts`` draws every
-shot.  The interference and SwapTest circuits are read out in closed form
-(``interference_moments``, ``swap_test_moments``); their gate-by-gate
-simulations live with the tests, as the oracles these closed forms are
-checked against.
+``parameter_shift_states`` prepares m + 1 states per sweep and rebuilds the
+2m + 1 shift rows from them.  ``state_moments`` computes <M> and Var(M)
+over state rows given M applied to them; ``energy_moments`` applies M first,
+and ``expectation`` and its siblings are its one-row cases.
+``perturb_readouts`` draws every shot.  The interference and SwapTest
+circuits are read out in closed form (``interference_moments``,
+``swap_test_moments``); their gate-by-gate simulations live with the tests,
+as the oracles these closed forms are checked against.
 
 Conventions: qubit t corresponds to character t of a Pauli string and to bit
 (q - 1 - t) of the amplitude index, i.e. string character order matches the
@@ -298,23 +300,33 @@ def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
     return h.apply(amps)
 
 
-def energy_moments(h: PauliSum, rows: np.ndarray, variance: bool = True) -> tuple[np.ndarray, ...]:
-    """(M psi, <M>, Var(M)) for each row psi of a (B, 2**q) array; the one computation of either moment.
+def state_moments(
+    rows: np.ndarray, h_rows: np.ndarray, variance: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(<M>, Var(M), ||M psi||^2) for each row psi of a (B, 2**q) array, given the rows M psi.
 
-    <M> = <psi|M psi> must be real for Hermitian M; an imaginary residue above
-    ``NORM_ATOL`` raises.  Var(M) = ||M psi||^2 - <M>^2, clamped at 0;
-    ``variance=False`` skips it and gives ``None``, for exact read-outs.
+    The one computation of either moment.  <M> = <psi|M psi> must be real for
+    Hermitian M; an imaginary residue above ``NORM_ATOL`` raises.
+    Var(M) = ||M psi||^2 - <M>^2, clamped at 0; the unclamped second moment
+    ||M psi||^2 is returned too.  ``variance=False`` skips both and gives
+    ``None``, for exact read-outs.
     """
-    h_rows = pauli_sum_apply(h, rows)
     value = np.einsum("bi,bi->b", rows.conj(), h_rows)
     residue = np.abs(value.imag).max()
     if residue > NORM_ATOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
     mean = value.real
     if not variance:
-        return h_rows, mean, None
-    var = np.einsum("bi,bi->b", h_rows.conj(), h_rows).real - mean * mean
-    return h_rows, mean, np.maximum(var, 0.0)
+        return mean, None, None
+    second = np.einsum("bi,bi->b", h_rows.conj(), h_rows).real
+    return mean, np.maximum(second - mean * mean, 0.0), second
+
+
+def energy_moments(h: PauliSum, rows: np.ndarray, variance: bool = True) -> tuple[np.ndarray, ...]:
+    """(M psi, <M>, Var(M)) for each row psi of a (B, 2**q) array: M applied once, then ``state_moments``."""
+    h_rows = pauli_sum_apply(h, rows)
+    mean, var, _ = state_moments(rows, h_rows, variance)
+    return h_rows, mean, var
 
 
 def expectation(h: PauliSum, psi: StateVector) -> float:
@@ -404,23 +416,23 @@ def shot_noisy_expectation(
 # ---------------------------------------------------------------------------
 
 def interference_moments(
-    rows: np.ndarray, m_rows: np.ndarray, parents: np.ndarray, m_parents: np.ndarray
+    rows: np.ndarray, row_second: np.ndarray, m_parents: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form mean and variance of the interference circuit's two M x Z read-outs.
 
-    ``rows`` (B, 2**q) are player states, ``parents`` (P, 2**q) parent
-    states, ``m_rows``/``m_parents`` the operator applied to each.  The
-    circuit's Re and Im read-outs have means Re/Im <psi_r|M|psi_j> and
-    variances (||M psi_r||^2 + ||M psi_j||^2)/2 - mean^2.  Both (B, 2P)
-    results interleave Re and Im per parent, the order the circuit is read.
+    ``rows`` (B, 2**q) are player states and ``row_second`` (B,) their second
+    moments ||M psi_r||^2; ``m_parents`` (P, 2**q) is the operator applied to
+    each parent state.  The circuit's Re and Im read-outs have means Re/Im
+    <psi_r|M|psi_j> and variances (||M psi_r||^2 + ||M psi_j||^2)/2 - mean^2.
+    Both (B, 2P) results interleave Re and Im per parent, the order the
+    circuit is read.
     """
     cross = rows.conj() @ m_parents.T
-    means = np.empty((rows.shape[0], 2 * parents.shape[0]))
+    means = np.empty((rows.shape[0], 2 * m_parents.shape[0]))
     means[:, 0::2] = cross.real
     means[:, 1::2] = cross.imag
-    row_norms = np.einsum("bi,bi->b", m_rows.conj(), m_rows).real
-    parent_norms = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
-    second = np.repeat(0.5 * (row_norms[:, None] + parent_norms[None, :]), 2, axis=1)
+    parent_second = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
+    second = np.repeat(0.5 * (row_second[:, None] + parent_second[None, :]), 2, axis=1)
     return means, second - means**2
 
 
@@ -437,23 +449,58 @@ def swap_test_moments(rows: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray
 # Parameter-shift gradients
 # ---------------------------------------------------------------------------
 
-def parameter_shift_points(theta: np.ndarray) -> np.ndarray:
-    """The (2m+1, m) rows theta + s e_0, theta - s e_0, ..., theta - s e_{m-1}, theta.
+def parameter_shift_states(
+    spec: AnsatzSpec, h: PauliSum, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, M psi) for the (2m+1, 2**q) parameter-shift states, from m + 1 prepared ones.
 
-    s = pi/2, the shift for a Pauli rotation, whose generator has eigenvalues
-    +-1/2.  The first 2m rows feed ``shift_rule_gradient``; the last row is
-    theta itself.
+    The rows are psi at theta + s e_0, theta - s e_0, ..., theta - s e_{m-1},
+    then theta; s = pi/2, the shift for a Pauli rotation, whose generator
+    has eigenvalues +-1/2.  Only the m + 1 states psi(theta + pi e_k) and
+    psi(theta) are prepared, in one ``apply_ansatz`` call, and M is applied
+    to those alone; ``rebuild_shift_rows`` forms the 2m shifted rows of both
+    by linearity.  The last row is the prepared psi(theta) itself.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m = theta.shape[0]
-    shift = np.pi / 2.0
-    rows = np.tile(theta, (2 * m + 1, 1))
-    k = np.arange(m)
-    rows[2 * k, k] += shift
-    rows[2 * k + 1, k] -= shift
+    base = np.repeat(theta[None, :], m + 1, axis=0)
+    base.reshape(-1)[: m * m : m + 1] += np.pi  # the diagonal of the first m rows
+    prepared = apply_ansatz(spec, base)
+    return rebuild_shift_rows(prepared, pauli_sum_apply(h, prepared))
+
+
+def _shift_combine(base: np.ndarray) -> np.ndarray:
+    phi, psi = base[:-1], base[-1]
+    m = phi.shape[0]
+    rows = np.empty((2 * m + 1, base.shape[1]), dtype=np.complex128)
+    pairs = rows[:-1].reshape(m, 2, -1)  # written in place: no (m, d) temporaries
+    np.add(psi, phi, out=pairs[:, 0])
+    np.subtract(psi, phi, out=pairs[:, 1])
+    rows[:-1] *= np.sqrt(0.5)
+    rows[-1] = psi
     return rows
 
 
+def rebuild_shift_rows(base: np.ndarray, h_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2m+1, d) shift rows of psi and of M psi from the (m+1, d) base rows phi_0, ..., phi_{m-1}, psi.
+
+    A Pauli rotation R(t) = cos(t/2) I - i sin(t/2) P satisfies
+    R(t +- pi/2) = (R(t) +- R(t + pi)) / sqrt(2), and a parameter that feeds
+    exactly one such gate carries this through the circuit, so with
+    phi_k = psi(theta + pi e_k), row 2k is (psi + phi_k)/sqrt(2), row 2k+1 is
+    (psi - phi_k)/sqrt(2) and the last row is psi; M is linear, so the same
+    holds for M psi.  Then <psi|phi_k> is imaginary and every row has unit
+    norm; a row off unit norm to ``NORM_ATOL`` (another gate, or NaN) raises.
+    """
+    rows = _shift_combine(base)
+    norms = np.linalg.norm(rows, axis=1)
+    if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):  # a NaN norm fails too
+        raise NormalizationError(
+            f"rebuilt parameter-shift state norms deviate from 1 beyond {NORM_ATOL}"
+        )
+    return rows, _shift_combine(h_base)
+
+
 def shift_rule_gradient(shifted_values: np.ndarray) -> np.ndarray:
-    """[f(+s e_k) - f(-s e_k)] / 2 from the objective at the first 2m shift points."""
+    """[f(+s e_k) - f(-s e_k)] / 2 from the objective at the first 2m shift rows."""
     return 0.5 * (shifted_values[0::2] - shifted_values[1::2])

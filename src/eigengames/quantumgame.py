@@ -24,13 +24,13 @@ from .quantum_sim import (
     ShotModel,
     StateVector,
     apply_ansatz,
-    energy_moments,
     interference_moments,
-    parameter_shift_points,
+    parameter_shift_states,
     pauli_sum_apply,
     perturb_readouts,
     shift_rule_gradient,
     shot_noisy_expectation,
+    state_moments,
     swap_test_moments,
 )
 
@@ -115,10 +115,10 @@ def pauli_sum_hash(h: PauliSum) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-# A batch evaluator maps (B, m) parameter rows to the objective at each row,
-# the prepared (B, 2**q) states, the largest imaginary cross read-out, and
-# the exact <M> and Var(M) of each row.
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]]
+# A batch evaluator maps prepared (B, 2**q) state rows psi and the rows M psi
+# to the objective at each row, the largest imaginary cross read-out, and the
+# exact <M> and Var(M) of each row.
+Evaluator = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float, np.ndarray, np.ndarray]]
 
 
 def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.ndarray:
@@ -144,43 +144,43 @@ def _game_evaluator(
 ) -> Evaluator:
     """Rows -> <A> - sum_j |<psi|A|psi_j>|^2 / lambda_j, read out as the circuits would be.
 
-    A = sign*M + offset*I is never built: M applies once per batch
-    (``energy_moments``), then A psi = sign*M psi + offset*psi,
-    <A> = sign*<M> + offset and Var(A) = Var(M).  ``A psi_j`` is formed once
-    here, for every row and iteration.  Per row the read-outs are <A>, then
-    Re and Im of each parent's cross term (interference circuit), each
-    perturbed by the shot model in that order; their means and variances are
-    the circuits' closed forms.
+    A = sign*M + offset*I is never built: from the rows' M psi
+    (``state_moments``), <A> = sign*<M> + offset, Var(A) = Var(M) and
+    ||A psi||^2 = ||M psi||^2 + 2*sign*offset*<M> + offset^2.  ``A psi_j`` is
+    formed once here, for every row and iteration.  Per row the read-outs
+    are <A>, then Re and Im of each parent's cross term (interference
+    circuit), each perturbed by the shot model in that order; their means
+    and variances are the circuits' closed forms.  Without parents there
+    are no cross read-outs.
     """
     for lam in denominators:
         if abs(lam) < PARENT_EIGENVALUE_GUARD:
             raise DegenerateParentError(
                 f"cached parent eigenvalue {lam:.3e} is below the division guard"
             )
-    parent_states = _parent_states(parents, spec.num_qubits)
-    a_parents = (sign * pauli_sum_apply(m, parent_states) + offset * parent_states
-                 if parents else parent_states)
+    if parents:
+        parent_states = _parent_states(parents, spec.num_qubits)
+        a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
 
-    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-        psi = apply_ansatz(spec, rows)
-        m_psi, mean, var = energy_moments(m, psi)
-        a_psi = sign * m_psi + offset * psi
-        cross_mean, cross_var = interference_moments(psi, a_psi, parent_states, a_parents)
+    def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        mean, var, second = state_moments(psi, m_psi)
+        a_mean = sign * mean + offset
+        if not parents:
+            return perturb_readouts(shots, a_mean, var, rng), 0.0, mean, var
+        a_second = second + 2.0 * sign * offset * mean + offset * offset
+        cross_mean, cross_var = interference_moments(psi, a_second, a_parents)
         reads = perturb_readouts(
-            shots, np.column_stack((sign * mean + offset, cross_mean)),
-            np.column_stack((var, cross_var)), rng,
+            shots, np.column_stack((a_mean, cross_mean)), np.column_stack((var, cross_var)), rng
         )
         value = reads[:, 0].copy()
         for j, lam in enumerate(denominators):
             value -= (reads[:, 1 + 2 * j] ** 2 + reads[:, 2 + 2 * j] ** 2) / lam
-        residue = float(np.abs(reads[:, 2::2]).max()) if parents else 0.0
-        return value, psi, residue, mean, var
+        return value, float(np.abs(reads[:, 2::2]).max()), mean, var
 
     return evaluate
 
 
 def _vqd_evaluator(
-    m: PauliSum,
     sign: float,
     spec: AnsatzSpec,
     parents: tuple[QuantumParent, ...],
@@ -195,9 +195,8 @@ def _vqd_evaluator(
     """
     parent_states = _parent_states(parents, spec.num_qubits)
 
-    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-        psi = apply_ansatz(spec, rows)
-        _, mean, var = energy_moments(m, psi)
+    def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        mean, var, _ = state_moments(psi, m_psi)
         p0, p0_var = swap_test_moments(psi, parent_states)
         reads = perturb_readouts(
             shots, np.column_stack((sign * mean, p0)), np.column_stack((var, p0_var)), rng
@@ -205,7 +204,7 @@ def _vqd_evaluator(
         value = reads[:, 0].copy()
         for j, beta in enumerate(betas):
             value += beta * np.clip(2.0 * reads[:, 1 + j] - 1.0, 0.0, 1.0)
-        return value, psi, 0.0, mean, var
+        return value, 0.0, mean, var
 
     return evaluate
 
@@ -224,17 +223,20 @@ def _ascend(
 ) -> QuantumPlayerState:
     """The shared parameter-shift loop; ``sign`` +1 ascends the objective, -1 descends it.
 
-    Each iteration evaluates the 2m shift points and theta in one batch, then
-    reads the energy <M> on the batch's theta row from the moments the
-    evaluator computed, with its own shot draw.  Stops when the gradient
-    norm reaches tolerance or the iteration budget runs out (partial result).
-    The final state is that row when the loop converged and is prepared once
-    otherwise; the eigenvalue is read on it.
+    Each iteration prepares m + 1 states and applies M to them once
+    (``parameter_shift_states``), which gives the 2m shifted rows and theta's
+    row; the evaluator reads the objective on all 2m + 1, and the energy <M>
+    is read on theta's row from the moments the evaluator computed, with its
+    own shot draw.  Stops when the gradient norm reaches tolerance or the
+    iteration budget runs out (partial result).  The final state is theta's
+    prepared row when the loop converged and is prepared once otherwise; the
+    eigenvalue is read on it.
     """
     state = QuantumPlayerState(index=index, theta=theta, parents=parents)
     values = theta.values.copy()
     for _ in range(cfg.max_iterations):
-        objective, psi, residue, energy_mean, energy_var = evaluate(parameter_shift_points(values))
+        psi, m_psi = parameter_shift_states(spec, m, values)
+        objective, residue, energy_mean, energy_var = evaluate(psi, m_psi)
         state.max_imag_residue = max(state.max_imag_residue, residue)
         grad = shift_rule_gradient(objective[:-1])
         if not np.all(np.isfinite(grad)):
@@ -326,7 +328,7 @@ def vqd_player(
     lo, hi = m.spectral_range
     eta = 1.0 / (2.0 * (max(-lo, hi) + sum(betas)))
     rng = cfg.shots.make_rng()
-    evaluate = _vqd_evaluator(m, sign, spec, parents, betas, cfg.shots, rng)
+    evaluate = _vqd_evaluator(sign, spec, parents, betas, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)
 
 

@@ -27,7 +27,7 @@ from .quantum_sim import (
     ShotModel,
     apply_ansatz,
     expectation,
-    parameter_shift_points,
+    parameter_shift_states,
     shift_rule_gradient,
 )
 from .quantumgame import QuantumParent, _game_evaluator
@@ -326,15 +326,16 @@ def measure_error_accumulation_quantum(
     """Same inequality in parameter space, gradients from the parameter-shift rule.
 
     Each gradient is one batch call of the game's exact evaluator on the
-    child's shift points.
+    child's parameter-shift states, which one sweep prepares for both
+    parents.
     """
     rng = np.random.default_rng(seed)
     dense = pauli_sum_to_matrix(h)
     rows = []
 
-    def gradient(parent: QuantumParent, points: np.ndarray) -> np.ndarray:
+    def gradient(parent: QuantumParent, sweep: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         evaluate = _game_evaluator(h, 1.0, 0.0, spec, (parent,), (parent.eigenvalue,), ShotModel(), None)
-        return shift_rule_gradient(evaluate(points)[0][:-1])
+        return shift_rule_gradient(evaluate(*sweep)[0][:-1])
 
     for eps in epsilons:
         for draw in range(samples_per_epsilon):
@@ -350,9 +351,9 @@ def measure_error_accumulation_quantum(
             hat_state = apply_ansatz(spec, theta_hat)
             parent_hat = QuantumParent(theta_hat, expectation(h, hat_state), hat_state)
 
-            points = parameter_shift_points(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
-            g_true = gradient(parent_true, points)
-            g_hat = gradient(parent_hat, points)
+            sweep = parameter_shift_states(spec, h, rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
+            g_true = gradient(parent_true, sweep)
+            g_hat = gradient(parent_hat, sweep)
             bound = error_accumulation_bound_quantum(dense, spec, [theta_parent], [theta_hat])
             rows.append(
                 DiagnosticRow(

@@ -2,8 +2,9 @@
 
 None of this runs on a solve path.  The gate-by-gate simulators of the
 interference and SwapTest circuits are what the closed-form read-outs in
-``eigengames.quantum_sim`` must reproduce; the scalar parameter-shift loop
-and the literal forward-difference quotient check the batched and
+``eigengames.quantum_sim`` must reproduce; the parameter-shift points, every one
+prepared, check the rebuilt shift states, and the scalar parameter-shift
+loop and the literal forward-difference quotient check the batched and
 closed-form gradients; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``quantum_utility`` is one row of the game's
@@ -30,7 +31,6 @@ from eigengames.quantum_sim import (
     ShotModel,
     StateVector,
     apply_ansatz,
-    parameter_shift_points,
     pauli_sum_apply,
     shift_rule_gradient,
 )
@@ -156,6 +156,24 @@ def _swap_test_p0(psi1: StateVector, psi2: StateVector) -> float:
 # Scalar gradients
 # ---------------------------------------------------------------------------
 
+def parameter_shift_points(theta: np.ndarray) -> np.ndarray:
+    """The (2m+1, m) rows theta + s e_0, theta - s e_0, ..., theta - s e_{m-1}, theta.
+
+    s = pi/2, the shift for a Pauli rotation, whose generator has eigenvalues
+    +-1/2.  The first 2m rows feed ``shift_rule_gradient``; the last row is
+    theta itself.  Preparing every row is the reference that
+    ``parameter_shift_states`` rebuilds from m + 1 prepared states.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    m = theta.shape[0]
+    shift = np.pi / 2.0
+    rows = np.tile(theta, (2 * m + 1, 1))
+    k = np.arange(m)
+    rows[2 * k, k] += shift
+    rows[2 * k + 1, k] -= shift
+    return rows
+
+
 def parameter_shift_gradient(objective: Callable[[np.ndarray], float], theta: np.ndarray) -> np.ndarray:
     """Exact gradient for Pauli-rotation circuits: [f(theta + pi/2 e_k) - f(theta - pi/2 e_k)] / 2.
 
@@ -232,7 +250,8 @@ def quantum_utility(
     parents = tuple(parents)
     values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
     evaluate = _game_evaluator(m, 1.0, 0.0, spec, parents, [p.eigenvalue for p in parents], shots, rng)
-    return float(evaluate(values[None, :])[0][0])
+    psi = apply_ansatz(spec, values[None, :])
+    return float(evaluate(psi, pauli_sum_apply(m, psi))[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,12 @@ from eigengames.quantum_sim import (
     expectation_and_variance,
     interference_moments,
     layered_ansatz,
-    parameter_shift_points,
+    parameter_shift_states,
     pauli_sum_apply,
     perturb_readouts,
     plus_state,
     random_layers_ansatz,
+    rebuild_shift_rows,
     shot_noisy_expectation,
     swap_test_moments,
     zero_state,
@@ -44,6 +45,7 @@ from oracles import (
     mixed_expectation,
     mixed_expectation_states,
     parameter_shift_gradient,
+    parameter_shift_points,
     rotation_gate,
     swap_test_overlap,
 )
@@ -332,9 +334,9 @@ class TestClosedFormReadouts:
         observable = _extend_with_ancilla_z(h)
         rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
         parents = np.array([random_state(3, rng).amplitudes for _ in range(3)])
-        means, variances = interference_moments(
-            rows, pauli_sum_apply(h, rows), parents, pauli_sum_apply(h, parents)
-        )
+        m_rows = pauli_sum_apply(h, rows)
+        row_second = np.einsum("bi,bi->b", m_rows.conj(), m_rows).real
+        means, variances = interference_moments(rows, row_second, pauli_sum_apply(h, parents))
         assert means.shape == variances.shape == (6, 6)
         for b, row in enumerate(rows):
             for j, parent in enumerate(parents):
@@ -425,6 +427,66 @@ class TestParameterShift:
             assert np.array_equal(rows[2 * k] - theta, np.eye(3)[k] * (rows[2 * k, k] - theta[k]))
             assert rows[2 * k, k] == theta[k] + np.pi / 2.0
             assert rows[2 * k + 1, k] == theta[k] - np.pi / 2.0
+
+
+# (qubits, layers, rotations per layer, seed) of the random layouts the sweep is checked on.
+SWEEP_RANDOM_LAYOUTS = ((3, 3, 4, 2), (3, 2, 6, 5), (2, 4, 3, 8))
+
+
+class TestParameterShiftStates:
+    """The m + 1 prepared states per sweep, rebuilt to 2m + 1 rows, against preparing every shift point."""
+
+    @pytest.mark.parametrize("initial_state", ["plus", "zero"])
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            *(lambda init, layout=layout: random_layers_ansatz(*layout, initial_state=init)
+              for layout in SWEEP_RANDOM_LAYOUTS),
+            lambda init: AnsatzSpec(1, 1, ((("RY", 0, 0),),), (), init),
+            lambda init: layered_ansatz(8, 2, initial_state=init),
+        ],
+        ids=["random-2", "random-5", "random-8", "one-parameter", "wide"],
+    )
+    def test_rows_match_every_prepared_shift_point(self, make_spec, initial_state):
+        spec = make_spec(initial_state)
+        h = random_pauli_sum(spec.num_qubits, 12, np.random.default_rng(spec.num_qubits))
+        rng = np.random.default_rng(spec.num_parameters)
+        for _ in range(2):
+            theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
+            psi, h_psi = parameter_shift_states(spec, h, theta)
+            prepared = apply_ansatz(spec, parameter_shift_points(theta))
+            assert psi.shape == h_psi.shape == (2 * spec.num_parameters + 1, 2**spec.num_qubits)
+            assert np.max(np.abs(psi - prepared)) <= 1e-12
+            assert np.max(np.abs(h_psi - pauli_sum_apply(h, prepared))) <= 1e-12
+            assert np.array_equal(psi[-1], apply_ansatz(spec, theta).amplitudes)
+
+    def test_random_specs_cover_every_rotation_kind(self):
+        kinds = {
+            kind
+            for layout in SWEEP_RANDOM_LAYOUTS
+            for layer in random_layers_ansatz(*layout).layer_rotations
+            for kind, _, _ in layer
+        }
+        assert kinds == {"RX", "RY", "RZ"}
+
+    def test_real_overlap_rejected(self):
+        # A gate that is not a Pauli rotation leaves phi_k with a real overlap
+        # with psi, and the rebuilt rows lose unit norm.
+        rng = np.random.default_rng(3)
+        psi = random_state(2, rng).amplitudes
+        phi = np.array([1j * psi, (psi + random_state(2, rng).amplitudes) / 2.0])
+        phi[1] /= np.linalg.norm(phi[1])
+        base = np.vstack((phi, psi))
+        with pytest.raises(NormalizationError):
+            rebuild_shift_rows(base, base)
+        rows, _ = rebuild_shift_rows(base[[0, 2]], base[[0, 2]])  # i*psi: imaginary overlap
+        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_nan_row_rejected(self):
+        base = np.array([[1j, 0.0], [1.0, 0.0]], dtype=complex)
+        base[0, 1] = np.nan
+        with pytest.raises(NormalizationError):
+            rebuild_shift_rows(base, base)
 
 
 class TestStateVector:

@@ -22,6 +22,7 @@ from eigengames.quantum_sim import (
     apply_ansatz,
     expectation,
     layered_ansatz,
+    pauli_sum_apply,
     random_layers_ansatz,
     zero_state,
 )
@@ -419,9 +420,8 @@ class TestShiftedObjective:
         monkeypatch.setattr(quantumgame, "_ascend", capturing_ascend)
         cfg = SolverConfig(direction=direction, max_iterations=1, beta=2.0)
         player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
-        rows = rng.uniform(-np.pi, np.pi, (5, spec.num_parameters))
-        psi = apply_ansatz(spec, rows)
-        return h, parents, captured[0](rows), psi
+        psi = apply_ansatz(spec, rng.uniform(-np.pi, np.pi, (5, spec.num_parameters)))
+        return h, parents, captured[0](psi, pauli_sum_apply(h, psi)), psi
 
     @staticmethod
     def check_energy_moments(h, psi, mean, var):
@@ -435,7 +435,7 @@ class TestShiftedObjective:
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_game_rows_match_dense_shifted_operator(self, monkeypatch, direction, num_parents):
-        h, parents, (value, _, _, mean, var), psi = self.captured_evaluator(
+        h, parents, (value, _, mean, var), psi = self.captured_evaluator(
             monkeypatch, quantumgame_player, direction, num_parents)
         a, sign, offset = dense_game_operator(h, direction)
         a_psi = psi @ a.T
@@ -449,7 +449,7 @@ class TestShiftedObjective:
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_vqd_rows_match_dense_penalized_energy(self, monkeypatch, direction, num_parents):
-        h, parents, (value, _, _, mean, var), psi = self.captured_evaluator(
+        h, parents, (value, _, mean, var), psi = self.captured_evaluator(
             monkeypatch, vqd_player, direction, num_parents)
         sign = -1.0 if direction == "maximize" else 1.0
         dense = pauli_sum_to_matrix(h).entries
@@ -498,6 +498,42 @@ class TestShiftedObjective:
         assert all(op is h2 for op in applied)
         assert built == []
 
+    @pytest.mark.parametrize("num_parents", [0, 2])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_sweep_prepares_and_applies_m_plus_one_rows(self, monkeypatch, player, num_parents):
+        # Each iteration prepares theta + pi e_k (k < m) and theta, and applies
+        # M to those m + 1 rows only; the 2m + 1 shift rows are rebuilt from them.
+        from eigengames import quantum_sim
+
+        h2 = load_pauli_sum(bundled_h2_path())
+        spec = random_layers_ansatz(2, 2, 3, seed=3)
+        rng = np.random.default_rng(num_parents)
+        parents = tuple(
+            make_parent(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
+            for _ in range(num_parents)
+        )
+        prepared, applied = [], []
+        prepare, apply = quantum_sim.apply_ansatz, quantum_sim.pauli_sum_apply
+
+        def recording_prepare(spec, theta):
+            prepared.append(np.shape(theta))
+            return prepare(spec, theta)
+
+        def recording_apply(op, amps):
+            applied.append(np.shape(amps))
+            return apply(op, amps)
+
+        monkeypatch.setattr(quantum_sim, "apply_ansatz", recording_prepare)
+        monkeypatch.setattr(quantum_sim, "pauli_sum_apply", recording_apply)
+        cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=3, beta=5.0)
+        state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), parents, cfg)
+        m, dim = spec.num_parameters, 2**spec.num_qubits
+        iterations = len(state.energy_history)
+        assert iterations == 3
+        # The final read applies M to one row after the loop.
+        assert prepared == [(m + 1, m)] * iterations
+        assert applied == [(m + 1, dim)] * iterations + [(1, dim)]
+
 
 class TestStatePreparations:
     """Each player prepares one state per iteration, plus its final state at most once."""
@@ -509,13 +545,17 @@ class TestStatePreparations:
     def test_one_final_state_per_player(self, monkeypatch, runner, extra, budget, tolerance, shots):
         # The final state used to be prepared twice: at the end of the ascent
         # and again for the broadcast parent.
+        from eigengames import quantum_sim
+
         calls = []
-        original = quantumgame.apply_ansatz
+        original = quantum_sim.apply_ansatz
 
         def counting(spec, theta):
             calls.append(1)
             return original(spec, theta)
 
+        # The sweep prepares in quantum_sim; a spent budget prepares its final state here.
+        monkeypatch.setattr(quantum_sim, "apply_ansatz", counting)
         monkeypatch.setattr(quantumgame, "apply_ansatz", counting)
         cfg = SolverConfig(direction="maximize", grad_tolerance=tolerance, max_iterations=budget,
                            shots=ShotModel(shots, rng_seed=2), **extra)
