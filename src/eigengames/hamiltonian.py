@@ -127,48 +127,49 @@ class PauliSum:
         return float(sum(abs(c) for c, _ in self.terms))
 
     @cached_property
-    def compiled(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The sum as (index permutation, diagonal weight) pairs, one per x-mask.
+    def compiled(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sum as stacked (index permutation, diagonal weight) rows, one per x-mask.
 
         Binary symplectic form (Aaronson & Gottesman, PRA 70, 052328, 2004):
         a string with X/Y bits x and Z/Y bits z is i^{#Y} X^x Z^z, so it maps
         amplitude b to index b ^ x with sign (-1)^{popcount(b & z)}.  Terms
-        sharing an x-mask collapse into one weight vector w, and the operator
-        applies as (M psi)[y] = sum over masks of w[y] * psi[y ^ x].  Built on
-        first use and kept on the instance.
+        sharing an x-mask collapse into one weight row w, and the operator
+        applies as (M psi)[y] = sum over masks of w[y] * psi[y ^ x].  Returns
+        read-only ``perms`` (K, 2**q) integer and ``weights`` (K, 2**q)
+        complex128 arrays, rows in the order the masks first appear; the empty
+        sum gives (0, 2**q) arrays.  Each term's signs are one gather from a
+        table of popcount parities.  Built on first use and kept on the instance.
         """
         q = self.num_qubits
         index = np.arange(2**q)
-        weights: dict[int, np.ndarray] = {}
-        for coeff, string in self.terms:
-            x_mask = z_mask = 0
-            for t, ch in enumerate(string):
-                bit = 1 << (q - 1 - t)
-                if ch in "XY":
-                    x_mask |= bit
-                if ch in "ZY":
-                    z_mask |= bit
-            parity = np.zeros(2**q, dtype=np.int64)
-            source = (index ^ x_mask) & z_mask
-            for t in range(q):
-                parity ^= (source >> t) & 1
-            phase = (1j) ** string.count("Y") * (1 - 2 * parity)
-            if x_mask not in weights:
-                weights[x_mask] = np.zeros(2**q, dtype=np.complex128)
-            weights[x_mask] += coeff * phase
-        return tuple(
-            (_readonly(index ^ x_mask), _readonly(w)) for x_mask, w in weights.items()
-        )
+        parity = np.zeros(1, dtype=np.int64)  # popcount(b) mod 2 for b < 2**q
+        for _ in range(q):
+            parity = np.concatenate((parity, 1 - parity))
+        x_bits, z_bits = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+        masks = [(int(s.translate(x_bits), 2), int(s.translate(z_bits), 2)) for _, s in self.terms]
+        rows = {x: r for r, x in enumerate(dict.fromkeys(x for x, _ in masks))}
+        weights = np.zeros((len(rows), 2**q), dtype=np.complex128)
+        for (coeff, string), (x_mask, z_mask) in zip(self.terms, masks):
+            phase = (1j) ** string.count("Y") * (1 - 2 * parity[(index ^ x_mask) & z_mask])
+            weights[rows[x_mask]] += coeff * phase
+        perms = index ^ np.array(list(rows), dtype=index.dtype)[:, None]
+        return _readonly(perms), _readonly(weights)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """The sum applied along the last axis of a (..., 2**q) array, one gather per x-mask.
+        """The sum applied along the last axis of a (..., 2**q) array; the dense matrix is never built.
 
-        The last axis is not checked; ``quantum_sim.pauli_sum_apply`` is the
-        checked entry point.  The dense matrix is never built.
+        One vector is one stacked product, ``(weights * v[perms]).sum(axis=0)``.
+        A batch adds one gather per x-mask in turn, which keeps its temporaries
+        to the batch's own size; both give the same bits per row.  The last
+        axis is not checked; ``quantum_sim.pauli_sum_apply`` is the checked
+        entry point.
         """
+        perms, weights = self.compiled
+        if amps.ndim == 1:
+            return (weights * amps[perms]).sum(axis=0)
         out = np.zeros(amps.shape, dtype=np.complex128)
-        for perm, weight in self.compiled:
-            out += weight * amps[..., perm]
+        for perm, weight in zip(perms, weights):
+            out += weight * amps.take(perm, axis=-1)
         return out
 
     @cached_property
@@ -184,10 +185,12 @@ class PauliSum:
         the run stops when the Krylov space is exhausted
         (beta_j <= LANCZOS_TOL * scale), when neither extreme moved by more
         than LANCZOS_TOL * scale since the last reading, or after 2**q steps.
-        The Ritz values are read every RITZ_CHECK_STRIDE steps: an eigvalsh of
-        the j x j tridiagonal costs O(j^3), and read every step it cost as
-        much as the matvecs.  The zero operator gives (0.0, 0.0).  Computed on
-        first use and kept on the instance.
+        Each step is one single-vector ``apply`` (one stacked product).  The
+        Ritz values are read every RITZ_CHECK_STRIDE steps: an eigvalsh of the
+        j x j tridiagonal costs O(j^3), and read every step it cost as much as
+        the matvecs.  A read fills only the lower triangle, the part eigvalsh
+        reads.  The zero operator, the empty sum included, gives (0.0, 0.0).
+        Computed on first use and kept on the instance.
         """
         dim = 2**self.num_qubits
         rng = np.random.default_rng(LANCZOS_SEED)
@@ -211,7 +214,9 @@ class PauliSum:
             beta = float(np.linalg.norm(w))
             exhausted = beta <= LANCZOS_TOL * scale or j == dim
             if exhausted or j % RITZ_CHECK_STRIDE == 0:
-                tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+                tridiagonal = np.zeros((j, j))  # eigvalsh reads the lower triangle only
+                tridiagonal.flat[:: j + 1] = alphas
+                tridiagonal.flat[j :: j + 1] = betas
                 ritz = np.linalg.eigvalsh(tridiagonal)
                 extremes = (float(ritz[0]), float(ritz[-1]))
                 moved = max(abs(extremes[0] - previous[0]), abs(extremes[1] - previous[1]))

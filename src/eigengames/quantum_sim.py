@@ -131,6 +131,11 @@ class AnsatzSpec:
         perm.flags.writeable = False
         return perm
 
+    @cached_property
+    def initial_amplitudes(self) -> np.ndarray:
+        """Read-only amplitudes of the layout's initial state, built once per layout."""
+        return (plus_state if self.initial_state == "plus" else zero_state)(self.num_qubits).amplitudes
+
     def bind(self, values: Sequence[float]) -> "ParameterTensor":
         return ParameterTensor.for_spec(self, values)
 
@@ -261,19 +266,22 @@ def apply_ansatz(
         raise BindingError(
             f"spec has {spec.num_parameters} parameters, got values of shape {values.shape}"
         )
-    batch, dim = rows.shape[0], 2**spec.num_qubits
+    batch = rows.shape[0]
     # Work amplitude-major, (2**q, B), so every gate's innermost axis is the batch.
     half = rows.T / 2.0
     cos, sin = np.cos(half), np.sin(half)
-    initial = (plus_state if spec.initial_state == "plus" else zero_state)(spec.num_qubits)
-    amps = np.repeat(initial.amplitudes[:, None], batch, axis=1)
+    amps = np.repeat(spec.initial_amplitudes[:, None], batch, axis=1)
+    # Each gate updates amps in place; its partner term goes through one reused buffer.
+    scratch = np.empty_like(amps)
     perm = spec.entangler_permutation
     for layer in spec.layer_rotations:
         for kind, qubit, slot in layer:
             factor, swaps = _ROTATION_PARTNERS[kind]
             work = amps.reshape(2**qubit, 2, -1, batch)
-            partner = work[:, ::-1] if swaps else work
-            amps = (cos[slot] * work + (factor * sin[slot]) * partner).reshape(dim, batch)
+            partner = scratch.reshape(work.shape)
+            np.multiply(work[:, ::-1] if swaps else work, factor * sin[slot], out=partner)
+            work *= cos[slot]
+            work += partner
         if perm is not None:
             amps = amps[perm]
     amps = np.ascontiguousarray(amps.T)
@@ -290,8 +298,9 @@ def apply_ansatz(
 def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
     """M applied along the last axis of a (..., 2**q) array, via the compiled form.
 
-    One gather and one multiply per distinct x-mask (``PauliSum.apply``, after
-    checking the last axis); the dense matrix is never built.
+    ``PauliSum.apply`` after checking the last axis: one stacked product for
+    a single vector, one gather and multiply per distinct x-mask for a batch;
+    the dense matrix is never built.
     """
     if amps.shape[-1] != 2**h.num_qubits:
         raise DimensionMismatchError(

@@ -9,7 +9,8 @@ closed-form gradients; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``quantum_utility`` is one row of the game's
 batch evaluator; ``power_iteration_solver`` is a substitute single-component
-solver for ``deflation_vqe``.
+solver for ``deflation_vqe``; ``compiled_pauli_sum`` is the per-term
+builder the stacked ``PauliSum.compiled`` form is checked against.
 
 Conventions match ``eigengames.quantum_sim``: qubit t is bit (q - 1 - t) of
 the amplitude index, and ancilla qubits are appended as the last position
@@ -39,6 +40,38 @@ from eigengames.quantumgame import QuantumParent, _game_evaluator
 
 class InvalidPerturbationError(EigenGamesError):
     """Forward differences need a strictly positive step."""
+
+
+# ---------------------------------------------------------------------------
+# Compiled Pauli form
+# ---------------------------------------------------------------------------
+
+def compiled_pauli_sum(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """``PauliSum.compiled`` one term at a time: masks read character by character,
+    each term's sign parity summed bit by bit, one weight row per x-mask in the
+    order the masks first appear."""
+    q = h.num_qubits
+    index = np.arange(2**q)
+    weights: dict[int, np.ndarray] = {}
+    for coeff, string in h.terms:
+        x_mask = z_mask = 0
+        for t, ch in enumerate(string):
+            bit = 1 << (q - 1 - t)
+            if ch in "XY":
+                x_mask |= bit
+            if ch in "ZY":
+                z_mask |= bit
+        parity = np.zeros(2**q, dtype=np.int64)
+        source = (index ^ x_mask) & z_mask
+        for t in range(q):
+            parity ^= (source >> t) & 1
+        phase = (1j) ** string.count("Y") * (1 - 2 * parity)
+        if x_mask not in weights:
+            weights[x_mask] = np.zeros(2**q, dtype=np.complex128)
+        weights[x_mask] += coeff * phase
+    perms = np.array([index ^ x_mask for x_mask in weights], dtype=index.dtype).reshape(-1, 2**q)
+    rows = np.array(list(weights.values()), dtype=np.complex128).reshape(-1, 2**q)
+    return perms, rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Operator construction, Pauli-sum parsing, and the dense oracle."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,9 @@ class TestPauliSumToMatrix:
             PauliSum(2, ((1.0, "ZI"), (coeff, "XX")))
 
 
+PINNED_RANGES = json.loads((Path(__file__).parent / "data" / "spectral_range_pinned.json").read_text())
+
+
 def random_pauli_sum(rng, num_qubits, num_terms, identity):
     terms = [(float(rng.uniform(-1.0, 1.0)), "".join(rng.choice(list("IXYZ"), size=num_qubits)))
              for _ in range(num_terms)]
@@ -156,10 +162,21 @@ class TestSpectralRange:
     def test_krylov_space_exhausts_on_degenerate_spectra(self, terms):
         self.assert_matches_dense(PauliSum(3, terms))
 
-    @pytest.mark.parametrize("terms", [((0.0, "ZX"),), ((1.0, "ZX"), (-1.0, "ZX"))],
-                             ids=["zero-coefficient", "cancelling-terms"])
+    @pytest.mark.parametrize("terms", [((0.0, "ZX"),), ((1.0, "ZX"), (-1.0, "ZX")), ()],
+                             ids=["zero-coefficient", "cancelling-terms", "empty-sum"])
     def test_zero_operator_gives_zero_range(self, terms):
-        assert PauliSum(2, terms).spectral_range == (0.0, 0.0)
+        h = PauliSum(2, terms)
+        assert h.spectral_range == (0.0, 0.0)
+        for amps in (np.ones(4), np.ones((3, 4))):
+            out = h.apply(amps)
+            assert out.shape == amps.shape and not out.any()
+
+    @pytest.mark.parametrize("record", PINNED_RANGES["operators"], ids=lambda r: r["label"])
+    def test_extremes_equal_the_pinned_floats(self, record):
+        # Every quantum step size is 1/(2L) from these extremes, so a faster
+        # Lanczos run must return exactly the recorded floats.
+        h = PauliSum(record["num_qubits"], tuple((c, s) for c, s in record["terms"]))
+        assert h.spectral_range == tuple(record["spectral_range"])
 
 
 class TestExactEigendecomposition:

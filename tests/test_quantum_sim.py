@@ -42,6 +42,7 @@ from oracles import (
     _interference_states,
     _single_qubit_gate,
     _swap_test_p0,
+    compiled_pauli_sum,
     mixed_expectation,
     mixed_expectation_states,
     parameter_shift_gradient,
@@ -166,7 +167,8 @@ class TestCompiledPauliSum:
         rng = np.random.default_rng(100 + num_qubits)
         h = random_pauli_sum(num_qubits, 12, rng)
         masks = {sum(1 << i for i, ch in enumerate(reversed(s)) if ch in "XY") for _, s in h.terms}
-        assert len(h.compiled) == len(masks) < len(h.terms)
+        perms, weights = h.compiled
+        assert len(perms) == len(weights) == len(masks) < len(h.terms)
         dense = pauli_sum_to_matrix(h).entries
         batch = rng.standard_normal((5, 2**num_qubits)) + 1j * rng.standard_normal((5, 2**num_qubits))
         got = pauli_sum_apply(h, batch)
@@ -181,7 +183,39 @@ class TestCompiledPauliSum:
         h = random_pauli_sum(2, 4, np.random.default_rng(6))
         assert "compiled" not in vars(h)
         pauli_sum_apply(h, np.eye(4))
-        assert "compiled" in vars(h)
+        perms, weights = vars(h)["compiled"]
+        assert perms.shape == weights.shape == (len(perms), 4)
+        assert np.issubdtype(perms.dtype, np.integer) and weights.dtype == np.complex128
+        assert not perms.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize("identity", [False, True], ids=["traceless", "with-identity"])
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_stacked_form_equals_per_term_oracle(self, num_qubits, identity):
+        rng = np.random.default_rng(200 + 10 * num_qubits + identity)
+        h = random_pauli_sum(num_qubits, 4 * num_qubits, rng)
+        if not identity:
+            h = PauliSum(num_qubits, h.terms[1:])
+        perms, weights = h.compiled
+        oracle_perms, oracle_weights = compiled_pauli_sum(h)
+        assert np.array_equal(perms, oracle_perms)  # same masks, same order
+        assert np.array_equal(weights, oracle_weights)
+        assert perms.dtype == oracle_perms.dtype and weights.dtype == oracle_weights.dtype
+
+    @pytest.mark.parametrize("identity", [False, True], ids=["traceless", "with-identity"])
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_single_vector_apply_equals_batch_row(self, num_qubits, identity):
+        rng = np.random.default_rng(300 + 10 * num_qubits + identity)
+        h = random_pauli_sum(num_qubits, 4 * num_qubits, rng)
+        if not identity:
+            h = PauliSum(num_qubits, h.terms[1:])
+        for _ in range(3):
+            v = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
+            assert np.array_equal(h.apply(v), h.apply(v[None])[0])
+
+    def test_empty_sum_compiles_to_no_rows(self):
+        perms, weights = PauliSum(2, ()).compiled
+        assert perms.shape == weights.shape == (0, 4)
+        assert np.issubdtype(perms.dtype, np.integer) and weights.dtype == np.complex128
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -198,6 +232,14 @@ class TestAnsatzSpec:
     def test_duplicate_slot_rejected(self):
         with pytest.raises(ValueError):
             AnsatzSpec(1, 1, ((("RY", 0, 0), ("RZ", 0, 0)),), ())
+
+    @pytest.mark.parametrize("initial_state, state", [("plus", plus_state), ("zero", zero_state)])
+    def test_initial_amplitudes_built_once_and_read_only(self, initial_state, state):
+        spec = AnsatzSpec(3, 1, ((("RY", 0, 0),),), (), initial_state)
+        amps = spec.initial_amplitudes
+        assert np.array_equal(amps, state(3).amplitudes)
+        assert not amps.flags.writeable
+        assert spec.initial_amplitudes is amps
 
     def test_describe_lists_every_layer(self):
         spec = random_layers_ansatz(2, 3, 3, seed=11)

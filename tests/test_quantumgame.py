@@ -717,8 +717,8 @@ class TestInputValidation:
             runner(DIAG_3120, layered_ansatz(2, 2), cfg, k, seed=0)
 
     @pytest.mark.parametrize("runner", [run_quantumgame, run_vqd], ids=["game", "vqd"])
-    @pytest.mark.parametrize("terms", [((0.0, "Z"),), ((1.0, "Z"), (-1.0, "Z"))],
-                             ids=["zero-coefficient", "cancelling-terms"])
+    @pytest.mark.parametrize("terms", [((0.0, "Z"),), ((1.0, "Z"), (-1.0, "Z")), ()],
+                             ids=["zero-coefficient", "cancelling-terms", "empty-sum"])
     def test_zero_operator_rejected(self, runner, terms):
         # VQD used to divide by a zero step bound; the game returned [0.0].
         cfg = SolverConfig(direction="minimize", beta=1.0)
