@@ -71,7 +71,7 @@ DEFAULTS: dict[str, dict] = {
         "grad_tolerance": 1e-2,
         "max_iterations": 3000,
         "shots": 10_000,
-        "beta": 0.1,
+        "beta": 5.0,
     },
     "vqd_beta_sweep": {
         "schema_version": SCHEMA_VERSION,
@@ -331,7 +331,10 @@ def _trajectory_rows(tag: str, noise: str, seed: int, result, shots_label, confi
 
 
 def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
-    """Energy-level trajectories on the bundled molecular operator, exact and 10k-shot."""
+    """Energy-level trajectories on the bundled molecular operator, exact and 10k-shot.
+
+    Exits 1 unless both solvers' noiseless levels are within 2e-2 of the oracle's.
+    """
     out.mkdir(parents=True, exist_ok=True)
     h, spectrum, spec = _h2_setup(cfg)
     k = cfg["num_levels"]
@@ -351,7 +354,8 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
             rows += _trajectory_rows("vqd", noise, seed, vqd, shots or "exact", cfg.config_hash)
             if noise == "noiseless":
                 oracle = np.sort(spectrum.eigenvalues)[:k]
-                ok = ok and bool(np.all(np.abs(np.sort(game.eigenvalues) - oracle) <= 2e-2))
+                for result in (game, vqd):
+                    ok = ok and bool(np.all(np.abs(np.sort(result.eigenvalues) - oracle) <= 2e-2))
     _write_csv(
         out / "results.csv",
         ["algorithm", "noise", "seed", "player", "iteration", "cumulative_iteration",

@@ -1,8 +1,9 @@
 """Dense statevector simulation: ansatz circuits, Pauli expectations, shot noise,
 parameter-shift states, and the two inner-product circuits' read-outs.
 
-Ansatz states are prepared in batches, one row per parameter vector, and
-Pauli sums apply through their compiled form (``PauliSum.compiled``).
+Ansatz states are prepared in batches, one row per parameter vector, from
+the layout's cached gate plan (``AnsatzSpec.gate_plan``), and Pauli sums
+apply through their compiled form (``PauliSum.compiled``).
 ``parameter_shift_states`` prepares m + 1 states per sweep and rebuilds the
 2m + 1 shift rows from them.  ``state_moments`` computes <M> and Var(M)
 over state rows given M applied to them; ``energy_moments`` applies M first,
@@ -20,6 +21,7 @@ last (least significant) position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -37,6 +39,11 @@ from .hamiltonian import PauliSum
 NORM_ATOL = 1e-10
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
+
+# A rotation R(theta) maps each amplitude pair (a0, a1) of its qubit to
+# cos(theta/2) * (a0, a1) + sin(theta/2) * phase * partner, where partner is
+# (a1, a0) for RX/RY and (a0, a1) for RZ, so RZ is diagonal.
+_PARTNER_PHASES = {"RX": (-1j, -1j), "RY": (-1.0, 1.0), "RZ": (-1j, 1j)}
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,25 @@ class AnsatzSpec:
             perm = perm[index ^ (((index >> (q - 1 - c)) & 1) << (q - 1 - t))]
         perm.flags.writeable = False
         return perm
+
+    @cached_property
+    def gate_plan(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int, bool], ...], ...]]:
+        """Read-only gate plan: each slot's partner phases and each layer's (qubit, slot, diagonal) gates.
+
+        ``phases[s]`` (2, 1, 1) holds the two factors sin(theta_s/2) takes on
+        the partner amplitudes of slot s's gate, so one product with all sines
+        gives every gate's coefficients; a gate is diagonal when it is an RZ.
+        """
+        phases = np.empty((self.num_parameters, 2, 1, 1), dtype=np.complex128)
+        for layer in self.layer_rotations:
+            for kind, _, slot in layer:
+                phases[slot, :, 0, 0] = _PARTNER_PHASES[kind]
+        phases.flags.writeable = False
+        layers = tuple(
+            tuple((qubit, slot, kind == "RZ") for kind, qubit, slot in layer)
+            for layer in self.layer_rotations
+        )
+        return phases, layers
 
     @cached_property
     def initial_amplitudes(self) -> np.ndarray:
@@ -239,14 +265,9 @@ def layered_ansatz(num_qubits: int, num_layers: int, initial_state: str = "plus"
     )
 
 
-# A rotation R(theta) maps each amplitude pair (a0, a1) of its qubit to
-# cos(theta/2) * (a0, a1) + sin(theta/2) * factor * partner, where partner is
-# (a1, a0) for RX/RY and (a0, a1) for RZ.
-_ROTATION_PARTNERS = {
-    "RX": (np.array([[[-1j]], [[-1j]]]), True),
-    "RY": (np.array([[[-1.0]], [[1.0]]]), True),
-    "RZ": (np.array([[[-1j]], [[1j]]]), False),
-}
+def _norm_deviation(rows: np.ndarray) -> float:
+    """The largest | ||row|| - 1 | over the rows of a (B, d) array; NaN when a row has a NaN."""
+    return float(np.abs(np.sqrt(np.vecdot(rows, rows).real) - 1.0).max())
 
 
 def apply_ansatz(
@@ -267,26 +288,35 @@ def apply_ansatz(
             f"spec has {spec.num_parameters} parameters, got values of shape {values.shape}"
         )
     batch = rows.shape[0]
-    # Work amplitude-major, (2**q, B), so every gate's innermost axis is the batch.
+    phases, layers = spec.gate_plan
+    # Every gate's coefficients in one pass, (m, 2, 1, B): the partner term
+    # sin(theta/2) * phase, and for a diagonal gate the whole diagonal cos + it.
     half = rows.T / 2.0
-    cos, sin = np.cos(half), np.sin(half)
+    cos = np.cos(half)
+    partner_terms = phases * np.sin(half)[:, None, None, :]
+    diagonals = partner_terms + cos[:, None, None, :]
+    # Work amplitude-major, (2**q, B), so every gate's innermost axis is the
+    # batch.  Gates update amps in place, a partner term goes through the
+    # spare buffer, and a CNOT ring gathers into it before the two swap.
     amps = np.repeat(spec.initial_amplitudes[:, None], batch, axis=1)
-    # Each gate updates amps in place; its partner term goes through one reused buffer.
-    scratch = np.empty_like(amps)
+    spare = np.empty_like(amps)
     perm = spec.entangler_permutation
-    for layer in spec.layer_rotations:
-        for kind, qubit, slot in layer:
-            factor, swaps = _ROTATION_PARTNERS[kind]
+    for layer in layers:
+        for qubit, slot, diagonal in layer:
             work = amps.reshape(2**qubit, 2, -1, batch)
-            partner = scratch.reshape(work.shape)
-            np.multiply(work[:, ::-1] if swaps else work, factor * sin[slot], out=partner)
+            if diagonal:
+                work *= diagonals[slot]
+                continue
+            partner = spare.reshape(work.shape)
+            np.multiply(work[:, ::-1], partner_terms[slot], out=partner)
             work *= cos[slot]
             work += partner
         if perm is not None:
-            amps = amps[perm]
+            # "clip" takes straight into out; the default mode buffers the copy.
+            amps.take(perm, axis=0, out=spare, mode="clip")
+            amps, spare = spare, amps
     amps = np.ascontiguousarray(amps.T)
-    norms = np.linalg.norm(amps, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):  # a NaN norm fails too
+    if not _norm_deviation(amps) <= NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError(f"prepared state norms deviate from 1 beyond {NORM_ATOL}")
     return StateVector(spec.num_qubits, amps[0]) if single else amps
 
@@ -375,8 +405,7 @@ class ShotModel:
     def perturb(self, mean: float, variance: float, rng: np.random.Generator) -> float:
         if self.is_exact:
             return mean
-        scale = np.sqrt(max(variance, 0.0) / self.num_shots)
-        return float(mean + rng.normal(0.0, 1.0) * scale)
+        return mean + rng.standard_normal() * math.sqrt(max(variance, 0.0) / self.num_shots)
 
 
 def perturb_readouts(
@@ -502,8 +531,7 @@ def rebuild_shift_rows(base: np.ndarray, h_base: np.ndarray) -> tuple[np.ndarray
     norm; a row off unit norm to ``NORM_ATOL`` (another gate, or NaN) raises.
     """
     rows = _shift_combine(base)
-    norms = np.linalg.norm(rows, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):  # a NaN norm fails too
+    if not _norm_deviation(rows) <= NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError(
             f"rebuilt parameter-shift state norms deviate from 1 beyond {NORM_ATOL}"
         )

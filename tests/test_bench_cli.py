@@ -112,6 +112,18 @@ class TestH2Command:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "ansatz" in manifest and "layer 0" in manifest
 
+    @pytest.mark.parametrize("beta, code", [(None, 0), (0.1, 1)], ids=["default", "beta-0.1"])
+    def test_vqd_levels_gate_the_exit_code(self, tmp_path, beta, code):
+        # The defaults, on a budget that keeps the test short: the shot
+        # players after the first never reach tolerance, so the default
+        # budget runs each of them for all 3000 iterations.
+        # At beta = 0.1 the overlap penalty is below every gap: each VQD
+        # player settles on the ground state and all of them report converged.
+        text = "max_iterations = 400\n" + ("" if beta is None else f"beta = {beta}\n")
+        cfgfile = tmp_path / "h2.cfg"
+        cfgfile.write_text(text)
+        assert main(["h2", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == code
+
     def test_determinism(self, tmp_path):
         cfg = build_run_config(
             "h2_levels",

@@ -131,6 +131,7 @@ class TestBatchedAnsatz:
             lambda init: layered_ansatz(1, 2, initial_state=init),
             lambda init: layered_ansatz(2, 3, initial_state=init),
             lambda init: layered_ansatz(3, 2, initial_state=init),
+            lambda init: random_layers_ansatz(8, 2, 12, seed=5, initial_state=init),
         ],
     )
     def test_rows_match_per_gate_reference(self, make_spec, initial_state):
@@ -143,6 +144,17 @@ class TestBatchedAnsatz:
             assert np.max(np.abs(amps - per_gate_ansatz(spec, row))) <= 1e-12
             single = apply_ansatz(spec, row)
             assert np.array_equal(single.amplitudes, amps)
+
+    def test_gate_plan_built_once_and_read_only(self):
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        phases, layers = spec.gate_plan
+        assert spec.gate_plan[0] is phases
+        assert not phases.flags.writeable
+        assert phases.shape == (spec.num_parameters, 2, 1, 1)
+        kinds = {slot: kind for layer in spec.layer_rotations for kind, _, slot in layer}
+        for layer, planned in zip(spec.layer_rotations, layers):
+            assert [(q, s) for _, q, s in layer] == [(q, s) for q, s, _ in planned]
+            assert [diagonal for _, _, diagonal in planned] == [kinds[s] == "RZ" for _, _, s in planned]
 
     def test_batch_shape_mismatch_rejected(self):
         spec = random_layers_ansatz(2, 2, 3, seed=0)
@@ -310,6 +322,16 @@ class TestShotNoise:
         first = perturb_readouts(shots, np.zeros(3), np.ones(3))
         assert len(set(first.tolist())) == 3
         assert np.array_equal(first, perturb_readouts(shots, np.zeros(3), np.ones(3)))
+
+    def test_perturb_is_mean_plus_scaled_standard_normal(self):
+        # Every pinned shot trajectory rests on this stream: one standard
+        # normal per read-out, scaled by sqrt(Var/N), zero variances included.
+        shots = ShotModel(10_000, rng_seed=11)
+        rng, reference = shots.make_rng(), shots.make_rng()
+        inputs = np.random.default_rng(12)
+        for mean, variance in zip(inputs.normal(size=2000), inputs.choice([0.0, 0.3, 2.5], 2000)):
+            expected = float(mean + reference.normal(0.0, 1.0) * np.sqrt(variance / shots.num_shots))
+            assert shots.perturb(float(mean), float(variance), rng).hex() == expected.hex()
 
     def test_zero_shots_rejected(self):
         with pytest.raises(InvalidShotCountError):

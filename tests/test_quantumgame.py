@@ -135,7 +135,9 @@ class TestQuantumGamePlayer:
         assert state.eigenvalue == pytest.approx(3.0, abs=1e-2)
 
     def test_monotone_utility_noiseless(self, h2):
-        # Ascent with eta <= 1/(2||M||) must not decrease the utility.
+        # Plain ascent with eta <= 1/(2||M||) must not decrease the utility, so
+        # the warm-up is monotone; heavy-ball after it may dip, but must end
+        # converged and above everything the warm-up reached.
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-4, max_iterations=400)
         rng = np.random.default_rng(1)
@@ -144,9 +146,11 @@ class TestQuantumGamePlayer:
         second = quantumgame_player(
             h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), (parent,), cfg, index=2
         )
-        for history in (first.utility_history, second.utility_history):
-            diffs = np.diff(np.asarray(history))
-            assert diffs.min() >= -1e-9
+        for player in (first, second):
+            warmup = np.asarray(player.utility_history[: quantumgame.ASCENT_WARMUP + 1])
+            assert np.diff(warmup).min() >= -1e-9
+            assert player.converged
+            assert player.utility_history[-1] >= warmup.max()
 
 
 class TestRunQuantumGame:
@@ -565,6 +569,48 @@ class TestStatePreparations:
         for player in result.players:
             prepared = original(layered_ansatz(2, 2), player.theta).amplitudes
             assert np.allclose(player.statevector.amplitudes, prepared, rtol=0.0, atol=1e-12)
+
+
+class TestHeavyBallAscent:
+    """The shared loop's momentum: fewer iterations to tolerance, plain ascent within the warm-up."""
+
+    # total_iterations of noiseless H2 runs, k = 4, seeds 0-2, with the plain
+    # parameter-shift loop this one replaced.
+    PLAIN_ASCENT_TOTALS = {
+        ("game", "minimize"): 1486,
+        ("game", "maximize"): 844,
+        ("vqd", "minimize"): 2353,
+        ("vqd", "maximize"): 2414,
+    }
+
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_fewer_iterations_than_plain_ascent(self, h2, h2_oracle, runner, extra, direction):
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction=direction, grad_tolerance=1e-2, max_iterations=4000, **extra)
+        total = restarts = 0
+        for seed in range(3):
+            result = runner(h2, spec, cfg, 4, seed=seed)
+            assert result.all_converged
+            assert np.max(np.abs(np.sort(result.eigenvalues) - h2_oracle)) <= 2e-2
+            total += result.total_iterations
+            restarts += sum(p.momentum_restarts for p in result.players)
+        name = "game" if runner is run_quantumgame else "vqd"
+        assert total <= 0.6 * self.PLAIN_ASCENT_TOTALS[name, direction]
+        assert restarts > 0
+
+    @pytest.mark.parametrize("budget", [1, quantumgame.ASCENT_WARMUP])
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_no_restart_within_the_warm_up(self, h2, runner, extra, budget):
+        # Shot noise flips the gradient often; within the warm-up none of it restarts.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction="minimize", grad_tolerance=1e-9, max_iterations=budget,
+                           shots=ShotModel(100, rng_seed=7), **extra)
+        result = runner(h2, spec, cfg, 3, seed=1)
+        assert [p.iterations_used for p in result.players] == [budget] * 3
+        assert [p.momentum_restarts for p in result.players] == [0, 0, 0]
 
 
 class TestShotDraws:
