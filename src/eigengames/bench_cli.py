@@ -330,10 +330,24 @@ def _trajectory_rows(tag: str, noise: str, seed: int, result, shots_label, confi
     return rows
 
 
+def _shots_used(result) -> int:
+    return sum(player.shots for player in result.players)
+
+
+def _max_pair_overlap(result) -> float:
+    """The largest |<psi_i|psi_j>|^2 over pairs of the returned players' states; 0 for one player."""
+    states = np.array([player.statevector.amplitudes for player in result.players])
+    overlaps = np.abs(states.conj() @ states.T) ** 2
+    pairs = overlaps[np.triu_indices(len(states), 1)]
+    return min(float(pairs.max(initial=0.0)), 1.0)  # a repeated state may round above 1
+
+
 def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     """Energy-level trajectories on the bundled molecular operator, exact and 10k-shot.
 
-    Exits 1 unless both solvers' noiseless levels are within 2e-2 of the oracle's.
+    The manifest records each (algorithm, noise, seed) run's shots and largest
+    imaginary interference read-out.  Exits 1 unless both solvers' noiseless
+    levels are within 2e-2 of the oracle's.
     """
     out.mkdir(parents=True, exist_ok=True)
     h, spectrum, spec = _h2_setup(cfg)
@@ -344,6 +358,7 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
         rows.append(("oracle", "exact", "", level, "", "", float(value), "", "", "exact",
                      cfg.config_hash))
     ok = True
+    costs = ["run costs:"]
     for noise, shots in (("noiseless", None), ("shots", cfg["shots"])):
         for seed in cfg["seeds"]:
             base = _solver_config(cfg, shots, seed)
@@ -352,6 +367,10 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
                                      shots or "exact", cfg.config_hash)
             vqd = run_vqd(h, spec, _solver_config(cfg, shots, seed, cfg["beta"]), k, seed=seed)
             rows += _trajectory_rows("vqd", noise, seed, vqd, shots or "exact", cfg.config_hash)
+            for tag, result in (("quantumgame", game), ("vqd", vqd)):
+                residue = max(player.max_imag_residue for player in result.players)
+                costs.append(f"  {tag} {noise} seed={seed}: shots_used = {_shots_used(result)}, "
+                             f"max_imag_residue = {residue!r}")
             if noise == "noiseless":
                 oracle = np.sort(spectrum.eigenvalues)[:k]
                 for result in (game, vqd):
@@ -362,12 +381,19 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
          "energy", "utility", "grad_norm", "shots", "config_hash"],
         rows,
     )
-    _write_manifest(out, cfg, ["ansatz:"] + ["  " + line for line in spec.describe().splitlines()])
+    _write_manifest(
+        out, cfg, ["ansatz:"] + ["  " + line for line in spec.describe().splitlines()] + costs
+    )
     return 0 if ok else 1
 
 
 def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
-    """Total iterations of the overlap-penalized baseline per penalty weight."""
+    """Total iterations of the overlap-penalized baseline per penalty weight.
+
+    Each row also gives the shots its players used and the largest squared
+    overlap between two returned states: a weight below the gaps can return
+    one state several times, which the convergence flag alone does not show.
+    """
     out.mkdir(parents=True, exist_ok=True)
     h, spectrum, spec = _h2_setup(cfg)
     k = cfg["num_levels"]
@@ -380,12 +406,13 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
                 max_err = float(np.max(np.abs(np.sort(result.eigenvalues) - oracle)))
                 rows.append(
                     (float(beta), noise, seed, result.total_iterations, max_err,
-                     int(result.all_converged), shots or "exact", cfg.config_hash)
+                     int(result.all_converged), shots or "exact", cfg.config_hash,
+                     _shots_used(result), _max_pair_overlap(result))
                 )
     _write_csv(
         out / "results.csv",
         ["beta", "noise", "seed", "total_iterations", "max_abs_energy_error",
-         "all_converged", "shots", "config_hash"],
+         "all_converged", "shots", "config_hash", "shots_used", "max_pair_overlap"],
         rows,
     )
     _write_manifest(out, cfg, ["ansatz:"] + ["  " + line for line in spec.describe().splitlines()])

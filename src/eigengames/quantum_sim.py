@@ -8,8 +8,9 @@ apply through their compiled form (``PauliSum.compiled``).
 2m + 1 shift rows from them.  ``state_moments`` computes <M> and Var(M)
 over state rows given M applied to them; ``energy_moments`` applies M first,
 and ``expectation`` and its siblings are its one-row cases.
-``perturb_readouts`` draws every shot.  The interference and SwapTest
-circuits are read out in closed form (``interference_moments``,
+``perturb_readouts`` draws every shot, one vector draw per batch of
+read-outs; the callers count the read-outs they draw.  The interference and
+SwapTest circuits are read out in closed form (``interference_moments``,
 ``swap_test_moments``); their gate-by-gate simulations live with the tests,
 as the oracles these closed forms are checked against.
 
@@ -403,9 +404,16 @@ class ShotModel:
         return np.random.default_rng(self.rng_seed)
 
     def perturb(self, mean: float, variance: float, rng: np.random.Generator) -> float:
+        """One read-out: the one-element case of ``perturb_readouts``, bit for bit.
+
+        A variance at or below zero, -0.0 included, clamps to +0.0 as
+        ``np.maximum`` does; a NaN variance propagates.
+        """
         if self.is_exact:
             return mean
-        return mean + rng.standard_normal() * math.sqrt(max(variance, 0.0) / self.num_shots)
+        return mean + rng.standard_normal() * math.sqrt(
+            (0.0 if variance <= 0.0 else variance) / self.num_shots
+        )
 
 
 def perturb_readouts(
@@ -414,21 +422,23 @@ def perturb_readouts(
     variances: np.ndarray | None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Shot noise on an array of readouts, drawn one ``perturb`` per readout in C order.
+    """Shot noise on an array of readouts: one standard-normal draw for the whole batch.
 
     Every finite-shot draw of the library is made here.  Exact models return
-    the means untouched and never read ``variances``.  Finite models draw in
-    the order a circuit-by-circuit loop over the same readouts would, from
-    ``rng`` or, when none is given, from one ``make_rng()`` for the call.
+    the means untouched and never read ``variances``.  Finite models add
+    sqrt(max(Var, 0)/N) times one standard normal per read-out, drawn in C
+    order as one vector, which gives the values a circuit-by-circuit loop of
+    ``ShotModel.perturb`` calls over the same read-outs would, bit for bit.
+    The draw comes from ``rng`` or, when none is given, from one
+    ``make_rng()`` for the call.  Negative variances clamp to 0; NaN means
+    or variances propagate.
     """
     if shots.is_exact:
         return means
     rng = shots.make_rng() if rng is None else rng
-    draws = [
-        shots.perturb(mean, var, rng)
-        for mean, var in zip(means.ravel().tolist(), variances.ravel().tolist())
-    ]
-    return np.array(draws).reshape(means.shape)
+    return means + rng.standard_normal(means.shape) * np.sqrt(
+        np.maximum(variances, 0.0) / shots.num_shots
+    )
 
 
 def shot_noisy_expectation(

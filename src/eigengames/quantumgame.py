@@ -63,7 +63,10 @@ class QuantumPlayerState:
     ``max_imag_residue`` is the largest imaginary interference read-out seen
     (0 for VQD and parentless players); ``momentum_restarts`` counts the
     times the ascent reset its velocity, 0 for budgets of at most
-    ``ASCENT_WARMUP``.
+    ``ASCENT_WARMUP``.  ``readouts`` counts the finite-shot read-outs the
+    player drew (the evaluator's, one energy read per iteration and the
+    final eigenvalue read) and ``shots`` is ``readouts * num_shots``, the
+    solve's shot cost; both are 0 under an exact shot model.
     """
 
     index: int
@@ -78,6 +81,8 @@ class QuantumPlayerState:
     grad_norm_history: list[float] = field(default_factory=list)
     max_imag_residue: float = 0.0
     momentum_restarts: int = 0
+    readouts: int = 0
+    shots: int = 0
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,10 @@ def pauli_sum_hash(h: PauliSum) -> str:
 
 
 # A batch evaluator maps prepared (B, 2**q) state rows psi and the rows M psi
-# to the objective at each row, the largest imaginary cross read-out, and the
-# exact <M> and Var(M) of each row.
-Evaluator = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float, np.ndarray, np.ndarray]]
+# to the objective at each row, the largest imaginary cross read-out, the
+# exact <M> and Var(M) of each row, and the number of read-outs it drew.
+EvaluatorResult = tuple[np.ndarray, float, np.ndarray, np.ndarray, int]
+Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
 
 
 def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.ndarray:
@@ -173,11 +179,11 @@ def _game_evaluator(
         parent_states = _parent_states(parents, spec.num_qubits)
         a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
 
-    def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> EvaluatorResult:
         mean, var, second = state_moments(psi, m_psi)
         a_mean = sign * mean + offset
         if not parents:
-            return perturb_readouts(shots, a_mean, var, rng), 0.0, mean, var
+            return perturb_readouts(shots, a_mean, var, rng), 0.0, mean, var, a_mean.size
         a_second = second + 2.0 * sign * offset * mean + offset * offset
         cross_mean, cross_var = interference_moments(psi, a_second, a_parents)
         reads = perturb_readouts(
@@ -186,7 +192,7 @@ def _game_evaluator(
         value = reads[:, 0].copy()
         for j, lam in enumerate(denominators):
             value -= (reads[:, 1 + 2 * j] ** 2 + reads[:, 2 + 2 * j] ** 2) / lam
-        return value, float(np.abs(reads[:, 2::2]).max()), mean, var
+        return value, float(np.abs(reads[:, 2::2]).max()), mean, var, reads.size
 
     return evaluate
 
@@ -206,7 +212,7 @@ def _vqd_evaluator(
     """
     parent_states = _parent_states(parents, spec.num_qubits)
 
-    def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> EvaluatorResult:
         mean, var, _ = state_moments(psi, m_psi)
         p0, p0_var = swap_test_moments(psi, parent_states)
         reads = perturb_readouts(
@@ -215,7 +221,7 @@ def _vqd_evaluator(
         value = reads[:, 0].copy()
         for j, beta in enumerate(betas):
             value += beta * np.clip(2.0 * reads[:, 1 + j] - 1.0, 0.0, 1.0)
-        return value, 0.0, mean, var
+        return value, 0.0, mean, var, reads.size
 
     return evaluate
 
@@ -241,7 +247,8 @@ def _ascend(
     own shot draw.  Stops when the gradient norm reaches tolerance or the
     iteration budget runs out (partial result).  The final state is theta's
     prepared row when the loop converged and is prepared once otherwise; the
-    eigenvalue is read on it.
+    eigenvalue is read on it.  Every draw site adds its read-outs to one
+    count, stored with its shots at the end (0 and 0 when exact).
 
     The step is heavy-ball: vel <- beta_t vel + sign*eta*grad, theta += vel,
     with beta_t = t/(t + 3) and t the steps since the start or the last
@@ -257,9 +264,10 @@ def _ascend(
     values = theta.values.copy()
     vel = np.zeros_like(values)
     steps = 0  # since the start or the last restart
+    readouts = 0  # drawn by the evaluator and the energy reads
     for _ in range(cfg.max_iterations):
         psi, m_psi = parameter_shift_states(spec, m, values)
-        objective, residue, energy_mean, energy_var = evaluate(psi, m_psi)
+        objective, residue, energy_mean, energy_var, drawn = evaluate(psi, m_psi)
         state.max_imag_residue = max(state.max_imag_residue, residue)
         grad = shift_rule_gradient(objective[:-1])
         gnorm = math.sqrt(grad @ grad)
@@ -269,6 +277,7 @@ def _ascend(
         if not np.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
         energy = float(perturb_readouts(cfg.shots, energy_mean[-1:], energy_var[-1:], rng)[0])
+        readouts += drawn + 1
         state.grad_norm_history.append(gnorm)
         state.utility_history.append(value)
         state.energy_history.append(energy)
@@ -293,6 +302,9 @@ def _ascend(
     state.statevector = (StateVector(spec.num_qubits, psi[-1]) if state.converged
                          else apply_ansatz(spec, state.theta))
     state.eigenvalue = shot_noisy_expectation(m, state.statevector, cfg.shots, rng)
+    if not cfg.shots.is_exact:
+        state.readouts = readouts + 1  # and the eigenvalue read
+        state.shots = state.readouts * cfg.shots.num_shots
     return state
 
 

@@ -10,7 +10,9 @@ closed-form gradients; ``classical_game_terms`` and
 game matrix folds together; ``quantum_utility`` is one row of the game's
 batch evaluator; ``power_iteration_solver`` is a substitute single-component
 solver for ``deflation_vqe``; ``compiled_pauli_sum`` is the per-term
-builder the stacked ``PauliSum.compiled`` form is checked against.
+builder the stacked ``PauliSum.compiled`` form is checked against;
+``scalar_perturb_readouts`` is the circuit-by-circuit shot draw the one
+vector draw of ``perturb_readouts`` must equal bit for bit.
 
 Conventions match ``eigengames.quantum_sim``: qubit t is bit (q - 1 - t) of
 the amplitude index, and ancilla qubits are appended as the last position
@@ -40,6 +42,27 @@ from eigengames.quantumgame import QuantumParent, _game_evaluator
 
 class InvalidPerturbationError(EigenGamesError):
     """Forward differences need a strictly positive step."""
+
+
+# ---------------------------------------------------------------------------
+# Shot noise, one read-out at a time
+# ---------------------------------------------------------------------------
+
+def scalar_perturb_readouts(
+    shots: ShotModel,
+    means: np.ndarray,
+    variances: np.ndarray | None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """``perturb_readouts`` as a loop: one ``ShotModel.perturb`` per read-out, in C order."""
+    if shots.is_exact:
+        return means
+    rng = shots.make_rng() if rng is None else rng
+    draws = [
+        shots.perturb(mean, var, rng)
+        for mean, var in zip(means.ravel().tolist(), variances.ravel().tolist())
+    ]
+    return np.array(draws).reshape(means.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,15 @@ class TestH2Command:
             assert any(l.startswith(tag) for l in lines[1:])
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "ansatz" in manifest and "layer 0" in manifest
+        costs = manifest.split("run costs:\n")[1].splitlines()
+        assert len(costs) == 4  # (game, vqd) x (noiseless, shots), one seed
+        for line in costs:
+            run, _, values = line.strip().partition(": ")
+            tag, noise, seed = run.split()
+            used, residue = (float(v.split(" = ")[1]) for v in values.split(", "))
+            assert tag in ("quantumgame", "vqd") and seed == "seed=0"
+            assert used == 0 if noise == "noiseless" else used > 0
+            assert residue >= 0.0 if tag == "quantumgame" else residue == 0.0
 
     @pytest.mark.parametrize("beta, code", [(None, 0), (0.1, 1)], ids=["default", "beta-0.1"])
     def test_vqd_levels_gate_the_exit_code(self, tmp_path, beta, code):
@@ -146,9 +155,15 @@ class TestBetaSweepCommand:
         assert code == 0
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert lines[0].startswith("beta,noise,seed,total_iterations")
+        assert lines[0].endswith(",shots_used,max_pair_overlap")
         betas = sorted({float(l.split(",")[0]) for l in lines[1:]})
         assert betas == [0.5, 5.0]
         assert len(lines) - 1 == 4  # two betas x (noiseless, shots)
+        for line in lines[1:]:
+            fields = line.split(",")
+            shots_used, overlap = int(fields[-2]), float(fields[-1])
+            assert shots_used == 0 if fields[1] == "noiseless" else shots_used > 0
+            assert 0.0 <= overlap <= 1.0
 
 
 class TestDiagnosticsCommand:

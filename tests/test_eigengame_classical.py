@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigengames.errors import (
     DegenerateParentError,
@@ -584,6 +586,56 @@ class TestNonPositiveSpectra:
                     if player.converged:
                         assert residual(m, player) <= 1e-4, (draw, mode, player.index)
                         assert abs(player.eigenvalue - level) <= 1e-4, (draw, mode, player.index)
+
+
+@st.composite
+def hard_spectra(draw):
+    """(levels descending, k) with n = 2-12, k <= 4 and every leading gap at least 1e-4.
+
+    Indefinite, negative-definite, shifted by a large constant, or with one
+    near-degenerate leading pair.
+    """
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(4, n)))
+    gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1)))
+    kind = draw(st.sampled_from(["indefinite", "negative_definite", "shifted", "near_degenerate"]))
+    if kind == "near_degenerate":
+        gaps[draw(st.integers(0, min(k, n - 1) - 1))] = draw(st.floats(1e-4, 1e-3))
+    levels = -np.concatenate(([0.0], np.cumsum(gaps)))
+    if kind == "indefinite":
+        levels += draw(st.floats(0.1, 0.9)) * -levels[-1]
+    elif kind == "negative_definite":
+        levels -= draw(st.floats(0.1, 2.0))
+    elif kind == "shifted":
+        levels += draw(st.floats(-20.0, 20.0))
+    return levels, k
+
+
+class TestAgainstDenseEigh:
+    """``run_sequential`` on hard spectra: a converged player is an eigenpair of the dense ``eigh``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(spectrum=hard_spectra(), basis_seed=st.integers(0, 2**16), mode=st.sampled_from(MODES))
+    def test_converged_players_match_eigh(self, spectrum, basis_seed, mode):
+        levels, k = spectrum
+        m = matrix_with_spectrum(levels, random_orthonormal(levels.size, basis_seed))
+        values, vectors = np.linalg.eigh(m)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        cfg = GameConfig(num_players=k, sigma=1e-6, grad_tolerance=1e-6,
+                         max_iterations_per_player=20_000)
+        result = run_sequential(m, cfg, seed=basis_seed, mode=mode)
+        assert result.all_converged  # every leading gap is at least 1e-4: well inside the budget
+        for i, player in enumerate(result.players):
+            r = residual(m, player)
+            assert r <= 1e-4
+            assert abs(player.eigenvalue - values[i]) <= 1e-4
+            # Davis-Kahan: sin(angle) <= r / (distance of the Rayleigh quotient to the other
+            # levels); the sine is the norm of v's part off the eigenvector, exact to rounding.
+            others = np.delete(values, i)
+            delta = np.abs(others - player.eigenvalue).min() if others.size else np.inf
+            u = vectors[:, i]
+            sine = np.linalg.norm(player.vector - (u @ player.vector) * u)
+            assert sine <= r / delta + 1e-12
 
 
 class TestInputValidation:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from eigengames.errors import (
     BindingError,
@@ -48,6 +51,7 @@ from oracles import (
     parameter_shift_gradient,
     parameter_shift_points,
     rotation_gate,
+    scalar_perturb_readouts,
     swap_test_overlap,
 )
 
@@ -332,6 +336,50 @@ class TestShotNoise:
         for mean, variance in zip(inputs.normal(size=2000), inputs.choice([0.0, 0.3, 2.5], 2000)):
             expected = float(mean + reference.normal(0.0, 1.0) * np.sqrt(variance / shots.num_shots))
             assert shots.perturb(float(mean), float(variance), rng).hex() == expected.hex()
+
+    @staticmethod
+    @st.composite
+    def readout_batches(draw):
+        """(means, variances) of one shape, (R,) or (B, R): any float, NaN and +-0.0 included."""
+        shape = draw(array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6))
+        special = st.sampled_from([0.0, -0.0, -1e-300, -2.5, np.nan])
+        means = draw(arrays(np.float64, shape, elements=st.floats(width=64) | special))
+        variances = draw(arrays(np.float64, shape, elements=st.floats(width=64) | special))
+        return means, variances
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(batch=readout_batches(), num_shots=st.integers(1, 10**6), seed=st.integers(0, 2**32 - 1))
+    # A -0.0 variance on a -0.0 mean: the clamp's sign of zero decides the sign of the read.
+    @example(batch=(np.array([-0.0]), np.array([-0.0])), num_shots=1, seed=0)
+    def test_vector_draw_equals_scalar_loop_bit_for_bit(self, batch, num_shots, seed):
+        means, variances = batch
+        shots = ShotModel(num_shots, rng_seed=seed)
+        rng, reference = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        with np.errstate(all="ignore"):  # numpy warns on inf - inf and overflow; Python floats do not
+            draws = [
+                (perturb_readouts(shots, means, variances, rng),
+                 scalar_perturb_readouts(shots, means, variances, reference)),
+                (perturb_readouts(shots, means, variances),  # one fresh make_rng() each
+                 scalar_perturb_readouts(shots, means, variances)),
+            ]
+        for got, expected in draws:
+            assert got.shape == means.shape
+            assert [x.hex() for x in got.ravel().tolist()] == [
+                x.hex() for x in expected.ravel().tolist()
+            ]
+        assert rng.standard_normal().hex() == reference.standard_normal().hex()
+
+    def test_vector_draw_clamps_and_propagates(self):
+        means = np.array([[1.0, -0.0, np.nan], [2.0, 3.0, 4.0]])
+        variances = np.array([[-3.0, -0.0, 1.0], [np.nan, 0.0, 4.0]])
+        reads = perturb_readouts(ShotModel(100, rng_seed=2), means, variances)
+        assert reads[0, 0] == 1.0 and reads[1, 1] == 3.0  # negative and zero variances: no noise
+        assert np.isnan(reads[0, 2]) and np.isnan(reads[1, 0])
+        assert reads[1, 2] != 4.0
+
+    def test_exact_model_returns_means_untouched(self):
+        means = np.array([1.0, 2.0])
+        assert perturb_readouts(ShotModel(), means, None) is means
 
     def test_zero_shots_rejected(self):
         with pytest.raises(InvalidShotCountError):

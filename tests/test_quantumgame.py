@@ -439,7 +439,7 @@ class TestShiftedObjective:
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_game_rows_match_dense_shifted_operator(self, monkeypatch, direction, num_parents):
-        h, parents, (value, _, mean, var), psi = self.captured_evaluator(
+        h, parents, (value, _, mean, var, _), psi = self.captured_evaluator(
             monkeypatch, quantumgame_player, direction, num_parents)
         a, sign, offset = dense_game_operator(h, direction)
         a_psi = psi @ a.T
@@ -453,7 +453,7 @@ class TestShiftedObjective:
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_vqd_rows_match_dense_penalized_energy(self, monkeypatch, direction, num_parents):
-        h, parents, (value, _, mean, var), psi = self.captured_evaluator(
+        h, parents, (value, _, mean, var, _), psi = self.captured_evaluator(
             monkeypatch, vqd_player, direction, num_parents)
         sign = -1.0 if direction == "maximize" else 1.0
         dense = pauli_sum_to_matrix(h).entries
@@ -614,10 +614,10 @@ class TestHeavyBallAscent:
 
 
 class TestShotDraws:
-    """Every finite-shot read-out is one ShotModel.perturb call, in circuit order."""
+    """Every finite-shot read-out a player draws is counted in its ``readouts`` and ``shots``."""
 
     @staticmethod
-    def count_perturb_calls(monkeypatch, player, cfg, num_parents):
+    def play(player, cfg, num_parents):
         spec = random_layers_ansatz(2, 2, 3, seed=3)
         h2 = load_pauli_sum(bundled_h2_path())
         rng = np.random.default_rng(num_parents)
@@ -625,29 +625,31 @@ class TestShotDraws:
             make_parent(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
             for _ in range(num_parents)
         )
-        calls = []
-        original = ShotModel.perturb
-
-        def counting(model, mean, variance, rng=None):
-            if not model.is_exact:
-                calls.append(mean)
-            return original(model, mean, variance, rng)
-
-        monkeypatch.setattr(ShotModel, "perturb", counting)
         state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 6)), parents, cfg)
-        return len(calls), len(state.energy_history), spec.num_parameters
+        return state, spec.num_parameters
 
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("iterations", [1, 3])
     @pytest.mark.parametrize("player, per_parent", [(quantumgame_player, 2), (vqd_player, 1)])
-    def test_readout_budget(self, monkeypatch, player, per_parent, num_parents, iterations):
+    def test_readout_budget(self, player, per_parent, num_parents, iterations):
+        # Per iteration: 2m + 1 rows of 1 + per_parent * P read-outs, then the
+        # energy read; after the loop, the eigenvalue read.
         cfg = SolverConfig(
             direction="minimize", grad_tolerance=1e-9, max_iterations=iterations, beta=5.0,
             shots=ShotModel(1000, rng_seed=4),
         )
-        calls, loops, m = self.count_perturb_calls(monkeypatch, player, cfg, num_parents)
+        state, m = self.play(player, cfg, num_parents)
+        loops = len(state.energy_history)
         assert loops == iterations
-        assert calls == loops * ((2 * m + 1) * (1 + per_parent * num_parents) + 1) + 1
+        assert state.readouts == loops * ((2 * m + 1) * (1 + per_parent * num_parents) + 1) + 1
+        assert state.shots == state.readouts * cfg.shots.num_shots
+
+    @pytest.mark.parametrize("num_parents", [0, 2])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_exact_model_counts_nothing(self, player, num_parents):
+        cfg = SolverConfig(direction="minimize", grad_tolerance=1e-9, max_iterations=3, beta=5.0)
+        state, _ = self.play(player, cfg, num_parents)
+        assert (state.readouts, state.shots) == (0, 0)
 
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})])
     def test_trajectory_pinned_at_ten_thousand_shots(self, h2, runner, extra):
