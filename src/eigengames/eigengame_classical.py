@@ -27,9 +27,8 @@ from .errors import (
 from .hamiltonian import HermitianMatrix, check_hermitian, real_part
 
 RAYLEIGH_GUARD = 1e-12
-# Plain-ascent steps before the heavy-ball weight is first estimated, and the
-# interval between its later estimates.
-MOMENTUM_WARMUP = 100
+# Plain-ascent steps before either ascent loop carries its heavy-ball velocity.
+ASCENT_WARMUP = 20
 UNIT_NORM_ATOL = 1e-9
 
 GradientMode = Literal["exact", "zeroth_order"]
@@ -61,6 +60,34 @@ class ParentVector:
         return ParentVector(vector=vector, rayleigh=rayleigh, m_times_vector=mv)
 
 
+@dataclass(slots=True)
+class HeavyBall:
+    """The heavy-ball rule both ascent loops share: beta_t = t/(t + 3) with gradient restart.
+
+    t counts steps since the start or the last restart.  A restart (beta and t
+    back to 0, counted in ``restarts``) happens when the new step points
+    against the velocity (O'Donoghue & Candes, *Adaptive Restart for
+    Accelerated Gradient Schemes*, FoCM 15, 2015), which reads only the step
+    the loop already formed.  The first ``ASCENT_WARMUP`` steps are plain
+    ascent: beta 0 and no restart.
+    """
+
+    steps: int = 0
+    restarts: int = 0
+
+    def weight(self, iteration: int, step: np.ndarray, vel: np.ndarray) -> float:
+        """The velocity weight of step ``iteration`` (0-based) along ``step``."""
+        if iteration < ASCENT_WARMUP:
+            beta = 0.0
+        elif step.dot(vel) < 0.0:  # the step turned against the velocity: restart from rest
+            beta, self.steps = 0.0, 0
+            self.restarts += 1
+        else:
+            beta = self.steps / (self.steps + 3.0)
+        self.steps += 1
+        return beta
+
+
 def _coerce_parents(m, parents) -> tuple[ParentVector, ...]:
     out = []
     for p in parents or ():
@@ -80,7 +107,8 @@ class PlayerState:
 
     ``eigenvalue`` is v^T M v and ``residual`` the eigen-residual
     ||M v - eigenvalue v||, both on the player's matrix; ``run_sequential``
-    reads them again on the caller's M.
+    reads them again on the caller's M.  ``momentum_restarts`` counts the
+    ascent's velocity restarts (``HeavyBall``).
     """
 
     index: int
@@ -91,6 +119,7 @@ class PlayerState:
     iterations_used: int = 0
     converged: bool = False
     final_riemannian_norm: float = float("nan")
+    momentum_restarts: int = 0
 
     def read_out(self, m: np.ndarray) -> None:
         """Set ``eigenvalue`` and ``residual`` of the final vector on M, from one matvec."""
@@ -194,25 +223,16 @@ def eigengame_player(
     mode: GradientMode = "exact",
     index: int = 1,
 ) -> PlayerState:
-    """Run one player's heavy-ball ascent until the gradient is radial.
+    """Run one player's Riemannian heavy-ball ascent until the gradient is radial.
 
-    Each step is w = v + alpha g - (beta / s_prev) v_old, v <- w / s with
-    s = ||w||: the normalized form of the momentum power iteration
-    w_{t+1} = B w_t - beta w_{t-1} on the game's B = I + 2 alpha M P, which
-    needs about 1/sqrt(gap) steps where plain ascent needs 1/gap (Xu et al.,
-    *Accelerated Stochastic Power Iteration*, AISTATS 2018).  beta is 0 for
-    the first ``MOMENTUM_WARMUP`` steps, so a budget of at most that many is
-    plain ascent v <- normalize(v + alpha g).  Every ``MOMENTUM_WARMUP``
-    steps after that, beta <- max(beta, clip(mu2, 0, mu1)^2 / 4), with
-    mu1 = 1 + alpha g.v estimating B's top eigenvalue and mu2 = 1 + alpha u.(2 G u)
-    its next one, u the unit tangent of the stop test; no eigensolver is called.
-
-    The parents are frozen, so the player's game matrix
-    G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j is built once, as 2 G, before
-    the loop: the exact gradient is 2 G v and the utility v^T G v.  Each
-    iteration is one matvec on 2 G, each momentum estimate one more, and
-    M v is formed once, at exit, for the eigenvalue and residual.  The price
-    is one extra n x n array for as long as the player runs.
+    Each step is v <- normalize(v + alpha (I - v v^T) g + beta_t vel), with
+    vel = v_t - v_{t-1}: EigenGame's projected step (Gemp et al., ICLR 2021,
+    Alg. 1) plus the velocity, beta_t and its restarts from ``HeavyBall``.
+    The parents are frozen, so the game matrix
+    G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j is built once, as 2 alpha G:
+    each iteration is one matvec on it, which gives alpha g and so the scaled
+    tangent at no extra cost, and M v is formed once, at exit, for the
+    eigenvalue and residual.  The price is one extra n x n array.
 
     The stopping test is on the tangential (Riemannian) norm of the mode's own
     gradient, ||(I - v v^T) g||, which vanishes at the ascent's fixed points;
@@ -229,51 +249,46 @@ def eigengame_player(
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError("init vector must be unit norm")
 
-    twice_game = _twice_game_matrix(mat, parents)
-    bias = cfg.sigma * (0.5 * np.diag(twice_game)) if mode == "zeroth_order" else None
-    state = PlayerState(index=index, vector=v, parents=parents)
     alpha = cfg.step_size
-    beta = 0.0
-    v_old, s_prev = v, 1.0
+    scaled_game = alpha * _twice_game_matrix(mat, parents)  # alpha 2 G
+    bias = cfg.sigma * (0.5 * np.diag(scaled_game)) if mode == "zeroth_order" else None
+    state = PlayerState(index=index, vector=v, parents=parents)
+    ball = HeavyBall()
+    vel = np.zeros_like(v)
 
     for _ in range(cfg.max_iterations_per_player + 1):
-        grad = twice_game @ v
-        radial = float(grad @ v)  # twice the utility v^T G v
-        value = 0.5 * radial
+        w = scaled_game.dot(v)  # alpha g, the mode's gradient times the step
         if bias is not None:
-            grad += bias
-            radial = float(grad @ v)
+            w += bias
+        radial = float(w.dot(v))
 
-        # One non-finite entry of grad makes grad . v non-finite too (inf * 0 is
-        # NaN), so the scalars gate the array scan that names the failure.
-        if not (math.isfinite(radial) and math.isfinite(value)):
-            if not np.all(np.isfinite(grad)):
+        # One non-finite entry of w makes w . v non-finite too (inf * 0 is
+        # NaN), so the scalar gates the array scan that names the failure.
+        if not math.isfinite(radial):
+            if not np.all(np.isfinite(w)):
                 raise NumericalOverflowError("gradient stopped being finite")
             raise NumericalOverflowError("utility stopped being finite")
 
-        tangent = grad - radial * v
-        state.final_riemannian_norm = math.sqrt(tangent @ tangent)
+        w -= radial * v  # alpha (I - v v^T) g, the tangent step
+        state.final_riemannian_norm = math.sqrt(w.dot(w)) / alpha
         if state.final_riemannian_norm <= cfg.grad_tolerance:
             state.converged = True
             break
         if state.iterations_used >= cfg.max_iterations_per_player:
             break
 
-        if state.iterations_used and state.iterations_used % MOMENTUM_WARMUP == 0:
-            u = tangent / state.final_riemannian_norm
-            mu1 = 1.0 + alpha * radial
-            mu2 = 1.0 + alpha * float(u @ (twice_game @ u))
-            beta = max(beta, min(max(mu2, 0.0), mu1) ** 2 / 4.0)
-
-        stepped = v + alpha * grad
+        beta = ball.weight(state.iterations_used, w, vel)
+        w += v
         if beta:
-            stepped -= (beta / s_prev) * v_old
-        s_prev = math.sqrt(stepped @ stepped)
-        if s_prev < 1e-300:
+            w += beta * vel
+        norm = math.sqrt(w.dot(w))
+        if norm < 1e-300:
             raise DivergenceError("update produced a zero vector")
-        v_old, v = v, stepped / s_prev
+        w /= norm
+        vel, v = w - v, w
         state.iterations_used += 1
 
+    state.momentum_restarts = ball.restarts
     state.vector = v
     state.read_out(mat)
     return state

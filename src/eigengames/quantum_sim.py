@@ -342,30 +342,30 @@ def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
 
 def state_moments(
     rows: np.ndarray, h_rows: np.ndarray, variance: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(<M>, Var(M), ||M psi||^2) for each row psi of a (B, 2**q) array, given the rows M psi.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, float]:
+    """(<M>, Var(M), ||M psi||^2, residue) for each row psi of a (B, 2**q) array, given the rows M psi.
 
-    The one computation of either moment.  <M> = <psi|M psi> must be real for
-    Hermitian M; an imaginary residue above ``NORM_ATOL`` raises.
+    The one computation of either moment.  ``residue`` is the largest
+    |Im<psi|M psi>|, rounding for Hermitian M; above ``NORM_ATOL`` it raises.
     Var(M) = ||M psi||^2 - <M>^2, clamped at 0; the unclamped second moment
     ||M psi||^2 is returned too.  ``variance=False`` skips both and gives
     ``None``, for exact read-outs.
     """
     value = np.einsum("bi,bi->b", rows.conj(), h_rows)
-    residue = np.abs(value.imag).max()
+    residue = float(np.abs(value.imag).max())
     if residue > NORM_ATOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
     mean = value.real
     if not variance:
-        return mean, None, None
+        return mean, None, None, residue
     second = np.einsum("bi,bi->b", h_rows.conj(), h_rows).real
-    return mean, np.maximum(second - mean * mean, 0.0), second
+    return mean, np.maximum(second - mean * mean, 0.0), second, residue
 
 
 def energy_moments(h: PauliSum, rows: np.ndarray, variance: bool = True) -> tuple[np.ndarray, ...]:
     """(M psi, <M>, Var(M)) for each row psi of a (B, 2**q) array: M applied once, then ``state_moments``."""
     h_rows = pauli_sum_apply(h, rows)
-    mean, var, _ = state_moments(rows, h_rows, variance)
+    mean, var, _, _ = state_moments(rows, h_rows, variance)
     return h_rows, mean, var
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .eigengame_classical import SequentialResult, run_players
+from .eigengame_classical import ASCENT_WARMUP, HeavyBall, SequentialResult, run_players
 from .errors import DegenerateParentError, NonConvergenceError, NumericalOverflowError
 from .hamiltonian import HermitianMatrix, PauliSum
 from .quantum_sim import (
@@ -37,8 +37,6 @@ from .quantum_sim import (
 
 PARENT_EIGENVALUE_GUARD = 1e-10
 MIN_MODE_SHIFT_MARGIN = 1.0
-# Plain parameter-shift steps before the heavy-ball velocity is first carried.
-ASCENT_WARMUP = 20
 
 Direction = Literal["maximize", "minimize"]
 
@@ -60,9 +58,9 @@ class QuantumParent:
 class QuantumPlayerState:
     """One player's solve: final parameters, the state they prepare, and per-iteration histories.
 
-    ``max_imag_residue`` is the largest imaginary interference read-out seen
-    (0 for VQD and parentless players); ``momentum_restarts`` counts the
-    times the ascent reset its velocity, 0 for budgets of at most
+    ``max_imag_residue`` is the largest |Im<psi|M psi>| over the prepared
+    states, rounding for Hermitian M; ``momentum_restarts`` counts the
+    ascent's velocity restarts, 0 for budgets of at most
     ``ASCENT_WARMUP``.  ``readouts`` counts the finite-shot read-outs the
     player drew (the evaluator's, one energy read per iteration and the
     final eigenvalue read) and ``shots`` is ``readouts * num_shots``, the
@@ -132,7 +130,7 @@ def pauli_sum_hash(h: PauliSum) -> str:
 
 
 # A batch evaluator maps prepared (B, 2**q) state rows psi and the rows M psi
-# to the objective at each row, the largest imaginary cross read-out, the
+# to the objective at each row, the largest |Im<psi|M psi>| over the rows, the
 # exact <M> and Var(M) of each row, and the number of read-outs it drew.
 EvaluatorResult = tuple[np.ndarray, float, np.ndarray, np.ndarray, int]
 Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
@@ -180,10 +178,10 @@ def _game_evaluator(
         a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
 
     def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> EvaluatorResult:
-        mean, var, second = state_moments(psi, m_psi)
+        mean, var, second, residue = state_moments(psi, m_psi)
         a_mean = sign * mean + offset
         if not parents:
-            return perturb_readouts(shots, a_mean, var, rng), 0.0, mean, var, a_mean.size
+            return perturb_readouts(shots, a_mean, var, rng), residue, mean, var, a_mean.size
         a_second = second + 2.0 * sign * offset * mean + offset * offset
         cross_mean, cross_var = interference_moments(psi, a_second, a_parents)
         reads = perturb_readouts(
@@ -192,7 +190,7 @@ def _game_evaluator(
         value = reads[:, 0].copy()
         for j, lam in enumerate(denominators):
             value -= (reads[:, 1 + 2 * j] ** 2 + reads[:, 2 + 2 * j] ** 2) / lam
-        return value, float(np.abs(reads[:, 2::2]).max()), mean, var, reads.size
+        return value, residue, mean, var, reads.size
 
     return evaluate
 
@@ -213,7 +211,7 @@ def _vqd_evaluator(
     parent_states = _parent_states(parents, spec.num_qubits)
 
     def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> EvaluatorResult:
-        mean, var, _ = state_moments(psi, m_psi)
+        mean, var, _, residue = state_moments(psi, m_psi)
         p0, p0_var = swap_test_moments(psi, parent_states)
         reads = perturb_readouts(
             shots, np.column_stack((sign * mean, p0)), np.column_stack((var, p0_var)), rng
@@ -221,7 +219,7 @@ def _vqd_evaluator(
         value = reads[:, 0].copy()
         for j, beta in enumerate(betas):
             value += beta * np.clip(2.0 * reads[:, 1 + j] - 1.0, 0.0, 1.0)
-        return value, 0.0, mean, var, reads.size
+        return value, residue, mean, var, reads.size
 
     return evaluate
 
@@ -250,20 +248,14 @@ def _ascend(
     eigenvalue is read on it.  Every draw site adds its read-outs to one
     count, stored with its shots at the end (0 and 0 when exact).
 
-    The step is heavy-ball: vel <- beta_t vel + sign*eta*grad, theta += vel,
-    with beta_t = t/(t + 3) and t the steps since the start or the last
-    restart.  A restart (vel and t back to 0, counted in
-    ``momentum_restarts``) happens whenever the new gradient step points
-    against vel, the gradient restart of O'Donoghue & Candes (*Adaptive
-    Restart for Accelerated Gradient Schemes*, FoCM 15, 2015): it reads only
-    the gradient already estimated, so no tuning and no extra circuit.  The
-    first ``ASCENT_WARMUP`` steps are plain ascent (beta = 0, no restart), so
-    any budget of at most that many is plain parameter-shift ascent.
+    The step is heavy-ball, vel <- beta_t vel + sign*eta*grad and
+    theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
+    the classical player shares: no extra circuit.
     """
     state = QuantumPlayerState(index=index, theta=theta, parents=parents)
     values = theta.values.copy()
     vel = np.zeros_like(values)
-    steps = 0  # since the start or the last restart
+    ball = HeavyBall()
     readouts = 0  # drawn by the evaluator and the energy reads
     for _ in range(cfg.max_iterations):
         psi, m_psi = parameter_shift_states(spec, m, values)
@@ -285,18 +277,12 @@ def _ascend(
             state.converged = True
             break
         step = sign * eta * grad
-        if state.iterations_used < ASCENT_WARMUP:
-            vel = step
-        elif step @ vel < 0.0:  # the gradient turned against the velocity: restart from rest
-            vel = step
-            steps = 0
-            state.momentum_restarts += 1
-        else:
-            vel = steps / (steps + 3.0) * vel + step
-        steps += 1
+        beta = ball.weight(state.iterations_used, step, vel)
+        vel = beta * vel + step if beta else step
         values = values + vel
         state.iterations_used += 1
 
+    state.momentum_restarts = ball.restarts
     state.theta = theta.with_values(values)
     # A converged loop stopped on the theta it last prepared; a spent budget stepped past it.
     state.statevector = (StateVector(spec.num_qubits, psi[-1]) if state.converged

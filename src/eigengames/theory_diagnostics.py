@@ -106,8 +106,8 @@ def iteration_bound_classical(
     """ceil( sum_i 5 pi^2 (L_i(0)/L_i(sigma)) * bracket^2 ), the pre-big-O total.
 
     The bound is stated for plain gradient ascent.  ``eigengame_player`` runs
-    heavy-ball ascent after a plain warm-up; its counts fall below plain
-    ascent's, so they stay below this bound as well.
+    Riemannian heavy-ball ascent with restart (``HeavyBall``) after a plain
+    warm-up of ``ASCENT_WARMUP`` steps; its counts fall below plain ascent's.
     """
     if len(lipschitz_zero) != len(lipschitz_sigma) or len(lipschitz_zero) != len(gaps):
         raise ValueError("need one L_i(0), L_i(sigma), and gap per player")
@@ -130,10 +130,9 @@ def iteration_bound_quantum(
     """ceil( sum_i 4 pi^2 (L_theta_i^2 / sqrt(layers*qubits)) * bracket^2 ).
 
     The bound is stated for plain parameter-shift ascent.  The quantum
-    players run heavy-ball ascent with adaptive restart after a plain
-    warm-up of ``quantumgame.ASCENT_WARMUP`` steps; their counts fall below
-    plain ascent's (2-4x on noiseless H2), so they stay below this bound as
-    well.
+    players run the same heavy-ball rule (``HeavyBall``) after a plain
+    warm-up of ``ASCENT_WARMUP`` steps; their counts fall below plain
+    ascent's (2-4x on noiseless H2), so they stay below this bound as well.
     """
     if len(lipschitz_theta) != len(gaps):
         raise ValueError("need one L_theta and gap per player")

@@ -19,6 +19,7 @@ from eigengames.bench_cli import (
     parse_config_text,
 )
 from eigengames.errors import ConfigError
+from eigengames.quantum_sim import NORM_ATOL
 
 
 class TestConfigParsing:
@@ -119,7 +120,7 @@ class TestH2Command:
             used, residue = (float(v.split(" = ")[1]) for v in values.split(", "))
             assert tag in ("quantumgame", "vqd") and seed == "seed=0"
             assert used == 0 if noise == "noiseless" else used > 0
-            assert residue >= 0.0 if tag == "quantumgame" else residue == 0.0
+            assert 0.0 <= residue <= NORM_ATOL
 
     @pytest.mark.parametrize("beta, code", [(None, 0), (0.1, 1)], ids=["default", "beta-0.1"])
     def test_vqd_levels_gate_the_exit_code(self, tmp_path, beta, code):

@@ -14,7 +14,9 @@ from eigengames.errors import (
 )
 from eigengames import eigengame_classical
 from eigengames.eigengame_classical import (
+    ASCENT_WARMUP,
     GameConfig,
+    HeavyBall,
     ParentVector,
     angular_error,
     eigengame_player,
@@ -154,7 +156,8 @@ class TestGameMatrix:
             cfg = GameConfig(step_size=alpha, sigma=sigma, grad_tolerance=1e-12,
                              max_iterations_per_player=1)
             state = eigengame_player(m, v0, parents, cfg, mode=mode)
-            stepped = v0 + alpha * (classical_game_terms(v0, parents, m)[1] + bias)
+            g = classical_game_terms(v0, parents, m)[1] + bias
+            stepped = v0 + alpha * (g - (g @ v0) * v0)
             assert np.max(np.abs(state.vector - stepped / np.linalg.norm(stepped))) <= 1e-12
 
 
@@ -270,7 +273,8 @@ class TestPlayer:
             cfg = GameConfig(step_size=alpha, sigma=1e-2, grad_tolerance=1e-12,
                              max_iterations_per_player=1)
             state = eigengame_player(m, v0, parents, cfg, mode=mode)
-            stepped = v0 + alpha * finite_diff_gradient(v0, parents, m, sigma)
+            g = finite_diff_gradient(v0, parents, m, sigma)
+            stepped = v0 + alpha * (g - (g @ v0) * v0)
             assert state.iterations_used == 1
             assert np.max(np.abs(state.vector - stepped / np.linalg.norm(stepped))) <= 1e-12
 
@@ -519,19 +523,39 @@ class TestHeavyBall:
             assert result.all_converged
             assert np.max(np.abs(np.array(result.eigenvalues) - levels[:4])) <= 1e-6
 
-    def test_budget_of_100_is_plain_ascent(self):
+    def test_warm_up_budget_is_plain_ascent(self):
         m, v0, parents = random_problem(6, 3, seed=4)
         alpha = 0.05
         for mode, sigma in (("exact", 0.0), ("zeroth_order", 1e-2)):
             cfg = GameConfig(step_size=alpha, sigma=1e-2, grad_tolerance=1e-12,
-                             max_iterations_per_player=100)
+                             max_iterations_per_player=ASCENT_WARMUP)
             state = eigengame_player(m, v0, parents, cfg, mode=mode)
             v = v0
-            for _ in range(100):
-                stepped = v + alpha * finite_diff_gradient(v, parents, m, sigma)
+            for _ in range(ASCENT_WARMUP):
+                g = finite_diff_gradient(v, parents, m, sigma)
+                stepped = v + alpha * (g - (g @ v) * v)
                 v = stepped / np.linalg.norm(stepped)
-            assert state.iterations_used == 100
+            assert state.iterations_used == ASCENT_WARMUP
             assert np.max(np.abs(state.vector - v)) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [1, ASCENT_WARMUP])
+    def test_no_restart_within_the_warm_up(self, budget):
+        m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1))
+        for mode in MODES:
+            cfg = GameConfig(num_players=3, grad_tolerance=1e-12, max_iterations_per_player=budget)
+            result = run_sequential(m, cfg, seed=1, mode=mode)
+            assert [p.iterations_used for p in result.players] == [budget] * 3
+            assert [p.momentum_restarts for p in result.players] == [0, 0, 0]
+
+    def test_weight_schedule(self):
+        ahead, back = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+        ball = HeavyBall()
+        # Plain ascent through the warm-up, whichever way the step points.
+        assert [ball.weight(t, back, ahead) for t in range(ASCENT_WARMUP)] == [0.0] * ASCENT_WARMUP
+        assert ball.weight(ASCENT_WARMUP, ahead, ahead) == ASCENT_WARMUP / (ASCENT_WARMUP + 3.0)
+        assert ball.weight(ASCENT_WARMUP + 1, back, ahead) == 0.0  # restart from rest
+        assert [ball.weight(ASCENT_WARMUP + t, ahead, ahead) for t in (2, 3)] == [1 / 4, 2 / 5]
+        assert ball.restarts == 1
 
 
 class TestNonPositiveSpectra:
@@ -611,6 +635,28 @@ def hard_spectra(draw):
     return levels, k
 
 
+@st.composite
+def ladder_spectra(draw):
+    """(levels descending, k) with n = 2-24, k <= 4 and every leading gap at least 1e-4.
+
+    Positive, indefinite, negative-definite, or with one near-degenerate leading pair.
+    """
+    n = draw(st.integers(2, 24))
+    k = draw(st.integers(1, min(4, n)))
+    gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1)))
+    kind = draw(st.sampled_from(["positive", "indefinite", "negative_definite", "near_degenerate"]))
+    if kind == "near_degenerate":
+        gaps[draw(st.integers(0, min(k, n - 1) - 1))] = draw(st.floats(1e-4, 1e-3))
+    levels = -np.concatenate(([0.0], np.cumsum(gaps)))
+    if kind in ("positive", "near_degenerate"):
+        levels -= levels[-1] - draw(st.floats(0.1, 2.0))
+    elif kind == "indefinite":
+        levels += draw(st.floats(0.1, 0.9)) * -levels[-1]
+    else:
+        levels -= draw(st.floats(0.1, 2.0))
+    return levels, k
+
+
 class TestAgainstDenseEigh:
     """``run_sequential`` on hard spectra: a converged player is an eigenpair of the dense ``eigh``."""
 
@@ -636,6 +682,24 @@ class TestAgainstDenseEigh:
             u = vectors[:, i]
             sine = np.linalg.norm(player.vector - (u @ player.vector) * u)
             assert sine <= r / delta + 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(spectrum=ladder_spectra(), basis_seed=st.integers(0, 2**16))
+    def test_heavy_ball_converges_to_eigh_in_both_modes(self, spectrum, basis_seed):
+        levels, k = spectrum
+        m = matrix_with_spectrum(levels, random_orthonormal(levels.size, basis_seed))
+        values, vectors = np.linalg.eigh(m)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        cfg = GameConfig(num_players=k, sigma=1e-6, grad_tolerance=1e-6,
+                         max_iterations_per_player=20_000)
+        for mode in MODES:
+            result = run_sequential(m, cfg, seed=basis_seed, mode=mode)
+            assert result.all_converged, mode
+            for i, player in enumerate(result.players):
+                assert residual(m, player) <= 1e-4, (mode, i)
+                assert abs(player.eigenvalue - values[i]) <= 1e-4, (mode, i)
+                if np.abs(np.delete(values, i) - values[i]).min() >= 1e-2:  # a separated level
+                    assert angular_error(player.vector, vectors[:, i]) <= 1e-2, (mode, i)
 
 
 class TestInputValidation:

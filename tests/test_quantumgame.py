@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 
 from eigengames import quantumgame
+from eigengames.eigengame_classical import GameConfig, HeavyBall, run_sequential
 from eigengames.errors import DegenerateParentError
 from eigengames.hamiltonian import (
     HermitianMatrix,
     PauliSum,
+    build_powerlaw_hamiltonian,
     bundled_h2_path,
     exact_eigendecomposition,
     load_pauli_sum,
     pauli_sum_to_matrix,
 )
 from eigengames.quantum_sim import (
+    NORM_ATOL,
     ShotModel,
     apply_ansatz,
     expectation,
@@ -168,6 +171,17 @@ class TestRunQuantumGame:
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-2, max_iterations=3000)
         result = run_quantumgame(h2, spec, cfg, 4, seed=0)
         assert np.max(np.abs(np.sort(result.eigenvalues) - h2_oracle)) <= 2e-2
+
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_noiseless_imaginary_residue_is_rounding(self, h2, runner, extra):
+        # <psi|M psi> is real for Hermitian M; the game once logged offset * Im<psi|psi_j>
+        # here, 3.97 on correct code, which could flag nothing.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction="minimize", grad_tolerance=1e-2, max_iterations=3000, **extra)
+        result = runner(h2, spec, cfg, 4, seed=0)
+        assert result.all_converged
+        assert max(p.max_imag_residue for p in result.players) <= NORM_ATOL
 
     def test_operator_never_mutates(self, h2):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
@@ -611,6 +625,34 @@ class TestHeavyBallAscent:
         result = runner(h2, spec, cfg, 3, seed=1)
         assert [p.iterations_used for p in result.players] == [budget] * 3
         assert [p.momentum_restarts for p in result.players] == [0, 0, 0]
+
+    def test_both_loops_take_the_rule_from_the_helper(self, h2, monkeypatch):
+        # Each loop's weights and restarts are the ones a fresh helper gives for the same
+        # step-velocity alignments, and each player's count is the helper's.
+        calls = []
+        weight = HeavyBall.weight
+
+        def recorded(ball, iteration, step, vel):
+            beta = weight(ball, iteration, step, vel)
+            calls.append((iteration, float(step @ vel) < 0.0, beta, ball.restarts))
+            return beta
+
+        monkeypatch.setattr(HeavyBall, "weight", recorded)
+        matrix, _ = build_powerlaw_hamiltonian(32, seed=1)
+        classical = run_sequential(matrix, GameConfig(num_players=2, grad_tolerance=1e-6), seed=0)
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        quantum = run_quantumgame(h2, spec, SolverConfig(direction="minimize"), 2, seed=0)
+        monkeypatch.undo()
+        for player in classical.players + quantum.players:
+            taken, calls = calls[: player.iterations_used], calls[player.iterations_used:]
+            assert [t for t, *_ in taken] == list(range(player.iterations_used))
+            fresh = HeavyBall()
+            replayed = [fresh.weight(t, np.array([-1.0 if back else 1.0]), np.ones(1))
+                        for t, back, *_ in taken]
+            assert replayed == [beta for *_, beta, _ in taken]
+            assert player.momentum_restarts == fresh.restarts == taken[-1][-1]
+            assert fresh.restarts > 0
+        assert not calls
 
 
 class TestShotDraws:
