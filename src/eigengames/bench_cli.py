@@ -345,9 +345,11 @@ def _max_pair_overlap(result) -> float:
 def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     """Energy-level trajectories on the bundled molecular operator, exact and 10k-shot.
 
-    The manifest records each (algorithm, noise, seed) run's shots and largest
-    imaginary interference read-out.  Exits 1 unless both solvers' noiseless
-    levels are within 2e-2 of the oracle's.
+    The manifest records each (algorithm, noise, seed) run's shots, largest
+    imaginary interference read-out, and the largest energy standard
+    deviation and parent overlap over its returned states (reported, not
+    gating).  Exits 1 unless both solvers' noiseless levels are within 2e-2
+    of the oracle's.
     """
     out.mkdir(parents=True, exist_ok=True)
     h, spectrum, spec = _h2_setup(cfg)
@@ -369,8 +371,11 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
             rows += _trajectory_rows("vqd", noise, seed, vqd, shots or "exact", cfg.config_hash)
             for tag, result in (("quantumgame", game), ("vqd", vqd)):
                 residue = max(player.max_imag_residue for player in result.players)
+                residual = max(player.residual for player in result.players)
+                overlap = max(player.max_parent_overlap for player in result.players)
                 costs.append(f"  {tag} {noise} seed={seed}: shots_used = {_shots_used(result)}, "
-                             f"max_imag_residue = {residue!r}")
+                             f"max_imag_residue = {residue!r}, max_residual = {residual!r}, "
+                             f"max_parent_overlap = {overlap!r}")
             if noise == "noiseless":
                 oracle = np.sort(spectrum.eigenvalues)[:k]
                 for result in (game, vqd):

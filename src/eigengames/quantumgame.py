@@ -30,7 +30,6 @@ from .quantum_sim import (
     pauli_sum_apply,
     perturb_readouts,
     shift_rule_gradient,
-    shot_noisy_expectation,
     state_moments,
     swap_test_moments,
 )
@@ -64,7 +63,13 @@ class QuantumPlayerState:
     ``ASCENT_WARMUP``.  ``readouts`` counts the finite-shot read-outs the
     player drew (the evaluator's, one energy read per iteration and the
     final eigenvalue read) and ``shots`` is ``readouts * num_shots``, the
-    solve's shot cost; both are 0 under an exact shot model.
+    solve's shot cost; both are 0 under an exact shot model.  Two records
+    of the returned state, reported and not gating ``converged``:
+    ``residual`` is its energy standard deviation sqrt(Var(M)) =
+    ||(M - <M>) psi||, which by Kahan's bound puts an eigenvalue of M within
+    that distance of <M>; ``max_parent_overlap`` is max_j |<psi|psi_j>|^2
+    over the parents, 0 without any.  Both are exact simulator values, not
+    shot reads.
     """
 
     index: int
@@ -81,6 +86,8 @@ class QuantumPlayerState:
     momentum_restarts: int = 0
     readouts: int = 0
     shots: int = 0
+    residual: float = float("nan")
+    max_parent_overlap: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -88,19 +95,20 @@ class SolverConfig:
     """Shared hyperparameters for the parameterized solvers.
 
     There is no step-size or momentum setting: both players run the one
-    heavy-ball loop ``_ascend`` with gradient step 1/(2L), with L the
-    spectral norm of the operator the loop actually optimizes (the shifted
-    sign*M + offset*I for the game; for the penalized baseline, the bound
-    ||M|| plus the overlap weights).  L comes in closed form from M's
-    ``PauliSum.spectral_range``, one Lanczos run per operator shared by all
-    players, so no operator is densified or diagonalized.  M is the only
+    heavy-ball loop ``_ascend`` with gradient step 1/(2L), with L an upper
+    bound on the spectral norm of the operator the loop actually optimizes:
+    hi - lo + margin for the game's shifted sign*M + offset*I, and for the
+    penalized baseline max(-lo, hi) plus a Gershgorin bound on the parent
+    penalty.  [lo, hi] is M's ``PauliSum.spectral_range``, an interval
+    that encloses its spectrum, from one Lanczos run per operator shared
+    by all players, so no operator is densified or diagonalized.  M is the only
     operator a solve applies: the sign and the offset act as scalars on its
     moments, and no other ``PauliSum`` is built.  ``direction``,
     "maximize" or "minimize", applies to both solvers.  ``beta`` >= 0 feeds
     the fixed-weight overlap penalty; ``adaptive_regularization`` instead
     sets the penalty weights to 2 * (spectral upper bound - parent
-    eigenvalue on +-M), which needs no tuning, so the two may not be
-    combined.
+    eigenvalue on +-M), with the Pauli 1-norm as the spectral upper bound,
+    which needs no tuning, so the two may not be combined.
     """
 
     max_iterations: int = 2000
@@ -244,9 +252,12 @@ def _ascend(
     is read on theta's row from the moments the evaluator computed, with its
     own shot draw.  Stops when the gradient norm reaches tolerance or the
     iteration budget runs out (partial result).  The final state is theta's
-    prepared row when the loop converged and is prepared once otherwise; the
-    eigenvalue is read on it.  Every draw site adds its read-outs to one
-    count, stored with its shots at the end (0 and 0 when exact).
+    prepared row when the loop converged and is prepared, and M applied to
+    it, once otherwise; one ``state_moments`` call on that row gives the
+    eigenvalue read (the last draw of the stream), the residual and, with
+    the parents' states, the largest parent overlap.  Every draw site adds
+    its read-outs to one count, stored with its shots at the end (0 and 0
+    when exact).
 
     The step is heavy-ball, vel <- beta_t vel + sign*eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
@@ -285,9 +296,17 @@ def _ascend(
     state.momentum_restarts = ball.restarts
     state.theta = theta.with_values(values)
     # A converged loop stopped on the theta it last prepared; a spent budget stepped past it.
-    state.statevector = (StateVector(spec.num_qubits, psi[-1]) if state.converged
-                         else apply_ansatz(spec, state.theta))
-    state.eigenvalue = shot_noisy_expectation(m, state.statevector, cfg.shots, rng)
+    final, m_final = psi[-1:], m_psi[-1:]
+    if not state.converged:
+        final = apply_ansatz(spec, values[None, :])
+        m_final = pauli_sum_apply(m, final)
+    mean, var, _, _ = state_moments(final, m_final)
+    state.statevector = StateVector(spec.num_qubits, final[0])
+    state.eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
+    state.residual = math.sqrt(var[0])
+    if parents:
+        overlaps = np.abs(_parent_states(parents, spec.num_qubits).conj() @ final[0]) ** 2
+        state.max_parent_overlap = float(overlaps.max())
     if not cfg.shots.is_exact:
         state.readouts = readouts + 1  # and the eigenvalue read
         state.shots = state.readouts * cfg.shots.num_shots
@@ -305,25 +324,42 @@ def quantumgame_player(
     """Gradient ascent on the player utility via parameter-shift, parents frozen.
 
     Both directions ascend the utility of A = sign*M + offset*I, sign +1 to
-    maximize and -1 to minimize, with offset = |coefficients|_1 + margin.
-    Every eigenvalue of A is then at least the margin, so each parent's
-    penalty denominator sign*lambda_j + offset stays positive whatever the
-    sign of M's spectrum (a negative denominator would turn the penalty into
-    a reward).  A is applied as algebra on M's moments (``_game_evaluator``),
-    never built; the denominators come from the cached M-eigenvalues without
-    re-measuring, and energies are read on M.
+    maximize and -1 to minimize.  With [lo, hi] M's ``spectral_range``, an
+    interval enclosing its spectrum, offset = hi + margin to minimize and
+    -lo + margin to maximize.  Every eigenvalue of A is then at least the
+    margin, so each parent's penalty denominator sign*lambda_j + offset
+    stays positive whatever the sign of M's spectrum (a negative
+    denominator would turn the penalty into a reward), and at most
+    L = hi - lo + margin, the step's 1/(2L).  Where the enclosure falls
+    short (rare, and by a small fraction of ||M||; see ``spectral_range``)
+    the margin still keeps the denominators positive unless the shortfall
+    exceeds it.  A is applied as algebra on
+    M's moments (``_game_evaluator``), never built; the denominators come
+    from the cached M-eigenvalues without re-measuring, and energies are
+    read on M.
     """
     parents = tuple(parents)
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
     sign = 1.0 if cfg.direction == "maximize" else -1.0
-    offset = m.one_norm + MIN_MODE_SHIFT_MARGIN
-    game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
-    # 1/(2L) with L = ||A||; every eigenvalue of A is at least 1, so L is its largest one.
     lo, hi = m.spectral_range
-    eta = 1.0 / (2.0 * (offset + (hi if sign > 0 else -lo)))
+    offset = (-lo if sign > 0 else hi) + MIN_MODE_SHIFT_MARGIN
+    game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
+    eta = 1.0 / (2.0 * (hi - lo + MIN_MODE_SHIFT_MARGIN))
     rng = cfg.shots.make_rng()
     evaluate = _game_evaluator(m, sign, offset, spec, parents, game_denominators, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, 1.0, rng)
+
+
+def _penalty_norm_bound(
+    parents: tuple[QuantumParent, ...], betas: Sequence[float], num_qubits: int
+) -> float:
+    """Gershgorin's bound on ||sum_j beta_j |psi_j><psi_j|||: the largest row sum of
+    sqrt(beta_j beta_l) |<psi_j|psi_l>|; 0 without parents."""
+    root = np.sqrt(betas)
+    states = _parent_states(parents, num_qubits)
+    gram = np.abs(states.conj() @ states.T) * np.outer(root, root)
+    np.fill_diagonal(gram, betas)  # unit states: beta_j itself, not its rounded root squared
+    return float(gram.sum(axis=1).max(initial=0.0))
 
 
 def vqd_player(
@@ -341,8 +377,13 @@ def vqd_player(
     beta_j = 2 * (lambda_bound - a_j) where lambda_bound is the Pauli
     1-norm upper bound on the spectrum and a_j the parent's previously
     calculated eigenvalue on sign*M (lambda_j or -lambda_j), which always
-    exceeds the gap the penalty must beat.  Overlaps are SwapTest read-outs;
-    energies are read on M.
+    exceeds the gap the penalty must beat.  The step is 1/(2L), with L the
+    bound max(-lo, hi) on ||M|| from ``spectral_range`` plus a Gershgorin
+    bound on the penalty operator sum_j beta_j |psi_j><psi_j|: its nonzero
+    spectrum is that of the weighted parent Gram matrix
+    sqrt(beta_j beta_l) <psi_j|psi_l>, whose largest absolute row sum bounds
+    it; for orthogonal parents that is max_j beta_j.  Overlaps are SwapTest
+    read-outs; energies are read on M.
     """
     parents = tuple(parents)
     if cfg.beta is None and not cfg.adaptive_regularization:
@@ -357,7 +398,7 @@ def vqd_player(
     # The penalized objective is the expectation of sign*M + sum_j beta_j P_j,
     # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
     lo, hi = m.spectral_range
-    eta = 1.0 / (2.0 * (max(-lo, hi) + sum(betas)))
+    eta = 1.0 / (2.0 * (max(-lo, hi) + _penalty_norm_bound(parents, betas, spec.num_qubits)))
     rng = cfg.shots.make_rng()
     evaluate = _vqd_evaluator(sign, spec, parents, betas, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)

@@ -117,10 +117,17 @@ class TestH2Command:
         for line in costs:
             run, _, values = line.strip().partition(": ")
             tag, noise, seed = run.split()
-            used, residue = (float(v.split(" = ")[1]) for v in values.split(", "))
+            fields = dict(v.split(" = ") for v in values.split(", "))
+            assert list(fields) == ["shots_used", "max_imag_residue", "max_residual",
+                                    "max_parent_overlap"]
+            used, residue, residual, overlap = map(float, fields.values())
             assert tag in ("quantumgame", "vqd") and seed == "seed=0"
             assert used == 0 if noise == "noiseless" else used > 0
             assert 0.0 <= residue <= NORM_ATOL
+            # Two H2 levels, reached in 400 iterations: each returned state is near an
+            # eigenstate (energy std about 0.02) and the second near orthogonal to the first.
+            assert 0.0 <= residual <= 0.1
+            assert 0.0 <= overlap <= 1e-2
 
     @pytest.mark.parametrize("beta, code", [(None, 0), (0.1, 1)], ids=["default", "beta-0.1"])
     def test_vqd_levels_gate_the_exit_code(self, tmp_path, beta, code):

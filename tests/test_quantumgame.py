@@ -22,6 +22,7 @@ from eigengames.hamiltonian import (
 from eigengames.quantum_sim import (
     NORM_ATOL,
     ShotModel,
+    StateVector,
     apply_ansatz,
     expectation,
     layered_ansatz,
@@ -56,10 +57,15 @@ def make_parent(h, spec, theta_values):
 
 
 def dense_game_operator(h, direction):
-    """Dense A = sign*M + offset*I, the operator the game ascends, with its sign and offset."""
+    """Dense A = sign*M + offset*I, the operator the game ascends, with its sign and offset.
+
+    The offset shifts A's lowest eigenvalue to the margin; it comes from the
+    dense eigenvalues, not from ``spectral_range``.
+    """
     sign = 1.0 if direction == "maximize" else -1.0
-    offset = h.one_norm + quantumgame.MIN_MODE_SHIFT_MARGIN
     dense = pauli_sum_to_matrix(h).entries
+    lo, hi = np.linalg.eigvalsh(dense)[[0, -1]]
+    offset = (-lo if sign > 0 else hi) + quantumgame.MIN_MODE_SHIFT_MARGIN
     return sign * dense + offset * np.eye(dense.shape[0]), sign, offset
 
 
@@ -136,6 +142,25 @@ class TestQuantumGamePlayer:
         state = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.4)), (), cfg)
         assert state.converged
         assert state.eigenvalue == pytest.approx(3.0, abs=1e-2)
+
+    @pytest.mark.parametrize("budget", [3, 3000], ids=["budget-spent", "converged"])
+    @pytest.mark.parametrize("player, extra", [(quantumgame_player, {}), (vqd_player, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_residual_and_parent_overlap_of_the_returned_state(self, h2, player, extra, budget):
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        rng = np.random.default_rng(2)
+        parents = tuple(make_parent(h2, spec, rng.uniform(-np.pi, np.pi, 9)) for _ in range(2))
+        cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3, max_iterations=budget, **extra)
+        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), parents, cfg, index=3)
+        assert state.converged == (budget == 3000)
+        psi = state.statevector.amplitudes
+        dense = pauli_sum_to_matrix(h2).entries
+        mean = np.vdot(psi, dense @ psi).real
+        assert state.eigenvalue == pytest.approx(mean, abs=1e-12)
+        assert state.residual == pytest.approx(np.linalg.norm(dense @ psi - mean * psi), abs=1e-7)
+        overlaps = [abs(np.vdot(p.statevector.amplitudes, psi)) ** 2 for p in parents]
+        assert state.max_parent_overlap == pytest.approx(max(overlaps), abs=1e-12)
+        assert quantumgame_player(h2, spec, np.zeros(9), (), cfg).max_parent_overlap == 0.0
 
     def test_monotone_utility_noiseless(self, h2):
         # Plain ascent with eta <= 1/(2||M||) must not decrease the utility, so
@@ -379,6 +404,42 @@ class TestStepSize:
             norm = np.abs(np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)).max() + 2.0
         assert etas == [pytest.approx(1.0 / (2.0 * norm), rel=1e-12, abs=0.0)]
 
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    def test_vqd_penalty_bound_is_gershgorin_on_the_parent_gram(self, monkeypatch, adaptive):
+        # Three non-orthogonal parents: L adds the largest row sum of
+        # sqrt(beta_j beta_l) |<psi_j|psi_l>|, which bounds the penalty operator's
+        # norm from above and is below the sum of the weights.
+        h = random_pauli_sum(np.random.default_rng(4), 3, 8, identity=True)
+        spec = layered_ansatz(3, 1)
+        parents = tuple(make_parent(h, spec, np.full(spec.num_parameters, a)) for a in (0.3, 0.5, 2.0))
+        extra = {"adaptive_regularization": True} if adaptive else {"beta": 2.0}
+        cfg = SolverConfig(direction="minimize", max_iterations=1, **extra)
+        etas = []
+        ascend = quantumgame._ascend
+
+        def recording_ascend(*args):
+            etas.append(args[7])
+            return ascend(*args)
+
+        monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
+        vqd_player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        dense = pauli_sum_to_matrix(h).entries
+        betas = (np.array([2.0 * (h.one_norm - p.eigenvalue) for p in parents]) if adaptive
+                 else np.full(3, 2.0))
+        states = np.array([p.statevector.amplitudes for p in parents])
+        gram = np.abs(states.conj() @ states.T) * np.sqrt(np.outer(betas, betas))
+        bound = gram.sum(axis=1).max()
+        penalty = (states.T * betas) @ states.conj()
+        assert np.abs(np.linalg.eigvalsh(penalty)).max() <= bound < betas.sum()
+        norm = np.abs(np.linalg.eigvalsh(dense)).max() + bound
+        assert etas == [pytest.approx(1.0 / (2.0 * norm), rel=1e-12, abs=0.0)]
+
+    def test_orthogonal_parents_bound_the_penalty_by_the_largest_weight(self):
+        states = np.eye(4, dtype=np.complex128)[[0, 2, 3]]
+        parents = tuple(QuantumParent(None, 0.0, StateVector(2, row)) for row in states)
+        assert quantumgame._penalty_norm_bound(parents, (1.0, 3.0, 2.0), 2) == 3.0
+        assert quantumgame._penalty_norm_bound((), (), 2) == 0.0
+
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 1.0})],
                              ids=["game", "vqd"])
     def test_no_dense_operator_and_one_lanczos_run(self, monkeypatch, runner, extra):
@@ -543,14 +604,17 @@ class TestShiftedObjective:
 
         monkeypatch.setattr(quantum_sim, "apply_ansatz", recording_prepare)
         monkeypatch.setattr(quantum_sim, "pauli_sum_apply", recording_apply)
+        monkeypatch.setattr(quantumgame, "pauli_sum_apply", recording_apply)
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=3, beta=5.0)
         state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), parents, cfg)
         m, dim = spec.num_parameters, 2**spec.num_qubits
         iterations = len(state.energy_history)
         assert iterations == 3
-        # The final read applies M to one row after the loop.
+        # The game applies M to its parents' states once; the final read
+        # applies M to one row after the loop.
+        parent_block = [(num_parents, dim)] if player is quantumgame_player and parents else []
         assert prepared == [(m + 1, m)] * iterations
-        assert applied == [(m + 1, dim)] * iterations + [(1, dim)]
+        assert applied == parent_block + [(m + 1, dim)] * iterations + [(1, dim)]
 
 
 class TestStatePreparations:
