@@ -5,14 +5,14 @@ Ansatz states are prepared in batches, one row per parameter vector, from
 the layout's cached gate plan (``AnsatzSpec.gate_plan``), and Pauli sums
 apply through their compiled form (``PauliSum.compiled``).
 ``parameter_shift_states`` prepares m + 1 states per sweep and rebuilds the
-2m + 1 shift rows from them.  ``state_moments`` computes <M> and Var(M)
-over state rows given M applied to them; ``energy_moments`` applies M first,
-and ``expectation`` and its siblings are its one-row cases.
-``perturb_readouts`` draws every shot, one vector draw per batch of
-read-outs; the callers count the read-outs they draw.  The interference and
-SwapTest circuits are read out in closed form (``interference_moments``,
-``swap_test_moments``); their gate-by-gate simulations live with the tests,
-as the oracles these closed forms are checked against.
+2m + 1 shift rows from them.  ``state_moments`` is the one computation of
+<M> and Var(M), over state rows given M applied to them; ``expectation`` is
+its exact one-row read.  ``perturb_readouts`` draws every shot, one vector
+draw per batch of read-outs; the callers count the read-outs they draw.
+The interference and SwapTest circuits are read out in closed form
+(``interference_moments``, ``swap_test_moments``); their gate-by-gate
+simulations live with the tests, as the oracles these closed forms are
+checked against.
 
 Conventions: qubit t corresponds to character t of a Pauli string and to bit
 (q - 1 - t) of the amplitude index, i.e. string character order matches the
@@ -340,44 +340,27 @@ def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
     return h.apply(amps)
 
 
-def state_moments(
-    rows: np.ndarray, h_rows: np.ndarray, variance: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, float]:
+def state_moments(rows: np.ndarray, h_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(<M>, Var(M), ||M psi||^2, residue) for each row psi of a (B, 2**q) array, given the rows M psi.
 
     The one computation of either moment.  ``residue`` is the largest
     |Im<psi|M psi>|, rounding for Hermitian M; above ``NORM_ATOL`` it raises.
     Var(M) = ||M psi||^2 - <M>^2, clamped at 0; the unclamped second moment
-    ||M psi||^2 is returned too.  ``variance=False`` skips both and gives
-    ``None``, for exact read-outs.
+    ||M psi||^2 is returned too.
     """
     value = np.einsum("bi,bi->b", rows.conj(), h_rows)
     residue = float(np.abs(value.imag).max())
     if residue > NORM_ATOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
     mean = value.real
-    if not variance:
-        return mean, None, None, residue
     second = np.einsum("bi,bi->b", h_rows.conj(), h_rows).real
     return mean, np.maximum(second - mean * mean, 0.0), second, residue
 
 
-def energy_moments(h: PauliSum, rows: np.ndarray, variance: bool = True) -> tuple[np.ndarray, ...]:
-    """(M psi, <M>, Var(M)) for each row psi of a (B, 2**q) array: M applied once, then ``state_moments``."""
-    h_rows = pauli_sum_apply(h, rows)
-    mean, var, _, _ = state_moments(rows, h_rows, variance)
-    return h_rows, mean, var
-
-
 def expectation(h: PauliSum, psi: StateVector) -> float:
-    """Exact <psi| M |psi>, the one-row case of ``energy_moments``."""
-    return float(energy_moments(h, psi.amplitudes[None, :], variance=False)[1][0])
-
-
-def expectation_and_variance(h: PauliSum, psi: StateVector) -> tuple[float, float]:
-    """(<M>, Var(M)), the one-row case of ``energy_moments``."""
-    _, mean, var = energy_moments(h, psi.amplitudes[None, :])
-    return float(mean[0]), float(var[0])
+    """Exact <psi| M |psi>, the one-row case of ``state_moments``."""
+    rows = psi.amplitudes[None, :]
+    return float(state_moments(rows, pauli_sum_apply(h, rows))[0][0])
 
 
 @dataclass(frozen=True)
@@ -439,24 +422,6 @@ def perturb_readouts(
     return means + rng.standard_normal(means.shape) * np.sqrt(
         np.maximum(variances, 0.0) / shots.num_shots
     )
-
-
-def shot_noisy_expectation(
-    h: PauliSum,
-    psi: StateVector | np.ndarray,
-    shots: ShotModel,
-    rng: np.random.Generator | None = None,
-) -> float | np.ndarray:
-    """<M> plus Gaussian noise of std sqrt(Var(M)/N); exact when Var(M) = 0.
-
-    A ``StateVector`` gives one float.  A (B, 2**q) array of state rows gives
-    B reads, drawn in row order; the single state is the B = 1 case.  The
-    draws come from ``rng`` or, without it, from a fresh ``shots.make_rng()``.
-    """
-    rows = psi.amplitudes[None, :] if isinstance(psi, StateVector) else psi
-    _, mean, var = energy_moments(h, rows, variance=not shots.is_exact)
-    reads = perturb_readouts(shots, mean, var, rng)
-    return float(reads[0]) if isinstance(psi, StateVector) else reads
 
 
 # ---------------------------------------------------------------------------

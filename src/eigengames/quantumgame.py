@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigengame_classical import ASCENT_WARMUP, HeavyBall, SequentialResult, run_players
 from .errors import DegenerateParentError, NonConvergenceError, NumericalOverflowError
-from .hamiltonian import HermitianMatrix, PauliSum
+from .hamiltonian import RANGE_RESIDUAL_TOL, HermitianMatrix, PauliSum
 from .quantum_sim import (
     AnsatzSpec,
     ParameterTensor,
@@ -60,16 +60,17 @@ class QuantumPlayerState:
     ``max_imag_residue`` is the largest |Im<psi|M psi>| over the prepared
     states, rounding for Hermitian M; ``momentum_restarts`` counts the
     ascent's velocity restarts, 0 for budgets of at most
-    ``ASCENT_WARMUP``.  ``readouts`` counts the finite-shot read-outs the
-    player drew (the evaluator's, one energy read per iteration and the
-    final eigenvalue read) and ``shots`` is ``readouts * num_shots``, the
-    solve's shot cost; both are 0 under an exact shot model.  Two records
-    of the returned state, reported and not gating ``converged``:
-    ``residual`` is its energy standard deviation sqrt(Var(M)) =
-    ||(M - <M>) psi||, which by Kahan's bound puts an eigenvalue of M within
-    that distance of <M>; ``max_parent_overlap`` is max_j |<psi|psi_j>|^2
-    over the parents, 0 without any.  Both are exact simulator values, not
-    shot reads.
+    ``ASCENT_WARMUP``.  ``energy_history[t]`` is iteration t's read-out of
+    <M> on theta's own row of the sweep, drawn once for the objective too.
+    ``readouts`` counts the finite-shot read-outs the player drew (the
+    evaluator's and the final eigenvalue read) and ``shots`` is
+    ``readouts * num_shots``, the solve's shot cost; both are 0 under an
+    exact shot model.  Two records of the returned state, reported and not
+    gating ``converged``: ``residual`` is its energy standard deviation
+    sqrt(Var(M)) = ||(M - <M>) psi||, which by Kahan's bound puts an
+    eigenvalue of M within that distance of <M>; ``max_parent_overlap`` is
+    max_j |<psi|psi_j>|^2 over the parents, 0 without any.  Both are exact
+    simulator values, not shot reads.
     """
 
     index: int
@@ -138,9 +139,10 @@ def pauli_sum_hash(h: PauliSum) -> str:
 
 
 # A batch evaluator maps prepared (B, 2**q) state rows psi and the rows M psi
-# to the objective at each row, the largest |Im<psi|M psi>| over the rows, the
-# exact <M> and Var(M) of each row, and the number of read-outs it drew.
-EvaluatorResult = tuple[np.ndarray, float, np.ndarray, np.ndarray, int]
+# to the objective at each row, each row's read-out of <M> (the one the
+# objective is formed from), the largest |Im<psi|M psi>| over the rows, and
+# the number of read-outs it drew.
+EvaluatorResult = tuple[np.ndarray, np.ndarray, float, int]
 Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
 
 
@@ -167,13 +169,13 @@ def _game_evaluator(
 ) -> Evaluator:
     """Rows -> <A> - sum_j |<psi|A|psi_j>|^2 / lambda_j, read out as the circuits would be.
 
-    A = sign*M + offset*I is never built: from the rows' M psi
-    (``state_moments``), <A> = sign*<M> + offset, Var(A) = Var(M) and
+    A = sign*M + offset*I is never built: per row the read-outs are <M>,
+    then Re and Im of each parent's cross term (interference circuit), each
+    perturbed by the shot model in that order, and <A> is sign*read +
+    offset.  The means and variances are the circuits' closed forms, from
+    the rows' M psi (``state_moments``); the cross terms' variances take
     ||A psi||^2 = ||M psi||^2 + 2*sign*offset*<M> + offset^2.  ``A psi_j`` is
-    formed once here, for every row and iteration.  Per row the read-outs
-    are <A>, then Re and Im of each parent's cross term (interference
-    circuit), each perturbed by the shot model in that order; their means
-    and variances are the circuits' closed forms.  Without parents there
+    formed once here, for every row and iteration.  Without parents there
     are no cross read-outs.
     """
     for lam in denominators:
@@ -187,18 +189,18 @@ def _game_evaluator(
 
     def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> EvaluatorResult:
         mean, var, second, residue = state_moments(psi, m_psi)
-        a_mean = sign * mean + offset
         if not parents:
-            return perturb_readouts(shots, a_mean, var, rng), residue, mean, var, a_mean.size
+            m_reads = perturb_readouts(shots, mean, var, rng)
+            return sign * m_reads + offset, m_reads, residue, m_reads.size
         a_second = second + 2.0 * sign * offset * mean + offset * offset
         cross_mean, cross_var = interference_moments(psi, a_second, a_parents)
         reads = perturb_readouts(
-            shots, np.column_stack((a_mean, cross_mean)), np.column_stack((var, cross_var)), rng
+            shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
         )
-        value = reads[:, 0].copy()
+        value = sign * reads[:, 0] + offset
         for j, lam in enumerate(denominators):
             value -= (reads[:, 1 + 2 * j] ** 2 + reads[:, 2 + 2 * j] ** 2) / lam
-        return value, residue, mean, var, reads.size
+        return value, reads[:, 0], residue, reads.size
 
     return evaluate
 
@@ -213,8 +215,9 @@ def _vqd_evaluator(
 ) -> Evaluator:
     """Rows -> sign*<M> + sum_j beta_j |<psi|psi_j>|^2, the overlaps read off the SwapTest ancilla.
 
-    Per row the read-outs are sign*<M>, then each parent's SwapTest p0
-    (closed form, Bernoulli variance), perturbed in that order.
+    Per row the read-outs are <M>, then each parent's SwapTest p0 (closed
+    form, Bernoulli variance), perturbed in that order; the sign multiplies
+    the <M> read-out.
     """
     parent_states = _parent_states(parents, spec.num_qubits)
 
@@ -222,12 +225,12 @@ def _vqd_evaluator(
         mean, var, _, residue = state_moments(psi, m_psi)
         p0, p0_var = swap_test_moments(psi, parent_states)
         reads = perturb_readouts(
-            shots, np.column_stack((sign * mean, p0)), np.column_stack((var, p0_var)), rng
+            shots, np.column_stack((mean, p0)), np.column_stack((var, p0_var)), rng
         )
-        value = reads[:, 0].copy()
+        value = sign * reads[:, 0]
         for j, beta in enumerate(betas):
             value += beta * np.clip(2.0 * reads[:, 1 + j] - 1.0, 0.0, 1.0)
-        return value, residue, mean, var, reads.size
+        return value, reads[:, 0], residue, reads.size
 
     return evaluate
 
@@ -248,9 +251,9 @@ def _ascend(
 
     Each iteration prepares m + 1 states and applies M to them once
     (``parameter_shift_states``), which gives the 2m shifted rows and theta's
-    row; the evaluator reads the objective on all 2m + 1, and the energy <M>
-    is read on theta's row from the moments the evaluator computed, with its
-    own shot draw.  Stops when the gradient norm reaches tolerance or the
+    row; the evaluator reads the objective on all 2m + 1, and its read-out
+    of <M> on theta's row is the iteration's energy: no circuit is read
+    twice.  Stops when the gradient norm reaches tolerance or the
     iteration budget runs out (partial result).  The final state is theta's
     prepared row when the loop converged and is prepared, and M applied to
     it, once otherwise; one ``state_moments`` call on that row gives the
@@ -267,10 +270,10 @@ def _ascend(
     values = theta.values.copy()
     vel = np.zeros_like(values)
     ball = HeavyBall()
-    readouts = 0  # drawn by the evaluator and the energy reads
+    readouts = 0  # drawn by the evaluator
     for _ in range(cfg.max_iterations):
         psi, m_psi = parameter_shift_states(spec, m, values)
-        objective, residue, energy_mean, energy_var, drawn = evaluate(psi, m_psi)
+        objective, m_reads, residue, drawn = evaluate(psi, m_psi)
         state.max_imag_residue = max(state.max_imag_residue, residue)
         grad = shift_rule_gradient(objective[:-1])
         gnorm = math.sqrt(grad @ grad)
@@ -279,11 +282,10 @@ def _ascend(
         value = float(objective[-1])
         if not np.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
-        energy = float(perturb_readouts(cfg.shots, energy_mean[-1:], energy_var[-1:], rng)[0])
-        readouts += drawn + 1
+        readouts += drawn
         state.grad_norm_history.append(gnorm)
         state.utility_history.append(value)
-        state.energy_history.append(energy)
+        state.energy_history.append(float(m_reads[-1]))
         if gnorm <= cfg.grad_tolerance:
             state.converged = True
             break
@@ -330,10 +332,12 @@ def quantumgame_player(
     margin, so each parent's penalty denominator sign*lambda_j + offset
     stays positive whatever the sign of M's spectrum (a negative
     denominator would turn the penalty into a reward), and at most
-    L = hi - lo + margin, the step's 1/(2L).  Where the enclosure falls
-    short (rare, and by a small fraction of ||M||; see ``spectral_range``)
-    the margin still keeps the denominators positive unless the shortfall
-    exceeds it.  A is applied as algebra on
+    L = hi - lo + margin, the step's 1/(2L).  The enclosure can fall short
+    of an end (rarely, and in tests by at most 0.6% of ||M||; see
+    ``spectral_range``), so the margin scales with the operator:
+    2 * RANGE_RESIDUAL_TOL * max(-lo, hi), about 2% of ||M||, and at least
+    ``MIN_MODE_SHIFT_MARGIN``.  An absolute margin alone would let a large
+    operator's shortfall exceed it.  A is applied as algebra on
     M's moments (``_game_evaluator``), never built; the denominators come
     from the cached M-eigenvalues without re-measuring, and energies are
     read on M.
@@ -342,9 +346,10 @@ def quantumgame_player(
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
     sign = 1.0 if cfg.direction == "maximize" else -1.0
     lo, hi = m.spectral_range
-    offset = (-lo if sign > 0 else hi) + MIN_MODE_SHIFT_MARGIN
+    margin = max(MIN_MODE_SHIFT_MARGIN, 2.0 * RANGE_RESIDUAL_TOL * max(-lo, hi))
+    offset = (-lo if sign > 0 else hi) + margin
     game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
-    eta = 1.0 / (2.0 * (hi - lo + MIN_MODE_SHIFT_MARGIN))
+    eta = 1.0 / (2.0 * (hi - lo + margin))
     rng = cfg.shots.make_rng()
     evaluate = _game_evaluator(m, sign, offset, spec, parents, game_denominators, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, 1.0, rng)

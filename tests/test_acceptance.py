@@ -30,8 +30,9 @@ from eigengames.quantum_sim import (
     StateVector,
     apply_ansatz,
     expectation,
-    expectation_and_variance,
+    pauli_sum_apply,
     random_layers_ansatz,
+    state_moments,
 )
 from eigengames.quantumgame import (
     QuantumParent,
@@ -194,9 +195,9 @@ def test_criterion_4_quantum_excited_states():
     band_ok = True
     details = []
     for rank, idx in enumerate(order):
-        psi = apply_ansatz(ANSATZ, noisy.players[idx].theta)
-        _, var = expectation_and_variance(H2, psi)
-        band = 10.0 * np.sqrt(var / 10_000)
+        rows = apply_ansatz(ANSATZ, noisy.players[idx].theta.values[None, :])
+        _, var, _, _ = state_moments(rows, pauli_sum_apply(H2, rows))
+        band = 10.0 * np.sqrt(var[0] / 10_000)
         err = abs(noisy.eigenvalues[idx] - H2_LEVELS[rank])
         band_ok = band_ok and err <= band
         details.append(f"{err:.1e}<={band:.1e}")

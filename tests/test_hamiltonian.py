@@ -26,6 +26,16 @@ from eigengames.hamiltonian import (
     random_orthonormal,
 )
 
+# A 6-qubit sum whose lowest eigenvector the Lanczos start vector barely
+# touches: its spectral_range's lo falls short of lambda_min (see
+# TestSpectralRange).
+LATE_EXTREME = PauliSum(6, ((-0.23409401318511414, "ZIYZIZ"), (0.655457243951213, "IXYIZI"),
+                            (0.09325923413911674, "YZXIYZ"), (0.09927160169586324, "XXXZIZ"),
+                            (-0.9850637822129769, "ZXYIXX"), (-0.44815251211586227, "IZZIYI"),
+                            (0.2849748803534329, "XYYXXI"), (0.383444169085543, "IXZIZX"),
+                            (-0.32438163920197005, "IZYIXI"), (-0.4979414453167481, "IXZYZX"),
+                            (-0.33749132632513223, "IZYIXY"), (-0.7937681474145792, "XZZZIZ")))
+
 
 class TestRandomOrthonormal:
     def test_one_dimensional_is_unimodular(self):
@@ -213,12 +223,7 @@ class TestSpectralRange:
         # lambda_min = -3.009 by 0.6% of ||M||.  Should a change close the
         # gap, the first assertion fails and this test turns into an
         # enclosure check.
-        h = PauliSum(6, ((-0.23409401318511414, "ZIYZIZ"), (0.655457243951213, "IXYIZI"),
-                         (0.09325923413911674, "YZXIYZ"), (0.09927160169586324, "XXXZIZ"),
-                         (-0.9850637822129769, "ZXYIXX"), (-0.44815251211586227, "IZZIYI"),
-                         (0.2849748803534329, "XYYXXI"), (0.383444169085543, "IXZIZX"),
-                         (-0.32438163920197005, "IZYIXI"), (-0.4979414453167481, "IXZYZX"),
-                         (-0.33749132632513223, "IZYIXY"), (-0.7937681474145792, "XZZZIZ")))
+        h = LATE_EXTREME
         dense = np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)
         scale = max(abs(dense[0]), abs(dense[-1]))
         lo, hi = h.spectral_range

@@ -20,12 +20,12 @@ from eigengames.hamiltonian import (
     pauli_sum_to_matrix,
 )
 from eigengames.quantum_sim import (
+    NORM_ATOL,
     AnsatzSpec,
     ShotModel,
     StateVector,
     apply_ansatz,
     expectation,
-    expectation_and_variance,
     interference_moments,
     layered_ansatz,
     parameter_shift_states,
@@ -34,7 +34,7 @@ from eigengames.quantum_sim import (
     plus_state,
     random_layers_ansatz,
     rebuild_shift_rows,
-    shot_noisy_expectation,
+    state_moments,
     swap_test_moments,
     zero_state,
 )
@@ -62,6 +62,13 @@ def random_state(num_qubits, rng):
     amps = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
     amps /= np.linalg.norm(amps)
     return StateVector(num_qubits, amps)
+
+
+def noisy_energy(h, psi, shots):
+    """One read-out of <M> on psi as the players draw it: ``state_moments``, then ``perturb_readouts``."""
+    rows = psi.amplitudes[None, :]
+    mean, var, _, _ = state_moments(rows, pauli_sum_apply(h, rows))
+    return float(perturb_readouts(shots, mean, var)[0])
 
 
 def central_difference_gradient(objective, theta, step=1e-5):
@@ -293,17 +300,64 @@ class TestExpectation:
             assert expectation(h, psi) == pytest.approx(direct, abs=1e-12)
 
 
+class TestStateMoments:
+    """The one computation of <M> and Var(M), against the dense operator."""
+
+    def test_moments_match_dense(self):
+        rng = np.random.default_rng(21)
+        h = random_pauli_sum(3, 10, rng)
+        dense = pauli_sum_to_matrix(h).entries
+        rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
+        mean, var, second, residue = state_moments(rows, pauli_sum_apply(h, rows))
+        m_rows = rows @ dense.T
+        dense_mean = np.einsum("bi,bi->b", rows.conj(), m_rows).real
+        dense_second = np.einsum("bi,bi->b", m_rows.conj(), m_rows).real
+        assert mean.shape == var.shape == second.shape == (6,)
+        assert np.allclose(mean, dense_mean, rtol=0.0, atol=1e-12)
+        assert np.allclose(second, dense_second, rtol=0.0, atol=1e-12)
+        assert np.allclose(var, dense_second - dense_mean**2, rtol=0.0, atol=1e-11)
+        assert np.all(var > 0.0)
+        assert 0.0 <= residue <= NORM_ATOL
+
+    def test_expectation_is_the_one_row_mean(self):
+        h = load_pauli_sum(bundled_h2_path())
+        psi = random_state(2, np.random.default_rng(5))
+        rows = psi.amplitudes[None, :]
+        assert expectation(h, psi) == float(state_moments(rows, pauli_sum_apply(h, rows))[0][0])
+
+    def test_variance_clamps_at_zero(self):
+        # |0> a rounding off unit norm, with Z|0> = |0>: ||M psi||^2 - <M>^2 is
+        # below 0; the variance clamps to 0 and the second moment stays as computed.
+        rows = np.array([[1.0 + 1e-12, 0.0]], dtype=np.complex128)
+        h_rows = np.array([[1.0, 0.0]], dtype=np.complex128)
+        mean, var, second, _ = state_moments(rows, h_rows)
+        assert second[0] - mean[0] ** 2 < 0.0
+        assert var[0] == 0.0 and second[0] == 1.0
+
+    def test_imaginary_residue_above_tolerance_raises(self):
+        rows = plus_state(1).amplitudes[None, :]
+        _, _, _, residue = state_moments(rows, 0.5j * NORM_ATOL * rows)
+        assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            state_moments(rows, 2j * NORM_ATOL * rows)
+
+
 class TestShotNoise:
     def test_zero_variance_is_exact(self):
         shots = ShotModel(17, rng_seed=0)
-        assert shot_noisy_expectation(Z1, zero_state(1), shots) == 1.0
+        assert noisy_energy(Z1, zero_state(1), shots) == 1.0
+
+    def test_exact_model_reads_the_mean(self):
+        h = load_pauli_sum(bundled_h2_path())
+        psi = random_state(2, np.random.default_rng(4))
+        assert noisy_energy(h, psi, ShotModel()) == expectation(h, psi)
 
     def test_ten_thousand_shot_band(self):
         # Var(Z on |+>) = 1, so the estimator std is 0.01; +-0.05 is a 5-sigma band.
         inside = 0
         trials = 300
         for seed in range(trials):
-            value = shot_noisy_expectation(Z1, plus_state(1), ShotModel(10_000, rng_seed=seed))
+            value = noisy_energy(Z1, plus_state(1), ShotModel(10_000, rng_seed=seed))
             inside += abs(value) <= 0.05
         assert inside / trials >= 0.99
 
@@ -311,15 +365,13 @@ class TestShotNoise:
         inside = 0
         trials = 200
         for seed in range(trials):
-            value = shot_noisy_expectation(Z1, plus_state(1), ShotModel(10**8, rng_seed=seed))
+            value = noisy_energy(Z1, plus_state(1), ShotModel(10**8, rng_seed=seed))
             inside += abs(value) <= 1e-3
         assert inside / trials >= 0.99
 
     def test_deterministic_per_seed(self):
         shots = ShotModel(100, rng_seed=5)
-        assert shot_noisy_expectation(Z1, plus_state(1), shots) == shot_noisy_expectation(
-            Z1, plus_state(1), shots
-        )
+        assert noisy_energy(Z1, plus_state(1), shots) == noisy_energy(Z1, plus_state(1), shots)
 
     def test_readouts_without_a_generator_draw_independently(self):
         shots = ShotModel(100, rng_seed=5)
@@ -390,11 +442,10 @@ class TestShotNoise:
         h = load_pauli_sum(bundled_h2_path())
         rng = np.random.default_rng(8)
         psi = random_state(2, rng)
-        mean, var = expectation_and_variance(h, psi)
+        rows = psi.amplitudes[None, :]
+        mean, var, _, _ = state_moments(rows, pauli_sum_apply(h, rows))
         n = 400
-        draws = np.array(
-            [shot_noisy_expectation(h, psi, ShotModel(n, rng_seed=s)) for s in range(1000)]
-        )
+        draws = np.array([noisy_energy(h, psi, ShotModel(n, rng_seed=s)) for s in range(1000)])
         expected_std = np.sqrt(var / n)
         assert abs(draws.std() - expected_std) <= 0.15 * expected_std
         assert abs(draws.mean() - mean) <= 5.0 * expected_std / np.sqrt(1000)

@@ -28,6 +28,7 @@ from eigengames.quantum_sim import (
     layered_ansatz,
     pauli_sum_apply,
     random_layers_ansatz,
+    state_moments,
     zero_state,
 )
 from eigengames.quantumgame import (
@@ -43,7 +44,7 @@ from eigengames.quantumgame import (
 )
 
 from oracles import power_iteration_solver, quantum_utility
-from test_hamiltonian import random_pauli_sum
+from test_hamiltonian import LATE_EXTREME, random_pauli_sum
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
 DIAG_3120 = PauliSum(2, ((1.5, "II"), (0.5, "ZI"), (1.0, "IZ")))  # diag(3, 1, 2, 0)
@@ -54,6 +55,13 @@ def make_parent(h, spec, theta_values):
     theta = spec.bind(theta_values)
     state = apply_ansatz(spec, theta)
     return QuantumParent(theta, expectation(h, state), state)
+
+
+def exact_moments(h, psi):
+    """(<M>, Var(M)) of one state, from ``state_moments``."""
+    rows = psi.amplitudes[None, :]
+    mean, var, _, _ = state_moments(rows, pauli_sum_apply(h, rows))
+    return float(mean[0]), float(var[0])
 
 
 def dense_game_operator(h, direction):
@@ -267,11 +275,9 @@ class TestRunQuantumGame:
             shots=ShotModel(10_000, rng_seed=9),
         )
         noisy = run_quantumgame(h2, spec, noisy_cfg, 2, seed=0)
-        from eigengames.quantum_sim import expectation_and_variance
-
         for player in noisy.players:
             psi = apply_ansatz(spec, player.theta)
-            mean, var = expectation_and_variance(h2, psi)
+            mean, var = exact_moments(h2, psi)
             assert abs(player.eigenvalue - mean) <= 5.0 * np.sqrt(var / 10_000) + 1e-12
 
     def test_shot_noise_band(self, h2, h2_oracle):
@@ -283,13 +289,11 @@ class TestRunQuantumGame:
             shots=ShotModel(10_000, rng_seed=2),
         )
         result = run_quantumgame(h2, spec, cfg, 4, seed=0)
-        from eigengames.quantum_sim import expectation_and_variance
-
         order = np.argsort(result.eigenvalues)
         for rank, idx in enumerate(order):
             player = result.players[idx]
             psi = apply_ansatz(spec, player.theta)
-            mean, var = expectation_and_variance(h2, psi)
+            mean, var = exact_moments(h2, psi)
             band = 10.0 * np.sqrt(var / 10_000) + 5e-4  # floor guards a hard zero variance
             assert abs(result.eigenvalues[idx] - h2_oracle[rank]) <= abs(mean - h2_oracle[rank]) + band
             assert abs(mean - h2_oracle[rank]) <= band + 2e-2
@@ -503,18 +507,17 @@ class TestShiftedObjective:
         return h, parents, captured[0](psi, pauli_sum_apply(h, psi)), psi
 
     @staticmethod
-    def check_energy_moments(h, psi, mean, var):
+    def check_energy_reads(h, psi, m_reads):
+        # Under an exact model each row's <M> read-out is the dense <M>.
         dense = pauli_sum_to_matrix(h).entries
-        m_psi = psi @ dense.T
-        dense_mean = np.einsum("bi,bi->b", psi.conj(), m_psi).real
-        dense_var = np.einsum("bi,bi->b", m_psi.conj(), m_psi).real - dense_mean**2
-        assert np.allclose(mean, dense_mean, rtol=0.0, atol=1e-12)
-        assert np.allclose(var, dense_var, rtol=0.0, atol=1e-11)
+        dense_mean = np.einsum("bi,bi->b", psi.conj(), psi @ dense.T).real
+        assert m_reads.shape == (psi.shape[0],)
+        assert np.allclose(m_reads, dense_mean, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_game_rows_match_dense_shifted_operator(self, monkeypatch, direction, num_parents):
-        h, parents, (value, _, mean, var, _), psi = self.captured_evaluator(
+        h, parents, (value, m_reads, _, drawn), psi = self.captured_evaluator(
             monkeypatch, quantumgame_player, direction, num_parents)
         a, sign, offset = dense_game_operator(h, direction)
         a_psi = psi @ a.T
@@ -523,12 +526,38 @@ class TestShiftedObjective:
             cross = a_psi.conj() @ p.statevector.amplitudes
             expected -= np.abs(cross) ** 2 / (sign * p.eigenvalue + offset)
         assert np.allclose(value, expected, rtol=0.0, atol=1e-11)
-        self.check_energy_moments(h, psi, mean, var)
+        self.check_energy_reads(h, psi, m_reads)
+        assert drawn == psi.shape[0] * (1 + 2 * num_parents)
+
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    def test_game_denominators_stay_above_one_on_a_large_operator(self, monkeypatch, direction):
+        # The operator whose lo falls short of lambda_min, scaled x64: a power of
+        # two, so the Lanczos run and its shortfall scale exactly.  With parents
+        # at both extremes every denominator sign*lambda_j + offset stays at
+        # least 1; an absolute margin of 1 left the maximize one at -0.15, which
+        # turned that parent's penalty into a reward.
+        h = PauliSum(6, tuple((64.0 * c, s) for c, s in LATE_EXTREME.terms))
+        values, vectors = np.linalg.eigh(pauli_sum_to_matrix(h).entries)
+        assert h.spectral_range[0] > values[0]
+        parents = tuple(QuantumParent(None, float(values[i]), StateVector(6, vectors[:, i]))
+                        for i in (0, -1))
+        denominators = []
+        evaluator = quantumgame._game_evaluator
+
+        def capturing(*args):
+            denominators.extend(args[5])  # (m, sign, offset, spec, parents, denominators, ...)
+            return evaluator(*args)
+
+        monkeypatch.setattr(quantumgame, "_game_evaluator", capturing)
+        spec = layered_ansatz(6, 1)
+        cfg = SolverConfig(direction=direction, max_iterations=1)
+        quantumgame_player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        assert len(denominators) == 2 and min(denominators) >= 1.0
 
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_vqd_rows_match_dense_penalized_energy(self, monkeypatch, direction, num_parents):
-        h, parents, (value, _, mean, var, _), psi = self.captured_evaluator(
+        h, parents, (value, m_reads, _, drawn), psi = self.captured_evaluator(
             monkeypatch, vqd_player, direction, num_parents)
         sign = -1.0 if direction == "maximize" else 1.0
         dense = pauli_sum_to_matrix(h).entries
@@ -536,7 +565,8 @@ class TestShiftedObjective:
         for p in parents:
             expected += 2.0 * np.abs(psi.conj() @ p.statevector.amplitudes) ** 2
         assert np.allclose(value, expected, rtol=0.0, atol=1e-11)
-        self.check_energy_moments(h, psi, mean, var)
+        self.check_energy_reads(h, psi, m_reads)
+        assert drawn == psi.shape[0] * (1 + num_parents)
 
     @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
@@ -738,8 +768,8 @@ class TestShotDraws:
     @pytest.mark.parametrize("iterations", [1, 3])
     @pytest.mark.parametrize("player, per_parent", [(quantumgame_player, 2), (vqd_player, 1)])
     def test_readout_budget(self, player, per_parent, num_parents, iterations):
-        # Per iteration: 2m + 1 rows of 1 + per_parent * P read-outs, then the
-        # energy read; after the loop, the eigenvalue read.
+        # Per iteration: 2m + 1 rows of 1 + per_parent * P read-outs, theta's
+        # <M> read-out among them; after the loop, the eigenvalue read.
         cfg = SolverConfig(
             direction="minimize", grad_tolerance=1e-9, max_iterations=iterations, beta=5.0,
             shots=ShotModel(1000, rng_seed=4),
@@ -747,8 +777,34 @@ class TestShotDraws:
         state, m = self.play(player, cfg, num_parents)
         loops = len(state.energy_history)
         assert loops == iterations
-        assert state.readouts == loops * ((2 * m + 1) * (1 + per_parent * num_parents) + 1) + 1
+        assert state.readouts == loops * (2 * m + 1) * (1 + per_parent * num_parents) + 1
         assert state.shots == state.readouts * cfg.shots.num_shots
+
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_energy_is_the_objectives_own_read_out(self, monkeypatch, player, direction):
+        # Without parents the objective at theta's row is formed from that row's
+        # <M> read-out alone, and the iteration's energy is the same read-out:
+        # a second, independent draw would break the equality.
+        shifts = []
+        evaluator = quantumgame._game_evaluator
+
+        def capturing(*args):
+            shifts.append(args[1:3])  # (m, sign, offset, ...)
+            return evaluator(*args)
+
+        monkeypatch.setattr(quantumgame, "_game_evaluator", capturing)
+        cfg = SolverConfig(direction=direction, grad_tolerance=1e-9, max_iterations=5, beta=5.0,
+                           shots=ShotModel(1000, rng_seed=4))
+        state, _ = self.play(player, cfg, 0)
+        assert len(state.energy_history) == len(state.utility_history) == 5
+        if player is quantumgame_player:
+            (sign, offset), = shifts
+            expected = [sign * energy + offset for energy in state.energy_history]
+        else:
+            sign = -1.0 if direction == "maximize" else 1.0
+            expected = [sign * energy for energy in state.energy_history]
+        assert state.utility_history == expected
 
     @pytest.mark.parametrize("num_parents", [0, 2])
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
