@@ -108,7 +108,10 @@ class PlayerState:
     ``eigenvalue`` is v^T M v and ``residual`` the eigen-residual
     ||M v - eigenvalue v||, both on the player's matrix; ``run_sequential``
     reads them again on the caller's M.  ``momentum_restarts`` counts the
-    ascent's velocity restarts (``HeavyBall``).
+    ascent's velocity restarts (``HeavyBall``).  ``max_parent_overlap`` is
+    max_j (v . v_j)^2 over the parents at exit, 0 without any: the meaning
+    of ``QuantumPlayerState.max_parent_overlap``, reported and not gating
+    ``converged``.
     """
 
     index: int
@@ -120,6 +123,7 @@ class PlayerState:
     converged: bool = False
     final_riemannian_norm: float = float("nan")
     momentum_restarts: int = 0
+    max_parent_overlap: float = 0.0
 
     def read_out(self, m: np.ndarray) -> None:
         """Set ``eigenvalue`` and ``residual`` of the final vector on M, from one matvec."""
@@ -290,6 +294,7 @@ def eigengame_player(
 
     state.momentum_restarts = ball.restarts
     state.vector = v
+    state.max_parent_overlap = max((float(p.vector @ v) ** 2 for p in parents), default=0.0)
     state.read_out(mat)
     return state
 

@@ -4,15 +4,17 @@ parameter-shift states, and the two inner-product circuits' read-outs.
 Ansatz states are prepared in batches, one row per parameter vector, from
 the layout's cached gate plan (``AnsatzSpec.gate_plan``), and Pauli sums
 apply through their compiled form (``PauliSum.compiled``).
-``parameter_shift_states`` prepares m + 1 states per sweep and rebuilds the
-2m + 1 shift rows from them.  ``state_moments`` is the one computation of
-<M> and Var(M), over state rows given M applied to them; ``expectation`` is
-its exact one-row read.  ``perturb_readouts`` draws every shot, one vector
-draw per batch of read-outs; the callers count the read-outs they draw.
-The interference and SwapTest circuits are read out in closed form
+``parameter_shift_states`` prepares m + 1 states per sweep, and every read
+of the 2m + 1 shift rows is formed from products of those rows
+(``shift_row_moments``, ``shift_row_products``): no shift row is built.
+``state_moments`` computes <M> and Var(M) over state rows given M applied
+to them; ``expectation`` is its exact one-row read.  ``perturb_readouts``
+draws every shot, one vector draw per batch of read-outs; the callers count
+the read-outs they draw.  The interference and SwapTest circuits are read
+out in closed form from the products they measure
 (``interference_moments``, ``swap_test_moments``); their gate-by-gate
 simulations live with the tests, as the oracles these closed forms are
-checked against.
+checked against, and so does the building of the shift rows.
 
 Conventions: qubit t corresponds to character t of a Pauli string and to bit
 (q - 1 - t) of the amplitude index, i.e. string character order matches the
@@ -266,9 +268,9 @@ def layered_ansatz(num_qubits: int, num_layers: int, initial_state: str = "plus"
     )
 
 
-def _norm_deviation(rows: np.ndarray) -> float:
-    """The largest | ||row|| - 1 | over the rows of a (B, d) array; NaN when a row has a NaN."""
-    return float(np.abs(np.sqrt(np.vecdot(rows, rows).real) - 1.0).max())
+def _norm_deviation(squared_norms: np.ndarray) -> float:
+    """The largest | ||row|| - 1 | over rows of the given squared norms; NaN when one is NaN."""
+    return float(np.abs(np.sqrt(squared_norms) - 1.0).max())
 
 
 def apply_ansatz(
@@ -317,7 +319,7 @@ def apply_ansatz(
             amps.take(perm, axis=0, out=spare, mode="clip")
             amps, spare = spare, amps
     amps = np.ascontiguousarray(amps.T)
-    if not _norm_deviation(amps) <= NORM_ATOL:  # a NaN norm fails too
+    if not _norm_deviation(np.vecdot(amps, amps).real) <= NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError(f"prepared state norms deviate from 1 beyond {NORM_ATOL}")
     return StateVector(spec.num_qubits, amps[0]) if single else amps
 
@@ -343,17 +345,21 @@ def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
 def state_moments(rows: np.ndarray, h_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(<M>, Var(M), ||M psi||^2, residue) for each row psi of a (B, 2**q) array, given the rows M psi.
 
-    The one computation of either moment.  ``residue`` is the largest
-    |Im<psi|M psi>|, rounding for Hermitian M; above ``NORM_ATOL`` it raises.
-    Var(M) = ||M psi||^2 - <M>^2, clamped at 0; the unclamped second moment
-    ||M psi||^2 is returned too.
+    ``residue`` is the largest |Im<psi|M psi>|, rounding for Hermitian M;
+    above ``NORM_ATOL`` it raises.  Var(M) = ||M psi||^2 - <M>^2, clamped at
+    0; the unclamped second moment ||M psi||^2 is returned too.
+    ``shift_row_moments`` gives the same four for a sweep's shift rows.
     """
     value = np.einsum("bi,bi->b", rows.conj(), h_rows)
+    return _moments(value, np.einsum("bi,bi->b", h_rows.conj(), h_rows).real)
+
+
+def _moments(value: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``state_moments``'s four results from each row's complex <psi|M psi> and its ||M psi||^2."""
     residue = float(np.abs(value.imag).max())
     if residue > NORM_ATOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
     mean = value.real
-    second = np.einsum("bi,bi->b", h_rows.conj(), h_rows).real
     return mean, np.maximum(second - mean * mean, 0.0), second, residue
 
 
@@ -429,32 +435,30 @@ def perturb_readouts(
 # ---------------------------------------------------------------------------
 
 def interference_moments(
-    rows: np.ndarray, row_second: np.ndarray, m_parents: np.ndarray
+    cross: np.ndarray, row_second: np.ndarray, parent_second: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form mean and variance of the interference circuit's two M x Z read-outs.
 
-    ``rows`` (B, 2**q) are player states and ``row_second`` (B,) their second
-    moments ||M psi_r||^2; ``m_parents`` (P, 2**q) is the operator applied to
-    each parent state.  The circuit's Re and Im read-outs have means Re/Im
-    <psi_r|M|psi_j> and variances (||M psi_r||^2 + ||M psi_j||^2)/2 - mean^2.
-    Both (B, 2P) results interleave Re and Im per parent, the order the
-    circuit is read.
+    ``cross`` (B, P) holds the products <psi_r|M|psi_j> of B player states
+    with P parents, ``row_second`` (B,) the rows' second moments
+    ||M psi_r||^2 and ``parent_second`` (P,) the parents' ||M psi_j||^2.
+    The circuit's Re and Im read-outs have means Re/Im <psi_r|M|psi_j> and
+    variances (||M psi_r||^2 + ||M psi_j||^2)/2 - mean^2.  Both (B, 2P)
+    results interleave Re and Im per parent, the order the circuit is read.
     """
-    cross = rows.conj() @ m_parents.T
-    means = np.empty((rows.shape[0], 2 * m_parents.shape[0]))
+    means = np.empty((cross.shape[0], 2 * cross.shape[1]))
     means[:, 0::2] = cross.real
     means[:, 1::2] = cross.imag
-    parent_second = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
     second = np.repeat(0.5 * (row_second[:, None] + parent_second[None, :]), 2, axis=1)
     return means, second - means**2
 
 
-def swap_test_moments(rows: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def swap_test_moments(overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form SwapTest ancilla-0 probability p0 = (1 + |<psi|psi_j>|^2)/2 and its variance p0(1 - p0).
 
-    ``rows`` (B, 2**q) against ``parents`` (P, 2**q); both results are (B, P).
+    ``overlaps`` holds the products <psi|psi_j>; both results have its shape.
     """
-    p0 = 0.5 * (1.0 + np.abs(rows.conj() @ parents.T) ** 2)
+    p0 = 0.5 * (1.0 + np.abs(overlaps) ** 2)
     return p0, p0 * (1.0 - p0)
 
 
@@ -465,52 +469,90 @@ def swap_test_moments(rows: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray
 def parameter_shift_states(
     spec: AnsatzSpec, h: PauliSum, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, M psi) for the (2m+1, 2**q) parameter-shift states, from m + 1 prepared ones.
+    """(base, M base): the (m+1, 2**q) states one parameter-shift sweep prepares, and M applied to them.
 
-    The rows are psi at theta + s e_0, theta - s e_0, ..., theta - s e_{m-1},
-    then theta; s = pi/2, the shift for a Pauli rotation, whose generator
-    has eigenvalues +-1/2.  Only the m + 1 states psi(theta + pi e_k) and
-    psi(theta) are prepared, in one ``apply_ansatz`` call, and M is applied
-    to those alone; ``rebuild_shift_rows`` forms the 2m shifted rows of both
-    by linearity.  The last row is the prepared psi(theta) itself.
+    The rows are phi_0, ..., phi_{m-1}, psi, with phi_k = psi(theta + pi e_k)
+    and psi = psi(theta), prepared in one ``apply_ansatz`` call.  The 2m + 1
+    shift rows are never built: ``shift_row_moments`` and
+    ``shift_row_products`` read them from these.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m = theta.shape[0]
     base = np.repeat(theta[None, :], m + 1, axis=0)
     base.reshape(-1)[: m * m : m + 1] += np.pi  # the diagonal of the first m rows
     prepared = apply_ansatz(spec, base)
-    return rebuild_shift_rows(prepared, pauli_sum_apply(h, prepared))
+    return prepared, pauli_sum_apply(h, prepared)
 
 
-def _shift_combine(base: np.ndarray) -> np.ndarray:
-    phi, psi = base[:-1], base[-1]
-    m = phi.shape[0]
-    rows = np.empty((2 * m + 1, base.shape[1]), dtype=np.complex128)
-    pairs = rows[:-1].reshape(m, 2, -1)  # written in place: no (m, d) temporaries
-    np.add(psi, phi, out=pairs[:, 0])
-    np.subtract(psi, phi, out=pairs[:, 1])
-    rows[:-1] *= np.sqrt(0.5)
-    rows[-1] = psi
-    return rows
+def _pair_rows(rows: np.ndarray, centre: np.ndarray, cross: np.ndarray) -> None:
+    """Write the shift-row pairs in place: centre_k + cross_k to row 2k, centre_k - cross_k to row 2k+1.
+
+    ``centre`` or ``cross`` may be the even rows themselves; the last row is left as it is.
+    """
+    np.subtract(centre, cross, out=rows[1::2])
+    np.add(centre, cross, out=rows[:-1:2])
 
 
-def rebuild_shift_rows(base: np.ndarray, h_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(2m+1, d) shift rows of psi and of M psi from the (m+1, d) base rows phi_0, ..., phi_{m-1}, psi.
+def shift_row_moments(
+    base: np.ndarray, h_base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``state_moments`` of the 2m + 1 shift rows, read from the (m+1, d) base rows and M applied to them.
 
     A Pauli rotation R(t) = cos(t/2) I - i sin(t/2) P satisfies
     R(t +- pi/2) = (R(t) +- R(t + pi)) / sqrt(2), and a parameter that feeds
-    exactly one such gate carries this through the circuit, so with
-    phi_k = psi(theta + pi e_k), row 2k is (psi + phi_k)/sqrt(2), row 2k+1 is
-    (psi - phi_k)/sqrt(2) and the last row is psi; M is linear, so the same
-    holds for M psi.  Then <psi|phi_k> is imaginary and every row has unit
-    norm; a row off unit norm to ``NORM_ATOL`` (another gate, or NaN) raises.
+    exactly one such gate carries this through the circuit.  So with the
+    base rows phi_0, ..., phi_{m-1}, psi of ``parameter_shift_states``,
+    shift row 2k is r+ = (psi + phi_k)/sqrt(2), row 2k+1 is
+    r- = (psi - phi_k)/sqrt(2) and the last row is psi, and each read of a
+    row is a fixed combination of products of base rows:
+    <r+-|M r+-> = (<psi|M psi> + <phi_k|M phi_k>)/2 +- (<psi|M phi_k> + <phi_k|M psi>)/2,
+    ||M r+-||^2 = (||M psi||^2 + ||M phi_k||^2)/2 +- Re<M psi|M phi_k>, and
+    ||r+-||^2 = (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.
+
+    Returns (<M>, Var(M), ||M r||^2, residue) per row, as ``state_moments``
+    would on the built rows; a one-row base is that call on psi.
+    <psi|phi_k> is imaginary, so every row has unit norm; a row off unit
+    norm to ``NORM_ATOL`` (another gate, or NaN) raises.  ``residue`` is the
+    largest |Im<r|M r>|, the cross terms' imaginary parts included, rounding
+    for Hermitian M; above ``NORM_ATOL`` it raises.
     """
-    rows = _shift_combine(base)
-    if not _norm_deviation(rows) <= NORM_ATOL:  # a NaN norm fails too
-        raise NormalizationError(
-            f"rebuilt parameter-shift state norms deviate from 1 beyond {NORM_ATOL}"
-        )
-    return rows, _shift_combine(h_base)
+    m = base.shape[0] - 1
+    phi, h_phi, psi, h_psi = base[:-1], h_base[:-1], base[-1], h_base[-1]
+    # Columns ||r||^2, <r|M r> and ||M r||^2, one row per shift row.  The even
+    # rows first take each base row's own products (phi_k at row 2k, psi at
+    # the last), then the centres (own_psi + own_phi_k)/2.  The real part of
+    # the first and last columns is the one read.
+    reads = np.empty((2 * m + 1, 3), dtype=np.complex128)
+    own = reads[::2]
+    np.vecdot(base, base, out=own[:, 0])
+    np.vecdot(base, h_base, out=own[:, 1])
+    np.vecdot(h_base, h_base, out=own[:, 2])
+    cross = np.empty((m, 3), dtype=np.complex128)
+    np.vecdot(psi, phi, out=cross[:, 0])  # <psi|phi_k>
+    np.vecdot(psi, h_phi, out=cross[:, 1])  # <psi|M phi_k>
+    cross[:, 1] += np.vecdot(phi, h_psi)  # <phi_k|M psi>
+    cross[:, 1] *= 0.5
+    np.vecdot(h_psi, h_phi, out=cross[:, 2])  # <M psi|M phi_k>
+    centre = own[:-1]
+    centre += own[-1]
+    centre *= 0.5
+    _pair_rows(reads, centre, cross)
+    norm, value, second = reads.T
+    if not _norm_deviation(norm.real) <= NORM_ATOL:  # a NaN norm fails too
+        raise NormalizationError(f"parameter-shift row norms deviate from 1 beyond {NORM_ATOL}")
+    return _moments(value, second.real)
+
+
+def shift_row_products(base: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """(2m+1, P) products <r|o_j> of the shift rows r with the (P, d) states ``kets``, from the base rows.
+
+    <r+-|o_j> = (<psi|o_j> +- <phi_k|o_j>)/sqrt(2), in ``shift_row_moments``'s row order.
+    """
+    rows = np.empty((base.shape[0] * 2 - 1, kets.shape[0]), dtype=np.complex128)
+    np.vecdot(base[:, None, :], kets, out=rows[::2])  # <b|o_j>: phi_k at row 2k, psi at the last
+    _pair_rows(rows, rows[-1], rows[:-1:2])
+    rows[:-1] *= math.sqrt(0.5)
+    return rows
 
 
 def shift_rule_gradient(shifted_values: np.ndarray) -> np.ndarray:

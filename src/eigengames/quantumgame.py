@@ -29,6 +29,8 @@ from .quantum_sim import (
     parameter_shift_states,
     pauli_sum_apply,
     perturb_readouts,
+    shift_row_moments,
+    shift_row_products,
     shift_rule_gradient,
     state_moments,
     swap_test_moments,
@@ -57,10 +59,11 @@ class QuantumParent:
 class QuantumPlayerState:
     """One player's solve: final parameters, the state they prepare, and per-iteration histories.
 
-    ``max_imag_residue`` is the largest |Im<psi|M psi>| over the prepared
-    states, rounding for Hermitian M; ``momentum_restarts`` counts the
-    ascent's velocity restarts, 0 for budgets of at most
-    ``ASCENT_WARMUP``.  ``energy_history[t]`` is iteration t's read-out of
+    ``max_imag_residue`` is the largest |Im<r|M r>| over the shift rows r
+    the sweeps read, the cross terms' imaginary parts included
+    (``shift_row_moments``), rounding for Hermitian M;
+    ``momentum_restarts`` counts the ascent's velocity restarts, 0 for
+    budgets of at most ``ASCENT_WARMUP``.  ``energy_history[t]`` is iteration t's read-out of
     <M> on theta's own row of the sweep, drawn once for the objective too.
     ``readouts`` counts the finite-shot read-outs the player drew (the
     evaluator's and the final eigenvalue read) and ``shots`` is
@@ -138,10 +141,11 @@ def pauli_sum_hash(h: PauliSum) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-# A batch evaluator maps prepared (B, 2**q) state rows psi and the rows M psi
-# to the objective at each row, each row's read-out of <M> (the one the
-# objective is formed from), the largest |Im<psi|M psi>| over the rows, and
-# the number of read-outs it drew.
+# A batch evaluator maps one sweep's (m+1, 2**q) base rows and the rows M
+# applied to them (``parameter_shift_states``) to the objective at each of
+# the 2m + 1 shift rows, each row's read-out of <M> (the one the objective is
+# formed from), the largest |Im<r|M r>| over the rows, and the number of
+# read-outs it drew.  A one-row base is the single state psi.
 EvaluatorResult = tuple[np.ndarray, np.ndarray, float, int]
 Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
 
@@ -167,16 +171,17 @@ def _game_evaluator(
     shots: ShotModel,
     rng: np.random.Generator | None,
 ) -> Evaluator:
-    """Rows -> <A> - sum_j |<psi|A|psi_j>|^2 / lambda_j, read out as the circuits would be.
+    """Sweep -> <A> - sum_j |<r|A|psi_j>|^2 / lambda_j per shift row r, read out as the circuits would be.
 
     A = sign*M + offset*I is never built: per row the read-outs are <M>,
     then Re and Im of each parent's cross term (interference circuit), each
     perturbed by the shot model in that order, and <A> is sign*read +
     offset.  The means and variances are the circuits' closed forms, from
-    the rows' M psi (``state_moments``); the cross terms' variances take
-    ||A psi||^2 = ||M psi||^2 + 2*sign*offset*<M> + offset^2.  ``A psi_j`` is
-    formed once here, for every row and iteration.  Without parents there
-    are no cross read-outs.
+    the sweep's base rows (``shift_row_moments``, and ``shift_row_products``
+    with the A psi_j); the cross terms' variances take
+    ||A r||^2 = ||M r||^2 + 2*sign*offset*<M> + offset^2.  A psi_j, its
+    ||A psi_j||^2 and the weights 1/lambda_j are formed once here, for every
+    row and iteration.  Without parents there are no cross read-outs.
     """
     for lam in denominators:
         if abs(lam) < PARENT_EIGENVALUE_GUARD:
@@ -186,21 +191,23 @@ def _game_evaluator(
     if parents:
         parent_states = _parent_states(parents, spec.num_qubits)
         a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
+        a_parent_second = np.vecdot(a_parents, a_parents).real
+        weights = 1.0 / np.asarray(denominators, dtype=np.float64)
 
-    def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> EvaluatorResult:
-        mean, var, second, residue = state_moments(psi, m_psi)
+    def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
+        mean, var, second, residue = shift_row_moments(base, m_base)
         if not parents:
             m_reads = perturb_readouts(shots, mean, var, rng)
             return sign * m_reads + offset, m_reads, residue, m_reads.size
         a_second = second + 2.0 * sign * offset * mean + offset * offset
-        cross_mean, cross_var = interference_moments(psi, a_second, a_parents)
+        cross_mean, cross_var = interference_moments(
+            shift_row_products(base, a_parents), a_second, a_parent_second
+        )
         reads = perturb_readouts(
             shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
         )
-        value = sign * reads[:, 0] + offset
-        for j, lam in enumerate(denominators):
-            value -= (reads[:, 1 + 2 * j] ** 2 + reads[:, 2 + 2 * j] ** 2) / lam
-        return value, reads[:, 0], residue, reads.size
+        penalty = (reads[:, 1::2] ** 2 + reads[:, 2::2] ** 2) @ weights
+        return sign * reads[:, 0] + offset - penalty, reads[:, 0], residue, reads.size
 
     return evaluate
 
@@ -213,24 +220,29 @@ def _vqd_evaluator(
     shots: ShotModel,
     rng: np.random.Generator | None,
 ) -> Evaluator:
-    """Rows -> sign*<M> + sum_j beta_j |<psi|psi_j>|^2, the overlaps read off the SwapTest ancilla.
+    """Sweep -> sign*<M> + sum_j beta_j |<r|psi_j>|^2 per shift row r, overlaps read off the SwapTest.
 
     Per row the read-outs are <M>, then each parent's SwapTest p0 (closed
     form, Bernoulli variance), perturbed in that order; the sign multiplies
-    the <M> read-out.
+    the <M> read-out.  The means and variances come from the sweep's base
+    rows (``shift_row_moments``, and ``shift_row_products`` with the parent
+    states); the penalty is one product with the (P,) weights beta_j.
+    Without parents there are no SwapTest read-outs.
     """
     parent_states = _parent_states(parents, spec.num_qubits)
+    weights = np.asarray(betas, dtype=np.float64)
 
-    def evaluate(psi: np.ndarray, m_psi: np.ndarray) -> EvaluatorResult:
-        mean, var, _, residue = state_moments(psi, m_psi)
-        p0, p0_var = swap_test_moments(psi, parent_states)
+    def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
+        mean, var, _, residue = shift_row_moments(base, m_base)
+        if not parents:
+            m_reads = perturb_readouts(shots, mean, var, rng)
+            return sign * m_reads, m_reads, residue, m_reads.size
+        p0, p0_var = swap_test_moments(shift_row_products(base, parent_states))
         reads = perturb_readouts(
             shots, np.column_stack((mean, p0)), np.column_stack((var, p0_var)), rng
         )
-        value = sign * reads[:, 0]
-        for j, beta in enumerate(betas):
-            value += beta * np.clip(2.0 * reads[:, 1 + j] - 1.0, 0.0, 1.0)
-        return value, reads[:, 0], residue, reads.size
+        penalty = np.clip(2.0 * reads[:, 1:] - 1.0, 0.0, 1.0) @ weights
+        return sign * reads[:, 0] + penalty, reads[:, 0], residue, reads.size
 
     return evaluate
 
@@ -250,17 +262,17 @@ def _ascend(
     """The shared parameter-shift loop; ``sign`` +1 ascends the objective, -1 descends it.
 
     Each iteration prepares m + 1 states and applies M to them once
-    (``parameter_shift_states``), which gives the 2m shifted rows and theta's
-    row; the evaluator reads the objective on all 2m + 1, and its read-out
-    of <M> on theta's row is the iteration's energy: no circuit is read
-    twice.  Stops when the gradient norm reaches tolerance or the
-    iteration budget runs out (partial result).  The final state is theta's
-    prepared row when the loop converged and is prepared, and M applied to
-    it, once otherwise; one ``state_moments`` call on that row gives the
-    eigenvalue read (the last draw of the stream), the residual and, with
-    the parents' states, the largest parent overlap.  Every draw site adds
-    its read-outs to one count, stored with its shots at the end (0 and 0
-    when exact).
+    (``parameter_shift_states``); the evaluator reads the objective on the
+    2m shifted rows and theta's row from those, never building a shift
+    row, and its read-out of <M> on theta's row is the iteration's energy:
+    no circuit is read twice.  Stops when the gradient norm reaches
+    tolerance or the iteration budget runs out (partial result).  The final
+    state is theta's prepared row (the sweep's last base row) when the loop
+    converged and is prepared, and M applied to it, once otherwise; one
+    ``state_moments`` call on that row gives the eigenvalue read (the last
+    draw of the stream), the residual and, with the parents' states, the
+    largest parent overlap.  Every draw site adds its read-outs to one
+    count, stored with its shots at the end (0 and 0 when exact).
 
     The step is heavy-ball, vel <- beta_t vel + sign*eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
@@ -272,15 +284,15 @@ def _ascend(
     ball = HeavyBall()
     readouts = 0  # drawn by the evaluator
     for _ in range(cfg.max_iterations):
-        psi, m_psi = parameter_shift_states(spec, m, values)
-        objective, m_reads, residue, drawn = evaluate(psi, m_psi)
+        base, m_base = parameter_shift_states(spec, m, values)
+        objective, m_reads, residue, drawn = evaluate(base, m_base)
         state.max_imag_residue = max(state.max_imag_residue, residue)
         grad = shift_rule_gradient(objective[:-1])
         gnorm = math.sqrt(grad @ grad)
         if not math.isfinite(gnorm):  # a NaN or infinite entry of grad makes the norm so
             raise NumericalOverflowError("parameter-shift gradient stopped being finite")
         value = float(objective[-1])
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
         readouts += drawn
         state.grad_norm_history.append(gnorm)
@@ -298,7 +310,7 @@ def _ascend(
     state.momentum_restarts = ball.restarts
     state.theta = theta.with_values(values)
     # A converged loop stopped on the theta it last prepared; a spent budget stepped past it.
-    final, m_final = psi[-1:], m_psi[-1:]
+    final, m_final = base[-1:], m_base[-1:]
     if not state.converged:
         final = apply_ansatz(spec, values[None, :])
         m_final = pauli_sum_apply(m, final)

@@ -332,8 +332,9 @@ def measure_error_accumulation_quantum(
     """Same inequality in parameter space, gradients from the parameter-shift rule.
 
     Each gradient is one batch call of the game's exact evaluator on the
-    child's parameter-shift states, which one sweep prepares for both
-    parents.
+    child's sweep: the m + 1 base rows and M applied to them, which one
+    ``parameter_shift_states`` call prepares for both parents, read without
+    building the 2m + 1 shift rows.
     """
     rng = np.random.default_rng(seed)
     dense = pauli_sum_to_matrix(h)

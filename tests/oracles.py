@@ -3,9 +3,11 @@
 None of this runs on a solve path.  The gate-by-gate simulators of the
 interference and SwapTest circuits are what the closed-form read-outs in
 ``eigengames.quantum_sim`` must reproduce; the parameter-shift points, every one
-prepared, check the rebuilt shift states, and the scalar parameter-shift
-loop and the literal forward-difference quotient check the batched and
-closed-form gradients; ``classical_game_terms`` and
+prepared, check the sweep's m + 1 base rows; ``rebuild_shift_rows`` builds
+the 2m + 1 shift rows from those, and reading them row by row checks the
+reads the library forms from products of the base rows; the scalar
+parameter-shift loop and the literal forward-difference quotient check the
+batched and closed-form gradients; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``quantum_utility`` is one row of the game's
 batch evaluator; ``power_iteration_solver`` is a substitute single-component
@@ -26,9 +28,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from eigengames.eigengame_classical import utility
-from eigengames.errors import DimensionMismatchError, EigenGamesError, NonConvergenceError
+from eigengames.errors import (
+    DimensionMismatchError,
+    EigenGamesError,
+    NonConvergenceError,
+    NormalizationError,
+)
 from eigengames.hamiltonian import HermitianMatrix, PauliSum
 from eigengames.quantum_sim import (
+    NORM_ATOL,
     AnsatzSpec,
     ParameterTensor,
     ShotModel,
@@ -217,8 +225,9 @@ def parameter_shift_points(theta: np.ndarray) -> np.ndarray:
 
     s = pi/2, the shift for a Pauli rotation, whose generator has eigenvalues
     +-1/2.  The first 2m rows feed ``shift_rule_gradient``; the last row is
-    theta itself.  Preparing every row is the reference that
-    ``parameter_shift_states`` rebuilds from m + 1 prepared states.
+    theta itself.  Preparing every row is the reference for the shift rows
+    whose reads ``shift_row_moments`` and ``shift_row_products`` form from
+    the m + 1 states ``parameter_shift_states`` prepares.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m = theta.shape[0]
@@ -228,6 +237,40 @@ def parameter_shift_points(theta: np.ndarray) -> np.ndarray:
     rows[2 * k, k] += shift
     rows[2 * k + 1, k] -= shift
     return rows
+
+
+def _shift_combine(base: np.ndarray) -> np.ndarray:
+    phi, psi = base[:-1], base[-1]
+    m = phi.shape[0]
+    rows = np.empty((2 * m + 1, base.shape[1]), dtype=np.complex128)
+    pairs = rows[:-1].reshape(m, 2, -1)
+    np.add(psi, phi, out=pairs[:, 0])
+    np.subtract(psi, phi, out=pairs[:, 1])
+    rows[:-1] *= np.sqrt(0.5)
+    rows[-1] = psi
+    return rows
+
+
+def rebuild_shift_rows(base: np.ndarray, h_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2m+1, d) shift rows of psi and of M psi from the (m+1, d) base rows phi_0, ..., phi_{m-1}, psi.
+
+    A Pauli rotation R(t) = cos(t/2) I - i sin(t/2) P satisfies
+    R(t +- pi/2) = (R(t) +- R(t + pi)) / sqrt(2), and a parameter that feeds
+    exactly one such gate carries this through the circuit, so with
+    phi_k = psi(theta + pi e_k), row 2k is (psi + phi_k)/sqrt(2), row 2k+1 is
+    (psi - phi_k)/sqrt(2) and the last row is psi; M is linear, so the same
+    holds for M psi.  Then <psi|phi_k> is imaginary and every row has unit
+    norm; a row off unit norm to ``NORM_ATOL`` (another gate, or NaN) raises.
+    Building the rows is the reference the library's reads of them, formed
+    from products of the base rows, are checked against.
+    """
+    rows = _shift_combine(base)
+    deviation = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()
+    if not deviation <= NORM_ATOL:  # a NaN norm fails too
+        raise NormalizationError(
+            f"rebuilt parameter-shift state norms deviate from 1 beyond {NORM_ATOL}"
+        )
+    return rows, _shift_combine(h_base)
 
 
 def parameter_shift_gradient(objective: Callable[[np.ndarray], float], theta: np.ndarray) -> np.ndarray:

@@ -573,6 +573,25 @@ class TestNonPositiveSpectra:
         assert np.max(np.abs(np.array(result.eigenvalues) - levels[:4])) <= 1e-6
         assert max(residual(m, p) for p in result.players) <= 1e-4
 
+    @pytest.mark.parametrize("budget", [None, 5], ids=["solved", "budget"])
+    def test_max_parent_overlap_matches_direct_products(self, budget):
+        # Reported, not gating: max_j (v . v_j)^2 over the earlier players' vectors, 0 for player 1.
+        m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1))
+        cfg = (GameConfig(num_players=4, **STRICT) if budget is None
+               else GameConfig(num_players=4, max_iterations_per_player=budget))
+        result = run_sequential(m, cfg, seed=1)
+        assert result.all_converged == (budget is None)
+        first, *rest = result.players
+        assert first.max_parent_overlap == 0.0
+        for i, player in enumerate(rest, start=1):
+            vectors = np.array([p.vector for p in result.players[:i]])
+            direct = float(np.max((vectors @ player.vector) ** 2))
+            assert player.max_parent_overlap == pytest.approx(direct, rel=1e-12, abs=1e-15)
+            if budget is None:
+                assert player.max_parent_overlap <= 1e-8
+        if budget is not None:
+            assert max(p.max_parent_overlap for p in rest) > 1e-4  # a five-step budget leaves overlap
+
     @pytest.mark.parametrize("levels", [
         [6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
         [3.0, 1.0, -0.5, -1.0, -2.0, -3.0],

@@ -21,6 +21,7 @@ from eigengames.hamiltonian import (
 )
 from eigengames.quantum_sim import (
     NORM_ATOL,
+    ROTATION_KINDS,
     AnsatzSpec,
     ShotModel,
     StateVector,
@@ -33,7 +34,8 @@ from eigengames.quantum_sim import (
     perturb_readouts,
     plus_state,
     random_layers_ansatz,
-    rebuild_shift_rows,
+    shift_row_moments,
+    shift_row_products,
     state_moments,
     swap_test_moments,
     zero_state,
@@ -50,6 +52,7 @@ from oracles import (
     mixed_expectation_states,
     parameter_shift_gradient,
     parameter_shift_points,
+    rebuild_shift_rows,
     rotation_gate,
     scalar_perturb_readouts,
     swap_test_overlap,
@@ -498,8 +501,10 @@ class TestClosedFormReadouts:
         rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
         parents = np.array([random_state(3, rng).amplitudes for _ in range(3)])
         m_rows = pauli_sum_apply(h, rows)
+        m_parents = pauli_sum_apply(h, parents)
         row_second = np.einsum("bi,bi->b", m_rows.conj(), m_rows).real
-        means, variances = interference_moments(rows, row_second, pauli_sum_apply(h, parents))
+        parent_second = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
+        means, variances = interference_moments(rows.conj() @ m_parents.T, row_second, parent_second)
         assert means.shape == variances.shape == (6, 6)
         for b, row in enumerate(rows):
             for j, parent in enumerate(parents):
@@ -513,7 +518,7 @@ class TestClosedFormReadouts:
         rng = np.random.default_rng(12)
         rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
         parents = np.array([random_state(3, rng).amplitudes for _ in range(3)])
-        p0, var = swap_test_moments(rows, parents)
+        p0, var = swap_test_moments(rows.conj() @ parents.T)
         for b, row in enumerate(rows):
             for j, parent in enumerate(parents):
                 circuit = _swap_test_p0(StateVector(3, row), StateVector(3, parent))
@@ -596,8 +601,27 @@ class TestParameterShift:
 SWEEP_RANDOM_LAYOUTS = ((3, 3, 4, 2), (3, 2, 6, 5), (2, 4, 3, 8))
 
 
+@st.composite
+def shift_sweeps(draw):
+    """A random layout on 1-5 qubits (RX/RY/RZ on random qubits, either initial state) and 0-3 parents."""
+    q = draw(st.integers(1, 5))
+    layers = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(ROTATION_KINDS), st.integers(0, q - 1)), min_size=1, max_size=4),
+        min_size=1, max_size=3))
+    slots = iter(range(sum(map(len, layers))))
+    spec = AnsatzSpec(
+        num_qubits=q,
+        num_layers=len(layers),
+        layer_rotations=tuple(tuple((kind, qubit, next(slots)) for kind, qubit in layer) for layer in layers),
+        entangler_pairs=tuple((i, (i + 1) % q) for i in range(q if q > 2 else q - 1)),  # the CNOT ring
+        initial_state=draw(st.sampled_from(["plus", "zero"])),
+    )
+    return spec, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestParameterShiftStates:
-    """The m + 1 prepared states per sweep, rebuilt to 2m + 1 rows, against preparing every shift point."""
+    """The m + 1 prepared states per sweep, and the 2m + 1 shift rows' reads formed from them,
+    against preparing every shift point and against building the rows."""
 
     @pytest.mark.parametrize("initial_state", ["plus", "zero"])
     @pytest.mark.parametrize(
@@ -614,14 +638,51 @@ class TestParameterShiftStates:
         spec = make_spec(initial_state)
         h = random_pauli_sum(spec.num_qubits, 12, np.random.default_rng(spec.num_qubits))
         rng = np.random.default_rng(spec.num_parameters)
+        m = spec.num_parameters
+        parents = np.array([random_state(spec.num_qubits, rng).amplitudes for _ in range(2)])
         for _ in range(2):
-            theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
-            psi, h_psi = parameter_shift_states(spec, h, theta)
+            theta = rng.uniform(-np.pi, np.pi, m)
+            base, h_base = parameter_shift_states(spec, h, theta)
+            assert base.shape == h_base.shape == (m + 1, 2**spec.num_qubits)
+            # theta + pi e_k for k < m, then theta itself.
+            assert np.max(np.abs(base - apply_ansatz(spec, theta + np.pi * np.eye(m + 1, m)))) <= 1e-12
+            assert np.max(np.abs(h_base - pauli_sum_apply(h, base))) <= 1e-12
+            assert np.array_equal(base[-1], apply_ansatz(spec, theta).amplitudes)
+            # The shift rows, built from the base rows and read from them, against every shift point prepared.
             prepared = apply_ansatz(spec, parameter_shift_points(theta))
-            assert psi.shape == h_psi.shape == (2 * spec.num_parameters + 1, 2**spec.num_qubits)
+            h_prepared = pauli_sum_apply(h, prepared)
+            psi, h_psi = rebuild_shift_rows(base, h_base)
             assert np.max(np.abs(psi - prepared)) <= 1e-12
-            assert np.max(np.abs(h_psi - pauli_sum_apply(h, prepared))) <= 1e-12
-            assert np.array_equal(psi[-1], apply_ansatz(spec, theta).amplitudes)
+            assert np.max(np.abs(h_psi - h_prepared)) <= 1e-12
+            want = state_moments(prepared, h_prepared)
+            for got, expected in zip(shift_row_moments(base, h_base)[:3], want[:3]):
+                assert np.max(np.abs(got - expected)) <= 1e-12
+            assert np.max(np.abs(shift_row_products(base, parents) - prepared.conj() @ parents.T)) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(shift_sweeps())
+    def test_reads_equal_the_built_rows(self, sweep):
+        # Oracle path: build the 2m + 1 rows, then read each one.
+        spec, num_parents, seed = sweep
+        q = spec.num_qubits
+        rng = np.random.default_rng(seed)
+        h = random_pauli_sum(q, 8, rng)
+        parents = np.array([random_state(q, rng).amplitudes for _ in range(num_parents)],
+                           dtype=np.complex128).reshape(num_parents, 2**q)
+        m_parents = pauli_sum_apply(h, parents)
+        parent_second = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
+        base, h_base = parameter_shift_states(spec, h, rng.uniform(-np.pi, np.pi, spec.num_parameters))
+        rows, h_rows = rebuild_shift_rows(base, h_base)
+        want = state_moments(rows, h_rows)
+        want_cross = interference_moments(rows.conj() @ m_parents.T, want[2], parent_second)
+        want_swap = swap_test_moments(rows.conj() @ parents.T)
+        got = shift_row_moments(base, h_base)
+        got_cross = interference_moments(shift_row_products(base, m_parents), got[2], parent_second)
+        got_swap = swap_test_moments(shift_row_products(base, parents))
+        for g, w in zip((*got[:3], *got_cross, *got_swap), (*want[:3], *want_cross, *want_swap)):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w), initial=0.0) <= 1e-12
+        assert abs(got[3] - want[3]) <= 1e-12
 
     def test_random_specs_cover_every_rotation_kind(self):
         kinds = {
@@ -634,22 +695,40 @@ class TestParameterShiftStates:
 
     def test_real_overlap_rejected(self):
         # A gate that is not a Pauli rotation leaves phi_k with a real overlap
-        # with psi, and the rebuilt rows lose unit norm.
+        # with psi, and the shift rows lose unit norm.
         rng = np.random.default_rng(3)
         psi = random_state(2, rng).amplitudes
         phi = np.array([1j * psi, (psi + random_state(2, rng).amplitudes) / 2.0])
         phi[1] /= np.linalg.norm(phi[1])
         base = np.vstack((phi, psi))
         with pytest.raises(NormalizationError):
-            rebuild_shift_rows(base, base)
-        rows, _ = rebuild_shift_rows(base[[0, 2]], base[[0, 2]])  # i*psi: imaginary overlap
-        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0.0, atol=1e-12)
+            shift_row_moments(base, base)
+        # i*psi: imaginary overlap.  With M = I each row's <M> is its squared norm.
+        mean, _, _, _ = shift_row_moments(base[[0, 2]], base[[0, 2]])
+        assert np.allclose(mean, 1.0, rtol=0.0, atol=1e-12)
 
     def test_nan_row_rejected(self):
         base = np.array([[1j, 0.0], [1.0, 0.0]], dtype=complex)
         base[0, 1] = np.nan
         with pytest.raises(NormalizationError):
-            rebuild_shift_rows(base, base)
+            shift_row_moments(base, base)
+
+    def test_cross_term_imaginary_part_raises(self):
+        # psi = |0> and phi = i|1>, with M psi = 0 and M phi = c|0>: <psi|M psi> and
+        # <phi|M phi> are 0, and only the cross term (<psi|M phi> + <phi|M psi>)/2 = c/2
+        # is imaginary.  It enters the built rows as +-c/2 in <r|M r>.
+        base = np.array([[0.0, 1j], [1.0, 0.0]])
+        for scale, raises in ((1.0, False), (4.0, True)):
+            h_base = np.array([[scale * 1j * NORM_ATOL, 0.0], [0.0, 0.0]])
+            rows, h_rows = rebuild_shift_rows(base, h_base)
+            if raises:
+                for read in (lambda: shift_row_moments(base, h_base), lambda: state_moments(rows, h_rows)):
+                    with pytest.raises(ValueError, match="imaginary residue"):
+                        read()
+            else:
+                residue = shift_row_moments(base, h_base)[3]
+                assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
+                assert residue == pytest.approx(state_moments(rows, h_rows)[3], rel=1e-12)
 
 
 class TestStateVector:

@@ -26,6 +26,7 @@ from eigengames.quantum_sim import (
     apply_ansatz,
     expectation,
     layered_ansatz,
+    parameter_shift_states,
     pauli_sum_apply,
     random_layers_ansatz,
     state_moments,
@@ -43,7 +44,7 @@ from eigengames.quantumgame import (
     vqd_player,
 )
 
-from oracles import power_iteration_solver, quantum_utility
+from oracles import parameter_shift_points, power_iteration_solver, quantum_utility
 from test_hamiltonian import LATE_EXTREME, random_pauli_sum
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
@@ -503,8 +504,11 @@ class TestShiftedObjective:
         monkeypatch.setattr(quantumgame, "_ascend", capturing_ascend)
         cfg = SolverConfig(direction=direction, max_iterations=1, beta=2.0)
         player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
-        psi = apply_ansatz(spec, rng.uniform(-np.pi, np.pi, (5, spec.num_parameters)))
-        return h, parents, captured[0](psi, pauli_sum_apply(h, psi)), psi
+        # The evaluator reads one sweep's base rows; the dense reference reads
+        # every shift row, each prepared on its own.
+        theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
+        psi = apply_ansatz(spec, parameter_shift_points(theta))
+        return h, parents, captured[0](*parameter_shift_states(spec, h, theta)), psi
 
     @staticmethod
     def check_energy_reads(h, psi, m_reads):
@@ -611,7 +615,7 @@ class TestShiftedObjective:
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
     def test_sweep_prepares_and_applies_m_plus_one_rows(self, monkeypatch, player, num_parents):
         # Each iteration prepares theta + pi e_k (k < m) and theta, and applies
-        # M to those m + 1 rows only; the 2m + 1 shift rows are rebuilt from them.
+        # M to those m + 1 rows only; the 2m + 1 shift rows are read from them, never built.
         from eigengames import quantum_sim
 
         h2 = load_pauli_sum(bundled_h2_path())
