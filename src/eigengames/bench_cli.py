@@ -204,10 +204,10 @@ def _validate(experiment: str, s: dict) -> None:
         if experiment == "eigengame_scaling":
             _game_config(s)
         elif experiment == "h2_levels":
-            _solver_config(s, s["shots"], seed=0, beta=s["beta"])
+            _solver_config(s, s["shots"], beta=s["beta"])
         elif experiment == "vqd_beta_sweep":
             for beta in s["betas"]:
-                _solver_config(s, s["shots"], seed=0, beta=beta)
+                _solver_config(s, s["shots"], beta=beta)
     except (ValueError, InvalidShotCountError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -221,11 +221,12 @@ def _game_config(s) -> GameConfig:
     )
 
 
-def _solver_config(s, shots: int | None, seed: int, beta: float | None = None) -> SolverConfig:
+def _solver_config(s, shots: int | None, beta: float | None = None) -> SolverConfig:
+    """The runners draw every player's shot stream from their ``seed``, so no ``rng_seed`` is set."""
     return SolverConfig(
         max_iterations=s["max_iterations"],
         grad_tolerance=s["grad_tolerance"],
-        shots=ShotModel(shots, rng_seed=seed),
+        shots=ShotModel(shots),
         direction="minimize",
         beta=beta,
     )
@@ -334,14 +335,6 @@ def _shots_used(result) -> int:
     return sum(player.shots for player in result.players)
 
 
-def _max_pair_overlap(result) -> float:
-    """The largest |<psi_i|psi_j>|^2 over pairs of the returned players' states; 0 for one player."""
-    states = np.array([player.statevector.amplitudes for player in result.players])
-    overlaps = np.abs(states.conj() @ states.T) ** 2
-    pairs = overlaps[np.triu_indices(len(states), 1)]
-    return min(float(pairs.max(initial=0.0)), 1.0)  # a repeated state may round above 1
-
-
 def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     """Energy-level trajectories on the bundled molecular operator, exact and 10k-shot.
 
@@ -363,11 +356,11 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     costs = ["run costs:"]
     for noise, shots in (("noiseless", None), ("shots", cfg["shots"])):
         for seed in cfg["seeds"]:
-            base = _solver_config(cfg, shots, seed)
+            base = _solver_config(cfg, shots)
             game = run_quantumgame(h, spec, base, k, seed=seed)
             rows += _trajectory_rows("quantumgame", noise, seed, game,
                                      shots or "exact", cfg.config_hash)
-            vqd = run_vqd(h, spec, _solver_config(cfg, shots, seed, cfg["beta"]), k, seed=seed)
+            vqd = run_vqd(h, spec, _solver_config(cfg, shots, cfg["beta"]), k, seed=seed)
             rows += _trajectory_rows("vqd", noise, seed, vqd, shots or "exact", cfg.config_hash)
             for tag, result in (("quantumgame", game), ("vqd", vqd)):
                 residue = max(player.max_imag_residue for player in result.players)
@@ -407,12 +400,15 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
     for beta in cfg["betas"]:
         for noise, shots in (("noiseless", None), ("shots", cfg["shots"])):
             for seed in cfg["seeds"]:
-                result = run_vqd(h, spec, _solver_config(cfg, shots, seed, beta), k, seed=seed)
+                result = run_vqd(h, spec, _solver_config(cfg, shots, beta), k, seed=seed)
                 max_err = float(np.max(np.abs(np.sort(result.eigenvalues) - oracle)))
+                # Player j's parents are players 1..j-1, so this covers every pair;
+                # a repeated state may round above 1.
+                overlap = min(max(p.max_parent_overlap for p in result.players), 1.0)
                 rows.append(
                     (float(beta), noise, seed, result.total_iterations, max_err,
                      int(result.all_converged), shots or "exact", cfg.config_hash,
-                     _shots_used(result), _max_pair_overlap(result))
+                     _shots_used(result), overlap)
                 )
     _write_csv(
         out / "results.csv",
@@ -463,11 +459,10 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
         print(f"BOUND VIOLATION {r.bound_name} [{r.parameters}]: "
               f"measured {r.measured_value} > bound {r.bound_value}", file=sys.stderr)
     # Slope sanity: the measured error must grow linearly in the perturbation.
-    classical = [r for r in rows if r.bound_name == "error_accumulation_classical"]
     eps_means = {}
-    for r in classical:
-        eps = float(r.parameters.split("eps=")[1].split(" ")[0])
-        eps_means.setdefault(eps, []).append(r.measured_value)
+    for r in rows:
+        if r.bound_name == "error_accumulation_classical":
+            eps_means.setdefault(r.epsilon, []).append(r.measured_value)
     if len(eps_means) >= 2:
         eps_sorted = sorted(eps_means)
         slope = loglog_slope(eps_sorted, [float(np.mean(eps_means[e])) for e in eps_sorted])

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -89,14 +90,13 @@ def plus_state(num_qubits: int) -> StateVector:
 class AnsatzSpec:
     """Fixed circuit layout: per-layer parameterized rotations plus a CNOT ring.
 
-    ``layer_rotations[l]`` lists (gate kind, target qubit, slot) triples; slot s
-    of layer l reads parameter l * slots_per_layer + s, so every slot is used
-    exactly once.
+    ``layer_rotations[l]`` lists (gate kind, target qubit) pairs.  Parameter
+    k drives the k-th rotation in circuit order, layer by layer, so every
+    parameter feeds exactly one gate.
     """
 
     num_qubits: int
-    num_layers: int
-    layer_rotations: tuple[tuple[tuple[str, int, int], ...], ...]
+    layer_rotations: tuple[tuple[tuple[str, int], ...], ...]
     entangler_pairs: tuple[tuple[int, int], ...]
     initial_state: str = "plus"  # 'plus' or 'zero'
     seed: int | None = None
@@ -104,20 +104,16 @@ class AnsatzSpec:
     def __post_init__(self):
         if self.initial_state not in ("plus", "zero"):
             raise ValueError("initial_state must be 'plus' or 'zero'")
-        if len(self.layer_rotations) != self.num_layers:
-            raise ValueError("layer_rotations length must equal num_layers")
-        seen = set()
         for layer in self.layer_rotations:
-            for kind, qubit, slot in layer:
+            for kind, qubit in layer:  # any other gate shape fails to unpack: ValueError
                 if kind not in ROTATION_KINDS:
                     raise ValueError(f"unknown gate kind {kind!r}")
                 if not 0 <= qubit < self.num_qubits:
                     raise ValueError(f"qubit {qubit} out of range")
-                if slot in seen:
-                    raise ValueError(f"parameter slot {slot} referenced twice")
-                seen.add(slot)
-        if seen != set(range(len(seen))):
-            raise ValueError("parameter slots must be 0..m-1 with no holes")
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.layer_rotations)
 
     @property
     def num_parameters(self) -> int:
@@ -143,19 +139,21 @@ class AnsatzSpec:
 
     @cached_property
     def gate_plan(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int, bool], ...], ...]]:
-        """Read-only gate plan: each slot's partner phases and each layer's (qubit, slot, diagonal) gates.
+        """Read-only gate plan: each parameter's partner phases and each layer's (qubit, parameter, diagonal) gates.
 
-        ``phases[s]`` (2, 1, 1) holds the two factors sin(theta_s/2) takes on
-        the partner amplitudes of slot s's gate, so one product with all sines
-        gives every gate's coefficients; a gate is diagonal when it is an RZ.
+        ``phases[k]`` (2, 1, 1) holds the two factors sin(theta_k/2) takes on
+        the partner amplitudes of the k-th gate in circuit order, so one
+        product with all sines gives every gate's coefficients; a gate is
+        diagonal when it is an RZ.
         """
-        phases = np.empty((self.num_parameters, 2, 1, 1), dtype=np.complex128)
-        for layer in self.layer_rotations:
-            for kind, _, slot in layer:
-                phases[slot, :, 0, 0] = _PARTNER_PHASES[kind]
+        phases = np.array(
+            [_PARTNER_PHASES[kind] for layer in self.layer_rotations for kind, _ in layer],
+            dtype=np.complex128,
+        ).reshape(-1, 2, 1, 1)
         phases.flags.writeable = False
+        k = count()
         layers = tuple(
-            tuple((qubit, slot, kind == "RZ") for kind, qubit, slot in layer)
+            tuple((qubit, next(k), kind == "RZ") for kind, qubit in layer)
             for layer in self.layer_rotations
         )
         return phases, layers
@@ -166,7 +164,13 @@ class AnsatzSpec:
         return (plus_state if self.initial_state == "plus" else zero_state)(self.num_qubits).amplitudes
 
     def bind(self, values: Sequence[float]) -> "ParameterTensor":
-        return ParameterTensor.for_spec(self, values)
+        """``values`` as this layout's parameters; raises ``BindingError`` unless it has one per gate."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (self.num_parameters,):
+            raise BindingError(
+                f"spec has {self.num_parameters} parameters, got vector of shape {values.shape}"
+            )
+        return ParameterTensor(values)
 
     def describe(self) -> str:
         """Structured text form, one line per layer, for run manifests."""
@@ -174,8 +178,9 @@ class AnsatzSpec:
             f"ansatz qubits={self.num_qubits} layers={self.num_layers} "
             f"parameters={self.num_parameters} initial={self.initial_state} seed={self.seed}"
         ]
+        k = count()
         for l, layer in enumerate(self.layer_rotations):
-            gates = "; ".join(f"{kind} q{qubit} slot{slot}" for kind, qubit, slot in layer)
+            gates = "; ".join(f"{kind} q{qubit} slot{next(k)}" for kind, qubit in layer)
             ent = ", ".join(f"({c},{t})" for c, t in self.entangler_pairs)
             lines.append(f"layer {l}: {gates} | cnot ring: {ent if ent else 'none'}")
         return "\n".join(lines)
@@ -183,33 +188,16 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class ParameterTensor:
-    """Flat real parameter vector with its per-layer slot counts."""
+    """Read-only flat real parameter vector; ``AnsatzSpec.bind`` checks it against a layout."""
 
     values: np.ndarray
-    slots_per_layer: tuple[int, ...]
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64).copy()
         if vals.ndim != 1:
             raise BindingError("parameter values must be a flat vector")
-        if vals.shape[0] != sum(self.slots_per_layer):
-            raise BindingError(
-                f"got {vals.shape[0]} values for a layout of {sum(self.slots_per_layer)} slots"
-            )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def for_spec(spec: AnsatzSpec, values: Sequence[float]) -> "ParameterTensor":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (spec.num_parameters,):
-            raise BindingError(
-                f"spec has {spec.num_parameters} parameters, got vector of shape {values.shape}"
-            )
-        return ParameterTensor(values, tuple(len(layer) for layer in spec.layer_rotations))
-
-    def with_values(self, values: np.ndarray) -> "ParameterTensor":
-        return ParameterTensor(values, self.slots_per_layer)
 
 
 def _ring_pairs(num_qubits: int) -> tuple[tuple[int, int], ...]:
@@ -229,43 +217,20 @@ def random_layers_ansatz(
 ) -> AnsatzSpec:
     """Per layer: seeded-random rotation axes on seeded-random qubits, then a CNOT ring."""
     rng = np.random.default_rng(seed)
-    layers = []
-    slot = 0
-    for _ in range(num_layers):
-        gates = []
-        for _ in range(rotations_per_layer):
-            kind = ROTATION_KINDS[int(rng.integers(0, 3))]
-            qubit = int(rng.integers(0, num_qubits))
-            gates.append((kind, qubit, slot))
-            slot += 1
-        layers.append(tuple(gates))
-    return AnsatzSpec(
-        num_qubits=num_qubits,
-        num_layers=num_layers,
-        layer_rotations=tuple(layers),
-        entangler_pairs=_ring_pairs(num_qubits),
-        initial_state=initial_state,
-        seed=seed,
+    layers = tuple(
+        tuple(
+            (ROTATION_KINDS[int(rng.integers(0, 3))], int(rng.integers(0, num_qubits)))
+            for _ in range(rotations_per_layer)
+        )
+        for _ in range(num_layers)
     )
+    return AnsatzSpec(num_qubits, layers, _ring_pairs(num_qubits), initial_state, seed)
 
 
 def layered_ansatz(num_qubits: int, num_layers: int, initial_state: str = "plus") -> AnsatzSpec:
     """Deterministic RY+RZ-per-qubit layers with a CNOT ring; expressive on small registers."""
-    layers = []
-    slot = 0
-    for _ in range(num_layers):
-        gates = []
-        for qubit in range(num_qubits):
-            gates.append(("RY", qubit, slot)); slot += 1
-            gates.append(("RZ", qubit, slot)); slot += 1
-        layers.append(tuple(gates))
-    return AnsatzSpec(
-        num_qubits=num_qubits,
-        num_layers=num_layers,
-        layer_rotations=tuple(layers),
-        entangler_pairs=_ring_pairs(num_qubits),
-        initial_state=initial_state,
-    )
+    layer = tuple(gate for qubit in range(num_qubits) for gate in (("RY", qubit), ("RZ", qubit)))
+    return AnsatzSpec(num_qubits, (layer,) * num_layers, _ring_pairs(num_qubits), initial_state)
 
 
 def _norm_deviation(squared_norms: np.ndarray) -> float:
@@ -305,14 +270,14 @@ def apply_ansatz(
     spare = np.empty_like(amps)
     perm = spec.entangler_permutation
     for layer in layers:
-        for qubit, slot, diagonal in layer:
+        for qubit, k, diagonal in layer:
             work = amps.reshape(2**qubit, 2, -1, batch)
             if diagonal:
-                work *= diagonals[slot]
+                work *= diagonals[k]
                 continue
             partner = spare.reshape(work.shape)
-            np.multiply(work[:, ::-1], partner_terms[slot], out=partner)
-            work *= cos[slot]
+            np.multiply(work[:, ::-1], partner_terms[k], out=partner)
+            work *= cos[k]
             work += partner
         if perm is not None:
             # "clip" takes straight into out; the default mode buffers the copy.
@@ -375,7 +340,9 @@ class ShotModel:
 
     ``num_shots=None`` means exact (infinite-shot) evaluation.  The seed only
     fixes the stream produced by ``make_rng``; callers running trajectories
-    hold one generator for the whole run.
+    hold one generator for the whole run.  ``rng_seed`` seeds direct player
+    calls only: the runners (``run_quantumgame``, ``run_vqd``) replace it
+    with a seed each player derives from the run's ``seed``.
     """
 
     num_shots: int | None = None
@@ -500,7 +467,9 @@ def shift_row_moments(
 
     A Pauli rotation R(t) = cos(t/2) I - i sin(t/2) P satisfies
     R(t +- pi/2) = (R(t) +- R(t + pi)) / sqrt(2), and a parameter that feeds
-    exactly one such gate carries this through the circuit.  So with the
+    exactly one such gate carries this through the circuit.  Every
+    ``AnsatzSpec`` parameter does, by construction: parameter k is the k-th
+    rotation in circuit order.  So with the
     base rows phi_0, ..., phi_{m-1}, psi of ``parameter_shift_states``,
     shift row 2k is r+ = (psi + phi_k)/sqrt(2), row 2k+1 is
     r- = (psi - phi_k)/sqrt(2) and the last row is psi, and each read of a

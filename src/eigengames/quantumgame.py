@@ -112,7 +112,9 @@ class SolverConfig:
     the fixed-weight overlap penalty; ``adaptive_regularization`` instead
     sets the penalty weights to 2 * (spectral upper bound - parent
     eigenvalue on +-M), with the Pauli 1-norm as the spectral upper bound,
-    which needs no tuning, so the two may not be combined.
+    which needs no tuning, so the two may not be combined.  ``shots``'
+    ``rng_seed`` seeds direct player calls only; the runners derive each
+    player's shot stream from their ``seed`` and ignore it.
     """
 
     max_iterations: int = 2000
@@ -308,7 +310,7 @@ def _ascend(
         state.iterations_used += 1
 
     state.momentum_restarts = ball.restarts
-    state.theta = theta.with_values(values)
+    state.theta = ParameterTensor(values)
     # A converged loop stopped on the theta it last prepared; a spent budget stepped past it.
     final, m_final = base[-1:], m_base[-1:]
     if not state.converged:
@@ -496,11 +498,13 @@ def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, se
     """Players 1..k in sequence; every player's (theta, eigenvalue) is broadcast onward.
 
     The operator is hashed before and after the run: the whole point of the
-    formulation is that no deflation step ever rewrites it.
+    formulation is that no deflation step ever rewrites it.  Player r's
+    start and shot stream come from ``SeedSequence(seed, spawn_key=(r,))``;
+    ``cfg.shots.rng_seed`` is not read.
     """
     return _sequential_run(m, spec, cfg, k, seed, quantumgame_player)
 
 
 def run_vqd(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, seed: int) -> SequentialResult:
-    """Sequential VQD baseline with the same broadcast bookkeeping."""
+    """Sequential VQD baseline with the same broadcast bookkeeping and seeding as ``run_quantumgame``."""
     return _sequential_run(m, spec, cfg, k, seed, vqd_player)

@@ -24,6 +24,7 @@ from .hamiltonian import (
 )
 from .quantum_sim import (
     AnsatzSpec,
+    ParameterTensor,
     ShotModel,
     apply_ansatz,
     expectation,
@@ -159,9 +160,10 @@ def error_accumulation_bound_classical(
     2||M|| sum_j (||v_j w_j^T|| + ||w_j v_j^T|| + ||w_j w_j^T||) lambda_top/lambda_jj
     + sigma sum_j (2 ||M v_j|| ||M w_j|| + ||M w_j||^2) / lambda_jj,
     with w_j the parent displacement and lambda_jj the true parent's Rayleigh
-    quotient.
+    quotient.  ``m`` must be real symmetric, as a ``HermitianMatrix`` or an
+    array; anything else raises ``HermiticityError``.
     """
-    mat = m.entries.real if isinstance(m, HermitianMatrix) else np.asarray(m, dtype=np.float64)
+    mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).real_symmetric()
     norm_m = float(np.linalg.norm(mat, 2))
     lambda_top = float(np.linalg.eigvalsh(mat).max())
     total = 0.0
@@ -187,8 +189,10 @@ def error_accumulation_bound_quantum(
     parents_hat_theta: Sequence,
 ) -> float:
     """Parameter-space analog, scaled by sqrt(layers * qubits); w_j is the
-    statevector displacement v(theta_hat_j) - v(theta_j)."""
-    mat = m.entries if isinstance(m, HermitianMatrix) else np.asarray(m, dtype=np.complex128)
+    statevector displacement v(theta_hat_j) - v(theta_j).  ``m`` must be
+    Hermitian, as a ``HermitianMatrix`` or an array; anything else raises
+    ``HermiticityError``."""
+    mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).entries
     norm_m = float(np.linalg.norm(mat, 2))
     lambda_top = float(np.linalg.eigvalsh(mat).max())
     scale = math.sqrt(spec.num_layers * spec.num_qubits)
@@ -210,10 +214,13 @@ def error_accumulation_bound_quantum(
 
 @dataclass
 class DiagnosticRow:
+    """One checked inequality; the error-accumulation rows also carry their parent perturbation epsilon."""
+
     bound_name: str
     parameters: str
     bound_value: float
     measured_value: float
+    epsilon: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -317,6 +324,7 @@ def measure_error_accumulation_classical(
                     parameters=f"dim={dim} eps={eps:g} draw={draw}",
                     bound_value=bound,
                     measured_value=float(np.linalg.norm(diff)),
+                    epsilon=eps,
                 )
             )
     return rows
@@ -353,7 +361,7 @@ def measure_error_accumulation_quantum(
                 continue
             direction = rng.standard_normal(spec.num_parameters)
             direction /= np.linalg.norm(direction)
-            theta_hat = theta_parent.with_values(theta_parent.values + eps * direction)
+            theta_hat = ParameterTensor(theta_parent.values + eps * direction)
             parent_true = QuantumParent(theta_parent, lam, parent_state)
             hat_state = apply_ansatz(spec, theta_hat)
             parent_hat = QuantumParent(theta_hat, expectation(h, hat_state), hat_state)
@@ -368,6 +376,7 @@ def measure_error_accumulation_quantum(
                     parameters=f"eps={eps:g} draw={draw}",
                     bound_value=bound,
                     measured_value=float(np.linalg.norm(g_hat - g_true)),
+                    epsilon=eps,
                 )
             )
     return rows

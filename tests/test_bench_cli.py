@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eigengames
 from eigengames.bench_cli import (
+    _h2_setup,
+    _solver_config,
     build_run_config,
     cmd_bench_beta_sweep,
     cmd_bench_h2,
@@ -20,6 +23,7 @@ from eigengames.bench_cli import (
 )
 from eigengames.errors import ConfigError
 from eigengames.quantum_sim import NORM_ATOL
+from eigengames.quantumgame import run_vqd
 
 
 class TestConfigParsing:
@@ -172,6 +176,21 @@ class TestBetaSweepCommand:
             shots_used, overlap = int(fields[-2]), float(fields[-1])
             assert shots_used == 0 if fields[1] == "noiseless" else shots_used > 0
             assert 0.0 <= overlap <= 1.0
+
+
+    def test_overlap_column_covers_every_pair_of_returned_states(self, tmp_path):
+        # beta = 0.1 is below the gaps: noiseless VQD (k = 4, seed 0) returns one state twice.
+        cfg = build_run_config("vqd_beta_sweep", {"betas": [0.1], "seeds": [0]})
+        cmd_bench_beta_sweep(cfg, tmp_path)
+        lines = (tmp_path / "results.csv").read_text().strip().splitlines()
+        overlap = next(float(l.split(",")[-1]) for l in lines[1:] if l.split(",")[1] == "noiseless")
+        h, _, spec = _h2_setup(cfg)
+        result = run_vqd(h, spec, _solver_config(cfg, None, 0.1), cfg["num_levels"], seed=0)
+        states = np.array([p.statevector.amplitudes for p in result.players])
+        gram = np.abs(states.conj() @ states.T) ** 2
+        assert overlap >= 0.99
+        assert abs(overlap - max(p.max_parent_overlap for p in result.players)) <= 1e-12
+        assert abs(overlap - gram[np.triu_indices(len(states), 1)].max()) <= 1e-12
 
 
 class TestDiagnosticsCommand:

@@ -88,12 +88,12 @@ def central_difference_gradient(objective, theta, step=1e-5):
 
 class TestApplyAnsatz:
     def test_zero_rotation_is_identity(self):
-        spec = AnsatzSpec(2, 1, ((("RY", 0, 0), ("RY", 1, 1)),), (), "zero")
+        spec = AnsatzSpec(2, ((("RY", 0), ("RY", 1)),), (), "zero")
         out = apply_ansatz(spec, [0.0, 0.0])
         assert np.allclose(out.amplitudes, zero_state(2).amplitudes, atol=1e-15)
 
     def test_ry_pi_flips_qubit(self):
-        spec = AnsatzSpec(1, 1, ((("RY", 0, 0),),), (), "zero")
+        spec = AnsatzSpec(1, ((("RY", 0),),), (), "zero")
         out = apply_ansatz(spec, [np.pi])
         assert abs(abs(out.amplitudes[1]) - 1.0) < 1e-12
 
@@ -110,7 +110,7 @@ class TestApplyAnsatz:
             apply_ansatz(spec, [0.0, 0.0])
 
     def test_plus_initial_state(self):
-        spec = AnsatzSpec(2, 1, ((("RZ", 0, 0),),), (), "plus")
+        spec = AnsatzSpec(2, ((("RZ", 0),),), (), "plus")
         out = apply_ansatz(spec, [0.0])
         assert np.allclose(np.abs(out.amplitudes), 0.5, atol=1e-12)
 
@@ -127,9 +127,10 @@ class TestApplyAnsatz:
 def per_gate_ansatz(spec, values):
     """Reference preparation: one 2x2 gate or CNOT at a time, in circuit order."""
     amps = (plus_state if spec.initial_state == "plus" else zero_state)(spec.num_qubits).amplitudes
+    params = iter(values)  # parameter k drives the k-th rotation in circuit order
     for layer in spec.layer_rotations:
-        for kind, qubit, slot in layer:
-            amps = _single_qubit_gate(amps, rotation_gate(kind, values[slot]), qubit, spec.num_qubits)
+        for kind, qubit in layer:
+            amps = _single_qubit_gate(amps, rotation_gate(kind, next(params)), qubit, spec.num_qubits)
         for control, target in spec.entangler_pairs:
             amps = _cnot(amps, control, target, spec.num_qubits)
     return amps
@@ -165,10 +166,11 @@ class TestBatchedAnsatz:
         assert spec.gate_plan[0] is phases
         assert not phases.flags.writeable
         assert phases.shape == (spec.num_parameters, 2, 1, 1)
-        kinds = {slot: kind for layer in spec.layer_rotations for kind, _, slot in layer}
+        kinds = [kind for layer in spec.layer_rotations for kind, _ in layer]
+        assert [k for planned in layers for _, k, _ in planned] == list(range(spec.num_parameters))
         for layer, planned in zip(spec.layer_rotations, layers):
-            assert [(q, s) for _, q, s in layer] == [(q, s) for q, s, _ in planned]
-            assert [diagonal for _, _, diagonal in planned] == [kinds[s] == "RZ" for _, _, s in planned]
+            assert [q for _, q in layer] == [q for q, _, _ in planned]
+            assert [diagonal for _, _, diagonal in planned] == [kinds[k] == "RZ" for _, k, _ in planned]
 
     def test_batch_shape_mismatch_rejected(self):
         spec = random_layers_ansatz(2, 2, 3, seed=0)
@@ -255,13 +257,34 @@ class TestAnsatzSpec:
         assert a.layer_rotations == b.layer_rotations
         assert a.num_parameters == 9
 
-    def test_duplicate_slot_rejected(self):
+    def test_num_layers_counts_layer_rotations(self):
+        assert random_layers_ansatz(2, 3, 3, seed=11).num_layers == 3
+        assert AnsatzSpec(1, (), ()).num_layers == 0
+
+    def test_slotted_gate_rejected(self):
+        # Gates are (kind, qubit) pairs: parameter k is the k-th rotation in circuit order.
         with pytest.raises(ValueError):
-            AnsatzSpec(1, 1, ((("RY", 0, 0), ("RZ", 0, 0)),), ())
+            AnsatzSpec(1, ((("RY", 0, 0),),), ())
+
+    @pytest.mark.parametrize("gate", [("RW", 0), ("RY", 1), ("RY", -1)])
+    def test_bad_kind_or_qubit_rejected(self, gate):
+        with pytest.raises(ValueError):
+            AnsatzSpec(1, ((gate,),), ())
+
+    @pytest.mark.parametrize("values", [[0.1] * 8, [0.1] * 10, [[0.1] * 9]])
+    def test_bind_rejects_wrong_shape(self, values):
+        with pytest.raises(BindingError):
+            random_layers_ansatz(2, 3, 3, seed=11).bind(values)
+
+    def test_bound_values_are_a_read_only_copy(self):
+        values = np.linspace(0.0, 1.0, 9)
+        theta = random_layers_ansatz(2, 3, 3, seed=11).bind(values)
+        values[0] = 5.0
+        assert theta.values[0] == 0.0 and not theta.values.flags.writeable
 
     @pytest.mark.parametrize("initial_state, state", [("plus", plus_state), ("zero", zero_state)])
     def test_initial_amplitudes_built_once_and_read_only(self, initial_state, state):
-        spec = AnsatzSpec(3, 1, ((("RY", 0, 0),),), (), initial_state)
+        spec = AnsatzSpec(3, ((("RY", 0),),), (), initial_state)
         amps = spec.initial_amplitudes
         assert np.array_equal(amps, state(3).amplitudes)
         assert not amps.flags.writeable
@@ -272,6 +295,13 @@ class TestAnsatzSpec:
         text = spec.describe()
         assert text.count("layer ") == 3
         assert "parameters=9" in text
+
+    def test_describe_numbers_gates_in_circuit_order(self):
+        assert layered_ansatz(1, 2, initial_state="zero").describe() == (
+            "ansatz qubits=1 layers=2 parameters=4 initial=zero seed=None\n"
+            "layer 0: RY q0 slot0; RZ q0 slot1 | cnot ring: none\n"
+            "layer 1: RY q0 slot2; RZ q0 slot3 | cnot ring: none"
+        )
 
 
 
@@ -554,7 +584,7 @@ class TestSwapTest:
 
 class TestParameterShift:
     def test_cosine_extremum(self):
-        spec = AnsatzSpec(1, 1, ((("RX", 0, 0),),), (), "zero")
+        spec = AnsatzSpec(1, ((("RX", 0),),), (), "zero")
 
         def objective(theta):
             return expectation(Z1, apply_ansatz(spec, theta))
@@ -562,7 +592,7 @@ class TestParameterShift:
         assert parameter_shift_gradient(objective, np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_cosine_slope(self):
-        spec = AnsatzSpec(1, 1, ((("RX", 0, 0),),), (), "zero")
+        spec = AnsatzSpec(1, ((("RX", 0),),), (), "zero")
 
         def objective(theta):
             return expectation(Z1, apply_ansatz(spec, theta))
@@ -608,11 +638,9 @@ def shift_sweeps(draw):
     layers = draw(st.lists(
         st.lists(st.tuples(st.sampled_from(ROTATION_KINDS), st.integers(0, q - 1)), min_size=1, max_size=4),
         min_size=1, max_size=3))
-    slots = iter(range(sum(map(len, layers))))
     spec = AnsatzSpec(
         num_qubits=q,
-        num_layers=len(layers),
-        layer_rotations=tuple(tuple((kind, qubit, next(slots)) for kind, qubit in layer) for layer in layers),
+        layer_rotations=tuple(map(tuple, layers)),
         entangler_pairs=tuple((i, (i + 1) % q) for i in range(q if q > 2 else q - 1)),  # the CNOT ring
         initial_state=draw(st.sampled_from(["plus", "zero"])),
     )
@@ -629,7 +657,7 @@ class TestParameterShiftStates:
         [
             *(lambda init, layout=layout: random_layers_ansatz(*layout, initial_state=init)
               for layout in SWEEP_RANDOM_LAYOUTS),
-            lambda init: AnsatzSpec(1, 1, ((("RY", 0, 0),),), (), init),
+            lambda init: AnsatzSpec(1, ((("RY", 0),),), (), init),
             lambda init: layered_ansatz(8, 2, initial_state=init),
         ],
         ids=["random-2", "random-5", "random-8", "one-parameter", "wide"],
@@ -689,7 +717,7 @@ class TestParameterShiftStates:
             kind
             for layout in SWEEP_RANDOM_LAYOUTS
             for layer in random_layers_ansatz(*layout).layer_rotations
-            for kind, _, _ in layer
+            for kind, _ in layer
         }
         assert kinds == {"RX", "RY", "RZ"}
 

@@ -9,7 +9,7 @@ import pytest
 
 from eigengames import quantumgame
 from eigengames.eigengame_classical import GameConfig, HeavyBall, run_sequential
-from eigengames.errors import DegenerateParentError
+from eigengames.errors import BindingError, DegenerateParentError
 from eigengames.hamiltonian import (
     HermitianMatrix,
     PauliSum,
@@ -21,6 +21,7 @@ from eigengames.hamiltonian import (
 )
 from eigengames.quantum_sim import (
     NORM_ATOL,
+    ParameterTensor,
     ShotModel,
     StateVector,
     apply_ansatz,
@@ -855,6 +856,32 @@ class TestShotDraws:
             assert np.max(np.abs(np.subtract(player.energy_history, history))) <= 1e-9
 
 
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_runners_ignore_rng_seed(self, h2, runner, extra):
+        # A runner derives every player's shot stream from its own seed.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        results = [
+            runner(h2, spec, SolverConfig(direction="minimize", max_iterations=40,
+                                          shots=ShotModel(10_000, rng_seed=rng_seed), **extra), 2, seed=0)
+            for rng_seed in (0, 12345)
+        ]
+        assert results[0].eigenvalues == results[1].eigenvalues
+        assert [p.energy_history for p in results[0].players] == [p.energy_history for p in results[1].players]
+
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_direct_player_calls_draw_from_rng_seed(self, h2, player):
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        theta = np.linspace(-1.0, 1.0, spec.num_parameters)
+        states = [
+            player(h2, spec, theta, (), SolverConfig(direction="minimize", max_iterations=5, beta=5.0,
+                                                     shots=ShotModel(10_000, rng_seed=rng_seed)))
+            for rng_seed in (0, 12345)
+        ]
+        assert states[0].energy_history != states[1].energy_history
+        assert states[0].eigenvalue != states[1].eigenvalue
+
+
 class TestDeflation:
     def test_first_level_deflates_top_eigenvalue(self):
         m = HermitianMatrix(np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex))
@@ -929,6 +956,20 @@ class TestInputValidation:
         cfg = SolverConfig(direction="minimize", **extra)
         with pytest.raises(ValueError, match="at least one player"):
             runner(DIAG_3120, layered_ansatz(2, 2), cfg, k, seed=0)
+
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    @pytest.mark.parametrize("length", [5, 7])
+    @pytest.mark.parametrize("bound", [False, True], ids=["list", "parameter-tensor"])
+    def test_wrong_length_theta_rejected_before_any_read_out(self, monkeypatch, h2, player, length, bound):
+        def no_read(*args):
+            raise AssertionError("a read-out was drawn")
+
+        monkeypatch.setattr(quantumgame, "perturb_readouts", no_read)
+        theta = [0.1] * length
+        cfg = SolverConfig(direction="minimize", beta=5.0, shots=ShotModel(100))
+        with pytest.raises(BindingError):
+            player(h2, random_layers_ansatz(2, 2, 3, seed=3),
+                   ParameterTensor(np.array(theta)) if bound else theta, (), cfg)
 
     @pytest.mark.parametrize("runner", [run_quantumgame, run_vqd], ids=["game", "vqd"])
     @pytest.mark.parametrize("terms", [((0.0, "Z"),), ((1.0, "Z"), (-1.0, "Z")), ()],

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from eigengames.hamiltonian import build_powerlaw_hamiltonian, load_pauli_sum, bundled_h2_path
+from eigengames.eigengame_classical import GameConfig, run_sequential
+from eigengames.errors import HermiticityError
+from eigengames.hamiltonian import (
+    HermitianMatrix,
+    build_powerlaw_hamiltonian,
+    bundled_h2_path,
+    load_pauli_sum,
+)
 from eigengames.quantum_sim import AnsatzSpec, random_layers_ansatz
 from eigengames.theory_diagnostics import (
     BoundParams,
@@ -161,6 +168,36 @@ class TestErrorAccumulationClassical:
         assert 0.8 <= slope <= 1.2
 
 
+class TestErrorAccumulationInputs:
+    # The real part of the first is diag(2, 1), which the classical bound used
+    # to read silently; the second is not symmetric.
+    @pytest.mark.parametrize("m", [HermitianMatrix([[2, 1j], [-1j, 1]]), np.array([[2.0, 5.0], [0.0, 1.0]])],
+                             ids=["complex-hermitian", "non-symmetric"])
+    def test_classical_bound_rejects_what_run_sequential_rejects(self, m):
+        parents = [np.array([1.0, 0.0])]
+        with pytest.raises(HermiticityError):
+            run_sequential(m, GameConfig(num_players=1), seed=0)
+        with pytest.raises(HermiticityError):
+            error_accumulation_bound_classical(m, parents, parents, 0.1)
+
+    def test_rows_carry_their_epsilon(self):
+        classical = measure_error_accumulation_classical(
+            dim=6, epsilons=(1e-4, 1e-2), seed=0, samples_per_epsilon=2
+        )
+        assert [r.epsilon for r in classical] == [1e-4, 1e-4, 1e-2, 1e-2]
+        quantum = measure_error_accumulation_quantum(
+            load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 3, 3, seed=11),
+            epsilons=(1e-3,), seed=0, samples_per_epsilon=2,
+        )
+        assert quantum and all(r.epsilon == 1e-3 for r in quantum)
+
+    def test_quantum_bound_rejects_a_non_hermitian_array(self):
+        spec = AnsatzSpec(1, ((("RY", 0),),), (), "zero")
+        theta = [spec.bind([0.3])]
+        with pytest.raises(HermiticityError):
+            error_accumulation_bound_quantum(np.array([[2.0, 5.0], [0.0, 1.0]]), spec, theta, theta)
+
+
 class TestErrorAccumulationQuantum:
     def test_identical_parameters_give_zero(self):
         h = load_pauli_sum(bundled_h2_path())
@@ -173,11 +210,11 @@ class TestErrorAccumulationQuantum:
         # 6 layers of 1 gate produces identical states, so the bound changes
         # only through the sqrt(layers * qubits) factor.
         h = _dense(load_pauli_sum(bundled_h2_path()))
-        gates = [("RY", 0, 0), ("RZ", 1, 1), ("RX", 0, 2),
-                 ("RY", 1, 3), ("RZ", 0, 4), ("RX", 1, 5)]
-        spec3 = AnsatzSpec(2, 3, (tuple(gates[0:2]), tuple(gates[2:4]), tuple(gates[4:6])),
+        gates = [("RY", 0), ("RZ", 1), ("RX", 0),
+                 ("RY", 1), ("RZ", 0), ("RX", 1)]
+        spec3 = AnsatzSpec(2, (tuple(gates[0:2]), tuple(gates[2:4]), tuple(gates[4:6])),
                            (), "zero")
-        spec6 = AnsatzSpec(2, 6, tuple((g,) for g in gates), (), "zero")
+        spec6 = AnsatzSpec(2, tuple((g,) for g in gates), (), "zero")
         rng = np.random.default_rng(0)
         theta = rng.uniform(-np.pi, np.pi, 6)
         hat = theta + 1e-3 * rng.standard_normal(6)
