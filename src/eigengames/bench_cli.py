@@ -191,6 +191,8 @@ def _validate(experiment: str, s: dict) -> None:
     if experiment == "vqd_beta_sweep" and not s["betas"]:
         raise ConfigError("betas must not be empty")
     if experiment == "diagnostics":
+        if len(s["seeds"]) > 1:
+            raise ConfigError("diagnostics runs one seed; pass one seed or --seed N")
         if s["dim"] < 4:
             raise ConfigError("diagnostics needs dim >= 4")
         if s["lipschitz_samples"] < 1:
@@ -424,7 +426,7 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
     """Run every bound-check suite; exit 0 only with zero violations."""
     out.mkdir(parents=True, exist_ok=True)
     smoke = bool(cfg["smoke"])
-    seed = cfg["seeds"][0]
+    (seed,) = cfg["seeds"]
     dim = cfg["dim"]
     rows = []
     rows += sampled_lipschitz_check(

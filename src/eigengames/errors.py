@@ -53,9 +53,5 @@ class InvalidShotCountError(EigenGamesError):
     """Shot counts must be positive when finite."""
 
 
-class NonConvergenceError(EigenGamesError):
-    """A solver exhausted its iteration budget without meeting tolerance."""
-
-
 class ConfigError(EigenGamesError):
     """A run configuration is missing, malformed, or inconsistent."""

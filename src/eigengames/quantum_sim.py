@@ -376,22 +376,21 @@ def perturb_readouts(
     shots: ShotModel,
     means: np.ndarray,
     variances: np.ndarray | None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | None,
 ) -> np.ndarray:
     """Shot noise on an array of readouts: one standard-normal draw for the whole batch.
 
     Every finite-shot draw of the library is made here.  Exact models return
-    the means untouched and never read ``variances``.  Finite models add
-    sqrt(max(Var, 0)/N) times one standard normal per read-out, drawn in C
-    order as one vector, which gives the values a circuit-by-circuit loop of
-    ``ShotModel.perturb`` calls over the same read-outs would, bit for bit.
-    The draw comes from ``rng`` or, when none is given, from one
-    ``make_rng()`` for the call.  Negative variances clamp to 0; NaN means
-    or variances propagate.
+    the means untouched and never read ``variances`` or ``rng``.  Finite
+    models add sqrt(max(Var, 0)/N) times one standard normal per read-out,
+    drawn from ``rng`` in C order as one vector, which gives the values a
+    circuit-by-circuit loop of ``ShotModel.perturb`` calls over the same
+    read-outs would, bit for bit.  The caller holds the generator, so
+    successive calls draw independent noise.  Negative variances clamp to
+    0; NaN means or variances propagate.
     """
     if shots.is_exact:
         return means
-    rng = shots.make_rng() if rng is None else rng
     return means + rng.standard_normal(means.shape) * np.sqrt(
         np.maximum(variances, 0.0) / shots.num_shots
     )

@@ -1,10 +1,9 @@
-"""Parameterized eigensolver players and their baselines.
+"""Parameterized eigensolver players and their baseline.
 
 The game player ascends a per-player utility whose penalty terms are built
 from interference-circuit cross expectations against frozen parents, so no
-operator is ever deflated.  The two baselines included for comparison are
-overlap-penalized minimization (VQD) and explicit Hotelling deflation driven
-by a pluggable single-component solver.
+operator is ever deflated.  The baseline included for comparison is
+overlap-penalized minimization (VQD).
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .eigengame_classical import ASCENT_WARMUP, HeavyBall, SequentialResult, run_players
-from .errors import DegenerateParentError, NonConvergenceError, NumericalOverflowError
-from .hamiltonian import RANGE_RESIDUAL_TOL, HermitianMatrix, PauliSum
+from .errors import DegenerateParentError, NumericalOverflowError
+from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
     AnsatzSpec,
     ParameterTensor,
@@ -421,54 +420,6 @@ def vqd_player(
     rng = cfg.shots.make_rng()
     evaluate = _vqd_evaluator(sign, spec, parents, betas, cfg.shots, rng)
     return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)
-
-
-@dataclass
-class DeflationResult:
-    pairs: list[tuple[float, np.ndarray]]
-    complete: bool
-    failed_level: int | None = None
-
-
-VqeSolver = Callable[[HermitianMatrix, int], np.ndarray]
-
-
-def exact_top_eigenvector_solver(matrix: HermitianMatrix, iterations: int) -> np.ndarray:
-    """Oracle single-component maximizer: the dense top eigenvector."""
-    vals, vecs = np.linalg.eigh(matrix.entries)
-    return vecs[:, -1]
-
-
-def deflation_vqe(
-    m: HermitianMatrix,
-    k: int,
-    vqe_solver: VqeSolver = exact_top_eigenvector_solver,
-    t: int = 1000,
-) -> DeflationResult:
-    """Explicit Hotelling deflation: M_{j+1} = M_j - lambda_j |psi_j><psi_j|.
-
-    Each level maximizes on its own private deflated copy; the input operator
-    is never touched.  Solver failures yield a partial result flagged at the
-    failing level.
-    """
-    if k < 1:
-        raise ValueError(f"need at least one level, got k={k}")
-    if k > m.dim:
-        raise ValueError(f"k={k} exceeds dimension {m.dim}")
-    work = m.entries.copy()
-    result = DeflationResult(pairs=[], complete=True)
-    for level in range(1, k + 1):
-        try:
-            psi = vqe_solver(HermitianMatrix(work), t)
-        except NonConvergenceError:
-            result.complete = False
-            result.failed_level = level
-            return result
-        lam = float(np.vdot(psi, work @ psi).real)
-        result.pairs.append((lam, psi))
-        work = work - lam * np.outer(psi, psi.conj())
-        work = 0.5 * (work + work.conj().T)
-    return result
 
 
 def _sequential_run(

@@ -4,6 +4,18 @@ These are proof-level constants, not tight estimates: the iteration bounds in
 particular carry factorial/eigengap products that dwarf observed counts.  The
 measurement harnesses below sample gradients and check the corresponding
 inequality with zero tolerance for violations.
+
+The quantum bounds carry the classical ones into parameter space through the
+circuit's parameter count m.  Each parameter drives one Pauli rotation
+R(t) = exp(-i t P / 2), and R(t + pi) = -i P R(t), so the derivative of the
+prepared state is half another prepared state: d_k psi = phi_k / 2 with
+phi_k = psi(theta + pi e_k), a unit vector.  A utility f whose state-space
+gradient is g (df = Re<g|d psi>, so g = 2 G psi where the classical game has
+2 G v) then has d_k f = Re<g|phi_k> / 2, hence |d_k f| <= ||g|| / 2 and
+||grad_theta f|| <= sqrt(m) ||g|| / 2 <= sqrt(m) ||g||.  The paper's
+sqrt(layers * qubits) is the case of one rotation per qubit per layer;
+stated on m, a circuit's bounds do not depend on how its gates are grouped
+into layers.
 """
 
 from __future__ import annotations
@@ -40,7 +52,9 @@ class BoundParams:
 
     ``kappa`` is the spectral ratio lambda_top / lambda_(i-1,i-1) of the last
     parent; ``c`` is the parent-accuracy constant in [0, 1/16]; ``sigma`` the
-    forward-differences perturbation; ``diag_norm`` = ||diag(M)||_2.
+    forward-differences perturbation; ``diag_norm`` = ||diag(M)||_2;
+    ``num_parameters`` is the circuit's parameter count m, read only by the
+    quantum bound.
     """
 
     lambda_top: float
@@ -49,8 +63,7 @@ class BoundParams:
     kappa: float = 1.0
     c: float = 0.0
     sigma: float = 0.0
-    num_layers: int = 1
-    num_qubits: int = 1
+    num_parameters: int = 1
     diag_norm: float = 0.0
 
     def __post_init__(self):
@@ -62,6 +75,8 @@ class BoundParams:
             raise ValueError("lambda_top must be at least the largest gap")
         if self.player_index < 1:
             raise ValueError("player_index is 1-based")
+        if self.num_parameters < 1:
+            raise ValueError("num_parameters must be at least 1")
 
     @property
     def gap_i(self) -> float:
@@ -79,8 +94,12 @@ def lipschitz_bound_classical(p: BoundParams) -> float:
 
 
 def lipschitz_bound_quantum(p: BoundParams) -> float:
-    """Parameter-space analog: sqrt(layers * qubits) times the sigma=0 classical bound."""
-    scale = math.sqrt(p.num_layers * p.num_qubits)
+    """Parameter-space analog: sqrt(m) times the sigma=0 classical bound.
+
+    ||grad_theta f|| <= sqrt(m) ||g|| (module docstring) with ||g|| at most
+    the classical gradient-norm bound.
+    """
+    scale = math.sqrt(p.num_parameters)
     return scale * 4.0 * (p.lambda_top * p.player_index + (1.0 + p.kappa) * p.c * p.gap_i)
 
 
@@ -122,13 +141,16 @@ def iteration_bound_classical(
 
 def iteration_bound_quantum(
     lipschitz_theta: Sequence[float],
-    num_layers: int,
-    num_qubits: int,
+    num_parameters: int,
     lambda_top: float,
     gaps: Sequence[float],
     c_k: float,
 ) -> int:
-    """ceil( sum_i 4 pi^2 (L_theta_i^2 / sqrt(layers*qubits)) * bracket^2 ).
+    """ceil( sum_i 4 pi^2 (L_theta_i^2 / sqrt(m)) * bracket^2 ), m = ``num_parameters``.
+
+    The paper states the divisor as sqrt(layers * qubits), which counts the
+    rotations only when there is one per qubit per layer; m counts them for
+    any circuit.
 
     The bound is stated for plain parameter-shift ascent.  The quantum
     players run the same heavy-ball rule (``HeavyBall``) after a plain
@@ -138,7 +160,7 @@ def iteration_bound_quantum(
     if len(lipschitz_theta) != len(gaps):
         raise ValueError("need one L_theta and gap per player")
     bracket = _iteration_bracket(lambda_top, gaps, c_k)
-    scale = math.sqrt(num_layers * num_qubits)
+    scale = math.sqrt(num_parameters)
     total = sum(4.0 * math.pi**2 * (lt**2 / scale) * bracket**2 for lt in lipschitz_theta)
     return math.ceil(total)
 
@@ -188,14 +210,18 @@ def error_accumulation_bound_quantum(
     parents_true_theta: Sequence,
     parents_hat_theta: Sequence,
 ) -> float:
-    """Parameter-space analog, scaled by sqrt(layers * qubits); w_j is the
-    statevector displacement v(theta_hat_j) - v(theta_j).  ``m`` must be
-    Hermitian, as a ``HermitianMatrix`` or an array; anything else raises
-    ``HermiticityError``."""
+    """Parameter-space analog, scaled by sqrt(spec.num_parameters); w_j is the
+    statevector displacement v(theta_hat_j) - v(theta_j).
+
+    The state-space part bounds the change of the gradient g, and each
+    parameter-space component is Re<delta g|phi_k> / 2, so the change of
+    grad_theta is at most sqrt(spec.num_parameters) times it (module
+    docstring).  ``m`` must be Hermitian, as a ``HermitianMatrix`` or an
+    array; anything else raises ``HermiticityError``."""
     mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).entries
     norm_m = float(np.linalg.norm(mat, 2))
     lambda_top = float(np.linalg.eigvalsh(mat).max())
-    scale = math.sqrt(spec.num_layers * spec.num_qubits)
+    scale = math.sqrt(spec.num_parameters)
     total = 0.0
     for theta_true, theta_hat in zip(parents_true_theta, parents_hat_theta):
         v_true = apply_ansatz(spec, theta_true).amplitudes

@@ -10,9 +10,9 @@ parameter-shift loop and the literal forward-difference quotient check the
 batched and closed-form gradients; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``quantum_utility`` is one row of the game's
-batch evaluator; ``power_iteration_solver`` is a substitute single-component
-solver for ``deflation_vqe``; ``compiled_pauli_sum`` is the per-term
-builder the stacked ``PauliSum.compiled`` form is checked against;
+batch evaluator; ``hotelling_levels`` is explicit Hotelling deflation on a
+dense copy, the step the game does without; ``compiled_pauli_sum`` is the
+per-term builder the stacked ``PauliSum.compiled`` form is checked against;
 ``scalar_perturb_readouts`` is the circuit-by-circuit shot draw the one
 vector draw of ``perturb_readouts`` must equal bit for bit.
 
@@ -31,10 +31,9 @@ from eigengames.eigengame_classical import utility
 from eigengames.errors import (
     DimensionMismatchError,
     EigenGamesError,
-    NonConvergenceError,
     NormalizationError,
 )
-from eigengames.hamiltonian import HermitianMatrix, PauliSum
+from eigengames.hamiltonian import PauliSum
 from eigengames.quantum_sim import (
     NORM_ATOL,
     AnsatzSpec,
@@ -60,12 +59,11 @@ def scalar_perturb_readouts(
     shots: ShotModel,
     means: np.ndarray,
     variances: np.ndarray | None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """``perturb_readouts`` as a loop: one ``ShotModel.perturb`` per read-out, in C order."""
     if shots.is_exact:
         return means
-    rng = shots.make_rng() if rng is None else rng
     draws = [
         shots.perturb(mean, var, rng)
         for mean, var in zip(means.ravel().tolist(), variances.ravel().tolist())
@@ -354,21 +352,20 @@ def quantum_utility(
 
 
 # ---------------------------------------------------------------------------
-# Substitute solver for deflation_vqe
+# Explicit deflation, the step the game does without
 # ---------------------------------------------------------------------------
 
-def power_iteration_solver(matrix: HermitianMatrix, iterations: int, tol: float = 1e-12) -> np.ndarray:
-    """Plain power iteration; needs a dominant eigenvalue of largest magnitude."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(matrix.dim) + 1j * rng.standard_normal(matrix.dim)
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        w = matrix.entries @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            raise NonConvergenceError("power iteration collapsed to zero")
-        w = w / norm
-        if 1.0 - abs(complex(np.vdot(v, w))) < tol:
-            return w
-        v = w
-    raise NonConvergenceError(f"power iteration did not converge in {iterations} steps")
+def hotelling_levels(entries: np.ndarray, k: int) -> list[float]:
+    """Top k levels by Hotelling deflation: M_{j+1} = M_j - lambda_j |psi_j><psi_j|.
+
+    Each level is the top eigenpair of the working copy from ``eigh``; the
+    input is not modified.
+    """
+    work = np.array(entries, dtype=np.complex128)
+    levels = []
+    for _ in range(k):
+        vals, vecs = np.linalg.eigh(work)
+        lam, psi = float(vals[-1]), vecs[:, -1]
+        levels.append(lam)
+        work -= lam * np.outer(psi, psi.conj())
+    return levels

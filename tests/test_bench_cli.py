@@ -206,6 +206,13 @@ class TestDiagnosticsCommand:
         assert lines[0] == "bound,parameters,bound_value,measured_value,status"
         assert all(line.endswith("pass") for line in lines[1:])
 
+    def test_default_config_passes_every_bound(self, tmp_path):
+        code = cmd_diagnostics(build_run_config("diagnostics"), tmp_path)
+        assert code == 0
+        rows = (tmp_path / "results.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 1000 + 3 * 20 + 3 * 5
+        assert all(row.endswith(",pass") for row in rows)
+
 
 class TestMainCli:
     def test_bad_config_file_gives_exit_two(self, tmp_path, capsys):
@@ -241,6 +248,7 @@ class TestMainCli:
         ("beta-sweep", "num_levels = 2\nmax_iterations = 5\nbetas = 0.5, -1\n"),
         ("diagnostics", "lipschitz_samples = 0\n"),
         ("diagnostics", "epsilons = \n"),
+        ("diagnostics", "seeds = 0, 1, 2\n"),
         ("h2", "num_levels = 2\nmax_iterations = 5\nseeds = -1\n"),
         ("scaling", "sizes = 8\nnum_players = 2\nseeds = 0, -1\n"),
         ("scaling", "sizes = 1\nnum_players = 1\n"),

@@ -71,7 +71,7 @@ def noisy_energy(h, psi, shots):
     """One read-out of <M> on psi as the players draw it: ``state_moments``, then ``perturb_readouts``."""
     rows = psi.amplitudes[None, :]
     mean, var, _, _ = state_moments(rows, pauli_sum_apply(h, rows))
-    return float(perturb_readouts(shots, mean, var)[0])
+    return float(perturb_readouts(shots, mean, var, shots.make_rng())[0])
 
 
 def central_difference_gradient(objective, theta, step=1e-5):
@@ -406,11 +406,12 @@ class TestShotNoise:
         shots = ShotModel(100, rng_seed=5)
         assert noisy_energy(Z1, plus_state(1), shots) == noisy_energy(Z1, plus_state(1), shots)
 
-    def test_readouts_without_a_generator_draw_independently(self):
+    def test_successive_reads_on_one_generator_draw_independently(self):
         shots = ShotModel(100, rng_seed=5)
-        first = perturb_readouts(shots, np.zeros(3), np.ones(3))
-        assert len(set(first.tolist())) == 3
-        assert np.array_equal(first, perturb_readouts(shots, np.zeros(3), np.ones(3)))
+        rng = shots.make_rng()
+        first = perturb_readouts(shots, np.zeros(3), np.ones(3), rng)
+        second = perturb_readouts(shots, np.zeros(3), np.ones(3), rng)
+        assert len(set(first.tolist() + second.tolist())) == 6
 
     def test_perturb_is_mean_plus_scaled_standard_normal(self):
         # Every pinned shot trajectory rests on this stream: one standard
@@ -441,30 +442,24 @@ class TestShotNoise:
         shots = ShotModel(num_shots, rng_seed=seed)
         rng, reference = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         with np.errstate(all="ignore"):  # numpy warns on inf - inf and overflow; Python floats do not
-            draws = [
-                (perturb_readouts(shots, means, variances, rng),
-                 scalar_perturb_readouts(shots, means, variances, reference)),
-                (perturb_readouts(shots, means, variances),  # one fresh make_rng() each
-                 scalar_perturb_readouts(shots, means, variances)),
-            ]
-        for got, expected in draws:
-            assert got.shape == means.shape
-            assert [x.hex() for x in got.ravel().tolist()] == [
-                x.hex() for x in expected.ravel().tolist()
-            ]
+            got = perturb_readouts(shots, means, variances, rng)
+            expected = scalar_perturb_readouts(shots, means, variances, reference)
+        assert got.shape == means.shape
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in expected.ravel().tolist()]
         assert rng.standard_normal().hex() == reference.standard_normal().hex()
 
     def test_vector_draw_clamps_and_propagates(self):
         means = np.array([[1.0, -0.0, np.nan], [2.0, 3.0, 4.0]])
         variances = np.array([[-3.0, -0.0, 1.0], [np.nan, 0.0, 4.0]])
-        reads = perturb_readouts(ShotModel(100, rng_seed=2), means, variances)
+        shots = ShotModel(100, rng_seed=2)
+        reads = perturb_readouts(shots, means, variances, shots.make_rng())
         assert reads[0, 0] == 1.0 and reads[1, 1] == 3.0  # negative and zero variances: no noise
         assert np.isnan(reads[0, 2]) and np.isnan(reads[1, 0])
         assert reads[1, 2] != 4.0
 
     def test_exact_model_returns_means_untouched(self):
         means = np.array([1.0, 2.0])
-        assert perturb_readouts(ShotModel(), means, None) is means
+        assert perturb_readouts(ShotModel(), means, None, None) is means
 
     def test_zero_shots_rejected(self):
         with pytest.raises(InvalidShotCountError):

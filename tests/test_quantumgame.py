@@ -1,4 +1,4 @@
-"""Parameterized players, the overlap-penalized baseline, and explicit deflation."""
+"""Parameterized players and the overlap-penalized baseline."""
 
 import json
 from functools import cached_property
@@ -11,7 +11,6 @@ from eigengames import quantumgame
 from eigengames.eigengame_classical import GameConfig, HeavyBall, run_sequential
 from eigengames.errors import BindingError, DegenerateParentError
 from eigengames.hamiltonian import (
-    HermitianMatrix,
     PauliSum,
     build_powerlaw_hamiltonian,
     bundled_h2_path,
@@ -36,8 +35,6 @@ from eigengames.quantum_sim import (
 from eigengames.quantumgame import (
     QuantumParent,
     SolverConfig,
-    deflation_vqe,
-    exact_top_eigenvector_solver,
     pauli_sum_hash,
     quantumgame_player,
     run_quantumgame,
@@ -45,7 +42,7 @@ from eigengames.quantumgame import (
     vqd_player,
 )
 
-from oracles import parameter_shift_points, power_iteration_solver, quantum_utility
+from oracles import parameter_shift_points, quantum_utility
 from test_hamiltonian import LATE_EXTREME, random_pauli_sum
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
@@ -880,65 +877,6 @@ class TestShotDraws:
         ]
         assert states[0].energy_history != states[1].energy_history
         assert states[0].eigenvalue != states[1].eigenvalue
-
-
-class TestDeflation:
-    def test_first_level_deflates_top_eigenvalue(self):
-        m = HermitianMatrix(np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex))
-        result = deflation_vqe(m, 2)
-        assert result.pairs[0][0] == pytest.approx(3.0, abs=1e-12)
-        # The top of the deflated diag(0, 2, 1, 0).
-        assert result.pairs[1][0] == pytest.approx(2.0, abs=1e-12)
-
-    def test_full_spectrum_with_exact_solver(self):
-        from eigengames.hamiltonian import build_powerlaw_hamiltonian
-
-        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=4)
-        result = deflation_vqe(matrix, 6, exact_top_eigenvector_solver)
-        got = np.array([lam for lam, _ in result.pairs])
-        assert np.max(np.abs(got - spectrum.eigenvalues)) <= 1e-6
-
-    def test_single_level_is_plain_vqe(self):
-        m = HermitianMatrix(np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex))
-        result = deflation_vqe(m, 1)
-        assert len(result.pairs) == 1
-        assert result.pairs[0][0] == pytest.approx(3.0, abs=1e-12)
-
-    def test_power_iteration_solver_agrees(self):
-        from eigengames.hamiltonian import build_powerlaw_hamiltonian
-
-        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=4)
-        result = deflation_vqe(matrix, 2, power_iteration_solver, t=20_000)
-        got = np.array([lam for lam, _ in result.pairs])
-        assert np.max(np.abs(got - spectrum.eigenvalues[:2])) <= 1e-6
-
-    def test_input_matrix_untouched(self):
-        entries = np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex)
-        m = HermitianMatrix(entries.copy())
-        deflation_vqe(m, 4)
-        assert np.array_equal(m.entries, entries)
-
-    def test_too_many_levels_rejected(self):
-        m = HermitianMatrix(np.eye(2, dtype=complex))
-        with pytest.raises(ValueError):
-            deflation_vqe(m, 3)
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_no_levels_rejected(self, k):
-        # k = 0 used to return an empty result flagged complete.
-        m = HermitianMatrix(np.eye(2, dtype=complex))
-        with pytest.raises(ValueError, match="at least one level"):
-            deflation_vqe(m, k)
-
-    def test_solver_failure_yields_partial_result(self):
-        from eigengames.hamiltonian import build_powerlaw_hamiltonian
-
-        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=4)
-        # A one-step budget cannot converge, so the run stops at level 1.
-        result = deflation_vqe(matrix, 3, power_iteration_solver, t=1)
-        assert not result.complete
-        assert result.failed_level == 1
-        assert result.pairs == []
 
 
 class TestInputValidation:

@@ -13,7 +13,7 @@ from eigengames.hamiltonian import (
     bundled_h2_path,
     load_pauli_sum,
 )
-from eigengames.quantum_sim import AnsatzSpec, random_layers_ansatz
+from eigengames.quantum_sim import AnsatzSpec, apply_ansatz, random_layers_ansatz
 from eigengames.theory_diagnostics import (
     BoundParams,
     error_accumulation_bound_classical,
@@ -56,28 +56,33 @@ class TestLipschitzClassical:
 
 
 class TestLipschitzQuantum:
-    def test_single_layer_single_qubit_equals_classical(self):
+    def test_single_parameter_equals_classical(self):
         p = BoundParams(lambda_top=1.3, gaps=(0.4,), player_index=1, kappa=0.7,
-                        c=1.0 / 16.0, num_layers=1, num_qubits=1)
+                        c=1.0 / 16.0, num_parameters=1)
         assert lipschitz_bound_quantum(p) == pytest.approx(lipschitz_bound_classical(p))
 
     def test_sixteen_parameters_scale_by_four(self):
         base = BoundParams(lambda_top=1.0, gaps=(0.5, 0.5), player_index=2, kappa=1.0,
-                           c=1.0 / 16.0, num_layers=1, num_qubits=1)
+                           c=1.0 / 16.0, num_parameters=1)
         wide = BoundParams(lambda_top=1.0, gaps=(0.5, 0.5), player_index=2, kappa=1.0,
-                           c=1.0 / 16.0, num_layers=4, num_qubits=4)
+                           c=1.0 / 16.0, num_parameters=16)
         assert lipschitz_bound_quantum(wide) == pytest.approx(4.0 * lipschitz_bound_quantum(base))
 
     def test_hand_arithmetic_instance(self):
         p = BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, kappa=0.0,
-                        c=0.0, num_layers=3, num_qubits=2)
+                        c=0.0, num_parameters=6)
         assert lipschitz_bound_quantum(p) == pytest.approx(math.sqrt(6.0) * 4.0, abs=1e-12)
 
-    def test_ratio_to_classical_is_exactly_sqrt_lq(self):
+    def test_ratio_to_classical_is_exactly_sqrt_m(self):
         p = BoundParams(lambda_top=1.7, gaps=(0.3, 0.3, 0.3), player_index=3, kappa=2.0,
-                        c=1.0 / 20.0, num_layers=5, num_qubits=3)
+                        c=1.0 / 20.0, num_parameters=15)
         ratio = lipschitz_bound_quantum(p) / lipschitz_bound_classical(p)
         assert ratio == pytest.approx(math.sqrt(15.0), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_parameter_count_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match="num_parameters"):
+            BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, num_parameters=m)
 
 
 class TestIterationBoundClassical:
@@ -111,17 +116,18 @@ class TestIterationBoundQuantum:
         lip = math.sqrt(6.0) * 4.0 * (1.0 + (1.0 / 16.0) * 0.5)
         by_hand = math.ceil(4.0 * math.pi**2 * (lip**2 / math.sqrt(6.0)) * 2.0**2)
         assert by_hand == 6582
-        assert iteration_bound_quantum([lip], 3, 2, 1.0, (0.5,), 1.0 / 16.0) == 6582
+        assert iteration_bound_quantum([lip], 6, 1.0, (0.5,), 1.0 / 16.0) == 6582
 
     def test_finite_and_monotone_in_lipschitz(self):
-        lo = iteration_bound_quantum([4.0], 1, 1, 1.0, (0.5,), 1.0 / 16.0)
-        hi = iteration_bound_quantum([5.0], 1, 1, 1.0, (0.5,), 1.0 / 16.0)
+        lo = iteration_bound_quantum([4.0], 1, 1.0, (0.5,), 1.0 / 16.0)
+        hi = iteration_bound_quantum([5.0], 1, 1.0, (0.5,), 1.0 / 16.0)
         assert 0 < lo < hi
 
     def test_quadrupled_parameter_count_halves_bound(self):
-        base = iteration_bound_quantum([4.0], 1, 1, 1.0, (0.5,), 1.0 / 16.0)
-        wide = iteration_bound_quantum([4.0], 2, 2, 1.0, (0.5,), 1.0 / 16.0)
+        base = iteration_bound_quantum([4.0], 1, 1.0, (0.5,), 1.0 / 16.0)
+        wide = iteration_bound_quantum([4.0], 4, 1.0, (0.5,), 1.0 / 16.0)
         assert abs(wide - base / 2.0) <= 1.0
+
 
 
 class TestErrorAccumulationClassical:
@@ -205,10 +211,10 @@ class TestErrorAccumulationQuantum:
         theta = spec.bind(np.linspace(0.1, 1.0, spec.num_parameters))
         assert error_accumulation_bound_quantum(None or _dense(h), spec, [theta], [theta]) == 0.0
 
-    def test_layer_grouping_scales_bound_by_sqrt_ratio(self):
+    def test_layer_grouping_leaves_bound_unchanged(self):
         # The same six-gate circuit declared as 3 layers of 2 gates versus
-        # 6 layers of 1 gate produces identical states, so the bound changes
-        # only through the sqrt(layers * qubits) factor.
+        # 6 layers of 1 gate produces identical states and gradients, and
+        # both have m = 6 parameters, so the bound is the same.
         h = _dense(load_pauli_sum(bundled_h2_path()))
         gates = [("RY", 0), ("RZ", 1), ("RX", 0),
                  ("RY", 1), ("RZ", 0), ("RX", 1)]
@@ -220,7 +226,25 @@ class TestErrorAccumulationQuantum:
         hat = theta + 1e-3 * rng.standard_normal(6)
         b3 = error_accumulation_bound_quantum(h, spec3, [spec3.bind(theta)], [spec3.bind(hat)])
         b6 = error_accumulation_bound_quantum(h, spec6, [spec6.bind(theta)], [spec6.bind(hat)])
-        assert b6 / b3 == pytest.approx(math.sqrt(2.0), rel=1e-9)
+        assert b6 == pytest.approx(b3, rel=1e-12)
+
+    def test_bound_scales_by_sqrt_parameter_count(self):
+        # random_layers_ansatz(2, 3, 3) has m = 9 rotations in 3 layers on 2
+        # qubits, so m differs from layers * qubits = 6; the bound follows m.
+        h = _dense(load_pauli_sum(bundled_h2_path()))
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        assert spec.num_parameters == 9 and spec.num_layers * spec.num_qubits == 6
+        rng = np.random.default_rng(1)
+        theta = rng.uniform(-np.pi, np.pi, 9)
+        hat = theta + 1e-3 * rng.standard_normal(9)
+        v, v_hat = (apply_ansatz(spec, spec.bind(t)).amplitudes for t in (theta, hat))
+        w = v_hat - v
+        lam_top = float(np.linalg.eigvalsh(h.entries).max())
+        lam = float(np.vdot(v, h.entries @ v).real)
+        rank_one = 2.0 * np.linalg.norm(v) * np.linalg.norm(w) + np.linalg.norm(w) ** 2
+        by_hand = 2.0 * 3.0 * np.linalg.norm(h.entries, 2) * rank_one * lam_top / lam
+        bound = error_accumulation_bound_quantum(h, spec, [spec.bind(theta)], [spec.bind(hat)])
+        assert bound == pytest.approx(by_hand, rel=1e-12)
 
     def test_measured_gradient_difference_within_bound(self):
         h = load_pauli_sum(bundled_h2_path())
