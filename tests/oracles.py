@@ -359,8 +359,13 @@ def hotelling_levels(entries: np.ndarray, k: int) -> list[float]:
     """Top k levels by Hotelling deflation: M_{j+1} = M_j - lambda_j |psi_j><psi_j|.
 
     Each level is the top eigenpair of the working copy from ``eigh``; the
-    input is not modified.
+    input is not modified.  k must lie in [1, dim]: past dim the working copy
+    is zero and its "levels" would be rounding noise.
     """
+    if k < 1:
+        raise ValueError(f"need at least one level, got k={k}")
+    if k > len(entries):
+        raise ValueError(f"k={k} exceeds dimension {len(entries)}")
     work = np.array(entries, dtype=np.complex128)
     levels = []
     for _ in range(k):

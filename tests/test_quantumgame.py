@@ -1,4 +1,4 @@
-"""Parameterized players and the overlap-penalized baseline."""
+"""Parameterized players, the overlap-penalized baseline, and the dense deflation oracle."""
 
 import json
 from functools import cached_property
@@ -42,7 +42,7 @@ from eigengames.quantumgame import (
     vqd_player,
 )
 
-from oracles import parameter_shift_points, quantum_utility
+from oracles import hotelling_levels, parameter_shift_points, quantum_utility
 from test_hamiltonian import LATE_EXTREME, random_pauli_sum
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
@@ -877,6 +877,41 @@ class TestShotDraws:
         ]
         assert states[0].energy_history != states[1].energy_history
         assert states[0].eigenvalue != states[1].eigenvalue
+
+
+class TestDeflation:
+    """The dense Hotelling-deflation oracle that criterion 5 checks VQD against."""
+
+    def test_first_level_deflates_top_eigenvalue(self):
+        levels = hotelling_levels(np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex), 2)
+        assert levels[0] == pytest.approx(3.0, abs=1e-12)
+        # The top of the deflated diag(0, 2, 1, 0).
+        assert levels[1] == pytest.approx(2.0, abs=1e-12)
+
+    def test_full_spectrum_with_exact_solver(self):
+        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=4)
+        got = np.array(hotelling_levels(matrix.entries, 6))
+        assert np.max(np.abs(got - spectrum.eigenvalues)) <= 1e-6
+
+    def test_single_level_is_plain_vqe(self):
+        levels = hotelling_levels(np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex), 1)
+        assert len(levels) == 1
+        assert levels[0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_input_matrix_untouched(self):
+        entries = np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex)
+        given = entries.copy()
+        hotelling_levels(given, 4)
+        assert np.array_equal(given, entries)
+
+    def test_too_many_levels_rejected(self):
+        with pytest.raises(ValueError):
+            hotelling_levels(np.eye(2, dtype=complex), 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_levels_rejected(self, k):
+        with pytest.raises(ValueError, match="at least one level"):
+            hotelling_levels(np.eye(2, dtype=complex), k)
 
 
 class TestInputValidation:
