@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DegenerateParentError,
-    DivergenceError,
     NormalizationError,
     NumericalOverflowError,
 )
@@ -285,10 +284,7 @@ def eigengame_player(
         w += v
         if beta:
             w += beta * vel
-        norm = math.sqrt(w.dot(w))
-        if norm < 1e-300:
-            raise DivergenceError("update produced a zero vector")
-        w /= norm
+        w /= math.sqrt(w.dot(w))  # at least 1: w . v = 1 + beta(1 - v_prev . v), t is orthogonal to v
         vel, v = w - v, w
         state.iterations_used += 1
 

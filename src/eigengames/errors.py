@@ -26,15 +26,16 @@ class PauliFormatError(EigenGamesError):
 
 
 class DegenerateParentError(EigenGamesError):
-    """A parent's generalized Rayleigh quotient is too close to zero to divide by."""
+    """A parent's penalty denominator cannot be divided by.
+
+    Its generalized Rayleigh quotient is too close to zero, or, for the
+    quantum game's shifted operator, not positive, which would turn the
+    parent's penalty into a reward.
+    """
 
 
 class NormalizationError(EigenGamesError):
     """A vector that must be unit norm is not."""
-
-
-class DivergenceError(EigenGamesError):
-    """An update produced a (near-)zero vector that cannot be renormalized."""
 
 
 class NumericalOverflowError(EigenGamesError):

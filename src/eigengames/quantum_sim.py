@@ -7,8 +7,8 @@ apply through their compiled form (``PauliSum.compiled``).
 ``parameter_shift_states`` prepares m + 1 states per sweep, and every read
 of the 2m + 1 shift rows is formed from products of those rows
 (``shift_row_moments``, ``shift_row_products``): no shift row is built.
-``state_moments`` computes <M> and Var(M) over state rows given M applied
-to them; ``expectation`` is its exact one-row read.  ``perturb_readouts``
+A one-row base is a plain state, so these are also the reads of a single
+prepared state; ``expectation`` is the exact one-row <M>.  ``perturb_readouts``
 draws every shot, one vector draw per batch of read-outs; the callers count
 the read-outs they draw.  The interference and SwapTest circuits are read
 out in closed form from the products they measure
@@ -180,7 +180,7 @@ class AnsatzSpec:
         ]
         k = count()
         for l, layer in enumerate(self.layer_rotations):
-            gates = "; ".join(f"{kind} q{qubit} slot{next(k)}" for kind, qubit in layer)
+            gates = "; ".join(f"{kind} q{qubit} p{next(k)}" for kind, qubit in layer)
             ent = ", ".join(f"({c},{t})" for c, t in self.entangler_pairs)
             lines.append(f"layer {l}: {gates} | cnot ring: {ent if ent else 'none'}")
         return "\n".join(lines)
@@ -307,31 +307,10 @@ def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
     return h.apply(amps)
 
 
-def state_moments(rows: np.ndarray, h_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(<M>, Var(M), ||M psi||^2, residue) for each row psi of a (B, 2**q) array, given the rows M psi.
-
-    ``residue`` is the largest |Im<psi|M psi>|, rounding for Hermitian M;
-    above ``NORM_ATOL`` it raises.  Var(M) = ||M psi||^2 - <M>^2, clamped at
-    0; the unclamped second moment ||M psi||^2 is returned too.
-    ``shift_row_moments`` gives the same four for a sweep's shift rows.
-    """
-    value = np.einsum("bi,bi->b", rows.conj(), h_rows)
-    return _moments(value, np.einsum("bi,bi->b", h_rows.conj(), h_rows).real)
-
-
-def _moments(value: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``state_moments``'s four results from each row's complex <psi|M psi> and its ||M psi||^2."""
-    residue = float(np.abs(value.imag).max())
-    if residue > NORM_ATOL:
-        raise ValueError(f"expectation has imaginary residue {residue:.3e}")
-    mean = value.real
-    return mean, np.maximum(second - mean * mean, 0.0), second, residue
-
-
 def expectation(h: PauliSum, psi: StateVector) -> float:
-    """Exact <psi| M |psi>, the one-row case of ``state_moments``."""
+    """Exact <psi| M |psi>: ``shift_row_moments``'s mean on the one-row base psi."""
     rows = psi.amplitudes[None, :]
-    return float(state_moments(rows, pauli_sum_apply(h, rows))[0][0])
+    return float(shift_row_moments(rows, pauli_sum_apply(h, rows))[0][0])
 
 
 @dataclass(frozen=True)
@@ -410,11 +389,10 @@ def interference_moments(
     ||M psi_r||^2 and ``parent_second`` (P,) the parents' ||M psi_j||^2.
     The circuit's Re and Im read-outs have means Re/Im <psi_r|M|psi_j> and
     variances (||M psi_r||^2 + ||M psi_j||^2)/2 - mean^2.  Both (B, 2P)
-    results interleave Re and Im per parent, the order the circuit is read.
+    results interleave Re and Im per parent, the order the circuit is read,
+    which is the float64 view of the complex products.
     """
-    means = np.empty((cross.shape[0], 2 * cross.shape[1]))
-    means[:, 0::2] = cross.real
-    means[:, 1::2] = cross.imag
+    means = np.ascontiguousarray(cross).view(np.float64)
     second = np.repeat(0.5 * (row_second[:, None] + parent_second[None, :]), 2, axis=1)
     return means, second - means**2
 
@@ -462,7 +440,7 @@ def _pair_rows(rows: np.ndarray, centre: np.ndarray, cross: np.ndarray) -> None:
 def shift_row_moments(
     base: np.ndarray, h_base: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``state_moments`` of the 2m + 1 shift rows, read from the (m+1, d) base rows and M applied to them.
+    """(<M>, Var(M), ||M r||^2, residue) of the 2m + 1 shift rows r, from the (m+1, d) base rows and M on them.
 
     A Pauli rotation R(t) = cos(t/2) I - i sin(t/2) P satisfies
     R(t +- pi/2) = (R(t) +- R(t + pi)) / sqrt(2), and a parameter that feeds
@@ -477,8 +455,9 @@ def shift_row_moments(
     ||M r+-||^2 = (||M psi||^2 + ||M phi_k||^2)/2 +- Re<M psi|M phi_k>, and
     ||r+-||^2 = (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.
 
-    Returns (<M>, Var(M), ||M r||^2, residue) per row, as ``state_moments``
-    would on the built rows; a one-row base is that call on psi.
+    Var(M) = ||M r||^2 - <M>^2 is clamped at 0; the unclamped second moment
+    is returned too.  A one-row base (m = 0) is the plain state psi, and the
+    four are its own reads: the library reads every prepared state here.
     <psi|phi_k> is imaginary, so every row has unit norm; a row off unit
     norm to ``NORM_ATOL`` (another gate, or NaN) raises.  ``residue`` is the
     largest |Im<r|M r>|, the cross terms' imaginary parts included, rounding
@@ -508,7 +487,11 @@ def shift_row_moments(
     norm, value, second = reads.T
     if not _norm_deviation(norm.real) <= NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError(f"parameter-shift row norms deviate from 1 beyond {NORM_ATOL}")
-    return _moments(value, second.real)
+    residue = float(np.abs(value.imag).max())
+    if residue > NORM_ATOL:
+        raise ValueError(f"expectation has imaginary residue {residue:.3e}")
+    mean, second = value.real, second.real
+    return mean, np.maximum(second - mean * mean, 0.0), second, residue
 
 
 def shift_row_products(base: np.ndarray, kets: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from .quantum_sim import (
     shift_row_moments,
     shift_row_products,
     shift_rule_gradient,
-    state_moments,
     swap_test_moments,
 )
 
@@ -146,12 +145,15 @@ def pauli_sum_hash(h: PauliSum) -> str:
 # applied to them (``parameter_shift_states``) to the objective at each of
 # the 2m + 1 shift rows, each row's read-out of <M> (the one the objective is
 # formed from), the largest |Im<r|M r>| over the rows, and the number of
-# read-outs it drew.  A one-row base is the single state psi.
+# read-outs it drew.  A one-row base is the single state psi.  Evaluators
+# take the parents as their (P, 2**q) block of states, which each player
+# stacks once (``_parent_states``).
 EvaluatorResult = tuple[np.ndarray, np.ndarray, float, int]
 Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
 
 
 def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.ndarray:
+    """The parents' states as one (P, 2**q) block, (0, 2**q) without parents."""
     return np.array([p.statevector.amplitudes for p in parents]).reshape(len(parents), 2**num_qubits)
 
 
@@ -166,8 +168,7 @@ def _game_evaluator(
     m: PauliSum,
     sign: float,
     offset: float,
-    spec: AnsatzSpec,
-    parents: tuple[QuantumParent, ...],
+    parent_states: np.ndarray,
     denominators: Sequence[float],
     shots: ShotModel,
     rng: np.random.Generator | None,
@@ -181,23 +182,25 @@ def _game_evaluator(
     the sweep's base rows (``shift_row_moments``, and ``shift_row_products``
     with the A psi_j); the cross terms' variances take
     ||A r||^2 = ||M r||^2 + 2*sign*offset*<M> + offset^2.  A psi_j, its
-    ||A psi_j||^2 and the weights 1/lambda_j are formed once here, for every
-    row and iteration.  Without parents there are no cross read-outs.
+    ||A psi_j||^2 and the weights 1/lambda_j, each repeated for the Re and
+    the Im read-out, are formed once here, for every row and iteration.
+    Without parents there are no cross read-outs.  A denominator within
+    ``PARENT_EIGENVALUE_GUARD`` of zero raises ``DegenerateParentError``.
     """
     for lam in denominators:
         if abs(lam) < PARENT_EIGENVALUE_GUARD:
             raise DegenerateParentError(
                 f"cached parent eigenvalue {lam:.3e} is below the division guard"
             )
-    if parents:
-        parent_states = _parent_states(parents, spec.num_qubits)
+    has_parents = len(parent_states) > 0
+    if has_parents:
         a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
         a_parent_second = np.vecdot(a_parents, a_parents).real
-        weights = 1.0 / np.asarray(denominators, dtype=np.float64)
+        weights = np.repeat(1.0 / np.asarray(denominators, dtype=np.float64), 2)
 
     def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
         mean, var, second, residue = shift_row_moments(base, m_base)
-        if not parents:
+        if not has_parents:
             m_reads = perturb_readouts(shots, mean, var, rng)
             return sign * m_reads + offset, m_reads, residue, m_reads.size
         a_second = second + 2.0 * sign * offset * mean + offset * offset
@@ -207,7 +210,7 @@ def _game_evaluator(
         reads = perturb_readouts(
             shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
         )
-        penalty = (reads[:, 1::2] ** 2 + reads[:, 2::2] ** 2) @ weights
+        penalty = reads[:, 1:] ** 2 @ weights
         return sign * reads[:, 0] + offset - penalty, reads[:, 0], residue, reads.size
 
     return evaluate
@@ -215,8 +218,7 @@ def _game_evaluator(
 
 def _vqd_evaluator(
     sign: float,
-    spec: AnsatzSpec,
-    parents: tuple[QuantumParent, ...],
+    parent_states: np.ndarray,
     betas: Sequence[float],
     shots: ShotModel,
     rng: np.random.Generator | None,
@@ -230,12 +232,12 @@ def _vqd_evaluator(
     states); the penalty is one product with the (P,) weights beta_j.
     Without parents there are no SwapTest read-outs.
     """
-    parent_states = _parent_states(parents, spec.num_qubits)
+    has_parents = len(parent_states) > 0
     weights = np.asarray(betas, dtype=np.float64)
 
     def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
         mean, var, _, residue = shift_row_moments(base, m_base)
-        if not parents:
+        if not has_parents:
             m_reads = perturb_readouts(shots, mean, var, rng)
             return sign * m_reads, m_reads, residue, m_reads.size
         p0, p0_var = swap_test_moments(shift_row_products(base, parent_states))
@@ -253,6 +255,7 @@ def _ascend(
     spec: AnsatzSpec,
     theta: ParameterTensor,
     parents: tuple[QuantumParent, ...],
+    parent_states: np.ndarray,
     cfg: SolverConfig,
     index: int,
     evaluate: Evaluator,
@@ -267,13 +270,14 @@ def _ascend(
     2m shifted rows and theta's row from those, never building a shift
     row, and its read-out of <M> on theta's row is the iteration's energy:
     no circuit is read twice.  Stops when the gradient norm reaches
-    tolerance or the iteration budget runs out (partial result).  The final
-    state is theta's prepared row (the sweep's last base row) when the loop
-    converged and is prepared, and M applied to it, once otherwise; one
-    ``state_moments`` call on that row gives the eigenvalue read (the last
-    draw of the stream), the residual and, with the parents' states, the
-    largest parent overlap.  Every draw site adds its read-outs to one
-    count, stored with its shots at the end (0 and 0 when exact).
+    tolerance or the iteration budget runs out (partial result).  On either
+    exit the final theta's state is prepared, and M applied to it, once, and
+    read as a one-row base: ``shift_row_moments`` gives the eigenvalue read
+    (the last draw of the stream) and the residual, and
+    ``shift_row_products`` with the parents' (P, 2**q) block
+    ``parent_states`` the largest parent overlap.  Every draw site adds its
+    read-outs to one count, stored with its shots at the end (0 and 0 when
+    exact).
 
     The step is heavy-ball, vel <- beta_t vel + sign*eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
@@ -310,18 +314,13 @@ def _ascend(
 
     state.momentum_restarts = ball.restarts
     state.theta = ParameterTensor(values)
-    # A converged loop stopped on the theta it last prepared; a spent budget stepped past it.
-    final, m_final = base[-1:], m_base[-1:]
-    if not state.converged:
-        final = apply_ansatz(spec, values[None, :])
-        m_final = pauli_sum_apply(m, final)
-    mean, var, _, _ = state_moments(final, m_final)
+    final = apply_ansatz(spec, values[None, :])
+    mean, var, _, _ = shift_row_moments(final, pauli_sum_apply(m, final))
     state.statevector = StateVector(spec.num_qubits, final[0])
     state.eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
     state.residual = math.sqrt(var[0])
-    if parents:
-        overlaps = np.abs(_parent_states(parents, spec.num_qubits).conj() @ final[0]) ** 2
-        state.max_parent_overlap = float(overlaps.max())
+    overlaps = np.abs(shift_row_products(final, parent_states)) ** 2
+    state.max_parent_overlap = float(overlaps.max(initial=0.0))
     if not cfg.shots.is_exact:
         state.readouts = readouts + 1  # and the eigenvalue read
         state.shots = state.readouts * cfg.shots.num_shots
@@ -350,10 +349,13 @@ def quantumgame_player(
     ``spectral_range``), so the margin scales with the operator:
     2 * RANGE_RESIDUAL_TOL * max(-lo, hi), about 2% of ||M||, and at least
     ``MIN_MODE_SHIFT_MARGIN``.  An absolute margin alone would let a large
-    operator's shortfall exceed it.  A is applied as algebra on
-    M's moments (``_game_evaluator``), never built; the denominators come
-    from the cached M-eigenvalues without re-measuring, and energies are
-    read on M.
+    operator's shortfall exceed it.  A caller-supplied parent whose
+    eigenvalue lies farther outside the enclosure, so that its denominator
+    is at or below ``PARENT_EIGENVALUE_GUARD``, raises
+    ``DegenerateParentError`` before any circuit runs.  A is applied as
+    algebra on M's moments (``_game_evaluator``), never built; the
+    denominators come from the cached M-eigenvalues without re-measuring,
+    and energies are read on M.
     """
     parents = tuple(parents)
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
@@ -362,19 +364,23 @@ def quantumgame_player(
     margin = max(MIN_MODE_SHIFT_MARGIN, 2.0 * RANGE_RESIDUAL_TOL * max(-lo, hi))
     offset = (-lo if sign > 0 else hi) + margin
     game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
+    for denominator in game_denominators:
+        if denominator <= PARENT_EIGENVALUE_GUARD:
+            raise DegenerateParentError(
+                f"parent penalty denominator {denominator:.3e} is not positive: "
+                "the parent's eigenvalue lies outside the operator's enclosure"
+            )
     eta = 1.0 / (2.0 * (hi - lo + margin))
     rng = cfg.shots.make_rng()
-    evaluate = _game_evaluator(m, sign, offset, spec, parents, game_denominators, cfg.shots, rng)
-    return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, 1.0, rng)
+    states = _parent_states(parents, spec.num_qubits)
+    evaluate = _game_evaluator(m, sign, offset, states, game_denominators, cfg.shots, rng)
+    return _ascend(m, spec, theta, parents, states, cfg, index, evaluate, eta, 1.0, rng)
 
 
-def _penalty_norm_bound(
-    parents: tuple[QuantumParent, ...], betas: Sequence[float], num_qubits: int
-) -> float:
-    """Gershgorin's bound on ||sum_j beta_j |psi_j><psi_j|||: the largest row sum of
-    sqrt(beta_j beta_l) |<psi_j|psi_l>|; 0 without parents."""
+def _penalty_norm_bound(states: np.ndarray, betas: Sequence[float]) -> float:
+    """Gershgorin's bound on ||sum_j beta_j |psi_j><psi_j|||, given the (P, 2**q) parent
+    states: the largest row sum of sqrt(beta_j beta_l) |<psi_j|psi_l>|; 0 without parents."""
     root = np.sqrt(betas)
-    states = _parent_states(parents, num_qubits)
     gram = np.abs(states.conj() @ states.T) * np.outer(root, root)
     np.fill_diagonal(gram, betas)  # unit states: beta_j itself, not its rounded root squared
     return float(gram.sum(axis=1).max(initial=0.0))
@@ -416,10 +422,11 @@ def vqd_player(
     # The penalized objective is the expectation of sign*M + sum_j beta_j P_j,
     # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
     lo, hi = m.spectral_range
-    eta = 1.0 / (2.0 * (max(-lo, hi) + _penalty_norm_bound(parents, betas, spec.num_qubits)))
+    states = _parent_states(parents, spec.num_qubits)
+    eta = 1.0 / (2.0 * (max(-lo, hi) + _penalty_norm_bound(states, betas)))
     rng = cfg.shots.make_rng()
-    evaluate = _vqd_evaluator(sign, spec, parents, betas, cfg.shots, rng)
-    return _ascend(m, spec, theta, parents, cfg, index, evaluate, eta, -1.0, rng)
+    evaluate = _vqd_evaluator(sign, states, betas, cfg.shots, rng)
+    return _ascend(m, spec, theta, parents, states, cfg, index, evaluate, eta, -1.0, rng)
 
 
 def _sequential_run(

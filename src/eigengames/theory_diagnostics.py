@@ -375,7 +375,8 @@ def measure_error_accumulation_quantum(
     rows = []
 
     def gradient(parent: QuantumParent, sweep: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        evaluate = _game_evaluator(h, 1.0, 0.0, spec, (parent,), (parent.eigenvalue,), ShotModel(), None)
+        block = parent.statevector.amplitudes[None, :]
+        evaluate = _game_evaluator(h, 1.0, 0.0, block, (parent.eigenvalue,), ShotModel(), None)
         return shift_rule_gradient(evaluate(*sweep)[0][:-1])
 
     for eps in epsilons:

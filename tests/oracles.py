@@ -7,7 +7,9 @@ prepared, check the sweep's m + 1 base rows; ``rebuild_shift_rows`` builds
 the 2m + 1 shift rows from those, and reading them row by row checks the
 reads the library forms from products of the base rows; the scalar
 parameter-shift loop and the literal forward-difference quotient check the
-batched and closed-form gradients; ``classical_game_terms`` and
+batched and closed-form gradients; ``row_moments`` reads <M> and Var(M)
+of independent state rows one at a time, the reference for the library's
+one moments read ``shift_row_moments``; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``quantum_utility`` is one row of the game's
 batch evaluator; ``hotelling_levels`` is explicit Hotelling deflation on a
@@ -44,7 +46,7 @@ from eigengames.quantum_sim import (
     pauli_sum_apply,
     shift_rule_gradient,
 )
-from eigengames.quantumgame import QuantumParent, _game_evaluator
+from eigengames.quantumgame import QuantumParent, _game_evaluator, _parent_states
 
 
 class InvalidPerturbationError(EigenGamesError):
@@ -69,6 +71,27 @@ def scalar_perturb_readouts(
         for mean, var in zip(means.ravel().tolist(), variances.ravel().tolist())
     ]
     return np.array(draws).reshape(means.shape)
+
+
+# ---------------------------------------------------------------------------
+# Moments of independent state rows
+# ---------------------------------------------------------------------------
+
+def row_moments(rows: np.ndarray, h_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(<M>, Var(M), ||M psi||^2, residue) of each row psi of a (B, d) array, given the rows M psi.
+
+    Each row is read on its own with ``np.vdot``.  ``residue`` is the largest
+    |Im<psi|M psi>| and raises above ``NORM_ATOL``; Var(M) = ||M psi||^2 - <M>^2
+    is clamped at 0 and the unclamped second moment is returned too, as
+    ``shift_row_moments`` does for its rows.
+    """
+    value = np.array([np.vdot(row, h_row) for row, h_row in zip(rows, h_rows)], dtype=np.complex128)
+    second = np.array([np.vdot(h_row, h_row).real for h_row in h_rows], dtype=np.float64)
+    residue = float(np.abs(value.imag).max(initial=0.0))
+    if residue > NORM_ATOL:
+        raise ValueError(f"expectation has imaginary residue {residue:.3e}")
+    mean = value.real
+    return mean, np.maximum(second - mean * mean, 0.0), second, residue
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +369,8 @@ def quantum_utility(
     """
     parents = tuple(parents)
     values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
-    evaluate = _game_evaluator(m, 1.0, 0.0, spec, parents, [p.eigenvalue for p in parents], shots, rng)
+    block = _parent_states(parents, spec.num_qubits)
+    evaluate = _game_evaluator(m, 1.0, 0.0, block, [p.eigenvalue for p in parents], shots, rng)
     psi = apply_ansatz(spec, values[None, :])
     return float(evaluate(psi, pauli_sum_apply(m, psi))[0][0])
 

@@ -31,7 +31,7 @@ from eigengames.quantum_sim import (
     expectation,
     pauli_sum_apply,
     random_layers_ansatz,
-    state_moments,
+    shift_row_moments,
 )
 from eigengames.quantumgame import (
     QuantumParent,
@@ -195,7 +195,7 @@ def test_criterion_4_quantum_excited_states():
     details = []
     for rank, idx in enumerate(order):
         rows = apply_ansatz(ANSATZ, noisy.players[idx].theta.values[None, :])
-        _, var, _, _ = state_moments(rows, pauli_sum_apply(H2, rows))
+        _, var, _, _ = shift_row_moments(rows, pauli_sum_apply(H2, rows))
         band = 10.0 * np.sqrt(var[0] / 10_000)
         err = abs(noisy.eigenvalues[idx] - H2_LEVELS[rank])
         band_ok = band_ok and err <= band

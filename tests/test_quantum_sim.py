@@ -36,7 +36,6 @@ from eigengames.quantum_sim import (
     random_layers_ansatz,
     shift_row_moments,
     shift_row_products,
-    state_moments,
     swap_test_moments,
     zero_state,
 )
@@ -54,6 +53,7 @@ from oracles import (
     parameter_shift_points,
     rebuild_shift_rows,
     rotation_gate,
+    row_moments,
     scalar_perturb_readouts,
     swap_test_overlap,
 )
@@ -68,9 +68,9 @@ def random_state(num_qubits, rng):
 
 
 def noisy_energy(h, psi, shots):
-    """One read-out of <M> on psi as the players draw it: ``state_moments``, then ``perturb_readouts``."""
+    """One read-out of <M> on psi as the players draw it: ``shift_row_moments`` on psi, then ``perturb_readouts``."""
     rows = psi.amplitudes[None, :]
-    mean, var, _, _ = state_moments(rows, pauli_sum_apply(h, rows))
+    mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
     return float(perturb_readouts(shots, mean, var, shots.make_rng())[0])
 
 
@@ -299,8 +299,8 @@ class TestAnsatzSpec:
     def test_describe_numbers_gates_in_circuit_order(self):
         assert layered_ansatz(1, 2, initial_state="zero").describe() == (
             "ansatz qubits=1 layers=2 parameters=4 initial=zero seed=None\n"
-            "layer 0: RY q0 slot0; RZ q0 slot1 | cnot ring: none\n"
-            "layer 1: RY q0 slot2; RZ q0 slot3 | cnot ring: none"
+            "layer 0: RY q0 p0; RZ q0 p1 | cnot ring: none\n"
+            "layer 1: RY q0 p2; RZ q0 p3 | cnot ring: none"
         )
 
 
@@ -334,14 +334,14 @@ class TestExpectation:
 
 
 class TestStateMoments:
-    """The one computation of <M> and Var(M), against the dense operator."""
+    """<M> and Var(M) of independent rows: the dense per-row reference, and the library's one-row read of it."""
 
     def test_moments_match_dense(self):
         rng = np.random.default_rng(21)
         h = random_pauli_sum(3, 10, rng)
         dense = pauli_sum_to_matrix(h).entries
         rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
-        mean, var, second, residue = state_moments(rows, pauli_sum_apply(h, rows))
+        mean, var, second, residue = row_moments(rows, pauli_sum_apply(h, rows))
         m_rows = rows @ dense.T
         dense_mean = np.einsum("bi,bi->b", rows.conj(), m_rows).real
         dense_second = np.einsum("bi,bi->b", m_rows.conj(), m_rows).real
@@ -352,27 +352,43 @@ class TestStateMoments:
         assert np.all(var > 0.0)
         assert 0.0 <= residue <= NORM_ATOL
 
+    def test_one_row_shift_read_equals_the_reference(self):
+        # A one-row base is a plain state: its shift-row read is that state's moments.
+        rng = np.random.default_rng(22)
+        h = random_pauli_sum(3, 10, rng)
+        rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
+        h_rows = pauli_sum_apply(h, rows)
+        want = row_moments(rows, h_rows)
+        for b in range(6):
+            got = shift_row_moments(rows[b:b + 1], h_rows[b:b + 1])
+            assert [g.shape for g in got[:3]] == [(1,)] * 3
+            for g, w in zip(got[:3], want[:3]):
+                assert g[0] == pytest.approx(w[b], rel=0.0, abs=1e-15)
+            assert got[3] <= NORM_ATOL
+
     def test_expectation_is_the_one_row_mean(self):
         h = load_pauli_sum(bundled_h2_path())
         psi = random_state(2, np.random.default_rng(5))
         rows = psi.amplitudes[None, :]
-        assert expectation(h, psi) == float(state_moments(rows, pauli_sum_apply(h, rows))[0][0])
+        assert expectation(h, psi) == float(shift_row_moments(rows, pauli_sum_apply(h, rows))[0][0])
 
-    def test_variance_clamps_at_zero(self):
+    @pytest.mark.parametrize("read", [row_moments, shift_row_moments], ids=["reference", "one-row"])
+    def test_variance_clamps_at_zero(self, read):
         # |0> a rounding off unit norm, with Z|0> = |0>: ||M psi||^2 - <M>^2 is
         # below 0; the variance clamps to 0 and the second moment stays as computed.
         rows = np.array([[1.0 + 1e-12, 0.0]], dtype=np.complex128)
         h_rows = np.array([[1.0, 0.0]], dtype=np.complex128)
-        mean, var, second, _ = state_moments(rows, h_rows)
+        mean, var, second, _ = read(rows, h_rows)
         assert second[0] - mean[0] ** 2 < 0.0
         assert var[0] == 0.0 and second[0] == 1.0
 
-    def test_imaginary_residue_above_tolerance_raises(self):
+    @pytest.mark.parametrize("read", [row_moments, shift_row_moments], ids=["reference", "one-row"])
+    def test_imaginary_residue_above_tolerance_raises(self, read):
         rows = plus_state(1).amplitudes[None, :]
-        _, _, _, residue = state_moments(rows, 0.5j * NORM_ATOL * rows)
+        _, _, _, residue = read(rows, 0.5j * NORM_ATOL * rows)
         assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
         with pytest.raises(ValueError, match="imaginary residue"):
-            state_moments(rows, 2j * NORM_ATOL * rows)
+            read(rows, 2j * NORM_ATOL * rows)
 
 
 class TestShotNoise:
@@ -471,7 +487,7 @@ class TestShotNoise:
         rng = np.random.default_rng(8)
         psi = random_state(2, rng)
         rows = psi.amplitudes[None, :]
-        mean, var, _, _ = state_moments(rows, pauli_sum_apply(h, rows))
+        mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
         n = 400
         draws = np.array([noisy_energy(h, psi, ShotModel(n, rng_seed=s)) for s in range(1000)])
         expected_std = np.sqrt(var / n)
@@ -677,7 +693,7 @@ class TestParameterShiftStates:
             psi, h_psi = rebuild_shift_rows(base, h_base)
             assert np.max(np.abs(psi - prepared)) <= 1e-12
             assert np.max(np.abs(h_psi - h_prepared)) <= 1e-12
-            want = state_moments(prepared, h_prepared)
+            want = row_moments(prepared, h_prepared)
             for got, expected in zip(shift_row_moments(base, h_base)[:3], want[:3]):
                 assert np.max(np.abs(got - expected)) <= 1e-12
             assert np.max(np.abs(shift_row_products(base, parents) - prepared.conj() @ parents.T)) <= 1e-12
@@ -696,7 +712,7 @@ class TestParameterShiftStates:
         parent_second = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
         base, h_base = parameter_shift_states(spec, h, rng.uniform(-np.pi, np.pi, spec.num_parameters))
         rows, h_rows = rebuild_shift_rows(base, h_base)
-        want = state_moments(rows, h_rows)
+        want = row_moments(rows, h_rows)
         want_cross = interference_moments(rows.conj() @ m_parents.T, want[2], parent_second)
         want_swap = swap_test_moments(rows.conj() @ parents.T)
         got = shift_row_moments(base, h_base)
@@ -745,13 +761,13 @@ class TestParameterShiftStates:
             h_base = np.array([[scale * 1j * NORM_ATOL, 0.0], [0.0, 0.0]])
             rows, h_rows = rebuild_shift_rows(base, h_base)
             if raises:
-                for read in (lambda: shift_row_moments(base, h_base), lambda: state_moments(rows, h_rows)):
+                for read in (lambda: shift_row_moments(base, h_base), lambda: row_moments(rows, h_rows)):
                     with pytest.raises(ValueError, match="imaginary residue"):
                         read()
             else:
                 residue = shift_row_moments(base, h_base)[3]
                 assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
-                assert residue == pytest.approx(state_moments(rows, h_rows)[3], rel=1e-12)
+                assert residue == pytest.approx(row_moments(rows, h_rows)[3], rel=1e-12)
 
 
 class TestStateVector:

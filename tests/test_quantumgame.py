@@ -29,7 +29,8 @@ from eigengames.quantum_sim import (
     parameter_shift_states,
     pauli_sum_apply,
     random_layers_ansatz,
-    state_moments,
+    shift_row_moments,
+    shift_row_products,
     zero_state,
 )
 from eigengames.quantumgame import (
@@ -57,9 +58,9 @@ def make_parent(h, spec, theta_values):
 
 
 def exact_moments(h, psi):
-    """(<M>, Var(M)) of one state, from ``state_moments``."""
+    """(<M>, Var(M)) of one state, from ``shift_row_moments`` on it."""
     rows = psi.amplitudes[None, :]
-    mean, var, _, _ = state_moments(rows, pauli_sum_apply(h, rows))
+    mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
     return float(mean[0]), float(var[0])
 
 
@@ -168,6 +169,64 @@ class TestQuantumGamePlayer:
         overlaps = [abs(np.vdot(p.statevector.amplitudes, psi)) ** 2 for p in parents]
         assert state.max_parent_overlap == pytest.approx(max(overlaps), abs=1e-12)
         assert quantumgame_player(h2, spec, np.zeros(9), (), cfg).max_parent_overlap == 0.0
+
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("budget", [3, 3000], ids=["budget-spent", "converged"])
+    @pytest.mark.parametrize("player, extra", [(quantumgame_player, {}), (vqd_player, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_exit_read_is_a_fresh_one_row_read(self, h2, player, extra, budget, shots):
+        # Every exit prepares the returned theta once and reads it as a one-row
+        # base; reading it again gives the same floats, converged or not.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        rng = np.random.default_rng(2)
+        parents = tuple(make_parent(h2, spec, rng.uniform(-np.pi, np.pi, 9)) for _ in range(2))
+        tolerance = 1e-9 if budget == 3 else 1e-3 if shots is None else 0.3
+        cfg = SolverConfig(direction="minimize", grad_tolerance=tolerance, max_iterations=budget,
+                           shots=ShotModel(shots, rng_seed=3), **extra)
+        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), parents, cfg, index=3)
+        assert state.converged == (budget == 3000)
+        final = apply_ansatz(spec, state.theta.values[None, :])
+        mean, var, _, _ = shift_row_moments(final, pauli_sum_apply(h2, final))
+        block = np.array([p.statevector.amplitudes for p in parents])
+        overlaps = np.abs(shift_row_products(final, block)) ** 2
+        assert np.array_equal(state.statevector.amplitudes, final[0])
+        assert state.residual == np.sqrt(var[0])
+        assert state.max_parent_overlap == overlaps.max()
+        if shots is None:
+            assert state.eigenvalue == mean[0]
+
+    @pytest.mark.parametrize("excess", [0.5, 0.0], ids=["negative", "zero"])
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    def test_parent_outside_the_enclosure_rejected(self, monkeypatch, h2, direction, excess):
+        # A parent eigenvalue past the shifted end of the enclosure makes its
+        # denominator sign*lambda + offset zero or negative, which would turn its
+        # penalty into a reward; it is rejected before any sweep.
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        lo, hi = h2.spectral_range
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        parent = make_parent(h2, spec, np.full(9, 0.4))
+        margin = quantumgame.MIN_MODE_SHIFT_MARGIN
+        assert margin >= 2.0 * quantumgame.RANGE_RESIDUAL_TOL * max(-lo, hi)  # H2's margin is the floor
+        eigenvalue = hi + margin + excess if direction == "minimize" else lo - margin - excess
+        outside = QuantumParent(parent.theta, eigenvalue, parent.statevector)
+        monkeypatch.setattr(quantumgame, "parameter_shift_states", no_sweep)
+        cfg = SolverConfig(direction=direction, max_iterations=3)
+        with pytest.raises(DegenerateParentError, match="not positive"):
+            quantumgame_player(h2, spec, np.zeros(9), (outside,), cfg)
+
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    def test_parent_just_inside_the_shifted_enclosure_accepted(self, h2, direction):
+        # A denominator of 0.5, still positive: the parent keeps its penalty.
+        lo, hi = h2.spectral_range
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        parent = make_parent(h2, spec, np.full(9, 0.4))
+        eigenvalue = hi + 0.5 if direction == "minimize" else lo - 0.5
+        inside = QuantumParent(parent.theta, eigenvalue, parent.statevector)
+        cfg = SolverConfig(direction=direction, max_iterations=3)
+        state = quantumgame_player(h2, spec, np.zeros(9), (inside,), cfg)
+        assert state.iterations_used == 3
 
     def test_monotone_utility_noiseless(self, h2):
         # Plain ascent with eta <= 1/(2||M||) must not decrease the utility, so
@@ -396,7 +455,7 @@ class TestStepSize:
         ascend = quantumgame._ascend
 
         def recording_ascend(*args):
-            etas.append(args[7])  # (m, spec, theta, parents, cfg, index, evaluate, eta, ...)
+            etas.append(args[8])  # (m, spec, theta, parents, parent_states, cfg, index, evaluate, eta, ...)
             return ascend(*args)
 
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
@@ -421,7 +480,7 @@ class TestStepSize:
         ascend = quantumgame._ascend
 
         def recording_ascend(*args):
-            etas.append(args[7])
+            etas.append(args[8])
             return ascend(*args)
 
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
@@ -439,9 +498,8 @@ class TestStepSize:
 
     def test_orthogonal_parents_bound_the_penalty_by_the_largest_weight(self):
         states = np.eye(4, dtype=np.complex128)[[0, 2, 3]]
-        parents = tuple(QuantumParent(None, 0.0, StateVector(2, row)) for row in states)
-        assert quantumgame._penalty_norm_bound(parents, (1.0, 3.0, 2.0), 2) == 3.0
-        assert quantumgame._penalty_norm_bound((), (), 2) == 0.0
+        assert quantumgame._penalty_norm_bound(states, (1.0, 3.0, 2.0)) == 3.0
+        assert quantumgame._penalty_norm_bound(states[:0], ()) == 0.0
 
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 1.0})],
                              ids=["game", "vqd"])
@@ -496,7 +554,7 @@ class TestShiftedObjective:
         ascend = quantumgame._ascend
 
         def capturing_ascend(*args):
-            captured.append(args[6])  # (m, spec, theta, parents, cfg, index, evaluate, ...)
+            captured.append(args[7])  # (m, spec, theta, parents, parent_states, cfg, index, evaluate, ...)
             return ascend(*args)
 
         monkeypatch.setattr(quantumgame, "_ascend", capturing_ascend)
@@ -547,7 +605,7 @@ class TestShiftedObjective:
         evaluator = quantumgame._game_evaluator
 
         def capturing(*args):
-            denominators.extend(args[5])  # (m, sign, offset, spec, parents, denominators, ...)
+            denominators.extend(args[4])  # (m, sign, offset, parent_states, denominators, ...)
             return evaluator(*args)
 
         monkeypatch.setattr(quantumgame, "_game_evaluator", capturing)
@@ -650,7 +708,7 @@ class TestShiftedObjective:
 
 
 class TestStatePreparations:
-    """Each player prepares one state per iteration, plus its final state at most once."""
+    """Each player prepares one sweep per loop pass, plus its final state exactly once."""
 
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
                              ids=["game", "vqd"])
@@ -658,7 +716,9 @@ class TestStatePreparations:
                              ids=["budget", "converged"])
     def test_one_final_state_per_player(self, monkeypatch, runner, extra, budget, tolerance, shots):
         # The final state used to be prepared twice: at the end of the ascent
-        # and again for the broadcast parent.
+        # and again for the broadcast parent.  A player runs one sweep per
+        # iteration, one more when it converges (the pass that finds the
+        # gradient below tolerance), and prepares its final state once.
         from eigengames import quantum_sim
 
         calls = []
@@ -668,14 +728,15 @@ class TestStatePreparations:
             calls.append(1)
             return original(spec, theta)
 
-        # The sweep prepares in quantum_sim; a spent budget prepares its final state here.
+        # The sweep prepares in quantum_sim; the final state is prepared in quantumgame.
         monkeypatch.setattr(quantum_sim, "apply_ansatz", counting)
         monkeypatch.setattr(quantumgame, "apply_ansatz", counting)
         cfg = SolverConfig(direction="maximize", grad_tolerance=tolerance, max_iterations=budget,
                            shots=ShotModel(shots, rng_seed=2), **extra)
         result = runner(DIAG_3120, layered_ansatz(2, 2), cfg, 2, seed=0)
         assert result.all_converged == (shots is None)
-        assert len(calls) == result.total_iterations + 2
+        converged = sum(player.converged for player in result.players)
+        assert len(calls) == result.total_iterations + converged + 2
         for player in result.players:
             prepared = original(layered_ansatz(2, 2), player.theta).amplitudes
             assert np.allclose(player.statevector.amplitudes, prepared, rtol=0.0, atol=1e-12)
