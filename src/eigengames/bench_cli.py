@@ -434,12 +434,13 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
         num_samples=1 if smoke else cfg["lipschitz_samples"],
         seed=seed,
     )
-    rows += measure_error_accumulation_classical(
+    classical = measure_error_accumulation_classical(
         dim=dim,
         epsilons=cfg["epsilons"],
         seed=seed,
         samples_per_epsilon=1 if smoke else 20,
     )
+    rows += classical
     h = load_pauli_sum(bundled_h2_path())
     spec = random_layers_ansatz(2, 3, 3, seed=11)
     rows += measure_error_accumulation_quantum(
@@ -461,13 +462,8 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
         print(f"BOUND VIOLATION {r.bound_name} [{r.parameters}]: "
               f"measured {r.measured_value} > bound {r.bound_value}", file=sys.stderr)
     # Slope sanity: the measured error must grow linearly in the perturbation.
-    eps_means = {}
-    for r in rows:
-        if r.bound_name == "error_accumulation_classical":
-            eps_means.setdefault(r.epsilon, []).append(r.measured_value)
-    if len(eps_means) >= 2:
-        eps_sorted = sorted(eps_means)
-        slope = loglog_slope(eps_sorted, [float(np.mean(eps_means[e])) for e in eps_sorted])
+    if len(set(cfg["epsilons"])) >= 2:
+        slope = loglog_slope(classical)
         print(f"error-vs-epsilon log-log slope: {slope:.3f}")
         if not 0.8 <= slope <= 1.2:
             print(f"SLOPE OUT OF BAND: {slope:.3f} not in [0.8, 1.2]", file=sys.stderr)

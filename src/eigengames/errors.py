@@ -30,7 +30,10 @@ class DegenerateParentError(EigenGamesError):
 
     Its generalized Rayleigh quotient is too close to zero, or, for the
     quantum game's shifted operator, not positive, which would turn the
-    parent's penalty into a reward.
+    parent's penalty into a reward.  The error-accumulation bounds raise it
+    too when a true parent's Rayleigh quotient is near zero or does not have
+    lambda_top's sign, where their factor lambda_top / lambda_jj would turn
+    the bound negative.
     """
 
 

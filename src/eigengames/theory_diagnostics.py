@@ -15,13 +15,17 @@ gradient is g (df = Re<g|d psi>, so g = 2 G psi where the classical game has
 ||grad_theta f|| <= sqrt(m) ||g|| / 2 <= sqrt(m) ||g||.  The paper's
 sqrt(layers * qubits) is the case of one rotation per qubit per layer;
 stated on m, a circuit's bounds do not depend on how its gates are grouped
-into layers.
+into layers.  The code applies the factor in one place per bound:
+``lipschitz_bound_quantum`` is sqrt(m) times ``lipschitz_bound_classical`` at
+sigma = 0, and ``error_accumulation_bound_quantum`` is sqrt(m) times the
+classical parent sum (``_parent_error_sum``) at sigma = 0 on the prepared
+states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -99,8 +103,7 @@ def lipschitz_bound_quantum(p: BoundParams) -> float:
     ||grad_theta f|| <= sqrt(m) ||g|| (module docstring) with ||g|| at most
     the classical gradient-norm bound.
     """
-    scale = math.sqrt(p.num_parameters)
-    return scale * 4.0 * (p.lambda_top * p.player_index + (1.0 + p.kappa) * p.c * p.gap_i)
+    return math.sqrt(p.num_parameters) * lipschitz_bound_classical(replace(p, sigma=0.0))
 
 
 def _iteration_bracket(lambda_top: float, gaps: Sequence[float], c_k: float) -> float:
@@ -165,10 +168,36 @@ def iteration_bound_quantum(
     return math.ceil(total)
 
 
-def _rank_one_norms(v: np.ndarray, w: np.ndarray) -> float:
-    """||v w^T|| + ||w v^T|| + ||w w^T|| for the spectral norm of rank-1 maps."""
-    nv, nw = float(np.linalg.norm(v)), float(np.linalg.norm(w))
-    return nv * nw + nw * nv + nw * nw
+def _parent_error_sum(mat: np.ndarray, parents_true: Sequence, parents_hat: Sequence, sigma: float) -> float:
+    """2||M|| sum_j (2 ||v_j|| ||w_j|| + ||w_j||^2) lambda_top/lambda_jj
+    + sigma sum_j (2 ||M v_j|| ||M w_j|| + ||M w_j||^2) / lambda_jj.
+
+    ``mat`` is a checked Hermitian array, real or complex; w_j = v_hat_j - v_j
+    is the parent displacement and lambda_jj = <v_j|M v_j> the true parent's
+    Rayleigh quotient.  The first sum bounds ||v_j w_j^T|| + ||w_j v_j^T|| +
+    ||w_j w_j^T|| by norms of rank-one maps.  One ``eigvalsh`` gives both
+    lambda_top and ||M||_2 = max(-lambda_min, lambda_max).  The factor
+    lambda_top/lambda_jj holds only when lambda_jj has lambda_top's sign, as
+    in the paper's positive-definite setting; a parent with a near-zero or
+    opposite-sign lambda_jj raises ``DegenerateParentError``.
+    """
+    eigenvalues = np.linalg.eigvalsh(mat)
+    lambda_top = float(eigenvalues[-1])
+    norm_m = max(-float(eigenvalues[0]), lambda_top)
+    total = 0.0
+    for v_j, v_hat in zip(parents_true, parents_hat):
+        w_j = np.subtract(v_hat, v_j)
+        mv, mw = mat @ v_j, mat @ w_j
+        lambda_jj = float(np.vdot(v_j, mv).real)
+        if abs(lambda_jj) < 1e-12 or lambda_jj * lambda_top <= 0:
+            raise DegenerateParentError(
+                f"true parent's Rayleigh quotient {lambda_jj:g} is near zero or not of lambda_top's sign ({lambda_top:g})"
+            )
+        nv, nw = float(np.linalg.norm(v_j)), float(np.linalg.norm(w_j))
+        nmv, nmw = float(np.linalg.norm(mv)), float(np.linalg.norm(mw))
+        total += 2.0 * norm_m * (2.0 * nv * nw + nw * nw) * lambda_top / lambda_jj
+        total += sigma * (2.0 * nmv * nmw + nmw**2) / lambda_jj
+    return total
 
 
 def error_accumulation_bound_classical(
@@ -179,29 +208,12 @@ def error_accumulation_bound_classical(
 ) -> float:
     """Bound on the child-gradient change caused by mis-specified parents.
 
-    2||M|| sum_j (||v_j w_j^T|| + ||w_j v_j^T|| + ||w_j w_j^T||) lambda_top/lambda_jj
-    + sigma sum_j (2 ||M v_j|| ||M w_j|| + ||M w_j||^2) / lambda_jj,
-    with w_j the parent displacement and lambda_jj the true parent's Rayleigh
-    quotient.  ``m`` must be real symmetric, as a ``HermitianMatrix`` or an
-    array; anything else raises ``HermiticityError``.
+    The parent sum of ``_parent_error_sum`` on M's real symmetric array.
+    ``m`` must be real symmetric, as a ``HermitianMatrix`` or an array;
+    anything else raises ``HermiticityError``.
     """
     mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).real_symmetric()
-    norm_m = float(np.linalg.norm(mat, 2))
-    lambda_top = float(np.linalg.eigvalsh(mat).max())
-    total = 0.0
-    for v_j, v_hat in zip(parents_true, parents_hat):
-        w_j = np.asarray(v_hat, dtype=np.float64) - np.asarray(v_j, dtype=np.float64)
-        lambda_jj = float(v_j @ (mat @ v_j))
-        if abs(lambda_jj) < 1e-12:
-            raise DegenerateParentError("true parent has a near-zero Rayleigh quotient")
-        total += 2.0 * norm_m * _rank_one_norms(v_j, w_j) * lambda_top / lambda_jj
-        mv, mw = mat @ v_j, mat @ w_j
-        total += (
-            sigma
-            * (2.0 * float(np.linalg.norm(mv)) * float(np.linalg.norm(mw)) + float(np.linalg.norm(mw)) ** 2)
-            / lambda_jj
-        )
-    return total
+    return _parent_error_sum(mat, parents_true, parents_hat, sigma)
 
 
 def error_accumulation_bound_quantum(
@@ -210,28 +222,19 @@ def error_accumulation_bound_quantum(
     parents_true_theta: Sequence,
     parents_hat_theta: Sequence,
 ) -> float:
-    """Parameter-space analog, scaled by sqrt(spec.num_parameters); w_j is the
-    statevector displacement v(theta_hat_j) - v(theta_j).
+    """Parameter-space analog: sqrt(spec.num_parameters) times the sigma=0
+    classical sum on the prepared states, so w_j is the statevector
+    displacement v(theta_hat_j) - v(theta_j).
 
-    The state-space part bounds the change of the gradient g, and each
+    The state-space sum bounds the change of the gradient g, and each
     parameter-space component is Re<delta g|phi_k> / 2, so the change of
     grad_theta is at most sqrt(spec.num_parameters) times it (module
     docstring).  ``m`` must be Hermitian, as a ``HermitianMatrix`` or an
     array; anything else raises ``HermiticityError``."""
     mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).entries
-    norm_m = float(np.linalg.norm(mat, 2))
-    lambda_top = float(np.linalg.eigvalsh(mat).max())
-    scale = math.sqrt(spec.num_parameters)
-    total = 0.0
-    for theta_true, theta_hat in zip(parents_true_theta, parents_hat_theta):
-        v_true = apply_ansatz(spec, theta_true).amplitudes
-        v_hat = apply_ansatz(spec, theta_hat).amplitudes
-        w = v_hat - v_true
-        lambda_jj = float(np.vdot(v_true, mat @ v_true).real)
-        if abs(lambda_jj) < 1e-12:
-            raise DegenerateParentError("true parent has a near-zero eigenvalue")
-        total += 2.0 * scale * norm_m * _rank_one_norms(v_true, w) * lambda_top / lambda_jj
-    return total
+    v_true = [apply_ansatz(spec, theta).amplitudes for theta in parents_true_theta]
+    v_hat = [apply_ansatz(spec, theta).amplitudes for theta in parents_hat_theta]
+    return math.sqrt(spec.num_parameters) * _parent_error_sum(mat, v_true, v_hat, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +412,19 @@ def measure_error_accumulation_quantum(
     return rows
 
 
-def loglog_slope(epsilons: Sequence[float], measured: Sequence[float]) -> float:
-    """Least-squares slope of log(measured) against log(epsilon)."""
+def loglog_slope(rows: Sequence[DiagnosticRow]) -> float:
+    """Least-squares slope of log(mean measured value) against log(epsilon).
+
+    Rows are grouped by their ``epsilon`` and each group's measured values
+    averaged; the fit needs at least two distinct epsilons.
+    """
+    groups: dict[float, list[float]] = {}
+    for r in rows:
+        groups.setdefault(r.epsilon, []).append(r.measured_value)
+    if len(groups) < 2:
+        raise ValueError("loglog_slope needs rows at two or more epsilons")
+    epsilons = sorted(groups)
     x = np.log(np.asarray(epsilons, dtype=np.float64))
-    y = np.log(np.asarray(measured, dtype=np.float64))
+    y = np.log([float(np.mean(groups[e])) for e in epsilons])
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)

@@ -332,11 +332,7 @@ def test_criterion_8_theory_bounds():
         dim=8, epsilons=(1e-4, 1e-3, 1e-2), seed=0, samples_per_epsilon=20
     )
     classical_ok = all(r.passed for r in classical_rows)
-    means: dict = {}
-    for r in classical_rows:
-        means.setdefault(r.epsilon, []).append(r.measured_value)
-    eps_sorted = sorted(means)
-    slope = loglog_slope(eps_sorted, [float(np.mean(means[e])) for e in eps_sorted])
+    slope = loglog_slope(classical_rows)
 
     quantum_rows = measure_error_accumulation_quantum(
         H2, ANSATZ, epsilons=(1e-3,), seed=0, samples_per_epsilon=5

@@ -1,14 +1,16 @@
 """Bound calculators and the sampled inequality checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eigengames.eigengame_classical import GameConfig, run_sequential
-from eigengames.errors import HermiticityError
+from eigengames.errors import DegenerateParentError, HermiticityError
 from eigengames.hamiltonian import (
     HermitianMatrix,
+    PauliSum,
     build_powerlaw_hamiltonian,
     bundled_h2_path,
     load_pauli_sum,
@@ -74,10 +76,12 @@ class TestLipschitzQuantum:
         assert lipschitz_bound_quantum(p) == pytest.approx(math.sqrt(6.0) * 4.0, abs=1e-12)
 
     def test_ratio_to_classical_is_exactly_sqrt_m(self):
+        # The quantum bound drops the sigma term, so the identity holds at sigma > 0 too.
         p = BoundParams(lambda_top=1.7, gaps=(0.3, 0.3, 0.3), player_index=3, kappa=2.0,
-                        c=1.0 / 20.0, num_parameters=15)
-        ratio = lipschitz_bound_quantum(p) / lipschitz_bound_classical(p)
-        assert ratio == pytest.approx(math.sqrt(15.0), rel=1e-12)
+                        c=1.0 / 20.0, sigma=0.1, num_parameters=15, diag_norm=0.9)
+        assert lipschitz_bound_quantum(p) == math.sqrt(15.0) * lipschitz_bound_classical(
+            replace(p, sigma=0.0)
+        )
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_parameter_count_below_one_rejected(self, m):
@@ -165,13 +169,14 @@ class TestErrorAccumulationClassical:
         rows = measure_error_accumulation_classical(
             dim=8, epsilons=(1e-4, 1e-3, 1e-2), seed=1, samples_per_epsilon=15
         )
-        means = {}
-        for r in rows:
-            eps = float(r.parameters.split("eps=")[1].split(" ")[0])
-            means.setdefault(eps, []).append(r.measured_value)
-        eps_sorted = sorted(means)
-        slope = loglog_slope(eps_sorted, [float(np.mean(means[e])) for e in eps_sorted])
-        assert 0.8 <= slope <= 1.2
+        assert 0.8 <= loglog_slope(rows) <= 1.2
+
+    def test_slope_needs_two_epsilons(self):
+        rows = measure_error_accumulation_classical(
+            dim=6, epsilons=(1e-3,), seed=0, samples_per_epsilon=3
+        )
+        with pytest.raises(ValueError, match="two or more epsilons"):
+            loglog_slope(rows)
 
 
 class TestErrorAccumulationInputs:
@@ -196,6 +201,24 @@ class TestErrorAccumulationInputs:
             epsilons=(1e-3,), seed=0, samples_per_epsilon=2,
         )
         assert quantum and all(r.epsilon == 1e-3 for r in quantum)
+
+    def test_classical_parent_of_opposite_sign_rejected(self):
+        # lambda_top = 1 but the true parent e_2 has Rayleigh quotient -0.7, so
+        # lambda_top / lambda_jj is negative; the sum read -0.0574 before the guard.
+        e = np.eye(4)
+        hat = np.cos(1e-2) * e[2] + np.sin(1e-2) * e[0]
+        with pytest.raises(DegenerateParentError, match="sign"):
+            error_accumulation_bound_classical(np.diag([1.0, 0.5, -0.7, -1.0]), [e[2]], [hat], 0.0)
+
+    def test_quantum_parent_of_opposite_sign_rejected(self):
+        # This sum has levels of both signs; drawn parents below zero gave
+        # negative bounds and FAIL rows before the guard.
+        h = PauliSum(2, ((1.0, "ZI"), (0.5, "XX"), (0.3, "IZ")))
+        with pytest.raises(DegenerateParentError, match="sign"):
+            measure_error_accumulation_quantum(
+                h, random_layers_ansatz(2, 3, 3, seed=11), epsilons=(1e-3, 1e-2),
+                seed=0, samples_per_epsilon=10,
+            )
 
     def test_quantum_bound_rejects_a_non_hermitian_array(self):
         spec = AnsatzSpec(1, ((("RY", 0),),), (), "zero")
@@ -245,6 +268,13 @@ class TestErrorAccumulationQuantum:
         by_hand = 2.0 * 3.0 * np.linalg.norm(h.entries, 2) * rank_one * lam_top / lam
         bound = error_accumulation_bound_quantum(h, spec, [spec.bind(theta)], [spec.bind(hat)])
         assert bound == pytest.approx(by_hand, rel=1e-12)
+
+    def test_linearity_in_epsilon(self):
+        rows = measure_error_accumulation_quantum(
+            load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 3, 3, seed=11),
+            epsilons=(1e-4, 1e-3, 1e-2), seed=0, samples_per_epsilon=20,
+        )
+        assert 0.8 <= loglog_slope(rows) <= 1.2
 
     def test_measured_gradient_difference_within_bound(self):
         h = load_pauli_sum(bundled_h2_path())
