@@ -4,9 +4,9 @@ parameter-shift states, and the two inner-product circuits' read-outs.
 Ansatz states are prepared in batches, one row per parameter vector, from
 the layout's cached gate plan (``AnsatzSpec.gate_plan``), and Pauli sums
 apply through their compiled form (``PauliSum.compiled``).
-``parameter_shift_states`` prepares m + 1 states per sweep, and every read
-of the 2m + 1 shift rows is formed from products of those rows
-(``shift_row_moments``, ``shift_row_products``): no shift row is built.
+``parameter_shift_states`` prepares m + 1 states per sweep.  Under finite
+shots every read of the 2m + 1 shift rows is formed from products of those
+rows (``shift_row_moments``, ``shift_row_products``): no shift row is built.
 A one-row base is a plain state, so these are also the reads of a single
 prepared state; ``expectation`` is the exact one-row <M>.  ``perturb_readouts``
 draws every shot, one vector draw per batch of read-outs; the callers count
@@ -410,22 +410,23 @@ def swap_test_moments(overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Parameter-shift gradients
 # ---------------------------------------------------------------------------
 
-def parameter_shift_states(
-    spec: AnsatzSpec, h: PauliSum, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(base, M base): the (m+1, 2**q) states one parameter-shift sweep prepares, and M applied to them.
+def parameter_shift_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
+    """The (m+1, 2**q) states one parameter-shift sweep prepares, in one ``apply_ansatz`` call.
 
     The rows are phi_0, ..., phi_{m-1}, psi, with phi_k = psi(theta + pi e_k)
-    and psi = psi(theta), prepared in one ``apply_ansatz`` call.  The 2m + 1
-    shift rows are never built: ``shift_row_moments`` and
-    ``shift_row_products`` read them from these.
+    and psi = psi(theta).  Each caller applies M to the rows it reads, and
+    there are two reads.  A finite-shot read applies M to every row and
+    reads the 2m + 1 shift rows from them (``shift_row_moments``,
+    ``shift_row_products``), never building one.  An exact read applies M
+    to psi alone: each parameter drives one Pauli rotation, so
+    d_k psi = phi_k / 2, and the gradient of <psi|K psi> for a Hermitian K
+    is Re<phi_k|K psi>, one product of the phi_k with one vector.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m = theta.shape[0]
     base = np.repeat(theta[None, :], m + 1, axis=0)
     base.reshape(-1)[: m * m : m + 1] += np.pi  # the diagonal of the first m rows
-    prepared = apply_ansatz(spec, base)
-    return prepared, pauli_sum_apply(h, prepared)
+    return apply_ansatz(spec, base)
 
 
 def _pair_rows(rows: np.ndarray, centre: np.ndarray, cross: np.ndarray) -> None:

@@ -16,9 +16,10 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .eigengame_classical import ASCENT_WARMUP, HeavyBall, SequentialResult, run_players
-from .errors import DegenerateParentError, NumericalOverflowError
+from .errors import DegenerateParentError, NormalizationError, NumericalOverflowError
 from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
+    NORM_ATOL,
     AnsatzSpec,
     ParameterTensor,
     ShotModel,
@@ -57,16 +58,21 @@ class QuantumParent:
 class QuantumPlayerState:
     """One player's solve: final parameters, the state they prepare, and per-iteration histories.
 
-    ``max_imag_residue`` is the largest |Im<r|M r>| over the shift rows r
-    the sweeps read, the cross terms' imaginary parts included
-    (``shift_row_moments``), rounding for Hermitian M;
+    ``max_imag_residue`` is the largest imaginary residue the sweeps read,
+    rounding for Hermitian M: under an exact shot model |Im<psi|M psi>| on
+    theta's row, and under finite shots |Im<r|M r>| over the shift rows r,
+    the cross terms' imaginary parts included (``shift_row_moments``).
     ``momentum_restarts`` counts the ascent's velocity restarts, 0 for
     budgets of at most ``ASCENT_WARMUP``.  ``energy_history[t]`` is iteration t's read-out of
     <M> on theta's own row of the sweep, drawn once for the objective too.
     ``readouts`` counts the finite-shot read-outs the player drew (the
     evaluator's and the final eigenvalue read) and ``shots`` is
     ``readouts * num_shots``, the solve's shot cost; both are 0 under an
-    exact shot model.  Two records of the returned state, reported and not
+    exact shot model.  ``prepared_rows`` counts the states the player
+    prepared, m + 1 per sweep and one for the final read, and
+    ``operator_rows`` the rows M was applied to: one per sweep under an
+    exact model and m + 1 under finite shots, one for the final read, and
+    the game's parent block.  Two records of the returned state, reported and not
     gating ``converged``: ``residual`` is its energy standard deviation
     sqrt(Var(M)) = ||(M - <M>) psi||, which by Kahan's bound puts an
     eigenvalue of M within that distance of <M>; ``max_parent_overlap`` is
@@ -90,6 +96,8 @@ class QuantumPlayerState:
     shots: int = 0
     residual: float = float("nan")
     max_parent_overlap: float = 0.0
+    prepared_rows: int = 0
+    operator_rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,15 +149,72 @@ def pauli_sum_hash(h: PauliSum) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+# A read maps one sweep's (m+1, 2**q) prepared rows phi_0, ..., phi_{m-1},
+# psi (``parameter_shift_states``) to the objective's gradient in theta, the
+# objective and the <M> read-out on theta's row psi, the largest imaginary
+# residue it read, and the number of finite-shot read-outs it drew.  Each
+# player picks its read once: ``_backward_read`` under an exact shot model,
+# ``_sweep_read`` under finite shots.
+ReadResult = tuple[np.ndarray, float, float, float, int]
+Read = Callable[[np.ndarray], ReadResult]
+
 # A batch evaluator maps one sweep's (m+1, 2**q) base rows and the rows M
-# applied to them (``parameter_shift_states``) to the objective at each of
-# the 2m + 1 shift rows, each row's read-out of <M> (the one the objective is
-# formed from), the largest |Im<r|M r>| over the rows, and the number of
-# read-outs it drew.  A one-row base is the single state psi.  Evaluators
-# take the parents as their (P, 2**q) block of states, which each player
-# stacks once (``_parent_states``).
+# applied to them to the objective at each of the 2m + 1 shift rows, each
+# row's read-out of <M> (the one the objective is formed from), the largest
+# |Im<r|M r>| over the rows, and the number of read-outs it drew.  A one-row
+# base is the single state psi.  Evaluators take the parents as their
+# (P, 2**q) block of states, which each player stacks once
+# (``_parent_states``).
 EvaluatorResult = tuple[np.ndarray, np.ndarray, float, int]
 Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
+
+# A backward vector maps theta's row psi and M psi to g = K psi, with K the
+# Hermitian operator whose expectation the player ascends, less a constant.
+Backward = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _sweep_read(m: PauliSum, evaluate: Evaluator) -> Read:
+    """The finite-shot read: M on every prepared row, the evaluator's read-outs of the 2m + 1
+    shift rows, and the parameter-shift gradient from the first 2m of them."""
+
+    def read(prepared: np.ndarray) -> ReadResult:
+        objective, m_reads, residue, drawn = evaluate(prepared, pauli_sum_apply(m, prepared))
+        return shift_rule_gradient(objective[:-1]), float(objective[-1]), float(m_reads[-1]), residue, drawn
+
+    return read
+
+
+def _backward_read(m: PauliSum, backward: Backward, constant: float) -> Read:
+    """The exact read of the objective <psi|K psi> + ``constant``: M on theta's row alone.
+
+    Each parameter drives one Pauli rotation, so d_k psi = phi_k / 2 and the
+    gradient is Re<phi_k|g> with g = K psi from ``backward``: one product of
+    the conjugated phi_k with g, and one with psi for the rotation guard
+    (two matrix-vector products beat one with the stacked pair on small
+    states).  <psi|phi_k> is imaginary for a Pauli rotation, so a
+    real part beyond ``NORM_ATOL`` (another gate, or NaN) raises
+    ``NormalizationError``; so does an imaginary part of <psi|M psi> beyond
+    it, with ``ValueError``, as ``shift_row_moments`` does.  The objective
+    is Re<psi|g> + ``constant`` and the energy Re<psi|M psi>; nothing is
+    drawn.
+    """
+
+    def read(prepared: np.ndarray) -> ReadResult:
+        phi, psi = prepared[:-1], prepared[-1]
+        m_psi = pauli_sum_apply(m, prepared[-1:])[0]
+        energy = complex(np.vdot(psi, m_psi))
+        residue = abs(energy.imag)
+        if residue > NORM_ATOL:
+            raise ValueError(f"expectation has imaginary residue {residue:.3e}")
+        g = backward(psi, m_psi)
+        bras = phi.conj()
+        if not np.abs((bras @ psi).real).max(initial=0.0) <= NORM_ATOL:  # a NaN fails too
+            raise NormalizationError(
+                f"parameter-shift rows have a real overlap with psi beyond {NORM_ATOL}"
+            )
+        return (bras @ g).real, float(np.vdot(psi, g).real) + constant, energy.real, residue, 0
+
+    return read
 
 
 def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.ndarray:
@@ -162,6 +227,63 @@ def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.nd
 # real), but the complex square depends on the ansatz's global phase, which a
 # player can rotate freely to cancel or even invert its penalty.  Squaring the
 # modulus keeps the penalty phase-invariant; the imaginary part is logged.
+
+
+def _shifted_parents(
+    m: PauliSum,
+    sign: float,
+    offset: float,
+    parent_states: np.ndarray,
+    denominators: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A psi_j, 1/lambda_j) for the game's (P, 2**q) parent block, A = sign*M + offset*I.
+
+    M is applied to the block once, and not at all without parents.  A
+    denominator within ``PARENT_EIGENVALUE_GUARD`` of zero raises
+    ``DegenerateParentError``.
+    """
+    for lam in denominators:
+        if abs(lam) < PARENT_EIGENVALUE_GUARD:
+            raise DegenerateParentError(
+                f"cached parent eigenvalue {lam:.3e} is below the division guard"
+            )
+    a_parents = parent_states
+    if len(parent_states):
+        a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
+    return a_parents, 1.0 / np.asarray(denominators, dtype=np.float64)
+
+
+def _game_backward(
+    m: PauliSum,
+    sign: float,
+    offset: float,
+    parent_states: np.ndarray,
+    denominators: Sequence[float],
+) -> Backward:
+    """psi -> K psi = sign*M psi - sum_j (<A psi_j|psi>/lambda_j) A psi_j.
+
+    The game's objective <A> - sum_j |<psi|A|psi_j>|^2 / lambda_j is
+    <psi|K psi> + offset with K = sign*M - sum_j (A psi_j)(A psi_j)^H / lambda_j;
+    the A psi_j block is formed once (``_shifted_parents``).
+    """
+    a_parents, inverse = _shifted_parents(m, sign, offset, parent_states, denominators)
+    a_bras = a_parents.conj()
+
+    def backward(psi: np.ndarray, m_psi: np.ndarray) -> np.ndarray:
+        return sign * m_psi - ((a_bras @ psi) * inverse) @ a_parents
+
+    return backward
+
+
+def _vqd_backward(sign: float, parent_states: np.ndarray, betas: Sequence[float]) -> Backward:
+    """psi -> K psi = sign*M psi + sum_j beta_j <psi_j|psi> psi_j, K = sign*M + sum_j beta_j psi_j psi_j^H."""
+    weights = np.asarray(betas, dtype=np.float64)
+    bras = parent_states.conj()
+
+    def backward(psi: np.ndarray, m_psi: np.ndarray) -> np.ndarray:
+        return sign * m_psi + ((bras @ psi) * weights) @ parent_states
+
+    return backward
 
 
 def _game_evaluator(
@@ -181,22 +303,15 @@ def _game_evaluator(
     offset.  The means and variances are the circuits' closed forms, from
     the sweep's base rows (``shift_row_moments``, and ``shift_row_products``
     with the A psi_j); the cross terms' variances take
-    ||A r||^2 = ||M r||^2 + 2*sign*offset*<M> + offset^2.  A psi_j, its
-    ||A psi_j||^2 and the weights 1/lambda_j, each repeated for the Re and
-    the Im read-out, are formed once here, for every row and iteration.
-    Without parents there are no cross read-outs.  A denominator within
-    ``PARENT_EIGENVALUE_GUARD`` of zero raises ``DegenerateParentError``.
+    ||A r||^2 = ||M r||^2 + 2*sign*offset*<M> + offset^2.  A psi_j
+    (``_shifted_parents``), its ||A psi_j||^2 and the weights 1/lambda_j,
+    each repeated for the Re and the Im read-out, are formed once here, for
+    every row and iteration.  Without parents there are no cross read-outs.
     """
-    for lam in denominators:
-        if abs(lam) < PARENT_EIGENVALUE_GUARD:
-            raise DegenerateParentError(
-                f"cached parent eigenvalue {lam:.3e} is below the division guard"
-            )
+    a_parents, inverse = _shifted_parents(m, sign, offset, parent_states, denominators)
     has_parents = len(parent_states) > 0
-    if has_parents:
-        a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
-        a_parent_second = np.vecdot(a_parents, a_parents).real
-        weights = np.repeat(1.0 / np.asarray(denominators, dtype=np.float64), 2)
+    a_parent_second = np.vecdot(a_parents, a_parents).real
+    weights = np.repeat(inverse, 2)
 
     def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
         mean, var, second, residue = shift_row_moments(base, m_base)
@@ -258,26 +373,31 @@ def _ascend(
     parent_states: np.ndarray,
     cfg: SolverConfig,
     index: int,
-    evaluate: Evaluator,
+    read: Read,
     eta: float,
     sign: float,
     rng: np.random.Generator,
+    parent_rows: int,
 ) -> QuantumPlayerState:
     """The shared parameter-shift loop; ``sign`` +1 ascends the objective, -1 descends it.
 
-    Each iteration prepares m + 1 states and applies M to them once
-    (``parameter_shift_states``); the evaluator reads the objective on the
-    2m shifted rows and theta's row from those, never building a shift
-    row, and its read-out of <M> on theta's row is the iteration's energy:
-    no circuit is read twice.  Stops when the gradient norm reaches
-    tolerance or the iteration budget runs out (partial result).  On either
-    exit the final theta's state is prepared, and M applied to it, once, and
-    read as a one-row base: ``shift_row_moments`` gives the eigenvalue read
-    (the last draw of the stream) and the residual, and
+    Each iteration prepares m + 1 states in one call
+    (``parameter_shift_states``) and hands them to the player's ``read``,
+    which gives the gradient, the objective and the <M> read-out on theta's
+    row, the iteration's energy: no circuit is read twice.  Under an exact
+    shot model the read applies M to theta's row alone and takes the
+    gradient from one backward vector (``_backward_read``); under finite
+    shots it applies M to all m + 1 rows and reads the 2m + 1 shift rows'
+    circuits from them (``_sweep_read``).  Stops when the gradient norm
+    reaches tolerance or the iteration budget runs out (partial result).
+    On either exit the final theta's state is prepared, and M applied to
+    it, once, and read as a one-row base: ``shift_row_moments`` gives the
+    eigenvalue read (the last draw of the stream) and the residual, and
     ``shift_row_products`` with the parents' (P, 2**q) block
     ``parent_states`` the largest parent overlap.  Every draw site adds its
     read-outs to one count, stored with its shots at the end (0 and 0 when
-    exact).
+    exact); ``parent_rows`` is the number of parent rows the player applied
+    M to before the loop, the start of ``operator_rows``.
 
     The step is heavy-ball, vel <- beta_t vel + sign*eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
@@ -287,22 +407,19 @@ def _ascend(
     values = theta.values.copy()
     vel = np.zeros_like(values)
     ball = HeavyBall()
-    readouts = 0  # drawn by the evaluator
+    readouts = 0  # drawn by the read
     for _ in range(cfg.max_iterations):
-        base, m_base = parameter_shift_states(spec, m, values)
-        objective, m_reads, residue, drawn = evaluate(base, m_base)
+        grad, value, energy, residue, drawn = read(parameter_shift_states(spec, values))
         state.max_imag_residue = max(state.max_imag_residue, residue)
-        grad = shift_rule_gradient(objective[:-1])
         gnorm = math.sqrt(grad @ grad)
         if not math.isfinite(gnorm):  # a NaN or infinite entry of grad makes the norm so
             raise NumericalOverflowError("parameter-shift gradient stopped being finite")
-        value = float(objective[-1])
         if not math.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
         readouts += drawn
         state.grad_norm_history.append(gnorm)
         state.utility_history.append(value)
-        state.energy_history.append(float(m_reads[-1]))
+        state.energy_history.append(energy)
         if gnorm <= cfg.grad_tolerance:
             state.converged = True
             break
@@ -321,6 +438,9 @@ def _ascend(
     state.residual = math.sqrt(var[0])
     overlaps = np.abs(shift_row_products(final, parent_states)) ** 2
     state.max_parent_overlap = float(overlaps.max(initial=0.0))
+    sweeps, rows = len(state.energy_history), spec.num_parameters + 1
+    state.prepared_rows = sweeps * rows + 1
+    state.operator_rows = parent_rows + sweeps * (1 if cfg.shots.is_exact else rows) + 1
     if not cfg.shots.is_exact:
         state.readouts = readouts + 1  # and the eigenvalue read
         state.shots = state.readouts * cfg.shots.num_shots
@@ -353,9 +473,10 @@ def quantumgame_player(
     eigenvalue lies farther outside the enclosure, so that its denominator
     is at or below ``PARENT_EIGENVALUE_GUARD``, raises
     ``DegenerateParentError`` before any circuit runs.  A is applied as
-    algebra on M's moments (``_game_evaluator``), never built; the
-    denominators come from the cached M-eigenvalues without re-measuring,
-    and energies are read on M.
+    algebra on M, never built: on the circuits' moments under finite shots
+    (``_game_evaluator``) and on the backward vector under an exact model
+    (``_game_backward``).  The denominators come from the cached
+    M-eigenvalues without re-measuring, and energies are read on M.
     """
     parents = tuple(parents)
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
@@ -373,8 +494,11 @@ def quantumgame_player(
     eta = 1.0 / (2.0 * (hi - lo + margin))
     rng = cfg.shots.make_rng()
     states = _parent_states(parents, spec.num_qubits)
-    evaluate = _game_evaluator(m, sign, offset, states, game_denominators, cfg.shots, rng)
-    return _ascend(m, spec, theta, parents, states, cfg, index, evaluate, eta, 1.0, rng)
+    if cfg.shots.is_exact:
+        read = _backward_read(m, _game_backward(m, sign, offset, states, game_denominators), offset)
+    else:
+        read = _sweep_read(m, _game_evaluator(m, sign, offset, states, game_denominators, cfg.shots, rng))
+    return _ascend(m, spec, theta, parents, states, cfg, index, read, eta, 1.0, rng, len(parents))
 
 
 def _penalty_norm_bound(states: np.ndarray, betas: Sequence[float]) -> float:
@@ -406,8 +530,10 @@ def vqd_player(
     bound on the penalty operator sum_j beta_j |psi_j><psi_j|: its nonzero
     spectrum is that of the weighted parent Gram matrix
     sqrt(beta_j beta_l) <psi_j|psi_l>, whose largest absolute row sum bounds
-    it; for orthogonal parents that is max_j beta_j.  Overlaps are SwapTest
-    read-outs; energies are read on M.
+    it; for orthogonal parents that is max_j beta_j.  Under finite shots
+    overlaps are SwapTest read-outs (``_vqd_evaluator``); under an exact
+    model the gradient comes from the backward vector (``_vqd_backward``).
+    Energies are read on M.
     """
     parents = tuple(parents)
     if cfg.beta is None and not cfg.adaptive_regularization:
@@ -425,8 +551,11 @@ def vqd_player(
     states = _parent_states(parents, spec.num_qubits)
     eta = 1.0 / (2.0 * (max(-lo, hi) + _penalty_norm_bound(states, betas)))
     rng = cfg.shots.make_rng()
-    evaluate = _vqd_evaluator(sign, states, betas, cfg.shots, rng)
-    return _ascend(m, spec, theta, parents, states, cfg, index, evaluate, eta, -1.0, rng)
+    if cfg.shots.is_exact:
+        read = _backward_read(m, _vqd_backward(sign, states, betas), 0.0)
+    else:
+        read = _sweep_read(m, _vqd_evaluator(sign, states, betas, cfg.shots, rng))
+    return _ascend(m, spec, theta, parents, states, cfg, index, read, eta, -1.0, rng, 0)
 
 
 def _sequential_run(

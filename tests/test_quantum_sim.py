@@ -236,9 +236,14 @@ class TestCompiledPauliSum:
         h = random_pauli_sum(num_qubits, 4 * num_qubits, rng)
         if not identity:
             h = PauliSum(num_qubits, h.terms[1:])
+        # A (1, d) batch takes the single-vector product; a larger batch the
+        # per-mask loop, which gives the same bits per row.
         for _ in range(3):
-            v = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
-            assert np.array_equal(h.apply(v), h.apply(v[None])[0])
+            v, w = rng.standard_normal((2, 2**num_qubits)) + 1j * rng.standard_normal((2, 2**num_qubits))
+            one_row = h.apply(v[None])
+            assert one_row.shape == (1, 2**num_qubits)
+            assert np.array_equal(h.apply(v), one_row[0])
+            assert np.array_equal(h.apply(v), h.apply(np.stack((v, w)))[0])
 
     def test_empty_sum_compiles_to_no_rows(self):
         perms, weights = PauliSum(2, ()).compiled
@@ -681,11 +686,11 @@ class TestParameterShiftStates:
         parents = np.array([random_state(spec.num_qubits, rng).amplitudes for _ in range(2)])
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, m)
-            base, h_base = parameter_shift_states(spec, h, theta)
-            assert base.shape == h_base.shape == (m + 1, 2**spec.num_qubits)
+            base = parameter_shift_states(spec, theta)
+            assert base.shape == (m + 1, 2**spec.num_qubits)
             # theta + pi e_k for k < m, then theta itself.
             assert np.max(np.abs(base - apply_ansatz(spec, theta + np.pi * np.eye(m + 1, m)))) <= 1e-12
-            assert np.max(np.abs(h_base - pauli_sum_apply(h, base))) <= 1e-12
+            h_base = pauli_sum_apply(h, base)
             assert np.array_equal(base[-1], apply_ansatz(spec, theta).amplitudes)
             # The shift rows, built from the base rows and read from them, against every shift point prepared.
             prepared = apply_ansatz(spec, parameter_shift_points(theta))
@@ -710,7 +715,8 @@ class TestParameterShiftStates:
                            dtype=np.complex128).reshape(num_parents, 2**q)
         m_parents = pauli_sum_apply(h, parents)
         parent_second = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
-        base, h_base = parameter_shift_states(spec, h, rng.uniform(-np.pi, np.pi, spec.num_parameters))
+        base = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
+        h_base = pauli_sum_apply(h, base)
         rows, h_rows = rebuild_shift_rows(base, h_base)
         want = row_moments(rows, h_rows)
         want_cross = interference_moments(rows.conj() @ m_parents.T, want[2], parent_second)

@@ -9,7 +9,7 @@ import pytest
 
 from eigengames import quantumgame
 from eigengames.eigengame_classical import GameConfig, HeavyBall, run_sequential
-from eigengames.errors import BindingError, DegenerateParentError
+from eigengames.errors import BindingError, DegenerateParentError, NormalizationError
 from eigengames.hamiltonian import (
     PauliSum,
     build_powerlaw_hamiltonian,
@@ -542,7 +542,33 @@ class TestShiftedObjective:
     """The players' objectives against a dense reference, with the sign and offset as algebra on M."""
 
     @staticmethod
-    def captured_evaluator(monkeypatch, player, direction, num_parents):
+    def player_reads(monkeypatch, player, h, spec, parents, direction):
+        """(exact read, sweep read) of one player: the read it ascends under an exact
+        model, and its finite-shot evaluator rebuilt under ``ShotModel()`` as a sweep read."""
+        reads, evaluator_args = [], []
+        ascend = quantumgame._ascend
+        name = "_game_evaluator" if player is quantumgame_player else "_vqd_evaluator"
+        evaluator = getattr(quantumgame, name)
+
+        def capturing_ascend(*args):
+            reads.append(args[7])  # (m, spec, theta, parents, parent_states, cfg, index, read, ...)
+            return ascend(*args)
+
+        def capturing_evaluator(*args):
+            evaluator_args.append(args)  # (..., shots, rng)
+            return evaluator(*args)
+
+        monkeypatch.setattr(quantumgame, "_ascend", capturing_ascend)
+        monkeypatch.setattr(quantumgame, name, capturing_evaluator)
+        for shots in (None, 1000):
+            cfg = SolverConfig(direction=direction, max_iterations=1, beta=2.0, shots=ShotModel(shots))
+            player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        (args,) = evaluator_args
+        exact_evaluator = evaluator(*args[:-2], ShotModel(), None)
+        return reads[0], quantumgame._sweep_read(h, exact_evaluator), exact_evaluator
+
+    @classmethod
+    def captured_evaluator(cls, monkeypatch, player, direction, num_parents):
         h = random_pauli_sum(np.random.default_rng(6), 3, 10, identity=True)
         spec = random_layers_ansatz(3, 2, 5, seed=2)
         rng = np.random.default_rng(num_parents)
@@ -550,21 +576,13 @@ class TestShiftedObjective:
             make_parent(h, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
             for _ in range(num_parents)
         )
-        captured = []
-        ascend = quantumgame._ascend
-
-        def capturing_ascend(*args):
-            captured.append(args[7])  # (m, spec, theta, parents, parent_states, cfg, index, evaluate, ...)
-            return ascend(*args)
-
-        monkeypatch.setattr(quantumgame, "_ascend", capturing_ascend)
-        cfg = SolverConfig(direction=direction, max_iterations=1, beta=2.0)
-        player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        *_, evaluate = cls.player_reads(monkeypatch, player, h, spec, parents, direction)
         # The evaluator reads one sweep's base rows; the dense reference reads
         # every shift row, each prepared on its own.
         theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
         psi = apply_ansatz(spec, parameter_shift_points(theta))
-        return h, parents, captured[0](*parameter_shift_states(spec, h, theta)), psi
+        base = parameter_shift_states(spec, theta)
+        return h, parents, evaluate(base, pauli_sum_apply(h, base)), psi
 
     @staticmethod
     def check_energy_reads(h, psi, m_reads):
@@ -602,13 +620,13 @@ class TestShiftedObjective:
         parents = tuple(QuantumParent(None, float(values[i]), StateVector(6, vectors[:, i]))
                         for i in (0, -1))
         denominators = []
-        evaluator = quantumgame._game_evaluator
+        shifted_parents = quantumgame._shifted_parents
 
         def capturing(*args):
-            denominators.extend(args[4])  # (m, sign, offset, parent_states, denominators, ...)
-            return evaluator(*args)
+            denominators.extend(args[4])  # (m, sign, offset, parent_states, denominators)
+            return shifted_parents(*args)
 
-        monkeypatch.setattr(quantumgame, "_game_evaluator", capturing)
+        monkeypatch.setattr(quantumgame, "_shifted_parents", capturing)
         spec = layered_ansatz(6, 1)
         cfg = SolverConfig(direction=direction, max_iterations=1)
         quantumgame_player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
@@ -628,13 +646,53 @@ class TestShiftedObjective:
         self.check_energy_reads(h, psi, m_reads)
         assert drawn == psi.shape[0] * (1 + num_parents)
 
+    @pytest.mark.parametrize("operator", ["h2", "random-3q"])
+    @pytest.mark.parametrize("num_parents", [0, 1, 2])
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_exact_read_matches_the_sweep_read(self, monkeypatch, player, direction, num_parents, operator):
+        # The backward vector's gradient, objective and energy against the
+        # sweep evaluator under an exact model followed by the shift rule.
+        if operator == "h2":
+            h, spec = load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 3, 3, seed=11)
+        else:
+            h = random_pauli_sum(np.random.default_rng(6), 3, 10, identity=True)
+            spec = random_layers_ansatz(3, 2, 5, seed=2)
+        assert {kind for layer in spec.layer_rotations for kind, _ in layer} == {"RX", "RY", "RZ"}
+        rng = np.random.default_rng(10 + num_parents)
+        parents = tuple(
+            make_parent(h, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
+            for _ in range(num_parents)
+        )
+        exact, sweep, _ = self.player_reads(monkeypatch, player, h, spec, parents, direction)
+        for _ in range(3):
+            prepared = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
+            grad, value, energy, residue, drawn = exact(prepared)
+            want_grad, want_value, want_energy, _, _ = sweep(prepared)
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12
+            assert abs(value - want_value) <= 1e-12
+            assert abs(energy - want_energy) <= 1e-12
+            assert residue <= NORM_ATOL and drawn == 0
+
+    def test_exact_read_rejects_a_real_overlap(self):
+        # A gate that is not a Pauli rotation leaves phi_k with a real overlap with psi.
+        rng = np.random.default_rng(3)
+        psi = apply_ansatz(random_layers_ansatz(2, 1, 2, seed=1), rng.uniform(-np.pi, np.pi, 2)).amplitudes
+        read = quantumgame._backward_read(PauliSum(2, ((1.0, "ZX"),)), lambda psi, m_psi: m_psi, 0.0)
+        rotated = np.array([1j * psi, psi])
+        assert read(rotated)[0].shape == (1,)
+        for phi in ((psi + 1j * psi) / np.sqrt(2.0), np.full(4, np.nan)):
+            with pytest.raises(NormalizationError):
+                read(np.array([phi, psi]))
+
     @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
     def test_one_pauli_application_per_batch(self, monkeypatch, player, num_parents, shots):
         # M is the only operator: one application per evaluated batch, one for
-        # the final read and, for the game, one for its parent block.  No
-        # PauliSum is built during the solve.
+        # the final read and, for the game, one for its parent block.  An exact
+        # model's batch is theta's row alone, a finite-shot one all m + 1 rows.
+        # No PauliSum is built during the solve.
         from eigengames import quantum_sim
 
         h2 = load_pauli_sum(bundled_h2_path())
@@ -649,7 +707,7 @@ class TestShiftedObjective:
         apply, post_init = quantum_sim.pauli_sum_apply, PauliSum.__post_init__
 
         def counting_apply(op, amps):
-            applied.append(op)
+            applied.append((op, len(amps)))
             return apply(op, amps)
 
         def counting_post_init(op):
@@ -662,16 +720,20 @@ class TestShiftedObjective:
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=4, beta=5.0,
                            shots=ShotModel(shots, rng_seed=4))
         state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), parents, cfg)
-        parent_block = 1 if player is quantumgame_player and parents else 0
-        assert len(applied) == len(state.energy_history) + 1 + parent_block
-        assert all(op is h2 for op in applied)
+        parent_block = [num_parents] if player is quantumgame_player and parents else []
+        batch = 1 if shots is None else spec.num_parameters + 1
+        assert [rows for _, rows in applied] == parent_block + [batch] * len(state.energy_history) + [1]
+        assert all(op is h2 for op, _ in applied)
         assert built == []
 
+    @pytest.mark.parametrize("shots", [None, 10_000], ids=["exact", "shots"])
     @pytest.mark.parametrize("num_parents", [0, 2])
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
-    def test_sweep_prepares_and_applies_m_plus_one_rows(self, monkeypatch, player, num_parents):
-        # Each iteration prepares theta + pi e_k (k < m) and theta, and applies
-        # M to those m + 1 rows only; the 2m + 1 shift rows are read from them, never built.
+    def test_sweep_prepares_and_applies_m_plus_one_rows(self, monkeypatch, player, num_parents, shots):
+        # Each iteration prepares theta + pi e_k (k < m) and theta.  Finite shots
+        # apply M to those m + 1 rows and read the 2m + 1 shift rows from them,
+        # never built; an exact model applies M to theta's row alone.  The
+        # player's row counters are these rows, the final read's included.
         from eigengames import quantum_sim
 
         h2 = load_pauli_sum(bundled_h2_path())
@@ -693,18 +755,26 @@ class TestShiftedObjective:
             return apply(op, amps)
 
         monkeypatch.setattr(quantum_sim, "apply_ansatz", recording_prepare)
+        monkeypatch.setattr(quantumgame, "apply_ansatz", recording_prepare)
         monkeypatch.setattr(quantum_sim, "pauli_sum_apply", recording_apply)
         monkeypatch.setattr(quantumgame, "pauli_sum_apply", recording_apply)
-        cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=3, beta=5.0)
+        cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=3, beta=5.0,
+                           shots=ShotModel(shots, rng_seed=4))
         state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), parents, cfg)
         m, dim = spec.num_parameters, 2**spec.num_qubits
         iterations = len(state.energy_history)
         assert iterations == 3
         # The game applies M to its parents' states once; the final read
-        # applies M to one row after the loop.
+        # prepares one row and applies M to it after the loop.
         parent_block = [(num_parents, dim)] if player is quantumgame_player and parents else []
-        assert prepared == [(m + 1, m)] * iterations
-        assert applied == parent_block + [(m + 1, dim)] * iterations + [(1, dim)]
+        batch = 1 if shots is None else m + 1
+        assert prepared == [(m + 1, m)] * iterations + [(1, m)]
+        assert applied == parent_block + [(batch, dim)] * iterations + [(1, dim)]
+        # Pinned per sweep: 7 prepared rows, and M on 1 row (exact) or 7 (shots).
+        assert (m + 1, batch) == (7, 1 if shots is None else 7)
+        assert state.prepared_rows == sum(rows for rows, _ in prepared) == 3 * 7 + 1
+        parent_rows = num_parents if parent_block else 0
+        assert state.operator_rows == sum(rows for rows, _ in applied) == parent_rows + 3 * batch + 1
 
 
 class TestStatePreparations:
