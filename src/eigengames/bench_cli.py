@@ -175,7 +175,7 @@ def _validate(experiment: str, s: dict) -> None:
             raise ConfigError("sizes must not be empty")
         if any(n < max(2, s["num_players"]) for n in s["sizes"]):
             raise ConfigError("every size must be at least 2 and at least num_players")
-        if s["exponent"] <= 0:
+        if not s["exponent"] > 0:  # NaN fails too
             raise ConfigError("exponent must be positive")
     if experiment in ("h2_levels", "vqd_beta_sweep"):
         path = _resolve_pauli_file(s)
@@ -199,7 +199,7 @@ def _validate(experiment: str, s: dict) -> None:
             raise ConfigError("lipschitz_samples must be at least 1")
         if not s["epsilons"]:
             raise ConfigError("epsilons must not be empty")
-        if any(e <= 0 for e in s["epsilons"]):
+        if not all(e > 0 for e in s["epsilons"]):  # NaN fails too
             raise ConfigError("epsilons must be positive (gap floor guard)")
     # The solver configs check their own ranges; build every one the run will use.
     try:

@@ -33,11 +33,30 @@ UNIT_NORM_ATOL = 1e-9
 GradientMode = Literal["exact", "zeroth_order"]
 
 
+@dataclass(frozen=True)
+class _Checked:
+    """A real symmetric array already checked once by ``run_sequential``, taken as is."""
+
+    entries: np.ndarray
+
+
 def _as_real_symmetric(m) -> np.ndarray:
-    """The real array the game runs on; a complex one must have a negligible imaginary part."""
+    """The real symmetric array the game runs on.
+
+    A finite array is checked here (``check_hermitian``: a non-symmetric one
+    raises ``HermiticityError``); a complex one must also have a negligible
+    imaginary part.  A non-finite entry is left to the solvers' finiteness
+    guards (``NumericalOverflowError``), and a ``HermitianMatrix`` was
+    checked when built.
+    """
+    if isinstance(m, _Checked):
+        return m.entries
     if isinstance(m, HermitianMatrix):
         return m.real_symmetric()
-    return np.ascontiguousarray(real_part(np.asarray(m)), dtype=np.float64)
+    mat = np.ascontiguousarray(real_part(np.asarray(m)), dtype=np.float64)
+    if np.isfinite(mat).all():
+        check_hermitian(mat)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -87,11 +106,11 @@ class HeavyBall:
         return beta
 
 
-def _coerce_parents(m, parents) -> tuple[ParentVector, ...]:
+def _coerce_parents(mat: np.ndarray, parents) -> tuple[ParentVector, ...]:
     out = []
     for p in parents or ():
         if not isinstance(p, ParentVector):
-            p = ParentVector.from_vector(m, p)
+            p = ParentVector.from_vector(_Checked(mat), p)
         if abs(p.rayleigh) < RAYLEIGH_GUARD:
             raise DegenerateParentError(
                 f"parent Rayleigh quotient {p.rayleigh:.3e} is below the division guard"
@@ -149,15 +168,16 @@ class GameConfig:
     num_players: int = 1
 
     def __post_init__(self):
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.grad_tolerance <= 0:
-            raise ValueError("grad_tolerance must be positive")
-        if self.max_iterations_per_player < 1:
+        # Each test is written so that NaN fails it.
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be non-negative and finite")
+        if not 0 < self.grad_tolerance < math.inf:
+            raise ValueError("grad_tolerance must be positive and finite")
+        if not self.max_iterations_per_player >= 1:
             raise ValueError("max_iterations_per_player must be at least 1")
-        if self.num_players < 1:
+        if not self.num_players >= 1:
             raise ValueError("num_players must be at least 1")
 
 
@@ -241,6 +261,8 @@ def eigengame_player(
     gradient, ||(I - v v^T) g||, which vanishes at the ascent's fixed points;
     the last value tested is kept as ``final_riemannian_norm``.  The step is
     ``cfg.step_size``, which must be set (``run_sequential`` picks its default).
+    A non-symmetric array M raises ``HermiticityError``, as it does at every
+    entry point that reads M (``_as_real_symmetric``).
     """
     if cfg.step_size is None:
         raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
@@ -359,11 +381,13 @@ def run_sequential(
     eigenvalues and residuals are read on M.  The dense eigenvalues, computed
     once, give c, the default step 1 / (2 (lambda_max + c)) and the
     leading-eigengap warning; no eigenvector enters the solve.  The zero
-    matrix is rejected: it has no leading eigenvectors and no step size.
+    matrix is rejected: it has no leading eigenvectors and no step size; so
+    is a matrix with a non-finite entry, whose dense eigenvalues are garbage.
+    M is checked once per run, not once per player.
     """
-    mat = _as_real_symmetric(m)
-    if not isinstance(m, HermitianMatrix):  # a HermitianMatrix was checked when built
-        check_hermitian(mat)
+    mat = _as_real_symmetric(m)  # the run's one check
+    if not np.isfinite(mat).all():  # the dense eigenvalues would be garbage
+        raise NumericalOverflowError("matrix has a non-finite entry")
     dim = mat.shape[0]
     if cfg.num_players > dim:
         raise ValueError(f"num_players {cfg.num_players} exceeds matrix dimension {dim}")
@@ -377,7 +401,7 @@ def run_sequential(
 
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
     shift = max(abs(lam_min), abs(lam_max)) - lam_min if lam_min <= 0 else 0.0
-    game = mat + shift * np.eye(dim) if shift else mat
+    game = _Checked(mat + shift * np.eye(dim) if shift else mat)
     if cfg.step_size is None:
         cfg = replace(cfg, step_size=1.0 / (2.0 * (lam_max + shift)))
 

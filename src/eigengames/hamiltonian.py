@@ -80,14 +80,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def num_qubits(self) -> int:
-        """Qubit count when dim is a power of two; errors otherwise."""
-        q = self.dim.bit_length() - 1
-        if 2**q != self.dim:
-            raise InvalidDimensionError(f"dim {self.dim} is not a power of two")
-        return q
-
     def real_symmetric(self) -> np.ndarray:
         """The real part, after checking the imaginary part is negligible.
 

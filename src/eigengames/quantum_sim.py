@@ -317,9 +317,10 @@ def expectation(h: PauliSum, psi: StateVector) -> float:
 class ShotModel:
     """Finite-shot estimator noise: Gaussian with std sqrt(Var(M)/N).
 
-    ``num_shots=None`` means exact (infinite-shot) evaluation.  The seed only
-    fixes the stream produced by ``make_rng``; callers running trajectories
-    hold one generator for the whole run.  ``rng_seed`` seeds direct player
+    ``num_shots=None`` means exact (infinite-shot) evaluation; a finite
+    count is a whole number (a Python or NumPy integer) of at least 1.  The
+    seed only fixes the stream produced by ``make_rng``; callers running
+    trajectories hold one generator for the whole run.  ``rng_seed`` seeds direct player
     calls only: the runners (``run_quantumgame``, ``run_vqd``) replace it
     with a seed each player derives from the run's ``seed``.
     """
@@ -328,7 +329,11 @@ class ShotModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.num_shots is not None and self.num_shots < 1:
+        if self.num_shots is None:
+            return
+        if not isinstance(self.num_shots, (int, np.integer)):
+            raise InvalidShotCountError(f"num_shots must be a whole number, got {self.num_shots!r}")
+        if self.num_shots < 1:
             raise InvalidShotCountError("num_shots must be >= 1 when finite")
 
     @property

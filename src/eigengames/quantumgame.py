@@ -104,16 +104,21 @@ class QuantumPlayerState:
 class SolverConfig:
     """Shared hyperparameters for the parameterized solvers.
 
-    There is no step-size or momentum setting: both players run the one
-    heavy-ball loop ``_ascend`` with gradient step 1/(2L), with L an upper
-    bound on the spectral norm of the operator the loop actually optimizes:
-    hi - lo + margin for the game's shifted sign*M + offset*I, and for the
-    penalized baseline max(-lo, hi) plus a Gershgorin bound on the parent
-    penalty.  [lo, hi] is M's ``PauliSum.spectral_range``, an interval
-    that encloses its spectrum, from one Lanczos run per operator shared
-    by all players, so no operator is densified or diagonalized.  M is the only
-    operator a solve applies: the sign and the offset act as scalars on its
-    moments, and no other ``PauliSum`` is built.  ``direction``,
+    Under an exact model both players' objective is one expectation
+    <psi|K psi> + c with K = s*M + sum_j w_j |k_j><k_j|: the game has
+    k_j = A psi_j and w_j = -1/lambda_j, with A = sign*M + offset*I and
+    c = offset; VQD has k_j = psi_j, w_j = beta_j and c = 0.  There is no
+    step-size or momentum setting: both players run the one heavy-ball loop
+    ``_ascend`` with a signed step, +1/(2L) for the game, which ascends its
+    objective, and -1/(2L) for VQD, which descends it.  L is an upper bound
+    on the spectral norm of the operator the loop actually optimizes:
+    hi - lo + margin for the game's shifted A, and for the penalized
+    baseline max(-lo, hi) plus a Gershgorin bound on the parent penalty.
+    [lo, hi] is M's ``PauliSum.spectral_range``, an interval that encloses
+    its spectrum, from one Lanczos run per operator shared by all players,
+    so no operator is densified or diagonalized.  M is the only operator a
+    solve applies: the sign and the offset act as scalars on its moments,
+    and no other ``PauliSum`` is built.  ``direction``,
     "maximize" or "minimize", applies to both solvers.  ``beta`` >= 0 feeds
     the fixed-weight overlap penalty; ``adaptive_regularization`` instead
     sets the penalty weights to 2 * (spectral upper bound - parent
@@ -133,12 +138,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
             raise ValueError(f"direction must be 'maximize' or 'minimize', got {self.direction!r}")
-        if self.max_iterations < 1:
+        # Each test is written so that NaN fails it.
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.grad_tolerance <= 0:
-            raise ValueError("grad_tolerance must be positive")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not 0 < self.grad_tolerance < math.inf:
+            raise ValueError("grad_tolerance must be positive and finite")
+        if self.beta is not None and not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be non-negative and finite")
         if self.beta is not None and self.adaptive_regularization:
             raise ValueError("beta and adaptive_regularization exclude each other")
 
@@ -168,10 +174,6 @@ Read = Callable[[np.ndarray], ReadResult]
 EvaluatorResult = tuple[np.ndarray, np.ndarray, float, int]
 Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
 
-# A backward vector maps theta's row psi and M psi to g = K psi, with K the
-# Hermitian operator whose expectation the player ascends, less a constant.
-Backward = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
 
 def _sweep_read(m: PauliSum, evaluate: Evaluator) -> Read:
     """The finite-shot read: M on every prepared row, the evaluator's read-outs of the 2m + 1
@@ -184,20 +186,25 @@ def _sweep_read(m: PauliSum, evaluate: Evaluator) -> Read:
     return read
 
 
-def _backward_read(m: PauliSum, backward: Backward, constant: float) -> Read:
-    """The exact read of the objective <psi|K psi> + ``constant``: M on theta's row alone.
+def _backward_read(
+    m: PauliSum, scale: float, kets: np.ndarray, weights: Sequence[float], constant: float
+) -> Read:
+    """The exact read of <psi|K psi> + ``constant``, K = scale*M + sum_j w_j |k_j><k_j|.
 
-    Each parameter drives one Pauli rotation, so d_k psi = phi_k / 2 and the
-    gradient is Re<phi_k|g> with g = K psi from ``backward``: one product of
-    the conjugated phi_k with g, and one with psi for the rotation guard
-    (two matrix-vector products beat one with the stacked pair on small
-    states).  <psi|phi_k> is imaginary for a Pauli rotation, so a
-    real part beyond ``NORM_ATOL`` (another gate, or NaN) raises
-    ``NormalizationError``; so does an imaginary part of <psi|M psi> beyond
-    it, with ``ValueError``, as ``shift_row_moments`` does.  The objective
-    is Re<psi|g> + ``constant`` and the energy Re<psi|M psi>; nothing is
-    drawn.
+    ``kets`` is the (P, 2**q) block of the k_j and ``weights`` their (P,)
+    w_j; M is applied to theta's row alone.  Each parameter drives one Pauli
+    rotation, so d_k psi = phi_k / 2 and the gradient is Re<phi_k|g> with
+    g = K psi = scale*M psi + sum_j w_j <k_j|psi> k_j: one product of the
+    conjugated phi_k with g, and one with psi for the rotation guard (two
+    matrix-vector products beat one with the stacked pair on small states).
+    <psi|phi_k> is imaginary for a Pauli rotation, so a real part beyond
+    ``NORM_ATOL`` (another gate, or NaN) raises ``NormalizationError``; so
+    does an imaginary part of <psi|M psi> beyond it, with ``ValueError``, as
+    ``shift_row_moments`` does.  The objective is Re<psi|g> + ``constant``
+    and the energy Re<psi|M psi>; nothing is drawn.
     """
+    ket_bras = kets.conj()
+    weights = np.asarray(weights, dtype=np.float64)
 
     def read(prepared: np.ndarray) -> ReadResult:
         phi, psi = prepared[:-1], prepared[-1]
@@ -206,7 +213,7 @@ def _backward_read(m: PauliSum, backward: Backward, constant: float) -> Read:
         residue = abs(energy.imag)
         if residue > NORM_ATOL:
             raise ValueError(f"expectation has imaginary residue {residue:.3e}")
-        g = backward(psi, m_psi)
+        g = scale * m_psi + ((ket_bras @ psi) * weights) @ kets
         bras = phi.conj()
         if not np.abs((bras @ psi).real).max(initial=0.0) <= NORM_ATOL:  # a NaN fails too
             raise NormalizationError(
@@ -236,11 +243,13 @@ def _shifted_parents(
     parent_states: np.ndarray,
     denominators: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A psi_j, 1/lambda_j) for the game's (P, 2**q) parent block, A = sign*M + offset*I.
+    """The game's kets and weights (A psi_j, -1/lambda_j), A = sign*M + offset*I.
 
-    M is applied to the block once, and not at all without parents.  A
-    denominator within ``PARENT_EIGENVALUE_GUARD`` of zero raises
-    ``DegenerateParentError``.
+    The game's objective <A> - sum_j |<psi|A|psi_j>|^2 / lambda_j is
+    <psi|K psi> + offset with K = sign*M + sum_j w_j |A psi_j><A psi_j| and
+    w_j = -1/lambda_j, from the (P, 2**q) parent block.  M is applied to the
+    block once, and not at all without parents.  A denominator within
+    ``PARENT_EIGENVALUE_GUARD`` of zero raises ``DegenerateParentError``.
     """
     for lam in denominators:
         if abs(lam) < PARENT_EIGENVALUE_GUARD:
@@ -250,117 +259,83 @@ def _shifted_parents(
     a_parents = parent_states
     if len(parent_states):
         a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
-    return a_parents, 1.0 / np.asarray(denominators, dtype=np.float64)
-
-
-def _game_backward(
-    m: PauliSum,
-    sign: float,
-    offset: float,
-    parent_states: np.ndarray,
-    denominators: Sequence[float],
-) -> Backward:
-    """psi -> K psi = sign*M psi - sum_j (<A psi_j|psi>/lambda_j) A psi_j.
-
-    The game's objective <A> - sum_j |<psi|A|psi_j>|^2 / lambda_j is
-    <psi|K psi> + offset with K = sign*M - sum_j (A psi_j)(A psi_j)^H / lambda_j;
-    the A psi_j block is formed once (``_shifted_parents``).
-    """
-    a_parents, inverse = _shifted_parents(m, sign, offset, parent_states, denominators)
-    a_bras = a_parents.conj()
-
-    def backward(psi: np.ndarray, m_psi: np.ndarray) -> np.ndarray:
-        return sign * m_psi - ((a_bras @ psi) * inverse) @ a_parents
-
-    return backward
-
-
-def _vqd_backward(sign: float, parent_states: np.ndarray, betas: Sequence[float]) -> Backward:
-    """psi -> K psi = sign*M psi + sum_j beta_j <psi_j|psi> psi_j, K = sign*M + sum_j beta_j psi_j psi_j^H."""
-    weights = np.asarray(betas, dtype=np.float64)
-    bras = parent_states.conj()
-
-    def backward(psi: np.ndarray, m_psi: np.ndarray) -> np.ndarray:
-        return sign * m_psi + ((bras @ psi) * weights) @ parent_states
-
-    return backward
+    return a_parents, -1.0 / np.asarray(denominators, dtype=np.float64)
 
 
 def _game_evaluator(
-    m: PauliSum,
-    sign: float,
-    offset: float,
-    parent_states: np.ndarray,
-    denominators: Sequence[float],
+    scale: float,
+    kets: np.ndarray,
+    weights: np.ndarray,
+    constant: float,
     shots: ShotModel,
     rng: np.random.Generator | None,
 ) -> Evaluator:
-    """Sweep -> <A> - sum_j |<r|A|psi_j>|^2 / lambda_j per shift row r, read out as the circuits would be.
+    """Sweep -> <A> + sum_j w_j |<r|A|psi_j>|^2 per shift row r, read out as the circuits would be.
 
-    A = sign*M + offset*I is never built: per row the read-outs are <M>,
-    then Re and Im of each parent's cross term (interference circuit), each
-    perturbed by the shot model in that order, and <A> is sign*read +
-    offset.  The means and variances are the circuits' closed forms, from
-    the sweep's base rows (``shift_row_moments``, and ``shift_row_products``
-    with the A psi_j); the cross terms' variances take
-    ||A r||^2 = ||M r||^2 + 2*sign*offset*<M> + offset^2.  A psi_j
-    (``_shifted_parents``), its ||A psi_j||^2 and the weights 1/lambda_j,
-    each repeated for the Re and the Im read-out, are formed once here, for
-    every row and iteration.  Without parents there are no cross read-outs.
+    A = scale*M + constant*I is never built, and (kets, weights) are the
+    game's (A psi_j, -1/lambda_j) (``_shifted_parents``).  Per row the
+    read-outs are <M>, then Re and Im of each parent's cross term
+    (interference circuit), each perturbed by the shot model in that order,
+    and <A> is scale*read + constant.  The means and variances are the
+    circuits' closed forms, from the sweep's base rows
+    (``shift_row_moments``, and ``shift_row_products`` with the kets); the
+    cross terms' variances take
+    ||A r||^2 = ||M r||^2 + 2*scale*constant*<M> + constant^2.  The kets'
+    ||A psi_j||^2 and the weights, each repeated for the Re and the Im
+    read-out, are formed once here, for every row and iteration.  Without
+    parents there are no cross read-outs.
     """
-    a_parents, inverse = _shifted_parents(m, sign, offset, parent_states, denominators)
-    has_parents = len(parent_states) > 0
-    a_parent_second = np.vecdot(a_parents, a_parents).real
-    weights = np.repeat(inverse, 2)
+    has_parents = len(kets) > 0
+    ket_second = np.vecdot(kets, kets).real
+    read_weights = np.repeat(weights, 2)
 
     def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
         mean, var, second, residue = shift_row_moments(base, m_base)
         if not has_parents:
             m_reads = perturb_readouts(shots, mean, var, rng)
-            return sign * m_reads + offset, m_reads, residue, m_reads.size
-        a_second = second + 2.0 * sign * offset * mean + offset * offset
-        cross_mean, cross_var = interference_moments(
-            shift_row_products(base, a_parents), a_second, a_parent_second
-        )
+            return scale * m_reads + constant, m_reads, residue, m_reads.size
+        a_second = second + 2.0 * scale * constant * mean + constant * constant
+        cross_mean, cross_var = interference_moments(shift_row_products(base, kets), a_second, ket_second)
         reads = perturb_readouts(
             shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
         )
-        penalty = reads[:, 1:] ** 2 @ weights
-        return sign * reads[:, 0] + offset - penalty, reads[:, 0], residue, reads.size
+        penalty = reads[:, 1:] ** 2 @ read_weights
+        return scale * reads[:, 0] + constant + penalty, reads[:, 0], residue, reads.size
 
     return evaluate
 
 
 def _vqd_evaluator(
-    sign: float,
-    parent_states: np.ndarray,
-    betas: Sequence[float],
+    scale: float,
+    kets: np.ndarray,
+    weights: Sequence[float],
     shots: ShotModel,
     rng: np.random.Generator | None,
 ) -> Evaluator:
-    """Sweep -> sign*<M> + sum_j beta_j |<r|psi_j>|^2 per shift row r, overlaps read off the SwapTest.
+    """Sweep -> scale*<M> + sum_j w_j |<r|psi_j>|^2 per shift row r, overlaps read off the SwapTest.
 
-    Per row the read-outs are <M>, then each parent's SwapTest p0 (closed
-    form, Bernoulli variance), perturbed in that order; the sign multiplies
-    the <M> read-out.  The means and variances come from the sweep's base
-    rows (``shift_row_moments``, and ``shift_row_products`` with the parent
-    states); the penalty is one product with the (P,) weights beta_j.
-    Without parents there are no SwapTest read-outs.
+    (kets, weights) are the parent states and their beta_j.  Per row the
+    read-outs are <M>, then each parent's SwapTest p0 (closed form,
+    Bernoulli variance), perturbed in that order; the scale multiplies the
+    <M> read-out.  The means and variances come from the sweep's base rows
+    (``shift_row_moments``, and ``shift_row_products`` with the kets); the
+    penalty is one product with the (P,) weights.  Without parents there
+    are no SwapTest read-outs.
     """
-    has_parents = len(parent_states) > 0
-    weights = np.asarray(betas, dtype=np.float64)
+    has_parents = len(kets) > 0
+    weights = np.asarray(weights, dtype=np.float64)
 
     def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
         mean, var, _, residue = shift_row_moments(base, m_base)
         if not has_parents:
             m_reads = perturb_readouts(shots, mean, var, rng)
-            return sign * m_reads, m_reads, residue, m_reads.size
-        p0, p0_var = swap_test_moments(shift_row_products(base, parent_states))
+            return scale * m_reads, m_reads, residue, m_reads.size
+        p0, p0_var = swap_test_moments(shift_row_products(base, kets))
         reads = perturb_readouts(
             shots, np.column_stack((mean, p0)), np.column_stack((var, p0_var)), rng
         )
         penalty = np.clip(2.0 * reads[:, 1:] - 1.0, 0.0, 1.0) @ weights
-        return sign * reads[:, 0] + penalty, reads[:, 0], residue, reads.size
+        return scale * reads[:, 0] + penalty, reads[:, 0], residue, reads.size
 
     return evaluate
 
@@ -368,19 +343,20 @@ def _vqd_evaluator(
 def _ascend(
     m: PauliSum,
     spec: AnsatzSpec,
-    theta: ParameterTensor,
-    parents: tuple[QuantumParent, ...],
+    state: QuantumPlayerState,
     parent_states: np.ndarray,
     cfg: SolverConfig,
-    index: int,
     read: Read,
     eta: float,
-    sign: float,
     rng: np.random.Generator,
-    parent_rows: int,
 ) -> QuantumPlayerState:
-    """The shared parameter-shift loop; ``sign`` +1 ascends the objective, -1 descends it.
+    """The shared parameter-shift loop over one player's objective <psi|K psi> + c.
 
+    K = s*M + sum_j w_j |k_j><k_j| (``SolverConfig``), and the one sign
+    rule: players pass a signed step ``eta``, positive to ascend the
+    objective (the game) and negative to descend it (VQD).  ``state`` is the
+    player's opened record, with its index, start theta, parents, and in
+    ``operator_rows`` the parent rows it applied M to before the loop.
     Each iteration prepares m + 1 states in one call
     (``parameter_shift_states``) and hands them to the player's ``read``,
     which gives the gradient, the objective and the <M> read-out on theta's
@@ -396,15 +372,13 @@ def _ascend(
     ``shift_row_products`` with the parents' (P, 2**q) block
     ``parent_states`` the largest parent overlap.  Every draw site adds its
     read-outs to one count, stored with its shots at the end (0 and 0 when
-    exact); ``parent_rows`` is the number of parent rows the player applied
-    M to before the loop, the start of ``operator_rows``.
+    exact).
 
-    The step is heavy-ball, vel <- beta_t vel + sign*eta*grad and
+    The step is heavy-ball, vel <- beta_t vel + eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
     the classical player shares: no extra circuit.
     """
-    state = QuantumPlayerState(index=index, theta=theta, parents=parents)
-    values = theta.values.copy()
+    values = state.theta.values.copy()
     vel = np.zeros_like(values)
     ball = HeavyBall()
     readouts = 0  # drawn by the read
@@ -423,7 +397,7 @@ def _ascend(
         if gnorm <= cfg.grad_tolerance:
             state.converged = True
             break
-        step = sign * eta * grad
+        step = eta * grad
         beta = ball.weight(state.iterations_used, step, vel)
         vel = beta * vel + step if beta else step
         values = values + vel
@@ -440,7 +414,7 @@ def _ascend(
     state.max_parent_overlap = float(overlaps.max(initial=0.0))
     sweeps, rows = len(state.energy_history), spec.num_parameters + 1
     state.prepared_rows = sweeps * rows + 1
-    state.operator_rows = parent_rows + sweeps * (1 if cfg.shots.is_exact else rows) + 1
+    state.operator_rows += sweeps * (1 if cfg.shots.is_exact else rows) + 1
     if not cfg.shots.is_exact:
         state.readouts = readouts + 1  # and the eigenvalue read
         state.shots = state.readouts * cfg.shots.num_shots
@@ -472,11 +446,14 @@ def quantumgame_player(
     operator's shortfall exceed it.  A caller-supplied parent whose
     eigenvalue lies farther outside the enclosure, so that its denominator
     is at or below ``PARENT_EIGENVALUE_GUARD``, raises
-    ``DegenerateParentError`` before any circuit runs.  A is applied as
-    algebra on M, never built: on the circuits' moments under finite shots
-    (``_game_evaluator``) and on the backward vector under an exact model
-    (``_game_backward``).  The denominators come from the cached
-    M-eigenvalues without re-measuring, and energies are read on M.
+    ``DegenerateParentError`` before any circuit runs.  The objective is
+    <psi|K psi> + offset with K = sign*M + sum_j w_j |A psi_j><A psi_j| and
+    w_j = -1/lambda_j (``_shifted_parents``), and the player passes the
+    step +1/(2L) to ascend it.  A is applied as algebra on M, never built:
+    on the circuits' moments under finite shots (``_game_evaluator``) and
+    on the backward vector under an exact model (``_backward_read``).  The
+    denominators come from the cached M-eigenvalues without re-measuring,
+    and energies are read on M.
     """
     parents = tuple(parents)
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
@@ -494,11 +471,13 @@ def quantumgame_player(
     eta = 1.0 / (2.0 * (hi - lo + margin))
     rng = cfg.shots.make_rng()
     states = _parent_states(parents, spec.num_qubits)
+    kets, weights = _shifted_parents(m, sign, offset, states, game_denominators)
     if cfg.shots.is_exact:
-        read = _backward_read(m, _game_backward(m, sign, offset, states, game_denominators), offset)
+        read = _backward_read(m, sign, kets, weights, offset)
     else:
-        read = _sweep_read(m, _game_evaluator(m, sign, offset, states, game_denominators, cfg.shots, rng))
-    return _ascend(m, spec, theta, parents, states, cfg, index, read, eta, 1.0, rng, len(parents))
+        read = _sweep_read(m, _game_evaluator(sign, kets, weights, offset, cfg.shots, rng))
+    state = QuantumPlayerState(index, theta, parents, operator_rows=len(parents))
+    return _ascend(m, spec, state, states, cfg, read, eta, rng)
 
 
 def _penalty_norm_bound(states: np.ndarray, betas: Sequence[float]) -> float:
@@ -520,7 +499,9 @@ def vqd_player(
 ) -> QuantumPlayerState:
     """Overlap-penalized minimization: sign*<M> + sum_j beta_j |<psi|psi_j>|^2.
 
-    sign = +1 to minimize and -1 to maximize, so both directions descend.
+    The objective is <psi|K psi> with K = sign*M + sum_j beta_j |psi_j><psi_j|,
+    sign = +1 to minimize and -1 to maximize, so both directions descend:
+    the player passes the step -1/(2L).
     Fixed mode uses beta_j = cfg.beta.  Adaptive mode sets
     beta_j = 2 * (lambda_bound - a_j) where lambda_bound is the Pauli
     1-norm upper bound on the spectrum and a_j the parent's previously
@@ -532,7 +513,7 @@ def vqd_player(
     sqrt(beta_j beta_l) <psi_j|psi_l>, whose largest absolute row sum bounds
     it; for orthogonal parents that is max_j beta_j.  Under finite shots
     overlaps are SwapTest read-outs (``_vqd_evaluator``); under an exact
-    model the gradient comes from the backward vector (``_vqd_backward``).
+    model the gradient comes from the backward vector (``_backward_read``).
     Energies are read on M.
     """
     parents = tuple(parents)
@@ -552,10 +533,10 @@ def vqd_player(
     eta = 1.0 / (2.0 * (max(-lo, hi) + _penalty_norm_bound(states, betas)))
     rng = cfg.shots.make_rng()
     if cfg.shots.is_exact:
-        read = _backward_read(m, _vqd_backward(sign, states, betas), 0.0)
+        read = _backward_read(m, sign, states, betas, 0.0)
     else:
         read = _sweep_read(m, _vqd_evaluator(sign, states, betas, cfg.shots, rng))
-    return _ascend(m, spec, theta, parents, states, cfg, index, read, eta, -1.0, rng, 0)
+    return _ascend(m, spec, QuantumPlayerState(index, theta, parents), states, cfg, read, -eta, rng)
 
 
 def _sequential_run(

@@ -45,7 +45,7 @@ from .quantum_sim import (
     expectation,
     parameter_shift_states,
 )
-from .quantumgame import QuantumParent, _backward_read, _game_backward
+from .quantumgame import QuantumParent, _backward_read, _shifted_parents
 
 
 @dataclass(frozen=True)
@@ -373,9 +373,9 @@ def measure_error_accumulation_quantum(
     """Same inequality in parameter space, gradients from the parameter-shift rule.
 
     Each gradient is the players' exact read of the child's sweep
-    (``_backward_read`` on the game's backward vector, with sign 1 and no
-    offset), from the m + 1 rows one ``parameter_shift_states`` call
-    prepares for both parents.
+    (``_backward_read`` of the game's objective, kets and weights from
+    ``_shifted_parents`` with sign 1 and no offset), from the m + 1 rows
+    one ``parameter_shift_states`` call prepares for both parents.
     """
     rng = np.random.default_rng(seed)
     dense = pauli_sum_to_matrix(h)
@@ -383,8 +383,8 @@ def measure_error_accumulation_quantum(
 
     def gradient(parent: QuantumParent, sweep: np.ndarray) -> np.ndarray:
         block = parent.statevector.amplitudes[None, :]
-        backward = _game_backward(h, 1.0, 0.0, block, (parent.eigenvalue,))
-        return _backward_read(h, backward, 0.0)(sweep)[0]
+        kets, weights = _shifted_parents(h, 1.0, 0.0, block, (parent.eigenvalue,))
+        return _backward_read(h, 1.0, kets, weights, 0.0)(sweep)[0]
 
     for eps in epsilons:
         for draw in range(samples_per_epsilon):

@@ -46,7 +46,7 @@ from eigengames.quantum_sim import (
     pauli_sum_apply,
     shift_rule_gradient,
 )
-from eigengames.quantumgame import QuantumParent, _game_evaluator, _parent_states
+from eigengames.quantumgame import QuantumParent, _game_evaluator, _parent_states, _shifted_parents
 
 
 class InvalidPerturbationError(EigenGamesError):
@@ -370,7 +370,8 @@ def quantum_utility(
     parents = tuple(parents)
     values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
     block = _parent_states(parents, spec.num_qubits)
-    evaluate = _game_evaluator(m, 1.0, 0.0, block, [p.eigenvalue for p in parents], shots, rng)
+    kets, weights = _shifted_parents(m, 1.0, 0.0, block, [p.eigenvalue for p in parents])
+    evaluate = _game_evaluator(1.0, kets, weights, 0.0, shots, rng)
     psi = apply_ansatz(spec, values[None, :])
     return float(evaluate(psi, pauli_sum_apply(m, psi))[0][0])
 

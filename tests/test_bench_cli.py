@@ -260,6 +260,22 @@ class TestMainCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("scaling", "sizes = 8\nnum_players = 2\ngrad_tolerance = nan\n"),
+        ("scaling", "sizes = 8\nnum_players = 2\nsigma = inf\n"),
+        ("scaling", "sizes = 8\nnum_players = 2\nexponent = nan\n"),
+        ("h2", "num_levels = 2\nmax_iterations = 5\ngrad_tolerance = nan\n"),
+        ("h2", "num_levels = 2\nmax_iterations = 5\nbeta = inf\n"),
+        ("diagnostics", "epsilons = 1e-3, nan\n"),
+    ])
+    def test_non_finite_settings_give_exit_two(self, tmp_path, capsys, command, text):
+        # NaN passed every ``x <= 0`` test: a NaN tolerance ran each player's whole budget.
+        cfgfile = tmp_path / "range.cfg"
+        cfgfile.write_text(text)
+        code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_module_entry_point_runs_without_runpy_warning(self):
         # The package must not import bench_cli itself, or running it with
         # -m finds the module already in sys.modules and warns.

@@ -372,6 +372,32 @@ class TestRunSequential:
         with pytest.raises(HermiticityError):
             run_sequential(np.array([[2.0, 1.0], [0.0, 1.0]]), GameConfig(), seed=0)
 
+    @pytest.mark.parametrize("entry", ["player", "parent", "utility", "exact_gradient",
+                                       "finite_diff_gradient", "finite_diff_error_term"])
+    def test_non_symmetric_input_rejected_at_every_entry_point(self, entry):
+        # Unchecked, the player "converged" at 1.998 on this M, whose symmetric
+        # part has levels 4.05 and -1.05, and the exact gradient at e1 read
+        # [4, 0] where that of v^T M v is [4, 5].
+        m = np.array([[2.0, 5.0], [0.0, 1.0]])
+        calls = {
+            "player": lambda: eigengame_player(m, np.ones(2) / np.sqrt(2.0), [], GameConfig(step_size=0.05)),
+            "parent": lambda: ParentVector.from_vector(m, E1),
+            "utility": lambda: utility(E1, [], m),
+            "exact_gradient": lambda: exact_gradient(E1, [], m),
+            "finite_diff_gradient": lambda: finite_diff_gradient(E1, [], m, 0.1),
+            "finite_diff_error_term": lambda: finite_diff_error_term([], m),
+        }
+        with pytest.raises(HermiticityError):
+            calls[entry]()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # The dense eigenvalues of diag(nan, 1) read [0, -0], and of diag(inf, 1) [nan, nan].
+        with pytest.raises(NumericalOverflowError):
+            run_sequential(np.diag([bad, 1.0]), GameConfig(), seed=0)
+        with pytest.raises(NumericalOverflowError):
+            run_sequential(HermitianMatrix(np.diag([np.inf, 1.0])), GameConfig(), seed=0)
+
     def test_complex_hermitian_input_rejected(self):
         # Its levels are (3 +- sqrt(5)) / 2; dropping the imaginary part gave [2, 1].
         m = np.array([[2.0, 1j], [-1j, 1.0]])
@@ -502,6 +528,13 @@ class TestInvariants:
             GameConfig(num_players=0)
         with pytest.raises(ValueError):
             GameConfig(sigma=-1e-3)
+
+    @pytest.mark.parametrize("field", ["step_size", "sigma", "grad_tolerance"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_config_values_rejected(self, field, value):
+        # NaN passed every ``x <= 0`` test; an infinite step or sigma is no setting.
+        with pytest.raises(ValueError):
+            GameConfig(**{field: value})
 
 
 class TestHeavyBall:

@@ -486,6 +486,14 @@ class TestShotNoise:
         with pytest.raises(InvalidShotCountError):
             ShotModel(0)
 
+    @pytest.mark.parametrize("num_shots", [np.nan, np.inf, 2.5, 10.0, "10"])
+    def test_shot_count_must_be_a_whole_number(self, num_shots):
+        with pytest.raises(InvalidShotCountError):
+            ShotModel(num_shots)
+
+    def test_numpy_integer_shot_count_accepted(self):
+        assert ShotModel(np.int64(100)).num_shots == 100
+
     def test_empirical_std_matches_model(self):
         # Over many seeds the sample std must sit within 15% of sqrt(Var/N).
         h = load_pauli_sum(bundled_h2_path())

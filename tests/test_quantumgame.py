@@ -1,5 +1,6 @@
 """Parameterized players, the overlap-penalized baseline, and the dense deflation oracle."""
 
+import inspect
 import json
 from functools import cached_property
 from pathlib import Path
@@ -55,6 +56,11 @@ def make_parent(h, spec, theta_values):
     theta = spec.bind(theta_values)
     state = apply_ansatz(spec, theta)
     return QuantumParent(theta, expectation(h, state), state)
+
+
+def arguments(fn, args, kwargs):
+    """One call ``fn(*args, **kwargs)``'s arguments by name, passed by position or by keyword."""
+    return inspect.signature(fn).bind(*args, **kwargs).arguments
 
 
 def exact_moments(h, psi):
@@ -384,6 +390,13 @@ class TestVqd:
         with pytest.raises(ValueError):
             SolverConfig(direction="minimize", beta=-1.0)
 
+    @pytest.mark.parametrize("field", ["grad_tolerance", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_config_values_rejected(self, field, value):
+        # NaN passed every ``x <= 0`` test, and a NaN tolerance ran the whole budget.
+        with pytest.raises(ValueError):
+            SolverConfig(direction="minimize", **{field: value})
+
     def test_beta_with_adaptive_regularization_rejected(self):
         # Adaptive mode sets its own weights, so a fixed beta would be dropped.
         with pytest.raises(ValueError):
@@ -454,16 +467,17 @@ class TestStepSize:
         etas = []
         ascend = quantumgame._ascend
 
-        def recording_ascend(*args):
-            etas.append(args[8])  # (m, spec, theta, parents, parent_states, cfg, index, evaluate, eta, ...)
-            return ascend(*args)
+        def recording_ascend(*args, **kwargs):
+            etas.append(arguments(ascend, args, kwargs)["eta"])
+            return ascend(*args, **kwargs)
 
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
         player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        # The step is signed: the game ascends its objective, VQD descends its own.
         if player is quantumgame_player:
             norm = np.abs(np.linalg.eigvalsh(dense_game_operator(h, direction)[0])).max()
         else:
-            norm = np.abs(np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)).max() + 2.0
+            norm = -(np.abs(np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)).max() + 2.0)
         assert etas == [pytest.approx(1.0 / (2.0 * norm), rel=1e-12, abs=0.0)]
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
@@ -479,9 +493,9 @@ class TestStepSize:
         etas = []
         ascend = quantumgame._ascend
 
-        def recording_ascend(*args):
-            etas.append(args[8])
-            return ascend(*args)
+        def recording_ascend(*args, **kwargs):
+            etas.append(arguments(ascend, args, kwargs)["eta"])
+            return ascend(*args, **kwargs)
 
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
         vqd_player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
@@ -494,7 +508,7 @@ class TestStepSize:
         penalty = (states.T * betas) @ states.conj()
         assert np.abs(np.linalg.eigvalsh(penalty)).max() <= bound < betas.sum()
         norm = np.abs(np.linalg.eigvalsh(dense)).max() + bound
-        assert etas == [pytest.approx(1.0 / (2.0 * norm), rel=1e-12, abs=0.0)]
+        assert etas == [pytest.approx(-1.0 / (2.0 * norm), rel=1e-12, abs=0.0)]  # VQD descends
 
     def test_orthogonal_parents_bound_the_penalty_by_the_largest_weight(self):
         states = np.eye(4, dtype=np.complex128)[[0, 2, 3]]
@@ -550,9 +564,9 @@ class TestShiftedObjective:
         name = "_game_evaluator" if player is quantumgame_player else "_vqd_evaluator"
         evaluator = getattr(quantumgame, name)
 
-        def capturing_ascend(*args):
-            reads.append(args[7])  # (m, spec, theta, parents, parent_states, cfg, index, read, ...)
-            return ascend(*args)
+        def capturing_ascend(*args, **kwargs):
+            reads.append(arguments(ascend, args, kwargs)["read"])
+            return ascend(*args, **kwargs)
 
         def capturing_evaluator(*args):
             evaluator_args.append(args)  # (..., shots, rng)
@@ -678,7 +692,7 @@ class TestShiftedObjective:
         # A gate that is not a Pauli rotation leaves phi_k with a real overlap with psi.
         rng = np.random.default_rng(3)
         psi = apply_ansatz(random_layers_ansatz(2, 1, 2, seed=1), rng.uniform(-np.pi, np.pi, 2)).amplitudes
-        read = quantumgame._backward_read(PauliSum(2, ((1.0, "ZX"),)), lambda psi, m_psi: m_psi, 0.0)
+        read = quantumgame._backward_read(PauliSum(2, ((1.0, "ZX"),)), 1.0, np.zeros((0, 4)), (), 0.0)
         rotated = np.array([1j * psi, psi])
         assert read(rotated)[0].shape == (1,)
         for phi in ((psi + 1j * psi) / np.sqrt(2.0), np.full(4, np.nan)):
@@ -922,9 +936,10 @@ class TestShotDraws:
         shifts = []
         evaluator = quantumgame._game_evaluator
 
-        def capturing(*args):
-            shifts.append(args[1:3])  # (m, sign, offset, ...)
-            return evaluator(*args)
+        def capturing(*args, **kwargs):
+            call = arguments(evaluator, args, kwargs)
+            shifts.append((call["scale"], call["constant"]))
+            return evaluator(*args, **kwargs)
 
         monkeypatch.setattr(quantumgame, "_game_evaluator", capturing)
         cfg = SolverConfig(direction=direction, grad_tolerance=1e-9, max_iterations=5, beta=5.0,
@@ -983,6 +998,22 @@ class TestShotDraws:
             assert len(player.energy_history) == len(history)
             assert np.max(np.abs(np.subtract(player.energy_history, history))) <= 1e-9
 
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_trajectory_pinned_under_an_exact_model(self, h2, runner, extra, direction):
+        # The exact read's gradient, objective and energy: a dropped penalty
+        # term, offset or sign moves the trajectory far beyond 1e-9.
+        pinned = json.loads((Path(__file__).parent / "data" / "h2_noiseless_pinned.json").read_text())
+        suffix = "_maximize" if direction == "maximize" else ""
+        expected = pinned[("game" if runner is run_quantumgame else "vqd") + suffix]
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction=direction, grad_tolerance=1e-2, max_iterations=40, **extra)
+        result = runner(h2, spec, cfg, 3, seed=5)
+        assert np.max(np.abs(np.subtract(result.eigenvalues, expected["eigenvalues"]))) <= 1e-9
+        for player, history in zip(result.players, expected["energy_history"]):
+            assert len(player.energy_history) == len(history)
+            assert np.max(np.abs(np.subtract(player.energy_history, history))) <= 1e-9
 
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
                              ids=["game", "vqd"])
