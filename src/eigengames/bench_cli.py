@@ -278,8 +278,20 @@ def _write_manifest(out: Path, cfg: RunConfig, extra_lines: Sequence[str] = ()) 
 # Experiments
 # ---------------------------------------------------------------------------
 
+def _gap_to_the_rest(levels: np.ndarray, i: int) -> float:
+    """min over j != i of |lambda_j - lambda_i|."""
+    return float(np.abs(np.delete(levels, i) - levels[i]).min())
+
+
 def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
-    """Iteration counts for the leading components, exact vs zeroth-order mode."""
+    """Iteration counts for the leading components, exact vs zeroth-order mode.
+
+    Each row also reports, without gating the exit code, the largest
+    eigen-residual ||M v - (v^T M v) v|| on the generated M and the largest
+    Davis-Kahan angle bound, residual / the level's gap to the rest of the
+    generated spectrum: what the residual alone says about each vector's
+    angle to its eigenvector.
+    """
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     ok = True
@@ -292,14 +304,18 @@ def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
                     angular_error(p.vector, spectrum.eigenvector(p.index - 1).real)
                     for p in result.players
                 )
+                levels = spectrum.eigenvalues
                 rows.append(
                     (n, mode, seed, result.total_iterations, max_angle,
+                     max(p.residual for p in result.players),
+                     max(p.residual / _gap_to_the_rest(levels, p.index - 1) for p in result.players),
                      int(result.all_converged), cfg.config_hash)
                 )
                 ok = ok and result.all_converged
     _write_csv(
         out / "results.csv",
-        ["n", "mode", "seed", "total_iterations", "max_angular_error", "converged", "config_hash"],
+        ["n", "mode", "seed", "total_iterations", "max_angular_error", "max_residual",
+         "max_angle_bound", "converged", "config_hash"],
         rows,
     )
     _write_manifest(out, cfg)

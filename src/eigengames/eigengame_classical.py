@@ -85,19 +85,19 @@ class HeavyBall:
     t counts steps since the start or the last restart.  A restart (beta and t
     back to 0, counted in ``restarts``) happens when the new step points
     against the velocity (O'Donoghue & Candes, *Adaptive Restart for
-    Accelerated Gradient Schemes*, FoCM 15, 2015), which reads only the step
-    the loop already formed.  The first ``ASCENT_WARMUP`` steps are plain
-    ascent: beta 0 and no restart.
+    Accelerated Gradient Schemes*, FoCM 15, 2015), which reads only the inner
+    product step . vel the loop already has.  The first ``ASCENT_WARMUP``
+    steps are plain ascent: beta 0 and no restart.
     """
 
     steps: int = 0
     restarts: int = 0
 
-    def weight(self, iteration: int, step: np.ndarray, vel: np.ndarray) -> float:
-        """The velocity weight of step ``iteration`` (0-based) along ``step``."""
+    def weight(self, iteration: int, along: float) -> float:
+        """The velocity weight of step ``iteration`` (0-based), given ``along`` = step . vel."""
         if iteration < ASCENT_WARMUP:
             beta = 0.0
-        elif step.dot(vel) < 0.0:  # the step turned against the velocity: restart from rest
+        elif along < 0.0:  # the step turned against the velocity: restart from rest
             beta, self.steps = 0.0, 0
             self.restarts += 1
         else:
@@ -181,21 +181,20 @@ class GameConfig:
             raise ValueError("num_players must be at least 1")
 
 
-def _parent_block(parents: tuple[ParentVector, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The parents as one block: (P, n) products M v_j and (P,) Rayleigh quotients."""
-    mvs = np.array([p.m_times_vector for p in parents]).reshape(len(parents), dim)
-    return mvs, np.array([p.rayleigh for p in parents])
-
-
-def _twice_game_matrix(mat: np.ndarray, parents: tuple[ParentVector, ...]) -> np.ndarray:
-    """2 G, with G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j the player's game matrix.
+def _twice_game_matrix(mat: np.ndarray, parents: tuple[ParentVector, ...], scale: float = 1.0) -> np.ndarray:
+    """scale 2 G, with G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j the player's game matrix.
 
     With the parents frozen, the utility v^T M v - sum_j (v^T M v_j)^2 / v_j^T M v_j
     is the quadratic form v^T G v: its exact gradient is 2 G v and the
-    forward-differences error term is diag(G).  One (n, P) x (P, n) product.
+    forward-differences error term is diag(G).  The parents' (n, P) x (P, n)
+    product is subtracted in place from scale 2 M, the one other n x n array.
     """
-    mvs, rayleighs = _parent_block(parents, mat.shape[0])
-    return 2.0 * mat - (2.0 * mvs.T) @ (mvs / rayleighs[:, None])
+    twice = mat * (2.0 * scale)
+    if parents:
+        mvs = np.array([p.m_times_vector for p in parents])
+        rayleighs = np.array([p.rayleigh for p in parents])
+        twice -= ((2.0 * scale) * mvs.T) @ (mvs / rayleighs[:, None])
+    return twice
 
 
 def _twice_game_matrix_of(parents, m) -> np.ndarray:
@@ -248,21 +247,34 @@ def eigengame_player(
 ) -> PlayerState:
     """Run one player's Riemannian heavy-ball ascent until the gradient is radial.
 
-    Each step is v <- normalize(v + alpha (I - v v^T) g + beta_t vel), with
-    vel = v_t - v_{t-1}: EigenGame's projected step (Gemp et al., ICLR 2021,
-    Alg. 1) plus the velocity, beta_t and its restarts from ``HeavyBall``.
-    The parents are frozen, so the game matrix
-    G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j is built once, as 2 alpha G:
-    each iteration is one matvec on it, which gives alpha g and so the scaled
-    tangent at no extra cost, and M v is formed once, at exit, for the
-    eigenvalue and residual.  The price is one extra n x n array.
+    Each step is v <- normalize(v + t + beta_t vel), with t = alpha (I - v v^T) g
+    the tangent step and vel = v_t - v_{t-1}: EigenGame's projected step (Gemp
+    et al., ICLR 2021, Alg. 1) plus the velocity, beta_t and its restarts from
+    ``HeavyBall``.  The parents are frozen, so the game matrix
+    G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j is built once, as 2 alpha G,
+    and M v is formed once, at exit, for the eigenvalue and residual.
+
+    One iteration is three array calls on a (4, n) buffer of rows
+    [v; vel; 2 alpha G v; b], where b is the zeroth-order bias
+    alpha sigma diag(G) (0 in exact mode) and w = 2 alpha G v + b = alpha g:
+    the matvec into the third row; the products of the first three rows
+    with all four, which give v.v, v.vel, v.w, vel.vel, vel.w and w.w, every
+    scalar the step reads (the stop test, the restart test
+    t . vel = vel.w - (v.w)(v.vel) and the normalizer ||v + t + beta vel||,
+    with v + t = (1 - v.w) v + w); and one (2, 4) x (4, n) product that
+    writes the next v and vel into a spare buffer.  No identity assumes
+    ||v|| = 1, so the norm does not drift.
 
     The stopping test is on the tangential (Riemannian) norm of the mode's own
-    gradient, ||(I - v v^T) g||, which vanishes at the ascent's fixed points;
-    the last value tested is kept as ``final_riemannian_norm``.  The step is
-    ``cfg.step_size``, which must be set (``run_sequential`` picks its default).
-    A non-symmetric array M raises ``HermiticityError``, as it does at every
-    entry point that reads M (``_as_real_symmetric``).
+    gradient, ||(I - v v^T) g||, which vanishes at the ascent's fixed points.
+    Its square read from those products, w.w - (v.w)^2 (2 - v.v), loses digits
+    to cancellation as t shrinks, so it only rules stopping out: within a
+    rounding margin of the tolerance, and at the budget, t = w - (v.w) v is
+    formed and its norm tested.  The last explicit norm is kept as
+    ``final_riemannian_norm``.  The step is ``cfg.step_size``, which must be
+    set (``run_sequential`` picks its default).  A non-symmetric array M raises
+    ``HermiticityError``, as it does at every entry point that reads M
+    (``_as_real_symmetric``).
     """
     if cfg.step_size is None:
         raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
@@ -270,46 +282,66 @@ def eigengame_player(
         raise ValueError(f"mode must be 'exact' or 'zeroth_order', got {mode!r}")
     mat = _as_real_symmetric(m)
     parents = _coerce_parents(mat, parents)
-    v = np.asarray(init, dtype=np.float64).copy()
+    v = np.asarray(init, dtype=np.float64)
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError("init vector must be unit norm")
 
     alpha = cfg.step_size
-    scaled_game = alpha * _twice_game_matrix(mat, parents)  # alpha 2 G
-    bias = cfg.sigma * (0.5 * np.diag(scaled_game)) if mode == "zeroth_order" else None
+    dim = mat.shape[0]
+    scaled_game = _twice_game_matrix(mat, parents, alpha)  # alpha 2 G
+    # Two (4, n) buffers of rows [v; vel; 2 alpha G v; b], b the bias row, so that
+    # w = 2 alpha G v + b is alpha g in either mode without being formed.
+    buffers = np.zeros((2, 4, dim))
+    buffers[0, 0] = v
+    if mode == "zeroth_order":
+        buffers[:, 3] = cfg.sigma * (0.5 * np.diag(scaled_game))  # alpha sigma diag(G)
+    b_b = float(buffers[0, 3].dot(buffers[0, 3]))
+    # Each buffer as (rows, its first three rows, the transpose, v, 2 alpha G v, the [v; vel] head).
+    current, spare = [(buf, buf[:3], buf.T, buf[0], buf[2], buf[:2]) for buf in buffers]
+    mix = np.empty((2, 4))  # the next [v; vel] as combinations of the four rows
+    coefficients = mix.reshape(-1)
+    # The estimate of ||t||^2 from the products is within this many w.w of the
+    # truth: each of the few products it combines is exact to about n eps.
+    margin = 8.0 * dim * np.finfo(np.float64).eps
+    stop_sq = (cfg.grad_tolerance * alpha) ** 2
     state = PlayerState(index=index, vector=v, parents=parents)
     ball = HeavyBall()
-    vel = np.zeros_like(v)
 
     for _ in range(cfg.max_iterations_per_player + 1):
-        w = scaled_game.dot(v)  # alpha g, the mode's gradient times the step
-        if bias is not None:
-            w += bias
-        radial = float(w.dot(v))
+        rows, first, rows_t, v, gv, _ = current
+        scaled_game.dot(v, out=gv)
+        (v_v, v_vel, v_g, v_b), (_, vel_vel, vel_g, vel_b), (_, _, g_g, g_b) = first.dot(rows_t).tolist()
+        v_w, vel_w, w_w = v_g + v_b, vel_g + vel_b, g_g + 2.0 * g_b + b_b
 
         # One non-finite entry of w makes w . v non-finite too (inf * 0 is
-        # NaN), so the scalar gates the array scan that names the failure.
-        if not math.isfinite(radial):
-            if not np.all(np.isfinite(w)):
+        # NaN), so the scalars gate the array scan that names the failure.
+        if not math.isfinite(v_w + w_w):
+            if not np.isfinite(rows[2:]).all():
                 raise NumericalOverflowError("gradient stopped being finite")
             raise NumericalOverflowError("utility stopped being finite")
 
-        w -= radial * v  # alpha (I - v v^T) g, the tangent step
-        state.final_riemannian_norm = math.sqrt(w.dot(w)) / alpha
-        if state.final_riemannian_norm <= cfg.grad_tolerance:
-            state.converged = True
-            break
-        if state.iterations_used >= cfg.max_iterations_per_player:
-            break
+        out_of_budget = state.iterations_used >= cfg.max_iterations_per_player
+        if out_of_budget or w_w - v_w * v_w * (2.0 - v_v) <= stop_sq + margin * w_w:
+            tangent = (gv + rows[3]) - v_w * v  # alpha (I - v v^T) g, formed for the test
+            state.final_riemannian_norm = math.sqrt(tangent.dot(tangent)) / alpha
+            if state.final_riemannian_norm <= cfg.grad_tolerance:
+                state.converged = True
+                break
+            if out_of_budget:
+                break
 
-        beta = ball.weight(state.iterations_used, w, vel)
-        w += v
-        if beta:
-            w += beta * vel
-        w /= math.sqrt(w.dot(w))  # at least 1: w . v = 1 + beta(1 - v_prev . v), t is orthogonal to v
-        vel, v = w - v, w
+        beta = ball.weight(state.iterations_used, vel_w - v_w * v_vel)
+        keep = 1.0 - v_w  # v + t + beta vel = keep v + beta vel + w
+        norm_sq = (keep * (keep * v_v + 2.0 * (v_w + beta * v_vel))
+                   + w_w + beta * (beta * vel_vel + 2.0 * vel_w))
+        scale = 1.0 / math.sqrt(norm_sq)  # norm at least 1: (v + t + beta vel) . v = 1 + beta v . vel
+        coefficients[:] = (keep * scale, beta * scale, scale, scale,
+                           keep * scale - 1.0, beta * scale, scale, scale)
+        mix.dot(rows, out=spare[5])  # the next v, and vel = next v - v
+        current, spare = spare, current
         state.iterations_used += 1
 
+    v = current[3].copy()
     state.momentum_restarts = ball.restarts
     state.vector = v
     state.max_parent_overlap = max((float(p.vector @ v) ** 2 for p in parents), default=0.0)

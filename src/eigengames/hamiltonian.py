@@ -46,14 +46,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(entries: np.ndarray) -> None:
-    """Raise unless ``entries`` is a non-empty square matrix within HERMITICITY_ATOL of M^H.
+    """Raise unless ``entries`` is a non-empty, finite square matrix within HERMITICITY_ATOL of M^H.
 
     Real or complex; the one statement of what a valid dense operator is.
+    Finiteness is checked first: ``np.allclose`` counts inf as close to inf.
     """
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {entries.shape}")
     if entries.shape[0] == 0:
         raise InvalidDimensionError("dimension must be at least 1")
+    if not np.isfinite(entries).all():
+        raise HermiticityError("matrix has an entry that is not finite")
     if not np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
         worst = np.abs(entries - entries.conj().T).max()
         raise HermiticityError(f"matrix is not Hermitian (max |M - M^H| = {worst:.3e})")

@@ -398,7 +398,7 @@ def _ascend(
             state.converged = True
             break
         step = eta * grad
-        beta = ball.weight(state.iterations_used, step, vel)
+        beta = ball.weight(state.iterations_used, float(step @ vel))
         vel = beta * vel + step if beta else step
         values = values + vel
         state.iterations_used += 1

@@ -11,7 +11,9 @@ batched and closed-form gradients; ``row_moments`` reads <M> and Var(M)
 of independent state rows one at a time, the reference for the library's
 one moments read ``shift_row_moments``; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
-game matrix folds together; ``quantum_utility`` is one row of the game's
+game matrix folds together; ``vector_eigengame_player`` is the classical
+player's ascent written on whole vectors, the loop the library's fused
+three-call iteration must reproduce; ``quantum_utility`` is one row of the game's
 batch evaluator; ``hotelling_levels`` is explicit Hotelling deflation on a
 dense copy, the step the game does without; ``compiled_pauli_sum`` is the
 per-term builder the stacked ``PauliSum.compiled`` form is checked against;
@@ -25,15 +27,26 @@ unless a circuit says otherwise.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from eigengames.eigengame_classical import utility
+from eigengames.eigengame_classical import (
+    UNIT_NORM_ATOL,
+    GameConfig,
+    HeavyBall,
+    PlayerState,
+    _as_real_symmetric,
+    _coerce_parents,
+    _twice_game_matrix,
+    utility,
+)
 from eigengames.errors import (
     DimensionMismatchError,
     EigenGamesError,
     NormalizationError,
+    NumericalOverflowError,
 )
 from eigengames.hamiltonian import PauliSum
 from eigengames.quantum_sim import (
@@ -399,3 +412,54 @@ def hotelling_levels(entries: np.ndarray, k: int) -> list[float]:
         levels.append(lam)
         work -= lam * np.outer(psi, psi.conj())
     return levels
+
+
+# ---------------------------------------------------------------------------
+# The classical ascent on whole vectors
+# ---------------------------------------------------------------------------
+
+def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode: str = "exact") -> PlayerState:
+    """``eigengame_player``'s ascent on whole vectors: each scalar from its own dot product.
+
+    Per iteration: w = alpha g from one matvec on 2 alpha G (plus the bias
+    alpha sigma diag(G) in zeroth-order mode), the tangent step
+    t = w - (w . v) v formed in place, the stop test on ||t|| / alpha, the
+    heavy-ball weight from t . vel, and v <- (v + t + beta vel) / ||...||.
+    ``final_riemannian_norm`` is the last ||t|| / alpha tested.
+    """
+    mat = _as_real_symmetric(m)
+    parents = _coerce_parents(mat, parents)
+    v = np.asarray(init, dtype=np.float64).copy()
+    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:
+        raise NormalizationError("init vector must be unit norm")
+    alpha = cfg.step_size
+    scaled_game = alpha * _twice_game_matrix(mat, parents)
+    bias = cfg.sigma * (0.5 * np.diag(scaled_game)) if mode == "zeroth_order" else None
+    state = PlayerState(index=1, vector=v, parents=parents)
+    ball = HeavyBall()
+    vel = np.zeros_like(v)
+    for _ in range(cfg.max_iterations_per_player + 1):
+        w = scaled_game.dot(v)
+        if bias is not None:
+            w += bias
+        radial = float(w.dot(v))
+        if not math.isfinite(radial):
+            raise NumericalOverflowError("gradient stopped being finite")
+        w -= radial * v
+        state.final_riemannian_norm = math.sqrt(w.dot(w)) / alpha
+        if state.final_riemannian_norm <= cfg.grad_tolerance:
+            state.converged = True
+            break
+        if state.iterations_used >= cfg.max_iterations_per_player:
+            break
+        beta = ball.weight(state.iterations_used, float(w.dot(vel)))
+        w += v
+        if beta:
+            w += beta * vel
+        w /= math.sqrt(w.dot(w))
+        vel, v = w - v, w
+        state.iterations_used += 1
+    state.momentum_restarts = ball.restarts
+    state.vector = v
+    state.read_out(mat)
+    return state

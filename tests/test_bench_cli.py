@@ -10,6 +10,7 @@ import pytest
 
 import eigengames
 from eigengames.bench_cli import (
+    _game_config,
     _h2_setup,
     _solver_config,
     build_run_config,
@@ -21,7 +22,9 @@ from eigengames.bench_cli import (
     main,
     parse_config_text,
 )
+from eigengames.eigengame_classical import run_sequential
 from eigengames.errors import ConfigError
+from eigengames.hamiltonian import build_powerlaw_hamiltonian
 from eigengames.quantum_sim import NORM_ATOL
 from eigengames.quantumgame import run_vqd
 
@@ -83,10 +86,31 @@ class TestScalingCommand:
         body_a = (tmp_path / "a" / "results.csv").read_bytes()
         header = body_a.decode().splitlines()[0].split(",")
         assert header == ["n", "mode", "seed", "total_iterations", "max_angular_error",
-                          "converged", "config_hash"]
+                          "max_residual", "max_angle_bound", "converged", "config_hash"]
         cmd_bench_scaling(cfg, tmp_path / "b")
         assert body_a == (tmp_path / "b" / "results.csv").read_bytes()
         assert (tmp_path / "a" / "manifest.txt").exists()
+
+    def test_residual_columns_are_the_players_residuals(self, tmp_path):
+        cfg = build_run_config(
+            "eigengame_scaling",
+            {"sizes": [8], "seeds": [0], "num_players": 4, "grad_tolerance": 1e-3},
+        )
+        cmd_bench_scaling(cfg, tmp_path)
+        header, row = (line.split(",") for line in (tmp_path / "results.csv").read_text().splitlines()[:2])
+        row = dict(zip(header, row))
+        assert row["mode"] == "exact"
+        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=0, exponent=cfg["exponent"])
+        result = run_sequential(matrix, _game_config(cfg), seed=0, mode="exact")
+        levels = spectrum.eigenvalues
+        residuals = [p.residual for p in result.players]
+        gaps = [min(abs(levels[j] - levels[p.index - 1]) for j in range(8) if j != p.index - 1)
+                for p in result.players]
+        assert float(row["max_residual"]) == max(residuals)
+        assert float(row["max_angle_bound"]) == pytest.approx(
+            max(r / g for r, g in zip(residuals, gaps)), rel=1e-12)
+        # The bound is read from the residual alone; here it sits above the oracle's angle.
+        assert float(row["max_angular_error"]) <= float(row["max_angle_bound"])
 
     def test_rows_carry_seed_and_hash(self, tmp_path):
         cfg = build_run_config(

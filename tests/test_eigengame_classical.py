@@ -34,6 +34,7 @@ from oracles import (
     classical_error_term,
     classical_game_terms,
     numeric_forward_difference,
+    vector_eigengame_player,
 )
 
 M2 = np.diag([3.0, 1.0])
@@ -322,6 +323,69 @@ class TestPlayer:
         assert abs(state.residual - residual(m, state)) <= 1e-12
 
 
+class TestFusedIteration:
+    """The player's three-call iteration against the whole-vector loop, and its rounding guards."""
+
+    @staticmethod
+    def stable_step(m, parents):
+        """1 / ||2 G||_2, so that |v . w| <= 1 on any problem."""
+        twice_game = np.column_stack([exact_gradient(e, parents, m) for e in np.eye(len(m))])
+        return 1.0 / np.linalg.norm(twice_game, 2)
+
+    @pytest.mark.parametrize("budget", [1, ASCENT_WARMUP, 60, None], ids=["1", "warm-up", "60", "converge"])
+    @pytest.mark.parametrize("num_parents", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_vector_loop(self, mode, num_parents, budget):
+        for seed in range(3):
+            m, v0, parents = random_problem(7, num_parents, seed=20 + seed)
+            cfg = GameConfig(step_size=self.stable_step(m, parents), sigma=1e-2,
+                             grad_tolerance=1e-12 if budget else 1e-6,
+                             max_iterations_per_player=budget or 200_000)
+            fused = eigengame_player(m, v0, parents, cfg, mode=mode)
+            vector = vector_eigengame_player(m, v0, parents, cfg, mode=mode)
+            counts = ("iterations_used", "momentum_restarts", "converged")
+            assert [getattr(fused, c) for c in counts] == [getattr(vector, c) for c in counts]
+            assert np.max(np.abs(fused.vector - vector.vector)) <= 1e-12
+            assert abs(fused.final_riemannian_norm - vector.final_riemannian_norm) <= 1e-12
+            assert fused.converged or budget
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_converged_only_on_the_explicit_tangent(self, mode):
+        # At 1e-12 the estimate w.w - (v.w)^2 of ||t||^2 is all rounding
+        # (about eps w.w, a tangent norm near 1e-8): only a formed tangent may pass.
+        matrix, spectrum = build_powerlaw_hamiltonian(16, seed=0)
+        m = matrix.real_symmetric()
+        parents = [spectrum.eigenvector(0).real]
+        alpha = 1.0 / (2.0 * np.abs(spectrum.eigenvalues).max())
+        sigma = 1e-3 if mode == "zeroth_order" else 0.0
+        cfg = GameConfig(step_size=alpha, sigma=1e-3, grad_tolerance=1e-12, max_iterations_per_player=5000)
+        converged = 0
+        for seed in range(4):
+            init = np.random.default_rng(seed).standard_normal(16)
+            state = eigengame_player(m, init / np.linalg.norm(init), parents, cfg, mode=mode)
+            if state.converged:
+                w = alpha * finite_diff_gradient(state.vector, parents, m, sigma)
+                tangent = w - (w @ state.vector) * state.vector
+                assert np.linalg.norm(tangent) / alpha <= cfg.grad_tolerance
+                assert state.final_riemannian_norm <= cfg.grad_tolerance
+            converged += state.converged
+        assert converged  # the check above ran
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unit_norm_holds_over_a_long_budget(self, mode):
+        # A negative-definite M keeps v . w < 0, where a norm assumed rather than
+        # measured would grow by (1 - v . w)^2 per iteration.
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((8, 8))
+        m = -(a @ a.T) - np.eye(8)
+        v0 = rng.standard_normal(8)
+        cfg = GameConfig(step_size=self.stable_step(m, []), sigma=1e-2, grad_tolerance=1e-300,
+                         max_iterations_per_player=50_000)
+        state = eigengame_player(m, v0 / np.linalg.norm(v0), [], cfg, mode=mode)
+        assert state.iterations_used == 50_000 and not state.converged
+        assert abs(np.linalg.norm(state.vector) - 1.0) <= 1e-12
+
+
 class TestRunSequential:
     def test_four_axis_recovery(self):
         m = np.diag([3.0, 2.0, 1.0, 0.5])
@@ -395,8 +459,8 @@ class TestRunSequential:
         # The dense eigenvalues of diag(nan, 1) read [0, -0], and of diag(inf, 1) [nan, nan].
         with pytest.raises(NumericalOverflowError):
             run_sequential(np.diag([bad, 1.0]), GameConfig(), seed=0)
-        with pytest.raises(NumericalOverflowError):
-            run_sequential(HermitianMatrix(np.diag([np.inf, 1.0])), GameConfig(), seed=0)
+        with pytest.raises(HermiticityError, match="not finite"):  # rejected when built
+            HermitianMatrix(np.diag([np.inf, 1.0]))
 
     def test_complex_hermitian_input_rejected(self):
         # Its levels are (3 +- sqrt(5)) / 2; dropping the imaginary part gave [2, 1].
@@ -581,13 +645,13 @@ class TestHeavyBall:
             assert [p.momentum_restarts for p in result.players] == [0, 0, 0]
 
     def test_weight_schedule(self):
-        ahead, back = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+        ahead, back = 1.0, -1.0  # step . vel
         ball = HeavyBall()
         # Plain ascent through the warm-up, whichever way the step points.
-        assert [ball.weight(t, back, ahead) for t in range(ASCENT_WARMUP)] == [0.0] * ASCENT_WARMUP
-        assert ball.weight(ASCENT_WARMUP, ahead, ahead) == ASCENT_WARMUP / (ASCENT_WARMUP + 3.0)
-        assert ball.weight(ASCENT_WARMUP + 1, back, ahead) == 0.0  # restart from rest
-        assert [ball.weight(ASCENT_WARMUP + t, ahead, ahead) for t in (2, 3)] == [1 / 4, 2 / 5]
+        assert [ball.weight(t, back) for t in range(ASCENT_WARMUP)] == [0.0] * ASCENT_WARMUP
+        assert ball.weight(ASCENT_WARMUP, ahead) == ASCENT_WARMUP / (ASCENT_WARMUP + 3.0)
+        assert ball.weight(ASCENT_WARMUP + 1, back) == 0.0  # restart from rest
+        assert [ball.weight(ASCENT_WARMUP + t, ahead) for t in (2, 3)] == [1 / 4, 2 / 5]
         assert ball.restarts == 1
 
 

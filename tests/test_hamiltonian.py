@@ -317,6 +317,15 @@ class TestExactEigendecomposition:
         with pytest.raises(HermiticityError):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_at_construction(self, bad):
+        # np.allclose counts inf as close to inf: diag(inf, 1) was built, and its
+        # dense eigenvalues read [nan, nan]; a NaN failed only as "max |M - M^H| = nan".
+        with pytest.raises(HermiticityError, match="not finite"):
+            HermitianMatrix(np.diag([bad, 1.0]))
+        with pytest.raises(HermiticityError, match="not finite"):
+            HermitianMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_descending_order_enforced_in_spectrum_type(self):
         with pytest.raises(ValueError):
             Spectrum(eigenvalues=np.array([1.0, 2.0]), eigenvectors=np.eye(2))

@@ -873,9 +873,9 @@ class TestHeavyBallAscent:
         calls = []
         weight = HeavyBall.weight
 
-        def recorded(ball, iteration, step, vel):
-            beta = weight(ball, iteration, step, vel)
-            calls.append((iteration, float(step @ vel) < 0.0, beta, ball.restarts))
+        def recorded(ball, iteration, along):
+            beta = weight(ball, iteration, along)
+            calls.append((iteration, along < 0.0, beta, ball.restarts))
             return beta
 
         monkeypatch.setattr(HeavyBall, "weight", recorded)
@@ -888,8 +888,7 @@ class TestHeavyBallAscent:
             taken, calls = calls[: player.iterations_used], calls[player.iterations_used:]
             assert [t for t, *_ in taken] == list(range(player.iterations_used))
             fresh = HeavyBall()
-            replayed = [fresh.weight(t, np.array([-1.0 if back else 1.0]), np.ones(1))
-                        for t, back, *_ in taken]
+            replayed = [fresh.weight(t, -1.0 if back else 1.0) for t, back, *_ in taken]
             assert replayed == [beta for *_, beta, _ in taken]
             assert player.momentum_restarts == fresh.restarts == taken[-1][-1]
             assert fresh.restarts > 0
