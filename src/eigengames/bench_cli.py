@@ -54,8 +54,8 @@ DEFAULTS: dict[str, dict] = {
         "seeds": [0, 1, 2, 3, 4],
         "num_players": 8,
         "exponent": 1.0,
-        "grad_tolerance": 1e-3,
-        "sigma": 1e-4,
+        "grad_tolerance": 1e-6,
+        "sigma": 1e-6,
         "max_iterations": 100_000,
     },
     "h2_levels": {
@@ -286,11 +286,13 @@ def _gap_to_the_rest(levels: np.ndarray, i: int) -> float:
 def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
     """Iteration counts for the leading components, exact vs zeroth-order mode.
 
-    Each row also reports, without gating the exit code, the largest
-    eigen-residual ||M v - (v^T M v) v|| on the generated M and the largest
-    Davis-Kahan angle bound, residual / the level's gap to the rest of the
-    generated spectrum: what the residual alone says about each vector's
-    angle to its eigenvector.
+    Each row also reports the largest eigen-residual ||M v - (v^T M v) v|| on
+    the generated M and the largest Davis-Kahan angle bound, residual / the
+    level's gap to the rest of the generated spectrum: what the residual
+    alone says about each vector's angle to its eigenvector.  The command
+    exits 1 when a player did not converge or a row's angle bound exceeds 1,
+    where the residual no longer pins the vector to its eigenvector.  The
+    defaults, tolerance and sigma 1e-6, are tier-1 criterion 2's settings.
     """
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -305,13 +307,13 @@ def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
                     for p in result.players
                 )
                 levels = spectrum.eigenvalues
+                angle_bound = max(p.residual / _gap_to_the_rest(levels, p.index - 1) for p in result.players)
                 rows.append(
                     (n, mode, seed, result.total_iterations, max_angle,
-                     max(p.residual for p in result.players),
-                     max(p.residual / _gap_to_the_rest(levels, p.index - 1) for p in result.players),
+                     max(p.residual for p in result.players), angle_bound,
                      int(result.all_converged), cfg.config_hash)
                 )
-                ok = ok and result.all_converged
+                ok = ok and result.all_converged and angle_bound <= 1.0
     _write_csv(
         out / "results.csv",
         ["n", "mode", "seed", "total_iterations", "max_angular_error", "max_residual",

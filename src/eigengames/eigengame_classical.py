@@ -3,9 +3,9 @@
 Two gradient modes drive the same ascent loop: the exact utility gradient,
 and its zeroth-order variant carrying the closed-form forward-differences
 error term (linear in the perturbation sigma).  Players run in order; each
-player broadcasts its vector and Rayleigh quotient to all later players,
-which penalize alignment against it.  ``run_players`` is the scheduler the
-quantum runners share.
+later player takes the earlier players' vectors as its frozen parents, one
+(P, n) block, and penalizes alignment against them.  ``run_players`` is the
+scheduler the quantum runners share.
 """
 
 from __future__ import annotations
@@ -59,25 +59,6 @@ def _as_real_symmetric(m) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class ParentVector:
-    """A frozen earlier player: unit vector plus cached products it never recomputes."""
-
-    vector: np.ndarray
-    rayleigh: float          # v^T M v
-    m_times_vector: np.ndarray
-
-    @staticmethod
-    def from_vector(m, vector: np.ndarray) -> "ParentVector":
-        mat = _as_real_symmetric(m)
-        vector = np.array(vector, dtype=np.float64)
-        mv = mat @ vector
-        rayleigh = float(vector @ mv)
-        vector.flags.writeable = False
-        mv.flags.writeable = False
-        return ParentVector(vector=vector, rayleigh=rayleigh, m_times_vector=mv)
-
-
 @dataclass(slots=True)
 class HeavyBall:
     """The heavy-ball rule both ascent loops share: beta_t = t/(t + 3) with gradient restart.
@@ -106,26 +87,22 @@ class HeavyBall:
         return beta
 
 
-def _coerce_parents(mat: np.ndarray, parents) -> tuple[ParentVector, ...]:
-    out = []
-    for p in parents or ():
-        if not isinstance(p, ParentVector):
-            p = ParentVector.from_vector(_Checked(mat), p)
-        if abs(p.rayleigh) < RAYLEIGH_GUARD:
-            raise DegenerateParentError(
-                f"parent Rayleigh quotient {p.rayleigh:.3e} is below the division guard"
-            )
-        out.append(p)
-    return tuple(out)
+def _parent_block(parents, dim: int, dtype=np.float64) -> np.ndarray:
+    """The parents as one read-only (P, dim) block, copied from a block or a list of P vectors."""
+    block = np.array(parents, dtype=dtype).reshape(len(parents), dim)
+    block.flags.writeable = False
+    return block
 
 
 @dataclass
 class PlayerState:
     """One player's solve: final vector, its frozen parents, and the stop-test norm.
 
-    ``eigenvalue`` is v^T M v and ``residual`` the eigen-residual
-    ||M v - eigenvalue v||, both on the player's matrix; ``run_sequential``
-    reads them again on the caller's M.  ``momentum_restarts`` counts the
+    ``parents`` is the read-only (P, n) block of parent vectors the player
+    was solved against, one row per earlier player.  ``eigenvalue`` is
+    v^T M v and ``residual`` the eigen-residual ||M v - eigenvalue v||, both
+    on the player's matrix; ``run_sequential`` reads them again on the
+    caller's M.  ``momentum_restarts`` counts the
     ascent's velocity restarts (``HeavyBall``).  ``max_parent_overlap`` is
     max_j (v . v_j)^2 over the parents at exit, 0 without any: the meaning
     of ``QuantumPlayerState.max_parent_overlap``, reported and not gating
@@ -134,7 +111,7 @@ class PlayerState:
 
     index: int
     vector: np.ndarray
-    parents: tuple[ParentVector, ...]
+    parents: np.ndarray
     eigenvalue: float = float("nan")
     residual: float = float("nan")
     iterations_used: int = 0
@@ -181,29 +158,39 @@ class GameConfig:
             raise ValueError("num_players must be at least 1")
 
 
-def _twice_game_matrix(mat: np.ndarray, parents: tuple[ParentVector, ...], scale: float = 1.0) -> np.ndarray:
+def _twice_game_matrix(mat: np.ndarray, parents, scale: float = 1.0) -> np.ndarray:
     """scale 2 G, with G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j the player's game matrix.
 
     With the parents frozen, the utility v^T M v - sum_j (v^T M v_j)^2 / v_j^T M v_j
     is the quadratic form v^T G v: its exact gradient is 2 G v and the
-    forward-differences error term is diag(G).  The parents' (n, P) x (P, n)
-    product is subtracted in place from scale 2 M, the one other n x n array.
+    forward-differences error term is diag(G).  ``parents`` is the (P, n)
+    block of the v_j: one product with it gives every M v_j, and their
+    Rayleigh quotients follow from those rows; a quotient below
+    ``RAYLEIGH_GUARD`` in magnitude raises ``DegenerateParentError``.  The
+    (n, P) x (P, n) penalty is subtracted in place from scale 2 M, the one
+    other n x n array.
     """
     twice = mat * (2.0 * scale)
-    if parents:
-        mvs = np.array([p.m_times_vector for p in parents])
-        rayleighs = np.array([p.rayleigh for p in parents])
+    if len(parents):
+        mvs = parents @ mat  # row j is (M v_j)^T: M is symmetric
+        rayleighs = np.vecdot(parents, mvs)
+        if np.abs(rayleighs).min() < RAYLEIGH_GUARD:
+            raise DegenerateParentError(f"a parent Rayleigh quotient of {rayleighs} is below the division guard")
         twice -= ((2.0 * scale) * mvs.T) @ (mvs / rayleighs[:, None])
     return twice
 
 
 def _twice_game_matrix_of(parents, m) -> np.ndarray:
     mat = _as_real_symmetric(m)
-    return _twice_game_matrix(mat, _coerce_parents(mat, parents))
+    return _twice_game_matrix(mat, _parent_block(parents, mat.shape[0]))
 
 
 def utility(v: np.ndarray, parents, m) -> float:
-    """Player utility: v^T M v - sum_j (v^T M v_j)^2 / v_j^T M v_j = v^T G v."""
+    """Player utility: v^T M v - sum_j (v^T M v_j)^2 / v_j^T M v_j = v^T G v.
+
+    ``parents``, here and in the gradients below, is a (P, n) block of the
+    parent vectors v_j or a list of them.
+    """
     v = np.asarray(v, dtype=np.float64)
     return 0.5 * float(v @ (_twice_game_matrix_of(parents, m) @ v))
 
@@ -250,9 +237,12 @@ def eigengame_player(
     Each step is v <- normalize(v + t + beta_t vel), with t = alpha (I - v v^T) g
     the tangent step and vel = v_t - v_{t-1}: EigenGame's projected step (Gemp
     et al., ICLR 2021, Alg. 1) plus the velocity, beta_t and its restarts from
-    ``HeavyBall``.  The parents are frozen, so the game matrix
+    ``HeavyBall``.  ``parents`` is the (P, n) block of frozen parent
+    vectors v_j, or a list of them; the player keeps a read-only copy as
+    ``PlayerState.parents``.  The game matrix
     G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j is built once, as 2 alpha G,
-    and M v is formed once, at exit, for the eigenvalue and residual.
+    from one product of M with the block, and M v is formed once, at exit,
+    for the eigenvalue and residual.
 
     One iteration is three array calls on a (4, n) buffer of rows
     [v; vel; 2 alpha G v; b], where b is the zeroth-order bias
@@ -281,7 +271,7 @@ def eigengame_player(
     if mode not in ("exact", "zeroth_order"):
         raise ValueError(f"mode must be 'exact' or 'zeroth_order', got {mode!r}")
     mat = _as_real_symmetric(m)
-    parents = _coerce_parents(mat, parents)
+    parents = _parent_block(parents, mat.shape[0])
     v = np.asarray(init, dtype=np.float64)
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError("init vector must be unit norm")
@@ -344,7 +334,7 @@ def eigengame_player(
     v = current[3].copy()
     state.momentum_restarts = ball.restarts
     state.vector = v
-    state.max_parent_overlap = max((float(p.vector @ v) ** 2 for p in parents), default=0.0)
+    state.max_parent_overlap = float(np.max((parents @ v) ** 2, initial=0.0))
     state.read_out(mat)
     return state
 
@@ -368,22 +358,19 @@ class SequentialResult:
 def run_players(k: int, play: Callable, digest: Callable[[], str]) -> SequentialResult:
     """The sequential scheduler every runner shares.
 
-    Players 1..k (k >= 1) are solved once each, in order.  ``play(index, parents)``
-    solves one player against the tuple of earlier parents and returns
-    ``(state, parent)``; the parent is broadcast to every later player
-    whether or not the player converged, and ``all_converged`` reports any
-    miss.  ``digest()`` hashes the operator before and after the run: no
-    player may rewrite it.
+    Players 1..k (k >= 1) are solved once each, in order.  ``play(index, earlier)``
+    solves one player given the tuple of the earlier players' states and
+    returns its own; each runner's ``play`` builds the parents from those
+    states, so every player is a parent of every later one whether or not
+    it converged, and ``all_converged`` reports any miss.  ``digest()``
+    hashes the operator before and after the run: no player may rewrite it.
     """
     if k < 1:
         raise ValueError(f"need at least one player, got k={k}")
     hash_before = digest()
     players = []
-    parents = []
     for index in range(1, k + 1):
-        state, parent = play(index, tuple(parents))
-        players.append(state)
-        parents.append(parent)
+        players.append(play(index, tuple(players)))
     hash_after = digest()
     if hash_after != hash_before:
         raise AssertionError("input operator mutated during the run")
@@ -409,13 +396,14 @@ def run_sequential(
     gradient vanishes on the parents' span.  So when the smallest eigenvalue
     is not positive, the players ascend M + c I with c = ||M||_2 - lambda_min,
     whose every eigenvalue is at least ||M||_2; positive-definite inputs get
-    c = 0.  Players and their broadcast parents use the shifted matrix;
-    eigenvalues and residuals are read on M.  The dense eigenvalues, computed
-    once, give c, the default step 1 / (2 (lambda_max + c)) and the
-    leading-eigengap warning; no eigenvector enters the solve.  The zero
-    matrix is rejected: it has no leading eigenvectors and no step size; so
-    is a matrix with a non-finite entry, whose dense eigenvalues are garbage.
-    M is checked once per run, not once per player.
+    c = 0.  Player i ascends the shifted matrix against the vectors of
+    players 1..i-1, its parent block; eigenvalues and residuals are read
+    on M.  The dense eigenvalues, computed once, give c, the default step
+    1 / (2 (lambda_max + c)) and the leading-eigengap warning; no
+    eigenvector enters the solve.  The zero matrix is rejected: it has no
+    leading eigenvectors and no step size; so is a matrix with a non-finite
+    entry, whose dense eigenvalues are garbage.  M is checked once per run,
+    not once per player.
     """
     mat = _as_real_symmetric(m)  # the run's one check
     if not np.isfinite(mat).all():  # the dense eigenvalues would be garbage
@@ -437,13 +425,14 @@ def run_sequential(
     if cfg.step_size is None:
         cfg = replace(cfg, step_size=1.0 / (2.0 * (lam_max + shift)))
 
-    def play(i: int, parents: tuple[ParentVector, ...]) -> tuple[PlayerState, ParentVector]:
+    def play(i: int, earlier: tuple[PlayerState, ...]) -> PlayerState:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))
         init = rng.standard_normal(dim)
         init /= np.linalg.norm(init)
+        parents = [p.vector for p in earlier]
         state = eigengame_player(game, init, parents, cfg, mode=mode, index=i)
         state.read_out(mat)
-        return state, ParentVector.from_vector(game, state.vector)
+        return state
 
     return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat.tobytes()).hexdigest())
 

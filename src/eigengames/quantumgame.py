@@ -15,7 +15,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .eigengame_classical import ASCENT_WARMUP, HeavyBall, SequentialResult, run_players
+from .eigengame_classical import ASCENT_WARMUP, HeavyBall, SequentialResult, _parent_block, run_players
 from .errors import DegenerateParentError, NormalizationError, NumericalOverflowError
 from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
@@ -41,25 +41,13 @@ MIN_MODE_SHIFT_MARGIN = 1.0
 Direction = Literal["maximize", "minimize"]
 
 
-@dataclass(frozen=True)
-class QuantumParent:
-    """Broadcast record of a solved player: parameters, eigenvalue, prepared state.
-
-    The eigenvalue is <psi(theta)| M |psi(theta)> with respect to the original
-    operator, cached at broadcast time and never re-measured.
-    """
-
-    theta: ParameterTensor
-    eigenvalue: float
-    statevector: StateVector
-
-
 @dataclass
 class QuantumPlayerState:
     """One player's solve: final parameters, the state they prepare, and per-iteration histories.
 
-    ``max_imag_residue`` is the largest imaginary residue the sweeps read,
-    rounding for Hermitian M: under an exact shot model |Im<psi|M psi>| on
+    ``parents`` is the read-only (P, 2**q) block of parent states the player
+    was solved against, one row per earlier player.  ``max_imag_residue``
+    is the largest imaginary residue the sweeps read, rounding for Hermitian M: under an exact shot model |Im<psi|M psi>| on
     theta's row, and under finite shots |Im<r|M r>| over the shift rows r,
     the cross terms' imaginary parts included (``shift_row_moments``).
     ``momentum_restarts`` counts the ascent's velocity restarts, 0 for
@@ -82,7 +70,7 @@ class QuantumPlayerState:
 
     index: int
     theta: ParameterTensor
-    parents: tuple[QuantumParent, ...]
+    parents: np.ndarray
     statevector: StateVector | None = None
     eigenvalue: float = float("nan")
     converged: bool = False
@@ -169,8 +157,7 @@ Read = Callable[[np.ndarray], ReadResult]
 # row's read-out of <M> (the one the objective is formed from), the largest
 # |Im<r|M r>| over the rows, and the number of read-outs it drew.  A one-row
 # base is the single state psi.  Evaluators take the parents as their
-# (P, 2**q) block of states, which each player stacks once
-# (``_parent_states``).
+# (P, 2**q) block of states, the player's ``QuantumPlayerState.parents``.
 EvaluatorResult = tuple[np.ndarray, np.ndarray, float, int]
 Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
 
@@ -224,9 +211,13 @@ def _backward_read(
     return read
 
 
-def _parent_states(parents: tuple[QuantumParent, ...], num_qubits: int) -> np.ndarray:
-    """The parents' states as one (P, 2**q) block, (0, 2**q) without parents."""
-    return np.array([p.statevector.amplitudes for p in parents]).reshape(len(parents), 2**num_qubits)
+def _parent_arrays(spec: AnsatzSpec, states, eigenvalues) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (P, 2**q) block of parent states and their (P,) eigenvalues on M."""
+    block = _parent_block(states, 2**spec.num_qubits, np.complex128)
+    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+    if eigenvalues.shape != (len(block),):
+        raise ValueError(f"need one eigenvalue per parent state: {eigenvalues.shape} for {len(block)} states")
+    return block, eigenvalues
 
 
 # The cross term enters as |z|^2 rather than the literal complex square: both
@@ -344,7 +335,6 @@ def _ascend(
     m: PauliSum,
     spec: AnsatzSpec,
     state: QuantumPlayerState,
-    parent_states: np.ndarray,
     cfg: SolverConfig,
     read: Read,
     eta: float,
@@ -355,8 +345,8 @@ def _ascend(
     K = s*M + sum_j w_j |k_j><k_j| (``SolverConfig``), and the one sign
     rule: players pass a signed step ``eta``, positive to ascend the
     objective (the game) and negative to descend it (VQD).  ``state`` is the
-    player's opened record, with its index, start theta, parents, and in
-    ``operator_rows`` the parent rows it applied M to before the loop.
+    player's opened record, with its index, start theta, parent block, and
+    in ``operator_rows`` the parent rows it applied M to before the loop.
     Each iteration prepares m + 1 states in one call
     (``parameter_shift_states``) and hands them to the player's ``read``,
     which gives the gradient, the objective and the <M> read-out on theta's
@@ -370,7 +360,7 @@ def _ascend(
     it, once, and read as a one-row base: ``shift_row_moments`` gives the
     eigenvalue read (the last draw of the stream) and the residual, and
     ``shift_row_products`` with the parents' (P, 2**q) block
-    ``parent_states`` the largest parent overlap.  Every draw site adds its
+    ``state.parents`` the largest parent overlap.  Every draw site adds its
     read-outs to one count, stored with its shots at the end (0 and 0 when
     exact).
 
@@ -410,7 +400,7 @@ def _ascend(
     state.statevector = StateVector(spec.num_qubits, final[0])
     state.eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
     state.residual = math.sqrt(var[0])
-    overlaps = np.abs(shift_row_products(final, parent_states)) ** 2
+    overlaps = np.abs(shift_row_products(final, state.parents)) ** 2
     state.max_parent_overlap = float(overlaps.max(initial=0.0))
     sweeps, rows = len(state.energy_history), spec.num_parameters + 1
     state.prepared_rows = sweeps * rows + 1
@@ -421,63 +411,75 @@ def _ascend(
     return state
 
 
+def _game_shift(m: PauliSum, direction: Direction) -> tuple[float, float, float]:
+    """(sign, offset, eta): the game ascends A = sign*M + offset*I with the step eta = 1/(2L).
+
+    sign is +1 to maximize and -1 to minimize.  With [lo, hi] M's
+    ``spectral_range``, an interval enclosing its spectrum, offset =
+    hi + margin to minimize and -lo + margin to maximize.  Every eigenvalue
+    of A is then at least the margin, so each parent's penalty denominator
+    sign*lambda_j + offset stays positive whatever the sign of M's spectrum
+    (a negative denominator would turn the penalty into a reward), and at
+    most L = hi - lo + margin.  The enclosure can fall short of an end
+    (rarely, and in tests by at most 0.6% of ||M||; see ``spectral_range``),
+    so the margin scales with the operator:
+    2 * RANGE_RESIDUAL_TOL * max(-lo, hi), about 2% of ||M||, and at least
+    ``MIN_MODE_SHIFT_MARGIN``.  An absolute margin alone would let a large
+    operator's shortfall exceed it.  The quantum error-accumulation
+    harness states its bound on this A too.
+    """
+    sign = 1.0 if direction == "maximize" else -1.0
+    lo, hi = m.spectral_range
+    margin = max(MIN_MODE_SHIFT_MARGIN, 2.0 * RANGE_RESIDUAL_TOL * max(-lo, hi))
+    offset = (-lo if sign > 0 else hi) + margin
+    return sign, offset, 1.0 / (2.0 * (hi - lo + margin))
+
+
 def quantumgame_player(
     m: PauliSum,
     spec: AnsatzSpec,
     theta_init: ParameterTensor | Sequence[float],
-    parents: Sequence[QuantumParent],
+    parent_states,
+    parent_eigenvalues: Sequence[float],
     cfg: SolverConfig,
     index: int = 1,
 ) -> QuantumPlayerState:
     """Gradient ascent on the player utility via parameter-shift, parents frozen.
 
-    Both directions ascend the utility of A = sign*M + offset*I, sign +1 to
-    maximize and -1 to minimize.  With [lo, hi] M's ``spectral_range``, an
-    interval enclosing its spectrum, offset = hi + margin to minimize and
-    -lo + margin to maximize.  Every eigenvalue of A is then at least the
-    margin, so each parent's penalty denominator sign*lambda_j + offset
-    stays positive whatever the sign of M's spectrum (a negative
-    denominator would turn the penalty into a reward), and at most
-    L = hi - lo + margin, the step's 1/(2L).  The enclosure can fall short
-    of an end (rarely, and in tests by at most 0.6% of ||M||; see
-    ``spectral_range``), so the margin scales with the operator:
-    2 * RANGE_RESIDUAL_TOL * max(-lo, hi), about 2% of ||M||, and at least
-    ``MIN_MODE_SHIFT_MARGIN``.  An absolute margin alone would let a large
-    operator's shortfall exceed it.  A caller-supplied parent whose
-    eigenvalue lies farther outside the enclosure, so that its denominator
-    is at or below ``PARENT_EIGENVALUE_GUARD``, raises
-    ``DegenerateParentError`` before any circuit runs.  The objective is
-    <psi|K psi> + offset with K = sign*M + sum_j w_j |A psi_j><A psi_j| and
-    w_j = -1/lambda_j (``_shifted_parents``), and the player passes the
-    step +1/(2L) to ascend it.  A is applied as algebra on M, never built:
-    on the circuits' moments under finite shots (``_game_evaluator``) and
-    on the backward vector under an exact model (``_backward_read``).  The
-    denominators come from the cached M-eigenvalues without re-measuring,
-    and energies are read on M.
+    ``parent_states`` is the (P, 2**q) block of parent states psi_j, or a
+    list of them, and ``parent_eigenvalues`` their (P,) eigenvalues lambda_j
+    on M, read when each parent was solved and never re-measured.  Both
+    directions ascend the utility of A = sign*M + offset*I, whose sign,
+    offset and step come from ``_game_shift``: every eigenvalue of A lies
+    in [margin, L].  A caller-supplied parent whose eigenvalue lies farther
+    outside M's enclosure than the margin, so that its denominator
+    sign*lambda_j + offset is at or below ``PARENT_EIGENVALUE_GUARD``,
+    raises ``DegenerateParentError`` before any circuit runs.  The
+    objective is <psi|K psi> + offset with
+    K = sign*M + sum_j w_j |A psi_j><A psi_j| and w_j = -1/lambda_j
+    (``_shifted_parents``), and the player passes the step +1/(2L) to
+    ascend it.  A is applied as algebra on M, never built: on the circuits'
+    moments under finite shots (``_game_evaluator``) and on the backward
+    vector under an exact model (``_backward_read``).  Energies are read
+    on M.
     """
-    parents = tuple(parents)
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
-    sign = 1.0 if cfg.direction == "maximize" else -1.0
-    lo, hi = m.spectral_range
-    margin = max(MIN_MODE_SHIFT_MARGIN, 2.0 * RANGE_RESIDUAL_TOL * max(-lo, hi))
-    offset = (-lo if sign > 0 else hi) + margin
-    game_denominators = tuple(sign * p.eigenvalue + offset for p in parents)
-    for denominator in game_denominators:
-        if denominator <= PARENT_EIGENVALUE_GUARD:
-            raise DegenerateParentError(
-                f"parent penalty denominator {denominator:.3e} is not positive: "
-                "the parent's eigenvalue lies outside the operator's enclosure"
-            )
-    eta = 1.0 / (2.0 * (hi - lo + margin))
+    states, eigenvalues = _parent_arrays(spec, parent_states, parent_eigenvalues)
+    sign, offset, eta = _game_shift(m, cfg.direction)
+    denominators = sign * eigenvalues + offset
+    if (denominators <= PARENT_EIGENVALUE_GUARD).any():
+        raise DegenerateParentError(
+            f"parent penalty denominator {denominators.min():.3e} is not positive: "
+            "the parent's eigenvalue lies outside the operator's enclosure"
+        )
     rng = cfg.shots.make_rng()
-    states = _parent_states(parents, spec.num_qubits)
-    kets, weights = _shifted_parents(m, sign, offset, states, game_denominators)
+    kets, weights = _shifted_parents(m, sign, offset, states, denominators)
     if cfg.shots.is_exact:
         read = _backward_read(m, sign, kets, weights, offset)
     else:
         read = _sweep_read(m, _game_evaluator(sign, kets, weights, offset, cfg.shots, rng))
-    state = QuantumPlayerState(index, theta, parents, operator_rows=len(parents))
-    return _ascend(m, spec, state, states, cfg, read, eta, rng)
+    state = QuantumPlayerState(index, theta, states, operator_rows=len(states))
+    return _ascend(m, spec, state, cfg, read, eta, rng)
 
 
 def _penalty_norm_bound(states: np.ndarray, betas: Sequence[float]) -> float:
@@ -493,12 +495,15 @@ def vqd_player(
     m: PauliSum,
     spec: AnsatzSpec,
     theta_init: ParameterTensor | Sequence[float],
-    parents: Sequence[QuantumParent],
+    parent_states,
+    parent_eigenvalues: Sequence[float],
     cfg: SolverConfig,
     index: int = 1,
 ) -> QuantumPlayerState:
     """Overlap-penalized minimization: sign*<M> + sum_j beta_j |<psi|psi_j>|^2.
 
+    The parents are given as in ``quantumgame_player``: a (P, 2**q) block
+    of states psi_j, or a list of them, and their (P,) eigenvalues on M.
     The objective is <psi|K psi> with K = sign*M + sum_j beta_j |psi_j><psi_j|,
     sign = +1 to minimize and -1 to maximize, so both directions descend:
     the player passes the step -1/(2L).
@@ -516,27 +521,25 @@ def vqd_player(
     model the gradient comes from the backward vector (``_backward_read``).
     Energies are read on M.
     """
-    parents = tuple(parents)
     if cfg.beta is None and not cfg.adaptive_regularization:
         raise ValueError("vqd_player needs cfg.beta or adaptive_regularization")
     theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
+    states, eigenvalues = _parent_arrays(spec, parent_states, parent_eigenvalues)
     sign = -1.0 if cfg.direction == "maximize" else 1.0
     if cfg.adaptive_regularization:
-        bound = m.one_norm
-        betas = tuple(2.0 * (bound - sign * p.eigenvalue) for p in parents)
+        betas = 2.0 * (m.one_norm - sign * eigenvalues)
     else:
-        betas = tuple(cfg.beta for _ in parents)
+        betas = np.full(len(states), cfg.beta)
     # The penalized objective is the expectation of sign*M + sum_j beta_j P_j,
     # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
     lo, hi = m.spectral_range
-    states = _parent_states(parents, spec.num_qubits)
     eta = 1.0 / (2.0 * (max(-lo, hi) + _penalty_norm_bound(states, betas)))
     rng = cfg.shots.make_rng()
     if cfg.shots.is_exact:
         read = _backward_read(m, sign, states, betas, 0.0)
     else:
         read = _sweep_read(m, _vqd_evaluator(sign, states, betas, cfg.shots, rng))
-    return _ascend(m, spec, QuantumPlayerState(index, theta, parents), states, cfg, read, -eta, rng)
+    return _ascend(m, spec, QuantumPlayerState(index, theta, states), cfg, read, -eta, rng)
 
 
 def _sequential_run(
@@ -552,19 +555,21 @@ def _sequential_run(
     if m.spectral_range == (0.0, 0.0):
         raise ValueError("the zero operator has no leading eigenvectors: every state is one")
 
-    def play(r: int, parents: tuple[QuantumParent, ...]) -> tuple[QuantumPlayerState, QuantumParent]:
+    def play(r: int, earlier: tuple[QuantumPlayerState, ...]) -> QuantumPlayerState:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         theta_init = spec.bind(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
         shots = replace(cfg.shots, rng_seed=int(rng.integers(0, 2**31 - 1)))
-        state = player_fn(m, spec, theta_init, parents, replace(cfg, shots=shots), index=r)
-        return state, QuantumParent(state.theta, state.eigenvalue, state.statevector)
+        states = [p.statevector.amplitudes for p in earlier]
+        eigenvalues = [p.eigenvalue for p in earlier]
+        return player_fn(m, spec, theta_init, states, eigenvalues, replace(cfg, shots=shots), index=r)
 
     return run_players(k, play, lambda: pauli_sum_hash(m))
 
 
 def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, seed: int) -> SequentialResult:
-    """Players 1..k in sequence; every player's (theta, eigenvalue) is broadcast onward.
+    """Players 1..k in sequence; player r's parents are the states and eigenvalues of players 1..r-1.
 
+    Each player is a parent of every later one whether or not it converged.
     The operator is hashed before and after the run: the whole point of the
     formulation is that no deflation step ever rewrites it.  Player r's
     start and shot stream come from ``SeedSequence(seed, spawn_key=(r,))``;
@@ -574,5 +579,5 @@ def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, se
 
 
 def run_vqd(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, seed: int) -> SequentialResult:
-    """Sequential VQD baseline with the same broadcast bookkeeping and seeding as ``run_quantumgame``."""
+    """Sequential VQD baseline with the same parents and seeding as ``run_quantumgame``."""
     return _sequential_run(m, spec, cfg, k, seed, vqd_player)

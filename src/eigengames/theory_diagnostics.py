@@ -31,21 +31,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateParentError
-from .eigengame_classical import ParentVector, finite_diff_gradient
+from .eigengame_classical import finite_diff_gradient
 from .hamiltonian import (
     HermitianMatrix,
     PauliSum,
     build_powerlaw_hamiltonian,
     pauli_sum_to_matrix,
 )
-from .quantum_sim import (
-    AnsatzSpec,
-    ParameterTensor,
-    apply_ansatz,
-    expectation,
-    parameter_shift_states,
-)
-from .quantumgame import QuantumParent, _backward_read, _shifted_parents
+from .quantum_sim import AnsatzSpec, apply_ansatz, parameter_shift_states
+from .quantumgame import _backward_read, _game_shift, _shifted_parents
 
 
 @dataclass(frozen=True)
@@ -228,13 +222,10 @@ def error_accumulation_bound_quantum(
     parameter-space component is Re<delta g|phi_k> / 2, so the change of
     grad_theta is at most sqrt(spec.num_parameters) times it (module
     docstring).  ``m`` must be Hermitian, as a ``HermitianMatrix`` or an
-    array; anything else raises ``HermiticityError``.
-
-    It is not a valid bound on a negative-definite sum whose top level is
-    near 0: on random 2-3-qubit sums shifted to lambda_max = -0.05, 119 of
-    400 sampled rows of ``measure_error_accumulation_quantum`` exceeded it
-    (worst ratio 3.66), against 0 of 400 at lambda_max = -0.5.  H2's
-    lambda_max is -0.225."""
+    array; anything else raises ``HermiticityError``.  It is the operator
+    whose gradient the bound covers: ``measure_error_accumulation_quantum``
+    passes the game's A = sign*M + offset*I, whose every eigenvalue is
+    positive, as the paper's theory assumes."""
     mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).entries
     v_true = [apply_ansatz(spec, theta).amplitudes for theta in parents_true_theta]
     v_hat = [apply_ansatz(spec, theta).amplitudes for theta in parents_hat_theta]
@@ -295,11 +286,10 @@ def sampled_lipschitz_check(
             phi_max = min(c * g_i / ((i - 1) * lambda_top), math.sqrt(0.5))
         else:
             phi_max = 0.0
-        parents = []
-        for j in range(i - 1):
-            angle = float(rng.uniform(0.0, phi_max))
-            v_hat = _rotate_towards(spectrum.eigenvector(j).real, rng, angle)
-            parents.append(ParentVector.from_vector(mat, v_hat))
+        parents = [
+            _rotate_towards(spectrum.eigenvector(j).real, rng, float(rng.uniform(0.0, phi_max)))
+            for j in range(i - 1)
+        ]
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         grad = finite_diff_gradient(v, parents, mat, sigma)
@@ -370,40 +360,36 @@ def measure_error_accumulation_quantum(
     seed: int,
     samples_per_epsilon: int = 5,
 ) -> list[DiagnosticRow]:
-    """Same inequality in parameter space, gradients from the parameter-shift rule.
+    """Same inequality in parameter space, on the operator the game ascends.
 
-    Each gradient is the players' exact read of the child's sweep
-    (``_backward_read`` of the game's objective, kets and weights from
-    ``_shifted_parents`` with sign 1 and no offset), from the m + 1 rows
-    one ``parameter_shift_states`` call prepares for both parents.
+    A maximizing game ascends A = sign*M + offset*I (``_game_shift``), not
+    M, so both sides are stated on A.  Each gradient is the game's exact
+    read of the child's sweep (``_backward_read`` of its objective, kets and
+    weights from ``_shifted_parents`` with the game's sign and offset), from
+    the m + 1 rows one ``parameter_shift_states`` call prepares for both
+    parents; the bound is ``error_accumulation_bound_quantum`` on A's dense
+    array.  A parent's denominator is its eigenvalue on A, at least the
+    game's margin.
     """
     rng = np.random.default_rng(seed)
-    dense = pauli_sum_to_matrix(h)
+    sign, offset, _ = _game_shift(h, "maximize")
+    a_dense = sign * pauli_sum_to_matrix(h).entries + offset * np.eye(2**h.num_qubits)
     rows = []
 
-    def gradient(parent: QuantumParent, sweep: np.ndarray) -> np.ndarray:
-        block = parent.statevector.amplitudes[None, :]
-        kets, weights = _shifted_parents(h, 1.0, 0.0, block, (parent.eigenvalue,))
-        return _backward_read(h, 1.0, kets, weights, 0.0)(sweep)[0]
+    def gradient(theta: np.ndarray, sweep: np.ndarray) -> np.ndarray:
+        block = apply_ansatz(spec, theta[None, :])
+        denominators = [np.vdot(block[0], a_dense @ block[0]).real]
+        kets, weights = _shifted_parents(h, sign, offset, block, denominators)
+        return _backward_read(h, sign, kets, weights, offset)(sweep)[0]
 
     for eps in epsilons:
         for draw in range(samples_per_epsilon):
-            theta_parent = spec.bind(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
-            parent_state = apply_ansatz(spec, theta_parent)
-            lam = expectation(h, parent_state)
-            if abs(lam) < 1e-6:
-                continue
+            theta_parent = rng.uniform(-np.pi, np.pi, size=spec.num_parameters)
             direction = rng.standard_normal(spec.num_parameters)
-            direction /= np.linalg.norm(direction)
-            theta_hat = ParameterTensor(theta_parent.values + eps * direction)
-            parent_true = QuantumParent(theta_parent, lam, parent_state)
-            hat_state = apply_ansatz(spec, theta_hat)
-            parent_hat = QuantumParent(theta_hat, expectation(h, hat_state), hat_state)
-
+            theta_hat = theta_parent + eps * direction / np.linalg.norm(direction)
             sweep = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
-            g_true = gradient(parent_true, sweep)
-            g_hat = gradient(parent_hat, sweep)
-            bound = error_accumulation_bound_quantum(dense, spec, [theta_parent], [theta_hat])
+            g_true, g_hat = gradient(theta_parent, sweep), gradient(theta_hat, sweep)
+            bound = error_accumulation_bound_quantum(a_dense, spec, [theta_parent], [theta_hat])
             rows.append(
                 DiagnosticRow(
                     bound_name="error_accumulation_quantum",

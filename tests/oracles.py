@@ -38,7 +38,7 @@ from eigengames.eigengame_classical import (
     HeavyBall,
     PlayerState,
     _as_real_symmetric,
-    _coerce_parents,
+    _parent_block,
     _twice_game_matrix,
     utility,
 )
@@ -59,7 +59,7 @@ from eigengames.quantum_sim import (
     pauli_sum_apply,
     shift_rule_gradient,
 )
-from eigengames.quantumgame import QuantumParent, _game_evaluator, _parent_states, _shifted_parents
+from eigengames.quantumgame import _game_evaluator, _shifted_parents
 
 
 class InvalidPerturbationError(EigenGamesError):
@@ -370,20 +370,21 @@ def quantum_utility(
     m: PauliSum,
     spec: AnsatzSpec,
     theta_r: ParameterTensor | Sequence[float],
-    parents: Sequence[QuantumParent],
+    parent_states,
+    parent_eigenvalues: Sequence[float],
     shots: ShotModel = ShotModel(),
     rng: np.random.Generator | None = None,
 ) -> float:
     """<psi_r|M|psi_r> - sum_j |<psi_r|M|psi_j>|^2 / <psi_j|M|psi_j>, shot model applied throughout.
 
     Cross terms are the interference circuit's real and imaginary read-outs;
-    parent denominators are the cached broadcast eigenvalues.  This is one
-    row of the game's batch evaluator.
+    the parents are a (P, 2**q) block of states psi_j, or a list of them,
+    and their denominators the given eigenvalues, as a player receives
+    them.  This is one row of the game's batch evaluator.
     """
-    parents = tuple(parents)
     values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
-    block = _parent_states(parents, spec.num_qubits)
-    kets, weights = _shifted_parents(m, 1.0, 0.0, block, [p.eigenvalue for p in parents])
+    block = _parent_block(parent_states, 2**spec.num_qubits, np.complex128)
+    kets, weights = _shifted_parents(m, 1.0, 0.0, block, parent_eigenvalues)
     evaluate = _game_evaluator(1.0, kets, weights, 0.0, shots, rng)
     psi = apply_ansatz(spec, values[None, :])
     return float(evaluate(psi, pauli_sum_apply(m, psi))[0][0])
@@ -428,7 +429,7 @@ def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode:
     ``final_riemannian_norm`` is the last ||t|| / alpha tested.
     """
     mat = _as_real_symmetric(m)
-    parents = _coerce_parents(mat, parents)
+    parents = _parent_block(parents, mat.shape[0])
     v = np.asarray(init, dtype=np.float64).copy()
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:
         raise NormalizationError("init vector must be unit norm")

@@ -34,7 +34,6 @@ from eigengames.quantum_sim import (
     shift_row_moments,
 )
 from eigengames.quantumgame import (
-    QuantumParent,
     SolverConfig,
     run_quantumgame,
     run_vqd,
@@ -299,10 +298,10 @@ def test_criterion_7_parameter_shift_correctness():
     # Full player utility with one frozen parent.
     theta_parent = ANSATZ.bind(rng.uniform(-np.pi, np.pi, 9))
     parent_state = apply_ansatz(ANSATZ, theta_parent)
-    parent = QuantumParent(theta_parent, expectation(H2, parent_state), parent_state)
+    parent = [parent_state.amplitudes], [expectation(H2, parent_state)]
 
     def utility(theta):
-        return quantum_utility(H2, ANSATZ, ANSATZ.bind(theta), (parent,), shots)
+        return quantum_utility(H2, ANSATZ, ANSATZ.bind(theta), *parent, shots)
 
     for _ in range(4):
         theta = rng.uniform(-np.pi, np.pi, 9)

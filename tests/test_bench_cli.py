@@ -112,6 +112,29 @@ class TestScalingCommand:
         # The bound is read from the residual alone; here it sits above the oracle's angle.
         assert float(row["max_angular_error"]) <= float(row["max_angle_bound"])
 
+    def test_angle_bound_above_one_exits_one(self, tmp_path):
+        # The former defaults, tolerance 1e-3 and sigma 1e-4: every n = 16 player
+        # reports converged, but the worst sits 0.645 rad off its eigenvector,
+        # which the residual alone cannot rule out (angle bound 2.93).
+        cfg = build_run_config(
+            "eigengame_scaling",
+            {"sizes": [16], "seeds": [0], "num_players": 8, "grad_tolerance": 1e-3, "sigma": 1e-4},
+        )
+        assert cmd_bench_scaling(cfg, tmp_path) == 1
+        header, *lines = (line.split(",") for line in (tmp_path / "results.csv").read_text().splitlines())
+        rows = [dict(zip(header, line)) for line in lines]
+        assert [row["converged"] for row in rows] == ["1", "1"]
+        assert max(float(row["max_angle_bound"]) for row in rows) > 1.0
+
+    def test_default_sweep_certifies_every_row(self, tmp_path):
+        cfg = build_run_config("eigengame_scaling", {})
+        assert (cfg["grad_tolerance"], cfg["sigma"]) == (1e-6, 1e-6)
+        assert cmd_bench_scaling(cfg, tmp_path) == 0
+        header, *lines = (line.split(",") for line in (tmp_path / "results.csv").read_text().splitlines())
+        rows = [dict(zip(header, line)) for line in lines]
+        assert len(rows) == 50
+        assert max(float(row["max_angle_bound"]) for row in rows) <= 1.0
+
     def test_rows_carry_seed_and_hash(self, tmp_path):
         cfg = build_run_config(
             "eigengame_scaling",

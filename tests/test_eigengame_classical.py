@@ -17,7 +17,6 @@ from eigengames.eigengame_classical import (
     ASCENT_WARMUP,
     GameConfig,
     HeavyBall,
-    ParentVector,
     angular_error,
     eigengame_player,
     exact_gradient,
@@ -89,6 +88,17 @@ class TestUtility:
         null_parent = np.array([1.0, 1.0]) / np.sqrt(2.0)  # Rayleigh quotient 0
         with pytest.raises(DegenerateParentError):
             utility(E1, [null_parent], m)
+
+    def test_one_degenerate_row_of_a_parent_block_rejected(self):
+        # The guard reads every row's Rayleigh quotient, here 1e-13 on the last row.
+        m = np.diag([2.0, 1.0, -1.0])
+        near_null = np.array([0.0, np.sqrt(0.5 + 5e-14), np.sqrt(0.5 - 5e-14)])
+        block = np.array([[1.0, 0.0, 0.0], near_null])
+        assert 0.0 < near_null @ m @ near_null < 1e-12
+        with pytest.raises(DegenerateParentError):
+            utility(np.array([0.0, 1.0, 0.0]), block, m)
+        with pytest.raises(DegenerateParentError):
+            eigengame_player(m, np.array([0.0, 1.0, 0.0]), block, GameConfig(step_size=0.1))
 
 
 class TestExactGradient:
@@ -445,7 +455,7 @@ class TestRunSequential:
         m = np.array([[2.0, 5.0], [0.0, 1.0]])
         calls = {
             "player": lambda: eigengame_player(m, np.ones(2) / np.sqrt(2.0), [], GameConfig(step_size=0.05)),
-            "parent": lambda: ParentVector.from_vector(m, E1),
+            "parent": lambda: utility(E2, np.array([E1]), m),  # the parent block is read on M
             "utility": lambda: utility(E1, [], m),
             "exact_gradient": lambda: exact_gradient(E1, [], m),
             "finite_diff_gradient": lambda: finite_diff_gradient(E1, [], m, 0.1),
@@ -502,6 +512,25 @@ class TestRunSequential:
         with pytest.warns(UserWarning):
             run_sequential(m, GameConfig(num_players=2, max_iterations_per_player=50), seed=0)
 
+    def test_parent_block_is_the_earlier_players_vectors(self, monkeypatch):
+        # Player j is solved against the vectors players 1..j-1 returned, bit
+        # for bit, and keeps that block read-only.
+        received = []
+        original = eigengame_classical.eigengame_player
+
+        def recording(m, init, parents, *args, **kwargs):
+            received.append(np.array(parents))
+            return original(m, init, parents, *args, **kwargs)
+
+        monkeypatch.setattr(eigengame_classical, "eigengame_player", recording)
+        matrix, _ = build_powerlaw_hamiltonian(8, seed=2)
+        result = run_sequential(matrix, GameConfig(grad_tolerance=1e-6, num_players=4), seed=0)
+        for j, player in enumerate(result.players):
+            earlier = np.array([p.vector for p in result.players[:j]]).reshape(j, 8)
+            assert np.array_equal(received[j].reshape(j, 8), earlier)
+            assert np.array_equal(player.parents, earlier) and player.parents.shape == (j, 8)
+            assert not player.parents.flags.writeable
+
     def test_unconverged_players_are_solved_once_and_broadcast(self, monkeypatch):
         matrix, _ = build_powerlaw_hamiltonian(8, seed=2)
         calls = []
@@ -518,7 +547,7 @@ class TestRunSequential:
         assert not result.all_converged
         assert not any(p.converged for p in result.players)
         assert calls == [1, 2, 3]
-        assert np.array_equal(result.players[1].parents[0].vector, result.players[0].vector)
+        assert np.array_equal(result.players[1].parents[0], result.players[0].vector)
         assert result.total_iterations == 15
 
     def test_operator_hash_unchanged(self):
@@ -529,9 +558,9 @@ class TestRunSequential:
     def test_scheduler_rejects_a_mutated_operator(self):
         box = [0]
 
-        def play(index, parents):
+        def play(index, earlier):
             box[0] += 1
-            return None, index
+            return None
 
         with pytest.raises(AssertionError):
             run_players(2, play, lambda: str(box[0]))
@@ -572,16 +601,21 @@ class TestInvariants:
             assert np.linalg.norm(tangential) <= 1e-9
 
     def test_parent_cache_matches_recomputation(self):
+        # A parent's own utility against itself is v^T M v - (v^T M v)^2 / r, 0 exactly
+        # when the Rayleigh quotient r the game divides by is v^T M v.
         m, _, parents = random_problem(6, 3, seed=9)
         for p in parents:
-            cached = ParentVector.from_vector(m, p)
-            assert abs(cached.rayleigh - p @ (m @ p)) <= 1e-12
+            assert abs(utility(p, np.array([p]), m)) <= 1e-12 * np.linalg.norm(m)
 
     def test_parent_arrays_are_frozen(self):
-        m, _, parents = random_problem(4, 1, seed=2)
-        cached = ParentVector.from_vector(m, parents[0])
+        m, v, parents = random_problem(4, 1, seed=2)
+        block = np.array(parents)
+        state = eigengame_player(m, v, block, GameConfig(step_size=0.05, max_iterations_per_player=3))
+        assert np.array_equal(state.parents, block)
         with pytest.raises(ValueError):
-            cached.vector[0] = 0.0
+            state.parents[0, 0] = 0.0
+        block[0, 0] = 0.0  # the player keeps its own copy
+        assert state.parents[0, 0] == parents[0][0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

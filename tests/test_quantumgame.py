@@ -23,7 +23,6 @@ from eigengames.quantum_sim import (
     NORM_ATOL,
     ParameterTensor,
     ShotModel,
-    StateVector,
     apply_ansatz,
     expectation,
     layered_ansatz,
@@ -35,7 +34,6 @@ from eigengames.quantum_sim import (
     zero_state,
 )
 from eigengames.quantumgame import (
-    QuantumParent,
     SolverConfig,
     pauli_sum_hash,
     quantumgame_player,
@@ -52,10 +50,11 @@ DIAG_3120 = PauliSum(2, ((1.5, "II"), (0.5, "ZI"), (1.0, "IZ")))  # diag(3, 1, 2
 Z1 = PauliSum(1, ((1.0, "Z"),))
 
 
-def make_parent(h, spec, theta_values):
-    theta = spec.bind(theta_values)
-    state = apply_ansatz(spec, theta)
-    return QuantumParent(theta, expectation(h, state), state)
+def make_parents(h, spec, thetas):
+    """(P, 2**q) parent states prepared from each theta in turn, and their (P,) eigenvalues on h."""
+    states = [apply_ansatz(spec, spec.bind(theta)) for theta in thetas]
+    block = np.array([state.amplitudes for state in states]).reshape(len(states), 2**spec.num_qubits)
+    return block, np.array([expectation(h, state) for state in states])
 
 
 def arguments(fn, args, kwargs):
@@ -98,7 +97,7 @@ class TestQuantumUtility:
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         rng = np.random.default_rng(0)
         theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
-        value = quantum_utility(h2, spec, theta, (), ShotModel())
+        value = quantum_utility(h2, spec, theta, (), (), ShotModel())
         assert value == pytest.approx(expectation(h2, apply_ansatz(spec, theta)), abs=1e-12)
 
     def test_orthogonal_basis_states_have_zero_penalty(self):
@@ -110,42 +109,40 @@ class TestQuantumUtility:
         parent_values = np.zeros(spec.num_parameters)
         parent_values[0] = np.pi  # RY(pi) on qubit 0
         parent_values[2] = np.pi  # RY(pi) on qubit 1
-        parent = make_parent(DIAG_3210, spec, parent_values)
-        assert abs(abs(parent.statevector.amplitudes[2]) - 1.0) < 1e-12
-        value = quantum_utility(DIAG_3210, spec, child, (parent,), ShotModel())
+        states, eigenvalues = make_parents(DIAG_3210, spec, [parent_values])
+        assert abs(abs(states[0, 2]) - 1.0) < 1e-12
+        value = quantum_utility(DIAG_3210, spec, child, states, eigenvalues, ShotModel())
         assert value == pytest.approx(expectation(DIAG_3210, apply_ansatz(spec, child)), abs=1e-10)
 
     def test_self_penalty_annihilates(self):
         spec = layered_ansatz(1, 1, initial_state="zero")
         theta = np.zeros(spec.num_parameters)  # stays at |0>, eigenvalue 1 of Z
-        parent = make_parent(Z1, spec, theta)
-        value = quantum_utility(Z1, spec, spec.bind(theta), (parent,), ShotModel())
+        value = quantum_utility(Z1, spec, spec.bind(theta), *make_parents(Z1, spec, [theta]), ShotModel())
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_parent_rejected(self):
         spec = layered_ansatz(1, 1, initial_state="zero")
         theta = spec.bind(np.array([np.pi / 2.0, 0.0]))  # RY(pi/2)|0> = |+>, <Z> = 0
-        parent = QuantumParent(theta, 0.0, apply_ansatz(spec, theta))
         with pytest.raises(DegenerateParentError):
-            quantum_utility(Z1, spec, theta, (parent,), ShotModel())
+            quantum_utility(Z1, spec, theta, [apply_ansatz(spec, theta).amplitudes], [0.0], ShotModel())
 
 
 class TestQuantumGamePlayer:
     def test_ground_state_of_diagonal_operator(self):
         spec = layered_ansatz(2, 2)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3, max_iterations=3000)
-        state = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), cfg)
+        state = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), (), cfg)
         assert state.converged
         assert state.eigenvalue == pytest.approx(0.0, abs=1e-2)
 
     def test_second_player_reaches_first_excited(self):
         spec = layered_ansatz(2, 2)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3, max_iterations=4000)
-        first = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), cfg)
-        parent = QuantumParent(first.theta, first.eigenvalue, apply_ansatz(spec, first.theta))
+        first = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), (), cfg)
+        parent = [apply_ansatz(spec, first.theta).amplitudes], [first.eigenvalue]
         rng = np.random.default_rng(3)
         second = quantumgame_player(
-            DIAG_3210, spec, spec.bind(rng.uniform(-np.pi, np.pi, 8)), (parent,), cfg, index=2
+            DIAG_3210, spec, spec.bind(rng.uniform(-np.pi, np.pi, 8)), *parent, cfg, index=2
         )
         assert second.converged
         assert second.eigenvalue == pytest.approx(1.0, abs=1e-2)
@@ -153,7 +150,7 @@ class TestQuantumGamePlayer:
     def test_maximize_direction_finds_top(self):
         spec = layered_ansatz(2, 2)
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-3, max_iterations=3000)
-        state = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.4)), (), cfg)
+        state = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.4)), (), (), cfg)
         assert state.converged
         assert state.eigenvalue == pytest.approx(3.0, abs=1e-2)
 
@@ -163,18 +160,18 @@ class TestQuantumGamePlayer:
     def test_residual_and_parent_overlap_of_the_returned_state(self, h2, player, extra, budget):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         rng = np.random.default_rng(2)
-        parents = tuple(make_parent(h2, spec, rng.uniform(-np.pi, np.pi, 9)) for _ in range(2))
+        parents = make_parents(h2, spec, [rng.uniform(-np.pi, np.pi, 9) for _ in range(2)])
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3, max_iterations=budget, **extra)
-        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), parents, cfg, index=3)
+        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), *parents, cfg, index=3)
         assert state.converged == (budget == 3000)
         psi = state.statevector.amplitudes
         dense = pauli_sum_to_matrix(h2).entries
         mean = np.vdot(psi, dense @ psi).real
         assert state.eigenvalue == pytest.approx(mean, abs=1e-12)
         assert state.residual == pytest.approx(np.linalg.norm(dense @ psi - mean * psi), abs=1e-7)
-        overlaps = [abs(np.vdot(p.statevector.amplitudes, psi)) ** 2 for p in parents]
+        overlaps = [abs(np.vdot(state, psi)) ** 2 for state in parents[0]]
         assert state.max_parent_overlap == pytest.approx(max(overlaps), abs=1e-12)
-        assert quantumgame_player(h2, spec, np.zeros(9), (), cfg).max_parent_overlap == 0.0
+        assert quantumgame_player(h2, spec, np.zeros(9), (), (), cfg).max_parent_overlap == 0.0
 
     @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
     @pytest.mark.parametrize("budget", [3, 3000], ids=["budget-spent", "converged"])
@@ -185,15 +182,15 @@ class TestQuantumGamePlayer:
         # base; reading it again gives the same floats, converged or not.
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         rng = np.random.default_rng(2)
-        parents = tuple(make_parent(h2, spec, rng.uniform(-np.pi, np.pi, 9)) for _ in range(2))
+        parents = make_parents(h2, spec, [rng.uniform(-np.pi, np.pi, 9) for _ in range(2)])
         tolerance = 1e-9 if budget == 3 else 1e-3 if shots is None else 0.3
         cfg = SolverConfig(direction="minimize", grad_tolerance=tolerance, max_iterations=budget,
                            shots=ShotModel(shots, rng_seed=3), **extra)
-        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), parents, cfg, index=3)
+        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), *parents, cfg, index=3)
         assert state.converged == (budget == 3000)
         final = apply_ansatz(spec, state.theta.values[None, :])
         mean, var, _, _ = shift_row_moments(final, pauli_sum_apply(h2, final))
-        block = np.array([p.statevector.amplitudes for p in parents])
+        block = parents[0]
         overlaps = np.abs(shift_row_products(final, block)) ** 2
         assert np.array_equal(state.statevector.amplitudes, final[0])
         assert state.residual == np.sqrt(var[0])
@@ -212,26 +209,24 @@ class TestQuantumGamePlayer:
 
         lo, hi = h2.spectral_range
         spec = random_layers_ansatz(2, 3, 3, seed=11)
-        parent = make_parent(h2, spec, np.full(9, 0.4))
+        states, _ = make_parents(h2, spec, [np.full(9, 0.4)])
         margin = quantumgame.MIN_MODE_SHIFT_MARGIN
         assert margin >= 2.0 * quantumgame.RANGE_RESIDUAL_TOL * max(-lo, hi)  # H2's margin is the floor
         eigenvalue = hi + margin + excess if direction == "minimize" else lo - margin - excess
-        outside = QuantumParent(parent.theta, eigenvalue, parent.statevector)
         monkeypatch.setattr(quantumgame, "parameter_shift_states", no_sweep)
         cfg = SolverConfig(direction=direction, max_iterations=3)
         with pytest.raises(DegenerateParentError, match="not positive"):
-            quantumgame_player(h2, spec, np.zeros(9), (outside,), cfg)
+            quantumgame_player(h2, spec, np.zeros(9), states, [eigenvalue], cfg)
 
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_parent_just_inside_the_shifted_enclosure_accepted(self, h2, direction):
         # A denominator of 0.5, still positive: the parent keeps its penalty.
         lo, hi = h2.spectral_range
         spec = random_layers_ansatz(2, 3, 3, seed=11)
-        parent = make_parent(h2, spec, np.full(9, 0.4))
+        states, _ = make_parents(h2, spec, [np.full(9, 0.4)])
         eigenvalue = hi + 0.5 if direction == "minimize" else lo - 0.5
-        inside = QuantumParent(parent.theta, eigenvalue, parent.statevector)
         cfg = SolverConfig(direction=direction, max_iterations=3)
-        state = quantumgame_player(h2, spec, np.zeros(9), (inside,), cfg)
+        state = quantumgame_player(h2, spec, np.zeros(9), states, [eigenvalue], cfg)
         assert state.iterations_used == 3
 
     def test_monotone_utility_noiseless(self, h2):
@@ -241,10 +236,10 @@ class TestQuantumGamePlayer:
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-4, max_iterations=400)
         rng = np.random.default_rng(1)
-        first = quantumgame_player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), (), cfg)
-        parent = QuantumParent(first.theta, first.eigenvalue, apply_ansatz(spec, first.theta))
+        first = quantumgame_player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), (), (), cfg)
+        parent = [apply_ansatz(spec, first.theta).amplitudes], [first.eigenvalue]
         second = quantumgame_player(
-            h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), (parent,), cfg, index=2
+            h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), *parent, cfg, index=2
         )
         for player in (first, second):
             warmup = np.asarray(player.utility_history[: quantumgame.ASCENT_WARMUP + 1])
@@ -289,6 +284,34 @@ class TestRunQuantumGame:
         assert result.operator_hash_after == before
         assert pauli_sum_hash(h2) == before
 
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("runner, name, extra", [(run_quantumgame, "quantumgame_player", {}),
+                                                     (run_vqd, "vqd_player", {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_parents_are_the_earlier_players_states_and_eigenvalues(self, monkeypatch, h2, runner, name,
+                                                                    extra, shots):
+        # Player j receives the states and eigenvalues players 1..j-1 returned,
+        # bit for bit, and keeps the states as its read-only parent block.
+        received = []
+        original = getattr(quantumgame, name)
+
+        def recording(*args, **kwargs):
+            bound = arguments(original, args, kwargs)
+            received.append((np.array(bound["parent_states"]), list(bound["parent_eigenvalues"])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quantumgame, name, recording)
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction="minimize", max_iterations=5, shots=ShotModel(shots), **extra)
+        result = runner(h2, spec, cfg, 4, seed=0)
+        for j, player in enumerate(result.players):
+            states = np.array([p.statevector.amplitudes for p in result.players[:j]]).reshape(j, 4)
+            assert np.array_equal(received[j][0].reshape(j, 4), states)
+            assert received[j][1] == result.eigenvalues[:j]
+            assert np.array_equal(player.parents, states) and player.parents.shape == (j, 4)
+            with pytest.raises(ValueError):
+                player.parents[...] = 0.0
+
     def test_noiseless_determinism_bit_for_bit(self, h2):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-2, max_iterations=200)
@@ -318,7 +341,7 @@ class TestRunQuantumGame:
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-2, max_iterations=1500)
         result = run_quantumgame(h2, spec, cfg, 1, seed=4)
-        assert result.players[0].parents == ()
+        assert result.players[0].parents.shape == (0, 4)
         assert result.all_converged
         oracle_ground = np.sort(
             exact_eigendecomposition(pauli_sum_to_matrix(h2)).eigenvalues
@@ -368,7 +391,7 @@ class TestVqd:
         spec = layered_ansatz(2, 2)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3,
                            max_iterations=3000, beta=5.0)
-        state = vqd_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), cfg)
+        state = vqd_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), (), cfg)
         assert state.converged
         assert state.eigenvalue == pytest.approx(0.0, abs=1e-2)
 
@@ -376,11 +399,11 @@ class TestVqd:
         spec = layered_ansatz(2, 2)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3,
                            max_iterations=4000, beta=5.0)
-        first = vqd_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), cfg)
-        parent = QuantumParent(first.theta, first.eigenvalue, apply_ansatz(spec, first.theta))
+        first = vqd_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), (), cfg)
+        parent = [apply_ansatz(spec, first.theta).amplitudes], [first.eigenvalue]
         rng = np.random.default_rng(5)
         second = vqd_player(
-            DIAG_3210, spec, spec.bind(rng.uniform(-np.pi, np.pi, 8)), (parent,), cfg, index=2
+            DIAG_3210, spec, spec.bind(rng.uniform(-np.pi, np.pi, 8)), *parent, cfg, index=2
         )
         assert second.eigenvalue == pytest.approx(1.0, abs=5e-2)
 
@@ -406,7 +429,7 @@ class TestVqd:
         spec = layered_ansatz(2, 1)
         cfg = SolverConfig(direction="minimize")
         with pytest.raises(ValueError):
-            vqd_player(DIAG_3210, spec, spec.bind(np.zeros(4)), (), cfg)
+            vqd_player(DIAG_3210, spec, spec.bind(np.zeros(4)), (), (), cfg)
 
     @pytest.mark.parametrize("weights", [{"beta": 5.0}, {"adaptive_regularization": True}],
                              ids=["fixed", "adaptive"])
@@ -462,7 +485,7 @@ class TestStepSize:
     def test_eta_matches_dense_norm(self, monkeypatch, player, direction):
         h = random_pauli_sum(np.random.default_rng(4), 3, 8, identity=True)
         spec = layered_ansatz(3, 1)
-        parents = (make_parent(h, spec, np.full(spec.num_parameters, 0.3)),)
+        parents = make_parents(h, spec, [np.full(spec.num_parameters, 0.3)])
         cfg = SolverConfig(direction=direction, max_iterations=1, beta=2.0)
         etas = []
         ascend = quantumgame._ascend
@@ -472,7 +495,7 @@ class TestStepSize:
             return ascend(*args, **kwargs)
 
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
-        player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        player(h, spec, np.zeros(spec.num_parameters), *parents, cfg)
         # The step is signed: the game ascends its objective, VQD descends its own.
         if player is quantumgame_player:
             norm = np.abs(np.linalg.eigvalsh(dense_game_operator(h, direction)[0])).max()
@@ -487,7 +510,7 @@ class TestStepSize:
         # norm from above and is below the sum of the weights.
         h = random_pauli_sum(np.random.default_rng(4), 3, 8, identity=True)
         spec = layered_ansatz(3, 1)
-        parents = tuple(make_parent(h, spec, np.full(spec.num_parameters, a)) for a in (0.3, 0.5, 2.0))
+        parents = make_parents(h, spec, [np.full(spec.num_parameters, a) for a in (0.3, 0.5, 2.0)])
         extra = {"adaptive_regularization": True} if adaptive else {"beta": 2.0}
         cfg = SolverConfig(direction="minimize", max_iterations=1, **extra)
         etas = []
@@ -498,11 +521,11 @@ class TestStepSize:
             return ascend(*args, **kwargs)
 
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
-        vqd_player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        vqd_player(h, spec, np.zeros(spec.num_parameters), *parents, cfg)
         dense = pauli_sum_to_matrix(h).entries
-        betas = (np.array([2.0 * (h.one_norm - p.eigenvalue) for p in parents]) if adaptive
+        states, eigenvalues = parents
+        betas = (np.array([2.0 * (h.one_norm - lam) for lam in eigenvalues]) if adaptive
                  else np.full(3, 2.0))
-        states = np.array([p.statevector.amplitudes for p in parents])
         gram = np.abs(states.conj() @ states.T) * np.sqrt(np.outer(betas, betas))
         bound = gram.sum(axis=1).max()
         penalty = (states.T * betas) @ states.conj()
@@ -576,7 +599,7 @@ class TestShiftedObjective:
         monkeypatch.setattr(quantumgame, name, capturing_evaluator)
         for shots in (None, 1000):
             cfg = SolverConfig(direction=direction, max_iterations=1, beta=2.0, shots=ShotModel(shots))
-            player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+            player(h, spec, np.zeros(spec.num_parameters), *parents, cfg)
         (args,) = evaluator_args
         exact_evaluator = evaluator(*args[:-2], ShotModel(), None)
         return reads[0], quantumgame._sweep_read(h, exact_evaluator), exact_evaluator
@@ -586,9 +609,8 @@ class TestShiftedObjective:
         h = random_pauli_sum(np.random.default_rng(6), 3, 10, identity=True)
         spec = random_layers_ansatz(3, 2, 5, seed=2)
         rng = np.random.default_rng(num_parents)
-        parents = tuple(
-            make_parent(h, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
-            for _ in range(num_parents)
+        parents = make_parents(
+            h, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
         *_, evaluate = cls.player_reads(monkeypatch, player, h, spec, parents, direction)
         # The evaluator reads one sweep's base rows; the dense reference reads
@@ -614,9 +636,9 @@ class TestShiftedObjective:
         a, sign, offset = dense_game_operator(h, direction)
         a_psi = psi @ a.T
         expected = np.einsum("bi,bi->b", psi.conj(), a_psi).real
-        for p in parents:
-            cross = a_psi.conj() @ p.statevector.amplitudes
-            expected -= np.abs(cross) ** 2 / (sign * p.eigenvalue + offset)
+        for state, lam in zip(*parents):
+            cross = a_psi.conj() @ state
+            expected -= np.abs(cross) ** 2 / (sign * lam + offset)
         assert np.allclose(value, expected, rtol=0.0, atol=1e-11)
         self.check_energy_reads(h, psi, m_reads)
         assert drawn == psi.shape[0] * (1 + 2 * num_parents)
@@ -631,8 +653,7 @@ class TestShiftedObjective:
         h = PauliSum(6, tuple((64.0 * c, s) for c, s in LATE_EXTREME.terms))
         values, vectors = np.linalg.eigh(pauli_sum_to_matrix(h).entries)
         assert h.spectral_range[0] > values[0]
-        parents = tuple(QuantumParent(None, float(values[i]), StateVector(6, vectors[:, i]))
-                        for i in (0, -1))
+        parents = vectors[:, [0, -1]].T, values[[0, -1]]
         denominators = []
         shifted_parents = quantumgame._shifted_parents
 
@@ -643,7 +664,7 @@ class TestShiftedObjective:
         monkeypatch.setattr(quantumgame, "_shifted_parents", capturing)
         spec = layered_ansatz(6, 1)
         cfg = SolverConfig(direction=direction, max_iterations=1)
-        quantumgame_player(h, spec, np.zeros(spec.num_parameters), parents, cfg)
+        quantumgame_player(h, spec, np.zeros(spec.num_parameters), *parents, cfg)
         assert len(denominators) == 2 and min(denominators) >= 1.0
 
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
@@ -654,8 +675,8 @@ class TestShiftedObjective:
         sign = -1.0 if direction == "maximize" else 1.0
         dense = pauli_sum_to_matrix(h).entries
         expected = sign * np.einsum("bi,bi->b", psi.conj(), psi @ dense.T).real
-        for p in parents:
-            expected += 2.0 * np.abs(psi.conj() @ p.statevector.amplitudes) ** 2
+        for state in parents[0]:
+            expected += 2.0 * np.abs(psi.conj() @ state) ** 2
         assert np.allclose(value, expected, rtol=0.0, atol=1e-11)
         self.check_energy_reads(h, psi, m_reads)
         assert drawn == psi.shape[0] * (1 + num_parents)
@@ -674,9 +695,8 @@ class TestShiftedObjective:
             spec = random_layers_ansatz(3, 2, 5, seed=2)
         assert {kind for layer in spec.layer_rotations for kind, _ in layer} == {"RX", "RY", "RZ"}
         rng = np.random.default_rng(10 + num_parents)
-        parents = tuple(
-            make_parent(h, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
-            for _ in range(num_parents)
+        parents = make_parents(
+            h, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
         exact, sweep, _ = self.player_reads(monkeypatch, player, h, spec, parents, direction)
         for _ in range(3):
@@ -713,9 +733,8 @@ class TestShiftedObjective:
         assert h2.spectral_range  # cached before counting
         spec = random_layers_ansatz(2, 2, 3, seed=3)
         rng = np.random.default_rng(num_parents)
-        parents = tuple(
-            make_parent(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
-            for _ in range(num_parents)
+        parents = make_parents(
+            h2, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
         applied, built = [], []
         apply, post_init = quantum_sim.pauli_sum_apply, PauliSum.__post_init__
@@ -733,8 +752,8 @@ class TestShiftedObjective:
         monkeypatch.setattr(PauliSum, "__post_init__", counting_post_init)
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=4, beta=5.0,
                            shots=ShotModel(shots, rng_seed=4))
-        state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), parents, cfg)
-        parent_block = [num_parents] if player is quantumgame_player and parents else []
+        state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), *parents, cfg)
+        parent_block = [num_parents] if player is quantumgame_player and num_parents else []
         batch = 1 if shots is None else spec.num_parameters + 1
         assert [rows for _, rows in applied] == parent_block + [batch] * len(state.energy_history) + [1]
         assert all(op is h2 for op, _ in applied)
@@ -753,9 +772,8 @@ class TestShiftedObjective:
         h2 = load_pauli_sum(bundled_h2_path())
         spec = random_layers_ansatz(2, 2, 3, seed=3)
         rng = np.random.default_rng(num_parents)
-        parents = tuple(
-            make_parent(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
-            for _ in range(num_parents)
+        parents = make_parents(
+            h2, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
         prepared, applied = [], []
         prepare, apply = quantum_sim.apply_ansatz, quantum_sim.pauli_sum_apply
@@ -774,13 +792,13 @@ class TestShiftedObjective:
         monkeypatch.setattr(quantumgame, "pauli_sum_apply", recording_apply)
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=3, beta=5.0,
                            shots=ShotModel(shots, rng_seed=4))
-        state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), parents, cfg)
+        state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), *parents, cfg)
         m, dim = spec.num_parameters, 2**spec.num_qubits
         iterations = len(state.energy_history)
         assert iterations == 3
         # The game applies M to its parents' states once; the final read
         # prepares one row and applies M to it after the loop.
-        parent_block = [(num_parents, dim)] if player is quantumgame_player and parents else []
+        parent_block = [(num_parents, dim)] if player is quantumgame_player and num_parents else []
         batch = 1 if shots is None else m + 1
         assert prepared == [(m + 1, m)] * iterations + [(1, m)]
         assert applied == parent_block + [(batch, dim)] * iterations + [(1, dim)]
@@ -903,11 +921,10 @@ class TestShotDraws:
         spec = random_layers_ansatz(2, 2, 3, seed=3)
         h2 = load_pauli_sum(bundled_h2_path())
         rng = np.random.default_rng(num_parents)
-        parents = tuple(
-            make_parent(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
-            for _ in range(num_parents)
+        parents = make_parents(
+            h2, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
-        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 6)), parents, cfg)
+        state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 6)), *parents, cfg)
         return state, spec.num_parameters
 
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
@@ -1032,7 +1049,7 @@ class TestShotDraws:
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         theta = np.linspace(-1.0, 1.0, spec.num_parameters)
         states = [
-            player(h2, spec, theta, (), SolverConfig(direction="minimize", max_iterations=5, beta=5.0,
+            player(h2, spec, theta, (), (), SolverConfig(direction="minimize", max_iterations=5, beta=5.0,
                                                      shots=ShotModel(10_000, rng_seed=rng_seed)))
             for rng_seed in (0, 12345)
         ]
@@ -1103,7 +1120,7 @@ class TestInputValidation:
         cfg = SolverConfig(direction="minimize", beta=5.0, shots=ShotModel(100))
         with pytest.raises(BindingError):
             player(h2, random_layers_ansatz(2, 2, 3, seed=3),
-                   ParameterTensor(np.array(theta)) if bound else theta, (), cfg)
+                   ParameterTensor(np.array(theta)) if bound else theta, (), (), cfg)
 
     @pytest.mark.parametrize("runner", [run_quantumgame, run_vqd], ids=["game", "vqd"])
     @pytest.mark.parametrize("terms", [((0.0, "Z"),), ((1.0, "Z"), (-1.0, "Z")), ()],

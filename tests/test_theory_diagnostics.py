@@ -15,7 +15,7 @@ from eigengames.hamiltonian import (
     bundled_h2_path,
     load_pauli_sum,
 )
-from eigengames.quantum_sim import AnsatzSpec, apply_ansatz, random_layers_ansatz
+from eigengames.quantum_sim import AnsatzSpec, apply_ansatz, expectation, random_layers_ansatz
 from eigengames.theory_diagnostics import (
     BoundParams,
     error_accumulation_bound_classical,
@@ -29,6 +29,8 @@ from eigengames.theory_diagnostics import (
     measure_error_accumulation_quantum,
     sampled_lipschitz_check,
 )
+
+from test_hamiltonian import random_pauli_sum
 
 
 class TestLipschitzClassical:
@@ -211,14 +213,37 @@ class TestErrorAccumulationInputs:
             error_accumulation_bound_classical(np.diag([1.0, 0.5, -0.7, -1.0]), [e[2]], [hat], 0.0)
 
     def test_quantum_parent_of_opposite_sign_rejected(self):
-        # This sum has levels of both signs; drawn parents below zero gave
-        # negative bounds and FAIL rows before the guard.
+        # This sum has levels of both signs; on M, parents below zero gave
+        # negative bounds and FAIL rows before the guard, which still rejects
+        # them for direct callers.  The harness states the bound on the game's
+        # A, where every parent's Rayleigh quotient is positive.
         h = PauliSum(2, ((1.0, "ZI"), (0.5, "XX"), (0.3, "IZ")))
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        thetas = np.random.default_rng(0).uniform(-np.pi, np.pi, (20, spec.num_parameters))
+        below = next(t for t in thetas if expectation(h, apply_ansatz(spec, t)) < 0.0)
         with pytest.raises(DegenerateParentError, match="sign"):
-            measure_error_accumulation_quantum(
-                h, random_layers_ansatz(2, 3, 3, seed=11), epsilons=(1e-3, 1e-2),
-                seed=0, samples_per_epsilon=10,
+            error_accumulation_bound_quantum(_dense(h), spec, [below], [below + 1e-3])
+        rows = measure_error_accumulation_quantum(h, spec, epsilons=(1e-3, 1e-2), seed=0, samples_per_epsilon=10)
+        assert len(rows) == 20 and all(r.passed for r in rows)
+
+    def test_negative_definite_sums_with_a_top_level_near_zero_pass(self):
+        # Stated on M itself, 86 of these 400 rows failed (worst measured/bound
+        # 3.35): the sum's lambda_top / lambda_jj assumes a positive spectrum,
+        # and here both are near zero.  On the game's A none fails (worst 0.08).
+        rng = np.random.default_rng(0)
+        rows = []
+        for draw in range(40):
+            q = 2 + draw % 2
+            h = random_pauli_sum(rng, q, 4, identity=False)
+            top = np.linalg.eigvalsh(_dense(h).entries).max()
+            h = PauliSum(q, h.terms + ((-0.05 - top, "I" * q),))
+            assert np.linalg.eigvalsh(_dense(h).entries).max() == pytest.approx(-0.05, abs=1e-12)
+            rows += measure_error_accumulation_quantum(
+                h, random_layers_ansatz(q, 3, 3, seed=draw), epsilons=(1e-3, 1e-2),
+                seed=draw, samples_per_epsilon=5,
             )
+        assert len(rows) == 400
+        assert [r.parameters for r in rows if not r.passed] == []
 
     def test_quantum_bound_rejects_a_non_hermitian_array(self):
         spec = AnsatzSpec(1, ((("RY", 0),),), (), "zero")
