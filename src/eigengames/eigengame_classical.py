@@ -403,7 +403,10 @@ def run_sequential(
     eigenvector enters the solve.  The zero matrix is rejected: it has no
     leading eigenvectors and no step size; so is a matrix with a non-finite
     entry, whose dense eigenvalues are garbage.  M is checked once per run,
-    not once per player.
+    not once per player.  A real ``HermitianMatrix`` is read without a copy:
+    besides M, a solve holds one game matrix (2 alpha G, for the player
+    being solved) and one temporary of M's size, plus the copy that carries
+    the shift when c > 0.  M is hashed in place, before and after the run.
     """
     mat = _as_real_symmetric(m)  # the run's one check
     if not np.isfinite(mat).all():  # the dense eigenvalues would be garbage
@@ -421,7 +424,9 @@ def run_sequential(
 
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
     shift = max(abs(lam_min), abs(lam_max)) - lam_min if lam_min <= 0 else 0.0
-    game = _Checked(mat + shift * np.eye(dim) if shift else mat)
+    game = _Checked(mat.copy() if shift else mat)
+    if shift:  # M + c I, formed on the copy's diagonal
+        game.entries.flat[:: dim + 1] += shift
     if cfg.step_size is None:
         cfg = replace(cfg, step_size=1.0 / (2.0 * (lam_max + shift)))
 
@@ -434,5 +439,5 @@ def run_sequential(
         state.read_out(mat)
         return state
 
-    return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat.tobytes()).hexdigest())
+    return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat).hexdigest())
 

@@ -49,7 +49,8 @@ def check_hermitian(entries: np.ndarray) -> None:
     """Raise unless ``entries`` is a non-empty, finite square matrix within HERMITICITY_ATOL of M^H.
 
     Real or complex; the one statement of what a valid dense operator is.
-    Finiteness is checked first: ``np.allclose`` counts inf as close to inf.
+    Finiteness is checked first: inf - inf is NaN, which the one
+    max |M - M^H| pass would not reject.
     """
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {entries.shape}")
@@ -57,8 +58,8 @@ def check_hermitian(entries: np.ndarray) -> None:
         raise InvalidDimensionError("dimension must be at least 1")
     if not np.isfinite(entries).all():
         raise HermiticityError("matrix has an entry that is not finite")
-    if not np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
-        worst = np.abs(entries - entries.conj().T).max()
+    worst = np.abs(entries - entries.conj().T).max()  # conj() of a real array is the array itself
+    if worst > HERMITICITY_ATOL:
         raise HermiticityError(f"matrix is not Hermitian (max |M - M^H| = {worst:.3e})")
 
 
@@ -72,10 +73,15 @@ def real_part(entries: np.ndarray) -> np.ndarray:
 
 
 class HermitianMatrix:
-    """Dense Hermitian operator; immutable after construction."""
+    """Dense Hermitian operator; immutable after construction.
+
+    ``entries`` is a read-only C-ordered copy of the input: float64 when the
+    input is real (float, int or bool), complex128 when it is complex.
+    """
 
     def __init__(self, entries: np.ndarray):
-        entries = np.array(entries, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(entries) else np.float64
+        entries = np.array(entries, dtype=dtype, order="C")
         check_hermitian(entries)
         self.entries = _readonly(entries)
 
@@ -84,11 +90,15 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
     def real_symmetric(self) -> np.ndarray:
-        """The real part, after checking the imaginary part is negligible.
+        """The real symmetric array the classical game runs on.
 
-        The classical game operates on real symmetric matrices only.
+        Real ``entries`` are returned as they are, read-only, with no copy.
+        Complex ones give a read-only copy of their real part, after checking
+        that the imaginary part is negligible.
         """
-        return _readonly(real_part(self.entries).copy())
+        if np.iscomplexobj(self.entries):
+            return _readonly(real_part(self.entries).copy())
+        return self.entries
 
 
 @dataclass(frozen=True)
@@ -264,7 +274,14 @@ class PauliSum:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition, eigenvalues sorted descending."""
+    """Full eigendecomposition, eigenvalues sorted descending.
+
+    Both arrays are read-only C-ordered copies; the caller's are left as they
+    are.  ``eigenvectors`` stays real (float64) when given real and is
+    complex128 otherwise.  In C order each column is strided whatever the
+    dtype and the layout given, so BLAS takes one path for a dot product
+    with a column and its rounding does not depend on either.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
@@ -272,8 +289,9 @@ class Spectrum:
     degenerate: bool = field(init=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.eigenvectors, dtype=np.complex128)
+        vals = np.array(self.eigenvalues, dtype=np.float64)
+        dtype = np.complex128 if np.iscomplexobj(self.eigenvectors) else np.float64
+        vecs = np.array(self.eigenvectors, dtype=dtype, order="C")
         if np.any(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         gaps = -np.diff(vals)
@@ -303,7 +321,7 @@ def random_orthonormal(dim: int, seed: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
     # Fix the column signs so the factorization (and hence the output) is unique.
-    q = q * np.sign(np.diag(r))
+    q *= np.sign(np.diag(r))
     return q
 
 
@@ -318,7 +336,10 @@ def build_powerlaw_hamiltonian(
     Eigenvalues are u**exponent for u ~ Uniform(0, 1), clamped into
     (1e-4, 1 - 1e-4) and redrawn until every adjacent gap exceeds 1e-6, so
     eigengap-dependent bounds stay finite.  M = P^T D P for a random
-    orthogonal P (pass ``basis`` to override, e.g. the identity for debugging).
+    orthogonal P (pass ``basis`` to override, e.g. the identity for debugging),
+    formed as (P^T scaled column-wise by the eigenvalues) @ P with no dense D.
+    M is real, so it is stored as float64, and the spectrum's eigenvectors
+    are the real columns of P^T.
     """
     if dim < 2:
         raise InvalidDimensionError("dim must be at least 2")
@@ -336,11 +357,11 @@ def build_powerlaw_hamiltonian(
         raise RuntimeError("could not draw a spectrum with all gaps above the floor")
 
     p = random_orthonormal(dim, seed) if basis is None else np.asarray(basis, dtype=np.float64)
-    m = p.T @ np.diag(eigenvalues) @ p
+    m = (p.T * eigenvalues) @ p
     m = 0.5 * (m + m.T)  # kill rounding asymmetry
+    matrix = HermitianMatrix(m)
     # Columns of P^T are the eigenvectors of M = P^T D P.
-    spectrum = Spectrum(eigenvalues=eigenvalues.copy(), eigenvectors=p.T.astype(np.complex128))
-    return HermitianMatrix(m), spectrum
+    return matrix, Spectrum(eigenvalues=eigenvalues, eigenvectors=p.T)
 
 
 def pauli_sum_to_matrix(h: PauliSum) -> HermitianMatrix:

@@ -18,7 +18,11 @@ batch evaluator; ``hotelling_levels`` is explicit Hotelling deflation on a
 dense copy, the step the game does without; ``compiled_pauli_sum`` is the
 per-term builder the stacked ``PauliSum.compiled`` form is checked against;
 ``scalar_perturb_readouts`` is the circuit-by-circuit shot draw the one
-vector draw of ``perturb_readouts`` must equal bit for bit.
+vector draw of ``perturb_readouts`` must equal bit for bit;
+``allclose_hermitian`` is the ``np.allclose`` Hermiticity rule the one-pass
+``check_hermitian`` must agree with, and ``identity_shifted`` is
+M + c I formed with a dense identity, which ``run_sequential``'s shift on
+a copy's diagonal must reproduce.
 
 Conventions match ``eigengames.quantum_sim``: qubit t is bit (q - 1 - t) of
 the amplitude index, and ancilla qubits are appended as the last position
@@ -48,7 +52,7 @@ from eigengames.errors import (
     NormalizationError,
     NumericalOverflowError,
 )
-from eigengames.hamiltonian import PauliSum
+from eigengames.hamiltonian import HERMITICITY_ATOL, PauliSum
 from eigengames.quantum_sim import (
     NORM_ATOL,
     AnsatzSpec,
@@ -464,3 +468,20 @@ def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode:
     state.vector = v
     state.read_out(mat)
     return state
+
+
+# ---------------------------------------------------------------------------
+# Dense-operator references
+# ---------------------------------------------------------------------------
+
+def allclose_hermitian(entries: np.ndarray) -> bool:
+    """The Hermiticity rule as ``np.allclose(M, M^H)`` with rtol 0 and atol HERMITICITY_ATOL."""
+    return bool(np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERMITICITY_ATOL))
+
+
+def identity_shifted(mat: np.ndarray) -> np.ndarray:
+    """``mat + shift * np.eye(dim)``, with ``run_sequential``'s shift c = ||M||_2 - lambda_min when lambda_min <= 0."""
+    eigenvalues = np.linalg.eigvalsh(mat)
+    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
+    shift = max(abs(lam_min), abs(lam_max)) - lam_min if lam_min <= 0 else 0.0
+    return mat + shift * np.eye(len(mat))

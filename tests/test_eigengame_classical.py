@@ -1,5 +1,7 @@
 """Utility algebra, both gradient modes, and the sequential player loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from oracles import (
     InvalidPerturbationError,
     classical_error_term,
     classical_game_terms,
+    identity_shifted,
     numeric_forward_difference,
     vector_eigengame_player,
 )
@@ -555,6 +558,24 @@ class TestRunSequential:
         result = run_sequential(matrix, GameConfig(num_players=2), seed=0)
         assert result.operator_hash_before == result.operator_hash_after
 
+    def test_real_complex_and_array_inputs_give_bit_identical_players(self):
+        # A real HermitianMatrix is read without a copy; its array, its complex128
+        # twin and a Fortran-ordered copy must give the same run to the bit.
+        matrix, _ = build_powerlaw_hamiltonian(32, seed=3)
+        inputs = [matrix, matrix.real_symmetric(), HermitianMatrix(matrix.entries.astype(complex)),
+                  HermitianMatrix(np.asfortranarray(matrix.entries))]
+        cfg = GameConfig(num_players=3, grad_tolerance=1e-6)
+        results = [run_sequential(m, cfg, seed=0) for m in inputs]
+        digest = hashlib.sha256(matrix.real_symmetric().tobytes()).hexdigest()
+        for result in results:
+            assert result.operator_hash_before == result.operator_hash_after == digest
+            assert result.all_converged
+            for p, q in zip(result.players, results[0].players, strict=True):
+                assert p.vector.tobytes() == q.vector.tobytes()
+                assert (p.eigenvalue, p.residual) == (q.eigenvalue, q.residual)
+                assert (p.iterations_used, p.momentum_restarts, p.converged) == (
+                    q.iterations_used, q.momentum_restarts, q.converged)
+
     def test_scheduler_rejects_a_mutated_operator(self):
         box = [0]
 
@@ -703,6 +724,25 @@ class TestNonPositiveSpectra:
         assert result.all_converged
         assert np.max(np.abs(np.array(result.eigenvalues) - levels[:4])) <= 1e-6
         assert max(residual(m, p) for p in result.players) <= 1e-4
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", ["six_levels", "powerlaw_minus_half"])
+    def test_shift_on_the_diagonal_matches_the_identity_formula(self, case, mode):
+        # The shift is added to a copy's diagonal; players must ascend what
+        # M + c I built with a dense identity gives them.
+        if case == "six_levels":
+            m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1))
+        else:
+            m = build_powerlaw_hamiltonian(32, seed=4)[0].entries - 0.5 * np.eye(32)
+        shifted = identity_shifted(m)
+        assert np.linalg.eigvalsh(m)[0] < 0.0 < np.linalg.eigvalsh(shifted)[0]
+        cfg = GameConfig(num_players=4, step_size=1.0 / (2.0 * np.linalg.eigvalsh(shifted)[-1]), **STRICT)
+        result = run_sequential(m, cfg, seed=1, mode=mode)
+        reference = run_sequential(shifted, cfg, seed=1, mode=mode)  # positive definite: not shifted again
+        assert result.all_converged
+        for p, q in zip(result.players, reference.players, strict=True):
+            assert p.iterations_used == q.iterations_used
+            assert np.max(np.abs(p.vector - q.vector)) <= 1e-15
 
     @pytest.mark.parametrize("budget", [None, 5], ids=["solved", "budget"])
     def test_max_parent_overlap_matches_direct_products(self, budget):

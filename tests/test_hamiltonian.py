@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import allclose_hermitian
+
 from eigengames.errors import (
     HermiticityError,
     InvalidDimensionError,
@@ -15,11 +17,13 @@ from eigengames.errors import (
     PauliFormatError,
 )
 from eigengames.hamiltonian import (
+    HERMITICITY_ATOL,
     HermitianMatrix,
     PauliSum,
     Spectrum,
     build_powerlaw_hamiltonian,
     bundled_h2_path,
+    check_hermitian,
     exact_eigendecomposition,
     load_pauli_sum,
     pauli_sum_to_matrix,
@@ -95,6 +99,15 @@ class TestPowerlawHamiltonian:
     def test_small_dim_rejected(self):
         with pytest.raises(InvalidDimensionError):
             build_powerlaw_hamiltonian(1, seed=0)
+
+    @pytest.mark.parametrize("dim", [64, 128, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matrix_equals_the_dense_diagonal_product_bit_for_bit(self, dim, seed):
+        # M = P^T diag(lambda) P with a dense diagonal, symmetrized, is the same array to the bit.
+        matrix, spectrum = build_powerlaw_hamiltonian(dim, seed=seed)
+        p = spectrum.eigenvectors.T
+        m = p.T @ np.diag(spectrum.eigenvalues) @ p
+        assert matrix.entries.tobytes() == (0.5 * (m + m.T)).tobytes()
 
 
 class TestPauliSumToMatrix:
@@ -390,3 +403,149 @@ class TestPauliFileFormat:
         path.write_text("# only a header\n")
         with pytest.raises(PauliFormatError):
             load_pauli_sum(path)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+SYMMETRIC = np.array([[2.0, 1.0, -0.5], [1.0, 3.0, 0.25], [-0.5, 0.25, 1.0]])
+
+
+class TestStorage:
+    """Real operators are stored as read-only float64 and read without a copy; complex ones stay complex128."""
+
+    @pytest.mark.parametrize("source", [
+        SYMMETRIC,
+        np.array([[2, 1], [1, 3]]),
+        SYMMETRIC.astype(np.float32),
+        _read_only(np.array(SYMMETRIC)).T,
+        _read_only(np.kron(SYMMETRIC, np.ones((2, 2))))[::2, ::2],
+    ], ids=["float", "int", "float32", "read_only_transpose", "read_only_strided_view"])
+    def test_real_input_is_stored_as_read_only_float64(self, source):
+        matrix = HermitianMatrix(source)
+        assert matrix.entries.dtype == np.float64
+        assert not matrix.entries.flags.writeable
+        assert matrix.entries.flags.c_contiguous  # hashed in place by run_sequential
+        assert np.array_equal(matrix.entries, source)
+        assert not np.shares_memory(matrix.entries, source)
+
+    def test_real_symmetric_of_real_entries_is_the_stored_array(self):
+        matrix, _ = build_powerlaw_hamiltonian(8, seed=0)
+        mat = matrix.real_symmetric()
+        assert mat.dtype == np.float64
+        assert not mat.flags.writeable
+        assert np.shares_memory(mat, matrix.entries)
+
+    def test_complex_input_stays_complex128(self):
+        matrix = HermitianMatrix(np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, 2.0]]))
+        assert matrix.entries.dtype == np.complex128
+        assert not matrix.entries.flags.writeable
+        with pytest.raises(HermiticityError, match="imaginary"):
+            matrix.real_symmetric()
+
+    def test_complex_entries_give_a_real_copy_up_to_the_tolerance(self):
+        def with_imaginary(part):
+            return HermitianMatrix(np.array([[1.0, 0.5 + 1j * part], [0.5 - 1j * part, 2.0]]))
+
+        matrix = with_imaginary(HERMITICITY_ATOL)
+        mat = matrix.real_symmetric()
+        assert mat.dtype == np.float64
+        assert not mat.flags.writeable
+        assert np.array_equal(mat, matrix.entries.real)
+        assert not np.shares_memory(mat, matrix.entries)
+        with pytest.raises(HermiticityError, match="imaginary"):
+            with_imaginary(np.nextafter(HERMITICITY_ATOL, np.inf)).real_symmetric()
+
+    @pytest.mark.parametrize("vectors, dtype", [
+        (np.eye(2), np.float64),
+        (np.eye(2, dtype=int), np.float64),
+        (np.eye(2) * 1j, np.complex128),
+        (np.eye(2, dtype=np.complex64), np.complex128),
+    ], ids=["float", "int", "complex", "complex64"])
+    def test_spectrum_keeps_real_eigenvectors_real(self, vectors, dtype):
+        values = np.array([2.0, 1.0])
+        spectrum = Spectrum(eigenvalues=values, eigenvectors=vectors)
+        assert spectrum.eigenvectors.dtype == dtype
+        assert not spectrum.eigenvectors.flags.writeable
+        assert not spectrum.eigenvalues.flags.writeable
+        assert values.flags.writeable and vectors.flags.writeable  # copies: the caller's arrays are untouched
+
+    def test_spectrum_columns_are_strided_whatever_the_layout_given(self):
+        # C order: a column is a strided vector whether the block came real or
+        # complex, C- or F-ordered, so dot products with it round the same.
+        vectors = random_orthonormal(16, seed=2)
+        for given in (vectors, np.asfortranarray(vectors), vectors.astype(complex)):
+            spectrum = Spectrum(eigenvalues=np.arange(16.0)[::-1], eigenvectors=given)
+            assert spectrum.eigenvectors.flags.c_contiguous
+
+    def test_eigendecomposition_of_a_real_matrix_is_real(self):
+        matrix, built = build_powerlaw_hamiltonian(6, seed=0)
+        assert built.eigenvectors.dtype == np.float64
+        spectrum = exact_eigendecomposition(matrix)
+        assert spectrum.eigenvectors.dtype == np.float64
+        assert np.max(np.abs(spectrum.eigenvalues - built.eigenvalues)) <= 1e-12
+        residuals = matrix.entries @ spectrum.eigenvectors - spectrum.eigenvectors * spectrum.eigenvalues
+        assert np.abs(residuals).max() <= 1e-12
+        complex_spectrum = exact_eigendecomposition(HermitianMatrix(matrix.entries.astype(complex)))
+        assert complex_spectrum.eigenvectors.dtype == np.complex128
+
+
+# Asymmetries on either side of the tolerance, exactly at it and one ulp above it.
+ASYMMETRIES = (0.0, HERMITICITY_ATOL / 2, np.nextafter(HERMITICITY_ATOL, 0.0), HERMITICITY_ATOL,
+               np.nextafter(HERMITICITY_ATOL, np.inf), 2 * HERMITICITY_ATOL, 1e-6)
+
+
+@st.composite
+def near_hermitian(draw):
+    """A real or complex Hermitian matrix with one entry pair moved apart by a drawn asymmetry.
+
+    With ``exact`` the pair's mirror entry is zero, so |M - M^H| is the drawn
+    asymmetry itself; otherwise it is that asymmetry up to rounding.
+    """
+    dim = draw(st.integers(2, 5))
+    is_complex = draw(st.booleans())
+    values = st.lists(st.floats(-1e3, 1e3), min_size=dim * dim, max_size=dim * dim)
+    base = np.array(draw(values)).reshape(dim, dim)
+    if is_complex:
+        base = base + 1j * np.array(draw(values)).reshape(dim, dim)
+    m = np.triu(base, 1)
+    m = m + m.conj().T + np.diag(base.diagonal().real)
+    i, j = draw(st.permutations(range(dim)))[:2]
+    if draw(st.booleans()):  # exact
+        m[j, i] = 0.0
+    phase = draw(st.sampled_from((1, -1, 1j, -1j) if is_complex else (1, -1)))
+    m[i, j] = m[j, i].conjugate() + phase * draw(st.sampled_from(ASYMMETRIES))
+    return m
+
+
+class TestCheckHermitian:
+    """One max |M - M^H| pass gives the verdicts of np.allclose(M, M^H, rtol=0, atol=HERMITICITY_ATOL)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=near_hermitian())
+    def test_verdict_matches_the_allclose_rule(self, m):
+        try:
+            check_hermitian(m)
+            accepted = True
+        except HermiticityError:
+            accepted = False
+        assert accepted == allclose_hermitian(m)
+
+    @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "imaginary"])
+    def test_the_tolerance_is_inclusive(self, unit):
+        at = np.array([[0.0, unit * HERMITICITY_ATOL], [0.0, 0.0]])
+        above = np.array([[0.0, unit * np.nextafter(HERMITICITY_ATOL, np.inf)], [0.0, 0.0]])
+        check_hermitian(at)
+        assert allclose_hermitian(at)
+        with pytest.raises(HermiticityError, match="not Hermitian"):
+            check_hermitian(above)
+        assert not allclose_hermitian(above)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_non_finite_fails_first(self, bad, dtype):
+        m = np.array([[0.0, 1.0], [0.0, bad]], dtype=dtype)  # also far from Hermitian
+        with pytest.raises(HermiticityError, match="not finite"):
+            check_hermitian(m)

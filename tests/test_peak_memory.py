@@ -1,0 +1,36 @@
+"""Traced memory budgets of the dense operator layer at n = 256.
+
+The probes are those of ``tools/peak_memory.py``: ``tracemalloc`` peaks of
+numpy's own allocations, so the budgets are deterministic.  A real n x n
+float64 array is 0.5 MiB here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "peak_memory.py"
+_spec = importlib.util.spec_from_file_location("peak_memory", TOOL)
+peak_memory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(peak_memory)
+
+# MiB at n = 256.  A complex128 operator with a copied real part read 5.51,
+# 3.50, 0.50 and 1.52.
+BUDGETS = {"build": 3.0, "matrix": 2.0, "real_symmetric": 0.0, "solve": 1.25}
+
+
+@pytest.fixture(scope="module")
+def peaks():
+    return peak_memory.peaks(256)
+
+
+@pytest.mark.parametrize("name", list(BUDGETS))
+def test_traced_peak_within_budget(peaks, name):
+    assert peaks[name] <= BUDGETS[name]
+
+
+def test_tool_prints_one_row_per_size(capsys):
+    assert peak_memory.main(["peak_memory.py", "16", "32"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["n", "16", "32"]

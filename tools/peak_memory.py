@@ -1,0 +1,64 @@
+"""Traced peak memory of the dense operator layer on power-law matrices.
+
+For each n it prints, in MiB, the ``tracemalloc`` peak of four calls, each
+counted above what was allocated before it:
+
+* ``build``: ``build_powerlaw_hamiltonian(n, seed=0)``;
+* ``matrix``: ``HermitianMatrix`` of that operator's real n x n array;
+* ``real_symmetric``: ``real_symmetric()`` on the built operator;
+* ``solve``: a 2-player, 50-iteration exact ``run_sequential`` on it.
+
+``tracemalloc`` sees the arrays numpy allocates, not the workspace LAPACK
+takes inside ``qr`` or ``eigvalsh``, so the figures are deterministic.  Run::
+
+    PYTHONPATH=src python tools/peak_memory.py [n ...]
+
+The sizes default to 64, 128 and 256.
+"""
+
+from __future__ import annotations
+
+import sys
+import tracemalloc
+from typing import Callable
+
+from eigengames.eigengame_classical import GameConfig, run_sequential
+from eigengames.hamiltonian import HermitianMatrix, build_powerlaw_hamiltonian
+
+SIZES = (64, 128, 256)
+SOLVE_CONFIG = GameConfig(num_players=2, max_iterations_per_player=50)
+
+
+def traced_peak(call: Callable[[], object]) -> float:
+    """The ``tracemalloc`` peak of ``call()`` in MiB, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def peaks(n: int) -> dict[str, float]:
+    """The four traced peaks at size n, by name."""
+    matrix, _ = build_powerlaw_hamiltonian(n, seed=0)
+    return {
+        "build": traced_peak(lambda: build_powerlaw_hamiltonian(n, seed=0)),
+        "matrix": traced_peak(lambda: HermitianMatrix(matrix.entries)),
+        "real_symmetric": traced_peak(matrix.real_symmetric),
+        "solve": traced_peak(lambda: run_sequential(matrix, SOLVE_CONFIG, seed=0)),
+    }
+
+
+def main(argv: list[str]) -> int:
+    sizes = [int(a) for a in argv[1:]] or SIZES
+    table = {n: peaks(n) for n in sizes}
+    names = list(table[sizes[0]])
+    print(f"{'n':>5}" + "".join(f"{name:>16}" for name in names) + "   (traced peak, MiB)")
+    for n, row in table.items():
+        print(f"{n:>5}" + "".join(f"{row[name]:>16.3f}" for name in names))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
