@@ -135,7 +135,8 @@ class GameConfig:
     ``run_sequential`` shifts to M + c I when M has a non-positive eigenvalue.
     ``None`` lets ``run_sequential`` pick 1 / (2 (lambda_max + c)), read from
     the dense eigenvalues (1 / (2 ||M||_2) for positive-definite M);
-    ``eigengame_player`` needs it set.
+    ``eigengame_player`` needs it set.  ``max_iterations_per_player`` and
+    ``num_players`` are whole numbers (Python or NumPy integers).
     """
 
     step_size: float | None = None
@@ -145,6 +146,9 @@ class GameConfig:
     num_players: int = 1
 
     def __post_init__(self):
+        for name in ("max_iterations_per_player", "num_players"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be a whole number, got {getattr(self, name)!r}")
         # Each test is written so that NaN fails it.
         if self.step_size is not None and not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be positive and finite")

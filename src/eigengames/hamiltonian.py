@@ -50,7 +50,9 @@ def check_hermitian(entries: np.ndarray) -> None:
 
     Real or complex; the one statement of what a valid dense operator is.
     Finiteness is checked first: inf - inf is NaN, which the one
-    max |M - M^H| pass would not reject.
+    max |M - M^H| pass would not reject.  Finite entries can still overflow
+    in that pass (1e308 - (-1e308) is inf); inf exceeds the tolerance, so
+    the overflow warning is silenced and the matrix rejected as not Hermitian.
     """
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {entries.shape}")
@@ -58,7 +60,8 @@ def check_hermitian(entries: np.ndarray) -> None:
         raise InvalidDimensionError("dimension must be at least 1")
     if not np.isfinite(entries).all():
         raise HermiticityError("matrix has an entry that is not finite")
-    worst = np.abs(entries - entries.conj().T).max()  # conj() of a real array is the array itself
+    with np.errstate(over="ignore"):
+        worst = np.abs(entries - entries.conj().T).max()  # conj() of a real array is the array itself
     if worst > HERMITICITY_ATOL:
         raise HermiticityError(f"matrix is not Hermitian (max |M - M^H| = {worst:.3e})")
 
@@ -105,7 +108,9 @@ class HermitianMatrix:
 class PauliSum:
     """Weighted sum of Pauli strings with real coefficients.
 
-    Real coefficients make the summed operator Hermitian automatically.
+    Real coefficients make the summed operator Hermitian automatically.  A
+    complex coefficient, a NumPy one or one with a zero imaginary part
+    included, raises ``MalformedPauliError``.
     """
 
     num_qubits: int
@@ -122,7 +127,7 @@ class PauliSum:
             bad = set(string) - set("IXYZ")
             if bad:
                 raise MalformedPauliError(f"string {string!r} has illegal characters {bad}")
-            if isinstance(coeff, complex):
+            if np.iscomplexobj(coeff):  # np.complex64 is not a Python complex
                 raise MalformedPauliError("coefficients must be real")
             if not math.isfinite(coeff):
                 raise MalformedPauliError(f"coefficient {coeff!r} of {string!r} is not finite")

@@ -3,7 +3,10 @@
 The game player ascends a per-player utility whose penalty terms are built
 from interference-circuit cross expectations against frozen parents, so no
 operator is ever deflated.  The baseline included for comparison is
-overlap-penalized minimization (VQD).
+overlap-penalized minimization (VQD).  The two differ in one thing, the
+penalty each puts on M, so each player only states its ``Objective`` and
+names the circuit that reads its parent terms (``_interference`` for the
+game, ``_swap_test`` for VQD); one loop, ``_ascend``, does the rest.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +57,7 @@ class QuantumPlayerState:
     budgets of at most ``ASCENT_WARMUP``.  ``energy_history[t]`` is iteration t's read-out of
     <M> on theta's own row of the sweep, drawn once for the objective too.
     ``readouts`` counts the finite-shot read-outs the player drew (the
-    evaluator's and the final eigenvalue read) and ``shots`` is
+    sweeps' and the final eigenvalue read) and ``shots`` is
     ``readouts * num_shots``, the solve's shot cost; both are 0 under an
     exact shot model.  ``prepared_rows`` counts the states the player
     prepared, m + 1 per sweep and one for the final read, and
@@ -92,11 +95,13 @@ class QuantumPlayerState:
 class SolverConfig:
     """Shared hyperparameters for the parameterized solvers.
 
-    Under an exact model both players' objective is one expectation
-    <psi|K psi> + c with K = s*M + sum_j w_j |k_j><k_j|: the game has
-    k_j = A psi_j and w_j = -1/lambda_j, with A = sign*M + offset*I and
-    c = offset; VQD has k_j = psi_j, w_j = beta_j and c = 0.  There is no
-    step-size or momentum setting: both players run the one heavy-ball loop
+    Both players' objective is one expectation <psi|K psi> + c with
+    K = s*M + sum_j w_j |k_j><k_j| (``Objective``): the game has
+    k_j = A psi_j and w_j = -1/(sign*lambda_j + offset), with
+    A = sign*M + offset*I and c = offset; VQD has k_j = psi_j, w_j = beta_j
+    and c = 0.  Under finite shots the game reads its parent terms with the
+    interference circuit and VQD with the SwapTest.  There is no step-size
+    or momentum setting: both players run the one heavy-ball loop
     ``_ascend`` with a signed step, +1/(2L) for the game, which ascends its
     objective, and -1/(2L) for VQD, which descends it.  L is an upper bound
     on the spectral norm of the operator the loop actually optimizes:
@@ -114,6 +119,8 @@ class SolverConfig:
     which needs no tuning, so the two may not be combined.  ``shots``'
     ``rng_seed`` seeds direct player calls only; the runners derive each
     player's shot stream from their ``seed`` and ignore it.
+    ``max_iterations`` is a whole number (a Python or NumPy integer), as
+    ``ShotModel.num_shots`` is.
     """
 
     max_iterations: int = 2000
@@ -126,6 +133,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
             raise ValueError(f"direction must be 'maximize' or 'minimize', got {self.direction!r}")
+        if not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be a whole number, got {self.max_iterations!r}")
         # Each test is written so that NaN fails it.
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
@@ -143,55 +152,56 @@ def pauli_sum_hash(h: PauliSum) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+class Objective(NamedTuple):
+    """One player's objective <psi|K psi> + c, K = s*M + sum_j w_j |k_j><k_j|, and its signed step.
+
+    ``scale`` is s and ``constant`` c; ``kets`` is the (P, 2**q) block of
+    the k_j and ``weights`` their (P,) float64 w_j.  ``eta`` is the signed
+    step: positive to ascend the objective, negative to descend it.
+    """
+
+    scale: float
+    kets: np.ndarray
+    weights: np.ndarray
+    constant: float
+    eta: float
+
+
 # A read maps one sweep's (m+1, 2**q) prepared rows phi_0, ..., phi_{m-1},
 # psi (``parameter_shift_states``) to the objective's gradient in theta, the
 # objective and the <M> read-out on theta's row psi, the largest imaginary
-# residue it read, and the number of finite-shot read-outs it drew.  Each
-# player picks its read once: ``_backward_read`` under an exact shot model,
-# ``_sweep_read`` under finite shots.
+# residue it read, and the number of finite-shot read-outs it drew.  A
+# one-row base is the single state psi, read with an empty gradient.
+# ``_ascend`` picks the read once per player: ``_backward_read`` under an
+# exact shot model, ``_shot_read`` under finite shots.
 ReadResult = tuple[np.ndarray, float, float, float, int]
 Read = Callable[[np.ndarray], ReadResult]
 
-# A batch evaluator maps one sweep's (m+1, 2**q) base rows and the rows M
-# applied to them to the objective at each of the 2m + 1 shift rows, each
-# row's read-out of <M> (the one the objective is formed from), the largest
-# |Im<r|M r>| over the rows, and the number of read-outs it drew.  A one-row
-# base is the single state psi.  Evaluators take the parents as their
-# (P, 2**q) block of states, the player's ``QuantumPlayerState.parents``.
-EvaluatorResult = tuple[np.ndarray, np.ndarray, float, int]
-Evaluator = Callable[[np.ndarray, np.ndarray], EvaluatorResult]
+# A circuit reads the parent terms |<r|k_j>|^2 of an objective on the shift
+# rows r under finite shots.  Given the objective it returns two functions:
+# ``moments`` maps the rows' (B, P) products <r|k_j>, their <M> and their
+# ||M r||^2 to the (B, C) means and variances of the circuit's read-outs, C
+# per parent, in the order they are read; ``penalty`` maps those read-outs,
+# drawn, to sum_j w_j times the circuit's estimate of |<r|k_j>|^2, per row.
+Circuit = Callable[[Objective], tuple[Callable, Callable]]
 
 
-def _sweep_read(m: PauliSum, evaluate: Evaluator) -> Read:
-    """The finite-shot read: M on every prepared row, the evaluator's read-outs of the 2m + 1
-    shift rows, and the parameter-shift gradient from the first 2m of them."""
+def _backward_read(m: PauliSum, objective: Objective) -> Read:
+    """The exact read of the objective <psi|K psi> + c, K = s*M + sum_j w_j |k_j><k_j|.
 
-    def read(prepared: np.ndarray) -> ReadResult:
-        objective, m_reads, residue, drawn = evaluate(prepared, pauli_sum_apply(m, prepared))
-        return shift_rule_gradient(objective[:-1]), float(objective[-1]), float(m_reads[-1]), residue, drawn
-
-    return read
-
-
-def _backward_read(
-    m: PauliSum, scale: float, kets: np.ndarray, weights: Sequence[float], constant: float
-) -> Read:
-    """The exact read of <psi|K psi> + ``constant``, K = scale*M + sum_j w_j |k_j><k_j|.
-
-    ``kets`` is the (P, 2**q) block of the k_j and ``weights`` their (P,)
-    w_j; M is applied to theta's row alone.  Each parameter drives one Pauli
+    M is applied to theta's row alone.  Each parameter drives one Pauli
     rotation, so d_k psi = phi_k / 2 and the gradient is Re<phi_k|g> with
-    g = K psi = scale*M psi + sum_j w_j <k_j|psi> k_j: one product of the
+    g = K psi = s*M psi + sum_j w_j <k_j|psi> k_j: one product of the
     conjugated phi_k with g, and one with psi for the rotation guard (two
     matrix-vector products beat one with the stacked pair on small states).
     <psi|phi_k> is imaginary for a Pauli rotation, so a real part beyond
     ``NORM_ATOL`` (another gate, or NaN) raises ``NormalizationError``; so
     does an imaginary part of <psi|M psi> beyond it, with ``ValueError``, as
-    ``shift_row_moments`` does.  The objective is Re<psi|g> + ``constant``
-    and the energy Re<psi|M psi>; nothing is drawn.
+    ``shift_row_moments`` does.  The objective is Re<psi|g> + c and the
+    energy Re<psi|M psi>; nothing is drawn.
     """
+    scale, kets, weights, constant, _ = objective
     ket_bras = kets.conj()
-    weights = np.asarray(weights, dtype=np.float64)
 
     def read(prepared: np.ndarray) -> ReadResult:
         phi, psi = prepared[:-1], prepared[-1]
@@ -211,6 +221,90 @@ def _backward_read(
     return read
 
 
+# The cross term enters as |z|^2 rather than the literal complex square: both
+# agree whenever states and operator are real (where the squared quantity is
+# real), but the complex square depends on the ansatz's global phase, which a
+# player can rotate freely to cancel or even invert its penalty.  Squaring the
+# modulus keeps the penalty phase-invariant; the imaginary part is logged.
+
+
+def _interference(objective: Objective) -> tuple[Callable, Callable]:
+    """The game's circuit: Re and Im of each cross term <r|A|psi_j>, A = s*M + c*I, per row.
+
+    The kets are the game's A psi_j (``_game_objective``), so the products
+    <r|k_j> are the cross terms, and A is never built.  The read-outs'
+    means and variances are the circuit's closed forms
+    (``interference_moments``), with ||A r||^2 = ||M r||^2 + 2*s*c*<M> + c^2
+    (s = +-1) and the kets' own ||A psi_j||^2.  Each weight counts twice,
+    once on the Re and once on the Im read-out squared.  The kets' second
+    moments and the repeated weights are formed once, for every row and
+    iteration.
+    """
+    scale, kets, weights, constant, _ = objective
+    ket_second = np.vecdot(kets, kets).real
+    read_weights = np.repeat(weights, 2)
+
+    def moments(products: np.ndarray, mean: np.ndarray, second: np.ndarray):
+        a_second = second + 2.0 * scale * constant * mean + constant * constant
+        return interference_moments(products, a_second, ket_second)
+
+    def penalty(reads: np.ndarray) -> np.ndarray:
+        return reads**2 @ read_weights
+
+    return moments, penalty
+
+
+def _swap_test(objective: Objective) -> tuple[Callable, Callable]:
+    """VQD's circuit: each parent's SwapTest p0 = (1 + |<r|psi_j>|^2)/2, per row.
+
+    The kets are the parent states, and the read-outs have the SwapTest's
+    closed-form mean and Bernoulli variance (``swap_test_moments``); each
+    estimate 2*p0 - 1 of the squared overlap is clipped to [0, 1].
+    """
+    weights = objective.weights
+
+    def moments(products: np.ndarray, mean: np.ndarray, second: np.ndarray):
+        return swap_test_moments(products)
+
+    def penalty(reads: np.ndarray) -> np.ndarray:
+        return np.clip(2.0 * reads - 1.0, 0.0, 1.0) @ weights
+
+    return moments, penalty
+
+
+def _shot_read(
+    m: PauliSum,
+    objective: Objective,
+    circuit: Circuit,
+    shots: ShotModel,
+    rng: np.random.Generator | None,
+) -> Read:
+    """The finite-shot read of the objective on the 2m + 1 shift rows r, then the shift rule.
+
+    M is applied to every prepared row.  Per row the read-outs are <M>, then
+    the circuit's read-outs of each parent term, perturbed by the shot model
+    in that order in one draw; their means and variances come from the
+    sweep's base rows (``shift_row_moments``, and ``shift_row_products``
+    with the kets).  Row r's objective is
+    s*<M> + c + sum_j w_j * (the circuit's estimate of |<r|k_j>|^2), and its
+    energy its <M> read-out.  Without parents the cross read-outs have
+    width zero, and the one draw is the rows' <M> read-outs alone.
+    """
+    scale, kets, _, constant, _ = objective
+    moments, penalty = circuit(objective)
+
+    def read(prepared: np.ndarray) -> ReadResult:
+        mean, var, second, residue = shift_row_moments(prepared, pauli_sum_apply(m, prepared))
+        cross_mean, cross_var = moments(shift_row_products(prepared, kets), mean, second)
+        reads = perturb_readouts(
+            shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
+        )
+        value = scale * reads[:, 0] + constant + penalty(reads[:, 1:])
+        return shift_rule_gradient(value[:-1]), float(value[-1]), float(reads[-1, 0]), residue, reads.size
+
+    return read
+
+
 def _parent_arrays(spec: AnsatzSpec, states, eigenvalues) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (P, 2**q) block of parent states and their (P,) eigenvalues on M."""
     block = _parent_block(states, 2**spec.num_qubits, np.complex128)
@@ -220,155 +314,52 @@ def _parent_arrays(spec: AnsatzSpec, states, eigenvalues) -> tuple[np.ndarray, n
     return block, eigenvalues
 
 
-# The cross term enters as |z|^2 rather than the literal complex square: both
-# agree whenever states and operator are real (where the squared quantity is
-# real), but the complex square depends on the ansatz's global phase, which a
-# player can rotate freely to cancel or even invert its penalty.  Squaring the
-# modulus keeps the penalty phase-invariant; the imaginary part is logged.
-
-
-def _shifted_parents(
-    m: PauliSum,
-    sign: float,
-    offset: float,
-    parent_states: np.ndarray,
-    denominators: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The game's kets and weights (A psi_j, -1/lambda_j), A = sign*M + offset*I.
-
-    The game's objective <A> - sum_j |<psi|A|psi_j>|^2 / lambda_j is
-    <psi|K psi> + offset with K = sign*M + sum_j w_j |A psi_j><A psi_j| and
-    w_j = -1/lambda_j, from the (P, 2**q) parent block.  M is applied to the
-    block once, and not at all without parents.  A denominator within
-    ``PARENT_EIGENVALUE_GUARD`` of zero raises ``DegenerateParentError``.
-    """
-    for lam in denominators:
-        if abs(lam) < PARENT_EIGENVALUE_GUARD:
-            raise DegenerateParentError(
-                f"cached parent eigenvalue {lam:.3e} is below the division guard"
-            )
-    a_parents = parent_states
-    if len(parent_states):
-        a_parents = sign * pauli_sum_apply(m, parent_states) + offset * parent_states
-    return a_parents, -1.0 / np.asarray(denominators, dtype=np.float64)
-
-
-def _game_evaluator(
-    scale: float,
-    kets: np.ndarray,
-    weights: np.ndarray,
-    constant: float,
-    shots: ShotModel,
-    rng: np.random.Generator | None,
-) -> Evaluator:
-    """Sweep -> <A> + sum_j w_j |<r|A|psi_j>|^2 per shift row r, read out as the circuits would be.
-
-    A = scale*M + constant*I is never built, and (kets, weights) are the
-    game's (A psi_j, -1/lambda_j) (``_shifted_parents``).  Per row the
-    read-outs are <M>, then Re and Im of each parent's cross term
-    (interference circuit), each perturbed by the shot model in that order,
-    and <A> is scale*read + constant.  The means and variances are the
-    circuits' closed forms, from the sweep's base rows
-    (``shift_row_moments``, and ``shift_row_products`` with the kets); the
-    cross terms' variances take
-    ||A r||^2 = ||M r||^2 + 2*scale*constant*<M> + constant^2.  The kets'
-    ||A psi_j||^2 and the weights, each repeated for the Re and the Im
-    read-out, are formed once here, for every row and iteration.  Without
-    parents there are no cross read-outs.
-    """
-    has_parents = len(kets) > 0
-    ket_second = np.vecdot(kets, kets).real
-    read_weights = np.repeat(weights, 2)
-
-    def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
-        mean, var, second, residue = shift_row_moments(base, m_base)
-        if not has_parents:
-            m_reads = perturb_readouts(shots, mean, var, rng)
-            return scale * m_reads + constant, m_reads, residue, m_reads.size
-        a_second = second + 2.0 * scale * constant * mean + constant * constant
-        cross_mean, cross_var = interference_moments(shift_row_products(base, kets), a_second, ket_second)
-        reads = perturb_readouts(
-            shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
-        )
-        penalty = reads[:, 1:] ** 2 @ read_weights
-        return scale * reads[:, 0] + constant + penalty, reads[:, 0], residue, reads.size
-
-    return evaluate
-
-
-def _vqd_evaluator(
-    scale: float,
-    kets: np.ndarray,
-    weights: Sequence[float],
-    shots: ShotModel,
-    rng: np.random.Generator | None,
-) -> Evaluator:
-    """Sweep -> scale*<M> + sum_j w_j |<r|psi_j>|^2 per shift row r, overlaps read off the SwapTest.
-
-    (kets, weights) are the parent states and their beta_j.  Per row the
-    read-outs are <M>, then each parent's SwapTest p0 (closed form,
-    Bernoulli variance), perturbed in that order; the scale multiplies the
-    <M> read-out.  The means and variances come from the sweep's base rows
-    (``shift_row_moments``, and ``shift_row_products`` with the kets); the
-    penalty is one product with the (P,) weights.  Without parents there
-    are no SwapTest read-outs.
-    """
-    has_parents = len(kets) > 0
-    weights = np.asarray(weights, dtype=np.float64)
-
-    def evaluate(base: np.ndarray, m_base: np.ndarray) -> EvaluatorResult:
-        mean, var, _, residue = shift_row_moments(base, m_base)
-        if not has_parents:
-            m_reads = perturb_readouts(shots, mean, var, rng)
-            return scale * m_reads, m_reads, residue, m_reads.size
-        p0, p0_var = swap_test_moments(shift_row_products(base, kets))
-        reads = perturb_readouts(
-            shots, np.column_stack((mean, p0)), np.column_stack((var, p0_var)), rng
-        )
-        penalty = np.clip(2.0 * reads[:, 1:] - 1.0, 0.0, 1.0) @ weights
-        return scale * reads[:, 0] + penalty, reads[:, 0], residue, reads.size
-
-    return evaluate
-
-
 def _ascend(
     m: PauliSum,
     spec: AnsatzSpec,
-    state: QuantumPlayerState,
+    theta_init: ParameterTensor | Sequence[float],
+    parents: np.ndarray,
     cfg: SolverConfig,
-    read: Read,
-    eta: float,
-    rng: np.random.Generator,
+    objective: Objective,
+    circuit: Circuit,
+    index: int,
 ) -> QuantumPlayerState:
-    """The shared parameter-shift loop over one player's objective <psi|K psi> + c.
+    """One player's solve, once its objective is stated: the shared parameter-shift loop.
 
-    K = s*M + sum_j w_j |k_j><k_j| (``SolverConfig``), and the one sign
-    rule: players pass a signed step ``eta``, positive to ascend the
-    objective (the game) and negative to descend it (VQD).  ``state`` is the
-    player's opened record, with its index, start theta, parent block, and
-    in ``operator_rows`` the parent rows it applied M to before the loop.
-    Each iteration prepares m + 1 states in one call
-    (``parameter_shift_states``) and hands them to the player's ``read``,
-    which gives the gradient, the objective and the <M> read-out on theta's
-    row, the iteration's energy: no circuit is read twice.  Under an exact
-    shot model the read applies M to theta's row alone and takes the
-    gradient from one backward vector (``_backward_read``); under finite
-    shots it applies M to all m + 1 rows and reads the 2m + 1 shift rows'
-    circuits from them (``_sweep_read``).  Stops when the gradient norm
+    The player passes its (P, 2**q) parent block, its ``Objective`` and the
+    ``Circuit`` that reads its parent terms under finite shots; the one sign
+    rule is the objective's signed step, positive to ascend (the game) and
+    negative to descend (VQD).  Here the start theta is bound, the shot
+    stream opened from ``cfg.shots``, and the read picked: under an exact
+    shot model ``_backward_read``, which applies M to theta's row alone and
+    takes the gradient from one backward vector; under finite shots
+    ``_shot_read``, which applies M to all m + 1 rows and reads the 2m + 1
+    shift rows' circuits from them.  Each iteration prepares m + 1 states
+    in one call (``parameter_shift_states``) and reads the gradient, the
+    objective and the <M> read-out on theta's row, the iteration's energy,
+    from them: no circuit is read twice.  Stops when the gradient norm
     reaches tolerance or the iteration budget runs out (partial result).
     On either exit the final theta's state is prepared, and M applied to
     it, once, and read as a one-row base: ``shift_row_moments`` gives the
     eigenvalue read (the last draw of the stream) and the residual, and
-    ``shift_row_products`` with the parents' (P, 2**q) block
-    ``state.parents`` the largest parent overlap.  Every draw site adds its
-    read-outs to one count, stored with its shots at the end (0 and 0 when
-    exact).
+    ``shift_row_products`` with the parents the largest parent overlap.
+    Every draw site adds its read-outs to one count, stored with its shots
+    at the end (0 and 0 when exact).
 
     The step is heavy-ball, vel <- beta_t vel + eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
     the classical player shares: no extra circuit.
     """
-    values = state.theta.values.copy()
+    theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
+    rng = cfg.shots.make_rng()
+    if cfg.shots.is_exact:
+        read = _backward_read(m, objective)
+    else:
+        read = _shot_read(m, objective, circuit, cfg.shots, rng)
+    # The interference circuit's kets are A psi_j: the game applied M to its parent block.
+    applied = len(parents) if circuit is _interference else 0
+    state = QuantumPlayerState(index, theta, parents, operator_rows=applied)
+    values = theta.values.copy()
     vel = np.zeros_like(values)
     ball = HeavyBall()
     readouts = 0  # drawn by the read
@@ -387,7 +378,7 @@ def _ascend(
         if gnorm <= cfg.grad_tolerance:
             state.converged = True
             break
-        step = eta * grad
+        step = objective.eta * grad
         beta = ball.weight(state.iterations_used, float(step @ vel))
         vel = beta * vel + step if beta else step
         values = values + vel
@@ -400,7 +391,7 @@ def _ascend(
     state.statevector = StateVector(spec.num_qubits, final[0])
     state.eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
     state.residual = math.sqrt(var[0])
-    overlaps = np.abs(shift_row_products(final, state.parents)) ** 2
+    overlaps = np.abs(shift_row_products(final, parents)) ** 2
     state.max_parent_overlap = float(overlaps.max(initial=0.0))
     sweeps, rows = len(state.energy_history), spec.num_parameters + 1
     state.prepared_rows = sweeps * rows + 1
@@ -411,8 +402,10 @@ def _ascend(
     return state
 
 
-def _game_shift(m: PauliSum, direction: Direction) -> tuple[float, float, float]:
-    """(sign, offset, eta): the game ascends A = sign*M + offset*I with the step eta = 1/(2L).
+def _game_objective(
+    m: PauliSum, states: np.ndarray, eigenvalues: Sequence[float], direction: Direction
+) -> Objective:
+    """The game's objective: the utility of A = sign*M + offset*I, ascended with the step 1/(2L).
 
     sign is +1 to maximize and -1 to minimize.  With [lo, hi] M's
     ``spectral_range``, an interval enclosing its spectrum, offset =
@@ -425,14 +418,33 @@ def _game_shift(m: PauliSum, direction: Direction) -> tuple[float, float, float]
     so the margin scales with the operator:
     2 * RANGE_RESIDUAL_TOL * max(-lo, hi), about 2% of ||M||, and at least
     ``MIN_MODE_SHIFT_MARGIN``.  An absolute margin alone would let a large
-    operator's shortfall exceed it.  The quantum error-accumulation
-    harness states its bound on this A too.
+    operator's shortfall exceed it.
+
+    ``states`` is the (P, 2**q) parent block psi_j and ``eigenvalues`` their
+    (P,) eigenvalues lambda_j on M.  The utility
+    <A> - sum_j |<psi|A|psi_j>|^2 / (sign*lambda_j + offset) is the
+    objective <psi|K psi> + offset with K = sign*M + sum_j w_j |A psi_j><A psi_j|
+    and w_j = -1/(sign*lambda_j + offset).  M is applied to the block once,
+    and not at all without parents.  A denominator at or below
+    ``PARENT_EIGENVALUE_GUARD``, or NaN, raises ``DegenerateParentError``:
+    the parent's eigenvalue lies farther outside M's enclosure than the
+    margin.  The quantum error-accumulation harness and the test oracle
+    build the game's objective here too.
     """
     sign = 1.0 if direction == "maximize" else -1.0
     lo, hi = m.spectral_range
     margin = max(MIN_MODE_SHIFT_MARGIN, 2.0 * RANGE_RESIDUAL_TOL * max(-lo, hi))
     offset = (-lo if sign > 0 else hi) + margin
-    return sign, offset, 1.0 / (2.0 * (hi - lo + margin))
+    denominators = sign * np.asarray(eigenvalues, dtype=np.float64) + offset
+    if not (denominators > PARENT_EIGENVALUE_GUARD).all():  # a NaN fails too
+        raise DegenerateParentError(
+            f"parent penalty denominator {denominators.min():.3e} is not positive: "
+            "the parent's eigenvalue lies outside the operator's enclosure"
+        )
+    kets = states
+    if len(states):
+        kets = sign * pauli_sum_apply(m, states) + offset * states
+    return Objective(sign, kets, -1.0 / denominators, offset, 1.0 / (2.0 * (hi - lo + margin)))
 
 
 def quantumgame_player(
@@ -449,37 +461,18 @@ def quantumgame_player(
     ``parent_states`` is the (P, 2**q) block of parent states psi_j, or a
     list of them, and ``parent_eigenvalues`` their (P,) eigenvalues lambda_j
     on M, read when each parent was solved and never re-measured.  Both
-    directions ascend the utility of A = sign*M + offset*I, whose sign,
-    offset and step come from ``_game_shift``: every eigenvalue of A lies
-    in [margin, L].  A caller-supplied parent whose eigenvalue lies farther
-    outside M's enclosure than the margin, so that its denominator
-    sign*lambda_j + offset is at or below ``PARENT_EIGENVALUE_GUARD``,
-    raises ``DegenerateParentError`` before any circuit runs.  The
-    objective is <psi|K psi> + offset with
-    K = sign*M + sum_j w_j |A psi_j><A psi_j| and w_j = -1/lambda_j
-    (``_shifted_parents``), and the player passes the step +1/(2L) to
-    ascend it.  A is applied as algebra on M, never built: on the circuits'
-    moments under finite shots (``_game_evaluator``) and on the backward
-    vector under an exact model (``_backward_read``).  Energies are read
-    on M.
+    directions ascend the utility of A = sign*M + offset*I, every
+    eigenvalue of which lies in [margin, L], with the step +1/(2L)
+    (``_game_objective``).  A caller-supplied parent whose eigenvalue lies
+    farther outside M's enclosure than the margin raises
+    ``DegenerateParentError`` before any circuit runs.  A is applied as
+    algebra on M, never built: on the interference circuits' moments under
+    finite shots (``_interference``) and on the backward vector under an
+    exact model.  Energies are read on M.
     """
-    theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
     states, eigenvalues = _parent_arrays(spec, parent_states, parent_eigenvalues)
-    sign, offset, eta = _game_shift(m, cfg.direction)
-    denominators = sign * eigenvalues + offset
-    if (denominators <= PARENT_EIGENVALUE_GUARD).any():
-        raise DegenerateParentError(
-            f"parent penalty denominator {denominators.min():.3e} is not positive: "
-            "the parent's eigenvalue lies outside the operator's enclosure"
-        )
-    rng = cfg.shots.make_rng()
-    kets, weights = _shifted_parents(m, sign, offset, states, denominators)
-    if cfg.shots.is_exact:
-        read = _backward_read(m, sign, kets, weights, offset)
-    else:
-        read = _sweep_read(m, _game_evaluator(sign, kets, weights, offset, cfg.shots, rng))
-    state = QuantumPlayerState(index, theta, states, operator_rows=len(states))
-    return _ascend(m, spec, state, cfg, read, eta, rng)
+    objective = _game_objective(m, states, eigenvalues, cfg.direction)
+    return _ascend(m, spec, theta_init, states, cfg, objective, _interference, index)
 
 
 def _penalty_norm_bound(states: np.ndarray, betas: Sequence[float]) -> float:
@@ -517,29 +510,23 @@ def vqd_player(
     spectrum is that of the weighted parent Gram matrix
     sqrt(beta_j beta_l) <psi_j|psi_l>, whose largest absolute row sum bounds
     it; for orthogonal parents that is max_j beta_j.  Under finite shots
-    overlaps are SwapTest read-outs (``_vqd_evaluator``); under an exact
-    model the gradient comes from the backward vector (``_backward_read``).
-    Energies are read on M.
+    overlaps are SwapTest read-outs (``_swap_test``); under an exact model
+    the gradient comes from the backward vector.  Energies are read on M.
     """
     if cfg.beta is None and not cfg.adaptive_regularization:
         raise ValueError("vqd_player needs cfg.beta or adaptive_regularization")
-    theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
     states, eigenvalues = _parent_arrays(spec, parent_states, parent_eigenvalues)
     sign = -1.0 if cfg.direction == "maximize" else 1.0
     if cfg.adaptive_regularization:
         betas = 2.0 * (m.one_norm - sign * eigenvalues)
     else:
-        betas = np.full(len(states), cfg.beta)
+        betas = np.full(len(states), cfg.beta, dtype=np.float64)
     # The penalized objective is the expectation of sign*M + sum_j beta_j P_j,
     # so 1/(2L) uses that operator's norm bound, not ||M|| alone.
     lo, hi = m.spectral_range
     eta = 1.0 / (2.0 * (max(-lo, hi) + _penalty_norm_bound(states, betas)))
-    rng = cfg.shots.make_rng()
-    if cfg.shots.is_exact:
-        read = _backward_read(m, sign, states, betas, 0.0)
-    else:
-        read = _sweep_read(m, _vqd_evaluator(sign, states, betas, cfg.shots, rng))
-    return _ascend(m, spec, QuantumPlayerState(index, theta, states), cfg, read, -eta, rng)
+    objective = Objective(sign, states, betas, 0.0, -eta)
+    return _ascend(m, spec, theta_init, states, cfg, objective, _swap_test, index)
 
 
 def _sequential_run(

@@ -39,7 +39,7 @@ from .hamiltonian import (
     pauli_sum_to_matrix,
 )
 from .quantum_sim import AnsatzSpec, apply_ansatz, parameter_shift_states
-from .quantumgame import _backward_read, _game_shift, _shifted_parents
+from .quantumgame import _backward_read, _game_objective
 
 
 @dataclass(frozen=True)
@@ -362,25 +362,27 @@ def measure_error_accumulation_quantum(
 ) -> list[DiagnosticRow]:
     """Same inequality in parameter space, on the operator the game ascends.
 
-    A maximizing game ascends A = sign*M + offset*I (``_game_shift``), not
-    M, so both sides are stated on A.  Each gradient is the game's exact
-    read of the child's sweep (``_backward_read`` of its objective, kets and
-    weights from ``_shifted_parents`` with the game's sign and offset), from
-    the m + 1 rows one ``parameter_shift_states`` call prepares for both
-    parents; the bound is ``error_accumulation_bound_quantum`` on A's dense
-    array.  A parent's denominator is its eigenvalue on A, at least the
-    game's margin.
+    A maximizing game ascends A = sign*M + offset*I, not M, so both sides
+    are stated on A.  Each gradient is the game's exact read of the child's
+    sweep: ``_backward_read`` of the objective ``_game_objective`` builds for
+    the one parent, the player's own builder, given the parent's eigenvalue
+    on M.  Both parents share the m + 1 rows one ``parameter_shift_states``
+    call prepares.  The bound is ``error_accumulation_bound_quantum`` on
+    A's dense array, with the sign and offset of the game's objective
+    without parents.  A parent's denominator is its eigenvalue on A, at
+    least the game's margin.
     """
     rng = np.random.default_rng(seed)
-    sign, offset, _ = _game_shift(h, "maximize")
-    a_dense = sign * pauli_sum_to_matrix(h).entries + offset * np.eye(2**h.num_qubits)
+    dim = 2**h.num_qubits
+    sign, _, _, offset, _ = _game_objective(h, np.empty((0, dim), dtype=np.complex128), (), "maximize")
+    m_dense = pauli_sum_to_matrix(h).entries
+    a_dense = sign * m_dense + offset * np.eye(dim)
     rows = []
 
     def gradient(theta: np.ndarray, sweep: np.ndarray) -> np.ndarray:
         block = apply_ansatz(spec, theta[None, :])
-        denominators = [np.vdot(block[0], a_dense @ block[0]).real]
-        kets, weights = _shifted_parents(h, sign, offset, block, denominators)
-        return _backward_read(h, sign, kets, weights, offset)(sweep)[0]
+        eigenvalue = np.vdot(block[0], m_dense @ block[0]).real
+        return _backward_read(h, _game_objective(h, block, [eigenvalue], "maximize"))(sweep)[0]
 
     for eps in epsilons:
         for draw in range(samples_per_epsilon):

@@ -13,8 +13,8 @@ one moments read ``shift_row_moments``; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``vector_eigengame_player`` is the classical
 player's ascent written on whole vectors, the loop the library's fused
-three-call iteration must reproduce; ``quantum_utility`` is one row of the game's
-batch evaluator; ``hotelling_levels`` is explicit Hotelling deflation on a
+three-call iteration must reproduce; ``quantum_utility`` is the maximizing
+game's objective on one state, the game's finite-shot read on a one-row base; ``hotelling_levels`` is explicit Hotelling deflation on a
 dense copy, the step the game does without; ``compiled_pauli_sum`` is the
 per-term builder the stacked ``PauliSum.compiled`` form is checked against;
 ``scalar_perturb_readouts`` is the circuit-by-circuit shot draw the one
@@ -63,7 +63,7 @@ from eigengames.quantum_sim import (
     pauli_sum_apply,
     shift_rule_gradient,
 )
-from eigengames.quantumgame import _game_evaluator, _shifted_parents
+from eigengames.quantumgame import _game_objective, _interference, _shot_read
 
 
 class InvalidPerturbationError(EigenGamesError):
@@ -379,19 +379,21 @@ def quantum_utility(
     shots: ShotModel = ShotModel(),
     rng: np.random.Generator | None = None,
 ) -> float:
-    """<psi_r|M|psi_r> - sum_j |<psi_r|M|psi_j>|^2 / <psi_j|M|psi_j>, shot model applied throughout.
+    """The maximizing game's objective at theta_r, shot model applied throughout.
 
-    Cross terms are the interference circuit's real and imaginary read-outs;
-    the parents are a (P, 2**q) block of states psi_j, or a list of them,
-    and their denominators the given eigenvalues, as a player receives
-    them.  This is one row of the game's batch evaluator.
+    <A> - sum_j |<psi_r|A|psi_j>|^2 / (lambda_j + offset) on the operator
+    the game ascends, A = M + offset*I, with the offset and the parent
+    terms from the player's own builder (``_game_objective``).  Cross terms
+    are the interference circuit's real and imaginary read-outs; the parents
+    are a (P, 2**q) block of states psi_j, or a list of them, and lambda_j
+    their given eigenvalues on M, as a player receives them.  This is the
+    game's finite-shot read of the one-row base psi_r.
     """
     values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
     block = _parent_block(parent_states, 2**spec.num_qubits, np.complex128)
-    kets, weights = _shifted_parents(m, 1.0, 0.0, block, parent_eigenvalues)
-    evaluate = _game_evaluator(1.0, kets, weights, 0.0, shots, rng)
+    objective = _game_objective(m, block, parent_eigenvalues, "maximize")
     psi = apply_ansatz(spec, values[None, :])
-    return float(evaluate(psi, pauli_sum_apply(m, psi))[0][0])
+    return _shot_read(m, objective, _interference, shots, rng)(psi)[1]
 
 
 # ---------------------------------------------------------------------------

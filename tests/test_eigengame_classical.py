@@ -449,6 +449,13 @@ class TestRunSequential:
         with pytest.raises(HermiticityError):
             run_sequential(np.array([[2.0, 1.0], [0.0, 1.0]]), GameConfig(), seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_asymmetry_rejected_without_a_warning(self):
+        # Finite entries whose M - M^T overflows: a RuntimeWarning used to
+        # escape the check under -W error instead of the HermiticityError.
+        with pytest.raises(HermiticityError, match="not Hermitian"):
+            run_sequential(np.array([[0.0, 1e308], [-1e308, 0.0]]), GameConfig(), seed=0)
+
     @pytest.mark.parametrize("entry", ["player", "parent", "utility", "exact_gradient",
                                        "finite_diff_gradient", "finite_diff_error_term"])
     def test_non_symmetric_input_rejected_at_every_entry_point(self, entry):
@@ -654,6 +661,21 @@ class TestInvariants:
         # NaN passed every ``x <= 0`` test; an infinite step or sigma is no setting.
         with pytest.raises(ValueError):
             GameConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iterations_per_player", "num_players"])
+    def test_fractional_counts_rejected(self, field):
+        # Accepted when built, a count of 2.5 failed only later, with TypeError
+        # inside a range or a slice.
+        with pytest.raises(ValueError, match="whole number"):
+            GameConfig(**{field: 2.5})
+        with pytest.raises(ValueError, match="whole number"):
+            GameConfig(**{field: 2.0})
+        assert getattr(GameConfig(**{field: np.int64(2)}), field) == 2
+
+    def test_numpy_integer_counts_run(self):
+        matrix, _ = build_powerlaw_hamiltonian(8, seed=0)
+        cfg = GameConfig(num_players=np.int64(2), max_iterations_per_player=np.int32(5))
+        assert len(run_sequential(matrix, cfg, seed=0).players) == 2
 
 
 class TestHeavyBall:

@@ -146,6 +146,16 @@ class TestPauliSumToMatrix:
         with pytest.raises(MalformedPauliError):
             PauliSum(1, ((1.0, "Q"),))
 
+    @pytest.mark.parametrize(
+        "coeff", [1 + 1j, 1 + 0j, np.complex64(1 + 1j), np.complex64(1), np.complex128(2 + 0j)],
+        ids=["complex", "complex-zero-imag", "complex64", "complex64-zero-imag", "complex128-zero-imag"],
+    )
+    def test_complex_coefficients_rejected(self, coeff):
+        # np.complex64 is no Python complex: it used to pass, and (1+1j) Z applied
+        # to a state gave (1+1j) times it, a non-Hermitian operator.
+        with pytest.raises(MalformedPauliError, match="must be real"):
+            PauliSum(1, ((coeff, "Z"),))
+
     @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_coefficients_rejected(self, coeff):
         with pytest.raises(MalformedPauliError, match="not finite"):
@@ -542,6 +552,18 @@ class TestCheckHermitian:
         with pytest.raises(HermiticityError, match="not Hermitian"):
             check_hermitian(above)
         assert not allclose_hermitian(above)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "imaginary"])
+    def test_overflowing_difference_is_not_hermitian(self, unit):
+        # Finite entries whose M - M^H overflows to inf: rejected as not
+        # Hermitian, with no overflow warning on the way.
+        m = np.array([[0.0, unit * 1e308], [-np.conj(unit) * 1e308, 0.0]])
+        assert np.isfinite(m).all()
+        with pytest.raises(HermiticityError, match="not Hermitian"):
+            check_hermitian(m)
+        with pytest.raises(HermiticityError, match="not Hermitian"):
+            HermitianMatrix(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

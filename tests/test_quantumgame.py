@@ -31,6 +31,7 @@ from eigengames.quantum_sim import (
     random_layers_ansatz,
     shift_row_moments,
     shift_row_products,
+    shift_rule_gradient,
     zero_state,
 )
 from eigengames.quantumgame import (
@@ -93,12 +94,15 @@ def h2_oracle(h2):
 
 
 class TestQuantumUtility:
+    """The oracle is the maximizing game's objective, on A = M + offset*I."""
+
     def test_no_parents_is_plain_expectation(self, h2):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         rng = np.random.default_rng(0)
         theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
         value = quantum_utility(h2, spec, theta, (), (), ShotModel())
-        assert value == pytest.approx(expectation(h2, apply_ansatz(spec, theta)), abs=1e-12)
+        _, _, offset = dense_game_operator(h2, "maximize")
+        assert value == pytest.approx(expectation(h2, apply_ansatz(spec, theta)) + offset, abs=1e-12)
 
     def test_orthogonal_basis_states_have_zero_penalty(self):
         # Player at |00>, parent at a different basis state of the diagonal
@@ -112,7 +116,8 @@ class TestQuantumUtility:
         states, eigenvalues = make_parents(DIAG_3210, spec, [parent_values])
         assert abs(abs(states[0, 2]) - 1.0) < 1e-12
         value = quantum_utility(DIAG_3210, spec, child, states, eigenvalues, ShotModel())
-        assert value == pytest.approx(expectation(DIAG_3210, apply_ansatz(spec, child)), abs=1e-10)
+        _, _, offset = dense_game_operator(DIAG_3210, "maximize")
+        assert value == pytest.approx(expectation(DIAG_3210, apply_ansatz(spec, child)) + offset, abs=1e-10)
 
     def test_self_penalty_annihilates(self):
         spec = layered_ansatz(1, 1, initial_state="zero")
@@ -121,10 +126,13 @@ class TestQuantumUtility:
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_parent_rejected(self):
+        # An eigenvalue at the far end of the shifted enclosure, lo - margin,
+        # puts the parent's denominator lambda + offset on A at zero.
         spec = layered_ansatz(1, 1, initial_state="zero")
         theta = spec.bind(np.array([np.pi / 2.0, 0.0]))  # RY(pi/2)|0> = |+>, <Z> = 0
+        eigenvalue = Z1.spectral_range[0] - quantumgame.MIN_MODE_SHIFT_MARGIN
         with pytest.raises(DegenerateParentError):
-            quantum_utility(Z1, spec, theta, [apply_ansatz(spec, theta).amplitudes], [0.0], ShotModel())
+            quantum_utility(Z1, spec, theta, [apply_ansatz(spec, theta).amplitudes], [eigenvalue], ShotModel())
 
 
 class TestQuantumGamePlayer:
@@ -420,6 +428,15 @@ class TestVqd:
         with pytest.raises(ValueError):
             SolverConfig(direction="minimize", **{field: value})
 
+    def test_fractional_iteration_budget_rejected(self, h2):
+        # Accepted when built, a budget of 2.5 failed only in the loop's range().
+        for budget in (2.5, 2.0):
+            with pytest.raises(ValueError, match="whole number"):
+                SolverConfig(direction="minimize", max_iterations=budget)
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction="minimize", grad_tolerance=1e-9, max_iterations=np.int64(2))
+        assert quantumgame_player(h2, spec, np.zeros(9), (), (), cfg).iterations_used == 2
+
     def test_beta_with_adaptive_regularization_rejected(self):
         # Adaptive mode sets its own weights, so a fixed beta would be dropped.
         with pytest.raises(ValueError):
@@ -491,7 +508,7 @@ class TestStepSize:
         ascend = quantumgame._ascend
 
         def recording_ascend(*args, **kwargs):
-            etas.append(arguments(ascend, args, kwargs)["eta"])
+            etas.append(arguments(ascend, args, kwargs)["objective"].eta)
             return ascend(*args, **kwargs)
 
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
@@ -517,7 +534,7 @@ class TestStepSize:
         ascend = quantumgame._ascend
 
         def recording_ascend(*args, **kwargs):
-            etas.append(arguments(ascend, args, kwargs)["eta"])
+            etas.append(arguments(ascend, args, kwargs)["objective"].eta)
             return ascend(*args, **kwargs)
 
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
@@ -580,45 +597,49 @@ class TestShiftedObjective:
 
     @staticmethod
     def player_reads(monkeypatch, player, h, spec, parents, direction):
-        """(exact read, sweep read) of one player: the read it ascends under an exact
-        model, and its finite-shot evaluator rebuilt under ``ShotModel()`` as a sweep read."""
-        reads, evaluator_args = [], []
+        """(exact read, sweep read) of one player's objective: ``_backward_read``, the read it
+        ascends under an exact model, and its circuit's ``_shot_read`` under ``ShotModel()``."""
+        calls = []
         ascend = quantumgame._ascend
-        name = "_game_evaluator" if player is quantumgame_player else "_vqd_evaluator"
-        evaluator = getattr(quantumgame, name)
 
         def capturing_ascend(*args, **kwargs):
-            reads.append(arguments(ascend, args, kwargs)["read"])
+            calls.append(arguments(ascend, args, kwargs))
             return ascend(*args, **kwargs)
 
-        def capturing_evaluator(*args):
-            evaluator_args.append(args)  # (..., shots, rng)
-            return evaluator(*args)
-
         monkeypatch.setattr(quantumgame, "_ascend", capturing_ascend)
-        monkeypatch.setattr(quantumgame, name, capturing_evaluator)
         for shots in (None, 1000):
             cfg = SolverConfig(direction=direction, max_iterations=1, beta=2.0, shots=ShotModel(shots))
             player(h, spec, np.zeros(spec.num_parameters), *parents, cfg)
-        (args,) = evaluator_args
-        exact_evaluator = evaluator(*args[:-2], ShotModel(), None)
-        return reads[0], quantumgame._sweep_read(h, exact_evaluator), exact_evaluator
+        exact, finite = calls
+        # One objective and one circuit, whatever the shot model.
+        assert finite["circuit"] is exact["circuit"]
+        assert all(np.array_equal(a, b) for a, b in zip(finite["objective"], exact["objective"]))
+        objective, circuit = exact["objective"], exact["circuit"]
+        sweep = quantumgame._shot_read(h, objective, circuit, ShotModel(), None)
+        return quantumgame._backward_read(h, objective), sweep
 
     @classmethod
-    def captured_evaluator(cls, monkeypatch, player, direction, num_parents):
+    def captured_rows(cls, monkeypatch, player, direction, num_parents):
         h = random_pauli_sum(np.random.default_rng(6), 3, 10, identity=True)
         spec = random_layers_ansatz(3, 2, 5, seed=2)
         rng = np.random.default_rng(num_parents)
         parents = make_parents(
             h, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
-        *_, evaluate = cls.player_reads(monkeypatch, player, h, spec, parents, direction)
-        # The evaluator reads one sweep's base rows; the dense reference reads
-        # every shift row, each prepared on its own.
+        _, read = cls.player_reads(monkeypatch, player, h, spec, parents, direction)
+        # The dense reference reads every shift row, each prepared on its own;
+        # so does the read, each row a one-row base.  One sweep's base rows
+        # then give the shift rule over those rows and theta's own.
         theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
         psi = apply_ansatz(spec, parameter_shift_points(theta))
-        base = parameter_shift_states(spec, theta)
-        return h, parents, evaluate(base, pauli_sum_apply(h, base)), psi
+        grads, value, m_reads, residues, drawn = zip(*(read(row[None, :]) for row in psi))
+        assert all(grad.shape == (0,) for grad in grads)
+        value, m_reads = np.array(value), np.array(m_reads)
+        grad, theta_value, energy, _, _ = read(parameter_shift_states(spec, theta))
+        assert np.allclose(grad, shift_rule_gradient(value[:-1]), rtol=0.0, atol=1e-11)
+        assert theta_value == pytest.approx(value[-1], abs=1e-11)
+        assert energy == pytest.approx(m_reads[-1], abs=1e-12)
+        return h, parents, (value, m_reads, max(residues), sum(drawn)), psi
 
     @staticmethod
     def check_energy_reads(h, psi, m_reads):
@@ -631,7 +652,7 @@ class TestShiftedObjective:
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_game_rows_match_dense_shifted_operator(self, monkeypatch, direction, num_parents):
-        h, parents, (value, m_reads, _, drawn), psi = self.captured_evaluator(
+        h, parents, (value, m_reads, _, drawn), psi = self.captured_rows(
             monkeypatch, quantumgame_player, direction, num_parents)
         a, sign, offset = dense_game_operator(h, direction)
         a_psi = psi @ a.T
@@ -655,13 +676,13 @@ class TestShiftedObjective:
         assert h.spectral_range[0] > values[0]
         parents = vectors[:, [0, -1]].T, values[[0, -1]]
         denominators = []
-        shifted_parents = quantumgame._shifted_parents
+        ascend = quantumgame._ascend
 
-        def capturing(*args):
-            denominators.extend(args[4])  # (m, sign, offset, parent_states, denominators)
-            return shifted_parents(*args)
+        def capturing(*args, **kwargs):
+            denominators.extend(-1.0 / arguments(ascend, args, kwargs)["objective"].weights)
+            return ascend(*args, **kwargs)
 
-        monkeypatch.setattr(quantumgame, "_shifted_parents", capturing)
+        monkeypatch.setattr(quantumgame, "_ascend", capturing)
         spec = layered_ansatz(6, 1)
         cfg = SolverConfig(direction=direction, max_iterations=1)
         quantumgame_player(h, spec, np.zeros(spec.num_parameters), *parents, cfg)
@@ -670,7 +691,7 @@ class TestShiftedObjective:
     @pytest.mark.parametrize("num_parents", [0, 1, 2])
     @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     def test_vqd_rows_match_dense_penalized_energy(self, monkeypatch, direction, num_parents):
-        h, parents, (value, m_reads, _, drawn), psi = self.captured_evaluator(
+        h, parents, (value, m_reads, _, drawn), psi = self.captured_rows(
             monkeypatch, vqd_player, direction, num_parents)
         sign = -1.0 if direction == "maximize" else 1.0
         dense = pauli_sum_to_matrix(h).entries
@@ -687,7 +708,7 @@ class TestShiftedObjective:
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
     def test_exact_read_matches_the_sweep_read(self, monkeypatch, player, direction, num_parents, operator):
         # The backward vector's gradient, objective and energy against the
-        # sweep evaluator under an exact model followed by the shift rule.
+        # finite-shot read under an exact model, which ends in the shift rule.
         if operator == "h2":
             h, spec = load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 3, 3, seed=11)
         else:
@@ -698,7 +719,7 @@ class TestShiftedObjective:
         parents = make_parents(
             h, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
-        exact, sweep, _ = self.player_reads(monkeypatch, player, h, spec, parents, direction)
+        exact, sweep = self.player_reads(monkeypatch, player, h, spec, parents, direction)
         for _ in range(3):
             prepared = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
             grad, value, energy, residue, drawn = exact(prepared)
@@ -712,7 +733,8 @@ class TestShiftedObjective:
         # A gate that is not a Pauli rotation leaves phi_k with a real overlap with psi.
         rng = np.random.default_rng(3)
         psi = apply_ansatz(random_layers_ansatz(2, 1, 2, seed=1), rng.uniform(-np.pi, np.pi, 2)).amplitudes
-        read = quantumgame._backward_read(PauliSum(2, ((1.0, "ZX"),)), 1.0, np.zeros((0, 4)), (), 0.0)
+        objective = quantumgame.Objective(1.0, np.zeros((0, 4)), np.zeros(0), 0.0, 0.0)
+        read = quantumgame._backward_read(PauliSum(2, ((1.0, "ZX"),)), objective)
         rotated = np.array([1j * psi, psi])
         assert read(rotated)[0].shape == (1,)
         for phi in ((psi + 1j * psi) / np.sqrt(2.0), np.full(4, np.nan)):
@@ -950,14 +972,14 @@ class TestShotDraws:
         # <M> read-out alone, and the iteration's energy is the same read-out:
         # a second, independent draw would break the equality.
         shifts = []
-        evaluator = quantumgame._game_evaluator
+        ascend = quantumgame._ascend
 
         def capturing(*args, **kwargs):
-            call = arguments(evaluator, args, kwargs)
-            shifts.append((call["scale"], call["constant"]))
-            return evaluator(*args, **kwargs)
+            objective = arguments(ascend, args, kwargs)["objective"]
+            shifts.append((objective.scale, objective.constant))
+            return ascend(*args, **kwargs)
 
-        monkeypatch.setattr(quantumgame, "_game_evaluator", capturing)
+        monkeypatch.setattr(quantumgame, "_ascend", capturing)
         cfg = SolverConfig(direction=direction, grad_tolerance=1e-9, max_iterations=5, beta=5.0,
                            shots=ShotModel(1000, rng_seed=4))
         state, _ = self.play(player, cfg, 0)

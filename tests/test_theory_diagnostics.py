@@ -1,5 +1,6 @@
 """Bound calculators and the sampled inequality checks."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -15,7 +16,9 @@ from eigengames.hamiltonian import (
     bundled_h2_path,
     load_pauli_sum,
 )
-from eigengames.quantum_sim import AnsatzSpec, apply_ansatz, expectation, random_layers_ansatz
+from eigengames import quantumgame, theory_diagnostics
+from eigengames.quantum_sim import AnsatzSpec, StateVector, apply_ansatz, expectation, random_layers_ansatz
+from eigengames.quantumgame import SolverConfig, quantumgame_player
 from eigengames.theory_diagnostics import (
     BoundParams,
     error_accumulation_bound_classical,
@@ -253,6 +256,39 @@ class TestErrorAccumulationInputs:
 
 
 class TestErrorAccumulationQuantum:
+    def test_harness_builds_the_players_objective(self, monkeypatch):
+        # The harness's gradients are the maximizing game's: for one parent it
+        # builds the sign, offset, kets, weights and step the player builds,
+        # given the parent's eigenvalue on M (one on A would be shifted twice).
+        h = random_pauli_sum(np.random.default_rng(5), 3, 10, identity=True)
+        spec = random_layers_ansatz(3, 2, 5, seed=2)
+        built, passed = [], []
+        builder, ascend = theory_diagnostics._game_objective, quantumgame._ascend
+
+        def recording_builder(m, states, eigenvalues, direction):
+            built.append((np.array(states), builder(m, states, eigenvalues, direction)))
+            return built[-1][1]
+
+        def recording_ascend(*args, **kwargs):
+            passed.append(inspect.signature(ascend).bind(*args, **kwargs).arguments["objective"])
+            return ascend(*args, **kwargs)
+
+        monkeypatch.setattr(theory_diagnostics, "_game_objective", recording_builder)
+        monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
+        measure_error_accumulation_quantum(h, spec, epsilons=(1e-3,), seed=0, samples_per_epsilon=1)
+        states, harness = next((states, objective) for states, objective in built if len(states) == 1)
+        eigenvalue = expectation(h, StateVector(3, states[0]))
+        cfg = SolverConfig(direction="maximize", max_iterations=1)
+        quantumgame_player(h, spec, np.zeros(spec.num_parameters), states, [eigenvalue], cfg)
+        (player,) = passed
+        assert (player.scale, player.constant, player.eta) == (harness.scale, harness.constant, harness.eta)
+        assert player.scale == 1.0
+        assert np.array_equal(player.kets, harness.kets)
+        assert np.allclose(player.weights, harness.weights, rtol=1e-12, atol=0.0)
+        # Each weight is -1 over the parent's denominator, its eigenvalue on A = M + offset*I.
+        a = _dense(h).entries + harness.constant * np.eye(8)
+        assert -1.0 / harness.weights[0] == pytest.approx(np.vdot(states[0], a @ states[0]).real, rel=1e-12)
+
     def test_identical_parameters_give_zero(self):
         h = load_pauli_sum(bundled_h2_path())
         spec = random_layers_ansatz(2, 3, 3, seed=11)
