@@ -359,6 +359,24 @@ class SequentialResult:
     operator_hash_after: str
 
 
+def ascended_matrix(mat: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, float]:
+    """(A, c): the matrix A = M + c I the classical players ascend, from M and its ascending eigenvalues.
+
+    The game recovers eigenvector i only if lambda_i > 0: otherwise its
+    gradient vanishes on the parents' span.  So when the smallest
+    eigenvalue is not positive, c = ||M||_2 - lambda_min and every
+    eigenvalue of A is at least ||M||_2; then A is formed on a copy's
+    diagonal.  Otherwise c = 0 and A is M itself, not a copy.
+    ``run_sequential`` and the theory harness both take A from here.
+    """
+    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
+    shift = max(abs(lam_min), abs(lam_max)) - lam_min if lam_min <= 0 else 0.0
+    ascended = mat.copy() if shift else mat
+    if shift:  # M + c I, formed on the copy's diagonal
+        ascended.flat[:: len(mat) + 1] += shift
+    return ascended, shift
+
+
 def run_players(k: int, play: Callable, digest: Callable[[], str]) -> SequentialResult:
     """The sequential scheduler every runner shares.
 
@@ -396,15 +414,13 @@ def run_sequential(
 ) -> SequentialResult:
     """Solve players 1..k in order with ``run_players``, each from its own seeded start.
 
-    The game recovers eigenvector i only if lambda_i > 0: otherwise its
-    gradient vanishes on the parents' span.  So when the smallest eigenvalue
-    is not positive, the players ascend M + c I with c = ||M||_2 - lambda_min,
-    whose every eigenvalue is at least ||M||_2; positive-definite inputs get
-    c = 0.  Player i ascends the shifted matrix against the vectors of
-    players 1..i-1, its parent block; eigenvalues and residuals are read
-    on M.  The dense eigenvalues, computed once, give c, the default step
-    1 / (2 (lambda_max + c)) and the leading-eigengap warning; no
-    eigenvector enters the solve.  The zero matrix is rejected: it has no
+    The players ascend A = M + c I (``ascended_matrix``): c = 0 for
+    positive-definite M, and c = ||M||_2 - lambda_min otherwise, so that
+    every eigenvalue of A is positive.  Player i ascends A against the
+    vectors of players 1..i-1, its parent block; eigenvalues and residuals
+    are read on M.  The dense eigenvalues, computed once, give c, the
+    default step 1 / (2 (lambda_max + c)) and the leading-eigengap warning;
+    no eigenvector enters the solve.  The zero matrix is rejected: it has no
     leading eigenvectors and no step size; so is a matrix with a non-finite
     entry, whose dense eigenvalues are garbage.  M is checked once per run,
     not once per player.  A real ``HermitianMatrix`` is read without a copy:
@@ -426,13 +442,10 @@ def run_sequential(
     if gaps.size and gaps[: cfg.num_players].min() < 1e-6:
         warnings.warn("leading eigengaps below 1e-6; convergence may be ill-conditioned", stacklevel=2)
 
-    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    shift = max(abs(lam_min), abs(lam_max)) - lam_min if lam_min <= 0 else 0.0
-    game = _Checked(mat.copy() if shift else mat)
-    if shift:  # M + c I, formed on the copy's diagonal
-        game.entries.flat[:: dim + 1] += shift
+    ascended, shift = ascended_matrix(mat, eigenvalues)
+    game = _Checked(ascended)
     if cfg.step_size is None:
-        cfg = replace(cfg, step_size=1.0 / (2.0 * (lam_max + shift)))
+        cfg = replace(cfg, step_size=1.0 / (2.0 * (float(eigenvalues[-1]) + shift)))
 
     def play(i: int, earlier: tuple[PlayerState, ...]) -> PlayerState:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))

@@ -8,9 +8,8 @@ apply through their compiled form (``PauliSum.compiled``).
 shots every read of the 2m + 1 shift rows is formed from products of those
 rows (``shift_row_moments``, ``shift_row_products``): no shift row is built.
 A one-row base is a plain state, so these are also the reads of a single
-prepared state; ``expectation`` is the exact one-row <M>.  ``perturb_readouts``
-draws every shot, one vector draw per batch of read-outs; the callers count
-the read-outs they draw.  The interference and SwapTest circuits are read
+prepared state.  ``perturb_readouts`` draws every shot, one vector draw per
+batch of read-outs; the callers count the read-outs they draw.  The interference and SwapTest circuits are read
 out in closed form from the products they measure
 (``interference_moments``, ``swap_test_moments``); their gate-by-gate
 simulations live with the tests, as the oracles these closed forms are
@@ -58,7 +57,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.num_qubits,):
             raise DimensionMismatchError(
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubits, got {amps.shape}"
@@ -66,20 +65,8 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise NormalizationError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-
-def zero_state(num_qubits: int) -> StateVector:
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def plus_state(num_qubits: int) -> StateVector:
-    amps = np.full(2**num_qubits, 2.0 ** (-num_qubits / 2.0), dtype=np.complex128)
-    return StateVector(num_qubits, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +147,23 @@ class AnsatzSpec:
 
     @cached_property
     def initial_amplitudes(self) -> np.ndarray:
-        """Read-only amplitudes of the layout's initial state, built once per layout."""
-        return (plus_state if self.initial_state == "plus" else zero_state)(self.num_qubits).amplitudes
+        """Read-only amplitudes of the layout's initial state, |0...0> or |+...+>, built once per layout."""
+        if self.initial_state == "plus":
+            amps = np.full(2**self.num_qubits, 2.0 ** (-self.num_qubits / 2.0), dtype=np.complex128)
+        else:
+            amps = np.eye(1, 2**self.num_qubits, dtype=np.complex128)[0]  # e_0
+        amps.flags.writeable = False
+        return amps
 
-    def bind(self, values: Sequence[float]) -> "ParameterTensor":
-        """``values`` as this layout's parameters; raises ``BindingError`` unless it has one per gate."""
-        values = np.asarray(values, dtype=np.float64)
+    def bind(self, values: Sequence[float]) -> np.ndarray:
+        """``values`` as a read-only float64 copy; raises ``BindingError`` unless it has one per gate."""
+        values = np.array(values, dtype=np.float64)
         if values.shape != (self.num_parameters,):
             raise BindingError(
                 f"spec has {self.num_parameters} parameters, got vector of shape {values.shape}"
             )
-        return ParameterTensor(values)
+        values.flags.writeable = False
+        return values
 
     def describe(self) -> str:
         """Structured text form, one line per layer, for run manifests."""
@@ -188,7 +181,7 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class ParameterTensor:
-    """Read-only flat real parameter vector; ``AnsatzSpec.bind`` checks it against a layout."""
+    """Read-only flat real parameter vector: the type of ``QuantumPlayerState.theta``."""
 
     values: np.ndarray
 
@@ -234,28 +227,30 @@ def layered_ansatz(num_qubits: int, num_layers: int, initial_state: str = "plus"
 
 
 def _norm_deviation(squared_norms: np.ndarray) -> float:
-    """The largest | ||row|| - 1 | over rows of the given squared norms; NaN when one is NaN."""
-    return float(np.abs(np.sqrt(squared_norms) - 1.0).max())
+    """The largest | ||row|| - 1 | over rows of the given squared norms.
+
+    NaN when one is NaN, and 0 without rows.
+    """
+    return float(np.abs(np.sqrt(squared_norms) - 1.0).max(initial=0.0))
 
 
-def apply_ansatz(
-    spec: AnsatzSpec, theta: ParameterTensor | Sequence[float] | np.ndarray
-) -> StateVector | np.ndarray:
+def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> StateVector | np.ndarray:
     """Prepare |psi(theta)> by running the layout's layers on its initial state.
 
-    A flat parameter vector (or ``ParameterTensor``) gives a ``StateVector``.
-    A (B, m) array prepares B states in one pass and gives their (B, 2**q)
-    amplitudes, row b from parameter row b; the single-vector call is the
-    B = 1 case.  Every row must keep unit norm to ``NORM_ATOL``.
+    A flat parameter vector gives a ``StateVector``.  A (B, m) array
+    prepares B states in one pass and gives their (B, 2**q) amplitudes, row
+    b from parameter row b, B = 0 included; the single-vector call is the
+    B = 1 case.  Every row must keep unit norm to
+    ``NORM_ATOL``.
     """
-    values = theta.values if isinstance(theta, ParameterTensor) else np.asarray(theta, dtype=np.float64)
+    values = np.asarray(theta, dtype=np.float64)
     single = values.ndim == 1
     rows = values[None, :] if single else values
     if rows.ndim != 2 or rows.shape[1] != spec.num_parameters:
         raise BindingError(
             f"spec has {spec.num_parameters} parameters, got values of shape {values.shape}"
         )
-    batch = rows.shape[0]
+    dim, batch = 2**spec.num_qubits, rows.shape[0]
     phases, layers = spec.gate_plan
     # Every gate's coefficients in one pass, (m, 2, 1, B): the partner term
     # sin(theta/2) * phase, and for a diagonal gate the whole diagonal cos + it.
@@ -271,7 +266,8 @@ def apply_ansatz(
     perm = spec.entangler_permutation
     for layer in layers:
         for qubit, k, diagonal in layer:
-            work = amps.reshape(2**qubit, 2, -1, batch)
+            # Every size explicit, so that an empty batch reshapes too.
+            work = amps.reshape(2**qubit, 2, dim >> (qubit + 1), batch)
             if diagonal:
                 work *= diagonals[k]
                 continue
@@ -305,12 +301,6 @@ def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
             f"operator acts on {h.num_qubits} qubits, amplitudes have length {amps.shape[-1]}"
         )
     return h.apply(amps)
-
-
-def expectation(h: PauliSum, psi: StateVector) -> float:
-    """Exact <psi| M |psi>: ``shift_row_moments``'s mean on the one-row base psi."""
-    rows = psi.amplitudes[None, :]
-    return float(shift_row_moments(rows, pauli_sum_apply(h, rows))[0][0])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .quantum_sim import (
     AnsatzSpec,
     ParameterTensor,
     ShotModel,
-    StateVector,
     apply_ansatz,
     interference_moments,
     parameter_shift_states,
@@ -48,9 +47,12 @@ Direction = Literal["maximize", "minimize"]
 class QuantumPlayerState:
     """One player's solve: final parameters, the state they prepare, and per-iteration histories.
 
-    ``parents`` is the read-only (P, 2**q) block of parent states the player
-    was solved against, one row per earlier player.  ``max_imag_residue``
-    is the largest imaginary residue the sweeps read, rounding for Hermitian M: under an exact shot model |Im<psi|M psi>| on
+    ``theta`` holds the final parameters and ``state`` the read-only
+    (2**q,) array of amplitudes they prepare; both are set when the solve
+    ends.  ``parents`` is the read-only (P, 2**q) block of parent states the
+    player was solved against, one row per earlier player.
+    ``max_imag_residue`` is the largest imaginary residue the sweeps read,
+    rounding for Hermitian M: under an exact shot model |Im<psi|M psi>| on
     theta's row, and under finite shots |Im<r|M r>| over the shift rows r,
     the cross terms' imaginary parts included (``shift_row_moments``).
     ``momentum_restarts`` counts the ascent's velocity restarts, 0 for
@@ -72,9 +74,9 @@ class QuantumPlayerState:
     """
 
     index: int
-    theta: ParameterTensor
     parents: np.ndarray
-    statevector: StateVector | None = None
+    theta: ParameterTensor = field(init=False)
+    state: np.ndarray = field(init=False)
     eigenvalue: float = float("nan")
     converged: bool = False
     iterations_used: int = 0
@@ -267,7 +269,8 @@ def _swap_test(objective: Objective) -> tuple[Callable, Callable]:
         return swap_test_moments(products)
 
     def penalty(reads: np.ndarray) -> np.ndarray:
-        return np.clip(2.0 * reads - 1.0, 0.0, 1.0) @ weights
+        # np.clip's bits, without its per-call dispatch.
+        return np.minimum(np.maximum(2.0 * reads - 1.0, 0.0), 1.0) @ weights
 
     return moments, penalty
 
@@ -317,7 +320,7 @@ def _parent_arrays(spec: AnsatzSpec, states, eigenvalues) -> tuple[np.ndarray, n
 def _ascend(
     m: PauliSum,
     spec: AnsatzSpec,
-    theta_init: ParameterTensor | Sequence[float],
+    theta_init: Sequence[float] | np.ndarray,
     parents: np.ndarray,
     cfg: SolverConfig,
     objective: Objective,
@@ -350,7 +353,7 @@ def _ascend(
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
     the classical player shares: no extra circuit.
     """
-    theta = theta_init if isinstance(theta_init, ParameterTensor) else spec.bind(theta_init)
+    theta = spec.bind(theta_init)
     rng = cfg.shots.make_rng()
     if cfg.shots.is_exact:
         read = _backward_read(m, objective)
@@ -358,13 +361,12 @@ def _ascend(
         read = _shot_read(m, objective, circuit, cfg.shots, rng)
     # The interference circuit's kets are A psi_j: the game applied M to its parent block.
     applied = len(parents) if circuit is _interference else 0
-    state = QuantumPlayerState(index, theta, parents, operator_rows=applied)
-    values = theta.values.copy()
-    vel = np.zeros_like(values)
+    state = QuantumPlayerState(index, parents, operator_rows=applied)
+    vel = np.zeros_like(theta)
     ball = HeavyBall()
     readouts = 0  # drawn by the read
     for _ in range(cfg.max_iterations):
-        grad, value, energy, residue, drawn = read(parameter_shift_states(spec, values))
+        grad, value, energy, residue, drawn = read(parameter_shift_states(spec, theta))
         state.max_imag_residue = max(state.max_imag_residue, residue)
         gnorm = math.sqrt(grad @ grad)
         if not math.isfinite(gnorm):  # a NaN or infinite entry of grad makes the norm so
@@ -381,14 +383,15 @@ def _ascend(
         step = objective.eta * grad
         beta = ball.weight(state.iterations_used, float(step @ vel))
         vel = beta * vel + step if beta else step
-        values = values + vel
+        theta = theta + vel
         state.iterations_used += 1
 
     state.momentum_restarts = ball.restarts
-    state.theta = ParameterTensor(values)
-    final = apply_ansatz(spec, values[None, :])
+    state.theta = ParameterTensor(theta)
+    final = apply_ansatz(spec, theta[None, :])
+    final.flags.writeable = False
     mean, var, _, _ = shift_row_moments(final, pauli_sum_apply(m, final))
-    state.statevector = StateVector(spec.num_qubits, final[0])
+    state.state = final[0]
     state.eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
     state.residual = math.sqrt(var[0])
     overlaps = np.abs(shift_row_products(final, parents)) ** 2
@@ -450,7 +453,7 @@ def _game_objective(
 def quantumgame_player(
     m: PauliSum,
     spec: AnsatzSpec,
-    theta_init: ParameterTensor | Sequence[float],
+    theta_init: Sequence[float] | np.ndarray,
     parent_states,
     parent_eigenvalues: Sequence[float],
     cfg: SolverConfig,
@@ -487,7 +490,7 @@ def _penalty_norm_bound(states: np.ndarray, betas: Sequence[float]) -> float:
 def vqd_player(
     m: PauliSum,
     spec: AnsatzSpec,
-    theta_init: ParameterTensor | Sequence[float],
+    theta_init: Sequence[float] | np.ndarray,
     parent_states,
     parent_eigenvalues: Sequence[float],
     cfg: SolverConfig,
@@ -544,9 +547,9 @@ def _sequential_run(
 
     def play(r: int, earlier: tuple[QuantumPlayerState, ...]) -> QuantumPlayerState:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        theta_init = spec.bind(rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
+        theta_init = rng.uniform(-np.pi, np.pi, size=spec.num_parameters)
         shots = replace(cfg.shots, rng_seed=int(rng.integers(0, 2**31 - 1)))
-        states = [p.statevector.amplitudes for p in earlier]
+        states = [p.state for p in earlier]
         eigenvalues = [p.eigenvalue for p in earlier]
         return player_fn(m, spec, theta_init, states, eigenvalues, replace(cfg, shots=shots), index=r)
 

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateParentError
-from .eigengame_classical import finite_diff_gradient
+from .eigengame_classical import ascended_matrix, finite_diff_gradient
 from .hamiltonian import (
     HermitianMatrix,
     PauliSum,
@@ -192,6 +192,16 @@ def _parent_error_sum(mat: np.ndarray, parents_true: Sequence, parents_hat: Sequ
     return total
 
 
+def _ascended(m) -> np.ndarray:
+    """The matrix A = M + c I that ``run_sequential``'s players ascend (``ascended_matrix``).
+
+    ``m`` must be real symmetric, as a ``HermitianMatrix`` or an array;
+    anything else raises ``HermiticityError``.
+    """
+    mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).real_symmetric()
+    return ascended_matrix(mat, np.linalg.eigvalsh(mat))[0]
+
+
 def error_accumulation_bound_classical(
     m,
     parents_true: Sequence[np.ndarray],
@@ -200,12 +210,14 @@ def error_accumulation_bound_classical(
 ) -> float:
     """Bound on the child-gradient change caused by mis-specified parents.
 
-    The parent sum of ``_parent_error_sum`` on M's real symmetric array.
-    ``m`` must be real symmetric, as a ``HermitianMatrix`` or an array;
-    anything else raises ``HermiticityError``.
+    The parent sum of ``_parent_error_sum`` on the matrix the players
+    ascend, A = M + c I (``ascended_matrix``): A = M when M is positive
+    definite, and otherwise every eigenvalue of A is at least ||M||_2, so
+    each parent's Rayleigh quotient has lambda_top's sign, as the bound
+    assumes.  ``m`` must be real symmetric, as a ``HermitianMatrix`` or an
+    array; anything else raises ``HermiticityError``.
     """
-    mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).real_symmetric()
-    return _parent_error_sum(mat, parents_true, parents_hat, sigma)
+    return _parent_error_sum(_ascended(m), parents_true, parents_hat, sigma)
 
 
 def error_accumulation_bound_quantum(
@@ -225,10 +237,13 @@ def error_accumulation_bound_quantum(
     array; anything else raises ``HermiticityError``.  It is the operator
     whose gradient the bound covers: ``measure_error_accumulation_quantum``
     passes the game's A = sign*M + offset*I, whose every eigenvalue is
-    positive, as the paper's theory assumes."""
+    positive, as the paper's theory assumes.  Each theta is bound to
+    ``spec`` and the parent states are prepared in one ``apply_ansatz``
+    call, true parents first."""
     mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).entries
-    v_true = [apply_ansatz(spec, theta).amplitudes for theta in parents_true_theta]
-    v_hat = [apply_ansatz(spec, theta).amplitudes for theta in parents_hat_theta]
+    thetas = [spec.bind(theta) for theta in (*parents_true_theta, *parents_hat_theta)]
+    states = apply_ansatz(spec, np.reshape(thetas, (len(thetas), spec.num_parameters)))
+    v_true, v_hat = np.split(states, [len(parents_true_theta)])
     return math.sqrt(spec.num_parameters) * _parent_error_sum(mat, v_true, v_hat, 0.0)
 
 
@@ -324,11 +339,12 @@ def measure_error_accumulation_classical(
     """Measure the child-gradient change under parent rotations of angle epsilon.
 
     The measured value is the tangential norm of the gradient difference with
-    perturbed versus exact parents; the bound is the error-accumulation
-    formula evaluated on the same displacements.
+    perturbed versus exact parents, on the matrix the players ascend; the
+    bound is the error-accumulation formula evaluated on the same
+    displacements and the same matrix.
     """
     matrix, spectrum = build_powerlaw_hamiltonian(dim, seed=seed)
-    mat = matrix.real_symmetric()
+    mat = _ascended(matrix)
     rng = np.random.default_rng(seed + 17)
     rows = []
     true_parents = [spectrum.eigenvector(j).real for j in range(player_index - 1)]

@@ -9,7 +9,9 @@ reads the library forms from products of the base rows; the scalar
 parameter-shift loop and the literal forward-difference quotient check the
 batched and closed-form gradients; ``row_moments`` reads <M> and Var(M)
 of independent state rows one at a time, the reference for the library's
-one moments read ``shift_row_moments``; ``classical_game_terms`` and
+one moments read ``shift_row_moments``, and ``state_energy`` is its <M> on
+one state; ``product_state`` builds |0...0> and |+...+>, the reference for
+``AnsatzSpec.initial_amplitudes``; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``vector_eigengame_player`` is the classical
 player's ascent written on whole vectors, the loop the library's fused
@@ -56,9 +58,7 @@ from eigengames.hamiltonian import HERMITICITY_ATOL, PauliSum
 from eigengames.quantum_sim import (
     NORM_ATOL,
     AnsatzSpec,
-    ParameterTensor,
     ShotModel,
-    StateVector,
     apply_ansatz,
     pauli_sum_apply,
     shift_rule_gradient,
@@ -109,6 +109,21 @@ def row_moments(rows: np.ndarray, h_rows: np.ndarray) -> tuple[np.ndarray, np.nd
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
     mean = value.real
     return mean, np.maximum(second - mean * mean, 0.0), second, residue
+
+
+def state_energy(h: PauliSum, psi: np.ndarray) -> float:
+    """<psi|M|psi> of one state's amplitudes: ``row_moments``'s mean on the one row psi."""
+    rows = np.asarray(psi)[None, :]
+    return float(row_moments(rows, pauli_sum_apply(h, rows))[0][0])
+
+
+def product_state(kind: str, num_qubits: int) -> np.ndarray:
+    """|0...0> (``kind`` "zero") or |+...+> (``kind`` "plus") as 2**num_qubits complex amplitudes."""
+    if kind == "plus":
+        return np.full(2**num_qubits, 2.0 ** (-num_qubits / 2.0), dtype=np.complex128)
+    amps = np.zeros(2**num_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +200,22 @@ S_GATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
 # Inner-product circuits
 # ---------------------------------------------------------------------------
 
-def _interference_states(psi_r: StateVector, psi_j: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """Ancilla circuit states for the Re and Im read-outs of <psi_r| M |psi_j>.
+def _num_qubits(psi: np.ndarray) -> int:
+    return int(psi.shape[0]).bit_length() - 1
+
+
+def _interference_states(psi_r: np.ndarray, psi_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ancilla circuit states for the Re and Im read-outs of <psi_r| M |psi_j>, given their amplitudes.
 
     Builds (|psi_j>|0> + |psi_r>|1>)/sqrt(2) on q+1 qubits (ancilla last),
     then applies H to the ancilla; the Im variant applies S before H.
     """
-    if psi_r.num_qubits != psi_j.num_qubits:
+    if psi_r.shape != psi_j.shape:
         raise DimensionMismatchError("states act on different qubit counts")
-    q = psi_r.num_qubits
+    q = _num_qubits(psi_r)
     superposed = np.zeros(2 ** (q + 1), dtype=np.complex128)
-    superposed[0::2] = psi_j.amplitudes / np.sqrt(2.0)
-    superposed[1::2] = psi_r.amplitudes / np.sqrt(2.0)
+    superposed[0::2] = psi_j / np.sqrt(2.0)
+    superposed[1::2] = psi_r / np.sqrt(2.0)
     re_state = _single_qubit_gate(superposed, HADAMARD, q, q + 1)
     im_state = _single_qubit_gate(superposed, S_GATE, q, q + 1)
     im_state = _single_qubit_gate(im_state, HADAMARD, q, q + 1)
@@ -208,9 +227,9 @@ def _extend_with_ancilla_z(h: PauliSum) -> PauliSum:
     return PauliSum(h.num_qubits + 1, tuple((c, s + "Z") for c, s in h.terms))
 
 
-def mixed_expectation_states(h: PauliSum, psi_r: StateVector, psi_j: StateVector) -> complex:
+def mixed_expectation_states(h: PauliSum, psi_r: np.ndarray, psi_j: np.ndarray) -> complex:
     """<psi_r| M |psi_j> from two expectations of M x Z on the ancilla circuit."""
-    if h.num_qubits != psi_r.num_qubits:
+    if 2**h.num_qubits != psi_r.shape[0]:
         raise DimensionMismatchError("operator and states act on different qubit counts")
     re_state, im_state = _interference_states(psi_r, psi_j)
     observable = _extend_with_ancilla_z(h)
@@ -222,29 +241,31 @@ def mixed_expectation_states(h: PauliSum, psi_r: StateVector, psi_j: StateVector
 def mixed_expectation(
     h: PauliSum,
     spec: AnsatzSpec,
-    theta_r: ParameterTensor | Sequence[float],
-    theta_j: ParameterTensor | Sequence[float],
+    theta_r: Sequence[float],
+    theta_j: Sequence[float],
 ) -> complex:
     """<psi(theta_r)| M |psi(theta_j)> via the (q+1)-qubit interference circuit."""
-    return mixed_expectation_states(h, apply_ansatz(spec, theta_r), apply_ansatz(spec, theta_j))
+    return mixed_expectation_states(
+        h, apply_ansatz(spec, theta_r).amplitudes, apply_ansatz(spec, theta_j).amplitudes
+    )
 
 
-def swap_test_overlap(psi1: StateVector, psi2: StateVector) -> float:
+def swap_test_overlap(psi1: np.ndarray, psi2: np.ndarray) -> float:
     """|<psi1|psi2>|^2 read off a simulated (2q+1)-qubit SwapTest.
 
     The ancilla-0 probability satisfies P(0) = 1/2 + |<psi1|psi2>|^2 / 2, so
     the overlap is 2 P(0) - 1.
     """
-    if psi1.num_qubits != psi2.num_qubits:
+    if psi1.shape != psi2.shape:
         raise DimensionMismatchError("states act on different qubit counts")
     p0 = _swap_test_p0(psi1, psi2)
     return float(np.clip(2.0 * p0 - 1.0, 0.0, 1.0))
 
 
-def _swap_test_p0(psi1: StateVector, psi2: StateVector) -> float:
-    """Ancilla-0 probability of the SwapTest circuit (ancilla first, H-cSWAP-H)."""
-    q = psi1.num_qubits
-    block = np.kron(psi1.amplitudes, psi2.amplitudes)
+def _swap_test_p0(psi1: np.ndarray, psi2: np.ndarray) -> float:
+    """Ancilla-0 probability of the SwapTest circuit (ancilla first, H-cSWAP-H), given the two states' amplitudes."""
+    q = _num_qubits(psi1)
+    block = np.kron(psi1, psi2)
     amps = np.zeros(2 ** (2 * q + 1), dtype=np.complex128)
     amps[: block.size] = block
     amps = _single_qubit_gate(amps, HADAMARD, 0, 2 * q + 1)
@@ -373,7 +394,7 @@ def numeric_forward_difference(v: np.ndarray, parents, m, sigma: float) -> np.nd
 def quantum_utility(
     m: PauliSum,
     spec: AnsatzSpec,
-    theta_r: ParameterTensor | Sequence[float],
+    theta_r: Sequence[float],
     parent_states,
     parent_eigenvalues: Sequence[float],
     shots: ShotModel = ShotModel(),
@@ -389,7 +410,7 @@ def quantum_utility(
     their given eigenvalues on M, as a player receives them.  This is the
     game's finite-shot read of the one-row base psi_r.
     """
-    values = theta_r.values if isinstance(theta_r, ParameterTensor) else np.asarray(theta_r, dtype=np.float64)
+    values = np.asarray(theta_r, dtype=np.float64)
     block = _parent_block(parent_states, 2**spec.num_qubits, np.complex128)
     objective = _game_objective(m, block, parent_eigenvalues, "maximize")
     psi = apply_ansatz(spec, values[None, :])

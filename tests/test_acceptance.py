@@ -26,9 +26,7 @@ from eigengames.hamiltonian import (
 )
 from eigengames.quantum_sim import (
     ShotModel,
-    StateVector,
     apply_ansatz,
-    expectation,
     pauli_sum_apply,
     random_layers_ansatz,
     shift_row_moments,
@@ -52,6 +50,7 @@ from oracles import (
     numeric_forward_difference,
     parameter_shift_gradient,
     quantum_utility,
+    state_energy,
     swap_test_overlap,
 )
 
@@ -254,10 +253,9 @@ def test_criterion_6_circuit_equivalence():
         a /= np.linalg.norm(a)
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         b /= np.linalg.norm(b)
-        sa, sb = StateVector(2, a), StateVector(2, b)
         direct = complex(np.vdot(a, dense @ b))
-        worst_mixed = max(worst_mixed, abs(mixed_expectation_states(H2, sa, sb) - direct))
-        worst_swap = max(worst_swap, abs(swap_test_overlap(sa, sb) - abs(np.vdot(a, b)) ** 2))
+        worst_mixed = max(worst_mixed, abs(mixed_expectation_states(H2, a, b) - direct))
+        worst_swap = max(worst_swap, abs(swap_test_overlap(a, b) - abs(np.vdot(a, b)) ** 2))
     elapsed = time.time() - start
     report(
         6,
@@ -288,7 +286,7 @@ def test_criterion_7_parameter_shift_correctness():
     z_ops = [H2, pauli_sum_from_strings(3)]
     for spec, op in zip(specs, z_ops):
         def plain(theta, spec=spec, op=op):
-            return expectation(op, apply_ansatz(spec, theta))
+            return state_energy(op, apply_ansatz(spec, theta).amplitudes)
 
         for _ in range(4):
             theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
@@ -297,8 +295,8 @@ def test_criterion_7_parameter_shift_correctness():
 
     # Full player utility with one frozen parent.
     theta_parent = ANSATZ.bind(rng.uniform(-np.pi, np.pi, 9))
-    parent_state = apply_ansatz(ANSATZ, theta_parent)
-    parent = [parent_state.amplitudes], [expectation(H2, parent_state)]
+    parent_state = apply_ansatz(ANSATZ, theta_parent).amplitudes
+    parent = [parent_state], [state_energy(H2, parent_state)]
 
     def utility(theta):
         return quantum_utility(H2, ANSATZ, ANSATZ.bind(theta), *parent, shots)

@@ -233,7 +233,7 @@ class TestBetaSweepCommand:
         overlap = next(float(l.split(",")[-1]) for l in lines[1:] if l.split(",")[1] == "noiseless")
         h, _, spec = _h2_setup(cfg)
         result = run_vqd(h, spec, _solver_config(cfg, None, 0.1), cfg["num_levels"], seed=0)
-        states = np.array([p.statevector.amplitudes for p in result.players])
+        states = np.array([p.state for p in result.players])
         gram = np.abs(states.conj() @ states.T) ** 2
         assert overlap >= 0.99
         assert abs(overlap - max(p.max_parent_overlap for p in result.players)) <= 1e-12

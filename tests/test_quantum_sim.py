@@ -26,18 +26,15 @@ from eigengames.quantum_sim import (
     ShotModel,
     StateVector,
     apply_ansatz,
-    expectation,
     interference_moments,
     layered_ansatz,
     parameter_shift_states,
     pauli_sum_apply,
     perturb_readouts,
-    plus_state,
     random_layers_ansatz,
     shift_row_moments,
     shift_row_products,
     swap_test_moments,
-    zero_state,
 )
 
 from oracles import (
@@ -51,6 +48,7 @@ from oracles import (
     mixed_expectation_states,
     parameter_shift_gradient,
     parameter_shift_points,
+    product_state,
     rebuild_shift_rows,
     rotation_gate,
     row_moments,
@@ -63,15 +61,19 @@ Z1 = PauliSum(1, ((1.0, "Z"),))
 
 def random_state(num_qubits, rng):
     amps = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
-    amps /= np.linalg.norm(amps)
-    return StateVector(num_qubits, amps)
+    return amps / np.linalg.norm(amps)
 
 
 def noisy_energy(h, psi, shots):
     """One read-out of <M> on psi as the players draw it: ``shift_row_moments`` on psi, then ``perturb_readouts``."""
-    rows = psi.amplitudes[None, :]
+    rows = psi[None, :]
     mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
     return float(perturb_readouts(shots, mean, var, shots.make_rng())[0])
+
+
+def exact_energy(h, psi):
+    """<M> on psi as the library reads one state: ``shift_row_moments``'s mean on the one-row base psi."""
+    return noisy_energy(h, psi, ShotModel())
 
 
 def central_difference_gradient(objective, theta, step=1e-5):
@@ -90,7 +92,7 @@ class TestApplyAnsatz:
     def test_zero_rotation_is_identity(self):
         spec = AnsatzSpec(2, ((("RY", 0), ("RY", 1)),), (), "zero")
         out = apply_ansatz(spec, [0.0, 0.0])
-        assert np.allclose(out.amplitudes, zero_state(2).amplitudes, atol=1e-15)
+        assert np.allclose(out.amplitudes, product_state("zero", 2), atol=1e-15)
 
     def test_ry_pi_flips_qubit(self):
         spec = AnsatzSpec(1, ((("RY", 0),),), (), "zero")
@@ -126,7 +128,7 @@ class TestApplyAnsatz:
 
 def per_gate_ansatz(spec, values):
     """Reference preparation: one 2x2 gate or CNOT at a time, in circuit order."""
-    amps = (plus_state if spec.initial_state == "plus" else zero_state)(spec.num_qubits).amplitudes
+    amps = product_state(spec.initial_state, spec.num_qubits)
     params = iter(values)  # parameter k drives the k-th rotation in circuit order
     for layer in spec.layer_rotations:
         for kind, qubit in layer:
@@ -159,6 +161,12 @@ class TestBatchedAnsatz:
             assert np.max(np.abs(amps - per_gate_ansatz(spec, row))) <= 1e-12
             single = apply_ansatz(spec, row)
             assert np.array_equal(single.amplitudes, amps)
+
+    @pytest.mark.parametrize("batch", [0, 1, 3])
+    def test_batch_of_any_size_gives_a_block(self, batch):
+        spec = random_layers_ansatz(3, 2, 4, seed=1)
+        rows = np.random.default_rng(batch).uniform(-np.pi, np.pi, (batch, spec.num_parameters))
+        assert apply_ansatz(spec, rows).shape == (batch, 8)
 
     def test_gate_plan_built_once_and_read_only(self):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
@@ -285,13 +293,14 @@ class TestAnsatzSpec:
         values = np.linspace(0.0, 1.0, 9)
         theta = random_layers_ansatz(2, 3, 3, seed=11).bind(values)
         values[0] = 5.0
-        assert theta.values[0] == 0.0 and not theta.values.flags.writeable
+        assert theta.dtype == np.float64 and theta.shape == (9,)
+        assert theta[0] == 0.0 and not theta.flags.writeable
 
-    @pytest.mark.parametrize("initial_state, state", [("plus", plus_state), ("zero", zero_state)])
-    def test_initial_amplitudes_built_once_and_read_only(self, initial_state, state):
+    @pytest.mark.parametrize("initial_state", ["plus", "zero"])
+    def test_initial_amplitudes_built_once_and_read_only(self, initial_state):
         spec = AnsatzSpec(3, ((("RY", 0),),), (), initial_state)
         amps = spec.initial_amplitudes
-        assert np.array_equal(amps, state(3).amplitudes)
+        assert np.array_equal(amps, product_state(initial_state, 3))
         assert not amps.flags.writeable
         assert spec.initial_amplitudes is amps
 
@@ -312,21 +321,21 @@ class TestAnsatzSpec:
 
 class TestExpectation:
     def test_z_eigenstate(self):
-        assert expectation(Z1, zero_state(1)) == pytest.approx(1.0, abs=1e-14)
+        assert exact_energy(Z1, product_state("zero", 1)) == pytest.approx(1.0, abs=1e-14)
 
     def test_z_on_plus_state(self):
-        assert expectation(Z1, plus_state(1)) == pytest.approx(0.0, abs=1e-12)
+        assert exact_energy(Z1, product_state("plus", 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_molecular_ground_state_matches_oracle(self):
         # Oracle: dense diagonalization of the bundled operator.
         h = load_pauli_sum(bundled_h2_path())
         spectrum = exact_eigendecomposition(pauli_sum_to_matrix(h))
-        ground = StateVector(2, spectrum.eigenvector(3))
-        assert expectation(h, ground) == pytest.approx(float(spectrum.eigenvalues[3]), abs=1e-12)
+        ground = np.asarray(spectrum.eigenvector(3), dtype=np.complex128)
+        assert exact_energy(h, ground) == pytest.approx(float(spectrum.eigenvalues[3]), abs=1e-12)
 
     def test_qubit_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            expectation(Z1, zero_state(2))
+            exact_energy(Z1, product_state("zero", 2))
 
     def test_expectation_matches_dense_on_random_states(self):
         h = load_pauli_sum(bundled_h2_path())
@@ -334,8 +343,8 @@ class TestExpectation:
         rng = np.random.default_rng(3)
         for _ in range(20):
             psi = random_state(2, rng)
-            direct = float(np.vdot(psi.amplitudes, dense @ psi.amplitudes).real)
-            assert expectation(h, psi) == pytest.approx(direct, abs=1e-12)
+            direct = float(np.vdot(psi, dense @ psi).real)
+            assert exact_energy(h, psi) == pytest.approx(direct, abs=1e-12)
 
 
 class TestStateMoments:
@@ -345,7 +354,7 @@ class TestStateMoments:
         rng = np.random.default_rng(21)
         h = random_pauli_sum(3, 10, rng)
         dense = pauli_sum_to_matrix(h).entries
-        rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
+        rows = np.array([random_state(3, rng) for _ in range(6)])
         mean, var, second, residue = row_moments(rows, pauli_sum_apply(h, rows))
         m_rows = rows @ dense.T
         dense_mean = np.einsum("bi,bi->b", rows.conj(), m_rows).real
@@ -361,7 +370,7 @@ class TestStateMoments:
         # A one-row base is a plain state: its shift-row read is that state's moments.
         rng = np.random.default_rng(22)
         h = random_pauli_sum(3, 10, rng)
-        rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
+        rows = np.array([random_state(3, rng) for _ in range(6)])
         h_rows = pauli_sum_apply(h, rows)
         want = row_moments(rows, h_rows)
         for b in range(6):
@@ -370,12 +379,6 @@ class TestStateMoments:
             for g, w in zip(got[:3], want[:3]):
                 assert g[0] == pytest.approx(w[b], rel=0.0, abs=1e-15)
             assert got[3] <= NORM_ATOL
-
-    def test_expectation_is_the_one_row_mean(self):
-        h = load_pauli_sum(bundled_h2_path())
-        psi = random_state(2, np.random.default_rng(5))
-        rows = psi.amplitudes[None, :]
-        assert expectation(h, psi) == float(shift_row_moments(rows, pauli_sum_apply(h, rows))[0][0])
 
     @pytest.mark.parametrize("read", [row_moments, shift_row_moments], ids=["reference", "one-row"])
     def test_variance_clamps_at_zero(self, read):
@@ -389,7 +392,7 @@ class TestStateMoments:
 
     @pytest.mark.parametrize("read", [row_moments, shift_row_moments], ids=["reference", "one-row"])
     def test_imaginary_residue_above_tolerance_raises(self, read):
-        rows = plus_state(1).amplitudes[None, :]
+        rows = product_state("plus", 1)[None, :]
         _, _, _, residue = read(rows, 0.5j * NORM_ATOL * rows)
         assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
         with pytest.raises(ValueError, match="imaginary residue"):
@@ -399,19 +402,20 @@ class TestStateMoments:
 class TestShotNoise:
     def test_zero_variance_is_exact(self):
         shots = ShotModel(17, rng_seed=0)
-        assert noisy_energy(Z1, zero_state(1), shots) == 1.0
+        assert noisy_energy(Z1, product_state("zero", 1), shots) == 1.0
 
     def test_exact_model_reads_the_mean(self):
         h = load_pauli_sum(bundled_h2_path())
         psi = random_state(2, np.random.default_rng(4))
-        assert noisy_energy(h, psi, ShotModel()) == expectation(h, psi)
+        rows = psi[None, :]
+        assert noisy_energy(h, psi, ShotModel()) == shift_row_moments(rows, pauli_sum_apply(h, rows))[0][0]
 
     def test_ten_thousand_shot_band(self):
         # Var(Z on |+>) = 1, so the estimator std is 0.01; +-0.05 is a 5-sigma band.
         inside = 0
         trials = 300
         for seed in range(trials):
-            value = noisy_energy(Z1, plus_state(1), ShotModel(10_000, rng_seed=seed))
+            value = noisy_energy(Z1, product_state("plus", 1), ShotModel(10_000, rng_seed=seed))
             inside += abs(value) <= 0.05
         assert inside / trials >= 0.99
 
@@ -419,13 +423,13 @@ class TestShotNoise:
         inside = 0
         trials = 200
         for seed in range(trials):
-            value = noisy_energy(Z1, plus_state(1), ShotModel(10**8, rng_seed=seed))
+            value = noisy_energy(Z1, product_state("plus", 1), ShotModel(10**8, rng_seed=seed))
             inside += abs(value) <= 1e-3
         assert inside / trials >= 0.99
 
     def test_deterministic_per_seed(self):
         shots = ShotModel(100, rng_seed=5)
-        assert noisy_energy(Z1, plus_state(1), shots) == noisy_energy(Z1, plus_state(1), shots)
+        assert noisy_energy(Z1, product_state("plus", 1), shots) == noisy_energy(Z1, product_state("plus", 1), shots)
 
     def test_successive_reads_on_one_generator_draw_independently(self):
         shots = ShotModel(100, rng_seed=5)
@@ -499,7 +503,7 @@ class TestShotNoise:
         h = load_pauli_sum(bundled_h2_path())
         rng = np.random.default_rng(8)
         psi = random_state(2, rng)
-        rows = psi.amplitudes[None, :]
+        rows = psi[None, :]
         mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
         n = 400
         draws = np.array([noisy_energy(h, psi, ShotModel(n, rng_seed=s)) for s in range(1000)])
@@ -516,15 +520,15 @@ class TestMixedExpectation:
         h = load_pauli_sum(bundled_h2_path())
         value = mixed_expectation(h, spec, theta, theta)
         assert value.imag == pytest.approx(0.0, abs=1e-10)
-        assert value.real == pytest.approx(expectation(h, apply_ansatz(spec, theta)), abs=1e-10)
+        assert value.real == pytest.approx(exact_energy(h, apply_ansatz(spec, theta).amplitudes), abs=1e-10)
 
     def test_orthogonal_basis_states(self):
-        zero = zero_state(1)
-        one = StateVector(1, np.array([0.0, 1.0], dtype=complex))
+        zero = product_state("zero", 1)
+        one = np.array([0.0, 1.0], dtype=complex)
         assert abs(mixed_expectation_states(Z1, zero, one)) <= 1e-12
 
     def test_zero_plus_closed_form(self):
-        value = mixed_expectation_states(Z1, zero_state(1), plus_state(1))
+        value = mixed_expectation_states(Z1, product_state("zero", 1), product_state("plus", 1))
         assert value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_circuit_matches_dense_algebra_randomized(self):
@@ -534,7 +538,7 @@ class TestMixedExpectation:
         for _ in range(50):
             bra = random_state(2, rng)
             ket = random_state(2, rng)
-            direct = complex(np.vdot(bra.amplitudes, dense @ ket.amplitudes))
+            direct = complex(np.vdot(bra, dense @ ket))
             circuit = mixed_expectation_states(h, bra, ket)
             assert abs(circuit - direct) <= 1e-10
 
@@ -552,8 +556,8 @@ class TestClosedFormReadouts:
         rng = np.random.default_rng(11)
         h = random_pauli_sum(3, 9, rng)
         observable = _extend_with_ancilla_z(h)
-        rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
-        parents = np.array([random_state(3, rng).amplitudes for _ in range(3)])
+        rows = np.array([random_state(3, rng) for _ in range(6)])
+        parents = np.array([random_state(3, rng) for _ in range(3)])
         m_rows = pauli_sum_apply(h, rows)
         m_parents = pauli_sum_apply(h, parents)
         row_second = np.einsum("bi,bi->b", m_rows.conj(), m_rows).real
@@ -562,7 +566,7 @@ class TestClosedFormReadouts:
         assert means.shape == variances.shape == (6, 6)
         for b, row in enumerate(rows):
             for j, parent in enumerate(parents):
-                states = _interference_states(StateVector(3, row), StateVector(3, parent))
+                states = _interference_states(row, parent)
                 for part, state in enumerate(states):  # Re read-out, then Im
                     mean, var = self.circuit_moments(observable, state)
                     assert abs(means[b, 2 * j + part] - mean) <= 1e-12
@@ -570,40 +574,40 @@ class TestClosedFormReadouts:
 
     def test_swap_test_probability_and_variance(self):
         rng = np.random.default_rng(12)
-        rows = np.array([random_state(3, rng).amplitudes for _ in range(6)])
-        parents = np.array([random_state(3, rng).amplitudes for _ in range(3)])
+        rows = np.array([random_state(3, rng) for _ in range(6)])
+        parents = np.array([random_state(3, rng) for _ in range(3)])
         p0, var = swap_test_moments(rows.conj() @ parents.T)
         for b, row in enumerate(rows):
             for j, parent in enumerate(parents):
-                circuit = _swap_test_p0(StateVector(3, row), StateVector(3, parent))
+                circuit = _swap_test_p0(row, parent)
                 assert abs(p0[b, j] - circuit) <= 1e-12
                 assert abs(var[b, j] - circuit * (1.0 - circuit)) <= 1e-12
 
 
 class TestSwapTest:
     def test_identical_states(self):
-        psi = plus_state(2)
+        psi = product_state("plus", 2)
         assert swap_test_overlap(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        zero = zero_state(1)
-        one = StateVector(1, np.array([0.0, 1.0], dtype=complex))
+        zero = product_state("zero", 1)
+        one = np.array([0.0, 1.0], dtype=complex)
         assert swap_test_overlap(zero, one) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_plus_half(self):
-        assert swap_test_overlap(zero_state(1), plus_state(1)) == pytest.approx(0.5, abs=1e-12)
+        assert swap_test_overlap(product_state("zero", 1), product_state("plus", 1)) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_direct_inner_product_randomized(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             a = random_state(2, rng)
             b = random_state(2, rng)
-            direct = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+            direct = abs(np.vdot(a, b)) ** 2
             assert abs(swap_test_overlap(a, b) - direct) <= 1e-10
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            swap_test_overlap(zero_state(1), zero_state(2))
+            swap_test_overlap(product_state("zero", 1), product_state("zero", 2))
 
 
 class TestParameterShift:
@@ -611,7 +615,7 @@ class TestParameterShift:
         spec = AnsatzSpec(1, ((("RX", 0),),), (), "zero")
 
         def objective(theta):
-            return expectation(Z1, apply_ansatz(spec, theta))
+            return exact_energy(Z1, apply_ansatz(spec, theta).amplitudes)
 
         assert parameter_shift_gradient(objective, np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -619,7 +623,7 @@ class TestParameterShift:
         spec = AnsatzSpec(1, ((("RX", 0),),), (), "zero")
 
         def objective(theta):
-            return expectation(Z1, apply_ansatz(spec, theta))
+            return exact_energy(Z1, apply_ansatz(spec, theta).amplitudes)
 
         got = parameter_shift_gradient(objective, np.array([np.pi / 2.0]))[0]
         assert got == pytest.approx(-1.0, abs=1e-12)
@@ -631,7 +635,7 @@ class TestParameterShift:
         rng = np.random.default_rng(4)
 
         def objective(theta):
-            return expectation(h, apply_ansatz(spec, theta))
+            return exact_energy(h, apply_ansatz(spec, theta).amplitudes)
 
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
@@ -691,7 +695,7 @@ class TestParameterShiftStates:
         h = random_pauli_sum(spec.num_qubits, 12, np.random.default_rng(spec.num_qubits))
         rng = np.random.default_rng(spec.num_parameters)
         m = spec.num_parameters
-        parents = np.array([random_state(spec.num_qubits, rng).amplitudes for _ in range(2)])
+        parents = np.array([random_state(spec.num_qubits, rng) for _ in range(2)])
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, m)
             base = parameter_shift_states(spec, theta)
@@ -719,7 +723,7 @@ class TestParameterShiftStates:
         q = spec.num_qubits
         rng = np.random.default_rng(seed)
         h = random_pauli_sum(q, 8, rng)
-        parents = np.array([random_state(q, rng).amplitudes for _ in range(num_parents)],
+        parents = np.array([random_state(q, rng) for _ in range(num_parents)],
                            dtype=np.complex128).reshape(num_parents, 2**q)
         m_parents = pauli_sum_apply(h, parents)
         parent_second = np.einsum("pi,pi->p", m_parents.conj(), m_parents).real
@@ -750,8 +754,8 @@ class TestParameterShiftStates:
         # A gate that is not a Pauli rotation leaves phi_k with a real overlap
         # with psi, and the shift rows lose unit norm.
         rng = np.random.default_rng(3)
-        psi = random_state(2, rng).amplitudes
-        phi = np.array([1j * psi, (psi + random_state(2, rng).amplitudes) / 2.0])
+        psi = random_state(2, rng)
+        phi = np.array([1j * psi, (psi + random_state(2, rng)) / 2.0])
         phi[1] /= np.linalg.norm(phi[1])
         base = np.vstack((phi, psi))
         with pytest.raises(NormalizationError):

@@ -24,7 +24,6 @@ from eigengames.quantum_sim import (
     ParameterTensor,
     ShotModel,
     apply_ansatz,
-    expectation,
     layered_ansatz,
     parameter_shift_states,
     pauli_sum_apply,
@@ -32,7 +31,6 @@ from eigengames.quantum_sim import (
     shift_row_moments,
     shift_row_products,
     shift_rule_gradient,
-    zero_state,
 )
 from eigengames.quantumgame import (
     SolverConfig,
@@ -53,9 +51,9 @@ Z1 = PauliSum(1, ((1.0, "Z"),))
 
 def make_parents(h, spec, thetas):
     """(P, 2**q) parent states prepared from each theta in turn, and their (P,) eigenvalues on h."""
-    states = [apply_ansatz(spec, spec.bind(theta)) for theta in thetas]
-    block = np.array([state.amplitudes for state in states]).reshape(len(states), 2**spec.num_qubits)
-    return block, np.array([expectation(h, state) for state in states])
+    states = [apply_ansatz(spec, spec.bind(theta)).amplitudes for theta in thetas]
+    block = np.array(states).reshape(len(states), 2**spec.num_qubits)
+    return block, np.array([exact_moments(h, state)[0] for state in block])
 
 
 def arguments(fn, args, kwargs):
@@ -64,8 +62,8 @@ def arguments(fn, args, kwargs):
 
 
 def exact_moments(h, psi):
-    """(<M>, Var(M)) of one state, from ``shift_row_moments`` on it."""
-    rows = psi.amplitudes[None, :]
+    """(<M>, Var(M)) of one state's amplitudes, from ``shift_row_moments`` on it."""
+    rows = psi[None, :]
     mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
     return float(mean[0]), float(var[0])
 
@@ -102,7 +100,7 @@ class TestQuantumUtility:
         theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
         value = quantum_utility(h2, spec, theta, (), (), ShotModel())
         _, _, offset = dense_game_operator(h2, "maximize")
-        assert value == pytest.approx(expectation(h2, apply_ansatz(spec, theta)) + offset, abs=1e-12)
+        assert value == pytest.approx(exact_moments(h2, apply_ansatz(spec, theta).amplitudes)[0] + offset, abs=1e-12)
 
     def test_orthogonal_basis_states_have_zero_penalty(self):
         # Player at |00>, parent at a different basis state of the diagonal
@@ -117,7 +115,8 @@ class TestQuantumUtility:
         assert abs(abs(states[0, 2]) - 1.0) < 1e-12
         value = quantum_utility(DIAG_3210, spec, child, states, eigenvalues, ShotModel())
         _, _, offset = dense_game_operator(DIAG_3210, "maximize")
-        assert value == pytest.approx(expectation(DIAG_3210, apply_ansatz(spec, child)) + offset, abs=1e-10)
+        energy = exact_moments(DIAG_3210, apply_ansatz(spec, child).amplitudes)[0]
+        assert value == pytest.approx(energy + offset, abs=1e-10)
 
     def test_self_penalty_annihilates(self):
         spec = layered_ansatz(1, 1, initial_state="zero")
@@ -147,7 +146,7 @@ class TestQuantumGamePlayer:
         spec = layered_ansatz(2, 2)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3, max_iterations=4000)
         first = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), (), cfg)
-        parent = [apply_ansatz(spec, first.theta).amplitudes], [first.eigenvalue]
+        parent = [first.state], [first.eigenvalue]
         rng = np.random.default_rng(3)
         second = quantumgame_player(
             DIAG_3210, spec, spec.bind(rng.uniform(-np.pi, np.pi, 8)), *parent, cfg, index=2
@@ -172,7 +171,7 @@ class TestQuantumGamePlayer:
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3, max_iterations=budget, **extra)
         state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), *parents, cfg, index=3)
         assert state.converged == (budget == 3000)
-        psi = state.statevector.amplitudes
+        psi = state.state
         dense = pauli_sum_to_matrix(h2).entries
         mean = np.vdot(psi, dense @ psi).real
         assert state.eigenvalue == pytest.approx(mean, abs=1e-12)
@@ -200,7 +199,9 @@ class TestQuantumGamePlayer:
         mean, var, _, _ = shift_row_moments(final, pauli_sum_apply(h2, final))
         block = parents[0]
         overlaps = np.abs(shift_row_products(final, block)) ** 2
-        assert np.array_equal(state.statevector.amplitudes, final[0])
+        assert np.array_equal(state.state, final[0])
+        assert not state.state.flags.writeable
+        assert isinstance(state.theta, ParameterTensor) and not state.theta.values.flags.writeable
         assert state.residual == np.sqrt(var[0])
         assert state.max_parent_overlap == overlaps.max()
         if shots is None:
@@ -245,7 +246,7 @@ class TestQuantumGamePlayer:
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-4, max_iterations=400)
         rng = np.random.default_rng(1)
         first = quantumgame_player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), (), (), cfg)
-        parent = [apply_ansatz(spec, first.theta).amplitudes], [first.eigenvalue]
+        parent = [first.state], [first.eigenvalue]
         second = quantumgame_player(
             h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), *parent, cfg, index=2
         )
@@ -313,7 +314,7 @@ class TestRunQuantumGame:
         cfg = SolverConfig(direction="minimize", max_iterations=5, shots=ShotModel(shots), **extra)
         result = runner(h2, spec, cfg, 4, seed=0)
         for j, player in enumerate(result.players):
-            states = np.array([p.statevector.amplitudes for p in result.players[:j]]).reshape(j, 4)
+            states = np.array([p.state for p in result.players[:j]]).reshape(j, 4)
             assert np.array_equal(received[j][0].reshape(j, 4), states)
             assert received[j][1] == result.eigenvalues[:j]
             assert np.array_equal(player.parents, states) and player.parents.shape == (j, 4)
@@ -335,8 +336,8 @@ class TestRunQuantumGame:
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-2, max_iterations=2000)
         result = run_quantumgame(h2, spec, cfg, 2, seed=0)
-        parent_state = apply_ansatz(spec, result.players[0].theta)
-        lam = expectation(h2, parent_state)
+        parent_state = result.players[0].state
+        lam = exact_moments(h2, parent_state)[0]
         from oracles import mixed_expectation_states
 
         cross = mixed_expectation_states(h2, parent_state, parent_state)
@@ -362,8 +363,8 @@ class TestRunQuantumGame:
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-2, max_iterations=1500)
         result = run_quantumgame(h2, spec, cfg, 2, seed=0)
         for player in result.players:
-            psi = apply_ansatz(spec, player.theta)
-            assert player.eigenvalue == pytest.approx(expectation(h2, psi), abs=1e-12)
+            psi = apply_ansatz(spec, player.theta.values).amplitudes
+            assert player.eigenvalue == pytest.approx(exact_moments(h2, psi)[0], abs=1e-12)
         # Finite shots: cached value within the 5-sigma estimator band.
         noisy_cfg = SolverConfig(
             direction="minimize", grad_tolerance=1e-2, max_iterations=200,
@@ -371,7 +372,7 @@ class TestRunQuantumGame:
         )
         noisy = run_quantumgame(h2, spec, noisy_cfg, 2, seed=0)
         for player in noisy.players:
-            psi = apply_ansatz(spec, player.theta)
+            psi = apply_ansatz(spec, player.theta.values).amplitudes
             mean, var = exact_moments(h2, psi)
             assert abs(player.eigenvalue - mean) <= 5.0 * np.sqrt(var / 10_000) + 1e-12
 
@@ -387,7 +388,7 @@ class TestRunQuantumGame:
         order = np.argsort(result.eigenvalues)
         for rank, idx in enumerate(order):
             player = result.players[idx]
-            psi = apply_ansatz(spec, player.theta)
+            psi = apply_ansatz(spec, player.theta.values).amplitudes
             mean, var = exact_moments(h2, psi)
             band = 10.0 * np.sqrt(var / 10_000) + 5e-4  # floor guards a hard zero variance
             assert abs(result.eigenvalues[idx] - h2_oracle[rank]) <= abs(mean - h2_oracle[rank]) + band
@@ -408,7 +409,7 @@ class TestVqd:
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3,
                            max_iterations=4000, beta=5.0)
         first = vqd_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), (), cfg)
-        parent = [apply_ansatz(spec, first.theta).amplitudes], [first.eigenvalue]
+        parent = [first.state], [first.eigenvalue]
         rng = np.random.default_rng(5)
         second = vqd_player(
             DIAG_3210, spec, spec.bind(rng.uniform(-np.pi, np.pi, 8)), *parent, cfg, index=2
@@ -862,8 +863,8 @@ class TestStatePreparations:
         converged = sum(player.converged for player in result.players)
         assert len(calls) == result.total_iterations + converged + 2
         for player in result.players:
-            prepared = original(layered_ansatz(2, 2), player.theta).amplitudes
-            assert np.allclose(player.statevector.amplitudes, prepared, rtol=0.0, atol=1e-12)
+            prepared = original(layered_ansatz(2, 2), player.theta.values).amplitudes
+            assert np.allclose(player.state, prepared, rtol=0.0, atol=1e-12)
 
 
 class TestHeavyBallAscent:
@@ -1132,8 +1133,8 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
     @pytest.mark.parametrize("length", [5, 7])
-    @pytest.mark.parametrize("bound", [False, True], ids=["list", "parameter-tensor"])
-    def test_wrong_length_theta_rejected_before_any_read_out(self, monkeypatch, h2, player, length, bound):
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_wrong_length_theta_rejected_before_any_read_out(self, monkeypatch, h2, player, length, as_array):
         def no_read(*args):
             raise AssertionError("a read-out was drawn")
 
@@ -1142,7 +1143,7 @@ class TestInputValidation:
         cfg = SolverConfig(direction="minimize", beta=5.0, shots=ShotModel(100))
         with pytest.raises(BindingError):
             player(h2, random_layers_ansatz(2, 2, 3, seed=3),
-                   ParameterTensor(np.array(theta)) if bound else theta, (), (), cfg)
+                   np.array(theta) if as_array else theta, (), (), cfg)
 
     @pytest.mark.parametrize("runner", [run_quantumgame, run_vqd], ids=["game", "vqd"])
     @pytest.mark.parametrize("terms", [((0.0, "Z"),), ((1.0, "Z"), (-1.0, "Z")), ()],

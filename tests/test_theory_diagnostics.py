@@ -7,17 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eigengames.eigengame_classical import GameConfig, run_sequential
-from eigengames.errors import DegenerateParentError, HermiticityError
+from eigengames.eigengame_classical import GameConfig, finite_diff_gradient, run_sequential
+from eigengames.errors import BindingError, DegenerateParentError, HermiticityError
 from eigengames.hamiltonian import (
     HermitianMatrix,
     PauliSum,
     build_powerlaw_hamiltonian,
     bundled_h2_path,
     load_pauli_sum,
+    random_orthonormal,
 )
 from eigengames import quantumgame, theory_diagnostics
-from eigengames.quantum_sim import AnsatzSpec, StateVector, apply_ansatz, expectation, random_layers_ansatz
+from eigengames.quantum_sim import AnsatzSpec, apply_ansatz, random_layers_ansatz
 from eigengames.quantumgame import SolverConfig, quantumgame_player
 from eigengames.theory_diagnostics import (
     BoundParams,
@@ -33,7 +34,9 @@ from eigengames.theory_diagnostics import (
     sampled_lipschitz_check,
 )
 
+from oracles import identity_shifted, state_energy
 from test_hamiltonian import random_pauli_sum
+from test_eigengame_classical import matrix_with_spectrum
 
 
 class TestLipschitzClassical:
@@ -176,6 +179,30 @@ class TestErrorAccumulationClassical:
         )
         assert 0.8 <= loglog_slope(rows) <= 1.2
 
+    @pytest.mark.parametrize("top", [-1e-13, -1e-3])
+    def test_negative_definite_spectrum_with_a_top_level_near_zero(self, top):
+        # Levels top, -0.5, ..., -3.5.  On M the parents' Rayleigh quotients are
+        # near zero: at top = -1e-13 the bound raised DegenerateParentError, and
+        # at -1e-3 it read 0.135 against a gradient change of 0.454 measured on M.
+        # run_sequential's players ascend A = M + 7I and solve M; on A the bound
+        # reads 0.586 and holds against the change measured on A, 0.109.
+        basis = random_orthonormal(8, 3)
+        m = matrix_with_spectrum([top, *(-0.5 * np.arange(1, 8))], basis)
+        a = identity_shifted(m)
+        assert np.linalg.eigvalsh(a)[0] == pytest.approx(3.5, abs=1e-12)
+        assert run_sequential(m, GameConfig(num_players=3), seed=0).all_converged
+        rng = np.random.default_rng(0)
+        true = [basis[0], basis[1]]
+        hat = [theory_diagnostics._rotate_towards(v, rng, 1e-2) for v in true]
+        bound = error_accumulation_bound_classical(m, true, hat, 1e-2)
+        # A is positive definite, so its bound is taken on A itself.
+        assert bound == pytest.approx(error_accumulation_bound_classical(a, true, hat, 1e-2), rel=1e-12)
+        for _ in range(20):
+            v = rng.standard_normal(8)
+            v /= np.linalg.norm(v)
+            change = finite_diff_gradient(v, hat, a, 1e-2) - finite_diff_gradient(v, true, a, 1e-2)
+            assert np.linalg.norm(change - (change @ v) * v) <= bound
+
     def test_slope_needs_two_epsilons(self):
         rows = measure_error_accumulation_classical(
             dim=6, epsilons=(1e-3,), seed=0, samples_per_epsilon=3
@@ -207,13 +234,16 @@ class TestErrorAccumulationInputs:
         )
         assert quantum and all(r.epsilon == 1e-3 for r in quantum)
 
-    def test_classical_parent_of_opposite_sign_rejected(self):
-        # lambda_top = 1 but the true parent e_2 has Rayleigh quotient -0.7, so
-        # lambda_top / lambda_jj is negative; the sum read -0.0574 before the guard.
+    def test_classical_parent_of_opposite_sign_is_bounded_on_the_ascended_matrix(self):
+        # On M, lambda_top = 1 but the true parent e_2 has Rayleigh quotient -0.7,
+        # so lambda_top / lambda_jj is negative; the sum read -0.0574 before a
+        # guard rejected it.  The bound is taken on the A = M + 2I the players
+        # ascend, diag(3, 2.5, 1.3, 1), where the quotient is 1.3.
         e = np.eye(4)
         hat = np.cos(1e-2) * e[2] + np.sin(1e-2) * e[0]
-        with pytest.raises(DegenerateParentError, match="sign"):
-            error_accumulation_bound_classical(np.diag([1.0, 0.5, -0.7, -1.0]), [e[2]], [hat], 0.0)
+        bound = error_accumulation_bound_classical(np.diag([1.0, 0.5, -0.7, -1.0]), [e[2]], [hat], 0.0)
+        w = np.linalg.norm(hat - e[2])
+        assert bound == pytest.approx(2.0 * 3.0 * (2.0 * w + w * w) * 3.0 / 1.3, rel=1e-12)
 
     def test_quantum_parent_of_opposite_sign_rejected(self):
         # This sum has levels of both signs; on M, parents below zero gave
@@ -223,7 +253,7 @@ class TestErrorAccumulationInputs:
         h = PauliSum(2, ((1.0, "ZI"), (0.5, "XX"), (0.3, "IZ")))
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         thetas = np.random.default_rng(0).uniform(-np.pi, np.pi, (20, spec.num_parameters))
-        below = next(t for t in thetas if expectation(h, apply_ansatz(spec, t)) < 0.0)
+        below = next(t for t in thetas if state_energy(h, apply_ansatz(spec, t).amplitudes) < 0.0)
         with pytest.raises(DegenerateParentError, match="sign"):
             error_accumulation_bound_quantum(_dense(h), spec, [below], [below + 1e-3])
         rows = measure_error_accumulation_quantum(h, spec, epsilons=(1e-3, 1e-2), seed=0, samples_per_epsilon=10)
@@ -277,7 +307,7 @@ class TestErrorAccumulationQuantum:
         monkeypatch.setattr(quantumgame, "_ascend", recording_ascend)
         measure_error_accumulation_quantum(h, spec, epsilons=(1e-3,), seed=0, samples_per_epsilon=1)
         states, harness = next((states, objective) for states, objective in built if len(states) == 1)
-        eigenvalue = expectation(h, StateVector(3, states[0]))
+        eigenvalue = state_energy(h, states[0])
         cfg = SolverConfig(direction="maximize", max_iterations=1)
         quantumgame_player(h, spec, np.zeros(spec.num_parameters), states, [eigenvalue], cfg)
         (player,) = passed
@@ -294,6 +324,14 @@ class TestErrorAccumulationQuantum:
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         theta = spec.bind(np.linspace(0.1, 1.0, spec.num_parameters))
         assert error_accumulation_bound_quantum(None or _dense(h), spec, [theta], [theta]) == 0.0
+
+    def test_no_parents_give_zero_and_a_wrong_length_theta_is_rejected(self):
+        # The parent states are prepared in one batch, an empty one included.
+        h = _dense(load_pauli_sum(bundled_h2_path()))
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        assert error_accumulation_bound_quantum(h, spec, [], []) == 0.0
+        with pytest.raises(BindingError):
+            error_accumulation_bound_quantum(h, spec, [np.zeros(9)], [np.zeros(8)])
 
     def test_layer_grouping_leaves_bound_unchanged(self):
         # The same six-gate circuit declared as 3 layers of 2 gates versus
