@@ -170,17 +170,17 @@ class PauliSum:
         """The sum applied along the last axis of a (..., 2**q) array; the dense matrix is never built.
 
         One vector, alone or as a batch of one row, is one stacked product,
-        ``(weights * v[perms]).sum(axis=0)``.  A larger batch gathers one
-        x-mask at a time into one reused buffer, multiplies it by the weight
-        row in place and adds it on, which keeps its temporaries to the
-        batch's own size; both give the same bits per row.
+        ``np.add.reduce(weights * v[perms], axis=0)``.  A larger batch
+        gathers one x-mask at a time into one reused buffer, multiplies it by
+        the weight row in place and adds it on, which keeps its temporaries
+        to the batch's own size; both give the same bits per row.
         Every index of a permutation is valid, so the gather's ``clip`` mode,
         which writes straight into the buffer, never clips.  The last axis is
         not checked; ``quantum_sim.pauli_sum_apply`` is the checked entry point.
         """
         perms, weights = self.compiled
         if amps.size == amps.shape[-1]:
-            return (weights * amps.reshape(-1)[perms]).sum(axis=0).reshape(amps.shape)
+            return np.add.reduce(weights * amps.reshape(-1)[perms], axis=0).reshape(amps.shape)
         amps = np.asarray(amps, dtype=np.complex128)  # the gather writes into a complex buffer
         out = np.zeros(amps.shape, dtype=np.complex128)
         buf = np.empty_like(out)

@@ -5,15 +5,17 @@ Ansatz states are prepared in batches, one row per parameter vector, from
 the layout's cached gate plan (``AnsatzSpec.gate_plan``), and Pauli sums
 apply through their compiled form (``PauliSum.compiled``).
 ``parameter_shift_states`` prepares m + 1 states per sweep.  Under finite
-shots every read of the 2m + 1 shift rows is formed from products of those
-rows (``shift_row_moments``, ``shift_row_products``): no shift row is built.
-A one-row base is a plain state, so these are also the reads of a single
-prepared state.  ``perturb_readouts`` draws every shot, one vector draw per
-batch of read-outs; the callers count the read-outs they draw.  The interference and SwapTest circuits are read
-out in closed form from the products they measure
-(``interference_moments``, ``swap_test_moments``); their gate-by-gate
-simulations live with the tests, as the oracles these closed forms are
-checked against, and so does the building of the shift rows.
+shots the 2m + 1 shift rows are read in one of two forms: from products of
+those m + 1 rows (``shift_row_moments``, ``shift_row_products``), with no
+shift row built, or from the rows themselves (``shift_rows``,
+``built_row_moments``), which costs m more applications of M per sweep and
+fewer array calls.  A one-row base is a plain state, so these are also the
+reads of a single prepared state.  ``perturb_readouts`` draws every shot,
+one vector draw per batch of read-outs; the callers count the read-outs
+they draw.  The interference and SwapTest circuits are read out in closed
+form from the products they measure (``interference_moments``,
+``swap_test_moments``); their gate-by-gate simulations live with the tests,
+as the oracles these closed forms are checked against.
 
 Conventions: qubit t corresponds to character t of a Pauli string and to bit
 (q - 1 - t) of the amplitude index, i.e. string character order matches the
@@ -231,7 +233,7 @@ def _norm_deviation(squared_norms: np.ndarray) -> float:
 
     NaN when one is NaN, and 0 without rows.
     """
-    return float(np.abs(np.sqrt(squared_norms) - 1.0).max(initial=0.0))
+    return float(np.maximum.reduce(np.abs(np.sqrt(squared_norms) - 1.0), initial=0.0))
 
 
 def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> StateVector | np.ndarray:
@@ -246,12 +248,12 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
     values = np.asarray(theta, dtype=np.float64)
     single = values.ndim == 1
     rows = values[None, :] if single else values
-    if rows.ndim != 2 or rows.shape[1] != spec.num_parameters:
+    phases, layers = spec.gate_plan
+    if rows.ndim != 2 or rows.shape[1] != len(phases):  # one phase row per parameter
         raise BindingError(
             f"spec has {spec.num_parameters} parameters, got values of shape {values.shape}"
         )
     dim, batch = 2**spec.num_qubits, rows.shape[0]
-    phases, layers = spec.gate_plan
     # Every gate's coefficients in one pass, (m, 2, 1, B): the partner term
     # sin(theta/2) * phase, and for a diagonal gate the whole diagonal cos + it.
     half = rows.T / 2.0
@@ -261,7 +263,7 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
     # Work amplitude-major, (2**q, B), so every gate's innermost axis is the
     # batch.  Gates update amps in place, a partner term goes through the
     # spare buffer, and a CNOT ring gathers into it before the two swap.
-    amps = np.repeat(spec.initial_amplitudes[:, None], batch, axis=1)
+    amps = spec.initial_amplitudes[:, None].repeat(batch, axis=1)
     spare = np.empty_like(amps)
     perm = spec.entangler_permutation
     for layer in layers:
@@ -388,7 +390,7 @@ def interference_moments(
     which is the float64 view of the complex products.
     """
     means = np.ascontiguousarray(cross).view(np.float64)
-    second = np.repeat(0.5 * (row_second[:, None] + parent_second[None, :]), 2, axis=1)
+    second = (0.5 * (row_second[:, None] + parent_second[None, :])).repeat(2, axis=1)
     return means, second - means**2
 
 
@@ -410,16 +412,17 @@ def parameter_shift_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
 
     The rows are phi_0, ..., phi_{m-1}, psi, with phi_k = psi(theta + pi e_k)
     and psi = psi(theta).  Each caller applies M to the rows it reads, and
-    there are two reads.  A finite-shot read applies M to every row and
-    reads the 2m + 1 shift rows from them (``shift_row_moments``,
-    ``shift_row_products``), never building one.  An exact read applies M
-    to psi alone: each parameter drives one Pauli rotation, so
-    d_k psi = phi_k / 2, and the gradient of <psi|K psi> for a Hermitian K
-    is Re<phi_k|K psi>, one product of the phi_k with one vector.
+    there are two reads.  A finite-shot read reads the 2m + 1 shift rows in
+    one of two forms: it applies M to these m + 1 rows and forms the reads
+    from their products (``shift_row_moments``, ``shift_row_products``), or
+    it builds the shift rows (``shift_rows``) and applies M to those.  An
+    exact read applies M to psi alone: each parameter drives one Pauli
+    rotation, so d_k psi = phi_k / 2, and the gradient of <psi|K psi> for a
+    Hermitian K is Re<phi_k|K psi>, one product of the phi_k with one vector.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m = theta.shape[0]
-    base = np.repeat(theta[None, :], m + 1, axis=0)
+    base = theta[None, :].repeat(m + 1, axis=0)
     base.reshape(-1)[: m * m : m + 1] += np.pi  # the diagonal of the first m rows
     return apply_ansatz(spec, base)
 
@@ -431,6 +434,38 @@ def _pair_rows(rows: np.ndarray, centre: np.ndarray, cross: np.ndarray) -> None:
     """
     np.subtract(centre, cross, out=rows[1::2])
     np.add(centre, cross, out=rows[:-1:2])
+
+
+def shift_rows(base: np.ndarray) -> np.ndarray:
+    """The (2m+1, d) shift rows themselves, built from the (m+1, d) base rows of ``parameter_shift_states``.
+
+    Row 2k is r+ = (psi + phi_k)/sqrt(2), row 2k+1 is r- = (psi - phi_k)/sqrt(2)
+    and the last row is psi (``shift_row_moments`` gives the identity
+    behind them); a one-row base gives psi alone.
+    """
+    rows = np.empty((base.shape[0] * 2 - 1, base.shape[1]), dtype=np.complex128)
+    _pair_rows(rows, base[-1], base[:-1])
+    rows[:-1] *= math.sqrt(0.5)
+    rows[-1] = base[-1]
+    return rows
+
+
+def _checked_moments(
+    norm: np.ndarray, value: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(<M>, Var(M), ||M r||^2, residue) from each row's real ||r||^2, complex <r|M r> and real ||M r||^2.
+
+    A row off unit norm to ``NORM_ATOL`` (or NaN) raises
+    ``NormalizationError``, and a largest |Im<r|M r>| above it ``ValueError``;
+    Var(M) = ||M r||^2 - <M>^2 is clamped at 0.
+    """
+    if not _norm_deviation(norm) <= NORM_ATOL:  # a NaN norm fails too
+        raise NormalizationError(f"parameter-shift row norms deviate from 1 beyond {NORM_ATOL}")
+    residue = float(np.maximum.reduce(np.abs(value.imag)))
+    if residue > NORM_ATOL:
+        raise ValueError(f"expectation has imaginary residue {residue:.3e}")
+    mean = value.real
+    return mean, np.maximum(second - mean * mean, 0.0), second, residue
 
 
 def shift_row_moments(
@@ -450,10 +485,13 @@ def shift_row_moments(
     <r+-|M r+-> = (<psi|M psi> + <phi_k|M phi_k>)/2 +- (<psi|M phi_k> + <phi_k|M psi>)/2,
     ||M r+-||^2 = (||M psi||^2 + ||M phi_k||^2)/2 +- Re<M psi|M phi_k>, and
     ||r+-||^2 = (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.
+    ``built_row_moments`` takes the same reads from the built rows; here no
+    row is built and M is applied to m + 1 rows rather than 2m + 1, at the
+    cost of more array calls.
 
     Var(M) = ||M r||^2 - <M>^2 is clamped at 0; the unclamped second moment
     is returned too.  A one-row base (m = 0) is the plain state psi, and the
-    four are its own reads: the library reads every prepared state here.
+    four are its own reads.
     <psi|phi_k> is imaginary, so every row has unit norm; a row off unit
     norm to ``NORM_ATOL`` (another gate, or NaN) raises.  ``residue`` is the
     largest |Im<r|M r>|, the cross terms' imaginary parts included, rounding
@@ -481,13 +519,21 @@ def shift_row_moments(
     centre *= 0.5
     _pair_rows(reads, centre, cross)
     norm, value, second = reads.T
-    if not _norm_deviation(norm.real) <= NORM_ATOL:  # a NaN norm fails too
-        raise NormalizationError(f"parameter-shift row norms deviate from 1 beyond {NORM_ATOL}")
-    residue = float(np.abs(value.imag).max())
-    if residue > NORM_ATOL:
-        raise ValueError(f"expectation has imaginary residue {residue:.3e}")
-    mean, second = value.real, second.real
-    return mean, np.maximum(second - mean * mean, 0.0), second, residue
+    return _checked_moments(norm.real, value, second.real)
+
+
+def built_row_moments(
+    rows: np.ndarray, h_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``shift_row_moments``'s four reads, taken from built (B, d) rows and M on them, one product each.
+
+    ||r||^2, <r|M r> and ||M r||^2 are each one row-wise product, with the
+    same unit-norm and residue checks and the same clamp; with
+    ``shift_rows`` this is the explicit form of a sweep's finite-shot read.
+    """
+    return _checked_moments(
+        np.vecdot(rows, rows).real, np.vecdot(rows, h_rows), np.vecdot(h_rows, h_rows).real
+    )
 
 
 def shift_row_products(base: np.ndarray, kets: np.ndarray) -> np.ndarray:

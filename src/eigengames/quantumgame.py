@@ -27,18 +27,30 @@ from .quantum_sim import (
     ParameterTensor,
     ShotModel,
     apply_ansatz,
+    built_row_moments,
     interference_moments,
     parameter_shift_states,
     pauli_sum_apply,
     perturb_readouts,
     shift_row_moments,
     shift_row_products,
+    shift_rows,
     shift_rule_gradient,
     swap_test_moments,
 )
 
 PARENT_EIGENVALUE_GUARD = 1e-10
 MIN_MODE_SHIFT_MARGIN = 1.0
+
+# A finite-shot sweep builds its 2m + 1 shift rows and applies M to them
+# (``_explicit_reads``) when that costs at most this many more multiply-adds
+# of M than applying it to the m + 1 prepared rows (``_product_reads``):
+# m*K*2**q, with K the x-masks of ``PauliSum.compiled``.  Below it the
+# explicit form's fewer array calls win; the crossover lies between about
+# 4e3 (level or faster) and 1e4 (slower), per the table of
+# ``tools/shot_read_crossover.py`` in CHANGES.md.  H2 (72) builds its rows,
+# the 8-qubit ``wide`` sum (253 952) does not.
+EXPLICIT_SHIFT_ROWS_WORK = 4096
 
 Direction = Literal["maximize", "minimize"]
 
@@ -64,9 +76,11 @@ class QuantumPlayerState:
     exact shot model.  ``prepared_rows`` counts the states the player
     prepared, m + 1 per sweep and one for the final read, and
     ``operator_rows`` the rows M was applied to: one per sweep under an
-    exact model and m + 1 under finite shots, one for the final read, and
-    the game's parent block.  Two records of the returned state, reported and not
-    gating ``converged``: ``residual`` is its energy standard deviation
+    exact model; under finite shots 2m + 1 when the sweep builds its shift
+    rows (a small register, ``EXPLICIT_SHIFT_ROWS_WORK``) and m + 1
+    otherwise; one for the final read, and the game's parent block.  Two
+    records of the returned state, reported and not gating ``converged``:
+    ``residual`` is its energy standard deviation
     sqrt(Var(M)) = ||(M - <M>) psi||, which by Kahan's bound puts an
     eigenvalue of M within that distance of <M>; ``max_parent_overlap`` is
     max_j |<psi|psi_j>|^2 over the parents, 0 without any.  Both are exact
@@ -214,7 +228,7 @@ def _backward_read(m: PauliSum, objective: Objective) -> Read:
             raise ValueError(f"expectation has imaginary residue {residue:.3e}")
         g = scale * m_psi + ((ket_bras @ psi) * weights) @ kets
         bras = phi.conj()
-        if not np.abs((bras @ psi).real).max(initial=0.0) <= NORM_ATOL:  # a NaN fails too
+        if not np.maximum.reduce(np.abs((bras @ psi).real), initial=0.0) <= NORM_ATOL:  # a NaN fails too
             raise NormalizationError(
                 f"parameter-shift rows have a real overlap with psi beyond {NORM_ATOL}"
             )
@@ -275,6 +289,37 @@ def _swap_test(objective: Objective) -> tuple[Callable, Callable]:
     return moments, penalty
 
 
+def _builds_shift_rows(m: PauliSum, num_parameters: int) -> bool:
+    """Whether a finite-shot sweep on M builds its shift rows (``_explicit_reads``).
+
+    True when num_parameters * K * 2**q, the multiply-adds of M the built
+    rows add, is at most ``EXPLICIT_SHIFT_ROWS_WORK``.
+    """
+    return num_parameters * m.compiled[0].size <= EXPLICIT_SHIFT_ROWS_WORK
+
+
+def _product_reads(m: PauliSum, base: np.ndarray, kets: np.ndarray | None):
+    """The shift rows' four moments and their products <r|k_j>, from M on the m + 1 base rows.
+
+    The products form of a sweep's finite-shot read: each read of a row is
+    formed from products of base rows (``shift_row_moments``,
+    ``shift_row_products``); ``None`` in place of the products without kets.
+    """
+    moments = shift_row_moments(base, pauli_sum_apply(m, base))
+    return moments, None if kets is None else shift_row_products(base, kets)
+
+
+def _explicit_reads(m: PauliSum, base: np.ndarray, kets: np.ndarray | None):
+    """``_product_reads``' results from the 2m + 1 built shift rows, M applied to each of them.
+
+    The explicit form: ``shift_rows``, then one row-wise product per moment
+    (``built_row_moments``) and one matrix product for every <r|k_j>.
+    """
+    rows = shift_rows(base)
+    moments = built_row_moments(rows, pauli_sum_apply(m, rows))
+    return moments, None if kets is None else rows.conj() @ kets.T
+
+
 def _shot_read(
     m: PauliSum,
     objective: Objective,
@@ -284,26 +329,41 @@ def _shot_read(
 ) -> Read:
     """The finite-shot read of the objective on the 2m + 1 shift rows r, then the shift rule.
 
-    M is applied to every prepared row.  Per row the read-outs are <M>, then
-    the circuit's read-outs of each parent term, perturbed by the shot model
-    in that order in one draw; their means and variances come from the
-    sweep's base rows (``shift_row_moments``, and ``shift_row_products``
-    with the kets).  Row r's objective is
+    Per row the read-outs are <M>, then the circuit's read-outs of each
+    parent term, perturbed by the shot model in that order in one draw;
+    their means and variances come from the rows' moments and their
+    products with the kets, in the form ``_builds_shift_rows`` picks from
+    M and the base's m + 1 rows, the same for every sweep of a player:
+    ``_explicit_reads`` on small registers, ``_product_reads`` otherwise.
+    Row r's objective is
     s*<M> + c + sum_j w_j * (the circuit's estimate of |<r|k_j>|^2), and its
-    energy its <M> read-out.  Without parents the cross read-outs have
-    width zero, and the one draw is the rows' <M> read-outs alone.
+    energy its <M> read-out.  Without parents the draw is the rows' <M>
+    read-outs alone, the same normals in the same order, and no product
+    with the kets, circuit moment or penalty is formed.
     """
     scale, kets, _, constant, _ = objective
     moments, penalty = circuit(objective)
+    kets = kets if len(kets) else None
 
     def read(prepared: np.ndarray) -> ReadResult:
-        mean, var, second, residue = shift_row_moments(prepared, pauli_sum_apply(m, prepared))
-        cross_mean, cross_var = moments(shift_row_products(prepared, kets), mean, second)
-        reads = perturb_readouts(
-            shots, np.column_stack((mean, cross_mean)), np.column_stack((var, cross_var)), rng
-        )
-        value = scale * reads[:, 0] + constant + penalty(reads[:, 1:])
-        return shift_rule_gradient(value[:-1]), float(value[-1]), float(reads[-1, 0]), residue, reads.size
+        reads_of = _explicit_reads if _builds_shift_rows(m, len(prepared) - 1) else _product_reads
+        (mean, var, second, residue), products = reads_of(m, prepared, kets)
+        if products is None:
+            reads = perturb_readouts(shots, mean, var, rng)
+            value = scale * reads + constant
+            energy = reads[-1]
+        else:
+            cross_mean, cross_var = moments(products, mean, second)
+            # Column 0 is each row's <M>, the rest its circuit's read-outs.
+            pair = np.empty((2, len(mean), 1 + cross_mean.shape[1]))
+            pair[0, :, 0] = mean
+            pair[1, :, 0] = var
+            pair[0, :, 1:] = cross_mean
+            pair[1, :, 1:] = cross_var
+            reads = perturb_readouts(shots, pair[0], pair[1], rng)
+            value = scale * reads[:, 0] + constant + penalty(reads[:, 1:])
+            energy = reads[-1, 0]
+        return shift_rule_gradient(value[:-1]), float(value[-1]), float(energy), residue, reads.size
 
     return read
 
@@ -336,11 +396,12 @@ def _ascend(
     stream opened from ``cfg.shots``, and the read picked: under an exact
     shot model ``_backward_read``, which applies M to theta's row alone and
     takes the gradient from one backward vector; under finite shots
-    ``_shot_read``, which applies M to all m + 1 rows and reads the 2m + 1
-    shift rows' circuits from them.  Each iteration prepares m + 1 states
-    in one call (``parameter_shift_states``) and reads the gradient, the
-    objective and the <M> read-out on theta's row, the iteration's energy,
-    from them: no circuit is read twice.  Stops when the gradient norm
+    ``_shot_read``, which reads the 2m + 1 shift rows' circuits from M on
+    the m + 1 prepared rows or, on small registers, on the built shift
+    rows.  Each iteration prepares m + 1 states in one call
+    (``parameter_shift_states``) and reads the gradient, the objective and
+    the <M> read-out on theta's row, the iteration's energy, from them: no
+    circuit is read twice.  Stops when the gradient norm
     reaches tolerance or the iteration budget runs out (partial result).
     On either exit the final theta's state is prepared, and M applied to
     it, once, and read as a one-row base: ``shift_row_moments`` gives the
@@ -364,28 +425,35 @@ def _ascend(
     state = QuantumPlayerState(index, parents, operator_rows=applied)
     vel = np.zeros_like(theta)
     ball = HeavyBall()
-    readouts = 0  # drawn by the read
+    eta, tolerance = objective.eta, cfg.grad_tolerance
+    add_grad_norm = state.grad_norm_history.append
+    add_utility = state.utility_history.append
+    add_energy = state.energy_history.append
+    steps = readouts = 0  # readouts: drawn by the read
+    residue_max = 0.0
     for _ in range(cfg.max_iterations):
         grad, value, energy, residue, drawn = read(parameter_shift_states(spec, theta))
-        state.max_imag_residue = max(state.max_imag_residue, residue)
+        residue_max = max(residue_max, residue)
         gnorm = math.sqrt(grad @ grad)
         if not math.isfinite(gnorm):  # a NaN or infinite entry of grad makes the norm so
             raise NumericalOverflowError("parameter-shift gradient stopped being finite")
         if not math.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
         readouts += drawn
-        state.grad_norm_history.append(gnorm)
-        state.utility_history.append(value)
-        state.energy_history.append(energy)
-        if gnorm <= cfg.grad_tolerance:
+        add_grad_norm(gnorm)
+        add_utility(value)
+        add_energy(energy)
+        if gnorm <= tolerance:
             state.converged = True
             break
-        step = objective.eta * grad
-        beta = ball.weight(state.iterations_used, float(step @ vel))
+        step = eta * grad
+        beta = ball.weight(steps, float(step @ vel))
         vel = beta * vel + step if beta else step
         theta = theta + vel
-        state.iterations_used += 1
+        steps += 1
 
+    state.iterations_used = steps
+    state.max_imag_residue = residue_max
     state.momentum_restarts = ball.restarts
     state.theta = ParameterTensor(theta)
     final = apply_ansatz(spec, theta[None, :])
@@ -396,9 +464,13 @@ def _ascend(
     state.residual = math.sqrt(var[0])
     overlaps = np.abs(shift_row_products(final, parents)) ** 2
     state.max_parent_overlap = float(overlaps.max(initial=0.0))
-    sweeps, rows = len(state.energy_history), spec.num_parameters + 1
-    state.prepared_rows = sweeps * rows + 1
-    state.operator_rows += sweeps * (1 if cfg.shots.is_exact else rows) + 1
+    sweeps, n = len(state.energy_history), spec.num_parameters
+    state.prepared_rows = sweeps * (n + 1) + 1
+    if cfg.shots.is_exact:
+        applied = 1
+    else:
+        applied = 2 * n + 1 if _builds_shift_rows(m, n) else n + 1
+    state.operator_rows += sweeps * applied + 1
     if not cfg.shots.is_exact:
         state.readouts = readouts + 1  # and the eigenvalue read
         state.shots = state.readouts * cfg.shots.num_shots

@@ -26,6 +26,7 @@ from eigengames.quantum_sim import (
     ShotModel,
     StateVector,
     apply_ansatz,
+    built_row_moments,
     interference_moments,
     layered_ansatz,
     parameter_shift_states,
@@ -34,6 +35,7 @@ from eigengames.quantum_sim import (
     random_layers_ansatz,
     shift_row_moments,
     shift_row_products,
+    shift_rows,
     swap_test_moments,
 )
 
@@ -786,6 +788,32 @@ class TestParameterShiftStates:
                 residue = shift_row_moments(base, h_base)[3]
                 assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
                 assert residue == pytest.approx(row_moments(rows, h_rows)[3], rel=1e-12)
+
+
+    def test_built_rows_match_the_oracle_and_share_the_guards(self):
+        # The library's own shift rows, read one product per moment, keep the
+        # unit-norm, NaN and imaginary-residue guards of the product reads.
+        rng = np.random.default_rng(3)
+        psi = random_state(2, rng)
+        base = np.array([1j * psi, psi])
+        rows = shift_rows(base)
+        assert rows.shape == (3, 4)
+        assert np.max(np.abs(rows - rebuild_shift_rows(base, base)[0])) <= 1e-15
+        assert np.allclose(built_row_moments(rows, rows)[0], 1.0, rtol=0.0, atol=1e-12)
+        phi = (psi + random_state(2, rng)) / 2.0
+        for bad in (phi / np.linalg.norm(phi), np.full(4, np.nan)):
+            rows = shift_rows(np.array([bad, psi]))
+            with pytest.raises(NormalizationError):
+                built_row_moments(rows, rows)
+        base = np.array([[0.0, 1j], [1.0, 0.0]])
+        for scale, raises in ((1.0, False), (4.0, True)):
+            h_rows = shift_rows(np.array([[scale * 1j * NORM_ATOL, 0.0], [0.0, 0.0]]))
+            if raises:
+                with pytest.raises(ValueError, match="imaginary residue"):
+                    built_row_moments(shift_rows(base), h_rows)
+            else:
+                residue = built_row_moments(shift_rows(base), h_rows)[3]
+                assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
 
 
 class TestStateVector:

@@ -41,7 +41,13 @@ from eigengames.quantumgame import (
     vqd_player,
 )
 
-from oracles import hotelling_levels, parameter_shift_points, quantum_utility
+from oracles import (
+    hotelling_levels,
+    parameter_shift_points,
+    quantum_utility,
+    rebuild_shift_rows,
+    row_moments,
+)
 from test_hamiltonian import LATE_EXTREME, random_pauli_sum
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
@@ -742,22 +748,38 @@ class TestShiftedObjective:
             with pytest.raises(NormalizationError):
                 read(np.array([phi, psi]))
 
-    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
-    @pytest.mark.parametrize("num_parents", [0, 1, 2])
-    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
-    def test_one_pauli_application_per_batch(self, monkeypatch, player, num_parents, shots):
+    @staticmethod
+    def count_layout(layout):
+        """(operator, ansatz, finite-shot rows M is applied to per sweep) on each side of the read-form rule.
+
+        "h2" builds its 2m + 1 shift rows (m*K*2**q = 6*2*4 = 48); "6q", a
+        6-qubit sum on a 12-parameter layout, applies M to its m + 1
+        prepared rows (12*K*64 with K >= 6 x-masks, at least 4608).
+        """
+        if layout == "h2":
+            h, spec = load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 2, 3, seed=3)
+            rows = 2 * spec.num_parameters + 1
+        else:
+            h, spec = random_pauli_sum(np.random.default_rng(12), 6, 12, identity=True), layered_ansatz(6, 1)
+            assert len(h.compiled[0]) >= 6
+            rows = spec.num_parameters + 1
+        m = spec.num_parameters
+        assert quantumgame._builds_shift_rows(h, m) == (rows == 2 * m + 1)
+        return h, spec, rows
+
+    def count_one_pauli_application_per_batch(self, monkeypatch, player, num_parents, shots, layout):
         # M is the only operator: one application per evaluated batch, one for
         # the final read and, for the game, one for its parent block.  An exact
-        # model's batch is theta's row alone, a finite-shot one all m + 1 rows.
-        # No PauliSum is built during the solve.
+        # model's batch is theta's row alone; a finite-shot one is the 2m + 1
+        # built shift rows on a small register and the m + 1 prepared rows on
+        # a larger one.  No PauliSum is built during the solve.
         from eigengames import quantum_sim
 
-        h2 = load_pauli_sum(bundled_h2_path())
-        assert h2.spectral_range  # cached before counting
-        spec = random_layers_ansatz(2, 2, 3, seed=3)
+        h, spec, shot_rows = self.count_layout(layout)
+        assert h.spectral_range  # cached before counting
         rng = np.random.default_rng(num_parents)
         parents = make_parents(
-            h2, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
+            h, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
         applied, built = [], []
         apply, post_init = quantum_sim.pauli_sum_apply, PauliSum.__post_init__
@@ -775,28 +797,37 @@ class TestShiftedObjective:
         monkeypatch.setattr(PauliSum, "__post_init__", counting_post_init)
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=4, beta=5.0,
                            shots=ShotModel(shots, rng_seed=4))
-        state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), *parents, cfg)
+        state = player(h, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), *parents, cfg)
         parent_block = [num_parents] if player is quantumgame_player and num_parents else []
-        batch = 1 if shots is None else spec.num_parameters + 1
+        batch = 1 if shots is None else shot_rows
         assert [rows for _, rows in applied] == parent_block + [batch] * len(state.energy_history) + [1]
-        assert all(op is h2 for op, _ in applied)
+        assert all(op is h for op, _ in applied)
         assert built == []
 
-    @pytest.mark.parametrize("shots", [None, 10_000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("num_parents", [0, 1, 2])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_one_pauli_application_per_batch(self, monkeypatch, player, num_parents, shots):
+        self.count_one_pauli_application_per_batch(monkeypatch, player, num_parents, shots, "h2")
+
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
     @pytest.mark.parametrize("num_parents", [0, 2])
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
-    def test_sweep_prepares_and_applies_m_plus_one_rows(self, monkeypatch, player, num_parents, shots):
+    def test_one_pauli_application_per_batch_on_six_qubits(self, monkeypatch, player, num_parents, shots):
+        self.count_one_pauli_application_per_batch(monkeypatch, player, num_parents, shots, "6q")
+
+    def count_sweep_rows(self, monkeypatch, player, num_parents, shots, layout):
         # Each iteration prepares theta + pi e_k (k < m) and theta.  Finite shots
-        # apply M to those m + 1 rows and read the 2m + 1 shift rows from them,
-        # never built; an exact model applies M to theta's row alone.  The
-        # player's row counters are these rows, the final read's included.
+        # read the 2m + 1 shift rows either from M on the 2m + 1 rows built from
+        # those (a small register) or from M on the m + 1 rows themselves; an
+        # exact model applies M to theta's row alone.  The player's row
+        # counters are these rows, the final read's included.
         from eigengames import quantum_sim
 
-        h2 = load_pauli_sum(bundled_h2_path())
-        spec = random_layers_ansatz(2, 2, 3, seed=3)
+        h, spec, shot_rows = self.count_layout(layout)
         rng = np.random.default_rng(num_parents)
         parents = make_parents(
-            h2, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
+            h, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
         prepared, applied = [], []
         prepare, apply = quantum_sim.apply_ansatz, quantum_sim.pauli_sum_apply
@@ -815,21 +846,36 @@ class TestShiftedObjective:
         monkeypatch.setattr(quantumgame, "pauli_sum_apply", recording_apply)
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=3, beta=5.0,
                            shots=ShotModel(shots, rng_seed=4))
-        state = player(h2, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), *parents, cfg)
+        state = player(h, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), *parents, cfg)
         m, dim = spec.num_parameters, 2**spec.num_qubits
         iterations = len(state.energy_history)
         assert iterations == 3
         # The game applies M to its parents' states once; the final read
         # prepares one row and applies M to it after the loop.
         parent_block = [(num_parents, dim)] if player is quantumgame_player and num_parents else []
-        batch = 1 if shots is None else m + 1
+        batch = 1 if shots is None else shot_rows
         assert prepared == [(m + 1, m)] * iterations + [(1, m)]
         assert applied == parent_block + [(batch, dim)] * iterations + [(1, dim)]
-        # Pinned per sweep: 7 prepared rows, and M on 1 row (exact) or 7 (shots).
-        assert (m + 1, batch) == (7, 1 if shots is None else 7)
-        assert state.prepared_rows == sum(rows for rows, _ in prepared) == 3 * 7 + 1
+        assert state.prepared_rows == sum(rows for rows, _ in prepared) == 3 * (m + 1) + 1
         parent_rows = num_parents if parent_block else 0
         assert state.operator_rows == sum(rows for rows, _ in applied) == parent_rows + 3 * batch + 1
+        return m, batch
+
+    @pytest.mark.parametrize("shots", [None, 10_000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("num_parents", [0, 2])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_sweep_prepares_and_applies_m_plus_one_rows(self, monkeypatch, player, num_parents, shots):
+        m, batch = self.count_sweep_rows(monkeypatch, player, num_parents, shots, "h2")
+        # Pinned per sweep: 7 prepared rows, and M on 1 row (exact) or the 13 built shift rows (shots).
+        assert (m + 1, batch) == (7, 1 if shots is None else 13)
+
+    @pytest.mark.parametrize("shots", [None, 10_000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("num_parents", [0, 2])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_sweep_rows_on_six_qubits(self, monkeypatch, player, num_parents, shots):
+        m, batch = self.count_sweep_rows(monkeypatch, player, num_parents, shots, "6q")
+        # Pinned per sweep: 13 prepared rows, and M on 1 row (exact) or the same 13 (shots).
+        assert (m + 1, batch) == (13, 1 if shots is None else 13)
 
 
 class TestStatePreparations:
@@ -1078,6 +1124,117 @@ class TestShotDraws:
         ]
         assert states[0].energy_history != states[1].energy_history
         assert states[0].eigenvalue != states[1].eigenvalue
+
+
+class TestShotReadForms:
+    """A finite-shot sweep reads its shift rows from base-row products or from the built rows, to rounding alike."""
+
+    @staticmethod
+    def objective(h, states, eigenvalues, circuit):
+        if circuit is quantumgame._interference:
+            return quantumgame._game_objective(h, states, eigenvalues, "maximize")
+        return quantumgame.Objective(1.0, states, np.full(len(states), 2.0), 0.0, -0.1)
+
+    @pytest.mark.parametrize("circuit", [quantumgame._interference, quantumgame._swap_test],
+                             ids=["interference", "swap_test"])
+    @pytest.mark.parametrize("num_parents", [0, 1, 2, 3])
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
+    def test_forms_agree_with_each_other_and_the_built_rows(self, num_qubits, num_parents, circuit):
+        rng = np.random.default_rng(10 * num_qubits + num_parents)
+        h = random_pauli_sum(rng, num_qubits, 3 * num_qubits, identity=True)
+        spec = random_layers_ansatz(num_qubits, 2, num_qubits + 1, seed=num_qubits + 7 * num_parents)
+        m = spec.num_parameters
+        states, eigenvalues = make_parents(h, spec, [rng.uniform(-np.pi, np.pi, m) for _ in range(num_parents)])
+        objective = self.objective(h, states, eigenvalues, circuit)
+        moments, _ = circuit(objective)
+        kets = objective.kets if num_parents else None
+        base = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, m))
+        products_form = quantumgame._product_reads(h, base, kets)
+        explicit_form = quantumgame._explicit_reads(h, base, kets)
+        # The reference: the 2m + 1 rows built by the oracle, each read on its own.
+        rows, h_rows = rebuild_shift_rows(base, pauli_sum_apply(h, base))
+        reference = (row_moments(rows, h_rows), rows.conj() @ objective.kets.T if num_parents else None)
+        (mean, _, second, _), products = products_form
+        for (got, got_products), tolerance in ((explicit_form, 1e-13), (reference, 1e-12)):
+            for g, w in zip(got, products_form[0]):
+                assert np.shape(g) == np.shape(w) == ((2 * m + 1,) if np.ndim(w) else ())
+                assert np.max(np.abs(np.subtract(g, w))) <= tolerance
+            if not num_parents:
+                assert got_products is None and products is None
+                continue
+            assert got_products.shape == products.shape == (2 * m + 1, num_parents)
+            assert np.max(np.abs(got_products - products)) <= tolerance
+            for g, w in zip(moments(got_products, got[0], got[2]), moments(products, mean, second)):
+                assert np.max(np.abs(g - w)) <= tolerance
+
+    @pytest.mark.parametrize("num_parents", [0, 2])
+    @pytest.mark.parametrize("circuit", [quantumgame._interference, quantumgame._swap_test],
+                             ids=["interference", "swap_test"])
+    def test_reads_agree_under_one_shot_stream(self, monkeypatch, h2, circuit, num_parents):
+        # The same draws through either form: gradient, objective and energy to rounding.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        rng = np.random.default_rng(num_parents)
+        states, eigenvalues = make_parents(
+            h2, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
+        )
+        objective = self.objective(h2, states, eigenvalues, circuit)
+        base = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
+        shots = ShotModel(10_000)
+        assert quantumgame._builds_shift_rows(h2, spec.num_parameters)
+        explicit = quantumgame._shot_read(h2, objective, circuit, shots, np.random.default_rng(5))(base)
+        monkeypatch.setattr(quantumgame, "EXPLICIT_SHIFT_ROWS_WORK", -1)
+        assert not quantumgame._builds_shift_rows(h2, spec.num_parameters)
+        products = quantumgame._shot_read(h2, objective, circuit, shots, np.random.default_rng(5))(base)
+        for got, want in zip(explicit[:4], products[:4]):
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+        per_parent = 2 if circuit is quantumgame._interference else 1  # Re and Im, or one SwapTest
+        assert explicit[4] == products[4] == (2 * spec.num_parameters + 1) * (1 + per_parent * num_parents)
+
+    def test_h2_builds_its_rows_and_an_eight_qubit_sum_does_not(self, h2):
+        # The benchmark's two quantum sizes sit on either side of the rule:
+        # h2, 9 parameters on 2 x-masks of 4 amplitudes (72), and an 8-qubit
+        # 32-term sum on a 32-parameter layout (32 * K * 256 with K >= 16).
+        h2_spec = random_layers_ansatz(2, 3, 3, seed=11)
+        assert h2_spec.num_parameters * h2.compiled[0].size == 9 * 2 * 4
+        assert quantumgame._builds_shift_rows(h2, h2_spec.num_parameters)
+        wide = random_pauli_sum(np.random.default_rng(8), 8, 32, identity=False)
+        wide_spec = layered_ansatz(8, 2)
+        assert wide_spec.num_parameters == 32 and len(wide.compiled[0]) >= 16
+        assert not quantumgame._builds_shift_rows(wide, wide_spec.num_parameters)
+        # The rule is m*K*2**q at most the one constant, its boundary included.
+        largest = quantumgame.EXPLICIT_SHIFT_ROWS_WORK // h2.compiled[0].size
+        assert quantumgame._builds_shift_rows(h2, largest)
+        assert not quantumgame._builds_shift_rows(h2, largest + 1)
+
+    @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "products"])
+    @pytest.mark.parametrize("circuit", [quantumgame._interference, quantumgame._swap_test],
+                             ids=["interference", "swap_test"])
+    def test_parentless_read_draws_only_the_rows_energies(self, monkeypatch, h2, circuit, explicit):
+        # No product with the kets, no circuit moment and no penalty; the draw is
+        # the rows' <M> read-outs, the normals a (2m + 1, 1) draw would give.
+        def untouchable(*args):
+            raise AssertionError("a parentless read formed a cross term")
+
+        if not explicit:
+            monkeypatch.setattr(quantumgame, "EXPLICIT_SHIFT_ROWS_WORK", -1)
+        monkeypatch.setattr(quantumgame, "shift_row_products", untouchable)
+        monkeypatch.setattr(quantumgame, "interference_moments", untouchable)
+        monkeypatch.setattr(quantumgame, "swap_test_moments", untouchable)
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        m = spec.num_parameters
+        assert quantumgame._builds_shift_rows(h2, m) == explicit
+        objective = quantumgame.Objective(-1.0, np.zeros((0, 4), dtype=np.complex128), np.zeros(0), 0.5, 0.1)
+        base = parameter_shift_states(spec, np.random.default_rng(2).uniform(-np.pi, np.pi, m))
+        read = quantumgame._shot_read(h2, objective, circuit, ShotModel(1000), np.random.default_rng(7))
+        grad, value, energy, residue, drawn = read(base)
+        mean, var, _, _ = row_moments(*rebuild_shift_rows(base, pauli_sum_apply(h2, base)))
+        normals = np.random.default_rng(7).standard_normal((2 * m + 1, 1))[:, 0]
+        reads = mean + normals * np.sqrt(var / 1000)
+        values = -reads + 0.5
+        assert np.max(np.abs(grad - shift_rule_gradient(values[:-1]))) <= 1e-12
+        assert value == pytest.approx(values[-1], abs=1e-12)
+        assert energy == pytest.approx(reads[-1], abs=1e-12)
+        assert residue <= NORM_ATOL and drawn == 2 * m + 1
 
 
 class TestDeflation:
