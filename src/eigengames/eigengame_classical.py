@@ -33,13 +33,6 @@ UNIT_NORM_ATOL = 1e-9
 GradientMode = Literal["exact", "zeroth_order"]
 
 
-@dataclass(frozen=True)
-class _Checked:
-    """A real symmetric array already checked once by ``run_sequential``, taken as is."""
-
-    entries: np.ndarray
-
-
 def _as_real_symmetric(m) -> np.ndarray:
     """The real symmetric array the game runs on.
 
@@ -49,8 +42,6 @@ def _as_real_symmetric(m) -> np.ndarray:
     guards (``NumericalOverflowError``), and a ``HermitianMatrix`` was
     checked when built.
     """
-    if isinstance(m, _Checked):
-        return m.entries
     if isinstance(m, HermitianMatrix):
         return m.real_symmetric()
     mat = np.ascontiguousarray(real_part(np.asarray(m)), dtype=np.float64)
@@ -101,8 +92,8 @@ class PlayerState:
     ``parents`` is the read-only (P, n) block of parent vectors the player
     was solved against, one row per earlier player.  ``eigenvalue`` is
     v^T M v and ``residual`` the eigen-residual ||M v - eigenvalue v||, both
-    on the player's matrix; ``run_sequential`` reads them again on the
-    caller's M.  ``momentum_restarts`` counts the
+    read once on the caller's M, which for ``run_sequential`` is not the
+    shifted matrix the players ascend.  ``momentum_restarts`` counts the
     ascent's velocity restarts (``HeavyBall``).  ``max_parent_overlap`` is
     max_j (v . v_j)^2 over the parents at exit, 0 without any: the meaning
     of ``QuantumPlayerState.max_parent_overlap``, reported and not gating
@@ -272,9 +263,18 @@ def eigengame_player(
     """
     if cfg.step_size is None:
         raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
+    mat = _as_real_symmetric(m)
+    state = _ascend(mat, init, parents, cfg, mode, index)
+    state.read_out(mat)
+    return state
+
+
+def _ascend(
+    mat: np.ndarray, init: np.ndarray, parents, cfg: GameConfig, mode: GradientMode, index: int
+) -> PlayerState:
+    """``eigengame_player``'s ascent on a checked real symmetric array, eigenvalue and residual left unread."""
     if mode not in ("exact", "zeroth_order"):
         raise ValueError(f"mode must be 'exact' or 'zeroth_order', got {mode!r}")
-    mat = _as_real_symmetric(m)
     parents = _parent_block(parents, mat.shape[0])
     v = np.asarray(init, dtype=np.float64)
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
@@ -339,7 +339,6 @@ def eigengame_player(
     state.momentum_restarts = ball.restarts
     state.vector = v
     state.max_parent_overlap = float(np.max((parents @ v) ** 2, initial=0.0))
-    state.read_out(mat)
     return state
 
 
@@ -423,10 +422,12 @@ def run_sequential(
     no eigenvector enters the solve.  The zero matrix is rejected: it has no
     leading eigenvectors and no step size; so is a matrix with a non-finite
     entry, whose dense eigenvalues are garbage.  M is checked once per run,
-    not once per player.  A real ``HermitianMatrix`` is read without a copy:
-    besides M, a solve holds one game matrix (2 alpha G, for the player
-    being solved) and one temporary of M's size, plus the copy that carries
-    the shift when c > 0.  M is hashed in place, before and after the run.
+    not once per player, and a bad ``mode`` raises ``ValueError`` before
+    the first player's first step.  A real ``HermitianMatrix`` is read
+    without a copy: besides M, a solve holds one game matrix (2 alpha G, for
+    the player being solved) and one temporary of M's size, plus the copy
+    that carries the shift when c > 0.  M is hashed in place, before and
+    after the run.
     """
     mat = _as_real_symmetric(m)  # the run's one check
     if not np.isfinite(mat).all():  # the dense eigenvalues would be garbage
@@ -443,7 +444,6 @@ def run_sequential(
         warnings.warn("leading eigengaps below 1e-6; convergence may be ill-conditioned", stacklevel=2)
 
     ascended, shift = ascended_matrix(mat, eigenvalues)
-    game = _Checked(ascended)
     if cfg.step_size is None:
         cfg = replace(cfg, step_size=1.0 / (2.0 * (float(eigenvalues[-1]) + shift)))
 
@@ -452,7 +452,7 @@ def run_sequential(
         init = rng.standard_normal(dim)
         init /= np.linalg.norm(init)
         parents = [p.vector for p in earlier]
-        state = eigengame_player(game, init, parents, cfg, mode=mode, index=i)
+        state = _ascend(ascended, init, parents, cfg, mode, i)
         state.read_out(mat)
         return state
 

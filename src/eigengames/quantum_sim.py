@@ -4,18 +4,20 @@ parameter-shift states, and the two inner-product circuits' read-outs.
 Ansatz states are prepared in batches, one row per parameter vector, from
 the layout's cached gate plan (``AnsatzSpec.gate_plan``), and Pauli sums
 apply through their compiled form (``PauliSum.compiled``).
-``parameter_shift_states`` prepares m + 1 states per sweep.  Under finite
-shots the 2m + 1 shift rows are read in one of two forms: from products of
-those m + 1 rows (``shift_row_moments``, ``shift_row_products``), with no
-shift row built, or from the rows themselves (``shift_rows``,
-``built_row_moments``), which costs m more applications of M per sweep and
-fewer array calls.  A one-row base is a plain state, so these are also the
-reads of a single prepared state.  ``perturb_readouts`` draws every shot,
-one vector draw per batch of read-outs; the callers count the read-outs
-they draw.  The interference and SwapTest circuits are read out in closed
-form from the products they measure (``interference_moments``,
-``swap_test_moments``); their gate-by-gate simulations live with the tests,
-as the oracles these closed forms are checked against.
+``parameter_shift_states`` prepares m + 1 states per sweep, and
+``sweep_reads`` reads the 2m + 1 shift rows they stand for, in one of two
+forms that give the same reads to rounding.  The products form applies M
+to the m + 1 prepared rows and forms every read from their products, with
+no shift row built.  The explicit form builds the 2m + 1 rows and applies
+M to them: m more rows of M per sweep, in fewer array calls.  The explicit
+form is the faster one on small registers, and ``EXPLICIT_SHIFT_ROWS_WORK``
+says how small.  A one-row base is a plain state, so ``sweep_reads`` is
+also the read of a single prepared state.  ``perturb_readouts`` draws every
+shot, one vector draw per batch of read-outs; the callers count the
+read-outs they draw.  The interference and SwapTest circuits are read out
+in closed form from the products they measure (``interference_moments``,
+``swap_test_moments``); their gate-by-gate simulations live with the
+tests, as the oracles these closed forms are checked against.
 
 Conventions: qubit t corresponds to character t of a Pauli string and to bit
 (q - 1 - t) of the amplitude index, i.e. string character order matches the
@@ -42,6 +44,15 @@ from .errors import (
 from .hamiltonian import PauliSum
 
 NORM_ATOL = 1e-10
+
+# ``sweep_reads`` builds the 2m + 1 shift rows and applies M to them when that
+# costs at most this many more multiply-adds of M than applying it to the
+# m + 1 prepared rows: m*K*2**q, with K the x-masks of ``PauliSum.compiled``.
+# Below it the explicit form's fewer array calls win; the crossover lies
+# between about 4e3 (level or faster) and 1e4 (slower), per the table of
+# ``tools/shot_read_crossover.py`` in CHANGES.md.  H2 (72) builds its rows,
+# the 8-qubit ``wide`` sum (253 952) does not.
+EXPLICIT_SHIFT_ROWS_WORK = 4096
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 
@@ -357,16 +368,20 @@ def perturb_readouts(
     """Shot noise on an array of readouts: one standard-normal draw for the whole batch.
 
     Every finite-shot draw of the library is made here.  Exact models return
-    the means untouched and never read ``variances`` or ``rng``.  Finite
-    models add sqrt(max(Var, 0)/N) times one standard normal per read-out,
-    drawn from ``rng`` in C order as one vector, which gives the values a
-    circuit-by-circuit loop of ``ShotModel.perturb`` calls over the same
-    read-outs would, bit for bit.  The caller holds the generator, so
+    the means untouched and never read ``variances`` or ``rng``, so only they
+    may pass ``None`` for either; a finite model given ``rng=None`` raises
+    ``ValueError``.  Finite models add sqrt(max(Var, 0)/N) times one
+    standard normal per read-out, drawn from ``rng`` in C order as one
+    vector, which gives the values a circuit-by-circuit loop of
+    ``ShotModel.perturb`` calls over the same read-outs would, bit for bit.
+    The caller holds the generator, so
     successive calls draw independent noise.  Negative variances clamp to
     0; NaN means or variances propagate.
     """
     if shots.is_exact:
         return means
+    if rng is None:
+        raise ValueError(f"a {shots.num_shots}-shot model needs a random generator, got rng=None")
     return means + rng.standard_normal(means.shape) * np.sqrt(
         np.maximum(variances, 0.0) / shots.num_shots
     )
@@ -411,20 +426,50 @@ def parameter_shift_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     """The (m+1, 2**q) states one parameter-shift sweep prepares, in one ``apply_ansatz`` call.
 
     The rows are phi_0, ..., phi_{m-1}, psi, with phi_k = psi(theta + pi e_k)
-    and psi = psi(theta).  Each caller applies M to the rows it reads, and
-    there are two reads.  A finite-shot read reads the 2m + 1 shift rows in
-    one of two forms: it applies M to these m + 1 rows and forms the reads
-    from their products (``shift_row_moments``, ``shift_row_products``), or
-    it builds the shift rows (``shift_rows``) and applies M to those.  An
-    exact read applies M to psi alone: each parameter drives one Pauli
-    rotation, so d_k psi = phi_k / 2, and the gradient of <psi|K psi> for a
-    Hermitian K is Re<phi_k|K psi>, one product of the phi_k with one vector.
+    and psi = psi(theta).  A finite-shot read passes them to
+    ``sweep_reads``.  An exact read applies M to psi alone: each parameter
+    drives one Pauli rotation, so d_k psi = phi_k / 2, and the gradient of
+    <psi|K psi> for a Hermitian K is Re<phi_k|K psi>, one product of the
+    phi_k with one vector.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m = theta.shape[0]
     base = theta[None, :].repeat(m + 1, axis=0)
     base.reshape(-1)[: m * m : m + 1] += np.pi  # the diagonal of the first m rows
     return apply_ansatz(spec, base)
+
+
+def sweep_reads(
+    h: PauliSum, base: np.ndarray, kets: np.ndarray | None
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray | None, int]:
+    """((<M>, Var(M), ||M r||^2, residue), <r|k_j>, rows of M) of the 2m + 1 shift rows r of a sweep.
+
+    ``base`` holds the (m+1, d) rows phi_0, ..., phi_{m-1}, psi of
+    ``parameter_shift_states``.  A Pauli rotation R(t) = cos(t/2) I - i sin(t/2) P
+    satisfies R(t +- pi/2) = (R(t) +- R(t + pi)) / sqrt(2), and every
+    ``AnsatzSpec`` parameter feeds exactly one such gate, so shift row 2k is
+    r+ = (psi + phi_k)/sqrt(2), row 2k+1 is r- = (psi - phi_k)/sqrt(2) and
+    the last row is psi.  The first result holds each row's <M>, its
+    variance clamped at 0, its unclamped second moment and the largest
+    |Im<r|M r>|, rounding for Hermitian M; the second the (2m+1, P) products
+    with the (P, d) ``kets``, ``None`` for ``None``; the third the number of
+    rows M was applied to.
+
+    When m*K*2**q (K the x-masks of ``PauliSum.compiled``) is at most
+    ``EXPLICIT_SHIFT_ROWS_WORK`` the rows are built and M applied to all
+    2m + 1 of them; otherwise M is applied to the m + 1 base rows and every
+    read formed from their products.  A one-row base (m = 0) is the plain
+    state psi, and the reads are its own.  <psi|phi_k> is imaginary, so
+    every row has unit norm; a row off unit norm to ``NORM_ATOL`` (another
+    gate, or NaN) raises ``NormalizationError``, and a residue above it
+    ``ValueError``.
+    """
+    if (len(base) - 1) * h.compiled[0].size <= EXPLICIT_SHIFT_ROWS_WORK:
+        rows = _shift_rows(base)
+        moments = _built_row_moments(rows, pauli_sum_apply(h, rows))
+        return moments, None if kets is None else rows.conj() @ kets.T, len(rows)
+    moments = _shift_row_moments(base, pauli_sum_apply(h, base))
+    return moments, None if kets is None else _shift_row_products(base, kets), len(base)
 
 
 def _pair_rows(rows: np.ndarray, centre: np.ndarray, cross: np.ndarray) -> None:
@@ -436,13 +481,8 @@ def _pair_rows(rows: np.ndarray, centre: np.ndarray, cross: np.ndarray) -> None:
     np.add(centre, cross, out=rows[:-1:2])
 
 
-def shift_rows(base: np.ndarray) -> np.ndarray:
-    """The (2m+1, d) shift rows themselves, built from the (m+1, d) base rows of ``parameter_shift_states``.
-
-    Row 2k is r+ = (psi + phi_k)/sqrt(2), row 2k+1 is r- = (psi - phi_k)/sqrt(2)
-    and the last row is psi (``shift_row_moments`` gives the identity
-    behind them); a one-row base gives psi alone.
-    """
+def _shift_rows(base: np.ndarray) -> np.ndarray:
+    """The (2m+1, d) shift rows themselves, built from the (m+1, d) base rows; a one-row base gives psi alone."""
     rows = np.empty((base.shape[0] * 2 - 1, base.shape[1]), dtype=np.complex128)
     _pair_rows(rows, base[-1], base[:-1])
     rows[:-1] *= math.sqrt(0.5)
@@ -468,34 +508,25 @@ def _checked_moments(
     return mean, np.maximum(second - mean * mean, 0.0), second, residue
 
 
-def shift_row_moments(
+def _built_row_moments(
+    rows: np.ndarray, h_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The explicit form's moments: ||r||^2, <r|M r> and ||M r||^2 of built (B, d) rows, one row-wise product each."""
+    return _checked_moments(
+        np.vecdot(rows, rows).real, np.vecdot(rows, h_rows), np.vecdot(h_rows, h_rows).real
+    )
+
+
+def _shift_row_moments(
     base: np.ndarray, h_base: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(<M>, Var(M), ||M r||^2, residue) of the 2m + 1 shift rows r, from the (m+1, d) base rows and M on them.
+    """The products form's moments of the 2m + 1 shift rows, from the (m+1, d) base rows and M on them.
 
-    A Pauli rotation R(t) = cos(t/2) I - i sin(t/2) P satisfies
-    R(t +- pi/2) = (R(t) +- R(t + pi)) / sqrt(2), and a parameter that feeds
-    exactly one such gate carries this through the circuit.  Every
-    ``AnsatzSpec`` parameter does, by construction: parameter k is the k-th
-    rotation in circuit order.  So with the
-    base rows phi_0, ..., phi_{m-1}, psi of ``parameter_shift_states``,
-    shift row 2k is r+ = (psi + phi_k)/sqrt(2), row 2k+1 is
-    r- = (psi - phi_k)/sqrt(2) and the last row is psi, and each read of a
-    row is a fixed combination of products of base rows:
+    Each read of a row is a fixed combination of products of base rows:
     <r+-|M r+-> = (<psi|M psi> + <phi_k|M phi_k>)/2 +- (<psi|M phi_k> + <phi_k|M psi>)/2,
-    ||M r+-||^2 = (||M psi||^2 + ||M phi_k||^2)/2 +- Re<M psi|M phi_k>, and
-    ||r+-||^2 = (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.
-    ``built_row_moments`` takes the same reads from the built rows; here no
-    row is built and M is applied to m + 1 rows rather than 2m + 1, at the
-    cost of more array calls.
-
-    Var(M) = ||M r||^2 - <M>^2 is clamped at 0; the unclamped second moment
-    is returned too.  A one-row base (m = 0) is the plain state psi, and the
-    four are its own reads.
-    <psi|phi_k> is imaginary, so every row has unit norm; a row off unit
-    norm to ``NORM_ATOL`` (another gate, or NaN) raises.  ``residue`` is the
-    largest |Im<r|M r>|, the cross terms' imaginary parts included, rounding
-    for Hermitian M; above ``NORM_ATOL`` it raises.
+    ||M r+-||^2 = (||psi||^2 + ||phi_k||^2)/2 +- Re<M psi|M phi_k>, and
+    ||r+-||^2 = (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.  The residue
+    covers the cross terms' imaginary parts.
     """
     m = base.shape[0] - 1
     phi, h_phi, psi, h_psi = base[:-1], h_base[:-1], base[-1], h_base[-1]
@@ -522,27 +553,10 @@ def shift_row_moments(
     return _checked_moments(norm.real, value, second.real)
 
 
-def built_row_moments(
-    rows: np.ndarray, h_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``shift_row_moments``'s four reads, taken from built (B, d) rows and M on them, one product each.
-
-    ||r||^2, <r|M r> and ||M r||^2 are each one row-wise product, with the
-    same unit-norm and residue checks and the same clamp; with
-    ``shift_rows`` this is the explicit form of a sweep's finite-shot read.
-    """
-    return _checked_moments(
-        np.vecdot(rows, rows).real, np.vecdot(rows, h_rows), np.vecdot(h_rows, h_rows).real
-    )
-
-
-def shift_row_products(base: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """(2m+1, P) products <r|o_j> of the shift rows r with the (P, d) states ``kets``, from the base rows.
-
-    <r+-|o_j> = (<psi|o_j> +- <phi_k|o_j>)/sqrt(2), in ``shift_row_moments``'s row order.
-    """
+def _shift_row_products(base: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """The products form's (2m+1, P) <r|k_j>: (<psi|k_j> +- <phi_k|k_j>)/sqrt(2), from the base rows."""
     rows = np.empty((base.shape[0] * 2 - 1, kets.shape[0]), dtype=np.complex128)
-    np.vecdot(base[:, None, :], kets, out=rows[::2])  # <b|o_j>: phi_k at row 2k, psi at the last
+    np.vecdot(base[:, None, :], kets, out=rows[::2])  # <b|k_j>: phi_k at row 2k, psi at the last
     _pair_rows(rows, rows[-1], rows[:-1:2])
     rows[:-1] *= math.sqrt(0.5)
     return rows

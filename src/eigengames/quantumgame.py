@@ -27,30 +27,17 @@ from .quantum_sim import (
     ParameterTensor,
     ShotModel,
     apply_ansatz,
-    built_row_moments,
     interference_moments,
     parameter_shift_states,
     pauli_sum_apply,
     perturb_readouts,
-    shift_row_moments,
-    shift_row_products,
-    shift_rows,
     shift_rule_gradient,
     swap_test_moments,
+    sweep_reads,
 )
 
 PARENT_EIGENVALUE_GUARD = 1e-10
 MIN_MODE_SHIFT_MARGIN = 1.0
-
-# A finite-shot sweep builds its 2m + 1 shift rows and applies M to them
-# (``_explicit_reads``) when that costs at most this many more multiply-adds
-# of M than applying it to the m + 1 prepared rows (``_product_reads``):
-# m*K*2**q, with K the x-masks of ``PauliSum.compiled``.  Below it the
-# explicit form's fewer array calls win; the crossover lies between about
-# 4e3 (level or faster) and 1e4 (slower), per the table of
-# ``tools/shot_read_crossover.py`` in CHANGES.md.  H2 (72) builds its rows,
-# the 8-qubit ``wide`` sum (253 952) does not.
-EXPLICIT_SHIFT_ROWS_WORK = 4096
 
 Direction = Literal["maximize", "minimize"]
 
@@ -66,7 +53,7 @@ class QuantumPlayerState:
     ``max_imag_residue`` is the largest imaginary residue the sweeps read,
     rounding for Hermitian M: under an exact shot model |Im<psi|M psi>| on
     theta's row, and under finite shots |Im<r|M r>| over the shift rows r,
-    the cross terms' imaginary parts included (``shift_row_moments``).
+    the cross terms' imaginary parts included (``sweep_reads``).
     ``momentum_restarts`` counts the ascent's velocity restarts, 0 for
     budgets of at most ``ASCENT_WARMUP``.  ``energy_history[t]`` is iteration t's read-out of
     <M> on theta's own row of the sweep, drawn once for the objective too.
@@ -75,10 +62,9 @@ class QuantumPlayerState:
     ``readouts * num_shots``, the solve's shot cost; both are 0 under an
     exact shot model.  ``prepared_rows`` counts the states the player
     prepared, m + 1 per sweep and one for the final read, and
-    ``operator_rows`` the rows M was applied to: one per sweep under an
-    exact model; under finite shots 2m + 1 when the sweep builds its shift
-    rows (a small register, ``EXPLICIT_SHIFT_ROWS_WORK``) and m + 1
-    otherwise; one for the final read, and the game's parent block.  Two
+    ``operator_rows`` the rows M was applied to, as the objective (the
+    game's parent block), each sweep's read and the final read report them
+    (``sweep_reads``).  Two
     records of the returned state, reported and not gating ``converged``:
     ``residual`` is its energy standard deviation
     sqrt(Var(M)) = ||(M - <M>) psi||, which by Kahan's bound puts an
@@ -174,6 +160,7 @@ class Objective(NamedTuple):
     ``scale`` is s and ``constant`` c; ``kets`` is the (P, 2**q) block of
     the k_j and ``weights`` their (P,) float64 w_j.  ``eta`` is the signed
     step: positive to ascend the objective, negative to descend it.
+    ``operator_rows`` counts the rows M was applied to in forming the kets.
     """
 
     scale: float
@@ -181,16 +168,18 @@ class Objective(NamedTuple):
     weights: np.ndarray
     constant: float
     eta: float
+    operator_rows: int = 0
 
 
 # A read maps one sweep's (m+1, 2**q) prepared rows phi_0, ..., phi_{m-1},
 # psi (``parameter_shift_states``) to the objective's gradient in theta, the
 # objective and the <M> read-out on theta's row psi, the largest imaginary
-# residue it read, and the number of finite-shot read-outs it drew.  A
-# one-row base is the single state psi, read with an empty gradient.
-# ``_ascend`` picks the read once per player: ``_backward_read`` under an
-# exact shot model, ``_shot_read`` under finite shots.
-ReadResult = tuple[np.ndarray, float, float, float, int]
+# residue it read, the number of finite-shot read-outs it drew and the
+# number of rows it applied M to.  A one-row base is the single state psi,
+# read with an empty gradient.  ``_ascend`` picks the read once per player:
+# ``_backward_read`` under an exact shot model, ``_shot_read`` under finite
+# shots.
+ReadResult = tuple[np.ndarray, float, float, float, int, int]
 Read = Callable[[np.ndarray], ReadResult]
 
 # A circuit reads the parent terms |<r|k_j>|^2 of an objective on the shift
@@ -213,10 +202,10 @@ def _backward_read(m: PauliSum, objective: Objective) -> Read:
     <psi|phi_k> is imaginary for a Pauli rotation, so a real part beyond
     ``NORM_ATOL`` (another gate, or NaN) raises ``NormalizationError``; so
     does an imaginary part of <psi|M psi> beyond it, with ``ValueError``, as
-    ``shift_row_moments`` does.  The objective is Re<psi|g> + c and the
+    ``sweep_reads`` does.  The objective is Re<psi|g> + c and the
     energy Re<psi|M psi>; nothing is drawn.
     """
-    scale, kets, weights, constant, _ = objective
+    scale, kets, weights, constant, _, _ = objective
     ket_bras = kets.conj()
 
     def read(prepared: np.ndarray) -> ReadResult:
@@ -232,7 +221,7 @@ def _backward_read(m: PauliSum, objective: Objective) -> Read:
             raise NormalizationError(
                 f"parameter-shift rows have a real overlap with psi beyond {NORM_ATOL}"
             )
-        return (bras @ g).real, float(np.vdot(psi, g).real) + constant, energy.real, residue, 0
+        return (bras @ g).real, float(np.vdot(psi, g).real) + constant, energy.real, residue, 0, 1
 
     return read
 
@@ -256,7 +245,7 @@ def _interference(objective: Objective) -> tuple[Callable, Callable]:
     moments and the repeated weights are formed once, for every row and
     iteration.
     """
-    scale, kets, weights, constant, _ = objective
+    scale, kets, weights, constant, _, _ = objective
     ket_second = np.vecdot(kets, kets).real
     read_weights = np.repeat(weights, 2)
 
@@ -289,37 +278,6 @@ def _swap_test(objective: Objective) -> tuple[Callable, Callable]:
     return moments, penalty
 
 
-def _builds_shift_rows(m: PauliSum, num_parameters: int) -> bool:
-    """Whether a finite-shot sweep on M builds its shift rows (``_explicit_reads``).
-
-    True when num_parameters * K * 2**q, the multiply-adds of M the built
-    rows add, is at most ``EXPLICIT_SHIFT_ROWS_WORK``.
-    """
-    return num_parameters * m.compiled[0].size <= EXPLICIT_SHIFT_ROWS_WORK
-
-
-def _product_reads(m: PauliSum, base: np.ndarray, kets: np.ndarray | None):
-    """The shift rows' four moments and their products <r|k_j>, from M on the m + 1 base rows.
-
-    The products form of a sweep's finite-shot read: each read of a row is
-    formed from products of base rows (``shift_row_moments``,
-    ``shift_row_products``); ``None`` in place of the products without kets.
-    """
-    moments = shift_row_moments(base, pauli_sum_apply(m, base))
-    return moments, None if kets is None else shift_row_products(base, kets)
-
-
-def _explicit_reads(m: PauliSum, base: np.ndarray, kets: np.ndarray | None):
-    """``_product_reads``' results from the 2m + 1 built shift rows, M applied to each of them.
-
-    The explicit form: ``shift_rows``, then one row-wise product per moment
-    (``built_row_moments``) and one matrix product for every <r|k_j>.
-    """
-    rows = shift_rows(base)
-    moments = built_row_moments(rows, pauli_sum_apply(m, rows))
-    return moments, None if kets is None else rows.conj() @ kets.T
-
-
 def _shot_read(
     m: PauliSum,
     objective: Objective,
@@ -332,22 +290,19 @@ def _shot_read(
     Per row the read-outs are <M>, then the circuit's read-outs of each
     parent term, perturbed by the shot model in that order in one draw;
     their means and variances come from the rows' moments and their
-    products with the kets, in the form ``_builds_shift_rows`` picks from
-    M and the base's m + 1 rows, the same for every sweep of a player:
-    ``_explicit_reads`` on small registers, ``_product_reads`` otherwise.
-    Row r's objective is
+    products with the kets (``sweep_reads``).  Row r's objective is
     s*<M> + c + sum_j w_j * (the circuit's estimate of |<r|k_j>|^2), and its
     energy its <M> read-out.  Without parents the draw is the rows' <M>
     read-outs alone, the same normals in the same order, and no product
-    with the kets, circuit moment or penalty is formed.
+    with the kets, circuit moment or penalty is formed.  ``rng`` may be
+    ``None`` only under an exact ``shots`` model (``perturb_readouts``).
     """
-    scale, kets, _, constant, _ = objective
+    scale, kets, _, constant, _, _ = objective
     moments, penalty = circuit(objective)
     kets = kets if len(kets) else None
 
     def read(prepared: np.ndarray) -> ReadResult:
-        reads_of = _explicit_reads if _builds_shift_rows(m, len(prepared) - 1) else _product_reads
-        (mean, var, second, residue), products = reads_of(m, prepared, kets)
+        (mean, var, second, residue), products, applied = sweep_reads(m, prepared, kets)
         if products is None:
             reads = perturb_readouts(shots, mean, var, rng)
             value = scale * reads + constant
@@ -363,7 +318,7 @@ def _shot_read(
             reads = perturb_readouts(shots, pair[0], pair[1], rng)
             value = scale * reads[:, 0] + constant + penalty(reads[:, 1:])
             energy = reads[-1, 0]
-        return shift_rule_gradient(value[:-1]), float(value[-1]), float(energy), residue, reads.size
+        return shift_rule_gradient(value[:-1]), float(value[-1]), float(energy), residue, reads.size, applied
 
     return read
 
@@ -396,19 +351,18 @@ def _ascend(
     stream opened from ``cfg.shots``, and the read picked: under an exact
     shot model ``_backward_read``, which applies M to theta's row alone and
     takes the gradient from one backward vector; under finite shots
-    ``_shot_read``, which reads the 2m + 1 shift rows' circuits from M on
-    the m + 1 prepared rows or, on small registers, on the built shift
-    rows.  Each iteration prepares m + 1 states in one call
+    ``_shot_read``, which reads the 2m + 1 shift rows' circuits.  Each
+    iteration prepares m + 1 states in one call
     (``parameter_shift_states``) and reads the gradient, the objective and
     the <M> read-out on theta's row, the iteration's energy, from them: no
     circuit is read twice.  Stops when the gradient norm
     reaches tolerance or the iteration budget runs out (partial result).
     On either exit the final theta's state is prepared, and M applied to
-    it, once, and read as a one-row base: ``shift_row_moments`` gives the
-    eigenvalue read (the last draw of the stream) and the residual, and
-    ``shift_row_products`` with the parents the largest parent overlap.
-    Every draw site adds its read-outs to one count, stored with its shots
-    at the end (0 and 0 when exact).
+    it, once, and read as a one-row base (``sweep_reads``): the eigenvalue
+    read (the last draw of the stream), the residual and, from its products
+    with the parents, the largest parent overlap.  Every draw site adds its
+    read-outs to one count, stored with its shots at the end (0 and 0 when
+    exact), and every preparation and read its rows to the row counts.
 
     The step is heavy-ball, vel <- beta_t vel + eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
@@ -420,19 +374,19 @@ def _ascend(
         read = _backward_read(m, objective)
     else:
         read = _shot_read(m, objective, circuit, cfg.shots, rng)
-    # The interference circuit's kets are A psi_j: the game applied M to its parent block.
-    applied = len(parents) if circuit is _interference else 0
-    state = QuantumPlayerState(index, parents, operator_rows=applied)
+    state = QuantumPlayerState(index, parents)
     vel = np.zeros_like(theta)
     ball = HeavyBall()
     eta, tolerance = objective.eta, cfg.grad_tolerance
     add_grad_norm = state.grad_norm_history.append
     add_utility = state.utility_history.append
     add_energy = state.energy_history.append
-    steps = readouts = 0  # readouts: drawn by the read
+    steps = readouts = prepared_rows = 0  # readouts: drawn by the read
+    operator_rows = objective.operator_rows
     residue_max = 0.0
     for _ in range(cfg.max_iterations):
-        grad, value, energy, residue, drawn = read(parameter_shift_states(spec, theta))
+        prepared = parameter_shift_states(spec, theta)
+        grad, value, energy, residue, drawn, applied = read(prepared)
         residue_max = max(residue_max, residue)
         gnorm = math.sqrt(grad @ grad)
         if not math.isfinite(gnorm):  # a NaN or infinite entry of grad makes the norm so
@@ -440,6 +394,8 @@ def _ascend(
         if not math.isfinite(value):
             raise NumericalOverflowError("objective stopped being finite")
         readouts += drawn
+        prepared_rows += len(prepared)
+        operator_rows += applied
         add_grad_norm(gnorm)
         add_utility(value)
         add_energy(energy)
@@ -458,19 +414,13 @@ def _ascend(
     state.theta = ParameterTensor(theta)
     final = apply_ansatz(spec, theta[None, :])
     final.flags.writeable = False
-    mean, var, _, _ = shift_row_moments(final, pauli_sum_apply(m, final))
+    (mean, var, _, _), products, applied = sweep_reads(m, final, parents)
     state.state = final[0]
     state.eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
     state.residual = math.sqrt(var[0])
-    overlaps = np.abs(shift_row_products(final, parents)) ** 2
-    state.max_parent_overlap = float(overlaps.max(initial=0.0))
-    sweeps, n = len(state.energy_history), spec.num_parameters
-    state.prepared_rows = sweeps * (n + 1) + 1
-    if cfg.shots.is_exact:
-        applied = 1
-    else:
-        applied = 2 * n + 1 if _builds_shift_rows(m, n) else n + 1
-    state.operator_rows += sweeps * applied + 1
+    state.max_parent_overlap = float((np.abs(products) ** 2).max(initial=0.0))
+    state.prepared_rows = prepared_rows + len(final)
+    state.operator_rows = operator_rows + applied
     if not cfg.shots.is_exact:
         state.readouts = readouts + 1  # and the eigenvalue read
         state.shots = state.readouts * cfg.shots.num_shots
@@ -519,7 +469,8 @@ def _game_objective(
     kets = states
     if len(states):
         kets = sign * pauli_sum_apply(m, states) + offset * states
-    return Objective(sign, kets, -1.0 / denominators, offset, 1.0 / (2.0 * (hi - lo + margin)))
+    eta = 1.0 / (2.0 * (hi - lo + margin))
+    return Objective(sign, kets, -1.0 / denominators, offset, eta, len(states))
 
 
 def quantumgame_player(

@@ -63,15 +63,16 @@ class BoundParams:
     diag_norm: float = 0.0
 
     def __post_init__(self):
+        # Each test is written so that NaN fails it.
         if not 0.0 <= self.c <= 1.0 / 16.0:
             raise ValueError("c must lie in [0, 1/16]")
-        if any(g <= 0 for g in self.gaps):
+        if not all(g > 0 for g in self.gaps):
             raise ValueError("gaps must be strictly positive")
-        if self.gaps and self.lambda_top < max(self.gaps):
+        if self.gaps and not self.lambda_top >= max(self.gaps):
             raise ValueError("lambda_top must be at least the largest gap")
-        if self.player_index < 1:
+        if not self.player_index >= 1:
             raise ValueError("player_index is 1-based")
-        if self.num_parameters < 1:
+        if not self.num_parameters >= 1:
             raise ValueError("num_parameters must be at least 1")
 
     @property
@@ -103,10 +104,10 @@ def _iteration_bracket(lambda_top: float, gaps: Sequence[float], c_k: float) -> 
     k = len(gaps)
     gap_product = 1.0
     for g in gaps:
-        if g <= 0:
+        if not g > 0:  # a NaN fails too
             raise ZeroDivisionError("iteration bounds need strictly positive gaps")
         gap_product *= g
-    if c_k <= 0:
+    if not c_k > 0:
         raise ZeroDivisionError("c_k must be positive")
     return (16.0 * lambda_top) ** (k - 1) * math.factorial(k - 1) / gap_product / (16.0 * c_k)
 
@@ -390,7 +391,7 @@ def measure_error_accumulation_quantum(
     """
     rng = np.random.default_rng(seed)
     dim = 2**h.num_qubits
-    sign, _, _, offset, _ = _game_objective(h, np.empty((0, dim), dtype=np.complex128), (), "maximize")
+    sign, _, _, offset, _, _ = _game_objective(h, np.empty((0, dim), dtype=np.complex128), (), "maximize")
     m_dense = pauli_sum_to_matrix(h).entries
     a_dense = sign * m_dense + offset * np.eye(dim)
     rows = []

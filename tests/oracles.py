@@ -4,12 +4,12 @@ None of this runs on a solve path.  The gate-by-gate simulators of the
 interference and SwapTest circuits are what the closed-form read-outs in
 ``eigengames.quantum_sim`` must reproduce; the parameter-shift points, every one
 prepared, check the sweep's m + 1 base rows; ``rebuild_shift_rows`` builds
-the 2m + 1 shift rows from those, and reading them row by row checks the
-reads the library forms from products of the base rows; the scalar
+the 2m + 1 shift rows from those, and reading them row by row checks both
+forms of the library's sweep read (``sweep_reads``); the scalar
 parameter-shift loop and the literal forward-difference quotient check the
 batched and closed-form gradients; ``row_moments`` reads <M> and Var(M)
 of independent state rows one at a time, the reference for the library's
-one moments read ``shift_row_moments``, and ``state_energy`` is its <M> on
+one moments read ``sweep_reads``, and ``state_energy`` is its <M> on
 one state; ``product_state`` builds |0...0> and |+...+>, the reference for
 ``AnsatzSpec.initial_amplitudes``; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
@@ -100,7 +100,7 @@ def row_moments(rows: np.ndarray, h_rows: np.ndarray) -> tuple[np.ndarray, np.nd
     Each row is read on its own with ``np.vdot``.  ``residue`` is the largest
     |Im<psi|M psi>| and raises above ``NORM_ATOL``; Var(M) = ||M psi||^2 - <M>^2
     is clamped at 0 and the unclamped second moment is returned too, as
-    ``shift_row_moments`` does for its rows.
+    ``sweep_reads`` does for its rows.
     """
     value = np.array([np.vdot(row, h_row) for row, h_row in zip(rows, h_rows)], dtype=np.complex128)
     second = np.array([np.vdot(h_row, h_row).real for h_row in h_rows], dtype=np.float64)
@@ -285,8 +285,8 @@ def parameter_shift_points(theta: np.ndarray) -> np.ndarray:
     s = pi/2, the shift for a Pauli rotation, whose generator has eigenvalues
     +-1/2.  The first 2m rows feed ``shift_rule_gradient``; the last row is
     theta itself.  Preparing every row is the reference for the shift rows
-    whose reads ``shift_row_moments`` and ``shift_row_products`` form from
-    the m + 1 states ``parameter_shift_states`` prepares.
+    whose reads ``sweep_reads`` forms from the m + 1 states
+    ``parameter_shift_states`` prepares.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m = theta.shape[0]
@@ -320,8 +320,8 @@ def rebuild_shift_rows(base: np.ndarray, h_base: np.ndarray) -> tuple[np.ndarray
     (psi - phi_k)/sqrt(2) and the last row is psi; M is linear, so the same
     holds for M psi.  Then <psi|phi_k> is imaginary and every row has unit
     norm; a row off unit norm to ``NORM_ATOL`` (another gate, or NaN) raises.
-    Building the rows is the reference the library's reads of them, formed
-    from products of the base rows, are checked against.
+    Building the rows is the reference both forms of the library's reads of
+    them (``sweep_reads``) are checked against.
     """
     rows = _shift_combine(base)
     deviation = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()

@@ -27,9 +27,8 @@ from eigengames.hamiltonian import (
 from eigengames.quantum_sim import (
     ShotModel,
     apply_ansatz,
-    pauli_sum_apply,
     random_layers_ansatz,
-    shift_row_moments,
+    sweep_reads,
 )
 from eigengames.quantumgame import (
     SolverConfig,
@@ -193,7 +192,7 @@ def test_criterion_4_quantum_excited_states():
     details = []
     for rank, idx in enumerate(order):
         rows = apply_ansatz(ANSATZ, noisy.players[idx].theta.values[None, :])
-        _, var, _, _ = shift_row_moments(rows, pauli_sum_apply(H2, rows))
+        (_, var, _, _), _, _ = sweep_reads(H2, rows, None)
         band = 10.0 * np.sqrt(var[0] / 10_000)
         err = abs(noisy.eigenvalues[idx] - H2_LEVELS[rank])
         band_ok = band_ok and err <= band

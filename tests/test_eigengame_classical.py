@@ -526,13 +526,13 @@ class TestRunSequential:
         # Player j is solved against the vectors players 1..j-1 returned, bit
         # for bit, and keeps that block read-only.
         received = []
-        original = eigengame_classical.eigengame_player
+        original = eigengame_classical._ascend
 
-        def recording(m, init, parents, *args, **kwargs):
+        def recording(mat, init, parents, *args):
             received.append(np.array(parents))
-            return original(m, init, parents, *args, **kwargs)
+            return original(mat, init, parents, *args)
 
-        monkeypatch.setattr(eigengame_classical, "eigengame_player", recording)
+        monkeypatch.setattr(eigengame_classical, "_ascend", recording)
         matrix, _ = build_powerlaw_hamiltonian(8, seed=2)
         result = run_sequential(matrix, GameConfig(grad_tolerance=1e-6, num_players=4), seed=0)
         for j, player in enumerate(result.players):
@@ -544,13 +544,13 @@ class TestRunSequential:
     def test_unconverged_players_are_solved_once_and_broadcast(self, monkeypatch):
         matrix, _ = build_powerlaw_hamiltonian(8, seed=2)
         calls = []
-        original = eigengame_classical.eigengame_player
+        original = eigengame_classical._ascend
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["index"])
-            return original(*args, **kwargs)
+        def counting(mat, init, parents, cfg, mode, index):
+            calls.append(index)
+            return original(mat, init, parents, cfg, mode, index)
 
-        monkeypatch.setattr(eigengame_classical, "eigengame_player", counting)
+        monkeypatch.setattr(eigengame_classical, "_ascend", counting)
         cfg = GameConfig(grad_tolerance=1e-6, max_iterations_per_player=5, num_players=3)
         result = run_sequential(matrix, cfg, seed=0)
         assert len(result.players) == 3

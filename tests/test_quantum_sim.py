@@ -25,18 +25,19 @@ from eigengames.quantum_sim import (
     AnsatzSpec,
     ShotModel,
     StateVector,
+    _built_row_moments,
+    _shift_row_moments,
+    _shift_row_products,
+    _shift_rows,
     apply_ansatz,
-    built_row_moments,
     interference_moments,
     layered_ansatz,
     parameter_shift_states,
     pauli_sum_apply,
     perturb_readouts,
     random_layers_ansatz,
-    shift_row_moments,
-    shift_row_products,
-    shift_rows,
     swap_test_moments,
+    sweep_reads,
 )
 
 from oracles import (
@@ -67,14 +68,13 @@ def random_state(num_qubits, rng):
 
 
 def noisy_energy(h, psi, shots):
-    """One read-out of <M> on psi as the players draw it: ``shift_row_moments`` on psi, then ``perturb_readouts``."""
-    rows = psi[None, :]
-    mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
+    """One read-out of <M> on psi as the players draw it: ``sweep_reads`` on psi, then ``perturb_readouts``."""
+    (mean, var, _, _), _, _ = sweep_reads(h, psi[None, :], None)
     return float(perturb_readouts(shots, mean, var, shots.make_rng())[0])
 
 
 def exact_energy(h, psi):
-    """<M> on psi as the library reads one state: ``shift_row_moments``'s mean on the one-row base psi."""
+    """<M> on psi as the library reads one state: ``sweep_reads``' mean on the one-row base psi."""
     return noisy_energy(h, psi, ShotModel())
 
 
@@ -376,13 +376,13 @@ class TestStateMoments:
         h_rows = pauli_sum_apply(h, rows)
         want = row_moments(rows, h_rows)
         for b in range(6):
-            got = shift_row_moments(rows[b:b + 1], h_rows[b:b + 1])
+            got = _shift_row_moments(rows[b:b + 1], h_rows[b:b + 1])
             assert [g.shape for g in got[:3]] == [(1,)] * 3
             for g, w in zip(got[:3], want[:3]):
                 assert g[0] == pytest.approx(w[b], rel=0.0, abs=1e-15)
             assert got[3] <= NORM_ATOL
 
-    @pytest.mark.parametrize("read", [row_moments, shift_row_moments], ids=["reference", "one-row"])
+    @pytest.mark.parametrize("read", [row_moments, _shift_row_moments], ids=["reference", "one-row"])
     def test_variance_clamps_at_zero(self, read):
         # |0> a rounding off unit norm, with Z|0> = |0>: ||M psi||^2 - <M>^2 is
         # below 0; the variance clamps to 0 and the second moment stays as computed.
@@ -392,7 +392,7 @@ class TestStateMoments:
         assert second[0] - mean[0] ** 2 < 0.0
         assert var[0] == 0.0 and second[0] == 1.0
 
-    @pytest.mark.parametrize("read", [row_moments, shift_row_moments], ids=["reference", "one-row"])
+    @pytest.mark.parametrize("read", [row_moments, _shift_row_moments], ids=["reference", "one-row"])
     def test_imaginary_residue_above_tolerance_raises(self, read):
         rows = product_state("plus", 1)[None, :]
         _, _, _, residue = read(rows, 0.5j * NORM_ATOL * rows)
@@ -409,8 +409,7 @@ class TestShotNoise:
     def test_exact_model_reads_the_mean(self):
         h = load_pauli_sum(bundled_h2_path())
         psi = random_state(2, np.random.default_rng(4))
-        rows = psi[None, :]
-        assert noisy_energy(h, psi, ShotModel()) == shift_row_moments(rows, pauli_sum_apply(h, rows))[0][0]
+        assert noisy_energy(h, psi, ShotModel()) == sweep_reads(h, psi[None, :], None)[0][0][0]
 
     def test_ten_thousand_shot_band(self):
         # Var(Z on |+>) = 1, so the estimator std is 0.01; +-0.05 is a 5-sigma band.
@@ -488,6 +487,11 @@ class TestShotNoise:
         means = np.array([1.0, 2.0])
         assert perturb_readouts(ShotModel(), means, None, None) is means
 
+    def test_finite_model_without_a_generator_rejected(self):
+        # Only an exact model may leave the generator out; a finite one names it.
+        with pytest.raises(ValueError, match="random generator"):
+            perturb_readouts(ShotModel(100), np.array([1.0, 2.0]), np.ones(2), None)
+
     def test_zero_shots_rejected(self):
         with pytest.raises(InvalidShotCountError):
             ShotModel(0)
@@ -505,8 +509,7 @@ class TestShotNoise:
         h = load_pauli_sum(bundled_h2_path())
         rng = np.random.default_rng(8)
         psi = random_state(2, rng)
-        rows = psi[None, :]
-        mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
+        (mean, var, _, _), _, _ = sweep_reads(h, psi[None, :], None)
         n = 400
         draws = np.array([noisy_energy(h, psi, ShotModel(n, rng_seed=s)) for s in range(1000)])
         expected_std = np.sqrt(var / n)
@@ -713,9 +716,9 @@ class TestParameterShiftStates:
             assert np.max(np.abs(psi - prepared)) <= 1e-12
             assert np.max(np.abs(h_psi - h_prepared)) <= 1e-12
             want = row_moments(prepared, h_prepared)
-            for got, expected in zip(shift_row_moments(base, h_base)[:3], want[:3]):
+            for got, expected in zip(_shift_row_moments(base, h_base)[:3], want[:3]):
                 assert np.max(np.abs(got - expected)) <= 1e-12
-            assert np.max(np.abs(shift_row_products(base, parents) - prepared.conj() @ parents.T)) <= 1e-12
+            assert np.max(np.abs(_shift_row_products(base, parents) - prepared.conj() @ parents.T)) <= 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(shift_sweeps())
@@ -735,9 +738,9 @@ class TestParameterShiftStates:
         want = row_moments(rows, h_rows)
         want_cross = interference_moments(rows.conj() @ m_parents.T, want[2], parent_second)
         want_swap = swap_test_moments(rows.conj() @ parents.T)
-        got = shift_row_moments(base, h_base)
-        got_cross = interference_moments(shift_row_products(base, m_parents), got[2], parent_second)
-        got_swap = swap_test_moments(shift_row_products(base, parents))
+        got = _shift_row_moments(base, h_base)
+        got_cross = interference_moments(_shift_row_products(base, m_parents), got[2], parent_second)
+        got_swap = swap_test_moments(_shift_row_products(base, parents))
         for g, w in zip((*got[:3], *got_cross, *got_swap), (*want[:3], *want_cross, *want_swap)):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w), initial=0.0) <= 1e-12
@@ -761,16 +764,16 @@ class TestParameterShiftStates:
         phi[1] /= np.linalg.norm(phi[1])
         base = np.vstack((phi, psi))
         with pytest.raises(NormalizationError):
-            shift_row_moments(base, base)
+            _shift_row_moments(base, base)
         # i*psi: imaginary overlap.  With M = I each row's <M> is its squared norm.
-        mean, _, _, _ = shift_row_moments(base[[0, 2]], base[[0, 2]])
+        mean, _, _, _ = _shift_row_moments(base[[0, 2]], base[[0, 2]])
         assert np.allclose(mean, 1.0, rtol=0.0, atol=1e-12)
 
     def test_nan_row_rejected(self):
         base = np.array([[1j, 0.0], [1.0, 0.0]], dtype=complex)
         base[0, 1] = np.nan
         with pytest.raises(NormalizationError):
-            shift_row_moments(base, base)
+            _shift_row_moments(base, base)
 
     def test_cross_term_imaginary_part_raises(self):
         # psi = |0> and phi = i|1>, with M psi = 0 and M phi = c|0>: <psi|M psi> and
@@ -781,11 +784,11 @@ class TestParameterShiftStates:
             h_base = np.array([[scale * 1j * NORM_ATOL, 0.0], [0.0, 0.0]])
             rows, h_rows = rebuild_shift_rows(base, h_base)
             if raises:
-                for read in (lambda: shift_row_moments(base, h_base), lambda: row_moments(rows, h_rows)):
+                for read in (lambda: _shift_row_moments(base, h_base), lambda: row_moments(rows, h_rows)):
                     with pytest.raises(ValueError, match="imaginary residue"):
                         read()
             else:
-                residue = shift_row_moments(base, h_base)[3]
+                residue = _shift_row_moments(base, h_base)[3]
                 assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
                 assert residue == pytest.approx(row_moments(rows, h_rows)[3], rel=1e-12)
 
@@ -796,23 +799,23 @@ class TestParameterShiftStates:
         rng = np.random.default_rng(3)
         psi = random_state(2, rng)
         base = np.array([1j * psi, psi])
-        rows = shift_rows(base)
+        rows = _shift_rows(base)
         assert rows.shape == (3, 4)
         assert np.max(np.abs(rows - rebuild_shift_rows(base, base)[0])) <= 1e-15
-        assert np.allclose(built_row_moments(rows, rows)[0], 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(_built_row_moments(rows, rows)[0], 1.0, rtol=0.0, atol=1e-12)
         phi = (psi + random_state(2, rng)) / 2.0
         for bad in (phi / np.linalg.norm(phi), np.full(4, np.nan)):
-            rows = shift_rows(np.array([bad, psi]))
+            rows = _shift_rows(np.array([bad, psi]))
             with pytest.raises(NormalizationError):
-                built_row_moments(rows, rows)
+                _built_row_moments(rows, rows)
         base = np.array([[0.0, 1j], [1.0, 0.0]])
         for scale, raises in ((1.0, False), (4.0, True)):
-            h_rows = shift_rows(np.array([[scale * 1j * NORM_ATOL, 0.0], [0.0, 0.0]]))
+            h_rows = _shift_rows(np.array([[scale * 1j * NORM_ATOL, 0.0], [0.0, 0.0]]))
             if raises:
                 with pytest.raises(ValueError, match="imaginary residue"):
-                    built_row_moments(shift_rows(base), h_rows)
+                    _built_row_moments(_shift_rows(base), h_rows)
             else:
-                residue = built_row_moments(shift_rows(base), h_rows)[3]
+                residue = _built_row_moments(_shift_rows(base), h_rows)[3]
                 assert residue == pytest.approx(0.5 * NORM_ATOL, rel=1e-12)
 
 

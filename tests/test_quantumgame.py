@@ -2,13 +2,14 @@
 
 import inspect
 import json
+import math
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigengames import quantumgame
+from eigengames import quantum_sim, quantumgame
 from eigengames.eigengame_classical import GameConfig, HeavyBall, run_sequential
 from eigengames.errors import BindingError, DegenerateParentError, NormalizationError
 from eigengames.hamiltonian import (
@@ -28,9 +29,8 @@ from eigengames.quantum_sim import (
     parameter_shift_states,
     pauli_sum_apply,
     random_layers_ansatz,
-    shift_row_moments,
-    shift_row_products,
     shift_rule_gradient,
+    sweep_reads,
 )
 from eigengames.quantumgame import (
     SolverConfig,
@@ -68,10 +68,14 @@ def arguments(fn, args, kwargs):
 
 
 def exact_moments(h, psi):
-    """(<M>, Var(M)) of one state's amplitudes, from ``shift_row_moments`` on it."""
-    rows = psi[None, :]
-    mean, var, _, _ = shift_row_moments(rows, pauli_sum_apply(h, rows))
+    """(<M>, Var(M)) of one state's amplitudes, from ``sweep_reads`` on it."""
+    (mean, var, _, _), _, _ = sweep_reads(h, psi[None, :], None)
     return float(mean[0]), float(var[0])
+
+
+def force_read_form(monkeypatch, explicit):
+    """Send every ``sweep_reads`` call to the explicit form (True) or the products form (False)."""
+    monkeypatch.setattr(quantum_sim, "EXPLICIT_SHIFT_ROWS_WORK", math.inf if explicit else -1)
 
 
 def dense_game_operator(h, direction):
@@ -202,9 +206,8 @@ class TestQuantumGamePlayer:
         state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), *parents, cfg, index=3)
         assert state.converged == (budget == 3000)
         final = apply_ansatz(spec, state.theta.values[None, :])
-        mean, var, _, _ = shift_row_moments(final, pauli_sum_apply(h2, final))
-        block = parents[0]
-        overlaps = np.abs(shift_row_products(final, block)) ** 2
+        (mean, var, _, _), products, _ = sweep_reads(h2, final, parents[0])
+        overlaps = np.abs(products) ** 2
         assert np.array_equal(state.state, final[0])
         assert not state.state.flags.writeable
         assert isinstance(state.theta, ParameterTensor) and not state.theta.values.flags.writeable
@@ -565,8 +568,6 @@ class TestStepSize:
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 1.0})],
                              ids=["game", "vqd"])
     def test_no_dense_operator_and_one_lanczos_run(self, monkeypatch, runner, extra):
-        from eigengames import quantum_sim
-
         h = random_pauli_sum(np.random.default_rng(8), 8, 24, identity=False)
         dense_shape = (2**8, 2**8)
         shapes = []
@@ -639,10 +640,10 @@ class TestShiftedObjective:
         # then give the shift rule over those rows and theta's own.
         theta = rng.uniform(-np.pi, np.pi, spec.num_parameters)
         psi = apply_ansatz(spec, parameter_shift_points(theta))
-        grads, value, m_reads, residues, drawn = zip(*(read(row[None, :]) for row in psi))
+        grads, value, m_reads, residues, drawn, _ = zip(*(read(row[None, :]) for row in psi))
         assert all(grad.shape == (0,) for grad in grads)
         value, m_reads = np.array(value), np.array(m_reads)
-        grad, theta_value, energy, _, _ = read(parameter_shift_states(spec, theta))
+        grad, theta_value, energy, _, _, _ = read(parameter_shift_states(spec, theta))
         assert np.allclose(grad, shift_rule_gradient(value[:-1]), rtol=0.0, atol=1e-11)
         assert theta_value == pytest.approx(value[-1], abs=1e-11)
         assert energy == pytest.approx(m_reads[-1], abs=1e-12)
@@ -729,12 +730,12 @@ class TestShiftedObjective:
         exact, sweep = self.player_reads(monkeypatch, player, h, spec, parents, direction)
         for _ in range(3):
             prepared = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
-            grad, value, energy, residue, drawn = exact(prepared)
-            want_grad, want_value, want_energy, _, _ = sweep(prepared)
+            grad, value, energy, residue, drawn, applied = exact(prepared)
+            want_grad, want_value, want_energy, _, _, _ = sweep(prepared)
             assert np.max(np.abs(grad - want_grad)) <= 1e-12
             assert abs(value - want_value) <= 1e-12
             assert abs(energy - want_energy) <= 1e-12
-            assert residue <= NORM_ATOL and drawn == 0
+            assert residue <= NORM_ATOL and drawn == 0 and applied == 1
 
     def test_exact_read_rejects_a_real_overlap(self):
         # A gate that is not a Pauli rotation leaves phi_k with a real overlap with psi.
@@ -763,8 +764,8 @@ class TestShiftedObjective:
             h, spec = random_pauli_sum(np.random.default_rng(12), 6, 12, identity=True), layered_ansatz(6, 1)
             assert len(h.compiled[0]) >= 6
             rows = spec.num_parameters + 1
-        m = spec.num_parameters
-        assert quantumgame._builds_shift_rows(h, m) == (rows == 2 * m + 1)
+        base = parameter_shift_states(spec, np.zeros(spec.num_parameters))
+        assert sweep_reads(h, base, None)[2] == rows
         return h, spec, rows
 
     def count_one_pauli_application_per_batch(self, monkeypatch, player, num_parents, shots, layout):
@@ -773,8 +774,6 @@ class TestShiftedObjective:
         # model's batch is theta's row alone; a finite-shot one is the 2m + 1
         # built shift rows on a small register and the m + 1 prepared rows on
         # a larger one.  No PauliSum is built during the solve.
-        from eigengames import quantum_sim
-
         h, spec, shot_rows = self.count_layout(layout)
         assert h.spectral_range  # cached before counting
         rng = np.random.default_rng(num_parents)
@@ -822,8 +821,6 @@ class TestShiftedObjective:
         # those (a small register) or from M on the m + 1 rows themselves; an
         # exact model applies M to theta's row alone.  The player's row
         # counters are these rows, the final read's included.
-        from eigengames import quantum_sim
-
         h, spec, shot_rows = self.count_layout(layout)
         rng = np.random.default_rng(num_parents)
         parents = make_parents(
@@ -890,8 +887,6 @@ class TestStatePreparations:
         # and again for the broadcast parent.  A player runs one sweep per
         # iteration, one more when it converges (the pass that finds the
         # gradient below tolerance), and prepares its final state once.
-        from eigengames import quantum_sim
-
         calls = []
         original = quantum_sim.apply_ansatz
 
@@ -1139,7 +1134,7 @@ class TestShotReadForms:
                              ids=["interference", "swap_test"])
     @pytest.mark.parametrize("num_parents", [0, 1, 2, 3])
     @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
-    def test_forms_agree_with_each_other_and_the_built_rows(self, num_qubits, num_parents, circuit):
+    def test_forms_agree_with_each_other_and_the_built_rows(self, monkeypatch, num_qubits, num_parents, circuit):
         rng = np.random.default_rng(10 * num_qubits + num_parents)
         h = random_pauli_sum(rng, num_qubits, 3 * num_qubits, identity=True)
         spec = random_layers_ansatz(num_qubits, 2, num_qubits + 1, seed=num_qubits + 7 * num_parents)
@@ -1149,13 +1144,16 @@ class TestShotReadForms:
         moments, _ = circuit(objective)
         kets = objective.kets if num_parents else None
         base = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, m))
-        products_form = quantumgame._product_reads(h, base, kets)
-        explicit_form = quantumgame._explicit_reads(h, base, kets)
+        force_read_form(monkeypatch, False)
+        products_form = sweep_reads(h, base, kets)
+        force_read_form(monkeypatch, True)
+        explicit_form = sweep_reads(h, base, kets)
+        assert (products_form[2], explicit_form[2]) == (m + 1, 2 * m + 1)  # rows M was applied to
         # The reference: the 2m + 1 rows built by the oracle, each read on its own.
         rows, h_rows = rebuild_shift_rows(base, pauli_sum_apply(h, base))
         reference = (row_moments(rows, h_rows), rows.conj() @ objective.kets.T if num_parents else None)
-        (mean, _, second, _), products = products_form
-        for (got, got_products), tolerance in ((explicit_form, 1e-13), (reference, 1e-12)):
+        (mean, _, second, _), products, _ = products_form
+        for (got, got_products, *_), tolerance in ((explicit_form, 1e-13), (reference, 1e-12)):
             for g, w in zip(got, products_form[0]):
                 assert np.shape(g) == np.shape(w) == ((2 * m + 1,) if np.ndim(w) else ())
                 assert np.max(np.abs(np.subtract(g, w))) <= tolerance
@@ -1180,31 +1178,34 @@ class TestShotReadForms:
         objective = self.objective(h2, states, eigenvalues, circuit)
         base = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, spec.num_parameters))
         shots = ShotModel(10_000)
-        assert quantumgame._builds_shift_rows(h2, spec.num_parameters)
+        force_read_form(monkeypatch, True)
         explicit = quantumgame._shot_read(h2, objective, circuit, shots, np.random.default_rng(5))(base)
-        monkeypatch.setattr(quantumgame, "EXPLICIT_SHIFT_ROWS_WORK", -1)
-        assert not quantumgame._builds_shift_rows(h2, spec.num_parameters)
+        force_read_form(monkeypatch, False)
         products = quantumgame._shot_read(h2, objective, circuit, shots, np.random.default_rng(5))(base)
         for got, want in zip(explicit[:4], products[:4]):
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+        m = spec.num_parameters
         per_parent = 2 if circuit is quantumgame._interference else 1  # Re and Im, or one SwapTest
-        assert explicit[4] == products[4] == (2 * spec.num_parameters + 1) * (1 + per_parent * num_parents)
+        assert explicit[4] == products[4] == (2 * m + 1) * (1 + per_parent * num_parents)
+        assert (explicit[5], products[5]) == (2 * m + 1, m + 1)
 
-    def test_h2_builds_its_rows_and_an_eight_qubit_sum_does_not(self, h2):
+    def test_h2_builds_its_rows_and_an_eight_qubit_sum_does_not(self, monkeypatch, h2):
         # The benchmark's two quantum sizes sit on either side of the rule:
         # h2, 9 parameters on 2 x-masks of 4 amplitudes (72), and an 8-qubit
         # 32-term sum on a 32-parameter layout (32 * K * 256 with K >= 16).
+        # The form shows in the rows M is applied to: 2m + 1 built, m + 1 not.
         h2_spec = random_layers_ansatz(2, 3, 3, seed=11)
         assert h2_spec.num_parameters * h2.compiled[0].size == 9 * 2 * 4
-        assert quantumgame._builds_shift_rows(h2, h2_spec.num_parameters)
+        h2_base = parameter_shift_states(h2_spec, np.zeros(9))
+        assert sweep_reads(h2, h2_base, None)[2] == 19
         wide = random_pauli_sum(np.random.default_rng(8), 8, 32, identity=False)
         wide_spec = layered_ansatz(8, 2)
         assert wide_spec.num_parameters == 32 and len(wide.compiled[0]) >= 16
-        assert not quantumgame._builds_shift_rows(wide, wide_spec.num_parameters)
+        assert sweep_reads(wide, parameter_shift_states(wide_spec, np.zeros(32)), None)[2] == 33
         # The rule is m*K*2**q at most the one constant, its boundary included.
-        largest = quantumgame.EXPLICIT_SHIFT_ROWS_WORK // h2.compiled[0].size
-        assert quantumgame._builds_shift_rows(h2, largest)
-        assert not quantumgame._builds_shift_rows(h2, largest + 1)
+        for work, rows in ((72, 19), (71, 10)):
+            monkeypatch.setattr(quantum_sim, "EXPLICIT_SHIFT_ROWS_WORK", work)
+            assert sweep_reads(h2, h2_base, None)[2] == rows
 
     @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "products"])
     @pytest.mark.parametrize("circuit", [quantumgame._interference, quantumgame._swap_test],
@@ -1215,18 +1216,16 @@ class TestShotReadForms:
         def untouchable(*args):
             raise AssertionError("a parentless read formed a cross term")
 
-        if not explicit:
-            monkeypatch.setattr(quantumgame, "EXPLICIT_SHIFT_ROWS_WORK", -1)
-        monkeypatch.setattr(quantumgame, "shift_row_products", untouchable)
+        force_read_form(monkeypatch, explicit)
+        monkeypatch.setattr(quantum_sim, "_shift_row_products", untouchable)
         monkeypatch.setattr(quantumgame, "interference_moments", untouchable)
         monkeypatch.setattr(quantumgame, "swap_test_moments", untouchable)
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         m = spec.num_parameters
-        assert quantumgame._builds_shift_rows(h2, m) == explicit
         objective = quantumgame.Objective(-1.0, np.zeros((0, 4), dtype=np.complex128), np.zeros(0), 0.5, 0.1)
         base = parameter_shift_states(spec, np.random.default_rng(2).uniform(-np.pi, np.pi, m))
         read = quantumgame._shot_read(h2, objective, circuit, ShotModel(1000), np.random.default_rng(7))
-        grad, value, energy, residue, drawn = read(base)
+        grad, value, energy, residue, drawn, applied = read(base)
         mean, var, _, _ = row_moments(*rebuild_shift_rows(base, pauli_sum_apply(h2, base)))
         normals = np.random.default_rng(7).standard_normal((2 * m + 1, 1))[:, 0]
         reads = mean + normals * np.sqrt(var / 1000)
@@ -1235,6 +1234,7 @@ class TestShotReadForms:
         assert value == pytest.approx(values[-1], abs=1e-12)
         assert energy == pytest.approx(reads[-1], abs=1e-12)
         assert residue <= NORM_ATOL and drawn == 2 * m + 1
+        assert applied == (2 * m + 1 if explicit else m + 1)
 
 
 class TestDeflation:

@@ -64,6 +64,22 @@ class TestLipschitzClassical:
         with pytest.raises(ValueError):
             BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, c=0.25)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("c", math.nan, "c must lie"),
+            ("gaps", (math.nan, 0.5), "gaps"),
+            ("lambda_top", math.nan, "lambda_top"),
+            ("player_index", math.nan, "player_index"),
+            ("num_parameters", math.nan, "num_parameters"),
+        ],
+    )
+    def test_nan_rejected(self, field, value, message):
+        # Each check fails on NaN: a NaN gap used to build and give a NaN bound.
+        fields = {"lambda_top": 1.0, "gaps": (0.5, 0.5), "player_index": 2, field: value}
+        with pytest.raises(ValueError, match=message):
+            BoundParams(**fields)
+
 
 class TestLipschitzQuantum:
     def test_single_parameter_equals_classical(self):
@@ -115,6 +131,15 @@ class TestIterationBoundClassical:
     def test_zero_gap_guarded(self):
         with pytest.raises(ZeroDivisionError):
             iteration_bound_classical([4.0], [4.0], 1.0, (0.0,), 1.0 / 16.0)
+
+    def test_nan_gap_and_c_k_guarded(self):
+        # NaN used to reach math.ceil ("cannot convert float NaN to integer").
+        with pytest.raises(ZeroDivisionError, match="gaps"):
+            iteration_bound_classical([4.0], [4.0], 1.0, (math.nan,), 1.0 / 16.0)
+        with pytest.raises(ZeroDivisionError, match="c_k"):
+            iteration_bound_classical([4.0], [4.0], 1.0, (0.5,), math.nan)
+        with pytest.raises(ZeroDivisionError, match="c_k"):
+            iteration_bound_quantum([4.0], 1, 1.0, (0.5,), math.nan)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

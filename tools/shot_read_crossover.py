@@ -1,12 +1,12 @@
 """Per-call time of the two forms of a finite-shot sweep read, against the rule that picks one.
 
-A finite-shot sweep reads its 2m + 1 shift rows either from M on the m + 1
-prepared rows and their products (``quantumgame._product_reads``) or from M
-on the 2m + 1 built rows (``quantumgame._explicit_reads``).  For each
-operator and ansatz this prints the median per-call time of each form, with
-two parent kets, their ratio, m*K*2**q (K the x-masks of
-``PauliSum.compiled``) and the form the rule picks: the explicit one when
-m*K*2**q is at most ``quantumgame.EXPLICIT_SHIFT_ROWS_WORK``.  The operators
+``quantum_sim.sweep_reads`` reads a sweep's 2m + 1 shift rows either from M
+on the m + 1 prepared rows and their products (a) or from M on the 2m + 1
+built rows (b), both formed here from ``quantum_sim``'s private helpers.
+For each operator and ansatz this prints the median per-call time of each
+form, with two parent kets, their ratio, m*K*2**q (K the x-masks of
+``PauliSum.compiled``) and the form ``sweep_reads`` picks: the explicit one
+when m*K*2**q is at most ``quantum_sim.EXPLICIT_SHIFT_ROWS_WORK``.  The operators
 are a transverse-field Ising ring and a random 32-term sum at 2-6 qubits,
 each on a two-layer ``layered_ansatz`` (m = 4q), and the benchmark's
 ``h2`` and ``wide`` solves.  Run::
@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from eigengames import quantumgame
+from eigengames import quantum_sim
 from eigengames.hamiltonian import PauliSum
-from eigengames.quantum_sim import AnsatzSpec, layered_ansatz, parameter_shift_states
+from eigengames.quantum_sim import AnsatzSpec, layered_ansatz, parameter_shift_states, pauli_sum_apply
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from perf_workloads import build_round  # noqa: E402
@@ -62,6 +62,18 @@ def cases() -> list[tuple[str, PauliSum, AnsatzSpec]]:
     return found
 
 
+def products_form(h: PauliSum, base: np.ndarray, kets: np.ndarray):
+    """(a): M on the m + 1 prepared rows, every read formed from their products."""
+    moments = quantum_sim._shift_row_moments(base, pauli_sum_apply(h, base))
+    return moments, quantum_sim._shift_row_products(base, kets)
+
+
+def explicit_form(h: PauliSum, base: np.ndarray, kets: np.ndarray):
+    """(b): the 2m + 1 shift rows built, M applied to each of them."""
+    rows = quantum_sim._shift_rows(base)
+    return quantum_sim._built_row_moments(rows, pauli_sum_apply(h, rows)), rows.conj() @ kets.T
+
+
 def per_call(call, repeats: int) -> float:
     """Median seconds per call over ``repeats`` runs of about 20 ms each."""
     number = max(1, int(0.02 / max(timeit.timeit(call, number=3) / 3, 1e-9)))
@@ -78,12 +90,12 @@ def main(argv: list[str]) -> int:
         base = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, m))
         kets = rng.normal(size=(PARENTS, 2**q)) + 1j * rng.normal(size=(PARENTS, 2**q))
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-        products = per_call(lambda: quantumgame._product_reads(h, base, kets), repeats)
-        explicit = per_call(lambda: quantumgame._explicit_reads(h, base, kets), repeats)
-        pick = "(b) explicit" if quantumgame._builds_shift_rows(h, m) else "(a) products"
+        products = per_call(lambda: products_form(h, base, kets), repeats)
+        explicit = per_call(lambda: explicit_form(h, base, kets), repeats)
+        pick = "(b) explicit" if quantum_sim.sweep_reads(h, base, None)[2] == 2 * m + 1 else "(a) products"
         print(f"{name:<12}{q:>3}{m:>4}{len(h.compiled[0]):>4}{m * h.compiled[0].size:>10}"
               f"{products * 1e6:>10.1f}{explicit * 1e6:>10.1f}{explicit / products:>9.2f}  {pick}")
-    print(f"rule: (b) when m*K*2^q <= EXPLICIT_SHIFT_ROWS_WORK = {quantumgame.EXPLICIT_SHIFT_ROWS_WORK}")
+    print(f"rule: (b) when m*K*2^q <= quantum_sim.EXPLICIT_SHIFT_ROWS_WORK = {quantum_sim.EXPLICIT_SHIFT_ROWS_WORK}")
     return 0
 
 
