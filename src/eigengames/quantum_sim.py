@@ -1,8 +1,14 @@
 """Dense statevector simulation: ansatz circuits, Pauli expectations, shot noise,
 parameter-shift states, and the two inner-product circuits' read-outs.
 
-Ansatz states are prepared in batches, one row per parameter vector, from
-the layout's cached gate plan (``AnsatzSpec.gate_plan``), and Pauli sums
+Ansatz states are prepared in batches, one row per parameter vector, in one
+of two forms picked by the layout's size alone.  A small layout sums its
+branch table (``AnsatzSpec.branch_plan``): every parameter drives one Pauli
+rotation, so a state is a fixed combination of 2**m branch states weighted
+by products of cos(theta_k/2) and sin(theta_k/2).  Any other layout runs its
+gates one at a time from its cached gate plan (``AnsatzSpec.gate_plan``).
+``BRANCH_TABLE_ENTRIES`` says how small; the tests check both forms against
+a gate-by-gate oracle and the table against the gate loop.  Pauli sums
 apply through their compiled form (``PauliSum.compiled``).
 ``parameter_shift_states`` prepares m + 1 states per sweep, and
 ``sweep_reads`` reads the 2m + 1 shift rows they stand for, in one of two
@@ -53,6 +59,15 @@ NORM_ATOL = 1e-10
 # ``tools/shot_read_crossover.py`` in CHANGES.md.  H2 (72) builds its rows,
 # the 8-qubit ``wide`` sum (253 952) does not.
 EXPLICIT_SHIFT_ROWS_WORK = 4096
+
+# ``apply_ansatz`` sums the branch table of a layout with m >= 2 parameters
+# when the table holds at most this many amplitudes, 2**m * 2**q; larger
+# layouts run the gate loop.  The table's products grow with 2**m while the
+# loop's array calls grow with m, and the preparation table of
+# ``tools/shot_read_crossover.py`` (in CHANGES.md) puts the crossover at
+# about this size.  H2's 9-parameter layout (2048) sums its table, the
+# 32-parameter 8-qubit ``wide`` layout (2**40) runs the loop.
+BRANCH_TABLE_ENTRIES = 4096
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
 
@@ -110,6 +125,11 @@ class AnsatzSpec:
                     raise ValueError(f"unknown gate kind {kind!r}")
                 if not 0 <= qubit < self.num_qubits:
                     raise ValueError(f"qubit {qubit} out of range")
+        for control, target in self.entangler_pairs:
+            if not (0 <= control < self.num_qubits and 0 <= target < self.num_qubits):
+                raise ValueError(f"entangler pair ({control}, {target}) has a qubit out of range")
+            if control == target:
+                raise ValueError(f"entangler pair ({control}, {target}) has control equal to target")
 
     @property
     def num_layers(self) -> int:
@@ -157,6 +177,37 @@ class AnsatzSpec:
             for layer in self.layer_rotations
         )
         return phases, layers
+
+    @cached_property
+    def branch_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only branch table and the factor index of its weights, built once per layout.
+
+        Each rotation is cos(theta_k/2) I - i sin(theta_k/2) P_k, so
+        psi(theta) = sum_S prod_{k in S} sin(theta_k/2) prod_{k not in S} cos(theta_k/2) psi_S,
+        where psi_S is the layout's state with theta_k = pi for k in S and 0
+        otherwise.  ``table`` (2**m, 2**q) holds psi_S at row S, parameter k
+        at bit m - 1 - k.  The gate loop builds it with every cos and sin 0 or
+        1, so each entry is exact: 0, or +-1 or +-i times an initial amplitude.
+
+        The weights factor over the halves of the parameters, 0..l-1 and
+        l..m-1 with l = m // 2: the weight of row S is the product of the two
+        halves' Kronecker rows of (cos, sin) pairs at S's high and low bits.
+        ``index`` (m - l, 2**l + 2**(m-l)) lists the factors of every entry of
+        both rows, one column per entry, as positions in
+        [cos_0..cos_{m-1}, sin_0..sin_{m-1}, 1]; the first half's entries are
+        padded with the final 1.
+        """
+        m = self.num_parameters
+        bits = _branch_bits(m).astype(np.float64)
+        table = np.ascontiguousarray(_gate_loop(self, 1.0 - bits, bits).T)
+        low, high = m // 2, m - m // 2
+        index = np.full((high, 2**low + 2**high), 2 * m)  # the final 1
+        # Factor k of an entry is cos_k, or sin_k at m + k where the entry's bit for k is set.
+        index[:low, : 2**low] = np.arange(low)[:, None] + m * _branch_bits(low)
+        index[:, 2**low :] = np.arange(low, m)[:, None] + m * _branch_bits(high)
+        table.flags.writeable = False
+        index.flags.writeable = False
+        return index, table
 
     @cached_property
     def initial_amplitudes(self) -> np.ndarray:
@@ -239,6 +290,11 @@ def layered_ansatz(num_qubits: int, num_layers: int, initial_state: str = "plus"
     return AnsatzSpec(num_qubits, (layer,) * num_layers, _ring_pairs(num_qubits), initial_state)
 
 
+def _branch_bits(n: int) -> np.ndarray:
+    """(n, 2**n) zeros and ones: column S holds the bits of S, row k the bit n - 1 - k."""
+    return (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+
+
 def _norm_deviation(squared_norms: np.ndarray) -> float:
     """The largest | ||row|| - 1 | over rows of the given squared norms.
 
@@ -248,28 +304,67 @@ def _norm_deviation(squared_norms: np.ndarray) -> float:
 
 
 def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> StateVector | np.ndarray:
-    """Prepare |psi(theta)> by running the layout's layers on its initial state.
+    """Prepare |psi(theta)> from the layout's initial state.
 
     A flat parameter vector gives a ``StateVector``.  A (B, m) array
     prepares B states in one pass and gives their (B, 2**q) amplitudes, row
     b from parameter row b, B = 0 included; the single-vector call is the
-    B = 1 case.  Every row must keep unit norm to
-    ``NORM_ATOL``.
+    B = 1 case, bit for bit.  A layout with m >= 2 parameters and at most
+    ``BRANCH_TABLE_ENTRIES`` amplitudes 2**m * 2**q in its branch table sums
+    that table (``AnsatzSpec.branch_plan``); any other runs its gates one at
+    a time.  The tests hold both forms to a gate-by-gate oracle and to each
+    other.  A parameter array of the wrong shape raises ``BindingError``
+    before any table is built, and every row must keep unit norm to
+    ``NORM_ATOL`` (a NaN parameter fails too) or ``NormalizationError`` is
+    raised.
     """
     values = np.asarray(theta, dtype=np.float64)
     single = values.ndim == 1
     rows = values[None, :] if single else values
+    m = len(spec.gate_plan[0])  # one phase row per parameter
+    if rows.ndim != 2 or rows.shape[1] != m:
+        raise BindingError(f"spec has {m} parameters, got values of shape {values.shape}")
+    if m >= 2 and 2 ** (m + spec.num_qubits) <= BRANCH_TABLE_ENTRIES:
+        amps = _branch_sum(spec, rows)
+    else:
+        half = rows.T / 2.0
+        amps = np.ascontiguousarray(_gate_loop(spec, np.cos(half), np.sin(half)).T)
+    if not _norm_deviation(np.vecdot(amps, amps).real) <= NORM_ATOL:  # a NaN norm fails too
+        raise NormalizationError(f"prepared state norms deviate from 1 beyond {NORM_ATOL}")
+    return StateVector(spec.num_qubits, amps[0]) if single else amps
+
+
+def _branch_sum(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
+    """The (B, 2**q) states of (B, m) parameter rows, summed from the layout's branch table.
+
+    One gather and one product give both halves' Kronecker rows of weights;
+    the first half's row then sums over the table's high bits and the second
+    half's over its low bits.  The weights are real, so both products run on
+    the table's float64 view.  Each is a stack of one-row products, so a
+    row's result does not depend on the batch it came in.
+    """
+    index, table = spec.branch_plan
+    (batch, m), dim = rows.shape, table.shape[1]
+    low = m // 2
+    half = rows / 2.0
+    factors = np.empty((batch, 2 * m + 1))
+    np.cos(half, out=factors[:, :m])
+    np.sin(half, out=factors[:, m:-1])
+    factors[:, -1] = 1.0
+    # (B, 1, 2**l + 2**(m-l)); a reshape, unlike a new axis, keeps each row's products on BLAS.
+    weights = factors.take(index, axis=1).prod(axis=1).reshape(batch, 1, index.shape[1])
+    partial = np.matmul(weights[:, :, : 2**low], table.view(np.float64).reshape(2**low, -1))
+    amps = np.matmul(weights[:, :, 2**low :], partial.reshape(batch, 2 ** (m - low), 2 * dim))
+    return amps.reshape(batch, 2 * dim).view(np.complex128)
+
+
+def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The (2**q, B) amplitudes of the layout's gates run one at a time, given each gate's (m, B) cos(theta/2) and sin(theta/2)."""
     phases, layers = spec.gate_plan
-    if rows.ndim != 2 or rows.shape[1] != len(phases):  # one phase row per parameter
-        raise BindingError(
-            f"spec has {spec.num_parameters} parameters, got values of shape {values.shape}"
-        )
-    dim, batch = 2**spec.num_qubits, rows.shape[0]
+    dim, batch = 2**spec.num_qubits, cos.shape[1]
     # Every gate's coefficients in one pass, (m, 2, 1, B): the partner term
     # sin(theta/2) * phase, and for a diagonal gate the whole diagonal cos + it.
-    half = rows.T / 2.0
-    cos = np.cos(half)
-    partner_terms = phases * np.sin(half)[:, None, None, :]
+    partner_terms = phases * sin[:, None, None, :]
     diagonals = partner_terms + cos[:, None, None, :]
     # Work amplitude-major, (2**q, B), so every gate's innermost axis is the
     # batch.  Gates update amps in place, a partner term goes through the
@@ -292,10 +387,7 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
             # "clip" takes straight into out; the default mode buffers the copy.
             amps.take(perm, axis=0, out=spare, mode="clip")
             amps, spare = spare, amps
-    amps = np.ascontiguousarray(amps.T)
-    if not _norm_deviation(np.vecdot(amps, amps).real) <= NORM_ATOL:  # a NaN norm fails too
-        raise NormalizationError(f"prepared state norms deviate from 1 beyond {NORM_ATOL}")
-    return StateVector(spec.num_qubits, amps[0]) if single else amps
+    return amps
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,9 @@ class BoundParams:
     parent; ``c`` is the parent-accuracy constant in [0, 1/16]; ``sigma`` the
     forward-differences perturbation; ``diag_norm`` = ||diag(M)||_2;
     ``num_parameters`` is the circuit's parameter count m, read only by the
-    quantum bound.
+    quantum bound.  Every float must be finite, and ``sigma`` and
+    ``diag_norm`` non-negative; anything else, NaN included, raises
+    ``ValueError``.
     """
 
     lambda_top: float
@@ -74,6 +76,12 @@ class BoundParams:
             raise ValueError("player_index is 1-based")
         if not self.num_parameters >= 1:
             raise ValueError("num_parameters must be at least 1")
+        _require_finite("lambda_top", (self.lambda_top,))
+        _require_finite("kappa", (self.kappa,))
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+        if not 0.0 <= self.diag_norm < math.inf:
+            raise ValueError(f"diag_norm must be finite and non-negative, got {self.diag_norm}")
 
     @property
     def gap_i(self) -> float:
@@ -99,8 +107,15 @@ def lipschitz_bound_quantum(p: BoundParams) -> float:
     return math.sqrt(p.num_parameters) * lipschitz_bound_classical(replace(p, sigma=0.0))
 
 
+def _require_finite(name: str, values: Sequence[float]) -> None:
+    """Raise ``ValueError`` naming ``name`` unless every value is finite; NaN fails too."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite, got {list(values)}")
+
+
 def _iteration_bracket(lambda_top: float, gaps: Sequence[float], c_k: float) -> float:
     """Shared factor [(16 lambda_top)^{k-1} (k-1)! / prod(g_j) / (16 c_k)]."""
+    _require_finite("lambda_top", (lambda_top,))
     k = len(gaps)
     gap_product = 1.0
     for g in gaps:
@@ -127,6 +142,8 @@ def iteration_bound_classical(
     """
     if len(lipschitz_zero) != len(lipschitz_sigma) or len(lipschitz_zero) != len(gaps):
         raise ValueError("need one L_i(0), L_i(sigma), and gap per player")
+    _require_finite("lipschitz_zero", lipschitz_zero)
+    _require_finite("lipschitz_sigma", lipschitz_sigma)
     bracket = _iteration_bracket(lambda_top, gaps, c_k)
     total = sum(
         5.0 * math.pi**2 * (l0 / ls) * bracket**2
@@ -155,6 +172,7 @@ def iteration_bound_quantum(
     """
     if len(lipschitz_theta) != len(gaps):
         raise ValueError("need one L_theta and gap per player")
+    _require_finite("lipschitz_theta", lipschitz_theta)
     bracket = _iteration_bracket(lambda_top, gaps, c_k)
     scale = math.sqrt(num_parameters)
     total = sum(4.0 * math.pi**2 * (lt**2 / scale) * bracket**2 for lt in lipschitz_theta)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from eigengames import quantum_sim
 from eigengames.errors import (
     BindingError,
     DimensionMismatchError,
@@ -20,6 +21,7 @@ from eigengames.hamiltonian import (
     pauli_sum_to_matrix,
 )
 from eigengames.quantum_sim import (
+    BRANCH_TABLE_ENTRIES,
     NORM_ATOL,
     ROTATION_KINDS,
     AnsatzSpec,
@@ -112,20 +114,52 @@ class TestApplyAnsatz:
         spec = random_layers_ansatz(2, 2, 3, seed=0)
         with pytest.raises(BindingError):
             apply_ansatz(spec, [0.0, 0.0])
+        assert "branch_plan" not in vars(spec)  # rejected before any table is built
 
     def test_plus_initial_state(self):
         spec = AnsatzSpec(2, ((("RZ", 0),),), (), "plus")
         out = apply_ansatz(spec, [0.0])
         assert np.allclose(np.abs(out.amplitudes), 0.5, atol=1e-12)
 
+    @pytest.mark.parametrize("form", ["table", "loop"])
     @pytest.mark.parametrize(
         "theta", [[np.nan, 0.0, 0.0, 0.0], [[0.1, 0.2, 0.3, 0.4], [0.0, np.nan, 0.0, 0.0]]],
         ids=["single", "batch-row"],
     )
-    def test_nan_parameter_rejected(self, theta):
+    def test_nan_parameter_rejected(self, theta, form, monkeypatch):
         # NaN amplitudes used to come back: their NaN norms passed the check.
+        force_preparation(monkeypatch, form)
         with pytest.raises(NormalizationError):
             apply_ansatz(layered_ansatz(2, 1), np.array(theta))
+
+
+def force_preparation(monkeypatch, form):
+    """Send ``apply_ansatz`` to the gate loop ("loop"), or leave a small layout on its branch table ("table")."""
+    if form == "loop":
+        monkeypatch.setattr(quantum_sim, "BRANCH_TABLE_ENTRIES", 0)
+
+
+def cnot_ring(q):
+    """The CNOT ring ``AnsatzSpec`` layouts carry: one pair on two qubits, none on one."""
+    return tuple((i, (i + 1) % q) for i in range(q if q > 2 else q - 1))
+
+
+@st.composite
+def table_layouts(draw):
+    """A layout the branch table prepares (1-4 qubits, m >= 2 and 2**m * 2**q at most
+    ``BRANCH_TABLE_ENTRIES``, either initial state) with a batch of 0, 1 or 9 rows."""
+    q = draw(st.integers(1, 4))
+    m = draw(st.integers(2, BRANCH_TABLE_ENTRIES.bit_length() - 1 - q))
+    gates = draw(st.lists(
+        st.tuples(st.sampled_from(ROTATION_KINDS), st.integers(0, q - 1)), min_size=m, max_size=m))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=3)))
+    spec = AnsatzSpec(
+        num_qubits=q,
+        layer_rotations=tuple(tuple(gates[a:b]) for a, b in zip([0, *cuts], [*cuts, m])),
+        entangler_pairs=cnot_ring(q),
+        initial_state=draw(st.sampled_from(["plus", "zero"])),
+    )
+    return spec, draw(st.sampled_from([0, 1, 9])), draw(st.integers(0, 2**32 - 1))
 
 
 def per_gate_ansatz(spec, values):
@@ -186,6 +220,48 @@ class TestBatchedAnsatz:
         spec = random_layers_ansatz(2, 2, 3, seed=0)
         with pytest.raises(BindingError):
             apply_ansatz(spec, np.zeros((4, spec.num_parameters + 1)))
+        assert "branch_plan" not in vars(spec)  # rejected before any table is built
+
+    @given(table_layouts())
+    @settings(max_examples=60, deadline=None)
+    def test_branch_table_matches_the_gate_loop_and_the_reference(self, layout):
+        spec, batch, seed = layout
+        rows = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, (batch, spec.num_parameters))
+        table = apply_ansatz(spec, rows)
+        assert "branch_plan" in vars(spec)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_preparation(monkeypatch, "loop")
+            loop = apply_ansatz(spec, rows)
+        assert table.shape == loop.shape == (batch, 2**spec.num_qubits)
+        assert np.max(np.abs(table - loop), initial=0.0) <= 1e-14
+        for row, amps in zip(rows, table):
+            assert np.max(np.abs(amps - per_gate_ansatz(spec, row))) <= 1e-14
+
+    def test_branch_plan_built_once_and_read_only(self):
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        index, table = spec.branch_plan
+        apply_ansatz(spec, np.zeros((3, 9)))
+        assert spec.branch_plan[1] is table
+        assert not table.flags.writeable and not index.flags.writeable
+        assert table.shape == (2**9, 4) and index.shape == (5, 2**4 + 2**5)
+        # Row S is the state at theta_k = pi for k in S, parameter k at bit m - 1 - k.
+        for branch in (0, 1, 0b100000000, 0b101010101, 2**9 - 1):
+            theta = np.pi * ((branch >> np.arange(8, -1, -1)) & 1)
+            assert np.max(np.abs(table[branch] - per_gate_ansatz(spec, theta))) <= 1e-15
+        # Exact: every entry 0, or +-1 or +-i times the initial amplitude 1/2.
+        assert np.isin(table.real, (-0.5, 0.0, 0.5)).all() and np.isin(table.imag, (-0.5, 0.0, 0.5)).all()
+        assert np.isin(np.abs(table), (0.0, 0.5)).all()
+
+    def test_size_rule_picks_the_table_up_to_the_constant(self):
+        q = 2
+        m = BRANCH_TABLE_ENTRIES.bit_length() - 1 - q
+        assert 2 ** (m + q) == BRANCH_TABLE_ENTRIES
+        at, above = (random_layers_ansatz(q, 1, size, seed=3) for size in (m, m + 1))
+        one_parameter = AnsatzSpec(q, ((("RY", 0),),), cnot_ring(q))
+        for spec in (at, above, one_parameter):
+            apply_ansatz(spec, np.zeros(spec.num_parameters))
+        assert "branch_plan" in vars(at)
+        assert "branch_plan" not in vars(above) and "branch_plan" not in vars(one_parameter)
 
 
 def random_pauli_sum(num_qubits, num_terms, rng):
@@ -285,6 +361,15 @@ class TestAnsatzSpec:
     def test_bad_kind_or_qubit_rejected(self, gate):
         with pytest.raises(ValueError):
             AnsatzSpec(1, ((gate,),), ())
+
+    @pytest.mark.parametrize(
+        "pair", [(0, 2), (0, 0), (0, -1)], ids=["target-out-of-range", "control-is-target", "negative-target"]
+    )
+    def test_bad_entangler_pair_rejected(self, pair):
+        # These used to build: (0, 2) ran an identity "CNOT", (0, 0) failed later
+        # with a NormalizationError and (0, -1) with an IndexError.
+        with pytest.raises(ValueError, match="entangler pair"):
+            AnsatzSpec(2, ((("RY", 0),),), (pair,))
 
     @pytest.mark.parametrize("values", [[0.1] * 8, [0.1] * 10, [[0.1] * 9]])
     def test_bind_rejects_wrong_shape(self, values):
@@ -674,7 +759,7 @@ def shift_sweeps(draw):
     spec = AnsatzSpec(
         num_qubits=q,
         layer_rotations=tuple(map(tuple, layers)),
-        entangler_pairs=tuple((i, (i + 1) % q) for i in range(q if q > 2 else q - 1)),  # the CNOT ring
+        entangler_pairs=cnot_ring(q),
         initial_state=draw(st.sampled_from(["plus", "zero"])),
     )
     return spec, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))

@@ -72,13 +72,28 @@ class TestLipschitzClassical:
             ("lambda_top", math.nan, "lambda_top"),
             ("player_index", math.nan, "player_index"),
             ("num_parameters", math.nan, "num_parameters"),
+            ("lambda_top", math.inf, "lambda_top"),
+            ("kappa", math.nan, "kappa"),
+            ("kappa", -math.inf, "kappa"),
+            ("sigma", math.nan, "sigma"),
+            ("sigma", math.inf, "sigma"),
+            ("sigma", -0.1, "sigma"),
+            ("diag_norm", math.nan, "diag_norm"),
+            ("diag_norm", math.inf, "diag_norm"),
+            ("diag_norm", -1.0, "diag_norm"),
         ],
     )
     def test_nan_rejected(self, field, value, message):
-        # Each check fails on NaN: a NaN gap used to build and give a NaN bound.
+        # Each check fails on NaN: a NaN gap used to build and give a NaN bound,
+        # and a NaN sigma or kappa still did.
         fields = {"lambda_top": 1.0, "gaps": (0.5, 0.5), "player_index": 2, field: value}
         with pytest.raises(ValueError, match=message):
             BoundParams(**fields)
+
+    def test_nan_lambda_top_rejected_without_gaps(self):
+        # No gap to compare against: the finiteness check alone catches it.
+        with pytest.raises(ValueError, match="lambda_top"):
+            BoundParams(lambda_top=math.nan, gaps=(), player_index=1)
 
 
 class TestLipschitzQuantum:
@@ -144,6 +159,20 @@ class TestIterationBoundClassical:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             iteration_bound_classical([4.0, 4.0], [4.0], 1.0, (0.5,), 1.0 / 16.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_named(self, bad):
+        # NaN used to reach math.ceil ("cannot convert float NaN to integer").
+        with pytest.raises(ValueError, match="lipschitz_zero"):
+            iteration_bound_classical([bad], [4.0], 1.0, (0.5,), 1.0 / 16.0)
+        with pytest.raises(ValueError, match="lipschitz_sigma"):
+            iteration_bound_classical([4.0], [bad], 1.0, (0.5,), 1.0 / 16.0)
+        with pytest.raises(ValueError, match="lipschitz_theta"):
+            iteration_bound_quantum([bad], 1, 1.0, (0.5,), 1.0 / 16.0)
+        with pytest.raises(ValueError, match="lambda_top"):
+            iteration_bound_classical([4.0, 4.0], [4.0, 4.0], bad, (0.5, 0.5), 1.0 / 16.0)
+        with pytest.raises(ValueError, match="lambda_top"):
+            iteration_bound_quantum([4.0, 4.0], 1, bad, (0.5, 0.5), 1.0 / 16.0)
 
 
 class TestIterationBoundQuantum:

@@ -1,4 +1,4 @@
-"""Per-call time of the two forms of a finite-shot sweep read, against the rule that picks one.
+"""Per-call times of the two forms of a sweep read and of a state preparation, against the rules that pick one.
 
 ``quantum_sim.sweep_reads`` reads a sweep's 2m + 1 shift rows either from M
 on the m + 1 prepared rows and their products (a) or from M on the 2m + 1
@@ -9,7 +9,15 @@ form, with two parent kets, their ratio, m*K*2**q (K the x-masks of
 when m*K*2**q is at most ``quantum_sim.EXPLICIT_SHIFT_ROWS_WORK``.  The operators
 are a transverse-field Ising ring and a random 32-term sum at 2-6 qubits,
 each on a two-layer ``layered_ansatz`` (m = 4q), and the benchmark's
-``h2`` and ``wide`` solves.  Run::
+``h2`` and ``wide`` solves.
+
+A second table does the same for ``quantum_sim.apply_ansatz``: for one-layer
+``random_layers_ansatz`` layouts at q = 1-4 qubits, with m on both sides of
+the size rule, the median per-call time of preparing a sweep's m + 1 rows by
+the gate loop and from the branch table, next to 2**m * 2**q and the form
+``apply_ansatz`` picks: the table when m >= 2 and 2**m * 2**q is at most
+``quantum_sim.BRANCH_TABLE_ENTRIES``.  This is the table the constant is set
+from.  Run::
 
     PYTHONPATH=src python tools/shot_read_crossover.py [repeats]
 
@@ -28,12 +36,21 @@ import numpy as np
 
 from eigengames import quantum_sim
 from eigengames.hamiltonian import PauliSum
-from eigengames.quantum_sim import AnsatzSpec, layered_ansatz, parameter_shift_states, pauli_sum_apply
+from eigengames.quantum_sim import (
+    AnsatzSpec,
+    layered_ansatz,
+    parameter_shift_states,
+    pauli_sum_apply,
+    random_layers_ansatz,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from perf_workloads import build_round  # noqa: E402
 
 QUBITS = (2, 3, 4, 5, 6)
+PREPARATION_QUBITS = (1, 2, 3, 4)
+# log2 of the smallest and largest 2**m * 2**q in the preparation table.
+PREPARATION_SIZES = (7, 14)
 RANDOM_TERMS = 32
 PARENTS = 2
 
@@ -80,6 +97,31 @@ def per_call(call, repeats: int) -> float:
     return statistics.median(timeit.repeat(call, number=number, repeat=repeats)) / number
 
 
+def gate_loop(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
+    """The gate loop's (B, 2**q) states, as ``apply_ansatz`` runs it."""
+    half = rows.T / 2.0
+    return np.ascontiguousarray(quantum_sim._gate_loop(spec, np.cos(half), np.sin(half)).T)
+
+
+def preparation_table(repeats: int) -> None:
+    rng = np.random.default_rng(2)
+    print(f"{'q':>3}{'m':>4}{'2^m*2^q':>9}{'loop us':>10}{'table us':>10}{'table/loop':>12}  pick")
+    for q in PREPARATION_QUBITS:
+        for m in range(max(2, PREPARATION_SIZES[0] - q), PREPARATION_SIZES[1] - q + 1):
+            spec = random_layers_ansatz(q, 1, m, seed=m)
+            rows = rng.uniform(-np.pi, np.pi, (m + 1, m))
+            spec.branch_plan  # built once per layout, outside the timing
+            loop = per_call(lambda: gate_loop(spec, rows), repeats)
+            table = per_call(lambda: quantum_sim._branch_sum(spec, rows), repeats)
+            spec = random_layers_ansatz(q, 1, m, seed=m)  # a fresh layout, to see which form builds its table
+            quantum_sim.apply_ansatz(spec, rows)
+            pick = "table" if "branch_plan" in vars(spec) else "loop"
+            print(f"{q:>3}{m:>4}{2 ** (m + q):>9}{loop * 1e6:>10.1f}{table * 1e6:>10.1f}"
+                  f"{table / loop:>12.2f}  {pick}")
+    print(f"rule: the table when m >= 2 and 2^m*2^q <= quantum_sim.BRANCH_TABLE_ENTRIES = "
+          f"{quantum_sim.BRANCH_TABLE_ENTRIES}")
+
+
 def main(argv: list[str]) -> int:
     repeats = int(argv[1]) if len(argv) > 1 else 7
     rng = np.random.default_rng(1)
@@ -96,6 +138,8 @@ def main(argv: list[str]) -> int:
         print(f"{name:<12}{q:>3}{m:>4}{len(h.compiled[0]):>4}{m * h.compiled[0].size:>10}"
               f"{products * 1e6:>10.1f}{explicit * 1e6:>10.1f}{explicit / products:>9.2f}  {pick}")
     print(f"rule: (b) when m*K*2^q <= quantum_sim.EXPLICIT_SHIFT_ROWS_WORK = {quantum_sim.EXPLICIT_SHIFT_ROWS_WORK}")
+    print()
+    preparation_table(repeats)
     return 0
 
 
