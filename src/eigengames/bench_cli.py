@@ -6,6 +6,10 @@ finite-shot), the penalty-weight sweep for the baseline, and the theory-bound
 diagnostics.  Results are plain CSV plus a manifest; plotting stays out of
 process.
 
+Settings are checked by building what the run uses, once, when the config
+loads (``build_run_config``); the commands read those objects and build none
+again.  Any value a library constructor rejects is a configuration error.
+
 Exit codes: 0 success, 1 assertion or bound failure, 2 configuration error.
 """
 
@@ -15,16 +19,17 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, EigenGamesError, InvalidShotCountError
+from .errors import ConfigError, EigenGamesError
 from .eigengame_classical import GameConfig, angular_error, run_sequential
 from .hamiltonian import (
     build_powerlaw_hamiltonian,
@@ -43,8 +48,6 @@ from .theory_diagnostics import (
 )
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = ("eigengame_scaling", "h2_levels", "vqd_beta_sweep", "diagnostics")
 
 DEFAULTS: dict[str, dict] = {
     "eigengame_scaling": {
@@ -102,11 +105,19 @@ DEFAULTS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated experiment settings plus their provenance hash."""
+    """Validated experiment settings, their provenance hash, and what the run uses.
+
+    ``built`` holds the library objects ``build_run_config`` made from the
+    settings, once: ``game`` (a ``GameConfig``) for the scaling experiment;
+    ``operator``, ``ansatz`` and ``solvers``, one ``SolverConfig`` per
+    (noise, beta) pair, for the two molecular ones.  It stays out of the hash
+    and the manifest.
+    """
 
     experiment: str
     settings: dict
     config_hash: str
+    built: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, key):
         return self.settings[key]
@@ -143,9 +154,13 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_run_config(experiment: str, overrides: dict | None = None) -> RunConfig:
-    """Merge overrides into the experiment defaults and validate."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    """Merge overrides into the experiment defaults, validate, and build what the run uses.
+
+    A value a library constructor rejects is a ``ConfigError``, as is one
+    ``_validate`` rejects.
+    """
+    if experiment not in DEFAULTS:
+        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {tuple(DEFAULTS)}")
     settings = dict(DEFAULTS[experiment])
     for key, value in (overrides or {}).items():
         if key not in settings:
@@ -160,12 +175,17 @@ def build_run_config(experiment: str, overrides: dict | None = None) -> RunConfi
             f"config file is for experiment {settings['experiment']!r}, command ran {experiment!r}"
         )
     _validate(experiment, settings)
+    try:
+        built = _build(experiment, settings)
+    except (ValueError, OSError, EigenGamesError) as exc:
+        raise ConfigError(str(exc)) from None
     blob = "\n".join(f"{k}={settings[k]!r}" for k in sorted(settings))
     config_hash = hashlib.sha256(blob.encode()).hexdigest()[:12]
-    return RunConfig(experiment=experiment, settings=settings, config_hash=config_hash)
+    return RunConfig(experiment=experiment, settings=settings, config_hash=config_hash, built=built)
 
 
 def _validate(experiment: str, s: dict) -> None:
+    """The checks no library constructor makes; ``_build`` leaves the rest to the constructors."""
     if "seeds" in s and not s["seeds"]:
         raise ConfigError("seeds must not be empty")
     if any(seed < 0 for seed in s.get("seeds", ())):
@@ -175,19 +195,10 @@ def _validate(experiment: str, s: dict) -> None:
             raise ConfigError("sizes must not be empty")
         if any(n < max(2, s["num_players"]) for n in s["sizes"]):
             raise ConfigError("every size must be at least 2 and at least num_players")
-        if not s["exponent"] > 0:  # NaN fails too
-            raise ConfigError("exponent must be positive")
-    if experiment in ("h2_levels", "vqd_beta_sweep"):
-        path = _resolve_pauli_file(s)
-        if not path.exists():
-            raise ConfigError(f"pauli_file {path} does not exist")
-        operator = load_pauli_sum(path)
-        if not 1 <= s["num_levels"] <= 2**operator.num_qubits:
-            raise ConfigError(
-                f"num_levels must be in [1, {2**operator.num_qubits}] for {path.name}"
-            )
-        if s["layers"] < 1 or s["rotations_per_layer"] < 1:
-            raise ConfigError("layers and rotations_per_layer must be positive")
+        if not 0 < s["exponent"] < math.inf:  # NaN fails too
+            raise ConfigError("exponent must be positive and finite")
+    if experiment in ("h2_levels", "vqd_beta_sweep") and min(s["layers"], s["rotations_per_layer"]) < 1:
+        raise ConfigError("layers and rotations_per_layer must be positive")
     if experiment == "vqd_beta_sweep" and not s["betas"]:
         raise ConfigError("betas must not be empty")
     if experiment == "diagnostics":
@@ -199,44 +210,46 @@ def _validate(experiment: str, s: dict) -> None:
             raise ConfigError("lipschitz_samples must be at least 1")
         if not s["epsilons"]:
             raise ConfigError("epsilons must not be empty")
-        if not all(e > 0 for e in s["epsilons"]):  # NaN fails too
-            raise ConfigError("epsilons must be positive (gap floor guard)")
-    # The solver configs check their own ranges; build every one the run will use.
+        if not all(0 < e < math.inf for e in s["epsilons"]):  # NaN fails too
+            raise ConfigError("epsilons must be positive and finite (gap floor guard)")
+
+
+def _build(experiment: str, s: dict) -> dict:
+    """The library objects the run uses, each built once; their constructors check the settings.
+
+    The runners draw every player's shot stream from their ``seed``, so no
+    ``rng_seed`` is set.
+    """
+    if experiment == "eigengame_scaling":
+        return {"game": GameConfig(sigma=s["sigma"], grad_tolerance=s["grad_tolerance"],
+                                   max_iterations_per_player=s["max_iterations"],
+                                   num_players=s["num_players"])}
+    if experiment == "diagnostics":
+        return {}
+    path = Path(s["pauli_file"]) if s["pauli_file"] else bundled_h2_path()
     try:
-        if experiment == "eigengame_scaling":
-            _game_config(s)
-        elif experiment == "h2_levels":
-            _solver_config(s, s["shots"], beta=s["beta"])
-        elif experiment == "vqd_beta_sweep":
-            for beta in s["betas"]:
-                _solver_config(s, s["shots"], beta=beta)
-    except (ValueError, InvalidShotCountError) as exc:
-        raise ConfigError(str(exc)) from None
+        operator = load_pauli_sum(path)
+    except (ValueError, EigenGamesError) as exc:  # its line numbers are the Pauli file's
+        raise ConfigError(f"pauli_file {path}: {exc}") from None
+    if not 1 <= s["num_levels"] <= 2**operator.num_qubits:
+        raise ConfigError(f"num_levels must be in [1, {2**operator.num_qubits}] for {path.name}")
+    ansatz = random_layers_ansatz(operator.num_qubits, s["layers"], s["rotations_per_layer"],
+                                  seed=s["ansatz_seed"], initial_state=s["initial_state"])
+    # h2 runs the game (no penalty weight) and VQD at ``beta``; the sweep runs VQD at each weight.
+    betas = (None, s["beta"]) if experiment == "h2_levels" else s["betas"]
+    solvers = {
+        (noise, beta): SolverConfig(max_iterations=s["max_iterations"],
+                                    grad_tolerance=s["grad_tolerance"], shots=ShotModel(shots),
+                                    direction="minimize", beta=beta)
+        for noise, shots in _noise_levels(s)
+        for beta in betas
+    }
+    return {"operator": operator, "ansatz": ansatz, "solvers": solvers}
 
 
-def _game_config(s) -> GameConfig:
-    return GameConfig(
-        sigma=s["sigma"],
-        grad_tolerance=s["grad_tolerance"],
-        max_iterations_per_player=s["max_iterations"],
-        num_players=s["num_players"],
-    )
-
-
-def _solver_config(s, shots: int | None, beta: float | None = None) -> SolverConfig:
-    """The runners draw every player's shot stream from their ``seed``, so no ``rng_seed`` is set."""
-    return SolverConfig(
-        max_iterations=s["max_iterations"],
-        grad_tolerance=s["grad_tolerance"],
-        shots=ShotModel(shots),
-        direction="minimize",
-        beta=beta,
-    )
-
-
-def _resolve_pauli_file(settings: dict) -> Path:
-    name = settings.get("pauli_file", "")
-    return Path(name) if name else bundled_h2_path()
+def _noise_levels(s) -> tuple:
+    """(noise, shots) for each read-out a molecular run makes: exact, then at ``shots``."""
+    return (("noiseless", None), ("shots", s["shots"]))
 
 
 def load_run_config(experiment: str, config_path: str | None, seed: int | None) -> RunConfig:
@@ -301,7 +314,7 @@ def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
         for mode in ("exact", "zeroth_order"):
             for seed in cfg["seeds"]:
                 matrix, spectrum = build_powerlaw_hamiltonian(n, seed=seed, exponent=cfg["exponent"])
-                result = run_sequential(matrix, _game_config(cfg), seed=seed, mode=mode)
+                result = run_sequential(matrix, cfg.built["game"], seed=seed, mode=mode)
                 max_angle = max(
                     angular_error(p.vector, spectrum.eigenvector(p.index - 1).real)
                     for p in result.players
@@ -322,19 +335,6 @@ def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
     )
     _write_manifest(out, cfg)
     return 0 if ok else 1
-
-
-def _h2_setup(cfg: RunConfig):
-    h = load_pauli_sum(_resolve_pauli_file(cfg.settings))
-    spectrum = exact_eigendecomposition(pauli_sum_to_matrix(h))
-    spec = random_layers_ansatz(
-        num_qubits=h.num_qubits,
-        num_layers=cfg["layers"],
-        rotations_per_layer=cfg["rotations_per_layer"],
-        seed=cfg["ansatz_seed"],
-        initial_state=cfg["initial_state"],
-    )
-    return h, spectrum, spec
 
 
 def _trajectory_rows(tag: str, noise: str, seed: int, result, shots_label, config_hash: str):
@@ -365,22 +365,20 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     of the oracle's.
     """
     out.mkdir(parents=True, exist_ok=True)
-    h, spectrum, spec = _h2_setup(cfg)
+    h, spec, solvers = cfg.built["operator"], cfg.built["ansatz"], cfg.built["solvers"]
     k = cfg["num_levels"]
-    rows = []
     # Oracle reference levels, ascending (energy ordering).
-    for level, value in enumerate(sorted(spectrum.eigenvalues)[:k], start=1):
-        rows.append(("oracle", "exact", "", level, "", "", float(value), "", "", "exact",
-                     cfg.config_hash))
+    oracle = np.sort(exact_eigendecomposition(pauli_sum_to_matrix(h)).eigenvalues)[:k]
+    rows = [("oracle", "exact", "", level, "", "", float(value), "", "", "exact", cfg.config_hash)
+            for level, value in enumerate(oracle, start=1)]
     ok = True
     costs = ["run costs:"]
-    for noise, shots in (("noiseless", None), ("shots", cfg["shots"])):
+    for noise, shots in _noise_levels(cfg):
         for seed in cfg["seeds"]:
-            base = _solver_config(cfg, shots)
-            game = run_quantumgame(h, spec, base, k, seed=seed)
+            game = run_quantumgame(h, spec, solvers[noise, None], k, seed=seed)
             rows += _trajectory_rows("quantumgame", noise, seed, game,
                                      shots or "exact", cfg.config_hash)
-            vqd = run_vqd(h, spec, _solver_config(cfg, shots, cfg["beta"]), k, seed=seed)
+            vqd = run_vqd(h, spec, solvers[noise, cfg["beta"]], k, seed=seed)
             rows += _trajectory_rows("vqd", noise, seed, vqd, shots or "exact", cfg.config_hash)
             for tag, result in (("quantumgame", game), ("vqd", vqd)):
                 residue = max(player.max_imag_residue for player in result.players)
@@ -390,7 +388,6 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
                              f"max_imag_residue = {residue!r}, max_residual = {residual!r}, "
                              f"max_parent_overlap = {overlap!r}")
             if noise == "noiseless":
-                oracle = np.sort(spectrum.eigenvalues)[:k]
                 for result in (game, vqd):
                     ok = ok and bool(np.all(np.abs(np.sort(result.eigenvalues) - oracle) <= 2e-2))
     _write_csv(
@@ -413,14 +410,14 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
     one state several times, which the convergence flag alone does not show.
     """
     out.mkdir(parents=True, exist_ok=True)
-    h, spectrum, spec = _h2_setup(cfg)
+    h, spec, solvers = cfg.built["operator"], cfg.built["ansatz"], cfg.built["solvers"]
     k = cfg["num_levels"]
-    oracle = np.sort(spectrum.eigenvalues)[:k]
+    oracle = np.sort(exact_eigendecomposition(pauli_sum_to_matrix(h)).eigenvalues)[:k]
     rows = []
     for beta in cfg["betas"]:
-        for noise, shots in (("noiseless", None), ("shots", cfg["shots"])):
+        for noise, shots in _noise_levels(cfg):
             for seed in cfg["seeds"]:
-                result = run_vqd(h, spec, _solver_config(cfg, shots, beta), k, seed=seed)
+                result = run_vqd(h, spec, solvers[noise, beta], k, seed=seed)
                 max_err = float(np.max(np.abs(np.sort(result.eigenvalues) - oracle)))
                 # Player j's parents are players 1..j-1, so this covers every pair;
                 # a repeated state may round above 1.

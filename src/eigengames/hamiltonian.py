@@ -348,8 +348,8 @@ def build_powerlaw_hamiltonian(
     """
     if dim < 2:
         raise InvalidDimensionError("dim must be at least 2")
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
+    if not 0 < exponent < math.inf:  # NaN fails too
+        raise ValueError("exponent must be positive and finite")
     rng = np.random.default_rng(seed)
     eigenvalues = None
     for _ in range(1000):

@@ -44,6 +44,7 @@ import numpy as np
 from .errors import (
     BindingError,
     DimensionMismatchError,
+    InvalidDimensionError,
     InvalidShotCountError,
     NormalizationError,
 )
@@ -117,6 +118,8 @@ class AnsatzSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.num_qubits < 1:
+            raise InvalidDimensionError("num_qubits must be positive")
         if self.initial_state not in ("plus", "zero"):
             raise ValueError("initial_state must be 'plus' or 'zero'")
         for layer in self.layer_rotations:

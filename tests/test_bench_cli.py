@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 import eigengames
+from eigengames import bench_cli
 from eigengames.bench_cli import (
-    _game_config,
-    _h2_setup,
-    _solver_config,
     build_run_config,
     cmd_bench_beta_sweep,
     cmd_bench_h2,
@@ -24,7 +22,7 @@ from eigengames.bench_cli import (
 )
 from eigengames.eigengame_classical import run_sequential
 from eigengames.errors import ConfigError
-from eigengames.hamiltonian import build_powerlaw_hamiltonian
+from eigengames.hamiltonian import build_powerlaw_hamiltonian, load_pauli_sum
 from eigengames.quantum_sim import NORM_ATOL
 from eigengames.quantumgame import run_vqd
 
@@ -101,7 +99,7 @@ class TestScalingCommand:
         row = dict(zip(header, row))
         assert row["mode"] == "exact"
         matrix, spectrum = build_powerlaw_hamiltonian(8, seed=0, exponent=cfg["exponent"])
-        result = run_sequential(matrix, _game_config(cfg), seed=0, mode="exact")
+        result = run_sequential(matrix, cfg.built["game"], seed=0, mode="exact")
         levels = spectrum.eigenvalues
         residuals = [p.residual for p in result.players]
         gaps = [min(abs(levels[j] - levels[p.index - 1]) for j in range(8) if j != p.index - 1)
@@ -231,8 +229,8 @@ class TestBetaSweepCommand:
         cmd_bench_beta_sweep(cfg, tmp_path)
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         overlap = next(float(l.split(",")[-1]) for l in lines[1:] if l.split(",")[1] == "noiseless")
-        h, _, spec = _h2_setup(cfg)
-        result = run_vqd(h, spec, _solver_config(cfg, None, 0.1), cfg["num_levels"], seed=0)
+        h, spec = cfg.built["operator"], cfg.built["ansatz"]
+        result = run_vqd(h, spec, cfg.built["solvers"]["noiseless", 0.1], cfg["num_levels"], seed=0)
         states = np.array([p.state for p in result.players])
         gram = np.abs(states.conj() @ states.T) ** 2
         assert overlap >= 0.99
@@ -299,10 +297,15 @@ class TestMainCli:
         ("h2", "num_levels = 2\nmax_iterations = 5\nseeds = -1\n"),
         ("scaling", "sizes = 8\nnum_players = 2\nseeds = 0, -1\n"),
         ("scaling", "sizes = 1\nnum_players = 1\n"),
+        # Settings only a library constructor checks: the seed generator, AnsatzSpec, the Pauli-file parser.
+        ("h2", "num_levels = 2\nmax_iterations = 5\nansatz_seed = -1\n"),
+        ("h2", "num_levels = 2\nmax_iterations = 5\ninitial_state = foo\n"),
+        ("beta-sweep", "num_levels = 2\nmax_iterations = 5\npauli_file = {tmp}/bad_pauli.txt\n"),
     ])
     def test_out_of_range_solver_settings_give_exit_two(self, tmp_path, capsys, command, text):
+        (tmp_path / "bad_pauli.txt").write_text("1.0 ZZ\n0.5 ZQ\n")
         cfgfile = tmp_path / "range.cfg"
-        cfgfile.write_text(text)
+        cfgfile.write_text(text.format(tmp=tmp_path))
         code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
@@ -314,6 +317,9 @@ class TestMainCli:
         ("h2", "num_levels = 2\nmax_iterations = 5\ngrad_tolerance = nan\n"),
         ("h2", "num_levels = 2\nmax_iterations = 5\nbeta = inf\n"),
         ("diagnostics", "epsilons = 1e-3, nan\n"),
+        # Each used to end in a traceback or exit 1 once the run had started.
+        ("scaling", "sizes = 8\nnum_players = 2\nexponent = inf\n"),
+        ("diagnostics", "epsilons = 1e-3, inf\n"),
     ])
     def test_non_finite_settings_give_exit_two(self, tmp_path, capsys, command, text):
         # NaN passed every ``x <= 0`` test: a NaN tolerance ran each player's whole budget.
@@ -322,6 +328,22 @@ class TestMainCli:
         code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_run_parses_its_pauli_file_once(self, tmp_path, monkeypatch):
+        # The config build loads the operator; the command reads it from the RunConfig.
+        paths = []
+
+        def counting_load(path):
+            paths.append(path)
+            return load_pauli_sum(path)
+
+        monkeypatch.setattr(bench_cli, "load_pauli_sum", counting_load)
+        cfgfile = tmp_path / "short.cfg"
+        for command, text in (("h2", ""), ("beta-sweep", "betas = 0.5\n")):
+            paths.clear()
+            cfgfile.write_text("num_levels = 2\nmax_iterations = 5\nshots = 100\n" + text)
+            assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)]) in (0, 1)
+            assert len(paths) == 1, command
 
     def test_module_entry_point_runs_without_runpy_warning(self):
         # The package must not import bench_cli itself, or running it with

@@ -100,6 +100,12 @@ class TestPowerlawHamiltonian:
         with pytest.raises(InvalidDimensionError):
             build_powerlaw_hamiltonian(1, seed=0)
 
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_exponent_rejected(self, exponent):
+        # NaN and inf used to pass and fail only after 1000 redraws, with a RuntimeError.
+        with pytest.raises(ValueError, match="exponent must be positive and finite"):
+            build_powerlaw_hamiltonian(4, seed=0, exponent=exponent)
+
     @pytest.mark.parametrize("dim", [64, 128, 256])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matrix_equals_the_dense_diagonal_product_bit_for_bit(self, dim, seed):

@@ -10,6 +10,7 @@ from eigengames import quantum_sim
 from eigengames.errors import (
     BindingError,
     DimensionMismatchError,
+    InvalidDimensionError,
     InvalidShotCountError,
     NormalizationError,
 )
@@ -351,6 +352,16 @@ class TestAnsatzSpec:
     def test_num_layers_counts_layer_rotations(self):
         assert random_layers_ansatz(2, 3, 3, seed=11).num_layers == 3
         assert AnsatzSpec(1, (), ()).num_layers == 0
+
+    def test_empty_register_rejected(self):
+        # Used to build a one-amplitude "register": apply_ansatz returned [1+0j].
+        with pytest.raises(InvalidDimensionError):
+            AnsatzSpec(0, (), ())
+
+    def test_negative_register_rejected(self):
+        # Used to build, and fail later in initial_amplitudes with numpy's TypeError.
+        with pytest.raises(InvalidDimensionError):
+            AnsatzSpec(-1, (), ())
 
     def test_slotted_gate_rejected(self):
         # Gates are (kind, qubit) pairs: parameter k is the k-th rotation in circuit order.
