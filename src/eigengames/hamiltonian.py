@@ -1,16 +1,16 @@
-"""Hermitian operators: construction, Pauli-sum form, and exact diagonalization.
+"""Hermitian operators: construction, dense and Pauli-sum forms.
 
-Everything downstream consumes either a dense ``HermitianMatrix`` or a
-``PauliSum`` (the measurable form of the same operator).  The dense
-eigendecomposition here is the ground-truth oracle for every solver test.
+The solvers take a dense array (or a ``HermitianMatrix``) or a ``PauliSum``,
+the measurable form of the same operator.  The exact levels every solver is
+checked against come from ``np.linalg.eigh`` on the dense form, or, for a
+built power-law operator, are the ones it was built from.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -26,7 +26,6 @@ from .errors import (
 HERMITICITY_ATOL = 1e-12
 GAP_FLOOR = 1e-6
 EIGENVALUE_CLAMP = 1e-4
-DEGENERACY_FLAG_TOL = 1e-9
 LANCZOS_TOL = 1e-13
 RANGE_RESIDUAL_TOL = 1e-2
 LANCZOS_SEED = 0
@@ -87,10 +86,6 @@ class HermitianMatrix:
         entries = np.array(entries, dtype=dtype, order="C")
         check_hermitian(entries)
         self.entries = _readonly(entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     def real_symmetric(self) -> np.ndarray:
         """The real symmetric array the classical game runs on.
@@ -277,42 +272,6 @@ class PauliSum:
             v = w / beta
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Full eigendecomposition, eigenvalues sorted descending.
-
-    Both arrays are read-only C-ordered copies; the caller's are left as they
-    are.  ``eigenvectors`` stays real (float64) when given real and is
-    complex128 otherwise.  In C order each column is strided whatever the
-    dtype and the layout given, so BLAS takes one path for a dot product
-    with a column and its rounding does not depend on either.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
-    gaps: np.ndarray = field(init=False)
-    degenerate: bool = field(init=False)
-
-    def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=np.float64)
-        dtype = np.complex128 if np.iscomplexobj(self.eigenvectors) else np.float64
-        vecs = np.array(self.eigenvectors, dtype=dtype, order="C")
-        if np.any(np.diff(vals) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        gaps = -np.diff(vals)
-        object.__setattr__(self, "eigenvalues", _readonly(vals))
-        object.__setattr__(self, "eigenvectors", _readonly(vecs))
-        object.__setattr__(self, "gaps", _readonly(gaps))
-        object.__setattr__(self, "degenerate", bool(gaps.size and gaps.min() < DEGENERACY_FLAG_TOL))
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def eigenvector(self, i: int) -> np.ndarray:
-        return self.eigenvectors[:, i]
-
-
 def random_orthonormal(dim: int, seed: int) -> np.ndarray:
     """Random real orthogonal matrix from a QR factorization; deterministic per seed.
 
@@ -335,7 +294,7 @@ def build_powerlaw_hamiltonian(
     seed: int,
     exponent: float = 2.0,
     basis: np.ndarray | None = None,
-) -> tuple[HermitianMatrix, Spectrum]:
+) -> tuple[HermitianMatrix, tuple[np.ndarray, np.ndarray]]:
     """Random test Hamiltonian with a known, well-separated power-law spectrum.
 
     Eigenvalues are u**exponent for u ~ Uniform(0, 1), clamped into
@@ -343,8 +302,11 @@ def build_powerlaw_hamiltonian(
     eigengap-dependent bounds stay finite.  M = P^T D P for a random
     orthogonal P (pass ``basis`` to override, e.g. the identity for debugging),
     formed as (P^T scaled column-wise by the eigenvalues) @ P with no dense D.
-    M is real, so it is stored as float64, and the spectrum's eigenvectors
-    are the real columns of P^T.
+    M is real, so it is stored as float64.  Returns ``(matrix, (eigenvalues,
+    eigenvectors))``: the drawn eigenvalues, descending, and a C-ordered copy
+    of P^T, whose column i pairs with ``eigenvalues[i]``; both are read-only
+    float64.  In C order a column is strided, so BLAS takes one path for a
+    dot product with it.
     """
     if dim < 2:
         raise InvalidDimensionError("dim must be at least 2")
@@ -364,13 +326,12 @@ def build_powerlaw_hamiltonian(
     p = random_orthonormal(dim, seed) if basis is None else np.asarray(basis, dtype=np.float64)
     m = (p.T * eigenvalues) @ p
     m = 0.5 * (m + m.T)  # kill rounding asymmetry
-    matrix = HermitianMatrix(m)
     # Columns of P^T are the eigenvectors of M = P^T D P.
-    return matrix, Spectrum(eigenvalues=eigenvalues, eigenvectors=p.T)
+    return HermitianMatrix(m), (_readonly(eigenvalues), _readonly(np.array(p.T, order="C")))
 
 
-def pauli_sum_to_matrix(h: PauliSum) -> HermitianMatrix:
-    """Dense form of a Pauli sum: sum_i a_i * kron(P_i1, ..., P_iq)."""
+def pauli_sum_to_matrix(h: PauliSum) -> np.ndarray:
+    """Dense form of a Pauli sum, sum_i a_i * kron(P_i1, ..., P_iq), as a read-only complex128 array."""
     dim = 2**h.num_qubits
     total = np.zeros((dim, dim), dtype=np.complex128)
     for coeff, string in h.terms:
@@ -378,17 +339,8 @@ def pauli_sum_to_matrix(h: PauliSum) -> HermitianMatrix:
         for ch in string:
             term = np.kron(term, PAULI_MATRICES[ch])
         total += coeff * term
-    return HermitianMatrix(total)
-
-
-def exact_eigendecomposition(m: HermitianMatrix) -> Spectrum:
-    """Brute-force dense diagonalization; the oracle every solver is checked against."""
-    vals, vecs = np.linalg.eigh(m.entries)
-    order = np.argsort(vals)[::-1]
-    spectrum = Spectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order])
-    if spectrum.degenerate:
-        warnings.warn("spectrum contains (near-)degenerate eigenvalues", stacklevel=2)
-    return spectrum
+    check_hermitian(total)
+    return _readonly(total)
 
 
 def load_pauli_sum(path: str | Path) -> PauliSum:

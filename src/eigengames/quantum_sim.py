@@ -275,7 +275,12 @@ def random_layers_ansatz(
     seed: int,
     initial_state: str = "plus",
 ) -> AnsatzSpec:
-    """Per layer: seeded-random rotation axes on seeded-random qubits, then a CNOT ring."""
+    """Per layer: seeded-random rotation axes on seeded-random qubits, then a CNOT ring.
+
+    ``seed`` must be a non-negative integer; anything else raises ``ValueError``.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     layers = tuple(
         tuple(

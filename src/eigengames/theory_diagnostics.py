@@ -306,22 +306,23 @@ def sampled_lipschitz_check(
     hypothesis angle c * g_i / ((i-1) * lambda_top); the child vector is drawn
     uniformly on the sphere.
     """
-    matrix, spectrum = build_powerlaw_hamiltonian(dim, seed=seed)
+    matrix, (levels, vectors) = build_powerlaw_hamiltonian(dim, seed=seed)
     mat = matrix.real_symmetric()
-    lambda_top = float(spectrum.eigenvalues[0])
+    gaps = -np.diff(levels)
+    lambda_top = float(levels[0])
     diag_norm = float(np.linalg.norm(np.diag(mat)))
     rng = np.random.default_rng(seed + 1)
     rows = []
     for draw in range(num_samples):
         i = int(rng.integers(1, min(dim - 1, 6) + 1))
         sigma = float(rng.choice(np.asarray(sigmas)))
-        g_i = float(spectrum.gaps[i - 1])
+        g_i = float(gaps[i - 1])
         if i > 1:
             phi_max = min(c * g_i / ((i - 1) * lambda_top), math.sqrt(0.5))
         else:
             phi_max = 0.0
         parents = [
-            _rotate_towards(spectrum.eigenvector(j).real, rng, float(rng.uniform(0.0, phi_max)))
+            _rotate_towards(vectors[:, j], rng, float(rng.uniform(0.0, phi_max)))
             for j in range(i - 1)
         ]
         v = rng.standard_normal(dim)
@@ -329,9 +330,9 @@ def sampled_lipschitz_check(
         grad = finite_diff_gradient(v, parents, mat, sigma)
         params = BoundParams(
             lambda_top=lambda_top,
-            gaps=tuple(float(g) for g in spectrum.gaps),
+            gaps=tuple(float(g) for g in gaps),
             player_index=i,
-            kappa=lambda_top / float(spectrum.eigenvalues[max(i - 2, 0)]),
+            kappa=lambda_top / float(levels[max(i - 2, 0)]),
             c=c,
             sigma=sigma,
             diag_norm=diag_norm,
@@ -362,11 +363,11 @@ def measure_error_accumulation_classical(
     bound is the error-accumulation formula evaluated on the same
     displacements and the same matrix.
     """
-    matrix, spectrum = build_powerlaw_hamiltonian(dim, seed=seed)
+    matrix, (_, vectors) = build_powerlaw_hamiltonian(dim, seed=seed)
     mat = _ascended(matrix)
     rng = np.random.default_rng(seed + 17)
     rows = []
-    true_parents = [spectrum.eigenvector(j).real for j in range(player_index - 1)]
+    true_parents = [vectors[:, j] for j in range(player_index - 1)]
     for eps in epsilons:
         for draw in range(samples_per_epsilon):
             hat_parents = [_rotate_towards(v, rng, eps) for v in true_parents]
@@ -410,7 +411,7 @@ def measure_error_accumulation_quantum(
     rng = np.random.default_rng(seed)
     dim = 2**h.num_qubits
     sign, _, _, offset, _, _ = _game_objective(h, np.empty((0, dim), dtype=np.complex128), (), "maximize")
-    m_dense = pauli_sum_to_matrix(h).entries
+    m_dense = pauli_sum_to_matrix(h)
     a_dense = sign * m_dense + offset * np.eye(dim)
     rows = []
 

@@ -98,9 +98,8 @@ class TestScalingCommand:
         header, row = (line.split(",") for line in (tmp_path / "results.csv").read_text().splitlines()[:2])
         row = dict(zip(header, row))
         assert row["mode"] == "exact"
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=0, exponent=cfg["exponent"])
+        matrix, (levels, _) = build_powerlaw_hamiltonian(8, seed=0, exponent=cfg["exponent"])
         result = run_sequential(matrix, cfg.built["game"], seed=0, mode="exact")
-        levels = spectrum.eigenvalues
         residuals = [p.residual for p in result.players]
         gaps = [min(abs(levels[j] - levels[p.index - 1]) for j in range(8) if j != p.index - 1)
                 for p in result.players]
@@ -297,7 +296,7 @@ class TestMainCli:
         ("h2", "num_levels = 2\nmax_iterations = 5\nseeds = -1\n"),
         ("scaling", "sizes = 8\nnum_players = 2\nseeds = 0, -1\n"),
         ("scaling", "sizes = 1\nnum_players = 1\n"),
-        # Settings only a library constructor checks: the seed generator, AnsatzSpec, the Pauli-file parser.
+        # Settings only a library constructor checks: random_layers_ansatz, AnsatzSpec, the Pauli-file parser.
         ("h2", "num_levels = 2\nmax_iterations = 5\nansatz_seed = -1\n"),
         ("h2", "num_levels = 2\nmax_iterations = 5\ninitial_state = foo\n"),
         ("beta-sweep", "num_levels = 2\nmax_iterations = 5\npauli_file = {tmp}/bad_pauli.txt\n"),
@@ -328,6 +327,17 @@ class TestMainCli:
         code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["h2", "beta-sweep"])
+    def test_negative_ansatz_seed_is_named(self, tmp_path, capsys, command):
+        # numpy's own message, "expected non-negative integer", did not say which setting was wrong.
+        cfgfile = tmp_path / "seed.cfg"
+        cfgfile.write_text("ansatz_seed = -1\n")
+        code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error: seed must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
 
     def test_run_parses_its_pauli_file_once(self, tmp_path, monkeypatch):
         # The config build loads the operator; the command reads it from the RunConfig.

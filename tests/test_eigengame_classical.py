@@ -293,11 +293,11 @@ class TestPlayer:
             assert np.max(np.abs(state.vector - stepped / np.linalg.norm(stepped))) <= 1e-12
 
     def test_final_riemannian_norm_is_the_stop_test_norm(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=2)
+        matrix, (levels, vectors) = build_powerlaw_hamiltonian(8, seed=2)
         m = matrix.real_symmetric()
-        parents = [spectrum.eigenvector(0).real]
+        parents = [vectors[:, 0]]
         init = np.ones(8) / np.sqrt(8.0)
-        step = 1.0 / (2.0 * np.abs(spectrum.eigenvalues).max())
+        step = 1.0 / (2.0 * np.abs(levels).max())
         converged = eigengame_player(m, init, parents, GameConfig(step_size=step, grad_tolerance=1e-6))
         budget = eigengame_player(
             m, init, parents,
@@ -366,10 +366,10 @@ class TestFusedIteration:
     def test_converged_only_on_the_explicit_tangent(self, mode):
         # At 1e-12 the estimate w.w - (v.w)^2 of ||t||^2 is all rounding
         # (about eps w.w, a tangent norm near 1e-8): only a formed tangent may pass.
-        matrix, spectrum = build_powerlaw_hamiltonian(16, seed=0)
+        matrix, (levels, vectors) = build_powerlaw_hamiltonian(16, seed=0)
         m = matrix.real_symmetric()
-        parents = [spectrum.eigenvector(0).real]
-        alpha = 1.0 / (2.0 * np.abs(spectrum.eigenvalues).max())
+        parents = [vectors[:, 0]]
+        alpha = 1.0 / (2.0 * np.abs(levels).max())
         sigma = 1e-3 if mode == "zeroth_order" else 0.0
         cfg = GameConfig(step_size=alpha, sigma=1e-3, grad_tolerance=1e-12, max_iterations_per_player=5000)
         converged = 0
@@ -424,12 +424,12 @@ class TestRunSequential:
 
     def test_powerlaw_instance_both_modes(self):
         # Oracle: the generator's sampled spectrum (verified against eigh elsewhere).
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=1, exponent=2.0)
+        matrix, (levels, _) = build_powerlaw_hamiltonian(8, seed=1, exponent=2.0)
         for mode in ("exact", "zeroth_order"):
             cfg = GameConfig(sigma=1e-5, grad_tolerance=1e-4, num_players=8)
             result = run_sequential(matrix, cfg, seed=1, mode=mode)
             assert result.all_converged
-            assert np.max(np.abs(np.array(result.eigenvalues) - spectrum.eigenvalues)) <= 1e-3
+            assert np.max(np.abs(np.array(result.eigenvalues) - levels)) <= 1e-3
 
     def test_determinism(self):
         matrix, _ = build_powerlaw_hamiltonian(8, seed=2)
@@ -619,11 +619,11 @@ class TestInvariants:
                 assert gap <= sigma * coeff + 1e-12
 
     def test_stationarity_at_exact_eigenvectors(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=6)
+        matrix, (_, vectors) = build_powerlaw_hamiltonian(8, seed=6)
         m = matrix.real_symmetric()
         for i in range(4):
-            v = spectrum.eigenvector(i).real
-            parents = [spectrum.eigenvector(j).real for j in range(i)]
+            v = vectors[:, i]
+            parents = [vectors[:, j] for j in range(i)]
             g = exact_gradient(v, parents, m)
             tangential = g - (g @ v) * v
             assert np.linalg.norm(tangential) <= 1e-9
@@ -680,13 +680,13 @@ class TestInvariants:
 
 class TestHeavyBall:
     def test_powerlaw_128_needs_few_iterations(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(128, seed=3)
+        matrix, (_, vectors) = build_powerlaw_hamiltonian(128, seed=3)
         for mode in MODES:
             result = run_sequential(matrix, GameConfig(num_players=8, **STRICT), seed=0, mode=mode)
             assert result.all_converged
             assert result.total_iterations <= 6000
             for player in result.players:
-                oracle = spectrum.eigenvector(player.index - 1).real
+                oracle = vectors[:, player.index - 1]
                 assert angular_error(player.vector, oracle) <= 1e-2
 
     def test_near_degenerate_pair_converges(self):

@@ -1,4 +1,4 @@
-"""Operator construction, Pauli-sum parsing, and the dense oracle."""
+"""Operator construction, Pauli-sum parsing, and the dense form."""
 
 import json
 from pathlib import Path
@@ -17,14 +17,13 @@ from eigengames.errors import (
     PauliFormatError,
 )
 from eigengames.hamiltonian import (
+    GAP_FLOOR,
     HERMITICITY_ATOL,
     HermitianMatrix,
     PauliSum,
-    Spectrum,
     build_powerlaw_hamiltonian,
     bundled_h2_path,
     check_hermitian,
-    exact_eigendecomposition,
     load_pauli_sum,
     pauli_sum_to_matrix,
     random_orthonormal,
@@ -63,20 +62,20 @@ class TestRandomOrthonormal:
 class TestPowerlawHamiltonian:
     def test_eigenvalues_match_dense_oracle(self):
         # Oracle: brute-force dense diagonalization of the constructed matrix.
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=3)
+        matrix, (eigenvalues, _) = build_powerlaw_hamiltonian(8, seed=3)
         oracle = np.sort(np.linalg.eigvalsh(matrix.entries))[::-1]
-        assert np.max(np.abs(oracle - spectrum.eigenvalues)) <= 1e-10
+        assert np.max(np.abs(oracle - eigenvalues)) <= 1e-10
 
     def test_identity_basis_override_gives_diagonal(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=3, basis=np.eye(8))
-        assert np.array_equal(matrix.entries, np.diag(spectrum.eigenvalues))
+        matrix, (eigenvalues, _) = build_powerlaw_hamiltonian(8, seed=3, basis=np.eye(8))
+        assert np.array_equal(matrix.entries, np.diag(eigenvalues))
 
     def test_spectrum_is_non_degenerate_and_in_unit_interval(self):
         for seed in range(6):
-            _, spectrum = build_powerlaw_hamiltonian(12, seed=seed)
-            assert spectrum.gaps.min() > 1e-6
-            assert spectrum.eigenvalues.min() > 0.0
-            assert spectrum.eigenvalues.max() < 1.0
+            _, (eigenvalues, _) = build_powerlaw_hamiltonian(12, seed=seed)
+            assert np.all(-np.diff(eigenvalues) > GAP_FLOOR)  # descending, every gap above the floor
+            assert eigenvalues.min() > 0.0
+            assert eigenvalues.max() < 1.0
 
     def test_bit_identical_for_fixed_inputs(self):
         m1, _ = build_powerlaw_hamiltonian(16, seed=5, exponent=3.0)
@@ -85,16 +84,28 @@ class TestPowerlawHamiltonian:
 
     def test_similarity_preserves_spectrum(self):
         for seed in (0, 1, 2):
-            matrix, spectrum = build_powerlaw_hamiltonian(10, seed=seed)
-            recomputed = exact_eigendecomposition(matrix)
-            assert np.max(np.abs(recomputed.eigenvalues - spectrum.eigenvalues)) <= 1e-9
+            matrix, (eigenvalues, _) = build_powerlaw_hamiltonian(10, seed=seed)
+            recomputed = np.linalg.eigvalsh(matrix.entries)[::-1]
+            assert np.max(np.abs(recomputed - eigenvalues)) <= 1e-9
 
     def test_eigenvector_residuals(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(9, seed=4)
+        # Every column pairs with its eigenvalue: M v = lambda v.
+        matrix, (eigenvalues, eigenvectors) = build_powerlaw_hamiltonian(9, seed=4)
         for i in range(9):
-            v = spectrum.eigenvector(i)
-            residual = matrix.entries @ v - spectrum.eigenvalues[i] * v
-            assert np.linalg.norm(residual) <= 1e-9 * max(1.0, abs(spectrum.eigenvalues[i]))
+            v = eigenvectors[:, i]
+            residual = matrix.entries @ v - eigenvalues[i] * v
+            assert np.linalg.norm(residual) <= 1e-9 * max(1.0, abs(eigenvalues[i]))
+
+    def test_diagonal_matrix(self):
+        # With the identity basis column i is the unit vector e_i, paired with eigenvalues[i].
+        matrix, (eigenvalues, eigenvectors) = build_powerlaw_hamiltonian(5, seed=2, basis=np.eye(5))
+        assert np.array_equal(eigenvectors, np.eye(5))
+        assert np.array_equal(np.diag(matrix.entries), eigenvalues)
+
+    def test_orthonormality_on_random_matrix(self):
+        _, (_, eigenvectors) = build_powerlaw_hamiltonian(7, seed=1)
+        gram = eigenvectors.T @ eigenvectors
+        assert np.linalg.norm(gram - np.eye(7)) <= 1e-10
 
     def test_small_dim_rejected(self):
         with pytest.raises(InvalidDimensionError):
@@ -110,28 +121,37 @@ class TestPowerlawHamiltonian:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matrix_equals_the_dense_diagonal_product_bit_for_bit(self, dim, seed):
         # M = P^T diag(lambda) P with a dense diagonal, symmetrized, is the same array to the bit.
-        matrix, spectrum = build_powerlaw_hamiltonian(dim, seed=seed)
-        p = spectrum.eigenvectors.T
-        m = p.T @ np.diag(spectrum.eigenvalues) @ p
+        matrix, (eigenvalues, eigenvectors) = build_powerlaw_hamiltonian(dim, seed=seed)
+        p = eigenvectors.T
+        m = p.T @ np.diag(eigenvalues) @ p
         assert matrix.entries.tobytes() == (0.5 * (m + m.T)).tobytes()
 
 
 class TestPauliSumToMatrix:
     def test_single_z(self):
         m = pauli_sum_to_matrix(PauliSum(1, ((1.0, "Z"),)))
-        assert np.array_equal(m.entries, np.diag([1.0, -1.0]).astype(complex))
+        assert np.array_equal(m, np.diag([1.0, -1.0]).astype(complex))
 
     def test_linearity_of_identity_and_z(self):
         m = pauli_sum_to_matrix(PauliSum(1, ((0.5, "I"), (0.5, "Z"))))
-        assert np.allclose(m.entries, np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(m, np.diag([1.0, 0.0]), atol=1e-15)
+
+    def test_pauli_x(self):
+        # The dense oracle read the CLI makes: levels ascending, the top one's vector is |+>.
+        m = pauli_sum_to_matrix(PauliSum(1, ((1.0, "X"),)))
+        assert np.array_equal(m, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        levels, vectors = np.linalg.eigh(m)
+        assert np.allclose(levels, [-1.0, 1.0], atol=1e-15)
+        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        assert abs(abs(np.vdot(plus, vectors[:, 1])) - 1.0) < 1e-10
 
     def test_zz_kron(self):
         m = pauli_sum_to_matrix(PauliSum(2, ((1.0, "ZZ"),)))
-        assert np.allclose(m.entries, np.diag([1.0, -1.0, -1.0, 1.0]), atol=1e-15)
+        assert np.allclose(m, np.diag([1.0, -1.0, -1.0, 1.0]), atol=1e-15)
 
     def test_two_qubit_z_terms(self):
         m = pauli_sum_to_matrix(PauliSum(2, ((0.5, "ZI"), (0.5, "IZ"))))
-        assert np.allclose(m.entries, np.diag([1.0, 0.0, 0.0, -1.0]), atol=1e-15)
+        assert np.allclose(m, np.diag([1.0, 0.0, 0.0, -1.0]), atol=1e-15)
 
     def test_random_real_sums_are_hermitian(self):
         rng = np.random.default_rng(0)
@@ -141,8 +161,8 @@ class TestPauliSumToMatrix:
                 (float(rng.normal()), "".join(rng.choice(letters, size=3)))
                 for _ in range(5)
             )
-            m = pauli_sum_to_matrix(PauliSum(3, terms))  # constructor checks Hermiticity
-            assert np.allclose(m.entries, m.entries.conj().T, atol=1e-12)
+            m = pauli_sum_to_matrix(PauliSum(3, terms))  # passed through check_hermitian
+            assert np.allclose(m, m.conj().T, atol=1e-12)
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(MalformedPauliError):
@@ -210,7 +230,7 @@ class TestSpectralRange:
 
     @staticmethod
     def assert_matches_dense(h):
-        dense = np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)
+        dense = np.linalg.eigvalsh(pauli_sum_to_matrix(h))
         scale = max(abs(dense[0]), abs(dense[-1]))
         lo, hi = h.spectral_range
         assert abs(lo - dense[0]) <= 1e-10 * scale
@@ -222,7 +242,7 @@ class TestSpectralRange:
         # residual stop).  Where the Krylov space exhausts first the ends are the
         # extreme eigenvalues, which two eigensolvers give alike only to rounding:
         # the enclosure is checked to the 1e-10 ||M|| of the dense match above.
-        dense = np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)
+        dense = np.linalg.eigvalsh(pauli_sum_to_matrix(h))
         scale = max(abs(dense[0]), abs(dense[-1]))
         lo, hi = h.spectral_range
         assert lo <= dense[0] + 1e-10 * scale and hi >= dense[-1] - 1e-10 * scale
@@ -253,7 +273,7 @@ class TestSpectralRange:
         # gap, the first assertion fails and this test turns into an
         # enclosure check.
         h = LATE_EXTREME
-        dense = np.linalg.eigvalsh(pauli_sum_to_matrix(h).entries)
+        dense = np.linalg.eigvalsh(pauli_sum_to_matrix(h))
         scale = max(abs(dense[0]), abs(dense[-1]))
         lo, hi = h.spectral_range
         assert dense[0] < lo < dense[1]
@@ -314,34 +334,7 @@ class TestSpectralRange:
         assert np.allclose(h.apply(rows), [h.apply(row) for row in rows], rtol=0.0, atol=1e-12)
 
 
-class TestExactEigendecomposition:
-    def test_diagonal_matrix(self):
-        spectrum = exact_eigendecomposition(HermitianMatrix(np.diag([3.0, 1.0]).astype(complex)))
-        assert np.allclose(spectrum.eigenvalues, [3.0, 1.0])
-        assert abs(abs(spectrum.eigenvector(0)[0]) - 1.0) < 1e-12
-        assert abs(abs(spectrum.eigenvector(1)[1]) - 1.0) < 1e-12
-
-    def test_identity_flags_degeneracy(self):
-        with pytest.warns(UserWarning):
-            spectrum = exact_eigendecomposition(HermitianMatrix(np.eye(4, dtype=complex)))
-        assert spectrum.degenerate
-        assert np.allclose(spectrum.eigenvalues, 1.0)
-        gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
-        assert np.linalg.norm(gram - np.eye(4)) <= 1e-10
-
-    def test_pauli_x(self):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        spectrum = exact_eigendecomposition(HermitianMatrix(x))
-        assert np.allclose(spectrum.eigenvalues, [1.0, -1.0])
-        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert abs(abs(np.vdot(plus, spectrum.eigenvector(0))) - 1.0) < 1e-10
-
-    def test_orthonormality_on_random_matrix(self):
-        matrix, _ = build_powerlaw_hamiltonian(7, seed=1)
-        spectrum = exact_eigendecomposition(matrix)
-        gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
-        assert np.linalg.norm(gram - np.eye(7)) <= 1e-10
-
+class TestHermitianMatrixChecks:
     def test_non_hermitian_rejected(self):
         with pytest.raises(HermiticityError):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -354,10 +347,6 @@ class TestExactEigendecomposition:
             HermitianMatrix(np.diag([bad, 1.0]))
         with pytest.raises(HermiticityError, match="not finite"):
             HermitianMatrix(np.array([[1.0, bad], [bad, 1.0]]))
-
-    def test_descending_order_enforced_in_spectrum_type(self):
-        with pytest.raises(ValueError):
-            Spectrum(eigenvalues=np.array([1.0, 2.0]), eigenvectors=np.eye(2))
 
 
 class TestPauliFileFormat:
@@ -372,15 +361,14 @@ class TestPauliFileFormat:
         path = tmp_path / "two.txt"
         path.write_text("# header\n0.5 ZI\n0.5 IZ\n")
         m = pauli_sum_to_matrix(load_pauli_sum(path))
-        assert np.allclose(m.entries, np.diag([1.0, 0.0, 0.0, -1.0]), atol=1e-15)
+        assert np.allclose(m, np.diag([1.0, 0.0, 0.0, -1.0]), atol=1e-15)
 
     def test_bundled_molecular_file_has_four_distinct_levels(self):
         # Oracle: dense diagonalization of the shipped file.
         h = load_pauli_sum(bundled_h2_path())
-        spectrum = exact_eigendecomposition(pauli_sum_to_matrix(h))
-        assert spectrum.dim == 4
-        assert spectrum.gaps.min() > 1e-3
-        assert not spectrum.degenerate
+        levels = np.linalg.eigvalsh(pauli_sum_to_matrix(h))
+        assert levels.shape == (4,)
+        assert np.diff(levels).min() > 1e-3
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -474,38 +462,41 @@ class TestStorage:
         with pytest.raises(HermiticityError, match="imaginary"):
             with_imaginary(np.nextafter(HERMITICITY_ATOL, np.inf)).real_symmetric()
 
-    @pytest.mark.parametrize("vectors, dtype", [
-        (np.eye(2), np.float64),
-        (np.eye(2, dtype=int), np.float64),
-        (np.eye(2) * 1j, np.complex128),
-        (np.eye(2, dtype=np.complex64), np.complex128),
-    ], ids=["float", "int", "complex", "complex64"])
-    def test_spectrum_keeps_real_eigenvectors_real(self, vectors, dtype):
-        values = np.array([2.0, 1.0])
-        spectrum = Spectrum(eigenvalues=values, eigenvectors=vectors)
-        assert spectrum.eigenvectors.dtype == dtype
-        assert not spectrum.eigenvectors.flags.writeable
-        assert not spectrum.eigenvalues.flags.writeable
-        assert values.flags.writeable and vectors.flags.writeable  # copies: the caller's arrays are untouched
+    def test_powerlaw_spectrum_is_read_only_float64_c_ordered(self):
+        _, (eigenvalues, eigenvectors) = build_powerlaw_hamiltonian(6, seed=0)
+        for a in (eigenvalues, eigenvectors):
+            assert a.dtype == np.float64
+            assert not a.flags.writeable
+            assert a.flags.c_contiguous
+
+    @pytest.mark.parametrize("dtype", [float, int], ids=["float", "int"])
+    def test_spectrum_keeps_real_eigenvectors_real(self, dtype):
+        basis = np.eye(4, dtype=dtype)
+        _, (eigenvalues, eigenvectors) = build_powerlaw_hamiltonian(4, seed=0, basis=basis)
+        assert eigenvectors.dtype == np.float64
+        assert not eigenvectors.flags.writeable and not eigenvalues.flags.writeable
+        # A copy: the caller's basis is left writeable and as it was.
+        assert basis.flags.writeable and np.array_equal(basis, np.eye(4))
+        assert not np.shares_memory(eigenvectors, basis)
 
     def test_spectrum_columns_are_strided_whatever_the_layout_given(self):
-        # C order: a column is a strided vector whether the block came real or
-        # complex, C- or F-ordered, so dot products with it round the same.
-        vectors = random_orthonormal(16, seed=2)
-        for given in (vectors, np.asfortranarray(vectors), vectors.astype(complex)):
-            spectrum = Spectrum(eigenvalues=np.arange(16.0)[::-1], eigenvectors=given)
-            assert spectrum.eigenvectors.flags.c_contiguous
+        # C order: a column is a strided vector whether the basis came C- or
+        # F-ordered or as a strided view, so dot products with it round the same.
+        basis = random_orthonormal(6, seed=2)
+        _, (_, reference) = build_powerlaw_hamiltonian(6, seed=0, basis=basis)
+        wide = np.zeros((6, 12))
+        wide[:, ::2] = basis
+        for given in (np.asfortranarray(basis), wide[:, ::2]):
+            _, (_, eigenvectors) = build_powerlaw_hamiltonian(6, seed=0, basis=given)
+            assert eigenvectors.flags.c_contiguous
+            assert not np.shares_memory(eigenvectors, given)
+            assert np.array_equal(eigenvectors, reference)
 
-    def test_eigendecomposition_of_a_real_matrix_is_real(self):
-        matrix, built = build_powerlaw_hamiltonian(6, seed=0)
-        assert built.eigenvectors.dtype == np.float64
-        spectrum = exact_eigendecomposition(matrix)
-        assert spectrum.eigenvectors.dtype == np.float64
-        assert np.max(np.abs(spectrum.eigenvalues - built.eigenvalues)) <= 1e-12
-        residuals = matrix.entries @ spectrum.eigenvectors - spectrum.eigenvectors * spectrum.eigenvalues
-        assert np.abs(residuals).max() <= 1e-12
-        complex_spectrum = exact_eigendecomposition(HermitianMatrix(matrix.entries.astype(complex)))
-        assert complex_spectrum.eigenvectors.dtype == np.complex128
+    def test_pauli_sum_to_matrix_is_read_only_complex128(self):
+        m = pauli_sum_to_matrix(PauliSum(2, ((0.5, "XY"), (-1.0, "ZI"))))
+        assert m.dtype == np.complex128
+        assert not m.flags.writeable
+        assert m.flags.c_contiguous
 
 
 # Asymmetries on either side of the tolerance, exactly at it and one ulp above it.

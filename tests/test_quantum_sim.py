@@ -17,7 +17,6 @@ from eigengames.errors import (
 from eigengames.hamiltonian import (
     PauliSum,
     bundled_h2_path,
-    exact_eigendecomposition,
     load_pauli_sum,
     pauli_sum_to_matrix,
 )
@@ -284,7 +283,7 @@ class TestCompiledPauliSum:
         masks = {sum(1 << i for i, ch in enumerate(reversed(s)) if ch in "XY") for _, s in h.terms}
         perms, weights = h.compiled
         assert len(perms) == len(weights) == len(masks) < len(h.terms)
-        dense = pauli_sum_to_matrix(h).entries
+        dense = pauli_sum_to_matrix(h)
         batch = rng.standard_normal((5, 2**num_qubits)) + 1j * rng.standard_normal((5, 2**num_qubits))
         got = pauli_sum_apply(h, batch)
         assert np.max(np.abs(got - batch @ dense.T)) <= 1e-12
@@ -292,7 +291,7 @@ class TestCompiledPauliSum:
     def test_identity_rows_give_the_dense_matrix(self):
         h = random_pauli_sum(3, 10, np.random.default_rng(5))
         dense = pauli_sum_apply(h, np.eye(8)).T
-        assert np.array_equal(dense, pauli_sum_to_matrix(h).entries)
+        assert np.array_equal(dense, pauli_sum_to_matrix(h))
 
     def test_compiled_on_first_use_only(self):
         h = random_pauli_sum(2, 4, np.random.default_rng(6))
@@ -348,6 +347,12 @@ class TestAnsatzSpec:
         b = random_layers_ansatz(2, 3, 3, seed=11)
         assert a.layer_rotations == b.layer_rotations
         assert a.num_parameters == 9
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_random_layers_seed_must_be_a_non_negative_integer(self, seed):
+        # Used to reach np.random.default_rng: -1 raised its unnamed ValueError, 1.5 a TypeError.
+        with pytest.raises(ValueError, match=rf"seed must be a non-negative integer, got {seed}"):
+            random_layers_ansatz(2, 3, 3, seed=seed)
 
     def test_num_layers_counts_layer_rotations(self):
         assert random_layers_ansatz(2, 3, 3, seed=11).num_layers == 3
@@ -427,9 +432,8 @@ class TestExpectation:
     def test_molecular_ground_state_matches_oracle(self):
         # Oracle: dense diagonalization of the bundled operator.
         h = load_pauli_sum(bundled_h2_path())
-        spectrum = exact_eigendecomposition(pauli_sum_to_matrix(h))
-        ground = np.asarray(spectrum.eigenvector(3), dtype=np.complex128)
-        assert exact_energy(h, ground) == pytest.approx(float(spectrum.eigenvalues[3]), abs=1e-12)
+        values, vectors = np.linalg.eigh(pauli_sum_to_matrix(h))
+        assert exact_energy(h, vectors[:, 0]) == pytest.approx(float(values[0]), abs=1e-12)
 
     def test_qubit_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -437,7 +441,7 @@ class TestExpectation:
 
     def test_expectation_matches_dense_on_random_states(self):
         h = load_pauli_sum(bundled_h2_path())
-        dense = pauli_sum_to_matrix(h).entries
+        dense = pauli_sum_to_matrix(h)
         rng = np.random.default_rng(3)
         for _ in range(20):
             psi = random_state(2, rng)
@@ -451,7 +455,7 @@ class TestStateMoments:
     def test_moments_match_dense(self):
         rng = np.random.default_rng(21)
         h = random_pauli_sum(3, 10, rng)
-        dense = pauli_sum_to_matrix(h).entries
+        dense = pauli_sum_to_matrix(h)
         rows = np.array([random_state(3, rng) for _ in range(6)])
         mean, var, second, residue = row_moments(rows, pauli_sum_apply(h, rows))
         m_rows = rows @ dense.T
@@ -634,7 +638,7 @@ class TestMixedExpectation:
 
     def test_circuit_matches_dense_algebra_randomized(self):
         h = load_pauli_sum(bundled_h2_path())
-        dense = pauli_sum_to_matrix(h).entries
+        dense = pauli_sum_to_matrix(h)
         rng = np.random.default_rng(1)
         for _ in range(50):
             bra = random_state(2, rng)

@@ -15,6 +15,7 @@ from eigengames.hamiltonian import (
     build_powerlaw_hamiltonian,
     bundled_h2_path,
     load_pauli_sum,
+    pauli_sum_to_matrix,
     random_orthonormal,
 )
 from eigengames import quantumgame, theory_diagnostics
@@ -198,13 +199,13 @@ class TestIterationBoundQuantum:
 
 class TestErrorAccumulationClassical:
     def test_exact_parents_give_zero(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=0)
-        parents = [spectrum.eigenvector(j).real for j in range(2)]
+        matrix, (_, vectors) = build_powerlaw_hamiltonian(6, seed=0)
+        parents = [vectors[:, j] for j in range(2)]
         assert error_accumulation_bound_classical(matrix, parents, parents, 0.1) == 0.0
 
     def test_sigma_zero_keeps_only_first_sum(self):
-        matrix, spectrum = build_powerlaw_hamiltonian(6, seed=0)
-        true = [spectrum.eigenvector(0).real]
+        matrix, (levels, vectors) = build_powerlaw_hamiltonian(6, seed=0)
+        true = [vectors[:, 0]]
         rng = np.random.default_rng(1)
         delta = rng.standard_normal(6)
         delta -= (delta @ true[0]) * true[0]
@@ -215,7 +216,7 @@ class TestErrorAccumulationClassical:
         assert without < with_sigma
         w = hat[0] - true[0]
         mat = matrix.real_symmetric()
-        lam_top = float(spectrum.eigenvalues[0])
+        lam_top = float(levels[0])
         lam_jj = float(true[0] @ (mat @ true[0]))
         norms = (np.linalg.norm(true[0]) * np.linalg.norm(w) * 2 + np.linalg.norm(w) ** 2)
         expected = 2.0 * np.linalg.norm(mat, 2) * norms * lam_top / lam_jj
@@ -309,7 +310,7 @@ class TestErrorAccumulationInputs:
         thetas = np.random.default_rng(0).uniform(-np.pi, np.pi, (20, spec.num_parameters))
         below = next(t for t in thetas if state_energy(h, apply_ansatz(spec, t).amplitudes) < 0.0)
         with pytest.raises(DegenerateParentError, match="sign"):
-            error_accumulation_bound_quantum(_dense(h), spec, [below], [below + 1e-3])
+            error_accumulation_bound_quantum(pauli_sum_to_matrix(h), spec, [below], [below + 1e-3])
         rows = measure_error_accumulation_quantum(h, spec, epsilons=(1e-3, 1e-2), seed=0, samples_per_epsilon=10)
         assert len(rows) == 20 and all(r.passed for r in rows)
 
@@ -322,9 +323,9 @@ class TestErrorAccumulationInputs:
         for draw in range(40):
             q = 2 + draw % 2
             h = random_pauli_sum(rng, q, 4, identity=False)
-            top = np.linalg.eigvalsh(_dense(h).entries).max()
+            top = np.linalg.eigvalsh(pauli_sum_to_matrix(h)).max()
             h = PauliSum(q, h.terms + ((-0.05 - top, "I" * q),))
-            assert np.linalg.eigvalsh(_dense(h).entries).max() == pytest.approx(-0.05, abs=1e-12)
+            assert np.linalg.eigvalsh(pauli_sum_to_matrix(h)).max() == pytest.approx(-0.05, abs=1e-12)
             rows += measure_error_accumulation_quantum(
                 h, random_layers_ansatz(q, 3, 3, seed=draw), epsilons=(1e-3, 1e-2),
                 seed=draw, samples_per_epsilon=5,
@@ -370,18 +371,18 @@ class TestErrorAccumulationQuantum:
         assert np.array_equal(player.kets, harness.kets)
         assert np.allclose(player.weights, harness.weights, rtol=1e-12, atol=0.0)
         # Each weight is -1 over the parent's denominator, its eigenvalue on A = M + offset*I.
-        a = _dense(h).entries + harness.constant * np.eye(8)
+        a = pauli_sum_to_matrix(h) + harness.constant * np.eye(8)
         assert -1.0 / harness.weights[0] == pytest.approx(np.vdot(states[0], a @ states[0]).real, rel=1e-12)
 
     def test_identical_parameters_give_zero(self):
         h = load_pauli_sum(bundled_h2_path())
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         theta = spec.bind(np.linspace(0.1, 1.0, spec.num_parameters))
-        assert error_accumulation_bound_quantum(None or _dense(h), spec, [theta], [theta]) == 0.0
+        assert error_accumulation_bound_quantum(pauli_sum_to_matrix(h), spec, [theta], [theta]) == 0.0
 
     def test_no_parents_give_zero_and_a_wrong_length_theta_is_rejected(self):
         # The parent states are prepared in one batch, an empty one included.
-        h = _dense(load_pauli_sum(bundled_h2_path()))
+        h = pauli_sum_to_matrix(load_pauli_sum(bundled_h2_path()))
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         assert error_accumulation_bound_quantum(h, spec, [], []) == 0.0
         with pytest.raises(BindingError):
@@ -391,7 +392,7 @@ class TestErrorAccumulationQuantum:
         # The same six-gate circuit declared as 3 layers of 2 gates versus
         # 6 layers of 1 gate produces identical states and gradients, and
         # both have m = 6 parameters, so the bound is the same.
-        h = _dense(load_pauli_sum(bundled_h2_path()))
+        h = pauli_sum_to_matrix(load_pauli_sum(bundled_h2_path()))
         gates = [("RY", 0), ("RZ", 1), ("RX", 0),
                  ("RY", 1), ("RZ", 0), ("RX", 1)]
         spec3 = AnsatzSpec(2, (tuple(gates[0:2]), tuple(gates[2:4]), tuple(gates[4:6])),
@@ -407,7 +408,7 @@ class TestErrorAccumulationQuantum:
     def test_bound_scales_by_sqrt_parameter_count(self):
         # random_layers_ansatz(2, 3, 3) has m = 9 rotations in 3 layers on 2
         # qubits, so m differs from layers * qubits = 6; the bound follows m.
-        h = _dense(load_pauli_sum(bundled_h2_path()))
+        h = pauli_sum_to_matrix(load_pauli_sum(bundled_h2_path()))
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         assert spec.num_parameters == 9 and spec.num_layers * spec.num_qubits == 6
         rng = np.random.default_rng(1)
@@ -415,10 +416,10 @@ class TestErrorAccumulationQuantum:
         hat = theta + 1e-3 * rng.standard_normal(9)
         v, v_hat = (apply_ansatz(spec, spec.bind(t)).amplitudes for t in (theta, hat))
         w = v_hat - v
-        lam_top = float(np.linalg.eigvalsh(h.entries).max())
-        lam = float(np.vdot(v, h.entries @ v).real)
+        lam_top = float(np.linalg.eigvalsh(h).max())
+        lam = float(np.vdot(v, h @ v).real)
         rank_one = 2.0 * np.linalg.norm(v) * np.linalg.norm(w) + np.linalg.norm(w) ** 2
-        by_hand = 2.0 * 3.0 * np.linalg.norm(h.entries, 2) * rank_one * lam_top / lam
+        by_hand = 2.0 * 3.0 * np.linalg.norm(h, 2) * rank_one * lam_top / lam
         bound = error_accumulation_bound_quantum(h, spec, [spec.bind(theta)], [spec.bind(hat)])
         assert bound == pytest.approx(by_hand, rel=1e-12)
 
@@ -448,16 +449,16 @@ class TestSampledLipschitz:
         # With accurate (here: exact) parents, |utility| never exceeds L_i(sigma).
         from eigengames.eigengame_classical import utility
 
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=2)
+        matrix, (levels, vectors) = build_powerlaw_hamiltonian(8, seed=2)
         mat = matrix.real_symmetric()
-        lam = float(spectrum.eigenvalues[0])
+        lam = float(levels[0])
         diag_norm = float(np.linalg.norm(np.diag(mat)))
         rng = np.random.default_rng(0)
         for i in (1, 2, 4):
-            parents = [spectrum.eigenvector(j).real for j in range(i - 1)]
+            parents = [vectors[:, j] for j in range(i - 1)]
             params = BoundParams(
-                lambda_top=lam, gaps=tuple(float(g) for g in spectrum.gaps),
-                player_index=i, kappa=lam / float(spectrum.eigenvalues[max(i - 2, 0)]),
+                lambda_top=lam, gaps=tuple(float(g) for g in -np.diff(levels)),
+                player_index=i, kappa=lam / float(levels[max(i - 2, 0)]),
                 c=0.0, sigma=0.0, diag_norm=diag_norm,
             )
             bound = lipschitz_bound_classical(params)
@@ -473,32 +474,26 @@ class TestConvergenceWithinBound:
         # must nevertheless stay below it.
         from eigengames.eigengame_classical import GameConfig, run_sequential
 
-        matrix, spectrum = build_powerlaw_hamiltonian(8, seed=0, exponent=2.0)
+        matrix, (levels, _) = build_powerlaw_hamiltonian(8, seed=0, exponent=2.0)
         k = 4
         cfg = GameConfig(sigma=1e-4, grad_tolerance=1e-3, num_players=k)
         result = run_sequential(matrix, cfg, seed=0, mode="zeroth_order")
-        lam = float(spectrum.eigenvalues[0])
+        lam = float(levels[0])
         diag_norm = float(np.linalg.norm(np.diag(matrix.real_symmetric())))
-        gaps = tuple(float(g) for g in spectrum.gaps[:k])
+        gaps = tuple(float(g) for g in -np.diff(levels)[:k])
         l_zero, l_sigma = [], []
         for i in range(1, k + 1):
             p = BoundParams(
                 lambda_top=lam, gaps=gaps, player_index=i,
-                kappa=lam / float(spectrum.eigenvalues[max(i - 2, 0)]),
+                kappa=lam / float(levels[max(i - 2, 0)]),
                 c=1.0 / 16.0, sigma=0.0, diag_norm=diag_norm,
             )
             l_zero.append(lipschitz_bound_classical(p))
             p_sigma = BoundParams(
                 lambda_top=lam, gaps=gaps, player_index=i,
-                kappa=lam / float(spectrum.eigenvalues[max(i - 2, 0)]),
+                kappa=lam / float(levels[max(i - 2, 0)]),
                 c=1.0 / 16.0, sigma=1e-4, diag_norm=diag_norm,
             )
             l_sigma.append(lipschitz_bound_classical(p_sigma))
         bound = iteration_bound_classical(l_zero, l_sigma, lam, gaps, 1.0 / 16.0)
         assert result.total_iterations <= bound
-
-
-def _dense(h):
-    from eigengames.hamiltonian import pauli_sum_to_matrix
-
-    return pauli_sum_to_matrix(h)
