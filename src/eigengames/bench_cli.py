@@ -97,7 +97,6 @@ DEFAULTS: dict[str, dict] = {
         "seeds": [0],
         "lipschitz_samples": 1000,
         "epsilons": [1e-4, 1e-3, 1e-2],
-        "smoke": 0,
     },
 }
 
@@ -434,28 +433,15 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
 def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
     """Run every bound-check suite; exit 0 only with zero violations."""
     out.mkdir(parents=True, exist_ok=True)
-    smoke = bool(cfg["smoke"])
     (seed,) = cfg["seeds"]
     dim = cfg["dim"]
     rows = []
-    rows += sampled_lipschitz_check(
-        dim=dim,
-        num_samples=1 if smoke else cfg["lipschitz_samples"],
-        seed=seed,
-    )
-    classical = measure_error_accumulation_classical(
-        dim=dim,
-        epsilons=cfg["epsilons"],
-        seed=seed,
-        samples_per_epsilon=1 if smoke else 20,
-    )
+    rows += sampled_lipschitz_check(dim=dim, num_samples=cfg["lipschitz_samples"], seed=seed)
+    classical = measure_error_accumulation_classical(dim=dim, epsilons=cfg["epsilons"], seed=seed)
     rows += classical
     h = load_pauli_sum(bundled_h2_path())
     spec = random_layers_ansatz(2, 3, 3, seed=11)
-    rows += measure_error_accumulation_quantum(
-        h, spec, epsilons=cfg["epsilons"], seed=seed,
-        samples_per_epsilon=1 if smoke else 5,
-    )
+    rows += measure_error_accumulation_quantum(h, spec, epsilons=cfg["epsilons"], seed=seed)
     csv_rows = [
         (r.bound_name, r.parameters, r.bound_value, r.measured_value, "pass" if r.passed else "FAIL")
         for r in rows

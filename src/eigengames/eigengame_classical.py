@@ -20,10 +20,12 @@ import numpy as np
 
 from .errors import (
     DegenerateParentError,
+    DimensionMismatchError,
+    HermiticityError,
     NormalizationError,
     NumericalOverflowError,
 )
-from .hamiltonian import HermitianMatrix, check_hermitian, real_part
+from .hamiltonian import HERMITICITY_ATOL, HermitianMatrix, check_hermitian
 
 RAYLEIGH_GUARD = 1e-12
 # Plain-ascent steps before either ascent loop carries its heavy-ball velocity.
@@ -33,21 +35,27 @@ UNIT_NORM_ATOL = 1e-9
 GradientMode = Literal["exact", "zeroth_order"]
 
 
-def _as_real_symmetric(m) -> np.ndarray:
-    """The real symmetric array the game runs on.
+def _as_symmetric_array(m) -> np.ndarray:
+    """The real symmetric, C-ordered float64 array the game runs on: the one intake of a dense operator.
 
-    A finite array is checked here (``check_hermitian``: a non-symmetric one
-    raises ``HermiticityError``); a complex one must also have a negligible
-    imaginary part.  A non-finite entry is left to the solvers' finiteness
-    guards (``NumericalOverflowError``), and a ``HermitianMatrix`` was
-    checked when built.
+    A ``HermitianMatrix`` is read as its ``entries``, checked when it was
+    built; real ones are not copied.  Any other input is read as a float64
+    or complex128 array and checked by ``check_hermitian``: a non-square one
+    raises ``InvalidDimensionError``, and one with a non-finite entry or not
+    Hermitian ``HermiticityError``.  Complex entries must then have an
+    imaginary part within ``HERMITICITY_ATOL`` of zero, or
+    ``HermiticityError`` is raised: the game's real ascent would drop it.
     """
     if isinstance(m, HermitianMatrix):
-        return m.real_symmetric()
-    mat = np.ascontiguousarray(real_part(np.asarray(m)), dtype=np.float64)
-    if np.isfinite(mat).all():
-        check_hermitian(mat)
-    return mat
+        entries = m.entries
+    else:
+        entries = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
+        check_hermitian(entries)
+    if np.iscomplexobj(entries):
+        if not np.abs(entries.imag).max() <= HERMITICITY_ATOL:  # a NaN fails too
+            raise HermiticityError("matrix has a non-negligible imaginary part")
+        entries = entries.real
+    return np.ascontiguousarray(entries, dtype=np.float64)
 
 
 @dataclass(slots=True)
@@ -79,8 +87,15 @@ class HeavyBall:
 
 
 def _parent_block(parents, dim: int, dtype=np.float64) -> np.ndarray:
-    """The parents as one read-only (P, dim) block, copied from a block or a list of P vectors."""
-    block = np.array(parents, dtype=dtype).reshape(len(parents), dim)
+    """The parents as one read-only (P, dim) block, copied from a block or a list of P vectors.
+
+    Any other shape raises ``DimensionMismatchError``.
+    """
+    block = np.array(parents, dtype=dtype)
+    if block.shape == (0,):  # an empty list
+        block = block.reshape(0, dim)
+    if block.ndim != 2 or block.shape[1] != dim:
+        raise DimensionMismatchError(f"parents have shape {block.shape}, expected (P, {dim})")
     block.flags.writeable = False
     return block
 
@@ -176,7 +191,7 @@ def _twice_game_matrix(mat: np.ndarray, parents, scale: float = 1.0) -> np.ndarr
 
 
 def _twice_game_matrix_of(parents, m) -> np.ndarray:
-    mat = _as_real_symmetric(m)
+    mat = _as_symmetric_array(m)
     return _twice_game_matrix(mat, _parent_block(parents, mat.shape[0]))
 
 
@@ -257,26 +272,38 @@ def eigengame_player(
     rounding margin of the tolerance, and at the budget, t = w - (v.w) v is
     formed and its norm tested.  The last explicit norm is kept as
     ``final_riemannian_norm``.  The step is ``cfg.step_size``, which must be
-    set (``run_sequential`` picks its default).  A non-symmetric array M raises
-    ``HermiticityError``, as it does at every entry point that reads M
-    (``_as_real_symmetric``).
+    set (``run_sequential`` picks its default).  An array M that is not
+    symmetric or has a non-finite entry raises ``HermiticityError``, as it
+    does at every entry point that reads M (``_as_symmetric_array``); an
+    ``init`` that is not an (n,) vector, or parents that are not a (P, n)
+    block, raise ``DimensionMismatchError``.  ``NumericalOverflowError`` is
+    left for a finite M whose game matrix or gradient overflows in the loop.
     """
     if cfg.step_size is None:
         raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
-    mat = _as_real_symmetric(m)
+    mat = _as_symmetric_array(m)
     state = _ascend(mat, init, parents, cfg, mode, index)
     state.read_out(mat)
     return state
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ascend(
     mat: np.ndarray, init: np.ndarray, parents, cfg: GameConfig, mode: GradientMode, index: int
 ) -> PlayerState:
-    """``eigengame_player``'s ascent on a checked real symmetric array, eigenvalue and residual left unread."""
+    """``eigengame_player``'s ascent on a checked real symmetric array, eigenvalue and residual left unread.
+
+    A finite M can still overflow, in the game matrix or a product of the
+    loop.  The loop's finiteness guard reports that as
+    ``NumericalOverflowError``, so NumPy's overflow and invalid-value
+    warnings, which would come first, are silenced.
+    """
     if mode not in ("exact", "zeroth_order"):
         raise ValueError(f"mode must be 'exact' or 'zeroth_order', got {mode!r}")
     parents = _parent_block(parents, mat.shape[0])
     v = np.asarray(init, dtype=np.float64)
+    if v.shape != mat.shape[:1]:
+        raise DimensionMismatchError(f"init has shape {v.shape}, expected {mat.shape[:1]}")
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
         raise NormalizationError("init vector must be unit norm")
 
@@ -420,18 +447,16 @@ def run_sequential(
     are read on M.  The dense eigenvalues, computed once, give c, the
     default step 1 / (2 (lambda_max + c)) and the leading-eigengap warning;
     no eigenvector enters the solve.  The zero matrix is rejected: it has no
-    leading eigenvectors and no step size; so is a matrix with a non-finite
-    entry, whose dense eigenvalues are garbage.  M is checked once per run,
-    not once per player, and a bad ``mode`` raises ``ValueError`` before
+    leading eigenvectors and no step size.  M is checked once per run, not
+    once per player (``_as_symmetric_array``: a non-finite entry raises
+    ``HermiticityError``), and a bad ``mode`` raises ``ValueError`` before
     the first player's first step.  A real ``HermitianMatrix`` is read
     without a copy: besides M, a solve holds one game matrix (2 alpha G, for
     the player being solved) and one temporary of M's size, plus the copy
     that carries the shift when c > 0.  M is hashed in place, before and
     after the run.
     """
-    mat = _as_real_symmetric(m)  # the run's one check
-    if not np.isfinite(mat).all():  # the dense eigenvalues would be garbage
-        raise NumericalOverflowError("matrix has a non-finite entry")
+    mat = _as_symmetric_array(m)  # the run's one check
     dim = mat.shape[0]
     if cfg.num_players > dim:
         raise ValueError(f"num_players {cfg.num_players} exceeds matrix dimension {dim}")

@@ -65,15 +65,6 @@ def check_hermitian(entries: np.ndarray) -> None:
         raise HermiticityError(f"matrix is not Hermitian (max |M - M^H| = {worst:.3e})")
 
 
-def real_part(entries: np.ndarray) -> np.ndarray:
-    """``entries`` itself if real, else its real part after checking the imaginary part is negligible."""
-    if not np.iscomplexobj(entries):
-        return entries
-    if entries.size and np.abs(entries.imag).max() > HERMITICITY_ATOL:
-        raise HermiticityError("matrix has a non-negligible imaginary part")
-    return entries.real
-
-
 class HermitianMatrix:
     """Dense Hermitian operator; immutable after construction.
 
@@ -86,17 +77,6 @@ class HermitianMatrix:
         entries = np.array(entries, dtype=dtype, order="C")
         check_hermitian(entries)
         self.entries = _readonly(entries)
-
-    def real_symmetric(self) -> np.ndarray:
-        """The real symmetric array the classical game runs on.
-
-        Real ``entries`` are returned as they are, read-only, with no copy.
-        Complex ones give a read-only copy of their real part, after checking
-        that the imaginary part is negligible.
-        """
-        if np.iscomplexobj(self.entries):
-            return _readonly(real_part(self.entries).copy())
-        return self.entries
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateParentError
-from .eigengame_classical import ascended_matrix, finite_diff_gradient
+from .eigengame_classical import _as_symmetric_array, ascended_matrix, finite_diff_gradient
 from .hamiltonian import (
     HermitianMatrix,
     PauliSum,
     build_powerlaw_hamiltonian,
+    check_hermitian,
     pauli_sum_to_matrix,
 )
 from .quantum_sim import AnsatzSpec, apply_ansatz, parameter_shift_states
@@ -214,10 +215,10 @@ def _parent_error_sum(mat: np.ndarray, parents_true: Sequence, parents_hat: Sequ
 def _ascended(m) -> np.ndarray:
     """The matrix A = M + c I that ``run_sequential``'s players ascend (``ascended_matrix``).
 
-    ``m`` must be real symmetric, as a ``HermitianMatrix`` or an array;
-    anything else raises ``HermiticityError``.
+    ``m`` must be real symmetric, as a ``HermitianMatrix`` or an array
+    (``_as_symmetric_array``); anything else raises ``HermiticityError``.
     """
-    mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).real_symmetric()
+    mat = _as_symmetric_array(m)
     return ascended_matrix(mat, np.linalg.eigvalsh(mat))[0]
 
 
@@ -253,13 +254,17 @@ def error_accumulation_bound_quantum(
     parameter-space component is Re<delta g|phi_k> / 2, so the change of
     grad_theta is at most sqrt(spec.num_parameters) times it (module
     docstring).  ``m`` must be Hermitian, as a ``HermitianMatrix`` or an
-    array; anything else raises ``HermiticityError``.  It is the operator
+    array that ``check_hermitian`` passes.  It is the operator
     whose gradient the bound covers: ``measure_error_accumulation_quantum``
     passes the game's A = sign*M + offset*I, whose every eigenvalue is
     positive, as the paper's theory assumes.  Each theta is bound to
     ``spec`` and the parent states are prepared in one ``apply_ansatz``
     call, true parents first."""
-    mat = (m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)).entries
+    if isinstance(m, HermitianMatrix):
+        mat = m.entries
+    else:
+        mat = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
+        check_hermitian(mat)
     thetas = [spec.bind(theta) for theta in (*parents_true_theta, *parents_hat_theta)]
     states = apply_ansatz(spec, np.reshape(thetas, (len(thetas), spec.num_parameters)))
     v_true, v_hat = np.split(states, [len(parents_true_theta)])
@@ -307,7 +312,7 @@ def sampled_lipschitz_check(
     uniformly on the sphere.
     """
     matrix, (levels, vectors) = build_powerlaw_hamiltonian(dim, seed=seed)
-    mat = matrix.real_symmetric()
+    mat = matrix.entries
     gaps = -np.diff(levels)
     lambda_top = float(levels[0])
     diag_norm = float(np.linalg.norm(np.diag(mat)))

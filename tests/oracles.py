@@ -43,7 +43,7 @@ from eigengames.eigengame_classical import (
     GameConfig,
     HeavyBall,
     PlayerState,
-    _as_real_symmetric,
+    _as_symmetric_array,
     _parent_block,
     _twice_game_matrix,
     utility,
@@ -455,7 +455,7 @@ def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode:
     heavy-ball weight from t . vel, and v <- (v + t + beta vel) / ||...||.
     ``final_riemannian_norm`` is the last ||t|| / alpha tested.
     """
-    mat = _as_real_symmetric(m)
+    mat = _as_symmetric_array(m)
     parents = _parent_block(parents, mat.shape[0])
     v = np.asarray(init, dtype=np.float64).copy()
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:

@@ -241,7 +241,7 @@ class TestDiagnosticsCommand:
     def test_smoke_mode_passes_quickly(self, tmp_path):
         import time
 
-        cfg = build_run_config("diagnostics", {"smoke": 1})
+        cfg = build_run_config("diagnostics", {"lipschitz_samples": 10})
         start = time.time()
         code = cmd_diagnostics(cfg, tmp_path)
         assert code == 0
@@ -281,7 +281,7 @@ class TestMainCli:
 
     def test_diagnostics_smoke_end_to_end(self, tmp_path):
         cfgfile = tmp_path / "diag.cfg"
-        cfgfile.write_text("smoke = 1\n")
+        cfgfile.write_text("lipschitz_samples = 10\n")
         code = main(["diagnostics", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 0
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eigengames.errors import (
     DegenerateParentError,
+    DimensionMismatchError,
     HermiticityError,
     InvalidDimensionError,
     NormalizationError,
@@ -294,7 +295,7 @@ class TestPlayer:
 
     def test_final_riemannian_norm_is_the_stop_test_norm(self):
         matrix, (levels, vectors) = build_powerlaw_hamiltonian(8, seed=2)
-        m = matrix.real_symmetric()
+        m = matrix.entries
         parents = [vectors[:, 0]]
         init = np.ones(8) / np.sqrt(8.0)
         step = 1.0 / (2.0 * np.abs(levels).max())
@@ -314,19 +315,38 @@ class TestPlayer:
         with pytest.raises(ValueError):
             eigengame_player(M2, E1, [], GameConfig())
 
-    def test_non_finite_matrix_raises_overflow(self):
-        m = np.diag([np.nan, 1.0])
-        cfg = GameConfig(step_size=0.1, max_iterations_per_player=3)
+    def test_overflowing_game_matrix_raises_overflow(self):
+        # M is finite, but 2 alpha M = diag(inf, 2): the game matrix overflows.
+        m = np.diag([1e308, 1.0])
+        cfg = GameConfig(step_size=1.0, max_iterations_per_player=3)
         with pytest.raises(NumericalOverflowError):
             eigengame_player(m, E1, [], cfg, mode="exact")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_non_finite_gradient_entry_off_the_vector_raises(self, mode):
-        # The NaN lands where E1 is zero, so only grad[1] is non-finite.
-        m = np.array([[3.0, np.nan], [np.nan, 1.0]])
-        cfg = GameConfig(step_size=0.1, max_iterations_per_player=3)
+        # 2 alpha M = diag(6, inf) overflows where E1 is zero, so only grad[1]
+        # (inf * 0, NaN) is non-finite.
+        m = np.diag([3.0, 1e308])
+        cfg = GameConfig(step_size=1.0, max_iterations_per_player=3)
         with pytest.raises(NumericalOverflowError, match="gradient"):
             eigengame_player(m, E1, [], cfg, mode=mode)
+
+    @pytest.mark.parametrize("init", [np.ones(3) / np.sqrt(3.0), E1[None, :]], ids=["wrong_length", "row"])
+    def test_init_of_the_wrong_shape_rejected(self, init):
+        # A length-3 init failed in NumPy's broadcast, and a (1, 2) one was accepted.
+        with pytest.raises(DimensionMismatchError, match=r"init has shape .*, expected \(2,\)"):
+            eigengame_player(M2, init, [], GameConfig(step_size=0.1))
+
+    @pytest.mark.parametrize("parents, dim", [([np.ones(3) / np.sqrt(3.0)], 2), (np.eye(4)[:1].reshape(1, 2, 2), 4)],
+                             ids=["wrong_length", "three_axes"])
+    def test_parents_of_the_wrong_shape_rejected(self, parents, dim):
+        # The first failed in a reshape; the second, P * n entries, was reshaped to (1, 4).
+        m = np.diag(np.arange(dim, 0, -1.0))
+        init = np.eye(dim)[1]
+        with pytest.raises(DimensionMismatchError, match=rf"parents have shape .*, expected \(P, {dim}\)"):
+            eigengame_player(m, init, parents, GameConfig(step_size=0.1))
+        with pytest.raises(DimensionMismatchError):
+            utility(init, parents, m)
 
     def test_residual_on_the_players_matrix(self):
         m, v0, parents = random_problem(6, 1, seed=5)
@@ -367,7 +387,7 @@ class TestFusedIteration:
         # At 1e-12 the estimate w.w - (v.w)^2 of ||t||^2 is all rounding
         # (about eps w.w, a tangent norm near 1e-8): only a formed tangent may pass.
         matrix, (levels, vectors) = build_powerlaw_hamiltonian(16, seed=0)
-        m = matrix.real_symmetric()
+        m = matrix.entries
         parents = [vectors[:, 0]]
         alpha = 1.0 / (2.0 * np.abs(levels).max())
         sigma = 1e-3 if mode == "zeroth_order" else 0.0
@@ -477,10 +497,35 @@ class TestRunSequential:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
         # The dense eigenvalues of diag(nan, 1) read [0, -0], and of diag(inf, 1) [nan, nan].
-        with pytest.raises(NumericalOverflowError):
+        with pytest.raises(HermiticityError, match="not finite"):
             run_sequential(np.diag([bad, 1.0]), GameConfig(), seed=0)
         with pytest.raises(HermiticityError, match="not finite"):  # rejected when built
             HermitianMatrix(np.diag([np.inf, 1.0]))
+
+    @pytest.mark.parametrize("entry", ["run", "player", "utility"])
+    def test_nan_imaginary_part_rejected(self, entry):
+        # max |Im M| > tol is False for NaN: the run used to drop it and return [3, 1], converged.
+        m = np.array([[3.0, 0.0], [0.0, complex(1.0, np.nan)]])
+        calls = {
+            "run": lambda: run_sequential(m, GameConfig(num_players=2), seed=0),
+            "player": lambda: eigengame_player(m, E1, [], GameConfig(step_size=0.1)),
+            "utility": lambda: utility(E1, [], m),
+        }
+        with pytest.raises(HermiticityError, match="not finite"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("m", [np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]), np.array([1.0, np.nan])],
+                             ids=["non_square", "vector"])
+    @pytest.mark.parametrize("entry", ["run", "player", "utility"])
+    def test_bad_shape_with_a_nan_rejected(self, m, entry):
+        # A NaN used to skip the shape check, and the player and utility failed inside NumPy.
+        calls = {
+            "run": lambda: run_sequential(m, GameConfig(), seed=0),
+            "player": lambda: eigengame_player(m, E1, [], GameConfig(step_size=0.1)),
+            "utility": lambda: utility(E1, [], m),
+        }
+        with pytest.raises(InvalidDimensionError):
+            calls[entry]()
 
     def test_complex_hermitian_input_rejected(self):
         # Its levels are (3 +- sqrt(5)) / 2; dropping the imaginary part gave [2, 1].
@@ -514,7 +559,7 @@ class TestRunSequential:
         matrix, _ = build_powerlaw_hamiltonian(6, seed=2)
         run_sequential(matrix, GameConfig(num_players=2), seed=0)
         assert calls == []  # validated when the HermitianMatrix was built
-        run_sequential(matrix.real_symmetric(), GameConfig(num_players=2), seed=0)
+        run_sequential(matrix.entries, GameConfig(num_players=2), seed=0)
         assert calls == [np.float64]  # once, on the real array
 
     def test_tiny_eigengap_warns(self):
@@ -569,11 +614,11 @@ class TestRunSequential:
         # A real HermitianMatrix is read without a copy; its array, its complex128
         # twin and a Fortran-ordered copy must give the same run to the bit.
         matrix, _ = build_powerlaw_hamiltonian(32, seed=3)
-        inputs = [matrix, matrix.real_symmetric(), HermitianMatrix(matrix.entries.astype(complex)),
+        inputs = [matrix, matrix.entries, HermitianMatrix(matrix.entries.astype(complex)),
                   HermitianMatrix(np.asfortranarray(matrix.entries))]
         cfg = GameConfig(num_players=3, grad_tolerance=1e-6)
         results = [run_sequential(m, cfg, seed=0) for m in inputs]
-        digest = hashlib.sha256(matrix.real_symmetric().tobytes()).hexdigest()
+        digest = hashlib.sha256(matrix.entries.tobytes()).hexdigest()
         for result in results:
             assert result.operator_hash_before == result.operator_hash_after == digest
             assert result.all_converged
@@ -620,7 +665,7 @@ class TestInvariants:
 
     def test_stationarity_at_exact_eigenvectors(self):
         matrix, (_, vectors) = build_powerlaw_hamiltonian(8, seed=6)
-        m = matrix.real_symmetric()
+        m = matrix.entries
         for i in range(4):
             v = vectors[:, i]
             parents = [vectors[:, j] for j in range(i)]

@@ -16,8 +16,8 @@ peak_memory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(peak_memory)
 
 # MiB at n = 256.  A complex128 operator with a copied real part read 5.51,
-# 3.50, 0.50 and 1.52.
-BUDGETS = {"build": 3.0, "matrix": 2.0, "real_symmetric": 0.0, "solve": 1.25}
+# 3.50 and 1.52.  A copy of M in the solve adds 0.5, past the solve budget.
+BUDGETS = {"build": 3.0, "matrix": 2.0, "solve": 1.25}
 
 
 @pytest.fixture(scope="module")

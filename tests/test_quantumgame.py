@@ -11,7 +11,7 @@ import pytest
 
 from eigengames import quantum_sim, quantumgame
 from eigengames.eigengame_classical import GameConfig, HeavyBall, run_sequential
-from eigengames.errors import BindingError, DegenerateParentError, NormalizationError
+from eigengames.errors import BindingError, DegenerateParentError, DimensionMismatchError, NormalizationError
 from eigengames.hamiltonian import (
     PauliSum,
     build_powerlaw_hamiltonian,
@@ -263,6 +263,37 @@ class TestQuantumGamePlayer:
             assert np.diff(warmup).min() >= -1e-9
             assert player.converged
             assert player.utility_history[-1] >= warmup.max()
+
+
+class TestParentOperands:
+    """Both players take their parents through one check: unit (2**q,) rows, before any sweep."""
+
+    PLAYERS = {"game": (quantumgame_player, SolverConfig(max_iterations=3)),
+               "vqd": (vqd_player, SolverConfig(beta=1.0, max_iterations=3))}
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(quantumgame, "parameter_shift_states", fail)
+
+    @pytest.mark.parametrize("row", [np.ones(4), np.array([0.5, 0.5, 0.5, np.nan])], ids=["norm_2", "nan"])
+    @pytest.mark.parametrize("player", list(PLAYERS))
+    def test_parent_off_unit_norm_rejected(self, h2, player, row):
+        # Both penalties scale with |psi_j|^2: a norm-2 parent used to give the
+        # game -1.079 and VQD -1.085, with no error.
+        solve, cfg = self.PLAYERS[player]
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        with pytest.raises(NormalizationError, match="parent"):
+            solve(h2, spec, np.zeros(9), [row], [-1.0], cfg)
+
+    @pytest.mark.parametrize("player", list(PLAYERS))
+    def test_parent_of_the_wrong_length_rejected(self, h2, player):
+        solve, cfg = self.PLAYERS[player]
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        with pytest.raises(DimensionMismatchError, match=r"expected \(P, 4\)"):
+            solve(h2, spec, np.zeros(9), [np.ones(3) / np.sqrt(3.0)], [-1.0], cfg)
 
 
 class TestRunQuantumGame:

@@ -215,7 +215,7 @@ class TestErrorAccumulationClassical:
         without = error_accumulation_bound_classical(matrix, true, hat, 0.0)
         assert without < with_sigma
         w = hat[0] - true[0]
-        mat = matrix.real_symmetric()
+        mat = matrix.entries
         lam_top = float(levels[0])
         lam_jj = float(true[0] @ (mat @ true[0]))
         norms = (np.linalg.norm(true[0]) * np.linalg.norm(w) * 2 + np.linalg.norm(w) ** 2)
@@ -339,6 +339,14 @@ class TestErrorAccumulationInputs:
         with pytest.raises(HermiticityError):
             error_accumulation_bound_quantum(np.array([[2.0, 5.0], [0.0, 1.0]]), spec, theta, theta)
 
+    @pytest.mark.parametrize("m", [np.eye(2, dtype=bool), [[2, 1], [1, 3]], np.array([[2.0, 1j], [-1j, 1.0]])],
+                             ids=["bool", "int_list", "complex"])
+    def test_quantum_bound_reads_an_array_as_its_hermitian_matrix(self, m):
+        spec = AnsatzSpec(1, ((("RY", 0),),), (), "zero")
+        true, hat = [spec.bind([0.3])], [spec.bind([0.35])]
+        expected = error_accumulation_bound_quantum(HermitianMatrix(m), spec, true, hat)
+        assert error_accumulation_bound_quantum(m, spec, true, hat) == expected
+
 
 class TestErrorAccumulationQuantum:
     def test_harness_builds_the_players_objective(self, monkeypatch):
@@ -450,7 +458,7 @@ class TestSampledLipschitz:
         from eigengames.eigengame_classical import utility
 
         matrix, (levels, vectors) = build_powerlaw_hamiltonian(8, seed=2)
-        mat = matrix.real_symmetric()
+        mat = matrix.entries
         lam = float(levels[0])
         diag_norm = float(np.linalg.norm(np.diag(mat)))
         rng = np.random.default_rng(0)
@@ -479,7 +487,7 @@ class TestConvergenceWithinBound:
         cfg = GameConfig(sigma=1e-4, grad_tolerance=1e-3, num_players=k)
         result = run_sequential(matrix, cfg, seed=0, mode="zeroth_order")
         lam = float(levels[0])
-        diag_norm = float(np.linalg.norm(np.diag(matrix.real_symmetric())))
+        diag_norm = float(np.linalg.norm(np.diag(matrix.entries)))
         gaps = tuple(float(g) for g in -np.diff(levels)[:k])
         l_zero, l_sigma = [], []
         for i in range(1, k + 1):

@@ -1,12 +1,12 @@
 """Traced peak memory of the dense operator layer on power-law matrices.
 
-For each n it prints, in MiB, the ``tracemalloc`` peak of four calls, each
+For each n it prints, in MiB, the ``tracemalloc`` peak of three calls, each
 counted above what was allocated before it:
 
 * ``build``: ``build_powerlaw_hamiltonian(n, seed=0)``;
 * ``matrix``: ``HermitianMatrix`` of that operator's real n x n array;
-* ``real_symmetric``: ``real_symmetric()`` on the built operator;
-* ``solve``: a 2-player, 50-iteration exact ``run_sequential`` on it.
+* ``solve``: a 2-player, 50-iteration exact ``run_sequential`` on it, which
+  reads the operator's real entries without a copy.
 
 ``tracemalloc`` sees the arrays numpy allocates, not the workspace LAPACK
 takes inside ``qr`` or ``eigvalsh``, so the figures are deterministic.  Run::
@@ -40,12 +40,11 @@ def traced_peak(call: Callable[[], object]) -> float:
 
 
 def peaks(n: int) -> dict[str, float]:
-    """The four traced peaks at size n, by name."""
+    """The three traced peaks at size n, by name."""
     matrix, _ = build_powerlaw_hamiltonian(n, seed=0)
     return {
         "build": traced_peak(lambda: build_powerlaw_hamiltonian(n, seed=0)),
         "matrix": traced_peak(lambda: HermitianMatrix(matrix.entries)),
-        "real_symmetric": traced_peak(matrix.real_symmetric),
         "solve": traced_peak(lambda: run_sequential(matrix, SOLVE_CONFIG, seed=0)),
     }
 
