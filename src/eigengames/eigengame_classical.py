@@ -89,9 +89,12 @@ class HeavyBall:
 def _parent_block(parents, dim: int, dtype=np.float64) -> np.ndarray:
     """The parents as one read-only (P, dim) block, copied from a block or a list of P vectors.
 
-    Any other shape raises ``DimensionMismatchError``.
+    Any other shape, a ragged list included, raises ``DimensionMismatchError``.
     """
-    block = np.array(parents, dtype=dtype)
+    try:
+        block = np.array(parents, dtype=dtype)
+    except ValueError as err:  # NumPy's "inhomogeneous shape" for a ragged list
+        raise DimensionMismatchError(f"parents do not form one block, expected (P, {dim}): {err}") from err
     if block.shape == (0,):  # an empty list
         block = block.reshape(0, dim)
     if block.ndim != 2 or block.shape[1] != dim:

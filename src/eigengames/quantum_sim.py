@@ -6,10 +6,13 @@ of two forms picked by the layout's size alone.  A small layout sums its
 branch table (``AnsatzSpec.branch_plan``): every parameter drives one Pauli
 rotation, so a state is a fixed combination of 2**m branch states weighted
 by products of cos(theta_k/2) and sin(theta_k/2).  Any other layout runs its
-gates one at a time from its cached gate plan (``AnsatzSpec.gate_plan``).
-``BRANCH_TABLE_ENTRIES`` says how small; the tests check both forms against
-a gate-by-gate oracle and the table against the gate loop.  Pauli sums
-apply through their compiled form (``PauliSum.compiled``).
+gate loop from its cached gate plan (``AnsatzSpec.gate_plan``).  The state
+is a product until the first CNOT ring, so the loop runs the first layer on
+the initial state's per-qubit factors (``AnsatzSpec.initial_factors``), and
+the rest one gate at a time on the amplitudes.  ``BRANCH_TABLE_ENTRIES``
+says how small; the tests check both forms against a gate-by-gate oracle
+and the table against the gate loop.  Pauli sums apply through their
+compiled form (``PauliSum.compiled``).
 ``parameter_shift_states`` prepares m + 1 states per sweep, and
 ``sweep_reads`` reads the 2m + 1 shift rows they stand for, in one of two
 forms that give the same reads to rounding.  The products form applies M
@@ -213,14 +216,22 @@ class AnsatzSpec:
         return index, table
 
     @cached_property
-    def initial_amplitudes(self) -> np.ndarray:
-        """Read-only amplitudes of the layout's initial state, |0...0> or |+...+>, built once per layout."""
+    def initial_factors(self) -> np.ndarray:
+        """Read-only (q, 2) per-qubit factors of the layout's initial state, |0...0> or |+...+>, built once per layout.
+
+        Row t holds qubit t's two amplitudes, and their Kronecker product,
+        qubit 0 outermost, is the state.  |+...+> puts its whole
+        normalization 2**(-q/2) on qubit 0's factor and leaves the others
+        (1, 1), so every amplitude of the product is 2**(-q/2) exactly.
+        """
         if self.initial_state == "plus":
-            amps = np.full(2**self.num_qubits, 2.0 ** (-self.num_qubits / 2.0), dtype=np.complex128)
+            factors = np.ones((self.num_qubits, 2), dtype=np.complex128)
+            factors[0] = 2.0 ** (-self.num_qubits / 2.0)
         else:
-            amps = np.eye(1, 2**self.num_qubits, dtype=np.complex128)[0]  # e_0
-        amps.flags.writeable = False
-        return amps
+            factors = np.zeros((self.num_qubits, 2), dtype=np.complex128)
+            factors[:, 0] = 1.0
+        factors.flags.writeable = False
+        return factors
 
     def bind(self, values: Sequence[float]) -> np.ndarray:
         """``values`` as a read-only float64 copy; raises ``BindingError`` unless it has one per gate."""
@@ -319,12 +330,13 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
     b from parameter row b, B = 0 included; the single-vector call is the
     B = 1 case, bit for bit.  A layout with m >= 2 parameters and at most
     ``BRANCH_TABLE_ENTRIES`` amplitudes 2**m * 2**q in its branch table sums
-    that table (``AnsatzSpec.branch_plan``); any other runs its gates one at
-    a time.  The tests hold both forms to a gate-by-gate oracle and to each
-    other.  A parameter array of the wrong shape raises ``BindingError``
-    before any table is built, and every row must keep unit norm to
-    ``NORM_ATOL`` (a NaN parameter fails too) or ``NormalizationError`` is
-    raised.
+    that table (``AnsatzSpec.branch_plan``); any other runs the gate loop,
+    its first layer (every layer, without a CNOT ring) on per-qubit factors
+    and the rest one gate at a time.  The tests hold both forms to a
+    gate-by-gate oracle and to each other.  A parameter array of the wrong
+    shape raises ``BindingError`` before any table is built, and every row
+    must keep unit norm to ``NORM_ATOL`` (a NaN parameter fails too) or
+    ``NormalizationError`` is raised.
     """
     values = np.asarray(theta, dtype=np.float64)
     single = values.ndim == 1
@@ -367,23 +379,43 @@ def _branch_sum(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """The (2**q, B) amplitudes of the layout's gates run one at a time, given each gate's (m, B) cos(theta/2) and sin(theta/2)."""
+    """The (2**q, B) amplitudes of the layout's gates, given each gate's (m, B) cos(theta/2) and sin(theta/2).
+
+    The state is a product until the first CNOT ring, so the first layer
+    (every layer, without a ring) acts on its (q, 2, B) per-qubit factors;
+    q - 1 Kronecker products then form the amplitudes, and the ring and the
+    later layers run one gate at a time.
+    """
     phases, layers = spec.gate_plan
-    dim, batch = 2**spec.num_qubits, cos.shape[1]
+    q, batch = spec.num_qubits, cos.shape[1]
     # Every gate's coefficients in one pass, (m, 2, 1, B): the partner term
     # sin(theta/2) * phase, and for a diagonal gate the whole diagonal cos + it.
     partner_terms = phases * sin[:, None, None, :]
     diagonals = partner_terms + cos[:, None, None, :]
+    perm = spec.entangler_permutation
+    factors = spec.initial_factors[:, :, None].repeat(batch, axis=2)
+    for layer in layers if perm is None else layers[:1]:
+        for qubit, k, diagonal in layer:
+            factor = factors[qubit]
+            if diagonal:
+                factor *= diagonals[k, :, 0]
+                continue
+            partner = factor[::-1] * partner_terms[k, :, 0]
+            factor *= cos[k]
+            factor += partner
+    amps = factors[0]
+    for t in range(1, q):
+        # Every size explicit, so that an empty batch reshapes too.
+        amps = (amps[:, None, :] * factors[t]).reshape(2 ** (t + 1), batch)
+    if perm is None:
+        return amps
     # Work amplitude-major, (2**q, B), so every gate's innermost axis is the
     # batch.  Gates update amps in place, a partner term goes through the
     # spare buffer, and a CNOT ring gathers into it before the two swap.
-    amps = spec.initial_amplitudes[:, None].repeat(batch, axis=1)
     spare = np.empty_like(amps)
-    perm = spec.entangler_permutation
-    for layer in layers:
-        for qubit, k, diagonal in layer:
-            # Every size explicit, so that an empty batch reshapes too.
-            work = amps.reshape(2**qubit, 2, dim >> (qubit + 1), batch)
+    for l, layer in enumerate(layers):
+        for qubit, k, diagonal in layer if l else ():  # the first layer ran on the factors
+            work = amps.reshape(2**qubit, 2, 2 ** (q - qubit - 1), batch)
             if diagonal:
                 work *= diagonals[k]
                 continue
@@ -391,10 +423,9 @@ def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
             np.multiply(work[:, ::-1], partner_terms[k], out=partner)
             work *= cos[k]
             work += partner
-        if perm is not None:
-            # "clip" takes straight into out; the default mode buffers the copy.
-            amps.take(perm, axis=0, out=spare, mode="clip")
-            amps, spare = spare, amps
+        # "clip" takes straight into out; the default mode buffers the copy.
+        amps.take(perm, axis=0, out=spare, mode="clip")
+        amps, spare = spare, amps
     return amps
 
 

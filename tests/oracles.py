@@ -11,7 +11,7 @@ batched and closed-form gradients; ``row_moments`` reads <M> and Var(M)
 of independent state rows one at a time, the reference for the library's
 one moments read ``sweep_reads``, and ``state_energy`` is its <M> on
 one state; ``product_state`` builds |0...0> and |+...+>, the reference for
-``AnsatzSpec.initial_amplitudes``; ``classical_game_terms`` and
+``AnsatzSpec.initial_factors``; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``vector_eigengame_player`` is the classical
 player's ascent written on whole vectors, the loop the library's fused

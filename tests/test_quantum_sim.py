@@ -185,18 +185,37 @@ class TestBatchedAnsatz:
             lambda init: layered_ansatz(2, 3, initial_state=init),
             lambda init: layered_ansatz(3, 2, initial_state=init),
             lambda init: random_layers_ansatz(8, 2, 12, seed=5, initial_state=init),
+            # The gate loop runs the first layer (every layer, without a CNOT
+            # ring) on per-qubit factors; these layouts are too large for a
+            # branch table, so the loop prepares them.
+            pytest.param(lambda init: layered_ansatz(8, 2, initial_state=init), id="wide"),
+            pytest.param(lambda init: AnsatzSpec(3, (
+                (("RY", 0), ("RX", 1), ("RZ", 2), ("RX", 0)),
+                (("RZ", 0), ("RY", 1), ("RY", 2)),
+                (("RX", 2), ("RZ", 1), ("RY", 0)),
+            ), (), init), id="no-ring"),
+            pytest.param(lambda init: AnsatzSpec(3, (
+                (),
+                (("RY", 0), ("RZ", 1), ("RX", 2), ("RY", 1), ("RZ", 0)),
+                (("RX", 1), ("RY", 2), ("RZ", 2), ("RX", 0), ("RY", 1)),
+            ), cnot_ring(3), init), id="empty-first-layer"),
+            pytest.param(lambda init: AnsatzSpec(4, (
+                (("RY", 1), ("RZ", 1), ("RX", 1), ("RY", 3)),
+                (("RY", 0), ("RZ", 2), ("RX", 3), ("RY", 2), ("RZ", 1)),
+            ), cnot_ring(4), init), id="skipped-and-stacked-qubits"),
         ],
     )
     def test_rows_match_per_gate_reference(self, make_spec, initial_state):
         spec = make_spec(initial_state)
         rng = np.random.default_rng(spec.num_qubits)
-        rows = rng.uniform(-np.pi, np.pi, (7, spec.num_parameters))
-        batch = apply_ansatz(spec, rows)
-        assert batch.shape == (7, 2**spec.num_qubits)
-        for row, amps in zip(rows, batch):
-            assert np.max(np.abs(amps - per_gate_ansatz(spec, row))) <= 1e-12
-            single = apply_ansatz(spec, row)
-            assert np.array_equal(single.amplitudes, amps)
+        for size in (0, 1, 9):
+            rows = rng.uniform(-np.pi, np.pi, (size, spec.num_parameters))
+            batch = apply_ansatz(spec, rows)
+            assert batch.shape == (size, 2**spec.num_qubits)
+            for row, amps in zip(rows, batch):
+                assert np.max(np.abs(amps - per_gate_ansatz(spec, row))) <= 1e-12
+                single = apply_ansatz(spec, row)
+                assert np.array_equal(single.amplitudes, amps)
 
     @pytest.mark.parametrize("batch", [0, 1, 3])
     def test_batch_of_any_size_gives_a_block(self, batch):
@@ -236,6 +255,19 @@ class TestBatchedAnsatz:
         assert np.max(np.abs(table - loop), initial=0.0) <= 1e-14
         for row, amps in zip(rows, table):
             assert np.max(np.abs(amps - per_gate_ansatz(spec, row))) <= 1e-14
+
+    @given(table_layouts())
+    @settings(max_examples=60, deadline=None)
+    @example((layered_ansatz(3, 1), 0, 0))  # odd q: 2**(-q/2) is no power of two
+    def test_branch_table_entries_are_exact(self, layout):
+        # The gate loop builds the table with every cos and sin 0 or 1, so every
+        # entry is 0, or +-1 or +-i times the initial amplitude, to the bit.
+        spec = layout[0]
+        amplitude = 2.0 ** (-spec.num_qubits / 2.0) if spec.initial_state == "plus" else 1.0
+        _, table = spec.branch_plan
+        assert np.isin(table.real, (-amplitude, 0.0, amplitude)).all()
+        assert np.isin(table.imag, (-amplitude, 0.0, amplitude)).all()
+        assert np.isin(np.abs(table), (0.0, amplitude)).all()
 
     def test_branch_plan_built_once_and_read_only(self):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
@@ -400,12 +432,14 @@ class TestAnsatzSpec:
         assert theta[0] == 0.0 and not theta.flags.writeable
 
     @pytest.mark.parametrize("initial_state", ["plus", "zero"])
-    def test_initial_amplitudes_built_once_and_read_only(self, initial_state):
+    def test_initial_factors_built_once_and_read_only(self, initial_state):
         spec = AnsatzSpec(3, ((("RY", 0),),), (), initial_state)
-        amps = spec.initial_amplitudes
-        assert np.array_equal(amps, product_state(initial_state, 3))
-        assert not amps.flags.writeable
-        assert spec.initial_amplitudes is amps
+        factors = spec.initial_factors
+        assert factors.shape == (3, 2)
+        product = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        assert np.array_equal(product, product_state(initial_state, 3))
+        assert not factors.flags.writeable
+        assert spec.initial_factors is factors
 
     def test_describe_lists_every_layer(self):
         spec = random_layers_ansatz(2, 3, 3, seed=11)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eigengames import quantum_sim, quantumgame
-from eigengames.eigengame_classical import GameConfig, HeavyBall, run_sequential
+from eigengames.eigengame_classical import GameConfig, HeavyBall, eigengame_player, run_sequential, utility
 from eigengames.errors import BindingError, DegenerateParentError, DimensionMismatchError, NormalizationError
 from eigengames.hamiltonian import (
     PauliSum,
@@ -294,6 +294,28 @@ class TestParentOperands:
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         with pytest.raises(DimensionMismatchError, match=r"expected \(P, 4\)"):
             solve(h2, spec, np.zeros(9), [np.ones(3) / np.sqrt(3.0)], [-1.0], cfg)
+
+
+RAGGED_PARENTS = {
+    "eigengame_player": lambda h2: eigengame_player(
+        np.diag([2.0, 1.0]), np.array([0.0, 1.0]), [np.ones(2) / np.sqrt(2.0), np.ones(3)],
+        GameConfig(step_size=0.1)),
+    "utility": lambda h2: utility(
+        np.array([0.0, 1.0]), [np.ones(2) / np.sqrt(2.0), np.ones(3)], np.diag([2.0, 1.0])),
+    "quantumgame_player": lambda h2: quantumgame_player(
+        h2, random_layers_ansatz(2, 3, 3, seed=11), np.zeros(9), [np.full(4, 0.5), np.ones(3)],
+        [-1.0, -0.5], SolverConfig(max_iterations=3)),
+    "vqd_player": lambda h2: vqd_player(
+        h2, random_layers_ansatz(2, 3, 3, seed=11), np.zeros(9), [np.full(4, 0.5), np.ones(3)],
+        [-1.0, -0.5], SolverConfig(beta=1.0, max_iterations=3)),
+}
+
+
+@pytest.mark.parametrize("call", list(RAGGED_PARENTS))
+def test_ragged_parent_list_rejected(h2, call):
+    # The shared parent block used to let NumPy's bare ValueError ("inhomogeneous shape") through.
+    with pytest.raises(DimensionMismatchError, match=r"expected \(P, [24]\)"):
+        RAGGED_PARENTS[call](h2)
 
 
 class TestRunQuantumGame:
