@@ -25,7 +25,7 @@ from .errors import (
     NormalizationError,
     NumericalOverflowError,
 )
-from .hamiltonian import HERMITICITY_ATOL, HermitianMatrix, check_hermitian
+from .hamiltonian import HERMITICITY_ATOL, hermitian_array
 
 RAYLEIGH_GUARD = 1e-12
 # Plain-ascent steps before either ascent loop carries its heavy-ball velocity.
@@ -36,21 +36,16 @@ GradientMode = Literal["exact", "zeroth_order"]
 
 
 def _as_symmetric_array(m) -> np.ndarray:
-    """The real symmetric, C-ordered float64 array the game runs on: the one intake of a dense operator.
+    """The real symmetric, C-ordered float64 array the game runs on, read through ``hermitian_array``.
 
-    A ``HermitianMatrix`` is read as its ``entries``, checked when it was
-    built; real ones are not copied.  Any other input is read as a float64
-    or complex128 array and checked by ``check_hermitian``: a non-square one
-    raises ``InvalidDimensionError``, and one with a non-finite entry or not
-    Hermitian ``HermiticityError``.  Complex entries must then have an
-    imaginary part within ``HERMITICITY_ATOL`` of zero, or
+    The intake's checks hold (a non-square input raises
+    ``InvalidDimensionError``, and one with a non-finite entry or not
+    Hermitian ``HermiticityError``); a real ``HermitianMatrix`` or C-ordered
+    float64 array is not copied.  On top of them, complex entries must have
+    an imaginary part within ``HERMITICITY_ATOL`` of zero, or
     ``HermiticityError`` is raised: the game's real ascent would drop it.
     """
-    if isinstance(m, HermitianMatrix):
-        entries = m.entries
-    else:
-        entries = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
-        check_hermitian(entries)
+    entries = hermitian_array(m)
     if np.iscomplexobj(entries):
         if not np.abs(entries.imag).max() <= HERMITICITY_ATOL:  # a NaN fails too
             raise HermiticityError("matrix has a non-negligible imaginary part")
@@ -145,7 +140,7 @@ class GameConfig:
     ``None`` lets ``run_sequential`` pick 1 / (2 (lambda_max + c)), read from
     the dense eigenvalues (1 / (2 ||M||_2) for positive-definite M);
     ``eigengame_player`` needs it set.  ``max_iterations_per_player`` and
-    ``num_players`` are whole numbers (Python or NumPy integers).
+    ``num_players`` are whole numbers (Python or NumPy integers, not ``bool``).
     """
 
     step_size: float | None = None
@@ -156,8 +151,9 @@ class GameConfig:
 
     def __post_init__(self):
         for name in ("max_iterations_per_player", "num_players"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be a whole number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
         # Each test is written so that NaN fails it.
         if self.step_size is not None and not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be positive and finite")

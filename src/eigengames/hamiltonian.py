@@ -1,7 +1,8 @@
 """Hermitian operators: construction, dense and Pauli-sum forms.
 
 The solvers take a dense array (or a ``HermitianMatrix``) or a ``PauliSum``,
-the measurable form of the same operator.  The exact levels every solver is
+the measurable form of the same operator.  Every dense operator enters through
+``hermitian_array``, the one checked intake.  The exact levels every solver is
 checked against come from ``np.linalg.eigh`` on the dense form, or, for a
 built power-law operator, are the ones it was built from.
 """
@@ -47,7 +48,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def check_hermitian(entries: np.ndarray) -> None:
     """Raise unless ``entries`` is a non-empty, finite square matrix within HERMITICITY_ATOL of M^H.
 
-    Real or complex; the one statement of what a valid dense operator is.
+    Real or complex; the one statement of what a valid dense operator is,
+    which ``hermitian_array`` applies to every array that enters.
     Finiteness is checked first: inf - inf is NaN, which the one
     max |M - M^H| pass would not reject.  Finite entries can still overflow
     in that pass (1e308 - (-1e308) is inf); inf exceeds the tolerance, so
@@ -73,10 +75,22 @@ class HermitianMatrix:
     """
 
     def __init__(self, entries: np.ndarray):
-        dtype = np.complex128 if np.iscomplexobj(entries) else np.float64
-        entries = np.array(entries, dtype=dtype, order="C")
-        check_hermitian(entries)
-        self.entries = _readonly(entries)
+        self.entries = _readonly(np.array(hermitian_array(entries), order="C"))
+
+
+def hermitian_array(m) -> np.ndarray:
+    """The checked array of a dense operator: the one intake, which every entry point reads through.
+
+    A ``HermitianMatrix`` is read as its ``entries``, checked when it was
+    built.  Anything else is read as a float64 array, or complex128 when it
+    is complex, not copied when it already is one, and must pass
+    ``check_hermitian``.
+    """
+    if isinstance(m, HermitianMatrix):
+        return m.entries
+    entries = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
+    check_hermitian(entries)
+    return entries
 
 
 @dataclass(frozen=True)

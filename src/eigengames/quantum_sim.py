@@ -288,9 +288,9 @@ def random_layers_ansatz(
 ) -> AnsatzSpec:
     """Per layer: seeded-random rotation axes on seeded-random qubits, then a CNOT ring.
 
-    ``seed`` must be a non-negative integer; anything else raises ``ValueError``.
+    ``seed`` must be a non-negative integer, not a ``bool``; anything else raises ``ValueError``.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     layers = tuple(
@@ -384,7 +384,8 @@ def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
     The state is a product until the first CNOT ring, so the first layer
     (every layer, without a ring) acts on its (q, 2, B) per-qubit factors;
     q - 1 Kronecker products then form the amplitudes, and the ring and the
-    later layers run one gate at a time.
+    later layers run one gate at a time.  Both paths apply a gate through
+    one update, ``rotate``, on a view whose second axis is the gate's qubit.
     """
     phases, layers = spec.gate_plan
     q, batch = spec.num_qubits, cos.shape[1]
@@ -392,17 +393,21 @@ def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
     # sin(theta/2) * phase, and for a diagonal gate the whole diagonal cos + it.
     partner_terms = phases * sin[:, None, None, :]
     diagonals = partner_terms + cos[:, None, None, :]
+
+    def rotate(work: np.ndarray, k: int, diagonal: bool, partner: np.ndarray | None = None) -> None:
+        """Gate k in place on a (a, 2, b, B) view; the partner term goes into ``partner`` when given."""
+        if diagonal:
+            work *= diagonals[k]
+            return
+        partner = np.multiply(work[:, ::-1], partner_terms[k], out=partner)
+        work *= cos[k]
+        work += partner
+
     perm = spec.entangler_permutation
     factors = spec.initial_factors[:, :, None].repeat(batch, axis=2)
     for layer in layers if perm is None else layers[:1]:
         for qubit, k, diagonal in layer:
-            factor = factors[qubit]
-            if diagonal:
-                factor *= diagonals[k, :, 0]
-                continue
-            partner = factor[::-1] * partner_terms[k, :, 0]
-            factor *= cos[k]
-            factor += partner
+            rotate(factors[qubit][None, :, None], k, diagonal)
     amps = factors[0]
     for t in range(1, q):
         # Every size explicit, so that an empty batch reshapes too.
@@ -415,14 +420,8 @@ def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
     spare = np.empty_like(amps)
     for l, layer in enumerate(layers):
         for qubit, k, diagonal in layer if l else ():  # the first layer ran on the factors
-            work = amps.reshape(2**qubit, 2, 2 ** (q - qubit - 1), batch)
-            if diagonal:
-                work *= diagonals[k]
-                continue
-            partner = spare.reshape(work.shape)
-            np.multiply(work[:, ::-1], partner_terms[k], out=partner)
-            work *= cos[k]
-            work += partner
+            shape = (2**qubit, 2, 2 ** (q - qubit - 1), batch)
+            rotate(amps.reshape(shape), k, diagonal, spare.reshape(shape))
         # "clip" takes straight into out; the default mode buffers the copy.
         amps.take(perm, axis=0, out=spare, mode="clip")
         amps, spare = spare, amps
@@ -452,7 +451,8 @@ class ShotModel:
     """Finite-shot estimator noise: Gaussian with std sqrt(Var(M)/N).
 
     ``num_shots=None`` means exact (infinite-shot) evaluation; a finite
-    count is a whole number (a Python or NumPy integer) of at least 1.  The
+    count is a whole number (a Python or NumPy integer, not a ``bool``) of
+    at least 1.  The
     seed only fixes the stream produced by ``make_rng``; callers running
     trajectories hold one generator for the whole run.  ``rng_seed`` seeds direct player
     calls only: the runners (``run_quantumgame``, ``run_vqd``) replace it
@@ -465,7 +465,7 @@ class ShotModel:
     def __post_init__(self):
         if self.num_shots is None:
             return
-        if not isinstance(self.num_shots, (int, np.integer)):
+        if isinstance(self.num_shots, bool) or not isinstance(self.num_shots, (int, np.integer)):
             raise InvalidShotCountError(f"num_shots must be a whole number, got {self.num_shots!r}")
         if self.num_shots < 1:
             raise InvalidShotCountError("num_shots must be >= 1 when finite")

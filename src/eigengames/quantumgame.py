@@ -122,8 +122,8 @@ class SolverConfig:
     which needs no tuning, so the two may not be combined.  ``shots``'
     ``rng_seed`` seeds direct player calls only; the runners derive each
     player's shot stream from their ``seed`` and ignore it.
-    ``max_iterations`` is a whole number (a Python or NumPy integer), as
-    ``ShotModel.num_shots`` is.
+    ``max_iterations`` is a whole number (a Python or NumPy integer, not a
+    ``bool``), as ``ShotModel.num_shots`` is.
     """
 
     max_iterations: int = 2000
@@ -136,7 +136,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
             raise ValueError(f"direction must be 'maximize' or 'minimize', got {self.direction!r}")
-        if not isinstance(self.max_iterations, (int, np.integer)):
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
             raise ValueError(f"max_iterations must be a whole number, got {self.max_iterations!r}")
         # Each test is written so that NaN fails it.
         if not self.max_iterations >= 1:

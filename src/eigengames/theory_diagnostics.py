@@ -31,14 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateParentError
-from .eigengame_classical import _as_symmetric_array, ascended_matrix, finite_diff_gradient
-from .hamiltonian import (
-    HermitianMatrix,
-    PauliSum,
-    build_powerlaw_hamiltonian,
-    check_hermitian,
-    pauli_sum_to_matrix,
-)
+from .eigengame_classical import RAYLEIGH_GUARD, _as_symmetric_array, ascended_matrix, finite_diff_gradient
+from .hamiltonian import PauliSum, build_powerlaw_hamiltonian, hermitian_array, pauli_sum_to_matrix
 from .quantum_sim import AnsatzSpec, apply_ansatz, parameter_shift_states
 from .quantumgame import _backward_read, _game_objective
 
@@ -201,7 +195,7 @@ def _parent_error_sum(mat: np.ndarray, parents_true: Sequence, parents_hat: Sequ
         w_j = np.subtract(v_hat, v_j)
         mv, mw = mat @ v_j, mat @ w_j
         lambda_jj = float(np.vdot(v_j, mv).real)
-        if abs(lambda_jj) < 1e-12 or lambda_jj * lambda_top <= 0:
+        if abs(lambda_jj) < RAYLEIGH_GUARD or lambda_jj * lambda_top <= 0:
             raise DegenerateParentError(
                 f"true parent's Rayleigh quotient {lambda_jj:g} is near zero or not of lambda_top's sign ({lambda_top:g})"
             )
@@ -254,17 +248,13 @@ def error_accumulation_bound_quantum(
     parameter-space component is Re<delta g|phi_k> / 2, so the change of
     grad_theta is at most sqrt(spec.num_parameters) times it (module
     docstring).  ``m`` must be Hermitian, as a ``HermitianMatrix`` or an
-    array that ``check_hermitian`` passes.  It is the operator
+    array that ``hermitian_array`` passes.  It is the operator
     whose gradient the bound covers: ``measure_error_accumulation_quantum``
     passes the game's A = sign*M + offset*I, whose every eigenvalue is
     positive, as the paper's theory assumes.  Each theta is bound to
     ``spec`` and the parent states are prepared in one ``apply_ansatz``
     call, true parents first."""
-    if isinstance(m, HermitianMatrix):
-        mat = m.entries
-    else:
-        mat = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
-        check_hermitian(mat)
+    mat = hermitian_array(m)
     thetas = [spec.bind(theta) for theta in (*parents_true_theta, *parents_hat_theta)]
     states = apply_ansatz(spec, np.reshape(thetas, (len(thetas), spec.num_parameters)))
     v_true, v_hat = np.split(states, [len(parents_true_theta)])

@@ -15,7 +15,7 @@ from eigengames.errors import (
     NormalizationError,
     NumericalOverflowError,
 )
-from eigengames import eigengame_classical
+from eigengames import eigengame_classical, hamiltonian
 from eigengames.eigengame_classical import (
     ASCENT_WARMUP,
     GameConfig,
@@ -30,6 +30,8 @@ from eigengames.eigengame_classical import (
     utility,
 )
 from eigengames.hamiltonian import HermitianMatrix, build_powerlaw_hamiltonian, random_orthonormal
+from eigengames.quantum_sim import layered_ansatz
+from eigengames.theory_diagnostics import error_accumulation_bound_classical, error_accumulation_bound_quantum
 
 from oracles import (
     InvalidPerturbationError,
@@ -47,6 +49,16 @@ MIX = np.array([1.0, 1.0]) / np.sqrt(2.0)
 MODES = ("exact", "zeroth_order")
 # Tier-1 criterion 2's settings.
 STRICT = dict(sigma=1e-6, grad_tolerance=1e-6, max_iterations_per_player=200_000)
+# Entry points outside the game that read a dense operator through the same intake.
+INTAKE_ENTRIES = ("bound_classical", "bound_quantum", "hermitian_matrix")
+
+
+def intake_calls(m):
+    return {
+        "bound_classical": lambda: error_accumulation_bound_classical(m, [], [], 0.0),
+        "bound_quantum": lambda: error_accumulation_bound_quantum(m, layered_ansatz(1, 1), [], []),
+        "hermitian_matrix": lambda: HermitianMatrix(m),
+    }
 
 
 def matrix_with_spectrum(eigenvalues, basis):
@@ -502,7 +514,7 @@ class TestRunSequential:
         with pytest.raises(HermiticityError, match="not finite"):  # rejected when built
             HermitianMatrix(np.diag([np.inf, 1.0]))
 
-    @pytest.mark.parametrize("entry", ["run", "player", "utility"])
+    @pytest.mark.parametrize("entry", ["run", "player", "utility", *INTAKE_ENTRIES])
     def test_nan_imaginary_part_rejected(self, entry):
         # max |Im M| > tol is False for NaN: the run used to drop it and return [3, 1], converged.
         m = np.array([[3.0, 0.0], [0.0, complex(1.0, np.nan)]])
@@ -510,19 +522,21 @@ class TestRunSequential:
             "run": lambda: run_sequential(m, GameConfig(num_players=2), seed=0),
             "player": lambda: eigengame_player(m, E1, [], GameConfig(step_size=0.1)),
             "utility": lambda: utility(E1, [], m),
+            **intake_calls(m),
         }
         with pytest.raises(HermiticityError, match="not finite"):
             calls[entry]()
 
     @pytest.mark.parametrize("m", [np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]), np.array([1.0, np.nan])],
                              ids=["non_square", "vector"])
-    @pytest.mark.parametrize("entry", ["run", "player", "utility"])
+    @pytest.mark.parametrize("entry", ["run", "player", "utility", *INTAKE_ENTRIES])
     def test_bad_shape_with_a_nan_rejected(self, m, entry):
         # A NaN used to skip the shape check, and the player and utility failed inside NumPy.
         calls = {
             "run": lambda: run_sequential(m, GameConfig(), seed=0),
             "player": lambda: eigengame_player(m, E1, [], GameConfig(step_size=0.1)),
             "utility": lambda: utility(E1, [], m),
+            **intake_calls(m),
         }
         with pytest.raises(InvalidDimensionError):
             calls[entry]()
@@ -549,14 +563,14 @@ class TestRunSequential:
 
     def test_only_array_inputs_are_checked(self, monkeypatch):
         calls = []
-        original = eigengame_classical.check_hermitian
+        original = hamiltonian.check_hermitian
 
         def counting(entries):
             calls.append(entries.dtype)
             original(entries)
 
-        monkeypatch.setattr(eigengame_classical, "check_hermitian", counting)
-        matrix, _ = build_powerlaw_hamiltonian(6, seed=2)
+        matrix, _ = build_powerlaw_hamiltonian(6, seed=2)  # the build checks its matrix once, unpatched
+        monkeypatch.setattr(hamiltonian, "check_hermitian", counting)
         run_sequential(matrix, GameConfig(num_players=2), seed=0)
         assert calls == []  # validated when the HermitianMatrix was built
         run_sequential(matrix.entries, GameConfig(num_players=2), seed=0)

@@ -25,6 +25,7 @@ from eigengames.hamiltonian import (
     build_powerlaw_hamiltonian,
     bundled_h2_path,
     check_hermitian,
+    hermitian_array,
     load_pauli_sum,
     pauli_sum_to_matrix,
     random_orthonormal,
@@ -336,6 +337,12 @@ class TestSpectralRange:
 
 
 class TestHermitianMatrixChecks:
+    def test_intake_reads_checked_arrays_without_a_copy(self):
+        matrix, _ = build_powerlaw_hamiltonian(4, seed=0)
+        assert hermitian_array(matrix) is matrix.entries  # checked when it was built
+        array = np.array(matrix.entries)
+        assert hermitian_array(array) is array
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(HermiticityError):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))

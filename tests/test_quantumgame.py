@@ -11,7 +11,13 @@ import pytest
 
 from eigengames import quantum_sim, quantumgame
 from eigengames.eigengame_classical import GameConfig, HeavyBall, eigengame_player, run_sequential, utility
-from eigengames.errors import BindingError, DegenerateParentError, DimensionMismatchError, NormalizationError
+from eigengames.errors import (
+    BindingError,
+    DegenerateParentError,
+    DimensionMismatchError,
+    InvalidShotCountError,
+    NormalizationError,
+)
 from eigengames.hamiltonian import (
     PauliSum,
     build_powerlaw_hamiltonian,
@@ -1328,6 +1334,17 @@ class TestInputValidation:
         # Any value but "maximize" used to take the minimize branch silently.
         with pytest.raises(ValueError, match="direction"):
             SolverConfig(direction=direction)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: SolverConfig(max_iterations=True), ValueError, "whole number"),
+        (lambda: GameConfig(num_players=True), ValueError, "whole number"),
+        (lambda: ShotModel(num_shots=True), InvalidShotCountError, "whole number"),
+        (lambda: random_layers_ansatz(2, 1, 1, seed=True), ValueError, "seed must be a non-negative integer"),
+    ], ids=["max_iterations", "num_players", "num_shots", "ansatz_seed"])
+    def test_bool_is_not_a_whole_number(self, build, error, message):
+        # isinstance(True, int) holds: each was accepted as 1, a one-shot model among them.
+        with pytest.raises(error, match=message):
+            build()
 
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
                              ids=["game", "vqd"])

@@ -11,11 +11,13 @@ are a transverse-field Ising ring and a random 32-term sum at 2-6 qubits,
 each on a two-layer ``layered_ansatz`` (m = 4q), and the benchmark's
 ``h2`` and ``wide`` solves.
 
-A second table does the same for ``quantum_sim.apply_ansatz``: for one-layer
-``random_layers_ansatz`` layouts at q = 1-4 qubits, with m on both sides of
-the size rule, the median per-call time of preparing a sweep's m + 1 rows by
-the gate loop and from the branch table, next to 2**m * 2**q and the form
-``apply_ansatz`` picks: the table when m >= 2 and 2**m * 2**q is at most
+A second table does the same for ``quantum_sim.apply_ansatz``: for
+``random_layers_ansatz`` layouts at q = 1-4 qubits, one-layer ones with m on
+both sides of the size rule and three-layer ones (H2's shape: three layers of
+r rotations, each followed by a CNOT ring) at 2**11 to 2**14 entries, the
+median per-call time of preparing a sweep's m + 1 rows by the gate loop and
+from the branch table, next to 2**m * 2**q and the form ``apply_ansatz``
+picks: the table when m >= 2 and 2**m * 2**q is at most
 ``quantum_sim.BRANCH_TABLE_ENTRIES``.  This is the table the constant is set
 from.  Run::
 
@@ -49,8 +51,10 @@ from perf_workloads import build_round  # noqa: E402
 
 QUBITS = (2, 3, 4, 5, 6)
 PREPARATION_QUBITS = (1, 2, 3, 4)
-# log2 of the smallest and largest 2**m * 2**q in the preparation table.
+# log2 of the smallest and largest 2**m * 2**q in the preparation table, and
+# of the smallest for its three-layer layouts.
 PREPARATION_SIZES = (7, 14)
+THREE_LAYER_SMALLEST = 11
 RANDOM_TERMS = 32
 PARENTS = 2
 
@@ -103,21 +107,30 @@ def gate_loop(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(quantum_sim._gate_loop(spec, np.cos(half), np.sin(half)).T)
 
 
+def preparation_layouts() -> list[tuple[int, int, int]]:
+    """(q, layers, rotations per layer) of each row of the preparation table."""
+    lo, hi = PREPARATION_SIZES
+    one = [(q, 1, m) for q in PREPARATION_QUBITS for m in range(max(2, lo - q), hi - q + 1)]
+    three = [(q, 3, r) for q in PREPARATION_QUBITS for r in range(1, hi) if THREE_LAYER_SMALLEST <= 3 * r + q <= hi]
+    return one + three
+
+
 def preparation_table(repeats: int) -> None:
     rng = np.random.default_rng(2)
-    print(f"{'q':>3}{'m':>4}{'2^m*2^q':>9}{'loop us':>10}{'table us':>10}{'table/loop':>12}  pick")
-    for q in PREPARATION_QUBITS:
-        for m in range(max(2, PREPARATION_SIZES[0] - q), PREPARATION_SIZES[1] - q + 1):
-            spec = random_layers_ansatz(q, 1, m, seed=m)
-            rows = rng.uniform(-np.pi, np.pi, (m + 1, m))
-            spec.branch_plan  # built once per layout, outside the timing
-            loop = per_call(lambda: gate_loop(spec, rows), repeats)
-            table = per_call(lambda: quantum_sim._branch_sum(spec, rows), repeats)
-            spec = random_layers_ansatz(q, 1, m, seed=m)  # a fresh layout, to see which form builds its table
-            quantum_sim.apply_ansatz(spec, rows)
-            pick = "table" if "branch_plan" in vars(spec) else "loop"
-            print(f"{q:>3}{m:>4}{2 ** (m + q):>9}{loop * 1e6:>10.1f}{table * 1e6:>10.1f}"
-                  f"{table / loop:>12.2f}  {pick}")
+    print(f"{'q':>3}{'L':>3}{'m':>4}{'2^m*2^q':>9}{'loop us':>10}{'table us':>10}{'table/loop':>12}  pick")
+    for q, num_layers, per_layer in preparation_layouts():
+        m = num_layers * per_layer
+        spec = random_layers_ansatz(q, num_layers, per_layer, seed=per_layer)
+        rows = rng.uniform(-np.pi, np.pi, (m + 1, m))
+        spec.branch_plan  # built once per layout, outside the timing
+        loop = per_call(lambda: gate_loop(spec, rows), repeats)
+        table = per_call(lambda: quantum_sim._branch_sum(spec, rows), repeats)
+        # A fresh layout, to see which form builds its table.
+        spec = random_layers_ansatz(q, num_layers, per_layer, seed=per_layer)
+        quantum_sim.apply_ansatz(spec, rows)
+        pick = "table" if "branch_plan" in vars(spec) else "loop"
+        print(f"{q:>3}{num_layers:>3}{m:>4}{2 ** (m + q):>9}{loop * 1e6:>10.1f}{table * 1e6:>10.1f}"
+              f"{table / loop:>12.2f}  {pick}")
     print(f"rule: the table when m >= 2 and 2^m*2^q <= quantum_sim.BRANCH_TABLE_ENTRIES = "
           f"{quantum_sim.BRANCH_TABLE_ENTRIES}")
 
