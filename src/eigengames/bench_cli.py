@@ -195,8 +195,6 @@ def _validate(experiment: str, s: dict) -> None:
             raise ConfigError("every size must be at least 2 and at least num_players")
         if not 0 < s["exponent"] < math.inf:  # NaN fails too
             raise ConfigError("exponent must be positive and finite")
-    if experiment in ("h2_levels", "vqd_beta_sweep") and min(s["layers"], s["rotations_per_layer"]) < 1:
-        raise ConfigError("layers and rotations_per_layer must be positive")
     if experiment == "vqd_beta_sweep" and not s["betas"]:
         raise ConfigError("betas must not be empty")
     if experiment == "diagnostics":

@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Literal
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .errors import (
     NumericalOverflowError,
 )
 from .hamiltonian import HERMITICITY_ATOL, hermitian_array
+
+if TYPE_CHECKING:
+    from .quantum_sim import ParameterTensor
 
 RAYLEIGH_GUARD = 1e-12
 # Plain-ascent steps before either ascent loop carries its heavy-ball velocity.
@@ -96,39 +99,6 @@ def _parent_block(parents, dim: int, dtype=np.float64) -> np.ndarray:
         raise DimensionMismatchError(f"parents have shape {block.shape}, expected (P, {dim})")
     block.flags.writeable = False
     return block
-
-
-@dataclass
-class PlayerState:
-    """One player's solve: final vector, its frozen parents, and the stop-test norm.
-
-    ``parents`` is the read-only (P, n) block of parent vectors the player
-    was solved against, one row per earlier player.  ``eigenvalue`` is
-    v^T M v and ``residual`` the eigen-residual ||M v - eigenvalue v||, both
-    read once on the caller's M, which for ``run_sequential`` is not the
-    shifted matrix the players ascend.  ``momentum_restarts`` counts the
-    ascent's velocity restarts (``HeavyBall``).  ``max_parent_overlap`` is
-    max_j (v . v_j)^2 over the parents at exit, 0 without any: the meaning
-    of ``QuantumPlayerState.max_parent_overlap``, reported and not gating
-    ``converged``.
-    """
-
-    index: int
-    vector: np.ndarray
-    parents: np.ndarray
-    eigenvalue: float = float("nan")
-    residual: float = float("nan")
-    iterations_used: int = 0
-    converged: bool = False
-    final_riemannian_norm: float = float("nan")
-    momentum_restarts: int = 0
-    max_parent_overlap: float = 0.0
-
-    def read_out(self, m: np.ndarray) -> None:
-        """Set ``eigenvalue`` and ``residual`` of the final vector on M, from one matvec."""
-        mv = m @ self.vector
-        self.eigenvalue = float(self.vector @ mv)
-        self.residual = float(np.linalg.norm(mv - self.eigenvalue * self.vector))
 
 
 @dataclass(frozen=True)
@@ -240,7 +210,7 @@ def eigengame_player(
     cfg: GameConfig,
     mode: GradientMode = "exact",
     index: int = 1,
-) -> PlayerState:
+) -> PlayerResult:
     """Run one player's Riemannian heavy-ball ascent until the gradient is radial.
 
     Each step is v <- normalize(v + t + beta_t vel), with t = alpha (I - v v^T) g
@@ -248,7 +218,7 @@ def eigengame_player(
     et al., ICLR 2021, Alg. 1) plus the velocity, beta_t and its restarts from
     ``HeavyBall``.  ``parents`` is the (P, n) block of frozen parent
     vectors v_j, or a list of them; the player keeps a read-only copy as
-    ``PlayerState.parents``.  The game matrix
+    ``PlayerResult.parents``.  The game matrix
     G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j is built once, as 2 alpha G,
     from one product of M with the block, and M v is formed once, at exit,
     for the eigenvalue and residual.
@@ -281,15 +251,13 @@ def eigengame_player(
     if cfg.step_size is None:
         raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
     mat = _as_symmetric_array(m)
-    state = _ascend(mat, init, parents, cfg, mode, index)
-    state.read_out(mat)
-    return state
+    return _read_out(_ascend(mat, init, parents, cfg, mode, index), mat)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _ascend(
     mat: np.ndarray, init: np.ndarray, parents, cfg: GameConfig, mode: GradientMode, index: int
-) -> PlayerState:
+) -> PlayerResult:
     """``eigengame_player``'s ascent on a checked real symmetric array, eigenvalue and residual left unread.
 
     A finite M can still overflow, in the game matrix or a product of the
@@ -324,7 +292,7 @@ def _ascend(
     # truth: each of the few products it combines is exact to about n eps.
     margin = 8.0 * dim * np.finfo(np.float64).eps
     stop_sq = (cfg.grad_tolerance * alpha) ** 2
-    state = PlayerState(index=index, vector=v, parents=parents)
+    player = PlayerResult(index, parents, v)
     ball = HeavyBall()
 
     for _ in range(cfg.max_iterations_per_player + 1):
@@ -340,17 +308,17 @@ def _ascend(
                 raise NumericalOverflowError("gradient stopped being finite")
             raise NumericalOverflowError("utility stopped being finite")
 
-        out_of_budget = state.iterations_used >= cfg.max_iterations_per_player
+        out_of_budget = player.iterations_used >= cfg.max_iterations_per_player
         if out_of_budget or w_w - v_w * v_w * (2.0 - v_v) <= stop_sq + margin * w_w:
             tangent = (gv + rows[3]) - v_w * v  # alpha (I - v v^T) g, formed for the test
-            state.final_riemannian_norm = math.sqrt(tangent.dot(tangent)) / alpha
-            if state.final_riemannian_norm <= cfg.grad_tolerance:
-                state.converged = True
+            player.final_riemannian_norm = math.sqrt(tangent.dot(tangent)) / alpha
+            if player.final_riemannian_norm <= cfg.grad_tolerance:
+                player.converged = True
                 break
             if out_of_budget:
                 break
 
-        beta = ball.weight(state.iterations_used, vel_w - v_w * v_vel)
+        beta = ball.weight(player.iterations_used, vel_w - v_w * v_vel)
         keep = 1.0 - v_w  # v + t + beta vel = keep v + beta vel + w
         norm_sq = (keep * (keep * v_v + 2.0 * (v_w + beta * v_vel))
                    + w_w + beta * (beta * vel_vel + 2.0 * vel_w))
@@ -359,24 +327,99 @@ def _ascend(
                            keep * scale - 1.0, beta * scale, scale, scale)
         mix.dot(rows, out=spare[5])  # the next v, and vel = next v - v
         current, spare = spare, current
-        state.iterations_used += 1
+        player.iterations_used += 1
 
     v = current[3].copy()
-    state.momentum_restarts = ball.restarts
-    state.vector = v
-    state.max_parent_overlap = float(np.max((parents @ v) ** 2, initial=0.0))
-    return state
+    player.momentum_restarts = ball.restarts
+    player.vector = v
+    player.max_parent_overlap = float(np.max((parents @ v) ** 2, initial=0.0))
+    return player
+
+
+@dataclass
+class PlayerResult:
+    """One player's solve, the record every runner returns.
+
+    Every runner fills the fields below, with one meaning:
+
+    - ``index`` is the player's place in solve order, from 1, and
+      ``parents`` the read-only (P, d) block of the vectors it was solved
+      against, one row per earlier player: in a run, the earlier players'
+      ``vector``s.
+    - ``vector`` is the returned unit vector: the classical player's final
+      v, or the read-only (2**q,) amplitudes the quantum player's final
+      theta prepares.
+    - ``eigenvalue`` is <v|M v> and ``residual`` the eigen-residual
+      ||M v - <v|M v> v||, which by Kahan's bound puts an eigenvalue of M
+      within that distance of <v|M v>.  Both are read once on the caller's
+      M, which for ``run_sequential`` is not the shifted matrix the players
+      ascend.
+    - ``max_parent_overlap`` is max_j |<v|v_j>|^2 over the parents, 0
+      without any.  It and the residual are reported and do not gate
+      ``converged``.  Under finite shots both stay exact simulator values;
+      only the eigenvalue is a shot read, the last draw of the player's
+      stream.
+    - ``iterations_used`` counts the steps taken, and ``converged`` says
+      the stop test passed within the budget.  ``momentum_restarts`` counts
+      the ascent's velocity restarts (``HeavyBall``), 0 for budgets of at
+      most ``ASCENT_WARMUP``.
+
+    The cost counters are 0 for classical players.  ``readouts`` counts the
+    finite-shot read-outs the player drew (the sweeps' and the final
+    eigenvalue read) and ``shots`` is ``readouts * num_shots``; both are 0
+    under an exact shot model.  ``prepared_rows`` counts the states the
+    player prepared, m + 1 per sweep and one for the final read, and
+    ``operator_rows`` the rows M was applied to by the objective (the
+    game's parent block), each sweep's read and the final read
+    (``sweep_reads``).
+
+    Only the quantum runners fill ``theta``, the final parameters as a
+    ``ParameterTensor``; the histories, where ``energy_history[t]`` is
+    iteration t's read-out of <M> on theta's own row of the sweep (drawn
+    once for the objective too), ``utility_history[t]`` that objective and
+    ``grad_norm_history[t]`` the norm of its gradient in theta; and
+    ``max_imag_residue``, the largest imaginary residue the sweeps read,
+    rounding for Hermitian M: under an exact shot model |Im<psi|M psi>| on
+    theta's row, and under finite shots |Im<r|M r>| over the shift rows r,
+    the cross terms' imaginary parts included.  Only the classical runner
+    fills ``final_riemannian_norm``, the last tangential gradient norm its
+    stop test formed (``eigengame_player``).
+    """
+
+    index: int
+    parents: np.ndarray
+    vector: np.ndarray
+    eigenvalue: float = float("nan")
+    residual: float = float("nan")
+    max_parent_overlap: float = 0.0
+    iterations_used: int = 0
+    converged: bool = False
+    momentum_restarts: int = 0
+    readouts: int = 0
+    shots: int = 0
+    prepared_rows: int = 0
+    operator_rows: int = 0
+    theta: ParameterTensor | None = None
+    energy_history: list[float] = field(default_factory=list)
+    utility_history: list[float] = field(default_factory=list)
+    grad_norm_history: list[float] = field(default_factory=list)
+    max_imag_residue: float = 0.0
+    final_riemannian_norm: float = float("nan")
+
+
+def _read_out(player: PlayerResult, m: np.ndarray) -> PlayerResult:
+    """Set a classical player's ``eigenvalue`` and ``residual`` on M, from one matvec, and return it."""
+    mv = m @ player.vector
+    player.eigenvalue = float(player.vector @ mv)
+    player.residual = float(np.linalg.norm(mv - player.eigenvalue * player.vector))
+    return player
 
 
 @dataclass
 class SequentialResult:
-    """All players of one sequential run, in solve order.
+    """All players of one sequential run, in solve order; the operator hashes bracket the run."""
 
-    ``players`` holds the runner's own player records (``PlayerState`` or
-    ``QuantumPlayerState``); the operator hashes bracket the run.
-    """
-
-    players: list
+    players: list[PlayerResult]
     eigenvalues: list[float]
     total_iterations: int
     all_converged: bool
@@ -406,11 +449,12 @@ def run_players(k: int, play: Callable, digest: Callable[[], str]) -> Sequential
     """The sequential scheduler every runner shares.
 
     Players 1..k (k >= 1) are solved once each, in order.  ``play(index, earlier)``
-    solves one player given the tuple of the earlier players' states and
-    returns its own; each runner's ``play`` builds the parents from those
-    states, so every player is a parent of every later one whether or not
-    it converged, and ``all_converged`` reports any miss.  ``digest()``
-    hashes the operator before and after the run: no player may rewrite it.
+    solves one player given the tuple of the earlier players' records and
+    returns its own ``PlayerResult``; each runner's ``play`` builds the
+    parents from those records' vectors, so every player is a parent of
+    every later one whether or not it converged, and ``all_converged``
+    reports any miss.  ``digest()`` hashes the operator before and after
+    the run: no player may rewrite it.
     """
     if k < 1:
         raise ValueError(f"need at least one player, got k={k}")
@@ -471,14 +515,12 @@ def run_sequential(
     if cfg.step_size is None:
         cfg = replace(cfg, step_size=1.0 / (2.0 * (float(eigenvalues[-1]) + shift)))
 
-    def play(i: int, earlier: tuple[PlayerState, ...]) -> PlayerState:
+    def play(i: int, earlier: tuple[PlayerResult, ...]) -> PlayerResult:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))
         init = rng.standard_normal(dim)
         init /= np.linalg.norm(init)
         parents = [p.vector for p in earlier]
-        state = _ascend(ascended, init, parents, cfg, mode, i)
-        state.read_out(mat)
-        return state
+        return _read_out(_ascend(ascended, init, parents, cfg, mode, i), mat)
 
     return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat).hexdigest())
 

@@ -259,7 +259,7 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class ParameterTensor:
-    """Read-only flat real parameter vector: the type of ``QuantumPlayerState.theta``."""
+    """Read-only flat real parameter vector: the type of a quantum player's ``PlayerResult.theta``."""
 
     values: np.ndarray
 
@@ -279,6 +279,17 @@ def _ring_pairs(num_qubits: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, (i + 1) % num_qubits) for i in range(num_qubits))
 
 
+def _check_counts(**counts) -> None:
+    """Raise ``ValueError`` unless each count is a whole number (not a ``bool``) of at least 1.
+
+    A builder given a count of 0 would return a layout with no parameters,
+    whose empty gradient every player would read as converged.
+    """
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not value >= 1:
+            raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
+
+
 def random_layers_ansatz(
     num_qubits: int,
     num_layers: int,
@@ -288,10 +299,13 @@ def random_layers_ansatz(
 ) -> AnsatzSpec:
     """Per layer: seeded-random rotation axes on seeded-random qubits, then a CNOT ring.
 
-    ``seed`` must be a non-negative integer, not a ``bool``; anything else raises ``ValueError``.
+    ``seed`` must be a non-negative integer, and the two counts at least 1
+    (``_check_counts``); none may be a ``bool``.  Anything else raises
+    ``ValueError``.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_counts(num_layers=num_layers, rotations_per_layer=rotations_per_layer)
     rng = np.random.default_rng(seed)
     layers = tuple(
         tuple(
@@ -304,7 +318,11 @@ def random_layers_ansatz(
 
 
 def layered_ansatz(num_qubits: int, num_layers: int, initial_state: str = "plus") -> AnsatzSpec:
-    """Deterministic RY+RZ-per-qubit layers with a CNOT ring; expressive on small registers."""
+    """Deterministic RY+RZ-per-qubit layers with a CNOT ring; expressive on small registers.
+
+    ``num_layers`` must be at least 1 (``_check_counts``).
+    """
+    _check_counts(num_layers=num_layers)
     layer = tuple(gate for qubit in range(num_qubits) for gate in (("RY", qubit), ("RZ", qubit)))
     return AnsatzSpec(num_qubits, (layer,) * num_layers, _ring_pairs(num_qubits), initial_state)
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .eigengame_classical import ASCENT_WARMUP, HeavyBall, SequentialResult, _parent_block, run_players
+from .eigengame_classical import HeavyBall, PlayerResult, SequentialResult, _parent_block, run_players
 from .errors import DegenerateParentError, NormalizationError, NumericalOverflowError
 from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
@@ -41,57 +41,6 @@ PARENT_EIGENVALUE_GUARD = 1e-10
 MIN_MODE_SHIFT_MARGIN = 1.0
 
 Direction = Literal["maximize", "minimize"]
-
-
-@dataclass
-class QuantumPlayerState:
-    """One player's solve: final parameters, the state they prepare, and per-iteration histories.
-
-    ``theta`` holds the final parameters and ``state`` the read-only
-    (2**q,) array of amplitudes they prepare; both are set when the solve
-    ends.  ``parents`` is the read-only (P, 2**q) block of parent states the
-    player was solved against, one row per earlier player.
-    ``max_imag_residue`` is the largest imaginary residue the sweeps read,
-    rounding for Hermitian M: under an exact shot model |Im<psi|M psi>| on
-    theta's row, and under finite shots |Im<r|M r>| over the shift rows r,
-    the cross terms' imaginary parts included (``sweep_reads``).
-    ``momentum_restarts`` counts the ascent's velocity restarts, 0 for
-    budgets of at most ``ASCENT_WARMUP``.  ``energy_history[t]`` is iteration t's read-out of
-    <M> on theta's own row of the sweep, drawn once for the objective too.
-    ``readouts`` counts the finite-shot read-outs the player drew (the
-    sweeps' and the final eigenvalue read) and ``shots`` is
-    ``readouts * num_shots``, the solve's shot cost; both are 0 under an
-    exact shot model.  ``prepared_rows`` counts the states the player
-    prepared, m + 1 per sweep and one for the final read, and
-    ``operator_rows`` the rows M was applied to, as the objective (the
-    game's parent block), each sweep's read and the final read report them
-    (``sweep_reads``).  Two
-    records of the returned state, reported and not gating ``converged``:
-    ``residual`` is its energy standard deviation
-    sqrt(Var(M)) = ||(M - <M>) psi||, which by Kahan's bound puts an
-    eigenvalue of M within that distance of <M>; ``max_parent_overlap`` is
-    max_j |<psi|psi_j>|^2 over the parents, 0 without any.  Both are exact
-    simulator values, not shot reads.
-    """
-
-    index: int
-    parents: np.ndarray
-    theta: ParameterTensor = field(init=False)
-    state: np.ndarray = field(init=False)
-    eigenvalue: float = float("nan")
-    converged: bool = False
-    iterations_used: int = 0
-    energy_history: list[float] = field(default_factory=list)
-    utility_history: list[float] = field(default_factory=list)
-    grad_norm_history: list[float] = field(default_factory=list)
-    max_imag_residue: float = 0.0
-    momentum_restarts: int = 0
-    readouts: int = 0
-    shots: int = 0
-    residual: float = float("nan")
-    max_parent_overlap: float = 0.0
-    prepared_rows: int = 0
-    operator_rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -348,7 +297,7 @@ def _ascend(
     objective: Objective,
     circuit: Circuit,
     index: int,
-) -> QuantumPlayerState:
+) -> PlayerResult:
     """One player's solve, once its objective is stated: the shared parameter-shift loop.
 
     The player passes its (P, 2**q) parent block, its ``Objective`` and the
@@ -373,24 +322,27 @@ def _ascend(
 
     The step is heavy-ball, vel <- beta_t vel + eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
-    the classical player shares: no extra circuit.
+    the classical player shares: no extra circuit.  A layout with no
+    parameters raises ``ValueError`` before anything is prepared: its empty
+    gradient would pass the stop test on the initial state.
     """
+    if not spec.num_parameters:
+        raise ValueError("the ansatz layout has no parameters to optimize")
     theta = spec.bind(theta_init)
     rng = cfg.shots.make_rng()
     if cfg.shots.is_exact:
         read = _backward_read(m, objective)
     else:
         read = _shot_read(m, objective, circuit, cfg.shots, rng)
-    state = QuantumPlayerState(index, parents)
     vel = np.zeros_like(theta)
     ball = HeavyBall()
     eta, tolerance = objective.eta, cfg.grad_tolerance
-    add_grad_norm = state.grad_norm_history.append
-    add_utility = state.utility_history.append
-    add_energy = state.energy_history.append
+    grad_norms, utilities, energies = [], [], []
+    add_grad_norm, add_utility, add_energy = grad_norms.append, utilities.append, energies.append
     steps = readouts = prepared_rows = 0  # readouts: drawn by the read
     operator_rows = objective.operator_rows
     residue_max = 0.0
+    converged = False
     for _ in range(cfg.max_iterations):
         prepared = parameter_shift_states(spec, theta)
         grad, value, energy, residue, drawn, applied = read(prepared)
@@ -407,7 +359,7 @@ def _ascend(
         add_utility(value)
         add_energy(energy)
         if gnorm <= tolerance:
-            state.converged = True
+            converged = True
             break
         step = eta * grad
         beta = ball.weight(steps, float(step @ vel))
@@ -415,23 +367,23 @@ def _ascend(
         theta = theta + vel
         steps += 1
 
-    state.iterations_used = steps
-    state.max_imag_residue = residue_max
-    state.momentum_restarts = ball.restarts
-    state.theta = ParameterTensor(theta)
     final = apply_ansatz(spec, theta[None, :])
     final.flags.writeable = False
     (mean, var, _, _), products, applied = sweep_reads(m, final, parents)
-    state.state = final[0]
-    state.eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
-    state.residual = math.sqrt(var[0])
-    state.max_parent_overlap = float((np.abs(products) ** 2).max(initial=0.0))
-    state.prepared_rows = prepared_rows + len(final)
-    state.operator_rows = operator_rows + applied
+    eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
+    shots = 0
     if not cfg.shots.is_exact:
-        state.readouts = readouts + 1  # and the eigenvalue read
-        state.shots = state.readouts * cfg.shots.num_shots
-    return state
+        readouts += 1  # the eigenvalue read
+        shots = readouts * cfg.shots.num_shots
+    return PlayerResult(
+        index, parents, final[0], eigenvalue, residual=math.sqrt(var[0]),
+        max_parent_overlap=float((np.abs(products) ** 2).max(initial=0.0)),
+        iterations_used=steps, converged=converged, momentum_restarts=ball.restarts,
+        readouts=readouts, shots=shots, prepared_rows=prepared_rows + len(final),
+        operator_rows=operator_rows + applied, theta=ParameterTensor(theta),
+        energy_history=energies, utility_history=utilities, grad_norm_history=grad_norms,
+        max_imag_residue=residue_max,
+    )
 
 
 def _game_objective(
@@ -488,7 +440,7 @@ def quantumgame_player(
     parent_eigenvalues: Sequence[float],
     cfg: SolverConfig,
     index: int = 1,
-) -> QuantumPlayerState:
+) -> PlayerResult:
     """Gradient ascent on the player utility via parameter-shift, parents frozen.
 
     ``parent_states`` is the (P, 2**q) block of parent states psi_j, or a
@@ -525,7 +477,7 @@ def vqd_player(
     parent_eigenvalues: Sequence[float],
     cfg: SolverConfig,
     index: int = 1,
-) -> QuantumPlayerState:
+) -> PlayerResult:
     """Overlap-penalized minimization: sign*<M> + sum_j beta_j |<psi|psi_j>|^2.
 
     The parents are given as in ``quantumgame_player``: a (P, 2**q) block
@@ -575,11 +527,11 @@ def _sequential_run(
     if m.spectral_range == (0.0, 0.0):
         raise ValueError("the zero operator has no leading eigenvectors: every state is one")
 
-    def play(r: int, earlier: tuple[QuantumPlayerState, ...]) -> QuantumPlayerState:
+    def play(r: int, earlier: tuple[PlayerResult, ...]) -> PlayerResult:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         theta_init = rng.uniform(-np.pi, np.pi, size=spec.num_parameters)
         shots = replace(cfg.shots, rng_seed=int(rng.integers(0, 2**31 - 1)))
-        states = [p.state for p in earlier]
+        states = [p.vector for p in earlier]
         eigenvalues = [p.eigenvalue for p in earlier]
         return player_fn(m, spec, theta_init, states, eigenvalues, replace(cfg, shots=shots), index=r)
 

@@ -15,7 +15,8 @@ one state; ``product_state`` builds |0...0> and |+...+>, the reference for
 ``classical_error_term`` are the per-parent block expressions the classical
 game matrix folds together; ``vector_eigengame_player`` is the classical
 player's ascent written on whole vectors, the loop the library's fused
-three-call iteration must reproduce; ``quantum_utility`` is the maximizing
+three-call iteration must reproduce, returned as the library's one
+``PlayerResult`` record; ``quantum_utility`` is the maximizing
 game's objective on one state, the game's finite-shot read on a one-row base; ``hotelling_levels`` is explicit Hotelling deflation on a
 dense copy, the step the game does without; ``compiled_pauli_sum`` is the
 per-term builder the stacked ``PauliSum.compiled`` form is checked against;
@@ -42,9 +43,10 @@ from eigengames.eigengame_classical import (
     UNIT_NORM_ATOL,
     GameConfig,
     HeavyBall,
-    PlayerState,
+    PlayerResult,
     _as_symmetric_array,
     _parent_block,
+    _read_out,
     _twice_game_matrix,
     utility,
 )
@@ -446,7 +448,7 @@ def hotelling_levels(entries: np.ndarray, k: int) -> list[float]:
 # The classical ascent on whole vectors
 # ---------------------------------------------------------------------------
 
-def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode: str = "exact") -> PlayerState:
+def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode: str = "exact") -> PlayerResult:
     """``eigengame_player``'s ascent on whole vectors: each scalar from its own dot product.
 
     Per iteration: w = alpha g from one matvec on 2 alpha G (plus the bias
@@ -463,7 +465,7 @@ def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode:
     alpha = cfg.step_size
     scaled_game = alpha * _twice_game_matrix(mat, parents)
     bias = cfg.sigma * (0.5 * np.diag(scaled_game)) if mode == "zeroth_order" else None
-    state = PlayerState(index=1, vector=v, parents=parents)
+    state = PlayerResult(1, parents, v)
     ball = HeavyBall()
     vel = np.zeros_like(v)
     for _ in range(cfg.max_iterations_per_player + 1):
@@ -489,8 +491,7 @@ def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode:
         state.iterations_used += 1
     state.momentum_restarts = ball.restarts
     state.vector = v
-    state.read_out(mat)
-    return state
+    return _read_out(state, mat)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ class TestBetaSweepCommand:
         overlap = next(float(l.split(",")[-1]) for l in lines[1:] if l.split(",")[1] == "noiseless")
         h, spec = cfg.built["operator"], cfg.built["ansatz"]
         result = run_vqd(h, spec, cfg.built["solvers"]["noiseless", 0.1], cfg["num_levels"], seed=0)
-        states = np.array([p.state for p in result.players])
+        states = np.array([p.vector for p in result.players])
         gram = np.abs(states.conj() @ states.T) ** 2
         assert overlap >= 0.99
         assert abs(overlap - max(p.max_parent_overlap for p in result.players)) <= 1e-12
@@ -298,6 +298,8 @@ class TestMainCli:
         ("scaling", "sizes = 1\nnum_players = 1\n"),
         # Settings only a library constructor checks: random_layers_ansatz, AnsatzSpec, the Pauli-file parser.
         ("h2", "num_levels = 2\nmax_iterations = 5\nansatz_seed = -1\n"),
+        ("h2", "num_levels = 2\nmax_iterations = 5\nlayers = 0\n"),
+        ("beta-sweep", "num_levels = 2\nmax_iterations = 5\nrotations_per_layer = 0\n"),
         ("h2", "num_levels = 2\nmax_iterations = 5\ninitial_state = foo\n"),
         ("beta-sweep", "num_levels = 2\nmax_iterations = 5\npauli_file = {tmp}/bad_pauli.txt\n"),
     ])

@@ -17,7 +17,9 @@ _spec.loader.exec_module(peak_memory)
 
 # MiB at n = 256.  A complex128 operator with a copied real part read 5.51,
 # 3.50 and 1.52.  A copy of M in the solve adds 0.5, past the solve budget.
-BUDGETS = {"build": 3.0, "matrix": 2.0, "solve": 1.25}
+# The code reads 2.071, 1.001 and 1.021; copying an operator before checking
+# it read 2.504 to build and 1.501 to wrap, past these budgets.
+BUDGETS = {"build": 2.25, "matrix": 1.25, "solve": 1.25}
 
 
 @pytest.fixture(scope="module")

@@ -386,6 +386,27 @@ class TestAnsatzSpec:
         with pytest.raises(ValueError, match=rf"seed must be a non-negative integer, got {seed}"):
             random_layers_ansatz(2, 3, 3, seed=seed)
 
+    @pytest.mark.parametrize("build, name, value", [
+        (lambda: random_layers_ansatz(2, 0, 3, seed=0), "num_layers", 0),
+        (lambda: random_layers_ansatz(2, 3, -2, seed=0), "rotations_per_layer", -2),
+        (lambda: random_layers_ansatz(2, True, 3, seed=0), "num_layers", True),
+        (lambda: random_layers_ansatz(2, 3, 1.0, seed=0), "rotations_per_layer", 1.0),
+        (lambda: layered_ansatz(2, 0), "num_layers", 0),
+        (lambda: layered_ansatz(2, False), "num_layers", False),
+        (lambda: layered_ansatz(2, 2.0), "num_layers", 2.0),
+    ], ids=["random-no-layers", "random-negative-rotations", "random-bool-layers", "random-float-rotations",
+            "layered-no-layers", "layered-bool-layers", "layered-float-layers"])
+    def test_builders_reject_counts_that_leave_no_parameters(self, build, name, value):
+        # A count of 0 or below used to build a layout with no parameters, which
+        # every quantum player then reported as converged at iteration 0.
+        with pytest.raises(ValueError, match=rf"{name} must be a whole number of at least 1, got {value!r}"):
+            build()
+
+    def test_builders_take_numpy_counts(self):
+        spec = random_layers_ansatz(2, np.int64(2), np.int32(3), seed=0)
+        assert spec == random_layers_ansatz(2, 2, 3, seed=0)
+        assert layered_ansatz(2, np.int64(1)).num_parameters == 4
+
     def test_num_layers_counts_layer_rotations(self):
         assert random_layers_ansatz(2, 3, 3, seed=11).num_layers == 3
         assert AnsatzSpec(1, (), ()).num_layers == 0

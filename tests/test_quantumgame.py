@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from eigengames import quantum_sim, quantumgame
-from eigengames.eigengame_classical import GameConfig, HeavyBall, eigengame_player, run_sequential, utility
+from eigengames.eigengame_classical import (
+    ASCENT_WARMUP,
+    GameConfig,
+    HeavyBall,
+    eigengame_player,
+    run_sequential,
+    utility,
+)
 from eigengames.errors import (
     BindingError,
     DegenerateParentError,
@@ -27,6 +34,7 @@ from eigengames.hamiltonian import (
 )
 from eigengames.quantum_sim import (
     NORM_ATOL,
+    AnsatzSpec,
     ParameterTensor,
     ShotModel,
     apply_ansatz,
@@ -161,7 +169,7 @@ class TestQuantumGamePlayer:
         spec = layered_ansatz(2, 2)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3, max_iterations=4000)
         first = quantumgame_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), (), cfg)
-        parent = [first.state], [first.eigenvalue]
+        parent = [first.vector], [first.eigenvalue]
         rng = np.random.default_rng(3)
         second = quantumgame_player(
             DIAG_3210, spec, spec.bind(rng.uniform(-np.pi, np.pi, 8)), *parent, cfg, index=2
@@ -186,7 +194,7 @@ class TestQuantumGamePlayer:
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3, max_iterations=budget, **extra)
         state = player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), *parents, cfg, index=3)
         assert state.converged == (budget == 3000)
-        psi = state.state
+        psi = state.vector
         dense = pauli_sum_to_matrix(h2)
         mean = np.vdot(psi, dense @ psi).real
         assert state.eigenvalue == pytest.approx(mean, abs=1e-12)
@@ -213,8 +221,8 @@ class TestQuantumGamePlayer:
         final = apply_ansatz(spec, state.theta.values[None, :])
         (mean, var, _, _), products, _ = sweep_reads(h2, final, parents[0])
         overlaps = np.abs(products) ** 2
-        assert np.array_equal(state.state, final[0])
-        assert not state.state.flags.writeable
+        assert np.array_equal(state.vector, final[0])
+        assert not state.vector.flags.writeable
         assert isinstance(state.theta, ParameterTensor) and not state.theta.values.flags.writeable
         assert state.residual == np.sqrt(var[0])
         assert state.max_parent_overlap == overlaps.max()
@@ -260,12 +268,12 @@ class TestQuantumGamePlayer:
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-4, max_iterations=400)
         rng = np.random.default_rng(1)
         first = quantumgame_player(h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), (), (), cfg)
-        parent = [first.state], [first.eigenvalue]
+        parent = [first.vector], [first.eigenvalue]
         second = quantumgame_player(
             h2, spec, spec.bind(rng.uniform(-np.pi, np.pi, 9)), *parent, cfg, index=2
         )
         for player in (first, second):
-            warmup = np.asarray(player.utility_history[: quantumgame.ASCENT_WARMUP + 1])
+            warmup = np.asarray(player.utility_history[: ASCENT_WARMUP + 1])
             assert np.diff(warmup).min() >= -1e-9
             assert player.converged
             assert player.utility_history[-1] >= warmup.max()
@@ -381,7 +389,7 @@ class TestRunQuantumGame:
         cfg = SolverConfig(direction="minimize", max_iterations=5, shots=ShotModel(shots), **extra)
         result = runner(h2, spec, cfg, 4, seed=0)
         for j, player in enumerate(result.players):
-            states = np.array([p.state for p in result.players[:j]]).reshape(j, 4)
+            states = np.array([p.vector for p in result.players[:j]]).reshape(j, 4)
             assert np.array_equal(received[j][0].reshape(j, 4), states)
             assert received[j][1] == result.eigenvalues[:j]
             assert np.array_equal(player.parents, states) and player.parents.shape == (j, 4)
@@ -403,7 +411,7 @@ class TestRunQuantumGame:
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-2, max_iterations=2000)
         result = run_quantumgame(h2, spec, cfg, 2, seed=0)
-        parent_state = result.players[0].state
+        parent_state = result.players[0].vector
         lam = exact_moments(h2, parent_state)[0]
         from oracles import mixed_expectation_states
 
@@ -474,7 +482,7 @@ class TestVqd:
         cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3,
                            max_iterations=4000, beta=5.0)
         first = vqd_player(DIAG_3210, spec, spec.bind(np.full(8, 0.3)), (), (), cfg)
-        parent = [first.state], [first.eigenvalue]
+        parent = [first.vector], [first.eigenvalue]
         rng = np.random.default_rng(5)
         second = vqd_player(
             DIAG_3210, spec, spec.bind(rng.uniform(-np.pi, np.pi, 8)), *parent, cfg, index=2
@@ -961,7 +969,7 @@ class TestStatePreparations:
         assert len(calls) == result.total_iterations + converged + 2
         for player in result.players:
             prepared = original(layered_ansatz(2, 2), player.theta.values).amplitudes
-            assert np.allclose(player.state, prepared, rtol=0.0, atol=1e-12)
+            assert np.allclose(player.vector, prepared, rtol=0.0, atol=1e-12)
 
 
 class TestHeavyBallAscent:
@@ -993,7 +1001,7 @@ class TestHeavyBallAscent:
         assert total <= 0.6 * self.PLAIN_ASCENT_TOTALS[name, direction]
         assert restarts > 0
 
-    @pytest.mark.parametrize("budget", [1, quantumgame.ASCENT_WARMUP])
+    @pytest.mark.parametrize("budget", [1, ASCENT_WARMUP])
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
                              ids=["game", "vqd"])
     def test_no_restart_within_the_warm_up(self, h2, runner, extra, budget):
@@ -1368,6 +1376,26 @@ class TestInputValidation:
         with pytest.raises(BindingError):
             player(h2, random_layers_ansatz(2, 2, 3, seed=3),
                    np.array(theta) if as_array else theta, (), (), cfg)
+
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    @pytest.mark.parametrize("shots", [ShotModel(), ShotModel(100)], ids=["exact", "shots"])
+    def test_parameterless_layout_rejected_before_any_preparation(self, monkeypatch, h2, player, shots):
+        # Its empty gradient has norm 0: each player "converged" at iteration 0 on
+        # the initial state, and run_quantumgame returned [-0.8714, -0.8714].
+        def no_preparation(*args):
+            raise AssertionError("a state was prepared")
+
+        monkeypatch.setattr(quantumgame, "parameter_shift_states", no_preparation)
+        monkeypatch.setattr(quantumgame, "apply_ansatz", no_preparation)
+        cfg = SolverConfig(direction="minimize", beta=5.0, shots=shots)
+        with pytest.raises(ValueError, match="no parameters"):
+            player(h2, AnsatzSpec(2, (), ((0, 1),)), [], (), (), cfg)
+
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_parameterless_layout_rejected_by_the_runners(self, h2, runner, extra):
+        with pytest.raises(ValueError, match="no parameters"):
+            runner(h2, AnsatzSpec(2, (), ()), SolverConfig(direction="minimize", **extra), 2, seed=0)
 
     @pytest.mark.parametrize("runner", [run_quantumgame, run_vqd], ids=["game", "vqd"])
     @pytest.mark.parametrize("terms", [((0.0, "Z"),), ((1.0, "Z"), (-1.0, "Z")), ()],
