@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, EigenGamesError
+from .errors import ConfigError, EigenGamesError, whole_number
 from .eigengame_classical import GameConfig, angular_error, run_sequential
 from .hamiltonian import (
     build_powerlaw_hamiltonian,
@@ -107,9 +107,10 @@ class RunConfig:
 
     ``built`` holds the library objects ``build_run_config`` made from the
     settings, once: ``game`` (a ``GameConfig``) for the scaling experiment;
-    ``operator``, ``ansatz`` and ``solvers``, one ``SolverConfig`` per
-    (noise, beta) pair, for the two molecular ones.  It stays out of the hash
-    and the manifest.
+    ``operator``, its oracle ``levels`` (the lowest ``num_levels``
+    eigenvalues of its dense matrix, ascending), ``ansatz`` and ``solvers``,
+    one ``SolverConfig`` per (noise, beta) pair, for the two molecular ones.
+    It stays out of the hash and the manifest.
     """
 
     experiment: str
@@ -184,15 +185,15 @@ def build_run_config(experiment: str, overrides: dict | None = None) -> RunConfi
 
 def _validate(experiment: str, s: dict) -> None:
     """The checks no library constructor makes; ``_build`` leaves the rest to the constructors."""
-    if "seeds" in s and not s["seeds"]:
+    if not s["seeds"]:
         raise ConfigError("seeds must not be empty")
-    if any(seed < 0 for seed in s.get("seeds", ())):
-        raise ConfigError("seeds must be non-negative")
+    for seed in s["seeds"]:
+        whole_number("seed", seed, minimum=0, error=ConfigError)
     if experiment == "eigengame_scaling":
         if not s["sizes"]:
             raise ConfigError("sizes must not be empty")
-        if any(n < max(2, s["num_players"]) for n in s["sizes"]):
-            raise ConfigError("every size must be at least 2 and at least num_players")
+        for n in s["sizes"]:  # at least 2 and at least num_players
+            whole_number("size", n, minimum=max(2, s["num_players"]), error=ConfigError)
         if not 0 < s["exponent"] < math.inf:  # NaN fails too
             raise ConfigError("exponent must be positive and finite")
     if experiment == "vqd_beta_sweep" and not s["betas"]:
@@ -200,10 +201,8 @@ def _validate(experiment: str, s: dict) -> None:
     if experiment == "diagnostics":
         if len(s["seeds"]) > 1:
             raise ConfigError("diagnostics runs one seed; pass one seed or --seed N")
-        if s["dim"] < 4:
-            raise ConfigError("diagnostics needs dim >= 4")
-        if s["lipschitz_samples"] < 1:
-            raise ConfigError("lipschitz_samples must be at least 1")
+        whole_number("dim", s["dim"], minimum=4, error=ConfigError)
+        whole_number("lipschitz_samples", s["lipschitz_samples"], error=ConfigError)
         if not s["epsilons"]:
             raise ConfigError("epsilons must not be empty")
         if not all(0 < e < math.inf for e in s["epsilons"]):  # NaN fails too
@@ -227,8 +226,9 @@ def _build(experiment: str, s: dict) -> dict:
         operator = load_pauli_sum(path)
     except (ValueError, EigenGamesError) as exc:  # its line numbers are the Pauli file's
         raise ConfigError(f"pauli_file {path}: {exc}") from None
-    if not 1 <= s["num_levels"] <= 2**operator.num_qubits:
-        raise ConfigError(f"num_levels must be in [1, {2**operator.num_qubits}] for {path.name}")
+    whole_number("num_levels", s["num_levels"])
+    if s["num_levels"] > 2**operator.num_qubits:
+        raise ConfigError(f"num_levels must be at most {2**operator.num_qubits} for {path.name}")
     ansatz = random_layers_ansatz(operator.num_qubits, s["layers"], s["rotations_per_layer"],
                                   seed=s["ansatz_seed"], initial_state=s["initial_state"])
     # h2 runs the game (no penalty weight) and VQD at ``beta``; the sweep runs VQD at each weight.
@@ -240,7 +240,8 @@ def _build(experiment: str, s: dict) -> dict:
         for noise, shots in _noise_levels(s)
         for beta in betas
     }
-    return {"operator": operator, "ansatz": ansatz, "solvers": solvers}
+    levels = np.linalg.eigh(pauli_sum_to_matrix(operator))[0][: s["num_levels"]]  # lowest, ascending
+    return {"operator": operator, "levels": levels, "ansatz": ansatz, "solvers": solvers}
 
 
 def _noise_levels(s) -> tuple:
@@ -358,8 +359,7 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     """
     out.mkdir(parents=True, exist_ok=True)
     h, spec, solvers = cfg.built["operator"], cfg.built["ansatz"], cfg.built["solvers"]
-    k = cfg["num_levels"]
-    oracle = np.linalg.eigh(pauli_sum_to_matrix(h))[0][:k]  # the lowest k levels, ascending
+    k, oracle = cfg["num_levels"], cfg.built["levels"]
     rows = [("oracle", "exact", "", level, "", "", float(value), "", "", "exact", cfg.config_hash)
             for level, value in enumerate(oracle, start=1)]
     ok = True
@@ -402,8 +402,7 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
     """
     out.mkdir(parents=True, exist_ok=True)
     h, spec, solvers = cfg.built["operator"], cfg.built["ansatz"], cfg.built["solvers"]
-    k = cfg["num_levels"]
-    oracle = np.linalg.eigh(pauli_sum_to_matrix(h))[0][:k]
+    k, oracle = cfg["num_levels"], cfg.built["levels"]
     rows = []
     for beta in cfg["betas"]:
         for noise, shots in _noise_levels(cfg):

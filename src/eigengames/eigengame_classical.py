@@ -24,6 +24,7 @@ from .errors import (
     HermiticityError,
     NormalizationError,
     NumericalOverflowError,
+    whole_number,
 )
 from .hamiltonian import HERMITICITY_ATOL, hermitian_array
 
@@ -110,7 +111,7 @@ class GameConfig:
     ``None`` lets ``run_sequential`` pick 1 / (2 (lambda_max + c)), read from
     the dense eigenvalues (1 / (2 ||M||_2) for positive-definite M);
     ``eigengame_player`` needs it set.  ``max_iterations_per_player`` and
-    ``num_players`` are whole numbers (Python or NumPy integers, not ``bool``).
+    ``num_players`` are whole numbers of at least 1 (``errors.whole_number``).
     """
 
     step_size: float | None = None
@@ -120,10 +121,8 @@ class GameConfig:
     num_players: int = 1
 
     def __post_init__(self):
-        for name in ("max_iterations_per_player", "num_players"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
+        whole_number("max_iterations_per_player", self.max_iterations_per_player)
+        whole_number("num_players", self.num_players)
         # Each test is written so that NaN fails it.
         if self.step_size is not None and not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be positive and finite")
@@ -131,10 +130,6 @@ class GameConfig:
             raise ValueError("sigma must be non-negative and finite")
         if not 0 < self.grad_tolerance < math.inf:
             raise ValueError("grad_tolerance must be positive and finite")
-        if not self.max_iterations_per_player >= 1:
-            raise ValueError("max_iterations_per_player must be at least 1")
-        if not self.num_players >= 1:
-            raise ValueError("num_players must be at least 1")
 
 
 def _twice_game_matrix(mat: np.ndarray, parents, scale: float = 1.0) -> np.ndarray:
@@ -448,16 +443,15 @@ def ascended_matrix(mat: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarra
 def run_players(k: int, play: Callable, digest: Callable[[], str]) -> SequentialResult:
     """The sequential scheduler every runner shares.
 
-    Players 1..k (k >= 1) are solved once each, in order.  ``play(index, earlier)``
-    solves one player given the tuple of the earlier players' records and
+    Players 1..k (k a whole number of at least 1) are solved once each, in
+    order.  ``play(index, earlier)`` solves one player given the tuple of the earlier players' records and
     returns its own ``PlayerResult``; each runner's ``play`` builds the
     parents from those records' vectors, so every player is a parent of
     every later one whether or not it converged, and ``all_converged``
     reports any miss.  ``digest()`` hashes the operator before and after
     the run: no player may rewrite it.
     """
-    if k < 1:
-        raise ValueError(f"need at least one player, got k={k}")
+    whole_number("k", k)
     hash_before = digest()
     players = []
     for index in range(1, k + 1):
@@ -492,13 +486,14 @@ def run_sequential(
     no eigenvector enters the solve.  The zero matrix is rejected: it has no
     leading eigenvectors and no step size.  M is checked once per run, not
     once per player (``_as_symmetric_array``: a non-finite entry raises
-    ``HermiticityError``), and a bad ``mode`` raises ``ValueError`` before
-    the first player's first step.  A real ``HermitianMatrix`` is read
-    without a copy: besides M, a solve holds one game matrix (2 alpha G, for
-    the player being solved) and one temporary of M's size, plus the copy
-    that carries the shift when c > 0.  M is hashed in place, before and
-    after the run.
+    ``HermiticityError``), and a bad ``mode``, or a ``seed`` that is not a
+    non-negative integer, raises ``ValueError`` before the first player's
+    first step.  A real ``HermitianMatrix`` is read without a copy: besides
+    M, a solve holds one game matrix (2 alpha G, for the player being
+    solved) and one temporary of M's size, plus the copy that carries the
+    shift when c > 0.  M is hashed in place, before and after the run.
     """
+    whole_number("seed", seed, minimum=0)
     mat = _as_symmetric_array(m)  # the run's one check
     dim = mat.shape[0]
     if cfg.num_players > dim:

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one whole-number rule that raises them."""
+
+import numpy as np
 
 
 class EigenGamesError(Exception):
@@ -59,3 +61,16 @@ class InvalidShotCountError(EigenGamesError):
 
 class ConfigError(EigenGamesError):
     """A run configuration is missing, malformed, or inconsistent."""
+
+
+def whole_number(name: str, value, minimum: int = 1, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a whole number of at least ``minimum``.
+
+    The one check of every count and seed the library reads.  A whole
+    number is a Python or NumPy integer.  ``True`` is not one, although
+    Python counts it as an ``int``, and neither is ``np.True_`` or a float
+    such as 2.0.  ``minimum=0`` is phrased "a non-negative integer".
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        rule = "a non-negative integer" if minimum == 0 else f"a whole number of at least {minimum}"
+        raise error(f"{name} must be {rule}, got {value!r}")

@@ -22,6 +22,7 @@ from .errors import (
     InvalidDimensionError,
     MalformedPauliError,
     PauliFormatError,
+    whole_number,
 )
 
 HERMITICITY_ATOL = 1e-12
@@ -106,8 +107,7 @@ class PauliSum:
     terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise InvalidDimensionError("num_qubits must be positive")
+        whole_number("num_qubits", self.num_qubits, error=InvalidDimensionError)
         for coeff, string in self.terms:
             if len(string) != self.num_qubits:
                 raise MalformedPauliError(
@@ -271,10 +271,12 @@ def random_orthonormal(dim: int, seed: int) -> np.ndarray:
 
     Real orthogonality satisfies the unitarity contract P^H P = I while keeping
     similarity transforms of real diagonals real symmetric, which the classical
-    game requires.
+    game requires.  ``dim`` must be a whole number of at least 1
+    (``InvalidDimensionError``) and ``seed`` a non-negative integer
+    (``ValueError``), as ``errors.whole_number`` checks them.
     """
-    if dim < 1:
-        raise InvalidDimensionError("dim must be at least 1")
+    whole_number("dim", dim, error=InvalidDimensionError)
+    whole_number("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
@@ -300,10 +302,12 @@ def build_powerlaw_hamiltonian(
     eigenvectors))``: the drawn eigenvalues, descending, and a C-ordered copy
     of P^T, whose column i pairs with ``eigenvalues[i]``; both are read-only
     float64.  In C order a column is strided, so BLAS takes one path for a
-    dot product with it.
+    dot product with it.  ``dim`` must be a whole number of at least 2
+    (``InvalidDimensionError``) and ``seed`` a non-negative integer
+    (``ValueError``), as ``errors.whole_number`` checks them.
     """
-    if dim < 2:
-        raise InvalidDimensionError("dim must be at least 2")
+    whole_number("dim", dim, minimum=2, error=InvalidDimensionError)
+    whole_number("seed", seed, minimum=0)
     if not 0 < exponent < math.inf:  # NaN fails too
         raise ValueError("exponent must be positive and finite")
     rng = np.random.default_rng(seed)

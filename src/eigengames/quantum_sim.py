@@ -50,6 +50,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidShotCountError,
     NormalizationError,
+    whole_number,
 )
 from .hamiltonian import PauliSum
 
@@ -121,8 +122,7 @@ class AnsatzSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise InvalidDimensionError("num_qubits must be positive")
+        whole_number("num_qubits", self.num_qubits, error=InvalidDimensionError)
         if self.initial_state not in ("plus", "zero"):
             raise ValueError("initial_state must be 'plus' or 'zero'")
         for layer in self.layer_rotations:
@@ -279,17 +279,6 @@ def _ring_pairs(num_qubits: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, (i + 1) % num_qubits) for i in range(num_qubits))
 
 
-def _check_counts(**counts) -> None:
-    """Raise ``ValueError`` unless each count is a whole number (not a ``bool``) of at least 1.
-
-    A builder given a count of 0 would return a layout with no parameters,
-    whose empty gradient every player would read as converged.
-    """
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not value >= 1:
-            raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
-
-
 def random_layers_ansatz(
     num_qubits: int,
     num_layers: int,
@@ -299,13 +288,16 @@ def random_layers_ansatz(
 ) -> AnsatzSpec:
     """Per layer: seeded-random rotation axes on seeded-random qubits, then a CNOT ring.
 
-    ``seed`` must be a non-negative integer, and the two counts at least 1
-    (``_check_counts``); none may be a ``bool``.  Anything else raises
-    ``ValueError``.
+    ``seed`` must be a non-negative integer, and the two counts whole
+    numbers of at least 1 (``errors.whole_number``), or ``ValueError`` is
+    raised: a count of 0 would build a layout with no parameters, whose
+    empty gradient every player would read as converged.  ``num_qubits``
+    is checked as ``AnsatzSpec`` checks it, before the draws read it.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    _check_counts(num_layers=num_layers, rotations_per_layer=rotations_per_layer)
+    whole_number("num_qubits", num_qubits, error=InvalidDimensionError)
+    whole_number("seed", seed, minimum=0)
+    whole_number("num_layers", num_layers)
+    whole_number("rotations_per_layer", rotations_per_layer)
     rng = np.random.default_rng(seed)
     layers = tuple(
         tuple(
@@ -320,9 +312,9 @@ def random_layers_ansatz(
 def layered_ansatz(num_qubits: int, num_layers: int, initial_state: str = "plus") -> AnsatzSpec:
     """Deterministic RY+RZ-per-qubit layers with a CNOT ring; expressive on small registers.
 
-    ``num_layers`` must be at least 1 (``_check_counts``).
+    ``num_layers`` must be a whole number of at least 1, as in ``random_layers_ansatz``.
     """
-    _check_counts(num_layers=num_layers)
+    whole_number("num_layers", num_layers)
     layer = tuple(gate for qubit in range(num_qubits) for gate in (("RY", qubit), ("RZ", qubit)))
     return AnsatzSpec(num_qubits, (layer,) * num_layers, _ring_pairs(num_qubits), initial_state)
 
@@ -469,11 +461,11 @@ class ShotModel:
     """Finite-shot estimator noise: Gaussian with std sqrt(Var(M)/N).
 
     ``num_shots=None`` means exact (infinite-shot) evaluation; a finite
-    count is a whole number (a Python or NumPy integer, not a ``bool``) of
-    at least 1.  The
-    seed only fixes the stream produced by ``make_rng``; callers running
-    trajectories hold one generator for the whole run.  ``rng_seed`` seeds direct player
-    calls only: the runners (``run_quantumgame``, ``run_vqd``) replace it
+    count is a whole number of at least 1 (``errors.whole_number``), or
+    ``InvalidShotCountError`` is raised.  The seed only fixes the stream
+    produced by ``make_rng``; callers running trajectories hold one
+    generator for the whole run.  ``rng_seed`` seeds direct player calls
+    only: the runners (``run_quantumgame``, ``run_vqd``) replace it
     with a seed each player derives from the run's ``seed``.
     """
 
@@ -481,12 +473,8 @@ class ShotModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.num_shots is None:
-            return
-        if isinstance(self.num_shots, bool) or not isinstance(self.num_shots, (int, np.integer)):
-            raise InvalidShotCountError(f"num_shots must be a whole number, got {self.num_shots!r}")
-        if self.num_shots < 1:
-            raise InvalidShotCountError("num_shots must be >= 1 when finite")
+        if self.num_shots is not None:
+            whole_number("num_shots", self.num_shots, error=InvalidShotCountError)
 
     @property
     def is_exact(self) -> bool:

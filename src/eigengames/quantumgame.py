@@ -19,7 +19,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .eigengame_classical import HeavyBall, PlayerResult, SequentialResult, _parent_block, run_players
-from .errors import DegenerateParentError, NormalizationError, NumericalOverflowError
+from .errors import DegenerateParentError, NormalizationError, NumericalOverflowError, whole_number
 from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
     NORM_ATOL,
@@ -71,8 +71,8 @@ class SolverConfig:
     which needs no tuning, so the two may not be combined.  ``shots``'
     ``rng_seed`` seeds direct player calls only; the runners derive each
     player's shot stream from their ``seed`` and ignore it.
-    ``max_iterations`` is a whole number (a Python or NumPy integer, not a
-    ``bool``), as ``ShotModel.num_shots`` is.
+    ``max_iterations`` is a whole number of at least 1
+    (``errors.whole_number``), as ``ShotModel.num_shots`` is.
     """
 
     max_iterations: int = 2000
@@ -85,11 +85,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.direction not in ("maximize", "minimize"):
             raise ValueError(f"direction must be 'maximize' or 'minimize', got {self.direction!r}")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
-            raise ValueError(f"max_iterations must be a whole number, got {self.max_iterations!r}")
+        whole_number("max_iterations", self.max_iterations)
         # Each test is written so that NaN fails it.
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be at least 1")
         if not 0 < self.grad_tolerance < math.inf:
             raise ValueError("grad_tolerance must be positive and finite")
         if self.beta is not None and not 0 <= self.beta < math.inf:
@@ -522,6 +519,7 @@ def _sequential_run(
     seed: int,
     player_fn,
 ) -> SequentialResult:
+    whole_number("seed", seed, minimum=0)
     if k > 2**spec.num_qubits:
         raise ValueError(f"k={k} exceeds the register dimension {2**spec.num_qubits}")
     if m.spectral_range == (0.0, 0.0):
@@ -545,7 +543,9 @@ def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, se
     The operator is hashed before and after the run: the whole point of the
     formulation is that no deflation step ever rewrites it.  Player r's
     start and shot stream come from ``SeedSequence(seed, spawn_key=(r,))``;
-    ``cfg.shots.rng_seed`` is not read.
+    ``cfg.shots.rng_seed`` is not read.  ``seed`` must be a non-negative
+    integer and ``k`` a whole number of at least 1 (``errors.whole_number``),
+    checked before any player runs.
     """
     return _sequential_run(m, spec, cfg, k, seed, quantumgame_player)
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateParentError
+from .errors import DegenerateParentError, whole_number
 from .eigengame_classical import RAYLEIGH_GUARD, _as_symmetric_array, ascended_matrix, finite_diff_gradient
 from .hamiltonian import PauliSum, build_powerlaw_hamiltonian, hermitian_array, pauli_sum_to_matrix
 from .quantum_sim import AnsatzSpec, apply_ansatz, parameter_shift_states
@@ -45,9 +45,10 @@ class BoundParams:
     parent; ``c`` is the parent-accuracy constant in [0, 1/16]; ``sigma`` the
     forward-differences perturbation; ``diag_norm`` = ||diag(M)||_2;
     ``num_parameters`` is the circuit's parameter count m, read only by the
-    quantum bound.  Every float must be finite, and ``sigma`` and
-    ``diag_norm`` non-negative; anything else, NaN included, raises
-    ``ValueError``.
+    quantum bound.  ``player_index`` (1-based) and ``num_parameters`` are
+    whole numbers of at least 1 (``errors.whole_number``).  Every float must
+    be finite, and ``sigma`` and ``diag_norm`` non-negative; anything else,
+    NaN included, raises ``ValueError``.
     """
 
     lambda_top: float
@@ -67,10 +68,8 @@ class BoundParams:
             raise ValueError("gaps must be strictly positive")
         if self.gaps and not self.lambda_top >= max(self.gaps):
             raise ValueError("lambda_top must be at least the largest gap")
-        if not self.player_index >= 1:
-            raise ValueError("player_index is 1-based")
-        if not self.num_parameters >= 1:
-            raise ValueError("num_parameters must be at least 1")
+        whole_number("player_index", self.player_index)
+        whole_number("num_parameters", self.num_parameters)
         _require_finite("lambda_top", (self.lambda_top,))
         _require_finite("kappa", (self.kappa,))
         if not 0.0 <= self.sigma < math.inf:
@@ -165,6 +164,7 @@ def iteration_bound_quantum(
     warm-up of ``ASCENT_WARMUP`` steps; their counts fall below plain
     ascent's (2-4x on noiseless H2), so they stay below this bound as well.
     """
+    whole_number("num_parameters", num_parameters)
     if len(lipschitz_theta) != len(gaps):
         raise ValueError("need one L_theta and gap per player")
     _require_finite("lipschitz_theta", lipschitz_theta)
@@ -299,8 +299,11 @@ def sampled_lipschitz_check(
 
     Parents are oracle eigenvectors perturbed within the accurate-parents
     hypothesis angle c * g_i / ((i-1) * lambda_top); the child vector is drawn
-    uniformly on the sphere.
+    uniformly on the sphere.  ``num_samples`` is a whole number of at least
+    1 (``errors.whole_number``); ``build_powerlaw_hamiltonian`` checks
+    ``seed``.
     """
+    whole_number("num_samples", num_samples)
     matrix, (levels, vectors) = build_powerlaw_hamiltonian(dim, seed=seed)
     mat = matrix.entries
     gaps = -np.diff(levels)
@@ -356,8 +359,12 @@ def measure_error_accumulation_classical(
     The measured value is the tangential norm of the gradient difference with
     perturbed versus exact parents, on the matrix the players ascend; the
     bound is the error-accumulation formula evaluated on the same
-    displacements and the same matrix.
+    displacements and the same matrix.  ``player_index`` (1-based) and
+    ``samples_per_epsilon`` are whole numbers of at least 1
+    (``errors.whole_number``); ``build_powerlaw_hamiltonian`` checks ``seed``.
     """
+    whole_number("player_index", player_index)
+    whole_number("samples_per_epsilon", samples_per_epsilon)
     matrix, (_, vectors) = build_powerlaw_hamiltonian(dim, seed=seed)
     mat = _ascended(matrix)
     rng = np.random.default_rng(seed + 17)
@@ -401,8 +408,11 @@ def measure_error_accumulation_quantum(
     call prepares.  The bound is ``error_accumulation_bound_quantum`` on
     A's dense array, with the sign and offset of the game's objective
     without parents.  A parent's denominator is its eigenvalue on A, at
-    least the game's margin.
+    least the game's margin.  ``samples_per_epsilon`` is a whole number of
+    at least 1 and ``seed`` a non-negative integer (``errors.whole_number``).
     """
+    whole_number("samples_per_epsilon", samples_per_epsilon)
+    whole_number("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     dim = 2**h.num_qubits
     sign, _, _, offset, _, _ = _game_objective(h, np.empty((0, dim), dtype=np.complex128), (), "maximize")

@@ -991,5 +991,5 @@ class TestInputValidation:
         def play(index, parents):
             raise AssertionError("no player may run")
 
-        with pytest.raises(ValueError, match="at least one player"):
+        with pytest.raises(ValueError, match="k must be a whole number of at least 1"):
             run_players(k, play, lambda: "digest")

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigengames import quantum_sim, quantumgame
+from eigengames import eigengame_classical, quantum_sim, quantumgame
+from eigengames.bench_cli import build_run_config
 from eigengames.eigengame_classical import (
     ASCENT_WARMUP,
     GameConfig,
@@ -21,7 +22,9 @@ from eigengames.eigengame_classical import (
 from eigengames.errors import (
     BindingError,
     DegenerateParentError,
+    ConfigError,
     DimensionMismatchError,
+    InvalidDimensionError,
     InvalidShotCountError,
     NormalizationError,
 )
@@ -31,6 +34,7 @@ from eigengames.hamiltonian import (
     bundled_h2_path,
     load_pauli_sum,
     pauli_sum_to_matrix,
+    random_orthonormal,
 )
 from eigengames.quantum_sim import (
     NORM_ATOL,
@@ -52,6 +56,13 @@ from eigengames.quantumgame import (
     run_quantumgame,
     run_vqd,
     vqd_player,
+)
+from eigengames.theory_diagnostics import (
+    BoundParams,
+    iteration_bound_quantum,
+    measure_error_accumulation_classical,
+    measure_error_accumulation_quantum,
+    sampled_lipschitz_check,
 )
 
 from oracles import (
@@ -1336,6 +1347,87 @@ class TestDeflation:
             hotelling_levels(np.eye(2, dtype=complex), k)
 
 
+# The three runners, each called with the number of players k and the run's seed.
+RUNNERS = {
+    "classical": lambda k, seed: run_sequential(np.diag([4.0, 3.0, 2.0, 1.0]), GameConfig(num_players=k), seed),
+    "game": lambda k, seed: run_quantumgame(DIAG_3210, layered_ansatz(2, 1),
+                                            SolverConfig(direction="minimize", max_iterations=5), k, seed),
+    "vqd": lambda k, seed: run_vqd(DIAG_3210, layered_ansatz(2, 1),
+                                   SolverConfig(direction="minimize", beta=5.0, max_iterations=5), k, seed),
+}
+
+# Every count and seed checked by errors.whole_number: the site, then a call with the value
+# under test, the site's error class, the name its message gives, a value below its minimum,
+# and a NumPy integer it takes.
+WHOLE_NUMBER_SITES = {
+    "GameConfig.max_iterations_per_player": (
+        lambda v: GameConfig(max_iterations_per_player=v), ValueError, "max_iterations_per_player", 0, np.int64(5)),
+    "GameConfig.num_players": (lambda v: GameConfig(num_players=v), ValueError, "num_players", 0, np.int64(2)),
+    "SolverConfig.max_iterations": (
+        lambda v: SolverConfig(max_iterations=v), ValueError, "max_iterations", 0, np.int64(5)),
+    "ShotModel.num_shots": (lambda v: ShotModel(num_shots=v), InvalidShotCountError, "num_shots", 0, np.int64(100)),
+    "random_layers_ansatz.num_qubits": (
+        lambda v: random_layers_ansatz(v, 1, 1, seed=0), InvalidDimensionError, "num_qubits", 0, np.int64(2)),
+    "random_layers_ansatz.num_layers": (
+        lambda v: random_layers_ansatz(2, v, 1, seed=0), ValueError, "num_layers", 0, np.int64(2)),
+    "random_layers_ansatz.rotations_per_layer": (
+        lambda v: random_layers_ansatz(2, 1, v, seed=0), ValueError, "rotations_per_layer", 0, np.int32(3)),
+    "random_layers_ansatz.seed": (lambda v: random_layers_ansatz(2, 1, 1, seed=v), ValueError, "seed", -1, np.int64(3)),
+    "layered_ansatz.num_layers": (lambda v: layered_ansatz(2, v), ValueError, "num_layers", 0, np.int64(1)),
+    "run_sequential.seed": (lambda v: RUNNERS["classical"](2, v), ValueError, "seed", -1, np.int64(0)),
+    "run_quantumgame.k": (lambda v: RUNNERS["game"](v, 0), ValueError, "k", 0, np.int64(2)),
+    "run_quantumgame.seed": (lambda v: RUNNERS["game"](1, v), ValueError, "seed", -1, np.int64(0)),
+    "run_vqd.k": (lambda v: RUNNERS["vqd"](v, 0), ValueError, "k", 0, np.int64(2)),
+    "run_vqd.seed": (lambda v: RUNNERS["vqd"](1, v), ValueError, "seed", -1, np.int64(0)),
+    "PauliSum.num_qubits": (lambda v: PauliSum(v, ()), InvalidDimensionError, "num_qubits", 0, np.int64(2)),
+    "AnsatzSpec.num_qubits": (lambda v: AnsatzSpec(v, (), ()), InvalidDimensionError, "num_qubits", 0, np.int64(2)),
+    "random_orthonormal.dim": (lambda v: random_orthonormal(v, 0), InvalidDimensionError, "dim", 0, np.int64(3)),
+    "random_orthonormal.seed": (lambda v: random_orthonormal(3, v), ValueError, "seed", -1, np.int64(3)),
+    "build_powerlaw_hamiltonian.dim": (
+        lambda v: build_powerlaw_hamiltonian(v, 0), InvalidDimensionError, "dim", 1, np.int64(4)),
+    "build_powerlaw_hamiltonian.seed": (
+        lambda v: build_powerlaw_hamiltonian(4, v), ValueError, "seed", -1, np.int64(3)),
+    "BoundParams.player_index": (
+        lambda v: BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=v), ValueError, "player_index", 0, np.int64(1)),
+    "BoundParams.num_parameters": (
+        lambda v: BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, num_parameters=v),
+        ValueError, "num_parameters", 0, np.int64(3)),
+    "iteration_bound_quantum.num_parameters": (
+        lambda v: iteration_bound_quantum([1.0], v, 1.0, (1.0,), 1.0 / 16.0), ValueError, "num_parameters", 0,
+        np.int64(9)),
+    "sampled_lipschitz_check.num_samples": (
+        lambda v: sampled_lipschitz_check(4, v, seed=0), ValueError, "num_samples", 0, np.int64(1)),
+    "sampled_lipschitz_check.seed": (
+        lambda v: sampled_lipschitz_check(4, 1, seed=v), ValueError, "seed", -1, np.int64(0)),
+    "measure_error_accumulation_classical.player_index": (
+        lambda v: measure_error_accumulation_classical(4, [1e-3], 0, player_index=v, samples_per_epsilon=1),
+        ValueError, "player_index", 0, np.int64(2)),
+    "measure_error_accumulation_classical.samples_per_epsilon": (
+        lambda v: measure_error_accumulation_classical(4, [1e-3], 0, samples_per_epsilon=v),
+        ValueError, "samples_per_epsilon", 0, np.int64(1)),
+    "measure_error_accumulation_classical.seed": (
+        lambda v: measure_error_accumulation_classical(4, [1e-3], v, samples_per_epsilon=1),
+        ValueError, "seed", -1, np.int64(0)),
+    "measure_error_accumulation_quantum.samples_per_epsilon": (
+        lambda v: measure_error_accumulation_quantum(DIAG_3210, layered_ansatz(2, 1), [1e-3], 0, samples_per_epsilon=v),
+        ValueError, "samples_per_epsilon", 0, np.int64(1)),
+    "measure_error_accumulation_quantum.seed": (
+        lambda v: measure_error_accumulation_quantum(DIAG_3210, layered_ansatz(2, 1), [1e-3], v, samples_per_epsilon=1),
+        ValueError, "seed", -1, np.int64(0)),
+    "bench_cli.dim": (lambda v: build_run_config("diagnostics", {"dim": v}), ConfigError, "dim", 3, np.int64(8)),
+    "bench_cli.lipschitz_samples": (
+        lambda v: build_run_config("diagnostics", {"lipschitz_samples": v}),
+        ConfigError, "lipschitz_samples", 0, np.int64(10)),
+    "bench_cli.seeds": (
+        lambda v: build_run_config("diagnostics", {"seeds": [v]}), ConfigError, "seed", -1, np.int64(0)),
+    "bench_cli.sizes": (
+        lambda v: build_run_config("eigengame_scaling", {"sizes": [v], "num_players": 2}),
+        ConfigError, "size", 1, np.int64(8)),
+    "bench_cli.num_levels": (
+        lambda v: build_run_config("h2_levels", {"num_levels": v}), ConfigError, "num_levels", 0, np.int64(2)),
+}
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("direction", ["maximise", "min", ""])
     def test_misspelled_direction_rejected(self, direction):
@@ -1343,16 +1435,43 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="direction"):
             SolverConfig(direction=direction)
 
-    @pytest.mark.parametrize("build, error, message", [
-        (lambda: SolverConfig(max_iterations=True), ValueError, "whole number"),
-        (lambda: GameConfig(num_players=True), ValueError, "whole number"),
-        (lambda: ShotModel(num_shots=True), InvalidShotCountError, "whole number"),
-        (lambda: random_layers_ansatz(2, 1, 1, seed=True), ValueError, "seed must be a non-negative integer"),
-    ], ids=["max_iterations", "num_players", "num_shots", "ansatz_seed"])
-    def test_bool_is_not_a_whole_number(self, build, error, message):
-        # isinstance(True, int) holds: each was accepted as 1, a one-shot model among them.
-        with pytest.raises(error, match=message):
-            build()
+    @pytest.mark.parametrize("build, error, name, value", [
+        pytest.param(build, error, name, value, id=f"{site}-{label}")
+        for site, (build, error, name, below, _) in WHOLE_NUMBER_SITES.items()
+        for label, value in (("True", True), ("np.True_", np.True_), ("2.5", 2.5), ("below", below))
+    ])
+    def test_bool_is_not_a_whole_number(self, build, error, name, value):
+        # isinstance(True, int) holds: a site that tested only ">= N" took True as 1
+        # (run_quantumgame ran one player and reported all_converged=True) and 2.5
+        # failed later, with a bare TypeError or a wrong result.
+        with pytest.raises(error, match=rf"^{name} must be (a whole number of at least -?\d+|a non-negative integer), "
+                                        rf"got {value!r}"):
+            build(value)
+
+    @pytest.mark.parametrize("build, value", [
+        pytest.param(build, value, id=site) for site, (build, _, _, _, value) in WHOLE_NUMBER_SITES.items()
+    ])
+    def test_numpy_integer_is_a_whole_number(self, build, value):
+        build(value)
+
+    @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+    @pytest.mark.parametrize("k, seed, message", [
+        (True, 0, "must be a whole number of at least 1, got True"),
+        (2.0, 0, "must be a whole number of at least 1, got 2.0"),
+        (1, -1, "seed must be a non-negative integer, got -1"),
+        (1, True, "seed must be a non-negative integer, got True"),
+        (1, 1.5, "seed must be a non-negative integer, got 1.5"),
+    ], ids=["k-True", "k-float", "seed-negative", "seed-True", "seed-float"])
+    def test_runners_check_k_and_seed_before_any_player(self, monkeypatch, runner, k, seed, message):
+        # k=True ran one player and reported all_converged=True; seed=True ran as seed 1;
+        # k=2.0 and seed=1.5 raised a bare TypeError, and seed=-1 numpy's unnamed ValueError.
+        def no_player(*args, **kwargs):
+            raise AssertionError("a player ran")
+
+        monkeypatch.setattr(eigengame_classical, "_ascend", no_player)
+        monkeypatch.setattr(quantumgame, "_ascend", no_player)
+        with pytest.raises(ValueError, match=message):
+            runner(k, seed)
 
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
                              ids=["game", "vqd"])
@@ -1360,7 +1479,7 @@ class TestInputValidation:
     def test_no_players_rejected(self, runner, extra, k):
         # An empty run used to return all_converged=True with no levels.
         cfg = SolverConfig(direction="minimize", **extra)
-        with pytest.raises(ValueError, match="at least one player"):
+        with pytest.raises(ValueError, match="k must be a whole number of at least 1"):
             runner(DIAG_3120, layered_ansatz(2, 2), cfg, k, seed=0)
 
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
