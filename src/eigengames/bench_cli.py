@@ -19,7 +19,6 @@ import argparse
 import csv
 import hashlib
 import io
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, EigenGamesError, whole_number
+from .errors import ConfigError, EigenGamesError, real_number, whole_number
 from .eigengame_classical import GameConfig, angular_error, run_sequential
 from .hamiltonian import (
     build_powerlaw_hamiltonian,
@@ -194,8 +193,7 @@ def _validate(experiment: str, s: dict) -> None:
             raise ConfigError("sizes must not be empty")
         for n in s["sizes"]:  # at least 2 and at least num_players
             whole_number("size", n, minimum=max(2, s["num_players"]), error=ConfigError)
-        if not 0 < s["exponent"] < math.inf:  # NaN fails too
-            raise ConfigError("exponent must be positive and finite")
+        real_number("exponent", s["exponent"], "positive", error=ConfigError)
     if experiment == "vqd_beta_sweep" and not s["betas"]:
         raise ConfigError("betas must not be empty")
     if experiment == "diagnostics":
@@ -205,8 +203,8 @@ def _validate(experiment: str, s: dict) -> None:
         whole_number("lipschitz_samples", s["lipschitz_samples"], error=ConfigError)
         if not s["epsilons"]:
             raise ConfigError("epsilons must not be empty")
-        if not all(0 < e < math.inf for e in s["epsilons"]):  # NaN fails too
-            raise ConfigError("epsilons must be positive and finite (gap floor guard)")
+        for i, eps in enumerate(s["epsilons"]):
+            real_number(f"epsilons[{i}]", eps, "positive", error=ConfigError)
 
 
 def _build(experiment: str, s: dict) -> dict:

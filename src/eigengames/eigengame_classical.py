@@ -24,6 +24,7 @@ from .errors import (
     HermiticityError,
     NormalizationError,
     NumericalOverflowError,
+    real_number,
     whole_number,
 )
 from .hamiltonian import HERMITICITY_ATOL, hermitian_array
@@ -111,7 +112,9 @@ class GameConfig:
     ``None`` lets ``run_sequential`` pick 1 / (2 (lambda_max + c)), read from
     the dense eigenvalues (1 / (2 ||M||_2) for positive-definite M);
     ``eigengame_player`` needs it set.  ``max_iterations_per_player`` and
-    ``num_players`` are whole numbers of at least 1 (``errors.whole_number``).
+    ``num_players`` are whole numbers of at least 1 (``errors.whole_number``);
+    ``step_size`` and ``grad_tolerance`` are positive and ``sigma``
+    non-negative, each a finite real number (``errors.real_number``).
     """
 
     step_size: float | None = None
@@ -123,13 +126,10 @@ class GameConfig:
     def __post_init__(self):
         whole_number("max_iterations_per_player", self.max_iterations_per_player)
         whole_number("num_players", self.num_players)
-        # Each test is written so that NaN fails it.
-        if self.step_size is not None and not 0 < self.step_size < math.inf:
-            raise ValueError("step_size must be positive and finite")
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be non-negative and finite")
-        if not 0 < self.grad_tolerance < math.inf:
-            raise ValueError("grad_tolerance must be positive and finite")
+        if self.step_size is not None:
+            real_number("step_size", self.step_size, "positive")
+        real_number("sigma", self.sigma, "non-negative")
+        real_number("grad_tolerance", self.grad_tolerance, "positive")
 
 
 def _twice_game_matrix(mat: np.ndarray, parents, scale: float = 1.0) -> np.ndarray:

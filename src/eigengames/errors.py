@@ -1,4 +1,6 @@
-"""Exception types shared across the library, and the one whole-number rule that raises them."""
+"""Exception types shared across the library, and the whole-number and real-number rules that raise them."""
+
+import math
 
 import numpy as np
 
@@ -73,4 +75,20 @@ def whole_number(name: str, value, minimum: int = 1, error: type[Exception] = Va
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         rule = "a non-negative integer" if minimum == 0 else f"a whole number of at least {minimum}"
+        raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def real_number(name: str, value, sign: str | None = None, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number of the given ``sign``.
+
+    The one check of every tolerance, step, weight and bound input the
+    library reads.  A real number is a Python or NumPy int or float; ``True``,
+    ``np.True_``, complex numbers, strings and arrays are not.  ``sign`` is
+    ``None`` (any finite value), ``"non-negative"`` or ``"positive"``.  The
+    value is checked, not converted.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    finite = real and -math.inf < value < math.inf  # NaN fails; math.isfinite raises on a huge int
+    if not finite or (sign == "positive" and value <= 0) or (sign == "non-negative" and value < 0):
+        rule = {None: "finite", "non-negative": "non-negative and finite", "positive": "positive and finite"}[sign]
         raise error(f"{name} must be {rule}, got {value!r}")

@@ -22,6 +22,7 @@ from .errors import (
     InvalidDimensionError,
     MalformedPauliError,
     PauliFormatError,
+    real_number,
     whole_number,
 )
 
@@ -304,12 +305,12 @@ def build_powerlaw_hamiltonian(
     float64.  In C order a column is strided, so BLAS takes one path for a
     dot product with it.  ``dim`` must be a whole number of at least 2
     (``InvalidDimensionError``) and ``seed`` a non-negative integer
-    (``ValueError``), as ``errors.whole_number`` checks them.
+    (``ValueError``), as ``errors.whole_number`` checks them; ``exponent``
+    must be a positive finite real number (``errors.real_number``).
     """
     whole_number("dim", dim, minimum=2, error=InvalidDimensionError)
     whole_number("seed", seed, minimum=0)
-    if not 0 < exponent < math.inf:  # NaN fails too
-        raise ValueError("exponent must be positive and finite")
+    real_number("exponent", exponent, "positive")
     rng = np.random.default_rng(seed)
     eigenvalues = None
     for _ in range(1000):

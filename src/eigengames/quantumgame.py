@@ -19,7 +19,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .eigengame_classical import HeavyBall, PlayerResult, SequentialResult, _parent_block, run_players
-from .errors import DegenerateParentError, NormalizationError, NumericalOverflowError, whole_number
+from .errors import DegenerateParentError, NormalizationError, NumericalOverflowError, real_number, whole_number
 from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
     NORM_ATOL,
@@ -72,7 +72,9 @@ class SolverConfig:
     ``rng_seed`` seeds direct player calls only; the runners derive each
     player's shot stream from their ``seed`` and ignore it.
     ``max_iterations`` is a whole number of at least 1
-    (``errors.whole_number``), as ``ShotModel.num_shots`` is.
+    (``errors.whole_number``), as ``ShotModel.num_shots`` is;
+    ``grad_tolerance`` is a positive and ``beta`` a non-negative finite real
+    number (``errors.real_number``).
     """
 
     max_iterations: int = 2000
@@ -86,11 +88,9 @@ class SolverConfig:
         if self.direction not in ("maximize", "minimize"):
             raise ValueError(f"direction must be 'maximize' or 'minimize', got {self.direction!r}")
         whole_number("max_iterations", self.max_iterations)
-        # Each test is written so that NaN fails it.
-        if not 0 < self.grad_tolerance < math.inf:
-            raise ValueError("grad_tolerance must be positive and finite")
-        if self.beta is not None and not 0 <= self.beta < math.inf:
-            raise ValueError("beta must be non-negative and finite")
+        real_number("grad_tolerance", self.grad_tolerance, "positive")
+        if self.beta is not None:
+            real_number("beta", self.beta, "non-negative")
         if self.beta is not None and self.adaptive_regularization:
             raise ValueError("beta and adaptive_regularization exclude each other")
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateParentError, whole_number
+from .errors import DegenerateParentError, real_number, whole_number
 from .eigengame_classical import RAYLEIGH_GUARD, _as_symmetric_array, ascended_matrix, finite_diff_gradient
 from .hamiltonian import PauliSum, build_powerlaw_hamiltonian, hermitian_array, pauli_sum_to_matrix
 from .quantum_sim import AnsatzSpec, apply_ansatz, parameter_shift_states
@@ -45,10 +45,12 @@ class BoundParams:
     parent; ``c`` is the parent-accuracy constant in [0, 1/16]; ``sigma`` the
     forward-differences perturbation; ``diag_norm`` = ||diag(M)||_2;
     ``num_parameters`` is the circuit's parameter count m, read only by the
-    quantum bound.  ``player_index`` (1-based) and ``num_parameters`` are
-    whole numbers of at least 1 (``errors.whole_number``).  Every float must
-    be finite, and ``sigma`` and ``diag_norm`` non-negative; anything else,
-    NaN included, raises ``ValueError``.
+    quantum bound.  ``player_index`` (1-based, at most ``len(gaps)``) and
+    ``num_parameters`` are whole numbers of at least 1
+    (``errors.whole_number``).  ``lambda_top`` and ``kappa`` are finite real
+    numbers, each gap a positive and ``sigma`` and ``diag_norm`` non-negative
+    ones (``errors.real_number``); anything else, NaN included, raises
+    ``ValueError``.
     """
 
     lambda_top: float
@@ -61,21 +63,20 @@ class BoundParams:
     diag_norm: float = 0.0
 
     def __post_init__(self):
-        # Each test is written so that NaN fails it.
-        if not 0.0 <= self.c <= 1.0 / 16.0:
+        if not 0.0 <= self.c <= 1.0 / 16.0:  # NaN fails too
             raise ValueError("c must lie in [0, 1/16]")
-        if not all(g > 0 for g in self.gaps):
-            raise ValueError("gaps must be strictly positive")
+        for j, g in enumerate(self.gaps):
+            real_number(f"gaps[{j}]", g, "positive")
+        real_number("lambda_top", self.lambda_top)
         if self.gaps and not self.lambda_top >= max(self.gaps):
             raise ValueError("lambda_top must be at least the largest gap")
         whole_number("player_index", self.player_index)
         whole_number("num_parameters", self.num_parameters)
-        _require_finite("lambda_top", (self.lambda_top,))
-        _require_finite("kappa", (self.kappa,))
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
-        if not 0.0 <= self.diag_norm < math.inf:
-            raise ValueError(f"diag_norm must be finite and non-negative, got {self.diag_norm}")
+        real_number("kappa", self.kappa)
+        real_number("sigma", self.sigma, "non-negative")
+        real_number("diag_norm", self.diag_norm, "non-negative")
+        if self.player_index > len(self.gaps):
+            raise ValueError(f"player_index must be at most len(gaps) = {len(self.gaps)}, got {self.player_index!r}")
 
     @property
     def gap_i(self) -> float:
@@ -101,23 +102,22 @@ def lipschitz_bound_quantum(p: BoundParams) -> float:
     return math.sqrt(p.num_parameters) * lipschitz_bound_classical(replace(p, sigma=0.0))
 
 
-def _require_finite(name: str, values: Sequence[float]) -> None:
-    """Raise ``ValueError`` naming ``name`` unless every value is finite; NaN fails too."""
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{name} must be finite, got {list(values)}")
-
-
 def _iteration_bracket(lambda_top: float, gaps: Sequence[float], c_k: float) -> float:
-    """Shared factor [(16 lambda_top)^{k-1} (k-1)! / prod(g_j) / (16 c_k)]."""
-    _require_finite("lambda_top", (lambda_top,))
+    """Shared factor [(16 lambda_top)^{k-1} (k-1)! / prod(g_j) / (16 c_k)].
+
+    A gap or ``c_k`` that is not a positive finite real number raises
+    ``ZeroDivisionError`` (``errors.real_number``), as the bound divides by
+    it; empty ``gaps``, no player, raise ``ValueError``.
+    """
+    if not gaps:
+        raise ValueError("the iteration bounds need at least one player's gap")
+    real_number("lambda_top", lambda_top)
     k = len(gaps)
     gap_product = 1.0
-    for g in gaps:
-        if not g > 0:  # a NaN fails too
-            raise ZeroDivisionError("iteration bounds need strictly positive gaps")
+    for j, g in enumerate(gaps):
+        real_number(f"gaps[{j}]", g, "positive", error=ZeroDivisionError)
         gap_product *= g
-    if not c_k > 0:
-        raise ZeroDivisionError("c_k must be positive")
+    real_number("c_k", c_k, "positive", error=ZeroDivisionError)
     return (16.0 * lambda_top) ** (k - 1) * math.factorial(k - 1) / gap_product / (16.0 * c_k)
 
 
@@ -133,11 +133,14 @@ def iteration_bound_classical(
     The bound is stated for plain gradient ascent.  ``eigengame_player`` runs
     Riemannian heavy-ball ascent with restart (``HeavyBall``) after a plain
     warm-up of ``ASCENT_WARMUP`` steps; its counts fall below plain ascent's.
+    Every Lipschitz value must be a positive finite real number
+    (``errors.real_number``).
     """
     if len(lipschitz_zero) != len(lipschitz_sigma) or len(lipschitz_zero) != len(gaps):
         raise ValueError("need one L_i(0), L_i(sigma), and gap per player")
-    _require_finite("lipschitz_zero", lipschitz_zero)
-    _require_finite("lipschitz_sigma", lipschitz_sigma)
+    for j, (l0, ls) in enumerate(zip(lipschitz_zero, lipschitz_sigma)):
+        real_number(f"lipschitz_zero[{j}]", l0, "positive")
+        real_number(f"lipschitz_sigma[{j}]", ls, "positive")
     bracket = _iteration_bracket(lambda_top, gaps, c_k)
     total = sum(
         5.0 * math.pi**2 * (l0 / ls) * bracket**2
@@ -163,11 +166,14 @@ def iteration_bound_quantum(
     players run the same heavy-ball rule (``HeavyBall``) after a plain
     warm-up of ``ASCENT_WARMUP`` steps; their counts fall below plain
     ascent's (2-4x on noiseless H2), so they stay below this bound as well.
+    Every Lipschitz value must be a positive finite real number
+    (``errors.real_number``).
     """
     whole_number("num_parameters", num_parameters)
     if len(lipschitz_theta) != len(gaps):
         raise ValueError("need one L_theta and gap per player")
-    _require_finite("lipschitz_theta", lipschitz_theta)
+    for j, lip in enumerate(lipschitz_theta):
+        real_number(f"lipschitz_theta[{j}]", lip, "positive")
     bracket = _iteration_bracket(lambda_top, gaps, c_k)
     scale = math.sqrt(num_parameters)
     total = sum(4.0 * math.pi**2 * (lt**2 / scale) * bracket**2 for lt in lipschitz_theta)
@@ -359,13 +365,20 @@ def measure_error_accumulation_classical(
     The measured value is the tangential norm of the gradient difference with
     perturbed versus exact parents, on the matrix the players ascend; the
     bound is the error-accumulation formula evaluated on the same
-    displacements and the same matrix.  ``player_index`` (1-based) and
-    ``samples_per_epsilon`` are whole numbers of at least 1
-    (``errors.whole_number``); ``build_powerlaw_hamiltonian`` checks ``seed``.
+    displacements and the same matrix.  ``player_index`` (1-based, at most
+    ``dim``) and ``samples_per_epsilon`` are whole numbers of at least 1
+    (``errors.whole_number``); each epsilon is a positive and ``sigma`` a
+    non-negative finite real number (``errors.real_number``);
+    ``build_powerlaw_hamiltonian`` checks ``dim`` and ``seed``.
     """
     whole_number("player_index", player_index)
     whole_number("samples_per_epsilon", samples_per_epsilon)
+    real_number("sigma", sigma, "non-negative")
+    for j, eps in enumerate(epsilons):
+        real_number(f"epsilons[{j}]", eps, "positive")
     matrix, (_, vectors) = build_powerlaw_hamiltonian(dim, seed=seed)
+    if player_index > dim:
+        raise ValueError(f"player_index must be at most dim = {dim}, got {player_index!r}")
     mat = _ascended(matrix)
     rng = np.random.default_rng(seed + 17)
     rows = []
@@ -409,10 +422,13 @@ def measure_error_accumulation_quantum(
     A's dense array, with the sign and offset of the game's objective
     without parents.  A parent's denominator is its eigenvalue on A, at
     least the game's margin.  ``samples_per_epsilon`` is a whole number of
-    at least 1 and ``seed`` a non-negative integer (``errors.whole_number``).
+    at least 1 and ``seed`` a non-negative integer (``errors.whole_number``);
+    each epsilon is a positive finite real number (``errors.real_number``).
     """
     whole_number("samples_per_epsilon", samples_per_epsilon)
     whole_number("seed", seed, minimum=0)
+    for j, eps in enumerate(epsilons):
+        real_number(f"epsilons[{j}]", eps, "positive")
     rng = np.random.default_rng(seed)
     dim = 2**h.num_qubits
     sign, _, _, offset, _, _ = _game_objective(h, np.empty((0, dim), dtype=np.complex128), (), "maximize")

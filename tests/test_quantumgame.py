@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import re
 from functools import cached_property
 from pathlib import Path
 
@@ -59,6 +60,7 @@ from eigengames.quantumgame import (
 )
 from eigengames.theory_diagnostics import (
     BoundParams,
+    iteration_bound_classical,
     iteration_bound_quantum,
     measure_error_accumulation_classical,
     measure_error_accumulation_quantum,
@@ -1427,6 +1429,65 @@ WHOLE_NUMBER_SITES = {
         lambda v: build_run_config("h2_levels", {"num_levels": v}), ConfigError, "num_levels", 0, np.int64(2)),
 }
 
+# Every tolerance, step, weight and bound input checked by errors.real_number: the site, then a
+# call with the value under test, the site's error class, the name its message gives, and the
+# sign it requires (None: any finite value).
+REAL_NUMBER_SITES = {
+    "GameConfig.step_size": (lambda v: GameConfig(step_size=v), ValueError, "step_size", "positive"),
+    "GameConfig.sigma": (lambda v: GameConfig(sigma=v), ValueError, "sigma", "non-negative"),
+    "GameConfig.grad_tolerance": (lambda v: GameConfig(grad_tolerance=v), ValueError, "grad_tolerance", "positive"),
+    "SolverConfig.grad_tolerance": (
+        lambda v: SolverConfig(grad_tolerance=v), ValueError, "grad_tolerance", "positive"),
+    "SolverConfig.beta": (lambda v: SolverConfig(beta=v), ValueError, "beta", "non-negative"),
+    "build_powerlaw_hamiltonian.exponent": (
+        lambda v: build_powerlaw_hamiltonian(4, 0, exponent=v), ValueError, "exponent", "positive"),
+    "BoundParams.lambda_top": (
+        lambda v: BoundParams(lambda_top=v, gaps=(0.5,), player_index=1), ValueError, "lambda_top", None),
+    "BoundParams.gaps": (
+        lambda v: BoundParams(lambda_top=1.0, gaps=(0.5, v), player_index=1), ValueError, "gaps[1]", "positive"),
+    "BoundParams.kappa": (
+        lambda v: BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, kappa=v), ValueError, "kappa", None),
+    "BoundParams.sigma": (
+        lambda v: BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, sigma=v),
+        ValueError, "sigma", "non-negative"),
+    "BoundParams.diag_norm": (
+        lambda v: BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, diag_norm=v),
+        ValueError, "diag_norm", "non-negative"),
+    "iteration_bound_classical.lambda_top": (
+        lambda v: iteration_bound_classical([4.0], [4.0], v, (0.5,), 1.0 / 16.0), ValueError, "lambda_top", None),
+    "iteration_bound_classical.gaps": (
+        lambda v: iteration_bound_classical([4.0], [4.0], 1.0, (v,), 1.0 / 16.0),
+        ZeroDivisionError, "gaps[0]", "positive"),
+    "iteration_bound_classical.c_k": (
+        lambda v: iteration_bound_classical([4.0], [4.0], 1.0, (0.5,), v), ZeroDivisionError, "c_k", "positive"),
+    "iteration_bound_classical.lipschitz_zero": (
+        lambda v: iteration_bound_classical([v], [4.0], 1.0, (0.5,), 1.0 / 16.0),
+        ValueError, "lipschitz_zero[0]", "positive"),
+    "iteration_bound_classical.lipschitz_sigma": (
+        lambda v: iteration_bound_classical([4.0], [v], 1.0, (0.5,), 1.0 / 16.0),
+        ValueError, "lipschitz_sigma[0]", "positive"),
+    "iteration_bound_quantum.lipschitz_theta": (
+        lambda v: iteration_bound_quantum([v], 1, 1.0, (0.5,), 1.0 / 16.0),
+        ValueError, "lipschitz_theta[0]", "positive"),
+    "measure_error_accumulation_classical.epsilons": (
+        lambda v: measure_error_accumulation_classical(4, [1e-3, v], 0, samples_per_epsilon=1),
+        ValueError, "epsilons[1]", "positive"),
+    "measure_error_accumulation_classical.sigma": (
+        lambda v: measure_error_accumulation_classical(4, [1e-3], 0, sigma=v, samples_per_epsilon=1),
+        ValueError, "sigma", "non-negative"),
+    "measure_error_accumulation_quantum.epsilons": (
+        lambda v: measure_error_accumulation_quantum(DIAG_3210, layered_ansatz(2, 1), [1e-3, v], 0,
+                                                     samples_per_epsilon=1),
+        ValueError, "epsilons[1]", "positive"),
+    "bench_cli.exponent": (
+        lambda v: build_run_config("eigengame_scaling", {"exponent": v}), ConfigError, "exponent", "positive"),
+    "bench_cli.epsilons": (
+        lambda v: build_run_config("diagnostics", {"epsilons": [1e-3, v]}), ConfigError, "epsilons[1]", "positive"),
+}
+REAL_NUMBER_RULES = {None: "finite", "non-negative": "non-negative and finite", "positive": "positive and finite"}
+# A value on the wrong side of each sign.
+WRONG_SIDE = {"non-negative": -0.5, "positive": 0.0}
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("direction", ["maximise", "min", ""])
@@ -1452,6 +1513,27 @@ class TestInputValidation:
         pytest.param(build, value, id=site) for site, (build, _, _, _, value) in WHOLE_NUMBER_SITES.items()
     ])
     def test_numpy_integer_is_a_whole_number(self, build, value):
+        build(value)
+
+    @pytest.mark.parametrize("build, error, name, sign, value", [
+        pytest.param(build, error, name, sign, value, id=f"{site}-{label}")
+        for site, (build, error, name, sign) in REAL_NUMBER_SITES.items()
+        for label, value in (("True", True), ("np.True_", np.True_), ("str", "0.1"), ("complex", 1j),
+                             ("nan", math.nan), ("inf", math.inf), ("wrong-side", WRONG_SIDE.get(sign)))
+        if label != "wrong-side" or sign is not None
+    ])
+    def test_real_number_sites_reject(self, build, error, name, sign, value):
+        # A bool passed every hand-written "0 < x < inf" test: GameConfig(grad_tolerance=True)
+        # stopped each player at once and reported all_converged=True.
+        message = rf"^{re.escape(name)} must be {REAL_NUMBER_RULES[sign]}, got {re.escape(repr(value))}$"
+        with pytest.raises(error, match=message):
+            build(value)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(build, id=site) for site, (build, _, _, _) in REAL_NUMBER_SITES.items()
+    ])
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1)], ids=["float32", "int64"])
+    def test_numpy_scalar_is_a_real_number(self, build, value):
         build(value)
 
     @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())

@@ -96,6 +96,12 @@ class TestLipschitzClassical:
         with pytest.raises(ValueError, match="lambda_top"):
             BoundParams(lambda_top=math.nan, gaps=(), player_index=1)
 
+    @pytest.mark.parametrize("gaps, i", [((), 1), ((0.5,), 2)])
+    def test_player_index_beyond_the_gaps_rejected(self, gaps, i):
+        # gap_i used to raise a bare IndexError from the bound formula.
+        with pytest.raises(ValueError, match=rf"player_index must be at most len\(gaps\) = {len(gaps)}, got {i}"):
+            BoundParams(lambda_top=1.0, gaps=gaps, player_index=i)
+
 
 class TestLipschitzQuantum:
     def test_single_parameter_equals_classical(self):
@@ -160,6 +166,23 @@ class TestIterationBoundClassical:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             iteration_bound_classical([4.0, 4.0], [4.0], 1.0, (0.5,), 1.0 / 16.0)
+
+    def test_no_players_rejected(self):
+        # Used to raise "factorial() not defined for negative values".
+        with pytest.raises(ValueError, match="at least one player"):
+            iteration_bound_classical([], [], 1.0, [], 0.1)
+        with pytest.raises(ValueError, match="at least one player"):
+            iteration_bound_quantum([], 4, 1.0, [], 0.1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_lipschitz_values_rejected(self, bad):
+        # L_i(sigma) = 0 raised "float division by zero"; L_theta = -1 returned a bound of 31.
+        with pytest.raises(ValueError, match=r"lipschitz_zero\[0\] must be positive"):
+            iteration_bound_classical([bad], [1.0], 1.0, [0.5], 0.1)
+        with pytest.raises(ValueError, match=r"lipschitz_sigma\[0\] must be positive"):
+            iteration_bound_classical([1.0], [bad], 1.0, [0.5], 0.1)
+        with pytest.raises(ValueError, match=r"lipschitz_theta\[0\] must be positive"):
+            iteration_bound_quantum([bad], 4, 1.0, [0.5], 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_inputs_named(self, bad):
@@ -288,6 +311,27 @@ class TestErrorAccumulationInputs:
             epsilons=(1e-3,), seed=0, samples_per_epsilon=2,
         )
         assert quantum and all(r.epsilon == 1e-3 for r in quantum)
+
+    @pytest.mark.parametrize("i", [5, 6])
+    def test_player_index_beyond_dim_rejected(self, i):
+        # i = 6 raised a bare IndexError; i = 5 ran against 4 parents that span the space.
+        with pytest.raises(ValueError, match=f"player_index must be at most dim = 4, got {i}"):
+            measure_error_accumulation_classical(4, [1e-3], 0, player_index=i, samples_per_epsilon=1)
+        assert len(measure_error_accumulation_classical(4, [1e-3], 0, player_index=4, samples_per_epsilon=1)) == 1
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1e-3])
+    @pytest.mark.parametrize("harness", ["classical", "quantum"])
+    def test_epsilon_must_be_positive(self, harness, eps):
+        # A NaN epsilon wrote a row whose bound check failed; zero made loglog_slope raise
+        # LinAlgError; a negative one ran as a rotation the other way.
+        run = {
+            "classical": lambda: measure_error_accumulation_classical(4, [1e-3, eps], 0, samples_per_epsilon=1),
+            "quantum": lambda: measure_error_accumulation_quantum(
+                load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 1, 2, seed=0), [1e-3, eps], 0,
+                samples_per_epsilon=1),
+        }[harness]
+        with pytest.raises(ValueError, match=r"epsilons\[1\] must be positive and finite"):
+            run()
 
     def test_classical_parent_of_opposite_sign_is_bounded_on_the_ascended_matrix(self):
         # On M, lambda_top = 1 but the true parent e_2 has Rayleigh quotient -0.7,
