@@ -22,9 +22,9 @@ from .errors import (
     DegenerateParentError,
     DimensionMismatchError,
     HermiticityError,
-    NormalizationError,
     NumericalOverflowError,
     real_number,
+    unit_norm,
     whole_number,
 )
 from .hamiltonian import HERMITICITY_ATOL, hermitian_array
@@ -189,12 +189,15 @@ def finite_diff_gradient(v: np.ndarray, parents, m, sigma: float) -> np.ndarray:
 
 
 def angular_error(v: np.ndarray, v_star: np.ndarray) -> float:
-    """arccos of the absolute inner product; invariant to sign and global phase."""
+    """arccos of the absolute inner product; invariant to sign and global phase.
+
+    Both vectors must have unit norm to 1e-6 (``errors.unit_norm``,
+    ``NormalizationError``; NaN fails too).
+    """
     v = np.asarray(v)
     v_star = np.asarray(v_star)
-    for name, x in (("v", v), ("v_star", v_star)):
-        if not abs(np.linalg.norm(x) - 1.0) <= 1e-6:  # a NaN norm fails too
-            raise NormalizationError(f"{name} is not unit norm")
+    unit_norm("v", np.vdot(v, v).real, 1e-6)
+    unit_norm("v_star", np.vdot(v_star, v_star).real, 1e-6)
     return float(np.arccos(min(1.0, abs(complex(np.vdot(v, v_star))))))
 
 
@@ -266,8 +269,7 @@ def _ascend(
     v = np.asarray(init, dtype=np.float64)
     if v.shape != mat.shape[:1]:
         raise DimensionMismatchError(f"init has shape {v.shape}, expected {mat.shape[:1]}")
-    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
-        raise NormalizationError("init vector must be unit norm")
+    unit_norm("init", v @ v, UNIT_NORM_ATOL)
 
     alpha = cfg.step_size
     dim = mat.shape[0]

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the whole-number and real-number rules that raise them."""
+"""Exception types shared across the library, and the whole-number, real-number and unit-norm rules that raise them."""
 
 import math
 
@@ -92,3 +92,21 @@ def real_number(name: str, value, sign: str | None = None, error: type[Exception
     if not finite or (sign == "positive" and value <= 0) or (sign == "non-negative" and value < 0):
         rule = {None: "finite", "non-negative": "non-negative and finite", "positive": "positive and finite"}[sign]
         raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def unit_norm(name: str, squared_norms, atol: float) -> None:
+    """Raise ``NormalizationError`` unless every norm whose square is in ``squared_norms`` lies within ``atol`` of 1.
+
+    The one unit-norm check of every state and vector the library reads.
+    ``squared_norms`` holds the real squared norms of one vector (0-d) or of
+    a block's rows (1-d), and each must satisfy |sqrt(s) - 1| <= atol, for
+    an ``atol`` below 1; NaN and inf fail, and an empty block passes.  The
+    test compares the squares with (1 -+ atol)^2 in two reductions and
+    converts nothing, so a norm exactly at the boundary is accepted or
+    rejected as its square rounds.  The message names the input, the worst
+    deviation and ``atol``.
+    """
+    if not ((1.0 - atol) ** 2 <= np.minimum.reduce(squared_norms, initial=math.inf)
+            and np.maximum.reduce(squared_norms, initial=-math.inf) <= (1.0 + atol) ** 2):  # NaN fails too
+        worst = np.maximum.reduce(np.abs(np.sqrt(squared_norms) - 1.0))
+        raise NormalizationError(f"{name} must be unit norm within {atol!r}, off by {worst:.3g}")

@@ -29,6 +29,8 @@ from .errors import (
 HERMITICITY_ATOL = 1e-12
 GAP_FLOOR = 1e-6
 EIGENVALUE_CLAMP = 1e-4
+# Largest |P^T P - I| entry a caller's basis for build_powerlaw_hamiltonian may have.
+ORTHOGONALITY_ATOL = 1e-10
 LANCZOS_TOL = 1e-13
 RANGE_RESIDUAL_TOL = 1e-2
 LANCZOS_SEED = 0
@@ -286,6 +288,21 @@ def random_orthonormal(dim: int, seed: int) -> np.ndarray:
     return q
 
 
+def _orthogonal_basis(basis, dim: int) -> np.ndarray:
+    """``basis`` as a float64 array, checked to be a dim x dim matrix with P^T P = I to ``ORTHOGONALITY_ATOL``."""
+    p = np.asarray(basis, dtype=np.float64)
+    if p.shape != (dim, dim):
+        raise ValueError(f"basis must be a {dim} x {dim} matrix, got shape {p.shape}")
+    off = p.T @ p
+    off.flat[:: dim + 1] -= 1.0
+    np.abs(off, out=off)  # |P^T P - I|, in one (dim, dim) array
+    i, j = divmod(int(np.argmax(off)), dim)  # a NaN entry is the first maximum
+    if not off[i, j] <= ORTHOGONALITY_ATOL:
+        raise ValueError(f"basis is not orthogonal: |P^T P - I| is {off[i, j]:.3g} at ({i}, {j}), "
+                         f"beyond {ORTHOGONALITY_ATOL}")
+    return p
+
+
 def build_powerlaw_hamiltonian(
     dim: int,
     seed: int,
@@ -297,7 +314,9 @@ def build_powerlaw_hamiltonian(
     Eigenvalues are u**exponent for u ~ Uniform(0, 1), clamped into
     (1e-4, 1 - 1e-4) and redrawn until every adjacent gap exceeds 1e-6, so
     eigengap-dependent bounds stay finite.  M = P^T D P for a random
-    orthogonal P (pass ``basis`` to override, e.g. the identity for debugging),
+    orthogonal P (pass ``basis`` to override, e.g. the identity for debugging;
+    it must be a dim x dim real matrix whose largest |P^T P - I| entry is at
+    most ``ORTHOGONALITY_ATOL``, or ``ValueError`` names the worst entry),
     formed as (P^T scaled column-wise by the eigenvalues) @ P with no dense D.
     M is real, so it is stored as float64.  Returns ``(matrix, (eigenvalues,
     eigenvectors))``: the drawn eigenvalues, descending, and a C-ordered copy
@@ -322,7 +341,7 @@ def build_powerlaw_hamiltonian(
     if eigenvalues is None:
         raise RuntimeError("could not draw a spectrum with all gaps above the floor")
 
-    p = random_orthonormal(dim, seed) if basis is None else np.asarray(basis, dtype=np.float64)
+    p = random_orthonormal(dim, seed) if basis is None else _orthogonal_basis(basis, dim)
     m = (p.T * eigenvalues) @ p
     m = 0.5 * (m + m.T)  # kill rounding asymmetry
     # Columns of P^T are the eigenvectors of M = P^T D P.

@@ -49,12 +49,24 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidShotCountError,
-    NormalizationError,
+    unit_norm,
     whole_number,
 )
 from .hamiltonian import PauliSum
 
 NORM_ATOL = 1e-10
+
+
+def check_unit_rows(name: str, amplitudes: np.ndarray) -> None:
+    """Raise ``NormalizationError`` unless each row of a C-ordered complex block (or one vector) has unit norm.
+
+    The rule is ``errors.unit_norm`` at ``NORM_ATOL``.  Each squared norm is
+    a sum of squares over the float64 view, with no cross terms, so an inf
+    amplitude reads inf, not NaN behind NumPy's invalid-value warning.
+    """
+    parts = amplitudes.view(np.float64)
+    unit_norm(name, np.vecdot(parts, parts), NORM_ATOL)
+
 
 # ``sweep_reads`` builds the 2m + 1 shift rows and applies M to them when that
 # costs at most this many more multiply-adds of M than applying it to the
@@ -84,7 +96,11 @@ _PARTNER_PHASES = {"RX": (-1j, -1j), "RY": (-1.0, 1.0), "RZ": (-1j, 1j)}
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitudes over 2**num_qubits basis states."""
+    """Normalized complex amplitudes over 2**num_qubits basis states.
+
+    The amplitudes must have unit norm to ``NORM_ATOL`` (``check_unit_rows``,
+    ``NormalizationError``; NaN fails too).
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -95,9 +111,7 @@ class StateVector:
             raise DimensionMismatchError(
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubits, got {amps.shape}"
             )
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
-            raise NormalizationError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
+        check_unit_rows("state", amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -234,12 +248,19 @@ class AnsatzSpec:
         return factors
 
     def bind(self, values: Sequence[float]) -> np.ndarray:
-        """``values`` as a read-only float64 copy; raises ``BindingError`` unless it has one per gate."""
+        """``values`` as a read-only float64 copy.
+
+        Raises ``BindingError`` unless it has one finite value per gate; a
+        NaN or inf is named by its index before any state is prepared.
+        """
         values = np.array(values, dtype=np.float64)
         if values.shape != (self.num_parameters,):
             raise BindingError(
                 f"spec has {self.num_parameters} parameters, got vector of shape {values.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise BindingError(f"theta[{bad[0]}] must be finite, got {float(values[bad[0]])!r}")
         values.flags.writeable = False
         return values
 
@@ -324,14 +345,6 @@ def _branch_bits(n: int) -> np.ndarray:
     return (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
 
 
-def _norm_deviation(squared_norms: np.ndarray) -> float:
-    """The largest | ||row|| - 1 | over rows of the given squared norms.
-
-    NaN when one is NaN, and 0 without rows.
-    """
-    return float(np.maximum.reduce(np.abs(np.sqrt(squared_norms) - 1.0), initial=0.0))
-
-
 def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> StateVector | np.ndarray:
     """Prepare |psi(theta)> from the layout's initial state.
 
@@ -345,8 +358,8 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
     and the rest one gate at a time.  The tests hold both forms to a
     gate-by-gate oracle and to each other.  A parameter array of the wrong
     shape raises ``BindingError`` before any table is built, and every row
-    must keep unit norm to ``NORM_ATOL`` (a NaN parameter fails too) or
-    ``NormalizationError`` is raised.
+    must keep unit norm to ``NORM_ATOL`` (``check_unit_rows``; a NaN
+    parameter fails too) or ``NormalizationError`` is raised.
     """
     values = np.asarray(theta, dtype=np.float64)
     single = values.ndim == 1
@@ -359,8 +372,7 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
     else:
         half = rows.T / 2.0
         amps = np.ascontiguousarray(_gate_loop(spec, np.cos(half), np.sin(half)).T)
-    if not _norm_deviation(np.vecdot(amps, amps).real) <= NORM_ATOL:  # a NaN norm fails too
-        raise NormalizationError(f"prepared state norms deviate from 1 beyond {NORM_ATOL}")
+    check_unit_rows("prepared state", amps)
     return StateVector(spec.num_qubits, amps[0]) if single else amps
 
 
@@ -632,12 +644,11 @@ def _checked_moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(<M>, Var(M), ||M r||^2, residue) from each row's real ||r||^2, complex <r|M r> and real ||M r||^2.
 
-    A row off unit norm to ``NORM_ATOL`` (or NaN) raises
-    ``NormalizationError``, and a largest |Im<r|M r>| above it ``ValueError``;
-    Var(M) = ||M r||^2 - <M>^2 is clamped at 0.
+    A row off unit norm to ``NORM_ATOL`` (``errors.unit_norm``; NaN too)
+    raises ``NormalizationError``, and a largest |Im<r|M r>| above it
+    ``ValueError``; Var(M) = ||M r||^2 - <M>^2 is clamped at 0.
     """
-    if not _norm_deviation(norm) <= NORM_ATOL:  # a NaN norm fails too
-        raise NormalizationError(f"parameter-shift row norms deviate from 1 beyond {NORM_ATOL}")
+    unit_norm("parameter-shift row", norm, NORM_ATOL)
     residue = float(np.maximum.reduce(np.abs(value.imag)))
     if residue > NORM_ATOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")

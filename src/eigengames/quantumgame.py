@@ -26,8 +26,8 @@ from .quantum_sim import (
     AnsatzSpec,
     ParameterTensor,
     ShotModel,
-    _norm_deviation,
     apply_ansatz,
+    check_unit_rows,
     interference_moments,
     parameter_shift_states,
     pauli_sum_apply,
@@ -274,11 +274,11 @@ def _parent_arrays(spec: AnsatzSpec, states, eigenvalues) -> tuple[np.ndarray, n
     """The read-only (P, 2**q) block of parent states and their (P,) eigenvalues on M.
 
     Both penalties scale with |psi_j|^2, so a state off unit norm by more
-    than ``NORM_ATOL`` (or with a NaN) raises ``NormalizationError``.
+    than ``NORM_ATOL`` (``quantum_sim.check_unit_rows``; NaN too) raises
+    ``NormalizationError``.
     """
     block = _parent_block(states, 2**spec.num_qubits, np.complex128)
-    if not _norm_deviation(np.vecdot(block, block).real) <= NORM_ATOL:  # a NaN norm fails too
-        raise NormalizationError(f"parent state norms deviate from 1 beyond {NORM_ATOL}")
+    check_unit_rows("parent state", block)
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     if eigenvalues.shape != (len(block),):
         raise ValueError(f"need one eigenvalue per parent state: {eigenvalues.shape} for {len(block)} states")

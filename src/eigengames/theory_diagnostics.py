@@ -48,9 +48,9 @@ class BoundParams:
     quantum bound.  ``player_index`` (1-based, at most ``len(gaps)``) and
     ``num_parameters`` are whole numbers of at least 1
     (``errors.whole_number``).  ``lambda_top`` and ``kappa`` are finite real
-    numbers, each gap a positive and ``sigma`` and ``diag_norm`` non-negative
-    ones (``errors.real_number``); anything else, NaN included, raises
-    ``ValueError``.
+    numbers, each gap a positive and ``c``, ``sigma`` and ``diag_norm``
+    non-negative ones (``errors.real_number``), ``c`` at most 1/16; anything
+    else, NaN included, raises ``ValueError``.
     """
 
     lambda_top: float
@@ -63,8 +63,9 @@ class BoundParams:
     diag_norm: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.c <= 1.0 / 16.0:  # NaN fails too
-            raise ValueError("c must lie in [0, 1/16]")
+        real_number("c", self.c, "non-negative")
+        if self.c > 1.0 / 16.0:
+            raise ValueError(f"c must be at most 1/16, got {self.c!r}")
         for j, g in enumerate(self.gaps):
             real_number(f"gaps[{j}]", g, "positive")
         real_number("lambda_top", self.lambda_top)

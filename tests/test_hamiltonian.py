@@ -1,6 +1,7 @@
 """Operator construction, Pauli-sum parsing, and the dense form."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,37 @@ class TestPowerlawHamiltonian:
         p = eigenvectors.T
         m = p.T @ np.diag(eigenvalues) @ p
         assert matrix.entries.tobytes() == (0.5 * (m + m.T)).tobytes()
+
+    def test_non_orthogonal_basis_rejected(self):
+        # It used to build M = P^T D P and return D and P^T as its eigenpairs:
+        # top eigenvalue 0.4057 against M's 0.5235, and a residual of 0.134.
+        basis = np.eye(4)
+        basis[0, 1] = 0.5
+        with pytest.raises(ValueError, match=r"^basis is not orthogonal: \|P\^T P - I\| is 0\.5 at \(0, 1\), "
+                                             r"beyond 1e-10$"):
+            build_powerlaw_hamiltonian(4, seed=0, basis=basis)
+
+    @pytest.mark.parametrize("basis, message", [
+        (np.eye(3), "basis must be a 4 x 4 matrix, got shape (3, 3)"),
+        (np.eye(4)[:, :3], "basis must be a 4 x 4 matrix, got shape (4, 3)"),
+        (np.full((4, 4), np.nan), "is nan at (0, 0)"),
+        (2.0 * np.eye(4), "is 3 at (0, 0)"),
+        (np.eye(4) + 2e-10 * np.eye(4)[::-1], "is 4e-10 at (0, 3)"),  # P^T P - I = 4e-10 off the diagonal
+    ], ids=["square-too-small", "not-square", "nan", "scaled", "off-diagonal"])
+    def test_basis_shape_and_orthogonality_checked(self, basis, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_powerlaw_hamiltonian(4, seed=0, basis=basis)
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_random_orthonormal_basis_gives_the_default_build(self, dim):
+        # The default P passes the check with room to spare, and passing it changes nothing.
+        p = random_orthonormal(dim, seed=1)
+        assert np.max(np.abs(p.T @ p - np.eye(dim))) <= 1e-14
+        matrix, (eigenvalues, eigenvectors) = build_powerlaw_hamiltonian(dim, seed=1, basis=p)
+        default, (default_values, default_vectors) = build_powerlaw_hamiltonian(dim, seed=1)
+        assert matrix.entries.tobytes() == default.entries.tobytes()
+        assert eigenvalues.tobytes() == default_values.tobytes()
+        assert eigenvectors.tobytes() == default_vectors.tobytes()
 
 
 class TestPauliSumToMatrix:

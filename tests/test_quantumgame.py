@@ -6,6 +6,7 @@ import math
 import re
 from functools import cached_property
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from eigengames import eigengame_classical, quantum_sim, quantumgame
 from eigengames.bench_cli import build_run_config
 from eigengames.eigengame_classical import (
     ASCENT_WARMUP,
+    UNIT_NORM_ATOL,
     GameConfig,
     HeavyBall,
+    angular_error,
     eigengame_player,
     run_sequential,
     utility,
@@ -42,6 +45,7 @@ from eigengames.quantum_sim import (
     AnsatzSpec,
     ParameterTensor,
     ShotModel,
+    StateVector,
     apply_ansatz,
     layered_ansatz,
     parameter_shift_states,
@@ -1453,6 +1457,8 @@ REAL_NUMBER_SITES = {
     "BoundParams.diag_norm": (
         lambda v: BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, diag_norm=v),
         ValueError, "diag_norm", "non-negative"),
+    "BoundParams.c": (lambda v: BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, c=v), ValueError, "c",
+                      "non-negative"),
     "iteration_bound_classical.lambda_top": (
         lambda v: iteration_bound_classical([4.0], [4.0], v, (0.5,), 1.0 / 16.0), ValueError, "lambda_top", None),
     "iteration_bound_classical.gaps": (
@@ -1487,6 +1493,43 @@ REAL_NUMBER_SITES = {
 REAL_NUMBER_RULES = {None: "finite", "non-negative": "non-negative and finite", "positive": "positive and finite"}
 # A value on the wrong side of each sign.
 WRONG_SIDE = {"non-negative": -0.5, "positive": 0.0}
+# Sites whose upper bound the common accepted values 0.5 and 1 exceed; each has its own test.
+BOUNDED_ABOVE = {"BoundParams.c"}
+
+
+def prepared_with_norm(norm):
+    """``apply_ansatz`` on a one-gate layout whose gate loop hands back a state of the given norm."""
+    def gate_loop(spec, cos, sin):
+        return np.array([[norm], [0.0]], dtype=complex)
+
+    with mock.patch.object(quantum_sim, "_gate_loop", gate_loop):
+        return apply_ansatz(AnsatzSpec(1, ((("RY", 0),),), ()), [0.0])
+
+
+# Every state and vector checked by errors.unit_norm: the site, then a call whose checked vector
+# has the norm under test, the site's error class, the name its message gives, and its tolerance.
+UNIT_NORM_SITES = {
+    "StateVector": (lambda r: StateVector(1, np.array([r, 0.0])), NormalizationError, "state", NORM_ATOL),
+    "apply_ansatz": (prepared_with_norm, NormalizationError, "prepared state", NORM_ATOL),
+    "_checked_moments": (lambda r: quantum_sim._checked_moments(np.array([r * r]), np.zeros(1, complex), np.zeros(1)),
+                         NormalizationError, "parameter-shift row", NORM_ATOL),
+    "quantumgame_player.parent_states": (
+        lambda r: quantumgame_player(DIAG_3210, layered_ansatz(2, 1), np.zeros(4), [[r, 0.0, 0.0, 0.0]], [3.0],
+                                     SolverConfig(direction="minimize", max_iterations=1)),
+        NormalizationError, "parent state", NORM_ATOL),
+    "vqd_player.parent_states": (
+        lambda r: vqd_player(DIAG_3210, layered_ansatz(2, 1), np.zeros(4), [[r, 0.0, 0.0, 0.0]], [3.0],
+                             SolverConfig(direction="minimize", beta=5.0, max_iterations=1)),
+        NormalizationError, "parent state", NORM_ATOL),
+    "eigengame_player.init": (
+        lambda r: eigengame_player(np.diag([4.0, 3.0]), np.array([r, 0.0]), [],
+                                   GameConfig(step_size=0.1, max_iterations_per_player=1)),
+        NormalizationError, "init", UNIT_NORM_ATOL),
+    "angular_error.v": (lambda r: angular_error(np.array([r, 0.0]), np.array([1.0, 0.0])), NormalizationError, "v",
+                        1e-6),
+    "angular_error.v_star": (lambda r: angular_error(np.array([1.0, 0.0]), np.array([r, 0.0])), NormalizationError,
+                             "v_star", 1e-6),
+}
 
 
 class TestInputValidation:
@@ -1531,10 +1574,42 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("build", [
         pytest.param(build, id=site) for site, (build, _, _, _) in REAL_NUMBER_SITES.items()
+        if site not in BOUNDED_ABOVE
     ])
     @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1)], ids=["float32", "int64"])
     def test_numpy_scalar_is_a_real_number(self, build, value):
         build(value)
+
+    @pytest.mark.parametrize("value", [np.float32(0.0625), np.int64(0), 1.0 / 16.0, 0])
+    def test_bound_c_takes_numpy_scalars_up_to_a_sixteenth(self, value):
+        assert BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, c=value).c is value
+
+    @pytest.mark.parametrize("value", [0.0625000001, np.float64(0.25), 1])
+    def test_bound_c_above_a_sixteenth_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"^c must be at most 1/16, got {re.escape(repr(value))}$"):
+            BoundParams(lambda_top=1.0, gaps=(0.5,), player_index=1, c=value)
+
+    @pytest.mark.parametrize("build, error, message, norm", [
+        pytest.param(build, error, rf"^{re.escape(name)} must be unit norm within {re.escape(repr(atol))}, "
+                                   rf"off by {deviation}$", norm, id=f"{site}-{label}")
+        for site, (build, error, name, atol) in UNIT_NORM_SITES.items()
+        for label, norm, deviation in (("nan", math.nan, "nan"), ("inf", math.inf, "inf"),
+                                       ("over", 1.0 + 2.0 * atol, f"{2.0 * atol:.3g}"),
+                                       ("under", 1.0 - 2.0 * atol, f"{2.0 * atol:.3g}"))
+    ])
+    def test_unit_norm_sites_reject(self, build, error, message, norm):
+        # Each site spelled its own test, with one of three tolerances; two of
+        # the messages named neither the deviation nor the tolerance.
+        with pytest.raises(error, match=message):
+            build(norm)
+
+    @pytest.mark.parametrize("build, norm", [
+        pytest.param(build, 1.0 + sign * 0.5 * atol, id=f"{site}-{label}")
+        for site, (build, _, _, atol) in UNIT_NORM_SITES.items()
+        for label, sign in (("over", 1.0), ("under", -1.0))
+    ])
+    def test_unit_norm_sites_accept_half_the_tolerance(self, build, norm):
+        build(norm)
 
     @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
     @pytest.mark.parametrize("k, seed, message", [
@@ -1577,6 +1652,21 @@ class TestInputValidation:
         with pytest.raises(BindingError):
             player(h2, random_layers_ansatz(2, 2, 3, seed=3),
                    np.array(theta) if as_array else theta, (), (), cfg)
+
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_theta_rejected_before_any_preparation(self, monkeypatch, h2, player, value):
+        # An inf used to reach the first sweep: NumPy's invalid-value warnings in
+        # cos and sin, then "prepared state norms deviate from 1", a symptom.
+        def no_preparation(*args):
+            raise AssertionError("a state was prepared")
+
+        monkeypatch.setattr(quantumgame, "parameter_shift_states", no_preparation)
+        monkeypatch.setattr(quantumgame, "apply_ansatz", no_preparation)
+        theta = np.full(9, 0.1)
+        theta[3] = value
+        with pytest.raises(BindingError, match=rf"^theta\[3\] must be finite, got {value!r}$"):
+            player(h2, random_layers_ansatz(2, 3, 3, seed=11), theta, [], [], SolverConfig(beta=5.0))
 
     @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
     @pytest.mark.parametrize("shots", [ShotModel(), ShotModel(100)], ids=["exact", "shots"])

@@ -68,7 +68,7 @@ class TestLipschitzClassical:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("c", math.nan, "c must lie"),
+            ("c", math.nan, "c must be non-negative and finite, got nan"),
             ("gaps", (math.nan, 0.5), "gaps"),
             ("lambda_top", math.nan, "lambda_top"),
             ("player_index", math.nan, "player_index"),
@@ -439,6 +439,19 @@ class TestErrorAccumulationQuantum:
         assert error_accumulation_bound_quantum(h, spec, [], []) == 0.0
         with pytest.raises(BindingError):
             error_accumulation_bound_quantum(h, spec, [np.zeros(9)], [np.zeros(8)])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_theta_rejected_before_any_preparation(self, monkeypatch, value):
+        def no_preparation(*args):
+            raise AssertionError("a state was prepared")
+
+        monkeypatch.setattr(theory_diagnostics, "apply_ansatz", no_preparation)
+        h = pauli_sum_to_matrix(load_pauli_sum(bundled_h2_path()))
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        hat = np.zeros(9)
+        hat[3] = value
+        with pytest.raises(BindingError, match=rf"^theta\[3\] must be finite, got {value!r}$"):
+            error_accumulation_bound_quantum(h, spec, [np.zeros(9)], [hat])
 
     def test_layer_grouping_leaves_bound_unchanged(self):
         # The same six-gate circuit declared as 3 layers of 2 gates versus
