@@ -13,8 +13,20 @@ the rest one gate at a time on the amplitudes.  ``BRANCH_TABLE_ENTRIES``
 says how small; the tests check both forms against a gate-by-gate oracle
 and the table against the gate loop.  Pauli sums apply through their
 compiled form (``PauliSum.compiled``).
-``parameter_shift_states`` prepares m + 1 states per sweep, and
-``sweep_reads`` reads the 2m + 1 shift rows they stand for, in one of two
+A parameter-shift sweep is m + 1 states, psi(theta + pi e_k) for k < m and
+psi(theta).  ``parameter_shift_states`` prepares each from its own parameter
+row.  The players' loop prepares the same sweep from theta's branch weights
+alone: the shift by pi swaps each factor's cos and sin, up to a sign, so on
+a table layout every shifted state is the branch table with one bit of its
+row index flipped and its rows signed, and the sweep plan
+(``AnsatzSpec.sweep_plan``) holds all m + 1 of those tables side by side.
+A gate-loop layout's sweep runs its gate loop on the m + 1 shifted rows, as
+``parameter_shift_states`` does.  The public entry points check every call:
+``apply_ansatz`` and ``parameter_shift_states`` bind their parameters
+finite and their states to unit norm, and ``sweep_reads`` checks its base
+(``check_sweep``) before M is applied.  The players' loop checks those
+invariants once per player, on its last sweep.
+``sweep_reads`` reads the 2m + 1 shift rows a sweep stands for, in one of two
 forms that give the same reads to rounding.  The products form applies M
 to the m + 1 prepared rows and forms every read from their products, with
 no shift row built.  The explicit form builds the 2m + 1 rows and applies
@@ -49,6 +61,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidShotCountError,
+    NormalizationError,
     unit_norm,
     whole_number,
 )
@@ -78,10 +91,11 @@ def check_unit_rows(name: str, amplitudes: np.ndarray) -> None:
 EXPLICIT_SHIFT_ROWS_WORK = 4096
 
 # ``apply_ansatz`` sums the branch table of a layout with m >= 2 parameters
-# when the table holds at most this many amplitudes, 2**m * 2**q; larger
-# layouts run the gate loop.  The table's products grow with 2**m while the
-# loop's array calls grow with m, and the preparation table of
-# ``tools/shot_read_crossover.py`` (in CHANGES.md) puts the crossover at
+# when the table holds at most this many amplitudes, 2**m * 2**q, and the
+# players' loop sums the same layouts' sweep plans; larger layouts run the
+# gate loop.  The table's products grow with 2**m while the loop's array
+# calls grow with m, and the preparation tables of
+# ``tools/shot_read_crossover.py`` (in CHANGES.md) put the crossover at
 # about this size.  H2's 9-parameter layout (2048) sums its table, the
 # 32-parameter 8-qubit ``wide`` layout (2**40) runs the loop.
 BRANCH_TABLE_ENTRIES = 4096
@@ -230,6 +244,34 @@ class AnsatzSpec:
         return index, table
 
     @cached_property
+    def sweep_plan(self) -> np.ndarray:
+        """Read-only (2**m, (m+1) * 2**q) sweep plan, built once per layout from its branch table.
+
+        cos((t + pi)/2) = -sin(t/2) and sin((t + pi)/2) = cos(t/2), so the
+        shifted state phi_k = psi(theta + pi e_k) is sum_S w_S(theta) c_k(S) psi_{S xor k},
+        with w_S the branch weights of theta itself and c_k(S) = -1 when k is
+        in S.  Row S holds c_k(S) psi_{S xor k} in block k < m and psi_S in
+        block m, so the branch weights of theta alone give the whole sweep
+        phi_0, ..., phi_{m-1}, psi.  Every entry is a signed copy of a table
+        entry, written in place block by block.
+        """
+        _, table = self.branch_plan
+        branches, dim = table.shape
+        m = branches.bit_length() - 1
+        plan = np.empty((branches, m + 1, dim), dtype=np.complex128)
+        for k in range(m):
+            # Parameter k's bit splits the rows into halves: a row without it
+            # takes +psi of its partner with it, a row with it -psi of its partner.
+            rows = plan.reshape(2**k, 2, -1, m + 1, dim)
+            halves = table.reshape(2**k, 2, -1, dim)
+            rows[:, 0, :, k] = halves[:, 1]
+            np.negative(halves[:, 0], out=rows[:, 1, :, k])
+        plan[:, m] = table
+        plan = plan.reshape(branches, -1)
+        plan.flags.writeable = False
+        return plan
+
+    @cached_property
     def initial_factors(self) -> np.ndarray:
         """Read-only (q, 2) per-qubit factors of the layout's initial state, |0...0> or |+...+>, built once per layout.
 
@@ -258,9 +300,7 @@ class AnsatzSpec:
             raise BindingError(
                 f"spec has {self.num_parameters} parameters, got vector of shape {values.shape}"
             )
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise BindingError(f"theta[{bad[0]}] must be finite, got {float(values[bad[0]])!r}")
+        _check_finite(values)
         values.flags.writeable = False
         return values
 
@@ -345,6 +385,19 @@ def _branch_bits(n: int) -> np.ndarray:
     return (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Raise ``BindingError`` naming the first NaN or inf of a parameter vector or (B, m) block by its index."""
+    if not np.isfinite(values).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise BindingError(f"theta[{', '.join(map(str, where))}] must be finite, got {float(values[where])!r}")
+
+
+def _sums_table(spec: AnsatzSpec, m: int) -> bool:
+    """Whether a layout of m parameters prepares from its branch table: m >= 2 and 2**m * 2**q at most
+    ``BRANCH_TABLE_ENTRIES``; any other runs the gate loop."""
+    return m >= 2 and 2 ** (m + spec.num_qubits) <= BRANCH_TABLE_ENTRIES
+
+
 def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> StateVector | np.ndarray:
     """Prepare |psi(theta)> from the layout's initial state.
 
@@ -357,9 +410,10 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
     its first layer (every layer, without a CNOT ring) on per-qubit factors
     and the rest one gate at a time.  The tests hold both forms to a
     gate-by-gate oracle and to each other.  A parameter array of the wrong
-    shape raises ``BindingError`` before any table is built, and every row
-    must keep unit norm to ``NORM_ATOL`` (``check_unit_rows``; a NaN
-    parameter fails too) or ``NormalizationError`` is raised.
+    shape, or with a NaN or inf entry (named by its index, as
+    ``AnsatzSpec.bind`` names it), raises ``BindingError`` before any table
+    is built, and every row must keep unit norm to ``NORM_ATOL``
+    (``check_unit_rows``) or ``NormalizationError`` is raised.
     """
     values = np.asarray(theta, dtype=np.float64)
     single = values.ndim == 1
@@ -367,37 +421,48 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
     m = len(spec.gate_plan[0])  # one phase row per parameter
     if rows.ndim != 2 or rows.shape[1] != m:
         raise BindingError(f"spec has {m} parameters, got values of shape {values.shape}")
-    if m >= 2 and 2 ** (m + spec.num_qubits) <= BRANCH_TABLE_ENTRIES:
-        amps = _branch_sum(spec, rows)
-    else:
-        half = rows.T / 2.0
-        amps = np.ascontiguousarray(_gate_loop(spec, np.cos(half), np.sin(half)).T)
+    _check_finite(values)
+    amps = _prepare(spec, rows)
     check_unit_rows("prepared state", amps)
     return StateVector(spec.num_qubits, amps[0]) if single else amps
 
 
-def _branch_sum(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
-    """The (B, 2**q) states of (B, m) parameter rows, summed from the layout's branch table.
+def _prepare(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
+    """The (B, 2**q) states of (B, m) finite parameter rows, unchecked: the branch table or the gate loop."""
+    if _sums_table(spec, rows.shape[1]):
+        index, table = spec.branch_plan
+        return _table_sum(index, table, rows)
+    half = rows.T / 2.0
+    return np.ascontiguousarray(_gate_loop(spec, np.cos(half), np.sin(half)).T)
 
-    One gather and one product give both halves' Kronecker rows of weights;
-    the first half's row then sums over the table's high bits and the second
-    half's over its low bits.  The weights are real, so both products run on
-    the table's float64 view.  Each is a stack of one-row products, so a
-    row's result does not depend on the batch it came in.
+
+def _table_sum(index: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (B, D) sums over a (2**m, D) table of the branch weights of (B, m) parameter rows; one (m,) row gives (D,).
+
+    ``table`` is the branch table (D = 2**q) or the sweep plan
+    (D = (m+1) * 2**q), and ``index`` the factor index of
+    ``AnsatzSpec.branch_plan``.  One gather and one product give both
+    halves' Kronecker rows of weights; the first half's row then sums over
+    the table's high bits and the second half's over its low bits.  The
+    weights are real, so both products run on the table's float64 view.
+    A batch is a stack of one-row products, so a row's result does not
+    depend on the batch it came in.
     """
-    index, table = spec.branch_plan
-    (batch, m), dim = rows.shape, table.shape[1]
-    low = m // 2
+    *batch, m = rows.shape
+    width, low = table.shape[1], m // 2
     half = rows / 2.0
-    factors = np.empty((batch, 2 * m + 1))
-    np.cos(half, out=factors[:, :m])
-    np.sin(half, out=factors[:, m:-1])
-    factors[:, -1] = 1.0
-    # (B, 1, 2**l + 2**(m-l)); a reshape, unlike a new axis, keeps each row's products on BLAS.
-    weights = factors.take(index, axis=1).prod(axis=1).reshape(batch, 1, index.shape[1])
-    partial = np.matmul(weights[:, :, : 2**low], table.view(np.float64).reshape(2**low, -1))
-    amps = np.matmul(weights[:, :, 2**low :], partial.reshape(batch, 2 ** (m - low), 2 * dim))
-    return amps.reshape(batch, 2 * dim).view(np.complex128)
+    factors = np.empty((*batch, 2 * m + 1))
+    np.cos(half, out=factors[..., :m])
+    np.sin(half, out=factors[..., m:-1])
+    factors[..., -1] = 1.0
+    weights = factors.take(index, axis=-1).prod(axis=-2)
+    if batch:
+        # (B, 1, 2**l + 2**(m-l)); a reshape, unlike a new axis, keeps each row's products on BLAS.
+        # Every size explicit, so that an empty batch reshapes too.
+        weights = weights.reshape(*batch, 1, index.shape[1])
+    partial = np.matmul(weights[..., : 2**low], table.view(np.float64).reshape(2**low, -1))
+    amps = np.matmul(weights[..., 2**low :], partial.reshape(*batch, 2 ** (m - low), 2 * width))
+    return amps.reshape(*batch, 2 * width).view(np.complex128)
 
 
 def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -571,21 +636,71 @@ def swap_test_moments(overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Parameter-shift gradients
 # ---------------------------------------------------------------------------
 
-def parameter_shift_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """The (m+1, 2**q) states one parameter-shift sweep prepares, in one ``apply_ansatz`` call.
+def parameter_shift_states(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The (m+1, 2**q) states of one parameter-shift sweep, each prepared from its own parameter row.
 
     The rows are phi_0, ..., phi_{m-1}, psi, with phi_k = psi(theta + pi e_k)
-    and psi = psi(theta).  A finite-shot read passes them to
-    ``sweep_reads``.  An exact read applies M to psi alone: each parameter
-    drives one Pauli rotation, so d_k psi = phi_k / 2, and the gradient of
-    <psi|K psi> for a Hermitian K is Re<phi_k|K psi>, one product of the
-    phi_k with one vector.
+    and psi = psi(theta): one ``apply_ansatz`` call on the m + 1 shifted
+    parameter rows, with its checks, after theta is bound as
+    ``AnsatzSpec.bind`` binds it.  The players' loop prepares the same rows
+    through an unchecked core, ``_sweep_states``, and checks its last sweep
+    once (``check_sweep``).  On a layout that ``apply_ansatz`` prepares from
+    its branch table the core sums the sweep plan (``AnsatzSpec.sweep_plan``)
+    with the branch weights of theta alone: m cosines and sines, one
+    gather-product and two matrix products give all m + 1 rows, equal to
+    these to rounding.  On any other layout it runs the same gate loop on
+    the same shifted rows, bit for bit.
+
+    A finite-shot read passes the rows to ``sweep_reads``.  An exact read
+    applies M to psi alone: each parameter drives one Pauli rotation, so
+    d_k psi = phi_k / 2, and the gradient of <psi|K psi> for a Hermitian K
+    is Re<phi_k|K psi>, one product of the phi_k with one vector.
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    return apply_ansatz(spec, _shifted_rows(spec.bind(theta)))
+
+
+def _shifted_rows(theta: np.ndarray) -> np.ndarray:
+    """The (m+1, m) parameter rows of a sweep: theta + pi e_k for k < m, then theta."""
     m = theta.shape[0]
-    base = theta[None, :].repeat(m + 1, axis=0)
-    base.reshape(-1)[: m * m : m + 1] += np.pi  # the diagonal of the first m rows
-    return apply_ansatz(spec, base)
+    rows = theta[None, :].repeat(m + 1, axis=0)
+    rows.reshape(-1)[: m * m : m + 1] += np.pi  # the diagonal of the first m rows
+    return rows
+
+
+def _sweep_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
+    """``parameter_shift_states`` of a bound (m,) theta, unchecked: from the sweep plan on a table layout."""
+    m = theta.shape[0]
+    if _sums_table(spec, m):
+        index, _ = spec.branch_plan
+        return _table_sum(index, spec.sweep_plan, theta).reshape(m + 1, -1)
+    return _prepare(spec, _shifted_rows(theta))
+
+
+def check_sweep(base: np.ndarray) -> None:
+    """Raise ``NormalizationError`` unless a sweep's base rows and its 2m + 1 shift rows keep unit norm.
+
+    ``base`` is a C-ordered complex block of the (m+1, d) rows phi_0, ...,
+    phi_{m-1}, psi of ``parameter_shift_states``; a one-row base is the
+    plain state psi.  Three rules run in order.  Every base row has unit norm to
+    ``NORM_ATOL`` (``check_unit_rows``), so a NaN or inf amplitude is named
+    before any product is formed.  Every Re<psi|phi_k>, 0 for a Pauli
+    rotation, is at most ``NORM_ATOL`` in size.  Every shift row
+    (psi +- phi_k)/sqrt(2) has unit norm to ``NORM_ATOL``
+    (``errors.unit_norm``), its squared norm formed from the base rows as
+    (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.  ``sweep_reads`` checks
+    every base it reads; the players' loop checks its last sweep, once per
+    player.
+    """
+    check_unit_rows("prepared state", base)
+    parts = base.view(np.float64)
+    own = np.vecdot(parts, parts)
+    overlap = np.vecdot(parts[:-1], parts[-1])  # Re<psi|phi_k>, on the float64 view
+    if not np.maximum.reduce(np.abs(overlap), initial=0.0) <= NORM_ATOL:
+        raise NormalizationError(f"parameter-shift rows have a real overlap with psi beyond {NORM_ATOL}")
+    norms = np.empty(2 * len(base) - 1)
+    norms[-1] = own[-1]
+    _pair_rows(norms, 0.5 * (own[:-1] + own[-1]), overlap)
+    unit_norm("parameter-shift row", norms, NORM_ATOL)
 
 
 def sweep_reads(
@@ -608,11 +723,22 @@ def sweep_reads(
     ``EXPLICIT_SHIFT_ROWS_WORK`` the rows are built and M applied to all
     2m + 1 of them; otherwise M is applied to the m + 1 base rows and every
     read formed from their products.  A one-row base (m = 0) is the plain
-    state psi, and the reads are its own.  <psi|phi_k> is imaginary, so
-    every row has unit norm; a row off unit norm to ``NORM_ATOL`` (another
-    gate, or NaN) raises ``NormalizationError``, and a residue above it
-    ``ValueError``.
+    state psi, and the reads are its own.  The base is checked first
+    (``check_sweep``): a row or shift row off unit norm to ``NORM_ATOL``, a
+    NaN or inf amplitude, or a real overlap of a phi_k with psi raises
+    ``NormalizationError`` before M is applied.  A residue above
+    ``NORM_ATOL`` raises ``ValueError``.  The players' loop reads through
+    the same core without the check.
     """
+    base = np.ascontiguousarray(base, dtype=np.complex128)
+    check_sweep(base)
+    return _sweep_reads(h, base, kets)
+
+
+def _sweep_reads(
+    h: PauliSum, base: np.ndarray, kets: np.ndarray | None
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray | None, int]:
+    """``sweep_reads`` without ``check_sweep``."""
     if (len(base) - 1) * h.compiled[0].size <= EXPLICIT_SHIFT_ROWS_WORK:
         rows = _shift_rows(base)
         moments = _built_row_moments(rows, pauli_sum_apply(h, rows))
@@ -639,16 +765,12 @@ def _shift_rows(base: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _checked_moments(
-    norm: np.ndarray, value: np.ndarray, second: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(<M>, Var(M), ||M r||^2, residue) from each row's real ||r||^2, complex <r|M r> and real ||M r||^2.
+def _moments(value: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(<M>, Var(M), ||M r||^2, residue) from each row's complex <r|M r> and real ||M r||^2.
 
-    A row off unit norm to ``NORM_ATOL`` (``errors.unit_norm``; NaN too)
-    raises ``NormalizationError``, and a largest |Im<r|M r>| above it
-    ``ValueError``; Var(M) = ||M r||^2 - <M>^2 is clamped at 0.
+    A largest |Im<r|M r>| above ``NORM_ATOL`` raises ``ValueError``;
+    Var(M) = ||M r||^2 - <M>^2 is clamped at 0.
     """
-    unit_norm("parameter-shift row", norm, NORM_ATOL)
     residue = float(np.maximum.reduce(np.abs(value.imag)))
     if residue > NORM_ATOL:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}")
@@ -659,10 +781,8 @@ def _checked_moments(
 def _built_row_moments(
     rows: np.ndarray, h_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The explicit form's moments: ||r||^2, <r|M r> and ||M r||^2 of built (B, d) rows, one row-wise product each."""
-    return _checked_moments(
-        np.vecdot(rows, rows).real, np.vecdot(rows, h_rows), np.vecdot(h_rows, h_rows).real
-    )
+    """The explicit form's moments: <r|M r> and ||M r||^2 of built (B, d) rows, one row-wise product each."""
+    return _moments(np.vecdot(rows, h_rows), np.vecdot(h_rows, h_rows).real)
 
 
 def _shift_row_moments(
@@ -671,34 +791,31 @@ def _shift_row_moments(
     """The products form's moments of the 2m + 1 shift rows, from the (m+1, d) base rows and M on them.
 
     Each read of a row is a fixed combination of products of base rows:
-    <r+-|M r+-> = (<psi|M psi> + <phi_k|M phi_k>)/2 +- (<psi|M phi_k> + <phi_k|M psi>)/2,
-    ||M r+-||^2 = (||psi||^2 + ||phi_k||^2)/2 +- Re<M psi|M phi_k>, and
-    ||r+-||^2 = (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.  The residue
-    covers the cross terms' imaginary parts.
+    <r+-|M r+-> = (<psi|M psi> + <phi_k|M phi_k>)/2 +- (<psi|M phi_k> + <phi_k|M psi>)/2 and
+    ||M r+-||^2 = (||M psi||^2 + ||M phi_k||^2)/2 +- Re<M psi|M phi_k>.
+    The residue covers the cross terms' imaginary parts.
     """
     m = base.shape[0] - 1
     phi, h_phi, psi, h_psi = base[:-1], h_base[:-1], base[-1], h_base[-1]
-    # Columns ||r||^2, <r|M r> and ||M r||^2, one row per shift row.  The even
-    # rows first take each base row's own products (phi_k at row 2k, psi at
-    # the last), then the centres (own_psi + own_phi_k)/2.  The real part of
-    # the first and last columns is the one read.
-    reads = np.empty((2 * m + 1, 3), dtype=np.complex128)
+    # Columns <r|M r> and ||M r||^2, one row per shift row.  The even rows
+    # first take each base row's own products (phi_k at row 2k, psi at the
+    # last), then the centres (own_psi + own_phi_k)/2.  The real part of the
+    # last column is the one read.
+    reads = np.empty((2 * m + 1, 2), dtype=np.complex128)
     own = reads[::2]
-    np.vecdot(base, base, out=own[:, 0])
-    np.vecdot(base, h_base, out=own[:, 1])
-    np.vecdot(h_base, h_base, out=own[:, 2])
-    cross = np.empty((m, 3), dtype=np.complex128)
-    np.vecdot(psi, phi, out=cross[:, 0])  # <psi|phi_k>
-    np.vecdot(psi, h_phi, out=cross[:, 1])  # <psi|M phi_k>
-    cross[:, 1] += np.vecdot(phi, h_psi)  # <phi_k|M psi>
-    cross[:, 1] *= 0.5
-    np.vecdot(h_psi, h_phi, out=cross[:, 2])  # <M psi|M phi_k>
+    np.vecdot(base, h_base, out=own[:, 0])
+    np.vecdot(h_base, h_base, out=own[:, 1])
+    cross = np.empty((m, 2), dtype=np.complex128)
+    np.vecdot(psi, h_phi, out=cross[:, 0])  # <psi|M phi_k>
+    cross[:, 0] += np.vecdot(phi, h_psi)  # <phi_k|M psi>
+    cross[:, 0] *= 0.5
+    np.vecdot(h_psi, h_phi, out=cross[:, 1])  # <M psi|M phi_k>
     centre = own[:-1]
     centre += own[-1]
     centre *= 0.5
     _pair_rows(reads, centre, cross)
-    norm, value, second = reads.T
-    return _checked_moments(norm.real, value, second.real)
+    value, second = reads.T
+    return _moments(value, second.real)
 
 
 def _shift_row_products(base: np.ndarray, kets: np.ndarray) -> np.ndarray:

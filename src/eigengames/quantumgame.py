@@ -19,22 +19,23 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .eigengame_classical import HeavyBall, PlayerResult, SequentialResult, _parent_block, run_players
-from .errors import DegenerateParentError, NormalizationError, NumericalOverflowError, real_number, whole_number
+from .errors import DegenerateParentError, NumericalOverflowError, real_number, whole_number
 from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
     NORM_ATOL,
     AnsatzSpec,
     ParameterTensor,
     ShotModel,
+    _sweep_reads,
+    _sweep_states,
     apply_ansatz,
+    check_sweep,
     check_unit_rows,
     interference_moments,
-    parameter_shift_states,
     pauli_sum_apply,
     perturb_readouts,
     shift_rule_gradient,
     swap_test_moments,
-    sweep_reads,
 )
 
 PARENT_EIGENVALUE_GUARD = 1e-10
@@ -144,13 +145,11 @@ def _backward_read(m: PauliSum, objective: Objective) -> Read:
     M is applied to theta's row alone.  Each parameter drives one Pauli
     rotation, so d_k psi = phi_k / 2 and the gradient is Re<phi_k|g> with
     g = K psi = s*M psi + sum_j w_j <k_j|psi> k_j: one product of the
-    conjugated phi_k with g, and one with psi for the rotation guard (two
-    matrix-vector products beat one with the stacked pair on small states).
-    <psi|phi_k> is imaginary for a Pauli rotation, so a real part beyond
-    ``NORM_ATOL`` (another gate, or NaN) raises ``NormalizationError``; so
-    does an imaginary part of <psi|M psi> beyond it, with ``ValueError``, as
-    ``sweep_reads`` does.  The objective is Re<psi|g> + c and the
-    energy Re<psi|M psi>; nothing is drawn.
+    conjugated phi_k with g.  An imaginary part of <psi|M psi> beyond
+    ``NORM_ATOL`` raises ``ValueError``, as ``sweep_reads`` does.  The
+    objective is Re<psi|g> + c and the energy Re<psi|M psi>; nothing is
+    drawn.  The rows' norms and the rotation guard, Re<psi|phi_k> = 0, are
+    ``check_sweep``'s, which ``_ascend`` runs on its last sweep.
     """
     scale, kets, weights, constant, _, _ = objective
     ket_bras = kets.conj()
@@ -163,12 +162,7 @@ def _backward_read(m: PauliSum, objective: Objective) -> Read:
         if residue > NORM_ATOL:
             raise ValueError(f"expectation has imaginary residue {residue:.3e}")
         g = scale * m_psi + ((ket_bras @ psi) * weights) @ kets
-        bras = phi.conj()
-        if not np.maximum.reduce(np.abs((bras @ psi).real), initial=0.0) <= NORM_ATOL:  # a NaN fails too
-            raise NormalizationError(
-                f"parameter-shift rows have a real overlap with psi beyond {NORM_ATOL}"
-            )
-        return (bras @ g).real, float(np.vdot(psi, g).real) + constant, energy.real, residue, 0, 1
+        return (phi.conj() @ g).real, float(np.vdot(psi, g).real) + constant, energy.real, residue, 0, 1
 
     return read
 
@@ -243,13 +237,15 @@ def _shot_read(
     read-outs alone, the same normals in the same order, and no product
     with the kets, circuit moment or penalty is formed.  ``rng`` may be
     ``None`` only under an exact ``shots`` model (``perturb_readouts``).
+    The rows are read without ``check_sweep``, which ``_ascend`` runs on its
+    last sweep.
     """
     scale, kets, _, constant, _, _ = objective
     moments, penalty = circuit(objective)
     kets = kets if len(kets) else None
 
     def read(prepared: np.ndarray) -> ReadResult:
-        (mean, var, second, residue), products, applied = sweep_reads(m, prepared, kets)
+        (mean, var, second, residue), products, applied = _sweep_reads(m, prepared, kets)
         if products is None:
             reads = perturb_readouts(shots, mean, var, rng)
             value = scale * reads + constant
@@ -305,17 +301,29 @@ def _ascend(
     shot model ``_backward_read``, which applies M to theta's row alone and
     takes the gradient from one backward vector; under finite shots
     ``_shot_read``, which reads the 2m + 1 shift rows' circuits.  Each
-    iteration prepares m + 1 states in one call
-    (``parameter_shift_states``) and reads the gradient, the objective and
-    the <M> read-out on theta's row, the iteration's energy, from them: no
-    circuit is read twice.  Stops when the gradient norm
+    iteration prepares its m + 1 states in one call
+    (``quantum_sim._sweep_states``: the rows of ``parameter_shift_states``,
+    from the sweep plan on a table layout) and reads the gradient, the
+    objective and the <M> read-out on theta's row, the iteration's energy,
+    from them: no circuit is read twice.  Stops when the gradient norm
     reaches tolerance or the iteration budget runs out (partial result).
-    On either exit the final theta's state is prepared, and M applied to
-    it, once, and read as a one-row base (``sweep_reads``): the eigenvalue
-    read (the last draw of the stream), the residual and, from its products
-    with the parents, the largest parent overlap.  Every draw site adds its
-    read-outs to one count, stored with its shots at the end (0 and 0 when
-    exact), and every preparation and read its rows to the row counts.
+
+    The loop checks its invariants once per player, not per sweep: theta
+    is bound finite, the gates are Pauli rotations, and the gradient and
+    objective are tested finite on every pass, so the sweeps' unit norms
+    and the rotation guard (``check_sweep``) run on the last sweep alone,
+    after the loop and before the result is built.  A sweep that lost unit
+    norm or has a real overlap with psi still raises
+    ``NormalizationError`` before the player returns.  The public
+    ``parameter_shift_states`` and ``sweep_reads`` check every call.
+
+    On either exit the final theta's state is prepared (``apply_ansatz``,
+    which checks it), and M applied to it, once, and read as a one-row
+    base: the eigenvalue read (the last draw of the stream), the residual
+    and, from its products with the parents, the largest parent overlap.
+    Every draw site adds its read-outs to one count, stored with its shots
+    at the end (0 and 0 when exact), and every preparation and read its
+    rows to the row counts.
 
     The step is heavy-ball, vel <- beta_t vel + eta*grad and
     theta += vel, with beta_t and its restarts from ``HeavyBall``, the rule
@@ -341,7 +349,7 @@ def _ascend(
     residue_max = 0.0
     converged = False
     for _ in range(cfg.max_iterations):
-        prepared = parameter_shift_states(spec, theta)
+        prepared = _sweep_states(spec, theta)
         grad, value, energy, residue, drawn, applied = read(prepared)
         residue_max = max(residue_max, residue)
         gnorm = math.sqrt(grad @ grad)
@@ -364,9 +372,10 @@ def _ascend(
         theta = theta + vel
         steps += 1
 
+    check_sweep(prepared)
     final = apply_ansatz(spec, theta[None, :])
     final.flags.writeable = False
-    (mean, var, _, _), products, applied = sweep_reads(m, final, parents)
+    (mean, var, _, _), products, applied = _sweep_reads(m, final, parents)
     eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
     shots = 0
     if not cfg.shots.is_exact:

@@ -1,4 +1,4 @@
-"""Traced memory budgets of the dense operator layer at n = 256.
+"""Traced memory budgets of the dense operator layer at n = 256, and of the sweep plans.
 
 The probes are those of ``tools/peak_memory.py``: ``tracemalloc`` peaks of
 numpy's own allocations, so the budgets are deterministic.  A real n x n
@@ -20,6 +20,10 @@ _spec.loader.exec_module(peak_memory)
 # The code reads 2.071, 1.001 and 1.021; copying an operator before checking
 # it read 2.504 to build and 1.501 to wrap, past these budgets.
 BUDGETS = {"build": 2.25, "matrix": 1.25, "solve": 1.25}
+# MiB for H2's sweep plan and the largest table layout's (0.31 and 0.75 MiB,
+# held together).  The code reads 1.127; building the largest plan from
+# stacked copies of its blocks adds 0.75, past this budget.
+PLAN_BUDGET = 1.4
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +36,11 @@ def test_traced_peak_within_budget(peaks, name):
     assert peaks[name] <= BUDGETS[name]
 
 
-def test_tool_prints_one_row_per_size(capsys):
+def test_plan_peak_within_budget():
+    assert peak_memory.plan_peak() <= PLAN_BUDGET
+
+
+def test_tool_prints_one_row_per_size_and_the_plan_row(capsys):
     assert peak_memory.main(["peak_memory.py", "16", "32"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert [row.split()[0] for row in rows] == ["n", "16", "32"]
+    assert [row.split()[0] for row in rows] == ["n", "16", "32", "plan"]

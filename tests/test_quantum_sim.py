@@ -32,6 +32,7 @@ from eigengames.quantum_sim import (
     _shift_row_products,
     _shift_rows,
     apply_ansatz,
+    check_sweep,
     interference_moments,
     layered_ansatz,
     parameter_shift_states,
@@ -123,14 +124,33 @@ class TestApplyAnsatz:
 
     @pytest.mark.parametrize("form", ["table", "loop"])
     @pytest.mark.parametrize(
-        "theta", [[np.nan, 0.0, 0.0, 0.0], [[0.1, 0.2, 0.3, 0.4], [0.0, np.nan, 0.0, 0.0]]],
+        "theta, where", [([np.nan, 0.0, 0.0, 0.0], "0"), ([[0.1, 0.2, 0.3, 0.4], [0.0, np.nan, 0.0, 0.0]], "1, 1")],
         ids=["single", "batch-row"],
     )
-    def test_nan_parameter_rejected(self, theta, form, monkeypatch):
-        # NaN amplitudes used to come back: their NaN norms passed the check.
+    def test_nan_parameter_rejected(self, theta, where, form, monkeypatch):
+        # NaN amplitudes used to come back: their NaN norms passed the check.  The
+        # cause is now named at intake, before the symptom (a NaN state norm).
         force_preparation(monkeypatch, form)
-        with pytest.raises(NormalizationError):
+        with pytest.raises(BindingError, match=rf"^theta\[{where}\] must be finite, got nan$"):
             apply_ansatz(layered_ansatz(2, 1), np.array(theta))
+
+    @pytest.mark.parametrize("form", ["table", "loop"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_non_finite_parameter_named_before_any_preparation(self, monkeypatch, form, value, batch):
+        # An inf parameter used to reach cos and sin: NumPy's "invalid value
+        # encountered in cos", an error under the suite's warning filter.
+        def no_preparation(*args):
+            raise AssertionError("a state was prepared")
+
+        force_preparation(monkeypatch, form)
+        monkeypatch.setattr(quantum_sim, "_prepare", no_preparation)
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        theta = np.full((3, 9), 0.1) if batch else np.full(9, 0.1)
+        theta[(2, 4) if batch else 4] = value
+        where = "2, 4" if batch else "4"
+        with pytest.raises(BindingError, match=rf"^theta\[{where}\] must be finite, got {value!r}$"):
+            apply_ansatz(spec, theta)
 
 
 def force_preparation(monkeypatch, form):
@@ -294,6 +314,85 @@ class TestBatchedAnsatz:
             apply_ansatz(spec, np.zeros(spec.num_parameters))
         assert "branch_plan" in vars(at)
         assert "branch_plan" not in vars(above) and "branch_plan" not in vars(one_parameter)
+
+
+@st.composite
+def sweep_plan_layouts(draw):
+    """A layout whose sweep the plan prepares (1-3 qubits, m from 2 to the table limit, RX/RY/RZ on
+    random qubits, either initial state, with or without a CNOT ring) and a seed."""
+    q = draw(st.integers(1, 3))
+    m = draw(st.integers(2, BRANCH_TABLE_ENTRIES.bit_length() - 1 - q))
+    gates = draw(st.lists(
+        st.tuples(st.sampled_from(ROTATION_KINDS), st.integers(0, q - 1)), min_size=m, max_size=m))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=3)))
+    spec = AnsatzSpec(
+        num_qubits=q,
+        layer_rotations=tuple(tuple(gates[a:b]) for a, b in zip([0, *cuts], [*cuts, m])),
+        entangler_pairs=cnot_ring(q) if draw(st.booleans()) else (),
+        initial_state=draw(st.sampled_from(["plus", "zero"])),
+    )
+    return spec, draw(st.integers(0, 2**32 - 1))
+
+
+def loop_sweep(spec, theta):
+    """The sweep the players' loop prepares: ``quantum_sim``'s unchecked core on a bound theta."""
+    return quantum_sim._sweep_states(spec, spec.bind(theta))
+
+
+class TestSweepPlan:
+    """The m + 1 rows of the loop's sweep, from one weight row and the sweep plan, against the
+    gate-by-gate reference and against preparing every shifted parameter row."""
+
+    @given(sweep_plan_layouts())
+    @settings(max_examples=60, deadline=None)
+    def test_plan_rows_match_the_reference_and_the_shifted_rows(self, layout):
+        spec, seed = layout
+        m = spec.num_parameters
+        theta = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, m)
+        sweep = loop_sweep(spec, theta)
+        assert "sweep_plan" in vars(spec)
+        assert sweep.shape == (m + 1, 2**spec.num_qubits)
+        # parameter_shift_states: apply_ansatz on the m + 1 shifted parameter rows.
+        assert np.max(np.abs(sweep - parameter_shift_states(spec, theta))) <= 1e-14
+        for row, point in zip(sweep, theta + np.pi * np.eye(m + 1, m)):
+            assert np.max(np.abs(row - per_gate_ansatz(spec, point))) <= 1e-12
+
+    @given(sweep_plan_layouts())
+    @settings(max_examples=30, deadline=None)
+    @example((layered_ansatz(8, 2), 0))  # the benchmark's wide layout, a gate-loop layout at any setting
+    @example((AnsatzSpec(2, ((("RY", 0),),), cnot_ring(2)), 1))  # one parameter
+    def test_gate_loop_sweeps_are_the_shifted_rows_bit_for_bit(self, layout):
+        spec, seed = layout
+        theta = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, spec.num_parameters)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_preparation(monkeypatch, "loop")
+            assert np.array_equal(loop_sweep(spec, theta), parameter_shift_states(spec, theta))
+        assert "sweep_plan" not in vars(spec) and "branch_plan" not in vars(spec)
+
+    def test_sweep_plan_built_once_and_read_only(self):
+        # Block k of row S is -+psi_{S xor k}, minus when k is in S; block m is psi_S.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        plan = spec.sweep_plan
+        _, table = spec.branch_plan
+        loop_sweep(spec, np.zeros(9))
+        assert spec.sweep_plan is plan
+        assert not plan.flags.writeable and plan.flags.c_contiguous
+        assert plan.shape == (2**9, 10 * 4)
+        blocks = plan.reshape(2**9, 10, 4)
+        assert np.array_equal(blocks[:, 9], table)
+        rows = np.arange(2**9)
+        for k in range(9):
+            bit = 1 << (8 - k)
+            sign = np.where(rows & bit, -1.0, 1.0)[:, None]
+            assert np.array_equal(blocks[:, k], sign * table[rows ^ bit])
+
+    def test_public_sweep_binds_theta(self):
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        with pytest.raises(BindingError, match="spec has 9 parameters"):
+            parameter_shift_states(spec, np.zeros(8))
+        with pytest.raises(BindingError, match=r"^theta\[2\] must be finite, got inf$"):
+            parameter_shift_states(spec, np.array([0.0, 0.0, np.inf, *[0.0] * 6]))
+        assert "branch_plan" not in vars(spec)  # rejected before any table is built
 
 
 def random_pauli_sum(num_qubits, num_terms, rng):
@@ -910,25 +1009,58 @@ class TestParameterShiftStates:
         }
         assert kinds == {"RX", "RY", "RZ"}
 
-    def test_real_overlap_rejected(self):
+    def test_real_overlap_rejected(self, monkeypatch):
         # A gate that is not a Pauli rotation leaves phi_k with a real overlap
-        # with psi, and the shift rows lose unit norm.
+        # with psi, and the shift rows lose unit norm.  The check runs on the
+        # base (``check_sweep``), before ``sweep_reads`` applies M.
+        def no_apply(*args):
+            raise AssertionError("M was applied")
+
         rng = np.random.default_rng(3)
         psi = random_state(2, rng)
         phi = np.array([1j * psi, (psi + random_state(2, rng)) / 2.0])
         phi[1] /= np.linalg.norm(phi[1])
         base = np.vstack((phi, psi))
-        with pytest.raises(NormalizationError):
-            _shift_row_moments(base, base)
+        monkeypatch.setattr(quantum_sim, "pauli_sum_apply", no_apply)
+        for check in (lambda: check_sweep(base), lambda: sweep_reads(PauliSum(2, ((1.0, "ZX"),)), base, None)):
+            with pytest.raises(NormalizationError, match="real overlap with psi"):
+                check()
         # i*psi: imaginary overlap.  With M = I each row's <M> is its squared norm.
+        check_sweep(base[[0, 2]])
         mean, _, _, _ = _shift_row_moments(base[[0, 2]], base[[0, 2]])
         assert np.allclose(mean, 1.0, rtol=0.0, atol=1e-12)
 
     def test_nan_row_rejected(self):
         base = np.array([[1j, 0.0], [1.0, 0.0]], dtype=complex)
         base[0, 1] = np.nan
-        with pytest.raises(NormalizationError):
-            _shift_row_moments(base, base)
+        with pytest.raises(NormalizationError, match="^prepared state must be unit norm"):
+            check_sweep(base)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("row", [0, 9], ids=["phi_0", "psi"])
+    def test_non_finite_amplitude_named_before_m_is_applied(self, monkeypatch, value, row):
+        # An inf amplitude used to reach pauli_sum_apply: NumPy's "invalid value
+        # encountered in multiply", an error under the suite's warning filter.
+        def no_apply(*args):
+            raise AssertionError("M was applied")
+
+        h = load_pauli_sum(bundled_h2_path())
+        base = parameter_shift_states(random_layers_ansatz(2, 3, 3, seed=11), np.full(9, 0.3))
+        base[row, 1] = value
+        monkeypatch.setattr(quantum_sim, "pauli_sum_apply", no_apply)
+        with pytest.raises(NormalizationError, match=rf"^prepared state must be unit norm within 1e-10, off by "
+                                                     rf"{'nan' if np.isnan(value) else 'inf'}$"):
+            sweep_reads(h, base, np.eye(1, 4))
+
+    def test_shift_row_norm_rule(self):
+        # Base rows and Re<psi|phi> each within NORM_ATOL, yet the shift row
+        # (psi + phi)/sqrt(2) off unit norm by about 1.35 NORM_ATOL.
+        d = 0.9 * NORM_ATOL
+        psi = np.array([1.0 + d, 0.0], dtype=complex)
+        phi = np.array([d, 1j * (1.0 + d)])
+        with pytest.raises(NormalizationError, match="^parameter-shift row must be unit norm within 1e-10, off by 1.3"):
+            check_sweep(np.array([phi, psi]))
+        check_sweep(np.array([phi / (1.0 + d), psi / (1.0 + d)]))
 
     def test_cross_term_imaginary_part_raises(self):
         # psi = |0> and phi = i|1>, with M psi = 0 and M phi = c|0>: <psi|M psi> and
@@ -958,11 +1090,13 @@ class TestParameterShiftStates:
         assert rows.shape == (3, 4)
         assert np.max(np.abs(rows - rebuild_shift_rows(base, base)[0])) <= 1e-15
         assert np.allclose(_built_row_moments(rows, rows)[0], 1.0, rtol=0.0, atol=1e-12)
+        # The explicit form's read of a base that lost unit norm raises before M is applied.
+        explicit = PauliSum(2, ((1.0, "ZX"),))
+        assert sweep_reads(explicit, base, None)[2] == 3
         phi = (psi + random_state(2, rng)) / 2.0
         for bad in (phi / np.linalg.norm(phi), np.full(4, np.nan)):
-            rows = _shift_rows(np.array([bad, psi]))
             with pytest.raises(NormalizationError):
-                _built_row_moments(rows, rows)
+                sweep_reads(explicit, np.array([bad, psi]), None)
         base = np.array([[0.0, 1j], [1.0, 0.0]])
         for scale, raises in ((1.0, False), (4.0, True)):
             h_rows = _shift_rows(np.array([[scale * 1j * NORM_ATOL, 0.0], [0.0, 0.0]]))

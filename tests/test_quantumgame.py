@@ -47,6 +47,7 @@ from eigengames.quantum_sim import (
     ShotModel,
     StateVector,
     apply_ansatz,
+    check_sweep,
     layered_ansatz,
     parameter_shift_states,
     pauli_sum_apply,
@@ -261,7 +262,7 @@ class TestQuantumGamePlayer:
         margin = quantumgame.MIN_MODE_SHIFT_MARGIN
         assert margin >= 2.0 * quantumgame.RANGE_RESIDUAL_TOL * max(-lo, hi)  # H2's margin is the floor
         eigenvalue = hi + margin + excess if direction == "minimize" else lo - margin - excess
-        monkeypatch.setattr(quantumgame, "parameter_shift_states", no_sweep)
+        monkeypatch.setattr(quantumgame, "_sweep_states", no_sweep)
         cfg = SolverConfig(direction=direction, max_iterations=3)
         with pytest.raises(DegenerateParentError, match="not positive"):
             quantumgame_player(h2, spec, np.zeros(9), states, [eigenvalue], cfg)
@@ -307,7 +308,7 @@ class TestParentOperands:
         def fail(*args):
             raise AssertionError("a sweep ran")
 
-        monkeypatch.setattr(quantumgame, "parameter_shift_states", fail)
+        monkeypatch.setattr(quantumgame, "_sweep_states", fail)
 
     @pytest.mark.parametrize("row", [np.ones(4), np.array([0.5, 0.5, 0.5, np.nan])], ids=["norm_2", "nan"])
     @pytest.mark.parametrize("player", list(PLAYERS))
@@ -818,17 +819,80 @@ class TestShiftedObjective:
             assert abs(energy - want_energy) <= 1e-12
             assert residue <= NORM_ATOL and drawn == 0 and applied == 1
 
-    def test_exact_read_rejects_a_real_overlap(self):
-        # A gate that is not a Pauli rotation leaves phi_k with a real overlap with psi.
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    @pytest.mark.parametrize("fault, message", [
+        ("real-overlap", "real overlap with psi"),
+        ("norm", "^prepared state must be unit norm"),
+    ])
+    def test_a_faulty_sweep_raises_before_the_player_returns(self, monkeypatch, player, shots, fault, message):
+        # A gate that is not a Pauli rotation leaves phi_k with a real overlap
+        # with psi; a lost norm scales the rows.  The loop reads its sweeps
+        # unchecked and checks the last one before the result is built.
+        sweep = quantumgame._sweep_states
+
+        def faulty(spec, theta):
+            rows = sweep(spec, theta)
+            if fault == "norm":
+                return rows * (1.0 + 1e-6)
+            rows[0] = np.sqrt(1.0 - 1e-12) * rows[0] + 1e-6 * rows[-1]
+            return rows
+
+        def no_result(*args, **kwargs):
+            raise AssertionError("a result was built")
+
+        monkeypatch.setattr(quantumgame, "_sweep_states", faulty)
+        monkeypatch.setattr(quantumgame, "PlayerResult", no_result)
+        cfg = SolverConfig(direction="minimize", beta=5.0, max_iterations=3, shots=ShotModel(shots, rng_seed=1))
+        with pytest.raises(NormalizationError, match=message):
+            player(load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 3, 3, seed=11), np.full(9, 0.3),
+                   (), (), cfg)
+
+    def test_exact_read_takes_an_imaginary_overlap(self):
+        # i*psi: <psi|phi> imaginary, as a Pauli rotation gives.
         rng = np.random.default_rng(3)
         psi = apply_ansatz(random_layers_ansatz(2, 1, 2, seed=1), rng.uniform(-np.pi, np.pi, 2)).amplitudes
         objective = quantumgame.Objective(1.0, np.zeros((0, 4)), np.zeros(0), 0.0, 0.0)
         read = quantumgame._backward_read(PauliSum(2, ((1.0, "ZX"),)), objective)
         rotated = np.array([1j * psi, psi])
+        check_sweep(rotated)
         assert read(rotated)[0].shape == (1,)
-        for phi in ((psi + 1j * psi) / np.sqrt(2.0), np.full(4, np.nan)):
-            with pytest.raises(NormalizationError):
-                read(np.array([phi, psi]))
+
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("player", [quantumgame_player, vqd_player], ids=["game", "vqd"])
+    def test_the_loop_checks_its_sweeps_once_per_player(self, monkeypatch, player, shots):
+        # The unit-norm rule and the rotation guard run on the last sweep alone:
+        # the calls are the same for a 2- and a 12-iteration player.
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((quantum_sim, "check_unit_rows"), (quantumgame, "check_unit_rows"),
+                             (quantum_sim, "unit_norm"), (quantumgame, "check_sweep")):
+            counting(module, name)
+        h, spec = load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 3, 3, seed=11)
+        parents = make_parents(h, spec, [np.full(9, 0.4)])
+        seen = {}
+        for budget in (2, 12):
+            calls.clear()
+            cfg = SolverConfig(direction="minimize", beta=5.0, grad_tolerance=1e-9, max_iterations=budget,
+                               shots=ShotModel(shots, rng_seed=1))
+            result = player(h, spec, np.full(9, 0.3), *parents, cfg)
+            assert len(result.energy_history) == budget
+            seen[budget] = list(calls)
+        # The parents' check, the last sweep's check (its rows, then its shift
+        # rows) and the final state's, each through the one unit-norm rule.
+        assert seen[2] == seen[12] == [
+            "check_unit_rows", "unit_norm", "check_sweep", "check_unit_rows", "unit_norm", "unit_norm",
+            "check_unit_rows", "unit_norm",
+        ]
 
     @staticmethod
     def count_layout(layout):
@@ -908,18 +972,24 @@ class TestShiftedObjective:
             h, spec, [rng.uniform(-np.pi, np.pi, spec.num_parameters) for _ in range(num_parents)]
         )
         prepared, applied = [], []
-        prepare, apply = quantum_sim.apply_ansatz, quantum_sim.pauli_sum_apply
+        apply = quantum_sim.pauli_sum_apply
 
-        def recording_prepare(spec, theta):
-            prepared.append(np.shape(theta))
-            return prepare(spec, theta)
+        def recording(prepare):
+            def recording_prepare(spec, theta):
+                states = prepare(spec, theta)
+                prepared.append((len(states), np.shape(theta)))
+                return states
+
+            return recording_prepare
 
         def recording_apply(op, amps):
             applied.append(np.shape(amps))
             return apply(op, amps)
 
-        monkeypatch.setattr(quantum_sim, "apply_ansatz", recording_prepare)
-        monkeypatch.setattr(quantumgame, "apply_ansatz", recording_prepare)
+        # The loop prepares each sweep through the sweep core, from theta alone,
+        # and the final state through apply_ansatz.
+        monkeypatch.setattr(quantumgame, "_sweep_states", recording(quantumgame._sweep_states))
+        monkeypatch.setattr(quantumgame, "apply_ansatz", recording(quantumgame.apply_ansatz))
         monkeypatch.setattr(quantum_sim, "pauli_sum_apply", recording_apply)
         monkeypatch.setattr(quantumgame, "pauli_sum_apply", recording_apply)
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=3, beta=5.0,
@@ -932,7 +1002,7 @@ class TestShiftedObjective:
         # prepares one row and applies M to it after the loop.
         parent_block = [(num_parents, dim)] if player is quantumgame_player and num_parents else []
         batch = 1 if shots is None else shot_rows
-        assert prepared == [(m + 1, m)] * iterations + [(1, m)]
+        assert prepared == [(m + 1, (m,))] * iterations + [(1, (1, m))]
         assert applied == parent_block + [(batch, dim)] * iterations + [(1, dim)]
         assert state.prepared_rows == sum(rows for rows, _ in prepared) == 3 * (m + 1) + 1
         parent_rows = num_parents if parent_block else 0
@@ -971,13 +1041,16 @@ class TestStatePreparations:
         calls = []
         original = quantum_sim.apply_ansatz
 
-        def counting(spec, theta):
-            calls.append(1)
-            return original(spec, theta)
+        def counting(prepare):
+            def counting_prepare(spec, theta):
+                calls.append(1)
+                return prepare(spec, theta)
 
-        # The sweep prepares in quantum_sim; the final state is prepared in quantumgame.
-        monkeypatch.setattr(quantum_sim, "apply_ansatz", counting)
-        monkeypatch.setattr(quantumgame, "apply_ansatz", counting)
+            return counting_prepare
+
+        # The loop prepares each sweep through the sweep core and the final state through apply_ansatz.
+        monkeypatch.setattr(quantumgame, "_sweep_states", counting(quantumgame._sweep_states))
+        monkeypatch.setattr(quantumgame, "apply_ansatz", counting(original))
         cfg = SolverConfig(direction="maximize", grad_tolerance=tolerance, max_iterations=budget,
                            shots=ShotModel(shots, rng_seed=2), **extra)
         result = runner(DIAG_3120, layered_ansatz(2, 2), cfg, 2, seed=0)
@@ -1511,8 +1584,8 @@ def prepared_with_norm(norm):
 UNIT_NORM_SITES = {
     "StateVector": (lambda r: StateVector(1, np.array([r, 0.0])), NormalizationError, "state", NORM_ATOL),
     "apply_ansatz": (prepared_with_norm, NormalizationError, "prepared state", NORM_ATOL),
-    "_checked_moments": (lambda r: quantum_sim._checked_moments(np.array([r * r]), np.zeros(1, complex), np.zeros(1)),
-                         NormalizationError, "parameter-shift row", NORM_ATOL),
+    "sweep_reads": (lambda r: sweep_reads(DIAG_3210, np.array([[r, 0.0, 0.0, 0.0]], dtype=complex), None),
+                    NormalizationError, "prepared state", NORM_ATOL),
     "quantumgame_player.parent_states": (
         lambda r: quantumgame_player(DIAG_3210, layered_ansatz(2, 1), np.zeros(4), [[r, 0.0, 0.0, 0.0]], [3.0],
                                      SolverConfig(direction="minimize", max_iterations=1)),
@@ -1661,7 +1734,7 @@ class TestInputValidation:
         def no_preparation(*args):
             raise AssertionError("a state was prepared")
 
-        monkeypatch.setattr(quantumgame, "parameter_shift_states", no_preparation)
+        monkeypatch.setattr(quantumgame, "_sweep_states", no_preparation)
         monkeypatch.setattr(quantumgame, "apply_ansatz", no_preparation)
         theta = np.full(9, 0.1)
         theta[3] = value
@@ -1676,7 +1749,7 @@ class TestInputValidation:
         def no_preparation(*args):
             raise AssertionError("a state was prepared")
 
-        monkeypatch.setattr(quantumgame, "parameter_shift_states", no_preparation)
+        monkeypatch.setattr(quantumgame, "_sweep_states", no_preparation)
         monkeypatch.setattr(quantumgame, "apply_ansatz", no_preparation)
         cfg = SolverConfig(direction="minimize", beta=5.0, shots=shots)
         with pytest.raises(ValueError, match="no parameters"):

@@ -1,4 +1,4 @@
-"""Per-call times of the two forms of a sweep read and of a state preparation, against the rules that pick one.
+"""Per-call times of the two forms of a sweep read and of a sweep's preparation, against the rules that pick one.
 
 ``quantum_sim.sweep_reads`` reads a sweep's 2m + 1 shift rows either from M
 on the m + 1 prepared rows and their products (a) or from M on the 2m + 1
@@ -11,15 +11,17 @@ are a transverse-field Ising ring and a random 32-term sum at 2-6 qubits,
 each on a two-layer ``layered_ansatz`` (m = 4q), and the benchmark's
 ``h2`` and ``wide`` solves.
 
-A second table does the same for ``quantum_sim.apply_ansatz``: for
-``random_layers_ansatz`` layouts at q = 1-4 qubits, one-layer ones with m on
-both sides of the size rule and three-layer ones (H2's shape: three layers of
-r rotations, each followed by a CNOT ring) at 2**11 to 2**14 entries, the
-median per-call time of preparing a sweep's m + 1 rows by the gate loop and
-from the branch table, next to 2**m * 2**q and the form ``apply_ansatz``
-picks: the table when m >= 2 and 2**m * 2**q is at most
-``quantum_sim.BRANCH_TABLE_ENTRIES``.  This is the table the constant is set
-from.  Run::
+A second table does the same for the sweep the players' loop prepares
+(``quantum_sim._sweep_states``): for ``random_layers_ansatz`` layouts at
+q = 1-4 qubits, one-layer ones with m on both sides of the size rule and
+three-layer ones (H2's shape: three layers of r rotations, each followed by
+a CNOT ring) at 2**11 to 2**14 entries, the median per-call time of
+preparing a sweep's m + 1 rows by the gate loop on the m + 1 shifted
+parameter rows and from the sweep plan (``AnsatzSpec.sweep_plan``) with one
+weight row, next to 2**m * 2**q and the form the loop picks: the plan when
+m >= 2 and 2**m * 2**q is at most ``quantum_sim.BRANCH_TABLE_ENTRIES``,
+the rule ``apply_ansatz`` picks its branch table by.  This is the table the
+constant is checked against.  Run::
 
     PYTHONPATH=src python tools/shot_read_crossover.py [repeats]
 
@@ -101,10 +103,16 @@ def per_call(call, repeats: int) -> float:
     return statistics.median(timeit.repeat(call, number=number, repeat=repeats)) / number
 
 
-def gate_loop(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
-    """The gate loop's (B, 2**q) states, as ``apply_ansatz`` runs it."""
-    half = rows.T / 2.0
+def gate_loop(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
+    """A gate-loop layout's sweep: the gate loop on the m + 1 shifted rows, as ``_sweep_states`` runs it."""
+    half = quantum_sim._shifted_rows(theta).T / 2.0
     return np.ascontiguousarray(quantum_sim._gate_loop(spec, np.cos(half), np.sin(half)).T)
+
+
+def sweep_plan(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
+    """A table layout's sweep: the sweep plan summed with theta's branch weights, as ``_sweep_states`` runs it."""
+    index, _ = spec.branch_plan
+    return quantum_sim._table_sum(index, spec.sweep_plan, theta).reshape(len(theta) + 1, -1)
 
 
 def preparation_layouts() -> list[tuple[int, int, int]]:
@@ -117,21 +125,21 @@ def preparation_layouts() -> list[tuple[int, int, int]]:
 
 def preparation_table(repeats: int) -> None:
     rng = np.random.default_rng(2)
-    print(f"{'q':>3}{'L':>3}{'m':>4}{'2^m*2^q':>9}{'loop us':>10}{'table us':>10}{'table/loop':>12}  pick")
+    print(f"{'q':>3}{'L':>3}{'m':>4}{'2^m*2^q':>9}{'loop us':>10}{'plan us':>10}{'plan/loop':>11}  pick")
     for q, num_layers, per_layer in preparation_layouts():
         m = num_layers * per_layer
         spec = random_layers_ansatz(q, num_layers, per_layer, seed=per_layer)
-        rows = rng.uniform(-np.pi, np.pi, (m + 1, m))
-        spec.branch_plan  # built once per layout, outside the timing
-        loop = per_call(lambda: gate_loop(spec, rows), repeats)
-        table = per_call(lambda: quantum_sim._branch_sum(spec, rows), repeats)
-        # A fresh layout, to see which form builds its table.
+        theta = rng.uniform(-np.pi, np.pi, m)
+        spec.sweep_plan  # built once per layout, outside the timing
+        loop = per_call(lambda: gate_loop(spec, theta), repeats)
+        plan = per_call(lambda: sweep_plan(spec, theta), repeats)
+        # A fresh layout, to see which form builds its plan.
         spec = random_layers_ansatz(q, num_layers, per_layer, seed=per_layer)
-        quantum_sim.apply_ansatz(spec, rows)
-        pick = "table" if "branch_plan" in vars(spec) else "loop"
-        print(f"{q:>3}{num_layers:>3}{m:>4}{2 ** (m + q):>9}{loop * 1e6:>10.1f}{table * 1e6:>10.1f}"
-              f"{table / loop:>12.2f}  {pick}")
-    print(f"rule: the table when m >= 2 and 2^m*2^q <= quantum_sim.BRANCH_TABLE_ENTRIES = "
+        quantum_sim._sweep_states(spec, theta)
+        pick = "plan" if "sweep_plan" in vars(spec) else "loop"
+        print(f"{q:>3}{num_layers:>3}{m:>4}{2 ** (m + q):>9}{loop * 1e6:>10.1f}{plan * 1e6:>10.1f}"
+              f"{plan / loop:>11.2f}  {pick}")
+    print(f"rule: the plan when m >= 2 and 2^m*2^q <= quantum_sim.BRANCH_TABLE_ENTRIES = "
           f"{quantum_sim.BRANCH_TABLE_ENTRIES}")
 
 
