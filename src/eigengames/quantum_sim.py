@@ -1,31 +1,29 @@
 """Dense statevector simulation: ansatz circuits, Pauli expectations, shot noise,
 parameter-shift states, and the two inner-product circuits' read-outs.
 
-Ansatz states are prepared in batches, one row per parameter vector, in one
-of two forms picked by the layout's size alone.  A small layout sums its
-branch table (``AnsatzSpec.branch_plan``): every parameter drives one Pauli
-rotation, so a state is a fixed combination of 2**m branch states weighted
-by products of cos(theta_k/2) and sin(theta_k/2).  Any other layout runs its
-gate loop from its cached gate plan (``AnsatzSpec.gate_plan``).  The state
-is a product until the first CNOT ring, so the loop runs the first layer on
-the initial state's per-qubit factors (``AnsatzSpec.initial_factors``), and
-the rest one gate at a time on the amplitudes.  ``BRANCH_TABLE_ENTRIES``
-says how small; the tests check both forms against a gate-by-gate oracle
-and the table against the gate loop.  Pauli sums apply through their
-compiled form (``PauliSum.compiled``).
+Ansatz states are prepared in batches, one row per parameter vector, by the
+layout's gate loop from its cached gate plan (``AnsatzSpec.gate_plan``).  The
+state is a product until the first CNOT ring, so the loop runs the first
+layer on the initial state's per-qubit factors (``AnsatzSpec.initial_factors``),
+and the rest one gate at a time on the amplitudes.  Pauli sums apply through
+their compiled form (``PauliSum.compiled``).
 A parameter-shift sweep is m + 1 states, psi(theta + pi e_k) for k < m and
-psi(theta).  ``parameter_shift_states`` prepares each from its own parameter
-row.  The players' loop prepares the same sweep from theta's branch weights
-alone: the shift by pi swaps each factor's cos and sin, up to a sign, so on
-a table layout every shifted state is the branch table with one bit of its
-row index flipped and its rows signed, and the sweep plan
-(``AnsatzSpec.sweep_plan``) holds all m + 1 of those tables side by side.
-A gate-loop layout's sweep runs its gate loop on the m + 1 shifted rows, as
-``parameter_shift_states`` does.  The public entry points check every call:
-``apply_ansatz`` and ``parameter_shift_states`` bind their parameters
-finite and their states to unit norm, and ``sweep_reads`` checks its base
-(``check_sweep``) before M is applied.  The players' loop checks those
-invariants once per player, on its last sweep.
+psi(theta), and ``parameter_shift_states`` and the players' loop prepare it
+through one core, ``_sweep_states``.  Every parameter drives one Pauli
+rotation, so a state is a fixed combination of 2**m branch states weighted by
+products of cos(theta_k/2) and sin(theta_k/2); the shift by pi swaps each
+factor's cos and sin, up to a sign, so every shifted state is the branch
+table with one bit of its row index flipped and its rows signed.  A small
+layout's sweep plan (``AnsatzSpec.sweep_plan``) holds all m + 1 of those
+tables side by side, and its sweep is summed from theta's branch weights
+alone; ``BRANCH_TABLE_ENTRIES`` says how small.  Any other layout's sweep
+runs the gate loop on the m + 1 shifted rows.  The tests check the plan
+against a gate-by-gate oracle and against the gate loop.  The public entry
+points check every call: ``apply_ansatz`` binds its parameters finite and its
+states to unit norm, ``parameter_shift_states`` binds theta and checks its
+sweep (``check_sweep``), and ``sweep_reads`` checks its base the same way
+before M is applied.  The players' loop checks those invariants once per
+player, on its last sweep.
 ``sweep_reads`` reads the 2m + 1 shift rows a sweep stands for, in one of two
 forms that give the same reads to rounding.  The products form applies M
 to the m + 1 prepared rows and forms every read from their products, with
@@ -90,14 +88,14 @@ def check_unit_rows(name: str, amplitudes: np.ndarray) -> None:
 # the 8-qubit ``wide`` sum (253 952) does not.
 EXPLICIT_SHIFT_ROWS_WORK = 4096
 
-# ``apply_ansatz`` sums the branch table of a layout with m >= 2 parameters
-# when the table holds at most this many amplitudes, 2**m * 2**q, and the
-# players' loop sums the same layouts' sweep plans; larger layouts run the
-# gate loop.  The table's products grow with 2**m while the loop's array
-# calls grow with m, and the preparation tables of
-# ``tools/shot_read_crossover.py`` (in CHANGES.md) put the crossover at
-# about this size.  H2's 9-parameter layout (2048) sums its table, the
-# 32-parameter 8-qubit ``wide`` layout (2**40) runs the loop.
+# A layout with m >= 2 parameters prepares its parameter-shift sweeps from its
+# sweep plan when its branch table holds at most this many amplitudes,
+# 2**m * 2**q; larger layouts run the gate loop on the m + 1 shifted rows.
+# The plan's products grow with 2**m while the loop's array calls grow with
+# m, and the preparation table of ``tools/shot_read_crossover.py`` (in
+# CHANGES.md) puts the crossover at about this size.  H2's 9-parameter layout
+# (2048) sums its plan, the 32-parameter 8-qubit ``wide`` layout (2**40) runs
+# the loop.
 BRANCH_TABLE_ENTRIES = 4096
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
@@ -213,15 +211,24 @@ class AnsatzSpec:
         return phases, layers
 
     @cached_property
-    def branch_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only branch table and the factor index of its weights, built once per layout.
+    def sweep_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only factor index and (2**m, (m+1) * 2**q) sweep plan, built once per layout.
 
         Each rotation is cos(theta_k/2) I - i sin(theta_k/2) P_k, so
-        psi(theta) = sum_S prod_{k in S} sin(theta_k/2) prod_{k not in S} cos(theta_k/2) psi_S,
+        psi(theta) = sum_S w_S(theta) psi_S with branch weights
+        w_S = prod_{k in S} sin(theta_k/2) prod_{k not in S} cos(theta_k/2),
         where psi_S is the layout's state with theta_k = pi for k in S and 0
-        otherwise.  ``table`` (2**m, 2**q) holds psi_S at row S, parameter k
-        at bit m - 1 - k.  The gate loop builds it with every cos and sin 0 or
-        1, so each entry is exact: 0, or +-1 or +-i times an initial amplitude.
+        otherwise, parameter k at bit m - 1 - k of S.  The gate loop builds
+        the branch table of every psi_S with every cos and sin 0 or 1, so
+        each entry is exact: 0, or +-1 or +-i times an initial amplitude.
+
+        cos((t + pi)/2) = -sin(t/2) and sin((t + pi)/2) = cos(t/2), so the
+        shifted state phi_k = psi(theta + pi e_k) is sum_S w_S(theta) c_k(S) psi_{S xor k},
+        with c_k(S) = -1 when k is in S.  Row S of ``plan`` holds
+        c_k(S) psi_{S xor k} in block k < m and psi_S in block m, so the
+        branch weights of theta alone give the whole sweep
+        phi_0, ..., phi_{m-1}, psi.  Every entry is a signed copy of a table
+        entry, written in place block by block.
 
         The weights factor over the halves of the parameters, 0..l-1 and
         l..m-1 with l = m // 2: the weight of row S is the product of the two
@@ -239,25 +246,7 @@ class AnsatzSpec:
         # Factor k of an entry is cos_k, or sin_k at m + k where the entry's bit for k is set.
         index[:low, : 2**low] = np.arange(low)[:, None] + m * _branch_bits(low)
         index[:, 2**low :] = np.arange(low, m)[:, None] + m * _branch_bits(high)
-        table.flags.writeable = False
-        index.flags.writeable = False
-        return index, table
-
-    @cached_property
-    def sweep_plan(self) -> np.ndarray:
-        """Read-only (2**m, (m+1) * 2**q) sweep plan, built once per layout from its branch table.
-
-        cos((t + pi)/2) = -sin(t/2) and sin((t + pi)/2) = cos(t/2), so the
-        shifted state phi_k = psi(theta + pi e_k) is sum_S w_S(theta) c_k(S) psi_{S xor k},
-        with w_S the branch weights of theta itself and c_k(S) = -1 when k is
-        in S.  Row S holds c_k(S) psi_{S xor k} in block k < m and psi_S in
-        block m, so the branch weights of theta alone give the whole sweep
-        phi_0, ..., phi_{m-1}, psi.  Every entry is a signed copy of a table
-        entry, written in place block by block.
-        """
-        _, table = self.branch_plan
         branches, dim = table.shape
-        m = branches.bit_length() - 1
         plan = np.empty((branches, m + 1, dim), dtype=np.complex128)
         for k in range(m):
             # Parameter k's bit splits the rows into halves: a row without it
@@ -268,8 +257,9 @@ class AnsatzSpec:
             np.negative(halves[:, 0], out=rows[:, 1, :, k])
         plan[:, m] = table
         plan = plan.reshape(branches, -1)
+        index.flags.writeable = False
         plan.flags.writeable = False
-        return plan
+        return index, plan
 
     @cached_property
     def initial_factors(self) -> np.ndarray:
@@ -393,26 +383,23 @@ def _check_finite(values: np.ndarray) -> None:
 
 
 def _sums_table(spec: AnsatzSpec, m: int) -> bool:
-    """Whether a layout of m parameters prepares from its branch table: m >= 2 and 2**m * 2**q at most
-    ``BRANCH_TABLE_ENTRIES``; any other runs the gate loop."""
+    """Whether a layout of m parameters prepares its sweeps from its sweep plan: m >= 2 and 2**m * 2**q
+    at most ``BRANCH_TABLE_ENTRIES``; any other runs the gate loop."""
     return m >= 2 and 2 ** (m + spec.num_qubits) <= BRANCH_TABLE_ENTRIES
 
 
 def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> StateVector | np.ndarray:
-    """Prepare |psi(theta)> from the layout's initial state.
+    """Prepare |psi(theta)> from the layout's initial state by its gate loop.
 
     A flat parameter vector gives a ``StateVector``.  A (B, m) array
     prepares B states in one pass and gives their (B, 2**q) amplitudes, row
     b from parameter row b, B = 0 included; the single-vector call is the
-    B = 1 case, bit for bit.  A layout with m >= 2 parameters and at most
-    ``BRANCH_TABLE_ENTRIES`` amplitudes 2**m * 2**q in its branch table sums
-    that table (``AnsatzSpec.branch_plan``); any other runs the gate loop,
-    its first layer (every layer, without a CNOT ring) on per-qubit factors
-    and the rest one gate at a time.  The tests hold both forms to a
-    gate-by-gate oracle and to each other.  A parameter array of the wrong
-    shape, or with a NaN or inf entry (named by its index, as
-    ``AnsatzSpec.bind`` names it), raises ``BindingError`` before any table
-    is built, and every row must keep unit norm to ``NORM_ATOL``
+    B = 1 case, bit for bit.  The loop runs its first layer (every layer,
+    without a CNOT ring) on per-qubit factors and the rest one gate at a
+    time; the tests hold it to a gate-by-gate oracle.  A parameter array of
+    the wrong shape, or with a NaN or inf entry (named by its index, as
+    ``AnsatzSpec.bind`` names it), raises ``BindingError`` before any state
+    is prepared, and every row must keep unit norm to ``NORM_ATOL``
     (``check_unit_rows``) or ``NormalizationError`` is raised.
     """
     values = np.asarray(theta, dtype=np.float64)
@@ -428,41 +415,31 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
 
 
 def _prepare(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
-    """The (B, 2**q) states of (B, m) finite parameter rows, unchecked: the branch table or the gate loop."""
-    if _sums_table(spec, rows.shape[1]):
-        index, table = spec.branch_plan
-        return _table_sum(index, table, rows)
+    """The (B, 2**q) states of (B, m) finite parameter rows by the gate loop, unchecked."""
     half = rows.T / 2.0
     return np.ascontiguousarray(_gate_loop(spec, np.cos(half), np.sin(half)).T)
 
 
-def _table_sum(index: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The (B, D) sums over a (2**m, D) table of the branch weights of (B, m) parameter rows; one (m,) row gives (D,).
+def _table_sum(index: np.ndarray, plan: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The (m+1, 2**q) sweep of an (m,) theta: the sum over the sweep plan of theta's branch weights.
 
-    ``table`` is the branch table (D = 2**q) or the sweep plan
-    (D = (m+1) * 2**q), and ``index`` the factor index of
-    ``AnsatzSpec.branch_plan``.  One gather and one product give both
-    halves' Kronecker rows of weights; the first half's row then sums over
-    the table's high bits and the second half's over its low bits.  The
-    weights are real, so both products run on the table's float64 view.
-    A batch is a stack of one-row products, so a row's result does not
-    depend on the batch it came in.
+    ``index`` and ``plan`` are ``AnsatzSpec.sweep_plan``.  One gather and one
+    product give both halves' Kronecker rows of weights; the first half's
+    row then sums over the plan's high bits and the second half's over its
+    low bits.  The weights are real, so both products run on the plan's
+    float64 view.
     """
-    *batch, m = rows.shape
-    width, low = table.shape[1], m // 2
-    half = rows / 2.0
-    factors = np.empty((*batch, 2 * m + 1))
-    np.cos(half, out=factors[..., :m])
-    np.sin(half, out=factors[..., m:-1])
-    factors[..., -1] = 1.0
-    weights = factors.take(index, axis=-1).prod(axis=-2)
-    if batch:
-        # (B, 1, 2**l + 2**(m-l)); a reshape, unlike a new axis, keeps each row's products on BLAS.
-        # Every size explicit, so that an empty batch reshapes too.
-        weights = weights.reshape(*batch, 1, index.shape[1])
-    partial = np.matmul(weights[..., : 2**low], table.view(np.float64).reshape(2**low, -1))
-    amps = np.matmul(weights[..., 2**low :], partial.reshape(*batch, 2 ** (m - low), 2 * width))
-    return amps.reshape(*batch, 2 * width).view(np.complex128)
+    m = theta.shape[0]
+    low = m // 2
+    half = theta / 2.0
+    factors = np.empty(2 * m + 1)
+    np.cos(half, out=factors[:m])
+    np.sin(half, out=factors[m:-1])
+    factors[-1] = 1.0
+    weights = factors.take(index).prod(axis=0)
+    partial = np.matmul(weights[: 2**low], plan.view(np.float64).reshape(2**low, -1))
+    amps = np.matmul(weights[2**low :], partial.reshape(2 ** (m - low), -1))
+    return amps.view(np.complex128).reshape(m + 1, -1)
 
 
 def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -476,15 +453,18 @@ def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
     """
     phases, layers = spec.gate_plan
     q, batch = spec.num_qubits, cos.shape[1]
-    # Every gate's coefficients in one pass, (m, 2, 1, B): the partner term
-    # sin(theta/2) * phase, and for a diagonal gate the whole diagonal cos + it.
+    # Every gate's partner term sin(theta/2) * phase in one pass, (m, 2, 1, B).
     partner_terms = phases * sin[:, None, None, :]
-    diagonals = partner_terms + cos[:, None, None, :]
 
     def rotate(work: np.ndarray, k: int, diagonal: bool, partner: np.ndarray | None = None) -> None:
-        """Gate k in place on a (a, 2, b, B) view; the partner term goes into ``partner`` when given."""
+        """Gate k in place on a (a, 2, b, B) view; the partner term goes into ``partner`` when given.
+
+        Each gate runs once, so a diagonal gate turns its own partner term
+        into its whole diagonal, cos + it, in place.
+        """
         if diagonal:
-            work *= diagonals[k]
+            partner_terms[k] += cos[k]
+            work *= partner_terms[k]
             return
         partner = np.multiply(work[:, ::-1], partner_terms[k], out=partner)
         work *= cos[k]
@@ -539,11 +519,13 @@ class ShotModel:
 
     ``num_shots=None`` means exact (infinite-shot) evaluation; a finite
     count is a whole number of at least 1 (``errors.whole_number``), or
-    ``InvalidShotCountError`` is raised.  The seed only fixes the stream
-    produced by ``make_rng``; callers running trajectories hold one
-    generator for the whole run.  ``rng_seed`` seeds direct player calls
-    only: the runners (``run_quantumgame``, ``run_vqd``) replace it
-    with a seed each player derives from the run's ``seed``.
+    ``InvalidShotCountError`` is raised.  ``rng_seed`` is a non-negative
+    integer (``errors.whole_number``), or ``ValueError`` is raised.  The
+    seed only fixes the stream produced by ``make_rng``; callers running
+    trajectories hold one generator for the whole run.  ``rng_seed`` seeds
+    direct player calls only: the runners (``run_quantumgame``,
+    ``run_vqd``) replace it with a seed each player derives from the run's
+    ``seed``.
     """
 
     num_shots: int | None = None
@@ -552,6 +534,7 @@ class ShotModel:
     def __post_init__(self):
         if self.num_shots is not None:
             whole_number("num_shots", self.num_shots, error=InvalidShotCountError)
+        whole_number("rng_seed", self.rng_seed, minimum=0)
 
     @property
     def is_exact(self) -> bool:
@@ -637,26 +620,21 @@ def swap_test_moments(overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def parameter_shift_states(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> np.ndarray:
-    """The (m+1, 2**q) states of one parameter-shift sweep, each prepared from its own parameter row.
+    """The (m+1, 2**q) states of one parameter-shift sweep, as the players' loop prepares them.
 
     The rows are phi_0, ..., phi_{m-1}, psi, with phi_k = psi(theta + pi e_k)
-    and psi = psi(theta): one ``apply_ansatz`` call on the m + 1 shifted
-    parameter rows, with its checks, after theta is bound as
-    ``AnsatzSpec.bind`` binds it.  The players' loop prepares the same rows
-    through an unchecked core, ``_sweep_states``, and checks its last sweep
-    once (``check_sweep``).  On a layout that ``apply_ansatz`` prepares from
-    its branch table the core sums the sweep plan (``AnsatzSpec.sweep_plan``)
-    with the branch weights of theta alone: m cosines and sines, one
-    gather-product and two matrix products give all m + 1 rows, equal to
-    these to rounding.  On any other layout it runs the same gate loop on
-    the same shifted rows, bit for bit.
+    and psi = psi(theta).  theta is bound as ``AnsatzSpec.bind`` binds it,
+    the sweep prepared by the loop's own core (``_sweep_states``) and checked
+    by ``check_sweep``, which the loop runs once per player.
 
     A finite-shot read passes the rows to ``sweep_reads``.  An exact read
     applies M to psi alone: each parameter drives one Pauli rotation, so
     d_k psi = phi_k / 2, and the gradient of <psi|K psi> for a Hermitian K
     is Re<phi_k|K psi>, one product of the phi_k with one vector.
     """
-    return apply_ansatz(spec, _shifted_rows(spec.bind(theta)))
+    sweep = _sweep_states(spec, spec.bind(theta))
+    check_sweep(sweep)
+    return sweep
 
 
 def _shifted_rows(theta: np.ndarray) -> np.ndarray:
@@ -668,11 +646,17 @@ def _shifted_rows(theta: np.ndarray) -> np.ndarray:
 
 
 def _sweep_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """``parameter_shift_states`` of a bound (m,) theta, unchecked: from the sweep plan on a table layout."""
-    m = theta.shape[0]
-    if _sums_table(spec, m):
-        index, _ = spec.branch_plan
-        return _table_sum(index, spec.sweep_plan, theta).reshape(m + 1, -1)
+    """The (m+1, 2**q) sweep of a bound (m,) theta, unchecked.
+
+    A layout that ``_sums_table`` picks sums its sweep plan
+    (``AnsatzSpec.sweep_plan``) with the branch weights of theta alone: m
+    cosines and sines, one gather-product and two matrix products give all
+    m + 1 rows, equal to the gate loop's on the shifted rows to rounding.
+    Any other layout runs the gate loop on the m + 1 shifted rows
+    (``_shifted_rows``), as ``apply_ansatz`` prepares them, bit for bit.
+    """
+    if _sums_table(spec, theta.shape[0]):
+        return _table_sum(*spec.sweep_plan, theta)
     return _prepare(spec, _shifted_rows(theta))
 
 
@@ -687,9 +671,9 @@ def check_sweep(base: np.ndarray) -> None:
     rotation, is at most ``NORM_ATOL`` in size.  Every shift row
     (psi +- phi_k)/sqrt(2) has unit norm to ``NORM_ATOL``
     (``errors.unit_norm``), its squared norm formed from the base rows as
-    (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.  ``sweep_reads`` checks
-    every base it reads; the players' loop checks its last sweep, once per
-    player.
+    (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.  ``parameter_shift_states``
+    checks every sweep it prepares and ``sweep_reads`` every base it reads;
+    the players' loop checks its last sweep, once per player.
     """
     check_unit_rows("prepared state", base)
     parts = base.view(np.float64)

@@ -302,10 +302,10 @@ def _ascend(
     takes the gradient from one backward vector; under finite shots
     ``_shot_read``, which reads the 2m + 1 shift rows' circuits.  Each
     iteration prepares its m + 1 states in one call
-    (``quantum_sim._sweep_states``: the rows of ``parameter_shift_states``,
-    from the sweep plan on a table layout) and reads the gradient, the
-    objective and the <M> read-out on theta's row, the iteration's energy,
-    from them: no circuit is read twice.  Stops when the gradient norm
+    (``quantum_sim._sweep_states``, the core of ``parameter_shift_states``
+    without its check) and reads the gradient, the objective and the <M>
+    read-out on theta's row, the iteration's energy, from them: no circuit
+    is read twice.  Stops when the gradient norm
     reaches tolerance or the iteration budget runs out (partial result).
 
     The loop checks its invariants once per player, not per sweep: theta

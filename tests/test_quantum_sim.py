@@ -115,35 +115,30 @@ class TestApplyAnsatz:
         spec = random_layers_ansatz(2, 2, 3, seed=0)
         with pytest.raises(BindingError):
             apply_ansatz(spec, [0.0, 0.0])
-        assert "branch_plan" not in vars(spec)  # rejected before any table is built
 
     def test_plus_initial_state(self):
         spec = AnsatzSpec(2, ((("RZ", 0),),), (), "plus")
         out = apply_ansatz(spec, [0.0])
         assert np.allclose(np.abs(out.amplitudes), 0.5, atol=1e-12)
 
-    @pytest.mark.parametrize("form", ["table", "loop"])
     @pytest.mark.parametrize(
         "theta, where", [([np.nan, 0.0, 0.0, 0.0], "0"), ([[0.1, 0.2, 0.3, 0.4], [0.0, np.nan, 0.0, 0.0]], "1, 1")],
         ids=["single", "batch-row"],
     )
-    def test_nan_parameter_rejected(self, theta, where, form, monkeypatch):
+    def test_nan_parameter_rejected(self, theta, where):
         # NaN amplitudes used to come back: their NaN norms passed the check.  The
         # cause is now named at intake, before the symptom (a NaN state norm).
-        force_preparation(monkeypatch, form)
         with pytest.raises(BindingError, match=rf"^theta\[{where}\] must be finite, got nan$"):
             apply_ansatz(layered_ansatz(2, 1), np.array(theta))
 
-    @pytest.mark.parametrize("form", ["table", "loop"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-    def test_non_finite_parameter_named_before_any_preparation(self, monkeypatch, form, value, batch):
+    def test_non_finite_parameter_named_before_any_preparation(self, monkeypatch, value, batch):
         # An inf parameter used to reach cos and sin: NumPy's "invalid value
         # encountered in cos", an error under the suite's warning filter.
         def no_preparation(*args):
             raise AssertionError("a state was prepared")
 
-        force_preparation(monkeypatch, form)
         monkeypatch.setattr(quantum_sim, "_prepare", no_preparation)
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         theta = np.full((3, 9), 0.1) if batch else np.full(9, 0.1)
@@ -153,12 +148,6 @@ class TestApplyAnsatz:
             apply_ansatz(spec, theta)
 
 
-def force_preparation(monkeypatch, form):
-    """Send ``apply_ansatz`` to the gate loop ("loop"), or leave a small layout on its branch table ("table")."""
-    if form == "loop":
-        monkeypatch.setattr(quantum_sim, "BRANCH_TABLE_ENTRIES", 0)
-
-
 def cnot_ring(q):
     """The CNOT ring ``AnsatzSpec`` layouts carry: one pair on two qubits, none on one."""
     return tuple((i, (i + 1) % q) for i in range(q if q > 2 else q - 1))
@@ -166,7 +155,7 @@ def cnot_ring(q):
 
 @st.composite
 def table_layouts(draw):
-    """A layout the branch table prepares (1-4 qubits, m >= 2 and 2**m * 2**q at most
+    """A layout with a branch table and sweep plan (1-4 qubits, m >= 2 and 2**m * 2**q at most
     ``BRANCH_TABLE_ENTRIES``, either initial state) with a batch of 0, 1 or 9 rows."""
     q = draw(st.integers(1, 4))
     m = draw(st.integers(2, BRANCH_TABLE_ENTRIES.bit_length() - 1 - q))
@@ -259,61 +248,16 @@ class TestBatchedAnsatz:
         spec = random_layers_ansatz(2, 2, 3, seed=0)
         with pytest.raises(BindingError):
             apply_ansatz(spec, np.zeros((4, spec.num_parameters + 1)))
-        assert "branch_plan" not in vars(spec)  # rejected before any table is built
 
     @given(table_layouts())
     @settings(max_examples=60, deadline=None)
-    def test_branch_table_matches_the_gate_loop_and_the_reference(self, layout):
+    def test_gate_loop_matches_the_reference_on_random_layouts(self, layout):
         spec, batch, seed = layout
         rows = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, (batch, spec.num_parameters))
-        table = apply_ansatz(spec, rows)
-        assert "branch_plan" in vars(spec)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            force_preparation(monkeypatch, "loop")
-            loop = apply_ansatz(spec, rows)
-        assert table.shape == loop.shape == (batch, 2**spec.num_qubits)
-        assert np.max(np.abs(table - loop), initial=0.0) <= 1e-14
-        for row, amps in zip(rows, table):
+        loop = apply_ansatz(spec, rows)
+        assert loop.shape == (batch, 2**spec.num_qubits)
+        for row, amps in zip(rows, loop):
             assert np.max(np.abs(amps - per_gate_ansatz(spec, row))) <= 1e-14
-
-    @given(table_layouts())
-    @settings(max_examples=60, deadline=None)
-    @example((layered_ansatz(3, 1), 0, 0))  # odd q: 2**(-q/2) is no power of two
-    def test_branch_table_entries_are_exact(self, layout):
-        # The gate loop builds the table with every cos and sin 0 or 1, so every
-        # entry is 0, or +-1 or +-i times the initial amplitude, to the bit.
-        spec = layout[0]
-        amplitude = 2.0 ** (-spec.num_qubits / 2.0) if spec.initial_state == "plus" else 1.0
-        _, table = spec.branch_plan
-        assert np.isin(table.real, (-amplitude, 0.0, amplitude)).all()
-        assert np.isin(table.imag, (-amplitude, 0.0, amplitude)).all()
-        assert np.isin(np.abs(table), (0.0, amplitude)).all()
-
-    def test_branch_plan_built_once_and_read_only(self):
-        spec = random_layers_ansatz(2, 3, 3, seed=11)
-        index, table = spec.branch_plan
-        apply_ansatz(spec, np.zeros((3, 9)))
-        assert spec.branch_plan[1] is table
-        assert not table.flags.writeable and not index.flags.writeable
-        assert table.shape == (2**9, 4) and index.shape == (5, 2**4 + 2**5)
-        # Row S is the state at theta_k = pi for k in S, parameter k at bit m - 1 - k.
-        for branch in (0, 1, 0b100000000, 0b101010101, 2**9 - 1):
-            theta = np.pi * ((branch >> np.arange(8, -1, -1)) & 1)
-            assert np.max(np.abs(table[branch] - per_gate_ansatz(spec, theta))) <= 1e-15
-        # Exact: every entry 0, or +-1 or +-i times the initial amplitude 1/2.
-        assert np.isin(table.real, (-0.5, 0.0, 0.5)).all() and np.isin(table.imag, (-0.5, 0.0, 0.5)).all()
-        assert np.isin(np.abs(table), (0.0, 0.5)).all()
-
-    def test_size_rule_picks_the_table_up_to_the_constant(self):
-        q = 2
-        m = BRANCH_TABLE_ENTRIES.bit_length() - 1 - q
-        assert 2 ** (m + q) == BRANCH_TABLE_ENTRIES
-        at, above = (random_layers_ansatz(q, 1, size, seed=3) for size in (m, m + 1))
-        one_parameter = AnsatzSpec(q, ((("RY", 0),),), cnot_ring(q))
-        for spec in (at, above, one_parameter):
-            apply_ansatz(spec, np.zeros(spec.num_parameters))
-        assert "branch_plan" in vars(at)
-        assert "branch_plan" not in vars(above) and "branch_plan" not in vars(one_parameter)
 
 
 @st.composite
@@ -339,22 +283,28 @@ def loop_sweep(spec, theta):
     return quantum_sim._sweep_states(spec, spec.bind(theta))
 
 
+def plan_blocks(spec):
+    """The layout's sweep plan as (2**m, m + 1, 2**q) blocks; block m is the branch table."""
+    _, plan = spec.sweep_plan
+    return plan.reshape(2**spec.num_parameters, spec.num_parameters + 1, -1)
+
+
 class TestSweepPlan:
-    """The m + 1 rows of the loop's sweep, from one weight row and the sweep plan, against the
-    gate-by-gate reference and against preparing every shifted parameter row."""
+    """The m + 1 rows of a sweep, from one weight row and the sweep plan, against the
+    gate-by-gate reference and against the gate loop on every shifted parameter row."""
 
     @given(sweep_plan_layouts())
     @settings(max_examples=60, deadline=None)
-    def test_plan_rows_match_the_reference_and_the_shifted_rows(self, layout):
+    def test_plan_rows_match_the_reference_and_the_gate_loop(self, layout):
         spec, seed = layout
         m = spec.num_parameters
         theta = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, m)
         sweep = loop_sweep(spec, theta)
         assert "sweep_plan" in vars(spec)
         assert sweep.shape == (m + 1, 2**spec.num_qubits)
-        # parameter_shift_states: apply_ansatz on the m + 1 shifted parameter rows.
-        assert np.max(np.abs(sweep - parameter_shift_states(spec, theta))) <= 1e-14
-        for row, point in zip(sweep, theta + np.pi * np.eye(m + 1, m)):
+        points = theta + np.pi * np.eye(m + 1, m)
+        assert np.max(np.abs(sweep - apply_ansatz(spec, points))) <= 1e-14  # the gate loop
+        for row, point in zip(sweep, points):
             assert np.max(np.abs(row - per_gate_ansatz(spec, point))) <= 1e-12
 
     @given(sweep_plan_layouts())
@@ -363,28 +313,71 @@ class TestSweepPlan:
     @example((AnsatzSpec(2, ((("RY", 0),),), cnot_ring(2)), 1))  # one parameter
     def test_gate_loop_sweeps_are_the_shifted_rows_bit_for_bit(self, layout):
         spec, seed = layout
-        theta = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, spec.num_parameters)
+        m = spec.num_parameters
+        theta = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, m)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            force_preparation(monkeypatch, "loop")
-            assert np.array_equal(loop_sweep(spec, theta), parameter_shift_states(spec, theta))
-        assert "sweep_plan" not in vars(spec) and "branch_plan" not in vars(spec)
+            monkeypatch.setattr(quantum_sim, "BRANCH_TABLE_ENTRIES", 0)  # every layout on the gate loop
+            sweep = loop_sweep(spec, theta)
+        assert np.array_equal(sweep, apply_ansatz(spec, theta + np.pi * np.eye(m + 1, m)))
+        assert "sweep_plan" not in vars(spec)
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(random_layers_ansatz(2, 3, 3, seed=11), id="h2-plan"),
+        pytest.param(random_layers_ansatz(1, 1, 11, seed=0), id="largest-plan"),
+        pytest.param(layered_ansatz(8, 2), id="wide-loop"),
+        pytest.param(AnsatzSpec(2, ((("RY", 0),),), cnot_ring(2)), id="one-parameter-loop"),
+    ])
+    def test_public_sweep_is_the_loop_sweep_bit_for_bit(self, spec):
+        theta = np.random.default_rng(3).uniform(-np.pi, np.pi, spec.num_parameters)
+        assert np.array_equal(parameter_shift_states(spec, theta), loop_sweep(spec, theta))
+
+    @given(table_layouts())
+    @settings(max_examples=60, deadline=None)
+    @example((layered_ansatz(3, 1), 0, 0))  # odd q: 2**(-q/2) is no power of two
+    def test_branch_table_entries_are_exact(self, layout):
+        # The gate loop builds the branch table, block m of the plan, with every
+        # cos and sin 0 or 1, so every entry is 0, or +-1 or +-i times the
+        # initial amplitude, to the bit.
+        spec = layout[0]
+        amplitude = 2.0 ** (-spec.num_qubits / 2.0) if spec.initial_state == "plus" else 1.0
+        table = plan_blocks(spec)[:, -1]
+        assert np.isin(table.real, (-amplitude, 0.0, amplitude)).all()
+        assert np.isin(table.imag, (-amplitude, 0.0, amplitude)).all()
+        assert np.isin(np.abs(table), (0.0, amplitude)).all()
 
     def test_sweep_plan_built_once_and_read_only(self):
-        # Block k of row S is -+psi_{S xor k}, minus when k is in S; block m is psi_S.
         spec = random_layers_ansatz(2, 3, 3, seed=11)
-        plan = spec.sweep_plan
-        _, table = spec.branch_plan
+        index, plan = spec.sweep_plan
         loop_sweep(spec, np.zeros(9))
-        assert spec.sweep_plan is plan
-        assert not plan.flags.writeable and plan.flags.c_contiguous
-        assert plan.shape == (2**9, 10 * 4)
-        blocks = plan.reshape(2**9, 10, 4)
-        assert np.array_equal(blocks[:, 9], table)
+        assert spec.sweep_plan[1] is plan
+        assert not plan.flags.writeable and not index.flags.writeable and plan.flags.c_contiguous
+        assert plan.shape == (2**9, 10 * 4) and index.shape == (5, 2**4 + 2**5)
+        blocks = plan_blocks(spec)
+        table = blocks[:, 9]
+        # Block m of row S is the state at theta_k = pi for k in S, parameter k at bit m - 1 - k.
+        for branch in (0, 1, 0b100000000, 0b101010101, 2**9 - 1):
+            theta = np.pi * ((branch >> np.arange(8, -1, -1)) & 1)
+            assert np.max(np.abs(table[branch] - per_gate_ansatz(spec, theta))) <= 1e-15
+        # Exact: every entry 0, or +-1 or +-i times the initial amplitude 1/2.
+        assert np.isin(table.real, (-0.5, 0.0, 0.5)).all() and np.isin(table.imag, (-0.5, 0.0, 0.5)).all()
+        assert np.isin(np.abs(table), (0.0, 0.5)).all()
+        # Block k of row S is -+psi_{S xor k}, minus when k is in S.
         rows = np.arange(2**9)
         for k in range(9):
             bit = 1 << (8 - k)
             sign = np.where(rows & bit, -1.0, 1.0)[:, None]
             assert np.array_equal(blocks[:, k], sign * table[rows ^ bit])
+
+    def test_size_rule_picks_the_plan_up_to_the_constant(self):
+        q = 2
+        m = BRANCH_TABLE_ENTRIES.bit_length() - 1 - q
+        assert 2 ** (m + q) == BRANCH_TABLE_ENTRIES
+        at, above = (random_layers_ansatz(q, 1, size, seed=3) for size in (m, m + 1))
+        one_parameter = AnsatzSpec(q, ((("RY", 0),),), cnot_ring(q))
+        for spec in (at, above, one_parameter):
+            parameter_shift_states(spec, np.zeros(spec.num_parameters))
+        assert "sweep_plan" in vars(at)
+        assert "sweep_plan" not in vars(above) and "sweep_plan" not in vars(one_parameter)
 
     def test_public_sweep_binds_theta(self):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
@@ -392,7 +385,7 @@ class TestSweepPlan:
             parameter_shift_states(spec, np.zeros(8))
         with pytest.raises(BindingError, match=r"^theta\[2\] must be finite, got inf$"):
             parameter_shift_states(spec, np.array([0.0, 0.0, np.inf, *[0.0] * 6]))
-        assert "branch_plan" not in vars(spec)  # rejected before any table is built
+        assert "sweep_plan" not in vars(spec)  # rejected before any table is built
 
 
 def random_pauli_sum(num_qubits, num_terms, rng):

@@ -1445,6 +1445,7 @@ WHOLE_NUMBER_SITES = {
     "SolverConfig.max_iterations": (
         lambda v: SolverConfig(max_iterations=v), ValueError, "max_iterations", 0, np.int64(5)),
     "ShotModel.num_shots": (lambda v: ShotModel(num_shots=v), InvalidShotCountError, "num_shots", 0, np.int64(100)),
+    "ShotModel.rng_seed": (lambda v: ShotModel(10, rng_seed=v), ValueError, "rng_seed", -1, np.int64(3)),
     "random_layers_ansatz.num_qubits": (
         lambda v: random_layers_ansatz(v, 1, 1, seed=0), InvalidDimensionError, "num_qubits", 0, np.int64(2)),
     "random_layers_ansatz.num_layers": (

@@ -12,10 +12,10 @@ A last row, ``plan``, is the peak of building the sweep plans
 (``AnsatzSpec.sweep_plan``) of H2's layout, the benchmark's
 ``random_layers_ansatz(2, 3, 3, seed=11)``, and of the table layout with
 the largest plan, one qubit and 11 parameters at 2**11 * 2**1 =
-``quantum_sim.BRANCH_TABLE_ENTRIES`` amplitudes.  Their branch tables,
-which ``apply_ansatz`` builds anyway, are built before the count starts,
-and both plans are held to the end, so plans built in place read about
-their sum, 1.06 MiB.  It does not depend on n.
+``quantum_sim.BRANCH_TABLE_ENTRIES`` amplitudes, from nothing: each
+layout's branch table, which the gate loop builds inside the count, and
+its plan.  Both plans are held to the end, 1.06 MiB together.  It does not
+depend on n.
 
 ``tracemalloc`` sees the arrays numpy allocates, not the workspace LAPACK
 takes inside ``qr`` or ``eigvalsh``, so the figures are deterministic.  Run::
@@ -62,10 +62,8 @@ def peaks(n: int) -> dict[str, float]:
 
 
 def plan_peak() -> float:
-    """The traced peak of building H2's sweep plan and the largest table layout's, held together."""
+    """The traced peak of building H2's sweep plan and the largest table layout's from nothing, held together."""
     specs = [random_layers_ansatz(*layout) for layout in PLAN_LAYOUTS]
-    for spec in specs:
-        spec.branch_plan  # built before the count starts
     return traced_peak(lambda: [spec.sweep_plan for spec in specs])
 
 

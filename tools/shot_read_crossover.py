@@ -19,9 +19,8 @@ a CNOT ring) at 2**11 to 2**14 entries, the median per-call time of
 preparing a sweep's m + 1 rows by the gate loop on the m + 1 shifted
 parameter rows and from the sweep plan (``AnsatzSpec.sweep_plan``) with one
 weight row, next to 2**m * 2**q and the form the loop picks: the plan when
-m >= 2 and 2**m * 2**q is at most ``quantum_sim.BRANCH_TABLE_ENTRIES``,
-the rule ``apply_ansatz`` picks its branch table by.  This is the table the
-constant is checked against.  Run::
+m >= 2 and 2**m * 2**q is at most ``quantum_sim.BRANCH_TABLE_ENTRIES``.
+This is the table the constant is checked against.  Run::
 
     PYTHONPATH=src python tools/shot_read_crossover.py [repeats]
 
@@ -105,14 +104,12 @@ def per_call(call, repeats: int) -> float:
 
 def gate_loop(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     """A gate-loop layout's sweep: the gate loop on the m + 1 shifted rows, as ``_sweep_states`` runs it."""
-    half = quantum_sim._shifted_rows(theta).T / 2.0
-    return np.ascontiguousarray(quantum_sim._gate_loop(spec, np.cos(half), np.sin(half)).T)
+    return quantum_sim._prepare(spec, quantum_sim._shifted_rows(theta))
 
 
 def sweep_plan(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
     """A table layout's sweep: the sweep plan summed with theta's branch weights, as ``_sweep_states`` runs it."""
-    index, _ = spec.branch_plan
-    return quantum_sim._table_sum(index, spec.sweep_plan, theta).reshape(len(theta) + 1, -1)
+    return quantum_sim._table_sum(*spec.sweep_plan, theta)
 
 
 def preparation_layouts() -> list[tuple[int, int, int]]:
