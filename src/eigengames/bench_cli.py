@@ -47,56 +47,27 @@ from .theory_diagnostics import (
 
 SCHEMA_VERSION = 1
 
+# The nine settings the two molecular experiments share; each adds its own iteration budget
+# and penalty weights.  The diagnostics run on h2_levels' default operator and ansatz.
+_MOLECULAR = {
+    "pauli_file": "",  # empty -> bundled two-qubit molecular file
+    "num_levels": 4, "layers": 3, "rotations_per_layer": 3, "ansatz_seed": 11,
+    "initial_state": "plus", "seeds": [0], "grad_tolerance": 1e-2, "shots": 10_000,
+}
+
+# Every entry's settings, after its schema_version and experiment name.  The two molecular
+# entries share _MOLECULAR's lists, so no run changes a default in place.
 DEFAULTS: dict[str, dict] = {
-    "eigengame_scaling": {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "eigengame_scaling",
-        "sizes": [8, 16, 32, 64, 128],
-        "seeds": [0, 1, 2, 3, 4],
-        "num_players": 8,
-        "exponent": 1.0,
-        "grad_tolerance": 1e-6,
-        "sigma": 1e-6,
-        "max_iterations": 100_000,
-    },
-    "h2_levels": {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "h2_levels",
-        "pauli_file": "",  # empty -> bundled two-qubit molecular file
-        "num_levels": 4,
-        "layers": 3,
-        "rotations_per_layer": 3,
-        "ansatz_seed": 11,
-        "initial_state": "plus",
-        "seeds": [0],
-        "grad_tolerance": 1e-2,
-        "max_iterations": 3000,
-        "shots": 10_000,
-        "beta": 5.0,
-    },
-    "vqd_beta_sweep": {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "vqd_beta_sweep",
-        "pauli_file": "",
-        "num_levels": 4,
-        "layers": 3,
-        "rotations_per_layer": 3,
-        "ansatz_seed": 11,
-        "initial_state": "plus",
-        "seeds": [0],
-        "grad_tolerance": 1e-2,
-        "max_iterations": 1500,
-        "shots": 10_000,
-        "betas": [0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0],
-    },
-    "diagnostics": {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "diagnostics",
-        "dim": 8,
-        "seeds": [0],
-        "lipschitz_samples": 1000,
-        "epsilons": [1e-4, 1e-3, 1e-2],
-    },
+    experiment: {"schema_version": SCHEMA_VERSION, "experiment": experiment, **settings}
+    for experiment, settings in {
+        "eigengame_scaling": {
+            "sizes": [8, 16, 32, 64, 128], "seeds": [0, 1, 2, 3, 4], "num_players": 8,
+            "exponent": 1.0, "grad_tolerance": 1e-6, "sigma": 1e-6, "max_iterations": 100_000,
+        },
+        "h2_levels": {**_MOLECULAR, "max_iterations": 3000, "beta": 5.0},
+        "vqd_beta_sweep": {**_MOLECULAR, "max_iterations": 1500, "betas": [0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]},
+        "diagnostics": {"dim": 8, "seeds": [0], "lipschitz_samples": 1000, "epsilons": [1e-4, 1e-3, 1e-2]},
+    }.items()
 }
 
 
@@ -108,7 +79,8 @@ class RunConfig:
     settings, once: ``game`` (a ``GameConfig``) for the scaling experiment;
     ``operator``, its oracle ``levels`` (the lowest ``num_levels``
     eigenvalues of its dense matrix, ascending), ``ansatz`` and ``solvers``,
-    one ``SolverConfig`` per (noise, beta) pair, for the two molecular ones.
+    one ``SolverConfig`` per (noise, beta) pair, for the two molecular ones;
+    ``h2_levels``' default ``operator`` and ``ansatz`` for the diagnostics.
     It stays out of the hash and the manifest.
     """
 
@@ -134,8 +106,9 @@ def _parse_scalar(key: str, text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat `key = value` format ('#' starts a comment line)."""
+    """Parse the flat `key = value` format ('#' starts a comment line); a key may be set once."""
     settings: dict = {}
+    set_on: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -144,6 +117,9 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             settings[key] = _parse_scalar(key, value)
         except ValueError as exc:
@@ -152,10 +128,10 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_run_config(experiment: str, overrides: dict | None = None) -> RunConfig:
-    """Merge overrides into the experiment defaults, validate, and build what the run uses.
+    """Merge overrides into the experiment defaults, then check them and build what the run uses.
 
-    A value a library constructor rejects is a ``ConfigError``, as is one
-    ``_validate`` rejects.
+    ``_build`` makes both steps, in one branch per experiment; any value it
+    or a library constructor it calls rejects is a ``ConfigError``.
     """
     if experiment not in DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one of {tuple(DEFAULTS)}")
@@ -172,7 +148,6 @@ def build_run_config(experiment: str, overrides: dict | None = None) -> RunConfi
         raise ConfigError(
             f"config file is for experiment {settings['experiment']!r}, command ran {experiment!r}"
         )
-    _validate(experiment, settings)
     try:
         built = _build(experiment, settings)
     except (ValueError, OSError, EigenGamesError) as exc:
@@ -182,43 +157,39 @@ def build_run_config(experiment: str, overrides: dict | None = None) -> RunConfi
     return RunConfig(experiment=experiment, settings=settings, config_hash=config_hash, built=built)
 
 
-def _validate(experiment: str, s: dict) -> None:
-    """The checks no library constructor makes; ``_build`` leaves the rest to the constructors."""
+def _build(experiment: str, s: dict) -> dict:
+    """Check the settings and build the library objects the run uses, each once.
+
+    Each experiment's branch makes the checks no library constructor makes,
+    then leaves the rest to the constructors it calls.  The runners draw
+    every player's shot stream from their ``seed``, so no ``rng_seed`` is set.
+    """
     if not s["seeds"]:
         raise ConfigError("seeds must not be empty")
     for seed in s["seeds"]:
-        whole_number("seed", seed, minimum=0, error=ConfigError)
+        whole_number("seed", seed, minimum=0)
     if experiment == "eigengame_scaling":
         if not s["sizes"]:
             raise ConfigError("sizes must not be empty")
         for n in s["sizes"]:  # at least 2 and at least num_players
-            whole_number("size", n, minimum=max(2, s["num_players"]), error=ConfigError)
-        real_number("exponent", s["exponent"], "positive", error=ConfigError)
-    if experiment == "vqd_beta_sweep" and not s["betas"]:
-        raise ConfigError("betas must not be empty")
-    if experiment == "diagnostics":
-        if len(s["seeds"]) > 1:
-            raise ConfigError("diagnostics runs one seed; pass one seed or --seed N")
-        whole_number("dim", s["dim"], minimum=4, error=ConfigError)
-        whole_number("lipschitz_samples", s["lipschitz_samples"], error=ConfigError)
-        if not s["epsilons"]:
-            raise ConfigError("epsilons must not be empty")
-        for i, eps in enumerate(s["epsilons"]):
-            real_number(f"epsilons[{i}]", eps, "positive", error=ConfigError)
-
-
-def _build(experiment: str, s: dict) -> dict:
-    """The library objects the run uses, each built once; their constructors check the settings.
-
-    The runners draw every player's shot stream from their ``seed``, so no
-    ``rng_seed`` is set.
-    """
-    if experiment == "eigengame_scaling":
+            whole_number("size", n, minimum=max(2, s["num_players"]))
+        real_number("exponent", s["exponent"], "positive")
         return {"game": GameConfig(sigma=s["sigma"], grad_tolerance=s["grad_tolerance"],
                                    max_iterations_per_player=s["max_iterations"],
                                    num_players=s["num_players"])}
     if experiment == "diagnostics":
-        return {}
+        if len(s["seeds"]) > 1:
+            raise ConfigError("diagnostics runs one seed; pass one seed or --seed N")
+        whole_number("dim", s["dim"], minimum=4)
+        whole_number("lipschitz_samples", s["lipschitz_samples"])
+        if not s["epsilons"]:
+            raise ConfigError("epsilons must not be empty")
+        for i, eps in enumerate(s["epsilons"]):
+            real_number(f"epsilons[{i}]", eps, "positive")
+        h2 = _build("h2_levels", DEFAULTS["h2_levels"])
+        return {"operator": h2["operator"], "ansatz": h2["ansatz"]}
+    if experiment == "vqd_beta_sweep" and not s["betas"]:
+        raise ConfigError("betas must not be empty")
     path = Path(s["pauli_file"]) if s["pauli_file"] else bundled_h2_path()
     try:
         operator = load_pauli_sum(path)
@@ -434,9 +405,8 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
     rows += sampled_lipschitz_check(dim=dim, num_samples=cfg["lipschitz_samples"], seed=seed)
     classical = measure_error_accumulation_classical(dim=dim, epsilons=cfg["epsilons"], seed=seed)
     rows += classical
-    h = load_pauli_sum(bundled_h2_path())
-    spec = random_layers_ansatz(2, 3, 3, seed=11)
-    rows += measure_error_accumulation_quantum(h, spec, epsilons=cfg["epsilons"], seed=seed)
+    rows += measure_error_accumulation_quantum(cfg.built["operator"], cfg.built["ansatz"],
+                                               epsilons=cfg["epsilons"], seed=seed)
     csv_rows = [
         (r.bound_name, r.parameters, r.bound_value, r.measured_value, "pass" if r.passed else "FAIL")
         for r in rows

@@ -138,7 +138,9 @@ class AnsatzSpec:
 
     ``layer_rotations[l]`` lists (gate kind, target qubit) pairs.  Parameter
     k drives the k-th rotation in circuit order, layer by layer, so every
-    parameter feeds exactly one gate.
+    parameter feeds exactly one gate.  Each gate's qubit and both qubits of
+    each entangler pair are non-negative integers (``errors.whole_number``)
+    below ``num_qubits``, and a pair's two qubits differ.
     """
 
     num_qubits: int
@@ -155,10 +157,13 @@ class AnsatzSpec:
             for kind, qubit in layer:  # any other gate shape fails to unpack: ValueError
                 if kind not in ROTATION_KINDS:
                     raise ValueError(f"unknown gate kind {kind!r}")
-                if not 0 <= qubit < self.num_qubits:
+                whole_number("qubit", qubit, minimum=0)
+                if not qubit < self.num_qubits:
                     raise ValueError(f"qubit {qubit} out of range")
         for control, target in self.entangler_pairs:
-            if not (0 <= control < self.num_qubits and 0 <= target < self.num_qubits):
+            whole_number("entangler pair control", control, minimum=0)
+            whole_number("entangler pair target", target, minimum=0)
+            if not (control < self.num_qubits and target < self.num_qubits):
                 raise ValueError(f"entangler pair ({control}, {target}) has a qubit out of range")
             if control == target:
                 raise ValueError(f"entangler pair ({control}, {target}) has control equal to target")
@@ -673,8 +678,11 @@ def check_sweep(base: np.ndarray) -> None:
     (``errors.unit_norm``), its squared norm formed from the base rows as
     (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.  ``parameter_shift_states``
     checks every sweep it prepares and ``sweep_reads`` every base it reads;
-    the players' loop checks its last sweep, once per player.
+    the players' loop checks its last sweep, once per player.  A base with
+    no rows, not even psi, raises ``DimensionMismatchError``.
     """
+    if not len(base):
+        raise DimensionMismatchError("a sweep needs at least the row psi, got no rows")
     check_unit_rows("prepared state", base)
     parts = base.view(np.float64)
     own = np.vecdot(parts, parts)

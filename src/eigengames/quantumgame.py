@@ -529,6 +529,7 @@ def _sequential_run(
     player_fn,
 ) -> SequentialResult:
     whole_number("seed", seed, minimum=0)
+    whole_number("k", k)
     if k > 2**spec.num_qubits:
         raise ValueError(f"k={k} exceeds the register dimension {2**spec.num_qubits}")
     if m.spectral_range == (0.0, 0.0):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -353,6 +353,23 @@ def sampled_lipschitz_check(
     return rows
 
 
+def _epsilon_rows(bound_name: str, label: str, epsilons: Sequence[float], samples_per_epsilon: int,
+                  draw: Callable[[float], tuple[float, float]]) -> list[DiagnosticRow]:
+    """One row per (epsilon, draw): ``draw(eps)`` gives its (bound, measured) pair.
+
+    The draws run epsilon by epsilon, ``samples_per_epsilon`` times each, in
+    that order, and each row's parameters read ``label``, the epsilon and
+    the draw's number.  ``samples_per_epsilon`` is a whole number of at
+    least 1 (``errors.whole_number``) and each epsilon a positive finite
+    real number (``errors.real_number``), checked before the first draw.
+    """
+    whole_number("samples_per_epsilon", samples_per_epsilon)
+    for j, eps in enumerate(epsilons):
+        real_number(f"epsilons[{j}]", eps, "positive")
+    return [DiagnosticRow(bound_name, f"{label}eps={eps:g} draw={d}", *draw(eps), epsilon=eps)
+            for eps in epsilons for d in range(samples_per_epsilon)]
+
+
 def measure_error_accumulation_classical(
     dim: int,
     epsilons: Sequence[float],
@@ -366,43 +383,34 @@ def measure_error_accumulation_classical(
     The measured value is the tangential norm of the gradient difference with
     perturbed versus exact parents, on the matrix the players ascend; the
     bound is the error-accumulation formula evaluated on the same
-    displacements and the same matrix.  ``player_index`` (1-based, at most
-    ``dim``) and ``samples_per_epsilon`` are whole numbers of at least 1
-    (``errors.whole_number``); each epsilon is a positive and ``sigma`` a
-    non-negative finite real number (``errors.real_number``);
-    ``build_powerlaw_hamiltonian`` checks ``dim`` and ``seed``.
+    displacements and the same matrix.  Each draw rotates the true parents
+    and draws a child (``_epsilon_rows`` runs the draws and checks
+    ``samples_per_epsilon`` and the epsilons).  ``player_index`` (1-based,
+    at most ``dim``) is a whole number of at least 1
+    (``errors.whole_number``) and ``sigma`` a non-negative finite real
+    number (``errors.real_number``); ``build_powerlaw_hamiltonian`` checks
+    ``dim`` and ``seed``.
     """
     whole_number("player_index", player_index)
-    whole_number("samples_per_epsilon", samples_per_epsilon)
     real_number("sigma", sigma, "non-negative")
-    for j, eps in enumerate(epsilons):
-        real_number(f"epsilons[{j}]", eps, "positive")
     matrix, (_, vectors) = build_powerlaw_hamiltonian(dim, seed=seed)
     if player_index > dim:
         raise ValueError(f"player_index must be at most dim = {dim}, got {player_index!r}")
     mat = _ascended(matrix)
     rng = np.random.default_rng(seed + 17)
-    rows = []
     true_parents = [vectors[:, j] for j in range(player_index - 1)]
-    for eps in epsilons:
-        for draw in range(samples_per_epsilon):
-            hat_parents = [_rotate_towards(v, rng, eps) for v in true_parents]
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            g_true = finite_diff_gradient(v, true_parents, mat, sigma)
-            g_hat = finite_diff_gradient(v, hat_parents, mat, sigma)
-            diff = (g_hat - g_true) - ((g_hat - g_true) @ v) * v
-            bound = error_accumulation_bound_classical(matrix, true_parents, hat_parents, sigma)
-            rows.append(
-                DiagnosticRow(
-                    bound_name="error_accumulation_classical",
-                    parameters=f"dim={dim} eps={eps:g} draw={draw}",
-                    bound_value=bound,
-                    measured_value=float(np.linalg.norm(diff)),
-                    epsilon=eps,
-                )
-            )
-    return rows
+
+    def draw(eps: float) -> tuple[float, float]:
+        hat_parents = [_rotate_towards(v, rng, eps) for v in true_parents]
+        v = rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        g_true = finite_diff_gradient(v, true_parents, mat, sigma)
+        g_hat = finite_diff_gradient(v, hat_parents, mat, sigma)
+        diff = (g_hat - g_true) - ((g_hat - g_true) @ v) * v
+        bound = error_accumulation_bound_classical(matrix, true_parents, hat_parents, sigma)
+        return bound, float(np.linalg.norm(diff))
+
+    return _epsilon_rows("error_accumulation_classical", f"dim={dim} ", epsilons, samples_per_epsilon, draw)
 
 
 def measure_error_accumulation_quantum(
@@ -415,51 +423,40 @@ def measure_error_accumulation_quantum(
     """Same inequality in parameter space, on the operator the game ascends.
 
     A maximizing game ascends A = sign*M + offset*I, not M, so both sides
-    are stated on A.  Each gradient is the game's exact read of the child's
+    are stated on A.  Each draw takes a parent, a parent moved by epsilon and
+    a child's sweep.  Each gradient is the game's exact read of the child's
     sweep: ``_backward_read`` of the objective ``_game_objective`` builds for
     the one parent, the player's own builder, given the parent's eigenvalue
     on M.  Both parents share the m + 1 rows one ``parameter_shift_states``
     call prepares.  The bound is ``error_accumulation_bound_quantum`` on
     A's dense array, with the sign and offset of the game's objective
     without parents.  A parent's denominator is its eigenvalue on A, at
-    least the game's margin.  ``samples_per_epsilon`` is a whole number of
-    at least 1 and ``seed`` a non-negative integer (``errors.whole_number``);
-    each epsilon is a positive finite real number (``errors.real_number``).
+    least the game's margin.  ``seed`` is a non-negative integer
+    (``errors.whole_number``); ``_epsilon_rows`` runs the draws and checks
+    ``samples_per_epsilon`` and the epsilons.
     """
-    whole_number("samples_per_epsilon", samples_per_epsilon)
     whole_number("seed", seed, minimum=0)
-    for j, eps in enumerate(epsilons):
-        real_number(f"epsilons[{j}]", eps, "positive")
     rng = np.random.default_rng(seed)
     dim = 2**h.num_qubits
     sign, _, _, offset, _, _ = _game_objective(h, np.empty((0, dim), dtype=np.complex128), (), "maximize")
     m_dense = pauli_sum_to_matrix(h)
     a_dense = sign * m_dense + offset * np.eye(dim)
-    rows = []
 
     def gradient(theta: np.ndarray, sweep: np.ndarray) -> np.ndarray:
         block = apply_ansatz(spec, theta[None, :])
         eigenvalue = np.vdot(block[0], m_dense @ block[0]).real
         return _backward_read(h, _game_objective(h, block, [eigenvalue], "maximize"))(sweep)[0]
 
-    for eps in epsilons:
-        for draw in range(samples_per_epsilon):
-            theta_parent = rng.uniform(-np.pi, np.pi, size=spec.num_parameters)
-            direction = rng.standard_normal(spec.num_parameters)
-            theta_hat = theta_parent + eps * direction / np.linalg.norm(direction)
-            sweep = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
-            g_true, g_hat = gradient(theta_parent, sweep), gradient(theta_hat, sweep)
-            bound = error_accumulation_bound_quantum(a_dense, spec, [theta_parent], [theta_hat])
-            rows.append(
-                DiagnosticRow(
-                    bound_name="error_accumulation_quantum",
-                    parameters=f"eps={eps:g} draw={draw}",
-                    bound_value=bound,
-                    measured_value=float(np.linalg.norm(g_hat - g_true)),
-                    epsilon=eps,
-                )
-            )
-    return rows
+    def draw(eps: float) -> tuple[float, float]:
+        theta_parent = rng.uniform(-np.pi, np.pi, size=spec.num_parameters)
+        direction = rng.standard_normal(spec.num_parameters)
+        theta_hat = theta_parent + eps * direction / np.linalg.norm(direction)
+        sweep = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, size=spec.num_parameters))
+        g_true, g_hat = gradient(theta_parent, sweep), gradient(theta_hat, sweep)
+        bound = error_accumulation_bound_quantum(a_dense, spec, [theta_parent], [theta_hat])
+        return bound, float(np.linalg.norm(g_hat - g_true))
+
+    return _epsilon_rows("error_accumulation_quantum", "", epsilons, samples_per_epsilon, draw)
 
 
 def loglog_slope(rows: Sequence[DiagnosticRow]) -> float:

@@ -37,6 +37,22 @@ class TestConfigParsing:
             parse_config_text("sizes: 8\n")
         assert "line 1" in str(err.value)
 
+    def test_repeated_key_names_both_lines(self):
+        # The last line used to win: a file setting seeds twice silently ran the second.
+        with pytest.raises(ConfigError, match=r"^line 4: 'seeds' is already set on line 2$"):
+            parse_config_text("# seeds\nseeds = 0\nsizes = 8\nseeds = 1\n")
+
+    @pytest.mark.parametrize("experiment, config_hash", [
+        ("eigengame_scaling", "4ec28685af69"),
+        ("h2_levels", "3b8fe8e8a955"),
+        ("vqd_beta_sweep", "bf60f10222a2"),
+        ("diagnostics", "de3c9a37f5a7"),
+    ])
+    def test_default_config_hashes_are_pinned(self, experiment, config_hash):
+        # The hash covers every default key and value: a default dropped, added or
+        # changed moves it, and every recorded run's provenance with it.
+        assert build_run_config(experiment).config_hash == config_hash
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             build_run_config("eigengame_scaling", {"sizesss": [8]})

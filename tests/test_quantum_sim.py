@@ -518,17 +518,19 @@ class TestAnsatzSpec:
         with pytest.raises(ValueError):
             AnsatzSpec(1, ((("RY", 0, 0),),), ())
 
-    @pytest.mark.parametrize("gate", [("RW", 0), ("RY", 1), ("RY", -1)])
+    @pytest.mark.parametrize("gate", [("RW", 0), ("RY", 1), ("RY", -1), ("RX", 0.0)])
     def test_bad_kind_or_qubit_rejected(self, gate):
+        # ("RX", 0.0) passed the range test and failed in preparation with numpy's IndexError.
         with pytest.raises(ValueError):
             AnsatzSpec(1, ((gate,),), ())
 
     @pytest.mark.parametrize(
-        "pair", [(0, 2), (0, 0), (0, -1)], ids=["target-out-of-range", "control-is-target", "negative-target"]
+        "pair", [(0, 2), (0, 0), (0, -1), (0.0, 1)],
+        ids=["target-out-of-range", "control-is-target", "negative-target", "float-control"],
     )
     def test_bad_entangler_pair_rejected(self, pair):
         # These used to build: (0, 2) ran an identity "CNOT", (0, 0) failed later
-        # with a NormalizationError and (0, -1) with an IndexError.
+        # with a NormalizationError, (0, -1) with an IndexError and (0.0, 1) with a TypeError.
         with pytest.raises(ValueError, match="entangler pair"):
             AnsatzSpec(2, ((("RY", 0),),), (pair,))
 
@@ -1022,6 +1024,18 @@ class TestParameterShiftStates:
         check_sweep(base[[0, 2]])
         mean, _, _, _ = _shift_row_moments(base[[0, 2]], base[[0, 2]])
         assert np.allclose(mean, 1.0, rtol=0.0, atol=1e-12)
+
+    def test_block_with_no_rows_rejected(self, monkeypatch):
+        # Both public entry points read the last row as psi: an empty block failed
+        # there with numpy's "index -1 is out of bounds".
+        def no_apply(*args):
+            raise AssertionError("M was applied")
+
+        monkeypatch.setattr(quantum_sim, "pauli_sum_apply", no_apply)
+        base = np.empty((0, 4), dtype=complex)
+        for check in (lambda: check_sweep(base), lambda: sweep_reads(PauliSum(2, ((1.0, "ZX"),)), base, None)):
+            with pytest.raises(DimensionMismatchError, match="^a sweep needs at least the row psi, got no rows$"):
+                check()
 
     def test_nan_row_rejected(self):
         base = np.array([[1j, 0.0], [1.0, 0.0]], dtype=complex)

@@ -1461,6 +1461,10 @@ WHOLE_NUMBER_SITES = {
     "run_vqd.seed": (lambda v: RUNNERS["vqd"](1, v), ValueError, "seed", -1, np.int64(0)),
     "PauliSum.num_qubits": (lambda v: PauliSum(v, ()), InvalidDimensionError, "num_qubits", 0, np.int64(2)),
     "AnsatzSpec.num_qubits": (lambda v: AnsatzSpec(v, (), ()), InvalidDimensionError, "num_qubits", 0, np.int64(2)),
+    # A True qubit passed the range test and apply_ansatz dropped its gate; a float one failed in preparation.
+    "AnsatzSpec.qubit": (lambda v: AnsatzSpec(2, ((("RY", v),),), ((0, 1),)), ValueError, "qubit", -1, np.int64(1)),
+    "AnsatzSpec.control": (lambda v: AnsatzSpec(2, (), ((v, 1),)), ValueError, "entangler pair control", -1, np.int64(0)),
+    "AnsatzSpec.target": (lambda v: AnsatzSpec(2, (), ((0, v),)), ValueError, "entangler pair target", -1, np.int64(1)),
     "random_orthonormal.dim": (lambda v: random_orthonormal(v, 0), InvalidDimensionError, "dim", 0, np.int64(3)),
     "random_orthonormal.seed": (lambda v: random_orthonormal(3, v), ValueError, "seed", -1, np.int64(3)),
     "build_powerlaw_hamiltonian.dim": (
@@ -1616,12 +1620,13 @@ class TestInputValidation:
     @pytest.mark.parametrize("build, error, name, value", [
         pytest.param(build, error, name, value, id=f"{site}-{label}")
         for site, (build, error, name, below, _) in WHOLE_NUMBER_SITES.items()
-        for label, value in (("True", True), ("np.True_", np.True_), ("2.5", 2.5), ("below", below))
+        for label, value in (("True", True), ("np.True_", np.True_), ("2.5", 2.5), ("below", below), ("str", "3"))
     ])
     def test_bool_is_not_a_whole_number(self, build, error, name, value):
         # isinstance(True, int) holds: a site that tested only ">= N" took True as 1
         # (run_quantumgame ran one player and reported all_converged=True) and 2.5
-        # failed later, with a bare TypeError or a wrong result.
+        # failed later, with a bare TypeError or a wrong result; k="3" met its first
+        # comparison, with 2**q, as a bare TypeError too.
         with pytest.raises(error, match=rf"^{name} must be (a whole number of at least -?\d+|a non-negative integer), "
                                         rf"got {value!r}"):
             build(value)
