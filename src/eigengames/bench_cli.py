@@ -309,7 +309,7 @@ def _trajectory_rows(tag: str, noise: str, seed: int, result, shots_label, confi
                  player.energy_history[t], player.utility_history[t],
                  player.grad_norm_history[t], shots_label, config_hash)
             )
-        cumulative += player.iterations_used
+        cumulative += len(player.energy_history)  # iterations_used + converged rows
     return rows
 
 

@@ -4,8 +4,9 @@ Two gradient modes drive the same ascent loop: the exact utility gradient,
 and its zeroth-order variant carrying the closed-form forward-differences
 error term (linear in the perturbation sigma).  Players run in order; each
 later player takes the earlier players' vectors as its frozen parents, one
-(P, n) block, and penalizes alignment against them.  ``run_players`` is the
-scheduler the quantum runners share.
+(P, n) block, and penalizes alignment against them.  ``run_players`` states
+that sequential policy once, for the quantum runners too, and
+``_parent_block`` is every player's one parent intake.
 """
 
 from __future__ import annotations
@@ -86,10 +87,16 @@ class HeavyBall:
         return beta
 
 
-def _parent_block(parents, dim: int, dtype=np.float64) -> np.ndarray:
-    """The parents as one read-only (P, dim) block, copied from a block or a list of P vectors.
+def _parent_block(parents, dim: int, dtype, atol: float) -> np.ndarray:
+    """The parents as one read-only (P, dim) block of unit rows, copied from a block or a list of P vectors.
 
-    Any other shape, a ragged list included, raises ``DimensionMismatchError``.
+    The one intake of every parent block, classical (float64, ``UNIT_NORM_ATOL``)
+    or quantum (complex128, ``quantum_sim.NORM_ATOL``): the penalties scale
+    with each parent's squared norm.  Any other shape, a ragged list
+    included, raises ``DimensionMismatchError``, and a row off unit norm by
+    more than ``atol`` (``errors.unit_norm``; NaN and inf too)
+    ``NormalizationError``.  Each squared norm is a sum of squares over the
+    float64 view, as ``quantum_sim.check_unit_rows`` reads it.
     """
     try:
         block = np.array(parents, dtype=dtype)
@@ -99,6 +106,8 @@ def _parent_block(parents, dim: int, dtype=np.float64) -> np.ndarray:
         block = block.reshape(0, dim)
     if block.ndim != 2 or block.shape[1] != dim:
         raise DimensionMismatchError(f"parents have shape {block.shape}, expected (P, {dim})")
+    parts = block.view(np.float64)
+    unit_norm("parent state", np.vecdot(parts, parts), atol)
     block.flags.writeable = False
     return block
 
@@ -156,7 +165,7 @@ def _twice_game_matrix(mat: np.ndarray, parents, scale: float = 1.0) -> np.ndarr
 
 def _twice_game_matrix_of(parents, m) -> np.ndarray:
     mat = _as_symmetric_array(m)
-    return _twice_game_matrix(mat, _parent_block(parents, mat.shape[0]))
+    return _twice_game_matrix(mat, _parent_block(parents, mat.shape[0], np.float64, UNIT_NORM_ATOL))
 
 
 def utility(v: np.ndarray, parents, m) -> float:
@@ -256,7 +265,7 @@ def eigengame_player(
 def _ascend(
     mat: np.ndarray, init: np.ndarray, parents, cfg: GameConfig, mode: GradientMode, index: int
 ) -> PlayerResult:
-    """``eigengame_player``'s ascent on a checked real symmetric array, eigenvalue and residual left unread.
+    """``eigengame_player``'s ascent on a checked real symmetric array: the ascent alone, left for ``_read_out``.
 
     A finite M can still overflow, in the game matrix or a product of the
     loop.  The loop's finiteness guard reports that as
@@ -265,7 +274,7 @@ def _ascend(
     """
     if mode not in ("exact", "zeroth_order"):
         raise ValueError(f"mode must be 'exact' or 'zeroth_order', got {mode!r}")
-    parents = _parent_block(parents, mat.shape[0])
+    parents = _parent_block(parents, mat.shape[0], np.float64, UNIT_NORM_ATOL)
     v = np.asarray(init, dtype=np.float64)
     if v.shape != mat.shape[:1]:
         raise DimensionMismatchError(f"init has shape {v.shape}, expected {mat.shape[:1]}")
@@ -326,10 +335,8 @@ def _ascend(
         current, spare = spare, current
         player.iterations_used += 1
 
-    v = current[3].copy()
     player.momentum_restarts = ball.restarts
-    player.vector = v
-    player.max_parent_overlap = float(np.max((parents @ v) ** 2, initial=0.0))
+    player.vector = current[3].copy()
     return player
 
 
@@ -340,9 +347,9 @@ class PlayerResult:
     Every runner fills the fields below, with one meaning:
 
     - ``index`` is the player's place in solve order, from 1, and
-      ``parents`` the read-only (P, d) block of the vectors it was solved
-      against, one row per earlier player: in a run, the earlier players'
-      ``vector``s.
+      ``parents`` the read-only (P, d) block of unit vectors it was solved
+      against (``_parent_block``), one row per earlier player: in a run,
+      the earlier players' ``vector``s, converged or not (``run_players``).
     - ``vector`` is the returned unit vector: the classical player's final
       v, or the read-only (2**q,) amplitudes the quantum player's final
       theta prepares.
@@ -359,7 +366,11 @@ class PlayerResult:
     - ``iterations_used`` counts the steps taken, and ``converged`` says
       the stop test passed within the budget.  ``momentum_restarts`` counts
       the ascent's velocity restarts (``HeavyBall``), 0 for budgets of at
-      most ``ASCENT_WARMUP``.
+      most ``ASCENT_WARMUP``.  The two loops spend a budget differently.
+      A classical player tests the vector it returns, even at its budget.
+      A quantum player that uses up its budget returns theta one step past
+      its last tested sweep, and its histories hold
+      ``iterations_used + converged`` rows.
 
     The cost counters are 0 for classical players.  ``readouts`` counts the
     finite-shot read-outs the player drew (the sweeps' and the final
@@ -405,10 +416,17 @@ class PlayerResult:
 
 
 def _read_out(player: PlayerResult, m: np.ndarray) -> PlayerResult:
-    """Set a classical player's ``eigenvalue`` and ``residual`` on M, from one matvec, and return it."""
-    mv = m @ player.vector
-    player.eigenvalue = float(player.vector @ mv)
-    player.residual = float(np.linalg.norm(mv - player.eigenvalue * player.vector))
+    """Set a classical player's ``eigenvalue``, ``residual`` and ``max_parent_overlap``, and return it.
+
+    All three are read on the caller's M and the returned vector v: one
+    matvec M v gives <v|M v> and ||M v - <v|M v> v||, and one product of
+    the parent block with v the overlaps.
+    """
+    v = player.vector
+    mv = m @ v
+    player.eigenvalue = float(v @ mv)
+    player.residual = float(np.linalg.norm(mv - player.eigenvalue * v))
+    player.max_parent_overlap = float(np.max((player.parents @ v) ** 2, initial=0.0))
     return player
 
 
@@ -442,22 +460,27 @@ def ascended_matrix(mat: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarra
     return ascended, shift
 
 
-def run_players(k: int, play: Callable, digest: Callable[[], str]) -> SequentialResult:
-    """The sequential scheduler every runner shares.
+def run_players(k: int, dim: int, play: Callable, digest: Callable[[], str]) -> SequentialResult:
+    """The sequential policy, stated once for every runner.
 
-    Players 1..k (k a whole number of at least 1) are solved once each, in
-    order.  ``play(index, earlier)`` solves one player given the tuple of the earlier players' records and
-    returns its own ``PlayerResult``; each runner's ``play`` builds the
-    parents from those records' vectors, so every player is a parent of
-    every later one whether or not it converged, and ``all_converged``
-    reports any miss.  ``digest()`` hashes the operator before and after
+    ``k`` must be a whole number (``errors.whole_number``) of at most
+    ``dim``, the operator's dimension: a ``ValueError`` names both before
+    ``digest()`` or any player runs.  Players 1..k are then solved once
+    each, in order, with no restart.  ``play(index, parents, eigenvalues)``
+    solves one player and returns its ``PlayerResult``; ``parents`` and
+    ``eigenvalues`` are lists of the vectors and eigenvalues of every
+    earlier player, whether or not it converged, and ``all_converged``
+    reports any miss.  Each player copies the list into its parent block
+    (``_parent_block``).  ``digest()`` hashes the operator before and after
     the run: no player may rewrite it.
     """
     whole_number("k", k)
+    if k > dim:
+        raise ValueError(f"k={k} players exceed the operator's dimension {dim}")
     hash_before = digest()
     players = []
     for index in range(1, k + 1):
-        players.append(play(index, tuple(players)))
+        players.append(play(index, [p.vector for p in players], [p.eigenvalue for p in players]))
     hash_after = digest()
     if hash_after != hash_before:
         raise AssertionError("input operator mutated during the run")
@@ -477,13 +500,14 @@ def run_sequential(
     seed: int,
     mode: GradientMode = "exact",
 ) -> SequentialResult:
-    """Solve players 1..k in order with ``run_players``, each from its own seeded start.
+    """Solve players 1..k, k = ``cfg.num_players``, with ``run_players``, each from its own seeded start.
 
-    The players ascend A = M + c I (``ascended_matrix``): c = 0 for
-    positive-definite M, and c = ||M||_2 - lambda_min otherwise, so that
-    every eigenvalue of A is positive.  Player i ascends A against the
-    vectors of players 1..i-1, its parent block; eigenvalues and residuals
-    are read on M.  The dense eigenvalues, computed once, give c, the
+    ``run_players`` holds k to M's dimension n and hands player i the
+    vectors of players 1..i-1, its parent block.  The players ascend
+    A = M + c I (``ascended_matrix``): c = 0 for positive-definite M, and
+    c = ||M||_2 - lambda_min otherwise, so that every eigenvalue of A is
+    positive; eigenvalues, residuals and parent overlaps are read on M
+    (``_read_out``).  The dense eigenvalues, computed once, give c, the
     default step 1 / (2 (lambda_max + c)) and the leading-eigengap warning;
     no eigenvector enters the solve.  The zero matrix is rejected: it has no
     leading eigenvectors and no step size.  M is checked once per run, not
@@ -498,9 +522,6 @@ def run_sequential(
     whole_number("seed", seed, minimum=0)
     mat = _as_symmetric_array(m)  # the run's one check
     dim = mat.shape[0]
-    if cfg.num_players > dim:
-        raise ValueError(f"num_players {cfg.num_players} exceeds matrix dimension {dim}")
-
     if not mat.any():
         raise ValueError("the zero matrix has no leading eigenvectors: every unit vector is one")
     eigenvalues = np.linalg.eigvalsh(mat)
@@ -512,12 +533,10 @@ def run_sequential(
     if cfg.step_size is None:
         cfg = replace(cfg, step_size=1.0 / (2.0 * (float(eigenvalues[-1]) + shift)))
 
-    def play(i: int, earlier: tuple[PlayerResult, ...]) -> PlayerResult:
+    def play(i: int, parents: list[np.ndarray], _: list[float]) -> PlayerResult:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))
         init = rng.standard_normal(dim)
         init /= np.linalg.norm(init)
-        parents = [p.vector for p in earlier]
         return _read_out(_ascend(ascended, init, parents, cfg, mode, i), mat)
 
-    return run_players(cfg.num_players, play, lambda: hashlib.sha256(mat).hexdigest())
-
+    return run_players(cfg.num_players, dim, play, lambda: hashlib.sha256(mat).hexdigest())

@@ -30,7 +30,6 @@ from .quantum_sim import (
     _sweep_states,
     apply_ansatz,
     check_sweep,
-    check_unit_rows,
     interference_moments,
     pauli_sum_apply,
     perturb_readouts,
@@ -269,12 +268,11 @@ def _shot_read(
 def _parent_arrays(spec: AnsatzSpec, states, eigenvalues) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (P, 2**q) block of parent states and their (P,) eigenvalues on M.
 
-    Both penalties scale with |psi_j|^2, so a state off unit norm by more
-    than ``NORM_ATOL`` (``quantum_sim.check_unit_rows``; NaN too) raises
+    The states pass the one parent intake, ``_parent_block``, at
+    ``NORM_ATOL``: a state off unit norm by more than that (NaN too) raises
     ``NormalizationError``.
     """
-    block = _parent_block(states, 2**spec.num_qubits, np.complex128)
-    check_unit_rows("parent state", block)
+    block = _parent_block(states, 2**spec.num_qubits, np.complex128, NORM_ATOL)
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     if eigenvalues.shape != (len(block),):
         raise ValueError(f"need one eigenvalue per parent state: {eigenvalues.shape} for {len(block)} states")
@@ -528,22 +526,23 @@ def _sequential_run(
     seed: int,
     player_fn,
 ) -> SequentialResult:
+    """What the two quantum runners add to ``run_players``: the seed and operator checks and each player's start.
+
+    ``run_players`` holds k to the register dimension 2**q and hands player
+    r the states and eigenvalues of players 1..r-1.  Player r's start
+    theta and shot stream come from ``SeedSequence(seed, spawn_key=(r,))``.
+    """
     whole_number("seed", seed, minimum=0)
-    whole_number("k", k)
-    if k > 2**spec.num_qubits:
-        raise ValueError(f"k={k} exceeds the register dimension {2**spec.num_qubits}")
     if m.spectral_range == (0.0, 0.0):
         raise ValueError("the zero operator has no leading eigenvectors: every state is one")
 
-    def play(r: int, earlier: tuple[PlayerResult, ...]) -> PlayerResult:
+    def play(r: int, states: list[np.ndarray], eigenvalues: list[float]) -> PlayerResult:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         theta_init = rng.uniform(-np.pi, np.pi, size=spec.num_parameters)
         shots = replace(cfg.shots, rng_seed=int(rng.integers(0, 2**31 - 1)))
-        states = [p.vector for p in earlier]
-        eigenvalues = [p.eigenvalue for p in earlier]
         return player_fn(m, spec, theta_init, states, eigenvalues, replace(cfg, shots=shots), index=r)
 
-    return run_players(k, play, lambda: pauli_sum_hash(m))
+    return run_players(k, 2**spec.num_qubits, play, lambda: pauli_sum_hash(m))
 
 
 def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, seed: int) -> SequentialResult:
@@ -554,8 +553,8 @@ def run_quantumgame(m: PauliSum, spec: AnsatzSpec, cfg: SolverConfig, k: int, se
     formulation is that no deflation step ever rewrites it.  Player r's
     start and shot stream come from ``SeedSequence(seed, spawn_key=(r,))``;
     ``cfg.shots.rng_seed`` is not read.  ``seed`` must be a non-negative
-    integer and ``k`` a whole number of at least 1 (``errors.whole_number``),
-    checked before any player runs.
+    integer and ``k`` a whole number (``errors.whole_number``) of at most
+    2**q (``run_players``), checked before any player runs.
     """
     return _sequential_run(m, spec, cfg, k, seed, quantumgame_player)
 

@@ -288,10 +288,15 @@ class DiagnosticRow:
 
 
 def _rotate_towards(v: np.ndarray, direction_seed: np.random.Generator, angle: float) -> np.ndarray:
-    """Rotate a unit vector by a given angle towards a random orthogonal direction."""
+    """Rotate a unit vector by a given angle towards a random orthogonal direction.
+
+    The angle is read as a Python float, so a float32 angle still yields a
+    float64 vector of unit norm to rounding.
+    """
     delta = direction_seed.standard_normal(v.shape[0])
     delta -= (delta @ v) * v
     delta /= np.linalg.norm(delta)
+    angle = float(angle)
     return np.cos(angle) * v + np.sin(angle) * delta
 
 

@@ -413,7 +413,7 @@ def quantum_utility(
     game's finite-shot read of the one-row base psi_r.
     """
     values = np.asarray(theta_r, dtype=np.float64)
-    block = _parent_block(parent_states, 2**spec.num_qubits, np.complex128)
+    block = _parent_block(parent_states, 2**spec.num_qubits, np.complex128, NORM_ATOL)
     objective = _game_objective(m, block, parent_eigenvalues, "maximize")
     psi = apply_ansatz(spec, values[None, :])
     return _shot_read(m, objective, _interference, shots, rng)(psi)[1]
@@ -458,7 +458,7 @@ def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode:
     ``final_riemannian_norm`` is the last ||t|| / alpha tested.
     """
     mat = _as_symmetric_array(m)
-    parents = _parent_block(parents, mat.shape[0])
+    parents = _parent_block(parents, mat.shape[0], np.float64, UNIT_NORM_ATOL)
     v = np.asarray(init, dtype=np.float64).copy()
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:
         raise NormalizationError("init vector must be unit norm")

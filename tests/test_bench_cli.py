@@ -1,5 +1,6 @@
 """Config parsing, experiment commands, CSV contracts, exit codes."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -204,6 +205,26 @@ class TestH2Command:
         cfgfile = tmp_path / "h2.cfg"
         cfgfile.write_text(text)
         assert main(["h2", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == code
+
+    def test_cumulative_iteration_counts_every_row_once(self, tmp_path):
+        # A converged player has iterations_used + 1 rows; advancing by
+        # iterations_used gave its last row the next player's first index.
+        cfg = build_run_config(
+            "h2_levels",
+            {"num_levels": 3, "max_iterations": 120, "shots": 200, "seeds": [0]},
+        )
+        cmd_bench_h2(cfg, tmp_path)
+        with open(tmp_path / "results.csv", newline="") as handle:
+            rows = [row for row in csv.DictReader(handle) if row["algorithm"] != "oracle"]
+        blocks = {}
+        for row in rows:
+            blocks.setdefault((row["algorithm"], row["noise"], row["seed"]), []).append(row)
+        assert len(blocks) == 4
+        for block in blocks.values():
+            assert [int(row["cumulative_iteration"]) for row in block] == list(range(len(block)))
+        # Not vacuous: the first noiseless game player converged, with a later player after it.
+        first = [row for row in blocks["quantumgame", "noiseless", "0"] if row["player"] == "1"]
+        assert float(first[-1]["grad_norm"]) <= cfg["grad_tolerance"]
 
     def test_determinism(self, tmp_path):
         cfg = build_run_config(

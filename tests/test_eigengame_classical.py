@@ -20,6 +20,7 @@ from eigengames.eigengame_classical import (
     ASCENT_WARMUP,
     GameConfig,
     HeavyBall,
+    PlayerResult,
     angular_error,
     eigengame_player,
     exact_gradient,
@@ -474,7 +475,7 @@ class TestRunSequential:
             assert pa.iterations_used == pb.iterations_used
 
     def test_too_many_players_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k=3 players exceed the operator's dimension 2$"):
             run_sequential(M2, GameConfig(num_players=3), seed=0)
 
     def test_non_symmetric_input_rejected(self):
@@ -645,12 +646,36 @@ class TestRunSequential:
     def test_scheduler_rejects_a_mutated_operator(self):
         box = [0]
 
-        def play(index, earlier):
+        def play(index, parents, eigenvalues):
             box[0] += 1
-            return None
+            return PlayerResult(index, np.zeros((0, 2)), E1)
 
         with pytest.raises(AssertionError):
-            run_players(2, play, lambda: str(box[0]))
+            run_players(2, 2, play, lambda: str(box[0]))
+
+    def test_scheduler_hands_each_player_every_earlier_vector_and_eigenvalue(self):
+        # Converged or not, every earlier player is a parent of every later one.
+        received = []
+
+        def play(index, parents, eigenvalues):
+            received.append((list(parents), list(eigenvalues)))
+            return PlayerResult(index, np.zeros((0, 3)), np.full(3, float(index)), eigenvalue=10.0 * index,
+                                iterations_used=index, converged=index != 2)
+
+        result = run_players(3, 3, play, lambda: "digest")
+        assert [len(vectors) for vectors, _ in received] == [0, 1, 2]
+        vectors, eigenvalues = received[2]
+        assert not result.players[1].converged and not result.all_converged
+        assert all(v is p.vector for v, p in zip(vectors, result.players[:2], strict=True))
+        assert eigenvalues == [10.0, 20.0] and received[1][1] == [10.0]
+        assert result.eigenvalues == [10.0, 20.0, 30.0] and result.total_iterations == 6
+
+    def test_scheduler_checks_the_player_count_before_anything_runs(self):
+        def never(*args):
+            raise AssertionError("the digest or a player ran")
+
+        with pytest.raises(ValueError, match=r"^k=3 players exceed the operator's dimension 2$"):
+            run_players(3, 2, never, never)
 
 
 class TestInvariants:
@@ -988,8 +1013,25 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_scheduler_rejects_no_players(self, k):
-        def play(index, parents):
+        def play(index, parents, eigenvalues):
             raise AssertionError("no player may run")
 
         with pytest.raises(ValueError, match="k must be a whole number of at least 1"):
-            run_players(k, play, lambda: "digest")
+            run_players(k, 1, play, lambda: "digest")
+
+    @pytest.mark.parametrize("entry", ["player", "utility", "exact_gradient", "finite_diff_gradient",
+                                       "finite_diff_error_term"])
+    def test_parent_off_unit_norm_rejected(self, entry):
+        # The player converged against 3 e2 and reported a max_parent_overlap
+        # of 1.18e-7, 9 times the true overlap with e2.
+        m, parents = np.diag([3.0, 1.0, 0.5]), [3.0 * np.eye(3)[1]]
+        v = np.array([0.6, 0.8, 0.0])
+        calls = {
+            "player": lambda: eigengame_player(m, v, parents, GameConfig(step_size=0.1)),
+            "utility": lambda: utility(v, parents, m),
+            "exact_gradient": lambda: exact_gradient(v, parents, m),
+            "finite_diff_gradient": lambda: finite_diff_gradient(v, parents, m, 0.1),
+            "finite_diff_error_term": lambda: finite_diff_error_term(parents, m),
+        }
+        with pytest.raises(NormalizationError, match=r"^parent state must be unit norm within 1e-09, off by 2$"):
+            calls[entry]()

@@ -874,8 +874,9 @@ class TestShiftedObjective:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((quantum_sim, "check_unit_rows"), (quantumgame, "check_unit_rows"),
-                             (quantum_sim, "unit_norm"), (quantumgame, "check_sweep")):
+        for module, name in ((quantum_sim, "check_unit_rows"), (quantumgame, "_parent_block"),
+                             (quantum_sim, "unit_norm"), (eigengame_classical, "unit_norm"),
+                             (quantumgame, "check_sweep")):
             counting(module, name)
         h, spec = load_pauli_sum(bundled_h2_path()), random_layers_ansatz(2, 3, 3, seed=11)
         parents = make_parents(h, spec, [np.full(9, 0.4)])
@@ -887,10 +888,11 @@ class TestShiftedObjective:
             result = player(h, spec, np.full(9, 0.3), *parents, cfg)
             assert len(result.energy_history) == budget
             seen[budget] = list(calls)
-        # The parents' check, the last sweep's check (its rows, then its shift
-        # rows) and the final state's, each through the one unit-norm rule.
+        # The parents' check (in the one parent intake), the last sweep's check
+        # (its rows, then its shift rows) and the final state's, each through
+        # the one unit-norm rule.
         assert seen[2] == seen[12] == [
-            "check_unit_rows", "unit_norm", "check_sweep", "check_unit_rows", "unit_norm", "unit_norm",
+            "_parent_block", "unit_norm", "check_sweep", "check_unit_rows", "unit_norm", "unit_norm",
             "check_unit_rows", "unit_norm",
         ]
 
@@ -1435,6 +1437,15 @@ RUNNERS = {
                                    SolverConfig(direction="minimize", beta=5.0, max_iterations=5), k, seed),
 }
 
+# The three runners on a dimension-2 operator (a 2 x 2 matrix, one qubit), called with k.
+DIMENSION_2_RUNNERS = {
+    "classical": lambda k: run_sequential(np.diag([2.0, 1.0]), GameConfig(num_players=k), 0),
+    "game": lambda k: run_quantumgame(PauliSum(1, ((1.0, "Z"),)), layered_ansatz(1, 1),
+                                      SolverConfig(direction="minimize", max_iterations=5), k, 0),
+    "vqd": lambda k: run_vqd(PauliSum(1, ((1.0, "Z"),)), layered_ansatz(1, 1),
+                             SolverConfig(direction="minimize", beta=5.0, max_iterations=5), k, 0),
+}
+
 # Every count and seed checked by errors.whole_number: the site, then a call with the value
 # under test, the site's error class, the name its message gives, a value below its minimum,
 # and a NumPy integer it takes.
@@ -1708,6 +1719,23 @@ class TestInputValidation:
         monkeypatch.setattr(quantumgame, "_ascend", no_player)
         with pytest.raises(ValueError, match=message):
             runner(k, seed)
+
+    @pytest.mark.parametrize("runner", DIMENSION_2_RUNNERS.values(), ids=DIMENSION_2_RUNNERS.keys())
+    def test_more_players_than_the_dimension_rejected_before_any_player(self, monkeypatch, runner):
+        # The quantum runners' k > 2**q check had no test.
+        def no_player(*args, **kwargs):
+            raise AssertionError("a player ran")
+
+        monkeypatch.setattr(eigengame_classical, "_ascend", no_player)
+        monkeypatch.setattr(quantumgame, "_ascend", no_player)
+        with pytest.raises(ValueError, match=r"^k=3 players exceed the operator's dimension 2$"):
+            runner(3)
+
+    @pytest.mark.parametrize("runner", DIMENSION_2_RUNNERS.values(), ids=DIMENSION_2_RUNNERS.keys())
+    def test_as_many_players_as_the_dimension_run(self, runner):
+        result = runner(2)
+        assert [p.index for p in result.players] == [1, 2]
+        assert np.array_equal(result.players[1].parents, result.players[0].vector[None, :])
 
     @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
                              ids=["game", "vqd"])
