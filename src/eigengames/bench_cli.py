@@ -231,16 +231,23 @@ def load_run_config(experiment: str, config_path: str | None, seed: int | None) 
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_run(out: Path, cfg: RunConfig, rows: Sequence[dict], extra_lines: Sequence[str] = ()) -> None:
+    """Create ``out``, write ``results.csv``, then ``manifest.txt``.
+
+    Each row is a dict from column name to value, so a command names each
+    column once, beside its value.  The header is the first row's keys; a
+    row whose keys differ from them, in name or order, raises ``ValueError``
+    before either file is written.  Floats are written by ``repr``.
+    """
+    header = list(rows[0])
+    for index, row in enumerate(rows):
+        if list(row) != header:
+            raise ValueError(f"row {index} has columns {list(row)}, the first row has {header}")
+    out.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
-    path.write_text(buffer.getvalue())
-
-
-def _write_manifest(out: Path, cfg: RunConfig, extra_lines: Sequence[str] = ()) -> None:
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [header] + [[repr(x) if isinstance(x, float) else x for x in row.values()] for row in rows])
+    (out / "results.csv").write_text(buffer.getvalue())
     lines = [
         f"library_version: {__version__}",
         f"experiment: {cfg.experiment}",
@@ -273,7 +280,6 @@ def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
     where the residual no longer pins the vector to its eigenvector.  The
     defaults, tolerance and sigma 1e-6, are tier-1 criterion 2's settings.
     """
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     ok = True
     for n in sorted(cfg["sizes"]):
@@ -283,19 +289,13 @@ def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
                 result = run_sequential(matrix, cfg.built["game"], seed=seed, mode=mode)
                 max_angle = max(angular_error(p.vector, vectors[:, p.index - 1]) for p in result.players)
                 angle_bound = max(p.residual / _gap_to_the_rest(levels, p.index - 1) for p in result.players)
-                rows.append(
-                    (n, mode, seed, result.total_iterations, max_angle,
-                     max(p.residual for p in result.players), angle_bound,
-                     int(result.all_converged), cfg.config_hash)
-                )
+                rows.append({
+                    "n": n, "mode": mode, "seed": seed, "total_iterations": result.total_iterations,
+                    "max_angular_error": max_angle, "max_residual": _largest(result, "residual"),
+                    "max_angle_bound": angle_bound, "converged": int(result.all_converged),
+                    "config_hash": cfg.config_hash})
                 ok = ok and result.all_converged and angle_bound <= 1.0
-    _write_csv(
-        out / "results.csv",
-        ["n", "mode", "seed", "total_iterations", "max_angular_error", "max_residual",
-         "max_angle_bound", "converged", "config_hash"],
-        rows,
-    )
-    _write_manifest(out, cfg)
+    _write_run(out, cfg, rows)
     return 0 if ok else 1
 
 
@@ -304,11 +304,12 @@ def _trajectory_rows(tag: str, noise: str, seed: int, result, shots_label, confi
     cumulative = 0
     for player in result.players:
         for t in range(len(player.energy_history)):
-            rows.append(
-                (tag, noise, seed, player.index, t, cumulative + t,
-                 player.energy_history[t], player.utility_history[t],
-                 player.grad_norm_history[t], shots_label, config_hash)
-            )
+            rows.append({
+                "algorithm": tag, "noise": noise, "seed": seed, "player": player.index,
+                "iteration": t, "cumulative_iteration": cumulative + t,
+                "energy": player.energy_history[t], "utility": player.utility_history[t],
+                "grad_norm": player.grad_norm_history[t], "shots": shots_label,
+                "config_hash": config_hash})
         cumulative += len(player.energy_history)  # iterations_used + converged rows
     return rows
 
@@ -317,19 +318,26 @@ def _shots_used(result) -> int:
     return sum(player.shots for player in result.players)
 
 
+def _largest(result, name: str) -> float:
+    """The largest value of the players' ``name`` field in one run."""
+    return max(getattr(player, name) for player in result.players)
+
+
 def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     """Energy-level trajectories on the bundled molecular operator, exact and 10k-shot.
 
-    The manifest records each (algorithm, noise, seed) run's shots, largest
-    imaginary interference read-out, and the largest energy standard
-    deviation and parent overlap over its returned states (reported, not
-    gating).  Exits 1 unless both solvers' noiseless levels are within 2e-2
+    The manifest records each (algorithm, noise, seed) run's shots; its
+    ``max_imag_residue``, the largest |Im<r|M r>| its sweeps' <M> reads saw
+    (``PlayerResult``: theta's row under an exact shot model, the shift rows
+    under finite shots); and the largest energy standard deviation and
+    parent overlap over its returned states (reported, not gating).  Exits 1 unless both solvers' noiseless levels are within 2e-2
     of the oracle's.
     """
-    out.mkdir(parents=True, exist_ok=True)
     h, spec, solvers = cfg.built["operator"], cfg.built["ansatz"], cfg.built["solvers"]
     k, oracle = cfg["num_levels"], cfg.built["levels"]
-    rows = [("oracle", "exact", "", level, "", "", float(value), "", "", "exact", cfg.config_hash)
+    rows = [{"algorithm": "oracle", "noise": "exact", "seed": "", "player": level, "iteration": "",
+             "cumulative_iteration": "", "energy": float(value), "utility": "", "grad_norm": "",
+             "shots": "exact", "config_hash": cfg.config_hash}
             for level, value in enumerate(oracle, start=1)]
     ok = True
     costs = ["run costs:"]
@@ -341,24 +349,15 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
             vqd = run_vqd(h, spec, solvers[noise, cfg["beta"]], k, seed=seed)
             rows += _trajectory_rows("vqd", noise, seed, vqd, shots or "exact", cfg.config_hash)
             for tag, result in (("quantumgame", game), ("vqd", vqd)):
-                residue = max(player.max_imag_residue for player in result.players)
-                residual = max(player.residual for player in result.players)
-                overlap = max(player.max_parent_overlap for player in result.players)
                 costs.append(f"  {tag} {noise} seed={seed}: shots_used = {_shots_used(result)}, "
-                             f"max_imag_residue = {residue!r}, max_residual = {residual!r}, "
-                             f"max_parent_overlap = {overlap!r}")
+                             f"max_imag_residue = {_largest(result, 'max_imag_residue')!r}, "
+                             f"max_residual = {_largest(result, 'residual')!r}, "
+                             f"max_parent_overlap = {_largest(result, 'max_parent_overlap')!r}")
             if noise == "noiseless":
                 for result in (game, vqd):
                     ok = ok and bool(np.all(np.abs(np.sort(result.eigenvalues) - oracle) <= 2e-2))
-    _write_csv(
-        out / "results.csv",
-        ["algorithm", "noise", "seed", "player", "iteration", "cumulative_iteration",
-         "energy", "utility", "grad_norm", "shots", "config_hash"],
-        rows,
-    )
-    _write_manifest(
-        out, cfg, ["ansatz:"] + ["  " + line for line in spec.describe().splitlines()] + costs
-    )
+    _write_run(out, cfg, rows,
+               ["ansatz:"] + ["  " + line for line in spec.describe().splitlines()] + costs)
     return 0 if ok else 1
 
 
@@ -369,7 +368,6 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
     overlap between two returned states: a weight below the gaps can return
     one state several times, which the convergence flag alone does not show.
     """
-    out.mkdir(parents=True, exist_ok=True)
     h, spec, solvers = cfg.built["operator"], cfg.built["ansatz"], cfg.built["solvers"]
     k, oracle = cfg["num_levels"], cfg.built["levels"]
     rows = []
@@ -378,27 +376,20 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
             for seed in cfg["seeds"]:
                 result = run_vqd(h, spec, solvers[noise, beta], k, seed=seed)
                 max_err = float(np.max(np.abs(np.sort(result.eigenvalues) - oracle)))
-                # Player j's parents are players 1..j-1, so this covers every pair;
-                # a repeated state may round above 1.
-                overlap = min(max(p.max_parent_overlap for p in result.players), 1.0)
-                rows.append(
-                    (float(beta), noise, seed, result.total_iterations, max_err,
-                     int(result.all_converged), shots or "exact", cfg.config_hash,
-                     _shots_used(result), overlap)
-                )
-    _write_csv(
-        out / "results.csv",
-        ["beta", "noise", "seed", "total_iterations", "max_abs_energy_error",
-         "all_converged", "shots", "config_hash", "shots_used", "max_pair_overlap"],
-        rows,
-    )
-    _write_manifest(out, cfg, ["ansatz:"] + ["  " + line for line in spec.describe().splitlines()])
+                # max_pair_overlap: player j's parents are players 1..j-1, so it covers
+                # every pair; a repeated state may round above 1.
+                rows.append({
+                    "beta": float(beta), "noise": noise, "seed": seed,
+                    "total_iterations": result.total_iterations, "max_abs_energy_error": max_err,
+                    "all_converged": int(result.all_converged), "shots": shots or "exact",
+                    "config_hash": cfg.config_hash, "shots_used": _shots_used(result),
+                    "max_pair_overlap": min(_largest(result, "max_parent_overlap"), 1.0)})
+    _write_run(out, cfg, rows, ["ansatz:"] + ["  " + line for line in spec.describe().splitlines()])
     return 0
 
 
 def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
     """Run every bound-check suite; exit 0 only with zero violations."""
-    out.mkdir(parents=True, exist_ok=True)
     (seed,) = cfg["seeds"]
     dim = cfg["dim"]
     rows = []
@@ -407,16 +398,11 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
     rows += classical
     rows += measure_error_accumulation_quantum(cfg.built["operator"], cfg.built["ansatz"],
                                                epsilons=cfg["epsilons"], seed=seed)
-    csv_rows = [
-        (r.bound_name, r.parameters, r.bound_value, r.measured_value, "pass" if r.passed else "FAIL")
+    _write_run(out, cfg, [
+        {"bound": r.bound_name, "parameters": r.parameters, "bound_value": r.bound_value,
+         "measured_value": r.measured_value, "status": "pass" if r.passed else "FAIL"}
         for r in rows
-    ]
-    _write_csv(
-        out / "results.csv",
-        ["bound", "parameters", "bound_value", "measured_value", "status"],
-        csv_rows,
-    )
-    _write_manifest(out, cfg)
+    ])
     failures = [r for r in rows if not r.passed]
     for r in failures:
         print(f"BOUND VIOLATION {r.bound_name} [{r.parameters}]: "

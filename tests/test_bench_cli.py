@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,9 +100,6 @@ class TestScalingCommand:
         code = cmd_bench_scaling(cfg, tmp_path / "a")
         assert code == 0
         body_a = (tmp_path / "a" / "results.csv").read_bytes()
-        header = body_a.decode().splitlines()[0].split(",")
-        assert header == ["n", "mode", "seed", "total_iterations", "max_angular_error",
-                          "max_residual", "max_angle_bound", "converged", "config_hash"]
         cmd_bench_scaling(cfg, tmp_path / "b")
         assert body_a == (tmp_path / "b" / "results.csv").read_bytes()
         assert (tmp_path / "a" / "manifest.txt").exists()
@@ -293,6 +291,48 @@ class TestDiagnosticsCommand:
         rows = (tmp_path / "results.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 1000 + 3 * 20 + 3 * 5
         assert all(row.endswith(",pass") for row in rows)
+
+
+class TestOutputPath:
+    """Every command's columns, and the one writer's check on them."""
+
+    @pytest.mark.parametrize("runner, experiment, overrides, header", [
+        (cmd_bench_scaling, "eigengame_scaling",
+         {"sizes": [8], "seeds": [0], "num_players": 4, "grad_tolerance": 1e-3},
+         ["n", "mode", "seed", "total_iterations", "max_angular_error", "max_residual",
+          "max_angle_bound", "converged", "config_hash"]),
+        (cmd_bench_h2, "h2_levels",
+         {"num_levels": 2, "max_iterations": 120, "shots": 200, "seeds": [3]},
+         ["algorithm", "noise", "seed", "player", "iteration", "cumulative_iteration",
+          "energy", "utility", "grad_norm", "shots", "config_hash"]),
+        (cmd_bench_beta_sweep, "vqd_beta_sweep",
+         {"betas": [5.0], "num_levels": 2, "max_iterations": 50, "shots": 200},
+         ["beta", "noise", "seed", "total_iterations", "max_abs_energy_error",
+          "all_converged", "shots", "config_hash", "shots_used", "max_pair_overlap"]),
+        (cmd_diagnostics, "diagnostics", {"lipschitz_samples": 10},
+         ["bound", "parameters", "bound_value", "measured_value", "status"]),
+    ], ids=["scaling", "h2", "beta-sweep", "diagnostics"])
+    def test_every_command_pins_its_header(self, tmp_path, runner, experiment, overrides, header):
+        runner(build_run_config(experiment, overrides), tmp_path)
+        with open(tmp_path / "results.csv", newline="") as handle:
+            first, *rows = csv.reader(handle)
+        assert first == header
+        assert rows and all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize("row, keys", [
+        ({"a": 3, "c": 4}, "['a', 'c']"),
+        ({"b": 4, "a": 3}, "['b', 'a']"),
+    ], ids=["renamed", "reordered"])
+    def test_writer_rejects_a_row_whose_columns_drift(self, tmp_path, row, keys):
+        # h2 writes oracle rows and trajectory rows into one CSV: a column placed
+        # differently in one of them would mislabel its values, so the run fails.
+        cfg = build_run_config("diagnostics", {"lipschitz_samples": 10})
+        rows = [{"a": 1, "b": 2}, {"a": 2, "b": 3}, row]
+        message = f"row 2 has columns {keys}, the first row has ['a', 'b']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bench_cli._write_run(tmp_path / "out", cfg, rows)
+        assert not (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 class TestMainCli:
