@@ -310,7 +310,7 @@ def _trajectory_rows(tag: str, noise: str, seed: int, result, shots_label, confi
                 "energy": player.energy_history[t], "utility": player.utility_history[t],
                 "grad_norm": player.grad_norm_history[t], "shots": shots_label,
                 "config_hash": config_hash})
-        cumulative += len(player.energy_history)  # iterations_used + converged rows
+        cumulative += len(player.energy_history)  # iterations_used + stopped rows
     return rows
 
 

@@ -319,7 +319,7 @@ def _ascend(
             tangent = (gv + rows[3]) - v_w * v  # alpha (I - v v^T) g, formed for the test
             player.final_riemannian_norm = math.sqrt(tangent.dot(tangent)) / alpha
             if player.final_riemannian_norm <= cfg.grad_tolerance:
-                player.converged = True
+                player.converged = player.stopped = True
                 break
             if out_of_budget:
                 break
@@ -363,14 +363,16 @@ class PlayerResult:
       ``converged``.  Under finite shots both stay exact simulator values;
       only the eigenvalue is a shot read, the last draw of the player's
       stream.
-    - ``iterations_used`` counts the steps taken, and ``converged`` says
-      the stop test passed within the budget.  ``momentum_restarts`` counts
-      the ascent's velocity restarts (``HeavyBall``), 0 for budgets of at
-      most ``ASCENT_WARMUP``.  The two loops spend a budget differently.
-      A classical player tests the vector it returns, even at its budget.
-      A quantum player that uses up its budget returns theta one step past
-      its last tested sweep, and its histories hold
-      ``iterations_used + converged`` rows.
+    - ``iterations_used`` counts the steps taken, and ``stopped`` says the
+      loop's stop test passed within the budget.  ``converged`` says the
+      returned pair is the answer; both loops set it where they set
+      ``stopped``, so today the two are equal on every player.
+      ``momentum_restarts`` counts the ascent's velocity restarts
+      (``HeavyBall``), 0 for budgets of at most ``ASCENT_WARMUP``.  The two
+      loops spend a budget differently.  A classical player tests the
+      vector it returns, even at its budget.  A quantum player that uses up
+      its budget returns theta one step past its last tested sweep, and its
+      histories hold ``iterations_used + stopped`` rows.
 
     The cost counters are 0 for classical players.  ``readouts`` counts the
     finite-shot read-outs the player drew (the sweeps' and the final
@@ -402,6 +404,7 @@ class PlayerResult:
     max_parent_overlap: float = 0.0
     iterations_used: int = 0
     converged: bool = False
+    stopped: bool = False
     momentum_restarts: int = 0
     readouts: int = 0
     shots: int = 0
@@ -460,23 +463,32 @@ def ascended_matrix(mat: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarra
     return ascended, shift
 
 
+def check_player_count(k: int, dim: int) -> None:
+    """Raise ``ValueError`` unless ``k`` is a whole number (``errors.whole_number``) of at most ``dim``, naming both.
+
+    The player-count rule of ``run_players``; the runners call it before
+    any spectral work too, so a bad count is the first error they raise.
+    """
+    whole_number("k", k)
+    if k > dim:
+        raise ValueError(f"k={k} players exceed the operator's dimension {dim}")
+
+
 def run_players(k: int, dim: int, play: Callable, digest: Callable[[], str]) -> SequentialResult:
     """The sequential policy, stated once for every runner.
 
     ``k`` must be a whole number (``errors.whole_number``) of at most
     ``dim``, the operator's dimension: a ``ValueError`` names both before
-    ``digest()`` or any player runs.  Players 1..k are then solved once
-    each, in order, with no restart.  ``play(index, parents, eigenvalues)``
-    solves one player and returns its ``PlayerResult``; ``parents`` and
-    ``eigenvalues`` are lists of the vectors and eigenvalues of every
-    earlier player, whether or not it converged, and ``all_converged``
-    reports any miss.  Each player copies the list into its parent block
+    ``digest()`` or any player runs (``check_player_count``).  Players 1..k
+    are then solved once each, in order, with no restart.
+    ``play(index, parents, eigenvalues)`` solves one player and returns its
+    ``PlayerResult``; ``parents`` and ``eigenvalues`` are lists of the
+    vectors and eigenvalues of every earlier player, whether or not it
+    converged, and ``all_converged`` reports any miss.  Each player copies the list into its parent block
     (``_parent_block``).  ``digest()`` hashes the operator before and after
     the run: no player may rewrite it.
     """
-    whole_number("k", k)
-    if k > dim:
-        raise ValueError(f"k={k} players exceed the operator's dimension {dim}")
+    check_player_count(k, dim)
     hash_before = digest()
     players = []
     for index in range(1, k + 1):
@@ -524,6 +536,7 @@ def run_sequential(
     dim = mat.shape[0]
     if not mat.any():
         raise ValueError("the zero matrix has no leading eigenvectors: every unit vector is one")
+    check_player_count(cfg.num_players, dim)  # before the eigengap warning reads the count
     eigenvalues = np.linalg.eigvalsh(mat)
     gaps = np.diff(eigenvalues)[::-1]  # descending order, leading gap first
     if gaps.size and gaps[: cfg.num_players].min() < 1e-6:

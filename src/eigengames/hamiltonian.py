@@ -35,6 +35,17 @@ LANCZOS_TOL = 1e-13
 RANGE_RESIDUAL_TOL = 1e-2
 LANCZOS_SEED = 0
 RITZ_CHECK_STRIDE = 8
+# ``PauliSum.apply`` gathers a whole batch at once, one stacked product, when
+# the gathered block (rows x x-masks x 2**q amplitudes) holds at most this many
+# entries, and loops over the x-masks above it.  The stacked product makes
+# fewer array calls, the loop smaller temporaries.  In three runs of the apply
+# table of ``tools/shot_read_crossover.py`` (in CHANGES.md) every block up to
+# 11 136 entries ran faster stacked.  Above that the winner moved between
+# runs: 13 376 entries (5 qubits, 19 rows) took 1.8x the loop's time in two
+# runs and 0.54x in the third.  H2's 19-row shot read (152) and the 8-qubit
+# ``wide`` sum's single Lanczos vector (7936) stack; ``wide``'s 33-row sweeps
+# (261 888) loop.
+STACKED_APPLY_ENTRIES = 12288
 
 PAULI_MATRICES = {
     "I": np.array([[1, 0], [0, 1]], dtype=np.complex128),
@@ -161,18 +172,27 @@ class PauliSum:
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The sum applied along the last axis of a (..., 2**q) array; the dense matrix is never built.
 
-        One vector, alone or as a batch of one row, is one stacked product,
-        ``np.add.reduce(weights * v[perms], axis=0)``.  A larger batch
-        gathers one x-mask at a time into one reused buffer, multiplies it by
-        the weight row in place and adds it on, which keeps its temporaries
-        to the batch's own size; both give the same bits per row.
-        Every index of a permutation is valid, so the gather's ``clip`` mode,
-        which writes straight into the buffer, never clips.  The last axis is
-        not checked; ``quantum_sim.pauli_sum_apply`` is the checked entry point.
+        One size rule picks the form.  When the gathered block, rows times
+        x-masks times 2**q entries, is at most ``STACKED_APPLY_ENTRIES``, the
+        batch is one stacked product,
+        ``np.add.reduce(weights * amps.take(perms, axis=-1), axis=-2)``, whose
+        gather, unlike ``amps[..., perms]``, keeps the result C-ordered as the
+        loop's is; a single row gathers through its flat view, the same
+        entries in fewer steps.  Above it, one x-mask at a time is gathered
+        into one reused buffer, multiplied by its weight row in place and
+        added on, which keeps the temporaries to the batch's own size.  Both
+        forms multiply weight by amplitude and add the masks in order, so
+        they give the same bits per row; the constant comes from the apply
+        table of ``tools/shot_read_crossover.py``.  Every index of a
+        permutation is valid, so the gather's ``clip`` mode, which writes
+        straight into the buffer, never clips.  The last axis is not
+        checked; ``quantum_sim.pauli_sum_apply`` is the checked entry point.
         """
         perms, weights = self.compiled
-        if amps.size == amps.shape[-1]:
-            return np.add.reduce(weights * amps.reshape(-1)[perms], axis=0).reshape(amps.shape)
+        if amps.size * len(perms) <= STACKED_APPLY_ENTRIES:
+            if amps.size == amps.shape[-1]:  # one row: the same gather through its flat view
+                return np.add.reduce(weights * amps.reshape(-1)[perms], axis=0).reshape(amps.shape)
+            return np.add.reduce(weights * amps.take(perms, axis=-1), axis=-2)
         amps = np.asarray(amps, dtype=np.complex128)  # the gather writes into a complex buffer
         out = np.zeros(amps.shape, dtype=np.complex128)
         buf = np.empty_like(out)

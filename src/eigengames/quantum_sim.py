@@ -17,7 +17,9 @@ table with one bit of its row index flipped and its rows signed.  A small
 layout's sweep plan (``AnsatzSpec.sweep_plan``) holds all m + 1 of those
 tables side by side, and its sweep is summed from theta's branch weights
 alone; ``BRANCH_TABLE_ENTRIES`` says how small.  Any other layout's sweep
-runs the gate loop on the m + 1 shifted rows.  The tests check the plan
+runs the gate loop on the m + 1 shifted rows.  The choice is made once per
+layout, on its first sweep, and kept with the plan's views as its sweep
+function (``AnsatzSpec.sweep_function``).  The tests check the plan
 against a gate-by-gate oracle and against the gate loop.  The public entry
 points check every call: ``apply_ansatz`` binds its parameters finite and its
 states to unit norm, ``parameter_shift_states`` binds theta and checks its
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -267,6 +269,21 @@ class AnsatzSpec:
         return index, plan
 
     @cached_property
+    def sweep_function(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The layout's sweep preparation, a bound (m,) theta to its unchecked (m+1, 2**q) rows, chosen once per layout.
+
+        A layout of m >= 2 parameters whose branch table holds at most
+        ``BRANCH_TABLE_ENTRIES`` amplitudes, 2**m * 2**q, sums its sweep
+        plan (``_plan_sweep``); any other runs the gate loop on the m + 1
+        shifted rows (``_loop_sweep``), so it never builds the plan.  Built
+        on first use and kept on the layout.
+        """
+        m = self.num_parameters
+        if m >= 2 and 2 ** (m + self.num_qubits) <= BRANCH_TABLE_ENTRIES:
+            return _plan_sweep(self)
+        return partial(_loop_sweep, self)
+
+    @cached_property
     def initial_factors(self) -> np.ndarray:
         """Read-only (q, 2) per-qubit factors of the layout's initial state, |0...0> or |+...+>, built once per layout.
 
@@ -387,12 +404,6 @@ def _check_finite(values: np.ndarray) -> None:
         raise BindingError(f"theta[{', '.join(map(str, where))}] must be finite, got {float(values[where])!r}")
 
 
-def _sums_table(spec: AnsatzSpec, m: int) -> bool:
-    """Whether a layout of m parameters prepares its sweeps from its sweep plan: m >= 2 and 2**m * 2**q
-    at most ``BRANCH_TABLE_ENTRIES``; any other runs the gate loop."""
-    return m >= 2 and 2 ** (m + spec.num_qubits) <= BRANCH_TABLE_ENTRIES
-
-
 def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> StateVector | np.ndarray:
     """Prepare |psi(theta)> from the layout's initial state by its gate loop.
 
@@ -425,25 +436,33 @@ def _prepare(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_gate_loop(spec, np.cos(half), np.sin(half)).T)
 
 
-def _table_sum(index: np.ndarray, plan: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _plan_sweep(spec: AnsatzSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The sweep function of a layout's sweep plan: ``_table_sum`` bound to the plan's factor index and to
+    its float64 view split at the first half's 2**(m // 2) rows."""
+    index, plan = spec.sweep_plan
+    return partial(_table_sum, index, plan.view(np.float64).reshape(2 ** (spec.num_parameters // 2), -1))
+
+
+def _table_sum(index: np.ndarray, floats: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The (m+1, 2**q) sweep of an (m,) theta: the sum over the sweep plan of theta's branch weights.
 
-    ``index`` and ``plan`` are ``AnsatzSpec.sweep_plan``.  One gather and one
-    product give both halves' Kronecker rows of weights; the first half's
-    row then sums over the plan's high bits and the second half's over its
-    low bits.  The weights are real, so both products run on the plan's
-    float64 view.
+    ``index`` is ``AnsatzSpec.sweep_plan``'s factor index and ``floats`` the
+    plan's float64 view as (2**l, 2**(m-l) * (m+1) * 2**q * 2), l = m // 2
+    (``_plan_sweep``).  One gather and one product give both halves'
+    Kronecker rows of weights; the first half's row then sums over the
+    plan's high bits and the second half's over its low bits.  The weights
+    are real, so both products run on the float64 view.
     """
     m = theta.shape[0]
-    low = m // 2
     half = theta / 2.0
     factors = np.empty(2 * m + 1)
     np.cos(half, out=factors[:m])
     np.sin(half, out=factors[m:-1])
     factors[-1] = 1.0
     weights = factors.take(index).prod(axis=0)
-    partial = np.matmul(weights[: 2**low], plan.view(np.float64).reshape(2**low, -1))
-    amps = np.matmul(weights[2**low :], partial.reshape(2 ** (m - low), -1))
+    split = len(floats)
+    summed = np.matmul(weights[:split], floats)
+    amps = np.matmul(weights[split:], summed.reshape(len(weights) - split, -1))
     return amps.view(np.complex128).reshape(m + 1, -1)
 
 
@@ -508,8 +527,9 @@ def pauli_sum_apply(h: PauliSum, amps: np.ndarray) -> np.ndarray:
     """M applied along the last axis of a (..., 2**q) array, via the compiled form.
 
     ``PauliSum.apply`` after checking the last axis: one stacked product for
-    a single vector, one gather and multiply per distinct x-mask for a batch;
-    the dense matrix is never built.
+    a batch up to ``hamiltonian.STACKED_APPLY_ENTRIES`` gathered entries, one
+    gather and multiply per distinct x-mask above it; the dense matrix is
+    never built.
     """
     if amps.shape[-1] != 2**h.num_qubits:
         raise DimensionMismatchError(
@@ -650,19 +670,23 @@ def _shifted_rows(theta: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _sweep_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """The (m+1, 2**q) sweep of a bound (m,) theta, unchecked.
-
-    A layout that ``_sums_table`` picks sums its sweep plan
-    (``AnsatzSpec.sweep_plan``) with the branch weights of theta alone: m
-    cosines and sines, one gather-product and two matrix products give all
-    m + 1 rows, equal to the gate loop's on the shifted rows to rounding.
-    Any other layout runs the gate loop on the m + 1 shifted rows
-    (``_shifted_rows``), as ``apply_ansatz`` prepares them, bit for bit.
-    """
-    if _sums_table(spec, theta.shape[0]):
-        return _table_sum(*spec.sweep_plan, theta)
+def _loop_sweep(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
+    """A gate-loop layout's sweep: the gate loop on the m + 1 shifted rows, as ``apply_ansatz`` prepares them."""
     return _prepare(spec, _shifted_rows(theta))
+
+
+def _sweep_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
+    """The (m+1, 2**q) sweep of a bound (m,) theta, unchecked: the layout's ``AnsatzSpec.sweep_function``.
+
+    The choice between the two preparations is made once per layout, on
+    its first sweep.  A layout with a sweep plan sums it with the branch
+    weights of theta alone: m cosines and sines, one gather-product and two
+    matrix products give all m + 1 rows, equal to the gate loop's on the
+    shifted rows to rounding.  Any other layout runs the gate loop on the
+    m + 1 shifted rows (``_shifted_rows``), as ``apply_ansatz`` prepares
+    them, bit for bit.
+    """
+    return spec.sweep_function(theta)
 
 
 def check_sweep(base: np.ndarray) -> None:

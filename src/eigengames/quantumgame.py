@@ -18,7 +18,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .eigengame_classical import HeavyBall, PlayerResult, SequentialResult, _parent_block, run_players
+from .eigengame_classical import HeavyBall, PlayerResult, SequentialResult, _parent_block, check_player_count, run_players
 from .errors import DegenerateParentError, NumericalOverflowError, real_number, whole_number
 from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
@@ -345,7 +345,7 @@ def _ascend(
     steps = readouts = prepared_rows = 0  # readouts: drawn by the read
     operator_rows = objective.operator_rows
     residue_max = 0.0
-    converged = False
+    stopped = False
     for _ in range(cfg.max_iterations):
         prepared = _sweep_states(spec, theta)
         grad, value, energy, residue, drawn, applied = read(prepared)
@@ -362,7 +362,7 @@ def _ascend(
         add_utility(value)
         add_energy(energy)
         if gnorm <= tolerance:
-            converged = True
+            stopped = True
             break
         step = eta * grad
         beta = ball.weight(steps, float(step @ vel))
@@ -382,7 +382,7 @@ def _ascend(
     return PlayerResult(
         index, parents, final[0], eigenvalue, residual=math.sqrt(var[0]),
         max_parent_overlap=float((np.abs(products) ** 2).max(initial=0.0)),
-        iterations_used=steps, converged=converged, momentum_restarts=ball.restarts,
+        iterations_used=steps, converged=stopped, stopped=stopped, momentum_restarts=ball.restarts,
         readouts=readouts, shots=shots, prepared_rows=prepared_rows + len(final),
         operator_rows=operator_rows + applied, theta=ParameterTensor(theta),
         energy_history=energies, utility_history=utilities, grad_norm_history=grad_norms,
@@ -533,6 +533,7 @@ def _sequential_run(
     theta and shot stream come from ``SeedSequence(seed, spawn_key=(r,))``.
     """
     whole_number("seed", seed, minimum=0)
+    check_player_count(k, 2**spec.num_qubits)  # before the Lanczos run of ``spectral_range``
     if m.spectral_range == (0.0, 0.0):
         raise ValueError("the zero operator has no leading eigenvectors: every state is one")
 

@@ -478,6 +478,13 @@ class TestRunSequential:
         with pytest.raises(ValueError, match=r"^k=3 players exceed the operator's dimension 2$"):
             run_sequential(M2, GameConfig(num_players=3), seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_too_many_players_rejected_before_the_eigengap_warning(self):
+        # The eigengap warning read the count first: under -W error a near-degenerate
+        # 2x2 at k = 3 raised the UserWarning instead of the count's ValueError.
+        with pytest.raises(ValueError, match=r"^k=3 players exceed the operator's dimension 2$"):
+            run_sequential(np.diag([1.0, 1.0 - 1e-8]), GameConfig(num_players=3), seed=0)
+
     def test_non_symmetric_input_rejected(self):
         with pytest.raises(HermiticityError):
             run_sequential(np.array([[2.0, 1.0], [0.0, 1.0]]), GameConfig(), seed=0)

@@ -103,6 +103,25 @@ def test_counters_and_runner_fields(run):
         assert player.prepared_rows > 0 and player.operator_rows > 0
         assert isinstance(player.theta, ParameterTensor) and player.theta.values.shape == (ANSATZ.num_parameters,)
         # One history entry per sweep: the steps taken, and the sweep that passed the stop test.
-        sweeps = player.iterations_used + player.converged
+        sweeps = player.iterations_used + player.stopped
         assert len(player.energy_history) == len(player.utility_history) == len(player.grad_norm_history) == sweeps
         assert math.isnan(player.final_riemannian_norm)
+
+
+# Both shot runs above spend their budget without a stop; at a loose tolerance
+# every player of these two stops, so both values of the field are checked.
+STOPPING_SHOT_RUNS = {
+    "game-shots-stopping": _quantum(run_quantumgame, SHOTS, grad_tolerance=0.3),
+    "vqd-shots-stopping": _quantum(run_vqd, SHOTS, beta=2.0, grad_tolerance=0.3),
+}
+
+
+@pytest.mark.parametrize("name", [*RUNS, *STOPPING_SHOT_RUNS])
+def test_stopped_equals_converged(name):
+    # ``stopped`` is the loops' stop test; until a certificate gates ``converged``
+    # the two are set together, so every runner reports them equal.
+    result, _, _ = {**RUNS, **STOPPING_SHOT_RUNS}[name]()
+    stopped = [p.stopped for p in result.players]
+    assert stopped == [p.converged for p in result.players]
+    if name in STOPPING_SHOT_RUNS:
+        assert all(stopped)

@@ -1,12 +1,14 @@
 """Statevector simulator: gates, expectations, noise model, circuits, gradients."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from eigengames import quantum_sim
+from eigengames import hamiltonian, quantum_sim
 from eigengames.errors import (
     BindingError,
     DimensionMismatchError,
@@ -15,6 +17,7 @@ from eigengames.errors import (
     NormalizationError,
 )
 from eigengames.hamiltonian import (
+    STACKED_APPLY_ENTRIES,
     PauliSum,
     bundled_h2_path,
     load_pauli_sum,
@@ -379,6 +382,26 @@ class TestSweepPlan:
         assert "sweep_plan" in vars(at)
         assert "sweep_plan" not in vars(above) and "sweep_plan" not in vars(one_parameter)
 
+    @pytest.mark.parametrize("spec, plan", [
+        pytest.param(random_layers_ansatz(2, 3, 3, seed=11), True, id="h2-plan"),
+        pytest.param(layered_ansatz(8, 2), False, id="wide-loop"),
+        pytest.param(AnsatzSpec(2, ((("RY", 0),),), cnot_ring(2)), False, id="one-parameter-loop"),
+    ])
+    def test_sweep_function_built_once_per_layout(self, monkeypatch, spec, plan):
+        # The first sweep picks the preparation and keeps it on the layout; a
+        # size rule changed afterwards picks nothing anew, so a loop layout
+        # never builds its plan.
+        theta = np.random.default_rng(4).uniform(-np.pi, np.pi, spec.num_parameters)
+        assert "sweep_function" not in vars(spec)
+        first = loop_sweep(spec, theta)
+        built = vars(spec)["sweep_function"]
+        monkeypatch.setattr(quantum_sim, "BRANCH_TABLE_ENTRIES", 0 if plan else math.inf)
+        for _ in range(2):
+            assert np.array_equal(loop_sweep(spec, theta), first)
+            assert np.array_equal(parameter_shift_states(spec, theta), first)
+        assert vars(spec)["sweep_function"] is built
+        assert ("sweep_plan" in vars(spec)) == plan
+
     def test_public_sweep_binds_theta(self):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
         with pytest.raises(BindingError, match="spec has 9 parameters"):
@@ -441,19 +464,34 @@ class TestCompiledPauliSum:
 
     @pytest.mark.parametrize("identity", [False, True], ids=["traceless", "with-identity"])
     @pytest.mark.parametrize("num_qubits", range(1, 9))
-    def test_single_vector_apply_equals_batch_row(self, num_qubits, identity):
+    def test_single_vector_apply_equals_batch_row(self, num_qubits, identity, monkeypatch):
         rng = np.random.default_rng(300 + 10 * num_qubits + identity)
         h = random_pauli_sum(num_qubits, 4 * num_qubits, rng)
         if not identity:
             h = PauliSum(num_qubits, h.terms[1:])
         # A (1, d) batch takes the single-vector product; a larger batch the
-        # per-mask loop, which gives the same bits per row.
+        # stacked product or the per-mask loop, which give the same bits per row.
         for _ in range(3):
             v, w = rng.standard_normal((2, 2**num_qubits)) + 1j * rng.standard_normal((2, 2**num_qubits))
             one_row = h.apply(v[None])
             assert one_row.shape == (1, 2**num_qubits)
             assert np.array_equal(h.apply(v), one_row[0])
             assert np.array_equal(h.apply(v), h.apply(np.stack((v, w)))[0])
+        # Batches at the size rule's limit and one row above it: the form the
+        # rule picks, each form forced on every batch, and each row alone give
+        # the same bits, the signs of zeros included.
+        masks, dim = h.compiled[0].shape
+        at = max(1, STACKED_APPLY_ENTRIES // (masks * dim))
+        assert (at + 1) * masks * dim > STACKED_APPLY_ENTRIES
+        for rows in (2, at, at + 1):
+            batch = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+            picked = h.apply(batch).view(np.uint64)
+            for limit in (math.inf, -1):  # every batch stacked, then every batch looped
+                monkeypatch.setattr(hamiltonian, "STACKED_APPLY_ENTRIES", limit)
+                assert np.array_equal(h.apply(batch).view(np.uint64), picked)
+            monkeypatch.undo()
+            for row, bits in zip(batch, picked):
+                assert np.array_equal(h.apply(row).view(np.uint64), bits)
 
     def test_empty_sum_compiles_to_no_rows(self):
         perms, weights = PauliSum(2, ()).compiled

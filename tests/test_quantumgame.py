@@ -1731,6 +1731,16 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=r"^k=3 players exceed the operator's dimension 2$"):
             runner(3)
 
+    @pytest.mark.parametrize("runner, extra", [(run_quantumgame, {}), (run_vqd, {"beta": 5.0})],
+                             ids=["game", "vqd"])
+    def test_more_players_than_the_dimension_rejected_before_the_lanczos_run(self, runner, extra):
+        # The count was checked after spectral_range's Lanczos run on the operator.
+        h = PauliSum(8, ((1.0, "ZIIIIIII"), (0.5, "XXIIIIII")))
+        cfg = SolverConfig(direction="minimize", **extra)
+        with pytest.raises(ValueError, match=r"^k=257 players exceed the operator's dimension 256$"):
+            runner(h, layered_ansatz(8, 1), cfg, 257, seed=0)
+        assert "spectral_range" not in vars(h)
+
     @pytest.mark.parametrize("runner", DIMENSION_2_RUNNERS.values(), ids=DIMENSION_2_RUNNERS.keys())
     def test_as_many_players_as_the_dimension_run(self, runner):
         result = runner(2)

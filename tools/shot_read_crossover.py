@@ -1,4 +1,5 @@
-"""Per-call times of the two forms of a sweep read and of a sweep's preparation, against the rules that pick one.
+"""Per-call times of the two forms of a sweep read, of a sweep's preparation and of M's application, against the
+rules that pick one.
 
 ``quantum_sim.sweep_reads`` reads a sweep's 2m + 1 shift rows either from M
 on the m + 1 prepared rows and their products (a) or from M on the 2m + 1
@@ -20,7 +21,15 @@ preparing a sweep's m + 1 rows by the gate loop on the m + 1 shifted
 parameter rows and from the sweep plan (``AnsatzSpec.sweep_plan``) with one
 weight row, next to 2**m * 2**q and the form the loop picks: the plan when
 m >= 2 and 2**m * 2**q is at most ``quantum_sim.BRANCH_TABLE_ENTRIES``.
-This is the table the constant is checked against.  Run::
+This is the table the constant is checked against.
+
+A third table times ``PauliSum.apply`` on random 32-term sums at 2-8
+qubits and on H2's operator, at 1-33 rows: the median per-call time of the
+stacked product and of the per-x-mask loop, each run by ``PauliSum.apply``
+itself with ``hamiltonian.STACKED_APPLY_ENTRIES`` set to take that form, next
+to the gathered block's size rows*K*2**q and the form the constant picks:
+the stacked product when the size is at most
+``hamiltonian.STACKED_APPLY_ENTRIES``.  Run::
 
     PYTHONPATH=src python tools/shot_read_crossover.py [repeats]
 
@@ -30,14 +39,16 @@ over; each run times enough calls to last about 20 ms.
 
 from __future__ import annotations
 
+import math
 import statistics
 import sys
 import timeit
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from eigengames import quantum_sim
+from eigengames import hamiltonian, quantum_sim
 from eigengames.hamiltonian import PauliSum
 from eigengames.quantum_sim import (
     AnsatzSpec,
@@ -58,6 +69,8 @@ PREPARATION_SIZES = (7, 14)
 THREE_LAYER_SMALLEST = 11
 RANDOM_TERMS = 32
 PARENTS = 2
+APPLY_QUBITS = (2, 3, 4, 5, 6, 7, 8)
+APPLY_ROWS = (1, 2, 3, 5, 9, 19, 33)
 
 
 def tfim_ring(q: int, field: float = 0.7) -> PauliSum:
@@ -102,16 +115,6 @@ def per_call(call, repeats: int) -> float:
     return statistics.median(timeit.repeat(call, number=number, repeat=repeats)) / number
 
 
-def gate_loop(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """A gate-loop layout's sweep: the gate loop on the m + 1 shifted rows, as ``_sweep_states`` runs it."""
-    return quantum_sim._prepare(spec, quantum_sim._shifted_rows(theta))
-
-
-def sweep_plan(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """A table layout's sweep: the sweep plan summed with theta's branch weights, as ``_sweep_states`` runs it."""
-    return quantum_sim._table_sum(*spec.sweep_plan, theta)
-
-
 def preparation_layouts() -> list[tuple[int, int, int]]:
     """(q, layers, rotations per layer) of each row of the preparation table."""
     lo, hi = PREPARATION_SIZES
@@ -127,9 +130,10 @@ def preparation_table(repeats: int) -> None:
         m = num_layers * per_layer
         spec = random_layers_ansatz(q, num_layers, per_layer, seed=per_layer)
         theta = rng.uniform(-np.pi, np.pi, m)
-        spec.sweep_plan  # built once per layout, outside the timing
-        loop = per_call(lambda: gate_loop(spec, theta), repeats)
-        plan = per_call(lambda: sweep_plan(spec, theta), repeats)
+        # Both sweep functions as ``AnsatzSpec.sweep_function`` builds them, outside the timing.
+        loop_sweep, plan_sweep = partial(quantum_sim._loop_sweep, spec), quantum_sim._plan_sweep(spec)
+        loop = per_call(lambda: loop_sweep(theta), repeats)
+        plan = per_call(lambda: plan_sweep(theta), repeats)
         # A fresh layout, to see which form builds its plan.
         spec = random_layers_ansatz(q, num_layers, per_layer, seed=per_layer)
         quantum_sim._sweep_states(spec, theta)
@@ -138,6 +142,36 @@ def preparation_table(repeats: int) -> None:
               f"{plan / loop:>11.2f}  {pick}")
     print(f"rule: the plan when m >= 2 and 2^m*2^q <= quantum_sim.BRANCH_TABLE_ENTRIES = "
           f"{quantum_sim.BRANCH_TABLE_ENTRIES}")
+
+
+def apply_time(h: PauliSum, amps: np.ndarray, stacked: bool, repeats: int) -> float:
+    """Median seconds per ``h.apply(amps)`` call, with the size rule set to pick the stacked product or the loop."""
+    saved = hamiltonian.STACKED_APPLY_ENTRIES
+    hamiltonian.STACKED_APPLY_ENTRIES = math.inf if stacked else -1
+    try:
+        return per_call(lambda: h.apply(amps), repeats)
+    finally:
+        hamiltonian.STACKED_APPLY_ENTRIES = saved
+
+
+def apply_table(repeats: int) -> None:
+    rng = np.random.default_rng(3)
+    operators = [(f"random q={q}", random_sum(q, rng)) for q in APPLY_QUBITS]
+    operators.append(("h2", build_round("h2", 1, 0)[0].operator))
+    print(f"{'operator':<12}{'K':>4}{'rows':>6}{'entries':>9}{'stacked us':>12}{'loop us':>10}"
+          f"{'stacked/loop':>14}  pick")
+    for name, h in operators:
+        masks, d = h.compiled[0].shape
+        for rows in APPLY_ROWS:
+            amps = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+            stacked = apply_time(h, amps, True, repeats)
+            loop = apply_time(h, amps, False, repeats)
+            entries = rows * masks * d
+            pick = "stacked" if entries <= hamiltonian.STACKED_APPLY_ENTRIES else "loop"
+            print(f"{name:<12}{masks:>4}{rows:>6}{entries:>9}{stacked * 1e6:>12.1f}{loop * 1e6:>10.1f}"
+                  f"{stacked / loop:>14.2f}  {pick}")
+    print(f"rule: stacked when rows*K*2^q <= hamiltonian.STACKED_APPLY_ENTRIES = "
+          f"{hamiltonian.STACKED_APPLY_ENTRIES}")
 
 
 def main(argv: list[str]) -> int:
@@ -158,6 +192,8 @@ def main(argv: list[str]) -> int:
     print(f"rule: (b) when m*K*2^q <= quantum_sim.EXPLICIT_SHIFT_ROWS_WORK = {quantum_sim.EXPLICIT_SHIFT_ROWS_WORK}")
     print()
     preparation_table(repeats)
+    print()
+    apply_table(repeats)
     return 0
 
 
