@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Literal
 
@@ -28,7 +27,7 @@ from .errors import (
     unit_norm,
     whole_number,
 )
-from .hamiltonian import HERMITICITY_ATOL, hermitian_array
+from .hamiltonian import HERMITICITY_ATOL, LANCZOS_TOL, hermitian_array, lanczos_enclosure
 
 if TYPE_CHECKING:
     from .quantum_sim import ParameterTensor
@@ -117,9 +116,11 @@ class GameConfig:
     """Hyperparameters shared by every player of one run.
 
     ``step_size`` is the step on the matrix the players ascend, which
-    ``run_sequential`` shifts to M + c I when M has a non-positive eigenvalue.
-    ``None`` lets ``run_sequential`` pick 1 / (2 (lambda_max + c)), read from
-    the dense eigenvalues (1 / (2 ||M||_2) for positive-definite M);
+    ``run_sequential`` shifts to M + c I unless the Lanczos run's k-th
+    largest Ritz value shows M's top k levels positive
+    (``ascended_operator``).  ``None`` lets ``run_sequential`` pick
+    1 / (2 max(hi + c, -lo - c)) on that run's enclosure [lo, hi] of M's
+    spectrum (about 1 / (2 ||M||_2) for positive-definite M);
     ``eigengame_player`` needs it set.  ``max_iterations_per_player`` and
     ``num_players`` are whole numbers of at least 1 (``errors.whole_number``);
     ``step_size`` and ``grad_tolerance`` are positive and ``sigma``
@@ -445,22 +446,37 @@ class SequentialResult:
     operator_hash_after: str
 
 
-def ascended_matrix(mat: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, float]:
-    """(A, c): the matrix A = M + c I the classical players ascend, from M and its ascending eigenvalues.
+def ascended_operator(mat: np.ndarray, k: int) -> tuple[np.ndarray, float, float]:
+    """(A, c, alpha): the matrix A = M + c I that k players ascend, its shift c and its default step alpha.
 
-    The game recovers eigenvector i only if lambda_i > 0: otherwise its
-    gradient vanishes on the parents' span.  So when the smallest
-    eigenvalue is not positive, c = ||M||_2 - lambda_min and every
-    eigenvalue of A is at least ||M||_2; then A is formed on a copy's
-    diagonal.  Otherwise c = 0 and A is M itself, not a copy.
-    ``run_sequential`` and the theory harness both take A from here.
+    One Lanczos run on M (``hamiltonian.lanczos_enclosure``, from a real
+    start vector, of at least k steps unless the Krylov space is exhausted)
+    gives [lo, hi], an interval holding M's spectrum, and its Ritz values;
+    no dense eigendecomposition is taken.  The game recovers eigenvector i
+    only if lambda_i > 0: otherwise its gradient vanishes on the parents'
+    span.  By Cauchy interlacing the k-th largest Ritz value is at most
+    lambda_k; a run exhausted with fewer than k Ritz values has found,
+    from its random start, every distinct level, and reads its smallest,
+    lambda_min.  So when that value exceeds the rounding floor
+    LANCZOS_TOL * max(-lo, hi), every level a player can reach is
+    positive, c = 0 and A is M itself, not a copy; every positive-definite
+    M is one such.  (A zero level read as a Ritz value of rounding size,
+    of either sign, is shifted: it would leave the last player a zero game
+    matrix.)  Otherwise c = max(-lo, hi) - lo, every eigenvalue of A is at
+    least max(-lo, hi), and A is formed on a copy's diagonal.
+    alpha = 1 / (2 max(hi + c, -lo - c)), one over twice A's norm read on
+    the enclosure.  ``run_sequential`` and the theory harness both take A
+    from here.
     """
-    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    shift = max(abs(lam_min), abs(lam_max)) - lam_min if lam_min <= 0 else 0.0
+    dim = len(mat)
+    # n max |m_ij| bounds ||M||_2 and sets the run's scale.
+    lo, hi, ritz = lanczos_enclosure(mat.dot, dim, dim * float(max(mat.max(), -mat.min())), k, real=True)
+    radius = max(-lo, hi)
+    shift = 0.0 if ritz[-min(k, len(ritz))] > LANCZOS_TOL * radius else radius - lo
     ascended = mat.copy() if shift else mat
     if shift:  # M + c I, formed on the copy's diagonal
-        ascended.flat[:: len(mat) + 1] += shift
-    return ascended, shift
+        ascended.flat[:: dim + 1] += shift
+    return ascended, shift, 1.0 / (2.0 * max(hi + shift, -lo - shift))
 
 
 def check_player_count(k: int, dim: int) -> None:
@@ -516,14 +532,17 @@ def run_sequential(
 
     ``run_players`` holds k to M's dimension n and hands player i the
     vectors of players 1..i-1, its parent block.  The players ascend
-    A = M + c I (``ascended_matrix``): c = 0 for positive-definite M, and
-    c = ||M||_2 - lambda_min otherwise, so that every eigenvalue of A is
-    positive; eigenvalues, residuals and parent overlaps are read on M
-    (``_read_out``).  The dense eigenvalues, computed once, give c, the
-    default step 1 / (2 (lambda_max + c)) and the leading-eigengap warning;
-    no eigenvector enters the solve.  The zero matrix is rejected: it has no
-    leading eigenvectors and no step size.  M is checked once per run, not
-    once per player (``_as_symmetric_array``: a non-finite entry raises
+    A = M + c I (``ascended_operator``), read from one Lanczos run on M that
+    takes no dense eigendecomposition: c = 0 when the k-th largest Ritz
+    value, a lower bound on lambda_k, is positive beyond rounding, and
+    c = max(-lo, hi) - lo otherwise, [lo, hi] the run's enclosure of M's
+    spectrum, so that every level a player can reach is positive.  The
+    default step is 1 / (2 max(hi + c, -lo - c)).  Eigenvalues, residuals
+    and parent overlaps are read on M (``_read_out``); no eigenvector
+    enters the solve, and nothing warns of small eigengaps.  The zero
+    matrix is rejected: it has no leading eigenvectors and no step size.
+    M is checked once per run, not once per player
+    (``_as_symmetric_array``: a non-finite entry raises
     ``HermiticityError``), and a bad ``mode``, or a ``seed`` that is not a
     non-negative integer, raises ``ValueError`` before the first player's
     first step.  A real ``HermitianMatrix`` is read without a copy: besides
@@ -536,15 +555,10 @@ def run_sequential(
     dim = mat.shape[0]
     if not mat.any():
         raise ValueError("the zero matrix has no leading eigenvectors: every unit vector is one")
-    check_player_count(cfg.num_players, dim)  # before the eigengap warning reads the count
-    eigenvalues = np.linalg.eigvalsh(mat)
-    gaps = np.diff(eigenvalues)[::-1]  # descending order, leading gap first
-    if gaps.size and gaps[: cfg.num_players].min() < 1e-6:
-        warnings.warn("leading eigengaps below 1e-6; convergence may be ill-conditioned", stacklevel=2)
-
-    ascended, shift = ascended_matrix(mat, eigenvalues)
+    check_player_count(cfg.num_players, dim)  # before the Lanczos run reads the count
+    ascended, _, step = ascended_operator(mat, cfg.num_players)
     if cfg.step_size is None:
-        cfg = replace(cfg, step_size=1.0 / (2.0 * (float(eigenvalues[-1]) + shift)))
+        cfg = replace(cfg, step_size=step)
 
     def play(i: int, parents: list[np.ndarray], _: list[float]) -> PlayerResult:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -204,89 +205,105 @@ class PauliSum:
 
     @cached_property
     def spectral_range(self) -> tuple[float, float]:
-        """An interval (lo, hi) holding M's spectrum, from a Lanczos run on the compiled form; no dense matrix.
+        """An interval (lo, hi) holding M's spectrum: ``lanczos_enclosure`` on the compiled form; no dense matrix.
 
-        The run starts from a fixed-seed random complex vector (its own
-        generator: no solver stream is drawn from) and reorthogonalizes each
-        new vector against the whole basis, twice (Parlett, *The Symmetric
-        Eigenvalue Problem*, ch. 13).  Each step is one single-vector
-        ``apply``; ``scale``, the largest ||M v_j|| so far, is a lower bound
-        on ||M||.  Every RITZ_CHECK_STRIDE steps the j x j tridiagonal's
-        extreme Ritz pairs are read (an O(j^3) ``eigh``, too dear to take every
-        step) with their residuals r = |beta_j s_j|, s_j the last entry of the
-        Ritz vector, and with d, the distance each extreme moved since the
-        previous reading.  Once all four are at most RANGE_RESIDUAL_TOL * scale
-        the run stops and returns (theta_min - r_min - d_min,
-        theta_max + r_max + d_max), so each end lies at most
-        2 * RANGE_RESIDUAL_TOL * ||M|| beyond its eigenvalue.
-
-        Ritz values lie inside the spectrum and each is within its residual of
-        an eigenvalue (Kahan's bound, Parlett Thm 4.5.1), so theta - r and
-        theta + r enclose lambda_min and lambda_max once the extreme Ritz
-        pairs have resolved the extreme eigenvalues.  A pair that has not yet
-        resolved a cluster of eigenvalues at an end, narrower than its
-        residual, sits inside the cluster with a residual too small to reach
-        its edge; its Ritz value still creeps outward (the extremes move
-        monotonically), and d, the last stride's progress, covers what is left
-        of it when the creep at least halves each stride.  No finite Krylov
-        run can prove an enclosure: an extreme eigenvector that the start
-        vector barely touches shows up late, and the pair converges on the
-        next eigenvalue first.  Of 8000 random sums of 4-6 qubits, many with
-        clustered ends, 12 had an end short, the worst by 0.6% of ||M||;
-        stopping on the residuals alone and widening by them left 289 short,
-        the worst by 1.4%.
-
-        When the Krylov space is exhausted first (beta_j <= LANCZOS_TOL *
-        scale, or 2**q steps) the tridiagonal's extreme eigenvalues, read with
-        ``eigvalsh``, are M's own to rounding and are returned as they are:
-        on 1-4 qubits the second reading is never reached and the range is
-        always this one.  The zero operator, the empty sum included, gives
-        (0.0, 0.0).  Computed on first use and kept on the instance.
+        The run applies the sum one vector at a time (``apply``), from a
+        complex start vector, with the 1-norm as its norm bound.  Computed on
+        first use and kept on the instance.
         """
-        dim = 2**self.num_qubits
-        # The run is on s*M, s the power of two that puts the 1-norm in [1/2, 1)
-        # (or as near as a float allows, for a subnormal one): norms square their
-        # entries, which under- or overflows when ||M|| is far from 1, and a
-        # power of two scales every float exactly.
-        s = math.ldexp(1.0, min(-math.frexp(self.one_norm)[1], 1023))
-        rng = np.random.default_rng(LANCZOS_SEED)
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        basis = np.empty((min(dim, 64), dim), dtype=np.complex128)  # doubled when full
-        alphas: list[float] = []
-        betas: list[float] = []
-        scale = 0.0
-        previous = None  # the extreme Ritz values at the last reading
-        for j in itertools.count(1):
-            if j > len(basis):
-                basis = np.concatenate((basis, np.empty_like(basis)))
-            basis[j - 1] = v
-            w = self.apply(v)
-            w *= s
-            scale = max(scale, float(np.linalg.norm(w)))
-            alphas.append(float(np.vdot(v, w).real))
-            spanned = basis[:j]
-            for _ in range(2):
-                w -= (spanned @ w.conj()).conj() @ spanned
-            beta = float(np.linalg.norm(w))
-            exhausted = beta <= LANCZOS_TOL * scale or j == dim
-            if exhausted or j % RITZ_CHECK_STRIDE == 0:
-                tridiagonal = np.zeros((j, j))  # eigvalsh and eigh read the lower triangle only
-                tridiagonal.flat[:: j + 1] = alphas
-                tridiagonal.flat[j :: j + 1] = betas
-                if exhausted:
-                    ritz = np.linalg.eigvalsh(tridiagonal)
-                    return float(ritz[0]) / s, float(ritz[-1]) / s
-                ritz, vectors = np.linalg.eigh(tridiagonal)
-                r_min, r_max = abs(beta * vectors[-1, 0]), abs(beta * vectors[-1, -1])
-                if previous:
-                    d_min, d_max = abs(previous[0] - ritz[0]), abs(ritz[-1] - previous[1])
-                    if max(r_min, r_max, d_min, d_max) <= RANGE_RESIDUAL_TOL * scale:
-                        lo, hi = ritz[0] - r_min - d_min, ritz[-1] + r_max + d_max
-                        return float(lo) / s, float(hi) / s
-                previous = ritz[0], ritz[-1]
-            betas.append(beta)
-            v = w / beta
+        lo, hi, _ = lanczos_enclosure(self.apply, 2**self.num_qubits, self.one_norm)
+        return lo, hi
+
+
+def lanczos_enclosure(matvec: Callable[[np.ndarray], np.ndarray], dim: int, norm_bound: float,
+                      min_steps: int = 1, real: bool = False) -> tuple[float, float, np.ndarray]:
+    """(lo, hi, ritz): an interval holding the spectrum of a Hermitian operator, and the run's Ritz values.
+
+    The operator is read only through ``matvec``, which maps a (dim,)
+    vector to a new array; ``norm_bound``, a bound on ||M|| such as a Pauli
+    sum's 1-norm, sets the run's scale.  The run starts from a fixed-seed
+    random vector, complex, or real when ``real`` is set (its own
+    generator: no solver stream is drawn from), and reorthogonalizes each
+    new vector against the whole basis, twice (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 13).  ``scale``, the largest
+    ||M v_j|| so far, is a lower bound on ||M||.  Every RITZ_CHECK_STRIDE
+    steps the j x j tridiagonal's extreme Ritz pairs are read (an O(j^3)
+    ``eigh``, too dear to take every step) with their residuals
+    r = |beta_j s_j|, s_j the last entry of the Ritz vector, and with d, the
+    distance each extreme moved since the previous reading.  Once all four
+    are at most RANGE_RESIDUAL_TOL * scale and at least ``min_steps`` steps
+    have run, the run stops and returns (theta_min - r_min - d_min,
+    theta_max + r_max + d_max), so each end lies at most
+    2 * RANGE_RESIDUAL_TOL * ||M|| beyond its eigenvalue.  ``ritz`` holds
+    that reading's j Ritz values, ascending and read-only.
+
+    Ritz values lie inside the spectrum and each is within its residual of
+    an eigenvalue (Kahan's bound, Parlett Thm 4.5.1), so theta - r and
+    theta + r enclose lambda_min and lambda_max once the extreme Ritz
+    pairs have resolved the extreme eigenvalues.  A pair that has not yet
+    resolved a cluster of eigenvalues at an end, narrower than its
+    residual, sits inside the cluster with a residual too small to reach
+    its edge; its Ritz value still creeps outward (the extremes move
+    monotonically), and d, the last stride's progress, covers what is left
+    of it when the creep at least halves each stride.  No finite Krylov
+    run can prove an enclosure: an extreme eigenvector that the start
+    vector barely touches shows up late, and the pair converges on the
+    next eigenvalue first.  Of 8000 random sums of 4-6 qubits, many with
+    clustered ends, 12 had an end short, the worst by 0.6% of ||M||;
+    stopping on the residuals alone and widening by them left 289 short,
+    the worst by 1.4%.  By Cauchy interlacing the i-th largest Ritz value
+    is at most lambda_i, the i-th largest eigenvalue.
+
+    When the Krylov space is exhausted first (beta_j <= LANCZOS_TOL *
+    scale, or ``dim`` steps) the tridiagonal's eigenvalues, read with
+    ``eigvalsh``, are M's own to rounding, and its extremes are returned
+    as they are: a Pauli sum on 1-4 qubits never reaches the second
+    reading, so its range is always this one.  The zero operator gives
+    (0.0, 0.0).
+    """
+    # The run is on s*M, s the power of two that puts the norm bound in [1/2, 1)
+    # (or as near as a float allows, for a subnormal one): norms square their
+    # entries, which under- or overflows when ||M|| is far from 1, and a
+    # power of two scales every float exactly.
+    s = math.ldexp(1.0, min(-math.frexp(norm_bound)[1], 1023))
+    rng = np.random.default_rng(LANCZOS_SEED)
+    v = rng.standard_normal(dim) if real else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    basis = np.empty((min(dim, 64), dim), dtype=v.dtype)  # doubled when full
+    alphas: list[float] = []
+    betas: list[float] = []
+    scale = 0.0
+    previous = None  # the extreme Ritz values at the last reading
+    for j in itertools.count(1):
+        if j > len(basis):
+            basis = np.concatenate((basis, np.empty_like(basis)))
+        basis[j - 1] = v
+        w = matvec(v)
+        w *= s
+        scale = max(scale, float(np.linalg.norm(w)))
+        alphas.append(float(np.vdot(v, w).real))
+        spanned = basis[:j]
+        for _ in range(2):
+            w -= (spanned @ w.conj()).conj() @ spanned
+        beta = float(np.linalg.norm(w))
+        exhausted = beta <= LANCZOS_TOL * scale or j == dim
+        if exhausted or j % RITZ_CHECK_STRIDE == 0:
+            tridiagonal = np.zeros((j, j))  # eigvalsh and eigh read the lower triangle only
+            tridiagonal.flat[:: j + 1] = alphas
+            tridiagonal.flat[j :: j + 1] = betas
+            if exhausted:
+                ritz = np.linalg.eigvalsh(tridiagonal) / s
+                return float(ritz[0]), float(ritz[-1]), _readonly(ritz)
+            ritz, vectors = np.linalg.eigh(tridiagonal)
+            r_min, r_max = abs(beta * vectors[-1, 0]), abs(beta * vectors[-1, -1])
+            if previous and j >= min_steps:
+                d_min, d_max = abs(previous[0] - ritz[0]), abs(ritz[-1] - previous[1])
+                if max(r_min, r_max, d_min, d_max) <= RANGE_RESIDUAL_TOL * scale:
+                    lo, hi = ritz[0] - r_min - d_min, ritz[-1] + r_max + d_max
+                    return float(lo) / s, float(hi) / s, _readonly(ritz / s)
+            previous = ritz[0], ritz[-1]
+        betas.append(beta)
+        v = w / beta
 
 
 def random_orthonormal(dim: int, seed: int) -> np.ndarray:

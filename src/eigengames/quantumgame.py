@@ -295,7 +295,8 @@ def _ascend(
     ``Circuit`` that reads its parent terms under finite shots; the one sign
     rule is the objective's signed step, positive to ascend (the game) and
     negative to descend (VQD).  Here the start theta is bound, the shot
-    stream opened from ``cfg.shots``, and the read picked: under an exact
+    stream opened from ``cfg.shots`` when its shots are finite (an exact
+    model draws nothing), and the read picked: under an exact
     shot model ``_backward_read``, which applies M to theta's row alone and
     takes the gradient from one backward vector; under finite shots
     ``_shot_read``, which reads the 2m + 1 shift rows' circuits.  Each
@@ -332,11 +333,9 @@ def _ascend(
     if not spec.num_parameters:
         raise ValueError("the ansatz layout has no parameters to optimize")
     theta = spec.bind(theta_init)
-    rng = cfg.shots.make_rng()
-    if cfg.shots.is_exact:
-        read = _backward_read(m, objective)
-    else:
-        read = _shot_read(m, objective, circuit, cfg.shots, rng)
+    exact = cfg.shots.is_exact
+    rng = None if exact else cfg.shots.make_rng()  # an exact model draws nothing
+    read = _backward_read(m, objective) if exact else _shot_read(m, objective, circuit, cfg.shots, rng)
     vel = np.zeros_like(theta)
     ball = HeavyBall()
     eta, tolerance = objective.eta, cfg.grad_tolerance
@@ -376,7 +375,7 @@ def _ascend(
     (mean, var, _, _), products, applied = _sweep_reads(m, final, parents)
     eigenvalue = float(perturb_readouts(cfg.shots, mean, var, rng)[0])
     shots = 0
-    if not cfg.shots.is_exact:
+    if not exact:
         readouts += 1  # the eigenvalue read
         shots = readouts * cfg.shots.num_shots
     return PlayerResult(

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateParentError, real_number, whole_number
-from .eigengame_classical import RAYLEIGH_GUARD, _as_symmetric_array, ascended_matrix, finite_diff_gradient
+from .eigengame_classical import RAYLEIGH_GUARD, _as_symmetric_array, ascended_operator, finite_diff_gradient
 from .hamiltonian import PauliSum, build_powerlaw_hamiltonian, hermitian_array, pauli_sum_to_matrix
 from .quantum_sim import AnsatzSpec, apply_ansatz, parameter_shift_states
 from .quantumgame import _backward_read, _game_objective
@@ -213,16 +213,6 @@ def _parent_error_sum(mat: np.ndarray, parents_true: Sequence, parents_hat: Sequ
     return total
 
 
-def _ascended(m) -> np.ndarray:
-    """The matrix A = M + c I that ``run_sequential``'s players ascend (``ascended_matrix``).
-
-    ``m`` must be real symmetric, as a ``HermitianMatrix`` or an array
-    (``_as_symmetric_array``); anything else raises ``HermiticityError``.
-    """
-    mat = _as_symmetric_array(m)
-    return ascended_matrix(mat, np.linalg.eigvalsh(mat))[0]
-
-
 def error_accumulation_bound_classical(
     m,
     parents_true: Sequence[np.ndarray],
@@ -231,14 +221,16 @@ def error_accumulation_bound_classical(
 ) -> float:
     """Bound on the child-gradient change caused by mis-specified parents.
 
-    The parent sum of ``_parent_error_sum`` on the matrix the players
-    ascend, A = M + c I (``ascended_matrix``): A = M when M is positive
-    definite, and otherwise every eigenvalue of A is at least ||M||_2, so
-    each parent's Rayleigh quotient has lambda_top's sign, as the bound
-    assumes.  ``m`` must be real symmetric, as a ``HermitianMatrix`` or an
+    The parent sum of ``_parent_error_sum`` on the matrix A = M + c I that
+    a run ending at the child, P + 1 players for P parents, ascends
+    (``ascended_operator``): A = M when M's top P + 1 levels are positive,
+    so the top parents' Rayleigh quotients have lambda_top's sign, as the
+    bound assumes, and otherwise every eigenvalue of A is at least about
+    ||M||_2.  ``m`` must be real symmetric, as a ``HermitianMatrix`` or an
     array; anything else raises ``HermiticityError``.
     """
-    return _parent_error_sum(_ascended(m), parents_true, parents_hat, sigma)
+    ascended = ascended_operator(_as_symmetric_array(m), len(parents_true) + 1)[0]
+    return _parent_error_sum(ascended, parents_true, parents_hat, sigma)
 
 
 def error_accumulation_bound_quantum(
@@ -401,7 +393,7 @@ def measure_error_accumulation_classical(
     matrix, (_, vectors) = build_powerlaw_hamiltonian(dim, seed=seed)
     if player_index > dim:
         raise ValueError(f"player_index must be at most dim = {dim}, got {player_index!r}")
-    mat = _ascended(matrix)
+    mat = ascended_operator(matrix.entries, player_index)[0]  # the matrix a run of player_index players ascends
     rng = np.random.default_rng(seed + 17)
     true_parents = [vectors[:, j] for j in range(player_index - 1)]
 

@@ -478,7 +478,7 @@ def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode:
         w -= radial * v
         state.final_riemannian_norm = math.sqrt(w.dot(w)) / alpha
         if state.final_riemannian_norm <= cfg.grad_tolerance:
-            state.converged = True
+            state.converged = state.stopped = True
             break
         if state.iterations_used >= cfg.max_iterations_per_player:
             break
@@ -504,7 +504,11 @@ def allclose_hermitian(entries: np.ndarray) -> bool:
 
 
 def identity_shifted(mat: np.ndarray) -> np.ndarray:
-    """``mat + shift * np.eye(dim)``, with ``run_sequential``'s shift c = ||M||_2 - lambda_min when lambda_min <= 0."""
+    """``mat + shift * np.eye(dim)``, c = ||M||_2 - lambda_min from the dense spectrum when lambda_min <= 0.
+
+    The shift ``run_sequential`` gives M when its k-th level is not positive,
+    which reads ||M||_2 and lambda_min on a Lanczos enclosure instead.
+    """
     eigenvalues = np.linalg.eigvalsh(mat)
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
     shift = max(abs(lam_min), abs(lam_max)) - lam_min if lam_min <= 0 else 0.0

@@ -389,7 +389,7 @@ class TestFusedIteration:
                              max_iterations_per_player=budget or 200_000)
             fused = eigengame_player(m, v0, parents, cfg, mode=mode)
             vector = vector_eigengame_player(m, v0, parents, cfg, mode=mode)
-            counts = ("iterations_used", "momentum_restarts", "converged")
+            counts = ("iterations_used", "momentum_restarts", "converged", "stopped")
             assert [getattr(fused, c) for c in counts] == [getattr(vector, c) for c in counts]
             assert np.max(np.abs(fused.vector - vector.vector)) <= 1e-12
             assert abs(fused.final_riemannian_norm - vector.final_riemannian_norm) <= 1e-12
@@ -451,8 +451,8 @@ class TestRunSequential:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(1, 0)))
         init = rng.standard_normal(4)
         init /= np.linalg.norm(init)
-        direct = eigengame_player(m, init, [], GameConfig(step_size=1.0 / 6.0, grad_tolerance=1e-4),
-                                  mode="exact")
+        step = eigengame_classical.ascended_operator(m, 1)[2]  # 1 / (2 hi), hi about 3
+        direct = eigengame_player(m, init, [], GameConfig(step_size=step, grad_tolerance=1e-4), mode="exact")
         assert np.array_equal(result.players[0].vector, direct.vector)
 
     def test_powerlaw_instance_both_modes(self):
@@ -584,10 +584,13 @@ class TestRunSequential:
         run_sequential(matrix.entries, GameConfig(num_players=2), seed=0)
         assert calls == [np.float64]  # once, on the real array
 
-    def test_tiny_eigengap_warns(self):
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_eigengap_runs_without_a_warning(self):
+        # No eigengap warning: the Lanczos run's interior Ritz values can show
+        # gaps that are not there, and the solve reads no dense spectrum.
         m = np.diag([1.0, 1.0 - 1e-8, 0.5])
-        with pytest.warns(UserWarning):
-            run_sequential(m, GameConfig(num_players=2, max_iterations_per_player=50), seed=0)
+        result = run_sequential(m, GameConfig(num_players=2, max_iterations_per_player=50), seed=0)
+        assert len(result.players) == 2
 
     def test_parent_block_is_the_earlier_players_vectors(self, monkeypatch):
         # Player j is solved against the vectors players 1..j-1 returned, bit
@@ -842,14 +845,15 @@ class TestNonPositiveSpectra:
     @pytest.mark.parametrize("case", ["six_levels", "powerlaw_minus_half"])
     def test_shift_on_the_diagonal_matches_the_identity_formula(self, case, mode):
         # The shift is added to a copy's diagonal; players must ascend what
-        # M + c I built with a dense identity gives them.
+        # M + c I built with a dense identity gives them, c the runner's own shift.
         if case == "six_levels":
-            m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1))
-        else:
-            m = build_powerlaw_hamiltonian(32, seed=4)[0].entries - 0.5 * np.eye(32)
-        shifted = identity_shifted(m)
+            m, k = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1)), 4
+        else:  # levels 1-11 are positive and level 12 is -0.0032
+            m, k = build_powerlaw_hamiltonian(32, seed=4)[0].entries - 0.5 * np.eye(32), 12
+        _, shift, step = eigengame_classical.ascended_operator(m, k)
+        shifted = m + shift * np.eye(len(m))
         assert np.linalg.eigvalsh(m)[0] < 0.0 < np.linalg.eigvalsh(shifted)[0]
-        cfg = GameConfig(num_players=4, step_size=1.0 / (2.0 * np.linalg.eigvalsh(shifted)[-1]), **STRICT)
+        cfg = GameConfig(num_players=k, step_size=step, **STRICT)
         result = run_sequential(m, cfg, seed=1, mode=mode)
         reference = run_sequential(shifted, cfg, seed=1, mode=mode)  # positive definite: not shifted again
         assert result.all_converged
@@ -1003,6 +1007,95 @@ class TestAgainstDenseEigh:
                 assert abs(player.eigenvalue - values[i]) <= 1e-4, (mode, i)
                 if np.abs(np.delete(values, i) - values[i]).min() >= 1e-2:  # a separated level
                     assert angular_error(player.vector, vectors[:, i]) <= 1e-2, (mode, i)
+
+
+class TestAscentShift:
+    """``ascended_operator``'s shift rule against the dense ``eigh``; a solve reads no dense spectrum."""
+
+    @staticmethod
+    def assert_recovered(m, k, mode):
+        """Criterion 2's bar: every player converged, to within 1e-2 rad of ``eigh``'s eigenvector."""
+        vectors = np.linalg.eigh(m)[1][:, ::-1]
+        result = run_sequential(m, GameConfig(num_players=k, **STRICT), seed=1, mode=mode)
+        assert result.all_converged
+        for player in result.players:
+            assert player.final_riemannian_norm <= 1e-3
+            assert angular_error(player.vector, vectors[:, player.index - 1]) <= 1e-2
+
+    def test_no_dense_spectrum_and_one_lanczos_run(self, monkeypatch):
+        matrix, _ = build_powerlaw_hamiltonian(64, seed=2)
+        shapes, runs = [], []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            def recording(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recording)
+        lanczos = eigengame_classical.lanczos_enclosure
+
+        def counted(matvec, dim, *args, **kwargs):
+            runs.append(dim)
+            return lanczos(matvec, dim, *args, **kwargs)
+
+        monkeypatch.setattr(eigengame_classical, "lanczos_enclosure", counted)
+        for mode in MODES:
+            run_sequential(matrix, GameConfig(num_players=8, grad_tolerance=1e-4), seed=0, mode=mode)
+        assert shapes and (64, 64) not in shapes  # the Lanczos run's j x j tridiagonals only
+        assert runs == [64, 64]
+
+    @pytest.mark.parametrize("lam_min", [1e-4, 1e-3, 1e-2, 0.5])
+    def test_positive_definite_spectra_keep_no_shift(self, lam_min):
+        rng = np.random.default_rng(int(1 / lam_min))
+        for draw in range(10):
+            n = int(rng.integers(2, 65))
+            levels = np.concatenate(([lam_min], rng.uniform(lam_min, 1.0, n - 1)))
+            m = matrix_with_spectrum(levels, random_orthonormal(n, draw))
+            for k in (1, min(8, n), n):
+                ascended, shift, _ = eigengame_classical.ascended_operator(m, k)
+                assert shift == 0.0 and ascended is m, (draw, k)
+
+    @pytest.mark.parametrize("n, spectrum_seed", [(64, 2), (128, 3), (256, 4)])
+    def test_classical_workload_spectra_keep_no_shift(self, n, spectrum_seed):
+        # The perfbench classical workload's spectra, each in two eigenbases.
+        for basis_seed in (0, 1):
+            matrix, (levels, _) = build_powerlaw_hamiltonian(n, seed=spectrum_seed, exponent=2.0,
+                                                             basis=random_orthonormal(n, basis_seed))
+            _, shift, step = eigengame_classical.ascended_operator(matrix.entries, 8)
+            assert shift == 0.0
+            assert abs(1.0 / (2.0 * step) - levels[0]) <= 2.0 * hamiltonian.RANGE_RESIDUAL_TOL * levels[0]
+
+    @pytest.mark.parametrize("levels, k", [
+        (-np.linspace(0.1, 2.0, 12), 4),
+        ([2.0, 1.0, 0.5, -0.3, -1.0, -1.5, -2.0, -3.0], 4),
+        ([2.0, 1.0, 0.5, -0.3, -1.0, -1.5, -2.0, -3.0], 5),
+    ], ids=["negative_definite", "indefinite_kth_negative", "indefinite_beyond_the_positive_levels"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_non_positive_kth_level_is_shifted_and_recovered(self, levels, k, mode):
+        m = matrix_with_spectrum(levels, random_orthonormal(len(levels), 2))
+        lo, hi = np.linalg.eigvalsh(m)[[0, -1]]
+        _, shift, step = eigengame_classical.ascended_operator(m, k)
+        assert shift == pytest.approx(max(-lo, hi) - lo, rel=1e-12)  # the run is exhausted: [lo, hi] to rounding
+        assert step == pytest.approx(1.0 / (2.0 * (hi + shift)), rel=1e-12)
+        self.assert_recovered(m, k, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_indefinite_with_positive_top_levels_runs_unshifted(self, mode):
+        levels = [2.0, 1.5, 1.0, 0.5, -0.5, -1.0, -2.0, -3.0]
+        m = matrix_with_spectrum(levels, random_orthonormal(8, 2))
+        ascended, shift, step = eigengame_classical.ascended_operator(m, 4)
+        assert shift == 0.0 and ascended is m
+        assert step == pytest.approx(1.0 / 6.0, rel=1e-12)  # 1 / (2 ||M||), ||M|| = -lambda_min = 3
+        self.assert_recovered(m, 4, mode)
+
+    def test_a_zero_level_within_reach_is_shifted(self):
+        # The k-th Ritz value of a zero level is rounding of either sign: it must
+        # exceed the rounding floor, or the last player's game matrix would be
+        # zero and any start would pass the stop test.
+        m = matrix_with_spectrum([2.0, 1.0, 0.0, 0.0, 0.0, 0.0], random_orthonormal(6, 0))
+        assert eigengame_classical.ascended_operator(m, 2)[1] == 0.0
+        assert eigengame_classical.ascended_operator(m, 3)[1] == pytest.approx(2.0, rel=1e-12)  # max(-lo, hi) - lo
+        result = run_sequential(m, GameConfig(num_players=3, **STRICT), seed=0)
+        assert result.all_converged
+        assert max(residual(m, p) for p in result.players) <= 1e-5
 
 
 class TestInputValidation:

@@ -336,11 +336,13 @@ class TestErrorAccumulationInputs:
     def test_classical_parent_of_opposite_sign_is_bounded_on_the_ascended_matrix(self):
         # On M, lambda_top = 1 but the true parent e_2 has Rayleigh quotient -0.7,
         # so lambda_top / lambda_jj is negative; the sum read -0.0574 before a
-        # guard rejected it.  The bound is taken on the A = M + 2I the players
-        # ascend, diag(3, 2.5, 1.3, 1), where the quotient is 1.3.
+        # guard rejected it.  With two parents the child is player 3, whose level
+        # -0.7 is negative, so the bound is taken on the A = M + 2I a run of three
+        # players ascends, diag(3, 2.5, 1.3, 1), where the quotient is 1.3.  The
+        # undisplaced parent e_0 adds nothing.
         e = np.eye(4)
         hat = np.cos(1e-2) * e[2] + np.sin(1e-2) * e[0]
-        bound = error_accumulation_bound_classical(np.diag([1.0, 0.5, -0.7, -1.0]), [e[2]], [hat], 0.0)
+        bound = error_accumulation_bound_classical(np.diag([1.0, 0.5, -0.7, -1.0]), [e[0], e[2]], [e[0], hat], 0.0)
         w = np.linalg.norm(hat - e[2])
         assert bound == pytest.approx(2.0 * 3.0 * (2.0 * w + w * w) * 3.0 / 1.3, rel=1e-12)
 
