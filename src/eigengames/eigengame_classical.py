@@ -254,7 +254,9 @@ def eigengame_player(
     does at every entry point that reads M (``_as_symmetric_array``); an
     ``init`` that is not an (n,) vector, or parents that are not a (P, n)
     block, raise ``DimensionMismatchError``.  ``NumericalOverflowError`` is
-    left for a finite M whose game matrix or gradient overflows in the loop.
+    left for a finite M whose game matrix or gradient overflows in the loop,
+    and for a step so large that the squared stop threshold
+    (grad_tolerance * step)**2 overflows.
     """
     if cfg.step_size is None:
         raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
@@ -298,7 +300,13 @@ def _ascend(
     # The estimate of ||t||^2 from the products is within this many w.w of the
     # truth: each of the few products it combines is exact to about n eps.
     margin = 8.0 * dim * np.finfo(np.float64).eps
-    stop_sq = (cfg.grad_tolerance * alpha) ** 2
+    try:
+        stop_sq = (cfg.grad_tolerance * alpha) ** 2
+    except OverflowError:  # a float's ** raises where its * would give inf
+        raise NumericalOverflowError(
+            f"the stop threshold (grad_tolerance * step)**2 overflows: "
+            f"grad_tolerance {cfg.grad_tolerance!r}, step {alpha!r}"
+        ) from None
     player = PlayerResult(index, parents, v)
     ball = HeavyBall()
 

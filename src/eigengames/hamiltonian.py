@@ -44,8 +44,9 @@ RITZ_CHECK_STRIDE = 8
 # 11 136 entries ran faster stacked.  Above that the winner moved between
 # runs: 13 376 entries (5 qubits, 19 rows) took 1.8x the loop's time in two
 # runs and 0.54x in the third.  H2's 19-row shot read (152) and the 8-qubit
-# ``wide`` sum's single Lanczos vector (7936) stack; ``wide``'s 33-row sweeps
-# (261 888) loop.
+# ``wide`` sum's single state (7936) stack; ``wide``'s 33-row sweeps
+# (261 888) loop, and ``tests/test_perfbench_reads.py`` holds the constant
+# between them.
 STACKED_APPLY_ENTRIES = 12288
 
 PAULI_MATRICES = {
@@ -178,21 +179,19 @@ class PauliSum:
         batch is one stacked product,
         ``np.add.reduce(weights * amps.take(perms, axis=-1), axis=-2)``, whose
         gather, unlike ``amps[..., perms]``, keeps the result C-ordered as the
-        loop's is; a single row gathers through its flat view, the same
-        entries in fewer steps.  Above it, one x-mask at a time is gathered
-        into one reused buffer, multiplied by its weight row in place and
-        added on, which keeps the temporaries to the batch's own size.  Both
-        forms multiply weight by amplitude and add the masks in order, so
-        they give the same bits per row; the constant comes from the apply
-        table of ``tools/shot_read_crossover.py``.  Every index of a
+        loop's is, and serves a single (2**q,) vector as it serves a batch.
+        Above it, one x-mask at a time is gathered into one reused buffer,
+        multiplied by its weight row in place and added on, which keeps the
+        temporaries to the batch's own size.  Both forms multiply weight by
+        amplitude and add the masks in order, so they give the same bits per
+        row; the constant comes from the apply table of
+        ``tools/shot_read_crossover.py``.  Every index of a
         permutation is valid, so the gather's ``clip`` mode, which writes
         straight into the buffer, never clips.  The last axis is not
         checked; ``quantum_sim.pauli_sum_apply`` is the checked entry point.
         """
         perms, weights = self.compiled
         if amps.size * len(perms) <= STACKED_APPLY_ENTRIES:
-            if amps.size == amps.shape[-1]:  # one row: the same gather through its flat view
-                return np.add.reduce(weights * amps.reshape(-1)[perms], axis=0).reshape(amps.shape)
             return np.add.reduce(weights * amps.take(perms, axis=-1), axis=-2)
         amps = np.asarray(amps, dtype=np.complex128)  # the gather writes into a complex buffer
         out = np.zeros(amps.shape, dtype=np.complex128)

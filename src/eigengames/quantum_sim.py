@@ -5,8 +5,10 @@ Ansatz states are prepared in batches, one row per parameter vector, by the
 layout's gate loop from its cached gate plan (``AnsatzSpec.gate_plan``).  The
 state is a product until the first CNOT ring, so the loop runs the first
 layer on the initial state's per-qubit factors (``AnsatzSpec.initial_factors``),
-and the rest one gate at a time on the amplitudes.  Pauli sums apply through
-their compiled form (``PauliSum.compiled``).
+and the rest one gate at a time on the amplitudes; a layout without entangler
+pairs takes the same path, its ring the identity gather.  Pauli sums apply
+through their compiled form (``PauliSum.compiled``), to a single vector or a
+batch of rows by one rule.
 A parameter-shift sweep is m + 1 states, psi(theta + pi e_k) for k < m and
 psi(theta), and ``parameter_shift_states`` and the players' loop prepare it
 through one core, ``_sweep_states``.  Every parameter drives one Pauli
@@ -87,7 +89,8 @@ def check_unit_rows(name: str, amplitudes: np.ndarray) -> None:
 # Below it the explicit form's fewer array calls win; the crossover lies
 # between about 4e3 (level or faster) and 1e4 (slower), per the table of
 # ``tools/shot_read_crossover.py`` in CHANGES.md.  H2 (72) builds its rows,
-# the 8-qubit ``wide`` sum (253 952) does not.
+# the 8-qubit ``wide`` sum (253 952) does not; ``tests/test_perfbench_reads.py``
+# holds the constant between them.
 EXPLICIT_SHIFT_ROWS_WORK = 4096
 
 # A layout with m >= 2 parameters prepares its parameter-shift sweeps from its
@@ -97,7 +100,7 @@ EXPLICIT_SHIFT_ROWS_WORK = 4096
 # m, and the preparation table of ``tools/shot_read_crossover.py`` (in
 # CHANGES.md) puts the crossover at about this size.  H2's 9-parameter layout
 # (2048) sums its plan, the 32-parameter 8-qubit ``wide`` layout (2**40) runs
-# the loop.
+# the loop; ``tests/test_perfbench_reads.py`` holds the constant between them.
 BRANCH_TABLE_ENTRIES = 4096
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
@@ -179,15 +182,13 @@ class AnsatzSpec:
         return sum(len(layer) for layer in self.layer_rotations)
 
     @cached_property
-    def entangler_permutation(self) -> np.ndarray | None:
+    def entangler_permutation(self) -> np.ndarray:
         """The whole CNOT ring as one gather index: ``amps[..., perm]`` applies every pair in order.
 
         A CNOT flips the target bit of every index whose control bit is set;
-        it is its own inverse, so each pair composes as one more gather.
-        ``None`` when the ring is empty.
+        it is its own inverse, so each pair composes as one more gather.  An
+        empty ring is the identity gather.
         """
-        if not self.entangler_pairs:
-            return None
         q = self.num_qubits
         index = np.arange(2**q)
         perm = index
@@ -410,13 +411,13 @@ def apply_ansatz(spec: AnsatzSpec, theta: Sequence[float] | np.ndarray) -> State
     A flat parameter vector gives a ``StateVector``.  A (B, m) array
     prepares B states in one pass and gives their (B, 2**q) amplitudes, row
     b from parameter row b, B = 0 included; the single-vector call is the
-    B = 1 case, bit for bit.  The loop runs its first layer (every layer,
-    without a CNOT ring) on per-qubit factors and the rest one gate at a
-    time; the tests hold it to a gate-by-gate oracle.  A parameter array of
-    the wrong shape, or with a NaN or inf entry (named by its index, as
-    ``AnsatzSpec.bind`` names it), raises ``BindingError`` before any state
-    is prepared, and every row must keep unit norm to ``NORM_ATOL``
-    (``check_unit_rows``) or ``NormalizationError`` is raised.
+    B = 1 case, bit for bit.  The loop runs its first layer on per-qubit
+    factors and the rest one gate at a time, an empty CNOT ring as the
+    identity gather; the tests hold it to a gate-by-gate oracle.  A
+    parameter array of the wrong shape, or with a NaN or inf entry (named
+    by its index, as ``AnsatzSpec.bind`` names it), raises ``BindingError``
+    before any state is prepared, and every row must keep unit norm to
+    ``NORM_ATOL`` (``check_unit_rows``) or ``NormalizationError`` is raised.
     """
     values = np.asarray(theta, dtype=np.float64)
     single = values.ndim == 1
@@ -470,8 +471,8 @@ def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
     """The (2**q, B) amplitudes of the layout's gates, given each gate's (m, B) cos(theta/2) and sin(theta/2).
 
     The state is a product until the first CNOT ring, so the first layer
-    (every layer, without a ring) acts on its (q, 2, B) per-qubit factors;
-    q - 1 Kronecker products then form the amplitudes, and the ring and the
+    acts on its (q, 2, B) per-qubit factors; q - 1 Kronecker products then
+    form the amplitudes, and every ring, an empty one included, and the
     later layers run one gate at a time.  Both paths apply a gate through
     one update, ``rotate``, on a view whose second axis is the gate's qubit.
     """
@@ -496,15 +497,13 @@ def _gate_loop(spec: AnsatzSpec, cos: np.ndarray, sin: np.ndarray) -> np.ndarray
 
     perm = spec.entangler_permutation
     factors = spec.initial_factors[:, :, None].repeat(batch, axis=2)
-    for layer in layers if perm is None else layers[:1]:
+    for layer in layers[:1]:
         for qubit, k, diagonal in layer:
             rotate(factors[qubit][None, :, None], k, diagonal)
     amps = factors[0]
     for t in range(1, q):
         # Every size explicit, so that an empty batch reshapes too.
         amps = (amps[:, None, :] * factors[t]).reshape(2 ** (t + 1), batch)
-    if perm is None:
-        return amps
     # Work amplitude-major, (2**q, B), so every gate's innermost axis is the
     # batch.  Gates update amps in place, a partner term goes through the
     # spare buffer, and a CNOT ring gathers into it before the two swap.

@@ -141,21 +141,22 @@ Circuit = Callable[[Objective], tuple[Callable, Callable]]
 def _backward_read(m: PauliSum, objective: Objective) -> Read:
     """The exact read of the objective <psi|K psi> + c, K = s*M + sum_j w_j |k_j><k_j|.
 
-    M is applied to theta's row alone.  Each parameter drives one Pauli
-    rotation, so d_k psi = phi_k / 2 and the gradient is Re<phi_k|g> with
-    g = K psi = s*M psi + sum_j w_j <k_j|psi> k_j: one product of the
-    conjugated phi_k with g.  An imaginary part of <psi|M psi> beyond
-    ``NORM_ATOL`` raises ``ValueError``, as ``sweep_reads`` does.  The
-    objective is Re<psi|g> + c and the energy Re<psi|M psi>; nothing is
-    drawn.  The rows' norms and the rotation guard, Re<psi|phi_k> = 0, are
-    ``check_sweep``'s, which ``_ascend`` runs on its last sweep.
+    M is applied to theta's row alone, as a vector.  Each parameter drives
+    one Pauli rotation, so d_k psi = phi_k / 2 and the gradient is
+    Re<phi_k|g> with g = K psi = s*M psi + sum_j w_j <k_j|psi> k_j: one
+    product of the conjugated phi_k with g.  An imaginary part of
+    <psi|M psi> beyond ``NORM_ATOL`` raises ``ValueError``, as
+    ``sweep_reads`` does.  The objective is Re<psi|g> + c and the energy
+    Re<psi|M psi>; nothing is drawn.  The rows' norms and the rotation
+    guard, Re<psi|phi_k> = 0, are ``check_sweep``'s, which ``_ascend`` runs
+    on its last sweep.
     """
     scale, kets, weights, constant, _, _ = objective
     ket_bras = kets.conj()
 
     def read(prepared: np.ndarray) -> ReadResult:
         phi, psi = prepared[:-1], prepared[-1]
-        m_psi = pauli_sum_apply(m, prepared[-1:])[0]
+        m_psi = pauli_sum_apply(m, psi)
         energy = complex(np.vdot(psi, m_psi))
         residue = abs(energy.imag)
         if residue > NORM_ATOL:
@@ -365,7 +366,7 @@ def _ascend(
             break
         step = eta * grad
         beta = ball.weight(steps, float(step @ vel))
-        vel = beta * vel + step if beta else step
+        vel = beta * vel + step
         theta = theta + vel
         steps += 1
 
@@ -411,12 +412,12 @@ def _game_objective(
     (P,) eigenvalues lambda_j on M.  The utility
     <A> - sum_j |<psi|A|psi_j>|^2 / (sign*lambda_j + offset) is the
     objective <psi|K psi> + offset with K = sign*M + sum_j w_j |A psi_j><A psi_j|
-    and w_j = -1/(sign*lambda_j + offset).  M is applied to the block once,
-    and not at all without parents.  A denominator at or below
-    ``PARENT_EIGENVALUE_GUARD``, or NaN, raises ``DegenerateParentError``:
-    the parent's eigenvalue lies farther outside M's enclosure than the
-    margin.  The quantum error-accumulation harness and the test oracle
-    build the game's objective here too.
+    and w_j = -1/(sign*lambda_j + offset).  M is applied to the block once;
+    without parents the block is empty and no row is counted.  A
+    denominator at or below ``PARENT_EIGENVALUE_GUARD``, or NaN, raises
+    ``DegenerateParentError``: the parent's eigenvalue lies farther outside
+    M's enclosure than the margin.  The quantum error-accumulation harness
+    and the test oracle build the game's objective here too.
     """
     sign = 1.0 if direction == "maximize" else -1.0
     lo, hi = m.spectral_range
@@ -428,9 +429,7 @@ def _game_objective(
             f"parent penalty denominator {denominators.min():.3e} is not positive: "
             "the parent's eigenvalue lies outside the operator's enclosure"
         )
-    kets = states
-    if len(states):
-        kets = sign * pauli_sum_apply(m, states) + offset * states
+    kets = sign * pauli_sum_apply(m, states) + offset * states
     eta = 1.0 / (2.0 * (hi - lo + margin))
     return Objective(sign, kets, -1.0 / denominators, offset, eta, len(states))
 

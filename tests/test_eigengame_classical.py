@@ -335,6 +335,19 @@ class TestPlayer:
         with pytest.raises(NumericalOverflowError):
             eigengame_player(m, E1, [], cfg, mode="exact")
 
+    def test_overflowing_stop_threshold_raises_overflow(self):
+        # (grad_tolerance * step)**2 = (1e-3 * 1e200)**2 is past the float range:
+        # a bare OverflowError came from the float power.
+        cfg = GameConfig(step_size=1e200, max_iterations_per_player=3)
+        with pytest.raises(NumericalOverflowError, match=r"grad_tolerance 0\.001, step 1e\+200"):
+            eigengame_player(M2, E1, [], cfg)
+
+    def test_tiny_operator_raises_overflow_not_a_bare_error(self):
+        # Entries near 1e-300 give a default step near 5e299, whose stop
+        # threshold overflows when squared.
+        with pytest.raises(NumericalOverflowError, match="stop threshold"):
+            run_sequential(np.diag([1e-300, 3e-301, 1e-301]), GameConfig(num_players=3), seed=0)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_non_finite_gradient_entry_off_the_vector_raises(self, mode):
         # 2 alpha M = diag(6, inf) overflows where E1 is zero, so only grad[1]

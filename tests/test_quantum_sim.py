@@ -174,6 +174,12 @@ def table_layouts(draw):
     return spec, draw(st.sampled_from([0, 1, 9])), draw(st.integers(0, 2**32 - 1))
 
 
+def ringless_layout(initial_state):
+    """Two qubits, three layers and no entangler pairs: every ring is the identity gather."""
+    layers = ((("RY", 0), ("RX", 1)), (("RZ", 0), ("RY", 1)), (("RX", 0), ("RZ", 1)))
+    return AnsatzSpec(2, layers, (), initial_state)
+
+
 def per_gate_ansatz(spec, values):
     """Reference preparation: one 2x2 gate or CNOT at a time, in circuit order."""
     amps = product_state(spec.initial_state, spec.num_qubits)
@@ -197,15 +203,15 @@ class TestBatchedAnsatz:
             lambda init: layered_ansatz(2, 3, initial_state=init),
             lambda init: layered_ansatz(3, 2, initial_state=init),
             lambda init: random_layers_ansatz(8, 2, 12, seed=5, initial_state=init),
-            # The gate loop runs the first layer (every layer, without a CNOT
-            # ring) on per-qubit factors; these layouts are too large for a
-            # branch table, so the loop prepares them.
+            # The gate loop runs the first layer on per-qubit factors; these
+            # layouts are too large for a branch table, so the loop prepares them.
             pytest.param(lambda init: layered_ansatz(8, 2, initial_state=init), id="wide"),
             pytest.param(lambda init: AnsatzSpec(3, (
                 (("RY", 0), ("RX", 1), ("RZ", 2), ("RX", 0)),
                 (("RZ", 0), ("RY", 1), ("RY", 2)),
                 (("RX", 2), ("RZ", 1), ("RY", 0)),
             ), (), init), id="no-ring"),
+            pytest.param(ringless_layout, id="two-qubit-no-ring"),
             pytest.param(lambda init: AnsatzSpec(3, (
                 (),
                 (("RY", 0), ("RZ", 1), ("RX", 2), ("RY", 1), ("RZ", 0)),
@@ -234,6 +240,10 @@ class TestBatchedAnsatz:
         spec = random_layers_ansatz(3, 2, 4, seed=1)
         rows = np.random.default_rng(batch).uniform(-np.pi, np.pi, (batch, spec.num_parameters))
         assert apply_ansatz(spec, rows).shape == (batch, 8)
+
+    def test_empty_ring_is_the_identity_gather(self):
+        perm = ringless_layout("plus").entangler_permutation
+        assert np.array_equal(perm, np.arange(4)) and not perm.flags.writeable
 
     def test_gate_plan_built_once_and_read_only(self):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
@@ -337,6 +347,8 @@ class TestSweepPlan:
     @given(table_layouts())
     @settings(max_examples=60, deadline=None)
     @example((layered_ansatz(3, 1), 0, 0))  # odd q: 2**(-q/2) is no power of two
+    @example((ringless_layout("plus"), 0, 0))
+    @example((ringless_layout("zero"), 0, 0))
     def test_branch_table_entries_are_exact(self, layout):
         # The gate loop builds the branch table, block m of the plan, with every
         # cos and sin 0 or 1, so every entry is 0, or +-1 or +-i times the
@@ -469,8 +481,8 @@ class TestCompiledPauliSum:
         h = random_pauli_sum(num_qubits, 4 * num_qubits, rng)
         if not identity:
             h = PauliSum(num_qubits, h.terms[1:])
-        # A (1, d) batch takes the single-vector product; a larger batch the
-        # stacked product or the per-mask loop, which give the same bits per row.
+        # A vector, a (1, d) batch and a larger batch take the stacked product
+        # or the per-mask loop, which give the same bits per row.
         for _ in range(3):
             v, w = rng.standard_normal((2, 2**num_qubits)) + 1j * rng.standard_normal((2, 2**num_qubits))
             one_row = h.apply(v[None])

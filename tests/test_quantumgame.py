@@ -917,8 +917,9 @@ class TestShiftedObjective:
 
     def count_one_pauli_application_per_batch(self, monkeypatch, player, num_parents, shots, layout):
         # M is the only operator: one application per evaluated batch, one for
-        # the final read and, for the game, one for its parent block.  An exact
-        # model's batch is theta's row alone; a finite-shot one is the 2m + 1
+        # the final read and, for the game, one for its parent block, empty
+        # without parents.  An exact model's batch is theta's row alone, applied
+        # as a vector and counted as one row; a finite-shot one is the 2m + 1
         # built shift rows on a small register and the m + 1 prepared rows on
         # a larger one.  No PauliSum is built during the solve.
         h, spec, shot_rows = self.count_layout(layout)
@@ -931,7 +932,7 @@ class TestShiftedObjective:
         apply, post_init = quantum_sim.pauli_sum_apply, PauliSum.__post_init__
 
         def counting_apply(op, amps):
-            applied.append((op, len(amps)))
+            applied.append((op, len(amps) if np.ndim(amps) > 1 else 1))
             return apply(op, amps)
 
         def counting_post_init(op):
@@ -944,7 +945,7 @@ class TestShiftedObjective:
         cfg = SolverConfig(direction="maximize", grad_tolerance=1e-9, max_iterations=4, beta=5.0,
                            shots=ShotModel(shots, rng_seed=4))
         state = player(h, spec, rng.uniform(-np.pi, np.pi, spec.num_parameters), *parents, cfg)
-        parent_block = [num_parents] if player is quantumgame_player and num_parents else []
+        parent_block = [num_parents] if player is quantumgame_player else []
         batch = 1 if shots is None else shot_rows
         assert [rows for _, rows in applied] == parent_block + [batch] * len(state.energy_history) + [1]
         assert all(op is h for op, _ in applied)
@@ -966,8 +967,8 @@ class TestShiftedObjective:
         # Each iteration prepares theta + pi e_k (k < m) and theta.  Finite shots
         # read the 2m + 1 shift rows either from M on the 2m + 1 rows built from
         # those (a small register) or from M on the m + 1 rows themselves; an
-        # exact model applies M to theta's row alone.  The player's row
-        # counters are these rows, the final read's included.
+        # exact model applies M to theta's row alone, as a vector.  The
+        # player's row counters are these rows, the final read's included.
         h, spec, shot_rows = self.count_layout(layout)
         rng = np.random.default_rng(num_parents)
         parents = make_parents(
@@ -1000,15 +1001,18 @@ class TestShiftedObjective:
         m, dim = spec.num_parameters, 2**spec.num_qubits
         iterations = len(state.energy_history)
         assert iterations == 3
-        # The game applies M to its parents' states once; the final read
-        # prepares one row and applies M to it after the loop.
-        parent_block = [(num_parents, dim)] if player is quantumgame_player and num_parents else []
+        # The game applies M to its parents' states once, an empty block
+        # without parents; the final read prepares one row and applies M to
+        # it after the loop.
+        parent_block = [(num_parents, dim)] if player is quantumgame_player else []
         batch = 1 if shots is None else shot_rows
+        sweep = (dim,) if shots is None else (batch, dim)
         assert prepared == [(m + 1, (m,))] * iterations + [(1, (1, m))]
-        assert applied == parent_block + [(batch, dim)] * iterations + [(1, dim)]
+        assert applied == parent_block + [sweep] * iterations + [(1, dim)]
         assert state.prepared_rows == sum(rows for rows, _ in prepared) == 3 * (m + 1) + 1
         parent_rows = num_parents if parent_block else 0
-        assert state.operator_rows == sum(rows for rows, _ in applied) == parent_rows + 3 * batch + 1
+        rows = sum(math.prod(shape[:-1]) for shape in applied)  # a vector is one row
+        assert state.operator_rows == rows == parent_rows + 3 * batch + 1
         return m, batch
 
     @pytest.mark.parametrize("shots", [None, 10_000], ids=["exact", "shots"])

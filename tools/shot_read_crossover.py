@@ -24,11 +24,13 @@ m >= 2 and 2**m * 2**q is at most ``quantum_sim.BRANCH_TABLE_ENTRIES``.
 This is the table the constant is checked against.
 
 A third table times ``PauliSum.apply`` on random 32-term sums at 2-8
-qubits and on H2's operator, at 1-33 rows: the median per-call time of the
-stacked product and of the per-x-mask loop, each run by ``PauliSum.apply``
-itself with ``hamiltonian.STACKED_APPLY_ENTRIES`` set to take that form, next
-to the gathered block's size rows*K*2**q and the form the constant picks:
-the stacked product when the size is at most
+qubits and on H2's operator, on a single state as a (2**q,) vector (rows
+"vec"), the form the exact read and the Lanczos run apply M to, and at 1-33
+rows: the median per-call time of the stacked product and of the
+per-x-mask loop, each run by ``PauliSum.apply`` itself with
+``hamiltonian.STACKED_APPLY_ENTRIES`` set to take that form, next to the
+gathered block's size rows*K*2**q and the form the constant picks: the
+stacked product when the size is at most
 ``hamiltonian.STACKED_APPLY_ENTRIES``.  Run::
 
     PYTHONPATH=src python tools/shot_read_crossover.py [repeats]
@@ -162,11 +164,11 @@ def apply_table(repeats: int) -> None:
           f"{'stacked/loop':>14}  pick")
     for name, h in operators:
         masks, d = h.compiled[0].shape
-        for rows in APPLY_ROWS:
-            amps = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+        for shape in [(d,)] + [(rows, d) for rows in APPLY_ROWS]:
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             stacked = apply_time(h, amps, True, repeats)
             loop = apply_time(h, amps, False, repeats)
-            entries = rows * masks * d
+            rows, entries = shape[0] if len(shape) > 1 else "vec", amps.size * masks
             pick = "stacked" if entries <= hamiltonian.STACKED_APPLY_ENTRIES else "loop"
             print(f"{name:<12}{masks:>4}{rows:>6}{entries:>9}{stacked * 1e6:>12.1f}{loop * 1e6:>10.1f}"
                   f"{stacked / loop:>14.2f}  {pick}")
