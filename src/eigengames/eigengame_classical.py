@@ -19,10 +19,10 @@ from typing import TYPE_CHECKING, Callable, Literal
 import numpy as np
 
 from .errors import (
-    DegenerateParentError,
     DimensionMismatchError,
     HermiticityError,
     NumericalOverflowError,
+    parent_denominators,
     real_number,
     unit_norm,
     whole_number,
@@ -32,7 +32,6 @@ from .hamiltonian import HERMITICITY_ATOL, LANCZOS_TOL, hermitian_array, lanczos
 if TYPE_CHECKING:
     from .quantum_sim import ParameterTensor
 
-RAYLEIGH_GUARD = 1e-12
 # Plain-ascent steps before either ascent loop carries its heavy-ball velocity.
 ASCENT_WARMUP = 20
 UNIT_NORM_ATOL = 1e-9
@@ -149,17 +148,21 @@ def _twice_game_matrix(mat: np.ndarray, parents, scale: float = 1.0) -> np.ndarr
     is the quadratic form v^T G v: its exact gradient is 2 G v and the
     forward-differences error term is diag(G).  ``parents`` is the (P, n)
     block of the v_j: one product with it gives every M v_j, and their
-    Rayleigh quotients follow from those rows; a quotient below
-    ``RAYLEIGH_GUARD`` in magnitude raises ``DegenerateParentError``.  The
-    (n, P) x (P, n) penalty is subtracted in place from scale 2 M, the one
-    other n x n array.
+    Rayleigh quotients, the penalty denominators, follow from those rows.
+    Each must pass ``errors.parent_denominators``, the quantum game's rule
+    too, on the scale of M's largest entry: a quotient at or below
+    ``PARENT_DENOMINATOR_FLOOR`` (1e-10) times max |m_ij|, a negative one
+    included, raises ``DegenerateParentError``.  M is the matrix the player
+    ascends, which ``run_sequential`` shifts so that every level a player
+    can reach is positive.  The (n, P) x (P, n) penalty is subtracted in
+    place from scale 2 M, the one other n x n array.
     """
     twice = mat * (2.0 * scale)
     if len(parents):
         mvs = parents @ mat  # row j is (M v_j)^T: M is symmetric
         rayleighs = np.vecdot(parents, mvs)
-        if np.abs(rayleighs).min() < RAYLEIGH_GUARD:
-            raise DegenerateParentError(f"a parent Rayleigh quotient of {rayleighs} is below the division guard")
+        parent_denominators(rayleighs, "the parent's Rayleigh quotient on the matrix ascended is zero or negative",
+                            float(max(mat.max(), -mat.min())))
         twice -= ((2.0 * scale) * mvs.T) @ (mvs / rayleighs[:, None])
     return twice
 
@@ -173,7 +176,11 @@ def utility(v: np.ndarray, parents, m) -> float:
     """Player utility: v^T M v - sum_j (v^T M v_j)^2 / v_j^T M v_j = v^T G v.
 
     ``parents``, here and in the gradients below, is a (P, n) block of the
-    parent vectors v_j or a list of them.
+    parent vectors v_j or a list of them.  Each parent's Rayleigh quotient
+    v_j^T M v_j divides its penalty, so it must exceed
+    ``errors.PARENT_DENOMINATOR_FLOOR`` (1e-10) times max |m_ij|: a parent
+    with a zero or negative quotient, whose penalty would be a reward,
+    raises ``DegenerateParentError`` (``_twice_game_matrix``).
     """
     v = np.asarray(v, dtype=np.float64)
     return 0.5 * float(v @ (_twice_game_matrix_of(parents, m) @ v))
@@ -253,7 +260,9 @@ def eigengame_player(
     symmetric or has a non-finite entry raises ``HermiticityError``, as it
     does at every entry point that reads M (``_as_symmetric_array``); an
     ``init`` that is not an (n,) vector, or parents that are not a (P, n)
-    block, raise ``DimensionMismatchError``.  ``NumericalOverflowError`` is
+    block, raise ``DimensionMismatchError``, and a parent whose Rayleigh
+    quotient on M is not above 1e-10 max |m_ij| ``DegenerateParentError``
+    (``_twice_game_matrix``).  ``NumericalOverflowError`` is
     left for a finite M whose game matrix or gradient overflows in the loop,
     and for a step so large that the squared stop threshold
     (grad_tolerance * step)**2 overflows.

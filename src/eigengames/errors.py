@@ -1,8 +1,12 @@
-"""Exception types shared across the library, and the whole-number, real-number and unit-norm rules that raise them."""
+"""Exception types shared across the library, and the whole-number, real-number, unit-norm and parent-denominator
+rules that raise them."""
 
 import math
 
 import numpy as np
+
+# Every parent penalty denominator must exceed this times its operator's scale (``parent_denominators``).
+PARENT_DENOMINATOR_FLOOR = 1e-10
 
 
 class EigenGamesError(Exception):
@@ -32,12 +36,12 @@ class PauliFormatError(EigenGamesError):
 class DegenerateParentError(EigenGamesError):
     """A parent's penalty denominator cannot be divided by.
 
-    Its generalized Rayleigh quotient is too close to zero, or, for the
-    quantum game's shifted operator, not positive, which would turn the
-    parent's penalty into a reward.  The error-accumulation bounds raise it
-    too when a true parent's Rayleigh quotient is near zero or does not have
-    lambda_top's sign, where their factor lambda_top / lambda_jj would turn
-    the bound negative.
+    It is at most ``PARENT_DENOMINATOR_FLOOR`` times its operator's scale,
+    or NaN: a denominator at or below zero would turn the parent's penalty
+    into a reward (``parent_denominators``).  The error-accumulation bounds
+    apply the same rule to a true parent's Rayleigh quotient times the sign
+    of lambda_top, where a quotient near zero or of the other sign would
+    turn their factor lambda_top / lambda_jj, and the bound, negative.
     """
 
 
@@ -110,3 +114,19 @@ def unit_norm(name: str, squared_norms, atol: float) -> None:
             and np.maximum.reduce(squared_norms, initial=-math.inf) <= (1.0 + atol) ** 2):  # NaN fails too
         worst = np.maximum.reduce(np.abs(np.sqrt(squared_norms) - 1.0))
         raise NormalizationError(f"{name} must be unit norm within {atol!r}, off by {worst:.3g}")
+
+
+def parent_denominators(denominators, cause: str, scale: float = 1.0) -> None:
+    """Raise ``DegenerateParentError`` unless every penalty denominator exceeds ``PARENT_DENOMINATOR_FLOOR * scale``.
+
+    The one rule of both games' penalties, each of which divides by its
+    parents' eigenvalues on the operator it ascends: the classical game
+    matrix by each parent's Rayleigh quotient v_j^T A v_j, on the scale of
+    A's largest entry, the quantum game objective by sign*lambda_j + offset,
+    on scale 1 (its shift margin is at least 1).  ``denominators`` is a 1-d
+    array of them; zero, a negative value and NaN fail whatever the scale,
+    and an empty array passes.  The message names the smallest denominator
+    and ``cause``, what a failing one means for its game.
+    """
+    if not (denominators > PARENT_DENOMINATOR_FLOOR * scale).all():  # a NaN fails too
+        raise DegenerateParentError(f"parent penalty denominator {np.min(denominators):.3e} is not positive: {cause}")

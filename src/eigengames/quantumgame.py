@@ -19,7 +19,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .eigengame_classical import HeavyBall, PlayerResult, SequentialResult, _parent_block, check_player_count, run_players
-from .errors import DegenerateParentError, NumericalOverflowError, real_number, whole_number
+from .errors import NumericalOverflowError, parent_denominators, real_number, whole_number
 from .hamiltonian import RANGE_RESIDUAL_TOL, PauliSum
 from .quantum_sim import (
     NORM_ATOL,
@@ -37,7 +37,6 @@ from .quantum_sim import (
     swap_test_moments,
 )
 
-PARENT_EIGENVALUE_GUARD = 1e-10
 MIN_MODE_SHIFT_MARGIN = 1.0
 
 Direction = Literal["maximize", "minimize"]
@@ -413,22 +412,21 @@ def _game_objective(
     <A> - sum_j |<psi|A|psi_j>|^2 / (sign*lambda_j + offset) is the
     objective <psi|K psi> + offset with K = sign*M + sum_j w_j |A psi_j><A psi_j|
     and w_j = -1/(sign*lambda_j + offset).  M is applied to the block once;
-    without parents the block is empty and no row is counted.  A
-    denominator at or below ``PARENT_EIGENVALUE_GUARD``, or NaN, raises
-    ``DegenerateParentError``: the parent's eigenvalue lies farther outside
-    M's enclosure than the margin.  The quantum error-accumulation harness
-    and the test oracle build the game's objective here too.
+    without parents the block is empty and no row is counted.  Each
+    denominator must pass ``errors.parent_denominators``, the classical
+    game matrix's rule too, on scale 1 since the margin is at least 1: one
+    at or below ``PARENT_DENOMINATOR_FLOOR`` (1e-10), or NaN, raises
+    ``DegenerateParentError``, since the parent's eigenvalue then lies
+    farther outside M's enclosure than the margin.
+    The quantum error-accumulation harness and the test oracle build the
+    game's objective here too.
     """
     sign = 1.0 if direction == "maximize" else -1.0
     lo, hi = m.spectral_range
     margin = max(MIN_MODE_SHIFT_MARGIN, 2.0 * RANGE_RESIDUAL_TOL * max(-lo, hi))
     offset = (-lo if sign > 0 else hi) + margin
     denominators = sign * np.asarray(eigenvalues, dtype=np.float64) + offset
-    if not (denominators > PARENT_EIGENVALUE_GUARD).all():  # a NaN fails too
-        raise DegenerateParentError(
-            f"parent penalty denominator {denominators.min():.3e} is not positive: "
-            "the parent's eigenvalue lies outside the operator's enclosure"
-        )
+    parent_denominators(denominators, "the parent's eigenvalue lies outside the operator's enclosure")
     kets = sign * pauli_sum_apply(m, states) + offset * states
     eta = 1.0 / (2.0 * (hi - lo + margin))
     return Objective(sign, kets, -1.0 / denominators, offset, eta, len(states))

@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParentError, real_number, whole_number
-from .eigengame_classical import RAYLEIGH_GUARD, _as_symmetric_array, ascended_operator, finite_diff_gradient
+from .errors import parent_denominators, real_number, whole_number
+from .eigengame_classical import _as_symmetric_array, ascended_operator, finite_diff_gradient
 from .hamiltonian import PauliSum, build_powerlaw_hamiltonian, hermitian_array, pauli_sum_to_matrix
 from .quantum_sim import AnsatzSpec, apply_ansatz, parameter_shift_states
 from .quantumgame import _backward_read, _game_objective
@@ -191,8 +191,10 @@ def _parent_error_sum(mat: np.ndarray, parents_true: Sequence, parents_hat: Sequ
     ||w_j w_j^T|| by norms of rank-one maps.  One ``eigvalsh`` gives both
     lambda_top and ||M||_2 = max(-lambda_min, lambda_max).  The factor
     lambda_top/lambda_jj holds only when lambda_jj has lambda_top's sign, as
-    in the paper's positive-definite setting; a parent with a near-zero or
-    opposite-sign lambda_jj raises ``DegenerateParentError``.
+    in the paper's positive-definite setting.  So sign(lambda_top) lambda_jj
+    must pass the games' own rule, ``errors.parent_denominators`` on the
+    scale ||M||_2: a parent whose quotient is near zero or not of
+    lambda_top's sign raises ``DegenerateParentError``.
     """
     eigenvalues = np.linalg.eigvalsh(mat)
     lambda_top = float(eigenvalues[-1])
@@ -202,10 +204,8 @@ def _parent_error_sum(mat: np.ndarray, parents_true: Sequence, parents_hat: Sequ
         w_j = np.subtract(v_hat, v_j)
         mv, mw = mat @ v_j, mat @ w_j
         lambda_jj = float(np.vdot(v_j, mv).real)
-        if abs(lambda_jj) < RAYLEIGH_GUARD or lambda_jj * lambda_top <= 0:
-            raise DegenerateParentError(
-                f"true parent's Rayleigh quotient {lambda_jj:g} is near zero or not of lambda_top's sign ({lambda_top:g})"
-            )
+        parent_denominators(np.array([np.sign(lambda_top) * lambda_jj]),
+                            f"the true parent's Rayleigh quotient is not of lambda_top's sign ({lambda_top:g})", norm_m)
         nv, nw = float(np.linalg.norm(v_j)), float(np.linalg.norm(w_j))
         nmv, nmw = float(np.linalg.norm(mv)), float(np.linalg.norm(mw))
         total += 2.0 * norm_m * (2.0 * nv * nw + nw * nw) * lambda_top / lambda_jj

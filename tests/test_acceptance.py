@@ -71,11 +71,15 @@ def random_symmetric_problem(rng):
     v /= np.linalg.norm(v)
     num_parents = int(rng.integers(0, min(3, dim - 1) + 1))
     parents = []
-    for _ in range(num_parents):
+    # Redraw a parent until its penalty denominator is usable: positive, well away
+    # from zero.  The budget ends the draw on an M with few positive directions.
+    for _ in range(20 * num_parents):
         p = rng.standard_normal(dim)
         p /= np.linalg.norm(p)
-        if abs(p @ (m @ p)) > 1e-3:
+        if p @ (m @ p) > 1e-3:
             parents.append(p)
+            if len(parents) == num_parents:
+                break
     return m, v, parents
 
 

@@ -73,19 +73,18 @@ def residual(m, player):
 
 
 def random_problem(dim, num_parents, seed, unit_parents=True):
-    """Random symmetric matrix, unit child vector, and near-eigenvector parents."""
+    """Random symmetric matrix, unit child vector, and ``num_parents`` random unit parents."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     m = 0.5 * (a + a.T)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     parents = []
-    for _ in range(num_parents):
+    while len(parents) < num_parents:
         p = rng.standard_normal(dim)
         p /= np.linalg.norm(p)
-        if abs(p @ (m @ p)) < 1e-3:  # keep the Rayleigh denominator well away from zero
-            continue
-        parents.append(p)
+        if p @ (m @ p) > 1e-3:  # a Rayleigh denominator positive and well away from zero
+            parents.append(p)
     return m, v, parents
 
 
@@ -116,6 +115,17 @@ class TestUtility:
             utility(np.array([0.0, 1.0, 0.0]), block, m)
         with pytest.raises(DegenerateParentError):
             eigengame_player(m, np.array([0.0, 1.0, 0.0]), block, GameConfig(step_size=0.1))
+
+    def test_negative_parent_quotient_rejected(self):
+        # Unshifted, an indefinite M gives the eigenvector of -2 the penalty
+        # denominator -2, which would turn its penalty into a reward.
+        basis = random_orthonormal(6, 1)
+        m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], basis)
+        v, parents = basis[0], [basis[4]]
+        for call in (lambda: utility(v, parents, m), lambda: exact_gradient(v, parents, m),
+                     lambda: eigengame_player(m, v, parents, GameConfig(step_size=0.1))):
+            with pytest.raises(DegenerateParentError, match="not positive"):
+                call()
 
 
 class TestExactGradient:
@@ -164,8 +174,8 @@ class TestGameMatrix:
                 p = rng.standard_normal(n)
                 p /= np.linalg.norm(p)
                 mp = m @ p
-                # Not an eigenvector, and a Rayleigh denominator well away from zero.
-                if abs(p @ mp) > 1e-3 and np.linalg.norm(mp - (p @ mp) * p) > 1e-3:
+                # Not an eigenvector, and a Rayleigh denominator positive and well away from zero.
+                if p @ mp > 1e-3 and np.linalg.norm(mp - (p @ mp) * p) > 1e-3:
                     parents.append(p)
             # Triangle bound on ||G||_2: the scale of every term the three expressions sum.
             scale = np.linalg.norm(m, 2) + sum(
@@ -486,6 +496,20 @@ class TestRunSequential:
         for pa, pb in zip(a.players, b.players):
             assert np.array_equal(pa.vector, pb.vector)
             assert pa.iterations_used == pb.iterations_used
+
+    @pytest.mark.parametrize("mode, sigma", [("exact", 0.0), ("zeroth_order", 1e-2)])
+    def test_power_of_two_scaling_gives_the_same_players(self, mode, sigma):
+        # M and the tolerance scaled by s = 2^j: the step scales by 1/s and
+        # every float of the ascent by a power of two, so the players keep their bits.
+        # At 2^-40 every parent quotient is below 1e-12: the denominator floor scales with M.
+        matrix, _ = build_powerlaw_hamiltonian(32, seed=3)
+        runs = [run_sequential(s * matrix.entries, GameConfig(num_players=4, sigma=sigma, grad_tolerance=1e-6 * s),
+                               seed=0, mode=mode)
+                for s in (2.0**-40, 2.0**-6, 1.0, 2.0**6)]
+        assert runs[0].all_converged
+        for run in runs[1:]:
+            assert [p.iterations_used for p in run.players] == [p.iterations_used for p in runs[0].players]
+            assert all(np.array_equal(p.vector, q.vector) for p, q in zip(run.players, runs[0].players))
 
     def test_too_many_players_rejected(self):
         with pytest.raises(ValueError, match=r"^k=3 players exceed the operator's dimension 2$"):

@@ -5,7 +5,7 @@ and prepares its state with ``apply_ansatz(spec, theta).amplitudes``.  Round
 0 of each workload is built, solved, summarized and checked as
 ``perfbench/run.py`` does it, so a library change that breaks those reads,
 or a solve's check, fails here and not only in a benchmark run.  ``classical``
-runs at seeds 1-5, since its solves draw a new eigenbasis and start per seed.
+runs at seeds 1-10, since its solves draw a new eigenbasis and start per seed.
 
 The library's size rules each pick between two forms of one job, and each is
 kept only while a benchmark workload takes each side of it; the last test
@@ -24,7 +24,7 @@ import perf_workloads as wl  # noqa: E402
 from eigengames import hamiltonian, quantum_sim  # noqa: E402
 
 ROUNDS = [pytest.param(workload, 1, id=workload) for workload in wl.WORKLOADS] + [
-    pytest.param("classical", seed, id=f"classical-seed{seed}") for seed in range(2, 6)
+    pytest.param("classical", seed, id=f"classical-seed{seed}") for seed in range(2, 11)
 ]
 
 

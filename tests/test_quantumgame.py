@@ -278,6 +278,31 @@ class TestQuantumGamePlayer:
         state = quantumgame_player(h2, spec, np.zeros(9), states, [eigenvalue], cfg)
         assert state.iterations_used == 3
 
+    @pytest.mark.parametrize("denominator, usable", [(1e-10, False), (2e-10, True)])
+    def test_both_games_draw_the_same_denominator_line(self, denominator, usable):
+        # The classical game matrix divides by the parent's Rayleigh quotient,
+        # here exactly ``denominator``.  The quantum objective divides by
+        # lambda + offset, which near an offset of 2 lands on a multiple of
+        # 2**-52: here the largest one at most ``denominator``.
+        def classical():
+            utility(np.array([1.0, 0.0]), [np.array([0.0, 1.0])], np.diag([1.0, denominator]))
+
+        offset = quantumgame._game_objective(Z1, np.zeros((0, 2), complex), [], "maximize").constant
+        eigenvalue = denominator - offset
+        while eigenvalue + offset > denominator:
+            eigenvalue = np.nextafter(eigenvalue, -np.inf)
+        assert denominator - (eigenvalue + offset) <= 1e-15
+
+        def quantum():
+            quantumgame._game_objective(Z1, np.array([[1.0, 0.0]], complex), [eigenvalue], "maximize")
+
+        for build in (classical, quantum):
+            if usable:
+                build()
+            else:
+                with pytest.raises(DegenerateParentError, match="not positive"):
+                    build()
+
     def test_monotone_utility_noiseless(self, h2):
         # Plain ascent with eta <= 1/(2||M||) must not decrease the utility, so
         # the warm-up is monotone; heavy-ball after it may dip, but must end
@@ -554,6 +579,21 @@ class TestVqd:
                            max_iterations=4000, adaptive_regularization=True)
         result = run_vqd(h2, spec, cfg, 4, seed=0)
         assert np.max(np.abs(np.sort(result.eigenvalues) - h2_oracle)) <= 5e-2
+
+    def test_power_of_two_scaling_gives_the_same_players(self, h2):
+        # Adaptive weights, step and tolerance all scale with M: under s = 2^j
+        # every float of the descent scales exactly, so the thetas keep their bits.
+        # The game is not scale-free: its shift margin has an absolute floor.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        runs = []
+        for s in (2.0**-6, 1.0, 2.0**6):
+            scaled = PauliSum(h2.num_qubits, tuple((s * c, p) for c, p in h2.terms))
+            cfg = SolverConfig(direction="minimize", grad_tolerance=1e-3 * s, adaptive_regularization=True)
+            runs.append(run_vqd(scaled, spec, cfg, 4, seed=0))
+        assert runs[0].all_converged
+        for run in runs[1:]:
+            assert [p.iterations_used for p in run.players] == [p.iterations_used for p in runs[0].players]
+            assert all(np.array_equal(p.theta.values, q.theta.values) for p, q in zip(run.players, runs[0].players))
 
 
 class TestNoEigenvectorOracle:
