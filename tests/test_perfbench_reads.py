@@ -6,26 +6,49 @@ and prepares its state with ``apply_ansatz(spec, theta).amplitudes``.  Round
 ``perfbench/run.py`` does it, so a library change that breaks those reads,
 or a solve's check, fails here and not only in a benchmark run.  ``classical``
 runs at seeds 1-10, since its solves draw a new eigenbasis and start per seed.
+At seed 1 every player of every solve is also compared with the round-0
+digest in ``tests/data/round0_digest.json`` (``tools/round0_digest.py``):
+counters exactly, eigenvalue and residual to 1e-9.  A change that moves a
+player re-pins the file, with the old and new numbers, in the same change.
 
 The library's size rules each pick between two forms of one job, and each is
 kept only while a benchmark workload takes each side of it; the last test
 holds the constants between the round-0 inputs.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "perfbench"))
+sys.path.append(str(ROOT / "tools"))
 
 import perf_workloads as wl  # noqa: E402
+import round0_digest  # noqa: E402
 
 from eigengames import hamiltonian, quantum_sim  # noqa: E402
 
 ROUNDS = [pytest.param(workload, 1, id=workload) for workload in wl.WORKLOADS] + [
     pytest.param("classical", seed, id=f"classical-seed{seed}") for seed in range(2, 11)
 ]
+PINNED = json.loads((ROOT / "tests" / "data" / "round0_digest.json").read_text())
+
+
+def check_against_digest(workload, label, result):
+    """Every player of a seed-1 round-0 solve against its pinned record."""
+    expected = PINNED["1"][workload][label]
+    got = round0_digest.result_records(result)
+    assert len(got) == len(expected), f"{workload} {label}: {len(got)} players, pinned {len(expected)}"
+    for index, (player, pinned) in enumerate(zip(got, expected), start=1):
+        for name in round0_digest.COUNTERS:
+            assert player[name] == pinned[name], f"{workload} {label} player {index}: {name}"
+        for name in round0_digest.VALUES:
+            assert player[name] == pytest.approx(pinned[name], rel=0, abs=1e-9), (
+                f"{workload} {label} player {index}: {name}"
+            )
 
 
 @pytest.mark.parametrize("workload, seed", ROUNDS)
@@ -36,6 +59,8 @@ def test_round_zero_passes_every_check(workload, seed):
         outcome = wl.summarize(solve, result, 0.0, wl.operator_digest(solve.operator) == before)
         wl.check(solve, outcome)
         assert outcome.passed, f"{workload} seed {seed} {solve.label}: {outcome.reason}"
+        if seed == 1:
+            check_against_digest(workload, solve.label, result)
 
 
 def round_zero_sizes(workload):
