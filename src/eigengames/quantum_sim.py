@@ -275,14 +275,17 @@ class AnsatzSpec:
 
         A layout of m >= 2 parameters whose branch table holds at most
         ``BRANCH_TABLE_ENTRIES`` amplitudes, 2**m * 2**q, sums its sweep
-        plan (``_plan_sweep``); any other runs the gate loop on the m + 1
-        shifted rows (``_loop_sweep``), so it never builds the plan.  Built
+        plan: ``_table_sum`` bound to the plan's factor index and to its
+        float64 view split at the first half's 2**(m // 2) rows.  Any other
+        runs the gate loop on the m + 1 shifted rows (``_shifted_rows``), as
+        ``apply_ansatz`` prepares them, so it never builds the plan.  Built
         on first use and kept on the layout.
         """
         m = self.num_parameters
         if m >= 2 and 2 ** (m + self.num_qubits) <= BRANCH_TABLE_ENTRIES:
-            return _plan_sweep(self)
-        return partial(_loop_sweep, self)
+            index, plan = self.sweep_plan
+            return partial(_table_sum, index, plan.view(np.float64).reshape(2 ** (m // 2), -1))
+        return lambda theta: _prepare(self, _shifted_rows(theta))
 
     @cached_property
     def initial_factors(self) -> np.ndarray:
@@ -437,21 +440,14 @@ def _prepare(spec: AnsatzSpec, rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_gate_loop(spec, np.cos(half), np.sin(half)).T)
 
 
-def _plan_sweep(spec: AnsatzSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The sweep function of a layout's sweep plan: ``_table_sum`` bound to the plan's factor index and to
-    its float64 view split at the first half's 2**(m // 2) rows."""
-    index, plan = spec.sweep_plan
-    return partial(_table_sum, index, plan.view(np.float64).reshape(2 ** (spec.num_parameters // 2), -1))
-
-
 def _table_sum(index: np.ndarray, floats: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The (m+1, 2**q) sweep of an (m,) theta: the sum over the sweep plan of theta's branch weights.
 
     ``index`` is ``AnsatzSpec.sweep_plan``'s factor index and ``floats`` the
     plan's float64 view as (2**l, 2**(m-l) * (m+1) * 2**q * 2), l = m // 2
-    (``_plan_sweep``).  One gather and one product give both halves'
-    Kronecker rows of weights; the first half's row then sums over the
-    plan's high bits and the second half's over its low bits.  The weights
+    (``AnsatzSpec.sweep_function``).  One gather and one product give both
+    halves' Kronecker rows of weights; the first half's row then sums over
+    the plan's high bits and the second half's over its low bits.  The weights
     are real, so both products run on the float64 view.
     """
     m = theta.shape[0]
@@ -667,11 +663,6 @@ def _shifted_rows(theta: np.ndarray) -> np.ndarray:
     rows = theta[None, :].repeat(m + 1, axis=0)
     rows.reshape(-1)[: m * m : m + 1] += np.pi  # the diagonal of the first m rows
     return rows
-
-
-def _loop_sweep(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """A gate-loop layout's sweep: the gate loop on the m + 1 shifted rows, as ``apply_ansatz`` prepares them."""
-    return _prepare(spec, _shifted_rows(theta))
 
 
 def _sweep_states(spec: AnsatzSpec, theta: np.ndarray) -> np.ndarray:

@@ -1,37 +1,41 @@
 """Per-call times of the two forms of a sweep read, of a sweep's preparation and of M's application, against the
 rules that pick one.
 
-``quantum_sim.sweep_reads`` reads a sweep's 2m + 1 shift rows either from M
-on the m + 1 prepared rows and their products (a) or from M on the 2m + 1
-built rows (b), both formed here from ``quantum_sim``'s private helpers.
-For each operator and ansatz this prints the median per-call time of each
-form, with two parent kets, their ratio, m*K*2**q (K the x-masks of
-``PauliSum.compiled``) and the form ``sweep_reads`` picks: the explicit one
-when m*K*2**q is at most ``quantum_sim.EXPLICIT_SHIFT_ROWS_WORK``.  The operators
-are a transverse-field Ising ring and a random 32-term sum at 2-6 qubits,
-each on a two-layer ``layered_ansatz`` (m = 4q), and the benchmark's
-``h2`` and ``wide`` solves.
+Each table times the library's own dispatch, not a copy of its forms: one
+helper (``forced``) sets the constant of a size rule so that it picks one
+form, and restores it afterwards.  The pick column reads the unforced
+dispatch, so it shows the form the solver takes on that input.
 
-A second table does the same for the sweep the players' loop prepares
-(``quantum_sim._sweep_states``): for ``random_layers_ansatz`` layouts at
-q = 1-4 qubits, one-layer ones with m on both sides of the size rule and
-three-layer ones (H2's shape: three layers of r rotations, each followed by
-a CNOT ring) at 2**11 to 2**14 entries, the median per-call time of
-preparing a sweep's m + 1 rows by the gate loop on the m + 1 shifted
-parameter rows and from the sweep plan (``AnsatzSpec.sweep_plan``) with one
-weight row, next to 2**m * 2**q and the form the loop picks: the plan when
-m >= 2 and 2**m * 2**q is at most ``quantum_sim.BRANCH_TABLE_ENTRIES``.
-This is the table the constant is checked against.
+The first table times ``quantum_sim._sweep_reads``, the read of a sweep's
+2m + 1 shift rows, with ``quantum_sim.EXPLICIT_SHIFT_ROWS_WORK`` forced to
+each form: M on the m + 1 prepared rows and every read from their products
+(a), or M on the 2m + 1 built rows (b).  For each operator and ansatz this
+prints the median per-call time of each form, with two parent kets, their
+ratio, m*K*2**q (K the x-masks of ``PauliSum.compiled``) and the form the
+unforced rule picks: the explicit one when m*K*2**q is at most the
+constant.  The operators are a transverse-field Ising ring and a random
+32-term sum at 2-6 qubits, each on a two-layer ``layered_ansatz``
+(m = 4q), and the benchmark's ``h2`` and ``wide`` solves.
 
-A third table times ``PauliSum.apply`` on random 32-term sums at 2-8
-qubits and on H2's operator, on a single state as a (2**q,) vector (rows
-"vec"), the form the exact read and the Lanczos run apply M to, and at 1-33
-rows: the median per-call time of the stacked product and of the
-per-x-mask loop, each run by ``PauliSum.apply`` itself with
-``hamiltonian.STACKED_APPLY_ENTRIES`` set to take that form, next to the
-gathered block's size rows*K*2**q and the form the constant picks: the
-stacked product when the size is at most
-``hamiltonian.STACKED_APPLY_ENTRIES``.  Run::
+A second table does the same for the sweep the players' loop prepares, a
+fresh layout's ``AnsatzSpec.sweep_function`` built with
+``quantum_sim.BRANCH_TABLE_ENTRIES`` forced to each form: the gate loop on
+the m + 1 shifted parameter rows, or the sum of the sweep plan
+(``AnsatzSpec.sweep_plan``) with one weight row.  Its layouts are
+``random_layers_ansatz`` ones at q = 1-4 qubits, one-layer ones with m on
+both sides of the size rule and three-layer ones (H2's shape: three layers
+of r rotations, each followed by a CNOT ring) at 2**11 to 2**14 entries.
+Next to the times it prints 2**m * 2**q and the form the unforced rule
+picks: the plan when m >= 2 and 2**m * 2**q is at most the constant.
+
+A third table times ``PauliSum.apply`` with
+``hamiltonian.STACKED_APPLY_ENTRIES`` forced to each form, the stacked
+product or the per-x-mask loop, on random 32-term sums at 2-8 qubits and on
+H2's operator, on a single state as a (2**q,) vector (rows "vec"), the form
+the exact read and the Lanczos run apply M to, and at 1-33 rows.  Next to
+the times it prints the gathered block's size rows*K*2**q and the form the
+unforced rule picks: the stacked product when the size is at most the
+constant.  Run::
 
     PYTHONPATH=src python tools/shot_read_crossover.py [repeats]
 
@@ -45,6 +49,8 @@ import math
 import statistics
 import sys
 import timeit
+from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -52,13 +58,7 @@ import numpy as np
 
 from eigengames import hamiltonian, quantum_sim
 from eigengames.hamiltonian import PauliSum
-from eigengames.quantum_sim import (
-    AnsatzSpec,
-    layered_ansatz,
-    parameter_shift_states,
-    pauli_sum_apply,
-    random_layers_ansatz,
-)
+from eigengames.quantum_sim import AnsatzSpec, layered_ansatz, parameter_shift_states, random_layers_ansatz
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from perf_workloads import build_round  # noqa: E402
@@ -73,6 +73,11 @@ RANDOM_TERMS = 32
 PARENTS = 2
 APPLY_QUBITS = (2, 3, 4, 5, 6, 7, 8)
 APPLY_ROWS = (1, 2, 3, 5, 9, 19, 33)
+# Each size rule: its constant's module and name, and the value that makes it
+# pick each form.  Every size is at most inf, and none is at most -1.
+READ_RULE = (quantum_sim, "EXPLICIT_SHIFT_ROWS_WORK", {"(a) products": -1, "(b) explicit": math.inf})
+PREPARATION_RULE = (quantum_sim, "BRANCH_TABLE_ENTRIES", {"loop": -1, "plan": math.inf})
+APPLY_RULE = (hamiltonian, "STACKED_APPLY_ENTRIES", {"stacked": math.inf, "loop": -1})
 
 
 def tfim_ring(q: int, field: float = 0.7) -> PauliSum:
@@ -99,16 +104,53 @@ def cases() -> list[tuple[str, PauliSum, AnsatzSpec]]:
     return found
 
 
-def products_form(h: PauliSum, base: np.ndarray, kets: np.ndarray):
-    """(a): M on the m + 1 prepared rows, every read formed from their products."""
-    moments = quantum_sim._shift_row_moments(base, pauli_sum_apply(h, base))
-    return moments, quantum_sim._shift_row_products(base, kets)
+@contextmanager
+def forced(rule, form: str):
+    """The size rule set to pick ``form`` inside the block, and its constant restored after it, however it ends."""
+    module, name, forms = rule
+    saved = getattr(module, name)
+    setattr(module, name, forms[form])
+    try:
+        yield
+    finally:
+        setattr(module, name, saved)
 
 
-def explicit_form(h: PauliSum, base: np.ndarray, kets: np.ndarray):
-    """(b): the 2m + 1 shift rows built, M applied to each of them."""
-    rows = quantum_sim._shift_rows(base)
-    return quantum_sim._built_row_moments(rows, pauli_sum_apply(h, rows)), rows.conj() @ kets.T
+def read_form(h: PauliSum, base: np.ndarray, kets: np.ndarray | None) -> str:
+    """The form ``quantum_sim._sweep_reads`` takes on a sweep, read from the number of rows it applied M to."""
+    return "(b) explicit" if quantum_sim._sweep_reads(h, base, kets)[2] == 2 * len(base) - 1 else "(a) products"
+
+
+def preparation_form(spec: AnsatzSpec) -> str:
+    """The form a fresh copy of the layout's ``sweep_function`` takes: the plan when building it built the sweep plan."""
+    fresh = replace(spec)
+    fresh.sweep_function  # built on first use, with the plan when it picks it
+    return "plan" if "sweep_plan" in vars(fresh) else "loop"
+
+
+class _GatherProbe(np.ndarray):
+    """Amplitudes that record a gather from themselves.  ``PauliSum.apply``'s stacked product gathers from
+    the array it is given; its per-x-mask loop gathers from a plain ndarray of it (``np.asarray``)."""
+
+    def take(self, *args, **kwargs):
+        self.gathered = True
+        return self.view(np.ndarray).take(*args, **kwargs)
+
+
+def apply_form(h: PauliSum, amps: np.ndarray) -> str:
+    """The form ``PauliSum.apply`` takes on ``amps``: stacked when it gathered from them directly."""
+    probe = amps.view(_GatherProbe)
+    h.apply(probe)
+    return "stacked" if getattr(probe, "gathered", False) else "loop"
+
+
+def forced_times(rule, setup, repeats: int) -> dict[str, float]:
+    """{form: median seconds per call} of the call ``setup()`` returns, built and timed with ``rule`` forced to it."""
+    times = {}
+    for form in rule[2]:
+        with forced(rule, form):
+            times[form] = per_call(setup(), repeats)
+    return times
 
 
 def per_call(call, repeats: int) -> float:
@@ -132,28 +174,12 @@ def preparation_table(repeats: int) -> None:
         m = num_layers * per_layer
         spec = random_layers_ansatz(q, num_layers, per_layer, seed=per_layer)
         theta = rng.uniform(-np.pi, np.pi, m)
-        # Both sweep functions as ``AnsatzSpec.sweep_function`` builds them, outside the timing.
-        loop_sweep, plan_sweep = partial(quantum_sim._loop_sweep, spec), quantum_sim._plan_sweep(spec)
-        loop = per_call(lambda: loop_sweep(theta), repeats)
-        plan = per_call(lambda: plan_sweep(theta), repeats)
-        # A fresh layout, to see which form builds its plan.
-        spec = random_layers_ansatz(q, num_layers, per_layer, seed=per_layer)
-        quantum_sim._sweep_states(spec, theta)
-        pick = "plan" if "sweep_plan" in vars(spec) else "loop"
+        times = forced_times(PREPARATION_RULE, lambda: partial(replace(spec).sweep_function, theta), repeats)
+        loop, plan, pick = times["loop"], times["plan"], preparation_form(spec)
         print(f"{q:>3}{num_layers:>3}{m:>4}{2 ** (m + q):>9}{loop * 1e6:>10.1f}{plan * 1e6:>10.1f}"
               f"{plan / loop:>11.2f}  {pick}")
     print(f"rule: the plan when m >= 2 and 2^m*2^q <= quantum_sim.BRANCH_TABLE_ENTRIES = "
           f"{quantum_sim.BRANCH_TABLE_ENTRIES}")
-
-
-def apply_time(h: PauliSum, amps: np.ndarray, stacked: bool, repeats: int) -> float:
-    """Median seconds per ``h.apply(amps)`` call, with the size rule set to pick the stacked product or the loop."""
-    saved = hamiltonian.STACKED_APPLY_ENTRIES
-    hamiltonian.STACKED_APPLY_ENTRIES = math.inf if stacked else -1
-    try:
-        return per_call(lambda: h.apply(amps), repeats)
-    finally:
-        hamiltonian.STACKED_APPLY_ENTRIES = saved
 
 
 def apply_table(repeats: int) -> None:
@@ -166,10 +192,9 @@ def apply_table(repeats: int) -> None:
         masks, d = h.compiled[0].shape
         for shape in [(d,)] + [(rows, d) for rows in APPLY_ROWS]:
             amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            stacked = apply_time(h, amps, True, repeats)
-            loop = apply_time(h, amps, False, repeats)
+            times = forced_times(APPLY_RULE, lambda: partial(h.apply, amps), repeats)
+            stacked, loop, pick = times["stacked"], times["loop"], apply_form(h, amps)
             rows, entries = shape[0] if len(shape) > 1 else "vec", amps.size * masks
-            pick = "stacked" if entries <= hamiltonian.STACKED_APPLY_ENTRIES else "loop"
             print(f"{name:<12}{masks:>4}{rows:>6}{entries:>9}{stacked * 1e6:>12.1f}{loop * 1e6:>10.1f}"
                   f"{stacked / loop:>14.2f}  {pick}")
     print(f"rule: stacked when rows*K*2^q <= hamiltonian.STACKED_APPLY_ENTRIES = "
@@ -186,9 +211,8 @@ def main(argv: list[str]) -> int:
         base = parameter_shift_states(spec, rng.uniform(-np.pi, np.pi, m))
         kets = rng.normal(size=(PARENTS, 2**q)) + 1j * rng.normal(size=(PARENTS, 2**q))
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-        products = per_call(lambda: products_form(h, base, kets), repeats)
-        explicit = per_call(lambda: explicit_form(h, base, kets), repeats)
-        pick = "(b) explicit" if quantum_sim.sweep_reads(h, base, None)[2] == 2 * m + 1 else "(a) products"
+        times = forced_times(READ_RULE, lambda: partial(quantum_sim._sweep_reads, h, base, kets), repeats)
+        products, explicit, pick = times["(a) products"], times["(b) explicit"], read_form(h, base, kets)
         print(f"{name:<12}{q:>3}{m:>4}{len(h.compiled[0]):>4}{m * h.compiled[0].size:>10}"
               f"{products * 1e6:>10.1f}{explicit * 1e6:>10.1f}{explicit / products:>9.2f}  {pick}")
     print(f"rule: (b) when m*K*2^q <= quantum_sim.EXPLICIT_SHIFT_ROWS_WORK = {quantum_sim.EXPLICIT_SHIFT_ROWS_WORK}")
