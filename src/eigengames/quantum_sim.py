@@ -684,12 +684,13 @@ def check_sweep(base: np.ndarray) -> None:
 
     ``base`` is a C-ordered complex block of the (m+1, d) rows phi_0, ...,
     phi_{m-1}, psi of ``parameter_shift_states``; a one-row base is the
-    plain state psi.  Three rules run in order.  Every base row has unit norm to
-    ``NORM_ATOL`` (``check_unit_rows``), so a NaN or inf amplitude is named
-    before any product is formed.  Every Re<psi|phi_k>, 0 for a Pauli
-    rotation, is at most ``NORM_ATOL`` in size.  Every shift row
-    (psi +- phi_k)/sqrt(2) has unit norm to ``NORM_ATOL``
-    (``errors.unit_norm``), its squared norm formed from the base rows as
+    plain state psi.  Three rules run in order.  Every base row has unit
+    norm to ``NORM_ATOL``, by ``check_unit_rows``' sum of squares over the
+    float64 view, so a NaN or inf amplitude is named before any product is
+    formed.  Every Re<psi|phi_k>, 0 for a Pauli rotation, is at most
+    ``NORM_ATOL`` in size.  Every shift row (psi +- phi_k)/sqrt(2) has unit
+    norm to ``NORM_ATOL`` (``errors.unit_norm``), its squared norm formed
+    from the first rule's squared norms of the base rows as
     (||psi||^2 + ||phi_k||^2)/2 +- Re<psi|phi_k>.  ``parameter_shift_states``
     checks every sweep it prepares and ``sweep_reads`` every base it reads;
     the players' loop checks its last sweep, once per player.  A base with
@@ -697,9 +698,9 @@ def check_sweep(base: np.ndarray) -> None:
     """
     if not len(base):
         raise DimensionMismatchError("a sweep needs at least the row psi, got no rows")
-    check_unit_rows("prepared state", base)
     parts = base.view(np.float64)
-    own = np.vecdot(parts, parts)
+    own = np.vecdot(parts, parts)  # every base row's squared norm, formed once for both norm rules
+    unit_norm("prepared state", own, NORM_ATOL)
     overlap = np.vecdot(parts[:-1], parts[-1])  # Re<psi|phi_k>, on the float64 view
     if not np.maximum.reduce(np.abs(overlap), initial=0.0) <= NORM_ATOL:
         raise NormalizationError(f"parameter-shift rows have a real overlap with psi beyond {NORM_ATOL}")

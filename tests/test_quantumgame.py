@@ -929,10 +929,10 @@ class TestShiftedObjective:
             assert len(result.energy_history) == budget
             seen[budget] = list(calls)
         # The parents' check (in the one parent intake), the last sweep's check
-        # (its rows, then its shift rows) and the final state's, each through
-        # the one unit-norm rule.
+        # (its rows, then its shift rows, both from one set of squared norms)
+        # and the final state's, each through the one unit-norm rule.
         assert seen[2] == seen[12] == [
-            "_parent_block", "unit_norm", "check_sweep", "check_unit_rows", "unit_norm", "unit_norm",
+            "_parent_block", "unit_norm", "check_sweep", "unit_norm", "unit_norm",
             "check_unit_rows", "unit_norm",
         ]
 
