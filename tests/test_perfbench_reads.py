@@ -12,12 +12,15 @@ counters exactly, eigenvalue and residual to 1e-9.  A change that moves a
 player re-pins the file, with the old and new numbers, in the same change.
 
 The library's size rules each pick between two forms of one job, and each is
-kept only while a benchmark workload takes each side of it; the last test
-holds the constants between the round-0 inputs.
+kept only while a benchmark workload takes each side of it; the size-rule
+test holds the constants between the round-0 inputs, and the last test
+checks, on the same inputs, that ``tools/shot_read_crossover.py`` times each
+form through the library's own dispatch and reads its pick from it.
 """
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -26,10 +29,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "perfbench"))
 sys.path.append(str(ROOT / "tools"))
 
+import numpy as np  # noqa: E402
 import perf_workloads as wl  # noqa: E402
 import round0_digest  # noqa: E402
+import shot_read_crossover as crossover  # noqa: E402
 
 from eigengames import hamiltonian, quantum_sim  # noqa: E402
+from eigengames.quantum_sim import parameter_shift_states  # noqa: E402
 
 ROUNDS = [pytest.param(workload, 1, id=workload) for workload in wl.WORKLOADS] + [
     pytest.param("classical", seed, id=f"classical-seed{seed}") for seed in range(2, 11)
@@ -83,3 +89,33 @@ def test_every_size_rule_has_a_workload_on_each_side():
     shot_block, single_state, sweep = (2 * hm + 1) * hk * 2**hq, wk * 2**wq, (wm + 1) * wk * 2**wq
     assert (shot_block, single_state, sweep) == (152, 7936, 261_888)
     assert max(shot_block, single_state) <= hamiltonian.STACKED_APPLY_ENTRIES < sweep
+
+
+@pytest.mark.parametrize("workload", ["h2", "wide"])
+def test_the_crossover_tool_times_the_dispatch_it_picks(workload):
+    solve = wl.build_round(workload, seed=1, round_index=0)[0]
+    h, spec = solve.operator, solve.spec
+    m = spec.num_parameters
+    base = parameter_shift_states(spec, np.random.default_rng(0).uniform(-np.pi, np.pi, m))
+    kets = base[-1:]
+    inputs = [
+        (crossover.READ_RULE, partial(crossover.read_form, h, base, kets), ["(a) products", "(b) explicit"]),
+        # wide's branch table, 2**40 amplitudes, is never built.
+        (crossover.PREPARATION_RULE, partial(crossover.preparation_form, spec),
+         ["loop", "plan"] if workload == "h2" else ["loop"]),
+        (crossover.APPLY_RULE, partial(crossover.apply_form, h, base), ["stacked", "loop"]),
+    ]
+    # Each forced value drives its form: M on 2m + 1 or m + 1 rows, the plan built or not,
+    # the block gathered whole or mask by mask; the constant is restored afterwards.
+    for rule, form_of, forms in inputs:
+        module, name, _ = rule
+        saved = getattr(module, name)
+        for form in forms:
+            with crossover.forced(rule, form):
+                assert form_of() == form, (name, form)
+            assert getattr(module, name) == saved
+    # The pick is the unforced dispatch: h2 builds its shift rows, sums its plan and
+    # stacks its sweep's rows; wide reads products, runs the loop and loops over masks.
+    picks = [form_of() for _, form_of, _ in inputs]
+    assert picks == (["(b) explicit", "plan", "stacked"] if workload == "h2" else ["(a) products", "loop", "loop"])
+    assert crossover.apply_form(h, base[-1]) == "stacked"  # a single state stacks on both
