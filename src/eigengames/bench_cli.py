@@ -276,7 +276,8 @@ def cmd_bench_scaling(cfg: RunConfig, out: Path) -> int:
     the generated M and the largest Davis-Kahan angle bound, residual / the
     level's gap to the rest of the generated spectrum: what the residual
     alone says about each vector's angle to its eigenvector.  The command
-    exits 1 when a player did not converge or a row's angle bound exceeds 1,
+    exits 1 when a player did not converge, the sequence stopped early (its
+    ``all_converged`` is then ``False``) or a row's angle bound exceeds 1,
     where the residual no longer pins the vector to its eigenvector.  The
     defaults, tolerance and sigma 1e-6, are tier-1 criterion 2's settings.
     """
@@ -323,6 +324,16 @@ def _largest(result, name: str) -> float:
     return max(getattr(player, name) for player in result.players)
 
 
+def _level_error(result, oracle: np.ndarray) -> float:
+    """The largest |level - oracle level| of a run's sorted levels against the oracle's first as many.
+
+    A run whose sequence stopped early (``SequentialResult.stop_reason``)
+    returns fewer than k levels; it is compared on those it returned.
+    """
+    levels = np.sort(result.eigenvalues)
+    return float(np.max(np.abs(levels - oracle[: len(levels)])))
+
+
 def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     """Energy-level trajectories on the bundled molecular operator, exact and 10k-shot.
 
@@ -330,8 +341,9 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
     ``max_imag_residue``, the largest |Im<r|M r>| its sweeps' <M> reads saw
     (``PlayerResult``: theta's row under an exact shot model, the shift rows
     under finite shots); and the largest energy standard deviation and
-    parent overlap over its returned states (reported, not gating).  Exits 1 unless both solvers' noiseless levels are within 2e-2
-    of the oracle's.
+    parent overlap over its returned states (reported, not gating).  Exits
+    1 unless both solvers return all k noiseless levels, each within 2e-2
+    of the oracle's; a run whose sequence stopped early fails the gate.
     """
     h, spec, solvers = cfg.built["operator"], cfg.built["ansatz"], cfg.built["solvers"]
     k, oracle = cfg["num_levels"], cfg.built["levels"]
@@ -355,7 +367,7 @@ def cmd_bench_h2(cfg: RunConfig, out: Path) -> int:
                              f"max_parent_overlap = {_largest(result, 'max_parent_overlap')!r}")
             if noise == "noiseless":
                 for result in (game, vqd):
-                    ok = ok and bool(np.all(np.abs(np.sort(result.eigenvalues) - oracle) <= 2e-2))
+                    ok = ok and not result.stop_reason and _level_error(result, oracle) <= 2e-2
     _write_run(out, cfg, rows,
                ["ansatz:"] + ["  " + line for line in spec.describe().splitlines()] + costs)
     return 0 if ok else 1
@@ -367,6 +379,8 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
     Each row also gives the shots its players used and the largest squared
     overlap between two returned states: a weight below the gaps can return
     one state several times, which the convergence flag alone does not show.
+    A run whose sequence stopped early writes ``all_converged`` 0 and its
+    energy error over the levels it returned.
     """
     h, spec, solvers = cfg.built["operator"], cfg.built["ansatz"], cfg.built["solvers"]
     k, oracle = cfg["num_levels"], cfg.built["levels"]
@@ -375,7 +389,7 @@ def cmd_bench_beta_sweep(cfg: RunConfig, out: Path) -> int:
         for noise, shots in _noise_levels(cfg):
             for seed in cfg["seeds"]:
                 result = run_vqd(h, spec, solvers[noise, beta], k, seed=seed)
-                max_err = float(np.max(np.abs(np.sort(result.eigenvalues) - oracle)))
+                max_err = _level_error(result, oracle)
                 # max_pair_overlap: player j's parents are players 1..j-1, so it covers
                 # every pair; a repeated state may round above 1.
                 rows.append({

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, Literal
 import numpy as np
 
 from .errors import (
+    DegenerateParentError,
     DimensionMismatchError,
     HermiticityError,
     NumericalOverflowError,
@@ -453,7 +454,14 @@ def _read_out(player: PlayerResult, m: np.ndarray) -> PlayerResult:
 
 @dataclass
 class SequentialResult:
-    """All players of one sequential run, in solve order; the operator hashes bracket the run."""
+    """All players of one sequential run, in solve order; the operator hashes bracket the run.
+
+    ``stop_reason`` is empty when all k players ran.  When a player's
+    parents are unusable (``DegenerateParentError``), the sequence stops
+    there: ``players`` holds the players solved before it, ``all_converged``
+    is ``False`` and ``stop_reason`` names the player and the error
+    (``run_players``).
+    """
 
     players: list[PlayerResult]
     eigenvalues: list[float]
@@ -461,6 +469,7 @@ class SequentialResult:
     all_converged: bool
     operator_hash_before: str
     operator_hash_after: str
+    stop_reason: str = ""
 
 
 def ascended_operator(mat: np.ndarray, k: int) -> tuple[np.ndarray, float, float]:
@@ -517,15 +526,24 @@ def run_players(k: int, dim: int, play: Callable, digest: Callable[[], str]) -> 
     ``play(index, parents, eigenvalues)`` solves one player and returns its
     ``PlayerResult``; ``parents`` and ``eigenvalues`` are lists of the
     vectors and eigenvalues of every earlier player, whether or not it
-    converged, and ``all_converged`` reports any miss.  Each player copies the list into its parent block
-    (``_parent_block``).  ``digest()`` hashes the operator before and after
-    the run: no player may rewrite it.
+    converged, and ``all_converged`` reports any miss.  Each player copies
+    the list into its parent block (``_parent_block``).  A player whose
+    parents are unusable, one of whose penalty denominators fails
+    ``errors.parent_denominators``, ends the sequence, not the run: the
+    players solved before it are returned, with ``all_converged=False`` and
+    the error in ``stop_reason``.  Any other error propagates.  ``digest()``
+    hashes the operator before and after the run: no player may rewrite it.
     """
     check_player_count(k, dim)
     hash_before = digest()
     players = []
+    stop_reason = ""
     for index in range(1, k + 1):
-        players.append(play(index, [p.vector for p in players], [p.eigenvalue for p in players]))
+        try:
+            players.append(play(index, [p.vector for p in players], [p.eigenvalue for p in players]))
+        except DegenerateParentError as error:
+            stop_reason = f"player {index} stopped the sequence: {error}"
+            break
     hash_after = digest()
     if hash_after != hash_before:
         raise AssertionError("input operator mutated during the run")
@@ -533,9 +551,10 @@ def run_players(k: int, dim: int, play: Callable, digest: Callable[[], str]) -> 
         players=players,
         eigenvalues=[p.eigenvalue for p in players],
         total_iterations=sum(p.iterations_used for p in players),
-        all_converged=all(p.converged for p in players),
+        all_converged=not stop_reason and all(p.converged for p in players),
         operator_hash_before=hash_before,
         operator_hash_after=hash_after,
+        stop_reason=stop_reason,
     )
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from eigengames.eigengame_classical import run_sequential
 from eigengames.errors import ConfigError
 from eigengames.hamiltonian import build_powerlaw_hamiltonian, load_pauli_sum
 from eigengames.quantum_sim import NORM_ATOL
-from eigengames.quantumgame import run_vqd
+from eigengames.quantumgame import run_quantumgame, run_vqd
 
 
 class TestConfigParsing:
@@ -270,6 +271,59 @@ class TestBetaSweepCommand:
         assert overlap >= 0.99
         assert abs(overlap - max(p.max_parent_overlap for p in result.players)) <= 1e-12
         assert abs(overlap - gram[np.triu_indices(len(states), 1)].max()) <= 1e-12
+
+
+def stopped_early(result):
+    """``result`` as a run whose sequence stopped at an unusable parent after its players (``run_players``)."""
+    return replace(result, all_converged=False, stop_reason="player k stopped the sequence: unusable parent")
+
+
+class TestStoppedSequence:
+    """A run whose sequence stopped early returns fewer than k players; each command gates it as not
+    converged, without raising on the missing levels."""
+
+    def test_scaling(self, tmp_path, monkeypatch):
+        def one_short(m, cfg, seed, mode):
+            return stopped_early(run_sequential(m, replace(cfg, num_players=cfg.num_players - 1), seed, mode))
+
+        cfg = build_run_config(
+            "eigengame_scaling", {"sizes": [8], "seeds": [0], "num_players": 4, "grad_tolerance": 1e-3})
+        assert cmd_bench_scaling(cfg, tmp_path / "full") == 0
+        monkeypatch.setattr(bench_cli, "run_sequential", one_short)
+        assert cmd_bench_scaling(cfg, tmp_path / "stopped") == 1
+        with open(tmp_path / "stopped" / "results.csv", newline="") as handle:
+            assert [row["converged"] for row in csv.DictReader(handle)] == ["0", "0"]
+
+    @pytest.mark.parametrize("name, runner", [("run_quantumgame", run_quantumgame), ("run_vqd", run_vqd)],
+                             ids=["game", "vqd"])
+    def test_h2(self, tmp_path, monkeypatch, name, runner):
+        def one_short(h, spec, cfg, k, seed):
+            return stopped_early(runner(h, spec, cfg, k - 1, seed=seed))
+
+        cfg = build_run_config("h2_levels", {"num_levels": 3, "max_iterations": 400, "shots": 200, "seeds": [0]})
+        monkeypatch.setattr(bench_cli, name, one_short)
+        assert cmd_bench_h2(cfg, tmp_path) == 1
+        with open(tmp_path / "results.csv", newline="") as handle:
+            players = {row["player"] for row in csv.DictReader(handle)
+                       if row["algorithm"] == ("quantumgame" if runner is run_quantumgame else "vqd")}
+        assert players == {"1", "2"}
+
+    def test_beta_sweep(self, tmp_path, monkeypatch):
+        def one_short(h, spec, cfg, k, seed):
+            return stopped_early(run_vqd(h, spec, cfg, k - 1, seed=seed))
+
+        cfg = build_run_config("vqd_beta_sweep", {"betas": [5.0], "num_levels": 3, "max_iterations": 100,
+                                                  "shots": 200, "seeds": [0]})
+        monkeypatch.setattr(bench_cli, "run_vqd", one_short)
+        assert cmd_bench_beta_sweep(cfg, tmp_path) == 0
+        with open(tmp_path / "results.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["all_converged"] for row in rows] == ["0", "0"]
+        oracle = cfg.built["levels"]
+        for row in rows:
+            solver = cfg.built["solvers"][row["noise"], 5.0]
+            levels = np.sort(run_vqd(cfg.built["operator"], cfg.built["ansatz"], solver, 2, seed=0).eigenvalues)
+            assert float(row["max_abs_energy_error"]) == float(np.max(np.abs(levels - oracle[:2])))
 
 
 class TestDiagnosticsCommand:

@@ -68,6 +68,18 @@ def matrix_with_spectrum(eigenvalues, basis):
     return 0.5 * (m + m.T)
 
 
+def same_players(got, want):
+    """Whether two lists of ``PlayerResult`` agree in every field, arrays and floats to the bit."""
+    def same(a, b):
+        if isinstance(a, np.ndarray):
+            return np.array_equal(a, b)
+        return a == b or (a != a and b != b)  # NaN equals NaN here
+
+    return len(got) == len(want) and all(
+        same(getattr(g, name), getattr(w, name)) for g, w in zip(got, want) for name in vars(w)
+    )
+
+
 def residual(m, player):
     return float(np.linalg.norm(m @ player.vector - player.eigenvalue * player.vector))
 
@@ -466,6 +478,40 @@ class TestRunSequential:
             axis = np.zeros(4)
             axis[i] = 1.0
             assert angular_error(player.vector, axis) < 1e-2
+
+    def test_an_unusable_parent_ends_the_sequence_not_the_run(self):
+        # The top two levels are positive, so c = 0 and M is ascended unshifted; after
+        # one step some first players keep a negative Rayleigh quotient, which the
+        # second player's game matrix rejects.  Both counts take c = 0 and step 1/6,
+        # so the player returned before the stop is the one-player run's, bit for bit.
+        m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1))
+        stopped = []
+        for seed in range(40):
+            result = run_sequential(m, GameConfig(num_players=2, max_iterations_per_player=1), seed=seed)
+            if len(result.players) == 2:
+                assert result.stop_reason == ""
+                continue
+            stopped.append(seed)
+            assert not result.all_converged
+            assert result.stop_reason.startswith("player 2 stopped the sequence: parent penalty denominator")
+            single = run_sequential(m, GameConfig(num_players=1, max_iterations_per_player=1), seed=seed)
+            assert same_players(result.players, single.players)
+            assert (result.eigenvalues, result.total_iterations) == (single.eigenvalues, single.total_iterations)
+        assert stopped == [7, 9, 20, 27, 28, 29, 32, 34, 37, 39]
+
+    def test_only_an_unusable_parent_stops_the_sequence(self):
+        def play(error):
+            def solve(index, parents, eigenvalues):
+                if index == 2:
+                    raise error("unusable")
+                return PlayerResult(index=index, parents=np.empty((0, 2)), vector=np.eye(2)[0], converged=True)
+            return solve
+
+        result = run_players(2, 2, play(DegenerateParentError), lambda: "digest")
+        assert (len(result.players), result.all_converged) == (1, False)
+        assert result.stop_reason == "player 2 stopped the sequence: unusable"
+        with pytest.raises(ValueError, match="unusable"):
+            run_players(2, 2, play(ValueError), lambda: "digest")
 
     def test_single_player_matches_direct_call(self):
         m = np.diag([3.0, 2.0, 1.0, 0.5])
