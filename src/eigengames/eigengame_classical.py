@@ -491,8 +491,14 @@ def ascended_operator(mat: np.ndarray, k: int) -> tuple[np.ndarray, float, float
     matrix.)  Otherwise c = max(-lo, hi) - lo, every eigenvalue of A is at
     least max(-lo, hi), and A is formed on a copy's diagonal.
     alpha = 1 / (2 max(hi + c, -lo - c)), one over twice A's norm read on
-    the enclosure.  ``run_sequential`` and the theory harness both take A
-    from here.
+    the enclosure, unless c = 0 and the smallest Ritz value is negative
+    beyond the rounding floor: that M is indefinite, and alpha is
+    1 / (2 (hi - lo)), one over twice its spectrum's width.  A plain ascent
+    step scales the part of v along eigenvector j by
+    1 - 2 alpha (lambda_1 - lambda_j), which one over twice the norm makes
+    -1 when lambda_min = -lambda_max: the ascent then oscillates and never
+    meets its tolerance.  ``run_sequential`` and the theory harness both
+    take A from here.
     """
     dim = len(mat)
     # n max |m_ij| bounds ||M||_2 and sets the run's scale.
@@ -502,7 +508,8 @@ def ascended_operator(mat: np.ndarray, k: int) -> tuple[np.ndarray, float, float
     ascended = mat.copy() if shift else mat
     if shift:  # M + c I, formed on the copy's diagonal
         ascended.flat[:: dim + 1] += shift
-    return ascended, shift, 1.0 / (2.0 * max(hi + shift, -lo - shift))
+    indefinite = not shift and ritz[0] < -LANCZOS_TOL * radius
+    return ascended, shift, 1.0 / (2.0 * (hi - lo if indefinite else max(hi + shift, -lo - shift)))
 
 
 def check_player_count(k: int, dim: int) -> None:

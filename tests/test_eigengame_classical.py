@@ -482,7 +482,7 @@ class TestRunSequential:
     def test_an_unusable_parent_ends_the_sequence_not_the_run(self):
         # The top two levels are positive, so c = 0 and M is ascended unshifted; after
         # one step some first players keep a negative Rayleigh quotient, which the
-        # second player's game matrix rejects.  Both counts take c = 0 and step 1/6,
+        # second player's game matrix rejects.  Both counts take c = 0 and step 1/12,
         # so the player returned before the stop is the one-player run's, bit for bit.
         m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1))
         stopped = []
@@ -497,7 +497,7 @@ class TestRunSequential:
             single = run_sequential(m, GameConfig(num_players=1, max_iterations_per_player=1), seed=seed)
             assert same_players(result.players, single.players)
             assert (result.eigenvalues, result.total_iterations) == (single.eigenvalues, single.total_iterations)
-        assert stopped == [7, 9, 20, 27, 28, 29, 32, 34, 37, 39]
+        assert stopped == [0, 3, 7, 9, 10, 13, 15, 20, 25, 27, 28, 29, 31, 32, 33, 34, 37, 39]
 
     def test_only_an_unusable_parent_stops_the_sequence(self):
         def play(error):
@@ -1166,8 +1166,19 @@ class TestAscentShift:
         m = matrix_with_spectrum(levels, random_orthonormal(8, 2))
         ascended, shift, step = eigengame_classical.ascended_operator(m, 4)
         assert shift == 0.0 and ascended is m
-        assert step == pytest.approx(1.0 / 6.0, rel=1e-12)  # 1 / (2 ||M||), ||M|| = -lambda_min = 3
+        assert step == pytest.approx(1.0 / 10.0, rel=1e-12)  # 1 / (2 (hi - lo)), the width 2 - (-3) = 5
         self.assert_recovered(m, 4, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_symmetric_indefinite_spectrum_ascends_its_width(self, mode):
+        # lambda_min = -lambda_max: a step of one over twice ||M|| = 3 scales the bottom
+        # eigenvector's part by 1 - 2 alpha (3 - (-3)) = -1, and player 1 oscillated
+        # through any budget.  One over twice the width 6 halves that step.
+        m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1))
+        ascended, shift, step = eigengame_classical.ascended_operator(m, 2)
+        assert shift == 0.0 and ascended is m
+        assert step == pytest.approx(1.0 / 12.0, rel=1e-12)
+        self.assert_recovered(m, 2, mode)
 
     def test_a_zero_level_within_reach_is_shifted(self):
         # The k-th Ritz value of a zero level is rounding of either sign: it must
