@@ -120,7 +120,8 @@ class GameConfig:
     largest Ritz value shows M's top k levels positive
     (``ascended_operator``).  ``None`` lets ``run_sequential`` pick
     1 / (2 max(hi + c, -lo - c)) on that run's enclosure [lo, hi] of M's
-    spectrum (about 1 / (2 ||M||_2) for positive-definite M);
+    spectrum (about 1 / (2 ||M||_2) for positive-definite M), or
+    1 / (2 (hi - lo)) for an unshifted M that shows a negative Ritz value;
     ``eigengame_player`` needs it set.  ``max_iterations_per_player`` and
     ``num_players`` are whole numbers of at least 1 (``errors.whole_number``);
     ``step_size`` and ``grad_tolerance`` are positive and ``sigma``
@@ -580,7 +581,8 @@ def run_sequential(
     value, a lower bound on lambda_k, is positive beyond rounding, and
     c = max(-lo, hi) - lo otherwise, [lo, hi] the run's enclosure of M's
     spectrum, so that every level a player can reach is positive.  The
-    default step is 1 / (2 max(hi + c, -lo - c)).  Eigenvalues, residuals
+    default step is 1 / (2 max(hi + c, -lo - c)), or 1 / (2 (hi - lo)) when
+    c = 0 and a Ritz value is negative.  Eigenvalues, residuals
     and parent overlaps are read on M (``_read_out``); no eigenvector
     enters the solve, and nothing warns of small eigengaps.  The zero
     matrix is rejected: it has no leading eigenvectors and no step size.
