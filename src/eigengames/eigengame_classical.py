@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal
 
 import numpy as np
@@ -115,20 +115,15 @@ def _parent_block(parents, dim: int, dtype, atol: float) -> np.ndarray:
 class GameConfig:
     """Hyperparameters shared by every player of one run.
 
-    ``step_size`` is the step on the matrix the players ascend, which
-    ``run_sequential`` shifts to M + c I unless the Lanczos run's k-th
-    largest Ritz value shows M's top k levels positive
-    (``ascended_operator``).  ``None`` lets ``run_sequential`` pick
-    1 / (2 max(hi + c, -lo - c)) on that run's enclosure [lo, hi] of M's
-    spectrum (about 1 / (2 ||M||_2) for positive-definite M), or
-    1 / (2 (hi - lo)) for an unshifted M that shows a negative Ritz value;
-    ``eigengame_player`` needs it set.  ``max_iterations_per_player`` and
-    ``num_players`` are whole numbers of at least 1 (``errors.whole_number``);
-    ``step_size`` and ``grad_tolerance`` are positive and ``sigma``
-    non-negative, each a finite real number (``errors.real_number``).
+    No step is set here: a run of k players and a direct player with
+    P = k - 1 parents both ascend the matrix A and take the step that
+    ``ascended_operator(M, k)`` reads from one Lanczos run on M.
+    ``max_iterations_per_player`` and ``num_players`` are whole numbers of
+    at least 1 (``errors.whole_number``); ``grad_tolerance`` is positive and
+    ``sigma`` non-negative, each a finite real number
+    (``errors.real_number``).
     """
 
-    step_size: float | None = None
     sigma: float = 0.0
     grad_tolerance: float = 1e-3
     max_iterations_per_player: int = 100_000
@@ -137,8 +132,6 @@ class GameConfig:
     def __post_init__(self):
         whole_number("max_iterations_per_player", self.max_iterations_per_player)
         whole_number("num_players", self.num_players)
-        if self.step_size is not None:
-            real_number("step_size", self.step_size, "positive")
         real_number("sigma", self.sigma, "non-negative")
         real_number("grad_tolerance", self.grad_tolerance, "positive")
 
@@ -155,8 +148,8 @@ def _twice_game_matrix(mat: np.ndarray, parents, scale: float = 1.0) -> np.ndarr
     too, on the scale of M's largest entry: a quotient at or below
     ``PARENT_DENOMINATOR_FLOOR`` (1e-10) times max |m_ij|, a negative one
     included, raises ``DegenerateParentError``.  M is the matrix the player
-    ascends, which ``run_sequential`` shifts so that every level a player
-    can reach is positive.  The (n, P) x (P, n) penalty is subtracted in
+    ascends, which ``ascended_operator`` shifts so that every level a
+    player can reach is positive.  The (n, P) x (P, n) penalty is subtracted in
     place from scale 2 M, the one other n x n array.
     """
     twice = mat * (2.0 * scale)
@@ -228,16 +221,23 @@ def eigengame_player(
     mode: GradientMode = "exact",
     index: int = 1,
 ) -> PlayerResult:
-    """Run one player's Riemannian heavy-ball ascent until the gradient is radial.
+    """Solve one player against P frozen parents as the last player of a run of P + 1 on M.
+
+    The player ascends the matrix A and takes the step that
+    ``ascended_operator(M, P + 1)`` gives, as the last player of a
+    ``run_sequential`` run of P + 1 players does (``_ascended``), and its
+    eigenvalue, residual and parent overlaps are read on M (``_read_out``).
+    Given that run's start for the player and the vectors of its players
+    1..P, it returns that run's player bit for bit.  ``parents`` is the
+    (P, n) block of frozen parent vectors v_j, or a list of them; the
+    player keeps a read-only copy as ``PlayerResult.parents``.
 
     Each step is v <- normalize(v + t + beta_t vel), with t = alpha (I - v v^T) g
     the tangent step and vel = v_t - v_{t-1}: EigenGame's projected step (Gemp
     et al., ICLR 2021, Alg. 1) plus the velocity, beta_t and its restarts from
-    ``HeavyBall``.  ``parents`` is the (P, n) block of frozen parent
-    vectors v_j, or a list of them; the player keeps a read-only copy as
-    ``PlayerResult.parents``.  The game matrix
-    G = M - sum_j (M v_j)(M v_j)^T / v_j^T M v_j is built once, as 2 alpha G,
-    from one product of M with the block, and M v is formed once, at exit,
+    ``HeavyBall``.  The game matrix
+    G = A - sum_j (A v_j)(A v_j)^T / v_j^T A v_j is built once, as 2 alpha G,
+    from one product of A with the block, and M v is formed once, at exit,
     for the eigenvalue and residual.
 
     One iteration is three array calls on a (4, n) buffer of rows
@@ -257,44 +257,51 @@ def eigengame_player(
     to cancellation as t shrinks, so it only rules stopping out: within a
     rounding margin of the tolerance, and at the budget, t = w - (v.w) v is
     formed and its norm tested.  The last explicit norm is kept as
-    ``final_riemannian_norm``.  The step is ``cfg.step_size``, which must be
-    set (``run_sequential`` picks its default).  An array M that is not
+    ``final_riemannian_norm``.
+
+    Every input is checked before the Lanczos run.  An array M that is not
     symmetric or has a non-finite entry raises ``HermiticityError``, as it
     does at every entry point that reads M (``_as_symmetric_array``); an
     ``init`` that is not an (n,) vector, or parents that are not a (P, n)
-    block, raise ``DimensionMismatchError``, and a parent whose Rayleigh
-    quotient on M is not above 1e-10 max |m_ij| ``DegenerateParentError``
-    (``_twice_game_matrix``).  ``NumericalOverflowError`` is
-    left for a finite M whose game matrix or gradient overflows in the loop,
-    and for a step so large that the squared stop threshold
-    (grad_tolerance * step)**2 overflows.
+    block, raise ``DimensionMismatchError``, and a parent or ``init`` off
+    unit norm ``NormalizationError`` (``_player_inputs``); the zero matrix
+    and P + 1 > n raise ``ValueError``.  A parent whose Rayleigh quotient
+    on A is not above 1e-10 max |a_ij| raises ``DegenerateParentError``
+    (``_twice_game_matrix``).  ``NumericalOverflowError`` is left for a
+    finite M whose game matrix or gradient overflows in the loop, and for
+    an M so small that the squared stop threshold (grad_tolerance * step)**2
+    overflows.
     """
-    if cfg.step_size is None:
-        raise ValueError("eigengame_player needs cfg.step_size; run_sequential picks the default")
     mat = _as_symmetric_array(m)
-    return _read_out(_ascend(mat, init, parents, cfg, mode, index), mat)
+    v, block = _player_inputs(mat, init, parents, mode)
+    ascended, _, step = _ascended(mat, len(block) + 1)
+    return _read_out(_ascend(ascended, v, block, cfg, mode, index, step), mat)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _ascend(
-    mat: np.ndarray, init: np.ndarray, parents, cfg: GameConfig, mode: GradientMode, index: int
-) -> PlayerResult:
-    """``eigengame_player``'s ascent on a checked real symmetric array: the ascent alone, left for ``_read_out``.
-
-    A finite M can still overflow, in the game matrix or a product of the
-    loop.  The loop's finiteness guard reports that as
-    ``NumericalOverflowError``, so NumPy's overflow and invalid-value
-    warnings, which would come first, are silenced.
-    """
+def _player_inputs(mat: np.ndarray, init, parents, mode: GradientMode) -> tuple[np.ndarray, np.ndarray]:
+    """A player's checked ``mode``, and its start vector and parent block checked against the array ``mat``."""
     if mode not in ("exact", "zeroth_order"):
         raise ValueError(f"mode must be 'exact' or 'zeroth_order', got {mode!r}")
-    parents = _parent_block(parents, mat.shape[0], np.float64, UNIT_NORM_ATOL)
+    block = _parent_block(parents, mat.shape[0], np.float64, UNIT_NORM_ATOL)
     v = np.asarray(init, dtype=np.float64)
     if v.shape != mat.shape[:1]:
         raise DimensionMismatchError(f"init has shape {v.shape}, expected {mat.shape[:1]}")
     unit_norm("init", v @ v, UNIT_NORM_ATOL)
+    return v, block
 
-    alpha = cfg.step_size
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ascend(
+    mat: np.ndarray, v: np.ndarray, parents: np.ndarray, cfg: GameConfig, mode: GradientMode, index: int, alpha: float
+) -> PlayerResult:
+    """``eigengame_player``'s ascent of ``mat`` at step ``alpha`` from ``_player_inputs``' checked inputs.
+
+    The ascent alone, left for ``_read_out``.  A finite M can still
+    overflow, in the game matrix or a product of the loop.  The loop's
+    finiteness guard reports that as ``NumericalOverflowError``, so NumPy's
+    overflow and invalid-value warnings, which would come first, are
+    silenced.
+    """
     dim = mat.shape[0]
     scaled_game = _twice_game_matrix(mat, parents, alpha)  # alpha 2 G
     # Two (4, n) buffers of rows [v; vel; 2 alpha G v; b], b the bias row, so that
@@ -376,8 +383,9 @@ class PlayerResult:
     - ``eigenvalue`` is <v|M v> and ``residual`` the eigen-residual
       ||M v - <v|M v> v||, which by Kahan's bound puts an eigenvalue of M
       within that distance of <v|M v>.  Both are read once on the caller's
-      M, which for ``run_sequential`` is not the shifted matrix the players
-      ascend.
+      M.  A classical player, in a run or called directly, ascends the
+      matrix A of ``ascended_operator(M, players)`` at its step, and A is
+      not M when that shifts it.
     - ``max_parent_overlap`` is max_j |<v|v_j>|^2 over the parents, 0
       without any.  It and the residual are reported and do not gate
       ``converged``.  Under finite shots both stay exact simulator values;
@@ -474,7 +482,7 @@ class SequentialResult:
 
 
 def ascended_operator(mat: np.ndarray, k: int) -> tuple[np.ndarray, float, float]:
-    """(A, c, alpha): the matrix A = M + c I that k players ascend, its shift c and its default step alpha.
+    """(A, c, alpha): the matrix A = M + c I that k players ascend, its shift c and its step alpha.
 
     One Lanczos run on M (``hamiltonian.lanczos_enclosure``, from a real
     start vector, of at least k steps unless the Krylov space is exhausted)
@@ -498,8 +506,9 @@ def ascended_operator(mat: np.ndarray, k: int) -> tuple[np.ndarray, float, float
     step scales the part of v along eigenvector j by
     1 - 2 alpha (lambda_1 - lambda_j), which one over twice the norm makes
     -1 when lambda_min = -lambda_max: the ascent then oscillates and never
-    meets its tolerance.  ``run_sequential`` and the theory harness both
-    take A from here.
+    meets its tolerance.  A run of k players and a direct player with
+    k - 1 parents both ascend A at step alpha (``_ascended``); the theory
+    harness takes A from here too.
     """
     dim = len(mat)
     # n max |m_ij| bounds ||M||_2 and sets the run's scale.
@@ -511,6 +520,19 @@ def ascended_operator(mat: np.ndarray, k: int) -> tuple[np.ndarray, float, float
         ascended.flat[:: dim + 1] += shift
     indefinite = not shift and ritz[0] < -LANCZOS_TOL * radius
     return ascended, shift, 1.0 / (2.0 * (hi - lo if indefinite else max(hi + shift, -lo - shift)))
+
+
+def _ascended(mat: np.ndarray, players: int) -> tuple[np.ndarray, float, float]:
+    """``ascended_operator(mat, players)``: the classical players' one source of the matrix they ascend and its step.
+
+    The zero matrix, which has no leading eigenvectors and no step, raises
+    ``ValueError``, and so does a bad ``players`` (``check_player_count``),
+    both before the Lanczos run.
+    """
+    if not mat.any():
+        raise ValueError("the zero matrix has no leading eigenvectors: every unit vector is one")
+    check_player_count(players, len(mat))
+    return ascended_operator(mat, players)
 
 
 def check_player_count(k: int, dim: int) -> None:
@@ -575,14 +597,16 @@ def run_sequential(
     """Solve players 1..k, k = ``cfg.num_players``, with ``run_players``, each from its own seeded start.
 
     ``run_players`` holds k to M's dimension n and hands player i the
-    vectors of players 1..i-1, its parent block.  The players ascend
-    A = M + c I (``ascended_operator``), read from one Lanczos run on M that
-    takes no dense eigendecomposition: c = 0 when the k-th largest Ritz
-    value, a lower bound on lambda_k, is positive beyond rounding, and
-    c = max(-lo, hi) - lo otherwise, [lo, hi] the run's enclosure of M's
-    spectrum, so that every level a player can reach is positive.  The
-    default step is 1 / (2 max(hi + c, -lo - c)), or 1 / (2 (hi - lo)) when
-    c = 0 and a Ritz value is negative.  Eigenvalues, residuals
+    vectors of players 1..i-1, its parent block.  Every player ascends
+    A = M + c I at the step alpha of ``ascended_operator(M, k)``, one
+    Lanczos run on M that takes no dense eigendecomposition: c = 0 when the
+    k-th largest Ritz value, a lower bound on lambda_k, is positive beyond
+    rounding, and c = max(-lo, hi) - lo otherwise, [lo, hi] the run's
+    enclosure of M's spectrum, so that every level a player can reach is
+    positive.  alpha is 1 / (2 max(hi + c, -lo - c)), or 1 / (2 (hi - lo))
+    when c = 0 and a Ritz value is negative.  ``eigengame_player`` with
+    players 1..i-1 as parents ascends ``ascended_operator(M, i)``, so it
+    returns player i bit for bit when i = k.  Eigenvalues, residuals
     and parent overlaps are read on M (``_read_out``); no eigenvector
     enters the solve, and nothing warns of small eigengaps.  The zero
     matrix is rejected: it has no leading eigenvectors and no step size.
@@ -598,17 +622,13 @@ def run_sequential(
     whole_number("seed", seed, minimum=0)
     mat = _as_symmetric_array(m)  # the run's one check
     dim = mat.shape[0]
-    if not mat.any():
-        raise ValueError("the zero matrix has no leading eigenvectors: every unit vector is one")
-    check_player_count(cfg.num_players, dim)  # before the Lanczos run reads the count
-    ascended, _, step = ascended_operator(mat, cfg.num_players)
-    if cfg.step_size is None:
-        cfg = replace(cfg, step_size=step)
+    ascended, _, step = _ascended(mat, cfg.num_players)
 
     def play(i: int, parents: list[np.ndarray], _: list[float]) -> PlayerResult:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))
         init = rng.standard_normal(dim)
         init /= np.linalg.norm(init)
-        return _read_out(_ascend(ascended, init, parents, cfg, mode, i), mat)
+        v, block = _player_inputs(mat, init, parents, mode)
+        return _read_out(_ascend(ascended, v, block, cfg, mode, i, step), mat)
 
     return run_players(cfg.num_players, dim, play, lambda: hashlib.sha256(mat).hexdigest())

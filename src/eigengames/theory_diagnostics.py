@@ -380,7 +380,9 @@ def measure_error_accumulation_classical(
     The measured value is the tangential norm of the gradient difference with
     perturbed versus exact parents, on the matrix the players ascend; the
     bound is the error-accumulation formula evaluated on the same
-    displacements and the same matrix.  Each draw rotates the true parents
+    displacements and the same matrix, ``error_accumulation_bound_classical``
+    without its Lanczos run per draw: one ``ascended_operator`` call serves
+    every draw.  Each draw rotates the true parents
     and draws a child (``_epsilon_rows`` runs the draws and checks
     ``samples_per_epsilon`` and the epsilons).  ``player_index`` (1-based,
     at most ``dim``) is a whole number of at least 1
@@ -404,7 +406,7 @@ def measure_error_accumulation_classical(
         g_true = finite_diff_gradient(v, true_parents, mat, sigma)
         g_hat = finite_diff_gradient(v, hat_parents, mat, sigma)
         diff = (g_hat - g_true) - ((g_hat - g_true) @ v) * v
-        bound = error_accumulation_bound_classical(matrix, true_parents, hat_parents, sigma)
+        bound = _parent_error_sum(mat, true_parents, hat_parents, sigma)
         return bound, float(np.linalg.norm(diff))
 
     return _epsilon_rows("error_accumulation_classical", f"dim={dim} ", epsilons, samples_per_epsilon, draw)

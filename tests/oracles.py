@@ -13,12 +13,15 @@ one moments read ``sweep_reads``, and ``state_energy`` is its <M> on
 one state; ``product_state`` builds |0...0> and |+...+>, the reference for
 ``AnsatzSpec.initial_factors``; ``classical_game_terms`` and
 ``classical_error_term`` are the per-parent block expressions the classical
-game matrix folds together; ``vector_eigengame_player`` is the classical
-player's ascent written on whole vectors, the loop the library's fused
-three-call iteration must reproduce, returned as the library's one
-``PlayerResult`` record; ``quantum_utility`` is the maximizing
-game's objective on one state, the game's finite-shot read on a one-row base; ``hotelling_levels`` is explicit Hotelling deflation on a
-dense copy, the step the game does without; ``compiled_pauli_sum`` is the
+game matrix folds together; ``ascend_at_step`` runs the library's own
+classical ascent on M itself at a step the test chooses, where
+``eigengame_player`` takes both from ``ascended_operator``;
+``vector_eigengame_player`` is the classical player's ascent written on
+whole vectors, the loop the library's fused three-call iteration must
+reproduce, returned as the library's one ``PlayerResult`` record;
+``quantum_utility`` is the maximizing game's objective on one state, the
+game's finite-shot read on a one-row base; ``hotelling_levels`` is explicit
+Hotelling deflation on a dense copy, the step the game does without; ``compiled_pauli_sum`` is the
 per-term builder the stacked ``PauliSum.compiled`` form is checked against;
 ``scalar_perturb_readouts`` is the circuit-by-circuit shot draw the one
 vector draw of ``perturb_readouts`` must equal bit for bit;
@@ -45,7 +48,9 @@ from eigengames.eigengame_classical import (
     HeavyBall,
     PlayerResult,
     _as_symmetric_array,
+    _ascend,
     _parent_block,
+    _player_inputs,
     _read_out,
     _twice_game_matrix,
     utility,
@@ -445,11 +450,24 @@ def hotelling_levels(entries: np.ndarray, k: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# The classical ascent on whole vectors
+# The classical ascent at a chosen step
 # ---------------------------------------------------------------------------
 
-def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode: str = "exact") -> PlayerResult:
-    """``eigengame_player``'s ascent on whole vectors: each scalar from its own dot product.
+def ascend_at_step(m, init: np.ndarray, parents, cfg: GameConfig, step: float, mode: str = "exact") -> PlayerResult:
+    """The library's classical ascent of M itself at ``step``, read out on M, with ``eigengame_player``'s checks.
+
+    ``eigengame_player`` ascends the matrix and step of ``ascended_operator``;
+    this drives the same ``_ascend`` and ``_read_out`` unshifted and at a
+    step the test picks.
+    """
+    mat = _as_symmetric_array(m)
+    v, block = _player_inputs(mat, init, parents, mode)
+    return _read_out(_ascend(mat, v, block, cfg, mode, 1, step), mat)
+
+
+def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, step: float,
+                            mode: str = "exact") -> PlayerResult:
+    """``ascend_at_step`` on whole vectors: each scalar from its own dot product.
 
     Per iteration: w = alpha g from one matvec on 2 alpha G (plus the bias
     alpha sigma diag(G) in zeroth-order mode), the tangent step
@@ -462,7 +480,7 @@ def vector_eigengame_player(m, init: np.ndarray, parents, cfg: GameConfig, mode:
     v = np.asarray(init, dtype=np.float64).copy()
     if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_ATOL:
         raise NormalizationError("init vector must be unit norm")
-    alpha = cfg.step_size
+    alpha = step
     scaled_game = alpha * _twice_game_matrix(mat, parents)
     bias = cfg.sigma * (0.5 * np.diag(scaled_game)) if mode == "zeroth_order" else None
     state = PlayerResult(1, parents, v)

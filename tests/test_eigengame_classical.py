@@ -31,11 +31,12 @@ from eigengames.eigengame_classical import (
     utility,
 )
 from eigengames.hamiltonian import HermitianMatrix, build_powerlaw_hamiltonian, random_orthonormal
-from eigengames.quantum_sim import layered_ansatz
+from eigengames.quantum_sim import ParameterTensor, layered_ansatz
 from eigengames.theory_diagnostics import error_accumulation_bound_classical, error_accumulation_bound_quantum
 
 from oracles import (
     InvalidPerturbationError,
+    ascend_at_step,
     classical_error_term,
     classical_game_terms,
     identity_shifted,
@@ -71,6 +72,8 @@ def matrix_with_spectrum(eigenvalues, basis):
 def same_players(got, want):
     """Whether two lists of ``PlayerResult`` agree in every field, arrays and floats to the bit."""
     def same(a, b):
+        if isinstance(a, ParameterTensor):
+            a, b = a.values, b.values
         if isinstance(a, np.ndarray):
             return np.array_equal(a, b)
         return a == b or (a != a and b != b)  # NaN equals NaN here
@@ -78,6 +81,13 @@ def same_players(got, want):
     return len(got) == len(want) and all(
         same(getattr(g, name), getattr(w, name)) for g, w in zip(got, want) for name in vars(w)
     )
+
+
+def run_start(seed, index, dim):
+    """The start vector ``run_sequential(..., seed)`` draws for player ``index``."""
+    init = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index, 0))).standard_normal(dim)
+    init /= np.linalg.norm(init)
+    return init
 
 
 def residual(m, player):
@@ -126,7 +136,9 @@ class TestUtility:
         with pytest.raises(DegenerateParentError):
             utility(np.array([0.0, 1.0, 0.0]), block, m)
         with pytest.raises(DegenerateParentError):
-            eigengame_player(m, np.array([0.0, 1.0, 0.0]), block, GameConfig(step_size=0.1))
+            exact_gradient(np.array([0.0, 1.0, 0.0]), block, m)
+        with pytest.raises(DegenerateParentError):  # the ascent's own game matrix, on M unshifted
+            ascend_at_step(m, np.array([0.0, 1.0, 0.0]), block, GameConfig(), 0.1)
 
     def test_negative_parent_quotient_rejected(self):
         # Unshifted, an indefinite M gives the eigenvector of -2 the penalty
@@ -135,7 +147,7 @@ class TestUtility:
         m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], basis)
         v, parents = basis[0], [basis[4]]
         for call in (lambda: utility(v, parents, m), lambda: exact_gradient(v, parents, m),
-                     lambda: eigengame_player(m, v, parents, GameConfig(step_size=0.1))):
+                     lambda: ascend_at_step(m, v, parents, GameConfig(), 0.1)):
             with pytest.raises(DegenerateParentError, match="not positive"):
                 call()
 
@@ -203,9 +215,8 @@ class TestGameMatrix:
         m, v0, parents = random_problem(12, 4, seed=8)
         alpha, sigma = 0.05, 1e-2
         for mode, bias in (("exact", 0.0), ("zeroth_order", sigma * classical_error_term(parents, m))):
-            cfg = GameConfig(step_size=alpha, sigma=sigma, grad_tolerance=1e-12,
-                             max_iterations_per_player=1)
-            state = eigengame_player(m, v0, parents, cfg, mode=mode)
+            cfg = GameConfig(sigma=sigma, grad_tolerance=1e-12, max_iterations_per_player=1)
+            state = ascend_at_step(m, v0, parents, cfg, alpha, mode=mode)
             g = classical_game_terms(v0, parents, m)[1] + bias
             stepped = v0 + alpha * (g - (g @ v0) * v0)
             assert np.max(np.abs(state.vector - stepped / np.linalg.norm(stepped))) <= 1e-12
@@ -260,7 +271,7 @@ class TestAngularError:
 
 class TestPlayer:
     def test_eigenvector_is_fixed_point(self):
-        cfg = GameConfig(step_size=0.1, grad_tolerance=1e-3, max_iterations_per_player=10)
+        cfg = GameConfig(grad_tolerance=1e-3, max_iterations_per_player=10)
         state = eigengame_player(M2, E1, [], cfg, mode="exact")
         assert state.converged
         assert state.iterations_used <= 1
@@ -269,7 +280,7 @@ class TestPlayer:
     def test_three_dim_convergence_to_top_eigenvector(self):
         m = np.diag([3.0, 1.0, 0.5])
         init = np.ones(3) / np.sqrt(3.0)
-        cfg = GameConfig(step_size=1.0 / 6.0, grad_tolerance=1e-3)
+        cfg = GameConfig(grad_tolerance=1e-3)
         state = eigengame_player(m, init, [], cfg, mode="exact")
         # Oracle: top eigenvector of the diagonal matrix is the first axis.
         assert state.converged
@@ -277,7 +288,7 @@ class TestPlayer:
 
     def test_second_player_with_converged_parent(self):
         m = np.diag([3.0, 1.0, 0.5])
-        cfg = GameConfig(step_size=1.0 / 6.0, grad_tolerance=1e-3)
+        cfg = GameConfig(grad_tolerance=1e-3)
         first = eigengame_player(m, np.ones(3) / np.sqrt(3.0), [], cfg, mode="exact")
         init = np.array([0.2, 0.9, np.sqrt(1.0 - 0.04 - 0.81)])
         second = eigengame_player(m, init, [first.vector], cfg, mode="exact")
@@ -289,55 +300,50 @@ class TestPlayer:
         rng = np.random.default_rng(1)
         init = rng.standard_normal(6)
         init /= np.linalg.norm(init)
-        cfg = GameConfig(step_size=0.05, grad_tolerance=1e-6, max_iterations_per_player=50)
+        cfg = GameConfig(grad_tolerance=1e-6, max_iterations_per_player=50)
         state = eigengame_player(m, init, [], cfg, mode="exact")
         assert abs(np.linalg.norm(state.vector) - 1.0) <= 1e-12
 
     def test_zeroth_order_mode_uses_its_own_gradient(self):
         m = np.diag([3.0, 1.0])
-        cfg = GameConfig(step_size=0.1, sigma=1e-3, grad_tolerance=1e-6,
-                         max_iterations_per_player=5000)
+        cfg = GameConfig(sigma=1e-3, grad_tolerance=1e-6, max_iterations_per_player=5000)
         state = eigengame_player(m, MIX, [], cfg, mode="zeroth_order")
         assert state.converged
         # The sigma term biases the fixed point away from the axis by O(sigma).
         assert angular_error(state.vector, E1) < 1e-3
 
     def test_non_unit_init_rejected(self):
-        cfg = GameConfig(step_size=0.1)
         with pytest.raises(NormalizationError):
-            eigengame_player(M2, np.array([1.0, 1.0]), [], cfg)
+            eigengame_player(M2, np.array([1.0, 1.0]), [], GameConfig())
 
     @pytest.mark.parametrize("init", [[np.nan, 0.0], [np.nan, np.nan]])
     @pytest.mark.parametrize("mode", ["exact", "zeroth_order"])
     def test_nan_init_rejected(self, init, mode):
         # A NaN init used to pass the norm check and fail later with NumericalOverflowError.
-        cfg = GameConfig(step_size=0.1)
         with pytest.raises(NormalizationError):
-            eigengame_player(M2, np.array(init), [], cfg, mode=mode)
+            eigengame_player(M2, np.array(init), [], GameConfig(), mode=mode)
 
     def test_one_iteration_is_a_step_along_the_public_gradient(self):
         m, v0, parents = random_problem(6, 3, seed=4)
         assert len(parents) == 3
         alpha = 0.05
         for mode, sigma in (("exact", 0.0), ("zeroth_order", 1e-2)):
-            cfg = GameConfig(step_size=alpha, sigma=1e-2, grad_tolerance=1e-12,
-                             max_iterations_per_player=1)
-            state = eigengame_player(m, v0, parents, cfg, mode=mode)
+            cfg = GameConfig(sigma=1e-2, grad_tolerance=1e-12, max_iterations_per_player=1)
+            state = ascend_at_step(m, v0, parents, cfg, alpha, mode=mode)
             g = finite_diff_gradient(v0, parents, m, sigma)
             stepped = v0 + alpha * (g - (g @ v0) * v0)
             assert state.iterations_used == 1
             assert np.max(np.abs(state.vector - stepped / np.linalg.norm(stepped))) <= 1e-12
 
     def test_final_riemannian_norm_is_the_stop_test_norm(self):
-        matrix, (levels, vectors) = build_powerlaw_hamiltonian(8, seed=2)
+        matrix, (_, vectors) = build_powerlaw_hamiltonian(8, seed=2)
         m = matrix.entries
         parents = [vectors[:, 0]]
         init = np.ones(8) / np.sqrt(8.0)
-        step = 1.0 / (2.0 * np.abs(levels).max())
-        converged = eigengame_player(m, init, parents, GameConfig(step_size=step, grad_tolerance=1e-6))
+        assert eigengame_classical.ascended_operator(m, 2)[0] is m  # positive definite: ascended unshifted
+        converged = eigengame_player(m, init, parents, GameConfig(grad_tolerance=1e-6))
         budget = eigengame_player(
-            m, init, parents,
-            GameConfig(step_size=step, sigma=1e-3, grad_tolerance=1e-12, max_iterations_per_player=5),
+            m, init, parents, GameConfig(sigma=1e-3, grad_tolerance=1e-12, max_iterations_per_player=5),
             mode="zeroth_order",
         )
         assert converged.converged and not budget.converged and budget.iterations_used == 5
@@ -346,26 +352,20 @@ class TestPlayer:
             expected = np.linalg.norm(g - (g @ state.vector) * state.vector)
             assert abs(state.final_riemannian_norm - expected) <= 1e-12
 
-    def test_step_size_required(self):
-        with pytest.raises(ValueError):
-            eigengame_player(M2, E1, [], GameConfig())
-
     def test_overflowing_game_matrix_raises_overflow(self):
         # M is finite, but 2 alpha M = diag(inf, 2): the game matrix overflows.
         m = np.diag([1e308, 1.0])
-        cfg = GameConfig(step_size=1.0, max_iterations_per_player=3)
         with pytest.raises(NumericalOverflowError):
-            eigengame_player(m, E1, [], cfg, mode="exact")
+            ascend_at_step(m, E1, [], GameConfig(max_iterations_per_player=3), 1.0, mode="exact")
 
     def test_overflowing_stop_threshold_raises_overflow(self):
         # (grad_tolerance * step)**2 = (1e-3 * 1e200)**2 is past the float range:
         # a bare OverflowError came from the float power.
-        cfg = GameConfig(step_size=1e200, max_iterations_per_player=3)
         with pytest.raises(NumericalOverflowError, match=r"grad_tolerance 0\.001, step 1e\+200"):
-            eigengame_player(M2, E1, [], cfg)
+            ascend_at_step(M2, E1, [], GameConfig(max_iterations_per_player=3), 1e200)
 
     def test_tiny_operator_raises_overflow_not_a_bare_error(self):
-        # Entries near 1e-300 give a default step near 5e299, whose stop
+        # Entries near 1e-300 give a step near 5e299, whose stop
         # threshold overflows when squared.
         with pytest.raises(NumericalOverflowError, match="stop threshold"):
             run_sequential(np.diag([1e-300, 3e-301, 1e-301]), GameConfig(num_players=3), seed=0)
@@ -375,15 +375,14 @@ class TestPlayer:
         # 2 alpha M = diag(6, inf) overflows where E1 is zero, so only grad[1]
         # (inf * 0, NaN) is non-finite.
         m = np.diag([3.0, 1e308])
-        cfg = GameConfig(step_size=1.0, max_iterations_per_player=3)
         with pytest.raises(NumericalOverflowError, match="gradient"):
-            eigengame_player(m, E1, [], cfg, mode=mode)
+            ascend_at_step(m, E1, [], GameConfig(max_iterations_per_player=3), 1.0, mode=mode)
 
     @pytest.mark.parametrize("init", [np.ones(3) / np.sqrt(3.0), E1[None, :]], ids=["wrong_length", "row"])
     def test_init_of_the_wrong_shape_rejected(self, init):
         # A length-3 init failed in NumPy's broadcast, and a (1, 2) one was accepted.
         with pytest.raises(DimensionMismatchError, match=r"init has shape .*, expected \(2,\)"):
-            eigengame_player(M2, init, [], GameConfig(step_size=0.1))
+            eigengame_player(M2, init, [], GameConfig())
 
     @pytest.mark.parametrize("parents, dim", [([np.ones(3) / np.sqrt(3.0)], 2), (np.eye(4)[:1].reshape(1, 2, 2), 4)],
                              ids=["wrong_length", "three_axes"])
@@ -392,13 +391,13 @@ class TestPlayer:
         m = np.diag(np.arange(dim, 0, -1.0))
         init = np.eye(dim)[1]
         with pytest.raises(DimensionMismatchError, match=rf"parents have shape .*, expected \(P, {dim}\)"):
-            eigengame_player(m, init, parents, GameConfig(step_size=0.1))
+            eigengame_player(m, init, parents, GameConfig())
         with pytest.raises(DimensionMismatchError):
             utility(init, parents, m)
 
     def test_residual_on_the_players_matrix(self):
         m, v0, parents = random_problem(6, 1, seed=5)
-        cfg = GameConfig(step_size=0.05, max_iterations_per_player=7)
+        cfg = GameConfig(max_iterations_per_player=7)
         state = eigengame_player(m, v0, parents, cfg, mode="exact")
         assert state.eigenvalue == pytest.approx(state.vector @ (m @ state.vector), abs=1e-14)
         assert abs(state.residual - residual(m, state)) <= 1e-12
@@ -419,11 +418,11 @@ class TestFusedIteration:
     def test_matches_the_vector_loop(self, mode, num_parents, budget):
         for seed in range(3):
             m, v0, parents = random_problem(7, num_parents, seed=20 + seed)
-            cfg = GameConfig(step_size=self.stable_step(m, parents), sigma=1e-2,
-                             grad_tolerance=1e-12 if budget else 1e-6,
+            cfg = GameConfig(sigma=1e-2, grad_tolerance=1e-12 if budget else 1e-6,
                              max_iterations_per_player=budget or 200_000)
-            fused = eigengame_player(m, v0, parents, cfg, mode=mode)
-            vector = vector_eigengame_player(m, v0, parents, cfg, mode=mode)
+            step = self.stable_step(m, parents)
+            fused = ascend_at_step(m, v0, parents, cfg, step, mode=mode)
+            vector = vector_eigengame_player(m, v0, parents, cfg, step, mode=mode)
             counts = ("iterations_used", "momentum_restarts", "converged", "stopped")
             assert [getattr(fused, c) for c in counts] == [getattr(vector, c) for c in counts]
             assert np.max(np.abs(fused.vector - vector.vector)) <= 1e-12
@@ -439,11 +438,11 @@ class TestFusedIteration:
         parents = [vectors[:, 0]]
         alpha = 1.0 / (2.0 * np.abs(levels).max())
         sigma = 1e-3 if mode == "zeroth_order" else 0.0
-        cfg = GameConfig(step_size=alpha, sigma=1e-3, grad_tolerance=1e-12, max_iterations_per_player=5000)
+        cfg = GameConfig(sigma=1e-3, grad_tolerance=1e-12, max_iterations_per_player=5000)
         converged = 0
         for seed in range(4):
             init = np.random.default_rng(seed).standard_normal(16)
-            state = eigengame_player(m, init / np.linalg.norm(init), parents, cfg, mode=mode)
+            state = ascend_at_step(m, init / np.linalg.norm(init), parents, cfg, alpha, mode=mode)
             if state.converged:
                 w = alpha * finite_diff_gradient(state.vector, parents, m, sigma)
                 tangent = w - (w @ state.vector) * state.vector
@@ -460,9 +459,8 @@ class TestFusedIteration:
         a = rng.standard_normal((8, 8))
         m = -(a @ a.T) - np.eye(8)
         v0 = rng.standard_normal(8)
-        cfg = GameConfig(step_size=self.stable_step(m, []), sigma=1e-2, grad_tolerance=1e-300,
-                         max_iterations_per_player=50_000)
-        state = eigengame_player(m, v0 / np.linalg.norm(v0), [], cfg, mode=mode)
+        cfg = GameConfig(sigma=1e-2, grad_tolerance=1e-300, max_iterations_per_player=50_000)
+        state = ascend_at_step(m, v0 / np.linalg.norm(v0), [], cfg, self.stable_step(m, []), mode=mode)
         assert state.iterations_used == 50_000 and not state.converged
         assert abs(np.linalg.norm(state.vector) - 1.0) <= 1e-12
 
@@ -517,12 +515,30 @@ class TestRunSequential:
         m = np.diag([3.0, 2.0, 1.0, 0.5])
         cfg = GameConfig(grad_tolerance=1e-4, num_players=1)
         result = run_sequential(m, cfg, seed=7, mode="exact")
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(1, 0)))
-        init = rng.standard_normal(4)
-        init /= np.linalg.norm(init)
-        step = eigengame_classical.ascended_operator(m, 1)[2]  # 1 / (2 hi), hi about 3
-        direct = eigengame_player(m, init, [], GameConfig(step_size=step, grad_tolerance=1e-4), mode="exact")
+        direct = eigengame_player(m, run_start(7, 1, 4), [], GameConfig(grad_tolerance=1e-4), mode="exact")
         assert np.array_equal(result.players[0].vector, direct.vector)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", ["powerlaw_16", "six_levels"])
+    def test_direct_player_is_the_last_player_of_a_run(self, case, mode):
+        # A run of k players and a direct player with the run's players 1..k-1 as parents ascend
+        # one matrix at one step, so the direct player is the run's player k, bit for bit.
+        # The cases cover the three step regimes: unshifted positive definite (power law),
+        # unshifted indefinite (six levels, k <= 2) and shifted (six levels, k >= 3).
+        if case == "powerlaw_16":
+            m, shifted = build_powerlaw_hamiltonian(16, seed=0)[0].entries, [False] * 4
+        else:
+            m = matrix_with_spectrum([3.0, 1.0, -0.5, -1.0, -2.0, -3.0], random_orthonormal(6, 1))
+            shifted = [False, False, True, True]
+            assert eigengame_classical.ascended_operator(m, 2)[2] == pytest.approx(1.0 / 12.0, rel=1e-12)
+        assert [eigengame_classical.ascended_operator(m, k)[1] > 0.0 for k in range(1, 5)] == shifted
+        for k in range(1, 5):
+            cfg = GameConfig(num_players=k, sigma=1e-3, grad_tolerance=1e-6, max_iterations_per_player=20_000)
+            run = run_sequential(m, cfg, seed=2, mode=mode)
+            assert len(run.players) == k and run.all_converged
+            parents = [p.vector for p in run.players[:-1]]
+            direct = eigengame_player(m, run_start(2, k, len(m)), parents, cfg, mode=mode, index=k)
+            assert same_players([direct], run.players[-1:]), (k, mode)
 
     def test_powerlaw_instance_both_modes(self):
         # Oracle: the generator's sampled spectrum (verified against eigh elsewhere).
@@ -587,7 +603,7 @@ class TestRunSequential:
         # [4, 0] where that of v^T M v is [4, 5].
         m = np.array([[2.0, 5.0], [0.0, 1.0]])
         calls = {
-            "player": lambda: eigengame_player(m, np.ones(2) / np.sqrt(2.0), [], GameConfig(step_size=0.05)),
+            "player": lambda: eigengame_player(m, np.ones(2) / np.sqrt(2.0), [], GameConfig()),
             "parent": lambda: utility(E2, np.array([E1]), m),  # the parent block is read on M
             "utility": lambda: utility(E1, [], m),
             "exact_gradient": lambda: exact_gradient(E1, [], m),
@@ -611,7 +627,7 @@ class TestRunSequential:
         m = np.array([[3.0, 0.0], [0.0, complex(1.0, np.nan)]])
         calls = {
             "run": lambda: run_sequential(m, GameConfig(num_players=2), seed=0),
-            "player": lambda: eigengame_player(m, E1, [], GameConfig(step_size=0.1)),
+            "player": lambda: eigengame_player(m, E1, [], GameConfig()),
             "utility": lambda: utility(E1, [], m),
             **intake_calls(m),
         }
@@ -625,7 +641,7 @@ class TestRunSequential:
         # A NaN used to skip the shape check, and the player and utility failed inside NumPy.
         calls = {
             "run": lambda: run_sequential(m, GameConfig(), seed=0),
-            "player": lambda: eigengame_player(m, E1, [], GameConfig(step_size=0.1)),
+            "player": lambda: eigengame_player(m, E1, [], GameConfig()),
             "utility": lambda: utility(E1, [], m),
             **intake_calls(m),
         }
@@ -638,7 +654,7 @@ class TestRunSequential:
         with pytest.raises(HermiticityError):
             run_sequential(m, GameConfig(num_players=2), seed=0)
         with pytest.raises(HermiticityError):
-            eigengame_player(m, E1, [], GameConfig(step_size=0.1))
+            eigengame_player(m, E1, [], GameConfig())
 
     def test_complex_input_with_negligible_imaginary_part_accepted(self):
         m = np.array([[2.0, 1.0 + 1e-14j], [1.0 - 1e-14j, 1.0]])
@@ -681,9 +697,9 @@ class TestRunSequential:
         received = []
         original = eigengame_classical._ascend
 
-        def recording(mat, init, parents, *args):
+        def recording(mat, v, parents, *args):
             received.append(np.array(parents))
-            return original(mat, init, parents, *args)
+            return original(mat, v, parents, *args)
 
         monkeypatch.setattr(eigengame_classical, "_ascend", recording)
         matrix, _ = build_powerlaw_hamiltonian(8, seed=2)
@@ -699,9 +715,9 @@ class TestRunSequential:
         calls = []
         original = eigengame_classical._ascend
 
-        def counting(mat, init, parents, cfg, mode, index):
+        def counting(mat, v, parents, cfg, mode, index, step):
             calls.append(index)
-            return original(mat, init, parents, cfg, mode, index)
+            return original(mat, v, parents, cfg, mode, index, step)
 
         monkeypatch.setattr(eigengame_classical, "_ascend", counting)
         cfg = GameConfig(grad_tolerance=1e-6, max_iterations_per_player=5, num_players=3)
@@ -815,7 +831,7 @@ class TestInvariants:
     def test_parent_arrays_are_frozen(self):
         m, v, parents = random_problem(4, 1, seed=2)
         block = np.array(parents)
-        state = eigengame_player(m, v, block, GameConfig(step_size=0.05, max_iterations_per_player=3))
+        state = eigengame_player(m, v, block, GameConfig(max_iterations_per_player=3))
         assert np.array_equal(state.parents, block)
         with pytest.raises(ValueError):
             state.parents[0, 0] = 0.0
@@ -824,18 +840,16 @@ class TestInvariants:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GameConfig(step_size=-0.1)
-        with pytest.raises(ValueError):
             GameConfig(grad_tolerance=0.0)
         with pytest.raises(ValueError):
             GameConfig(num_players=0)
         with pytest.raises(ValueError):
             GameConfig(sigma=-1e-3)
 
-    @pytest.mark.parametrize("field", ["step_size", "sigma", "grad_tolerance"])
+    @pytest.mark.parametrize("field", ["sigma", "grad_tolerance"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_config_values_rejected(self, field, value):
-        # NaN passed every ``x <= 0`` test; an infinite step or sigma is no setting.
+        # NaN passed every ``x <= 0`` test; an infinite sigma or tolerance is no setting.
         with pytest.raises(ValueError):
             GameConfig(**{field: value})
 
@@ -878,9 +892,8 @@ class TestHeavyBall:
         m, v0, parents = random_problem(6, 3, seed=4)
         alpha = 0.05
         for mode, sigma in (("exact", 0.0), ("zeroth_order", 1e-2)):
-            cfg = GameConfig(step_size=alpha, sigma=1e-2, grad_tolerance=1e-12,
-                             max_iterations_per_player=ASCENT_WARMUP)
-            state = eigengame_player(m, v0, parents, cfg, mode=mode)
+            cfg = GameConfig(sigma=1e-2, grad_tolerance=1e-12, max_iterations_per_player=ASCENT_WARMUP)
+            state = ascend_at_step(m, v0, parents, cfg, alpha, mode=mode)
             v = v0
             for _ in range(ASCENT_WARMUP):
                 g = finite_diff_gradient(v, parents, m, sigma)
@@ -936,11 +949,11 @@ class TestNonPositiveSpectra:
         _, shift, step = eigengame_classical.ascended_operator(m, k)
         shifted = m + shift * np.eye(len(m))
         assert np.linalg.eigvalsh(m)[0] < 0.0 < np.linalg.eigvalsh(shifted)[0]
-        cfg = GameConfig(num_players=k, step_size=step, **STRICT)
+        cfg = GameConfig(num_players=k, **STRICT)
         result = run_sequential(m, cfg, seed=1, mode=mode)
-        reference = run_sequential(shifted, cfg, seed=1, mode=mode)  # positive definite: not shifted again
         assert result.all_converged
-        for p, q in zip(result.players, reference.players, strict=True):
+        for p in result.players:
+            q = ascend_at_step(shifted, run_start(1, p.index, len(m)), p.parents, cfg, step, mode=mode)
             assert p.iterations_used == q.iterations_used
             assert np.max(np.abs(p.vector - q.vector)) <= 1e-15
 
@@ -1199,11 +1212,30 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="mode"):
             run_sequential(m, GameConfig(num_players=2, sigma=0.1), seed=0, mode="zeroth-order")
         with pytest.raises(ValueError, match="mode"):
-            eigengame_player(M2, E1, [], GameConfig(step_size=0.1), mode="exact_gradient")
+            eigengame_player(M2, E1, [], GameConfig(), mode="exact_gradient")
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix"):
             run_sequential(np.zeros((3, 3)), GameConfig(num_players=1), seed=0)
+
+    @pytest.mark.parametrize("m, init, parents, error, message", [
+        (np.array([[2.0, 5.0], [0.0, 1.0]]), E1, [], HermiticityError, "not Hermitian"),
+        (M2, E2, [MIX, np.ones(3)], DimensionMismatchError, "do not form one block"),
+        (np.diag([3.0, 1.0, 0.5]), np.array([0.6, 0.8, 0.0]), [3.0 * np.eye(3)[1]], NormalizationError,
+         "^parent state"),
+        (M2, np.array([1.0, 1.0]), [], NormalizationError, "^init"),
+        (M2, E1, [E1, E2], ValueError, r"^k=3 players exceed the operator's dimension 2$"),
+        (np.zeros((2, 2)), E1, [], ValueError, "zero matrix"),
+    ], ids=["non_hermitian", "ragged_parents", "parent_off_unit_norm", "init_off_unit_norm", "too_many_parents",
+            "zero_matrix"])
+    def test_direct_player_checks_its_inputs_before_the_lanczos_run(self, monkeypatch, m, init, parents, error,
+                                                                     message):
+        def no_lanczos(*args):
+            raise AssertionError("the Lanczos run started")
+
+        monkeypatch.setattr(eigengame_classical, "ascended_operator", no_lanczos)
+        with pytest.raises(error, match=message):
+            eigengame_player(m, init, parents, GameConfig())
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_scheduler_rejects_no_players(self, k):
@@ -1221,7 +1253,7 @@ class TestInputValidation:
         m, parents = np.diag([3.0, 1.0, 0.5]), [3.0 * np.eye(3)[1]]
         v = np.array([0.6, 0.8, 0.0])
         calls = {
-            "player": lambda: eigengame_player(m, v, parents, GameConfig(step_size=0.1)),
+            "player": lambda: eigengame_player(m, v, parents, GameConfig()),
             "utility": lambda: utility(v, parents, m),
             "exact_gradient": lambda: exact_gradient(v, parents, m),
             "finite_diff_gradient": lambda: finite_diff_gradient(v, parents, m, 0.1),

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 from unittest import mock
@@ -80,6 +81,7 @@ from oracles import (
     row_moments,
 )
 from test_hamiltonian import LATE_EXTREME, random_pauli_sum
+from test_eigengame_classical import same_players
 
 DIAG_3210 = PauliSum(2, ((1.5, "II"), (1.0, "ZI"), (0.5, "IZ")))  # diag(3, 2, 1, 0)
 DIAG_3120 = PauliSum(2, ((1.5, "II"), (0.5, "ZI"), (1.0, "IZ")))  # diag(3, 1, 2, 0)
@@ -355,8 +357,7 @@ class TestParentOperands:
 
 RAGGED_PARENTS = {
     "eigengame_player": lambda h2: eigengame_player(
-        np.diag([2.0, 1.0]), np.array([0.0, 1.0]), [np.ones(2) / np.sqrt(2.0), np.ones(3)],
-        GameConfig(step_size=0.1)),
+        np.diag([2.0, 1.0]), np.array([0.0, 1.0]), [np.ones(2) / np.sqrt(2.0), np.ones(3)], GameConfig()),
     "utility": lambda h2: utility(
         np.array([0.0, 1.0]), [np.ones(2) / np.sqrt(2.0), np.ones(3)], np.diag([2.0, 1.0])),
     "quantumgame_player": lambda h2: quantumgame_player(
@@ -401,6 +402,25 @@ class TestRunQuantumGame:
         result = runner(h2, spec, cfg, 4, seed=0)
         assert result.all_converged
         assert max(p.max_imag_residue for p in result.players) <= NORM_ATOL
+
+    @pytest.mark.parametrize("shots", [None, 10_000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("runner, player, extra", [(run_quantumgame, quantumgame_player, {}),
+                                                       (run_vqd, vqd_player, {"beta": 5.0})], ids=["game", "vqd"])
+    def test_direct_player_is_the_runs_player(self, h2, runner, player, extra, shots):
+        # Player k called with the run's start theta and shot seed for it, and with players
+        # 1..k-1's states and eigenvalues, is the run's player k bit for bit.
+        spec = random_layers_ansatz(2, 3, 3, seed=11)
+        cfg = SolverConfig(direction="minimize", grad_tolerance=1e-2, max_iterations=300, shots=ShotModel(shots),
+                           **extra)
+        run = runner(h2, spec, cfg, 4, seed=5).players
+        assert len(run) == 4
+        for k, want in enumerate(run, start=1):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(k,)))
+            theta = rng.uniform(-np.pi, np.pi, size=spec.num_parameters)
+            own = replace(cfg, shots=replace(cfg.shots, rng_seed=int(rng.integers(0, 2**31 - 1))))
+            earlier = run[:k - 1]
+            got = player(h2, spec, theta, [p.vector for p in earlier], [p.eigenvalue for p in earlier], own, index=k)
+            assert same_players([got], [want]), k
 
     def test_operator_never_mutates(self, h2):
         spec = random_layers_ansatz(2, 3, 3, seed=11)
@@ -1570,7 +1590,6 @@ WHOLE_NUMBER_SITES = {
 # call with the value under test, the site's error class, the name its message gives, and the
 # sign it requires (None: any finite value).
 REAL_NUMBER_SITES = {
-    "GameConfig.step_size": (lambda v: GameConfig(step_size=v), ValueError, "step_size", "positive"),
     "GameConfig.sigma": (lambda v: GameConfig(sigma=v), ValueError, "sigma", "non-negative"),
     "GameConfig.grad_tolerance": (lambda v: GameConfig(grad_tolerance=v), ValueError, "grad_tolerance", "positive"),
     "SolverConfig.grad_tolerance": (
@@ -1656,7 +1675,7 @@ UNIT_NORM_SITES = {
         NormalizationError, "parent state", NORM_ATOL),
     "eigengame_player.init": (
         lambda r: eigengame_player(np.diag([4.0, 3.0]), np.array([r, 0.0]), [],
-                                   GameConfig(step_size=0.1, max_iterations_per_player=1)),
+                                   GameConfig(max_iterations_per_player=1)),
         NormalizationError, "init", UNIT_NORM_ATOL),
     "angular_error.v": (lambda r: angular_error(np.array([r, 0.0]), np.array([1.0, 0.0])), NormalizationError, "v",
                         1e-6),

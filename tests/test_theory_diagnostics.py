@@ -281,6 +281,28 @@ class TestErrorAccumulationClassical:
             change = finite_diff_gradient(v, hat, a, 1e-2) - finite_diff_gradient(v, true, a, 1e-2)
             assert np.linalg.norm(change - (change @ v) * v) <= bound
 
+    def test_harness_runs_one_lanczos_and_gives_the_bound_functions_values(self, monkeypatch):
+        # Each draw called error_accumulation_bound_classical, whose ascended_operator
+        # ran the Lanczos run again: 61 runs for 60 rows.
+        runs, draws = [], []
+        ascended_operator, parent_error_sum = theory_diagnostics.ascended_operator, theory_diagnostics._parent_error_sum
+
+        def counted(mat, k):
+            runs.append(k)
+            return ascended_operator(mat, k)
+
+        def recorded(mat, true, hat, sigma):
+            draws.append((true, hat, sigma))
+            return parent_error_sum(mat, true, hat, sigma)
+
+        monkeypatch.setattr(theory_diagnostics, "ascended_operator", counted)
+        monkeypatch.setattr(theory_diagnostics, "_parent_error_sum", recorded)
+        rows = measure_error_accumulation_classical(dim=8, epsilons=(1e-4, 1e-2), seed=0, samples_per_epsilon=3)
+        assert runs == [3] and len(draws) == len(rows) == 6
+        monkeypatch.undo()
+        matrix = build_powerlaw_hamiltonian(8, seed=0)[0]
+        assert [r.bound_value for r in rows] == [error_accumulation_bound_classical(matrix, *d) for d in draws]
+
     def test_slope_needs_two_epsilons(self):
         rows = measure_error_accumulation_classical(
             dim=6, epsilons=(1e-3,), seed=0, samples_per_epsilon=3
